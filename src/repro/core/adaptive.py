@@ -9,11 +9,12 @@ machinery the serving stack already has:
 
 * **telemetry** — :class:`TrafficSink` piggybacks on the hot-cell cache's
   key computation (:class:`repro.serve.cache.CachedCellStore` already
-  deduplicates each probe batch to truncated cell keys): per unique key it
+  truncates each probe batch to cell keys and resolves their entries, and
+  deduplicates them when a sink is attached): per unique key it
   classifies the store's tagged entry as expensive or not straight from
   the entry bits, and feeds :class:`LayerTelemetry` — a windowed STH rate
   plus a histogram of refinement traffic per cell key.  Cost per probe is
-  a few vectorized ops over the already-computed unique keys.
+  one ``np.unique`` over the keys plus a few vectorized ops.
 * **trigger** — :class:`AdaptiveController` watches the windowed STH rate
   after each dispatch; when it sinks below ``AdaptationPolicy.sth_target``
   (outside the cooldown), it claims a retrain slot and hands the observed
@@ -46,6 +47,7 @@ from repro.core.lookup_table import (
     TAG_ONE_REF,
     TAG_TWO_REFS,
     LookupTable,
+    offset_counts,
 )
 
 #: Retrain entry points looked up on the layer index, in order.
@@ -100,15 +102,15 @@ class _EntryClassifier:
     An entry is *expensive* when its reference set contains at least one
     candidate (non-interior) reference — exactly the cells whose points
     enter the refinement phase.  One/two-ref entries are classified from
-    the inlined interior bits; offset entries decode once per distinct
-    offset (memoized).  Sentinel/pointer entries (misses) are cheap.
+    the inlined interior bits, offset entries from the ``num_candidate``
+    word of their lookup-table list.  Sentinel/pointer entries (misses)
+    are cheap.
     """
 
-    __slots__ = ("_table", "_offset_memo")
+    __slots__ = ("_table",)
 
     def __init__(self, lookup_table: LookupTable):
         self._table = lookup_table
-        self._offset_memo: dict[int, bool] = {}
 
     def expensive(self, entries: np.ndarray) -> np.ndarray:
         entries = np.asarray(entries, dtype=np.uint64)
@@ -122,16 +124,11 @@ class _EntryClassifier:
             first_interior = (entries[two] >> np.uint64(2)) & np.uint64(1)
             second_interior = (entries[two] >> np.uint64(33)) & np.uint64(1)
             out[two] = (first_interior == 0) | (second_interior == 0)
-        offsets = np.nonzero(tags == np.uint64(TAG_OFFSET))[0]
-        for slot in offsets:
-            offset = int(entries[slot]) >> 2
-            flag = self._offset_memo.get(offset)
-            if flag is None:
-                flag = any(
-                    not ref.interior for ref in self._table.decode_offset(offset)
-                )
-                self._offset_memo[offset] = flag
-            out[slot] = flag
+        by_offset = tags == np.uint64(TAG_OFFSET)
+        if by_offset.any():
+            offsets = (entries[by_offset] >> np.uint64(2)).astype(np.int64)
+            _, num_cand = offset_counts(self._table.array, offsets)
+            out[by_offset] = num_cand > 0
         return out
 
 

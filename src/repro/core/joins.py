@@ -38,6 +38,7 @@ from repro.core.lookup_table import (
     TAG_ONE_REF,
     TAG_TWO_REFS,
     LookupTable,
+    expand_offsets,
 )
 from repro.geo.pip import contains_points
 from repro.geo.polygon import Polygon
@@ -110,20 +111,14 @@ def decode_entries(
     offset_idx = np.nonzero(tags == np.uint64(TAG_OFFSET))[0]
     if offset_idx.size:
         offsets = (entries[offset_idx] >> np.uint64(2)).astype(np.int64)
-        # Reference lists are deduplicated, so the number of distinct
-        # offsets is tiny; expand group by group.
-        for offset in np.unique(offsets):
-            refs = lookup_table.decode_offset(int(offset))
-            group = offset_idx[offsets == offset]
-            points_parts.append(np.repeat(group, len(refs)))
-            pids_parts.append(
-                np.tile(np.asarray([r.polygon_id for r in refs], dtype=np.int64),
-                        group.size)
-            )
-            true_parts.append(
-                np.tile(np.asarray([r.interior for r in refs], dtype=bool),
-                        group.size)
-            )
+        # Pairs are grouped by offset, then point, then polygon id.
+        by_offset = np.argsort(offsets, kind="stable")
+        which, ids, interior = expand_offsets(
+            lookup_table.array, offsets[by_offset]
+        )
+        points_parts.append(offset_idx[by_offset][which])
+        pids_parts.append(ids)
+        true_parts.append(interior)
 
     if not points_parts:
         empty_i = np.zeros(0, dtype=np.int64)

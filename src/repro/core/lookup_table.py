@@ -37,6 +37,41 @@ SENTINEL_ENTRY = 0
 _VALUE_MASK = (1 << 31) - 1
 
 
+def offset_counts(
+    table: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(num_true, num_candidate)`` of the reference lists at ``offsets``.
+
+    ``table`` is a lookup table's flat ``uint32`` array, ``offsets`` an
+    ``int64`` array of list offsets into it.
+    """
+    num_true = table[offsets].astype(np.int64)
+    num_cand = table[offsets + 1 + num_true].astype(np.int64)
+    return num_true, num_cand
+
+
+def expand_offsets(
+    table: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expand the reference lists at ``offsets`` all at once.
+
+    Returns ``(which, polygon ids, interior flags)``: ``which[i]`` is the
+    position in ``offsets`` the ``i``-th reference belongs to.  Lists
+    come out in the order of ``offsets``, each one id-sorted exactly as
+    :meth:`LookupTable.decode_offset` returns it.
+    """
+    num_true, num_cand = offset_counts(table, offsets)
+    sizes = num_true + num_cand
+    which = np.repeat(np.arange(len(offsets)), sizes)
+    within = np.arange(len(which)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    interior = within < num_true[which]
+    # Ids follow the num_true word; candidate ids the num_cand word too.
+    ids = table[offsets[which] + 1 + within + ~interior].astype(np.int64)
+    # Each half is id-sorted; a stable sort on (list, id) merges the two.
+    order = np.argsort((which << 32) | ids, kind="stable")
+    return which, ids[order], interior[order]
+
+
 class LookupTable:
     """Builds and serves the shared reference-list array."""
 

@@ -7,8 +7,9 @@ unit of work is a *request stream* rather than a point array:
   multi-layer fan-out, all dispatched through the vectorized join drivers;
 * :class:`MicroBatcher` — coalesces concurrent single-point lookups into
   micro-batches (the serving analog of the paper's batched probe phase);
-* :class:`HotCellCache` / :class:`CachedCellStore` — an LRU over leaf-cell
-  probe results that short-circuits skewed (fig9-style) workloads;
+* :class:`HotCellCache` / :class:`CachedCellStore` — a numpy hash table
+  of leaf-cell probe results (two slot choices per key, the less recently
+  used one is replaced) that short-circuits skewed (fig9-style) workloads;
 * :class:`LayerRouter` — several named polygon layers behind one service;
 * :class:`MorselExecutor` — persistent-pool morsel parallelism for large
   batches;

@@ -4,12 +4,26 @@ Probing the cell store is the dominant cost of a join, and real request
 streams are heavily skewed: the Twitter-style workloads of the paper's
 Figure 9 concentrate most points in a handful of city hotspots, so the
 same leaf cells are probed over and over.  :class:`HotCellCache` is a
-thread-safe LRU keyed on leaf cell id that remembers the tagged entry the
-store returned for that cell; :class:`CachedCellStore` wraps any cell
-store behind the cache while still satisfying the ``probe`` protocol, so
-the existing join drivers (``approximate_join``/``accurate_join``) run
-unchanged — a cached probe is bit-identical to a direct one because the
-entry for a cell is immutable once the index is built.
+thread-safe, fixed-size hash table held in numpy arrays that remembers
+the tagged entry the store returned for a cell key; a whole batch is
+looked up, and its misses written back, with a handful of array gathers
+and scatters — no per-key Python work.  :class:`CachedCellStore` wraps
+any cell store behind the cache while still satisfying the ``probe``
+protocol, so the existing join drivers
+(``approximate_join``/``accurate_join``) run unchanged — a cached probe
+is bit-identical to a direct one because the entry for a cell is
+immutable once the index is built.
+
+Replacement policy (the only one): every key hashes to two slots and is
+found in either.  Each slot carries the tick of the last batch that read
+or wrote it; a missing key is written over the less recently used of its
+two slots — an empty one first — unless the batch being served already
+used that slot, in which case the key is simply not cached this time.
+When several keys of one batch pick the same slot one of them wins, and
+the others take their second slot only if it is still empty.  This
+tracks an exact LRU closely on skewed streams (a hot key is refreshed
+every batch, so a flood of cold keys can only displace other cold keys)
+at the cost of a few conflict misses an exact LRU would not have.
 
 Hit/miss accounting is weighted by *points*, not by distinct cells: a
 micro-batch whose 10,000 points all fall in one cached cell records
@@ -20,12 +34,16 @@ short-circuited.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cells.cellid import MAX_LEVEL
+
+# Two odd 64-bit multipliers (golden ratio, an xxHash prime): the top
+# bits of ``key * multiplier mod 2**64`` are the key's two slot choices.
+_HASH_FIRST = np.uint64(0x9E3779B97F4A7C15)
+_HASH_SECOND = np.uint64(0xC2B2AE3D27D4EB4F)
 
 
 @dataclass(frozen=True)
@@ -50,98 +68,141 @@ class CacheStats:
 
 
 class HotCellCache:
-    """Thread-safe LRU of ``leaf cell id -> tagged store entry``.
+    """Thread-safe two-choice hash table of ``cell key -> tagged entry``.
 
-    ``capacity`` counts distinct cells; ``capacity=0`` disables caching
-    (every probe goes to the store and no statistics are recorded).
+    ``capacity`` sizes the table: it has ``slots`` = the next power of two
+    >= ``capacity`` (at least 2) slots of 24 bytes, and ``size`` counts
+    the occupied ones.  ``capacity=0`` disables caching (every probe goes
+    to the store and no statistics are recorded).  See the module
+    docstring for the replacement policy.
+
+    The batch API is :meth:`lookup` followed by :meth:`insert` for the
+    keys it missed; each holds the lock only around its own gathers and
+    scatters, so the store probe in between runs unlocked.
     """
 
     def __init__(self, capacity: int = 4096):
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self._entries: OrderedDict[int, int] = OrderedDict()  #: guarded_by(_lock)
+        bits = max(1, (capacity - 1).bit_length())
+        self.slots = (1 << bits) if capacity else 0
+        self._hash_shift = np.uint64(64 - bits)
         self._lock = threading.Lock()
+        self._keys = np.zeros(self.slots, dtype=np.uint64)  #: guarded_by(_lock)
+        self._entries = np.zeros(self.slots, dtype=np.uint64)  #: guarded_by(_lock)
+        # Tick of the last batch that touched the slot; 0 = never filled.
+        self._ticks = np.zeros(self.slots, dtype=np.int64)  #: guarded_by(_lock)
+        self._tick = 0  #: guarded_by(_lock)
         self._hits = 0  #: guarded_by(_lock)
         self._misses = 0  #: guarded_by(_lock)
         self._evictions = 0  #: guarded_by(_lock)
 
-    def get(self, cell_id: int, weight: int = 1) -> int | None:
-        """Cached entry for a cell, or ``None``; counts ``weight`` probes."""
-        with self._lock:
-            entry = self._entries.get(cell_id)
-            if entry is None:
-                self._misses += weight
-                return None
-            self._entries.move_to_end(cell_id)
-            self._hits += weight
-            return entry
+    def _slot_choices(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        shift = self._hash_shift
+        return (
+            ((keys * _HASH_FIRST) >> shift).astype(np.intp),
+            ((keys * _HASH_SECOND) >> shift).astype(np.intp),
+        )
 
-    def put(self, cell_id: int, entry: int) -> None:
-        if self.capacity == 0:
-            # Caching disabled: inserting would only evict immediately,
-            # inflating the eviction counter for entries never servable.
-            return
-        with self._lock:
-            self._entries[cell_id] = entry
-            self._entries.move_to_end(cell_id)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
+    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """Cached entries for a batch of keys (repeats welcome).
 
-    def get_many(
-        self, cell_ids: list[int], weights: np.ndarray
-    ) -> tuple[list[int | None], list[int]]:
-        """Batch :meth:`get` under ONE lock acquisition (the hot path).
-
-        Returns the per-id entries (``None`` on miss) and the miss slots.
+        Returns ``(entries, missing, tick)``: one entry per key, zero at
+        the positions listed in ``missing`` (ascending indices of the
+        keys not cached), and the batch's tick, to be handed back to
+        :meth:`insert`.  Every key counts as one hit or one miss.
         """
-        misses: list[int] = []
-        out: list[int | None] = [None] * len(cell_ids)
-        with self._lock:
-            entries = self._entries
-            for slot, cell_id in enumerate(cell_ids):
-                entry = entries.get(cell_id)
-                if entry is None:
-                    misses.append(slot)
-                    self._misses += int(weights[slot])
-                else:
-                    entries.move_to_end(cell_id)
-                    self._hits += int(weights[slot])
-                    out[slot] = entry
-        return out, misses
-
-    def put_many(self, items: list[tuple[int, int]]) -> None:
-        """Batch :meth:`put` under one lock acquisition."""
+        keys = np.asarray(keys, dtype=np.uint64)
         if self.capacity == 0:
-            return
+            return np.zeros(len(keys), dtype=np.uint64), np.arange(len(keys)), 0
+        first, second = self._slot_choices(keys)
         with self._lock:
-            entries = self._entries
-            for cell_id, entry in items:
-                entries[cell_id] = entry
-                entries.move_to_end(cell_id)
-            while len(entries) > self.capacity:
-                entries.popitem(last=False)
-                self._evictions += 1
+            self._tick += 1
+            tick = self._tick
+            slot = np.where(self._keys[first] == keys, first, second)
+            # A never-filled slot holds key 0, which is also a valid key.
+            hit = (self._keys[slot] == keys) & (self._ticks[slot] > 0)
+            entries = self._entries[slot]
+            self._ticks[slot[hit]] = tick
+            missing = np.flatnonzero(~hit)
+            self._hits += len(keys) - len(missing)
+            self._misses += len(missing)
+        entries[missing] = 0
+        return entries, missing, tick
+
+    def insert(self, keys: np.ndarray, entries: np.ndarray, tick: int) -> None:
+        """Cache ``entries`` for the ``keys`` a :meth:`lookup` missed.
+
+        ``tick`` is that lookup's: slots it (or any later batch) touched
+        are never evicted.  Repeated keys, and distinct keys competing
+        for one slot, are fine; a key that loses such a race gets its
+        other slot if that one is still empty.
+        """
+        if self.capacity == 0 or len(keys) == 0:
+            return
+        keys = np.asarray(keys, dtype=np.uint64)
+        entries = np.asarray(entries, dtype=np.uint64)
+        first, second = self._slot_choices(keys)
+        with self._lock:
+            ticks = self._ticks
+            first_tick = ticks[first]
+            second_tick = ticks[second]
+            older = np.where(first_tick <= second_tick, first, second)
+            tried = np.flatnonzero(np.minimum(first_tick, second_tick) < tick)
+            lost = self._write(older[tried], keys[tried], entries[tried], tick)
+            retry = tried[lost]
+            other = first[retry] + second[retry] - older[retry]
+            empty = ticks[other] == 0
+            retry = retry[empty]
+            self._write(other[empty], keys[retry], entries[retry], tick)
+
+    def _write(  #: requires(_lock)
+        self, slots: np.ndarray, keys: np.ndarray, entries: np.ndarray, tick: int
+    ) -> np.ndarray:
+        """Overwrite ``slots`` with ``keys -> entries``.
+
+        Returns the positions (into the arguments) whose write was lost.
+        numpy leaves the winner of a repeated-index assignment undefined,
+        so nothing here depends on it: keys are written first and read
+        back, and an entry (and the tick) lands only where its key stuck —
+        every winner of a slot then carries the same key and therefore
+        the same entry.  A lost write is a future miss, never a wrong
+        entry.
+        """
+        old_keys = self._keys[slots]
+        occupied = self._ticks[slots] > 0
+        self._keys[slots] = keys
+        new_keys = self._keys[slots]
+        stuck = new_keys == keys
+        won = np.flatnonzero(stuck)
+        won_slots = slots[won]
+        self._entries[won_slots] = entries[won]
+        self._ticks[won_slots] = tick
+        # All writers of one slot saw the same old key and read back the
+        # same new one, so this repeated-index assignment is well defined.
+        replaced = np.zeros(self.slots, dtype=bool)
+        replaced[slots] = occupied & (old_keys != new_keys)
+        self._evictions += int(np.count_nonzero(replaced))
+        return np.flatnonzero(~stuck)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, cell_id: int) -> bool:
-        with self._lock:
-            return cell_id in self._entries
+            return int(np.count_nonzero(self._ticks))
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
+            self._keys[:] = 0
+            self._entries[:] = 0
+            self._ticks[:] = 0
+            self._tick = 0
             self._hits = self._misses = self._evictions = 0
 
     def stats(self) -> CacheStats:
         with self._lock:
             return CacheStats(
                 capacity=self.capacity,
-                size=len(self._entries),
+                size=int(np.count_nonzero(self._ticks)),
                 hits=self._hits,
                 misses=self._misses,
                 evictions=self._evictions,
@@ -170,21 +231,23 @@ def key_shift_for_level(max_cell_level: int) -> int:
 class CachedCellStore:
     """A ``CellStore`` adapter that serves probes through a hot-cell cache.
 
-    Deduplicates the batch to its distinct cache keys (leaf ids truncated
-    by ``key_shift``, see :func:`key_shift_for_level`), answers cached
-    keys from the LRU, probes the underlying store once per missing key,
-    and scatters the entries back to every point — so downstream decoding
-    and refinement see exactly what a direct ``store.probe`` would return.
+    Truncates the batch's leaf ids to cache keys (by ``key_shift``, see
+    :func:`key_shift_for_level`), gathers the cached entries from the
+    table, probes the underlying store with only the points whose key was
+    missing, and writes those entries back — so downstream decoding and
+    refinement see exactly what a direct ``store.probe`` would return.
+    The batch is never deduplicated: a repeated missing key costs one
+    more lane of the store's vectorized probe, which is cheaper than
+    finding the repeats.
 
     ``recorder`` is an optional telemetry sink (the adaptation loop's
     :class:`~repro.core.adaptive.TrafficSink`): after each batch it
     receives the unique keys, their point weights, and the resolved
-    entries — piggybacking on the dedup work the cache already did, so
-    hot-path telemetry costs no extra passes over the points.
+    entries.  Only this branch pays for a dedup pass.
 
-    ``tracer`` is an optional :class:`~repro.obs.trace.Tracer`; LRU hits
-    and misses of each batch show up as a ``cache_lookup`` child span of
-    the active dispatch.
+    ``tracer`` is an optional :class:`~repro.obs.trace.Tracer`; the table
+    lookup of each batch shows up as a ``cache_lookup`` child span of the
+    active dispatch, with its point-weighted miss count.
     """
 
     def __init__(self, store, cache: HotCellCache, key_shift: int = 0,
@@ -204,44 +267,34 @@ class CachedCellStore:
         if self.cache.capacity == 0 and self.recorder is None:
             return self.store.probe(query_ids)
         keys = query_ids >> np.uint64(self.key_shift)
-        unique_keys, first_index, inverse = np.unique(
-            keys, return_index=True, return_inverse=True
-        )
-        weights = np.bincount(inverse, minlength=len(unique_keys))
         if self.cache.capacity == 0:
-            # Caching disabled but telemetry on: probe directly and record
-            # one representative entry per key.
-            full = self.store.probe(query_ids)
-            self.recorder.record(unique_keys, weights, full[first_index])
-            return full
+            entries = self.store.probe(query_ids)
+        else:
+            entries = self._probe_through_cache(query_ids, keys)
+        if self.recorder is not None:
+            # One representative entry per key; every id sharing a key
+            # resolves to the same entry by construction.
+            unique_keys, first_index, weights = np.unique(
+                keys, return_index=True, return_counts=True
+            )
+            self.recorder.record(unique_keys, weights, entries[first_index])
+        return entries
+
+    def _probe_through_cache(
+        self, query_ids: np.ndarray, keys: np.ndarray
+    ) -> np.ndarray:
+        cache = self.cache
         if self.tracer is not None:
             with self.tracer.span("cache_lookup") as span:
-                cached, miss_slots = self.cache.get_many(
-                    unique_keys.tolist(), weights
-                )
-                span.set(keys=len(unique_keys), misses=len(miss_slots))
+                entries, missing, tick = cache.lookup(keys)
+                span.set(keys=len(keys), misses=len(missing))
         else:
-            cached, miss_slots = self.cache.get_many(
-                unique_keys.tolist(), weights
-            )
-        entries = np.asarray(
-            [entry if entry is not None else 0 for entry in cached],
-            dtype=np.uint64,
-        )
-        if miss_slots:
-            # One representative full leaf id per missing key; every id
-            # sharing the key resolves to the same entry by construction.
-            missed = self.store.probe(query_ids[first_index[miss_slots]])
-            entries[miss_slots] = missed
-            self.cache.put_many(
-                [
-                    (int(unique_keys[slot]), entry)
-                    for slot, entry in zip(miss_slots, missed.tolist())
-                ]
-            )
-        if self.recorder is not None:
-            self.recorder.record(unique_keys, weights, entries)
-        return entries[inverse]
+            entries, missing, tick = cache.lookup(keys)
+        if missing.size:
+            missed = self.store.probe(query_ids[missing])
+            entries[missing] = missed
+            cache.insert(keys[missing], missed, tick)
+        return entries
 
     # Pass introspection through so `describe()`/`size_bytes` keep working.
     def __getattr__(self, name: str):

@@ -63,8 +63,9 @@ class JoinService:
         :class:`PolygonIndex` snapshots and
         :class:`~repro.core.dynamic.DynamicPolygonIndex` instances alike.
     cache_cells:
-        Per-layer-version hot-cell LRU capacity in distinct leaf cells
-        (0 disables caching).
+        Size of the per-layer-version hot-cell table in distinct leaf
+        cells (rounded up to a power of two slots; 0 disables caching).
+        See :mod:`repro.serve.cache` for the replacement policy.
     max_batch / max_wait_ms:
         Micro-batching knobs: flush when ``max_batch`` lookups are
         pending, or ``max_wait_ms`` after the first one.

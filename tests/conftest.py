@@ -11,6 +11,9 @@ from repro.geo.polygon import Polygon, regular_polygon
 
 
 def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: takes minutes; deselect with -m 'not slow'"
+    )
     # Opt-in runtime lock-order sanitizer: REPRO_SANITIZE=1 patches the
     # threading lock factories so every repro-created lock records its
     # acquisition ordering, and an inversion (or a non-reentrant

@@ -21,6 +21,7 @@ from repro.core import (
     PolygonIndex,
 )
 from repro.core.adaptive import LayerTelemetry, TrafficSink, _EntryClassifier
+from repro.core.flat import FlatLookupTable
 from repro.core.lookup_table import LookupTable
 from repro.core.refs import PolygonRef
 from repro.core.training import train_super_covering
@@ -90,10 +91,11 @@ class TestEntryClassifier:
         classifier = _EntryClassifier(table)
         flags = classifier.expensive(np.asarray(entries, dtype=np.uint64))
         assert flags.tolist() == [False, False, True, False, True, False, True]
-        # Second call hits the offset memo and must agree.
-        assert classifier.expensive(
-            np.asarray(entries, dtype=np.uint64)
-        ).tolist() == flags.tolist()
+        # Same answer from a flat (attached-buffer) table, repeats included.
+        flat = _EntryClassifier(FlatLookupTable(table.array))
+        assert flat.expensive(
+            np.asarray(entries + entries[::-1], dtype=np.uint64)
+        ).tolist() == flags.tolist() + flags.tolist()[::-1]
 
 
 class TestLayerTelemetry:

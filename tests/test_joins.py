@@ -13,7 +13,13 @@ from repro.core.joins import (
     decode_entries,
     parallel_count_join,
 )
-from repro.core.lookup_table import LookupTable
+from repro.core.flat import FlatLookupTable
+from repro.core.lookup_table import (
+    TAG_OFFSET,
+    TAG_ONE_REF,
+    TAG_TWO_REFS,
+    LookupTable,
+)
 from repro.core.refs import PolygonRef
 from repro.geo.pip import contains_points
 
@@ -78,6 +84,113 @@ class TestDecodeEntries:
         entry = table.encode((PolygonRef(big, False), PolygonRef(big - 1, True)))
         _, pids, _ = decode_entries(np.asarray([entry], dtype=np.uint64), table)
         assert sorted(pids.tolist()) == [big - 1, big]
+
+
+def reference_decode(entries, lookup_table):
+    """The per-offset loop ``decode_entries`` used to run, on ``decode_offset``."""
+    points, pids, flags = [], [], []
+
+    def emit(slot, ref):
+        points.append(slot)
+        pids.append(ref.polygon_id)
+        flags.append(ref.interior)
+
+    tags = [int(entry) & 3 for entry in entries]
+    for tag in (TAG_ONE_REF, TAG_TWO_REFS):
+        for slot, entry in enumerate(entries):
+            if tags[slot] == tag:
+                for ref in lookup_table.decode_entry(int(entry)):
+                    emit(slot, ref)
+    offsets = [int(entry) >> 2 for entry in entries]
+    for offset in sorted({o for o, tag in zip(offsets, tags) if tag == TAG_OFFSET}):
+        refs = lookup_table.decode_offset(offset)
+        for slot in range(len(entries)):
+            if tags[slot] == TAG_OFFSET and offsets[slot] == offset:
+                for ref in refs:
+                    emit(slot, ref)
+    return (
+        np.asarray(points, dtype=np.int64),
+        np.asarray(pids, dtype=np.int64),
+        np.asarray(flags, dtype=bool),
+    )
+
+
+def assert_decodes_like_reference(entries, table):
+    entries = np.asarray(entries, dtype=np.uint64)
+    expected = reference_decode(entries, table)
+    for lookup_table in (table, FlatLookupTable(table.array)):
+        got = decode_entries(entries, lookup_table)
+        for got_part, expected_part in zip(got, expected):
+            assert got_part.dtype == expected_part.dtype
+            assert np.array_equal(got_part, expected_part)
+
+
+class TestDecodeParity:
+    """The loop-free offset decode returns the reference's arrays *in order*."""
+
+    @pytest.fixture(scope="class")
+    def synthetic(self):
+        table = LookupTable()
+        ref_sets = [
+            # offset 0; true and candidate ids interleave
+            (PolygonRef(1, True), PolygonRef(2, False), PolygonRef(5, True),
+             PolygonRef(7, False), PolygonRef(9, True)),
+            # empty candidate half
+            (PolygonRef(3, True), PolygonRef(4, True), PolygonRef(6, True)),
+            # empty true half
+            (PolygonRef(0, False), PolygonRef(8, False), PolygonRef(11, False)),
+            # every candidate id below every true id
+            (PolygonRef(2, False), PolygonRef(3, False), PolygonRef(10, True),
+             PolygonRef(12, True)),
+            (PolygonRef(1, False), PolygonRef(2, True), PolygonRef(3, False)),
+        ]
+        offset_entries = [table.encode(refs) for refs in ref_sets]
+        assert offset_entries[0] == TAG_OFFSET  # the list at offset 0
+        inline_entries = [
+            0,
+            table.encode((PolygonRef(4, True),)),
+            table.encode((PolygonRef(4, False),)),
+            table.encode((PolygonRef(6, False), PolygonRef(9, True))),
+        ]
+        return table, offset_entries, inline_entries
+
+    def test_mixed_batch(self, synthetic):
+        table, offset_entries, inline_entries = synthetic
+        pool = np.asarray(offset_entries + inline_entries, dtype=np.uint64)
+        generator = np.random.default_rng(3)
+        entries = pool[generator.integers(0, len(pool), 500)]
+        assert_decodes_like_reference(entries, table)
+
+    def test_all_offset_batch(self, synthetic):
+        table, offset_entries, _ = synthetic
+        # Descending offsets, each repeated at non-adjacent points.
+        entries = (offset_entries[::-1] * 3) + offset_entries[:1]
+        assert_decodes_like_reference(entries, table)
+
+    def test_no_offset_batch(self, synthetic):
+        table, _, inline_entries = synthetic
+        assert_decodes_like_reference(inline_entries * 4, table)
+        assert_decodes_like_reference([], table)
+
+    def test_dense_overlap_grid(self):
+        from repro.geo.polygon import regular_polygon
+
+        # The overlap grid with fatter 16-gons: up to four polygons meet,
+        # so the index interns ~100 distinct >= 3-reference lists.
+        polygons = [
+            regular_polygon((-74.0 + gx * 0.02, 40.70 + gy * 0.02), 0.016, 16)
+            for gx in range(3)
+            for gy in range(3)
+        ]
+        index = PolygonIndex.build(polygons, precision_meters=60.0)
+        generator = np.random.default_rng(8)
+        lngs = generator.uniform(-74.03, -73.93, 6_000)
+        lats = generator.uniform(40.67, 40.77, 6_000)
+        entries = index.store.probe(cell_ids_from_lat_lng_arrays(lats, lngs))
+        offset_tagged = (entries & np.uint64(3)) == np.uint64(TAG_OFFSET)
+        distinct_lists = np.unique(entries[offset_tagged])
+        assert len(distinct_lists) >= 20
+        assert_decodes_like_reference(entries, index.lookup_table)
 
 
 class TestAccurateJoin:

@@ -311,28 +311,70 @@ class TestMicroBatcherEdges:
 
 
 class TestHotCellCache:
-    def test_lru_eviction_order(self):
-        cache = HotCellCache(capacity=2)
-        cache.put(1, 11)
-        cache.put(2, 22)
-        assert cache.get(1) == 11  # refresh 1; 2 becomes LRU
-        cache.put(3, 33)  # evicts 2
-        assert cache.get(2) is None
-        assert cache.get(1) == 11
-        assert cache.get(3) == 33
+    @staticmethod
+    def _keys(values) -> np.ndarray:
+        return np.asarray(values, dtype=np.uint64)
+
+    def test_eviction_spares_keys_the_batch_used(self):
+        # Whatever the hash layout: a key read in every batch is never the
+        # victim of that batch's inserts, so it survives any flood, while
+        # the flood evicts its own kind and the table never overflows.
+        cache = HotCellCache(capacity=8)
+        hot = self._keys([7])
+        _, missing, tick = cache.lookup(hot)
+        assert missing.tolist() == [0]
+        cache.insert(hot, self._keys([70]), tick)
+        for round_number in range(40):
+            cold = np.arange(100, 116, dtype=np.uint64) + np.uint64(16 * round_number)
+            entries, missing, tick = cache.lookup(np.concatenate([hot, cold]))
+            assert entries[0] == 70
+            assert missing.tolist() == list(range(1, 17))  # cold keys never repeat
+            cache.insert(cold, cold * np.uint64(10), tick)
+            assert len(cache) <= cache.slots
         stats = cache.stats()
-        assert stats.evictions == 1
-        assert stats.size == 2
+        assert stats.evictions > 0
+        assert stats.size == len(cache) <= cache.slots == 8
+        assert stats.hits == 40 and stats.misses == 1 + 40 * 16
 
     def test_hit_and_miss_accounting(self):
         cache = HotCellCache(capacity=4)
-        assert cache.get(7, weight=3) is None
-        cache.put(7, 70)
-        assert cache.get(7, weight=5) == 70
+        keys = self._keys([7, 7, 7])
+        entries, missing, tick = cache.lookup(keys)
+        assert entries.tolist() == [0, 0, 0]
+        assert missing.tolist() == [0, 1, 2]
+        cache.insert(keys, self._keys([70, 70, 70]), tick)
+        entries, missing, _ = cache.lookup(self._keys([7, 7, 7, 7, 7]))
+        assert entries.tolist() == [70] * 5
+        assert missing.size == 0
         stats = cache.stats()
-        assert stats.misses == 3
+        assert stats.misses == 3  # point-weighted: every repeat counts
         assert stats.hits == 5
         assert stats.hit_rate == 5 / 8
+        assert stats.size == len(cache) == 1
+        assert stats.evictions == 0
+
+    def test_sentinel_entry_and_zero_key_are_cacheable(self):
+        # Entry 0 (a probe miss in the store) is a result like any other,
+        # and key 0 (face 0, position 0) must not be confused with an
+        # empty slot.
+        for key, entry in ((0, 9), (5, 0)):
+            cache = HotCellCache(capacity=4)
+            keys = self._keys([key])
+            _, missing, tick = cache.lookup(keys)
+            assert missing.tolist() == [0]
+            cache.insert(keys, self._keys([entry]), tick)
+            entries, missing, _ = cache.lookup(self._keys([key, key]))
+            assert missing.size == 0
+            assert entries.tolist() == [entry, entry]
+
+    def test_clear_empties_table_and_counters(self):
+        cache = HotCellCache(capacity=4)
+        _, _, tick = cache.lookup(self._keys([1, 2]))
+        cache.insert(self._keys([1, 2]), self._keys([10, 20]), tick)
+        cache.clear()
+        assert len(cache) == 0
+        assert cache.stats() == HotCellCache(capacity=4).stats()
+        assert cache.lookup(self._keys([1, 2]))[1].tolist() == [0, 1]
 
     def test_zero_capacity_disables_caching(self, index, points):
         lats, lngs = points
@@ -344,18 +386,45 @@ class TestHotCellCache:
 
     def test_cached_probe_identical_and_hits_on_repeat(self, index, points):
         lats, lngs = points
-        cache = HotCellCache(capacity=100_000)
         histogram = index.super_covering.level_histogram()
-        store = CachedCellStore(
-            index.store, cache, key_shift=key_shift_for_level(max(histogram))
-        )
+        key_shift = key_shift_for_level(max(histogram))
         ids = index.cell_ids_for(lats, lngs)
+        distinct = len(np.unique(ids >> np.uint64(key_shift)))
+        cache = HotCellCache(capacity=16 * distinct)
+        store = CachedCellStore(index.store, cache, key_shift=key_shift)
         assert np.array_equal(store.probe(ids), index.store.probe(ids))
-        misses_after_cold = cache.stats().misses
+        cold = cache.stats()
+        assert cold.hits + cold.misses == len(ids)
         assert np.array_equal(store.probe(ids), index.store.probe(ids))
-        stats = cache.stats()
-        assert stats.misses == misses_after_cold  # warm pass: all hits
-        assert stats.hits >= len(ids)
+        warm = cache.stats()
+        assert warm.hits + warm.misses == 2 * len(ids)
+        # A stated floor, not zero misses: keys inserted by one batch can
+        # lose their slot to each other (two hash choices, no relocation).
+        warm_hit_rate = (warm.hits - cold.hits) / len(ids)
+        assert warm_hit_rate >= 0.99
+        assert warm.size <= cache.slots
+
+    def test_hot_set_survives_cold_flood(self, index):
+        # A hot key set probed in every batch, beside >= 4x capacity of
+        # never-repeating cold keys per batch, hits 100 % once resident.
+        capacity = 256
+        cache = HotCellCache(capacity=capacity)
+        store = CachedCellStore(index.store, cache)
+        generator = np.random.default_rng(5)
+        hot = generator.integers(1, 1 << 62, 16, dtype=np.uint64)
+        store.probe(hot)  # its first batch...
+        store.probe(hot)  # ...and a second chance for slot-conflict losers
+        assert cache.stats().size == len(hot)
+        for _ in range(20):
+            cold = generator.integers(1, 1 << 62, 4 * capacity, dtype=np.uint64)
+            batch = np.concatenate([hot, cold, hot])
+            before = cache.stats()
+            assert np.array_equal(store.probe(batch), index.store.probe(batch))
+            after = cache.stats()
+            assert after.hits - before.hits == 2 * len(hot)
+            assert after.misses - before.misses == len(cold)
+            assert after.size <= cache.slots
+        assert cache.stats().evictions > 0
 
     def test_key_shift_validation(self):
         assert key_shift_for_level(30) == 1  # drops only the marker bit
@@ -387,17 +456,21 @@ class TestHotCellCache:
         assert 0.0 < stats.cache_hit_rate <= 1.0
         assert stats.cache["default"].hits > 0
 
-    def test_zero_capacity_put_is_noop(self):
+    def test_zero_capacity_insert_is_noop(self):
         """Regression: capacity-0 puts inserted then immediately evicted,
         inflating the eviction counter (one put -> evictions=1)."""
         cache = HotCellCache(capacity=0)
-        cache.put(1, 11)
-        cache.put_many([(2, 22), (3, 33)])
+        keys = self._keys([1, 2, 3])
+        entries, missing, tick = cache.lookup(keys)
+        assert entries.tolist() == [0, 0, 0]
+        assert missing.tolist() == [0, 1, 2]
+        cache.insert(keys, self._keys([11, 22, 33]), tick)
+        assert cache.lookup(keys)[1].tolist() == [0, 1, 2]
         stats = cache.stats()
         assert stats.evictions == 0
         assert stats.size == 0
+        assert stats.requests == 0
         assert len(cache) == 0
-        assert cache.get(1) is None
 
     def test_cached_store_copy_does_not_recurse(self, index):
         """Regression: copy.copy() of a CachedCellStore recursed forever —
