@@ -4,7 +4,8 @@
 A FORMAT_VERSION 3 file is one flat blob of packed numpy buffers, so
 ``load_index`` is an ``np.load(..., mmap_mode="r")`` attach — the trie,
 the store entries, the lookup table, and the refinement tables come back
-as memory-mapped views, with no store rebuild and bit-identical joins.
+as memory-mapped views inside an ordinary ``PolygonIndex``, with no store
+rebuild and bit-identical joins.
 
 Run:  python examples/restart_from_disk.py
 """
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import FlatPolygonIndex, PolygonIndex, load_index, save_index
+from repro import PolygonIndex, load_index, save_index
 from repro.geo.polygon import regular_polygon
 
 # A grid of 25 "delivery zones".
@@ -41,13 +42,14 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # Every later life: attach. load_index maps the file read-only
-    # (np.load(..., mmap_mode="r") under the hood) and wraps the buffers
-    # in a FlatPolygonIndex — pages fault in lazily as probes touch them.
+    # (np.load(..., mmap_mode="r") under the hood) and hands the buffers
+    # to a PolygonIndex that holds the snapshot — same class as the built
+    # one, and pages fault in lazily as probes touch them.
     # ------------------------------------------------------------------
     started = time.perf_counter()
     restored = load_index(path)
     attach_seconds = time.perf_counter() - started
-    assert isinstance(restored, FlatPolygonIndex)
+    assert type(restored) is PolygonIndex and restored.snapshot is not None
     print(f"attached in {attach_seconds * 1e3:.1f}ms "
           f"({build_seconds / attach_seconds:.0f}x faster than the build)")
 

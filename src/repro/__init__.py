@@ -35,7 +35,6 @@ from repro.core import (
     AdaptiveCellTrie,
     CompressedCellTrie,
     DynamicPolygonIndex,
-    FlatPolygonIndex,
     FlatSnapshot,
     JoinResult,
     LookupTable,
@@ -44,7 +43,6 @@ from repro.core import (
     SuperCovering,
     accurate_join,
     approximate_join,
-    as_flat_index,
     build_super_covering,
     load_index,
     refine_to_precision,
@@ -69,7 +67,7 @@ from repro.serve import (
     ServiceStats,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "CellId",
@@ -81,9 +79,7 @@ __all__ = [
     "AdaptationStatus",
     "AdaptiveCellTrie",
     "CompressedCellTrie",
-    "FlatPolygonIndex",
     "FlatSnapshot",
-    "as_flat_index",
     "JoinResult",
     "LookupTable",
     "PolygonIndex",

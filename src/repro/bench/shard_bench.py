@@ -8,24 +8,20 @@ probe-heavy skewed stream (:func:`repro.datasets.shard_probe_points`:
 For the single-process :class:`JoinService` and a
 :class:`ShardedJoinService` at each shard count it streams the same
 batches and reports points/second, the speedup over the single-process
-service, the shard plan's owned-work balance, and the measured geometry
-replication factor.  Every shard count runs under BOTH publication
-plans — ``plan="two-layer"`` (one shared geometry segment + per-shard
-coverage planes) and ``plan="replicate"`` (a full snapshot copy per
-shard, the pre-two-layer behavior) — and join counts are asserted
-bit-identical to ``PolygonIndex.join`` on every configuration: the
-partition, and the publication plan, must be invisible in the results.
+service, the shard plan's owned-work balance, the measured geometry
+replication factor, and the slowest worker's plane attach (the spawn
+barrier's ping replies, so interpreter start-up is excluded).  Join
+counts are asserted bit-identical to ``PolygonIndex.join`` on every
+configuration: the partition must be invisible in the results.
 
-Each shard count is additionally spawned with ``snapshot="rebuild"``,
-and the workers' reported service construction times (the spawn
-barrier's ping replies, so interpreter start-up is excluded) land in a
-spawn column: the zero-copy attach must be >= 5x faster than rebuilding
-the partition store at the full workload scale.
+The copy-the-straddlers publication and the worker-side store rebuild
+this runner used to compare against are retired; their last recorded
+rows are in CHANGES.md (PR 13).
 
 Acceptance: >= 2x batch-join throughput with 4 shards vs. the
-single-process service, and a measured two-layer replication factor
-<= 1.05 (structurally 1.0: straddler geometry lives once in the shared
-plane, never in a coverage plane).  Share-nothing scaling needs
+single-process service, and a measured replication factor <= 1.05
+(structurally 1.0: straddler geometry lives once in the shared plane,
+never in a coverage plane).  Share-nothing scaling needs
 hardware lanes: the closing note records how many CPU cores the machine
 actually offered, since on a single-core box the shard processes merely
 timeshare and the scatter/gather overhead is all that remains.
@@ -102,7 +98,7 @@ def run(workbench: Workbench) -> list[ExperimentResult]:
             "speedup",
             "owned-work balance",
             "replication",
-            "spawn attach/rebuild",
+            "spawn attach",
             "counts",
         ],
     )
@@ -129,107 +125,63 @@ def run(workbench: Workbench) -> list[ExperimentResult]:
     )
 
     speedups: dict[int, float] = {}
-    attach_ratios: dict[int, float] = {}
-    plane_bytes: dict[str, tuple[int, int]] = {}
+    plane_bytes = (0, 0)
     for num_shards in config.shard_counts:
-        # The same spawn with the pre-flat behavior: workers rebuild
-        # their partition store from the shipped covering cells.
         with ShardedJoinService(
-            index,
-            num_shards=num_shards,
-            backend="process",
-            snapshot="rebuild",
-        ) as rebuilt:
-            rebuild_seconds = max(rebuilt.spawn_seconds)
-        for plan_mode in ("two-layer", "replicate"):
-            with ShardedJoinService(
-                index,
-                num_shards=num_shards,
-                backend="process",
-                plan=plan_mode,
-            ) as sharded:
-                attach_seconds = max(sharded.spawn_seconds)
-                pps, counts, pairs = _stream(
-                    sharded, lats, lngs, config.shard_batch
-                )
-                work = sharded.plan().owned_work
-                replication = sharded.replication_factor()
-                plane_bytes[plan_mode] = sharded.plane_bytes()
-            identical = (
-                np.array_equal(counts, reference.counts)
-                and pairs == reference.num_pairs
+            index, num_shards=num_shards, backend="process"
+        ) as sharded:
+            attach_seconds = max(sharded.spawn_seconds)
+            pps, counts, pairs = _stream(
+                sharded, lats, lngs, config.shard_batch
             )
-            if not identical:  # pragma: no cover - correctness guard
-                raise AssertionError(
-                    f"sharded counts diverged from PolygonIndex.join at "
-                    f"{num_shards} shards under plan={plan_mode!r}"
-                )
-            if plan_mode == "two-layer":
-                speedups[num_shards] = (
-                    pps / base_pps if base_pps > 0 else 0.0
-                )
-                attach_ratios[num_shards] = (
-                    rebuild_seconds / attach_seconds
-                    if attach_seconds > 0
-                    else 0.0
-                )
-                if replication > 1.05:  # pragma: no cover - guard
-                    raise AssertionError(
-                        f"two-layer replication factor {replication:.3f} "
-                        "exceeds 1.05: straddler geometry leaked into a "
-                        "coverage plane"
-                    )
-                spawn = (
-                    f"{attach_seconds * 1e3:.1f}ms / "
-                    f"{rebuild_seconds * 1e3:.1f}ms "
-                    f"({attach_ratios[num_shards]:.1f}x)"
-                )
-                speedup = speedups[num_shards]
-            else:
-                spawn = "-"
-                speedup = pps / base_pps if base_pps > 0 else 0.0
-            balance = f"{min(work):,}..{max(work):,}" if work else "-"
-            result.add_row(
-                f"ShardedJoinService ({num_shards} shard"
-                f"{'s' if num_shards != 1 else ''}, {plan_mode})",
-                f"{pps:,.0f}",
-                f"{speedup:.2f}x",
-                balance,
-                f"{replication:.2f}x",
-                spawn,
-                "identical",
+            work = sharded.plan().owned_work
+            replication = sharded.replication_factor()
+            plane_bytes = sharded.plane_bytes()
+        identical = (
+            np.array_equal(counts, reference.counts)
+            and pairs == reference.num_pairs
+        )
+        if not identical:  # pragma: no cover - correctness guard
+            raise AssertionError(
+                f"sharded counts diverged from PolygonIndex.join at "
+                f"{num_shards} shards"
             )
+        if replication > 1.05:  # pragma: no cover - guard
+            raise AssertionError(
+                f"replication factor {replication:.3f} exceeds 1.05: "
+                "straddler geometry leaked into a coverage plane"
+            )
+        speedups[num_shards] = pps / base_pps if base_pps > 0 else 0.0
+        balance = f"{min(work):,}..{max(work):,}" if work else "-"
+        result.add_row(
+            f"ShardedJoinService ({num_shards} shard"
+            f"{'s' if num_shards != 1 else ''})",
+            f"{pps:,.0f}",
+            f"{speedups[num_shards]:.2f}x",
+            balance,
+            f"{replication:.2f}x",
+            f"{attach_seconds * 1e3:.1f}ms",
+            "identical",
+        )
 
     cores = _available_cores()
     result.add_note(
         f"{config.shard_points:,} exact-join points in batches of "
         f"{config.shard_batch:,}; counts bit-identical to "
-        "PolygonIndex.join on every configuration and publication plan"
+        "PolygonIndex.join on every configuration"
     )
-    if "two-layer" in plane_bytes:
-        geometry, coverage = plane_bytes["two-layer"]
-        _, replicated = plane_bytes.get("replicate", (0, 0))
-        result.add_note(
-            f"two-layer publication at {max(config.shard_counts)} shards: "
-            f"{geometry / 1024:,.0f} KiB geometry shared once + "
-            f"{coverage / 1024:,.0f} KiB per-shard coverage planes "
-            f"(replicate plan ships {replicated / 1024:,.0f} KiB of "
-            "full snapshot copies); two-layer replication factor 1.00 "
-            "(acceptance: <= 1.05)"
-        )
-    if attach_ratios:
-        worst = min(attach_ratios.values())
-        result.add_note(
-            "spawn column: slowest worker-side service construction, "
-            "flat-snapshot attach vs partition store rebuild (interpreter "
-            f"start-up excluded); worst attach speedup {worst:.1f}x "
-            "(acceptance: >= 5x at full scale)"
-        )
-        if config.shard_points >= 400_000 and worst < 5.0:
-            raise AssertionError(
-                f"zero-copy shard attach only {worst:.1f}x faster than "
-                "rebuild (acceptance: >= 5x)"
-            )
+    geometry, coverage = plane_bytes
+    result.add_note(
+        f"publication at {max(config.shard_counts)} shards: "
+        f"{geometry / 1024:,.0f} KiB geometry shared once + "
+        f"{coverage / 1024:,.0f} KiB per-shard coverage planes; "
+        "replication factor 1.00 (acceptance: <= 1.05)"
+    )
+    result.add_note(
+        "spawn column: slowest worker-side service construction — a "
+        "zero-copy attach of the published planes (interpreter start-up "
+        "excluded)"
+    )
     if 4 in speedups:
         result.add_note(
             f"4 shards vs single process: {speedups[4]:.2f}x "

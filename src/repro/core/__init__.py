@@ -18,7 +18,7 @@
   telemetry, drift detection, and background retraining of live layers,
 * :mod:`repro.core.flat` — the zero-copy snapshot plane: one probe
   generation packed into contiguous buffers, attachable from disk
-  (mmap) or shared memory with bit-identical probe results.
+  (mmap) or shared memory into the same index classes a build produces.
 """
 
 from repro.core.refs import PolygonRef, merge_refs
@@ -60,15 +60,7 @@ from repro.core.dynamic import (
     DynamicPolygonIndex,
     OverlayCellStore,
 )
-from repro.core.flat import (
-    FlatCellStore,
-    FlatPolygonIndex,
-    FlatProbeView,
-    FlatSnapshot,
-    as_flat_index,
-    attach_index,
-    pack_index,
-)
+from repro.core.flat import FlatSnapshot, attach_index, pack_index
 from repro.core.serialize import load_index, save_index
 
 __all__ = [
@@ -103,11 +95,7 @@ __all__ = [
     "DynamicIndexState",
     "DynamicPolygonIndex",
     "OverlayCellStore",
-    "FlatCellStore",
-    "FlatPolygonIndex",
-    "FlatProbeView",
     "FlatSnapshot",
-    "as_flat_index",
     "attach_index",
     "pack_index",
     "save_index",

@@ -31,7 +31,8 @@ C++ original would allocate) exact: ``num_nodes * fanout * 8`` bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,6 +111,49 @@ class AdaptiveCellTrie:
         with Timer() as timer:
             self._build(super_covering)
         self.build_seconds = timer.seconds
+
+    @classmethod
+    def attach(
+        cls,
+        pool: np.ndarray,
+        faces: np.ndarray,
+        face_values: np.ndarray,
+        meta: Mapping[str, object],
+        lookup_table: LookupTable,
+    ) -> "AdaptiveCellTrie":
+        """A trie over an already-built node pool — no build, no copy.
+
+        ``pool`` is the node pool and ``faces`` / ``face_values`` the
+        per-face ``(face, root_base, prefix_shift, prefix_value,
+        prefix_depth)`` and ``(face, entry)`` rows of a packed trie
+        (typically views into a flat snapshot blob, see
+        :func:`repro.core.flat.pack_coverage_plane`); ``meta`` carries the
+        scalars the build would have computed.  The result probes,
+        instruments, and describes itself exactly like the trie that was
+        packed.
+        """
+        store = cls.__new__(cls)
+        store.fanout_bits = int(meta["fanout_bits"])
+        store.delta = store.fanout_bits // 2
+        store.fanout = 1 << store.fanout_bits
+        store.lookup_table = lookup_table
+        store.pool = pool
+        store.num_nodes = int(meta["num_nodes"])
+        store.num_keys = int(meta["num_keys"])
+        store.num_input_cells = int(meta["num_input_cells"])
+        store.build_seconds = float(meta.get("build_seconds", 0.0))
+        store._max_value_depth = int(meta["max_value_depth"])
+        store._face_trees = {
+            int(row[0]): _FaceTree(
+                root_base=int(row[1]),
+                prefix_shift=int(row[2]),
+                prefix_value=int(row[3]),
+                prefix_depth=int(row[4]),
+            )
+            for row in faces
+        }
+        store._face_values = {int(row[0]): int(row[1]) for row in face_values}
+        return store
 
     # ------------------------------------------------------------------
     # Build

@@ -41,6 +41,7 @@ from repro.cells.cellid import CellId
 from repro.cells.coverer import CovererOptions, RegionCoverer
 from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
 from repro.core.act import AdaptiveCellTrie
+from repro.core.flat import FlatSnapshot, _attach_refiner_table, unpack_covering
 from repro.core.joins import (
     JoinResult,
     accurate_join,
@@ -231,68 +232,16 @@ def build_partition_store(
 ) -> tuple[SuperCovering, object, LookupTable]:
     """Index one partition's covering subset (store build only).
 
-    The shared tail of both partition paths: worker-side
-    :func:`build_partition_index` (which pairs the store with a local
-    polygon table) and the sharded front's two-layer coverage-plane
-    publication (which pairs each shard's store with the single shared
-    geometry plane instead of replicating polygons).  ``cells`` is a
+    The sharded front's coverage-plane publication pairs each shard's
+    store with the layer's single shared geometry plane.  ``cells`` is a
     subset of an already-built super covering — disjoint by
-    construction, so no coverer or conflict resolution runs.
+    construction, so no coverer or conflict resolution runs, and probing
+    the partition is bit-identical to probing the full index for any
+    point whose leaf id falls inside the partition's cell ranges.
     """
     super_covering = SuperCovering.from_raw(cells)
     store, lookup_table = build_store(super_covering, fanout_bits=fanout_bits)
     return super_covering, store, lookup_table
-
-
-def build_partition_index(
-    num_polygons: int,
-    members: dict[int, Polygon],
-    cells: dict[int, tuple],
-    *,
-    precision_meters: float | None = None,
-    fanout_bits: int = 8,
-    version: int | None = None,
-) -> "PolygonIndex":
-    """Build one spatial partition of an index as a standalone index.
-
-    The partition-aware tail of the build pipeline: ``cells`` is a subset
-    of an already-built super covering (its cells are disjoint by
-    construction, so no coverer or conflict resolution runs — only the
-    store build), and ``members`` maps the polygon ids referenced by
-    those cells to their geometry.  The resulting index keeps the GLOBAL
-    id space: ``polygons`` has ``num_polygons`` slots with ``None`` holes
-    for polygons living in other partitions, so per-partition
-    ``JoinResult``s merge by plain summation and emitted pair ids need no
-    translation.
-
-    Probing the partition is bit-identical to probing the full index for
-    any point whose leaf id falls inside the partition's cell ranges —
-    the cells and their reference sets are untouched.
-
-    ``version`` stamps the given version (the parent snapshot's, so every
-    partition of one snapshot agrees) and floors the local version
-    counter above it, keeping later locally-built snapshots (shard-local
-    retrains) strictly newer; ``None`` stamps a fresh local version.
-    """
-    if version is not None:
-        ensure_version_floor(version)
-    with Timer() as store_timer:
-        super_covering, store, lookup_table = build_partition_store(
-            cells, fanout_bits=fanout_bits
-        )
-    polygons: list[Polygon | None] = [
-        members.get(pid) for pid in range(num_polygons)
-    ]
-    return PolygonIndex(
-        polygons,
-        super_covering,
-        store,
-        lookup_table,
-        BuildTimings(store_build_seconds=store_timer.seconds),
-        precision_meters,
-        None,
-        version=version,
-    )
 
 
 @dataclass(frozen=True)
@@ -375,21 +324,30 @@ class PolygonIndex:
     ``polygons`` is indexable by polygon id; slots may be ``None`` when the
     index was produced by compacting a dynamic index whose ids are sparse
     (deleted ids leave holes so surviving ids stay stable).
+
+    An index attached by :func:`~repro.core.flat.attach_index` holds the
+    ``snapshot`` it serves from: its store, lookup table, polygon
+    geometry and refinement buckets are views into the snapshot's blob,
+    and the super covering stays packed until a mutation or planning path
+    asks for it (probes never do), when it is unpacked once.  Rebuilding
+    the store (:meth:`add_polygon`) drops the then-stale snapshot.
     """
 
     def __init__(
         self,
         polygons: Sequence[Polygon | None],
-        super_covering: SuperCovering,
+        super_covering: SuperCovering | None,
         store: object,
         lookup_table: LookupTable,
         timings: BuildTimings,
         precision_meters: float | None,
         training_report: TrainingReport | None,
         version: int | None = None,
+        snapshot: FlatSnapshot | None = None,
     ):
         self.polygons = list(polygons)
-        self.super_covering = super_covering
+        self._super_covering = super_covering
+        self.snapshot = snapshot
         self.store = store
         self.lookup_table = lookup_table
         self.timings = timings
@@ -494,9 +452,22 @@ class PolygonIndex:
         assert result.pair_polygons is not None
         return sorted(int(p) for p in result.pair_polygons)
 
+    @property
+    def super_covering(self) -> SuperCovering:
+        if self._super_covering is None:
+            buffers = self.snapshot.buffers
+            self._super_covering = unpack_covering(
+                buffers["cell_ids"],
+                buffers["ref_offsets"],
+                buffers["packed_refs"],
+            )
+        return self._super_covering
+
     def max_cell_level(self) -> int:
         """Deepest indexed cell level (bounds the probe's trie descent)."""
-        histogram = self.super_covering.level_histogram()
+        if self._super_covering is None:
+            return int(self.snapshot.meta["max_cell_level"])
+        histogram = self._super_covering.level_histogram()
         return max(histogram) if histogram else 0
 
     def probe_view(self) -> ProbeView:
@@ -504,13 +475,20 @@ class PolygonIndex:
         view = self._probe_view
         if view is None or view.store is not self.store:
             polygons = tuple(self.polygons)
+            # An attached index refines through the snapshot's packed
+            # bucket table instead of rebuilding every accelerator.
+            table = (
+                _attach_refiner_table(self.snapshot.buffers)
+                if self.snapshot is not None
+                else None
+            )
             view = ProbeView(
                 version=self.version,
                 store=self.store,
                 lookup_table=self.lookup_table,
                 polygons=polygons,
                 max_cell_level=self.max_cell_level(),
-                refiner=RefinementEngine(polygons),
+                refiner=RefinementEngine(polygons, table=table),
             )
             self._probe_view = view
         return view
@@ -549,6 +527,7 @@ class PolygonIndex:
         self.store, self.lookup_table = build_store(
             self.super_covering, fanout_bits=fanout_bits
         )
+        self.snapshot = None  # packed from the previous store
         self.version = next_index_version()
         self._probe_view = None
 
@@ -613,7 +592,9 @@ class PolygonIndex:
 
     @property
     def num_cells(self) -> int:
-        return self.super_covering.num_cells
+        if self._super_covering is None:
+            return int(self.snapshot.meta["num_cells"])
+        return self._super_covering.num_cells
 
     @property
     def size_bytes(self) -> int:

@@ -187,7 +187,6 @@ class DynamicIndexState:
     training_cell_ids: np.ndarray | None
     training_max_cells: int | None
     store_factory: Callable[[SuperCovering, LookupTable], object] | None
-    flat_snapshots: bool = False
 
 
 @dataclass(frozen=True)
@@ -226,12 +225,6 @@ class DynamicPolygonIndex:
         Run triggered compactions on a daemon thread while reads and
         writes continue; operations arriving mid-compaction are replayed
         into the new delta when the snapshot is installed.
-    flat_snapshots:
-        Emit each compacted base as a zero-copy flat snapshot
-        (:class:`~repro.core.flat.FlatPolygonIndex`): the freshly built
-        store, lookup table, geometry, and refinement buckets are packed
-        into contiguous buffers and the installed base serves from them
-        — ready to ship to shard workers or disk without repacking.
 
     Join results are always identical to a fresh
     ``PolygonIndex.build`` over the current live polygon set (exact joins
@@ -251,20 +244,14 @@ class DynamicPolygonIndex:
         training_cell_ids: np.ndarray | None = None,
         training_max_cells: int | None = None,
         store_factory: Callable[[SuperCovering, LookupTable], object] | None = None,
-        flat_snapshots: bool = False,
         events=None,
         metrics=None,
     ):
         if compact_threshold is not None and compact_threshold < 1:
             raise ValueError("compact_threshold must be >= 1 (or None)")
-        if flat_snapshots and store_factory is not None:
-            raise ValueError(
-                "flat_snapshots requires the ACT store (no store_factory)"
-            )
         self._lock = threading.RLock()
         self._compact_threshold = compact_threshold
         self._background = background
-        self._flat_snapshots = flat_snapshots
         self._covering_options = covering_options
         self._interior_options = interior_options
         self._training_cell_ids = training_cell_ids  #: guarded_by(_lock)
@@ -283,10 +270,6 @@ class DynamicPolygonIndex:
             else None
         )
         self._fanout_bits = int(getattr(base.store, "fanout_bits", 8))
-        if flat_snapshots:
-            from repro.core.flat import as_flat_index
-
-            base = as_flat_index(base, version=base.version)
         self._compactor: threading.Thread | None = None  #: guarded_by(_lock, writes)
         #: guarded_by(_lock)
         self._compaction_active = False  # owned by _lock, unlike is_alive()
@@ -314,7 +297,6 @@ class DynamicPolygonIndex:
         store_factory: Callable[[SuperCovering, LookupTable], object] | None = None,
         compact_threshold: int | None = 64,
         background: bool = False,
-        flat_snapshots: bool = False,
         events=None,
         metrics=None,
     ) -> "DynamicPolygonIndex":
@@ -338,7 +320,6 @@ class DynamicPolygonIndex:
             training_cell_ids=training_cell_ids,
             training_max_cells=training_max_cells,
             store_factory=store_factory,
-            flat_snapshots=flat_snapshots,
             events=events,
             metrics=metrics,
         )
@@ -365,7 +346,6 @@ class DynamicPolygonIndex:
                 training_cell_ids=self._training_cell_ids,
                 training_max_cells=self._training_max_cells,
                 store_factory=self._store_factory,
-                flat_snapshots=self._flat_snapshots,
             )
 
     @classmethod
@@ -381,7 +361,6 @@ class DynamicPolygonIndex:
         training_cell_ids: np.ndarray | None = None,
         training_max_cells: int | None = None,
         store_factory: Callable[[SuperCovering, LookupTable], object] | None = None,
-        flat_snapshots: bool = False,
     ) -> "DynamicPolygonIndex":
         """Rebuild a dynamic index from a base snapshot plus a delta log.
 
@@ -399,7 +378,6 @@ class DynamicPolygonIndex:
             training_cell_ids=training_cell_ids,
             training_max_cells=training_max_cells,
             store_factory=store_factory,
-            flat_snapshots=flat_snapshots,
         )
         with dynamic._lock:
             for op in pending:
@@ -654,7 +632,7 @@ class DynamicPolygonIndex:
             fanout_bits=self._fanout_bits,
             store_factory=self._store_factory,
         )
-        index = PolygonIndex(
+        return PolygonIndex(
             polygons_by_id,
             artifacts.super_covering,
             artifacts.store,
@@ -663,11 +641,6 @@ class DynamicPolygonIndex:
             self.precision_meters,
             artifacts.training_report,
         )
-        if self._flat_snapshots:
-            from repro.core.flat import as_flat_index
-
-            index = as_flat_index(index, version=index.version)
-        return index
 
     def _install_base(
         self,

@@ -1,25 +1,20 @@
 """Zero-copy flat snapshots: one probe generation in contiguous buffers.
 
 The paper's premise is a main-memory index whose hot path is a handful of
-array gathers, yet the object-backed build path re-materializes Python
-structures (dict-backed super coverings, per-polygon accelerator objects,
-a freshly built trie) on every process start, shard spawn, and snapshot
-swap.  This module packs everything one :class:`~repro.core.builder.ProbeView`
-generation needs to serve — the ACT node pool and face tables, the lookup
-table, the covering's cell/reference arrays, polygon ring geometry, and
-the refinement engine's packed edge buckets — into one contiguous
-``uint8`` blob with a versioned JSON header, so a consumer *attaches*
-instead of rebuilding:
+array gathers, and every probe-side structure here already *is* a numpy
+array — the ACT node pool, the lookup table, the refinement engine's
+packed edge buckets.  This module packs everything one
+:class:`~repro.core.builder.ProbeView` generation needs to serve — those
+arrays plus the ACT face tables, the covering's cell/reference arrays and
+the polygon ring geometry — into one contiguous ``uint8`` blob with a
+versioned JSON header, so a consumer *attaches* instead of rebuilding:
 
 * ``save_index``/``load_index`` (FORMAT_VERSION 3) write the blob as a
   single ``.npy`` payload and restart from disk via
   ``np.load(mmap_mode="r")`` — no store build, no covering dict;
-* ``ShardedJoinService`` puts each shard's blob in one
-  ``multiprocessing.shared_memory`` segment and workers map it — shard
-  spawn/respawn drops from a full partition build to a buffer attach;
-* ``JoinService(flat_views=True)`` serves plain ACT-backed layers
-  through a :class:`FlatProbeView` whose probe loop reads the packed
-  buffers directly.
+* ``ShardedJoinService`` publishes each layer as shared-memory segments
+  (one geometry plane, one coverage plane per shard) and workers map
+  them — shard spawn/respawn is a buffer attach, not a partition build.
 
 Container layout (all offsets relative to the payload base, which is the
 first 64-byte boundary after the header)::
@@ -32,42 +27,37 @@ The JSON header carries ``meta`` (format/build configuration) and one
 starts 64-byte aligned so dtype views are valid on mmap'd and
 shared-memory attachments alike.
 
-:class:`FlatCellStore` is a bit-exact port of
-:meth:`~repro.core.act.AdaptiveCellTrie._probe_impl` over the attached
-buffers and :class:`FlatLookupTable` of the probe side of
-:class:`~repro.core.lookup_table.LookupTable`, so joins through a
-:class:`FlatProbeView` are bit-identical to the object-backed path —
-the parity suite in ``tests/test_flat.py`` holds them to that.
+Built and attached indexes are the same classes: :func:`attach_index`
+hands the snapshot's buffers to the attach constructors of
+:class:`~repro.core.act.AdaptiveCellTrie` and
+:class:`~repro.core.lookup_table.LookupTable` and returns an ordinary
+:class:`~repro.core.builder.PolygonIndex` holding the snapshot, so there
+is one probe kernel and one decode path whichever way an index came to
+be — the parity suite in ``tests/test_flat.py`` compares the two
+constructions bit for bit.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import struct
-from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.cells.cellid import CellId
-from repro.core.act import _FACE_SHIFT, AdaptiveCellTrie, _FaceTree
-from repro.core.builder import (
-    BuildTimings,
-    PolygonIndex,
-    ProbeView,
-    next_index_version,
-)
-from repro.core.lookup_table import (
-    TAG_OFFSET,
-    TAG_ONE_REF,
-    TAG_TWO_REFS,
-    _VALUE_MASK,
-)
+from repro.core.act import AdaptiveCellTrie
+from repro.core.lookup_table import LookupTable
 from repro.core.refs import PolygonRef
 from repro.core.super_covering import SuperCovering
 from repro.geo.polygon import Polygon, Ring
 from repro.geo.refine import RefinementEngine, _FlatBucketTable
+
+if TYPE_CHECKING:  # repro.core.builder imports this module
+    from repro.core.builder import PolygonIndex
 
 #: First 8 bytes of every flat snapshot blob.
 FLAT_MAGIC = b"RFLAT\x01\x00\x00"
@@ -383,7 +373,14 @@ class FlatSnapshot:
 
     @classmethod
     def from_buffer(cls, blob, owner: object = None) -> "FlatSnapshot":
-        """Attach to a blob (ndarray, memmap, or buffer) without copying."""
+        """Attach to a blob (ndarray, memmap, or buffer) without copying.
+
+        The header and every buffer record are checked against the blob's
+        length before any view is taken, so a truncated or corrupt blob
+        raises ``ValueError`` naming the first bad buffer instead of
+        failing somewhere inside numpy (or, worse, mis-probing).  Trailing
+        bytes are fine — shared-memory segments are page-rounded.
+        """
         if not isinstance(blob, np.ndarray):
             blob = np.frombuffer(blob, dtype=np.uint8)
         elif blob.dtype != np.uint8:
@@ -391,21 +388,47 @@ class FlatSnapshot:
         magic = blob[: len(FLAT_MAGIC)].tobytes()
         if magic != FLAT_MAGIC:
             raise ValueError(f"not a flat snapshot (magic {magic!r})")
-        header_len = int(
-            np.frombuffer(
-                blob[len(FLAT_MAGIC) : len(FLAT_MAGIC) + 8].tobytes(), dtype="<u8"
-            )[0]
-        )
         header_lo = len(FLAT_MAGIC) + 8
-        header = json.loads(blob[header_lo : header_lo + header_len].tobytes())
+        if len(blob) < header_lo:
+            raise ValueError(
+                f"truncated/corrupt flat snapshot: {len(blob)} bytes end "
+                "inside the header length field"
+            )
+        header_len = struct.unpack("<Q", blob[len(FLAT_MAGIC) : header_lo].tobytes())[0]
+        if header_len > len(blob) - header_lo:
+            raise ValueError(
+                f"truncated/corrupt flat snapshot: header of {header_len} "
+                f"bytes overruns the {len(blob)}-byte blob"
+            )
+        try:
+            header = json.loads(blob[header_lo : header_lo + header_len].tobytes())
+            meta, records = header["meta"], header["buffers"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(
+                f"truncated/corrupt flat snapshot: unreadable header ({exc})"
+            ) from None
         base = _align(header_lo + header_len)
+        end = len(blob)
         buffers: dict[str, np.ndarray] = {}
-        for record in header["buffers"]:
-            lo = base + int(record["offset"])
-            hi = lo + int(record["nbytes"])
-            view = blob[lo:hi].view(np.dtype(record["dtype"]))
-            buffers[record["name"]] = view.reshape(tuple(record["shape"]))
-        return cls(header["meta"], buffers, owner=owner if owner is not None else blob)
+        for record in records:
+            name = record["name"]
+            dtype = np.dtype(record["dtype"])
+            shape = tuple(record["shape"])
+            nbytes = record["nbytes"]
+            lo = base + record["offset"]
+            if nbytes != math.prod(shape) * dtype.itemsize:
+                raise ValueError(
+                    f"truncated/corrupt flat snapshot: buffer {name!r} "
+                    f"declares {nbytes} bytes for shape {shape} of {dtype.str}"
+                )
+            if not base <= lo <= lo + nbytes <= end:
+                raise ValueError(
+                    f"truncated/corrupt flat snapshot: buffer {name!r} spans "
+                    f"bytes [{lo}, {lo + nbytes}) of a {end}-byte blob whose "
+                    f"payload starts at {base}"
+                )
+            buffers[name] = blob[lo : lo + nbytes].view(dtype).reshape(shape)
+        return cls(meta, buffers, owner=owner if owner is not None else blob)
 
     @property
     def nbytes(self) -> int:
@@ -436,186 +459,6 @@ class FlatSnapshot:
 
 
 # ----------------------------------------------------------------------
-# Attached probe-path objects
-# ----------------------------------------------------------------------
-
-
-class FlatLookupTable:
-    """The probe side of :class:`~repro.core.lookup_table.LookupTable`
-    over an attached ``uint32`` buffer (decode parity is bit-exact)."""
-
-    __slots__ = ("_data",)
-
-    def __init__(self, data: np.ndarray):
-        self._data = data
-
-    @property
-    def array(self) -> np.ndarray:
-        return self._data
-
-    def decode_offset(self, offset: int) -> tuple[PolygonRef, ...]:
-        """Reference set stored at ``offset``, in canonical (id-sorted) order."""
-        data = self._data
-        num_true = int(data[offset])
-        cursor = offset + 1
-        refs = [
-            PolygonRef(int(pid), True) for pid in data[cursor : cursor + num_true]
-        ]
-        cursor += num_true
-        num_cand = int(data[cursor])
-        cursor += 1
-        refs.extend(
-            PolygonRef(int(pid), False) for pid in data[cursor : cursor + num_cand]
-        )
-        refs.sort(key=lambda ref: ref.polygon_id)
-        return tuple(refs)
-
-    def decode_entry(self, entry: int) -> tuple[PolygonRef, ...]:
-        """Reference set for any non-pointer tagged entry."""
-        entry = int(entry)
-        tag = entry & 3
-        if tag == TAG_ONE_REF:
-            return (PolygonRef.from_packed((entry >> 2) & _VALUE_MASK),)
-        if tag == TAG_TWO_REFS:
-            return (
-                PolygonRef.from_packed((entry >> 2) & _VALUE_MASK),
-                PolygonRef.from_packed((entry >> 33) & _VALUE_MASK),
-            )
-        if tag == TAG_OFFSET:
-            return self.decode_offset(entry >> 2)
-        raise ValueError(f"entry {entry:#x} is a pointer, not a value")
-
-    @property
-    def size_bytes(self) -> int:
-        return int(self._data.nbytes)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-
-class FlatCellStore:
-    """ACT probe loop over attached buffers — no per-entry Python objects.
-
-    A bit-exact port of :meth:`AdaptiveCellTrie._probe_impl` (minus the
-    instrumentation branch): the same face grouping, prefix check, and
-    level-synchronous gather loop, reading the node pool straight out of
-    the snapshot blob.  Satisfies the ``CellStore`` protocol and exposes
-    the same introspection surface (``fanout_bits``, ``size_bytes``,
-    ``describe``) so the serving and stats layers are store-agnostic.
-    """
-
-    def __init__(
-        self,
-        pool: np.ndarray,
-        faces: np.ndarray,
-        face_values: np.ndarray,
-        lookup_table: FlatLookupTable,
-        *,
-        fanout_bits: int,
-        max_value_depth: int,
-        num_nodes: int,
-        num_keys: int,
-        num_input_cells: int,
-        build_seconds: float = 0.0,
-    ):
-        self.pool = pool
-        self.lookup_table = lookup_table
-        self.fanout_bits = fanout_bits
-        self.delta = fanout_bits // 2
-        self.fanout = 1 << fanout_bits
-        self.num_nodes = num_nodes
-        self.num_keys = num_keys
-        self.num_input_cells = num_input_cells
-        self.build_seconds = build_seconds
-        self._max_value_depth = max_value_depth
-        self._face_trees: dict[int, _FaceTree] = {
-            int(row[0]): _FaceTree(
-                root_base=int(row[1]),
-                prefix_shift=int(row[2]),
-                prefix_value=int(row[3]),
-                prefix_depth=int(row[4]),
-            )
-            for row in faces
-        }
-        self._face_values: dict[int, int] = {
-            int(row[0]): int(row[1]) for row in face_values
-        }
-
-    def probe(self, query_ids: np.ndarray) -> np.ndarray:
-        """Tagged entries for a batch of leaf cell ids (0 = false hit)."""
-        query_ids = np.ascontiguousarray(query_ids, dtype=np.uint64)
-        out = np.zeros(len(query_ids), dtype=np.uint64)
-        faces = (query_ids >> np.uint64(_FACE_SHIFT)).astype(np.int64)
-        for face, tree in self._face_trees.items():
-            face_idx = np.nonzero(faces == face)[0]
-            if face_idx.size == 0:
-                continue
-            sub = query_ids[face_idx]
-            ok = (sub >> np.uint64(tree.prefix_shift)) == np.uint64(tree.prefix_value)
-            active_idx = face_idx[ok]
-            active_ids = sub[ok]
-            current = np.full(active_idx.size, tree.root_base, dtype=np.uint64)
-            depth = tree.prefix_depth
-            max_depth = self._max_value_depth
-            while active_idx.size and depth < max_depth:
-                shift = _FACE_SHIFT - 2 * self.delta * (depth + 1)
-                bits = (active_ids >> np.uint64(shift)) & np.uint64(self.fanout - 1)
-                entries = self.pool[current + bits]
-                is_value = (entries & np.uint64(3)) != np.uint64(0)
-                if np.any(is_value):
-                    out[active_idx[is_value]] = entries[is_value]
-                descend = (~is_value) & (entries != np.uint64(0))
-                active_idx = active_idx[descend]
-                active_ids = active_ids[descend]
-                current = entries[descend] >> np.uint64(2)
-                depth += 1
-        for face, entry in self._face_values.items():
-            sel = faces == face
-            out[sel] = np.uint64(entry)
-        return out
-
-    def probe_one(self, query_id: int) -> tuple[PolygonRef, ...]:
-        """Scalar convenience probe returning decoded references."""
-        entry = int(self.probe(np.asarray([query_id], dtype=np.uint64))[0])
-        if entry == 0:
-            return ()
-        return self.lookup_table.decode_entry(entry)
-
-    @property
-    def name(self) -> str:
-        return f"ACT{self.delta}"
-
-    @property
-    def size_bytes(self) -> int:
-        return int(self.pool.nbytes) + self.lookup_table.size_bytes
-
-    def node_occupancy(self) -> float:
-        if self.num_nodes == 0:
-            return 0.0
-        body = self.pool[self.fanout :]
-        return float(np.count_nonzero(body)) / len(body)
-
-    def describe(self) -> dict[str, object]:
-        return {
-            "variant": self.name,
-            "flat": True,
-            "fanout": self.fanout,
-            "num_input_cells": self.num_input_cells,
-            "num_keys": self.num_keys,
-            "num_nodes": self.num_nodes,
-            "size_bytes": self.size_bytes,
-            "build_seconds": self.build_seconds,
-            "occupancy": self.node_occupancy(),
-            "faces": sorted(self._face_trees),
-        }
-
-
-@dataclass(frozen=True)
-class FlatProbeView(ProbeView):
-    """A :class:`ProbeView` whose store/table read flat buffers directly."""
-
-
-# ----------------------------------------------------------------------
 # Packing
 # ----------------------------------------------------------------------
 
@@ -639,7 +482,11 @@ def _pack_refiner_table(table: _FlatBucketTable) -> dict[str, np.ndarray]:
     }
 
 
-def _attach_refiner_table(buffers: Mapping[str, np.ndarray]) -> _FlatBucketTable | None:
+def _attach_refiner_table(
+    buffers: Mapping[str, np.ndarray],
+) -> _FlatBucketTable | None:
+    """The refinement bucket table over a snapshot's ``ref_*`` buffers
+    (views, no copy); ``None`` when the snapshot carries no such table."""
     if "ref_edge_start" not in buffers:
         return None
     table = _FlatBucketTable.__new__(_FlatBucketTable)
@@ -777,25 +624,20 @@ def pack_coverage_plane(
 
 
 def pack_index(index: PolygonIndex) -> FlatSnapshot:
-    """Pack one index generation (ACT-backed or already flat) into buffers.
+    """Pack one ACT-backed index generation into buffers.
 
     Composed from the two planes — :func:`pack_geometry_plane` +
     :func:`pack_coverage_plane` over the full covering — so a standalone
     snapshot and a sharded two-layer publication are byte-compatible
-    views of the same packing code.  An index already serving from a
-    flat snapshot returns that snapshot unchanged — repacking would copy
-    buffers for no benefit."""
-    if isinstance(index, FlatPolygonIndex) and index.store is index._flat_store:
+    views of the same packing code.  An attached index returns the
+    snapshot it holds — it is dropped the moment the store is rebuilt,
+    so a held snapshot always describes the current store, and
+    repacking would copy buffers for no benefit."""
+    if index.snapshot is not None:
         return index.snapshot
-    store = index.store
-    if not isinstance(store, AdaptiveCellTrie):
-        raise NotImplementedError(
-            "flat snapshots are wired up for the ACT store "
-            f"(got {type(store).__name__})"
-        )
     return FlatSnapshot.from_planes(
         pack_geometry_plane(index),
-        pack_coverage_plane(index.super_covering, store),
+        pack_coverage_plane(index.super_covering, index.store),
     )
 
 
@@ -804,137 +646,62 @@ def pack_index(index: PolygonIndex) -> FlatSnapshot:
 # ----------------------------------------------------------------------
 
 
-class FlatPolygonIndex(PolygonIndex):
-    """A :class:`PolygonIndex` serving straight from a flat snapshot.
-
-    Construction performs no store build and no covering materialization:
-    the ACT pool, lookup table, polygon geometry, and refinement buckets
-    are views into the snapshot's blob.  The super covering is unpacked
-    lazily only if a mutation path (``add_polygon``, ``retrained``,
-    sharding's plan step) actually asks for it.
-    """
-
-    def __init__(self, snapshot: FlatSnapshot, *, version: int | None = None):
-        meta = snapshot.meta
-        if meta.get("flat_format") != FLAT_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported flat snapshot format {meta.get('flat_format')!r}"
-            )
-        buffers = snapshot.buffers
-        self.snapshot = snapshot
-        lookup_table = FlatLookupTable(buffers["lut"])
-        store = FlatCellStore(
-            buffers["act_pool"],
-            buffers["act_faces"],
-            buffers["act_face_values"],
-            lookup_table,
-            fanout_bits=int(meta["fanout_bits"]),
-            max_value_depth=int(meta["max_value_depth"]),
-            num_nodes=int(meta["num_nodes"]),
-            num_keys=int(meta["num_keys"]),
-            num_input_cells=int(meta["num_input_cells"]),
-            build_seconds=float(meta.get("build_seconds", 0.0)),
-        )
-        self.polygons = unpack_polygon_geometry(
-            buffers["poly_ring_index"],
-            buffers["ring_vertex_index"],
-            buffers["ring_lngs"],
-            buffers["ring_lats"],
-        )
-        self.store = store
-        self.lookup_table = lookup_table
-        self.timings = BuildTimings()
-        self.precision_meters = meta["precision_meters"]
-        self.training_report = None
-        self.version = next_index_version() if version is None else version
-        self._probe_view = None
-        self._flat_store = store
-        self._covering_cache: SuperCovering | None = None
-        self._refiner_table: _FlatBucketTable | None = None
-
-    # -- lazily materialized object-world state -------------------------
-
-    @property
-    def super_covering(self) -> SuperCovering:
-        if self._covering_cache is None:
-            buffers = self.snapshot.buffers
-            self._covering_cache = unpack_covering(
-                buffers["cell_ids"],
-                buffers["ref_offsets"],
-                buffers["packed_refs"],
-            )
-        return self._covering_cache
-
-    @property
-    def num_cells(self) -> int:
-        if self._covering_cache is not None:
-            return self._covering_cache.num_cells
-        return int(self.snapshot.meta["num_cells"])
-
-    def max_cell_level(self) -> int:
-        if self._covering_cache is None:
-            return int(self.snapshot.meta["max_cell_level"])
-        return super().max_cell_level()
-
-    def probe_view(self) -> ProbeView:
-        if self.store is not self._flat_store:
-            # A mutation path rebuilt the store (add_polygon); serve the
-            # rebuilt object-backed generation through the parent path.
-            return super().probe_view()
-        view = self._probe_view
-        if view is None or view.store is not self.store:
-            polygons = tuple(self.polygons)
-            refiner = RefinementEngine(polygons)
-            if self._refiner_table is None:
-                self._refiner_table = _attach_refiner_table(self.snapshot.buffers)
-            if self._refiner_table is not None:
-                refiner._table = self._refiner_table
-            view = FlatProbeView(
-                version=self.version,
-                store=self.store,
-                lookup_table=self.lookup_table,
-                polygons=polygons,
-                max_cell_level=self.max_cell_level(),
-                refiner=refiner,
-            )
-            self._probe_view = view
-        return view
-
-
 def attach_index(
     source: FlatSnapshot | np.ndarray | bytes,
     *,
     version: int | None = None,
     owner: object = None,
-) -> FlatPolygonIndex:
+) -> PolygonIndex:
     """Attach an index to a packed snapshot (no rebuild).
+
+    No store build and no covering materialization happen here: the ACT
+    pool, lookup table, polygon geometry, and refinement buckets of the
+    returned :class:`~repro.core.builder.PolygonIndex` are views into the
+    snapshot's blob, and its super covering is unpacked only if a
+    mutation or planning path (``add_polygon``, ``retrained``, a shard
+    plan) asks for it.
 
     ``version=None`` stamps a fresh process-local version (the loaded
     snapshot outranks everything built so far — callers raise the floor
     with :func:`~repro.core.builder.ensure_version_floor` first);
     otherwise the given version is stamped verbatim (shard workers stamp
     the parent snapshot's version so every partition agrees)."""
+    # Imported here because repro.core.builder imports this module: a
+    # PolygonIndex holds the snapshot it was attached from.
+    from repro.core.builder import BuildTimings, PolygonIndex
+
     if isinstance(source, FlatSnapshot):
         snapshot = source
     else:
         snapshot = FlatSnapshot.from_buffer(source, owner=owner)
-    return FlatPolygonIndex(snapshot, version=version)
-
-
-def as_flat_index(index: PolygonIndex, *, version: int | None = None) -> PolygonIndex:
-    """The flat-serving equivalent of ``index`` (or ``index`` itself).
-
-    Plain ACT-backed indexes are packed and re-attached (keeping their
-    version unless overridden); anything else — already-flat indexes,
-    dynamic overlays, custom stores — passes through unchanged.
-    """
-    if isinstance(index, FlatPolygonIndex):
-        return index
-    if not isinstance(index, PolygonIndex) or not isinstance(
-        index.store, AdaptiveCellTrie
-    ):
-        return index
-    return attach_index(
-        pack_index(index),
-        version=index.version if version is None else version,
+    meta = snapshot.meta
+    if meta.get("flat_format") != FLAT_FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported flat snapshot format {meta.get('flat_format')!r}"
+        )
+    buffers = snapshot.buffers
+    lookup_table = LookupTable.attach(buffers["lut"])
+    store = AdaptiveCellTrie.attach(
+        buffers["act_pool"],
+        buffers["act_faces"],
+        buffers["act_face_values"],
+        meta,
+        lookup_table,
+    )
+    polygons = unpack_polygon_geometry(
+        buffers["poly_ring_index"],
+        buffers["ring_vertex_index"],
+        buffers["ring_lngs"],
+        buffers["ring_lats"],
+    )
+    return PolygonIndex(
+        polygons,
+        None,
+        store,
+        lookup_table,
+        BuildTimings(),
+        meta["precision_meters"],
+        None,
+        version=version,
+        snapshot=snapshot,
     )

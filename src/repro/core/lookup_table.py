@@ -73,12 +73,25 @@ def expand_offsets(
 
 
 class LookupTable:
-    """Builds and serves the shared reference-list array."""
+    """Builds and serves the shared reference-list array.
+
+    A built table grows through :meth:`encode`; :meth:`attach` wraps an
+    already-packed ``uint32`` array (a view into a flat snapshot blob)
+    read-only.  Both serve the probe side from :attr:`array`.
+    """
 
     def __init__(self) -> None:
-        self._data: list[int] = []
+        self._data: list[int] | None = []  # None: attached, read-only
         self._offsets: dict[tuple[PolygonRef, ...], int] = {}
         self._frozen: np.ndarray | None = None
+
+    @classmethod
+    def attach(cls, array: np.ndarray) -> "LookupTable":
+        """A read-only table over a packed array — a view, never a copy."""
+        table = cls()
+        table._data = None
+        table._frozen = array
+        return table
 
     # ------------------------------------------------------------------
     # Build side
@@ -86,6 +99,8 @@ class LookupTable:
 
     def encode(self, refs: Sequence[PolygonRef]) -> int:
         """Return the tagged entry for a (canonical) reference set."""
+        if self._data is None:
+            raise TypeError("an attached lookup table is read-only")
         if not refs:
             raise ValueError("a super-covering cell must reference >= 1 polygon")
         for ref in refs:
@@ -124,20 +139,28 @@ class LookupTable:
     @property
     def array(self) -> np.ndarray:
         """The flat ``uint32`` array (rebuilt lazily after inserts)."""
-        if self._frozen is None or len(self._frozen) != len(self._data):
+        if self._data is not None and (
+            self._frozen is None or len(self._frozen) != len(self._data)
+        ):
             self._frozen = np.asarray(self._data, dtype=np.uint32)
         return self._frozen
 
     def decode_offset(self, offset: int) -> tuple[PolygonRef, ...]:
         """Reference set stored at ``offset``, in canonical (id-sorted) order."""
-        data = self._data
-        num_true = data[offset]
+        data = self.array
+        num_true = int(data[offset])
         cursor = offset + 1
-        refs = [PolygonRef(pid, True) for pid in data[cursor:cursor + num_true]]
+        refs = [
+            PolygonRef(pid, True)
+            for pid in data[cursor : cursor + num_true].tolist()
+        ]
         cursor += num_true
-        num_cand = data[cursor]
+        num_cand = int(data[cursor])
         cursor += 1
-        refs.extend(PolygonRef(pid, False) for pid in data[cursor:cursor + num_cand])
+        refs.extend(
+            PolygonRef(pid, False)
+            for pid in data[cursor : cursor + num_cand].tolist()
+        )
         refs.sort(key=lambda ref: ref.polygon_id)
         return tuple(refs)
 
@@ -161,11 +184,12 @@ class LookupTable:
 
     @property
     def size_bytes(self) -> int:
-        return 4 * len(self._data)
+        return 4 * len(self)
 
     @property
     def num_lists(self) -> int:
+        """Distinct lists interned through :meth:`encode` (0 once attached)."""
         return len(self._offsets)
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._frozen if self._data is None else self._data)

@@ -49,10 +49,9 @@ from repro.core.dynamic import DeltaOp, DynamicPolygonIndex
 from repro.core.flat import (
     FlatSnapshot,
     attach_index,
-    pack_covering as _pack_covering,
     pack_index,
     pack_polygon_geometry,
-    unpack_covering as _unpack_covering,
+    unpack_covering,
     unpack_polygon_geometry,
     validate_buffers,
 )
@@ -147,7 +146,6 @@ def save_index(
             "covering_options": asdict(state.covering_options),
             "interior_options": asdict(state.interior_options),
             "training_max_cells": state.training_max_cells,
-            "flat_snapshots": state.flat_snapshots,
         }
         index = state.base
     snapshot = pack_index(index)
@@ -169,9 +167,9 @@ def load_index(path: str | pathlib.Path) -> PolygonIndex | DynamicPolygonIndex:
     """Restore an index saved by :func:`save_index`.
 
     Accepts every format version up to :data:`FORMAT_VERSION`.  A v3 file
-    is *attached*: the returned index serves straight from the mmap'd
-    buffers (:class:`~repro.core.flat.FlatPolygonIndex`) and no store
-    build runs.  v1/v2 ``.npz`` archives take the legacy rebuild path.
+    is *attached* (:func:`~repro.core.flat.attach_index`): the returned
+    index serves straight from the mmap'd buffers and no store build
+    runs.  v1/v2 ``.npz`` archives take the legacy rebuild path.
     A file that carries a pending delta log comes back as a
     :class:`DynamicPolygonIndex` with the log replayed, anything else as
     a plain :class:`PolygonIndex`.
@@ -195,6 +193,8 @@ def load_index(path: str | pathlib.Path) -> PolygonIndex | DynamicPolygonIndex:
     if not meta.get("dynamic", False):
         return base
     training = snapshot.buffers.get("training_cell_ids")
+    # Files written before 1.9.0 may carry a "flat_snapshots" meta key (a
+    # removed constructor option); it is ignored — every base is attached.
     return DynamicPolygonIndex.restore(
         base,
         _unpack_delta_log(snapshot.buffers),
@@ -204,7 +204,6 @@ def load_index(path: str | pathlib.Path) -> PolygonIndex | DynamicPolygonIndex:
         interior_options=_interior_options(meta.get("interior_options")),
         training_cell_ids=training,
         training_max_cells=meta.get("training_max_cells"),
-        flat_snapshots=bool(meta.get("flat_snapshots", False)),
     )
 
 
@@ -215,7 +214,7 @@ def _load_legacy(archive) -> PolygonIndex | DynamicPolygonIndex:
         raise ValueError(
             f"unsupported index file version {meta['format_version']}"
         )
-    covering = _unpack_covering(
+    covering = unpack_covering(
         archive["cell_ids"], archive["ref_offsets"], archive["packed_refs"]
     )
     polygons = [

@@ -494,16 +494,21 @@ class RefinementEngine:
     """
 
     def __init__(
-        self, polygons: Sequence[Polygon | None], *, build_table: bool = True
+        self,
+        polygons: Sequence[Polygon | None],
+        *,
+        build_table: bool = True,
+        table: _FlatBucketTable | None = None,
     ):
         self._polygons = polygons
         #: Ephemeral engines (built per call, e.g. by ``refine_candidates``
         #: when no snapshot engine is passed) set ``build_table=False``:
         #: they could never amortize the flat-table build, so they stay on
         #: the group-by path.  Snapshot engines (``ProbeView.refiner``)
-        #: build the table once and reuse it for their lifetime.
+        #: build the table once and reuse it for their lifetime — or adopt
+        #: ``table``, the one a flat snapshot already carries packed.
         self._build_table = build_table
-        self._table: _FlatBucketTable | None = None
+        self._table = table
         self._table_lock = threading.Lock()
 
     @property

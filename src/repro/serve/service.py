@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core.adaptive import AdaptationPolicy, AdaptiveController
 from repro.core.builder import ProbeView
-from repro.core.flat import as_flat_index
 from repro.core.joins import JoinResult, accurate_join, approximate_join
 from repro.obs import DispatchMeters, Observability
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -81,14 +80,6 @@ class JoinService:
         ``None`` (default) disables telemetry and retraining entirely.
     latency_window:
         Dispatches held for the percentile window in ``stats()``.
-    flat_views:
-        Serve eligible layers from flat snapshot buffers: every
-        registered ``PolygonIndex`` with an ACT-family store (initial
-        layers, ``add_layer``, ``swap_layer``) is converted once via
-        :func:`~repro.core.flat.as_flat_index` — same version, same
-        results (the parity suite gates this bit-for-bit), but probes
-        read contiguous arrays instead of per-entry Python objects.
-        Dynamic indexes and custom stores pass through unchanged.
     obs:
         An :class:`~repro.obs.Observability` bundle wires the telemetry
         plane in: dispatches open phase-tracer spans, a metrics registry
@@ -109,16 +100,10 @@ class JoinService:
         morsel_size: int = 1 << 14,
         latency_window: int = 8192,
         adaptation: AdaptationPolicy | None = None,
-        flat_views: bool = False,
         obs: Observability | None = None,
     ):
         if not isinstance(layers, Mapping):
             layers = {DEFAULT_LAYER: layers}
-        self._flat_views = flat_views
-        if flat_views:
-            layers = {
-                name: as_flat_index(index) for name, index in layers.items()
-            }
         self._router = LayerRouter(layers, default=default_layer)
         self._cache_cells = cache_cells
         self._obs = obs
@@ -204,8 +189,6 @@ class JoinService:
 
     def add_layer(self, name: str, index: JoinableIndex) -> None:
         """Register an additional polygon layer on the live service."""
-        if self._flat_views:
-            index = as_flat_index(index)
         with self._attach_lock:
             self._router.add(name, index)
             view = index.probe_view()
@@ -222,8 +205,6 @@ class JoinService:
         already resolved; every request arriving after this call sees the
         new version.  Returns the replaced index.
         """
-        if self._flat_views:
-            index = as_flat_index(index)
         with self._attach_lock:
             previous = self._router.swap(name, index)
             view = index.probe_view()

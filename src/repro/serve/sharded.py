@@ -17,12 +17,10 @@ Evaluation of Spatial Joins*) applied to the paper's cell-id domain:
   straddles a cut from another shard) classes — the two-layer
   space-oriented partitioning of Tsitsigkos et al. (*Parallel In-Memory
   Evaluation of Spatial Joins*) applied to the paper's cell-id domain.
-  Cut points balance on owned work only (``balance="owned"``), since
-  borrowed entries would otherwise distort the weights toward
-  boundary-heavy shards; the plan surfaces ``replication_factor`` and
-  per-class counts.
-* With the default ``plan="two-layer"`` a layer's snapshot publishes in
-  TWO kinds of shared-memory segment::
+  Cut points balance on owned work only, since borrowed entries would
+  otherwise distort the weights toward boundary-heavy shards; the plan
+  surfaces ``replication_factor`` and per-class counts.
+* A layer's snapshot publishes in TWO kinds of shared-memory segment::
 
       geometry plane (one segment per layer, shared machine-wide)
         ring geometry | packed refinement edge buckets | polygon table
@@ -41,19 +39,12 @@ Evaluation of Spatial Joins*) applied to the paper's cell-id domain:
   owned and borrowed classes, each class refines as its own mini-join,
   and the accept masks scatter back in original order — bit-identical
   to the unsplit engine, so merged results need no front-side dedup.
-  ``plan="replicate"`` keeps the pre-two-layer behavior (each shard's
-  full sub-index packed into its own segment, straddlers copied per
-  shard) as the comparison baseline.
 * A **shard worker** is a spawned process hosting one ordinary
-  :class:`JoinService` over its partition sub-indexes.  With
-  ``snapshot="flat"`` workers *attach* published segments (a buffer
-  map, no store build); ``snapshot="rebuild"`` ships the covering cells
-  instead and the worker rebuilds via
-  :func:`~repro.core.builder.build_partition_index` (the coverer never
-  re-runs either way) — kept for comparison benchmarks.  Batch
-  coordinates travel through shared-memory buffers too, never the
-  pickle stream; only the control messages and the (small) partial
-  ``JoinResult`` statistics cross the pipe.
+  :class:`JoinService` over its partition sub-indexes, which it
+  *attaches* from the published segments (a buffer map, no store
+  build).  Batch coordinates travel through shared-memory buffers too,
+  never the pickle stream; only the control messages and the (small)
+  partial ``JoinResult`` statistics cross the pipe.
 * :class:`ShardedJoinService` is the front: it computes leaf cell ids
   once, scatters each batch to the owning shards, gathers the partial
   results, and merges them with the same wall-time apportioning as the
@@ -64,9 +55,10 @@ Evaluation of Spatial Joins*) applied to the paper's cell-id domain:
   per-shard detail in ``stats.shards``.
 
 ``backend="inline"`` hosts the per-shard services in the calling process
-instead (no processes, no shared memory) — same partitioning, same
-scatter/gather, same merge — which is what the shard-boundary
-equivalence tests exercise exhaustively and what debugging uses.
+instead (no processes; batches stay plain arrays) — same partitioning,
+same plane publication and attach, same scatter/gather, same merge —
+which is what the shard-boundary equivalence tests exercise exhaustively
+and what debugging uses.
 
 The front serializes scatter/gather dispatches with one lock (a worker
 pipe is not safe for interleaved use anyway); parallelism comes from
@@ -96,7 +88,6 @@ from repro.cells.vectorized import (
 from repro.core.adaptive import AdaptationPolicy
 from repro.core.builder import (
     PolygonIndex,
-    build_partition_index,
     build_partition_store,
     ensure_version_floor,
 )
@@ -105,7 +96,6 @@ from repro.core.flat import (
     attach_index,
     pack_coverage_plane,
     pack_geometry_plane,
-    pack_index,
 )
 from repro.core.joins import JoinResult
 from repro.geo.polygon import Polygon
@@ -161,8 +151,8 @@ class ShardPlan:
     into ``owned`` (homed here) and ``borrowed`` (covering cells here,
     homed elsewhere — the straddlers), and the same classification
     applies to the (cell, ref) entries (``owned_weights`` vs
-    ``borrowed_weights``).  Cuts balance on ``owned_work`` by default:
-    each polygon's TOTAL entry count attributed to its home cell, so a
+    ``borrowed_weights``).  Cuts balance on ``owned_work``: each
+    polygon's TOTAL entry count attributed to its home cell, so a
     boundary-heavy covering does not double-count straddlers into every
     shard they touch when choosing where to cut.
     """
@@ -177,7 +167,6 @@ class ShardPlan:
     borrowed_weights: tuple[int, ...]  # borrowed-class entries per shard
     owned_work: tuple[int, ...]  # Σ entry count of polygons homed per shard
     home_shards: np.ndarray  # (num_polygons,) int64 home shard, -1 = unreferenced
-    balance: str = "owned"
 
     @property
     def members(self) -> tuple[tuple[int, ...], ...]:
@@ -191,11 +180,10 @@ class ShardPlan:
     def replication_factor(self) -> float:
         """Per-shard polygon slots per distinct referenced polygon.
 
-        Exactly 1.0 when no covering straddles a cut; the classic
-        replicate-the-straddlers publication materializes this many
-        polygon-table copies, while the two-layer publication stores
-        geometry once regardless (its measured factor is 1.0 by
-        construction).
+        Exactly 1.0 when no covering straddles a cut.  This is what a
+        replicate-the-straddlers publication would materialize in
+        polygon-table copies; the two-layer publication stores geometry
+        once regardless (its measured factor is 1.0 by construction).
         """
         referenced = int(np.count_nonzero(self.home_shards >= 0))
         if referenced == 0:
@@ -207,28 +195,18 @@ class ShardPlan:
         return slots / referenced
 
     @classmethod
-    def from_index(
-        cls,
-        index: PolygonIndex,
-        num_shards: int,
-        *,
-        balance: str = "owned",
-    ) -> "ShardPlan":
-        """Plan ``num_shards`` partitions of a built index's covering.
+    def from_index(cls, index: PolygonIndex, num_shards: int) -> "ShardPlan":
+        """Plan ``num_shards`` partitions of an index's covering.
 
-        ``balance="owned"`` (default) weights each cell by the owned
-        work homed there — every polygon's total (cell, ref) entry count
-        attributed to its home cell — and cuts the
-        id-sorted cell sequence at the weighted quantiles, so straddlers
-        count once toward exactly one shard's share.  ``"entries"``
-        keeps the historical per-cell reference-count weighting
-        (straddlers weigh into every shard they touch), retained for the
-        balance-regression comparison.
+        Each cell is weighted by the owned work homed there — every
+        polygon's total (cell, ref) entry count attributed to its home
+        cell — and the id-sorted cell sequence is cut at the weighted
+        quantiles, so straddlers count once toward exactly one shard's
+        share (weighting by per-cell reference counts instead would let
+        a straddler weigh into every shard it touches).
         """
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        if balance not in ("owned", "entries"):
-            raise ValueError(f"unknown balance mode {balance!r}")
         num_polygons = len(index.polygons)
         covering = index.super_covering
         raw = covering.raw_items()
@@ -246,12 +224,11 @@ class ShardPlan:
         np.add.at(
             owned_work_per_cell, home_rows[referenced], poly_entries[referenced]
         )
-        weights = owned_work_per_cell if balance == "owned" else counts
         lo, hi = range_bounds_from_cell_ids(ids)
         if num_shards == 1 or num_cells == 0:
             boundaries = np.zeros(0, dtype=np.uint64)
         else:
-            cumulative = np.cumsum(weights)
+            cumulative = np.cumsum(owned_work_per_cell)
             total = int(cumulative[-1])
             cuts = []
             for k in range(1, num_shards):
@@ -317,7 +294,6 @@ class ShardPlan:
             ),
             owned_work=tuple(int(w) for w in owned_work),
             home_shards=home_shards,
-            balance=balance,
         )
 
     def shard_for(self, leaf_ids: np.ndarray) -> np.ndarray:
@@ -331,33 +307,6 @@ class ShardPlan:
 # ----------------------------------------------------------------------
 # Worker-side: payloads, service construction, the process main loop
 # ----------------------------------------------------------------------
-
-
-@dataclass
-class _ShardPart:  #: spawn_payload
-    """One layer's partition, as shipped to (or built for) one shard."""
-
-    num_polygons: int  # global polygon-table length (id space)
-    members: dict[int, Polygon]  # polygons replicated into this shard
-    cells: dict[int, tuple]  # this shard's covering subset
-    precision_meters: float | None
-    fanout_bits: int
-    version: int  # the parent snapshot's version
-
-
-@dataclass(frozen=True)
-class _FlatShardPart:  #: spawn_payload
-    """One layer's partition as a published flat snapshot (attach-only).
-
-    The front packed the partition sub-index into a shared-memory
-    segment; the worker maps the segment and serves the buffers in
-    place.  The part itself is a few bytes of pickle — the index never
-    crosses the pipe.
-    """
-
-    shm_name: str  # segment holding the FlatSnapshot blob
-    nbytes: int  # blob payload size (segment may be page-rounded)
-    version: int  # the parent snapshot's version
 
 
 @dataclass(frozen=True)
@@ -382,67 +331,27 @@ class _TwoLayerShardPart:  #: spawn_payload
     version: int  # the parent snapshot's version
 
 
-_AnyShardPart = _ShardPart | _FlatShardPart | _TwoLayerShardPart
-
-
 @dataclass
 class _WorkerPayload:  #: spawn_payload
     """Everything one shard worker needs to build its JoinService."""
 
     shard: int
-    parts: dict[str, _AnyShardPart]  # layer name -> partition
+    parts: dict[str, _TwoLayerShardPart]  # layer name -> partition
     cache_cells: int
     adaptation: AdaptationPolicy | None
     obs: ObsConfig | None = None  # worker-side observability settings
 
 
-def _part_for(plan: ShardPlan, shard: int, index: PolygonIndex) -> _ShardPart:
-    polygons = index.polygons
-    return _ShardPart(
-        num_polygons=len(polygons),
-        members={pid: polygons[pid] for pid in plan.members[shard]},
-        cells=plan.cells[shard],
-        precision_meters=index.precision_meters,
-        fanout_bits=int(getattr(index.store, "fanout_bits", 8)),
-        version=index.version,
-    )
-
-
-def _flat_part_for(
-    plan: ShardPlan, shard: int, index: PolygonIndex
-) -> tuple[_FlatShardPart, SharedMemory]:
-    """Build one shard's partition front-side and publish it as a segment.
-
-    Returns the (tiny, picklable) part plus the segment handle — the
-    caller owns the segment's lifetime and must unlink it when this
-    generation is retired.
-    """
-    sub = _index_from_part(_part_for(plan, shard, index), fresh_version=False)
-    snapshot = pack_index(sub)
-    segment = snapshot.to_shared_memory()
-    return (
-        _FlatShardPart(
-            shm_name=segment.name,
-            nbytes=snapshot.nbytes,
-            version=int(index.version),
-        ),
-        segment,
-    )
-
-
 def _index_from_part(
-    part: _AnyShardPart, *, fresh_version: bool
+    part: _TwoLayerShardPart, *, fresh_version: bool
 ) -> PolygonIndex:
-    """Materialize the partition sub-index a part describes.
+    """Attach the partition sub-index a part describes (no store build).
 
-    A :class:`_TwoLayerShardPart` attaches the layer's shared geometry
-    segment plus its own coverage segment and composes them; a
-    :class:`_FlatShardPart` attaches the front's single published
-    segment (no store build); a :class:`_ShardPart` rebuilds from the
-    shipped covering cells.  An attach keeps its ``SharedMemory``
-    handle(s) open for the index's whole lifetime (pinned as the
-    snapshot owner) — closing one while numpy views into the buffers
-    exist is an error, so the handles are simply dropped with the index.
+    Maps the layer's shared geometry segment plus this shard's coverage
+    segment and composes them.  The attach keeps its ``SharedMemory``
+    handles open for the index's whole lifetime (pinned as the snapshot
+    owner) — closing one while numpy views into the buffers exist is an
+    error, so the handles are simply dropped with the index.
 
     ``fresh_version=False`` stamps the parent snapshot's version (initial
     attach / add_layer: every shard of one snapshot agrees).
@@ -456,28 +365,15 @@ def _index_from_part(
         version = None
     else:
         version = part.version
-    if isinstance(part, _TwoLayerShardPart):
-        geometry_shm = _attach_shm(part.geometry_shm)
-        coverage_shm = _attach_shm(part.coverage_shm)
-        snapshot = FlatSnapshot.from_planes(
-            FlatSnapshot.from_buffer(geometry_shm.buf, owner=geometry_shm),
-            FlatSnapshot.from_buffer(coverage_shm.buf, owner=coverage_shm),
-        )
-        index = attach_index(snapshot, version=version)
-        _install_mini_join(index, shard=part.shard)
-        return index
-    if isinstance(part, _FlatShardPart):
-        shm = _attach_shm(part.shm_name)
-        snapshot = FlatSnapshot.from_buffer(shm.buf, owner=shm)
-        return attach_index(snapshot, version=version)
-    return build_partition_index(
-        part.num_polygons,
-        part.members,
-        part.cells,
-        precision_meters=part.precision_meters,
-        fanout_bits=part.fanout_bits,
-        version=version,
+    geometry_shm = _attach_shm(part.geometry_shm)
+    coverage_shm = _attach_shm(part.coverage_shm)
+    snapshot = FlatSnapshot.from_planes(
+        FlatSnapshot.from_buffer(geometry_shm.buf, owner=geometry_shm),
+        FlatSnapshot.from_buffer(coverage_shm.buf, owner=coverage_shm),
     )
+    index = attach_index(snapshot, version=version)
+    _install_mini_join(index, shard=part.shard)
+    return index
 
 
 class _MiniJoinRefiner(RefinementEngine):
@@ -501,11 +397,10 @@ class _MiniJoinRefiner(RefinementEngine):
         home_shards: np.ndarray,
         table: object = None,
     ):
-        super().__init__(polygons)
+        # ``table``: adopt the geometry plane's bucket table.
+        super().__init__(polygons, table=table)
         self._shard = int(shard)
         self._home_shards = home_shards
-        if table is not None:
-            self._table = table  # adopt the geometry plane's bucket table
         self.owned_pairs = 0
         self.borrowed_pairs = 0
 
@@ -570,7 +465,7 @@ def _apply_admin(service: JoinService, msg: tuple) -> object:
 
     Shared by the process worker loop and the inline backend, so both
     backends cannot diverge in behavior.  ``ping`` is answered by the
-    backends themselves (the reply carries the worker-side build/attach
+    backends themselves (the reply carries the worker-side attach
     timing only they know).  Layer ops reply with their sub-index
     materialization time, so the front can meter attach latency.
     """
@@ -595,8 +490,7 @@ def _apply_admin(service: JoinService, msg: tuple) -> object:
 class _AttachedSegment(SharedMemory):
     """An attachment whose finalizer tolerates still-exported views.
 
-    A flat-snapshot worker pins its attach handle inside the index it
-    serves; when the index is dropped (swap retirement, shutdown) the
+    A worker pins its attach handles inside the index it serves; when the index is dropped (swap retirement, shutdown) the
     interpreter may finalize the handle *before* the numpy views into
     its buffer, and the stock destructor then raises — and prints — a
     ``BufferError``.  The mapping is released regardless once the last
@@ -695,14 +589,14 @@ def _worker_join(service: JoinService, msg: tuple, shard: int):
 def _shard_worker_main(conn, payload: _WorkerPayload) -> None:
     """Entry point of one shard worker process (spawn-safe: module level).
 
-    Builds (or attaches) the partition sub-indexes and the shard's
+    Attaches the partition sub-indexes and builds the shard's
     JoinService, then answers control messages until ``close`` or the
     pipe drops.  Every reply is ``("ok", value)`` or ``("err",
     traceback_text)`` — a failed request never kills the worker, so one
     poisoned batch cannot take a shard (and every batch it would have
     served) down with it.  The ``ping`` reply carries the service
     construction time, so the front's spawn barrier doubles as the
-    attach-vs-rebuild measurement the bench reports.
+    attach measurement the bench reports.
     """
     try:
         with Timer() as build_timer:
@@ -954,6 +848,15 @@ def _scatter_gather(
 # The sharded service front
 # ----------------------------------------------------------------------
 
+#: Published geometry copies per distinct referenced polygon.  A layer's
+#: geometry lives in exactly one shared segment however many coverage
+#: planes reference a polygon
+#: (:func:`~repro.core.flat.pack_coverage_plane` rejects geometry buffers
+#: outright), so the measured factor is structurally 1.0 — unlike
+#: :attr:`ShardPlan.replication_factor`, the membership-derived factor a
+#: copy-the-straddlers publication would pay.
+_GEOMETRY_REPLICATION = 1.0
+
 
 def _check_shardable(name: str, index: object) -> PolygonIndex:
     if not isinstance(index, PolygonIndex):
@@ -983,22 +886,6 @@ class ShardedJoinService:
         ``"process"`` (default) spawns one worker process per shard and
         ships batches through shared memory; ``"inline"`` hosts the
         shard services in-process (tests, debugging).
-    snapshot:
-        ``"flat"`` (default) packs each shard's partition into flat
-        snapshot segments once, front-side; workers (and every respawn
-        or swap) attach zero-copy.  ``"rebuild"`` ships covering cells
-        and rebuilds the store worker-side — the pre-flat behavior,
-        kept for the attach-vs-rebuild benchmark.  Both serve
-        bit-identical results.
-    plan:
-        ``"two-layer"`` (the default under ``snapshot="flat"``)
-        publishes one shared geometry-plane segment per layer plus one
-        private coverage-plane segment per shard — straddling polygons
-        are never replicated, and workers run class-aware mini-joins.
-        ``"replicate"`` (the default, and only option, under
-        ``snapshot="rebuild"``) packs each shard's full sub-index with
-        straddlers copied per shard — the pre-two-layer baseline the
-        bench compares against.  Both serve bit-identical results.
     adaptation:
         Fans out to every shard worker: each shard runs its own
         adaptation loop over its partition and retrains/swaps locally.
@@ -1034,8 +921,6 @@ class ShardedJoinService:
         latency_window: int = 8192,
         adaptation: AdaptationPolicy | None = None,
         backend: str = "process",
-        snapshot: str = "flat",
-        plan: str | None = None,
         start_method: str = "spawn",
         obs: Observability | None = None,
     ):
@@ -1045,23 +930,10 @@ class ShardedJoinService:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         if backend not in ("process", "inline"):
             raise ValueError(f"unknown backend {backend!r}")
-        if snapshot not in ("flat", "rebuild"):
-            raise ValueError(f"unknown snapshot mode {snapshot!r}")
-        if plan is None:
-            plan = "two-layer" if snapshot == "flat" else "replicate"
-        if plan not in ("two-layer", "replicate"):
-            raise ValueError(f"unknown plan mode {plan!r}")
-        if plan == "two-layer" and snapshot == "rebuild":
-            raise ValueError(
-                'plan="two-layer" requires snapshot="flat": the rebuild '
-                "path ships covering cells, not plane segments"
-            )
         for name, index in layers.items():
             _check_shardable(name, index)
         self.num_shards = num_shards
         self.backend = backend
-        self.snapshot = snapshot
-        self.plan_mode = plan
         self._cache_cells = cache_cells
         self._obs = obs
         self._tracer: Tracer = obs.tracer if obs is not None else NULL_TRACER
@@ -1079,7 +951,7 @@ class ShardedJoinService:
         self._attach_gauge = (
             metrics.gauge(
                 "shard_attach_seconds",
-                "slowest worker-side sub-index attach/rebuild, last fan-out",
+                "slowest worker-side sub-index attach, last fan-out",
             )
             if metrics is not None
             else None
@@ -1095,7 +967,7 @@ class ShardedJoinService:
         self._coverage_bytes_gauge = (
             metrics.gauge(
                 "shard_coverage_bytes",
-                "per-shard coverage/sub-index bytes published by the front",
+                "per-shard coverage-plane bytes published by the front",
             )
             if metrics is not None
             else None
@@ -1110,13 +982,12 @@ class ShardedJoinService:
         }
         # Flat-snapshot segments owned by the front, per layer, for the
         # CURRENT generation; retired (and unlinked) on swap and close.
-        # Under plan="two-layer" a layer's FIRST segment is its shared
-        # geometry plane, followed by one coverage segment per shard.
+        # A layer's FIRST segment is its shared geometry plane, followed
+        # by one coverage segment per shard.
         self._segments: dict[str, tuple[SharedMemory, ...]] = {}  #: guarded_by(_lock)
-        # Published (geometry, per-shard) payload bytes and the measured
-        # geometry replication factor, per layer, current generation.
+        # Published (geometry, per-shard) payload bytes per layer,
+        # current generation.
         self._plane_bytes: dict[str, tuple[int, int]] = {}  #: guarded_by(_lock)
-        self._replication: dict[str, float] = {}  #: guarded_by(_lock)
         # One lock serializes scatter/gather dispatches and admin fan-outs:
         # worker pipes are request/response channels and must never see
         # interleaved conversations.
@@ -1132,12 +1003,8 @@ class ShardedJoinService:
                     self._plans[name], index
                 )
                 parts_by_layer[name] = parts
-                if segments:
-                    self._segments[name] = segments
+                self._segments[name] = segments
                 self._plane_bytes[name] = plane_bytes
-                self._replication[name] = self._measured_replication(
-                    self._plans[name]
-                )
             payloads = [
                 _WorkerPayload(
                     shard=shard,
@@ -1167,8 +1034,8 @@ class ShardedJoinService:
                 resource_tracker.ensure_running()
                 ctx = get_context(start_method)
                 self._clients = [_ProcessShard(ctx, p) for p in payloads]
-                # Barrier: surfaces build errors; the replies carry each
-                # worker's service construction time (attach or rebuild).
+                # Barrier: surfaces attach errors; the replies carry
+                # each worker's service construction time.
                 reports = [
                     client.request(("ping",)) for client in self._clients
                 ]
@@ -1191,8 +1058,6 @@ class ShardedJoinService:
                     "shard_spawn",
                     shard=payload.shard,
                     backend=backend,
-                    snapshot=snapshot,
-                    plan=plan,
                     spawn_seconds=self._spawn_seconds[payload.shard],
                     num_owned=sum(
                         len(p.owned[payload.shard])
@@ -1228,84 +1093,65 @@ class ShardedJoinService:
     @property
     def spawn_seconds(self) -> tuple[float, ...]:
         """Per-shard worker-side service construction time (the spawn
-        barrier's ping replies): a zero-copy attach under ``"flat"``, a
-        full partition store build under ``"rebuild"``."""
+        barrier's ping replies): a zero-copy attach of the published
+        planes."""
         return self._spawn_seconds
 
     # ------------------------------------------------------------------
-    # Snapshot segment publication (flat mode)
+    # Snapshot segment publication
     # ------------------------------------------------------------------
 
     def _publish_parts(
         self, plan: ShardPlan, index: PolygonIndex
     ) -> tuple[
-        list[_AnyShardPart], tuple[SharedMemory, ...], tuple[int, int]
+        list[_TwoLayerShardPart], tuple[SharedMemory, ...], tuple[int, int]
     ]:
-        """One part per shard; ``"flat"`` publishes front-owned segments.
+        """One part per shard, published as front-owned segments.
 
         Returns ``(parts, segments, (geometry_bytes, coverage_bytes))``
         — the payload split between the layer's single shared
-        geometry-plane segment and the per-shard segments (coverage
-        planes under ``"two-layer"``, full replicated sub-indexes under
-        ``"replicate"``; ``(0, 0)`` under rebuild, which publishes
-        nothing).  The returned segments are the new generation's — the
-        caller installs them into ``_segments`` only once the fan-out
-        succeeded, and must release them itself on failure.  Under
-        ``"two-layer"`` the geometry segment leads the tuple.
+        geometry-plane segment (which leads the tuple) and the per-shard
+        coverage-plane segments.  The returned segments are the new
+        generation's — the caller installs them into ``_segments`` only
+        once the fan-out succeeded, and must release them itself on
+        failure.
         """
-        if self.snapshot == "rebuild":
-            return (
-                [
-                    _part_for(plan, shard, index)
-                    for shard in range(self.num_shards)
-                ],
-                (),
-                (0, 0),
-            )
-        parts: list[_AnyShardPart] = []
+        parts: list[_TwoLayerShardPart] = []
         segments: list[SharedMemory] = []
         try:
-            if self.plan_mode == "two-layer":
-                geometry = pack_geometry_plane(index)
-                geometry_segment = geometry.to_shared_memory()
-                segments.append(geometry_segment)
-                geometry_bytes = int(geometry.nbytes)
-                coverage_bytes = 0
-                fanout_bits = int(getattr(index.store, "fanout_bits", 8))
-                for shard in range(self.num_shards):
-                    covering, store, _ = build_partition_store(
-                        plan.cells[shard], fanout_bits=fanout_bits
-                    )
-                    coverage = pack_coverage_plane(
-                        covering,
-                        store,
-                        home_shards=plan.home_shards,
-                        meta_extra={"shard": shard},
-                    )
-                    segment = coverage.to_shared_memory()
-                    segments.append(segment)
-                    coverage_bytes += int(coverage.nbytes)
-                    parts.append(
-                        _TwoLayerShardPart(
-                            shard=shard,
-                            geometry_shm=geometry_segment.name,
-                            geometry_nbytes=geometry_bytes,
-                            coverage_shm=segment.name,
-                            coverage_nbytes=int(coverage.nbytes),
-                            version=int(index.version),
-                        )
-                    )
-                return parts, tuple(segments), (geometry_bytes, coverage_bytes)
+            geometry = pack_geometry_plane(index)
+            geometry_segment = geometry.to_shared_memory()
+            segments.append(geometry_segment)
+            geometry_bytes = int(geometry.nbytes)
             coverage_bytes = 0
+            fanout_bits = int(getattr(index.store, "fanout_bits", 8))
             for shard in range(self.num_shards):
-                part, segment = _flat_part_for(plan, shard, index)
-                parts.append(part)
+                covering, store, _ = build_partition_store(
+                    plan.cells[shard], fanout_bits=fanout_bits
+                )
+                coverage = pack_coverage_plane(
+                    covering,
+                    store,
+                    home_shards=plan.home_shards,
+                    meta_extra={"shard": shard},
+                )
+                segment = coverage.to_shared_memory()
                 segments.append(segment)
-                coverage_bytes += int(part.nbytes)
+                coverage_bytes += int(coverage.nbytes)
+                parts.append(
+                    _TwoLayerShardPart(
+                        shard=shard,
+                        geometry_shm=geometry_segment.name,
+                        geometry_nbytes=geometry_bytes,
+                        coverage_shm=segment.name,
+                        coverage_nbytes=int(coverage.nbytes),
+                        version=int(index.version),
+                    )
+                )
         except BaseException:
             self._release_segments({"": tuple(segments)})
             raise
-        return parts, tuple(segments), (0, coverage_bytes)
+        return parts, tuple(segments), (geometry_bytes, coverage_bytes)
 
     @staticmethod
     def _release_segments(
@@ -1318,29 +1164,14 @@ class ShardedJoinService:
                     segment.close()
                     segment.unlink()
 
-    def _measured_replication(self, plan: ShardPlan) -> float:
-        """Published geometry copies per distinct referenced polygon.
-
-        Two-layer publication stores geometry in exactly one shared
-        segment no matter how many coverage planes reference a polygon
-        (:func:`~repro.core.flat.pack_coverage_plane` rejects geometry
-        buffers outright), so its measured factor is structurally 1.0.
-        Replicate and rebuild publication copy a straddler into every
-        shard it touches — the plan's membership-derived factor.
-        """
-        if self.plan_mode == "two-layer" and self.snapshot == "flat":
-            return 1.0
-        return plan.replication_factor
-
     def replication_factor(self, layer: str | None = None) -> float:
         """Published geometry copies per distinct polygon in one layer."""
-        with self._lock:
-            name, _ = self._router.resolve(layer)
-            return self._replication[name]
+        self._router.resolve(layer)  # unknown layers raise, as elsewhere
+        return _GEOMETRY_REPLICATION
 
     def plane_bytes(self, layer: str | None = None) -> tuple[int, int]:
-        """One layer's published ``(shared geometry, per-shard)`` payload
-        bytes for the current generation (``(0, 0)`` under rebuild)."""
+        """One layer's published ``(shared geometry, per-shard coverage)``
+        payload bytes for the current generation."""
         with self._lock:
             name, _ = self._router.resolve(layer)
             return self._plane_bytes[name]
@@ -1637,11 +1468,9 @@ class ShardedJoinService:
             # retired generation's segments unlink now; workers holding
             # the old attachment keep their mappings until they drop it.
             self._release_segments({name: self._segments.pop(name, ())})
-            if segments:
-                self._segments[name] = segments
+            self._segments[name] = segments
             self._plans[name] = plan
             self._plane_bytes[name] = plane_bytes
-            self._replication[name] = self._measured_replication(plan)
             previous = self._router.swap(name, index)
             self._set_snapshot_gauges(
                 [report["build_seconds"] for report in reports]
@@ -1673,11 +1502,9 @@ class ShardedJoinService:
             except BaseException:
                 self._release_segments({name: segments})
                 raise
-            if segments:
-                self._segments[name] = segments
+            self._segments[name] = segments
             self._plans[name] = plan
             self._plane_bytes[name] = plane_bytes
-            self._replication[name] = self._measured_replication(plan)
             self._router.add(name, index)
             self._set_snapshot_gauges(
                 [report["build_seconds"] for report in reports]
@@ -1758,7 +1585,7 @@ class ShardedJoinService:
             shard_stats: list[ServiceStats] = [value for _, value in gathered]
             indexes = dict(self._router.items())
             plans = dict(self._plans)
-            replication = dict(self._replication)
+            replication = dict.fromkeys(indexes, _GEOMETRY_REPLICATION)
         cache: dict[str, CacheStats] = {}
         for name in indexes:
             slices = [s.cache[name] for s in shard_stats if name in s.cache]
@@ -1831,7 +1658,6 @@ class ShardedJoinService:
             self._release_segments(self._segments)
             self._segments = {}
             self._plane_bytes = {}
-            self._replication = {}
             self._set_snapshot_gauges(())
 
     def __enter__(self) -> "ShardedJoinService":

@@ -21,7 +21,6 @@ from repro.core import (
     PolygonIndex,
 )
 from repro.core.adaptive import LayerTelemetry, TrafficSink, _EntryClassifier
-from repro.core.flat import FlatLookupTable
 from repro.core.lookup_table import LookupTable
 from repro.core.refs import PolygonRef
 from repro.core.training import train_super_covering
@@ -91,9 +90,9 @@ class TestEntryClassifier:
         classifier = _EntryClassifier(table)
         flags = classifier.expensive(np.asarray(entries, dtype=np.uint64))
         assert flags.tolist() == [False, False, True, False, True, False, True]
-        # Same answer from a flat (attached-buffer) table, repeats included.
-        flat = _EntryClassifier(FlatLookupTable(table.array))
-        assert flat.expensive(
+        # Same answer from an attached-buffer table, repeats included.
+        attached = _EntryClassifier(LookupTable.attach(table.array))
+        assert attached.expensive(
             np.asarray(entries + entries[::-1], dtype=np.uint64)
         ).tolist() == flags.tolist() + flags.tolist()[::-1]
 

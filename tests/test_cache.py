@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DynamicPolygonIndex, PolygonIndex
+from repro.core import DynamicPolygonIndex, PolygonIndex, attach_index, pack_index
 from repro.core.act import AdaptiveCellTrie
 from repro.core.dynamic import OverlayCellStore
-from repro.core.flat import FlatCellStore, as_flat_index
 from repro.geo.polygon import regular_polygon
 from repro.serve.cache import CachedCellStore, HotCellCache
 
@@ -39,11 +38,11 @@ def stores():
     dynamic.insert(POLYGONS[3])
     by_kind = {
         "act": index.store,
-        "flat": as_flat_index(index).store,
+        "attached": attach_index(pack_index(index)).store,
         "overlay": dynamic.store,
     }
     assert isinstance(by_kind["act"], AdaptiveCellTrie)
-    assert isinstance(by_kind["flat"], FlatCellStore)
+    assert isinstance(by_kind["attached"], AdaptiveCellTrie)
     assert isinstance(by_kind["overlay"], OverlayCellStore)
     # Inside, on the border of, and well outside the polygons: true-hit,
     # candidate and sentinel (0) entries all occur.
@@ -73,7 +72,7 @@ def id_pool(store, leaf_ids: np.ndarray, key_shift: int, size: int) -> np.ndarra
 
 @settings(max_examples=120, deadline=None)
 @given(
-    kind=st.sampled_from(["act", "flat", "overlay"]),
+    kind=st.sampled_from(["act", "attached", "overlay"]),
     capacity=st.integers(1, 8),
     key_shift=st.sampled_from(KEY_SHIFTS),
     batches=st.lists(

@@ -13,7 +13,6 @@ from repro.core.joins import (
     decode_entries,
     parallel_count_join,
 )
-from repro.core.flat import FlatLookupTable
 from repro.core.lookup_table import (
     TAG_OFFSET,
     TAG_ONE_REF,
@@ -118,7 +117,7 @@ def reference_decode(entries, lookup_table):
 def assert_decodes_like_reference(entries, table):
     entries = np.asarray(entries, dtype=np.uint64)
     expected = reference_decode(entries, table)
-    for lookup_table in (table, FlatLookupTable(table.array)):
+    for lookup_table in (table, LookupTable.attach(table.array)):
         got = decode_entries(entries, lookup_table)
         for got_part, expected_part in zip(got, expected):
             assert got_part.dtype == expected_part.dtype

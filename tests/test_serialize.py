@@ -118,11 +118,16 @@ class TestErrors:
 
 FIXTURE_V1 = pathlib.Path(__file__).parent / "data" / "index_v1.npz"
 FIXTURE_V2 = pathlib.Path(__file__).parent / "data" / "index_v2.npz"
+# Written by the 1.8.0 ``save_index`` from a trained
+# ``DynamicPolygonIndex.build(..., flat_snapshots=True)`` after one
+# compaction (id 2 is a hole), with one pending insert and one pending
+# delete; three polygons overlap, so the lookup table is not empty.
+FIXTURE_V3 = pathlib.Path(__file__).parent / "data" / "index_v3.npy"
 
 
 class TestBackwardCompatibility:
-    """Checked-in FORMAT_VERSION 1 and 2 files keep loading bit-identically
-    under the flat (v3) reader."""
+    """Checked-in FORMAT_VERSION 1, 2 and 3 files keep loading
+    bit-identically under the current reader."""
 
     def test_v1_fixture_loads(self):
         index = load_index(FIXTURE_V1)
@@ -190,6 +195,83 @@ class TestBackwardCompatibility:
             a = loaded.join(lats, lngs, exact=exact, materialize=True)
             b = fresh.join(lats, lngs, exact=exact, materialize=True)
             assert (a.counts == b.counts).all()
+            assert set(zip(a.pair_points.tolist(), a.pair_polygons.tolist())) == set(
+                zip(b.pair_points.tolist(), b.pair_polygons.tolist())
+            )
+
+    def test_v3_fixture_is_a_flat_blob_with_the_legacy_meta_key(self):
+        # The fixture must exercise what the loader has to ignore: a real
+        # 1.8.0 file carrying the since-removed ``flat_snapshots`` option.
+        from repro.core.flat import FlatSnapshot
+
+        snapshot = FlatSnapshot.load(FIXTURE_V3)
+        assert snapshot.meta["format_version"] == 3
+        assert snapshot.meta["dynamic"] is True
+        assert snapshot.meta["flat_snapshots"] is True
+        assert len(snapshot.buffers["lut"]) > 0
+        assert len(snapshot.buffers["training_cell_ids"]) == 600
+
+    def test_v3_fixture_loads_without_a_store_build(self, monkeypatch):
+        import repro.core.builder as builder_mod
+        import repro.core.dynamic as dynamic_mod
+        from repro.core import DynamicPolygonIndex
+
+        real = builder_mod.build_store
+        built = []
+
+        def counting(covering, **kwargs):
+            built.append(covering.num_cells)
+            return real(covering, **kwargs)
+
+        # The pending insert replays into a (tiny) delta store; the base
+        # — thousands of cells — must come up as an attach.
+        monkeypatch.setattr(builder_mod, "build_store", counting)
+        monkeypatch.setattr(dynamic_mod, "build_store", counting)
+        index = load_index(FIXTURE_V3)
+        assert isinstance(index, DynamicPolygonIndex)
+        assert index.delta_size == 2  # pending insert + delete survive
+        assert index.precision_meters == 60.0
+        assert index.base.store.fanout_bits == 4
+        assert index.base.polygons[2] is None  # the compacted delete
+        assert index.base.snapshot is not None
+        assert len(index.export_state().training_cell_ids) == 600
+        assert built and max(built) < index.base.num_cells // 4
+
+    def test_v3_fixture_join_bit_identical_to_fresh_build(self):
+        from repro.core import DynamicPolygonIndex
+
+        loaded = load_index(FIXTURE_V3)
+        state = loaded.export_state()
+        # Rebuild the same lifecycle with today's code: the base's live
+        # polygons (a stand-in fills the compacted-away slot, deleted
+        # again before compacting, so ids line up), then the pending ops.
+        slots = list(state.base.polygons)
+        filler = regular_polygon((-74.00, 40.72), 0.006, 21)
+        fresh = DynamicPolygonIndex.build(
+            [polygon if polygon is not None else filler for polygon in slots],
+            precision_meters=loaded.precision_meters,
+            fanout_bits=4,
+            compact_threshold=None,
+            training_cell_ids=state.training_cell_ids,
+        )
+        for pid, polygon in enumerate(slots):
+            if polygon is None:
+                fresh.delete(pid)
+        fresh.compact()
+        for op in state.pending:
+            if op.kind == "insert":
+                fresh.insert(op.polygon)
+            else:
+                fresh.delete(op.polygon_id)
+        assert fresh.live_polygon_ids == loaded.live_polygon_ids
+        generator = np.random.default_rng(17)
+        lngs = generator.uniform(-74.01, -73.97, 6000)
+        lats = generator.uniform(40.69, 40.73, 6000)
+        for exact in (False, True):
+            a = loaded.join(lats, lngs, exact=exact, materialize=True)
+            b = fresh.join(lats, lngs, exact=exact, materialize=True)
+            assert (a.counts == b.counts).all()
+            assert a.num_pip_tests == b.num_pip_tests  # same trained covering
             assert set(zip(a.pair_points.tolist(), a.pair_polygons.tolist())) == set(
                 zip(b.pair_points.tolist(), b.pair_polygons.tolist())
             )

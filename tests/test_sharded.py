@@ -121,8 +121,11 @@ class TestShardPlan:
             ShardPlan.from_index(index, 0)
 
     def test_invalid_balance_mode(self, index):
-        with pytest.raises(ValueError, match="balance"):
-            ShardPlan.from_index(index, 2, balance="bogus")
+        # Cuts always balance on owned work; the selector is gone.
+        for mode in ("owned", "entries"):
+            with pytest.raises(TypeError, match="balance"):
+                ShardPlan.from_index(index, 2, balance=mode)
+        assert not hasattr(ShardPlan.from_index(index, 2), "balance")
 
     def test_owned_and_borrowed_partition_members(self, index):
         plan = ShardPlan.from_index(index, 3)
@@ -150,14 +153,15 @@ class TestShardPlan:
         assert solo.replication_factor == 1.0
 
     def test_owned_weight_cuts_improve_boundary_heavy_balance(self):
-        """The owned-entries satellite: replicated weights distort cuts.
+        """Owned-work cuts keep a boundary-heavy covering balanced.
 
         A chain of heavily overlapping polygons is boundary-heavy —
         nearly every covering straddles any cut.  Weighting cuts by raw
-        entry counts lets the same straddler weigh into several shards'
-        shares, so the *owned work* (the balance that decides how much
-        home-shard refinement each worker performs) skews; owned-only
-        weights must strictly improve the max/min owned-work ratio.
+        entry counts would let the same straddler weigh into several
+        shards' shares and skew the *owned work* (the balance that
+        decides how much home-shard refinement each worker performs);
+        owned-only weights must keep the max/min owned-work ratio
+        bounded.
         """
         chain = [
             regular_polygon((-74.0 + 0.004 * i, 40.70), 0.012, 8)
@@ -170,20 +174,15 @@ class TestShardPlan:
             return np.inf if work.min() == 0 else work.max() / work.min()
 
         for num_shards in (3, 4):
-            owned = ShardPlan.from_index(
-                chain_index, num_shards, balance="owned"
-            )
-            entries = ShardPlan.from_index(
-                chain_index, num_shards, balance="entries"
-            )
-            assert owned_ratio(owned) < owned_ratio(entries)
-            assert owned_ratio(owned) < 2.0
+            plan = ShardPlan.from_index(chain_index, num_shards)
+            assert owned_ratio(plan) < 2.0
 
     def test_owned_balance_is_default(self, index):
-        assert ShardPlan.from_index(index, 4).balance == "owned"
-        default = ShardPlan.from_index(index, 4)
-        explicit = ShardPlan.from_index(index, 4, balance="owned")
-        assert list(default.boundaries) == list(explicit.boundaries)
+        # No selector: the cuts of a plain plan balance owned work.
+        plan = ShardPlan.from_index(index, 4)
+        work = plan.owned_work
+        assert sum(work) == sum(plan.cell_weights)  # every entry homed once
+        assert max(work) <= 2 * (sum(work) / len(work))
 
     def test_more_shards_than_weight_mass_leaves_empty_shards(self):
         """Degenerate plan: duplicate cut points collapse to empty shards.
@@ -366,26 +365,29 @@ class TestInlineSharded:
         assert stats.layers["default"].num_polygons == len(index.polygons)
 
 
+def _plane_bytes(index):
+    with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
+        return svc.plane_bytes()
+
+
 class TestTwoLayerPlan:
     """The two-layer publication plan: shared geometry + per-shard coverage."""
 
     def test_two_layer_is_the_flat_default(self, index):
+        # The only publication: every worker sub-index is attached from a
+        # geometry + coverage plane pair and holds the composed snapshot.
         with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
-            assert svc.plan_mode == "two-layer"
-        with ShardedJoinService(
-            index, num_shards=2, backend="inline", snapshot="rebuild"
-        ) as svc:
-            assert svc.plan_mode == "replicate"
+            for shard, client in enumerate(svc._clients):
+                sub = client._service._router.resolve(None)[1]
+                assert type(sub) is PolygonIndex
+                assert sub.snapshot.meta["shard"] == shard
+                assert "home_shards" in sub.snapshot.buffers
+                assert "ring_lngs" in sub.snapshot.buffers
 
     def test_unknown_plan_rejected(self, index):
-        with pytest.raises(ValueError, match="plan"):
-            ShardedJoinService(index, num_shards=2, plan="bogus")
-
-    def test_two_layer_requires_flat_snapshot(self, index):
-        with pytest.raises(ValueError, match="two-layer"):
-            ShardedJoinService(
-                index, num_shards=2, snapshot="rebuild", plan="two-layer"
-            )
+        for mode in ("two-layer", "replicate"):
+            with pytest.raises(TypeError, match="plan"):
+                ShardedJoinService(index, num_shards=2, plan=mode)
 
     def test_geometry_published_in_exactly_one_segment(self, index):
         with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
@@ -396,26 +398,23 @@ class TestTwoLayerPlan:
             assert coverage_bytes > 0
             assert svc.replication_factor() == 1.0
 
-    def test_replicate_plan_publishes_per_shard_copies(self, index):
-        with ShardedJoinService(
-            index, num_shards=3, backend="inline", plan="replicate"
-        ) as svc:
-            assert svc.plan_mode == "replicate"
-            assert len(svc._segments["default"]) == 3
-            geometry_bytes, coverage_bytes = svc.plane_bytes()
-            assert geometry_bytes == 0
-            assert coverage_bytes > 0
-            # Straddler geometry is replicated into every member shard.
-            assert svc.replication_factor() == svc.plan().replication_factor
-            assert svc.replication_factor() > 1.0
+    def test_attached_index_shards_identically(self, index, points):
+        # Planning unpacks an attached index's covering on demand, and
+        # the geometry plane re-ships its already-packed bucket table.
+        from repro.core import attach_index, pack_index
 
-    def test_replicate_plan_stays_bit_identical(self, index, points):
         lats, lngs = points
-        direct = index.join(lats, lngs, exact=True)
-        with ShardedJoinService(
-            index, num_shards=3, backend="inline", plan="replicate"
-        ) as svc:
-            assert_identical(svc.join(lats, lngs, exact=True), direct)
+        attached = attach_index(pack_index(index))
+        built_plan = ShardPlan.from_index(index, 3)
+        plan = ShardPlan.from_index(attached, 3)
+        assert list(plan.boundaries) == list(built_plan.boundaries)
+        assert plan.cells == built_plan.cells
+        with ShardedJoinService(attached, num_shards=3, backend="inline") as svc:
+            assert svc.plane_bytes() == _plane_bytes(index)
+            assert_identical(
+                svc.join(lats, lngs, exact=True),
+                index.join(lats, lngs, exact=True),
+            )
 
     def test_mini_join_splits_refinement_by_class(self, index, points):
         lats, lngs = points
@@ -492,9 +491,8 @@ class TestPartialFailureHandling:
             calls = []
 
             def flaky(part, *, fresh_version):
-                # Only worker-side builds count: the front also calls
-                # _index_from_part (fresh_version=False) when packing
-                # the flat snapshot it publishes to the workers.
+                # Only swap attaches count (fresh_version=True); the
+                # initial spawn attached with fresh_version=False.
                 if fresh_version:
                     calls.append(part)
                     if len(calls) >= 2:
@@ -549,17 +547,15 @@ class TestShardBoundaryProperty:
         num_points=st.integers(min_value=0, max_value=400),
         exact=st.booleans(),
         swap=st.booleans(),
-        plan=st.sampled_from(["two-layer", "replicate"]),
     )
     def test_sharded_join_bit_identical(
-        self, index, swap_index, num_shards, seed, num_points, exact, swap,
-        plan,
+        self, index, swap_index, num_shards, seed, num_points, exact, swap
     ):
         rng = np.random.default_rng(seed)
         lngs = rng.uniform(-74.05, -73.91, num_points)
         lats = rng.uniform(40.65, 40.79, num_points)
         with ShardedJoinService(
-            index, num_shards=num_shards, backend="inline", plan=plan
+            index, num_shards=num_shards, backend="inline"
         ) as svc:
             reference = index
             if swap:
@@ -651,7 +647,7 @@ class TestSnapshotSegmentLifecycle:
         svc = ShardedJoinService(index, num_shards=2, backend="process")
         try:
             created = self._shm_names() - before
-            assert created  # flat mode published at least one segment
+            assert created  # the front published the layer's planes
             assert {s.name for segs in svc._segments.values() for s in segs} <= created
             assert_identical(
                 svc.join(lats[:1000], lngs[:1000], exact=True),
@@ -695,19 +691,7 @@ class TestSnapshotSegmentLifecycle:
             assert len(svc.spawn_seconds) == 2
             assert all(s >= 0 for s in svc.spawn_seconds)
 
-    def test_rebuild_mode_publishes_no_segments(self, index, points):
-        lats, lngs = points
-        before = self._shm_names()
-        with ShardedJoinService(
-            index, num_shards=2, backend="inline", snapshot="rebuild"
-        ) as svc:
-            assert self._shm_names() - before == set()
-            assert svc._segments == {}
-            assert_identical(
-                svc.join(lats[:1000], lngs[:1000], exact=True),
-                index.join(lats[:1000], lngs[:1000], exact=True),
-            )
-
     def test_invalid_snapshot_mode_rejected(self, index):
-        with pytest.raises(ValueError, match="snapshot"):
-            ShardedJoinService(index, num_shards=2, snapshot="bogus")
+        for mode in ("flat", "rebuild"):
+            with pytest.raises(TypeError, match="snapshot"):
+                ShardedJoinService(index, num_shards=2, snapshot=mode)
