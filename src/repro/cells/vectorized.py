@@ -194,8 +194,8 @@ def owned_entry_mask(
     An entry is owned when it lives in its polygon's home shard and
     *borrowed* when the polygon's covering straddles a cut into a
     foreign shard.  Every entry belongs to exactly one class (a boolean
-    per entry), so per-class mini-joins partition the refinement work
-    with no overlap and need no cross-shard dedup.
+    per entry), so the classes partition a plan's refinement work with
+    no overlap and shard results need no cross-shard dedup.
     """
     entry_pids = np.asarray(entry_pids, dtype=np.int64)
     return np.asarray(home_shards)[entry_pids] == np.asarray(

@@ -253,7 +253,7 @@ class ProbeView:
     sequence the entries reference, and ``version`` identifies the whole
     bundle — so a concurrent mutation or snapshot swap can never mix fields
     from two generations.  ``refiner`` is the snapshot's refinement engine
-    (one per view; the per-polygon edge accelerators inside it are
+    (one per view; the packed bucket rows its table concatenates are
     memoized on the polygon objects, so overlapping snapshots share them).
     """
 
@@ -475,8 +475,8 @@ class PolygonIndex:
         view = self._probe_view
         if view is None or view.store is not self.store:
             polygons = tuple(self.polygons)
-            # An attached index refines through the snapshot's packed
-            # bucket table instead of rebuilding every accelerator.
+            # An attached index adopts the snapshot's packed bucket table
+            # instead of re-bucketing every polygon.
             table = (
                 _attach_refiner_table(self.snapshot.buffers)
                 if self.snapshot is not None

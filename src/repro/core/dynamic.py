@@ -701,8 +701,8 @@ class DynamicPolygonIndex:
             store: object = self._base.store
             table = self._base.lookup_table
             max_level = self._base.max_cell_level()
-            # Clean base: reuse the snapshot's engine so its flat bucket
-            # table is built once per base generation, not per refresh.
+            # Clean base: reuse the snapshot's engine so its bucket table
+            # is assembled once per base generation, not per refresh.
             refiner = self._base.probe_view().refiner
         else:
             store = OverlayCellStore(
@@ -718,15 +718,12 @@ class DynamicPolygonIndex:
                 self._base.max_cell_level(),
                 max(histogram) if histogram else 0,
             )
-            # Overlay views are born and die per mutation, so they stay
-            # on the group-by refinement path (no flat-table build on the
-            # query path after every insert/delete); the per-polygon edge
-            # accelerators are memoized on the polygon objects, so
-            # surviving polygons carry theirs across overlays and
-            # compactions for free.
-            refiner = RefinementEngine(
-                tuple(self._polygons), build_table=False
-            )
+            # Overlay views are born and die per mutation, but the packed
+            # bucket rows are memoized on the polygon objects: the view's
+            # engine assembles its table on first exact join with one
+            # concatenate, and surviving polygons are never re-bucketed
+            # across overlays and compactions.
+            refiner = RefinementEngine(tuple(self._polygons))
         #: guarded_by(_lock, writes)
         self._view = ProbeView(
             version=self._version,

@@ -75,7 +75,7 @@ _ALIGN = 64
 #: table.  The sharded front publishes this section ONCE per layer in a
 #: single shared-memory segment; every shard worker attaches it
 #: read-only, so a polygon that straddles shard cuts still has exactly
-#: one copy of its geometry and accelerators machine-wide.
+#: one copy of its geometry and bucket rows machine-wide.
 FLAT_GEOMETRY_BUFFERS: dict[str, str] = {
     "poly_ring_index": "<i8",
     "ring_vertex_index": "<i8",
@@ -98,9 +98,7 @@ FLAT_GEOMETRY_BUFFERS: dict[str, str] = {
 }
 
 #: Coverage-plane buffers: one partition's covering subset, its ACT
-#: store and lookup table, and (in a sharded two-layer plan) the
-#: polygon -> home-shard assignment the worker-side mini-joins classify
-#: candidate pairs with.  Per shard, private, small relative to the
+#: store and lookup table.  Per shard, private, small relative to the
 #: shared geometry plane.
 FLAT_COVERAGE_BUFFERS: dict[str, str] = {
     "act_pool": "<u8",
@@ -110,7 +108,6 @@ FLAT_COVERAGE_BUFFERS: dict[str, str] = {
     "cell_ids": "<u8",
     "ref_offsets": "<i8",
     "packed_refs": "<u4",
-    "home_shards": "<i8",
 }
 
 #: Extension buffers appended by repro.core.serialize for dynamic
@@ -511,7 +508,7 @@ def pack_geometry_plane(index: PolygonIndex) -> FlatSnapshot:
     """Pack the plan-independent geometry plane of one index generation.
 
     Ring geometry for the FULL polygon table plus the refinement
-    engine's flat bucket table — everything a worker needs to refine any
+    engine's bucket table — everything a worker needs to refine any
     candidate pair, independent of how the covering is partitioned.  The
     sharded front publishes this plane once per layer; each shard pairs
     it with its private coverage plane via
@@ -520,8 +517,8 @@ def pack_geometry_plane(index: PolygonIndex) -> FlatSnapshot:
     ring_index, vertex_index, ring_lngs, ring_lats = pack_polygon_geometry(
         index.polygons
     )
-    # The plane ships the refinement engine's flat bucket table, so an
-    # attached index refines without rebuilding a single accelerator.
+    # The plane ships the refinement engine's bucket table, so an
+    # attached index refines without re-bucketing a single polygon.
     view = index.probe_view()
     refiner = view.refiner if view.refiner is not None else RefinementEngine(
         tuple(index.polygons)
@@ -531,7 +528,7 @@ def pack_geometry_plane(index: PolygonIndex) -> FlatSnapshot:
         "ring_vertex_index": vertex_index,
         "ring_lngs": ring_lngs,
         "ring_lats": ring_lats,
-        **_pack_refiner_table(refiner._flat_table()),
+        **_pack_refiner_table(refiner.table()),
     }
     validate_buffers(buffers)
     meta = {
@@ -552,16 +549,12 @@ def pack_coverage_plane(
     covering: SuperCovering,
     store: AdaptiveCellTrie,
     *,
-    home_shards: np.ndarray | None = None,
     meta_extra: Mapping[str, object] | None = None,
 ) -> FlatSnapshot:
     """Pack one coverage plane: a covering (subset) + its ACT store.
 
-    ``covering``/``store`` describe one partition (or the whole index);
-    ``home_shards`` optionally ships the plan's polygon -> home-shard
-    assignment (global id space, ``-1`` = unreferenced) that the
-    worker-side mini-joins classify candidates with.  Only
-    :data:`FLAT_COVERAGE_BUFFERS` names may appear here — geometry
+    ``covering``/``store`` describe one partition (or the whole index).
+    Only :data:`FLAT_COVERAGE_BUFFERS` names may appear here — geometry
     buffers belong to the geometry plane exactly once, which is the
     structural guarantee behind the two-layer plan's replication factor
     of 1.0.
@@ -593,10 +586,6 @@ def pack_coverage_plane(
         "ref_offsets": ref_offsets,
         "packed_refs": packed_refs,
     }
-    if home_shards is not None:
-        buffers["home_shards"] = np.ascontiguousarray(
-            home_shards, dtype=np.int64
-        )
     stray = set(buffers) - set(FLAT_COVERAGE_BUFFERS)
     if stray:  # pragma: no cover - guarded by construction above
         raise ValueError(

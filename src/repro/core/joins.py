@@ -7,9 +7,9 @@ point's leaf cell id, decode the returned polygon references, and
   are exact; candidate hits may be false positives whose distance from the
   polygon is bounded by the index's precision bound.
 * **accurate join** — emit true hits directly and send candidate hits to
-  the refinement phase: one argsort group-by over the candidate pairs,
-  each polygon's group PIP-tested through its latitude-bucketed edge
-  accelerator (:mod:`repro.geo.refine`).
+  the refinement phase: every candidate pair PIP-tested against its
+  polygon's latitude bucket by the one ragged crossing kernel of
+  :mod:`repro.geo.refine`.
 
 Following the paper's evaluation methodology, the default "count mode"
 aggregates points per polygon instead of materializing pairs (thread-local
@@ -157,20 +157,17 @@ def refine_candidates(
 
     Takes the pair arrays produced by :func:`batch_probe`, keeps true hits
     as-is, and runs the candidates through a
-    :class:`~repro.geo.refine.RefinementEngine` — one stable argsort
-    group-by over the candidate polygon ids, each group tested against
-    that polygon's latitude-bucketed edge accelerator.  ``engine`` is
-    normally the snapshot's prebuilt engine (``ProbeView.refiner``); when
-    omitted, an ephemeral one is created over ``polygons``.  The
-    per-polygon accelerators are memoized on the polygon objects, so even
-    the ephemeral path pays the packing cost only once per polygon — but
-    an ephemeral engine skips the flat bucket table (it could never
-    amortize the build across calls) and stays on the group-by path.
-    Returns ``(kept point indices, kept polygon ids, number of PIP tests,
-    number of distinct refined points)``.
+    :class:`~repro.geo.refine.RefinementEngine`, whose bucket table
+    decides the whole candidate array with one crossing kernel.
+    ``engine`` is normally the snapshot's prebuilt engine
+    (``ProbeView.refiner``); when omitted, an ephemeral one is created
+    over ``polygons`` — the packed bucket rows are memoized on the
+    polygon objects, so it pays one concatenate per call, not a
+    re-bucketing.  Returns ``(kept point indices, kept polygon ids,
+    number of PIP tests, number of distinct refined points)``.
     """
     if engine is None:
-        engine = RefinementEngine(polygons, build_table=False)
+        engine = RefinementEngine(polygons)
     return engine.refine(point_idx, pids, is_true, lngs, lats)
 
 
@@ -308,9 +305,8 @@ def parallel_count_join(
     cell_ids = np.asarray(cell_ids, dtype=np.uint64)
     exact = polygons is not None
     if exact and engine is None:
-        # One shared engine: workers refining the same polygon reuse one
-        # accelerator instead of racing to build thread-local ones, and a
-        # flat-table build is amortized across every batch of this call.
+        # One shared engine: its bucket table is assembled once and
+        # amortized across every batch of this call.
         engine = RefinementEngine(polygons)
     num_batches = (len(cell_ids) + batch_size - 1) // batch_size
     batch_counter = itertools.count()  # the paper's shared atomic counter

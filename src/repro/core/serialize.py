@@ -47,6 +47,7 @@ from repro.core.builder import (
 )
 from repro.core.dynamic import DeltaOp, DynamicPolygonIndex
 from repro.core.flat import (
+    FLAT_EXTENSION_BUFFERS,
     FlatSnapshot,
     attach_index,
     pack_index,
@@ -68,6 +69,16 @@ _HOLE = ""
 
 _OP_INSERT = 0
 _OP_DELETE = 1
+
+#: Meta keys only a :class:`DynamicPolygonIndex` save writes.
+_DYNAMIC_META_KEYS = (
+    "dynamic",
+    "compact_threshold",
+    "background",
+    "covering_options",
+    "interior_options",
+    "training_max_cells",
+)
 
 
 def _coverer_options(fields: dict | None) -> CovererOptions:
@@ -149,7 +160,14 @@ def save_index(
         }
         index = state.base
     snapshot = pack_index(index)
-    meta = dict(snapshot.meta)
+    # A v3-loaded base holds the snapshot it was attached from, which may
+    # carry the dynamic meta and delta-log buffers of the file it came
+    # out of; only the object being saved decides those.
+    meta = {
+        key: value
+        for key, value in snapshot.meta.items()
+        if key not in _DYNAMIC_META_KEYS
+    }
     meta.update(
         {
             "format_version": FORMAT_VERSION,
@@ -157,7 +175,11 @@ def save_index(
             **dynamic_meta,
         }
     )
-    buffers = dict(snapshot.buffers)
+    buffers = {
+        name: array
+        for name, array in snapshot.buffers.items()
+        if name not in FLAT_EXTENSION_BUFFERS
+    }
     buffers.update(extra)
     validate_buffers(buffers)
     FlatSnapshot(meta, buffers).save(path)

@@ -12,11 +12,7 @@ for why the planar treatment is sound at city scale.
 from repro.geo.rect import Rect
 from repro.geo.polygon import Polygon, Ring
 from repro.geo.pip import contains_point, contains_points
-from repro.geo.refine import (
-    PolygonAccelerator,
-    RefinementEngine,
-    polygon_accelerator,
-)
+from repro.geo.refine import RefinementEngine
 from repro.geo.relation import Relation, rect_polygon_relation
 from repro.geo.wkt import polygon_from_wkt, polygon_to_wkt
 
@@ -26,9 +22,7 @@ __all__ = [
     "Polygon",
     "contains_point",
     "contains_points",
-    "PolygonAccelerator",
     "RefinementEngine",
-    "polygon_accelerator",
     "Relation",
     "rect_polygon_relation",
     "polygon_from_wkt",

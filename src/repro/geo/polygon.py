@@ -125,10 +125,10 @@ class Polygon:
     def __getstate__(self) -> tuple[Ring, list[Ring]]:
         """Pickle only the geometry, never the lazy caches.
 
-        The derived caches (edge arrays, edge sets, refinement
-        accelerators, training classifiers) are all recomputable and can
-        dwarf the vertex data; dropping them keeps spawn-shipped shard
-        payloads lean and avoids pickling accelerator internals.
+        The derived caches (edge arrays, edge sets, refinement bucket
+        rows, training classifiers) are all recomputable and can dwarf
+        the vertex data; dropping them keeps spawn-shipped shard
+        payloads lean.
         """
         return self.outer, self.holes
 

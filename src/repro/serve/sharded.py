@@ -26,19 +26,19 @@ Evaluation of Spatial Joins*) applied to the paper's cell-id domain:
         ring geometry | packed refinement edge buckets | polygon table
               ^ attach read-only   ^ attach     ...      ^ attach
       coverage planes (one private segment per shard)
-        shard 0: covering subset | ACT store | lut | home_shards
-        shard 1: covering subset | ACT store | lut | home_shards
+        shard 0: covering subset | ACT store | lut
+        shard 1: covering subset | ACT store | lut
         ...
 
   A straddling polygon contributes covering cells to several coverage
-  planes, but its geometry and accelerators exist exactly once —
+  planes, but its geometry and bucket rows exist exactly once —
   measured replication factor 1.0 by construction.  Worker-side, each
   shard composes the two planes via
   :meth:`~repro.core.flat.FlatSnapshot.from_planes` and refines through
-  a class-aware **mini-join** refiner: candidate pairs split into the
-  owned and borrowed classes, each class refines as its own mini-join,
-  and the accept masks scatter back in original order — bit-identical
-  to the unsplit engine, so merged results need no front-side dedup.
+  the attached index's ordinary engine, which adopts the geometry
+  plane's bucket table: a pair's PIP verdict depends only on the pair,
+  so the owned/borrowed classes live in the *plan* (cut balancing,
+  ``ShardStatus`` counts) and merged results need no front-side dedup.
 * A **shard worker** is a spawned process hosting one ordinary
   :class:`JoinService` over its partition sub-indexes, which it
   *attaches* from the published segments (a buffer map, no store
@@ -69,7 +69,6 @@ front-side dispatches.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import threading
 import traceback
 from dataclasses import dataclass
@@ -98,8 +97,6 @@ from repro.core.flat import (
     pack_geometry_plane,
 )
 from repro.core.joins import JoinResult
-from repro.geo.polygon import Polygon
-from repro.geo.refine import RefinementEngine
 from repro.obs import DispatchMeters, Observability, ObsConfig
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.serve.batching import LookupRequest, MicroBatcher
@@ -316,14 +313,12 @@ class _TwoLayerShardPart:  #: spawn_payload
     The geometry segment is SHARED: every shard of the layer names the
     same segment and maps the same pages (ring geometry, refinement
     buckets, polygon table — published exactly once).  The coverage
-    segment is this shard's own: its covering subset, ACT store, lookup
-    table, and the plan's home-shard table.  The worker composes the two
-    planes back into one serveable snapshot via
-    :meth:`~repro.core.flat.FlatSnapshot.from_planes` and swaps in the
-    class-aware mini-join refiner.
+    segment is this shard's own: its covering subset, ACT store and
+    lookup table.  The worker composes the two planes back into one
+    serveable snapshot via
+    :meth:`~repro.core.flat.FlatSnapshot.from_planes`.
     """
 
-    shard: int
     geometry_shm: str  # the layer's single shared geometry-plane segment
     geometry_nbytes: int
     coverage_shm: str  # this shard's private coverage-plane segment
@@ -371,79 +366,7 @@ def _index_from_part(
         FlatSnapshot.from_buffer(geometry_shm.buf, owner=geometry_shm),
         FlatSnapshot.from_buffer(coverage_shm.buf, owner=coverage_shm),
     )
-    index = attach_index(snapshot, version=version)
-    _install_mini_join(index, shard=part.shard)
-    return index
-
-
-class _MiniJoinRefiner(RefinementEngine):
-    """Class-aware refinement: owned and borrowed candidates run as two
-    mini-joins whose accept masks scatter back in candidate order.
-
-    Bit-identity argument: a candidate pair's PIP verdict depends only
-    on the pair itself, so ANY partition of a batch — here by the
-    polygon's home-shard class — composes to exactly the mask the
-    unsplit engine computes, and merged shard results need no front-side
-    dedup.  The split buys the two-layer plan its accounting: the
-    ``owned_pairs`` / ``borrowed_pairs`` counters tell a shard how much
-    of its refinement work it performs on straddlers homed elsewhere.
-    """
-
-    def __init__(
-        self,
-        polygons: Sequence[Polygon | None],
-        *,
-        shard: int,
-        home_shards: np.ndarray,
-        table: object = None,
-    ):
-        # ``table``: adopt the geometry plane's bucket table.
-        super().__init__(polygons, table=table)
-        self._shard = int(shard)
-        self._home_shards = home_shards
-        self.owned_pairs = 0
-        self.borrowed_pairs = 0
-
-    def _accept_candidates(
-        self,
-        cand_pids: np.ndarray,
-        cand_lngs: np.ndarray,
-        cand_lats: np.ndarray,
-    ) -> np.ndarray:
-        owned = self._home_shards[cand_pids] == self._shard
-        num_owned = int(np.count_nonzero(owned))
-        self.owned_pairs += num_owned
-        self.borrowed_pairs += len(cand_pids) - num_owned
-        if num_owned in (0, len(cand_pids)):
-            return super()._accept_candidates(cand_pids, cand_lngs, cand_lats)
-        accepted = np.zeros(len(cand_pids), dtype=bool)
-        for mask in (owned, ~owned):
-            idx = np.flatnonzero(mask)
-            accepted[idx] = super()._accept_candidates(
-                cand_pids[idx], cand_lngs[idx], cand_lats[idx]
-            )
-        return accepted
-
-
-def _install_mini_join(index: PolygonIndex, *, shard: int) -> None:
-    """Swap a freshly attached two-layer index onto the mini-join refiner.
-
-    No-op when the coverage plane carries no home-shard table (a
-    standalone ``pack_index`` snapshot): without the class assignment
-    there is nothing to split on.
-    """
-    home_shards = index.snapshot.buffers.get("home_shards")
-    if home_shards is None:
-        return
-    view = index.probe_view()
-    base = view.refiner
-    refiner = _MiniJoinRefiner(
-        view.polygons,
-        shard=shard,
-        home_shards=home_shards,
-        table=base._table if base is not None else None,
-    )
-    index._probe_view = dataclasses.replace(view, refiner=refiner)
+    return attach_index(snapshot, version=version)
 
 
 def _build_shard_service(payload: _WorkerPayload) -> JoinService:
@@ -1130,17 +1053,13 @@ class ShardedJoinService:
                     plan.cells[shard], fanout_bits=fanout_bits
                 )
                 coverage = pack_coverage_plane(
-                    covering,
-                    store,
-                    home_shards=plan.home_shards,
-                    meta_extra={"shard": shard},
+                    covering, store, meta_extra={"shard": shard}
                 )
                 segment = coverage.to_shared_memory()
                 segments.append(segment)
                 coverage_bytes += int(coverage.nbytes)
                 parts.append(
                     _TwoLayerShardPart(
-                        shard=shard,
                         geometry_shm=geometry_segment.name,
                         geometry_nbytes=geometry_bytes,
                         coverage_shm=segment.name,

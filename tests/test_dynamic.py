@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core import DynamicPolygonIndex, PolygonIndex
 from repro.core.dynamic import OverlayCellStore
+from repro.geo import refine as refine_module
+from repro.geo.pip import contains_points
 from repro.geo.polygon import regular_polygon
 
 #: Candidate polygons inserts draw from (deterministic, overlapping mix).
@@ -103,6 +105,84 @@ class TestEquivalenceProperty:
         _assert_matches_fresh_build(dyn, exact=True, precision_meters=60.0)
         dyn.compact()
         _assert_matches_fresh_build(dyn, exact=True, precision_meters=60.0)
+
+
+class TestOverlayRefinement:
+    """Overlay views refine through the ordinary engine at any batch size
+    (they used to stay on a separate small-batch path below 4096 pairs)."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "delete", "compact"]), st.integers(0, 63)
+            ),
+            max_size=6,
+        )
+    )
+    def test_small_and_large_exact_joins_match_brute_force(self, ops):
+        dyn = DynamicPolygonIndex.build(POOL[:2], compact_threshold=None)
+        for kind, value in ops:
+            if kind == "compact":
+                dyn.compact()
+            else:
+                _apply_ops(dyn, [(kind, value)])
+        dyn.insert(POOL[5])  # whatever came before, this is an overlay view
+        view = dyn.probe_view()
+        assert isinstance(view.store, OverlayCellStore)
+        live = set(dyn.live_polygon_ids)
+        pip_tests = []
+        for n in (64, 20_000):
+            # Half uniform, half hugging the inserted polygon's boundary
+            # (candidate hits: the refinement, not the probe, decides them).
+            lats, lngs = _probe_points(n, seed=n)
+            rng = np.random.default_rng(n)
+            angles = rng.uniform(0.0, 2.0 * np.pi, n // 2)
+            radii = 0.012 * rng.uniform(0.9, 1.1, n // 2)
+            lngs[: n // 2] = -73.99 + radii * np.cos(angles)
+            lats[: n // 2] = 40.71 + radii * np.sin(angles)
+            got = dyn.join(lats, lngs, exact=True)
+            want = [
+                int(contains_points(polygon, lngs, lats).sum()) if pid in live else 0
+                for pid, polygon in enumerate(view.polygons)
+            ]
+            assert got.counts.tolist() == want
+            pip_tests.append(got.num_pip_tests)
+        assert pip_tests[0] < 4096 <= pip_tests[1]
+
+    def test_first_use_race_builds_one_table(self, monkeypatch):
+        built = []
+        original = refine_module._FlatBucketTable.__init__
+
+        def counting(self, polygons):
+            built.append(len(polygons))
+            original(self, polygons)
+
+        monkeypatch.setattr(refine_module._FlatBucketTable, "__init__", counting)
+        dyn = DynamicPolygonIndex.build(POOL[:3], compact_threshold=None)
+        dyn.insert(POOL[5])  # a fresh overlay view: engine without a table
+        expected = dyn.join(LATS, LNGS, exact=True).counts
+        dyn.delete(0)
+        dyn.insert(POOL[0])  # fresh again (a new view per write)
+        built.clear()
+        barrier = threading.Barrier(4)
+        results = []
+
+        def reader():
+            barrier.wait(timeout=30)
+            results.append(dyn.join(LATS, LNGS, exact=True).counts)
+
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert built == [len(dyn.polygons)]
+        assert len(results) == 4
+        for counts in results:
+            assert counts[1:4].tolist() == expected[1:4].tolist()
+            assert counts[0] == 0 and counts[4] == expected[0]
 
 
 class TestLifecycleBasics:

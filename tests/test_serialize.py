@@ -237,6 +237,35 @@ class TestBackwardCompatibility:
         assert len(index.export_state().training_cell_ids) == 600
         assert built and max(built) < index.base.num_cells // 4
 
+    def test_saving_the_base_of_a_loaded_dynamic_index_drops_the_delta_log(
+        self, tmp_path
+    ):
+        # The base holds the snapshot it was attached from — the dynamic
+        # file's, with its ``dynamic`` meta and pending log.  Saving the
+        # base alone must not re-save those: the log was never pending on
+        # a plain PolygonIndex.
+        from repro.core.flat import FLAT_EXTENSION_BUFFERS, FlatSnapshot
+
+        base = load_index(FIXTURE_V3).export_state().base
+        assert base.snapshot.meta["dynamic"] is True  # the stale keys
+        path = tmp_path / "base.npy"
+        save_index(base, path)
+        saved = FlatSnapshot.load(path)
+        assert "dynamic" not in saved.meta
+        assert "compact_threshold" not in saved.meta
+        assert not set(saved.buffers) & set(FLAT_EXTENSION_BUFFERS)
+        reloaded = load_index(path)
+        assert type(reloaded) is PolygonIndex
+        generator = np.random.default_rng(17)
+        lngs = generator.uniform(-74.01, -73.97, 6000)
+        lats = generator.uniform(40.69, 40.73, 6000)
+        for exact in (False, True):
+            a = reloaded.join(lats, lngs, exact=exact, materialize=True)
+            b = base.join(lats, lngs, exact=exact, materialize=True)
+            assert (a.counts == b.counts).all()
+            assert (a.pair_points == b.pair_points).all()
+            assert (a.pair_polygons == b.pair_polygons).all()
+
     def test_v3_fixture_join_bit_identical_to_fresh_build(self):
         from repro.core import DynamicPolygonIndex
 

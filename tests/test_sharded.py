@@ -381,7 +381,7 @@ class TestTwoLayerPlan:
                 sub = client._service._router.resolve(None)[1]
                 assert type(sub) is PolygonIndex
                 assert sub.snapshot.meta["shard"] == shard
-                assert "home_shards" in sub.snapshot.buffers
+                assert "home_shards" not in sub.snapshot.buffers
                 assert "ring_lngs" in sub.snapshot.buffers
 
     def test_unknown_plan_rejected(self, index):
@@ -416,24 +416,28 @@ class TestTwoLayerPlan:
                 index.join(lats, lngs, exact=True),
             )
 
-    def test_mini_join_splits_refinement_by_class(self, index, points):
-        lats, lngs = points
-        from repro.serve.sharded import _MiniJoinRefiner
+    def test_workers_refine_through_the_attached_engine(self, index, points):
+        """No worker-side refiner subclass: every sub-index refines through
+        a plain engine over the geometry plane's one packed bucket table."""
+        from repro.core.flat import pack_coverage_plane
+        from repro.geo.refine import RefinementEngine
 
+        lats, lngs = points
         with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
             direct = index.join(lats, lngs, exact=True)
+            assert direct.num_pip_tests > 0
             assert_identical(svc.join(lats, lngs, exact=True), direct)
-            refiners = [
-                client._service._router.resolve(None)[1].probe_view().refiner
-                for client in svc._clients
-            ]
-            assert all(isinstance(r, _MiniJoinRefiner) for r in refiners)
-            owned = sum(r.owned_pairs for r in refiners)
-            borrowed = sum(r.borrowed_pairs for r in refiners)
-            assert owned > 0
-            assert borrowed > 0  # straddler shards refined foreign work
-            # Class split partitions the exact-mode candidate stream.
-            assert owned + borrowed == direct.num_pip_tests
+            for client in svc._clients:
+                sub = client._service._router.resolve(None)[1]
+                refiner = sub.probe_view().refiner
+                assert type(refiner) is RefinementEngine
+                assert np.shares_memory(
+                    refiner.table().y0, sub.snapshot.buffers["ref_y0"]
+                )
+        with pytest.raises(TypeError):
+            pack_coverage_plane(
+                index.super_covering, index.store, home_shards=np.zeros(1)
+            )
 
     def test_swap_keeps_two_layer_plan(self, index, swap_index, points):
         lats, lngs = points
