@@ -9,7 +9,9 @@
 * :mod:`repro.core.training` — adapting the index to historical points
   (Section 3.3.1),
 * :mod:`repro.core.joins` — the approximate and accurate join algorithms
-  (Listing 3),
+  (Listing 3) and the one merge of partial results,
+* :mod:`repro.core.morsels` — the morsel thread driver (Section 3.4) the
+  offline parallel join and the serving layer share,
 * :mod:`repro.core.builder` — the high-level :class:`PolygonIndex` facade
   and the reusable build pipeline with versioned snapshots,
 * :mod:`repro.core.dynamic` — the dynamic index lifecycle: delta overlays,

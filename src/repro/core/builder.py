@@ -297,6 +297,7 @@ def join_probe_view(
             lngs=lngs if exact else None,
             lats=lats if exact else None,
             engine=view.refiner if exact else None,
+            materialize=materialize,
         )
     if exact:
         return accurate_join(

@@ -12,9 +12,15 @@ point's leaf cell id, decode the returned polygon references, and
   :mod:`repro.geo.refine`.
 
 Following the paper's evaluation methodology, the default "count mode"
-aggregates points per polygon instead of materializing pairs (thread-local
-counters in the multi-threaded variant); ``materialize=True`` returns the
-pair arrays as well.
+aggregates points per polygon instead of materializing pairs;
+``materialize=True`` returns the pair arrays as well.
+
+Every parallel evaluation — threads over morsels of one batch
+(:func:`parallel_count_join`, the serving layer's morsel dispatch) or
+processes over spatial shards (:mod:`repro.serve.sharded`) — joins each
+point exactly once and keeps private partial results, so all of them end
+in the same :func:`merge_join_results`: the only place a ``JoinResult``
+is built from other ``JoinResult``s.
 
 The ``store`` argument is anything with a ``probe(cell_ids) -> entries``
 method returning tagged entries (ACT, the B-tree, the sorted vector, ...),
@@ -24,10 +30,7 @@ same join driver.
 
 from __future__ import annotations
 
-import itertools
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import Protocol
 
@@ -40,6 +43,7 @@ from repro.core.lookup_table import (
     LookupTable,
     expand_offsets,
 )
+from repro.core.morsels import MorselExecutor
 from repro.geo.pip import contains_points
 from repro.geo.polygon import Polygon
 from repro.geo.refine import RefinementEngine
@@ -278,6 +282,59 @@ def accurate_join(
     return result
 
 
+def merge_join_results(
+    parts: Sequence[JoinResult],
+    *,
+    num_points: int,
+    num_polygons: int,
+    wall_seconds: float,
+    materialize: bool = False,
+) -> JoinResult:
+    """Merge partial results over disjoint point sets into one result.
+
+    The one fan-out merge: morsels of a thread-parallel join and shards
+    of a partitioned one both join every point exactly once, so
+    ``counts`` and every statistic merge by summation (zero parts give
+    the all-zero result).  The parts ran concurrently, so their busy
+    times overlap: ``wall_seconds`` — the elapsed time of the whole
+    fan-out — is apportioned between probe and refine by the parts' busy
+    ratio, and ``probe_seconds + refine_seconds == wall_seconds``.  With
+    ``materialize`` the parts' pair arrays are concatenated; the caller
+    remaps each part's ``pair_points`` to indices of the whole batch
+    first.
+    """
+    refine_total = sum(p.refine_seconds for p in parts)
+    busy_total = refine_total + sum(p.probe_seconds for p in parts)
+    refine_wall = (
+        wall_seconds * refine_total / busy_total if busy_total > 0 else 0.0
+    )
+    merged = JoinResult(
+        num_points=num_points,
+        counts=(
+            np.sum([p.counts for p in parts], axis=0)
+            if parts
+            else np.zeros(num_polygons, dtype=np.int64)
+        ),
+        num_pairs=sum(p.num_pairs for p in parts),
+        num_true_hit_pairs=sum(p.num_true_hit_pairs for p in parts),
+        num_candidate_pairs=sum(p.num_candidate_pairs for p in parts),
+        num_pip_tests=sum(p.num_pip_tests for p in parts),
+        solely_true_hits=sum(p.solely_true_hits for p in parts),
+        probe_seconds=wall_seconds - refine_wall,
+        refine_seconds=refine_wall,
+    )
+    if materialize:
+        # The leading empty array keeps concatenate defined for zero parts.
+        none = np.zeros(0, dtype=np.int64)
+        merged.pair_points = np.concatenate(
+            [none, *(p.pair_points for p in parts)]
+        )
+        merged.pair_polygons = np.concatenate(
+            [none, *(p.pair_polygons for p in parts)]
+        )
+    return merged
+
+
 def parallel_count_join(
     store: CellStore,
     lookup_table: LookupTable,
@@ -289,18 +346,19 @@ def parallel_count_join(
     lats: np.ndarray | None = None,
     batch_size: int = 1 << 16,
     engine: RefinementEngine | None = None,
+    materialize: bool = False,
 ) -> JoinResult:
-    """Multi-threaded count join (the paper's probe-phase parallelization).
+    """Multi-threaded join (the paper's probe-phase parallelization).
 
     Worker threads fetch batches from a shared atomic counter and keep
-    thread-local polygon counters, aggregated at the end — the same scheme
-    the paper describes (Section 3.4), with a batch size suited to
-    numpy-granularity work instead of the paper's 16-tuple batches.
+    private partial results, merged at the end — the scheme the paper
+    describes (Section 3.4), run by the shared
+    :class:`~repro.core.morsels.MorselExecutor` with a batch size suited
+    to numpy-granularity work instead of the paper's 16-tuple batches.
 
-    Every :class:`JoinResult` statistic matches the single-threaded
-    drivers on the same inputs; the parallel wall time is apportioned
-    between ``probe_seconds`` and ``refine_seconds`` by the workers'
-    measured probe/refine ratio, so the two still sum to elapsed time.
+    Every :class:`JoinResult` statistic (and, with ``materialize``, the
+    pair set) matches the single-threaded drivers on the same inputs;
+    see :func:`merge_join_results` for how the wall time is apportioned.
     """
     cell_ids = np.asarray(cell_ids, dtype=np.uint64)
     exact = polygons is not None
@@ -308,72 +366,28 @@ def parallel_count_join(
         # One shared engine: its bucket table is assembled once and
         # amortized across every batch of this call.
         engine = RefinementEngine(polygons)
-    num_batches = (len(cell_ids) + batch_size - 1) // batch_size
-    batch_counter = itertools.count()  # the paper's shared atomic counter
-    lock = threading.Lock()
-    counts = np.zeros(num_polygons, dtype=np.int64)
-    totals = {
-        "pairs": 0,
-        "true": 0,
-        "cand": 0,
-        "pip": 0,
-        "sth": 0,
-        "probe": 0.0,
-        "refine": 0.0,
-    }
 
-    def worker() -> None:
-        # Thread-local counters, merged once under the lock at the end —
-        # the paper's contention-avoidance scheme (Section 4).
-        local_counts = np.zeros(num_polygons, dtype=np.int64)
-        local = {"pairs": 0, "true": 0, "cand": 0, "pip": 0, "sth": 0,
-                 "probe": 0.0, "refine": 0.0}
-        while True:
-            batch = next(batch_counter)
-            if batch >= num_batches:
-                break
-            lo = batch * batch_size
-            hi = min(lo + batch_size, len(cell_ids))
-            chunk = cell_ids[lo:hi]
-            if exact:
-                part = accurate_join(
-                    store, lookup_table, chunk, polygons, lngs[lo:hi],
-                    lats[lo:hi], engine=engine,
-                )
-            else:
-                part = approximate_join(store, lookup_table, chunk, num_polygons)
-            local_counts += part.counts
-            local["pairs"] += part.num_pairs
-            local["true"] += part.num_true_hit_pairs
-            local["cand"] += part.num_candidate_pairs
-            local["pip"] += part.num_pip_tests
-            local["sth"] += part.solely_true_hits
-            local["probe"] += part.probe_seconds
-            local["refine"] += part.refine_seconds
-        with lock:
-            counts.__iadd__(local_counts)
-            for key, value in local.items():
-                totals[key] += value
+    def work(lo: int, hi: int) -> JoinResult:
+        if exact:
+            part = accurate_join(
+                store, lookup_table, cell_ids[lo:hi], polygons, lngs[lo:hi],
+                lats[lo:hi], materialize=materialize, engine=engine,
+            )
+        else:
+            part = approximate_join(
+                store, lookup_table, cell_ids[lo:hi], num_polygons,
+                materialize=materialize,
+            )
+        if materialize:
+            part.pair_points = part.pair_points + lo
+        return part
 
-    with Timer() as timer:
-        with ThreadPoolExecutor(max_workers=num_threads) as pool:
-            futures = [pool.submit(worker) for _ in range(num_threads)]
-            for future in futures:
-                future.result()
-    # Apportion the parallel wall time by the workers' probe/refine ratio
-    # so probe_seconds + refine_seconds == elapsed time.
-    busy_total = totals["probe"] + totals["refine"]
-    refine_wall = (
-        timer.seconds * totals["refine"] / busy_total if busy_total > 0 else 0.0
-    )
-    return JoinResult(
+    with Timer() as timer, MorselExecutor(num_threads, batch_size) as pool:
+        parts = pool.map_morsels(len(cell_ids), work)
+    return merge_join_results(
+        parts,
         num_points=len(cell_ids),
-        counts=counts,
-        num_pairs=totals["pairs"],
-        num_true_hit_pairs=totals["true"],
-        num_candidate_pairs=totals["cand"],
-        num_pip_tests=totals["pip"],
-        solely_true_hits=totals["sth"],
-        probe_seconds=timer.seconds - refine_wall,
-        refine_seconds=refine_wall,
+        num_polygons=num_polygons,
+        wall_seconds=timer.seconds,
+        materialize=materialize,
     )

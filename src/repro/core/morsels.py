@@ -1,11 +1,14 @@
-"""Morsel-driven parallel execution for large serving batches.
+"""Morsel-driven parallel execution: the one probe-phase thread driver.
 
-Reuses the scheme of :func:`repro.core.joins.parallel_count_join` — worker
-threads pull fixed-size morsels from a shared atomic counter and keep
-thread-local results, merged by the caller — but with a *persistent*
-thread pool, because a service dispatching thousands of batches per second
-cannot afford to spawn threads per request the way the one-shot benchmark
-driver does.
+Worker threads pull fixed-size morsels off a shared atomic counter and
+keep private partial results that the caller merges
+(:func:`repro.core.joins.merge_join_results`) — the paper's Section 3.4
+scheme.  The offline thread-parallel join
+(:func:`repro.core.joins.parallel_count_join`) runs one call on a
+short-lived pool; the serving layer (exported there as
+``repro.serve.MorselExecutor``) keeps the pool *persistent*, because a
+service dispatching thousands of batches per second cannot afford to
+spawn threads per request.
 """
 
 from __future__ import annotations

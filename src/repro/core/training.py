@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.cells.cell import bound_rects_for_cell_ids
 from repro.cells.cellid import MAX_LEVEL, CellId
+from repro.cells.vectorized import range_bounds_from_cell_ids
 from repro.core.refs import PolygonRef, merge_refs
 from repro.core.super_covering import SuperCovering
 from repro.geo.pip import contains_points
@@ -291,13 +292,6 @@ def split_expensive_cell(
 # ----------------------------------------------------------------------
 
 
-def _interval_bounds(raw_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(range_min, range_max)`` leaf-id bounds for an array of cell ids."""
-    lsb = raw_ids & (~raw_ids + np.uint64(1))
-    span = lsb - np.uint64(1)
-    return raw_ids - span, raw_ids + span
-
-
 def _assign_to_cells(
     cell_ids: np.ndarray, lows: np.ndarray, highs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -351,7 +345,7 @@ def _distribute(
         dtype=np.uint64,
         count=len(replacements),
     )
-    lows, highs = _interval_bounds(child_raw)
+    lows, highs = range_bounds_from_cell_ids(child_raw)
     slots, hit = _assign_to_cells(rest_ids, lows, highs)
     kept = np.nonzero(hit)[0]
     if kept.size == 0:
@@ -378,7 +372,7 @@ def _initial_groups(
         count=super_covering.num_cells,
     )
     cover_ids.sort()
-    lows, highs = _interval_bounds(cover_ids)
+    lows, highs = range_bounds_from_cell_ids(cover_ids)
     slots, hit = _assign_to_cells(ids, lows, highs)
     point_order = np.nonzero(hit)[0]
     if point_order.size == 0:
@@ -619,7 +613,7 @@ class SthEvaluator:
         self._ids = ids[sort]
         self._expensive = expensive[sort]
         if len(raw):
-            self._lows, self._highs = _interval_bounds(self._ids)
+            self._lows, self._highs = range_bounds_from_cell_ids(self._ids)
         else:
             self._lows = self._highs = self._ids
 

@@ -4,7 +4,10 @@ The ``repro.serve`` subsystem wraps the core index into a service whose
 unit of work is a *request stream* rather than a point array:
 
 * :class:`JoinService` — the facade: single lookups, point batches, and
-  multi-layer fan-out, all dispatched through the vectorized join drivers;
+  multi-layer fan-out, all dispatched through the vectorized join drivers
+  (the request surface itself lives in its base,
+  :class:`~repro.serve.service.ServiceFront`, which
+  :class:`ShardedJoinService` shares);
 * :class:`MicroBatcher` — coalesces concurrent single-point lookups into
   micro-batches (the serving analog of the paper's batched probe phase);
 * :class:`HotCellCache` / :class:`CachedCellStore` — a numpy hash table
@@ -12,7 +15,8 @@ unit of work is a *request stream* rather than a point array:
   used one is replaced) that short-circuits skewed (fig9-style) workloads;
 * :class:`LayerRouter` — several named polygon layers behind one service;
 * :class:`MorselExecutor` — persistent-pool morsel parallelism for large
-  batches;
+  batches (defined in :mod:`repro.core.morsels`: the offline
+  thread-parallel join runs on the same driver);
 * :class:`ShardedJoinService` / :class:`ShardPlan` — share-nothing
   multi-process sharding by Hilbert cell-id range: one worker process
   (and one ``JoinService``) per spatial partition, batches scattered
@@ -38,7 +42,7 @@ from repro.core.adaptive import (
 )
 from repro.serve.batching import LookupRequest, MicroBatcher
 from repro.serve.cache import CachedCellStore, CacheStats, HotCellCache
-from repro.serve.executor import MorselExecutor
+from repro.core.morsels import MorselExecutor
 from repro.serve.router import JoinableIndex, LayerRouter
 from repro.serve.service import JoinService
 from repro.serve.sharded import ShardedJoinService, ShardPlan, ShardWorkerError

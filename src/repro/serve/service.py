@@ -9,11 +9,21 @@ hot path.  It accepts three shapes of work:
 * ``join`` — an explicit point batch, dispatched through the same
   vectorized ``approximate_join``/``accurate_join`` drivers the offline
   evaluation uses (large batches split across a
-  :class:`~repro.serve.executor.MorselExecutor`);
+  :class:`~repro.core.morsels.MorselExecutor`, the driver the offline
+  thread-parallel join runs on too);
 * ``join_layers`` — a batch fanned out to several named polygon layers,
   computing the leaf cell ids once and reusing them per layer.
 
-Every dispatch reads its layer through one immutable
+That request surface is written once, in :class:`ServiceFront`: layer
+routing, the observability wiring, the latency recorder, the
+micro-batcher and the timer → ``dispatch`` span → recorder → meters
+envelope around every request.  A concrete service supplies what
+happens *inside* a dispatch — :class:`JoinService` joins through the
+layer's cached store, :class:`~repro.serve.sharded.ShardedJoinService`
+scatters to its shard workers and gathers — plus its own ``stats``,
+layer management and lifecycle.
+
+Every :class:`JoinService` dispatch reads its layer through one immutable
 :class:`~repro.core.builder.ProbeView` (store, lookup table, polygons and
 version captured together), and every probe goes through a hot-cell cache
 keyed by ``(layer, version)`` — so results are bit-identical to calling
@@ -32,7 +42,13 @@ import numpy as np
 
 from repro.core.adaptive import AdaptationPolicy, AdaptiveController
 from repro.core.builder import ProbeView
-from repro.core.joins import JoinResult, accurate_join, approximate_join
+from repro.core.joins import (
+    JoinResult,
+    accurate_join,
+    approximate_join,
+    merge_join_results,
+)
+from repro.core.morsels import MorselExecutor
 from repro.obs import DispatchMeters, Observability
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.serve.batching import LookupRequest, MicroBatcher
@@ -42,7 +58,6 @@ from repro.serve.cache import (
     HotCellCache,
     key_shift_for_level,
 )
-from repro.serve.executor import MorselExecutor
 from repro.serve.router import JoinableIndex, LayerRouter
 from repro.serve.stats import LatencyRecorder, LayerStatus, ServiceStats
 from repro.util.timing import Timer
@@ -51,7 +66,252 @@ from repro.util.timing import Timer
 DEFAULT_LAYER = "default"
 
 
-class JoinService:
+class ServiceFront:
+    """The request surface every join service shares.
+
+    Owns the layer router, the ``obs`` → tracer / events / meters
+    wiring, the latency recorder and the micro-batcher, and defines
+    ``join`` / ``join_layers`` / ``submit`` / ``lookup`` once.  Every
+    request runs ``self._dispatch(name, index, cell_ids, lats, lngs,
+    exact, materialize)`` inside one timed ``dispatch`` span; subclasses
+    implement that, ``_check_open``, ``stats``, ``swap_layer``,
+    ``add_layer`` and ``close``.  The base takes no lock of its own.
+    """
+
+    def __init__(
+        self,
+        layers: JoinableIndex | Mapping[str, JoinableIndex],
+        *,
+        default_layer: str | None,
+        latency_window: int,
+        obs: Observability | None,
+    ):
+        if not isinstance(layers, Mapping):
+            layers = {DEFAULT_LAYER: layers}
+        self._router = LayerRouter(layers, default=default_layer)
+        self._obs = obs
+        self._tracer: Tracer = obs.tracer if obs is not None else NULL_TRACER
+        self._events = obs.events if obs is not None else None
+        self._metrics = obs.metrics if obs is not None else None
+        self._meters = DispatchMeters(obs.metrics) if obs is not None else None
+        self._recorder = LatencyRecorder(window=latency_window)
+
+    def _start_batcher(self, max_batch: int, max_wait_ms: float) -> None:
+        """Start the lookup coalescer: the LAST step of a subclass's
+        ``__init__``, so a construction that fails leaves no thread behind
+        (and none is alive while shard workers are being created)."""
+        self._batcher = MicroBatcher(
+            self._flush_lookups,
+            max_batch=max_batch,
+            max_wait_ms=max_wait_ms,
+            metrics=self._metrics,
+        )
+
+    @property
+    def layers(self) -> tuple[str, ...]:
+        return self._router.names
+
+    @property
+    def obs(self) -> Observability | None:
+        """The observability bundle, or ``None`` when telemetry is off."""
+        return self._obs
+
+    @property
+    def tracer(self) -> Tracer:
+        """The phase tracer (the shared disabled tracer when ``obs=None``)."""
+        return self._tracer
+
+    def _dispatch(
+        self,
+        name: str,
+        index: JoinableIndex,
+        cell_ids: np.ndarray,
+        lats: np.ndarray,
+        lngs: np.ndarray,
+        exact: bool,
+        materialize: bool,
+    ) -> JoinResult:
+        """Join one batch against one resolved layer (the subclass's part)."""
+        raise NotImplementedError
+
+    def _check_open(self) -> None:
+        """Raise ``RuntimeError`` unless the service accepts requests."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        raise NotImplementedError
+
+    def _record(
+        self, result: JoinResult, seconds: float, *, requests: int, points: int
+    ) -> None:
+        self._recorder.record(
+            requests=requests,
+            points=points,
+            pairs=result.num_pairs,
+            seconds=seconds,
+        )
+        if self._meters is not None:
+            self._meters.observe(result, seconds)
+
+    # ------------------------------------------------------------------
+    # Single-point path (micro-batched)
+    # ------------------------------------------------------------------
+
+    def submit(
+        self,
+        lat: float,
+        lng: float,
+        *,
+        layer: str | None = None,
+        exact: bool = True,
+    ) -> Future:
+        """Enqueue a lookup; resolves to the sorted containing polygon ids.
+
+        Defaults to the accurate join, matching
+        ``PolygonIndex.containing_polygons``; pass ``exact=False`` for the
+        approximate candidate set (ids whose covering cells contain the
+        point, within the build-time precision bound).
+        """
+        self._check_open()
+        # Resolve now: fails fast on unknown layers, and canonicalizes
+        # layer=None to the default name so both coalesce into one group.
+        name, _ = self._router.resolve(layer)
+        return self._batcher.submit(
+            LookupRequest(lat=float(lat), lng=float(lng), layer=name, exact=exact)
+        )
+
+    def lookup(
+        self,
+        lat: float,
+        lng: float,
+        *,
+        layer: str | None = None,
+        exact: bool = True,
+    ) -> list[int]:
+        """Blocking single-point lookup (rides the micro-batcher).
+
+        Returns the sorted ids of polygons containing the point (accurate
+        join by default, like ``PolygonIndex.containing_polygons``).
+        """
+        return self.submit(lat, lng, layer=layer, exact=exact).result()
+
+    def _flush_lookups(
+        self, layer: str | None, exact: bool, requests: Sequence[LookupRequest]
+    ) -> None:
+        """Answer one coalesced micro-batch with a single vectorized join."""
+        name, index = self._router.resolve(layer)
+        lats = np.fromiter((r.lat for r in requests), np.float64, len(requests))
+        lngs = np.fromiter((r.lng for r in requests), np.float64, len(requests))
+        with Timer() as timer:
+            with self._tracer.dispatch(
+                "dispatch", layer=name, points=len(requests), kind="lookup"
+            ):
+                cell_ids = index.cell_ids_for(lats, lngs)
+                result = self._dispatch(
+                    name, index, cell_ids, lats, lngs, exact, materialize=True
+                )
+                with self._tracer.span("scatter"):
+                    per_point: list[list[int]] = [[] for _ in requests]
+                    for point, pid in zip(
+                        result.pair_points.tolist(),
+                        result.pair_polygons.tolist(),
+                    ):
+                        per_point[point].append(int(pid))
+        self._record(
+            result, timer.seconds, requests=len(requests), points=len(requests)
+        )
+        for request, pids in zip(requests, per_point):
+            request.future.set_result(sorted(pids))
+
+    # ------------------------------------------------------------------
+    # Batch path
+    # ------------------------------------------------------------------
+
+    def join(
+        self,
+        lats: np.ndarray,
+        lngs: np.ndarray,
+        *,
+        layer: str | None = None,
+        exact: bool = False,
+        materialize: bool = False,
+        cell_ids: np.ndarray | None = None,
+    ) -> JoinResult:
+        """Join a point batch against one layer.
+
+        Identical semantics (and bit-identical counts) to
+        ``PolygonIndex.join`` on the same points, whatever sits
+        underneath (hot-cell cache, morsel threads, shard processes).
+        ``cell_ids`` lets a caller that already computed the points'
+        leaf cell ids (the sharded front ships them alongside the
+        coordinates) skip the recompute.
+        """
+        self._check_open()
+        name, index = self._router.resolve(layer)
+        lats = np.asarray(lats, dtype=np.float64)
+        lngs = np.asarray(lngs, dtype=np.float64)
+        with Timer() as timer:
+            with self._tracer.dispatch(
+                "dispatch", layer=name, points=len(lats), exact=exact
+            ):
+                if cell_ids is None:
+                    cell_ids = index.cell_ids_for(lats, lngs)
+                else:
+                    cell_ids = np.asarray(cell_ids, dtype=np.uint64)
+                result = self._dispatch(
+                    name, index, cell_ids, lats, lngs, exact, materialize
+                )
+        self._record(result, timer.seconds, requests=1, points=len(lats))
+        return result
+
+    def join_layers(
+        self,
+        lats: np.ndarray,
+        lngs: np.ndarray,
+        *,
+        layers: Sequence[str] | None = None,
+        exact: bool = False,
+    ) -> dict[str, JoinResult]:
+        """Fan a batch out to several layers (``None`` = every layer).
+
+        Leaf cell ids depend only on the coordinates, so they are computed
+        once and shared across layers.
+        """
+        self._check_open()
+        routed = self._router.select(layers)  # ONE registry snapshot
+        lats = np.asarray(lats, dtype=np.float64)
+        lngs = np.asarray(lngs, dtype=np.float64)
+        cell_ids = None
+        results: dict[str, JoinResult] = {}
+        for position, (name, index) in enumerate(routed):
+            with Timer() as timer:
+                with self._tracer.dispatch(
+                    "dispatch", layer=name, points=len(lats), exact=exact
+                ):
+                    if cell_ids is None:
+                        cell_ids = index.cell_ids_for(lats, lngs)
+                    results[name] = self._dispatch(
+                        name, index, cell_ids, lats, lngs, exact,
+                        materialize=False,
+                    )
+            # One client-visible request for the whole fan-out; points
+            # count per layer (each layer joins the full batch).
+            self._record(
+                results[name],
+                timer.seconds,
+                requests=1 if position == 0 else 0,
+                points=len(lats),
+            )
+        return results
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+class JoinService(ServiceFront):
     """An online point-polygon join service over one or more layers.
 
     Parameters
@@ -102,20 +362,19 @@ class JoinService:
         adaptation: AdaptationPolicy | None = None,
         obs: Observability | None = None,
     ):
-        if not isinstance(layers, Mapping):
-            layers = {DEFAULT_LAYER: layers}
-        self._router = LayerRouter(layers, default=default_layer)
+        super().__init__(
+            layers,
+            default_layer=default_layer,
+            latency_window=latency_window,
+            obs=obs,
+        )
         self._cache_cells = cache_cells
-        self._obs = obs
-        self._tracer: Tracer = obs.tracer if obs is not None else NULL_TRACER
-        self._events = obs.events if obs is not None else None
-        self._meters = DispatchMeters(obs.metrics) if obs is not None else None
         self._adaptive = (
             AdaptiveController(
                 adaptation,
                 swap=self.swap_layer,
                 events=self._events,
-                metrics=obs.metrics if obs is not None else None,
+                metrics=self._metrics,
             )
             if adaptation is not None
             else None
@@ -129,20 +388,13 @@ class JoinService:
         self._latest_version: dict[str, int] = {}
         for name, index in self._router.items():
             self._attach_view(name, index.probe_view())
-        self._recorder = LatencyRecorder(window=latency_window)
-        metrics = obs.metrics if obs is not None else None
         self._executor = (
-            MorselExecutor(num_threads, morsel_size, metrics=metrics)
+            MorselExecutor(num_threads, morsel_size, metrics=self._metrics)
             if num_threads > 1
             else None
         )
-        self._batcher = MicroBatcher(
-            self._flush_lookups,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            metrics=metrics,
-        )
         self._closed = False
+        self._start_batcher(max_batch, max_wait_ms)
 
     def _attach_view(self, name: str, view: ProbeView) -> CachedCellStore:
         """Build the (layer, version) cache pair for one probe view.
@@ -213,10 +465,6 @@ class JoinService:
             self._events.emit("swap", layer=name, version=int(view.version))
         return previous
 
-    @property
-    def layers(self) -> tuple[str, ...]:
-        return self._router.names
-
     def cache(self, layer: str | None = None) -> HotCellCache:
         """The cache generation of one layer's current probe view.
 
@@ -228,33 +476,6 @@ class JoinService:
         name, index = self._router.resolve(layer)
         return self._store_for(name, index.probe_view()).cache
 
-    # ------------------------------------------------------------------
-    # Single-point path (micro-batched)
-    # ------------------------------------------------------------------
-
-    def submit(
-        self,
-        lat: float,
-        lng: float,
-        *,
-        layer: str | None = None,
-        exact: bool = True,
-    ) -> Future:
-        """Enqueue a lookup; resolves to the sorted containing polygon ids.
-
-        Defaults to the accurate join, matching
-        ``PolygonIndex.containing_polygons``; pass ``exact=False`` for the
-        approximate candidate set (ids whose covering cells contain the
-        point, within the build-time precision bound).
-        """
-        self._check_open()
-        # Resolve now: fails fast on unknown layers, and canonicalizes
-        # layer=None to the default name so both coalesce into one group.
-        name, _ = self._router.resolve(layer)
-        return self._batcher.submit(
-            LookupRequest(lat=float(lat), lng=float(lng), layer=name, exact=exact)
-        )
-
     def _store_for(self, name: str, view: ProbeView) -> CachedCellStore:
         """The layer's cached store for one probe view (attach on demand)."""
         key = (name, view.version)
@@ -265,143 +486,6 @@ class JoinService:
                 if store is None:
                     store = self._attach_view(name, view)
         return store
-
-    def lookup(
-        self,
-        lat: float,
-        lng: float,
-        *,
-        layer: str | None = None,
-        exact: bool = True,
-    ) -> list[int]:
-        """Blocking single-point lookup (rides the micro-batcher).
-
-        Returns the sorted ids of polygons containing the point (accurate
-        join by default, like ``PolygonIndex.containing_polygons``).
-        """
-        return self.submit(lat, lng, layer=layer, exact=exact).result()
-
-    def _flush_lookups(
-        self, layer: str | None, exact: bool, requests: Sequence[LookupRequest]
-    ) -> None:
-        """Answer one coalesced micro-batch with a single vectorized join."""
-        name, index = self._router.resolve(layer)
-        lats = np.fromiter((r.lat for r in requests), np.float64, len(requests))
-        lngs = np.fromiter((r.lng for r in requests), np.float64, len(requests))
-        with Timer() as timer:
-            with self._tracer.dispatch(
-                "dispatch", layer=name, points=len(requests), kind="lookup"
-            ):
-                cell_ids = index.cell_ids_for(lats, lngs)
-                result = self._dispatch(
-                    name, index, cell_ids, lats, lngs, exact, materialize=True
-                )
-                with self._tracer.span("scatter"):
-                    per_point: list[list[int]] = [[] for _ in requests]
-                    for point, pid in zip(
-                        result.pair_points.tolist(),
-                        result.pair_polygons.tolist(),
-                    ):
-                        per_point[point].append(int(pid))
-        self._recorder.record(
-            requests=len(requests),
-            points=len(requests),
-            pairs=result.num_pairs,
-            seconds=timer.seconds,
-        )
-        if self._meters is not None:
-            self._meters.observe(result, timer.seconds)
-        for request, pids in zip(requests, per_point):
-            request.future.set_result(sorted(pids))
-
-    # ------------------------------------------------------------------
-    # Batch path
-    # ------------------------------------------------------------------
-
-    def join(
-        self,
-        lats: np.ndarray,
-        lngs: np.ndarray,
-        *,
-        layer: str | None = None,
-        exact: bool = False,
-        materialize: bool = False,
-        cell_ids: np.ndarray | None = None,
-    ) -> JoinResult:
-        """Join a point batch against one layer.
-
-        Identical semantics (and bit-identical counts) to
-        ``PolygonIndex.join`` on the same points, with the hot-cell cache
-        and morsel parallelism underneath.  ``cell_ids`` lets a caller
-        that already computed the points' leaf cell ids (the sharded
-        front ships them alongside the coordinates) skip the recompute.
-        """
-        self._check_open()
-        name, index = self._router.resolve(layer)
-        lats = np.asarray(lats, dtype=np.float64)
-        lngs = np.asarray(lngs, dtype=np.float64)
-        with Timer() as timer:
-            with self._tracer.dispatch(
-                "dispatch", layer=name, points=len(lats), exact=exact
-            ):
-                if cell_ids is None:
-                    cell_ids = index.cell_ids_for(lats, lngs)
-                else:
-                    cell_ids = np.asarray(cell_ids, dtype=np.uint64)
-                result = self._dispatch(
-                    name, index, cell_ids, lats, lngs, exact, materialize
-                )
-        self._recorder.record(
-            requests=1,
-            points=len(lats),
-            pairs=result.num_pairs,
-            seconds=timer.seconds,
-        )
-        if self._meters is not None:
-            self._meters.observe(result, timer.seconds)
-        return result
-
-    def join_layers(
-        self,
-        lats: np.ndarray,
-        lngs: np.ndarray,
-        *,
-        layers: Sequence[str] | None = None,
-        exact: bool = False,
-    ) -> dict[str, JoinResult]:
-        """Fan a batch out to several layers (``None`` = every layer).
-
-        Leaf cell ids depend only on the coordinates, so they are computed
-        once and shared across layers.
-        """
-        self._check_open()
-        routed = self._router.select(layers)
-        lats = np.asarray(lats, dtype=np.float64)
-        lngs = np.asarray(lngs, dtype=np.float64)
-        cell_ids = None
-        results: dict[str, JoinResult] = {}
-        for position, (name, index) in enumerate(routed):
-            with Timer() as timer:
-                with self._tracer.dispatch(
-                    "dispatch", layer=name, points=len(lats), exact=exact
-                ):
-                    if cell_ids is None:
-                        cell_ids = index.cell_ids_for(lats, lngs)
-                    results[name] = self._dispatch(
-                        name, index, cell_ids, lats, lngs, exact,
-                        materialize=False,
-                    )
-            # One client-visible request for the whole fan-out; points
-            # count per layer (each layer joins the full batch).
-            self._recorder.record(
-                requests=1 if position == 0 else 0,
-                points=len(lats),
-                pairs=results[name].num_pairs,
-                seconds=timer.seconds,
-            )
-            if self._meters is not None:
-                self._meters.observe(results[name], timer.seconds)
-        return results
 
     # ------------------------------------------------------------------
     # Dispatch internals
@@ -501,47 +585,28 @@ class JoinService:
                 exact,
                 materialize,
             )
-            if materialize and part.pair_points is not None:
+            if materialize:
                 part.pair_points = part.pair_points + lo
             return part
 
         with Timer() as timer:
             parts = self._executor.map_morsels(len(cell_ids), work)
-        # Apportion the parallel wall time by the workers' probe/refine
-        # ratio so probe_seconds + refine_seconds == elapsed time.
-        probe_total = sum(p.probe_seconds for p in parts)
-        refine_total = sum(p.refine_seconds for p in parts)
-        busy_total = probe_total + refine_total
-        refine_wall = (
-            timer.seconds * refine_total / busy_total if busy_total > 0 else 0.0
-        )
+        with self._tracer.span("merge", morsels=len(parts)):
+            merged = merge_join_results(
+                parts,
+                num_points=len(cell_ids),
+                num_polygons=len(view.polygons),
+                wall_seconds=timer.seconds,
+                materialize=materialize,
+            )
         # Morsel workers run with empty span stacks, so the per-chunk
         # probe/refine spans no-op'd; synthesize the merged phases from
         # the same apportioned wall times the JoinResult reports.
-        self._tracer.emit(
-            "probe", timer.seconds - refine_wall, morsels=len(parts)
-        )
-        if refine_wall > 0.0:
-            self._tracer.emit("refine", refine_wall, morsels=len(parts))
-        with self._tracer.span("merge", morsels=len(parts)):
-            merged = JoinResult(
-                num_points=len(cell_ids),
-                counts=np.sum([p.counts for p in parts], axis=0),
-                num_pairs=sum(p.num_pairs for p in parts),
-                num_true_hit_pairs=sum(p.num_true_hit_pairs for p in parts),
-                num_candidate_pairs=sum(p.num_candidate_pairs for p in parts),
-                num_pip_tests=sum(p.num_pip_tests for p in parts),
-                solely_true_hits=sum(p.solely_true_hits for p in parts),
-                probe_seconds=timer.seconds - refine_wall,
-                refine_seconds=refine_wall,
+        self._tracer.emit("probe", merged.probe_seconds, morsels=len(parts))
+        if merged.refine_seconds > 0.0:
+            self._tracer.emit(
+                "refine", merged.refine_seconds, morsels=len(parts)
             )
-            if materialize:
-                merged.pair_points = np.concatenate(
-                    [p.pair_points for p in parts]
-                )
-                merged.pair_polygons = np.concatenate(
-                    [p.pair_polygons for p in parts]
-                )
         return merged
 
     # ------------------------------------------------------------------
@@ -552,16 +617,6 @@ class JoinService:
     def adaptation(self) -> AdaptiveController | None:
         """The adaptation controller, or ``None`` when self-tuning is off."""
         return self._adaptive
-
-    @property
-    def obs(self) -> Observability | None:
-        """The observability bundle, or ``None`` when telemetry is off."""
-        return self._obs
-
-    @property
-    def tracer(self) -> Tracer:
-        """The phase tracer (the shared disabled tracer when ``obs=None``)."""
-        return self._tracer
 
     def stats(self) -> ServiceStats:
         """Immutable snapshot: latency percentiles, throughput, cache,
@@ -607,9 +662,3 @@ class JoinService:
             self._executor.close()
         if self._adaptive is not None:
             self._adaptive.close()
-
-    def __enter__(self) -> "JoinService":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

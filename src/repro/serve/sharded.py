@@ -12,11 +12,11 @@ Evaluation of Spatial Joins*) applied to the paper's cell-id domain:
   so every cell — and therefore every point probing it — belongs to
   exactly one shard.  Every polygon gets a *home shard*: the shard of
   its median covering entry in curve order (cut-independent, so it
-  exists before any cuts do).  Each shard's (cell, ref) entries then classify into
-  **owned** (the polygon is homed here) vs **borrowed** (its covering
-  straddles a cut from another shard) classes — the two-layer
-  space-oriented partitioning of Tsitsigkos et al. (*Parallel In-Memory
-  Evaluation of Spatial Joins*) applied to the paper's cell-id domain.
+  exists before any cuts do).  Each shard's (cell, ref) entries then
+  classify into **owned** (the polygon is homed here) vs **borrowed**
+  (its covering straddles a cut from another shard) classes — the
+  classes of *Two-layer Space-oriented Partitioning for Non-point Data*
+  (Tsitsigkos et al., arXiv:2307.09256) in the paper's cell-id domain.
   Cut points balance on owned work only, since borrowed entries would
   otherwise distort the weights toward boundary-heavy shards; the plan
   surfaces ``replication_factor`` and per-class counts.
@@ -45,20 +45,22 @@ Evaluation of Spatial Joins*) applied to the paper's cell-id domain:
   build).  Batch coordinates travel through shared-memory buffers too,
   never the pickle stream; only the control messages and the (small)
   partial ``JoinResult`` statistics cross the pipe.
-* :class:`ShardedJoinService` is the front: it computes leaf cell ids
-  once, scatters each batch to the owning shards, gathers the partial
-  results, and merges them with the same wall-time apportioning as the
-  morsel merge.  It exposes the same ``join`` / ``join_layers`` /
-  ``lookup`` / ``submit`` / ``stats`` / ``swap_layer`` surface as
-  ``JoinService``; swaps and workload-adaptive retraining fan out per
+* :class:`ShardedJoinService` is the front: a
+  :class:`~repro.serve.service.ServiceFront` (the ``join`` /
+  ``join_layers`` / ``lookup`` / ``submit`` surface it shares with
+  ``JoinService``) whose dispatch scatters each batch to the owning
+  shards, gathers the partial results, and merges them with
+  :func:`~repro.core.joins.merge_join_results` — the merge the morsel
+  dispatch ends in.  Swaps and workload-adaptive retraining fan out per
   shard, and the merged :class:`~repro.serve.stats.ServiceStats` carries
   per-shard detail in ``stats.shards``.
 
 ``backend="inline"`` hosts the per-shard services in the calling process
-instead (no processes; batches stay plain arrays) — same partitioning,
-same plane publication and attach, same scatter/gather, same merge —
-which is what the shard-boundary equivalence tests exercise exhaustively
-and what debugging uses.
+instead.  Everything else is the same code: the same plane publication
+and attach, the same shared-memory scatter buffer, the same message
+handler (:func:`_apply_admin`) and the same merge — which is what the
+shard-boundary equivalence tests exercise exhaustively and what
+debugging uses.
 
 The front serializes scatter/gather dispatches with one lock (a worker
 pipe is not safe for interleaved use anyway); parallelism comes from
@@ -79,7 +81,6 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.cells.vectorized import (
-    cell_ids_from_lat_lng_arrays,
     home_rows_from_entries,
     owned_entry_mask,
     range_bounds_from_cell_ids,
@@ -96,19 +97,11 @@ from repro.core.flat import (
     pack_coverage_plane,
     pack_geometry_plane,
 )
-from repro.core.joins import JoinResult
-from repro.obs import DispatchMeters, Observability, ObsConfig
-from repro.obs.trace import NULL_TRACER, Tracer
-from repro.serve.batching import LookupRequest, MicroBatcher
+from repro.core.joins import JoinResult, merge_join_results
+from repro.obs import Observability, ObsConfig
 from repro.serve.cache import CacheStats
-from repro.serve.router import LayerRouter
-from repro.serve.service import DEFAULT_LAYER, JoinService
-from repro.serve.stats import (
-    LatencyRecorder,
-    LayerStatus,
-    ServiceStats,
-    ShardStatus,
-)
+from repro.serve.service import JoinService, ServiceFront
+from repro.serve.stats import LayerStatus, ServiceStats, ShardStatus
 from repro.util.timing import Timer
 
 
@@ -211,9 +204,9 @@ class ShardPlan:
         num_cells = len(ids)
         # One row index per (cell, ref) entry, in id-sorted cell order.
         entry_rows = np.repeat(np.arange(num_cells, dtype=np.int64), counts)
-        # Home cell (row) of every polygon: its MINIMUM covering cell id
-        # — defined before any cuts exist, so the owned-work weights the
-        # cuts balance on cannot depend on the cuts themselves.
+        # Home cell (row) of every polygon: its MEDIAN covering entry in
+        # curve order — defined before any cuts exist, so the owned-work
+        # weights the cuts balance on cannot depend on the cuts themselves.
         home_rows = home_rows_from_entries(entry_rows, entry_pids, num_polygons)
         referenced = home_rows >= 0
         poly_entries = np.bincount(entry_pids, minlength=num_polygons)
@@ -383,29 +376,54 @@ def _build_shard_service(payload: _WorkerPayload) -> JoinService:
     )
 
 
-def _apply_admin(service: JoinService, msg: tuple) -> object:
-    """Execute one control message against a shard's JoinService.
+def _apply_admin(
+    service: JoinService, msg: tuple, shard: int, build_seconds: float
+) -> object:
+    """Execute one message against a shard's JoinService.
 
-    Shared by the process worker loop and the inline backend, so both
-    backends cannot diverge in behavior.  ``ping`` is answered by the
-    backends themselves (the reply carries the worker-side attach
-    timing only they know).  Layer ops reply with their sub-index
-    materialization time, so the front can meter attach latency.
+    The one handler both backends run — the process worker loop wraps
+    its outcome in ``("ok"|"err", ...)``, the inline client calls it
+    directly — so the backends cannot diverge in behavior.
+
+    ``join`` reads the shard's slice out of the dispatch's scatter
+    buffer.  Its ``trace`` field is the front dispatch's ``(trace_id,
+    parent_span_id)``, or ``None`` when the dispatch is untraced; a
+    traced join opens a ``shard`` root under that remote parent — the
+    shard service's own ``dispatch``/``probe``/``refine`` spans nest
+    beneath it — and replies ``(result, finished_spans)`` so the records
+    travel back for the front to adopt.  ``ping`` replies with the
+    service construction time (``build_seconds``) and layer ops with
+    their sub-index materialization time, so the front can meter attach
+    latency.
     """
     op = msg[0]
+    if op == "join":
+        _, layer, shm_name, total, offset, count, exact, materialize, trace = msg
+        lats, lngs, cells = _read_shm_batch(shm_name, total, offset, count)
+        tracer = service.tracer
+        root = (
+            contextlib.nullcontext()
+            if trace is None
+            else tracer.remote_root("shard", trace, shard=shard)
+        )
+        with root:
+            result = service.join(
+                lats, lngs, layer=layer, exact=exact, materialize=materialize,
+                cell_ids=cells,
+            )
+        return result if trace is None else (result, tracer.take_last_trace())
+    if op == "ping":
+        return {"build_seconds": build_seconds}
     if op == "stats":
         return service.stats()
-    if op == "swap":
+    if op in ("swap", "add_layer"):
         _, name, part = msg
         with Timer() as timer:
-            index = _index_from_part(part, fresh_version=True)
-        service.swap_layer(name, index)
-        return {"build_seconds": timer.seconds}
-    if op == "add_layer":
-        _, name, part = msg
-        with Timer() as timer:
-            index = _index_from_part(part, fresh_version=False)
-        service.add_layer(name, index)
+            index = _index_from_part(part, fresh_version=op == "swap")
+        if op == "swap":
+            service.swap_layer(name, index)
+        else:
+            service.add_layer(name, index)
         return {"build_seconds": timer.seconds}
     raise ValueError(f"unknown shard op: {op!r}")
 
@@ -465,50 +483,6 @@ def _read_shm_batch(
     return lats, lngs, cells
 
 
-def _traced_service_join(
-    service: JoinService,
-    shard: int,
-    trace: tuple[int, int] | None,
-    lats: np.ndarray,
-    lngs: np.ndarray,
-    cells: np.ndarray,
-    layer: str,
-    exact: bool,
-    materialize: bool,
-):
-    """Run one shard-side join, adopting the front's trace context.
-
-    ``trace`` is the front dispatch's ``(trace_id, parent_span_id)`` (or
-    ``None`` when the dispatch is untraced).  A traced join opens a
-    ``shard`` root under the remote parent — the shard service's own
-    ``dispatch``/``probe``/``refine`` spans nest beneath it — and returns
-    ``(result, finished_spans)`` so the records travel back over the pipe
-    for the front to adopt.  Shared by both backends, so the inline
-    backend exercises the exact propagation path the process backend
-    uses.
-    """
-    if trace is None:
-        return service.join(
-            lats, lngs, layer=layer, exact=exact, materialize=materialize,
-            cell_ids=cells,
-        )
-    tracer = service.tracer
-    with tracer.remote_root("shard", trace, shard=shard):
-        result = service.join(
-            lats, lngs, layer=layer, exact=exact, materialize=materialize,
-            cell_ids=cells,
-        )
-    return result, tracer.take_last_trace()
-
-
-def _worker_join(service: JoinService, msg: tuple, shard: int):
-    _, layer, shm_name, total, offset, count, exact, materialize, trace = msg
-    lats, lngs, cells = _read_shm_batch(shm_name, total, offset, count)
-    return _traced_service_join(
-        service, shard, trace, lats, lngs, cells, layer, exact, materialize
-    )
-
-
 def _shard_worker_main(conn, payload: _WorkerPayload) -> None:
     """Entry point of one shard worker process (spawn-safe: module level).
 
@@ -521,6 +495,15 @@ def _shard_worker_main(conn, payload: _WorkerPayload) -> None:
     construction time, so the front's spawn barrier doubles as the
     attach measurement the bench reports.
     """
+    # A worker re-allocates the same ~0.5 MB of numpy temporaries on every
+    # dispatch.  glibc hands a freed heap top above its trim threshold
+    # back to the OS (128 KiB until the process has freed one mmapped
+    # block), so unless an unrelated allocation happens to pin the top,
+    # each dispatch faults those pages in again — measured on a 5.5 k-point
+    # dispatch: 139 instead of 4 minor faults, +0.27 ms of system time,
+    # flipping with any edit that moves the worker's heap.  Freeing one
+    # 4 MiB block raises both dynamic thresholds for the process's life.
+    np.empty(1 << 22, dtype=np.uint8)
     try:
         with Timer() as build_timer:
             service = _build_shard_service(payload)
@@ -540,12 +523,12 @@ def _shard_worker_main(conn, payload: _WorkerPayload) -> None:
                 conn.send(("ok", None))
                 break
             try:
-                if msg[0] == "join":
-                    reply = ("ok", _worker_join(service, msg, payload.shard))
-                elif msg[0] == "ping":
-                    reply = ("ok", {"build_seconds": build_timer.seconds})
-                else:
-                    reply = ("ok", _apply_admin(service, msg))
+                reply = (
+                    "ok",
+                    _apply_admin(
+                        service, msg, payload.shard, build_timer.seconds
+                    ),
+                )
             except BaseException:
                 reply = ("err", traceback.format_exc())
             conn.send(reply)
@@ -587,18 +570,6 @@ class _ShmBatch:
             self._shm.unlink()
 
 
-class _ArrayBatch:
-    """Inline-backend stand-in for :class:`_ShmBatch` (plain arrays)."""
-
-    def __init__(self, lats: np.ndarray, lngs: np.ndarray, cells: np.ndarray):
-        self.lats = lats
-        self.lngs = lngs
-        self.cells = cells
-
-    def close(self) -> None:
-        pass
-
-
 class _ProcessShard:
     """Front-side handle of one spawned shard worker."""
 
@@ -622,21 +593,6 @@ class _ProcessShard:
             raise ShardWorkerError(
                 self.shard, f"worker pipe closed: {exc}"
             ) from None
-
-    def start_join(
-        self,
-        layer: str,
-        batch: _ShmBatch,
-        offset: int,
-        count: int,
-        exact: bool,
-        materialize: bool,
-        trace: tuple[int, int] | None = None,
-    ) -> None:
-        self.start(
-            ("join", layer, batch.name, batch.total, offset, count, exact,
-             materialize, trace)
-        )
 
     def finish(self) -> object:
         try:
@@ -670,8 +626,10 @@ class _InlineShard:
     The test backend (and a debugging aid): hosts the shard's
     JoinService in the calling process, so the shard-boundary
     equivalence properties can run thousands of examples without paying
-    process spawns, while exercising the exact scatter/gather/merge path
-    the process backend uses.
+    process spawns.  Messages go through :func:`_apply_admin` exactly as
+    in a worker — a join reads its slice from the same shared-memory
+    scatter buffer — and a failure re-raises the ORIGINAL exception from
+    ``finish`` (no pipe to flatten it into a traceback string).
     """
 
     def __init__(self, payload: _WorkerPayload):
@@ -683,40 +641,13 @@ class _InlineShard:
 
     def start(self, msg: tuple) -> None:
         try:
-            if msg[0] == "ping":
-                self._pending = ("ok", {"build_seconds": self._build_seconds})
-            else:
-                self._pending = ("ok", _apply_admin(self._service, msg))
-        except BaseException as exc:
-            self._pending = ("err", exc)
-
-    def start_join(
-        self,
-        layer: str,
-        batch: _ArrayBatch,
-        offset: int,
-        count: int,
-        exact: bool,
-        materialize: bool,
-        trace: tuple[int, int] | None = None,
-    ) -> None:
-        window = slice(offset, offset + count)
-        try:
-            result = _traced_service_join(
-                self._service,
-                self.shard,
-                trace,
-                batch.lats[window],
-                batch.lngs[window],
-                batch.cells[window],
-                layer,
-                exact,
-                materialize,
+            value = _apply_admin(
+                self._service, msg, self.shard, self._build_seconds
             )
         except BaseException as exc:
             self._pending = ("err", exc)
         else:
-            self._pending = ("ok", result)
+            self._pending = ("ok", value)
 
     def finish(self) -> object:
         assert self._pending is not None, "finish() without a start()"
@@ -735,11 +666,11 @@ class _InlineShard:
 
 
 def _scatter_gather(
-    sends: list[tuple["_ProcessShard | _InlineShard", object]],
+    sends: list[tuple["_ProcessShard | _InlineShard", tuple]],
 ) -> tuple[list[tuple[int, object]], list[BaseException]]:
     """Send every request, then drain every worker that received one.
 
-    ``sends`` is a list of ``(client, send_callable)`` pairs.  The drain
+    ``sends`` is a list of ``(client, message)`` pairs.  The drain
     discipline is the pipe-alignment invariant of the whole front: a
     worker that received a request MUST be drained even after another
     worker failed (and workers after a failed SEND must not be sent to),
@@ -751,9 +682,9 @@ def _scatter_gather(
     """
     sent: list[tuple[int, object]] = []
     errors: list[BaseException] = []
-    for slot, (client, send) in enumerate(sends):
+    for slot, (client, msg) in enumerate(sends):
         try:
-            send()
+            client.start(msg)
         except BaseException as exc:
             errors.append(exc)
             break
@@ -781,6 +712,16 @@ def _scatter_gather(
 _GEOMETRY_REPLICATION = 1.0
 
 
+#: The front's gauges (metric name -> help), set by
+#: :meth:`ShardedJoinService._set_snapshot_gauges`.
+_SHARD_GAUGES = {
+    "shard_snapshot_bytes": "flat snapshot payload bytes published by the shard front",
+    "shard_attach_seconds": "slowest worker-side sub-index attach, last fan-out",
+    "shard_geometry_bytes": "shared geometry-plane bytes published by the shard front",
+    "shard_coverage_bytes": "per-shard coverage-plane bytes published by the front",
+}
+
+
 def _check_shardable(name: str, index: object) -> PolygonIndex:
     if not isinstance(index, PolygonIndex):
         raise TypeError(
@@ -792,7 +733,7 @@ def _check_shardable(name: str, index: object) -> PolygonIndex:
     return index
 
 
-class ShardedJoinService:
+class ShardedJoinService(ServiceFront):
     """A multi-process, space-partitioned :class:`JoinService` front.
 
     Parameters
@@ -847,61 +788,35 @@ class ShardedJoinService:
         start_method: str = "spawn",
         obs: Observability | None = None,
     ):
-        if not isinstance(layers, Mapping):
-            layers = {DEFAULT_LAYER: layers}
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         if backend not in ("process", "inline"):
             raise ValueError(f"unknown backend {backend!r}")
-        for name, index in layers.items():
+        # The front's layer registry IS a LayerRouter: copy-on-write
+        # snapshot reads, default-layer resolution, duplicate/rollback
+        # validation — one implementation shared with JoinService.
+        super().__init__(
+            layers,
+            default_layer=default_layer,
+            latency_window=latency_window,
+            obs=obs,
+        )
+        for name, index in self._router.items():
             _check_shardable(name, index)
         self.num_shards = num_shards
         self.backend = backend
         self._cache_cells = cache_cells
-        self._obs = obs
-        self._tracer: Tracer = obs.tracer if obs is not None else NULL_TRACER
-        self._events = obs.events if obs is not None else None
-        self._meters = DispatchMeters(obs.metrics) if obs is not None else None
-        metrics = obs.metrics if obs is not None else None
-        self._snapshot_bytes_gauge = (
-            metrics.gauge(
-                "shard_snapshot_bytes",
-                "flat snapshot payload bytes published by the shard front",
-            )
-            if metrics is not None
-            else None
+        self._gauges = (
+            {
+                name: self._metrics.gauge(name, description)
+                for name, description in _SHARD_GAUGES.items()
+            }
+            if self._metrics is not None
+            else {}
         )
-        self._attach_gauge = (
-            metrics.gauge(
-                "shard_attach_seconds",
-                "slowest worker-side sub-index attach, last fan-out",
-            )
-            if metrics is not None
-            else None
-        )
-        self._geometry_bytes_gauge = (
-            metrics.gauge(
-                "shard_geometry_bytes",
-                "shared geometry-plane bytes published by the shard front",
-            )
-            if metrics is not None
-            else None
-        )
-        self._coverage_bytes_gauge = (
-            metrics.gauge(
-                "shard_coverage_bytes",
-                "per-shard coverage-plane bytes published by the front",
-            )
-            if metrics is not None
-            else None
-        )
-        # The front's layer registry IS a LayerRouter: copy-on-write
-        # snapshot reads, default-layer resolution, duplicate/rollback
-        # validation — one implementation shared with JoinService.
-        self._router = LayerRouter(layers, default=default_layer)
         self._plans: dict[str, ShardPlan] = {  #: guarded_by(_lock)
             name: ShardPlan.from_index(index, num_shards)
-            for name, index in layers.items()
+            for name, index in self._router.items()
         }
         # Flat-snapshot segments owned by the front, per layer, for the
         # CURRENT generation; retired (and unlinked) on swap and close.
@@ -943,9 +858,6 @@ class ShardedJoinService:
             ]
             if backend == "inline":
                 self._clients = [_InlineShard(p) for p in payloads]
-                reports = [
-                    client.request(("ping",)) for client in self._clients
-                ]
             else:
                 # Start the parent's resource tracker BEFORE creating
                 # workers: forked children must inherit it (a worker
@@ -957,11 +869,9 @@ class ShardedJoinService:
                 resource_tracker.ensure_running()
                 ctx = get_context(start_method)
                 self._clients = [_ProcessShard(ctx, p) for p in payloads]
-                # Barrier: surfaces attach errors; the replies carry
-                # each worker's service construction time.
-                reports = [
-                    client.request(("ping",)) for client in self._clients
-                ]
+            # Barrier: surfaces attach errors; the replies carry each
+            # worker's service construction time.
+            reports = [client.request(("ping",)) for client in self._clients]
         except BaseException:
             # A mid-spawn failure must not leak the published segments:
             # the workers that did come up only hold attachments, and
@@ -991,21 +901,11 @@ class ShardedJoinService:
                         for p in self._plans.values()
                     ),
                 )
-        self._recorder = LatencyRecorder(window=latency_window)
-        self._batcher = MicroBatcher(
-            self._flush_lookups,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            metrics=obs.metrics if obs is not None else None,
-        )
+        self._start_batcher(max_batch, max_wait_ms)
 
     # ------------------------------------------------------------------
     # Layer routing
     # ------------------------------------------------------------------
-
-    @property
-    def layers(self) -> tuple[str, ...]:
-        return self._router.names
 
     def plan(self, layer: str | None = None) -> ShardPlan:
         """The live shard plan of one layer."""
@@ -1097,124 +997,48 @@ class ShardedJoinService:
 
     #: requires(_lock)
     def _set_snapshot_gauges(self, build_seconds: Sequence[float]) -> None:
-        if self._snapshot_bytes_gauge is not None:
-            self._snapshot_bytes_gauge.set(
-                sum(
-                    segment.size
-                    for generation in self._segments.values()
-                    for segment in generation
-                )
-            )
-        if self._geometry_bytes_gauge is not None:
-            self._geometry_bytes_gauge.set(
-                sum(geometry for geometry, _ in self._plane_bytes.values())
-            )
-        if self._coverage_bytes_gauge is not None:
-            self._coverage_bytes_gauge.set(
-                sum(coverage for _, coverage in self._plane_bytes.values())
-            )
-        if self._attach_gauge is not None and build_seconds:
-            self._attach_gauge.set(max(build_seconds))
+        if not self._gauges:
+            return
+        planes = list(self._plane_bytes.values())
+        values = {
+            "shard_snapshot_bytes": sum(
+                segment.size
+                for generation in self._segments.values()
+                for segment in generation
+            ),
+            "shard_geometry_bytes": sum(geometry for geometry, _ in planes),
+            "shard_coverage_bytes": sum(coverage for _, coverage in planes),
+        }
+        if build_seconds:
+            values["shard_attach_seconds"] = max(build_seconds)
+        for name, value in values.items():
+            self._gauges[name].set(value)
 
     # ------------------------------------------------------------------
-    # Batch path
+    # Dispatch: scatter / gather / merge
     # ------------------------------------------------------------------
 
-    def join(
-        self,
-        lats: np.ndarray,
-        lngs: np.ndarray,
-        *,
-        layer: str | None = None,
-        exact: bool = False,
-        materialize: bool = False,
-    ) -> JoinResult:
-        """Join a point batch against one layer across all shards."""
-        self._check_open()
-        name, _ = self._router.resolve(layer)  # fail fast on unknown layers
-        lats = np.ascontiguousarray(lats, dtype=np.float64)
-        lngs = np.ascontiguousarray(lngs, dtype=np.float64)
-        with Timer() as timer:
-            with self._tracer.dispatch(
-                "dispatch", layer=name, points=len(lats), exact=exact
-            ):
-                result = self._scatter_join(
-                    name, lats, lngs, exact, materialize
-                )
-        self._recorder.record(
-            requests=1,
-            points=len(lats),
-            pairs=result.num_pairs,
-            seconds=timer.seconds,
-        )
-        if self._meters is not None:
-            self._meters.observe(result, timer.seconds)
-        return result
-
-    def join_layers(
-        self,
-        lats: np.ndarray,
-        lngs: np.ndarray,
-        *,
-        layers: Sequence[str] | None = None,
-        exact: bool = False,
-    ) -> dict[str, JoinResult]:
-        """Fan a batch out to several layers (``None`` = every layer).
-
-        Leaf cell ids depend only on the coordinates: computed once,
-        shared across every layer's scatter.
-        """
-        self._check_open()
-        routed = self._router.select(layers)  # ONE registry snapshot
-        lats = np.ascontiguousarray(lats, dtype=np.float64)
-        lngs = np.ascontiguousarray(lngs, dtype=np.float64)
-        cell_ids = cell_ids_from_lat_lng_arrays(lats, lngs)
-        results: dict[str, JoinResult] = {}
-        for position, (name, _) in enumerate(routed):
-            with Timer() as timer:
-                with self._tracer.dispatch(
-                    "dispatch", layer=name, points=len(lats), exact=exact
-                ):
-                    results[name] = self._scatter_join(
-                        name, lats, lngs, exact, False, cell_ids=cell_ids
-                    )
-            self._recorder.record(
-                requests=1 if position == 0 else 0,
-                points=len(lats),
-                pairs=results[name].num_pairs,
-                seconds=timer.seconds,
-            )
-            if self._meters is not None:
-                self._meters.observe(results[name], timer.seconds)
-        return results
-
-    def _scatter_join(
+    def _dispatch(
         self,
         name: str,
+        index: PolygonIndex,
+        cell_ids: np.ndarray,
         lats: np.ndarray,
         lngs: np.ndarray,
         exact: bool,
         materialize: bool,
-        cell_ids: np.ndarray | None = None,
     ) -> JoinResult:
-        if cell_ids is None:
-            cell_ids = cell_ids_from_lat_lng_arrays(lats, lngs)
-        if len(lats) == 0:
-            _, index = self._router.resolve(name)
-            return _merge_parts(
-                0, len(index.polygons), [], [], None, None, materialize, 0.0
-            )
         # Capture the dispatch root's context BEFORE opening child spans:
         # worker-side `shard` roots parent to the dispatch itself, as
         # siblings of the front's scatter/gather/merge phases.
         trace_ctx = self._tracer.context()
         with self._lock, Timer() as timer:
-            # Resolve UNDER the dispatch lock: index, plan, and the
-            # workers' sub-indexes always belong to the same generation,
-            # even when a swap_layer lands between the caller's routing
-            # check and this dispatch.
+            # Resolve UNDER the dispatch lock (the caller's `index` is
+            # only its routing check): index, plan, and the workers'
+            # sub-indexes always belong to the same generation, even
+            # when a swap_layer lands between that check and this
+            # dispatch.
             _, index = self._router.resolve(name)
-            num_polygons = len(index.polygons)
             plan = self._plans[name]
             with self._tracer.span("scatter", points=len(lats)) as span:
                 shard_of = plan.shard_for(cell_ids)
@@ -1222,9 +1046,7 @@ class ShardedJoinService:
                 per_shard = np.bincount(shard_of, minlength=plan.num_shards)
                 offsets = np.zeros(plan.num_shards + 1, dtype=np.int64)
                 np.cumsum(per_shard, out=offsets[1:])
-                batch = self._make_batch(
-                    lats[order], lngs[order], cell_ids[order]
-                )
+                batch = _ShmBatch(lats[order], lngs[order], cell_ids[order])
                 engaged = [
                     shard
                     for shard in range(plan.num_shards)
@@ -1232,115 +1054,46 @@ class ShardedJoinService:
                 ]
                 span.set(shards=len(engaged))
             try:
-                sends = [
-                    (
-                        self._clients[shard],
-                        lambda shard=shard: self._clients[shard].start_join(
-                            name,
-                            batch,
-                            int(offsets[shard]),
-                            int(per_shard[shard]),
-                            exact,
-                            materialize,
-                            trace_ctx,
-                        ),
-                    )
-                    for shard in engaged
-                ]
                 with self._tracer.span("gather", shards=len(engaged)):
-                    gathered, errors = _scatter_gather(sends)
+                    gathered, errors = _scatter_gather(
+                        [
+                            (
+                                self._clients[shard],
+                                ("join", name, batch.name, batch.total,
+                                 int(offsets[shard]), int(per_shard[shard]),
+                                 exact, materialize, trace_ctx),
+                            )
+                            for shard in engaged
+                        ]
+                    )
                 if errors:
                     raise errors[0]
             finally:
                 batch.close()
-        # A traced dispatch gets (result, worker_spans) pairs back; fold
-        # the workers' finished spans into the front's ring so the whole
-        # cross-process trace reads from one place.
         parts: list[JoinResult] = []
-        part_shards: list[int] = []
-        for slot, value in gathered:
+        for _, part in gathered:
             if trace_ctx is not None:
-                part, worker_spans = value
+                # A traced dispatch gets (result, worker_spans) back;
+                # fold the workers' finished spans into the front's ring
+                # so the whole cross-process trace reads from one place.
+                part, worker_spans = part
                 if worker_spans:
                     self._tracer.adopt(worker_spans)
-            else:
-                part = value
             parts.append(part)
-            part_shards.append(engaged[slot])
         with self._tracer.span("merge", shards=len(parts)):
-            return _merge_parts(
-                len(lats),
-                num_polygons,
+            if materialize:
+                # Shard-local pair indices -> positions in the batch.
+                for (slot, _), part in zip(gathered, parts):
+                    part.pair_points = order[
+                        offsets[engaged[slot]] + part.pair_points
+                    ]
+            return merge_join_results(
                 parts,
-                part_shards,
-                order,
-                offsets,
-                materialize,
-                timer.seconds,
+                num_points=len(lats),
+                num_polygons=len(index.polygons),
+                wall_seconds=timer.seconds,
+                materialize=materialize,
             )
-
-    def _make_batch(self, lats, lngs, cells):
-        if self.backend == "inline":
-            return _ArrayBatch(lats, lngs, cells)
-        return _ShmBatch(lats, lngs, cells)
-
-    # ------------------------------------------------------------------
-    # Single-point path (micro-batched at the front)
-    # ------------------------------------------------------------------
-
-    def submit(
-        self,
-        lat: float,
-        lng: float,
-        *,
-        layer: str | None = None,
-        exact: bool = True,
-    ):
-        """Enqueue a lookup; resolves to the sorted containing polygon ids."""
-        self._check_open()
-        name, _ = self._router.resolve(layer)
-        return self._batcher.submit(
-            LookupRequest(lat=float(lat), lng=float(lng), layer=name, exact=exact)
-        )
-
-    def lookup(
-        self,
-        lat: float,
-        lng: float,
-        *,
-        layer: str | None = None,
-        exact: bool = True,
-    ) -> list[int]:
-        """Blocking single-point lookup (rides the front micro-batcher)."""
-        return self.submit(lat, lng, layer=layer, exact=exact).result()
-
-    def _flush_lookups(
-        self, layer: str | None, exact: bool, requests: Sequence[LookupRequest]
-    ) -> None:
-        name, _ = self._router.resolve(layer)
-        lats = np.fromiter((r.lat for r in requests), np.float64, len(requests))
-        lngs = np.fromiter((r.lng for r in requests), np.float64, len(requests))
-        with Timer() as timer:
-            with self._tracer.dispatch(
-                "dispatch", layer=name, points=len(requests), kind="lookup"
-            ):
-                result = self._scatter_join(name, lats, lngs, exact, True)
-                per_point: list[list[int]] = [[] for _ in requests]
-                for point, pid in zip(
-                    result.pair_points.tolist(),
-                    result.pair_polygons.tolist(),
-                ):
-                    per_point[point].append(int(pid))
-        self._recorder.record(
-            requests=len(requests),
-            points=len(requests),
-            pairs=result.num_pairs,
-            seconds=timer.seconds,
-        )
-        if self._meters is not None:
-            self._meters.observe(result, timer.seconds)
-        for request, pids in zip(requests, per_point):
-            request.future.set_result(sorted(pids))
 
     # ------------------------------------------------------------------
     # Layer management (fans out per shard)
@@ -1370,37 +1123,7 @@ class ShardedJoinService:
                     f"refusing to swap layer {name!r} to version "
                     f"{index.version} (currently {previous.version})"
                 )
-            plan = ShardPlan.from_index(index, self.num_shards)
-            parts, segments, plane_bytes = self._publish_parts(plan, index)
-            try:
-                reports = self._admin_fan_out(
-                    [("swap", name, part) for part in parts]
-                )
-            except BaseException:
-                # Whether the workers kept the previous generation or
-                # the service got poisoned, the new segments are the
-                # front's to reclaim (attached workers keep mappings).
-                self._release_segments({name: segments})
-                raise
-            # Publish only after EVERY shard swapped, so dispatches always
-            # scatter by the plan matching what the workers serve.  The
-            # retired generation's segments unlink now; workers holding
-            # the old attachment keep their mappings until they drop it.
-            self._release_segments({name: self._segments.pop(name, ())})
-            self._segments[name] = segments
-            self._plans[name] = plan
-            self._plane_bytes[name] = plane_bytes
-            previous = self._router.swap(name, index)
-            self._set_snapshot_gauges(
-                [report["build_seconds"] for report in reports]
-            )
-        if self._events is not None:
-            self._events.emit(
-                "swap",
-                layer=name,
-                version=int(index.version),
-                shards=self.num_shards,
-            )
+            self._install_layer("swap", name, index)
         return previous
 
     def add_layer(self, name: str, index: PolygonIndex) -> None:
@@ -1412,28 +1135,41 @@ class ShardedJoinService:
         with self._lock:
             if name in self._router:
                 raise ValueError(f"layer {name!r} is already registered")
-            plan = ShardPlan.from_index(index, self.num_shards)
-            parts, segments, plane_bytes = self._publish_parts(plan, index)
-            try:
-                reports = self._admin_fan_out(
-                    [("add_layer", name, part) for part in parts]
-                )
-            except BaseException:
-                self._release_segments({name: segments})
-                raise
-            self._segments[name] = segments
-            self._plans[name] = plan
-            self._plane_bytes[name] = plane_bytes
+            self._install_layer("add_layer", name, index)
+
+    #: requires(_lock)
+    def _install_layer(self, op: str, name: str, index: PolygonIndex) -> None:
+        """Plan, publish, fan out, then install one layer generation.
+
+        ``op`` is both the worker message (``"swap"`` / ``"add_layer"``)
+        and the event name.  The new generation is installed only after
+        EVERY shard applied it, so dispatches always scatter by the plan
+        matching what the workers serve.
+        """
+        plan = ShardPlan.from_index(index, self.num_shards)
+        parts, segments, plane_bytes = self._publish_parts(plan, index)
+        try:
+            reports = self._admin_fan_out([(op, name, part) for part in parts])
+        except BaseException:
+            # Whether the workers kept the previous generation or the
+            # service got poisoned, the new segments are the front's to
+            # reclaim (attached workers keep mappings).
+            self._release_segments({name: segments})
+            raise
+        # A retired generation's segments unlink now; workers holding
+        # the old attachment keep their mappings until they drop it.
+        self._release_segments({name: self._segments.pop(name, ())})
+        self._segments[name] = segments
+        self._plans[name] = plan
+        self._plane_bytes[name] = plane_bytes
+        if op == "swap":
+            self._router.swap(name, index)
+        else:
             self._router.add(name, index)
-            self._set_snapshot_gauges(
-                [report["build_seconds"] for report in reports]
-            )
+        self._set_snapshot_gauges([report["build_seconds"] for report in reports])
         if self._events is not None:
             self._events.emit(
-                "add_layer",
-                layer=name,
-                version=int(index.version),
-                shards=self.num_shards,
+                op, layer=name, version=int(index.version), shards=self.num_shards
             )
 
     def _admin_fan_out(self, messages: list[tuple]) -> list:  #: requires(_lock)
@@ -1448,12 +1184,7 @@ class ShardedJoinService:
         service stays usable.  Returns the per-shard reply values (the
         workers' sub-index materialization timings).
         """
-        gathered, errors = _scatter_gather(
-            [
-                (client, lambda c=client, m=msg: c.start(m))
-                for client, msg in zip(self._clients, messages)
-            ]
-        )
+        gathered, errors = _scatter_gather(list(zip(self._clients, messages)))
         if errors:
             if 0 < len(gathered) < len(self._clients):
                 self._poisoned = True
@@ -1463,16 +1194,6 @@ class ShardedJoinService:
     # ------------------------------------------------------------------
     # Observability & lifecycle
     # ------------------------------------------------------------------
-
-    @property
-    def obs(self) -> Observability | None:
-        """The front's observability bundle (``None`` when telemetry is off)."""
-        return self._obs
-
-    @property
-    def tracer(self) -> Tracer:
-        """The front's phase tracer (the shared disabled tracer if unset)."""
-        return self._tracer
 
     def stats(self) -> ServiceStats:
         """Merged snapshot with per-shard detail in ``stats.shards``.
@@ -1494,10 +1215,7 @@ class ShardedJoinService:
             # so the per-shard snapshot work overlaps instead of paying N
             # sequential round-trips under the dispatch lock.
             gathered, errors = _scatter_gather(
-                [
-                    (client, lambda c=client: c.start(("stats",)))
-                    for client in self._clients
-                ]
+                [(client, ("stats",)) for client in self._clients]
             )
             if errors:
                 raise errors[0]
@@ -1569,7 +1287,7 @@ class ShardedJoinService:
             # pass an unlocked check and double-release every segment.
             self._closed = True
         # Drain OUTSIDE the lock: the batcher's flush path dispatches
-        # through _scatter_join, which takes this same lock.
+        # through _dispatch, which takes this same lock.
         self._batcher.close()
         with self._lock:
             for client in self._clients:
@@ -1578,65 +1296,3 @@ class ShardedJoinService:
             self._segments = {}
             self._plane_bytes = {}
             self._set_snapshot_gauges(())
-
-    def __enter__(self) -> "ShardedJoinService":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def _merge_parts(
-    num_points: int,
-    num_polygons: int,
-    parts: list[JoinResult],
-    engaged: list[int],
-    order: np.ndarray | None,
-    offsets: np.ndarray | None,
-    materialize: bool,
-    wall_seconds: float,
-) -> JoinResult:
-    """Merge per-shard partial results into one :class:`JoinResult`.
-
-    Every point was joined by exactly one shard, so all statistics merge
-    by summation; the scatter/gather wall time is apportioned between
-    probe and refine by the workers' busy ratio, mirroring the morsel
-    merge, so the two still sum to elapsed front time.
-    """
-    probe_total = sum(p.probe_seconds for p in parts)
-    refine_total = sum(p.refine_seconds for p in parts)
-    busy_total = probe_total + refine_total
-    refine_wall = (
-        wall_seconds * refine_total / busy_total if busy_total > 0 else 0.0
-    )
-    counts = (
-        np.sum([p.counts for p in parts], axis=0)
-        if parts
-        else np.zeros(num_polygons, dtype=np.int64)
-    )
-    merged = JoinResult(
-        num_points=num_points,
-        counts=counts,
-        num_pairs=sum(p.num_pairs for p in parts),
-        num_true_hit_pairs=sum(p.num_true_hit_pairs for p in parts),
-        num_candidate_pairs=sum(p.num_candidate_pairs for p in parts),
-        num_pip_tests=sum(p.num_pip_tests for p in parts),
-        solely_true_hits=sum(p.solely_true_hits for p in parts),
-        probe_seconds=wall_seconds - refine_wall,
-        refine_seconds=refine_wall,
-    )
-    if materialize:
-        if parts:
-            merged.pair_points = np.concatenate(
-                [
-                    order[offsets[shard] + part.pair_points]
-                    for shard, part in zip(engaged, parts)
-                ]
-            )
-            merged.pair_polygons = np.concatenate(
-                [part.pair_polygons for part in parts]
-            )
-        else:
-            merged.pair_points = np.zeros(0, dtype=np.int64)
-            merged.pair_polygons = np.zeros(0, dtype=np.int64)
-    return merged

@@ -11,6 +11,7 @@ from repro.core.joins import (
     accurate_join,
     approximate_join,
     decode_entries,
+    merge_join_results,
     parallel_count_join,
 )
 from repro.core.lookup_table import (
@@ -21,6 +22,20 @@ from repro.core.lookup_table import (
 )
 from repro.core.refs import PolygonRef
 from repro.geo.pip import contains_points
+
+#: Every deterministic JoinResult statistic (timings excluded).
+STAT_FIELDS = (
+    "num_points",
+    "num_pairs",
+    "num_true_hit_pairs",
+    "num_candidate_pairs",
+    "num_pip_tests",
+    "solely_true_hits",
+)
+
+
+def pair_set(result):
+    return set(zip(result.pair_points.tolist(), result.pair_polygons.tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -299,16 +314,6 @@ class TestParallelJoin:
         )
         assert (serial.counts == parallel.counts).all()
 
-    #: Every deterministic JoinResult statistic (timings excluded).
-    STAT_FIELDS = (
-        "num_points",
-        "num_pairs",
-        "num_true_hit_pairs",
-        "num_candidate_pairs",
-        "num_pip_tests",
-        "solely_true_hits",
-    )
-
     @given(
         num_points=st.integers(0, 4000),
         num_threads=st.integers(1, 4),
@@ -337,7 +342,7 @@ class TestParallelJoin:
             batch_size=batch_size,
         )
         assert (serial.counts == parallel.counts).all()
-        for name in self.STAT_FIELDS:
+        for name in STAT_FIELDS:
             assert getattr(parallel, name) == getattr(serial, name), name
         assert parallel.sth_rate == serial.sth_rate
         # Wall time is fully apportioned between the two phases, and the
@@ -369,5 +374,99 @@ class TestParallelJoin:
             batch_size=batch_size,
         )
         assert (serial.counts == parallel.counts).all()
-        for name in self.STAT_FIELDS:
+        for name in STAT_FIELDS:
             assert getattr(parallel, name) == getattr(serial, name), name
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_materialized_pairs_match_serial(self, built, threads, exact):
+        """Regression: the threaded join dropped ``materialize`` — counts
+        and ``num_pairs`` were right, the pair arrays were ``None``."""
+        index, lngs, lats, ids, _ = built
+        refine = dict(polygons=index.polygons, lngs=lngs, lats=lats) if exact else {}
+        parallel = parallel_count_join(
+            index.store, index.lookup_table, ids, len(index.polygons), threads,
+            batch_size=7_001,  # splits the 25 000 points unevenly
+            materialize=True, **refine,
+        )
+        serial = index.join(lats, lngs, exact=exact, materialize=True)
+        assert len(parallel.pair_points) == parallel.num_pairs == serial.num_pairs
+        assert pair_set(parallel) == pair_set(serial)
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_index_join_materializes_at_every_thread_count(self, built, threads):
+        from repro.core.dynamic import DynamicPolygonIndex
+
+        index, lngs, lats, _, _ = built
+        serial = index.join(lats, lngs, exact=True, materialize=True)
+        dynamic = DynamicPolygonIndex.build(
+            list(index.polygons), precision_meters=30.0, compact_threshold=None
+        )
+        for joinable in (index, dynamic):
+            threaded = joinable.join(
+                lats, lngs, exact=True, materialize=True, num_threads=threads
+            )
+            assert pair_set(threaded) == pair_set(serial)
+
+
+class TestMergeJoinResults:
+    """The one fan-out merge: split anywhere, merge, get the unsplit join."""
+
+    @given(
+        num_points=st.integers(0, 3000),
+        cuts=st.lists(st.integers(0, 3000), max_size=6),
+        exact=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_split_remap_merge_equals_unsplit_join(
+        self, built, num_points, cuts, exact
+    ):
+        index, lngs, lats, ids, _ = built
+
+        def join(lo, hi):
+            if exact:
+                return accurate_join(
+                    index.store, index.lookup_table, ids[lo:hi], index.polygons,
+                    lngs[lo:hi], lats[lo:hi], materialize=True,
+                )
+            return approximate_join(
+                index.store, index.lookup_table, ids[lo:hi],
+                len(index.polygons), materialize=True,
+            )
+
+        whole = join(0, num_points)
+        edges = [0, *sorted(min(cut, num_points) for cut in cuts), num_points]
+        parts = []
+        for lo, hi in zip(edges, edges[1:]):  # empty pieces included
+            part = join(lo, hi)
+            part.pair_points = part.pair_points + lo
+            parts.append(part)
+        merged = merge_join_results(
+            parts,
+            num_points=num_points,
+            num_polygons=len(index.polygons),
+            wall_seconds=2.5,
+            materialize=True,
+        )
+        assert np.array_equal(merged.counts, whole.counts)
+        for name in STAT_FIELDS:
+            assert getattr(merged, name) == getattr(whole, name), name
+        assert pair_set(merged) == pair_set(whole)
+        assert len(merged.pair_points) == merged.num_pairs
+        assert merged.probe_seconds >= 0.0 and merged.refine_seconds >= 0.0
+        assert merged.probe_seconds + merged.refine_seconds == pytest.approx(2.5)
+
+    @pytest.mark.parametrize("materialize", [False, True])
+    def test_zero_parts_give_the_all_zero_result(self, materialize):
+        merged = merge_join_results(
+            [], num_points=0, num_polygons=7, wall_seconds=0.25,
+            materialize=materialize,
+        )
+        assert merged.counts.tolist() == [0] * 7
+        for name in STAT_FIELDS:
+            assert getattr(merged, name) == 0, name
+        assert merged.probe_seconds + merged.refine_seconds == 0.25
+        if materialize:
+            assert merged.pair_points.tolist() == merged.pair_polygons.tolist() == []
+        else:
+            assert merged.pair_points is None and merged.pair_polygons is None

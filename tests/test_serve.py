@@ -9,6 +9,7 @@ import pytest
 
 from repro import JoinService, PolygonIndex
 from repro.geo.polygon import regular_polygon
+from repro.obs import Observability
 from repro.serve import (
     LatencyRecorder,
     CachedCellStore,
@@ -16,6 +17,7 @@ from repro.serve import (
     LayerRouter,
     MicroBatcher,
     MorselExecutor,
+    ShardedJoinService,
 )
 from repro.serve.batching import LookupRequest
 from repro.serve.cache import key_shift_for_level
@@ -125,12 +127,6 @@ class TestServiceJoin:
         with pytest.raises(KeyError):
             service.submit(40.7, -74.0, layer="nope")
 
-    def test_closed_service_rejects_work(self, index):
-        svc = JoinService(index)
-        svc.close()
-        with pytest.raises(RuntimeError):
-            svc.join(np.asarray([40.7]), np.asarray([-74.0]))
-
     def test_served_index_survives_add_polygon(self, points):
         # add_polygon rebuilds the index's store AND lookup table; the
         # service must drop its cached store instead of mixing old/new.
@@ -141,6 +137,116 @@ class TestServiceJoin:
             index.add_polygon(regular_polygon((-73.96, 40.76), 0.015, 14))
             served = svc.join(lats, lngs, exact=True)
         assert np.array_equal(served.counts, index.join(lats, lngs, exact=True).counts)
+
+
+#: The two services behind the one request front (``ServiceFront``).
+FRONTS = {
+    "JoinService": JoinService,
+    "ShardedJoinService-inline": lambda layers, **options: ShardedJoinService(
+        layers, num_shards=3, backend="inline", **options
+    ),
+}
+
+
+@pytest.fixture(params=sorted(FRONTS))
+def make_front(request):
+    return FRONTS[request.param]
+
+
+class TestFrontContract:
+    """The request surface both services inherit from ``ServiceFront``."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_join_with_and_without_cell_ids(self, make_front, index, points, exact):
+        lats, lngs = points
+        direct = index.join(lats, lngs, exact=exact)
+        with make_front(index) as svc:
+            for cell_ids in (None, index.cell_ids_for(lats, lngs)):
+                served = svc.join(lats, lngs, exact=exact, cell_ids=cell_ids)
+                assert np.array_equal(served.counts, direct.counts)
+                assert served.num_pairs == direct.num_pairs
+                assert served.num_pip_tests == direct.num_pip_tests
+
+    def test_given_cell_ids_are_used_not_recomputed(self, make_front, index, points):
+        # An approximate join reads nothing but the cell ids: handing in
+        # the ids of OTHER points must answer for those points.
+        lats, lngs = points
+        other = index.cell_ids_for(lats[::-1] + 0.01, lngs[::-1])
+        with make_front(index) as svc:
+            served = svc.join(lats, lngs, cell_ids=other)
+        expected = index.join(lats[::-1] + 0.01, lngs[::-1])
+        assert np.array_equal(served.counts, expected.counts)
+        assert not np.array_equal(served.counts, index.join(lats, lngs).counts)
+
+    def test_join_layers_request_and_point_accounting(
+        self, make_front, index, second_index, points
+    ):
+        lats, lngs = points[0][:700], points[1][:700]
+        with make_front({"a": index, "b": second_index}) as svc:
+            before = svc.stats()
+            results = svc.join_layers(lats, lngs, exact=True)
+            only = svc.join_layers(lats, lngs, layers=["b"])
+            after = svc.stats()
+        assert list(results) == ["a", "b"] and list(only) == ["b"]
+        for name, layer in (("a", index), ("b", second_index)):
+            direct = layer.join(lats, lngs, exact=True)
+            assert np.array_equal(results[name].counts, direct.counts)
+            assert results[name].num_pip_tests == direct.num_pip_tests
+        # One client-visible request per fan-out; every routed layer
+        # joins the whole batch.
+        assert after.requests - before.requests == 2
+        assert after.points - before.points == (2 + 1) * len(lats)
+        assert after.dispatches - before.dispatches == 2 + 1
+
+    def test_submit_and_lookup_match_containing_polygons(
+        self, make_front, index, points
+    ):
+        lats, lngs = points
+        with make_front(index, max_wait_ms=0.5) as svc:
+            futures = [svc.submit(lats[i], lngs[i]) for i in range(30)]
+            for i, future in enumerate(futures):
+                expected = index.containing_polygons(lats[i], lngs[i])
+                assert future.result(timeout=30) == expected
+                assert svc.lookup(lats[i], lngs[i]) == expected
+
+    def test_unknown_layer_raises_key_error(self, make_front, index, points):
+        lats, lngs = points[0][:10], points[1][:10]
+        with make_front(index) as svc:
+            with pytest.raises(KeyError, match="nope"):
+                svc.join(lats, lngs, layer="nope")
+            with pytest.raises(KeyError, match="nope"):
+                svc.join_layers(lats, lngs, layers=["nope"])
+            with pytest.raises(KeyError, match="nope"):
+                svc.submit(40.7, -74.0, layer="nope")
+            with pytest.raises(KeyError, match="nope"):
+                svc.lookup(40.7, -74.0, layer="nope")
+
+    def test_closed_service_rejects_work(self, make_front, index, points):
+        lats, lngs = points[0][:10], points[1][:10]
+        with make_front(index) as svc:
+            assert svc.join(lats, lngs).num_points == 10
+        # The context manager closed it; close() itself is idempotent.
+        svc.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            svc.join(lats, lngs)
+        with pytest.raises(RuntimeError, match="closed"):
+            svc.join_layers(lats, lngs)
+        with pytest.raises(RuntimeError, match="closed"):
+            svc.submit(40.7, -74.0)
+
+    def test_traced_lookup_dispatch_has_a_scatter_child(self, make_front, index):
+        obs = Observability()
+        with make_front(index, obs=obs, max_wait_ms=0.5) as svc:
+            assert svc.obs is obs and svc.tracer is obs.tracer
+            svc.lookup(40.70, -74.0)
+        spans = obs.tracer.spans()
+        (dispatch,) = [
+            r for r in spans
+            if r.name == "dispatch" and (r.meta or {}).get("kind") == "lookup"
+        ]
+        assert any(
+            r.name == "scatter" and r.parent_id == dispatch.span_id for r in spans
+        )
 
 
 class TestMicroBatching:

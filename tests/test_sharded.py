@@ -282,14 +282,6 @@ class TestInlineSharded:
             only = svc.join_layers(lats[:500], lngs[:500], layers=["coarse"])
             assert list(only) == ["coarse"]
 
-    def test_lookup_matches_containing_polygons(self, index, points):
-        lats, lngs = points
-        with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
-            for i in range(30):
-                assert svc.lookup(lats[i], lngs[i]) == index.containing_polygons(
-                    lats[i], lngs[i]
-                )
-
     def test_empty_batch(self, index):
         with ShardedJoinService(index, num_shards=2, backend="inline") as svc:
             result = svc.join(np.zeros(0), np.zeros(0), exact=True)
@@ -326,16 +318,6 @@ class TestInlineSharded:
             assert_identical(served, swap_index.join(lats[:1000], lngs[:1000]))
             with pytest.raises(ValueError, match="already registered"):
                 svc.add_layer("coarse", swap_index)
-
-    def test_unknown_layer_and_closed_service(self, index, points):
-        lats, lngs = points
-        svc = ShardedJoinService(index, num_shards=2, backend="inline")
-        with pytest.raises(KeyError, match="nope"):
-            svc.join(lats[:10], lngs[:10], layer="nope")
-        svc.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            svc.join(lats[:10], lngs[:10])
-        svc.close()  # idempotent
 
     def test_dynamic_index_rejected(self, index):
         from repro.core.dynamic import DynamicPolygonIndex
@@ -689,6 +671,37 @@ class TestSnapshotSegmentLifecycle:
         with pytest.raises(MemoryError):
             ShardedJoinService(index, num_shards=2, backend="inline")
         assert self._shm_names() - before == set()
+
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_inline_dispatch_leaves_no_segment(
+        self, index, points, monkeypatch, failing
+    ):
+        """The inline backend scatters through the same ``_ShmBatch`` the
+        process backend uses; every dispatch unlinks it — also when a
+        shard's join raises, which surfaces as the ORIGINAL exception."""
+        lats, lngs = points
+        with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
+            published = self._shm_names()
+            if failing:
+                def boom(*args, **kwargs):
+                    raise MemoryError("simulated shard join failure")
+
+                monkeypatch.setattr(svc._clients[1]._service, "join", boom)
+                with pytest.raises(MemoryError, match="simulated"):
+                    svc.join(lats, lngs, exact=True)
+            else:
+                seen = []
+                real = svc._clients[0]._service.join
+
+                def spy(*args, **kwargs):
+                    seen.append(self._shm_names() - published)
+                    return real(*args, **kwargs)
+
+                monkeypatch.setattr(svc._clients[0]._service, "join", spy)
+                svc.join(lats, lngs, exact=True)
+                # Mid-dispatch the scatter buffer was the one new segment.
+                assert [len(names) for names in seen] == [1]
+            assert self._shm_names() == published
 
     def test_spawn_seconds_reported_per_shard(self, index):
         with ShardedJoinService(index, num_shards=2, backend="inline") as svc:
