@@ -9,7 +9,6 @@ and cell stores per (dataset, precision, store kind).
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Callable
 
 import numpy as np
@@ -18,11 +17,7 @@ from repro.baselines import BTreeStore, SortedVectorStore
 from repro.bench.config import BenchConfig
 from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
 from repro.core.act import AdaptiveCellTrie
-from repro.core.builder import (
-    DEFAULT_COVERING_OPTIONS,
-    DEFAULT_INTERIOR_OPTIONS,
-)
-from repro.cells.coverer import RegionCoverer
+from repro.core.builder import cover_polygons
 from repro.core.lookup_table import LookupTable
 from repro.core.precision import refine_to_precision
 from repro.core.super_covering import SuperCovering, build_super_covering
@@ -83,12 +78,10 @@ class Workbench:
         """Default-configuration super covering plus build timing metrics."""
         if name not in self._base_coverings:
             polygons = self.polygons(name)
-            coverer = RegionCoverer(DEFAULT_COVERING_OPTIONS)
-            interior = RegionCoverer(DEFAULT_INTERIOR_OPTIONS)
             with Timer() as cover_timer:
                 per_polygon = [
-                    (pid, coverer.covering(p), interior.interior_covering(p))
-                    for pid, p in enumerate(polygons)
+                    (pid, covering, interior)
+                    for pid, (covering, interior) in enumerate(cover_polygons(polygons))
                 ]
             with Timer() as merge_timer:
                 covering = build_super_covering(per_polygon)

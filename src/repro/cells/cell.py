@@ -23,6 +23,8 @@ import numpy as np
 
 from repro.cells.cellid import CellId
 from repro.cells.metrics import EARTH_RADIUS_METERS, MAX_EDGE_DERIV
+from repro.cells.projections import face_uv_to_xyz
+from repro.cells.vectorized import face_ij_from_leaf_ids, levels_from_cell_ids
 from repro.geo.rect import Rect
 
 _METERS_PER_DEGREE = EARTH_RADIUS_METERS * math.pi / 180.0
@@ -43,6 +45,9 @@ def cell_bound_rect(cell: CellId) -> Rect:
 # Inlined from repro.cells.projections for the hot descent paths.
 _MAX_SIZE = 1 << 30
 _ONE_THIRD = 1.0 / 3.0
+#: Corner offsets (in cell sizes) as columns, so ``(4, 1) * (n,)`` broadcasts.
+_CORNER_DI = np.array([[0], [1], [1], [0]], dtype=np.int64)
+_CORNER_DJ = np.array([[0], [0], [1], [1]], dtype=np.int64)
 
 
 def _st_to_uv(s: float) -> float:
@@ -54,13 +59,10 @@ def _st_to_uv(s: float) -> float:
 def bound_rect_from_face_ij(face: int, i: int, j: int, size: int, level: int) -> Rect:
     """Like :func:`cell_bound_rect`, from raw grid coordinates.
 
-    The recursive cell/polygon classifiers descend in (i, j) space, where
-    children are quadrant arithmetic; this helper turns a grid square into
-    its padded lat/lng bound without building ``CellId`` objects or
-    re-running the Hilbert walk (the hot path of precision refinement).
+    A descent in (i, j) space, where children are quadrant arithmetic,
+    turns a grid square into its padded lat/lng bound without building
+    ``CellId`` objects or re-running the Hilbert walk.
     """
-    from repro.cells.projections import face_uv_to_xyz
-
     min_lat = min_lng = math.inf
     max_lat = max_lng = -math.inf
     for di, dj in ((0, 0), (size, 0), (size, size), (0, size)):
@@ -108,24 +110,12 @@ def _face_uv_to_xyz_arrays(
     face: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized ``projections.face_uv_to_xyz`` over per-element faces."""
-    x = np.empty_like(u)
-    y = np.empty_like(u)
-    z = np.empty_like(u)
     ones = np.ones_like(u)
-    for f, (fx, fy, fz) in enumerate((
-        (ones, u, v),        # face 0
-        (-u, ones, v),       # face 1
-        (-u, -v, ones),      # face 2
-        (-ones, -v, -u),     # face 3
-        (v, -ones, -u),      # face 4
-        (v, u, -ones),       # face 5
-    )):
-        sel = face == f
-        if sel.any():
-            x[sel] = fx[sel]
-            y[sel] = fy[sel]
-            z[sel] = fz[sel]
-    return x, y, z
+    return (
+        np.choose(face, (ones, -u, -u, -ones, v, v)),
+        np.choose(face, (u, ones, -v, -v, -ones, u)),
+        np.choose(face, (v, v, ones, -u, -u, -ones)),
+    )
 
 
 def bound_rects_for_cell_ids(
@@ -138,38 +128,29 @@ def bound_rects_for_cell_ids(
     antimeridian/pole fallbacks, and the per-level bulge pad).  The
     floating pipeline differs from the scalar helper by at most rounding
     in the trig calls — negligible against the pad, so the containment
-    guarantee carries over.  Used by index training, which classifies tens
-    of thousands of split children per pass.
+    guarantee carries over.  Every build stage (coverer, precision
+    refinement, training) gets its rects here, one call per round.
     """
     ids = np.asarray(raw_ids, dtype=np.uint64)
     if ids.size == 0:
         empty = np.zeros(0, dtype=np.float64)
         return empty, empty.copy(), empty.copy(), empty.copy()
-    from repro.cells.vectorized import face_ij_from_leaf_ids
-
     lsb = ids & (~ids + np.uint64(1))
-    # lsb == 1 << (2 * (MAX_LEVEL - level)); log2 is exact on powers of two.
-    level = 30 - (np.log2(lsb.astype(np.float64)) / 2.0).astype(np.int64)
+    level = levels_from_cell_ids(ids)
     size = (np.int64(1) << (np.int64(30) - level)).astype(np.int64)
     leaf_min = ids - (lsb - np.uint64(1))
     face, i, j = face_ij_from_leaf_ids(leaf_min)
     size_mask = ~(size - 1)
     i = i & size_mask
     j = j & size_mask
-    min_lat = np.full(ids.shape, math.inf)
-    max_lat = np.full(ids.shape, -math.inf)
-    min_lng = np.full(ids.shape, math.inf)
-    max_lng = np.full(ids.shape, -math.inf)
-    for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1)):
-        s = (i + di * size) / _MAX_SIZE
-        t = (j + dj * size) / _MAX_SIZE
-        x, y, z = _face_uv_to_xyz_arrays(face, _st_to_uv_array(s), _st_to_uv_array(t))
-        lat = np.degrees(np.arctan2(z, np.hypot(x, y)))
-        lng = np.degrees(np.arctan2(y, x))
-        np.minimum(min_lat, lat, out=min_lat)
-        np.maximum(max_lat, lat, out=max_lat)
-        np.minimum(min_lng, lng, out=min_lng)
-        np.maximum(max_lng, lng, out=max_lng)
+    # The four corners of every cell at once: rows of a (4, n) pass.
+    s = (i + _CORNER_DI * size) / _MAX_SIZE
+    t = (j + _CORNER_DJ * size) / _MAX_SIZE
+    x, y, z = _face_uv_to_xyz_arrays(face, _st_to_uv_array(s), _st_to_uv_array(t))
+    lat = np.degrees(np.arctan2(z, np.hypot(x, y)))
+    lng = np.degrees(np.arctan2(y, x))
+    min_lat, max_lat = lat.min(axis=0), lat.max(axis=0)
+    min_lng, max_lng = lng.min(axis=0), lng.max(axis=0)
     # Conservative fallbacks, as in the scalar path: antimeridian-crossing
     # cells and pole-containing cells on the top/bottom faces.
     wrap = (max_lng - min_lng) > 180.0

@@ -25,6 +25,8 @@ _POS_BITS = 61
 _CHUNK_MASK = (1 << LOOKUP_BITS) - 1
 _LOOKUP_POS_64 = LOOKUP_POS.astype(np.int64)
 _LOOKUP_IJ_64 = LOOKUP_IJ.astype(np.int64)
+#: Child k of a cell sits ``2 * k`` child-lsb steps above the first child.
+_CHILD_STEPS = np.arange(4, dtype=np.uint64) * np.uint64(2)
 
 
 def xyz_from_lat_lng(lats: np.ndarray, lngs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -221,3 +223,19 @@ def range_bounds_from_cell_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     lsb = ids & (np.uint64(0) - ids)
     offset = lsb - np.uint64(1)
     return ids - offset, ids + offset
+
+
+def levels_from_cell_ids(ids: np.ndarray) -> np.ndarray:
+    """Vectorized ``CellId.level`` (int64) for a cell-id array."""
+    ids = np.asarray(ids, dtype=np.uint64)
+    lsb = ids & (np.uint64(0) - ids)
+    # lsb == 1 << (2 * (MAX_LEVEL - level)); log2 is exact on powers of two.
+    return MAX_LEVEL - (np.log2(lsb.astype(np.float64)) / 2.0).astype(np.int64)
+
+
+def child_cell_ids(ids: np.ndarray) -> np.ndarray:
+    """The four children of every (non-leaf) cell id: ``(n, 4)``, ascending."""
+    ids = np.asarray(ids, dtype=np.uint64)
+    step = (ids & (np.uint64(0) - ids)) >> np.uint64(2)
+    first = ids - np.uint64(3) * step
+    return first[:, None] + _CHILD_STEPS[None, :] * step[:, None]

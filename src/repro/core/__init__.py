@@ -54,6 +54,7 @@ from repro.core.builder import (
     build_pipeline,
     build_store,
     cover_polygon,
+    cover_polygons,
     next_index_version,
 )
 from repro.core.dynamic import (
@@ -92,6 +93,7 @@ __all__ = [
     "build_pipeline",
     "build_store",
     "cover_polygon",
+    "cover_polygons",
     "next_index_version",
     "DeltaOp",
     "DynamicIndexState",

@@ -11,7 +11,7 @@
    supplied via ``store_factory`` (B-tree, sorted vector, ...), which is how
    the evaluation swaps physical representations.
 
-The pipeline stages are exposed as free functions (:func:`cover_polygon`,
+The pipeline stages are exposed as free functions (:func:`cover_polygons`,
 :func:`build_pipeline`, :func:`build_store`) so every build path — a full
 offline build, the delta-overlay builds of
 :class:`~repro.core.dynamic.DynamicPolygonIndex`, and background
@@ -38,7 +38,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.cells.cellid import CellId
-from repro.cells.coverer import CovererOptions, RegionCoverer
+from repro.cells.coverer import CovererOptions, batch_coverings
 from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
 from repro.core.act import AdaptiveCellTrie
 from repro.core.flat import FlatSnapshot, _attach_refiner_table, unpack_covering
@@ -116,15 +116,23 @@ class BuildTimings:
 # ----------------------------------------------------------------------
 
 
+def cover_polygons(
+    polygons: Sequence[Polygon],
+    covering_options: CovererOptions = DEFAULT_COVERING_OPTIONS,
+    interior_options: CovererOptions = DEFAULT_INTERIOR_OPTIONS,
+) -> list[tuple[list[CellId], list[CellId]]]:
+    """Stage 1: every polygon's covering and interior covering, batched."""
+    specs = [(covering_options, False), (interior_options, True)]
+    return [tuple(pair) for pair in batch_coverings(polygons, specs)]
+
+
 def cover_polygon(
     polygon: Polygon,
     covering_options: CovererOptions = DEFAULT_COVERING_OPTIONS,
     interior_options: CovererOptions = DEFAULT_INTERIOR_OPTIONS,
 ) -> tuple[list[CellId], list[CellId]]:
     """Stage 1 for one polygon: its covering and interior covering."""
-    covering = RegionCoverer(covering_options).covering(polygon)
-    interior = RegionCoverer(interior_options).interior_covering(polygon)
-    return covering, interior
+    return cover_polygons([polygon], covering_options, interior_options)[0]
 
 
 @dataclass
@@ -179,16 +187,16 @@ def build_pipeline(
     (``"hot"`` spends the budget on the hottest cells; see
     :func:`repro.core.training.train_super_covering`).
     """
-    covering_coverer = RegionCoverer(covering_options)
-    interior_coverer = RegionCoverer(interior_options)
     with Timer() as cover_timer:
+        indexed = [
+            (validate_polygon_id(pid), polygon) for pid, polygon in polygons_with_ids
+        ]
+        coverings = cover_polygons(
+            [polygon for _, polygon in indexed], covering_options, interior_options
+        )
         per_polygon = [
-            (
-                validate_polygon_id(pid),
-                covering_coverer.covering(polygon),
-                interior_coverer.interior_covering(polygon),
-            )
-            for pid, polygon in polygons_with_ids
+            (pid, covering, interior)
+            for (pid, _), (covering, interior) in zip(indexed, coverings)
         ]
     with Timer() as merge_timer:
         super_covering = build_super_covering(per_polygon)

@@ -260,9 +260,8 @@ def unpack_polygon_geometry(
         polygon.holes = rings[1:]
         polygon._mbr = None
         polygon._edge_cache = None
-        polygon._edgeset_cache = None
         polygon._refine_cache = None
-        polygon._train_cache = None
+        polygon._relation_cache = None
         polygons.append(polygon)
     return polygons
 

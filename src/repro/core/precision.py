@@ -13,102 +13,41 @@ referenced polygons so that
 * descendants outside every referenced polygon are dropped.
 
 A naive implementation would enumerate all ``4^(target - level)``
-descendants; we instead descend recursively, pruning whole subtrees the
-moment they lose contact with every polygon boundary (propagating the
-subset of polygon edges that can still intersect each subtree — the same
-trick the S2 shape index uses).  Cells that separate from all boundaries
-above the target level are kept coarse: they are uniform, so keeping them
-un-split preserves both the precision guarantee (which constrains only
-boundary cells) and memory.
+descendants; we instead descend in rounds, pruning whole subtrees the
+moment they lose contact with every polygon boundary.  A round takes every
+live cell of every refined subtree at once (``uint64`` id arrays, with the
+``(cell, polygon)`` pairs still undecided), computes the bound rects in one
+call and classifies the pairs with one :mod:`repro.geo.relation` call per
+polygon — the same kernel the coverer and training use.  A CONTAINED pair
+becomes an inherited true hit for the whole subtree, a DISJOINT pair is
+dropped, an INTERSECTS pair stays a candidate and makes its cell split
+until the target level.  Cells that separate from all boundaries above the
+target level are kept coarse: they are uniform, so keeping them un-split
+preserves both the precision guarantee (which constrains only boundary
+cells) and memory.
 """
 
 from __future__ import annotations
 
+import bisect
 from collections.abc import Sequence
 
 import numpy as np
 
-from repro.cells.cell import bound_rect_from_face_ij
-from repro.cells.cellid import MAX_LEVEL as MAX_CELL_LEVEL
+from repro.cells.cell import bound_rects_for_cell_ids
 from repro.cells.cellid import CellId
 from repro.cells.metrics import level_for_max_diag_meters
+from repro.cells.vectorized import (
+    child_cell_ids,
+    levels_from_cell_ids,
+    range_bounds_from_cell_ids,
+)
 from repro.core.refs import PolygonRef, merge_refs
 from repro.core.super_covering import SuperCovering
-from repro.geo.edgeset import EdgeSet
-from repro.geo.pip import contains_point
 from repro.geo.polygon import Polygon
+from repro.geo.relation import Relation, relations_for_pairs
 
-
-def classify_descendants(
-    cell: CellId,
-    candidate_pids: Sequence[int],
-    polygons_by_id: dict[int, Polygon],
-    target_level: int,
-) -> list[tuple[CellId, list[PolygonRef]]]:
-    """Split ``cell`` down to ``target_level`` around polygon boundaries.
-
-    Returns disjoint descendant cells (coarser where uniform) with the
-    re-classified references for ``candidate_pids``.  Cells with no
-    remaining references are omitted.
-    """
-    edge_set = EdgeSet(
-        [polygons_by_id[pid] for pid in candidate_pids], list(candidate_pids)
-    )
-    face, root_i, root_j = cell.to_face_ij()
-    results: list[tuple[CellId, list[PolygonRef]]] = []
-    # The descent runs in (i, j) grid space: children are quadrant
-    # arithmetic, and only *emitted* cells pay for a Hilbert walk.  Stack
-    # frames carry the polygons already known to fully contain the subtree
-    # ("inherited" true hits): once a polygon's boundary stops touching a
-    # cell, its edges leave the propagated subset, so the containment
-    # verdict must ride along explicitly.
-    stack: list[tuple[int, int, int, EdgeSet, tuple[int, ...]]] = [
-        (cell.level, root_i, root_j, edge_set, ())
-    ]
-
-    def emit(level: int, i: int, j: int, refs: list[PolygonRef]) -> None:
-        emitted = CellId.from_face_ij(face, i, j)
-        if level < emitted.level:
-            emitted = emitted.parent(level)
-        results.append((emitted, refs))
-
-    while stack:
-        level, i, j, edges, inherited = stack.pop()
-        size = 1 << (MAX_CELL_LEVEL - level)
-        rect = bound_rect_from_face_ij(face, i, j, size, level)
-        touching = edges.touching(rect)
-        sub = edges.subset(touching)
-        new_inherited = inherited
-        if len(sub) != len(edges):
-            # Polygons whose boundary no longer reaches this cell are
-            # uniform here: inside -> true hit from now on, outside ->
-            # dropped.  (Unchanged edge count means unchanged pid set.)
-            touched_pids = sub.unique_pids()
-            resolved = edges.unique_pids() - touched_pids
-            if resolved:
-                lng, lat = rect.center
-                gained = [
-                    pid
-                    for pid in resolved
-                    if contains_point(polygons_by_id[pid], lng, lat)
-                ]
-                if gained:
-                    new_inherited = tuple(inherited) + tuple(gained)
-        if not len(sub):
-            if new_inherited:
-                emit(level, i, j, [PolygonRef(pid, True) for pid in sorted(new_inherited)])
-            continue
-        if level >= target_level:
-            refs = [PolygonRef(pid, True) for pid in sorted(new_inherited)]
-            refs += [PolygonRef(pid, False) for pid in sorted(sub.unique_pids())]
-            emit(level, i, j, refs)
-            continue
-        half = size >> 1
-        stack.append((level + 1, i, j, sub, new_inherited))
-        stack.append((level + 1, i + half, j, sub, new_inherited))
-        stack.append((level + 1, i, j + half, sub, new_inherited))
-        stack.append((level + 1, i + half, j + half, sub, new_inherited))
-    return results
+_CHILD_SLOTS = np.arange(4, dtype=np.int64)
 
 
 def refine_to_precision(
@@ -123,32 +62,98 @@ def refine_to_precision(
     maximum diagonal of at most ``precision_meters``.
     """
     target_level = level_for_max_diag_meters(precision_meters)
-    polygons_by_id = {pid: polygon for pid, polygon in enumerate(polygons)}
     # Every cell with a candidate reference is (re-)classified — including
     # cells already at or below the target level: conflict resolution can
     # hand a fine cell a candidate reference for a polygon it does not even
     # touch (inherited from a coarse ancestor), and the precision guarantee
     # requires boundary cells to actually border their polygons.
-    coarse = [
-        (CellId(raw_id), refs)
-        for raw_id, refs in super_covering.raw_items().items()
-        if any(not ref.interior for ref in refs)
-    ]
-    for cell, refs in coarse:
-        true_refs = tuple(ref for ref in refs if ref.interior)
-        candidate_pids = [ref.polygon_id for ref in refs if not ref.interior]
-        replacements = []
-        for descendant, new_refs in classify_descendants(
-            cell, candidate_pids, polygons_by_id, target_level
+    root_list: list[int] = []
+    true_refs: list[tuple[PolygonRef, ...]] = []
+    candidate_counts: list[int] = []
+    candidate_pids: list[int] = []
+    for raw_id, refs in super_covering.raw_items().items():
+        pids = [ref.polygon_id for ref in refs if not ref.interior]
+        if pids:
+            root_list.append(raw_id)
+            true_refs.append(tuple(ref for ref in refs if ref.interior))
+            candidate_counts.append(len(pids))
+            candidate_pids.extend(pids)
+    if not root_list:
+        return target_level
+    root_ids = np.asarray(root_list, dtype=np.uint64)
+    # The frontier: live cells (id, level, owning root) and their pairs
+    # (frontier slot, polygon id, relation code).  A pair's code is
+    # INTERSECTS while it is a candidate, CONTAINED once inherited.
+    cell_ids = root_ids
+    cell_levels = levels_from_cell_ids(root_ids)
+    cell_roots = np.arange(len(root_list), dtype=np.int64)
+    pair_cells = np.repeat(cell_roots, candidate_counts)
+    pair_pids = np.asarray(candidate_pids, dtype=np.int64)
+    pair_codes = np.full(len(pair_cells), Relation.INTERSECTS, dtype=np.int8)
+    added: dict[int, tuple[PolygonRef, ...]] = {}
+    merged_cache: dict[tuple[int, ...], tuple[PolygonRef, ...]] = {}
+    while len(cell_ids):
+        rects = bound_rects_for_cell_ids(cell_ids)
+        undecided = np.flatnonzero(pair_codes == Relation.INTERSECTS)
+        pair_codes[undecided] = relations_for_pairs(
+            polygons, rects, pair_cells[undecided], pair_pids[undecided]
+        )
+        kept = np.flatnonzero(pair_codes != Relation.DISJOINT)
+        pair_cells, pair_pids, pair_codes = pair_cells[kept], pair_pids[kept], pair_codes[kept]
+        boundary = np.bincount(
+            pair_cells[pair_codes == Relation.INTERSECTS], minlength=len(cell_ids)
+        ).astype(bool)
+        split = boundary & (cell_levels < target_level)
+        # Everything else with a reference left is final: uniform cells
+        # stay coarse, boundary cells sit at (or below) the target level.
+        final = np.flatnonzero(~split[pair_cells])
+        final = final[np.argsort(pair_cells[final], kind="stable")]
+        slots = pair_cells[final]
+        firsts = np.flatnonzero(np.diff(slots, prepend=-1))
+        bounds = [*firsts.tolist(), len(slots)]
+        packed = (
+            pair_pids[final] << 1 | (pair_codes[final] == Relation.CONTAINED)
+        ).tolist()
+        # A final cell's reference set is its root's true hits merged with
+        # its own pairs (``PolygonRef.packed()`` form); it depends only on
+        # (root, pairs), which repeats across thousands of cells.
+        for raw, root, start, stop in zip(
+            cell_ids[slots[firsts]].tolist(),
+            cell_roots[slots[firsts]].tolist(),
+            bounds,
+            bounds[1:],
         ):
-            replacements.append((descendant, merge_refs(true_refs, new_refs)))
-        # True hits inherited from the original cell must keep covering the
-        # *whole* cell even where every candidate polygon is absent.
-        if true_refs:
-            covered = {d.id for d, _ in replacements}
-            for gap in _uncovered_children(cell, covered):
-                replacements.append((gap, true_refs))
-        super_covering.replace_cell(cell, replacements)
+            key = (root, *packed[start:stop])
+            refs = merged_cache.get(key)
+            if refs is None:
+                refs = merged_cache[key] = merge_refs(
+                    true_refs[root], map(PolygonRef.from_packed, key[1:])
+                )
+            added[raw] = refs
+        # Split cells hand their pairs, unchanged, to all four children.
+        parents = np.flatnonzero(split)
+        child_base = np.zeros(len(cell_ids), dtype=np.int64)
+        child_base[parents] = 4 * np.arange(len(parents), dtype=np.int64)
+        moving = np.flatnonzero(split[pair_cells])
+        pair_cells = (child_base[pair_cells[moving]][:, None] + _CHILD_SLOTS).ravel()
+        pair_pids = np.repeat(pair_pids[moving], 4)
+        pair_codes = np.repeat(pair_codes[moving], 4)
+        cell_ids = child_cell_ids(cell_ids[parents]).ravel()
+        cell_levels = np.repeat(cell_levels[parents] + 1, 4)
+        cell_roots = np.repeat(cell_roots[parents], 4)
+    # True hits inherited from the original cell must keep covering the
+    # *whole* cell even where every candidate polygon is absent.
+    covered = np.sort(np.fromiter(added, dtype=np.uint64, count=len(added)))
+    lows, highs = range_bounds_from_cell_ids(root_ids)
+    starts = np.searchsorted(covered, lows, side="left").tolist()
+    stops = np.searchsorted(covered, highs, side="right").tolist()
+    for raw_id, refs, start, stop in zip(root_list, true_refs, starts, stops):
+        if refs:
+            for gap in _uncovered_children(
+                CellId(raw_id), set(covered[start:stop].tolist())
+            ):
+                added[gap.id] = refs
+    super_covering.replace_cells(root_list, added)
     return target_level
 
 
@@ -160,8 +165,6 @@ def _uncovered_children(cell: CellId, covered_ids: set[int]) -> list[CellId]:
     """
     if not covered_ids:
         return [cell]
-    import bisect
-
     sorted_ids = sorted(covered_ids)
     gaps: list[CellId] = []
 

@@ -220,6 +220,21 @@ class SuperCovering:
             if refs:
                 self._add(descendant, refs)
 
+    def replace_cells(
+        self,
+        removed: Iterable[int],
+        added: Mapping[int, tuple[PolygonRef, ...]],
+    ) -> None:
+        """Bulk :meth:`replace_cell`: drop ``removed`` ids, add descendants.
+
+        The precision refinement replaces every boundary cell in one call,
+        so the sorted id list is rebuilt once instead of per cell.
+        """
+        for raw_id in removed:
+            del self._refs[raw_id]
+        self._refs.update(added)
+        self._sorted_ids = sorted(self._refs)
+
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

@@ -20,8 +20,10 @@ Two drivers produce bit-identical coverings on the same input:
 * :func:`train_super_covering` — the production path: one vectorized
   interval search assigns every point to its covering cell, points are
   grouped per cell with ``np.argsort``, and splits are executed either in
-  level-batched *rounds* (no budget: all pending splits classified with
-  batched geometry, the fast path) or off a heap (budgeted runs, where the
+  level-batched *rounds* (no budget: all pending splits classified in one
+  pass of the build's one batched classifier, :mod:`repro.geo.relation` —
+  the kernel the coverer and the precision refinement also run on) or off
+  a heap (budgeted runs, where the
   stopping split must be well-defined).  ``order="arrival"`` replays the
   exact per-point split sequence — each split is triggered by the first
   unconsumed point that lands on its cell, so executing splits in trigger
@@ -49,22 +51,14 @@ import numpy as np
 
 from repro.cells.cell import bound_rects_for_cell_ids
 from repro.cells.cellid import MAX_LEVEL, CellId
-from repro.cells.vectorized import range_bounds_from_cell_ids
+from repro.cells.vectorized import child_cell_ids, range_bounds_from_cell_ids
 from repro.core.refs import PolygonRef, merge_refs
 from repro.core.super_covering import SuperCovering
-from repro.geo.pip import contains_points
 from repro.geo.polygon import Polygon
+from repro.geo.relation import Relation, relations_for_pairs
 
 #: Split-scheduling orders accepted by :func:`train_super_covering`.
 TRAINING_ORDERS = ("arrival", "hot")
-
-_DISJOINT = 0
-_INTERSECTS = 1
-_CONTAINED = 2
-
-#: Rect/edge pairs evaluated per classification chunk (bounds each
-#: broadcast temporary in ``_RectClassifier.relations`` to a few MiB).
-_CLASSIFY_CHUNK_PAIRS = 1 << 21
 
 
 @dataclass
@@ -79,165 +73,58 @@ class TrainingReport:
 
 
 # ----------------------------------------------------------------------
-# Batched rect classification
-# ----------------------------------------------------------------------
-
-
-class _RectClassifier:
-    """Batched ``rect_polygon_relation`` for one polygon (training hot path).
-
-    Precomputes the polygon's edge geometry once (memoized on the polygon
-    object via ``Polygon._train_cache``) and classifies whole batches of
-    child rectangles in a single vectorized pass, instead of paying
-    per-call numpy dispatch for every (child, polygon) pair.  Decisions are
-    the same as :func:`repro.geo.relation.rect_polygon_relation`: a rect
-    with a ring vertex strictly inside or an edge touching it INTERSECTS;
-    otherwise it is CONTAINED or DISJOINT by its center's PIP test.
-    """
-
-    __slots__ = (
-        "polygon", "mbr", "x0", "y0", "dx", "dy",
-        "min_x", "max_x", "min_y", "max_y",
-    )
-
-    def __init__(self, polygon: Polygon):
-        self.polygon = polygon
-        self.mbr = polygon.mbr
-        x0, y0, x1, y1 = polygon.all_edges()
-        self.x0 = x0
-        self.y0 = y0
-        self.dx = x1 - x0
-        self.dy = y1 - y0
-        self.min_x = np.minimum(x0, x1)
-        self.max_x = np.maximum(x0, x1)
-        self.min_y = np.minimum(y0, y1)
-        self.max_y = np.maximum(y0, y1)
-
-    def relations(
-        self,
-        lng_lo: np.ndarray,
-        lng_hi: np.ndarray,
-        lat_lo: np.ndarray,
-        lat_hi: np.ndarray,
-    ) -> np.ndarray:
-        """Relation codes for ``R`` rectangles given as coordinate arrays.
-
-        Evaluated in rect chunks bounding the (rects x edges) broadcast
-        temporaries to a few MiB — a round-batched training pass can hand
-        one complex polygon thousands of rects at once.  Chunking cannot
-        change results: every operation is element-wise per rect row.
-        """
-        chunk = max(1, _CLASSIFY_CHUNK_PAIRS // max(1, len(self.x0)))
-        if len(lng_lo) > chunk:
-            codes = np.empty(len(lng_lo), dtype=np.int8)
-            for start in range(0, len(lng_lo), chunk):
-                stop = start + chunk
-                codes[start:stop] = self.relations(
-                    lng_lo[start:stop],
-                    lng_hi[start:stop],
-                    lat_lo[start:stop],
-                    lat_hi[start:stop],
-                )
-            return codes
-        codes = np.zeros(len(lng_lo), dtype=np.int8)
-        mbr = self.mbr
-        alive = (
-            (lng_hi >= mbr.lng_lo)
-            & (lng_lo <= mbr.lng_hi)
-            & (lat_hi >= mbr.lat_lo)
-            & (lat_lo <= mbr.lat_hi)
-        )
-        if not alive.any():
-            return codes
-        lo_x = lng_lo[:, None]
-        hi_x = lng_hi[:, None]
-        lo_y = lat_lo[:, None]
-        hi_y = lat_hi[:, None]
-        # Every ring vertex starts exactly one edge, so the edge-start
-        # arrays are the vertex set.  A vertex strictly inside the rect
-        # means the boundary enters it.
-        vertex_inside = (
-            (self.x0[None, :] > lo_x)
-            & (self.x0[None, :] < hi_x)
-            & (self.y0[None, :] > lo_y)
-            & (self.y0[None, :] < hi_y)
-        ).any(axis=1)
-        # Separating-axis segment/rect test (same math as EdgeSet.touching).
-        overlap = (
-            (self.max_x[None, :] >= lo_x)
-            & (self.min_x[None, :] <= hi_x)
-            & (self.max_y[None, :] >= lo_y)
-            & (self.min_y[None, :] <= hi_y)
-        )
-        rel_lo_y = lo_y - self.y0[None, :]
-        rel_hi_y = hi_y - self.y0[None, :]
-        rel_lo_x = lo_x - self.x0[None, :]
-        rel_hi_x = hi_x - self.x0[None, :]
-        dx = self.dx[None, :]
-        dy = self.dy[None, :]
-        cross_ll = dx * rel_lo_y - dy * rel_lo_x
-        cross_lr = dx * rel_lo_y - dy * rel_hi_x
-        cross_ul = dx * rel_hi_y - dy * rel_lo_x
-        cross_ur = dx * rel_hi_y - dy * rel_hi_x
-        all_positive = (cross_ll > 0) & (cross_lr > 0) & (cross_ul > 0) & (cross_ur > 0)
-        all_negative = (cross_ll < 0) & (cross_lr < 0) & (cross_ul < 0) & (cross_ur < 0)
-        touching = (overlap & ~(all_positive | all_negative)).any(axis=1)
-        boundary = vertex_inside | touching
-        codes[alive & boundary] = _INTERSECTS
-        interior = np.nonzero(alive & ~boundary)[0]
-        if interior.size:
-            # No boundary contact: wholly inside or wholly outside; decide
-            # by the rect center (vectorized over the surviving rects).
-            centers_lng = (lng_lo[interior] + lng_hi[interior]) / 2.0
-            centers_lat = (lat_lo[interior] + lat_hi[interior]) / 2.0
-            inside = contains_points(self.polygon, centers_lng, centers_lat)
-            codes[interior[inside]] = _CONTAINED
-        return codes
-
-
-def _rect_classifier(polygon: Polygon) -> _RectClassifier:
-    classifier = polygon._train_cache
-    if classifier is None:
-        classifier = _RectClassifier(polygon)
-        polygon._train_cache = classifier
-    return classifier
-
-
-# ----------------------------------------------------------------------
 # Split primitives
 # ----------------------------------------------------------------------
 
 
-def _child_cell_ids(raw_id: int) -> np.ndarray:
-    """The four children of a (non-leaf) cell id, ascending (uint64)."""
-    lsb = raw_id & -raw_id
-    step = lsb >> 2
-    base = raw_id - 3 * step
-    return np.asarray(
-        [base, base + 2 * step, base + 4 * step, base + 6 * step],
-        dtype=np.uint64,
+def _classify_children(
+    parents: Sequence[tuple[int, Sequence[PolygonRef]]],
+    polygons: Sequence[Polygon],
+) -> list[list[tuple[CellId, tuple[PolygonRef, ...]]]]:
+    """Re-classify the children of expensive cells against their polygons.
+
+    ``parents`` are ``(raw id, refs)`` of disjoint cells.  All child rects
+    come from one vectorized pass and each polygon classifies all of its
+    ``(child, polygon)`` pairs in one call.  Per parent, returns the
+    replacement children: fully contained becomes a true hit, still
+    intersecting stays a candidate, disjoint is dropped; inherited true
+    hits replicate unchanged; children left with no references are omitted.
+    """
+    child_raw = child_cell_ids(
+        np.fromiter((raw for raw, _ in parents), dtype=np.uint64, count=len(parents))
     )
-
-
-def _assemble_replacements(
-    child_raw: np.ndarray,
-    true_refs: tuple[PolygonRef, ...],
-    candidate_pids: Sequence[int],
-    codes_by_pid: dict[int, np.ndarray],
-) -> list[tuple[CellId, tuple[PolygonRef, ...]]]:
-    """Merge per-polygon relation codes into per-child reference sets."""
-    replacements: list[tuple[CellId, tuple[PolygonRef, ...]]] = []
-    for slot in range(4):
-        child_refs: list[PolygonRef] = []
-        for pid in candidate_pids:
-            code = codes_by_pid[pid][slot]
-            if code == _CONTAINED:
-                child_refs.append(PolygonRef(pid, True))
-            elif code == _INTERSECTS:
-                child_refs.append(PolygonRef(pid, False))
-        merged = merge_refs(true_refs, child_refs)
-        if merged:
-            replacements.append((CellId(int(child_raw[slot])), merged))
+    rects = bound_rects_for_cell_ids(child_raw.ravel())
+    true_refs = [tuple(ref for ref in refs if ref.interior) for _, refs in parents]
+    pair_pids = [
+        ref.polygon_id for _, refs in parents for ref in refs if not ref.interior
+    ]
+    pair_counts = [len(refs) - len(true) for (_, refs), true in zip(parents, true_refs)]
+    # The children of parent ``slot`` are rects 4 * slot .. 4 * slot + 3.
+    pair_slots = np.repeat(np.arange(len(parents), dtype=np.int64), pair_counts)
+    codes = relations_for_pairs(
+        polygons,
+        rects,
+        (4 * pair_slots[:, None] + np.arange(4)).ravel(),
+        np.repeat(np.asarray(pair_pids, dtype=np.int64), 4),
+    ).reshape(-1, 4).tolist()
+    replacements = []
+    start = 0
+    for true, count, raws in zip(true_refs, pair_counts, child_raw.tolist()):
+        pairs = list(zip(pair_pids[start:start + count], codes[start:start + count]))
+        start += count
+        children = []
+        for child, raw in enumerate(raws):
+            merged = merge_refs(
+                true,
+                [
+                    PolygonRef(pid, row[child] == Relation.CONTAINED)
+                    for pid, row in pairs
+                    if row[child] != Relation.DISJOINT
+                ],
+            )
+            if merged:
+                children.append((CellId(raw), merged))
+        replacements.append(children)
     return replacements
 
 
@@ -248,23 +135,12 @@ def classify_split(
 ) -> list[tuple[CellId, tuple[PolygonRef, ...]]]:
     """Re-classify one expensive cell's children against its polygons.
 
-    Children are classified per candidate polygon: fully contained becomes
-    a true hit, still intersecting stays a candidate, disjoint is dropped;
-    inherited true hits replicate unchanged.  Children left with no
-    references are omitted, so an empty result means every candidate
-    reference was a phantom (conflict resolution copied a coarse
-    ancestor's reference onto a cell the polygon never touches — see the
-    note in :mod:`repro.core.precision`).
+    An empty result means every candidate reference was a phantom
+    (conflict resolution copied a coarse ancestor's reference onto a cell
+    the polygon never touches — see the note in
+    :mod:`repro.core.precision`).
     """
-    true_refs = tuple(ref for ref in refs if ref.interior)
-    candidate_pids = [ref.polygon_id for ref in refs if not ref.interior]
-    child_raw = _child_cell_ids(cell.id)
-    lng_lo, lng_hi, lat_lo, lat_hi = bound_rects_for_cell_ids(child_raw)
-    codes_by_pid = {
-        pid: _rect_classifier(polygons[pid]).relations(lng_lo, lng_hi, lat_lo, lat_hi)
-        for pid in candidate_pids
-    }
-    return _assemble_replacements(child_raw, true_refs, candidate_pids, codes_by_pid)
+    return _classify_children([(cell.id, refs)], polygons)[0]
 
 
 def split_expensive_cell(
@@ -414,43 +290,10 @@ def _train_rounds(
     (a budget makes the stopping split order-sensitive).
     """
     while pending:
-        parent_raw = np.fromiter(
-            (entry[0] for entry in pending), dtype=np.uint64, count=len(pending)
-        )
-        lsb = parent_raw & (~parent_raw + np.uint64(1))
-        step = lsb >> np.uint64(2)
-        base = parent_raw - np.uint64(3) * step
-        child_raw = (
-            base[:, None]
-            + (np.arange(4, dtype=np.uint64) * np.uint64(2))[None, :] * step[:, None]
-        )
-        lng_lo, lng_hi, lat_lo, lat_hi = bound_rects_for_cell_ids(child_raw.ravel())
-        by_pid: dict[int, list[int]] = {}
-        for slot, (_, refs, _, _) in enumerate(pending):
-            for ref in refs:
-                if not ref.interior:
-                    by_pid.setdefault(ref.polygon_id, []).append(slot)
-        codes_by_entry: list[dict[int, np.ndarray]] = [{} for _ in pending]
-        for pid, slots in by_pid.items():
-            rect_index = (
-                np.repeat(np.asarray(slots, dtype=np.int64) * 4, 4)
-                + np.tile(np.arange(4, dtype=np.int64), len(slots))
-            )
-            codes = _rect_classifier(polygons[pid]).relations(
-                lng_lo[rect_index],
-                lng_hi[rect_index],
-                lat_lo[rect_index],
-                lat_hi[rect_index],
-            )
-            for position, slot in enumerate(slots):
-                codes_by_entry[slot][pid] = codes[position * 4 : position * 4 + 4]
         next_pending: list[_PendingSplit] = []
-        for slot, (raw, refs, leaf_ids, orig_idx) in enumerate(pending):
-            true_refs = tuple(ref for ref in refs if ref.interior)
-            candidate_pids = [ref.polygon_id for ref in refs if not ref.interior]
-            replacements = _assemble_replacements(
-                child_raw[slot], true_refs, candidate_pids, codes_by_entry[slot]
-            )
+        for (raw, _, leaf_ids, orig_idx), replacements in zip(
+            pending, _classify_children([entry[:2] for entry in pending], polygons)
+        ):
             if not replacements:
                 continue  # phantom candidates: keep the cell
             super_covering.replace_cell(CellId(raw), replacements)

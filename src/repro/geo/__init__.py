@@ -13,7 +13,7 @@ from repro.geo.rect import Rect
 from repro.geo.polygon import Polygon, Ring
 from repro.geo.pip import contains_point, contains_points
 from repro.geo.refine import RefinementEngine
-from repro.geo.relation import Relation, rect_polygon_relation
+from repro.geo.relation import Relation
 from repro.geo.wkt import polygon_from_wkt, polygon_to_wkt
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "contains_points",
     "RefinementEngine",
     "Relation",
-    "rect_polygon_relation",
     "polygon_from_wkt",
     "polygon_to_wkt",
 ]

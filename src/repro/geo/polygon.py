@@ -75,8 +75,8 @@ class Ring:
 class Polygon:
     """One outer ring plus optional hole rings, with even-odd semantics."""
 
-    __slots__ = ("outer", "holes", "_mbr", "_edge_cache", "_edgeset_cache",
-                 "_refine_cache", "_train_cache")
+    __slots__ = ("outer", "holes", "_mbr", "_edge_cache", "_refine_cache",
+                 "_relation_cache")
 
     def __init__(self, outer: Ring | Sequence[tuple[float, float]],
                  holes: Sequence[Ring | Sequence[tuple[float, float]]] = ()):
@@ -84,9 +84,8 @@ class Polygon:
         self.holes = [h if isinstance(h, Ring) else Ring(h) for h in holes]
         self._mbr: Rect | None = None
         self._edge_cache: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._edgeset_cache = None  # lazily built by repro.geo.relation
         self._refine_cache = None  # lazily built by repro.geo.refine
-        self._train_cache = None  # lazily built by repro.core.training
+        self._relation_cache = None  # lazily built by repro.geo.relation
 
     @property
     def rings(self) -> list[Ring]:
@@ -125,8 +124,8 @@ class Polygon:
     def __getstate__(self) -> tuple[Ring, list[Ring]]:
         """Pickle only the geometry, never the lazy caches.
 
-        The derived caches (edge arrays, edge sets, refinement bucket
-        rows, training classifiers) are all recomputable and can dwarf
+        The derived caches (edge arrays, refinement bucket rows, the
+        relation classifier) are all recomputable and can dwarf
         the vertex data; dropping them keeps spawn-shipped shard
         payloads lean.
         """

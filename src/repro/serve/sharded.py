@@ -805,7 +805,6 @@ class ShardedJoinService(ServiceFront):
             _check_shardable(name, index)
         self.num_shards = num_shards
         self.backend = backend
-        self._cache_cells = cache_cells
         self._gauges = (
             {
                 name: self._metrics.gauge(name, description)

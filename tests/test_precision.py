@@ -16,9 +16,11 @@ import pytest
 from repro.cells import CellId, level_for_max_diag_meters
 from repro.cells.metrics import EARTH_RADIUS_METERS
 from repro.core import PolygonIndex
-from repro.core.precision import classify_descendants, refine_to_precision
+from repro.core.precision import refine_to_precision
 from repro.geo.pip import contains_points
 from repro.geo.polygon import regular_polygon
+
+from oracles import classify_descendants
 
 _METERS_PER_DEGREE = EARTH_RADIUS_METERS * math.pi / 180.0
 
@@ -110,6 +112,9 @@ class TestRefinement:
 
 
 class TestClassifyDescendants:
+    """The recursive descent, now the parity oracle of the round loop
+    (``tests/test_build_parity.py`` holds the two against each other)."""
+
     def test_uniform_inside_kept_coarse(self):
         polygon = regular_polygon((-74.0, 40.7), 0.05, 16)
         cell = CellId.from_degrees(40.7, -74.0).parent(14)  # deep inside

@@ -1,20 +1,32 @@
-"""Tests for the rect/polygon relation used by the coverer.
+"""Tests for the rect/polygon relation every build stage classifies with.
 
 The contract is conservative: CONTAINED and DISJOINT must be exact;
-anything uncertain must be INTERSECTS.
+anything uncertain must be INTERSECTS.  Every case runs against both the
+batched production classifier (``repro.geo.relation``) and the scalar
+parity oracle (``tests/oracles.py``), and the two must agree.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo.pip import contains_points
 from repro.geo.polygon import Polygon, regular_polygon
 from repro.geo.rect import Rect
-from repro.geo.relation import Relation, rect_polygon_relation
+from repro.geo.relation import Relation, _rect_classifier
+
+import oracles
 
 SQUARE = Polygon([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)])
+
+
+def rect_polygon_relation(rect: Rect, polygon: Polygon) -> Relation:
+    """The batched classifier's verdict on one rect, checked against the
+    scalar oracle's."""
+    bounds = ([rect.lng_lo], [rect.lng_hi], [rect.lat_lo], [rect.lat_hi])
+    codes = _rect_classifier(polygon).relations(*map(np.asarray, bounds))
+    assert codes[0] == oracles.rect_polygon_relation(rect, polygon)
+    return Relation(int(codes[0]))
 
 
 class TestKnownCases:
@@ -80,3 +92,25 @@ class TestConservativeness:
         elif relation == Relation.DISJOINT:
             assert not inside.any()
         # INTERSECTS makes no promise, so nothing to check.
+
+
+class TestBatches:
+    """One call over many rects == one call per rect, whatever the chunking."""
+
+    def test_batch_matches_single_rects(self, holed_polygon, monkeypatch):
+        generator = np.random.default_rng(3)
+        lo_x = generator.uniform(-74.02, -73.99, 400)
+        lo_y = generator.uniform(40.69, 40.72, 400)
+        hi_x = lo_x + generator.uniform(0.0, 0.01, 400)
+        hi_y = lo_y + generator.uniform(0.0, 0.01, 400)
+        classifier = _rect_classifier(holed_polygon)
+        whole = classifier.relations(lo_x, hi_x, lo_y, hi_y)
+        assert set(whole.tolist()) == {0, 1, 2}
+        single = [
+            oracles.rect_polygon_relation(Rect(*bounds), holed_polygon)
+            for bounds in zip(lo_x, hi_x, lo_y, hi_y)
+        ]
+        assert whole.tolist() == [int(relation) for relation in single]
+        # Force many chunks: 8 edges -> 5 rects per chunk.
+        monkeypatch.setattr("repro.geo.relation._CLASSIFY_CHUNK_PAIRS", 40)
+        assert (classifier.relations(lo_x, hi_x, lo_y, hi_y) == whole).all()
