@@ -74,8 +74,8 @@ def main() -> None:
               f"throughput {stats.throughput_pps / 1e6:.1f} M points/s")
         for name, cache in stats.cache.items():
             print(f"  cache[{name}]: {cache.hit_rate:.1%} hit rate "
-                  f"({cache.hits:,} hits / {cache.requests:,} probes, "
-                  f"{cache.size:,} cells)")
+                  f"({cache.hits:,} hits / {cache.requests:,} looked up, "
+                  f"{cache.bypassed:,} bypassed, {cache.size:,} cells)")
 
 
 if __name__ == "__main__":

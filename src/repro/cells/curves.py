@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.cells import hilbert
 from repro.cells.cellid import MAX_LEVEL, POS_BITS, CellId
+from repro.cells.vectorized import face_ij_from_lat_lng_arrays
 from repro.core.super_covering import SuperCovering
 from repro.util.bits import U64_MASK
 
@@ -63,19 +64,8 @@ def morton_cell_ids_from_lat_lng_arrays(
 ) -> np.ndarray:
     """Morton-encoded leaf cell ids for point arrays (query-side twin of
     :func:`repro.cells.vectorized.cell_ids_from_lat_lng_arrays`)."""
-    from repro.cells.vectorized import (
-        face_uv_from_xyz,
-        ij_from_st,
-        st_from_uv,
-        xyz_from_lat_lng,
-    )
-
-    x, y, z = xyz_from_lat_lng(np.asarray(lats, dtype=np.float64),
-                               np.asarray(lngs, dtype=np.float64))
-    face, u, v = face_uv_from_xyz(x, y, z)
-    i = ij_from_st(st_from_uv(u))
-    j = ij_from_st(st_from_uv(v))
-    return morton_leaf_ids_from_face_ij(face, i, j)
+    face, i, j = face_ij_from_lat_lng_arrays(lats, lngs)
+    return morton_leaf_ids_from_face_ij(face, i, j).reshape(np.shape(lats))
 
 
 def reencode_super_covering_morton(covering: SuperCovering) -> SuperCovering:

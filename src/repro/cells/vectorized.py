@@ -6,6 +6,19 @@ benchmark, so this module re-implements the lat/lng -> leaf-cell-id pipeline
 (projection + Hilbert translation) over whole numpy arrays.  It produces
 bit-identical results to :meth:`repro.cells.cellid.CellId.from_lat_lng`
 (verified property-based in ``tests/test_vectorized.py``).
+
+The point path is one in-place pipeline of two stages.
+:func:`face_ij_from_lat_lng_arrays` writes ``x, y, z`` and their negations
+into one buffer, picks the face by comparisons on ``abs``, fetches the u
+and v numerators with one flat gather each through 6-entry row tables (no
+per-face masks), and runs the quadratic transform and the discretization
+in place on both coordinates at once.  :func:`leaf_ids_from_face_ij`
+walks the Hilbert curve over *byte lanes*: the nibbles of i and j are
+interleaved into the bytes of one ``uint64`` per point, and each of the
+eight steps reads its byte and writes its position byte through ``uint8``
+views around one gather from the 1024-entry :data:`WALK` table.  The
+stage-at-a-time pipeline this replaced lives on in ``tests/oracles.py`` as
+the parity oracle.
 """
 
 from __future__ import annotations
@@ -23,83 +36,146 @@ from repro.cells.projections import MAX_SIZE
 
 _POS_BITS = 61
 _CHUNK_MASK = (1 << LOOKUP_BITS) - 1
-_LOOKUP_POS_64 = LOOKUP_POS.astype(np.int64)
 _LOOKUP_IJ_64 = LOOKUP_IJ.astype(np.int64)
 #: Child k of a cell sits ``2 * k`` child-lsb steps above the first child.
 _CHILD_STEPS = np.arange(4, dtype=np.uint64) * np.uint64(2)
 
+# Cube-face projection by face: u and v numerators as rows of the signed
+# coordinate buffer ``[x, y, z, -x, -y, -z]`` (the denominator is row
+# ``face % 3``) — the six cases of ``projections.xyz_to_face_uv``.
+_UV_ROW = np.array([[1, 3, 3, 2, 2, 4], [2, 2, 4, 1, 3, 3]], dtype=np.intp)
 
-def xyz_from_lat_lng(lats: np.ndarray, lngs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit-sphere coordinates for degree arrays."""
-    phi = np.radians(lats)
-    theta = np.radians(lngs)
+#: One step of the Hilbert walk: ``WALK[orientation * 256 + i_nibble * 16
+#: + j_nibble]`` is ``next_orientation * 256 + position_byte`` —
+#: ``LOOKUP_POS`` re-keyed so the orientation sits above a byte of
+#: interleaved coordinates instead of below it.
+_ORIENTATION_BITS = 0x300
+_lookup_pos = LOOKUP_POS.astype(np.intp).reshape(256, 4).T  # [orientation, ij]
+WALK = (((_lookup_pos & 3) << 8) | (_lookup_pos >> 2)).reshape(1024)
+del _lookup_pos
+#: ``(face << 61) | 1`` per face: the bits of a leaf id around its position.
+_FACE_AND_MARKER = (np.arange(6, dtype=np.uint64) << np.uint64(_POS_BITS)) | np.uint64(1)
+#: The walk reads and writes ids through byte views: pin the byte order.
+_U64 = np.dtype("<u8")
+
+
+def xyz_from_lat_lng(
+    lats: np.ndarray, lngs: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Unit-sphere coordinates for degree arrays: one ``(3, ...)`` buffer
+    (``out``, when given) that unpacks as ``x, y, z``."""
+    xyz = np.empty((3,) + np.shape(lats)) if out is None else out
+    phi = np.radians(lats, out=xyz[2])
+    theta = np.radians(lngs, out=xyz[1])
     cos_phi = np.cos(phi)
-    return cos_phi * np.cos(theta), cos_phi * np.sin(theta), np.sin(phi)
+    np.multiply(cos_phi, np.cos(theta), out=xyz[0])
+    np.sin(theta, out=theta)
+    theta *= cos_phi
+    np.sin(phi, out=phi)
+    return xyz
 
 
-def face_uv_from_xyz(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized cube-face projection."""
-    ax = np.abs(x)
-    ay = np.abs(y)
-    az = np.abs(z)
-    face = np.where(
-        (ax >= ay) & (ax >= az),
-        np.where(x > 0, 0, 3),
-        np.where(ay >= az, np.where(y > 0, 1, 4), np.where(z > 0, 2, 5)),
-    ).astype(np.int64)
-    u = np.empty_like(x)
-    v = np.empty_like(x)
-    for f, (unum, uden, vnum, vden) in enumerate((
-        (y, x, z, x),        # face 0
-        (-x, y, z, y),       # face 1
-        (-x, z, -y, z),      # face 2
-        (z, x, y, x),        # face 3
-        (z, y, -x, y),       # face 4
-        (-y, z, -x, z),      # face 5
-    )):
-        sel = face == f
-        if np.any(sel):
-            u[sel] = unum[sel] / uden[sel]
-            v[sel] = vnum[sel] / vden[sel]
-    return face, u, v
+def face_ij_from_lat_lng_arrays(
+    lats: np.ndarray, lngs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cube face and leaf ``(i, j)`` coordinates of degree arrays, flat.
+
+    The projection every curve shares, bit-identical point by point to
+    ``xyz_to_face_uv`` + ``uv_to_st`` + ``st_to_ij`` of
+    :mod:`repro.cells.projections`.  The one place point coordinates
+    enter the cell pipeline, so the shapes are checked here.
+    """
+    lats = np.asarray(lats, dtype=np.float64)
+    lngs = np.asarray(lngs, dtype=np.float64)
+    if lats.shape != lngs.shape:
+        raise ValueError(
+            f"lats and lngs must have the same shape, got {lats.shape} and {lngs.shape}"
+        )
+    n = lats.size
+    signed = np.empty((6, n))
+    xyz = xyz_from_lat_lng(lats.reshape(n), lngs.reshape(n), out=signed[:3])
+    np.negative(xyz, out=signed[3:])
+    flat = signed.reshape(6 * n)
+    lanes = np.arange(n)
+    # The largest |component| picks the axis (ties: x over y over z) and
+    # its sign the face; `> 0` is the positive one, so NaN lands on face 5.
+    ax, ay, az = np.abs(xyz)
+    x_major = ax >= ay
+    x_major &= ax >= az
+    face = np.subtract(2, ay >= az, dtype=np.intp)
+    face *= ~x_major
+    index = face * n
+    index += lanes
+    major = flat[index]
+    face += 3
+    face -= np.multiply(major > 0.0, 3, dtype=np.intp)
+    # u and v: one flat gather each for the numerators, then both rows
+    # together through the quadratic transform.
+    uv = np.empty((2, n))
+    for row, offsets in enumerate(_UV_ROW * n):
+        np.take(offsets, face, out=index)
+        index += lanes
+        np.take(flat, index, out=uv[row])
+    uv /= major
+    # st = 0.5 * sqrt(1 + 3|uv|), mirrored for negative uv; ij = floor(st *
+    # MAX_SIZE) clamped.  st is never negative, so the cast's truncation is
+    # the floor (and NaN casts as it always did, then clamps to 0).
+    mirrored = ~(uv >= 0.0)
+    np.abs(uv, out=uv)
+    uv *= 3.0
+    uv += 1.0
+    np.sqrt(uv, out=uv)
+    uv *= 0.5
+    np.subtract(1.0, uv, out=uv, where=mirrored)
+    uv *= MAX_SIZE
+    ij = uv.astype(np.int64)
+    np.clip(ij, 0, MAX_SIZE - 1, out=ij)
+    return face, ij[0], ij[1]
 
 
-def st_from_uv(u: np.ndarray) -> np.ndarray:
-    """Vectorized quadratic uv -> st transform."""
-    # abs() keeps both sqrt arguments valid; the sign pick happens after.
-    root = 0.5 * np.sqrt(1.0 + 3.0 * np.abs(u))
-    return np.where(u >= 0.0, root, 1.0 - root)
-
-
-def ij_from_st(s: np.ndarray) -> np.ndarray:
-    """Vectorized discretization to leaf coordinates."""
-    ij = np.floor(s * MAX_SIZE).astype(np.int64)
-    return np.clip(ij, 0, MAX_SIZE - 1)
+def _nibbles_to_bytes(value: np.ndarray) -> np.ndarray:
+    """Spread the eight nibbles of a 32-bit value to the low nibbles of
+    the eight bytes of a ``uint64``."""
+    x = value.astype(_U64)
+    x |= x << np.uint64(16)
+    x &= np.uint64(0x0000FFFF0000FFFF)
+    x |= x << np.uint64(8)
+    x &= np.uint64(0x00FF00FF00FF00FF)
+    x |= x << np.uint64(4)
+    x &= np.uint64(0x0F0F0F0F0F0F0F0F)
+    return x
 
 
 def leaf_ids_from_face_ij(face: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Vectorized Hilbert translation: (face, i, j) -> leaf cell ids.
 
-    Mirrors the 8-chunk table walk of ``hilbert.leaf_pos_from_ij`` with a
-    table gather per chunk.  All intermediate math runs in int64 (positions
-    use at most 60 bits) and the final assembly switches to uint64.
+    The 8-chunk table walk of ``hilbert.leaf_pos_from_ij`` over *byte
+    lanes*: byte k of ``steps`` holds chunk k of i and j interleaved
+    (``iiiijjjj``), and each step reads its byte through a ``uint8`` view,
+    looks ``orientation | byte`` up in :data:`WALK`, and stores the
+    position byte through a ``uint8`` view of the result — no shifts or
+    masks per chunk.
     """
-    face = np.asarray(face, dtype=np.int64)
-    i = np.asarray(i, dtype=np.int64)
-    j = np.asarray(j, dtype=np.int64)
-    pos = np.zeros(face.shape, dtype=np.int64)
-    bits = face & SWAP_MASK
+    face = np.asarray(face, dtype=np.intp)
+    shape = face.shape
+    n = face.size
+    steps = _nibbles_to_bytes(np.asarray(i).reshape(n))
+    steps <<= np.uint64(LOOKUP_BITS)
+    steps |= _nibbles_to_bytes(np.asarray(j).reshape(n))
+    step_bytes = steps.view(np.uint8).reshape(n, 8)
+    face = face.reshape(n)
+    ids = np.empty(n, dtype=_U64)
+    id_bytes = ids.view(np.uint8).reshape(n, 8)
+    orientation = (face & SWAP_MASK) << 8
+    index = np.empty(n, dtype=np.intp)
     for k in range(7, -1, -1):
-        index = bits
-        index = index + (((i >> (k * LOOKUP_BITS)) & _CHUNK_MASK) << (LOOKUP_BITS + 2))
-        index = index + (((j >> (k * LOOKUP_BITS)) & _CHUNK_MASK) << 2)
-        looked = _LOOKUP_POS_64[index]
-        pos |= (looked >> 2) << (k * 2 * LOOKUP_BITS)
-        bits = looked & 3
-    ids = (face.astype(np.uint64) << np.uint64(_POS_BITS)) \
-        | (pos.astype(np.uint64) << np.uint64(1)) \
-        | np.uint64(1)
-    return ids
+        np.bitwise_or(step_bytes[:, k], orientation, out=index)
+        orientation = WALK[index]
+        id_bytes[:, k] = orientation  # the cast keeps the position byte
+        orientation &= _ORIENTATION_BITS
+    ids <<= np.uint64(1)
+    ids |= _FACE_AND_MARKER[face]
+    return ids.astype(np.uint64, copy=False).reshape(shape)
 
 
 def face_ij_from_leaf_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,77 +208,9 @@ def face_ij_from_leaf_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
 def cell_ids_from_lat_lng_arrays(lats: np.ndarray, lngs: np.ndarray) -> np.ndarray:
     """Leaf cell ids (uint64) for parallel lat/lng degree arrays."""
-    lats = np.asarray(lats, dtype=np.float64)
-    lngs = np.asarray(lngs, dtype=np.float64)
-    x, y, z = xyz_from_lat_lng(lats, lngs)
-    face, u, v = face_uv_from_xyz(x, y, z)
-    i = ij_from_st(st_from_uv(u))
-    j = ij_from_st(st_from_uv(v))
-    return leaf_ids_from_face_ij(face, i, j)
-
-
-def home_rows_from_entries(
-    entry_rows: np.ndarray, entry_pids: np.ndarray, num_polygons: int
-) -> np.ndarray:
-    """Home-cell row per polygon id: the median covering entry in curve order.
-
-    ``entry_rows``/``entry_pids`` are the flattened (cell, polygon-ref)
-    entry arrays of a super covering, with rows indexing the *id-sorted*
-    cell sequence — so each polygon's entries occupy a (mostly
-    contiguous) band of rows along the space-filling curve, and the
-    median entry row anchors the polygon at the center of its band.
-    That cell is cut-independent, which is what lets the sharded serving
-    layer assign every polygon one *home shard* before any cut points
-    exist: the home shard is simply the shard the home cell lands in.
-
-    The median is deliberately preferred over the minimum covering cell
-    id: coverings that straddle a curve discontinuity (a face boundary)
-    split into a tiny low-id band plus the main band, and a min-id
-    anchor then collapses *every* polygon's home into the low-id sliver
-    — observed on the bench ``neighborhoods`` dataset, where all homes
-    landed in the first ~750 of 121k cells and owned-work cut placement
-    degenerated.  The median lands in the main band and keeps owned
-    work distributed like entry mass.
-
-    Returns an ``int64`` array of length ``num_polygons`` holding each
-    polygon's home row, ``-1`` for unreferenced ids (holes in the id
-    space).
-    """
-    entry_rows = np.asarray(entry_rows, dtype=np.int64)
-    entry_pids = np.asarray(entry_pids, dtype=np.int64)
-    counts = np.bincount(entry_pids, minlength=num_polygons)
-    if len(counts) > num_polygons:
-        raise ValueError(
-            f"entry pid {int(entry_pids.max())} out of range for "
-            f"{num_polygons} polygons"
-        )
-    # Stable sort by pid keeps each polygon's rows in ascending row
-    # order (entries arrive row-major), so the group's middle element is
-    # its median entry row.
-    order = np.argsort(entry_pids, kind="stable")
-    rows_by_pid = entry_rows[order]
-    starts = np.cumsum(counts) - counts
-    referenced = counts > 0
-    home = np.full(num_polygons, -1, dtype=np.int64)
-    home[referenced] = rows_by_pid[(starts + counts // 2)[referenced]]
-    return home
-
-
-def owned_entry_mask(
-    entry_shards: np.ndarray, entry_pids: np.ndarray, home_shards: np.ndarray
-) -> np.ndarray:
-    """Class-assignment kernel: is each (cell, ref) entry *owned*?
-
-    An entry is owned when it lives in its polygon's home shard and
-    *borrowed* when the polygon's covering straddles a cut into a
-    foreign shard.  Every entry belongs to exactly one class (a boolean
-    per entry), so the classes partition a plan's refinement work with
-    no overlap and shard results need no cross-shard dedup.
-    """
-    entry_pids = np.asarray(entry_pids, dtype=np.int64)
-    return np.asarray(home_shards)[entry_pids] == np.asarray(
-        entry_shards, dtype=np.int64
-    )
+    face, i, j = face_ij_from_lat_lng_arrays(lats, lngs)
+    # `[()]`: an array for array input, a scalar for 0-d input.
+    return leaf_ids_from_face_ij(face, i, j).reshape(np.shape(lats))[()]
 
 
 def range_bounds_from_cell_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,8 @@ Design points reproduced from the paper:
   in each 8-byte slot distinguish pointer / one inlined reference / two
   inlined references / lookup-table offset (see repro.core.lookup_table).
 * **Sentinel** — empty slots hold the zero entry, a "pointer to the
-  sentinel node", so the probe loop needs no emptiness branch.
+  sentinel node" (node 0, all zeros), so the probe loop needs no
+  emptiness branch.
 * **Root-level common prefix** — each face tree skips the levels all its
   keys share; a probe first verifies the skipped bits.
 * **Face trees** — up to six trees, selected by the top 3 id bits.
@@ -27,6 +28,20 @@ The node pool is a single numpy ``uint64`` array (node = ``fanout``
 consecutive slots), which makes the probe a level-synchronous gather loop
 over whole query batches and makes the modeled memory footprint (what the
 C++ original would allocate) exact: ``num_nodes * fanout * 8`` bytes.
+
+The probe is one descent for the whole batch.  8-entry *root tables*
+indexed by an id's face bits give every lane its tree's root and the
+prefix it must match (a face without a tree holds an unmatchable prefix,
+so its lanes start in the sentinel); one table set per distinct prefix
+depth, normally one.  Per level a lane gathers ``pool[current + slot]``;
+a value is copied out and the lane moves to the sentinel, a zero entry
+*is* a move to the sentinel, and a lane in the sentinel keeps reading
+zeros — resolved and fallen-off lanes need no test, no scatter and no
+compaction.  Only when fewer than a quarter of the lanes are still live
+does the descent continue on a compacted copy (one ``count_nonzero`` per
+level, which also ends the loop): without that rule a batch that mostly
+misses — world-wide points against one city's index — would drag every
+lane through every level.
 """
 
 from __future__ import annotations
@@ -36,7 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cells.cellid import MAX_LEVEL, CellId
+from repro.cells.cellid import MAX_LEVEL
+from repro.cells.vectorized import levels_from_cell_ids
 from repro.core.lookup_table import LookupTable, TAG_POINTER
 from repro.core.refs import PolygonRef
 from repro.core.super_covering import SuperCovering
@@ -44,6 +60,15 @@ from repro.util.timing import Timer
 
 #: Bit position of the face field inside a cell id.
 _FACE_SHIFT = 61
+_TAG_BITS = np.uint64(2)
+_TAG_MASK = np.uint64(3)
+_TAG_POINTER = np.uint64(TAG_POINTER)
+#: The descent compacts its lane set when fewer than one lane in this
+#: many is still live (see ``AdaptiveCellTrie._descend``).
+_COMPACT_BELOW = 4
+#: A root-table prefix no id can match: prefix shifts are >= 1, so a
+#: shifted id never has its top bit set.
+_NO_PREFIX = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 @dataclass
@@ -73,6 +98,21 @@ class _FaceTree:
     prefix_shift: int  # query bits above this must equal prefix_value
     prefix_value: int
     prefix_depth: int  # ACT levels skipped by the common prefix
+
+
+@dataclass
+class _RootTable:
+    """Where a probe starts, for every face tree sharing one prefix depth.
+
+    The 8-entry arrays are indexed by an id's top three bits.  A face
+    with no tree (at this prefix depth) holds ``_NO_PREFIX``, so its
+    lanes start in the sentinel node.
+    """
+
+    prefix_depth: int
+    prefix_shift: np.uint64
+    prefix_value: np.ndarray  # uint64
+    root_base: np.ndarray  # int64 slot bases
 
 
 class AdaptiveCellTrie:
@@ -110,6 +150,7 @@ class AdaptiveCellTrie:
         self.num_input_cells = super_covering.num_cells
         with Timer() as timer:
             self._build(super_covering)
+            self._index_roots()
         self.build_seconds = timer.seconds
 
     @classmethod
@@ -153,6 +194,7 @@ class AdaptiveCellTrie:
             for row in faces
         }
         store._face_values = {int(row[0]): int(row[1]) for row in face_values}
+        store._index_roots()
         return store
 
     # ------------------------------------------------------------------
@@ -249,6 +291,28 @@ class AdaptiveCellTrie:
                 prefix_depth=prefix_depth,
             )
 
+    def _index_roots(self) -> None:
+        """Root tables of the face trees (one per distinct prefix depth,
+        normally one) and the entry table of level-0 cells."""
+        by_depth: dict[int, _RootTable] = {}
+        for face, tree in self._face_trees.items():
+            roots = by_depth.get(tree.prefix_depth)
+            if roots is None:
+                roots = by_depth[tree.prefix_depth] = _RootTable(
+                    prefix_depth=tree.prefix_depth,
+                    prefix_shift=np.uint64(tree.prefix_shift),
+                    prefix_value=np.full(8, _NO_PREFIX, dtype=np.uint64),
+                    root_base=np.zeros(8, dtype=np.int64),
+                )
+            roots.prefix_value[face] = tree.prefix_value
+            roots.root_base[face] = tree.root_base
+        self._root_tables = [by_depth[depth] for depth in sorted(by_depth)]
+        self._face_entry = np.zeros(8, dtype=np.uint64)
+        self._has_face_entry = np.zeros(8, dtype=bool)
+        for face, entry in self._face_values.items():
+            self._face_entry[face] = entry
+            self._has_face_entry[face] = True
+
     def _extend_keys(
         self, super_covering: SuperCovering
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -269,15 +333,8 @@ class AdaptiveCellTrie:
                 entry = self.lookup_table.encode(refs)
                 entry_cache[refs] = entry
             entries[index] = entry
-        # Levels from the trailing marker bit.
         lsb = ids & (~ids + np.uint64(1))
-        lsb_pos = np.zeros(count, dtype=np.int64)
-        tmp = lsb.copy()
-        for shift in (32, 16, 8, 4, 2, 1):
-            high = tmp >= (np.uint64(1) << np.uint64(shift))
-            lsb_pos[high] += shift
-            tmp[high] >>= np.uint64(shift)
-        levels = MAX_LEVEL - lsb_pos // 2
+        levels = levels_from_cell_ids(ids)
         if np.any(levels < 0):
             raise ValueError("invalid cell id in super covering")
         remainders = levels % delta
@@ -336,52 +393,94 @@ class AdaptiveCellTrie:
     def _probe_impl(
         self, query_ids: np.ndarray, instrument: bool
     ) -> tuple[np.ndarray, ProbeStats]:
-        query_ids = np.ascontiguousarray(query_ids, dtype=np.uint64)
-        out = np.zeros(len(query_ids), dtype=np.uint64)
-        depths = np.zeros(len(query_ids), dtype=np.int16) if instrument else None
+        ids = np.ascontiguousarray(query_ids, dtype=np.uint64)
+        out = np.zeros(len(ids), dtype=np.uint64)
+        depths = np.zeros(len(ids), dtype=np.int16) if instrument else None
         node_accesses = 0
         prefix_rejections = 0
-        faces = (query_ids >> np.uint64(_FACE_SHIFT)).astype(np.int64)
-        for face, tree in self._face_trees.items():
-            face_idx = np.nonzero(faces == face)[0]
-            if face_idx.size == 0:
-                continue
-            sub = query_ids[face_idx]
-            ok = (sub >> np.uint64(tree.prefix_shift)) == np.uint64(tree.prefix_value)
+        top = (ids >> np.uint64(_FACE_SHIFT)).astype(np.intp)
+        # Arithmetic shifts of the signed view keep the low slot bits exact
+        # and make ``slots`` an index array numpy gathers without a cast.
+        signed_ids = ids.view(np.int64)
+        for roots in self._root_tables:
+            prefix = roots.prefix_value[top]
+            accepted = (ids >> roots.prefix_shift) == prefix
+            current = roots.root_base[top]
+            current *= accepted
             if instrument:
-                prefix_rejections += int(face_idx.size - np.count_nonzero(ok))
-            active_idx = face_idx[ok]
-            active_ids = sub[ok]
-            current = np.full(active_idx.size, tree.root_base, dtype=np.uint64)
-            depth = tree.prefix_depth
-            # A value at tree depth d is read while iterating at depth d-1,
-            # so _max_value_depth bounds the loop; the shift stays >= 1
-            # because d * delta <= 30.
-            max_depth = self._max_value_depth
-            while active_idx.size and depth < max_depth:
-                shift = _FACE_SHIFT - 2 * self.delta * (depth + 1)
-                bits = (active_ids >> np.uint64(shift)) & np.uint64(self.fanout - 1)
-                entries = self.pool[current + bits]
-                if instrument:
-                    node_accesses += int(active_idx.size)
-                    depths[active_idx] += 1
-                is_value = (entries & np.uint64(3)) != np.uint64(TAG_POINTER)
-                if np.any(is_value):
-                    out[active_idx[is_value]] = entries[is_value]
-                descend = (~is_value) & (entries != np.uint64(0))
-                active_idx = active_idx[descend]
-                active_ids = active_ids[descend]
-                current = entries[descend] >> np.uint64(2)
-                depth += 1
-        for face, entry in self._face_values.items():
-            sel = faces == face
-            out[sel] = np.uint64(entry)
+                # Lanes on a face with a tree, minus the lanes it accepted.
+                prefix_rejections += int(
+                    np.count_nonzero(prefix != _NO_PREFIX)
+                    - np.count_nonzero(accepted)
+                )
+            node_accesses += self._descend(
+                signed_ids, current, roots.prefix_depth, out, depths
+            )
+        if self._face_values:
+            np.copyto(out, self._face_entry[top], where=self._has_face_entry[top])
         stats = ProbeStats(
             depths=depths if instrument else np.zeros(0, dtype=np.int16),
             node_accesses=node_accesses,
             prefix_rejections=prefix_rejections,
         )
         return out, stats
+
+    def _descend(
+        self,
+        ids: np.ndarray,
+        current: np.ndarray,
+        depth: int,
+        out: np.ndarray,
+        depths: np.ndarray | None,
+    ) -> int:
+        """Level-synchronous descent of lanes starting at ``current``.
+
+        ``ids`` (int64 views of the leaf ids), ``current`` (node slot
+        bases, 0 = the sentinel), ``out`` and ``depths`` are parallel.  A
+        lane that resolves to a value or falls off the tree moves to the
+        sentinel node, where every later gather reads the zero entry: no
+        per-level test, scatter or compaction.  Only when fewer than
+        ``1 / _COMPACT_BELOW`` of the lanes are still live does the
+        descent continue on a compacted copy.  Returns the node accesses
+        (live lanes summed over levels); ``depths``, when given, gains
+        each lane's share of them.
+        """
+        pool = self.pool
+        slot_mask = self.fanout - 1
+        node_accesses = 0
+        # A value at tree depth d is read while iterating at depth d-1, so
+        # _max_value_depth bounds the loop; the shift stays >= 1 because
+        # d * delta <= 30.
+        while depth < self._max_value_depth:
+            live = int(np.count_nonzero(current))
+            if live == 0:
+                break
+            if live * _COMPACT_BELOW < len(current):
+                keep = np.flatnonzero(current)
+                found = np.zeros(live, dtype=np.uint64)
+                steps = None if depths is None else np.zeros(live, dtype=np.int16)
+                node_accesses += self._descend(
+                    ids[keep], current[keep], depth, found, steps
+                )
+                # Live lanes have resolved nothing yet, so plain stores.
+                out[keep] = found
+                if depths is not None:
+                    depths[keep] += steps
+                break
+            node_accesses += live
+            if depths is not None:
+                depths += current != 0
+            depth += 1
+            slots = ids >> (_FACE_SHIFT - 2 * self.delta * depth)
+            slots &= slot_mask
+            slots += current
+            entries = pool[slots]
+            is_value = (entries & _TAG_MASK) != _TAG_POINTER
+            np.copyto(out, entries, where=is_value)
+            entries >>= _TAG_BITS
+            current = entries.view(np.int64)
+            current *= ~is_value
+        return node_accesses
 
     def probe_one(self, query_id: int) -> tuple[PolygonRef, ...]:
         """Scalar convenience probe returning decoded references."""

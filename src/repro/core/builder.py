@@ -294,6 +294,11 @@ def join_probe_view(
     lngs = np.asarray(lngs, dtype=np.float64)
     if cell_ids is None:
         cell_ids = cell_ids_from_lat_lng_arrays(lats, lngs)
+    elif len(cell_ids) != len(lats):
+        raise ValueError(
+            f"cell_ids must hold one id per point, got {len(cell_ids)} ids "
+            f"for {len(lats)} points"
+        )
     if num_threads > 1:
         return parallel_count_join(
             view.store,

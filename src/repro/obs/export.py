@@ -114,7 +114,7 @@ _SERVICE_SCALARS = (
     ("retrains", "completed adaptation retrains"),
 )
 
-_CACHE_FIELDS = ("capacity", "size", "hits", "misses", "evictions")
+_CACHE_FIELDS = ("capacity", "size", "hits", "misses", "evictions", "bypassed")
 _LAYER_FIELDS = ("version", "delta_size", "num_polygons", "compactions")
 _ADAPTATION_FIELDS = (
     "window_points", "window_sth_rate", "tracked_keys", "retrains_started",

@@ -25,10 +25,24 @@ tracks an exact LRU closely on skewed streams (a hot key is refreshed
 every batch, so a flood of cold keys can only displace other cold keys)
 at the cost of a few conflict misses an exact LRU would not have.
 
+Standing aside (the only selection, made from what the table observes):
+a lookup plus the write-back of its misses costs about as much as the
+trie probe they are meant to save, so the table only pays off on streams
+that mostly hit.  A lookup that misses more than half of its keys
+therefore makes the table *decline* the next ``_STAND_ASIDE_LOOKUPS``
+lookups — :meth:`HotCellCache.lookup` returns ``None`` and
+:class:`CachedCellStore` probes its store directly, with no write-back —
+after which one lookup samples the stream again, so a stream that turns
+cacheable is back on the table within two samples.  The first lookup of
+a table's life is exempt: an empty table misses any stream, and a served
+layer gets a fresh table after every write.
+
 Hit/miss accounting is weighted by *points*, not by distinct cells: a
 micro-batch whose 10,000 points all fall in one cached cell records
 10,000 hits, which is exactly the number of trie descents the cache
-short-circuited.
+short-circuited.  Points of declined lookups are counted as
+``bypassed``, beside — not inside — the hits and misses, so the hit rate
+stays that of the keys actually looked up.
 """
 
 from __future__ import annotations
@@ -39,11 +53,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cells.cellid import MAX_LEVEL
+from repro.util.timing import Timer
 
 # Two odd 64-bit multipliers (golden ratio, an xxHash prime): the top
 # bits of ``key * multiplier mod 2**64`` are the key's two slot choices.
 _HASH_FIRST = np.uint64(0x9E3779B97F4A7C15)
 _HASH_SECOND = np.uint64(0xC2B2AE3D27D4EB4F)
+#: Lookups the table declines after one that missed most of its keys.
+_STAND_ASIDE_LOOKUPS = 15
 
 
 @dataclass(frozen=True)
@@ -55,9 +72,12 @@ class CacheStats:
     hits: int
     misses: int
     evictions: int
+    #: Points whose lookup the table declined (probed directly instead).
+    bypassed: int = 0
 
     @property
     def requests(self) -> int:
+        """Keys actually looked up (bypassed points are not requests)."""
         return self.hits + self.misses
 
     @property
@@ -97,6 +117,9 @@ class HotCellCache:
         self._hits = 0  #: guarded_by(_lock)
         self._misses = 0  #: guarded_by(_lock)
         self._evictions = 0  #: guarded_by(_lock)
+        self._bypassed = 0  #: guarded_by(_lock)
+        # Lookups still to decline (see the module docstring).
+        self._stand_aside = 0  #: guarded_by(_lock)
 
     def _slot_choices(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         shift = self._hash_shift
@@ -105,17 +128,28 @@ class HotCellCache:
             ((keys * _HASH_SECOND) >> shift).astype(np.intp),
         )
 
-    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    def lookup(
+        self, keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, int] | None:
         """Cached entries for a batch of keys (repeats welcome).
 
         Returns ``(entries, missing, tick)``: one entry per key, zero at
         the positions listed in ``missing`` (ascending indices of the
         keys not cached), and the batch's tick, to be handed back to
         :meth:`insert`.  Every key counts as one hit or one miss.
+
+        Returns ``None`` while the table stands aside (counting the keys
+        as ``bypassed``): the caller probes its store directly and does
+        not :meth:`insert`.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         if self.capacity == 0:
             return np.zeros(len(keys), dtype=np.uint64), np.arange(len(keys)), 0
+        with self._lock:
+            if self._stand_aside:
+                self._stand_aside -= 1
+                self._bypassed += len(keys)
+                return None
         first, second = self._slot_choices(keys)
         with self._lock:
             self._tick += 1
@@ -128,6 +162,10 @@ class HotCellCache:
             missing = np.flatnonzero(~hit)
             self._hits += len(keys) - len(missing)
             self._misses += len(missing)
+            # An empty table misses any stream, so its first lookup says
+            # nothing about the stream.
+            if tick > 1 and 2 * len(missing) > len(keys):
+                self._stand_aside = _STAND_ASIDE_LOOKUPS
         entries[missing] = 0
         return entries, missing, tick
 
@@ -197,6 +235,7 @@ class HotCellCache:
             self._ticks[:] = 0
             self._tick = 0
             self._hits = self._misses = self._evictions = 0
+            self._bypassed = self._stand_aside = 0
 
     def stats(self) -> CacheStats:
         with self._lock:
@@ -206,6 +245,7 @@ class HotCellCache:
                 hits=self._hits,
                 misses=self._misses,
                 evictions=self._evictions,
+                bypassed=self._bypassed,
             )
 
 
@@ -234,8 +274,9 @@ class CachedCellStore:
     Truncates the batch's leaf ids to cache keys (by ``key_shift``, see
     :func:`key_shift_for_level`), gathers the cached entries from the
     table, probes the underlying store with only the points whose key was
-    missing, and writes those entries back — so downstream decoding and
-    refinement see exactly what a direct ``store.probe`` would return.
+    missing, and writes those entries back — or, while the table stands
+    aside, probes the store with the whole batch — so downstream decoding
+    and refinement see exactly what a direct ``store.probe`` would return.
     The batch is never deduplicated: a repeated missing key costs one
     more lane of the store's vectorized probe, which is cheaper than
     finding the repeats.
@@ -245,9 +286,10 @@ class CachedCellStore:
     receives the unique keys, their point weights, and the resolved
     entries.  Only this branch pays for a dedup pass.
 
-    ``tracer`` is an optional :class:`~repro.obs.trace.Tracer`; the table
-    lookup of each batch shows up as a ``cache_lookup`` child span of the
-    active dispatch, with its point-weighted miss count.
+    ``tracer`` is an optional :class:`~repro.obs.trace.Tracer`; each
+    table lookup that happens (a declined one does not) shows up as a
+    ``cache_lookup`` child span of the active dispatch, with its
+    point-weighted miss count.
     """
 
     def __init__(self, store, cache: HotCellCache, key_shift: int = 0,
@@ -284,12 +326,15 @@ class CachedCellStore:
         self, query_ids: np.ndarray, keys: np.ndarray
     ) -> np.ndarray:
         cache = self.cache
+        with Timer() as timer:
+            looked = cache.lookup(keys)
+        if looked is None:
+            return self.store.probe(query_ids)
+        entries, missing, tick = looked
         if self.tracer is not None:
-            with self.tracer.span("cache_lookup") as span:
-                entries, missing, tick = cache.lookup(keys)
-                span.set(keys=len(keys), misses=len(missing))
-        else:
-            entries, missing, tick = cache.lookup(keys)
+            self.tracer.emit(
+                "cache_lookup", timer.seconds, keys=len(keys), misses=len(missing)
+            )
         if missing.size:
             missed = self.store.probe(query_ids[missing])
             entries[missing] = missed

@@ -250,14 +250,19 @@ class ServiceFront:
         name, index = self._router.resolve(layer)
         lats = np.asarray(lats, dtype=np.float64)
         lngs = np.asarray(lngs, dtype=np.float64)
+        if cell_ids is not None:
+            cell_ids = np.asarray(cell_ids, dtype=np.uint64)
+            if len(cell_ids) != len(lats):
+                raise ValueError(
+                    f"cell_ids must hold one id per point, got {len(cell_ids)} "
+                    f"ids for {len(lats)} points"
+                )
         with Timer() as timer:
             with self._tracer.dispatch(
                 "dispatch", layer=name, points=len(lats), exact=exact
             ):
                 if cell_ids is None:
                     cell_ids = index.cell_ids_for(lats, lngs)
-                else:
-                    cell_ids = np.asarray(cell_ids, dtype=np.uint64)
                 result = self._dispatch(
                     name, index, cell_ids, lats, lngs, exact, materialize
                 )

@@ -80,11 +80,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.cells.vectorized import (
-    home_rows_from_entries,
-    owned_entry_mask,
-    range_bounds_from_cell_ids,
-)
+from repro.cells.vectorized import range_bounds_from_cell_ids
 from repro.core.adaptive import AdaptationPolicy
 from repro.core.builder import (
     PolygonIndex,
@@ -117,6 +113,70 @@ class ShardWorkerError(RuntimeError):
 # ----------------------------------------------------------------------
 # The shard plan: Hilbert cell-id range partitioning
 # ----------------------------------------------------------------------
+
+
+def home_rows_from_entries(
+    entry_rows: np.ndarray, entry_pids: np.ndarray, num_polygons: int
+) -> np.ndarray:
+    """Home-cell row per polygon id: the median covering entry in curve order.
+
+    ``entry_rows``/``entry_pids`` are the flattened (cell, polygon-ref)
+    entry arrays of a super covering, with rows indexing the *id-sorted*
+    cell sequence — so each polygon's entries occupy a (mostly
+    contiguous) band of rows along the space-filling curve, and the
+    median entry row anchors the polygon at the center of its band.
+    That cell is cut-independent, which is what lets the sharded serving
+    layer assign every polygon one *home shard* before any cut points
+    exist: the home shard is simply the shard the home cell lands in.
+
+    The median is deliberately preferred over the minimum covering cell
+    id: coverings that straddle a curve discontinuity (a face boundary)
+    split into a tiny low-id band plus the main band, and a min-id
+    anchor then collapses *every* polygon's home into the low-id sliver
+    — observed on the bench ``neighborhoods`` dataset, where all homes
+    landed in the first ~750 of 121k cells and owned-work cut placement
+    degenerated.  The median lands in the main band and keeps owned
+    work distributed like entry mass.
+
+    Returns an ``int64`` array of length ``num_polygons`` holding each
+    polygon's home row, ``-1`` for unreferenced ids (holes in the id
+    space).
+    """
+    entry_rows = np.asarray(entry_rows, dtype=np.int64)
+    entry_pids = np.asarray(entry_pids, dtype=np.int64)
+    counts = np.bincount(entry_pids, minlength=num_polygons)
+    if len(counts) > num_polygons:
+        raise ValueError(
+            f"entry pid {int(entry_pids.max())} out of range for "
+            f"{num_polygons} polygons"
+        )
+    # Stable sort by pid keeps each polygon's rows in ascending row
+    # order (entries arrive row-major), so the group's middle element is
+    # its median entry row.
+    order = np.argsort(entry_pids, kind="stable")
+    rows_by_pid = entry_rows[order]
+    starts = np.cumsum(counts) - counts
+    referenced = counts > 0
+    home = np.full(num_polygons, -1, dtype=np.int64)
+    home[referenced] = rows_by_pid[(starts + counts // 2)[referenced]]
+    return home
+
+
+def owned_entry_mask(
+    entry_shards: np.ndarray, entry_pids: np.ndarray, home_shards: np.ndarray
+) -> np.ndarray:
+    """Class-assignment kernel: is each (cell, ref) entry *owned*?
+
+    An entry is owned when it lives in its polygon's home shard and
+    *borrowed* when the polygon's covering straddles a cut into a
+    foreign shard.  Every entry belongs to exactly one class (a boolean
+    per entry), so the classes partition a plan's refinement work with
+    no overlap and shard results need no cross-shard dedup.
+    """
+    entry_pids = np.asarray(entry_pids, dtype=np.int64)
+    return np.asarray(home_shards)[entry_pids] == np.asarray(
+        entry_shards, dtype=np.int64
+    )
 
 
 @dataclass(frozen=True)
@@ -1232,6 +1292,7 @@ class ShardedJoinService(ServiceFront):
                     hits=sum(s.hits for s in slices),
                     misses=sum(s.misses for s in slices),
                     evictions=sum(s.evictions for s in slices),
+                    bypassed=sum(s.bypassed for s in slices),
                 )
         layers = {
             name: LayerStatus(

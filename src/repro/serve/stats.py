@@ -151,6 +151,7 @@ class ServiceStats:
                     "hits": int(stats.hits),
                     "misses": int(stats.misses),
                     "evictions": int(stats.evictions),
+                    "bypassed": int(stats.bypassed),
                     "requests": int(stats.requests),
                     "hit_rate": float(stats.hit_rate),
                 }

@@ -1,11 +1,17 @@
-"""Parity oracles: the scalar one-cell-at-a-time build kernels.
+"""Parity oracles: the scalar one-cell-at-a-time build kernels, and the
+stage-by-stage lat/lng -> cell id pipeline.
 
-Until 1.12.0 these were the production coverer, relation test and
+Until 1.12.0 the first were the production coverer, relation test and
 precision descent.  The build now classifies whole rounds of cells through
 ``repro.geo.relation._RectClassifier``; the scalar versions live on here —
 next to ``train_super_covering_sequential``'s role for training — so the
 property tests can assert the batched kernels agree with them cell for
 cell (``tests/test_build_parity.py``, ``tests/test_relation.py``).
+
+Until 1.13.0 the second was ``repro.cells.vectorized``: one function and a
+set of temporaries per stage, a boolean-masked scatter per cube face, a
+shift-and-mask Hilbert walk.  The production kernel is now one in-place
+pass; ``tests/test_vectorized.py`` asserts it returns the same ids.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ import numpy as np
 from repro.cells.cell import bound_rect_from_face_ij, cell_bound_rect
 from repro.cells.cellid import MAX_LEVEL as MAX_CELL_LEVEL
 from repro.cells.cellid import NUM_FACES, CellId
+from repro.cells.hilbert import LOOKUP_BITS, LOOKUP_POS, SWAP_MASK
+from repro.cells.projections import MAX_SIZE
 from repro.cells.coverer import CovererOptions
 from repro.cells.metrics import level_for_max_diag_meters
 from repro.core.precision import _uncovered_children
@@ -261,3 +269,94 @@ def refine_to_precision_descent(
                 replacements.append((gap, true_refs))
         super_covering.replace_cell(cell, replacements)
     return target_level
+
+
+# ----------------------------------------------------------------------
+# Staged lat/lng -> cell id pipeline
+# ----------------------------------------------------------------------
+
+
+def _staged_xyz_from_lat_lng(lats: np.ndarray, lngs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit-sphere coordinates for degree arrays."""
+    phi = np.radians(lats)
+    theta = np.radians(lngs)
+    cos_phi = np.cos(phi)
+    return cos_phi * np.cos(theta), cos_phi * np.sin(theta), np.sin(phi)
+
+
+def face_uv_from_xyz(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized cube-face projection."""
+    ax = np.abs(x)
+    ay = np.abs(y)
+    az = np.abs(z)
+    face = np.where(
+        (ax >= ay) & (ax >= az),
+        np.where(x > 0, 0, 3),
+        np.where(ay >= az, np.where(y > 0, 1, 4), np.where(z > 0, 2, 5)),
+    ).astype(np.int64)
+    u = np.empty_like(x)
+    v = np.empty_like(x)
+    for f, (unum, uden, vnum, vden) in enumerate((
+        (y, x, z, x),        # face 0
+        (-x, y, z, y),       # face 1
+        (-x, z, -y, z),      # face 2
+        (z, x, y, x),        # face 3
+        (z, y, -x, y),       # face 4
+        (-y, z, -x, z),      # face 5
+    )):
+        sel = face == f
+        if np.any(sel):
+            u[sel] = unum[sel] / uden[sel]
+            v[sel] = vnum[sel] / vden[sel]
+    return face, u, v
+
+
+def st_from_uv(u: np.ndarray) -> np.ndarray:
+    """Vectorized quadratic uv -> st transform."""
+    # abs() keeps both sqrt arguments valid; the sign pick happens after.
+    root = 0.5 * np.sqrt(1.0 + 3.0 * np.abs(u))
+    return np.where(u >= 0.0, root, 1.0 - root)
+
+
+def ij_from_st(s: np.ndarray) -> np.ndarray:
+    """Vectorized discretization to leaf coordinates."""
+    ij = np.floor(s * MAX_SIZE).astype(np.int64)
+    return np.clip(ij, 0, MAX_SIZE - 1)
+
+
+def staged_leaf_ids_from_face_ij(face: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Vectorized Hilbert translation: (face, i, j) -> leaf cell ids.
+
+    Mirrors the 8-chunk table walk of ``hilbert.leaf_pos_from_ij`` with a
+    shift, a mask and a ``LOOKUP_POS`` gather per chunk, all in int64.
+    """
+    face = np.asarray(face, dtype=np.int64)
+    i = np.asarray(i, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    pos = np.zeros(face.shape, dtype=np.int64)
+    bits = face & SWAP_MASK
+    lookup = LOOKUP_POS.astype(np.int64)
+    chunk_mask = (1 << LOOKUP_BITS) - 1
+    for k in range(7, -1, -1):
+        index = bits
+        index = index + (((i >> (k * LOOKUP_BITS)) & chunk_mask) << (LOOKUP_BITS + 2))
+        index = index + (((j >> (k * LOOKUP_BITS)) & chunk_mask) << 2)
+        looked = lookup[index]
+        pos |= (looked >> 2) << (k * 2 * LOOKUP_BITS)
+        bits = looked & 3
+    ids = (face.astype(np.uint64) << np.uint64(61)) \
+        | (pos.astype(np.uint64) << np.uint64(1)) \
+        | np.uint64(1)
+    return ids
+
+
+def staged_cell_ids_from_lat_lng_arrays(lats: np.ndarray, lngs: np.ndarray) -> np.ndarray:
+    """Leaf cell ids (uint64) for parallel lat/lng degree arrays, one
+    stage at a time (the production pipeline before 1.13.0)."""
+    lats = np.asarray(lats, dtype=np.float64)
+    lngs = np.asarray(lngs, dtype=np.float64)
+    x, y, z = _staged_xyz_from_lat_lng(lats, lngs)
+    face, u, v = face_uv_from_xyz(x, y, z)
+    i = ij_from_st(st_from_uv(u))
+    j = ij_from_st(st_from_uv(v))
+    return staged_leaf_ids_from_face_ij(face, i, j)

@@ -6,6 +6,8 @@ sorted-vector containment lookup (which is itself tested against a brute
 force scan).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,3 +200,208 @@ class TestInstrumentation:
         histogram = stats.depth_histogram()
         assert abs(sum(histogram.values()) - 1.0) < 1e-9
         assert stats.avg_depth > 0
+
+
+# ----------------------------------------------------------------------
+# The one-descent probe: root tables, sentinel retirement, compaction
+# ----------------------------------------------------------------------
+
+#: BASE sits on face 4; the deep tree lives there, the shallow one and the
+#: level-0 cell on two other faces, and the remaining faces hold nothing.
+DEEP_FACE = BASE.id >> 61
+SHALLOW_FACE, VALUE_FACE = [face for face in range(6) if face != DEEP_FACE][:2]
+
+
+def descend(cell: CellId, positions) -> CellId:
+    for position in positions:
+        cell = cell.child(position)
+    return cell
+
+
+def leaf_under(cell: CellId, fraction: float) -> int:
+    """A leaf id inside ``cell`` (``fraction`` of the way along its range)."""
+    lo, hi = cell.range_min().id, cell.range_max().id
+    return (lo + int(fraction * (hi - lo))) | 1
+
+
+_positions = st.lists(st.integers(0, 3), min_size=0, max_size=12)
+
+
+@st.composite
+def two_tree_covering(draw):
+    """Cells deep under one subtree of ``DEEP_FACE`` (a long root prefix),
+    cells spread over ``SHALLOW_FACE`` from level 1 down (no prefix), and
+    — sometimes — all of ``VALUE_FACE`` as one level-0 cell."""
+    covering = SuperCovering()
+    pid = 0
+    for _ in range(draw(st.integers(1, 4))):
+        covering.insert(
+            descend(BASE.parent(13), draw(_positions)), [PolygonRef(pid, bool(pid % 2))]
+        )
+        pid += 1
+    shallow_root = CellId.face_cell(SHALLOW_FACE)
+    for quadrant in draw(st.lists(st.integers(0, 3), min_size=2, max_size=4, unique=True)):
+        covering.insert(
+            descend(shallow_root.child(quadrant), draw(_positions)),
+            [PolygonRef(pid, bool(pid % 2))],
+        )
+        pid += 1
+    if draw(st.booleans()):
+        covering.insert(CellId.face_cell(VALUE_FACE), [PolygonRef(pid, True)])
+    return covering
+
+
+@st.composite
+def query_batch(draw, covering: SuperCovering):
+    """Leaf ids under covering cells, beside them (same face, so prefix-
+    accepted or -rejected), and anywhere on any face."""
+    cells = [CellId(raw) for raw in covering.raw_items()]
+    fraction = st.floats(0.0, 1.0)
+    inside = st.builds(leaf_under, st.sampled_from(cells), fraction)
+    beside = st.builds(
+        lambda cell, f: leaf_under(cell.parent(max(cell.level - 3, 0)), f),
+        st.sampled_from(cells), fraction,
+    )
+    anywhere = st.builds(
+        lambda face, pos: (face << 61) | (pos << 1) | 1,
+        st.integers(0, 5), st.integers(0, (1 << 60) - 1),
+    )
+    ids = draw(st.lists(inside | beside | anywhere, min_size=0, max_size=60))
+    return np.asarray(ids, dtype=np.uint64)
+
+
+def expected_refs(covering: SuperCovering, ids: np.ndarray) -> list[tuple]:
+    found = [covering.find_containing(int(leaf)) for leaf in ids]
+    return [() if hit is None else tuple(hit[1]) for hit in found]
+
+
+class TestOneDescentProbe:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_scalar_containment_across_root_tables(self, data):
+        covering = data.draw(two_tree_covering())
+        ids = data.draw(query_batch(covering))
+        expected = expected_refs(covering, ids)
+        for fanout_bits in (2, 4, 8):
+            act = AdaptiveCellTrie(covering, fanout_bits, LookupTable())
+            # Two face trees with different prefix depths: two root tables.
+            assert len(act._root_tables) == 2
+            assert act._root_tables[0].prefix_depth == 0
+            entries, stats = act.probe_instrumented(ids)
+            assert decoded(act, entries) == expected
+            assert np.array_equal(act.probe(ids), entries)
+            on_a_tree = np.isin(ids >> np.uint64(61), [DEEP_FACE, SHALLOW_FACE])
+            assert stats.prefix_rejections == int(
+                np.count_nonzero(on_a_tree & (stats.depths == 0))
+            )
+            assert stats.node_accesses == int(stats.depths.sum())
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_empty_trie_misses_everything(self, data):
+        ids = data.draw(query_batch(make_covering([(BASE.parent(9), [PolygonRef(0, True)])])))
+        for fanout_bits in (2, 4, 8):
+            act = AdaptiveCellTrie(SuperCovering(), fanout_bits)
+            entries, stats = act.probe_instrumented(ids)
+            assert not entries.any() and not act.probe(ids).any()
+            assert not stats.depths.any()
+            assert (stats.node_accesses, stats.prefix_rejections) == (0, 0)
+
+
+def pinned_covering() -> SuperCovering:
+    """400 cells at levels 7..22 under one level-6 cell, fixed by seed."""
+    generator = np.random.default_rng(2020)
+    covering = SuperCovering()
+    for pid in range(400):
+        depth = int(generator.integers(1, 17))
+        cell = descend(BASE.parent(6), generator.integers(0, 4, depth).tolist())
+        covering.insert(cell, [PolygonRef(pid, bool(pid % 3))])
+    return covering
+
+
+def pinned_batches(covering: SuperCovering) -> dict[str, np.ndarray]:
+    generator = np.random.default_rng(17)
+    cells = sorted((CellId(raw) for raw in covering.raw_items()), key=lambda c: c.level)
+    shallow, deep = cells[: len(cells) // 4], cells[-len(cells) // 8 :]
+    same_depth = [cell for cell in cells if 13 <= cell.level <= 16]  # fanout 8
+
+    def under(group, count):
+        picks = generator.integers(0, len(group), count)
+        return [leaf_under(group[k], f) for k, f in zip(picks, generator.random(count))]
+
+    world = (
+        (generator.integers(0, 6, 4096, dtype=np.uint64) << np.uint64(61))
+        | (generator.integers(0, 1 << 60, 4096, dtype=np.uint64) << np.uint64(1))
+        | np.uint64(1)
+    )
+    crossing = np.asarray(under(shallow, 3400) + under(deep, 696), dtype=np.uint64)
+    generator.shuffle(crossing)
+    return {
+        "all_miss": world[covering_misses(covering, world)],
+        "all_hit": np.asarray(under(same_depth, 4096), dtype=np.uint64),
+        "crossing": crossing,
+    }
+
+
+def covering_misses(covering: SuperCovering, ids: np.ndarray) -> np.ndarray:
+    return np.asarray([covering.find_containing(int(leaf)) is None for leaf in ids])
+
+
+def digest(array: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
+
+
+#: (node_accesses, prefix_rejections, depth histogram, sha256 of the
+#: entries, sha256 of the depths) of ``probe_instrumented`` at the parent
+#: commit (1.12.0: per-face loop, compaction after every level), fanout 8.
+PINNED_PROBE_STATS = {
+    "all_miss": (3, 694, [4093, 3], "c35020473aed1b46", "783cf896ace2a620"),
+    "all_hit": (12288, 0, [0, 0, 0, 4096], "2bc9ba9110f677c1", "ce7c5a9a2ef113b5"),
+    "crossing": (
+        10179, 0, [0, 0, 3117, 283, 384, 312], "b8d50b1a86e4232f", "f6075a0e3cfd2a27",
+    ),
+}
+
+
+class TestCompactionSides:
+    """Entries and ``ProbeStats`` on both sides of the quarter-live rule
+    equal what the compact-every-level probe reported."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        covering = pinned_covering()
+        return (
+            covering,
+            AdaptiveCellTrie(covering, 8, LookupTable()),
+            pinned_batches(covering),
+        )
+
+    @pytest.mark.parametrize("batch", ["all_miss", "all_hit", "crossing"])
+    def test_stats_equal_the_pinned_values(self, pinned, batch):
+        covering, act, batches = pinned
+        ids = batches[batch]
+        entries, stats = act.probe_instrumented(ids)
+        assert decoded(act, entries) == expected_refs(covering, ids)
+        assert (
+            stats.node_accesses,
+            stats.prefix_rejections,
+            np.bincount(stats.depths).tolist(),
+            digest(entries),
+            digest(stats.depths),
+        ) == PINNED_PROBE_STATS[batch]
+
+    def test_batches_sit_where_their_names_say(self, pinned):
+        _, act, batches = pinned
+        live_share = {}
+        for name, ids in batches.items():
+            depths = act.probe_instrumented(ids)[1].depths
+            live_share[name] = [
+                float(np.mean(depths > level)) for level in range(int(depths.max()))
+            ]
+        # Next to no lane passes the root prefix; every lane stays live
+        # down to one common value depth; a descent that starts full and
+        # is under a quarter live before it ends.
+        assert live_share["all_miss"] == [3 / 4096]
+        assert set(live_share["all_hit"]) == {1.0}
+        assert live_share["crossing"][0] == 1.0
+        assert 0.0 < live_share["crossing"][-1] < 0.25

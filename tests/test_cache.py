@@ -14,11 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import JoinService
 from repro.core import DynamicPolygonIndex, PolygonIndex, attach_index, pack_index
 from repro.core.act import AdaptiveCellTrie
 from repro.core.dynamic import OverlayCellStore
 from repro.geo.polygon import regular_polygon
-from repro.serve.cache import CachedCellStore, HotCellCache
+from repro.obs import Observability
+from repro.obs.export import render_prometheus
+from repro.serve import ShardedJoinService
+from repro.serve.cache import _STAND_ASIDE_LOOKUPS, CachedCellStore, HotCellCache
 
 POLYGONS = [
     regular_polygon((-74.0 + gx * 0.02, 40.70 + gy * 0.02), 0.011, 16)
@@ -93,7 +97,7 @@ def test_cached_probe_equals_direct_probe(stores, kind, capacity, key_shift, bat
         assert np.array_equal(got, store.probe(ids))
         probed += len(ids)
         stats = cache.stats()
-        assert stats.hits + stats.misses == probed
+        assert stats.hits + stats.misses + stats.bypassed == probed
         assert stats.size == len(cache) <= cache.slots
 
 
@@ -147,6 +151,119 @@ def test_threads_sharing_one_cache_stay_bit_identical(stores):
     assert not any(thread.is_alive() for thread in threads)
     assert not failures
     stats = cache.stats()
-    assert stats.hits + stats.misses == num_threads * rounds * batch
+    assert stats.hits + stats.misses + stats.bypassed == num_threads * rounds * batch
     assert stats.hits > 0 and stats.evictions > 0
     assert stats.size <= cache.slots
+
+
+# ----------------------------------------------------------------------
+# Standing aside: the table declines lookups while the stream misses
+# ----------------------------------------------------------------------
+
+
+def cold_batch(generator: np.random.Generator, size: int = 64) -> np.ndarray:
+    """Leaf ids that never repeat: the stream no table can serve."""
+    return generator.integers(1, 1 << 62, size, dtype=np.uint64) | np.uint64(1)
+
+
+def probe_and_classify(cached: CachedCellStore, ids: np.ndarray) -> str:
+    """Probe ``ids`` (checking the result) and say what the table did."""
+    cache = cached.cache
+    before = cache.stats()
+    assert np.array_equal(cached.probe(ids), cached.store.probe(ids))
+    after = cache.stats()
+    looked_up = after.requests - before.requests
+    bypassed = after.bypassed - before.bypassed
+    assert sorted((looked_up, bypassed)) == [0, len(ids)]
+    return "declined" if bypassed else "looked up"
+
+
+def test_cold_stream_is_declined_15_lookups_in_16(stores):
+    store = stores[0]["act"]
+    cached = CachedCellStore(store, HotCellCache(capacity=256))
+    generator = np.random.default_rng(3)
+    seen = [probe_and_classify(cached, cold_batch(generator)) for _ in range(2 + 3 * 16)]
+    # The first lookup is exempt, the second triggers, and from then on
+    # one lookup in 16 samples the stream.
+    sample = ["declined"] * _STAND_ASIDE_LOOKUPS + ["looked up"]
+    assert seen == ["looked up", "looked up"] + sample * 3
+    stats = cached.cache.stats()
+    assert stats.hits == 0 and stats.misses == 5 * 64
+    assert stats.bypassed == 3 * _STAND_ASIDE_LOOKUPS * 64
+    assert stats.hit_rate == 0.0  # of the keys looked up; bypassed excluded
+
+
+def test_stream_that_turns_hot_is_back_on_the_table_within_two_samples(stores):
+    store, leaf_ids = stores[0]["act"], stores[1]
+    cached = CachedCellStore(store, HotCellCache(capacity=256))
+    generator = np.random.default_rng(4)
+    for _ in range(5):
+        probe_and_classify(cached, cold_batch(generator))
+    hot = id_pool(store, leaf_ids, 0, 48)
+    turned = [probe_and_classify(cached, hot) for _ in range(2 * (_STAND_ASIDE_LOOKUPS + 1))]
+    # One sample misses (and caches) the hot keys, the next one hits, and
+    # from there the table serves every batch.
+    first = turned.index("looked up")
+    second = turned.index("looked up", first + 1)
+    assert turned[first + 1 : second] == ["declined"] * _STAND_ASIDE_LOOKUPS
+    assert turned[second:] == ["looked up"] * (len(turned) - second)
+    before = cached.cache.stats()
+    assert [probe_and_classify(cached, hot) for _ in range(20)] == ["looked up"] * 20
+    after = cached.cache.stats()
+    assert after.hits - before.hits == 20 * len(hot)
+    assert after.misses == before.misses
+
+
+def test_first_lookup_of_a_table_never_stands_it_aside():
+    cache = HotCellCache(capacity=64)
+    keys = np.arange(1, 33, dtype=np.uint64)
+    for _ in range(3):  # a fresh table, and the same table cleared
+        _, missing, tick = cache.lookup(keys)
+        assert len(missing) == len(keys)  # an empty table misses any stream
+        cache.insert(keys, keys, tick)
+        looked = cache.lookup(keys)
+        assert looked is not None and looked[1].size == 0
+        assert cache.stats().bypassed == 0
+        cache.clear()
+
+
+def test_declined_lookup_emits_no_cache_lookup_span(stores):
+    store = stores[0]["act"]
+    obs = Observability()
+    cached = CachedCellStore(store, HotCellCache(capacity=256), tracer=obs.tracer)
+    generator = np.random.default_rng(5)
+    outcomes = []
+    for _ in range(4):
+        with obs.tracer.dispatch("dispatch"):
+            outcomes.append(probe_and_classify(cached, cold_batch(generator)))
+    assert outcomes == ["looked up", "looked up", "declined", "declined"]
+    lookups = [r for r in obs.tracer.spans() if r.name == "cache_lookup"]
+    assert len(lookups) == 2
+    assert all(r.meta == {"keys": 64, "misses": 64} for r in lookups)
+
+
+def test_bypassed_is_reported_by_every_stats_surface():
+    index = PolygonIndex.build(POLYGONS, precision_meters=60.0)
+    generator = np.random.default_rng(6)
+
+    def cold_points():
+        # Uniform over a box ~1000x the polygons' area: no key repeats.
+        return generator.uniform(40.0, 41.4, 500), generator.uniform(-74.7, -73.3, 500)
+
+    with JoinService(index) as service:
+        for _ in range(6):
+            service.join(*cold_points())
+        stats = service.stats()
+    cache = stats.cache["default"]
+    assert cache.bypassed == 4 * 500 and cache.requests == 2 * 500
+    assert stats.to_dict()["cache"]["default"]["bypassed"] == cache.bypassed
+    assert f'service_cache_bypassed{{layer="default"}} {cache.bypassed}' in (
+        render_prometheus(stats=stats)
+    )
+
+    with ShardedJoinService(index, num_shards=2, backend="inline") as sharded:
+        for _ in range(6):
+            sharded.join(*cold_points())
+        merged = sharded.stats()
+    per_shard = [shard.stats.cache["default"].bypassed for shard in merged.shards]
+    assert merged.cache["default"].bypassed == sum(per_shard) > 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import face_uv_from_xyz, ij_from_st, st_from_uv
 from repro.cells import CellId, cell_ids_from_lat_lng_arrays
 from repro.cells.curves import (
     cell_id_to_morton,
@@ -69,6 +70,20 @@ class TestMortonEncoding:
             cell = CellId(int(hilbert_ids[k])).parent(14)
             morton_cell = CellId(cell_id_to_morton(cell.id))
             assert morton_cell.contains(CellId(int(morton_ids[k])))
+
+    def test_point_ids_equal_the_staged_projection(self, rng):
+        """The projection shared with the Hilbert kernel since 1.13.0
+        gives the Morton ids the stage-at-a-time projection gave."""
+        lats = np.degrees(np.arcsin(rng.uniform(-1, 1, 20_000)))
+        lngs = rng.uniform(-180, 180, 20_000)
+        phi, theta = np.radians(lats), np.radians(lngs)
+        face, u, v = face_uv_from_xyz(
+            np.cos(phi) * np.cos(theta), np.cos(phi) * np.sin(theta), np.sin(phi)
+        )
+        staged = morton_leaf_ids_from_face_ij(
+            face, ij_from_st(st_from_uv(u)), ij_from_st(st_from_uv(v))
+        )
+        assert np.array_equal(morton_cell_ids_from_lat_lng_arrays(lats, lngs), staged)
 
 
 class TestMortonJoin:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cells import cell_ids_from_lat_lng_arrays
-from repro.core import PolygonIndex
+from repro.core import DynamicPolygonIndex, PolygonIndex
 from repro.core.joins import (
     accurate_join,
     approximate_join,
@@ -54,6 +54,33 @@ def built(overlap_grid_polygons=None):
     ids = cell_ids_from_lat_lng_arrays(lats, lngs)
     brute = np.vstack([contains_points(p, lngs, lats) for p in polygons])
     return index, lngs, lats, ids, brute
+
+
+class TestInputLengths:
+    """Regression: ``join(np.array([40.7, 40.8]), np.array([-74.0]))``
+    broadcast to a 2-point result, and ``cell_ids`` of any length passed."""
+
+    @pytest.fixture(scope="class", params=["PolygonIndex", "DynamicPolygonIndex"])
+    def joinable(self, request, built):
+        index = built[0]
+        if request.param == "PolygonIndex":
+            return index
+        return DynamicPolygonIndex.build(
+            list(index.polygons), precision_meters=30.0
+        )
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_mismatched_lat_lng_shapes_raise(self, joinable, exact):
+        with pytest.raises(ValueError, match="same shape"):
+            joinable.join(np.array([40.7, 40.8]), np.array([-74.0]), exact=exact)
+
+    @pytest.mark.parametrize("num_ids", [0, 1, 3])
+    def test_wrong_number_of_cell_ids_raises(self, joinable, num_ids):
+        lats, lngs = np.array([40.7, 40.8]), np.array([-74.0, -73.99])
+        ids = cell_ids_from_lat_lng_arrays(np.full(num_ids, 40.7), np.full(num_ids, -74.0))
+        with pytest.raises(ValueError, match="one id per point"):
+            joinable.join(lats, lngs, cell_ids=ids)
+        assert joinable.join(lats, lngs).num_points == 2
 
 
 class TestDecodeEntries:

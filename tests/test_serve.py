@@ -178,6 +178,18 @@ class TestFrontContract:
         assert np.array_equal(served.counts, expected.counts)
         assert not np.array_equal(served.counts, index.join(lats, lngs).counts)
 
+    def test_mismatched_input_lengths_raise(self, make_front, index, points):
+        # Regression: lats/lngs of different shapes used to broadcast (a
+        # 2-point result for 2 lats and 1 lng), and cell_ids of any
+        # length were accepted.
+        lats, lngs = points[0][:2], points[1][:2]
+        with make_front(index) as svc:
+            with pytest.raises(ValueError, match="same shape"):
+                svc.join(lats, lngs[:1])
+            with pytest.raises(ValueError, match="one id per point"):
+                svc.join(lats, lngs, cell_ids=index.cell_ids_for(lats, lngs)[:1])
+            assert svc.join(lats, lngs).num_points == 2
+
     def test_join_layers_request_and_point_accounting(
         self, make_front, index, second_index, points
     ):
@@ -421,6 +433,15 @@ class TestHotCellCache:
     def _keys(values) -> np.ndarray:
         return np.asarray(values, dtype=np.uint64)
 
+    @staticmethod
+    def _sampled_lookup(cache: HotCellCache, keys: np.ndarray):
+        """The next lookup the table performs.  A cold flood rightly
+        stands the table aside; the replacement policy under test is
+        what happens on the lookups it samples."""
+        while (looked := cache.lookup(keys)) is None:
+            pass
+        return looked
+
     def test_eviction_spares_keys_the_batch_used(self):
         # Whatever the hash layout: a key read in every batch is never the
         # victim of that batch's inserts, so it survives any flood, while
@@ -432,7 +453,9 @@ class TestHotCellCache:
         cache.insert(hot, self._keys([70]), tick)
         for round_number in range(40):
             cold = np.arange(100, 116, dtype=np.uint64) + np.uint64(16 * round_number)
-            entries, missing, tick = cache.lookup(np.concatenate([hot, cold]))
+            entries, missing, tick = self._sampled_lookup(
+                cache, np.concatenate([hot, cold])
+            )
             assert entries[0] == 70
             assert missing.tolist() == list(range(1, 17))  # cold keys never repeat
             cache.insert(cold, cold * np.uint64(10), tick)
@@ -515,17 +538,27 @@ class TestHotCellCache:
         # never-repeating cold keys per batch, hits 100 % once resident.
         capacity = 256
         cache = HotCellCache(capacity=capacity)
-        store = CachedCellStore(index.store, cache)
         generator = np.random.default_rng(5)
         hot = generator.integers(1, 1 << 62, 16, dtype=np.uint64)
-        store.probe(hot)  # its first batch...
-        store.probe(hot)  # ...and a second chance for slot-conflict losers
+
+        def probe_through(ids: np.ndarray) -> np.ndarray:
+            # What CachedCellStore does on a lookup the table performs;
+            # through the store itself a 97 %-cold batch stands the table
+            # aside, which tests/test_cache.py covers.
+            entries, missing, tick = self._sampled_lookup(cache, ids)
+            missed = index.store.probe(ids[missing])
+            entries[missing] = missed
+            cache.insert(ids[missing], missed, tick)
+            return entries
+
+        probe_through(hot)  # its first batch...
+        probe_through(hot)  # ...and a second chance for slot-conflict losers
         assert cache.stats().size == len(hot)
         for _ in range(20):
             cold = generator.integers(1, 1 << 62, 4 * capacity, dtype=np.uint64)
             batch = np.concatenate([hot, cold, hot])
             before = cache.stats()
-            assert np.array_equal(store.probe(batch), index.store.probe(batch))
+            assert np.array_equal(probe_through(batch), index.store.probe(batch))
             after = cache.stats()
             assert after.hits - before.hits == 2 * len(hot)
             assert after.misses - before.misses == len(cold)

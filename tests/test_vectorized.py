@@ -1,16 +1,27 @@
 """The vectorized lat/lng -> cell id pipeline must be bit-identical to the
 scalar one."""
 
+import math
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cells import CellId, cell_ids_from_lat_lng_arrays
-from repro.cells.vectorized import (
+from oracles import (
     face_uv_from_xyz,
     ij_from_st,
-    leaf_ids_from_face_ij,
     st_from_uv,
+    staged_cell_ids_from_lat_lng_arrays,
+    staged_leaf_ids_from_face_ij,
+)
+from repro.cells import CellId, cell_ids_from_lat_lng_arrays
+from repro.cells.hilbert import LOOKUP_POS
+from repro.cells.vectorized import (
+    WALK,
+    face_ij_from_lat_lng_arrays,
+    leaf_ids_from_face_ij,
     xyz_from_lat_lng,
 )
 
@@ -88,6 +99,125 @@ class TestStages:
         for k in range(0, 200, 13):
             expected = CellId.from_face_ij(int(faces[k]), int(i[k]), int(j[k]))
             assert int(ids[k]) == expected.id
+
+
+#: Where the face choice ties or the projection degenerates: poles, the
+#: antimeridian, signed zeros, the |x| = |y| seams (lng = +-45, +-135), the
+#: cube corners (those longitudes at lat = atan(1 / sqrt(2))), and inputs
+#: that are not coordinates at all.
+_SEAM_LAT = math.degrees(math.atan(1.0 / math.sqrt(2.0)))
+EDGE_LATS = (90.0, -90.0, 0.0, -0.0, _SEAM_LAT, -_SEAM_LAT, 45.0, math.nan, math.inf, -math.inf)
+EDGE_LNGS = (180.0, -180.0, 0.0, -0.0, 45.0, -45.0, 135.0, -135.0, 90.0, -90.0,
+             math.nan, math.inf, -math.inf)
+_coordinate = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+def _quiet(function, *args):
+    """NaN and infinite coordinates warn in the trig calls and the cast,
+    in both pipelines; what they return is what is compared."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return function(*args)
+
+
+class TestAgainstStagedPipeline:
+    """The in-place kernel returns the ids the staged pipeline returned."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(EDGE_LATS) | st.floats(-90.0, 90.0) | _coordinate,
+                st.sampled_from(EDGE_LNGS) | st.floats(-180.0, 180.0) | _coordinate,
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_same_ids_on_any_input(self, points):
+        lats = np.asarray([lat for lat, _ in points])
+        lngs = np.asarray([lng for _, lng in points])
+        assert np.array_equal(
+            _quiet(cell_ids_from_lat_lng_arrays, lats, lngs),
+            _quiet(staged_cell_ids_from_lat_lng_arrays, lats, lngs),
+        )
+
+    def test_same_ids_on_the_edge_grid(self):
+        lats, lngs = (a.ravel() for a in np.meshgrid(EDGE_LATS, EDGE_LNGS))
+        new = _quiet(cell_ids_from_lat_lng_arrays, lats, lngs)
+        assert np.array_equal(
+            new, _quiet(staged_cell_ids_from_lat_lng_arrays, lats, lngs)
+        )
+        finite = np.isfinite(lats) & np.isfinite(lngs)
+        for lat, lng, raw in zip(lats[finite], lngs[finite], new[finite]):
+            assert int(raw) == CellId.from_degrees(float(lat), float(lng)).id
+
+    def test_same_ids_on_a_large_world_batch(self, rng):
+        lats = np.degrees(np.arcsin(rng.uniform(-1, 1, 200_000)))
+        lngs = rng.uniform(-180, 180, 200_000)
+        assert np.array_equal(
+            cell_ids_from_lat_lng_arrays(lats, lngs),
+            staged_cell_ids_from_lat_lng_arrays(lats, lngs),
+        )
+
+    def test_projection_stage_matches_staged_stages(self, rng):
+        lats = rng.uniform(-90, 90, 5000)
+        lngs = rng.uniform(-180, 180, 5000)
+        face, i, j = face_ij_from_lat_lng_arrays(lats, lngs)
+        old_face, u, v = face_uv_from_xyz(*xyz_from_lat_lng(lats, lngs))
+        assert np.array_equal(face, old_face)
+        assert np.array_equal(i, ij_from_st(st_from_uv(u)))
+        assert np.array_equal(j, ij_from_st(st_from_uv(v)))
+
+    def test_walk_stage_matches_staged_walk(self, rng):
+        faces = rng.integers(0, 6, 5000)
+        i = rng.integers(0, 1 << 30, 5000)
+        j = rng.integers(0, 1 << 30, 5000)
+        assert np.array_equal(
+            leaf_ids_from_face_ij(faces, i, j),
+            staged_leaf_ids_from_face_ij(faces, i, j),
+        )
+
+    def test_walk_table_is_lookup_pos_rekeyed(self):
+        assert WALK.shape == (1024,)
+        for orientation in range(4):
+            for ij in range(256):
+                looked = int(LOOKUP_POS[(ij << 2) | orientation])
+                assert int(WALK[orientation * 256 + ij]) == (
+                    ((looked & 3) << 8) | (looked >> 2)
+                )
+
+
+class TestShapes:
+    """Equal shapes of any rank pass through; unequal shapes are an error
+    (they used to broadcast silently)."""
+
+    def test_rank_is_preserved(self):
+        lats = np.asarray([[40.7, 40.8, 40.9], [10.0, -20.0, 89.0]])
+        lngs = np.asarray([[-74.0, -73.9, -73.8], [100.0, -170.0, 3.0]])
+        ids = cell_ids_from_lat_lng_arrays(lats, lngs)
+        assert ids.shape == (2, 3) and ids.dtype == np.uint64
+        assert np.array_equal(
+            ids.ravel(), cell_ids_from_lat_lng_arrays(lats.ravel(), lngs.ravel())
+        )
+
+    def test_zero_dimensional_input(self):
+        scalar = cell_ids_from_lat_lng_arrays(np.float64(40.7), np.float64(-74.0))
+        assert scalar.shape == () and scalar.dtype == np.uint64
+        assert int(scalar) == CellId.from_degrees(40.7, -74.0).id
+
+    @pytest.mark.parametrize(
+        "lats, lngs",
+        [
+            (np.asarray([40.7, 40.8]), np.asarray([-74.0])),
+            (np.asarray([40.7]), np.asarray([-74.0, -73.9])),
+            (np.asarray([[40.7, 40.8]]), np.asarray([-74.0, -73.9])),
+            (np.asarray([40.7, 40.8]), np.float64(-74.0)),
+        ],
+    )
+    def test_mismatched_shapes_raise(self, lats, lngs):
+        with pytest.raises(ValueError, match="same shape"):
+            cell_ids_from_lat_lng_arrays(lats, lngs)
 
 
 class TestFaceIjDecode:
