@@ -7,7 +7,6 @@ from repro.cells.coverer import RegionCoverer
 from repro.core.builder import DEFAULT_COVERING_OPTIONS, DEFAULT_INTERIOR_OPTIONS
 from repro.core.precision import refine_to_precision
 from repro.core.super_covering import build_super_covering
-from repro.bench.workbench import _clone_covering
 
 
 @pytest.mark.parametrize("dataset", ["boroughs", "neighborhoods"])
@@ -47,7 +46,7 @@ def test_precision_refinement_60m(benchmark, workbench):
     base, _ = workbench.base_covering("neighborhoods")
 
     def refine():
-        covering = _clone_covering(base)
+        covering = base.copy()
         refine_to_precision(covering, polygons, 60.0)
         return covering
 

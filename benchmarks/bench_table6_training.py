@@ -1,9 +1,7 @@
 """Table 6 kernels: the training pass and the trained accurate join."""
 
-import numpy as np
 import pytest
 
-from repro.bench.workbench import _clone_covering
 from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
 from repro.core.act import AdaptiveCellTrie
 from repro.core.joins import accurate_join
@@ -23,7 +21,7 @@ def test_training_pass(benchmark, workbench, neighborhoods, training_ids):
     base, _ = workbench.base_covering("neighborhoods")
 
     def train():
-        covering = _clone_covering(base)
+        covering = base.copy()
         return train_super_covering(covering, neighborhoods, training_ids), covering
 
     (report, covering) = benchmark(train)
@@ -34,7 +32,7 @@ def test_training_pass(benchmark, workbench, neighborhoods, training_ids):
 def test_trained_accurate_join(benchmark, workbench, taxi, neighborhoods, training_ids):
     lats, lngs, ids = taxi
     base, _ = workbench.base_covering("neighborhoods")
-    covering = _clone_covering(base)
+    covering = base.copy()
     train_super_covering(covering, neighborhoods, training_ids)
     store = AdaptiveCellTrie(covering, 8, LookupTable())
     result = benchmark(

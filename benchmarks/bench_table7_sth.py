@@ -1,8 +1,5 @@
 """Table 7 kernel: the solely-true-hits computation before/after training."""
 
-import pytest
-
-from repro.bench.workbench import _clone_covering
 from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
 from repro.core.training import solely_true_hit_rate, train_super_covering
 from repro.datasets import taxi_points
@@ -18,7 +15,7 @@ def test_sth_untrained(benchmark, workbench, taxi):
 def test_sth_trained(benchmark, workbench, taxi, neighborhoods):
     _, _, ids = taxi
     base, _ = workbench.base_covering("neighborhoods")
-    covering = _clone_covering(base)
+    covering = base.copy()
     count = max(workbench.config.training_points)
     lats, lngs = taxi_points(count, seed=workbench.config.seed + 1000)
     train_super_covering(

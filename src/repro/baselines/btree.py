@@ -50,11 +50,8 @@ class BTreeStore:
         self.fanout = fanout
         self.lookup_table = lookup_table
         with Timer() as timer:
-            raw = super_covering.raw_items()
-            ids = np.sort(np.fromiter(raw.keys(), dtype=np.uint64, count=len(raw)))
-            entries = np.asarray(
-                [lookup_table.encode(raw[int(i)]) for i in ids], dtype=np.uint64
-            )
+            ids = super_covering.cell_ids
+            entries = lookup_table.encode_covering(super_covering)
             lsb = ids & (~ids + np.uint64(1))
             lows = ids - (lsb - np.uint64(1))
             highs = ids + (lsb - np.uint64(1))

@@ -27,12 +27,8 @@ class SortedVectorStore:
     def __init__(self, super_covering: SuperCovering, lookup_table: LookupTable):
         self.lookup_table = lookup_table
         with Timer() as timer:
-            raw = super_covering.raw_items()
-            ids = np.fromiter(raw.keys(), dtype=np.uint64, count=len(raw))
-            ids = np.sort(ids)
-            entries = np.asarray(
-                [lookup_table.encode(raw[int(i)]) for i in ids], dtype=np.uint64
-            )
+            ids = super_covering.cell_ids
+            entries = lookup_table.encode_covering(super_covering)
             # Vectorized range_min/range_max: lsb = id & -id in two's
             # complement, which for uint64 is id & (~id + 1).
             lsb = ids & (~ids + np.uint64(1))

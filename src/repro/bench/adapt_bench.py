@@ -14,15 +14,9 @@ end to end on the drifting-hotspot workload:
 4. The tail of phase 1 is measured: the adaptive service should have
    recovered its STH rate (and exact-join p50), while join results stay
    bit-identical to a fresh build trained on the same observed points.
-
-A closing section times vectorized training against the paper-literal
-per-point loop on a ``config.adapt_speedup_points`` historical set
-(acceptance: >= 5x at 100 k points).
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -31,12 +25,8 @@ from repro.bench.workbench import Workbench
 from repro.cells import cell_ids_from_lat_lng_arrays
 from repro.core import AdaptationPolicy, PolygonIndex
 from repro.core.builder import BuildTimings, build_store
-from repro.core.training import (
-    SthEvaluator,
-    train_super_covering,
-    train_super_covering_sequential,
-)
-from repro.datasets import drifting_hotspot_workload, uniform_points_for
+from repro.core.training import SthEvaluator, train_super_covering
+from repro.datasets import drifting_hotspot_workload
 from repro.serve import JoinService
 from repro.util.timing import Timer
 
@@ -210,36 +200,4 @@ def run(workbench: Workbench) -> list[ExperimentResult]:
     if not identical:
         raise AssertionError("adapted join results diverged from fresh build")
 
-    # Training speedup: vectorized vs the paper-literal per-point loop, on
-    # the many-polygon neighborhoods dataset (the per-point loop's cost is
-    # dominated by per-point covering walks, which this dataset maximizes).
-    speed_polygons = workbench.polygons("neighborhoods")
-    speed_lats, speed_lngs = uniform_points_for(
-        speed_polygons, config.adapt_speedup_points, seed=config.seed + 5
-    )
-    speed_ids = cell_ids_from_lat_lng_arrays(speed_lats, speed_lngs)
-    speed_base, _ = workbench.base_covering("neighborhoods")
-    vec_covering = speed_base.copy()
-    seq_covering = speed_base.copy()
-    started = time.perf_counter()
-    vec_report = train_super_covering(vec_covering, speed_polygons, speed_ids)
-    vec_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    seq_report = train_super_covering_sequential(
-        seq_covering, speed_polygons, speed_ids
-    )
-    seq_seconds = time.perf_counter() - started
-    assert vec_report == seq_report, "training parity violated"
-    speedup = seq_seconds / vec_seconds if vec_seconds > 0 else float("inf")
-    result.add_note(
-        f"vectorized training: {vec_seconds:.2f}s vs per-point loop "
-        f"{seq_seconds:.2f}s on {len(speed_ids):,} uniform historical points "
-        f"= {speedup:.1f}x (acceptance: >= 5x at 100k, identical covering)"
-    )
-    # Enforced only at full measurement scale: tiny smoke sets leave too
-    # little per-point work for the ratio to be stable.
-    if config.adapt_speedup_points >= 100_000 and speedup < 5.0:
-        raise AssertionError(
-            f"vectorized training speedup {speedup:.1f}x below the 5x acceptance"
-        )
     return [result]

@@ -67,15 +67,6 @@ class BenchConfig:
     adapt_query_points: int = 150_000
     #: Adaptation benchmark: request batch size streamed at the services.
     adapt_batch: int = 8_192
-    #: Adaptation benchmark: training-speedup measurement set size
-    #: (acceptance: vectorized >= 5x the per-point loop at 100 k points).
-    adapt_speedup_points: int = 100_000
-    #: Sharding benchmark: probe points streamed through every service.
-    shard_points: int = 400_000
-    #: Sharding benchmark: batch size per front dispatch.
-    shard_batch: int = 65_536
-    #: Sharding benchmark: shard-count sweep (process backend).
-    shard_counts: tuple[int, ...] = (1, 2, 4, 8)
     #: Observability benchmark: requests streamed per tracing mode.
     obs_requests: int = 200_000
     #: Observability benchmark: batch size per dispatch.
@@ -114,10 +105,6 @@ class BenchConfig:
             adapt_train_points=20_000,
             adapt_query_points=40_000,
             adapt_batch=4_096,
-            adapt_speedup_points=10_000,
-            shard_points=60_000,
-            shard_batch=16_384,
-            shard_counts=(1, 2),
             obs_requests=30_000,
             obs_batch=2_048,
             obs_reps=2,

@@ -32,8 +32,7 @@ def run(workbench: Workbench) -> list[ExperimentResult]:
         for precision in workbench.config.precisions:
             covering, refine_seconds = workbench.super_covering(name, precision)
             lookup_table = LookupTable()
-            for refs in covering.raw_items().values():
-                lookup_table.encode(refs)
+            lookup_table.encode_covering(covering)
             result.add_row(
                 name,
                 f"{precision:g}",

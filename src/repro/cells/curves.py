@@ -18,7 +18,11 @@ import numpy as np
 
 from repro.cells import hilbert
 from repro.cells.cellid import MAX_LEVEL, POS_BITS, CellId
-from repro.cells.vectorized import face_ij_from_lat_lng_arrays
+from repro.cells.vectorized import (
+    face_ij_from_lat_lng_arrays,
+    face_ij_from_leaf_ids,
+    range_bounds_from_cell_ids,
+)
 from repro.core.super_covering import SuperCovering
 from repro.util.bits import U64_MASK
 
@@ -70,9 +74,15 @@ def morton_cell_ids_from_lat_lng_arrays(
 
 def reencode_super_covering_morton(covering: SuperCovering) -> SuperCovering:
     """A Morton-enumerated twin of ``covering`` (same cells, same refs)."""
-    twin = SuperCovering()
-    refs_map = twin._refs
-    for raw_id, refs in covering.raw_items().items():
-        refs_map[cell_id_to_morton(raw_id)] = refs
-    twin._sorted_ids = sorted(refs_map)
-    return twin
+    ids = covering.cell_ids
+    leaves, _ = range_bounds_from_cell_ids(ids)
+    lsb = ids & (np.uint64(0) - ids)
+    morton = morton_leaf_ids_from_face_ij(*face_ij_from_leaf_ids(leaves))
+    # Clearing the bits below the level marker snaps the leaf to the
+    # cell's minimum (i, j) corner, whichever corner the Hilbert curve
+    # enters the cell at.
+    return SuperCovering.attach(
+        (morton & ~(lsb - np.uint64(1))) | lsb,
+        covering.ref_offsets,
+        covering.packed_refs,
+    )

@@ -247,3 +247,55 @@ def child_cell_ids(ids: np.ndarray) -> np.ndarray:
     step = (ids & (np.uint64(0) - ids)) >> np.uint64(2)
     first = ids - np.uint64(3) * step
     return first[:, None] + _CHILD_STEPS[None, :] * step[:, None]
+
+
+#: Bits at even positions: the lsbs of valid cell ids, the sizes (in
+#: leaves) of aligned cells.
+_EVEN_BITS = np.uint64(0x5555555555555555)
+_LEAVES_PER_FACE = np.uint64(1) << np.uint64(2 * MAX_LEVEL)
+
+
+def _power_of_four_at_most(power_of_two: np.ndarray) -> np.ndarray:
+    """Round powers of two down to powers of four."""
+    odd = (power_of_two & _EVEN_BITS) == 0
+    return power_of_two >> odd.astype(np.uint64)
+
+
+def tile_leaf_ranges(lo: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tile half-open leaf-id intervals ``[lo, end)`` with maximal cells.
+
+    ``lo`` and ``end`` are leaf cell ids (``end`` is the leaf after the
+    interval's last one, ``range_max + 2``); an interval with
+    ``lo >= end`` is empty.  Returns ``(cell ids, owners)``: the unique
+    coarsest cells that exactly tile every interval, and for each the
+    index of the interval it came from.  Every round all still-open
+    intervals emit the largest aligned cell starting at their ``lo``
+    that fits: ``4 ** min(trailing-zero pairs of lo, floor(log4(span)))``
+    leaves.  This is the one gap-tiling kernel of the build — the
+    difference cells of the super covering's conflict resolution
+    (Figure 4 of the paper) and the true-hit fill of the precision
+    refinement are both "the uncovered remainder of a cell".
+    """
+    # Leaf positions (face bits included) are < 2**63: no wrap below.
+    start = np.asarray(lo, dtype=np.uint64) >> np.uint64(1)
+    stop = np.asarray(end, dtype=np.uint64) >> np.uint64(1)
+    owners = np.flatnonzero(start < stop)
+    start, stop = start[owners], stop[owners]
+    cells: list[np.ndarray] = []
+    cell_owners: list[np.ndarray] = []
+    while len(owners):
+        aligned = start & (np.uint64(0) - start)
+        aligned[aligned == 0] = _LEAVES_PER_FACE  # position 0 of face 0
+        aligned = np.minimum(_power_of_four_at_most(aligned), _LEAVES_PER_FACE)
+        span = stop - start
+        for shift in (1, 2, 4, 8, 16, 32):  # smear the top bit downwards
+            span |= span >> np.uint64(shift)
+        size = np.minimum(aligned, _power_of_four_at_most(span - (span >> np.uint64(1))))
+        cells.append((start << np.uint64(1)) + size)
+        cell_owners.append(owners)
+        start = start + size
+        open_ = np.flatnonzero(start < stop)
+        start, stop, owners = start[open_], stop[open_], owners[open_]
+    if not cells:
+        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
+    return np.concatenate(cells), np.concatenate(cell_owners)

@@ -38,7 +38,6 @@ from repro.core.training import (
     SthEvaluator,
     solely_true_hit_rate,
     train_super_covering,
-    train_super_covering_sequential,
 )
 from repro.core.joins import (
     JoinResult,
@@ -81,7 +80,6 @@ __all__ = [
     "SthEvaluator",
     "solely_true_hit_rate",
     "train_super_covering",
-    "train_super_covering_sequential",
     "JoinResult",
     "approximate_join",
     "accurate_join",

@@ -322,17 +322,8 @@ class AdaptiveCellTrie:
         depth of a key at (extended) level L is ``L / delta``.
         """
         delta = self.delta
-        raw = super_covering.raw_items()
-        count = len(raw)
-        ids = np.fromiter(raw.keys(), dtype=np.uint64, count=count)
-        entry_cache: dict[tuple, int] = {}
-        entries = np.empty(count, dtype=np.uint64)
-        for index, (raw_id, refs) in enumerate(raw.items()):
-            entry = entry_cache.get(refs)
-            if entry is None:
-                entry = self.lookup_table.encode(refs)
-                entry_cache[refs] = entry
-            entries[index] = entry
+        ids = super_covering.cell_ids
+        entries = self.lookup_table.encode_covering(super_covering)
         lsb = ids & (~ids + np.uint64(1))
         levels = levels_from_cell_ids(ids)
         if np.any(levels < 0):

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from repro.cells.cellid import CellId
 from repro.cells.coverer import CovererOptions, batch_coverings
 from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
 from repro.core.act import AdaptiveCellTrie
-from repro.core.flat import FlatSnapshot, _attach_refiner_table, unpack_covering
+from repro.core.flat import FlatSnapshot, _attach_refiner_table
 from repro.core.joins import (
     JoinResult,
     accurate_join,
@@ -233,25 +233,6 @@ def build_pipeline(
     )
 
 
-def build_partition_store(
-    cells: Mapping[int, tuple],
-    *,
-    fanout_bits: int = 8,
-) -> tuple[SuperCovering, object, LookupTable]:
-    """Index one partition's covering subset (store build only).
-
-    The sharded front's coverage-plane publication pairs each shard's
-    store with the layer's single shared geometry plane.  ``cells`` is a
-    subset of an already-built super covering — disjoint by
-    construction, so no coverer or conflict resolution runs, and probing
-    the partition is bit-identical to probing the full index for any
-    point whose leaf id falls inside the partition's cell ranges.
-    """
-    super_covering = SuperCovering.from_raw(cells)
-    store, lookup_table = build_store(super_covering, fanout_bits=fanout_bits)
-    return super_covering, store, lookup_table
-
-
 @dataclass(frozen=True)
 class ProbeView:
     """One immutable, internally consistent probe snapshot of an index.
@@ -340,17 +321,16 @@ class PolygonIndex:
     (deleted ids leave holes so surviving ids stay stable).
 
     An index attached by :func:`~repro.core.flat.attach_index` holds the
-    ``snapshot`` it serves from: its store, lookup table, polygon
-    geometry and refinement buckets are views into the snapshot's blob,
-    and the super covering stays packed until a mutation or planning path
-    asks for it (probes never do), when it is unpacked once.  Rebuilding
-    the store (:meth:`add_polygon`) drops the then-stale snapshot.
+    ``snapshot`` it serves from: its store, lookup table, super covering,
+    polygon geometry and refinement buckets are views into the snapshot's
+    blob.  Rebuilding the store (:meth:`add_polygon`) drops the
+    then-stale snapshot.
     """
 
     def __init__(
         self,
         polygons: Sequence[Polygon | None],
-        super_covering: SuperCovering | None,
+        super_covering: SuperCovering,
         store: object,
         lookup_table: LookupTable,
         timings: BuildTimings,
@@ -360,7 +340,7 @@ class PolygonIndex:
         snapshot: FlatSnapshot | None = None,
     ):
         self.polygons = list(polygons)
-        self._super_covering = super_covering
+        self.super_covering = super_covering
         self.snapshot = snapshot
         self.store = store
         self.lookup_table = lookup_table
@@ -466,23 +446,9 @@ class PolygonIndex:
         assert result.pair_polygons is not None
         return sorted(int(p) for p in result.pair_polygons)
 
-    @property
-    def super_covering(self) -> SuperCovering:
-        if self._super_covering is None:
-            buffers = self.snapshot.buffers
-            self._super_covering = unpack_covering(
-                buffers["cell_ids"],
-                buffers["ref_offsets"],
-                buffers["packed_refs"],
-            )
-        return self._super_covering
-
     def max_cell_level(self) -> int:
         """Deepest indexed cell level (bounds the probe's trie descent)."""
-        if self._super_covering is None:
-            return int(self.snapshot.meta["max_cell_level"])
-        histogram = self._super_covering.level_histogram()
-        return max(histogram) if histogram else 0
+        return self.super_covering.max_level()
 
     def probe_view(self) -> ProbeView:
         """The current :class:`ProbeView` (cached; invalidated on rebuild)."""
@@ -512,11 +478,12 @@ class PolygonIndex:
     # ------------------------------------------------------------------
 
     def add_polygon(self, polygon: Polygon) -> int:
-        """Add a polygon by inserting its cells one-by-one, then re-index.
+        """Add a polygon by merging its cells in, then re-index.
 
         The paper notes that runtime insertion follows the same procedure
-        as the build phase; we reproduce that path (and rebuild the static
-        trie, as the paper's ACT is immutable once built).  Returns the new
+        as the build phase; here it is literally the build's merge sweep,
+        over the existing cells plus the new ones (and the static trie is
+        rebuilt, as the paper's ACT is immutable once built).  Returns the new
         polygon id.  For frequent updates, prefer
         :class:`~repro.core.dynamic.DynamicPolygonIndex`, which amortizes
         the rebuild behind a delta overlay.
@@ -606,9 +573,7 @@ class PolygonIndex:
 
     @property
     def num_cells(self) -> int:
-        if self._super_covering is None:
-            return int(self.snapshot.meta["num_cells"])
-        return self._super_covering.num_cells
+        return self.super_covering.num_cells
 
     @property
     def size_bytes(self) -> int:

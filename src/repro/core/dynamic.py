@@ -11,9 +11,10 @@ mutable delta, compacted in the background) to the ACT stack:
   snapshot;
 * **inserts** go to a *delta overlay*: the new polygon is covered with the
   exact same pipeline stages as a full build
-  (:func:`~repro.core.builder.cover_polygon` → its own small
-  :class:`~repro.core.super_covering.SuperCovering` → a small side cell
-  store), so delta probes carry the same precision guarantees;
+  (:func:`~repro.core.builder.cover_polygon` → the build's merge sweep
+  over the delta's small :class:`~repro.core.super_covering.SuperCovering`
+  plus the new cells → a small side cell store), so delta probes carry
+  the same precision guarantees;
 * **deletes** only record the polygon id in a *tombstone* set;
 * **probes** merge base and delta entries and mask tombstones inside
   :class:`OverlayCellStore`, which satisfies the ordinary ``probe``
@@ -455,8 +456,7 @@ class DynamicPolygonIndex:
             refined = SuperCovering()
             refined.insert_covering(pid, covering, interior)
             refine_to_precision(refined, self._polygons, self.precision_meters)
-            for cell, refs in refined.items():
-                self._delta_covering.insert(cell, refs)
+            self._delta_covering.merge(refined)
         # The delta store is tiny (bounded by the compaction threshold), so
         # rebuilding it per insert is the cheap half of the bargain; old
         # probe views keep their previous store, which is self-contained.
@@ -713,10 +713,8 @@ class DynamicPolygonIndex:
                 self._tombstones,
             )
             table = store.lookup_table
-            histogram = self._delta_covering.level_histogram()
             max_level = max(
-                self._base.max_cell_level(),
-                max(histogram) if histogram else 0,
+                self._base.max_cell_level(), self._delta_covering.max_level()
             )
             # Overlay views are born and die per mutation, but the packed
             # bucket rows are memoized on the polygon objects: the view's

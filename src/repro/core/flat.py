@@ -11,7 +11,8 @@ versioned JSON header, so a consumer *attaches* instead of rebuilding:
 
 * ``save_index``/``load_index`` (FORMAT_VERSION 3) write the blob as a
   single ``.npy`` payload and restart from disk via
-  ``np.load(mmap_mode="r")`` — no store build, no covering dict;
+  ``np.load(mmap_mode="r")`` — no store build, and the super covering is
+  the blob's three covering buffers as they are;
 * ``ShardedJoinService`` publishes each layer as shared-memory segments
   (one geometry plane, one coverage plane per shard) and workers map
   them — shard spawn/respawn is a buffer attach, not a partition build.
@@ -48,10 +49,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cells.cellid import CellId
 from repro.core.act import AdaptiveCellTrie
 from repro.core.lookup_table import LookupTable
-from repro.core.refs import PolygonRef
 from repro.core.super_covering import SuperCovering
 from repro.geo.polygon import Polygon, Ring
 from repro.geo.refine import RefinementEngine, _FlatBucketTable
@@ -99,7 +98,11 @@ FLAT_GEOMETRY_BUFFERS: dict[str, str] = {
 
 #: Coverage-plane buffers: one partition's covering subset, its ACT
 #: store and lookup table.  Per shard, private, small relative to the
-#: shared geometry plane.
+#: shared geometry plane.  ``cell_ids | ref_offsets | packed_refs`` ARE
+#: the :class:`~repro.core.super_covering.SuperCovering` (written as they
+#: are, wrapped on attach).  ``cell_ids`` is ascending in every blob
+#: written since 1.14.0; older files stored build order and are sorted
+#: once by :meth:`SuperCovering.attach` — no format bump.
 FLAT_COVERAGE_BUFFERS: dict[str, str] = {
     "act_pool": "<u8",
     "act_faces": "<u8",
@@ -168,37 +171,8 @@ def validate_buffers(buffers: Mapping[str, np.ndarray]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Covering and geometry packing (shared with repro.core.serialize)
+# Geometry packing (shared with repro.core.serialize)
 # ----------------------------------------------------------------------
-
-
-def pack_covering(
-    covering: SuperCovering,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten cells + refs into (cell ids, ref offsets, packed refs)."""
-    raw = covering.raw_items()
-    cell_ids = np.fromiter(raw.keys(), dtype=np.uint64, count=len(raw))
-    offsets = np.zeros(len(raw) + 1, dtype=np.int64)
-    packed: list[int] = []
-    for index, refs in enumerate(raw.values()):
-        packed.extend(ref.packed() for ref in refs)
-        offsets[index + 1] = len(packed)
-    return cell_ids, offsets, np.asarray(packed, dtype=np.uint32)
-
-
-def unpack_covering(
-    cell_ids: np.ndarray, offsets: np.ndarray, packed: np.ndarray
-) -> SuperCovering:
-    covering = SuperCovering()
-    refs_map = covering._refs
-    for index, raw_id in enumerate(cell_ids):
-        lo = int(offsets[index])
-        hi = int(offsets[index + 1])
-        refs_map[int(raw_id)] = tuple(
-            PolygonRef.from_packed(int(value)) for value in packed[lo:hi]
-        )
-    covering._sorted_ids = sorted(refs_map)
-    return covering
 
 
 def pack_polygon_geometry(
@@ -575,15 +549,14 @@ def pack_coverage_plane(
     face_values = np.zeros((len(store._face_values), 2), dtype=np.uint64)
     for row, (face, entry) in enumerate(sorted(store._face_values.items())):
         face_values[row] = (face, entry)
-    cell_ids, ref_offsets, packed_refs = pack_covering(covering)
     buffers: dict[str, np.ndarray] = {
         "act_pool": store.pool,
         "act_faces": faces,
         "act_face_values": face_values,
         "lut": store.lookup_table.array,
-        "cell_ids": cell_ids,
-        "ref_offsets": ref_offsets,
-        "packed_refs": packed_refs,
+        "cell_ids": covering.cell_ids,
+        "ref_offsets": covering.ref_offsets,
+        "packed_refs": covering.packed_refs,
     }
     stray = set(buffers) - set(FLAT_COVERAGE_BUFFERS)
     if stray:  # pragma: no cover - guarded by construction above
@@ -601,10 +574,7 @@ def pack_coverage_plane(
         "num_input_cells": int(store.num_input_cells),
         "build_seconds": float(store.build_seconds),
         "num_cells": int(covering.num_cells),
-        "max_cell_level": max(
-            (CellId(raw_id).level for raw_id in covering.raw_items()),
-            default=0,
-        ),
+        "max_cell_level": covering.max_level(),
     }
     if meta_extra:
         meta.update(meta_extra)
@@ -620,9 +590,12 @@ def pack_index(index: PolygonIndex) -> FlatSnapshot:
     views of the same packing code.  An attached index returns the
     snapshot it holds — it is dropped the moment the store is rebuilt,
     so a held snapshot always describes the current store, and
-    repacking would copy buffers for no benefit."""
-    if index.snapshot is not None:
-        return index.snapshot
+    repacking would copy buffers for no benefit — unless attaching had
+    to sort the covering (a pre-1.14.0 file): what is packed or saved
+    next is the canonical covering, not the file's."""
+    held = index.snapshot
+    if held is not None and held.buffers["cell_ids"] is index.super_covering.cell_ids:
+        return held
     return FlatSnapshot.from_planes(
         pack_geometry_plane(index),
         pack_coverage_plane(index.super_covering, index.store),
@@ -642,12 +615,12 @@ def attach_index(
 ) -> PolygonIndex:
     """Attach an index to a packed snapshot (no rebuild).
 
-    No store build and no covering materialization happen here: the ACT
-    pool, lookup table, polygon geometry, and refinement buckets of the
-    returned :class:`~repro.core.builder.PolygonIndex` are views into the
-    snapshot's blob, and its super covering is unpacked only if a
-    mutation or planning path (``add_polygon``, ``retrained``, a shard
-    plan) asks for it.
+    No store build and no covering unpacking happen here: the ACT pool,
+    lookup table, super covering, polygon geometry, and refinement
+    buckets of the returned :class:`~repro.core.builder.PolygonIndex` are
+    views into the snapshot's blob (the covering's buffers are checked,
+    and a pre-1.14.0 file's unsorted cell ids are sorted once — see
+    :meth:`SuperCovering.attach`).
 
     ``version=None`` stamps a fresh process-local version (the loaded
     snapshot outranks everything built so far — callers raise the floor
@@ -682,9 +655,12 @@ def attach_index(
         buffers["ring_lngs"],
         buffers["ring_lats"],
     )
+    covering = SuperCovering.attach(
+        buffers["cell_ids"], buffers["ref_offsets"], buffers["packed_refs"]
+    )
     return PolygonIndex(
         polygons,
-        None,
+        covering,
         store,
         lookup_table,
         BuildTimings(),

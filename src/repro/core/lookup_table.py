@@ -26,6 +26,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.refs import PolygonRef, validate_polygon_id
+from repro.core.super_covering import SuperCovering
 
 TAG_POINTER = 0
 TAG_ONE_REF = 1
@@ -75,14 +76,16 @@ def expand_offsets(
 class LookupTable:
     """Builds and serves the shared reference-list array.
 
-    A built table grows through :meth:`encode`; :meth:`attach` wraps an
-    already-packed ``uint32`` array (a view into a flat snapshot blob)
+    A built table grows through :meth:`encode_covering` (a whole covering
+    at once) and :meth:`encode` (one reference set); :meth:`attach` wraps
+    an already-packed ``uint32`` array (a view into a flat snapshot blob)
     read-only.  Both serve the probe side from :attr:`array`.
     """
 
     def __init__(self) -> None:
         self._data: list[int] | None = []  # None: attached, read-only
-        self._offsets: dict[tuple[PolygonRef, ...], int] = {}
+        #: Interned lists by their packed references, in canonical order.
+        self._offsets: dict[tuple[int, ...], int] = {}
         self._frozen: np.ndarray | None = None
 
     @classmethod
@@ -113,17 +116,68 @@ class LookupTable:
                 | (refs[1].packed() << 33)
                 | TAG_TWO_REFS
             )
-        return (self._intern(tuple(refs)) << 2) | TAG_OFFSET
+        return (self._intern(tuple(ref.packed() for ref in refs)) << 2) | TAG_OFFSET
 
-    def _intern(self, refs: tuple[PolygonRef, ...]) -> int:
+    def encode_covering(self, covering: SuperCovering) -> np.ndarray:
+        """The tagged entry of every cell of ``covering`` (``uint64``, in
+        cell-id order) — the one entry encoder of every cell store.
+
+        One- and two-reference rows are inlined arithmetically; longer
+        rows are interned once per *distinct* row, in ascending cell-id
+        order of their first occurrence, so the table's layout depends on
+        the covering alone.
+        """
+        if self._data is None:
+            raise TypeError("an attached lookup table is read-only")
+        offsets, packed = covering.ref_offsets, covering.packed_refs
+        counts = np.diff(offsets)
+        if np.any(counts == 0):
+            raise ValueError("a super-covering cell must reference >= 1 polygon")
+        if len(packed) and int(packed.max()) > _VALUE_MASK:
+            raise ValueError(
+                f"polygon id {int(packed.max()) >> 1} outside the 30-bit "
+                "range the index supports"
+            )
+        first = packed[offsets[:-1]].astype(np.uint64)
+        entries = (first << np.uint64(2)) | np.uint64(TAG_ONE_REF)
+        two = np.flatnonzero(counts == 2)
+        entries[two] = (
+            (first[two] << np.uint64(2))
+            | (packed[offsets[two] + 1].astype(np.uint64) << np.uint64(33))
+            | np.uint64(TAG_TWO_REFS)
+        )
+        longer = np.flatnonzero(counts > 2)
+        if len(longer):
+            # Rows padded to one width (no real reference is all ones), so
+            # one unique() finds the distinct rows and where each first
+            # occurs.
+            width = int(counts[longer].max())
+            column = np.arange(width)
+            padded = np.full((len(longer), width), 0xFFFFFFFF, dtype=np.uint32)
+            inside = column < counts[longer, None]
+            padded[inside] = packed[(offsets[longer, None] + column)[inside]]
+            rows, first_seen, which = np.unique(
+                padded, axis=0, return_index=True, return_inverse=True
+            )
+            list_offsets = np.empty(len(rows), dtype=np.uint64)
+            for row in np.argsort(first_seen).tolist():
+                refs = rows[row, : counts[longer[first_seen[row]]]]
+                list_offsets[row] = self._intern(tuple(refs.tolist()))
+            entries[longer] = (list_offsets[which.ravel()] << np.uint64(2)) | np.uint64(
+                TAG_OFFSET
+            )
+        return entries
+
+    def _intern(self, refs: tuple[int, ...]) -> int:
+        """Offset of the list of packed references ``refs`` (stored once)."""
         offset = self._offsets.get(refs)
         if offset is not None:
             return offset
         offset = len(self._data)
         if offset > _VALUE_MASK:
             raise OverflowError("lookup table exceeds the 31-bit offset budget")
-        true_ids = [r.polygon_id for r in refs if r.interior]
-        cand_ids = [r.polygon_id for r in refs if not r.interior]
+        true_ids = [value >> 1 for value in refs if value & 1]
+        cand_ids = [value >> 1 for value in refs if not value & 1]
         self._data.append(len(true_ids))
         self._data.extend(true_ids)
         self._data.append(len(cand_ids))

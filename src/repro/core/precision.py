@@ -25,25 +25,25 @@ until the target level.  Cells that separate from all boundaries above the
 target level are kept coarse: they are uniform, so keeping them un-split
 preserves both the precision guarantee (which constrains only boundary
 cells) and memory.
+
+The covering goes in and comes out as arrays: the roots are the rows with a
+candidate reference, the rounds collect ``(final cell, packed ref)`` pairs,
+and the true hits a root already held reach its final cells — and the
+tiling of whatever they leave uncovered — through the build's one merge
+sweep (:func:`repro.core.super_covering.merge_cells`: final cells nest in
+their roots).  One :meth:`SuperCovering.replace_cells` installs the lot.
 """
 
 from __future__ import annotations
 
-import bisect
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.cells.cell import bound_rects_for_cell_ids
-from repro.cells.cellid import CellId
 from repro.cells.metrics import level_for_max_diag_meters
-from repro.cells.vectorized import (
-    child_cell_ids,
-    levels_from_cell_ids,
-    range_bounds_from_cell_ids,
-)
-from repro.core.refs import PolygonRef, merge_refs
-from repro.core.super_covering import SuperCovering
+from repro.cells.vectorized import child_cell_ids, levels_from_cell_ids
+from repro.core.super_covering import SuperCovering, merge_cells
 from repro.geo.polygon import Polygon
 from repro.geo.relation import Relation, relations_for_pairs
 
@@ -67,31 +67,29 @@ def refine_to_precision(
     # hand a fine cell a candidate reference for a polygon it does not even
     # touch (inherited from a coarse ancestor), and the precision guarantee
     # requires boundary cells to actually border their polygons.
-    root_list: list[int] = []
-    true_refs: list[tuple[PolygonRef, ...]] = []
-    candidate_counts: list[int] = []
-    candidate_pids: list[int] = []
-    for raw_id, refs in super_covering.raw_items().items():
-        pids = [ref.polygon_id for ref in refs if not ref.interior]
-        if pids:
-            root_list.append(raw_id)
-            true_refs.append(tuple(ref for ref in refs if ref.interior))
-            candidate_counts.append(len(pids))
-            candidate_pids.extend(pids)
-    if not root_list:
+    root_rows = np.flatnonzero(super_covering.candidate_counts())
+    if not len(root_rows):
         return target_level
-    root_ids = np.asarray(root_list, dtype=np.uint64)
-    # The frontier: live cells (id, level, owning root) and their pairs
-    # (frontier slot, polygon id, relation code).  A pair's code is
-    # INTERSECTS while it is a candidate, CONTAINED once inherited.
+    root_ids = super_covering.cell_ids[root_rows]
+    # Root slot of every reference (-1: not a root's), split into the
+    # candidates to classify and the true hits the roots already hold.
+    slot_of_row = np.full(super_covering.num_cells, -1, dtype=np.int64)
+    slot_of_row[root_rows] = np.arange(len(root_rows), dtype=np.int64)
+    ref_slots = np.repeat(slot_of_row, np.diff(super_covering.ref_offsets))
+    packed_refs = super_covering.packed_refs
+    interior = (packed_refs & np.uint32(1)).astype(bool)
+    candidates = np.flatnonzero(~interior & (ref_slots >= 0))
+    inherited = np.flatnonzero(interior & (ref_slots >= 0))
+    # The frontier: live cells (id, level) and their pairs (frontier slot,
+    # polygon id, relation code).  A pair's code is INTERSECTS while it is
+    # a candidate, CONTAINED once inherited.
     cell_ids = root_ids
     cell_levels = levels_from_cell_ids(root_ids)
-    cell_roots = np.arange(len(root_list), dtype=np.int64)
-    pair_cells = np.repeat(cell_roots, candidate_counts)
-    pair_pids = np.asarray(candidate_pids, dtype=np.int64)
+    pair_cells = ref_slots[candidates]
+    pair_pids = (packed_refs[candidates] >> np.uint32(1)).astype(np.int64)
     pair_codes = np.full(len(pair_cells), Relation.INTERSECTS, dtype=np.int8)
-    added: dict[int, tuple[PolygonRef, ...]] = {}
-    merged_cache: dict[tuple[int, ...], tuple[PolygonRef, ...]] = {}
+    final_cells: list[np.ndarray] = []
+    final_refs: list[np.ndarray] = []
     while len(cell_ids):
         rects = bound_rects_for_cell_ids(cell_ids)
         undecided = np.flatnonzero(pair_codes == Relation.INTERSECTS)
@@ -107,29 +105,12 @@ def refine_to_precision(
         # Everything else with a reference left is final: uniform cells
         # stay coarse, boundary cells sit at (or below) the target level.
         final = np.flatnonzero(~split[pair_cells])
-        final = final[np.argsort(pair_cells[final], kind="stable")]
-        slots = pair_cells[final]
-        firsts = np.flatnonzero(np.diff(slots, prepend=-1))
-        bounds = [*firsts.tolist(), len(slots)]
-        packed = (
-            pair_pids[final] << 1 | (pair_codes[final] == Relation.CONTAINED)
-        ).tolist()
-        # A final cell's reference set is its root's true hits merged with
-        # its own pairs (``PolygonRef.packed()`` form); it depends only on
-        # (root, pairs), which repeats across thousands of cells.
-        for raw, root, start, stop in zip(
-            cell_ids[slots[firsts]].tolist(),
-            cell_roots[slots[firsts]].tolist(),
-            bounds,
-            bounds[1:],
-        ):
-            key = (root, *packed[start:stop])
-            refs = merged_cache.get(key)
-            if refs is None:
-                refs = merged_cache[key] = merge_refs(
-                    true_refs[root], map(PolygonRef.from_packed, key[1:])
-                )
-            added[raw] = refs
+        final_cells.append(cell_ids[pair_cells[final]])
+        final_refs.append(
+            (pair_pids[final] << 1 | (pair_codes[final] == Relation.CONTAINED)).astype(
+                np.uint32
+            )
+        )
         # Split cells hand their pairs, unchanged, to all four children.
         parents = np.flatnonzero(split)
         child_base = np.zeros(len(cell_ids), dtype=np.int64)
@@ -140,45 +121,15 @@ def refine_to_precision(
         pair_codes = np.repeat(pair_codes[moving], 4)
         cell_ids = child_cell_ids(cell_ids[parents]).ravel()
         cell_levels = np.repeat(cell_levels[parents] + 1, 4)
-        cell_roots = np.repeat(cell_roots[parents], 4)
-    # True hits inherited from the original cell must keep covering the
-    # *whole* cell even where every candidate polygon is absent.
-    covered = np.sort(np.fromiter(added, dtype=np.uint64, count=len(added)))
-    lows, highs = range_bounds_from_cell_ids(root_ids)
-    starts = np.searchsorted(covered, lows, side="left").tolist()
-    stops = np.searchsorted(covered, highs, side="right").tolist()
-    for raw_id, refs, start, stop in zip(root_list, true_refs, starts, stops):
-        if refs:
-            for gap in _uncovered_children(
-                CellId(raw_id), set(covered[start:stop].tolist())
-            ):
-                added[gap.id] = refs
-    super_covering.replace_cells(root_list, added)
+    # The final cells nest in their roots, so one merge sweep hands each
+    # its root's true hits and tiles the rest of the root with them: true
+    # hits must keep covering the *whole* root even where every candidate
+    # polygon is absent.
+    super_covering.replace_cells(
+        root_ids,
+        *merge_cells(
+            np.concatenate([*final_cells, root_ids[ref_slots[inherited]]]),
+            np.concatenate([*final_refs, packed_refs[inherited]]),
+        ),
+    )
     return target_level
-
-
-def _uncovered_children(cell: CellId, covered_ids: set[int]) -> list[CellId]:
-    """Maximal descendants of ``cell`` disjoint from ``covered_ids`` cells.
-
-    ``covered_ids`` contains disjoint descendants of ``cell``; the result
-    tiles the remainder with the coarsest possible cells.
-    """
-    if not covered_ids:
-        return [cell]
-    sorted_ids = sorted(covered_ids)
-    gaps: list[CellId] = []
-
-    def descend(current: CellId) -> None:
-        if current.id in covered_ids:
-            return
-        lo = current.range_min().id
-        hi = current.range_max().id
-        index = bisect.bisect_left(sorted_ids, lo)
-        if index >= len(sorted_ids) or sorted_ids[index] > hi:
-            gaps.append(current)
-            return
-        for child in current.children():
-            descend(child)
-
-    descend(cell)
-    return gaps

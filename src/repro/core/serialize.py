@@ -52,10 +52,10 @@ from repro.core.flat import (
     attach_index,
     pack_index,
     pack_polygon_geometry,
-    unpack_covering,
     unpack_polygon_geometry,
     validate_buffers,
 )
+from repro.core.super_covering import SuperCovering
 from repro.geo.wkt import polygon_from_wkt
 from repro.util.timing import Timer
 
@@ -230,13 +230,13 @@ def load_index(path: str | pathlib.Path) -> PolygonIndex | DynamicPolygonIndex:
 
 
 def _load_legacy(archive) -> PolygonIndex | DynamicPolygonIndex:
-    """The v1/v2 ``.npz`` path: unpack the covering, rebuild the store."""
+    """The v1/v2 ``.npz`` path: attach the covering, rebuild the store."""
     meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
     if not 1 <= meta["format_version"] <= _LAST_LEGACY_VERSION:
         raise ValueError(
             f"unsupported index file version {meta['format_version']}"
         )
-    covering = unpack_covering(
+    covering = SuperCovering.attach(
         archive["cell_ids"], archive["ref_offsets"], archive["packed_refs"]
     )
     polygons = [

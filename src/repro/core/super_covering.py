@@ -15,178 +15,339 @@ sibling subtrees on the path from ``c2`` up to ``c1``), copying ``c1``'s
 references onto both.  Nothing about any cell's reference set changes for
 any geographic point.
 
-Two implementations are provided and tested for equivalence:
+A :class:`SuperCovering` *is* the three sorted arrays the flat coverage
+plane ships (:data:`repro.core.flat.FLAT_COVERAGE_BUFFERS`):
 
-* :func:`build_super_covering` — a bulk sweep over all cells sorted by
-  ``range_min`` that resolves all conflicts in one O(n log n) pass;
-  used when building an index over a full polygon dataset.
-* :meth:`SuperCovering.insert` — the paper's incremental one-cell-at-a-time
-  insertion (Listing 1), which also supports the future-work path of adding
-  polygons to an existing index.
+* ``cell_ids`` — ``uint64``, strictly ascending,
+* ``ref_offsets`` — ``int64``, one more than cells; row ``i``'s references
+  are ``packed_refs[ref_offsets[i]:ref_offsets[i + 1]]``,
+* ``packed_refs`` — ``uint32`` ``(polygon_id << 1) | interior``, ascending
+  within a row, a polygon at most once per row (interior dominating).
+
+The arrays are never mutated in place — every mutation installs new ones —
+so copies, row ranges and attached snapshot views share them freely.
+
+One merge serves every writer: :func:`build_super_covering` sweeps all
+input cells of a build, :meth:`SuperCovering.insert` sweeps the existing
+rows together with the new cells.  The paper's one-cell-at-a-time
+insertion is the parity oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import bisect
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.cells.cellid import MAX_LEVEL, CellId
-from repro.core.refs import PolygonRef, merge_refs
+from repro.cells.cellid import NUM_FACES, CellId
+from repro.cells.vectorized import (
+    levels_from_cell_ids,
+    range_bounds_from_cell_ids,
+    tile_leaf_ranges,
+)
+from repro.core.refs import PolygonRef, validate_polygon_id
 
-#: Leaf ids advance in steps of two (bit 0 is always set).
-_LEAF_STEP = 2
+#: Bits a packed reference occupies (30-bit polygon id + interior flag).
+_REF_BITS = np.uint64(31)
+_REF_MASK = np.uint64((1 << 31) - 1)
+#: A valid cell id's lowest set bit sits at an even position.
+_EVEN_BITS = np.uint64(0x5555555555555555)
+_LEAF_STEP = np.uint64(2)
+
+
+def take_rows(
+    offsets: np.ndarray, values: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gather CSR rows: ``(new offsets, new values)`` of ``rows`` in order."""
+    starts = offsets[rows]
+    counts = offsets[rows + 1] - starts
+    new_offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=new_offsets[1:])
+    index = np.repeat(starts - new_offsets[:-1], counts)
+    index += np.arange(new_offsets[-1], dtype=np.int64)
+    return new_offsets, values[index]
+
+
+def rows_from_entries(
+    owners: np.ndarray, packed: np.ndarray, num_rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical reference rows from loose ``(row, packed ref)`` entries.
+
+    One sort of the composite ``(row, packed ref)`` key: duplicates
+    collapse, and a candidate reference directly followed by the same
+    polygon's true hit is dropped (a cell fully inside a polygon needs no
+    refinement).  Returns ``(ref_offsets, packed_refs)`` over
+    ``num_rows`` rows.
+    """
+    keys = np.unique(
+        (owners.astype(np.uint64) << _REF_BITS) | packed.astype(np.uint64)
+    )
+    pairs = keys >> np.uint64(1)  # (row, polygon id)
+    keep = np.ones(len(keys), dtype=bool)
+    keep[:-1] = pairs[:-1] != pairs[1:]
+    keys = keys[keep]
+    offsets = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(
+        np.bincount((keys >> _REF_BITS).astype(np.int64), minlength=num_rows),
+        out=offsets[1:],
+    )
+    return offsets, (keys & _REF_MASK).astype(np.uint32)
+
+
+def candidate_counts(ref_offsets: np.ndarray, packed_refs: np.ndarray) -> np.ndarray:
+    """Candidate (non-interior) references per row, ``int64``."""
+    num_rows = len(ref_offsets) - 1
+    rows = np.repeat(np.arange(num_rows, dtype=np.int64), np.diff(ref_offsets))
+    return np.bincount(rows[(packed_refs & np.uint32(1)) == 0], minlength=num_rows)
+
+
+def merge_cells(
+    cells: np.ndarray, packed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The merge sweep: loose ``(cell id, packed ref)`` entries to the
+    disjoint ``(cell_ids, ref_offsets, packed_refs)`` of a super covering.
+
+    1. References of identical cells aggregate (one sort).
+    2. Cells are ordered by ``(range_min ascending, range_max descending)``,
+       a preorder of the nesting forest: a cell's descendants are the
+       contiguous run that follows it.
+    3. Every cell's row is copied over its run, so each cell ends up with
+       the references of all its ancestors (one more sort).
+    4. Childless cells are emitted whole; the parts of a parent not
+       covered by its children — before its first child, and after each
+       child up to the next sibling or the parent's end — are tiled with
+       maximal cells carrying the parent's accumulated row.  That is the
+       difference-cell decomposition of the paper's conflict resolution,
+       generalized to arbitrary nesting.
+    """
+    ids, inverse = np.unique(cells, return_inverse=True)
+    offsets, packed = rows_from_entries(inverse.ravel(), packed, len(ids))
+    lo, hi = range_bounds_from_cell_ids(ids)
+    if np.all(hi[:-1] < lo[1:]):
+        return ids, offsets, packed  # nothing nests
+    order = np.lexsort((~hi, lo))
+    ids, lo, hi = ids[order], lo[order], hi[order]
+    offsets, packed = take_rows(offsets, packed, order)
+    count = len(ids)
+    position = np.arange(count, dtype=np.int64)
+    end = np.searchsorted(lo, hi, side="right")  # one past the descendants
+    # Accumulate: every (ancestor-or-self, cell) pair hands the cell the
+    # ancestor's row.
+    size = end - position
+    source = np.repeat(position, size)
+    target = np.arange(len(source), dtype=np.int64)
+    target -= np.repeat(np.cumsum(size) - size, size) - source
+    row_offsets, row_values = take_rows(offsets, packed, source)
+    offsets, packed = rows_from_entries(
+        np.repeat(target, np.diff(row_offsets)), row_values, count
+    )
+    # The nearest enclosing cell, one nesting depth at a time.
+    depth = position - np.cumsum(np.bincount(end, minlength=count + 1))[:count]
+    parent = np.full(count, -1, dtype=np.int64)
+    for level in range(1, int(depth.max()) + 1):
+        above = np.flatnonzero(depth == level - 1)
+        here = np.flatnonzero(depth == level)
+        parent[here] = above[np.searchsorted(above, here) - 1]
+    childless = end == position + 1
+    parents = np.flatnonzero(~childless)
+    nested = np.flatnonzero(depth > 0)
+    enclosing = parent[nested]
+    following = np.minimum(end[nested], count - 1)
+    sibling_follows = (end[nested] < count) & (lo[following] <= hi[enclosing])
+    gap_cells, gap_index = tile_leaf_ranges(
+        np.concatenate([lo[parents], hi[nested] + _LEAF_STEP]),
+        np.concatenate(
+            [
+                lo[parents + 1],
+                np.where(sibling_follows, lo[following], hi[enclosing] + _LEAF_STEP),
+            ]
+        ),
+    )
+    out_ids = np.concatenate([ids[childless], gap_cells])
+    out_rows = np.concatenate(
+        [np.flatnonzero(childless), np.concatenate([parents, enclosing])[gap_index]]
+    )
+    order = np.argsort(out_ids)
+    return (out_ids[order], *take_rows(offsets, packed, out_rows[order]))
+
+
+def _polygon_entries(
+    polygon_id: int, covering: Sequence[CellId], interior_covering: Sequence[CellId]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One polygon's approximations as ``(cell id, packed ref)`` entries."""
+    cells = np.fromiter(
+        (cell.id for group in (covering, interior_covering) for cell in group),
+        dtype=np.uint64,
+        count=len(covering) + len(interior_covering),
+    )
+    packed = np.full(len(cells), validate_polygon_id(polygon_id) << 1, dtype=np.uint32)
+    packed[len(covering):] |= 1
+    return cells, packed
 
 
 class SuperCovering:
     """A disjoint mapping from cells to polygon-reference sets."""
 
     def __init__(self) -> None:
-        self._refs: dict[int, tuple[PolygonRef, ...]] = {}
-        # Sorted list of ids for descendant range queries in insert().
-        self._sorted_ids: list[int] = []
+        self._install(
+            np.zeros(0, dtype=np.uint64),
+            np.zeros(1, dtype=np.int64),
+            np.zeros(0, dtype=np.uint32),
+        )
+
+    def _install(
+        self, cell_ids: np.ndarray, ref_offsets: np.ndarray, packed_refs: np.ndarray
+    ) -> None:
+        self.cell_ids = cell_ids
+        self.ref_offsets = ref_offsets
+        self.packed_refs = packed_refs
+        self._max_level: int | None = None
+
+    @classmethod
+    def _of(
+        cls, cell_ids: np.ndarray, ref_offsets: np.ndarray, packed_refs: np.ndarray
+    ) -> "SuperCovering":
+        covering = cls.__new__(cls)
+        covering._install(cell_ids, ref_offsets, packed_refs)
+        return covering
+
+    @classmethod
+    def attach(
+        cls, cell_ids: np.ndarray, ref_offsets: np.ndarray, packed_refs: np.ndarray
+    ) -> "SuperCovering":
+        """Wrap the three buffers of a saved or published covering.
+
+        The arrays come from outside the program (a file, a shared-memory
+        segment), so their shape is checked — ``ValueError`` naming the
+        offending buffer — before anything indexes through them.  Ids
+        already ascending (every file since 1.14.0) are used as they are,
+        views included; older files stored them in build order and are
+        sorted once here, rows regathered.
+        """
+        cell_ids = np.asarray(cell_ids, dtype=np.uint64)
+        ref_offsets = np.asarray(ref_offsets, dtype=np.int64)
+        packed_refs = np.asarray(packed_refs, dtype=np.uint32)
+        if len(ref_offsets) != len(cell_ids) + 1:
+            raise ValueError(
+                f"ref_offsets: {len(ref_offsets)} offsets for "
+                f"{len(cell_ids)} cell ids (expected one more)"
+            )
+        if ref_offsets[0] != 0 or np.any(ref_offsets[1:] < ref_offsets[:-1]):
+            raise ValueError("ref_offsets: must start at 0 and never decrease")
+        if ref_offsets[-1] != len(packed_refs):
+            raise ValueError(
+                f"packed_refs: {len(packed_refs)} references, but ref_offsets "
+                f"ends at {int(ref_offsets[-1])}"
+            )
+        lsb = cell_ids & (np.uint64(0) - cell_ids)
+        if np.any((lsb & _EVEN_BITS) == 0) or np.any(
+            cell_ids >> np.uint64(61) >= NUM_FACES
+        ):
+            raise ValueError("cell_ids: not all entries are valid cell ids")
+        if np.any(cell_ids[1:] <= cell_ids[:-1]):
+            order = np.argsort(cell_ids)
+            cell_ids = cell_ids[order]
+            if np.any(cell_ids[1:] == cell_ids[:-1]):
+                raise ValueError("cell_ids: duplicate cell ids")
+            ref_offsets, packed_refs = take_rows(ref_offsets, packed_refs, order)
+        return cls._of(cell_ids, ref_offsets, packed_refs)
 
     # ------------------------------------------------------------------
     # Read API
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._refs)
-
-    def __contains__(self, cell: CellId) -> bool:
-        return cell.id in self._refs
-
-    def refs_for(self, cell: CellId) -> tuple[PolygonRef, ...]:
-        return self._refs[cell.id]
-
-    def items(self) -> Iterator[tuple[CellId, tuple[PolygonRef, ...]]]:
-        """Iterate ``(cell, refs)`` in id order."""
-        for raw_id in sorted(self._refs):
-            yield CellId(raw_id), self._refs[raw_id]
-
-    def raw_items(self) -> Mapping[int, tuple[PolygonRef, ...]]:
-        """The underlying id -> refs mapping (read-only by convention)."""
-        return self._refs
+        return len(self.cell_ids)
 
     @property
     def num_cells(self) -> int:
-        return len(self._refs)
+        return len(self.cell_ids)
 
-    def copy(self) -> "SuperCovering":
-        """An independent shallow copy (reference tuples are immutable).
+    def _row(self, raw_id: int) -> int:
+        """Row of a cell id, ``-1`` when absent."""
+        row = int(np.searchsorted(self.cell_ids, np.uint64(raw_id)))
+        if row < len(self.cell_ids) and int(self.cell_ids[row]) == raw_id:
+            return row
+        return -1
 
-        Used by online retraining, which adapts a copy of the live
-        covering in the background and only then swaps the result in.
+    def _refs_at(self, row: int) -> tuple[PolygonRef, ...]:
+        row_refs = self.packed_refs[self.ref_offsets[row] : self.ref_offsets[row + 1]]
+        return tuple(map(PolygonRef.from_packed, row_refs.tolist()))
+
+    def __contains__(self, cell: CellId) -> bool:
+        return self._row(cell.id) >= 0
+
+    def refs_for(self, cell: CellId) -> tuple[PolygonRef, ...]:
+        row = self._row(cell.id)
+        if row < 0:
+            raise KeyError(cell)
+        return self._refs_at(row)
+
+    def items(self) -> Iterator[tuple[CellId, tuple[PolygonRef, ...]]]:
+        """Iterate ``(cell, refs)`` in id order."""
+        bounds = self.ref_offsets.tolist()
+        refs = list(map(PolygonRef.from_packed, self.packed_refs.tolist()))
+        for raw_id, start, stop in zip(self.cell_ids.tolist(), bounds, bounds[1:]):
+            yield CellId(raw_id), tuple(refs[start:stop])
+
+    def find_containing(
+        self, leaf_id: int
+    ) -> tuple[CellId, tuple[PolygonRef, ...]] | None:
+        """The unique cell containing a leaf id, or None.
+
+        Disjoint cells sorted by id are sorted by leaf range too, so the
+        containing cell is one of the two ids around ``leaf_id``.
         """
-        clone = SuperCovering()
-        clone._refs = dict(self._refs)
-        clone._sorted_ids = list(self._sorted_ids)
-        return clone
-
-    @classmethod
-    def from_raw(
-        cls, raw: Mapping[int, Sequence[PolygonRef]]
-    ) -> "SuperCovering":
-        """Rebuild a covering from an ``id -> refs`` mapping.
-
-        The caller asserts the cells are already disjoint — they came out
-        of an existing covering (a serialized file, or one spatial
-        partition of a live covering shipped to a shard worker) — so no
-        conflict resolution runs; this is a plain re-index.
-        """
-        covering = cls()
-        covering._refs = {
-            int(raw_id): tuple(refs) for raw_id, refs in raw.items()
-        }
-        covering._sorted_ids = sorted(covering._refs)
-        return covering
-
-    def entry_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized export of every (cell, polygon-ref) entry.
-
-        Returns ``(cell_ids, counts, entry_pids)``: the id-sorted cell
-        ids (``uint64``), each cell's reference count (``int64``), and
-        the polygon id of every entry concatenated in that cell order
-        (``int64``, ``counts.sum()`` long).  This is the array form the
-        sharded serving layer plans over — home-cell attribution, cut
-        balancing, and owned/borrowed classification are all
-        ``np.repeat``/``bincount`` kernels over these three arrays
-        instead of Python loops over the refs dict.
-        """
-        num_cells = len(self._sorted_ids)
-        cell_ids = np.fromiter(
-            self._sorted_ids, dtype=np.uint64, count=num_cells
-        )
-        counts = np.fromiter(
-            (len(self._refs[raw_id]) for raw_id in self._sorted_ids),
-            dtype=np.int64,
-            count=num_cells,
-        )
-        entry_pids = np.fromiter(
-            (
-                ref.polygon_id
-                for raw_id in self._sorted_ids
-                for ref in self._refs[raw_id]
-            ),
-            dtype=np.int64,
-            count=int(counts.sum()) if num_cells else 0,
-        )
-        return cell_ids, counts, entry_pids
-
-    def find_containing(self, leaf_id: int) -> tuple[CellId, tuple[PolygonRef, ...]] | None:
-        """The unique cell containing a leaf id, or None (walks ancestors)."""
-        cell = CellId(leaf_id)
-        for level in range(MAX_LEVEL, -1, -1):
-            ancestor = cell if level == MAX_LEVEL else cell.parent(level)
-            refs = self._refs.get(ancestor.id)
-            if refs is not None:
-                return ancestor, refs
+        row = int(np.searchsorted(self.cell_ids, np.uint64(leaf_id)))
+        for candidate in (row, row - 1):
+            if 0 <= candidate < len(self.cell_ids):
+                cell = CellId(int(self.cell_ids[candidate]))
+                if cell.range_min().id <= leaf_id <= cell.range_max().id:
+                    return cell, self._refs_at(candidate)
         return None
 
     def check_disjoint(self) -> None:
         """Raise AssertionError if any two cells conflict (test helper)."""
-        ordered = sorted(CellId(i) for i in self._refs)
-        for previous, current in zip(ordered, ordered[1:]):
-            if previous.range_max().id >= current.range_min().id:
-                raise AssertionError(f"conflicting cells: {previous} and {current}")
+        lo, hi = range_bounds_from_cell_ids(self.cell_ids)
+        clash = np.flatnonzero(hi[:-1] >= lo[1:])
+        if len(clash):
+            previous, current = self.cell_ids[clash[0] : clash[0] + 2].tolist()
+            raise AssertionError(
+                f"conflicting cells: {CellId(previous)} and {CellId(current)}"
+            )
+
+    def candidate_counts(self) -> np.ndarray:
+        """Candidate (non-interior) references per cell, ``int64``; a cell
+        is *expensive* — its hits need refinement — where this is > 0."""
+        return candidate_counts(self.ref_offsets, self.packed_refs)
+
+    def copy(self) -> "SuperCovering":
+        """An independent covering over the same (immutable) arrays.
+
+        Used by online retraining, which adapts a copy of the live
+        covering in the background and only then swaps the result in.
+        """
+        return self._of(self.cell_ids, self.ref_offsets, self.packed_refs)
+
+    def row_range(self, row_lo: int, row_hi: int) -> "SuperCovering":
+        """The covering of rows ``[row_lo, row_hi)`` — a spatial partition
+        (a shard), since rows are in curve order.  Views, no copy."""
+        offsets = self.ref_offsets[row_lo : row_hi + 1]
+        return self._of(
+            self.cell_ids[row_lo:row_hi],
+            offsets - offsets[0],
+            self.packed_refs[offsets[0] : offsets[-1]],
+        )
 
     # ------------------------------------------------------------------
-    # Incremental build (Listing 1)
+    # Mutation: the merge sweep over existing rows + new cells, and the
+    # bulk replacement precision refinement and training use
     # ------------------------------------------------------------------
 
     def insert(self, cell: CellId, refs: Iterable[PolygonRef]) -> None:
         """Insert one covering cell, resolving conflicts precision-preservingly."""
-        new_refs = tuple(refs)
-        raw_id = cell.id
-        existing = self._refs.get(raw_id)
-        if existing is not None:
-            # Duplicate cell: merge the reference lists.
-            self._refs[raw_id] = merge_refs(existing, new_refs)
-            return
-        ancestor = self._find_existing_ancestor(cell)
-        if ancestor is not None:
-            # Existing c1 contains the new c2: replace c1 by c2 + difference.
-            ancestor_refs = self._remove(ancestor)
-            from repro.cells.cellid import cell_difference
-
-            for piece in cell_difference(ancestor, cell):
-                # Pieces are disjoint from everything else (the ancestor
-                # occupied this range exclusively), so add directly.
-                self._add(piece, ancestor_refs)
-            self._add(cell, merge_refs(ancestor_refs, new_refs))
-            return
-        if self._has_descendants(cell):
-            # New cell contains existing cells: descend, splitting around
-            # them.  Children without descendants insert whole, which
-            # reproduces exactly the difference-based resolution.
-            for child in cell.children():
-                if self._has_descendants_or_self(child):
-                    self.insert(child, new_refs)
-                else:
-                    self._add(child, new_refs)
-            return
-        self._add(cell, new_refs)
+        packed = np.asarray([ref.packed() for ref in refs], dtype=np.uint32)
+        self._merge_in(np.full(len(packed), cell.id, dtype=np.uint64), packed)
 
     def insert_covering(
         self,
@@ -194,109 +355,86 @@ class SuperCovering:
         covering: Sequence[CellId],
         interior_covering: Sequence[CellId],
     ) -> None:
-        """Insert one polygon's approximations (covering first, Listing 1)."""
-        for cell in covering:
-            self.insert(cell, (PolygonRef(polygon_id, False),))
-        for cell in interior_covering:
-            self.insert(cell, (PolygonRef(polygon_id, True),))
+        """Insert one polygon's approximations (Listing 1)."""
+        self._merge_in(*_polygon_entries(polygon_id, covering, interior_covering))
 
-    # ------------------------------------------------------------------
-    # Mutation used by precision refinement / training
-    # ------------------------------------------------------------------
+    def merge(self, other: "SuperCovering") -> None:
+        """Insert every cell of another covering, rows and all."""
+        self._merge_in(*other._entries())
 
-    def replace_cell(
-        self,
-        cell: CellId,
-        replacements: Iterable[tuple[CellId, tuple[PolygonRef, ...]]],
-    ) -> None:
-        """Replace ``cell`` with descendant cells (no conflict checking).
+    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows as loose ``(cell id, packed ref)`` entries."""
+        return np.repeat(self.cell_ids, np.diff(self.ref_offsets)), self.packed_refs
 
-        Used by precision refinement and index training, whose replacement
-        cells are descendants of ``cell`` by construction and therefore
-        cannot conflict with anything else.
-        """
-        self._remove(cell)
-        for descendant, refs in replacements:
-            if refs:
-                self._add(descendant, refs)
+    def _merge_in(self, cells: np.ndarray, packed: np.ndarray) -> None:
+        own_cells, own_packed = self._entries()
+        self._install(
+            *merge_cells(
+                np.concatenate([own_cells, cells]),
+                np.concatenate([own_packed, packed]),
+            )
+        )
 
     def replace_cells(
         self,
-        removed: Iterable[int],
-        added: Mapping[int, tuple[PolygonRef, ...]],
+        removed_ids: np.ndarray,
+        added_ids: np.ndarray,
+        added_offsets: np.ndarray,
+        added_refs: np.ndarray,
     ) -> None:
-        """Bulk :meth:`replace_cell`: drop ``removed`` ids, add descendants.
+        """Replace cells by descendants: drop ``removed_ids``, add the rows
+        ``(added_ids, added_offsets, added_refs)``.
 
-        The precision refinement replaces every boundary cell in one call,
-        so the sorted id list is rebuilt once instead of per cell.
+        Precision refinement and training replace cells by cells inside
+        them, which cannot conflict with anything else, so no sweep runs;
+        an added cell outside every removed one is rejected.
         """
-        for raw_id in removed:
-            del self._refs[raw_id]
-        self._refs.update(added)
-        self._sorted_ids = sorted(self._refs)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _add(self, cell: CellId, refs: tuple[PolygonRef, ...]) -> None:
-        self._refs[cell.id] = refs
-        bisect.insort(self._sorted_ids, cell.id)
-
-    def _remove(self, cell: CellId) -> tuple[PolygonRef, ...]:
-        refs = self._refs.pop(cell.id)
-        index = bisect.bisect_left(self._sorted_ids, cell.id)
-        del self._sorted_ids[index]
-        return refs
-
-    def _find_existing_ancestor(self, cell: CellId) -> CellId | None:
-        for level in range(cell.level - 1, -1, -1):
-            ancestor = cell.parent(level)
-            if ancestor.id in self._refs:
-                return ancestor
-        return None
-
-    def _has_descendants(self, cell: CellId) -> bool:
-        lo = cell.range_min().id
-        hi = cell.range_max().id
-        index = bisect.bisect_left(self._sorted_ids, lo)
-        return index < len(self._sorted_ids) and self._sorted_ids[index] <= hi
-
-    def _has_descendants_or_self(self, cell: CellId) -> bool:
-        return cell.id in self._refs or self._has_descendants(cell)
+        removed = np.unique(np.asarray(removed_ids, dtype=np.uint64))
+        added_ids = np.asarray(added_ids, dtype=np.uint64)
+        keep = ~np.isin(self.cell_ids, removed, assume_unique=True)
+        if len(self.cell_ids) - np.count_nonzero(keep) != len(removed):
+            raise KeyError("replace_cells: a removed id is not a cell of the covering")
+        if len(added_ids):
+            root_lo, root_hi = range_bounds_from_cell_ids(removed)
+            lo, hi = range_bounds_from_cell_ids(added_ids)
+            root = np.searchsorted(root_lo, lo, side="right") - 1
+            if np.any(root < 0) or np.any(hi > root_hi[root]):
+                raise ValueError(
+                    "replace_cells: an added cell lies outside every removed cell"
+                )
+        ids = np.concatenate([self.cell_ids, added_ids])
+        rows = np.flatnonzero(
+            np.concatenate([keep, np.ones(len(added_ids), dtype=bool)])
+        )
+        rows = rows[np.argsort(ids[rows])]
+        offsets = np.concatenate(
+            [self.ref_offsets, np.asarray(added_offsets[1:]) + self.ref_offsets[-1]]
+        )
+        values = np.concatenate(
+            [self.packed_refs, np.asarray(added_refs, dtype=np.uint32)]
+        )
+        self._install(ids[rows], *take_rows(offsets, values, rows))
 
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
 
     def level_histogram(self) -> dict[int, int]:
-        histogram: dict[int, int] = {}
-        for raw_id in self._refs:
-            level = CellId(raw_id).level
-            histogram[level] = histogram.get(level, 0) + 1
-        return dict(sorted(histogram.items()))
+        levels, counts = np.unique(
+            levels_from_cell_ids(self.cell_ids), return_counts=True
+        )
+        return dict(zip(levels.tolist(), counts.tolist()))
+
+    def max_level(self) -> int:
+        """Deepest cell level (0 when empty), computed once per array set."""
+        if self._max_level is None:
+            levels = levels_from_cell_ids(self.cell_ids)
+            self._max_level = int(levels.max()) if len(levels) else 0
+        return self._max_level
 
     def raw_key_bytes(self) -> int:
         """Paper's raw-size accounting: 8 bytes per cell id."""
-        return 8 * len(self._refs)
-
-
-def _cells_covering_leaf_range(lo: int, hi: int) -> Iterator[CellId]:
-    """Minimal cells exactly tiling the inclusive leaf-id interval [lo, hi].
-
-    Greedy: at each step emit the largest aligned cell starting at ``lo``
-    that does not extend past ``hi``.
-    """
-    while lo <= hi:
-        cell = CellId(lo)  # lo is a leaf id (odd)
-        while cell.level > 0:
-            parent = cell.parent()
-            if parent.range_min().id == lo and parent.range_max().id <= hi:
-                cell = parent
-            else:
-                break
-        yield cell
-        lo = cell.range_max().id + _LEAF_STEP
+        return 8 * len(self.cell_ids)
 
 
 def build_super_covering(
@@ -305,69 +443,14 @@ def build_super_covering(
     """Bulk-build a super covering from per-polygon (interior) coverings.
 
     ``per_polygon_cells`` yields ``(polygon_id, covering, interior_covering)``
-    triples.  Produces the same result as inserting every cell through
-    :meth:`SuperCovering.insert` (tested), in a single sorted sweep:
-
-    1. aggregate references of identical cells,
-    2. sort cells by ``(range_min, level)`` so ancestors precede their
-       descendants,
-    3. sweep with a stack of active ancestors, emitting the uncovered gaps
-       of each ancestor as maximal cells carrying the accumulated ancestor
-       references — which is precisely the difference-cell decomposition of
-       the paper's conflict resolution, generalized to arbitrary nesting.
+    triples; all their cells go through one :func:`merge_cells` sweep.
     """
-    aggregated: dict[int, tuple[PolygonRef, ...]] = {}
-    for polygon_id, covering, interior_covering in per_polygon_cells:
-        for cell in covering:
-            _aggregate(aggregated, cell.id, PolygonRef(polygon_id, False))
-        for cell in interior_covering:
-            _aggregate(aggregated, cell.id, PolygonRef(polygon_id, True))
-
-    cells = sorted(
-        (CellId(raw_id) for raw_id in aggregated),
-        key=lambda c: (c.range_min().id, c.level),
+    entries = [_polygon_entries(*triple) for triple in per_polygon_cells]
+    if not entries:
+        return SuperCovering()
+    return SuperCovering._of(
+        *merge_cells(
+            np.concatenate([cells for cells, _ in entries]),
+            np.concatenate([packed for _, packed in entries]),
+        )
     )
-
-    result = SuperCovering()
-    output = result._refs
-    # Stack frames: [cell, accumulated refs, cursor (next uncovered leaf id)].
-    stack: list[list] = []
-
-    def flush_top() -> None:
-        cell, refs, cursor = stack.pop()
-        for piece in _cells_covering_leaf_range(cursor, cell.range_max().id):
-            output[piece.id] = refs
-        if stack:
-            stack[-1][2] = cell.range_max().id + _LEAF_STEP
-
-    for cell in cells:
-        lo = cell.range_min().id
-        while stack and stack[-1][0].range_max().id < lo:
-            flush_top()
-        own = aggregated[cell.id]
-        if stack:
-            parent_cell, parent_refs, parent_cursor = stack[-1]
-            # Emit the parent's gap before this descendant begins.
-            if parent_cursor < lo:
-                for piece in _cells_covering_leaf_range(parent_cursor, lo - _LEAF_STEP):
-                    output[piece.id] = parent_refs
-            stack[-1][2] = lo
-            combined = merge_refs(parent_refs, own)
-        else:
-            combined = merge_refs(own)
-        stack.append([cell, combined, lo])
-    while stack:
-        flush_top()
-
-    result._sorted_ids = sorted(output)
-    return result
-
-
-def _aggregate(
-    aggregated: dict[int, tuple[PolygonRef, ...]], raw_id: int, ref: PolygonRef
-) -> None:
-    existing = aggregated.get(raw_id)
-    if existing is None:
-        aggregated[raw_id] = (ref,)
-    else:
-        aggregated[raw_id] = merge_refs(existing, (ref,))

@@ -15,29 +15,26 @@ Faithful to the paper:
 * repeated hits (from later training points) keep refining the children,
 * refinement stops when a cell-count budget is exhausted.
 
-Two drivers produce bit-identical coverings on the same input:
+The pass is vectorized end to end (:func:`train_super_covering`): one
+interval search assigns every point to its covering cell, points are grouped
+per cell with ``np.argsort``, and splits are executed either in
+level-batched *rounds* (no budget: all pending splits classified in one
+pass of the build's one batched classifier, :mod:`repro.geo.relation` — the
+kernel the coverer and the precision refinement also run on — and applied
+with one :meth:`SuperCovering.replace_cells` per round) or off a heap
+(budgeted runs, where the stopping split must be well-defined; the running
+cell count is tracked and one ``replace_cells`` applies every split at the
+end).  ``order="arrival"`` replays the exact per-point split sequence — each
+split is triggered by the first unconsumed point that lands on its cell, so
+executing splits in trigger order IS arrival order; ``order="hot"`` splits
+the hottest cells first, so a cell budget is spent where traffic actually
+lands — the mode the online adaptation loop uses.  The paper-literal one
+point at a time loop is the parity oracle in ``tests/oracles.py``.
 
-* :func:`train_super_covering` — the production path: one vectorized
-  interval search assigns every point to its covering cell, points are
-  grouped per cell with ``np.argsort``, and splits are executed either in
-  level-batched *rounds* (no budget: all pending splits classified in one
-  pass of the build's one batched classifier, :mod:`repro.geo.relation` —
-  the kernel the coverer and the precision refinement also run on) or off
-  a heap (budgeted runs, where the
-  stopping split must be well-defined).  ``order="arrival"`` replays the
-  exact per-point split sequence — each split is triggered by the first
-  unconsumed point that lands on its cell, so executing splits in trigger
-  order IS arrival order; ``order="hot"`` splits the hottest cells first,
-  so a cell budget is spent where traffic actually lands — the mode the
-  online adaptation loop uses.
-* :func:`train_super_covering_sequential` — the paper-literal one point at
-  a time loop, kept as the parity oracle and the baseline the vectorized
-  pass is benchmarked against (``python -m repro.bench adapt``).
-
-Budget semantics (both drivers): a split is applied only when the
-*post-split* cell count stays within ``max_cells``; the first split that
-would overshoot stops training and sets ``budget_exhausted`` — the budget
-is a hard memory bound, never exceeded by even one cell.
+Budget semantics: a split is applied only when the *post-split* cell count
+stays within ``max_cells``; the first split that would overshoot stops
+training and sets ``budget_exhausted`` — the budget is a hard memory bound,
+never exceeded by even one cell.
 """
 
 from __future__ import annotations
@@ -45,20 +42,31 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.cells.cell import bound_rects_for_cell_ids
-from repro.cells.cellid import MAX_LEVEL, CellId
-from repro.cells.vectorized import child_cell_ids, range_bounds_from_cell_ids
-from repro.core.refs import PolygonRef, merge_refs
-from repro.core.super_covering import SuperCovering
+from repro.cells.cellid import MAX_LEVEL
+from repro.cells.vectorized import (
+    child_cell_ids,
+    levels_from_cell_ids,
+    range_bounds_from_cell_ids,
+)
+from repro.core.super_covering import (
+    SuperCovering,
+    candidate_counts,
+    rows_from_entries,
+    take_rows,
+)
 from repro.geo.polygon import Polygon
 from repro.geo.relation import Relation, relations_for_pairs
 
 #: Split-scheduling orders accepted by :func:`train_super_covering`.
 TRAINING_ORDERS = ("arrival", "hot")
+
+_CHILD_SLOTS = np.arange(4, dtype=np.int64)
 
 
 @dataclass
@@ -78,89 +86,47 @@ class TrainingReport:
 
 
 def _classify_children(
-    parents: Sequence[tuple[int, Sequence[PolygonRef]]],
+    parent_ids: np.ndarray,
+    ref_offsets: np.ndarray,
+    packed_refs: np.ndarray,
     polygons: Sequence[Polygon],
-) -> list[list[tuple[CellId, tuple[PolygonRef, ...]]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Re-classify the children of expensive cells against their polygons.
 
-    ``parents`` are ``(raw id, refs)`` of disjoint cells.  All child rects
-    come from one vectorized pass and each polygon classifies all of its
-    ``(child, polygon)`` pairs in one call.  Per parent, returns the
-    replacement children: fully contained becomes a true hit, still
-    intersecting stays a candidate, disjoint is dropped; inherited true
-    hits replicate unchanged; children left with no references are omitted.
+    The parents are disjoint cells with reference rows ``(ref_offsets,
+    packed_refs)``.  All child rects come from one vectorized pass and each
+    polygon classifies all of its ``(child, polygon)`` pairs in one call:
+    a candidate fully contained becomes a true hit, still intersecting
+    stays a candidate, disjoint is dropped; inherited true hits replicate
+    unchanged; a child left with no references is omitted.  Returns
+    ``(replacements, child ids, child ref_offsets, child packed_refs)``:
+    how many children replace each parent (0: every candidate was a
+    phantom, the cell must be kept), and the children, parent by parent.
     """
-    child_raw = child_cell_ids(
-        np.fromiter((raw for raw, _ in parents), dtype=np.uint64, count=len(parents))
-    )
-    rects = bound_rects_for_cell_ids(child_raw.ravel())
-    true_refs = [tuple(ref for ref in refs if ref.interior) for _, refs in parents]
-    pair_pids = [
-        ref.polygon_id for _, refs in parents for ref in refs if not ref.interior
-    ]
-    pair_counts = [len(refs) - len(true) for (_, refs), true in zip(parents, true_refs)]
-    # The children of parent ``slot`` are rects 4 * slot .. 4 * slot + 3.
-    pair_slots = np.repeat(np.arange(len(parents), dtype=np.int64), pair_counts)
+    child_ids = child_cell_ids(parent_ids).ravel()
+    rects = bound_rects_for_cell_ids(child_ids)
+    parents = np.repeat(np.arange(len(parent_ids), dtype=np.int64), np.diff(ref_offsets))
+    # The children of parent ``slot`` are rects 4 * slot .. 4 * slot + 3;
+    # every reference starts out on all four.
+    children = (4 * parents[:, None] + _CHILD_SLOTS).ravel()
+    child_refs = np.repeat(packed_refs, 4)
+    candidates = np.flatnonzero((child_refs & np.uint32(1)) == 0)
     codes = relations_for_pairs(
         polygons,
         rects,
-        (4 * pair_slots[:, None] + np.arange(4)).ravel(),
-        np.repeat(np.asarray(pair_pids, dtype=np.int64), 4),
-    ).reshape(-1, 4).tolist()
-    replacements = []
-    start = 0
-    for true, count, raws in zip(true_refs, pair_counts, child_raw.tolist()):
-        pairs = list(zip(pair_pids[start:start + count], codes[start:start + count]))
-        start += count
-        children = []
-        for child, raw in enumerate(raws):
-            merged = merge_refs(
-                true,
-                [
-                    PolygonRef(pid, row[child] == Relation.CONTAINED)
-                    for pid, row in pairs
-                    if row[child] != Relation.DISJOINT
-                ],
-            )
-            if merged:
-                children.append((CellId(raw), merged))
-        replacements.append(children)
-    return replacements
-
-
-def classify_split(
-    cell: CellId,
-    refs: Sequence[PolygonRef],
-    polygons: Sequence[Polygon],
-) -> list[tuple[CellId, tuple[PolygonRef, ...]]]:
-    """Re-classify one expensive cell's children against its polygons.
-
-    An empty result means every candidate reference was a phantom
-    (conflict resolution copied a coarse ancestor's reference onto a cell
-    the polygon never touches — see the note in
-    :mod:`repro.core.precision`).
-    """
-    return _classify_children([(cell.id, refs)], polygons)[0]
-
-
-def split_expensive_cell(
-    super_covering: SuperCovering,
-    cell: CellId,
-    refs: Sequence[PolygonRef],
-    polygons: Sequence[Polygon],
-) -> int:
-    """Replace one expensive cell with its re-classified children.
-
-    Returns the number of replacement cells inserted.  When every child
-    drops all of its references (the cell's candidate refs were phantoms),
-    the cell is left in place and ``0`` is returned — replacing it with
-    nothing would silently erase the cell from the covering.
-    """
-    replacements = classify_split(cell, refs, polygons)
-    if not replacements:
-        return 0
-    super_covering.replace_cell(cell, replacements)
-    return len(replacements)
+        children[candidates],
+        (child_refs[candidates] >> np.uint32(1)).astype(np.int64),
+    )
+    child_refs[candidates] |= (codes == Relation.CONTAINED).astype(np.uint32)
+    keep = np.ones(len(child_refs), dtype=bool)
+    keep[candidates] = codes != Relation.DISJOINT
+    offsets, child_refs = rows_from_entries(
+        children[keep], child_refs[keep], len(child_ids)
+    )
+    live = np.diff(offsets) > 0
+    replacements = live.reshape(-1, 4).sum(axis=1)
+    live = np.flatnonzero(live)
+    return replacements, child_ids[live], *take_rows(offsets, child_refs, live)
 
 
 # ----------------------------------------------------------------------
@@ -181,92 +147,75 @@ def _assign_to_cells(
     return clamped, hit
 
 
-def _group_slices(sorted_slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start/end offsets of equal-value runs in a sorted slot array."""
-    boundaries = np.nonzero(np.diff(sorted_slots))[0] + 1
-    starts = np.concatenate([np.zeros(1, dtype=np.int64), boundaries])
-    ends = np.concatenate([boundaries, np.asarray([len(sorted_slots)])])
-    return starts, ends
+class _Pending(NamedTuple):
+    """Pending splits: expensive cells (ascending ids, with their reference
+    rows) and the training points on each, ordered by arrival."""
+
+    cells: np.ndarray
+    ref_offsets: np.ndarray
+    packed_refs: np.ndarray
+    point_offsets: np.ndarray  # points of cell i: [point_offsets[i], point_offsets[i + 1])
+    point_ids: np.ndarray  # leaf ids
+    point_order: np.ndarray  # arrival rank (original input index)
 
 
-#: One pending split: the cell (raw id + refs) and its training points,
-#: ordered by arrival (original input index).
-_PendingSplit = tuple[int, tuple[PolygonRef, ...], np.ndarray, np.ndarray]
+def _group_points(
+    cells: np.ndarray,
+    ref_offsets: np.ndarray,
+    packed_refs: np.ndarray,
+    point_ids: np.ndarray,
+    point_order: np.ndarray,
+) -> _Pending:
+    """Group points by the splittable cell (of ascending, disjoint
+    ``cells``) that contains them.
 
-
-def _splittable(raw_id: int, refs: tuple[PolygonRef, ...]) -> bool:
-    if CellId(raw_id).level >= MAX_LEVEL:
-        return False
-    return any(not ref.interior for ref in refs)
+    A cell is splittable above the leaf level while it holds a candidate
+    reference; points in cheap cells or outside every cell are dropped,
+    like the per-point walk would.  The stable sort keeps each group in
+    the order the points came in.
+    """
+    splittable = (candidate_counts(ref_offsets, packed_refs) > 0) & (
+        levels_from_cell_ids(cells) < MAX_LEVEL
+    )
+    slots, hit = _assign_to_cells(point_ids, *range_bounds_from_cell_ids(cells))
+    kept = np.flatnonzero(hit & splittable[slots])
+    kept = kept[np.argsort(slots[kept], kind="stable")]
+    rows, group_sizes = np.unique(slots[kept], return_counts=True)
+    point_offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(group_sizes, out=point_offsets[1:])
+    return _Pending(
+        cells[rows],
+        *take_rows(ref_offsets, packed_refs, rows),
+        point_offsets,
+        point_ids[kept],
+        point_order[kept],
+    )
 
 
 def _distribute(
-    replacements: Sequence[tuple[CellId, tuple[PolygonRef, ...]]],
-    leaf_ids: np.ndarray,
-    orig_idx: np.ndarray,
-) -> Iterator[_PendingSplit]:
-    """Assign a split group's remaining points to the replacement children.
+    pending: _Pending,
+    split: np.ndarray,
+    child_ids: np.ndarray,
+    child_offsets: np.ndarray,
+    child_refs: np.ndarray,
+) -> _Pending:
+    """Hand the remaining points of split cells to the replacement children.
 
-    The first point of the group is the split's trigger and is consumed;
+    The first point of each group is the split's trigger and is consumed;
     the rest descend into whichever replacement child contains them
     (dropped regions and cheap children absorb their points silently, like
-    the sequential walk).  Yields the still-splittable children.
+    the sequential walk).  Returns the still-splittable children that
+    received a point.
     """
-    if len(leaf_ids) <= 1:
-        return
-    rest_ids = leaf_ids[1:]
-    rest_idx = orig_idx[1:]
-    child_raw = np.fromiter(
-        (child.id for child, _ in replacements),
-        dtype=np.uint64,
-        count=len(replacements),
+    rest = np.repeat(split, np.diff(pending.point_offsets))
+    rest[pending.point_offsets[:-1]] = False
+    return _group_points(
+        child_ids,
+        child_offsets,
+        child_refs,
+        pending.point_ids[rest],
+        pending.point_order[rest],
     )
-    lows, highs = range_bounds_from_cell_ids(child_raw)
-    slots, hit = _assign_to_cells(rest_ids, lows, highs)
-    kept = np.nonzero(hit)[0]
-    if kept.size == 0:
-        return
-    regroup = np.argsort(slots[kept], kind="stable")
-    kept = kept[regroup]
-    kept_slots = slots[kept]
-    starts, ends = _group_slices(kept_slots)
-    for start, end in zip(starts, ends):
-        child, child_refs = replacements[int(kept_slots[start])]
-        if not _splittable(child.id, child_refs):
-            continue
-        selection = kept[start:end]
-        yield child.id, child_refs, rest_ids[selection], rest_idx[selection]
-
-
-def _initial_groups(
-    super_covering: SuperCovering, ids: np.ndarray
-) -> list[_PendingSplit]:
-    """Group training points by containing covering cell (arrival order)."""
-    cover_ids = np.fromiter(
-        super_covering.raw_items().keys(),
-        dtype=np.uint64,
-        count=super_covering.num_cells,
-    )
-    cover_ids.sort()
-    lows, highs = range_bounds_from_cell_ids(cover_ids)
-    slots, hit = _assign_to_cells(ids, lows, highs)
-    point_order = np.nonzero(hit)[0]
-    if point_order.size == 0:
-        return []
-    grouping = np.argsort(slots[point_order], kind="stable")
-    sorted_points = point_order[grouping]  # original indices, grouped by cell
-    sorted_ids = ids[sorted_points]
-    sorted_slots = slots[point_order][grouping]
-    raw_items = super_covering.raw_items()
-    groups: list[_PendingSplit] = []
-    starts, ends = _group_slices(sorted_slots)
-    for start, end in zip(starts, ends):
-        raw = int(cover_ids[sorted_slots[start]])
-        refs = raw_items[raw]
-        if not _splittable(raw, refs):
-            continue
-        groups.append((raw, refs, sorted_ids[start:end], sorted_points[start:end]))
-    return groups
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +226,7 @@ def _initial_groups(
 def _train_rounds(
     super_covering: SuperCovering,
     polygons: Sequence[Polygon],
-    pending: list[_PendingSplit],
+    pending: _Pending,
     report: TrainingReport,
 ) -> None:
     """Unbudgeted fast path: split every pending cell, one round per level.
@@ -289,25 +238,23 @@ def _train_rounds(
     time — which is why this path is only taken without a cell budget
     (a budget makes the stopping split order-sensitive).
     """
-    while pending:
-        next_pending: list[_PendingSplit] = []
-        for (raw, _, leaf_ids, orig_idx), replacements in zip(
-            pending, _classify_children([entry[:2] for entry in pending], polygons)
-        ):
-            if not replacements:
-                continue  # phantom candidates: keep the cell
-            super_covering.replace_cell(CellId(raw), replacements)
-            report.points_hit_expensive += 1
-            report.cells_split += 1
-            report.cells_added += len(replacements) - 1
-            next_pending.extend(_distribute(replacements, leaf_ids, orig_idx))
-        pending = next_pending
+    while len(pending.cells):
+        replacements, *children = _classify_children(
+            pending.cells, pending.ref_offsets, pending.packed_refs, polygons
+        )
+        split = replacements > 0  # phantom candidates: keep the cell
+        super_covering.replace_cells(pending.cells[split], *children)
+        num_split = int(np.count_nonzero(split))
+        report.points_hit_expensive += num_split
+        report.cells_split += num_split
+        report.cells_added += int(replacements.sum()) - num_split
+        pending = _distribute(pending, split, *children)
 
 
 def _train_heap(
     super_covering: SuperCovering,
     polygons: Sequence[Polygon],
-    pending: list[_PendingSplit],
+    pending: _Pending,
     report: TrainingReport,
     max_cells: int,
     order: str,
@@ -318,32 +265,67 @@ def _train_heap(
     first unconsumed point that landed on the cell), which replays the
     sequential per-point schedule exactly; ``order="hot"`` keys it by
     pending-point count so the budget goes to the hottest cells first.
+    The covering is rewritten once, at the end: cells that were split are
+    removed, children that were not split again are added.
     """
     heap: list[tuple] = []
     tiebreak = itertools.count()
 
-    def push(entry: _PendingSplit) -> None:
-        trigger = int(entry[3][0])
-        key = trigger if order == "arrival" else (-len(entry[3]), trigger)
-        heapq.heappush(heap, (key, next(tiebreak), entry))
+    def push(group: _Pending) -> None:
+        """One heap entry (a single-cell ``_Pending``) per pending cell."""
+        ref_bounds = group.ref_offsets.tolist()
+        point_bounds = group.point_offsets.tolist()
+        for slot in range(len(group.cells)):
+            points = slice(point_bounds[slot], point_bounds[slot + 1])
+            refs = group.packed_refs[ref_bounds[slot] : ref_bounds[slot + 1]]
+            trigger = int(group.point_order[points.start])
+            key = trigger if order == "arrival" else (points.start - points.stop, trigger)
+            entry = _Pending(
+                group.cells[slot : slot + 1],
+                np.asarray([0, len(refs)], dtype=np.int64),
+                refs,
+                np.asarray([0, points.stop - points.start], dtype=np.int64),
+                group.point_ids[points],
+                group.point_order[points],
+            )
+            heapq.heappush(heap, (key, next(tiebreak), entry))
 
-    for entry in pending:
-        push(entry)
+    push(pending)
+    num_cells = super_covering.num_cells
+    split_ids: list[int] = []
+    produced: dict[int, np.ndarray] = {}  # child id -> packed refs
     while heap:
-        _, _, (raw, refs, leaf_ids, orig_idx) = heapq.heappop(heap)
-        cell = CellId(raw)
-        replacements = classify_split(cell, refs, polygons)
-        if not replacements:
+        _, _, entry = heapq.heappop(heap)
+        replacements, child_ids, child_offsets, child_refs = _classify_children(
+            entry.cells, entry.ref_offsets, entry.packed_refs, polygons
+        )
+        if not replacements[0]:
             continue  # phantom candidates: keep the cell, consume its points
-        if super_covering.num_cells - 1 + len(replacements) > max_cells:
+        if num_cells - 1 + int(replacements[0]) > max_cells:
             report.budget_exhausted = True
             break
-        super_covering.replace_cell(cell, replacements)
+        num_cells += int(replacements[0]) - 1
+        split_ids.append(int(entry.cells[0]))
+        bounds = child_offsets.tolist()
+        for raw, start, stop in zip(child_ids.tolist(), bounds, bounds[1:]):
+            produced[raw] = child_refs[start:stop]
         report.points_hit_expensive += 1
         report.cells_split += 1
-        report.cells_added += len(replacements) - 1
-        for child_entry in _distribute(replacements, leaf_ids, orig_idx):
-            push(child_entry)
+        report.cells_added += int(replacements[0]) - 1
+        push(_distribute(entry, replacements > 0, child_ids, child_offsets, child_refs))
+    if not split_ids:
+        return
+    # A split cell that an earlier split produced never was a cell of the
+    # covering: it is neither removed nor added.
+    removed = [raw for raw in split_ids if produced.pop(raw, None) is None]
+    added_offsets = np.zeros(len(produced) + 1, dtype=np.int64)
+    np.cumsum([len(refs) for refs in produced.values()], out=added_offsets[1:])
+    super_covering.replace_cells(
+        removed,
+        np.fromiter(produced, dtype=np.uint64, count=len(produced)),
+        added_offsets,
+        np.concatenate(list(produced.values())),
+    )
 
 
 def train_super_covering(
@@ -367,7 +349,7 @@ def train_super_covering(
         training.
     order:
         ``"arrival"`` replays splits in point-arrival order (bit-identical
-        to :func:`train_super_covering_sequential`); ``"hot"`` splits the
+        to the paper's one point at a time loop); ``"hot"`` splits the
         cells with the most pending training points first, so a budget is
         spent on the hottest regions — used by online retraining.  Without
         a budget both orders produce the same covering (splits of disjoint
@@ -380,53 +362,17 @@ def train_super_covering(
     report.points_processed = int(len(ids))
     if len(ids) == 0 or super_covering.num_cells == 0:
         return report
-    pending = _initial_groups(super_covering, ids)
-    if not pending:
-        return report
+    pending = _group_points(
+        super_covering.cell_ids,
+        super_covering.ref_offsets,
+        super_covering.packed_refs,
+        ids,
+        np.arange(len(ids), dtype=np.int64),
+    )
     if max_cells is None:
         _train_rounds(super_covering, polygons, pending, report)
     else:
         _train_heap(super_covering, polygons, pending, report, max_cells, order)
-    return report
-
-
-def train_super_covering_sequential(
-    super_covering: SuperCovering,
-    polygons: Sequence[Polygon],
-    training_cell_ids: np.ndarray,
-    max_cells: int | None = None,
-) -> TrainingReport:
-    """The paper-literal per-point training loop (parity/benchmark oracle).
-
-    Semantically identical to ``train_super_covering(..., order="arrival")``
-    — same covering, same report — but walks the covering once per point
-    instead of batching, so it is the baseline the vectorized pass is
-    measured against.
-    """
-    report = TrainingReport()
-    report.points_processed = int(len(training_cell_ids))
-    for raw in training_cell_ids:
-        found = super_covering.find_containing(int(raw))
-        if found is None:
-            continue
-        cell, refs = found
-        if cell.level >= MAX_LEVEL:
-            continue
-        if all(ref.interior for ref in refs):
-            continue  # cheap cell: solely true hits, nothing to gain
-        replacements = classify_split(cell, refs, polygons)
-        if not replacements:
-            continue  # phantom candidates: keep the cell
-        if (
-            max_cells is not None
-            and super_covering.num_cells - 1 + len(replacements) > max_cells
-        ):
-            report.budget_exhausted = True
-            break
-        super_covering.replace_cell(cell, replacements)
-        report.points_hit_expensive += 1
-        report.cells_split += 1
-        report.cells_added += len(replacements) - 1
     return report
 
 
@@ -439,26 +385,15 @@ class SthEvaluator:
     """Reusable vectorized solely-true-hit evaluation for one covering.
 
     Snapshots the covering's interval representation and per-cell
-    expensive flags once (the only Python-loop pass), so evaluating the
-    STH rate of a query window is pure numpy afterwards — cheap enough for
-    the adaptation controller to call per telemetry window.
+    expensive flags once, so evaluating the STH rate of a query window is
+    a binary search — cheap enough for the adaptation controller to call
+    per telemetry window.
     """
 
     def __init__(self, super_covering: SuperCovering):
-        raw = super_covering.raw_items()
-        ids = np.fromiter(raw.keys(), dtype=np.uint64, count=len(raw))
-        expensive = np.fromiter(
-            (any(not ref.interior for ref in refs) for refs in raw.values()),
-            dtype=bool,
-            count=len(raw),
-        )
-        sort = np.argsort(ids)
-        self._ids = ids[sort]
-        self._expensive = expensive[sort]
-        if len(raw):
-            self._lows, self._highs = range_bounds_from_cell_ids(self._ids)
-        else:
-            self._lows = self._highs = self._ids
+        self._ids = super_covering.cell_ids
+        self._expensive = super_covering.candidate_counts() > 0
+        self._lows, self._highs = range_bounds_from_cell_ids(self._ids)
 
     @property
     def num_cells(self) -> int:

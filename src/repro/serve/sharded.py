@@ -8,9 +8,10 @@ the partition-based scheme of Tsitsigkos et al. (*Parallel In-Memory
 Evaluation of Spatial Joins*) applied to the paper's cell-id domain:
 
 * :class:`ShardPlan` cuts the Hilbert curve into ``num_shards``
-  contiguous leaf-id ranges.  The super covering's cells are disjoint,
-  so every cell — and therefore every point probing it — belongs to
-  exactly one shard.  Every polygon gets a *home shard*: the shard of
+  contiguous leaf-id ranges.  The super covering's cells are disjoint
+  and stored in curve order, so every cell — and therefore every point
+  probing it — belongs to exactly one shard, and a shard's partition is
+  one contiguous row range of the covering's arrays (views, no copy).  Every polygon gets a *home shard*: the shard of
   its median covering entry in curve order (cut-independent, so it
   exists before any cuts do).  Each shard's (cell, ref) entries then
   classify into **owned** (the polygon is homed here) vs **borrowed**
@@ -82,11 +83,7 @@ import numpy as np
 
 from repro.cells.vectorized import range_bounds_from_cell_ids
 from repro.core.adaptive import AdaptationPolicy
-from repro.core.builder import (
-    PolygonIndex,
-    build_partition_store,
-    ensure_version_floor,
-)
+from repro.core.builder import PolygonIndex, build_store, ensure_version_floor
 from repro.core.flat import (
     FlatSnapshot,
     attach_index,
@@ -211,7 +208,7 @@ class ShardPlan:
     boundaries: np.ndarray  # (num_shards - 1,) uint64 leaf-id cut points
     owned: tuple[tuple[int, ...], ...]  # polygon ids homed per shard
     borrowed: tuple[tuple[int, ...], ...]  # straddlers referenced per shard
-    cells: tuple[dict[int, tuple], ...]  # covering subset per shard
+    row_cuts: np.ndarray  # (num_shards + 1,) covering rows per shard: [cut, next cut)
     cell_weights: tuple[int, ...]  # (cell, ref) entries per shard
     owned_weights: tuple[int, ...]  # owned-class entries per shard
     borrowed_weights: tuple[int, ...]  # borrowed-class entries per shard
@@ -259,8 +256,9 @@ class ShardPlan:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         num_polygons = len(index.polygons)
         covering = index.super_covering
-        raw = covering.raw_items()
-        ids, counts, entry_pids = covering.entry_arrays()
+        ids = covering.cell_ids
+        counts = np.diff(covering.ref_offsets)
+        entry_pids = (covering.packed_refs >> np.uint32(1)).astype(np.int64)
         num_cells = len(ids)
         # One row index per (cell, ref) entry, in id-sorted cell order.
         entry_rows = np.repeat(np.arange(num_cells, dtype=np.int64), counts)
@@ -327,15 +325,13 @@ class ShardPlan:
                 (unique_keys // span).tolist(), (unique_keys % span).tolist()
             ):
                 borrowed_lists[shard].append(pid)
-        cells: list[dict[int, tuple]] = [dict() for _ in range(num_shards)]
-        for cell_id, shard in zip(ids.tolist(), shard_of_cell.tolist()):
-            cells[shard][cell_id] = raw[cell_id]
         return cls(
             num_shards=num_shards,
             boundaries=boundaries,
             owned=owned_ids,
             borrowed=tuple(tuple(pids) for pids in borrowed_lists),
-            cells=tuple(cells),
+            # Cells are in curve order, so a shard's cells are one row range.
+            row_cuts=np.searchsorted(shard_of_cell, np.arange(num_shards + 1)),
             cell_weights=tuple(int(w) for w in cell_weights),
             owned_weights=tuple(int(w) for w in owned_weights),
             borrowed_weights=tuple(
@@ -1008,9 +1004,14 @@ class ShardedJoinService(ServiceFront):
             coverage_bytes = 0
             fanout_bits = int(getattr(index.store, "fanout_bits", 8))
             for shard in range(self.num_shards):
-                covering, store, _ = build_partition_store(
-                    plan.cells[shard], fanout_bits=fanout_bits
+                # A partition is a row range of the (disjoint) covering:
+                # no coverer or conflict resolution runs, and probing it is
+                # bit-identical to probing the full index for any point
+                # whose leaf id falls inside the partition's cell ranges.
+                covering = index.super_covering.row_range(
+                    *plan.row_cuts[shard : shard + 2]
                 )
+                store, _ = build_store(covering, fanout_bits=fanout_bits)
                 coverage = pack_coverage_plane(
                     covering, store, meta_extra={"shard": shard}
                 )

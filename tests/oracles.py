@@ -3,10 +3,19 @@ stage-by-stage lat/lng -> cell id pipeline.
 
 Until 1.12.0 the first were the production coverer, relation test and
 precision descent.  The build now classifies whole rounds of cells through
-``repro.geo.relation._RectClassifier``; the scalar versions live on here —
-next to ``train_super_covering_sequential``'s role for training — so the
-property tests can assert the batched kernels agree with them cell for
+``repro.geo.relation._RectClassifier``; the scalar versions live on here so
+the property tests can assert the batched kernels agree with them cell for
 cell (``tests/test_build_parity.py``, ``tests/test_relation.py``).
+
+Until 1.14.0 the super covering was a dict of reference tuples with two
+merges (a bulk sweep and the paper's Listing-1 insert), three gap tilers
+and a per-point sequential trainer next to the batched one.  The covering
+is now three sorted arrays with one merge sweep and one tiler
+(``repro.core.super_covering.merge_cells``,
+``repro.cells.vectorized.tile_leaf_ranges``); the Listing-1 insert
+(:class:`ListingOneCovering`), the scalar tilers,
+:func:`train_super_covering_sequential` and its one-cell split helpers
+(:func:`classify_split`, :func:`split_expensive_cell`) live on here.
 
 Until 1.13.0 the second was ``repro.cells.vectorized``: one function and a
 set of temporaries per stage, a boolean-masked scatter per cube face, a
@@ -16,8 +25,9 @@ pass; ``tests/test_vectorized.py`` asserts it returns the same ids.
 
 from __future__ import annotations
 
+import bisect
 import heapq
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,9 +38,10 @@ from repro.cells.hilbert import LOOKUP_BITS, LOOKUP_POS, SWAP_MASK
 from repro.cells.projections import MAX_SIZE
 from repro.cells.coverer import CovererOptions
 from repro.cells.metrics import level_for_max_diag_meters
-from repro.core.precision import _uncovered_children
+from repro.cells.cellid import cell_difference
 from repro.core.refs import PolygonRef, merge_refs
 from repro.core.super_covering import SuperCovering
+from repro.core.training import TrainingReport, _classify_children
 from repro.geo.edgeset import EdgeSet
 from repro.geo.pip import contains_point
 from repro.geo.polygon import Polygon
@@ -249,10 +260,11 @@ def refine_to_precision_descent(
     target_level = level_for_max_diag_meters(precision_meters)
     polygons_by_id = {pid: polygon for pid, polygon in enumerate(polygons)}
     coarse = [
-        (CellId(raw_id), refs)
-        for raw_id, refs in super_covering.raw_items().items()
+        (cell, refs)
+        for cell, refs in super_covering.items()
         if any(not ref.interior for ref in refs)
     ]
+    working = covering_dict(super_covering)
     for cell, refs in coarse:
         true_refs = tuple(ref for ref in refs if ref.interior)
         candidate_pids = [ref.polygon_id for ref in refs if not ref.interior]
@@ -265,10 +277,263 @@ def refine_to_precision_descent(
         # *whole* cell even where every candidate polygon is absent.
         if true_refs:
             covered = {d.id for d, _ in replacements}
-            for gap in _uncovered_children(cell, covered):
+            for gap in uncovered_children(cell, covered):
                 replacements.append((gap, true_refs))
-        super_covering.replace_cell(cell, replacements)
+        del working[cell.id]
+        working.update((d.id, new_refs) for d, new_refs in replacements if new_refs)
+    _install(super_covering, working)
     return target_level
+
+
+# ----------------------------------------------------------------------
+# The dict-of-tuples super covering: Listing-1 insert, scalar gap tilers,
+# the per-point trainer
+# ----------------------------------------------------------------------
+
+
+def covering_dict(covering: SuperCovering) -> dict[int, tuple[PolygonRef, ...]]:
+    """A covering as ``{cell id: refs}`` (what tests compare)."""
+    return {cell.id: refs for cell, refs in covering.items()}
+
+
+def covering_from_dict(raw: dict[int, Sequence[PolygonRef]]) -> SuperCovering:
+    """A covering holding exactly the (already disjoint) cells of ``raw``."""
+    cells = sorted(raw)
+    offsets = np.zeros(len(cells) + 1, dtype=np.int64)
+    packed: list[int] = []
+    for row, raw_id in enumerate(cells):
+        packed.extend(ref.packed() for ref in raw[raw_id])
+        offsets[row + 1] = len(packed)
+    return SuperCovering.attach(
+        np.asarray(cells, dtype=np.uint64), offsets, np.asarray(packed, dtype=np.uint32)
+    )
+
+
+def _install(covering: SuperCovering, raw: dict[int, Sequence[PolygonRef]]) -> None:
+    """Make ``covering`` hold the cells of ``raw`` (oracles work on a dict
+    and convert at the boundary)."""
+    twin = covering_from_dict(raw)
+    covering._install(twin.cell_ids, twin.ref_offsets, twin.packed_refs)
+
+
+def cells_covering_leaf_range(lo: int, hi: int) -> Iterator[CellId]:
+    """Minimal cells exactly tiling the inclusive leaf-id interval [lo, hi].
+
+    Greedy: at each step emit the largest aligned cell starting at ``lo``
+    that does not extend past ``hi``.
+    """
+    while lo <= hi:
+        cell = CellId(lo)  # lo is a leaf id (odd)
+        while cell.level > 0:
+            parent = cell.parent()
+            if parent.range_min().id == lo and parent.range_max().id <= hi:
+                cell = parent
+            else:
+                break
+        yield cell
+        lo = cell.range_max().id + 2
+
+
+def uncovered_children(cell: CellId, covered_ids: set[int]) -> list[CellId]:
+    """Maximal descendants of ``cell`` disjoint from ``covered_ids`` cells.
+
+    ``covered_ids`` contains disjoint descendants of ``cell``; the result
+    tiles the remainder with the coarsest possible cells.
+    """
+    if not covered_ids:
+        return [cell]
+    sorted_ids = sorted(covered_ids)
+    gaps: list[CellId] = []
+
+    def descend(current: CellId) -> None:
+        if current.id in covered_ids:
+            return
+        lo = current.range_min().id
+        hi = current.range_max().id
+        index = bisect.bisect_left(sorted_ids, lo)
+        if index >= len(sorted_ids) or sorted_ids[index] > hi:
+            gaps.append(current)
+            return
+        for child in current.children():
+            descend(child)
+
+    descend(cell)
+    return gaps
+
+
+class ListingOneCovering:
+    """The paper's incremental one-cell-at-a-time insertion (Listing 1)
+    over a ``{cell id: refs}`` dict plus a bisect-maintained id list."""
+
+    def __init__(self, raw: dict[int, tuple[PolygonRef, ...]] | None = None) -> None:
+        self.refs: dict[int, tuple[PolygonRef, ...]] = dict(raw or {})
+        self._sorted_ids: list[int] = sorted(self.refs)
+
+    def insert(self, cell: CellId, refs: Iterable[PolygonRef]) -> None:
+        """Insert one covering cell, resolving conflicts precision-preservingly."""
+        new_refs = merge_refs(refs)
+        raw_id = cell.id
+        existing = self.refs.get(raw_id)
+        if existing is not None:
+            # Duplicate cell: merge the reference lists.
+            self.refs[raw_id] = merge_refs(existing, new_refs)
+            return
+        ancestor = self._find_existing_ancestor(cell)
+        if ancestor is not None:
+            # Existing c1 contains the new c2: replace c1 by c2 + difference.
+            ancestor_refs = self._remove(ancestor)
+            for piece in cell_difference(ancestor, cell):
+                # Pieces are disjoint from everything else (the ancestor
+                # occupied this range exclusively), so add directly.
+                self._add(piece, ancestor_refs)
+            self._add(cell, merge_refs(ancestor_refs, new_refs))
+            return
+        if self._has_descendants(cell):
+            # New cell contains existing cells: descend, splitting around
+            # them.  Children without descendants insert whole, which
+            # reproduces exactly the difference-based resolution.
+            for child in cell.children():
+                if child.id in self.refs or self._has_descendants(child):
+                    self.insert(child, new_refs)
+                else:
+                    self._add(child, new_refs)
+            return
+        self._add(cell, new_refs)
+
+    def insert_covering(
+        self,
+        polygon_id: int,
+        covering: Sequence[CellId],
+        interior_covering: Sequence[CellId],
+    ) -> None:
+        """Insert one polygon's approximations (covering first, Listing 1)."""
+        for cell in covering:
+            self.insert(cell, (PolygonRef(polygon_id, False),))
+        for cell in interior_covering:
+            self.insert(cell, (PolygonRef(polygon_id, True),))
+
+    def _add(self, cell: CellId, refs: tuple[PolygonRef, ...]) -> None:
+        self.refs[cell.id] = refs
+        bisect.insort(self._sorted_ids, cell.id)
+
+    def _remove(self, cell: CellId) -> tuple[PolygonRef, ...]:
+        refs = self.refs.pop(cell.id)
+        del self._sorted_ids[bisect.bisect_left(self._sorted_ids, cell.id)]
+        return refs
+
+    def _find_existing_ancestor(self, cell: CellId) -> CellId | None:
+        for level in range(cell.level - 1, -1, -1):
+            ancestor = cell.parent(level)
+            if ancestor.id in self.refs:
+                return ancestor
+        return None
+
+    def _has_descendants(self, cell: CellId) -> bool:
+        lo = cell.range_min().id
+        hi = cell.range_max().id
+        index = bisect.bisect_left(self._sorted_ids, lo)
+        return index < len(self._sorted_ids) and self._sorted_ids[index] <= hi
+
+
+def _classify_one(
+    cell: CellId, refs: Sequence[PolygonRef], polygons: Sequence[Polygon]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The children the trainer's batched classifier replaces one cell
+    with, as ``(ids, ref_offsets, packed_refs)``."""
+    packed = np.asarray([ref.packed() for ref in refs], dtype=np.uint32)
+    return _classify_children(
+        np.asarray([cell.id], dtype=np.uint64),
+        np.asarray([0, len(packed)], dtype=np.int64),
+        packed,
+        polygons,
+    )[1:]
+
+
+def classify_split(
+    cell: CellId,
+    refs: Sequence[PolygonRef],
+    polygons: Sequence[Polygon],
+) -> list[tuple[CellId, tuple[PolygonRef, ...]]]:
+    """Re-classify one expensive cell's children against its polygons.
+
+    An empty result means every candidate reference was a phantom
+    (conflict resolution copied a coarse ancestor's reference onto a cell
+    the polygon never touches — see the note in
+    :mod:`repro.core.precision`).
+    """
+    child_ids, offsets, child_refs = _classify_one(cell, refs, polygons)
+    bounds = offsets.tolist()
+    return [
+        (
+            CellId(raw),
+            tuple(map(PolygonRef.from_packed, child_refs[start:stop].tolist())),
+        )
+        for raw, start, stop in zip(child_ids.tolist(), bounds, bounds[1:])
+    ]
+
+
+def split_expensive_cell(
+    super_covering: SuperCovering,
+    cell: CellId,
+    refs: Sequence[PolygonRef],
+    polygons: Sequence[Polygon],
+) -> int:
+    """Replace one expensive cell with its re-classified children.
+
+    Returns the number of replacement cells inserted.  When every child
+    drops all of its references (the cell's candidate refs were phantoms),
+    the cell is left in place and ``0`` is returned — replacing it with
+    nothing would silently erase the cell from the covering.
+    """
+    child_ids, offsets, child_refs = _classify_one(cell, refs, polygons)
+    if len(child_ids):
+        super_covering.replace_cells([cell.id], child_ids, offsets, child_refs)
+    return len(child_ids)
+
+
+def train_super_covering_sequential(
+    super_covering: SuperCovering,
+    polygons: Sequence[Polygon],
+    training_cell_ids: np.ndarray,
+    max_cells: int | None = None,
+) -> TrainingReport:
+    """The paper-literal per-point training loop.
+
+    Semantically identical to ``train_super_covering(..., order="arrival")``
+    — same covering, same report — but walks the covering once per point
+    instead of batching.
+    """
+    working = covering_dict(super_covering)
+    report = TrainingReport()
+    report.points_processed = int(len(training_cell_ids))
+    for raw in training_cell_ids:
+        leaf = CellId(int(raw))
+        cell = next(
+            (
+                ancestor
+                for ancestor in (leaf.parent(level) for level in range(MAX_CELL_LEVEL, -1, -1))
+                if ancestor.id in working
+            ),
+            None,
+        )
+        if cell is None or cell.level >= MAX_CELL_LEVEL:
+            continue
+        refs = working[cell.id]
+        if all(ref.interior for ref in refs):
+            continue  # cheap cell: solely true hits, nothing to gain
+        replacements = classify_split(cell, refs, polygons)
+        if not replacements:
+            continue  # phantom candidates: keep the cell
+        if max_cells is not None and len(working) - 1 + len(replacements) > max_cells:
+            report.budget_exhausted = True
+            break
+        del working[cell.id]
+        working.update((child.id, child_refs) for child, child_refs in replacements)
+        report.points_hit_expensive += 1
+        report.cells_split += 1
+        report.cells_added += len(replacements) - 1
+    _install(super_covering, working)
+    return report
 
 
 # ----------------------------------------------------------------------

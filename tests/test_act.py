@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from repro.baselines import SortedVectorStore
 from repro.cells import CellId, cell_ids_from_lat_lng_arrays
 from repro.core.act import AdaptiveCellTrie
@@ -255,7 +256,7 @@ def two_tree_covering(draw):
 def query_batch(draw, covering: SuperCovering):
     """Leaf ids under covering cells, beside them (same face, so prefix-
     accepted or -rejected), and anywhere on any face."""
-    cells = [CellId(raw) for raw in covering.raw_items()]
+    cells = [CellId(raw) for raw in covering.cell_ids.tolist()]
     fraction = st.floats(0.0, 1.0)
     inside = st.builds(leaf_under, st.sampled_from(cells), fraction)
     beside = st.builds(
@@ -308,20 +309,30 @@ class TestOneDescentProbe:
             assert (stats.node_accesses, stats.prefix_rejections) == (0, 0)
 
 
-def pinned_covering() -> SuperCovering:
-    """400 cells at levels 7..22 under one level-6 cell, fixed by seed."""
+def pinned_covering() -> tuple[SuperCovering, list[CellId]]:
+    """400 cells at levels 7..22 under one level-6 cell, fixed by seed.
+
+    Also returns the covering's cells in the order the Listing-1 insert
+    left them in its dict: the pinned batches were drawn from cells in
+    that order when the probe statistics were recorded.
+    """
     generator = np.random.default_rng(2020)
     covering = SuperCovering()
+    listing = oracles.ListingOneCovering()
     for pid in range(400):
         depth = int(generator.integers(1, 17))
         cell = descend(BASE.parent(6), generator.integers(0, 4, depth).tolist())
         covering.insert(cell, [PolygonRef(pid, bool(pid % 3))])
-    return covering
+        listing.insert(cell, [PolygonRef(pid, bool(pid % 3))])
+    assert oracles.covering_dict(covering) == listing.refs
+    return covering, [CellId(raw) for raw in listing.refs]
 
 
-def pinned_batches(covering: SuperCovering) -> dict[str, np.ndarray]:
+def pinned_batches(
+    covering: SuperCovering, recorded_order: list[CellId]
+) -> dict[str, np.ndarray]:
     generator = np.random.default_rng(17)
-    cells = sorted((CellId(raw) for raw in covering.raw_items()), key=lambda c: c.level)
+    cells = sorted(recorded_order, key=lambda c: c.level)
     shallow, deep = cells[: len(cells) // 4], cells[-len(cells) // 8 :]
     same_depth = [cell for cell in cells if 13 <= cell.level <= 16]  # fanout 8
 
@@ -352,13 +363,19 @@ def digest(array: np.ndarray) -> str:
 
 
 #: (node_accesses, prefix_rejections, depth histogram, sha256 of the
-#: entries, sha256 of the depths) of ``probe_instrumented`` at the parent
-#: commit (1.12.0: per-face loop, compaction after every level), fanout 8.
+#: entries, sha256 of the depths) of ``probe_instrumented`` at 1.12.0
+#: (per-face loop, compaction after every level), fanout 8.  The entry
+#: digests of ``all_hit`` and ``crossing`` were re-recorded once, at
+#: 1.14.0: every cell here holds 4-13 references, so its entry embeds a
+#: lookup-table offset, and the table is now laid out in ascending
+#: cell-id order instead of the covering dict's insertion order
+#: (2bc9ba9110f677c1 and b8d50b1a86e4232f before).  The decoded
+#: references — asserted next to the digests — did not move.
 PINNED_PROBE_STATS = {
     "all_miss": (3, 694, [4093, 3], "c35020473aed1b46", "783cf896ace2a620"),
-    "all_hit": (12288, 0, [0, 0, 0, 4096], "2bc9ba9110f677c1", "ce7c5a9a2ef113b5"),
+    "all_hit": (12288, 0, [0, 0, 0, 4096], "d63ed50918037704", "ce7c5a9a2ef113b5"),
     "crossing": (
-        10179, 0, [0, 0, 3117, 283, 384, 312], "b8d50b1a86e4232f", "f6075a0e3cfd2a27",
+        10179, 0, [0, 0, 3117, 283, 384, 312], "fc40821ebaf169e4", "f6075a0e3cfd2a27",
     ),
 }
 
@@ -369,11 +386,11 @@ class TestCompactionSides:
 
     @pytest.fixture(scope="class")
     def pinned(self):
-        covering = pinned_covering()
+        covering, recorded_order = pinned_covering()
         return (
             covering,
             AdaptiveCellTrie(covering, 8, LookupTable()),
-            pinned_batches(covering),
+            pinned_batches(covering, recorded_order),
         )
 
     @pytest.mark.parametrize("batch", ["all_miss", "all_hit", "crossing"])

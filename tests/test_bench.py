@@ -23,7 +23,6 @@ def tiny_workbench():
         adapt_train_points=4_000,
         adapt_query_points=8_000,
         adapt_batch=2_048,
-        adapt_speedup_points=1_500,
     )
     return Workbench(config)
 
@@ -165,7 +164,6 @@ class TestAdaptRunner:
         (result,) = adapt_bench.run(tiny_workbench)
         assert len(result.rows) == 4  # 2 phases x 2 services
         assert any("bit-identical" in note for note in result.notes)
-        assert any("vectorized training" in note for note in result.notes)
 
 
 class TestChurnRunner:

@@ -181,7 +181,7 @@ class TestPrecisionParity:
         assert refine_to_precision(
             rounds, polygon_list, precision
         ) == oracles.refine_to_precision_descent(descent, polygon_list, precision)
-        assert dict(rounds.raw_items()) == dict(descent.raw_items())
+        assert oracles.covering_dict(rounds) == oracles.covering_dict(descent)
         rounds.check_disjoint()
 
     @pytest.mark.parametrize("precision", [4.0, 60.0, 500.0])
@@ -195,7 +195,7 @@ class TestPrecisionParity:
         boundary = CellId.from_degrees(40.7, -73.99).parent(13)
         phantom_with_true = CellId.from_degrees(40.9, -74.4).parent(12)
         phantom_alone = CellId.from_degrees(40.2, -74.4).parent(16)
-        rounds = SuperCovering.from_raw(
+        rounds = oracles.covering_from_dict(
             {
                 boundary.id: (PolygonRef(0, False), PolygonRef(1, True)),
                 phantom_with_true.id: (PolygonRef(0, True), PolygonRef(1, False)),
@@ -205,18 +205,18 @@ class TestPrecisionParity:
         descent = rounds.copy()
         refine_to_precision(rounds, polygon_list, precision)
         oracles.refine_to_precision_descent(descent, polygon_list, precision)
-        assert dict(rounds.raw_items()) == dict(descent.raw_items())
+        assert oracles.covering_dict(rounds) == oracles.covering_dict(descent)
         assert rounds.refs_for(phantom_with_true) == (PolygonRef(0, True),)
         assert phantom_alone not in rounds
         rounds.check_disjoint()
 
     def test_nothing_to_refine(self):
-        covering = SuperCovering.from_raw(
+        covering = oracles.covering_from_dict(
             {CellId.from_degrees(40.7, -74.0).parent(10).id: (PolygonRef(0, True),)}
         )
-        before = dict(covering.raw_items())
+        before = oracles.covering_dict(covering)
         refine_to_precision(covering, [regular_polygon((-74.0, 40.7), 1.0, 8)], 4.0)
-        assert dict(covering.raw_items()) == before
+        assert oracles.covering_dict(covering) == before
 
 
 # ----------------------------------------------------------------------
@@ -262,8 +262,8 @@ class TestBatching:
 def _entries(covering: SuperCovering) -> list[tuple[int, int, bool]]:
     """Sorted ``(cell id, polygon id, interior)`` entries of a covering."""
     return [
-        (raw, ref.polygon_id, ref.interior)
-        for raw, refs in sorted(covering.raw_items().items())
+        (cell.id, ref.polygon_id, ref.interior)
+        for cell, refs in covering.items()
         for ref in refs
     ]
 

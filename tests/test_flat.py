@@ -141,6 +141,21 @@ class TestSnapshotContainer:
         assert np.shares_memory(mapped.store.pool, blob)
         assert np.shares_memory(mapped.lookup_table.array, blob)
         assert np.shares_memory(mapped.polygons[0].outer.lngs, blob)
+        # The covering IS the plane's three buffers: wrapped, not unpacked.
+        covering = mapped.super_covering
+        assert np.shares_memory(covering.cell_ids, blob)
+        assert np.shares_memory(covering.ref_offsets, blob)
+        assert np.shares_memory(covering.packed_refs, blob)
+
+    def test_pack_of_an_attached_blob_returns_the_blob_s_buffers(self, index):
+        blob = pack_index(index).to_bytes()
+        source = FlatSnapshot.from_buffer(blob)
+        repacked = pack_index(attach_index(blob))
+        assert list(repacked.buffers) == list(source.buffers)
+        for name, array in source.buffers.items():
+            assert np.array_equal(repacked.buffers[name], array), name
+        cell_ids = source.buffers["cell_ids"]
+        assert np.all(cell_ids[1:] > cell_ids[:-1])  # ascending as written
 
     @pytest.mark.parametrize("cut", ["10B", "header", "payload", "tail"])
     def test_truncated_blob_rejected_by_name(self, index, cut):
@@ -253,7 +268,7 @@ class TestFlatParity:
 
 
 class TestAttachedMutation:
-    """Mutation paths on an attached index unpack the covering on demand,
+    """Mutation paths on an attached index work on the attached covering,
     serve correct joins, and never leave a stale snapshot behind."""
 
     def test_add_polygon_drops_the_snapshot(self, index):

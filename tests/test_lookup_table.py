@@ -109,3 +109,59 @@ class TestArrayLayout:
         first = len(table.array)
         table.encode((PolygonRef(5, True), PolygonRef(6, False), PolygonRef(7, False)))
         assert len(table.array) > first
+
+
+@st.composite
+def coverings(draw):
+    """Disjoint sibling cells with reference rows of every length, many of
+    them repeated (the same polygons cover neighbouring cells)."""
+    from repro.cells import CellId
+
+    rows = draw(st.lists(refs_strategy(max_size=6), min_size=1, max_size=5))
+    base = CellId.from_degrees(40.7, -74.0).parent(8)
+    cells = [base.child(a).child(b) for a in range(4) for b in range(4)]
+    picks = draw(
+        st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=len(cells))
+    )
+    return [(cell, rows[pick]) for cell, pick in zip(cells, picks)]
+
+
+class TestEncodeCovering:
+    @given(coverings(), st.randoms(use_true_random=False))
+    def test_decodes_to_refs_and_ignores_insertion_order(self, rows, random):
+        from repro.core.super_covering import SuperCovering
+
+        tables = []
+        for order in (rows, random.sample(rows, len(rows))):
+            covering = SuperCovering()
+            for cell, refs in order:
+                covering.insert(cell, refs)
+            table = LookupTable()
+            entries = table.encode_covering(covering)
+            assert len(entries) == covering.num_cells
+            for entry, (cell, refs) in zip(entries.tolist(), covering.items()):
+                assert table.decode_entry(entry) == refs == covering.refs_for(cell)
+                # The scalar encoder agrees, and finds the row interned.
+                assert table.encode(refs) == entry
+            tables.append((entries.tolist(), table.array.tolist()))
+        assert tables[0] == tables[1]
+        distinct_long = {refs for _, refs in rows if len(refs) > 2}
+        assert table.num_lists == len(distinct_long)
+
+    def test_empty_rows_and_wide_ids_rejected(self):
+        import numpy as np
+
+        from repro.cells import CellId
+        from repro.core.super_covering import SuperCovering
+
+        cell = np.asarray([CellId.from_degrees(40.7, -74.0).parent(9).id], dtype=np.uint64)
+        empty = SuperCovering.attach(cell, np.asarray([0, 0]), np.zeros(0, dtype=np.uint32))
+        with pytest.raises(ValueError, match=">= 1 polygon"):
+            LookupTable().encode_covering(empty)
+        wide = SuperCovering.attach(
+            cell, np.asarray([0, 1]), np.asarray([1 << 31], dtype=np.uint32)
+        )
+        with pytest.raises(ValueError, match="30-bit"):
+            LookupTable().encode_covering(wide)
+        with pytest.raises(TypeError, match="read-only"):
+            LookupTable.attach(np.zeros(0, dtype=np.uint32)).encode_covering(empty)

@@ -129,6 +129,51 @@ class TestBackwardCompatibility:
     """Checked-in FORMAT_VERSION 1, 2 and 3 files keep loading
     bit-identically under the current reader."""
 
+    @pytest.mark.parametrize(
+        "fixture, num_cells, digest",
+        [
+            (FIXTURE_V1, 1492, "61d5a77772bb667676e40fdbef07b6fb1a5f9daa9fa1160ac59dfc41fa36345f"),
+            (FIXTURE_V2, 1555, "742f4b54b4b44ebb8ad045754205f66628002d7b205a5b357bccb702566c1d4e"),
+            (FIXTURE_V3, 2476, "60c3989a5a1f885effd36121554cf7d3c8fd1982c4cd43c6a54810b35b19c82d"),
+        ],
+        ids=["v1", "v2", "v3"],
+    )
+    def test_fixture_coverings_load_to_the_recorded_entries(
+        self, fixture, num_cells, digest
+    ):
+        """sha256 over the id-sorted ``(cell, polygon, interior)`` entry
+        columns of the (base) covering, recorded with the 1.13.0 reader —
+        which unpacked the buffers into a dict — so the attach-and-sort
+        reader provably loads the same covering."""
+        import hashlib
+
+        loaded = load_index(fixture)
+        covering = getattr(loaded, "base", loaded).super_covering
+        covering.check_disjoint()
+        assert covering.num_cells == num_cells
+        assert np.all(covering.cell_ids[1:] > covering.cell_ids[:-1])
+        hasher = hashlib.sha256()
+        hasher.update(
+            np.repeat(covering.cell_ids, np.diff(covering.ref_offsets)).tobytes()
+        )
+        hasher.update((covering.packed_refs >> 1).astype(np.int64).tobytes())
+        hasher.update((covering.packed_refs & 1).astype(np.uint8).tobytes())
+        assert hasher.hexdigest() == digest
+
+    def test_v3_fixture_ids_are_in_build_order_and_resave_sorted(self, tmp_path):
+        """Files written before 1.14.0 stored ``cell_ids`` in the order
+        the precision / training build left them; attach sorts them, and
+        whatever is packed or saved afterwards is ascending."""
+        from repro.core.flat import FlatSnapshot
+
+        stored = FlatSnapshot.load(FIXTURE_V3).buffers["cell_ids"]
+        assert np.any(stored[1:] < stored[:-1])
+        base = load_index(FIXTURE_V3).base
+        path = tmp_path / "resaved.npy"
+        save_index(base, path)
+        resaved = FlatSnapshot.load(path).buffers["cell_ids"]
+        assert np.array_equal(resaved, np.sort(stored))
+
     def test_v1_fixture_loads(self):
         index = load_index(FIXTURE_V1)
         assert isinstance(index, PolygonIndex)

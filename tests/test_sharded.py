@@ -60,33 +60,56 @@ def assert_identical(served, direct):
         assert getattr(served, field) == getattr(direct, field), field
 
 
+def _shard_cells(plan, index) -> list[dict]:
+    """Each shard's covering subset as ``{cell id: refs}``, read off the
+    plan's row ranges."""
+    covering = index.super_covering
+    return [
+        {
+            cell.id: refs
+            for cell, refs in covering.row_range(
+                *plan.row_cuts[shard : shard + 2]
+            ).items()
+        }
+        for shard in range(plan.num_shards)
+    ]
+
+
 class TestShardPlan:
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 5, 8])
     def test_partition_is_exact(self, index, num_shards):
         plan = ShardPlan.from_index(index, num_shards)
-        raw = index.super_covering.raw_items()
+        raw = {cell.id: refs for cell, refs in index.super_covering.items()}
         assert plan.num_shards == num_shards
         assert len(plan.boundaries) == num_shards - 1
         assert list(plan.boundaries) == sorted(plan.boundaries)
+        cells = _shard_cells(plan, index)
         # Every covering cell lands in exactly one shard, refs untouched.
         scattered = {}
-        for shard_cells in plan.cells:
+        for shard_cells in cells:
             for cell_id, refs in shard_cells.items():
                 assert cell_id not in scattered
                 scattered[cell_id] = refs
-        assert scattered == dict(raw)
+        assert scattered == raw
+        # A shard's row range holds exactly the cells whose leaf range
+        # the cuts assign to it (what the per-shard dicts used to hold).
+        per_shard = [{} for _ in range(num_shards)]
+        for cell_id, refs in raw.items():
+            low = np.asarray([CellId(cell_id).range_min().id], dtype=np.uint64)
+            per_shard[int(plan.shard_for(low)[0])][cell_id] = refs
+        assert cells == per_shard
         # Members are exactly the polygons referenced by a shard's cells.
         for shard in range(num_shards):
             referenced = {
                 ref.polygon_id
-                for refs in plan.cells[shard].values()
+                for refs in cells[shard].values()
                 for ref in refs
             }
             assert set(plan.members[shard]) == referenced
 
     def test_cells_and_points_agree_on_ownership(self, index):
         plan = ShardPlan.from_index(index, 4)
-        for shard, shard_cells in enumerate(plan.cells):
+        for shard, shard_cells in enumerate(_shard_cells(plan, index)):
             for cell_id in shard_cells:
                 cell = CellId(cell_id)
                 ends = np.asarray(
@@ -97,9 +120,7 @@ class TestShardPlan:
     def test_balanced_on_covering_cell_counts(self, index):
         plan = ShardPlan.from_index(index, 4)
         weights = plan.cell_weights
-        assert sum(weights) == sum(
-            len(refs) for refs in index.super_covering.raw_items().values()
-        )
+        assert sum(weights) == len(index.super_covering.packed_refs)
         assert max(weights) <= 2 * (sum(weights) / len(weights))
 
     def test_straddling_polygons_are_replicated(self, index):
@@ -198,10 +219,9 @@ class TestShardPlan:
         )
         plan = ShardPlan.from_index(solo, 6)
         assert plan.num_shards == 6
-        assert sum(len(cells) for cells in plan.cells) == len(
-            solo.super_covering.raw_items()
-        )
-        empty = [s for s in range(6) if not plan.cells[s]]
+        assert plan.row_cuts[0] == 0
+        assert plan.row_cuts[-1] == solo.super_covering.num_cells
+        empty = [s for s in range(6) if plan.row_cuts[s] == plan.row_cuts[s + 1]]
         assert empty  # the degenerate case actually occurred
         for shard in empty:
             assert plan.members[shard] == ()
@@ -230,7 +250,7 @@ class TestShardPlan:
         plan = ShardPlan.from_index(straddle_index, 4)
         # The big polygon's owned-work spike can collapse a quantile cut
         # into an empty shard; it must straddle every *populated* shard.
-        populated = [s for s in range(4) if plan.cells[s]]
+        populated = [s for s in range(4) if plan.row_cuts[s] < plan.row_cuts[s + 1]]
         holding = [s for s in range(4) if big in plan.members[s]]
         assert holding == populated
         assert len(holding) >= 3  # genuinely straddles multiple cuts
@@ -381,8 +401,9 @@ class TestTwoLayerPlan:
             assert svc.replication_factor() == 1.0
 
     def test_attached_index_shards_identically(self, index, points):
-        # Planning unpacks an attached index's covering on demand, and
-        # the geometry plane re-ships its already-packed bucket table.
+        # Planning reads an attached index's covering off the snapshot's
+        # buffers, and the geometry plane re-ships its already-packed
+        # bucket table.
         from repro.core import attach_index, pack_index
 
         lats, lngs = points
@@ -390,7 +411,8 @@ class TestTwoLayerPlan:
         built_plan = ShardPlan.from_index(index, 3)
         plan = ShardPlan.from_index(attached, 3)
         assert list(plan.boundaries) == list(built_plan.boundaries)
-        assert plan.cells == built_plan.cells
+        assert list(plan.row_cuts) == list(built_plan.row_cuts)
+        assert _shard_cells(plan, attached) == _shard_cells(built_plan, index)
         with ShardedJoinService(attached, num_shards=3, backend="inline") as svc:
             assert svc.plane_bytes() == _plane_bytes(index)
             assert_identical(

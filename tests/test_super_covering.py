@@ -5,8 +5,9 @@ The central invariants:
 * cells are pairwise disjoint (no cell contains another),
 * conflict resolution never changes any geographic point's reference set
   (precision preservation, Figure 4 of the paper),
-* the bulk sweep builder and the incremental insert produce identical
-  results.
+* the merge sweep — bulk, and over existing rows plus new cells — and the
+  paper's incremental insert (``oracles.ListingOneCovering``) produce
+  identical results.
 """
 
 import numpy as np
@@ -14,13 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from repro.cells import CellId, CovererOptions, RegionCoverer
+from repro.cells.vectorized import tile_leaf_ranges
 from repro.core.refs import PolygonRef
-from repro.core.super_covering import (
-    SuperCovering,
-    _cells_covering_leaf_range,
-    build_super_covering,
-)
+from repro.core.super_covering import SuperCovering, build_super_covering
 
 BASE = CellId.from_degrees(40.7, -74.0)
 
@@ -59,6 +58,14 @@ def reference_refs_at(per_polygon, leaf: CellId) -> frozenset:
             seen.add(pid)
             interior.add(pid)
     return frozenset(PolygonRef(pid, pid in interior) for pid in seen)
+
+
+def _cells_covering_leaf_range(lo: int, hi: int) -> list[CellId]:
+    """The production tiler on one inclusive leaf interval, in curve order."""
+    cells, _ = tile_leaf_ranges(
+        np.asarray([lo], dtype=np.uint64), np.asarray([hi + 2], dtype=np.uint64)
+    )
+    return [CellId(raw) for raw in sorted(cells.tolist())]
 
 
 def probe_refs(covering: SuperCovering, leaf: CellId) -> frozenset:
@@ -160,12 +167,15 @@ class TestBulkVsIncremental:
     @given(polygon_coverings())
     def test_equivalence(self, per_polygon):
         bulk = build_super_covering(per_polygon)
-        incremental = SuperCovering()
+        resweep = SuperCovering()
+        incremental = oracles.ListingOneCovering()
         for pid, covering, interior in per_polygon:
+            resweep.insert_covering(pid, covering, interior)
             incremental.insert_covering(pid, covering, interior)
         bulk.check_disjoint()
-        incremental.check_disjoint()
-        assert dict(bulk.raw_items()) == dict(incremental.raw_items())
+        resweep.check_disjoint()
+        assert oracles.covering_dict(bulk) == incremental.refs
+        assert oracles.covering_dict(resweep) == incremental.refs
 
     @settings(max_examples=40, deadline=None)
     @given(polygon_coverings(), st.lists(cell_inside_base(), min_size=1, max_size=8))
@@ -182,6 +192,180 @@ class TestBulkVsIncremental:
     def test_disjointness(self, per_polygon):
         covering = build_super_covering(per_polygon)
         covering.check_disjoint()
+
+
+@st.composite
+def nested_rows(draw):
+    """Rows ``(cell, refs)`` that nest arbitrarily deep, repeat cells, name
+    one polygon as candidate *and* true hit on the same cell, and carry
+    several references at once (the insert-into-existing case)."""
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        if rows and draw(st.booleans()):
+            cell = draw(st.sampled_from(rows))[0]  # a duplicate, or a descendant
+            for _ in range(draw(st.integers(0, 4))):
+                if cell.level < 30:
+                    cell = cell.child(draw(st.integers(0, 3)))
+        else:
+            cell = draw(cell_inside_base())
+        refs = draw(
+            st.lists(
+                st.builds(PolygonRef, st.integers(0, 3), st.booleans()),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        rows.append((cell, refs))
+    return rows
+
+
+class TestSweepVsListingOne:
+    @settings(max_examples=120, deadline=None)
+    @given(nested_rows(), st.randoms(use_true_random=False))
+    def test_any_insertion_order(self, rows, random):
+        listing = oracles.ListingOneCovering()
+        for cell, refs in rows:
+            listing.insert(cell, refs)
+        shuffled = list(rows)
+        random.shuffle(shuffled)
+        covering = SuperCovering()
+        for cell, refs in shuffled:
+            covering.insert(cell, refs)
+            covering.check_disjoint()
+        assert oracles.covering_dict(covering) == listing.refs
+
+    @settings(max_examples=60, deadline=None)
+    @given(nested_rows(), nested_rows())
+    def test_merging_a_covering_into_a_covering(self, left_rows, right_rows):
+        """``merge`` inserts pre-aggregated multi-reference rows."""
+        left, right = SuperCovering(), SuperCovering()
+        for cell, refs in left_rows:
+            left.insert(cell, refs)
+        for cell, refs in right_rows:
+            right.insert(cell, refs)
+        listing = oracles.ListingOneCovering(oracles.covering_dict(left))
+        for cell, refs in right.items():
+            listing.insert(cell, refs)
+        left.merge(right)
+        left.check_disjoint()
+        assert oracles.covering_dict(left) == listing.refs
+
+    @pytest.mark.parametrize("precision_meters", [None, 60.0])
+    def test_churn_insert_stream(self, precision_meters):
+        """Re-sweeping *delta + new* equals the incremental insert at every
+        step of the churn benchmark's 48-insert stream."""
+        from repro.core.builder import cover_polygon
+        from repro.core.precision import refine_to_precision
+        from repro.datasets.workloads import polygon_churn_workload
+
+        workload = polygon_churn_workload(
+            num_initial=16, num_ops=48, insert_fraction=1.0, seed=11
+        )
+        polygons = list(workload.initial)
+        delta = SuperCovering()
+        listing = oracles.ListingOneCovering()
+        inserts = [op.polygon for op in workload.ops if op.kind == "insert"]
+        assert len(inserts) == 48
+        for polygon in inserts:
+            pid = len(polygons)
+            polygons.append(polygon)
+            covering, interior = cover_polygon(polygon)
+            if precision_meters is None:
+                delta.insert_covering(pid, covering, interior)
+                listing.insert_covering(pid, covering, interior)
+            else:
+                refined = SuperCovering()
+                refined.insert_covering(pid, covering, interior)
+                refine_to_precision(refined, polygons, precision_meters)
+                delta.merge(refined)
+                for cell, refs in refined.items():
+                    listing.insert(cell, refs)
+            assert oracles.covering_dict(delta) == listing.refs
+
+
+class TestAttach:
+    """``attach`` wraps buffers from outside the program: it validates
+    them and sorts an old file's build-ordered ids."""
+
+    def _arrays(self):
+        covering = SuperCovering()
+        covering.insert(BASE.parent(8), [PolygonRef(1, False), PolygonRef(3, True)])
+        covering.insert(BASE.parent(10), [PolygonRef(2, True)])
+        return covering, (
+            covering.cell_ids, covering.ref_offsets, covering.packed_refs
+        )
+
+    def test_sorted_buffers_are_wrapped_as_they_are(self):
+        covering, (cell_ids, ref_offsets, packed_refs) = self._arrays()
+        attached = SuperCovering.attach(cell_ids, ref_offsets, packed_refs)
+        assert attached.cell_ids is cell_ids
+        assert attached.ref_offsets is ref_offsets
+        assert attached.packed_refs is packed_refs
+
+    def test_unsorted_ids_are_sorted_with_their_rows(self):
+        covering, (cell_ids, ref_offsets, packed_refs) = self._arrays()
+        order = np.random.default_rng(3).permutation(len(cell_ids))
+        assert list(order) != sorted(order)
+        counts = np.diff(ref_offsets)[order]
+        shuffled_offsets = np.concatenate([[0], np.cumsum(counts)])
+        shuffled_refs = np.concatenate(
+            [packed_refs[ref_offsets[row] : ref_offsets[row + 1]] for row in order]
+        )
+        attached = SuperCovering.attach(
+            cell_ids[order], shuffled_offsets, shuffled_refs
+        )
+        assert oracles.covering_dict(attached) == oracles.covering_dict(covering)
+        assert np.array_equal(attached.cell_ids, cell_ids)
+
+    @pytest.mark.parametrize(
+        "corrupt, buffer",
+        [
+            (lambda ids, offsets, refs: (ids, offsets[:-1], refs), "ref_offsets"),
+            (lambda ids, offsets, refs: (ids, offsets + 1, refs), "ref_offsets"),
+            (
+                lambda ids, offsets, refs: (
+                    ids, np.concatenate([offsets[:1], offsets[:0:-1]]), refs
+                ),
+                "ref_offsets",
+            ),
+            (lambda ids, offsets, refs: (ids, offsets, refs[:-1]), "packed_refs"),
+            (
+                lambda ids, offsets, refs: (
+                    np.concatenate([ids[:-1], [np.uint64(0)]]), offsets, refs
+                ),
+                "cell_ids",
+            ),
+            (
+                lambda ids, offsets, refs: (
+                    np.concatenate([ids[:-1], [ids[0] << np.uint64(1)]]), offsets, refs
+                ),
+                "cell_ids",
+            ),
+            (
+                lambda ids, offsets, refs: (
+                    np.concatenate([ids[:-1], [np.uint64((7 << 61) | 1)]]),
+                    offsets,
+                    refs,
+                ),
+                "cell_ids",
+            ),
+            (
+                lambda ids, offsets, refs: (
+                    np.concatenate([ids[:-1], ids[:1]]), offsets, refs
+                ),
+                "cell_ids",
+            ),
+        ],
+        ids=[
+            "short offsets", "offsets not from 0", "decreasing offsets",
+            "offsets overrun the refs", "zero id", "lsb at an odd bit",
+            "face 7", "duplicate id",
+        ],
+    )
+    def test_corrupt_buffers_raise_naming_the_buffer(self, corrupt, buffer):
+        _, arrays = self._arrays()
+        with pytest.raises(ValueError, match=buffer):
+            SuperCovering.attach(*corrupt(*arrays))
 
 
 class TestRealPolygons:
@@ -204,9 +388,14 @@ class TestRealPolygons:
         cell = BASE.parent(10)
         covering.insert(cell, [PolygonRef(1, False)])
         children = list(cell.children())
-        covering.replace_cell(
-            cell,
-            [(children[0], (PolygonRef(1, True),)), (children[1], ())],
+        covering.replace_cells(
+            [cell.id], [children[0].id], [0, 1], [PolygonRef(1, True).packed()]
         )
-        assert covering.num_cells == 1  # empty refs dropped
+        assert covering.num_cells == 1
         assert covering.refs_for(children[0]) == (PolygonRef(1, True),)
+        with pytest.raises(ValueError, match="outside every removed cell"):
+            covering.replace_cells(
+                [children[0].id], [children[1].id], [0, 1], [PolygonRef(1, True).packed()]
+            )
+        with pytest.raises(KeyError):
+            covering.replace_cells([cell.id], [], [0], [])

@@ -3,6 +3,12 @@
 import numpy as np
 import pytest
 
+from oracles import (
+    classify_split,
+    covering_dict,
+    split_expensive_cell,
+    train_super_covering_sequential,
+)
 from repro.cells import CellId, cell_ids_from_lat_lng_arrays
 from repro.core import PolygonIndex
 from repro.core.act import AdaptiveCellTrie
@@ -12,11 +18,8 @@ from repro.core.refs import PolygonRef
 from repro.core.super_covering import SuperCovering
 from repro.core.training import (
     SthEvaluator,
-    classify_split,
     solely_true_hit_rate,
-    split_expensive_cell,
     train_super_covering,
-    train_super_covering_sequential,
 )
 from repro.geo.pip import contains_points
 from repro.geo.polygon import regular_polygon
@@ -158,7 +161,7 @@ class TestTraining:
 
 
 def _covering_snapshot(covering: SuperCovering) -> dict:
-    return dict(covering.raw_items())
+    return covering_dict(covering)
 
 
 class TestVectorizedParity:
@@ -362,12 +365,13 @@ class TestSthEvaluator:
         """The pre-vectorization implementation (element-wise walks)."""
         if len(query_cell_ids) == 0:
             return 1.0
-        ids = np.sort(np.asarray(list(super_covering.raw_items()), dtype=np.uint64))
+        raw_items = covering_dict(super_covering)
+        ids = np.sort(np.asarray(list(raw_items), dtype=np.uint64))
         if len(ids) == 0:
             return 1.0
         expensive = np.asarray(
             [
-                any(not ref.interior for ref in super_covering.raw_items()[int(raw)])
+                any(not ref.interior for ref in raw_items[int(raw)])
                 for raw in ids
             ],
             dtype=bool,

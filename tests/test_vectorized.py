@@ -345,3 +345,122 @@ class TestRangeBounds:
 
         lo, hi = range_bounds_from_cell_ids(np.zeros(0, dtype=np.uint64))
         assert len(lo) == 0 and len(hi) == 0
+
+
+# ----------------------------------------------------------------------
+# The gap tiler
+# ----------------------------------------------------------------------
+
+_LAST_LEAF_POS = (1 << 60) - 1
+
+
+@st.composite
+def any_cell(draw) -> CellId:
+    """Cells on every face and level, biased to the ends of a face (leaf
+    positions 0 and 2**60 - 1) where alignment and wrap-around bite."""
+    face = draw(st.integers(0, 5))
+    pos = draw(
+        st.sampled_from([0, 1, _LAST_LEAF_POS - 1, _LAST_LEAF_POS])
+        | st.integers(0, _LAST_LEAF_POS)
+    )
+    leaf = CellId((face << 61) | (pos << 1) | 1)
+    return leaf.parent(draw(st.sampled_from([0, 1, 29, 30]) | st.integers(0, 30)))
+
+
+def _tiles(intervals: list[tuple[int, int]]) -> list[list[int]]:
+    """``tile_leaf_ranges`` over inclusive leaf intervals, per interval."""
+    from repro.cells.vectorized import tile_leaf_ranges
+
+    cells, owners = tile_leaf_ranges(
+        np.asarray([lo for lo, _ in intervals], dtype=np.uint64),
+        np.asarray([hi + 2 for _, hi in intervals], dtype=np.uint64),
+    )
+    return [
+        sorted(cells[owners == which].tolist()) for which in range(len(intervals))
+    ]
+
+
+class TestTileLeafRanges:
+    """The one gap tiler equals each of the three scalar tilers it
+    replaced (kept in ``oracles`` / ``repro.cells.cellid``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(any_cell(), any_cell()), min_size=1, max_size=6))
+    def test_matches_the_greedy_interval_tiler(self, pairs):
+        from oracles import cells_covering_leaf_range
+
+        intervals = []
+        for a, b in pairs:
+            if a.face != b.face:
+                b = a  # the scalar tilers climb parents, which stay on a face
+            lo = min(a.range_min().id, b.range_min().id)
+            intervals.append((lo, max(a.range_max().id, b.range_max().id)))
+        expected = [
+            sorted(cell.id for cell in cells_covering_leaf_range(lo, hi))
+            for lo, hi in intervals
+        ]
+        assert _tiles(intervals) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(any_cell(), st.lists(st.lists(st.integers(0, 3), max_size=5), max_size=6))
+    def test_matches_the_descent_around_covered_cells(self, cell, paths):
+        from oracles import uncovered_children
+
+        covered: list[CellId] = []
+        for path in paths:
+            descendant = cell
+            for position in path[: 30 - cell.level]:
+                descendant = descendant.child(position)
+            if not any(
+                c.contains(descendant) or descendant.contains(c) for c in covered
+            ):
+                covered.append(descendant)
+        covered.sort()
+        # The gaps of ``cell``: before each covered cell, and after the last.
+        starts = [cell.range_min().id] + [c.range_max().id + 2 for c in covered]
+        stops = [c.range_min().id - 2 for c in covered] + [cell.range_max().id]
+        tiled = sorted(sum(_tiles(list(zip(starts, stops))), []))
+        assert tiled == sorted(
+            gap.id for gap in uncovered_children(cell, {c.id for c in covered})
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(any_cell(), st.lists(st.integers(0, 3), max_size=30))
+    def test_matches_cell_difference(self, ancestor, path):
+        from repro.cells import cell_difference
+
+        descendant = ancestor
+        for position in path[: 30 - ancestor.level]:
+            descendant = descendant.child(position)
+        before = (ancestor.range_min().id, descendant.range_min().id - 2)
+        after = (descendant.range_max().id + 2, ancestor.range_max().id)
+        assert sorted(sum(_tiles([before, after]), [])) == sorted(
+            piece.id for piece in cell_difference(ancestor, descendant)
+        )
+
+    def test_whole_faces_leaves_and_empty_intervals(self):
+        from repro.cells.vectorized import tile_leaf_ranges
+
+        faces = [CellId.face_cell(face) for face in range(6)]
+        leaf = CellId.from_degrees(40.7, -74.0)
+        neighbour = CellId(leaf.id + 2)
+        lo = [face.range_min().id for face in faces] + [leaf.id, leaf.id, leaf.id]
+        end = [face.range_max().id + 2 for face in faces] + [
+            leaf.id + 2, neighbour.id + 2, leaf.id,
+        ]
+        cells, owners = tile_leaf_ranges(
+            np.asarray(lo, dtype=np.uint64), np.asarray(end, dtype=np.uint64)
+        )
+        by_owner = {
+            which: sorted(cells[owners == which].tolist()) for which in range(9)
+        }
+        assert [by_owner[face] for face in range(6)] == [[f.id] for f in faces]
+        assert by_owner[6] == [leaf.id]
+        assert by_owner[7] in ([leaf.id, neighbour.id], [leaf.parent(29).id])
+        assert by_owner[8] == []  # lo == end: empty
+        # The whole sphere as one interval: six face cells.
+        cells, _ = tile_leaf_ranges(
+            np.asarray([1], dtype=np.uint64),
+            np.asarray([faces[5].range_max().id + 2], dtype=np.uint64),
+        )
+        assert sorted(cells.tolist()) == [face.id for face in faces]
