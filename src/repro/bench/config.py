@@ -55,12 +55,6 @@ class BenchConfig:
     churn_probe_batch: int = 8192
     #: Churn benchmark: pending ops triggering background compaction.
     churn_compact_threshold: int = 48
-    #: Refinement benchmark: Voronoi polygons (acceptance needs >= 1k).
-    refine_polygons: int = 1500
-    #: Refinement benchmark: probe points refined through both paths.
-    refine_points: int = 300_000
-    #: Refinement benchmark: average vertices per polygon boundary.
-    refine_avg_vertices: int = 48
     #: Adaptation benchmark: historical (training) points per drift phase.
     adapt_train_points: int = 100_000
     #: Adaptation benchmark: live query points per drift phase.
@@ -99,9 +93,6 @@ class BenchConfig:
             churn_probe_points=30_000,
             churn_probe_batch=4_096,
             churn_compact_threshold=16,
-            refine_polygons=300,
-            refine_points=50_000,
-            refine_avg_vertices=24,
             adapt_train_points=20_000,
             adapt_query_points=40_000,
             adapt_batch=4_096,

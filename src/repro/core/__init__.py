@@ -45,7 +45,6 @@ from repro.core.joins import (
     accurate_join,
     batch_probe,
     refine_candidates,
-    refine_candidates_masks,
 )
 from repro.core.builder import (
     PolygonIndex,
@@ -85,7 +84,6 @@ __all__ = [
     "accurate_join",
     "batch_probe",
     "refine_candidates",
-    "refine_candidates_masks",
     "PolygonIndex",
     "ProbeView",
     "build_pipeline",

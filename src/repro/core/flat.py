@@ -74,7 +74,14 @@ _ALIGN = 64
 #: table.  The sharded front publishes this section ONCE per layer in a
 #: single shared-memory segment; every shard worker attaches it
 #: read-only, so a polygon that straddles shard cuts still has exactly
-#: one copy of its geometry and bucket rows machine-wide.
+#: one copy of its geometry and bucket rows machine-wide.  The fourteen
+#: ``ref_*`` arrays describe their own bucketing (``ref_num_buckets``,
+#: ``ref_inv_bucket_height``, ``ref_edge_start`` per polygon): since
+#: 1.15.0 a polygon is packed with one bucket per non-horizontal edge
+#: (up to 1,024) instead of at most 64, which makes these buffers about
+#: 3x larger and changes nothing else — a blob written earlier is
+#: adopted with the coarser buckets it carries and decides identically,
+#: so no format bump.
 FLAT_GEOMETRY_BUFFERS: dict[str, str] = {
     "poly_ring_index": "<i8",
     "ring_vertex_index": "<i8",

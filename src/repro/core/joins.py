@@ -44,7 +44,6 @@ from repro.core.lookup_table import (
     expand_offsets,
 )
 from repro.core.morsels import MorselExecutor
-from repro.geo.pip import contains_points
 from repro.geo.polygon import Polygon
 from repro.geo.refine import RefinementEngine
 from repro.util.timing import Timer
@@ -173,35 +172,6 @@ def refine_candidates(
     if engine is None:
         engine = RefinementEngine(polygons)
     return engine.refine(point_idx, pids, is_true, lngs, lats)
-
-
-def refine_candidates_masks(
-    point_idx: np.ndarray,
-    pids: np.ndarray,
-    is_true: np.ndarray,
-    polygons: Sequence[Polygon],
-    lngs: np.ndarray,
-    lats: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """The historical per-polygon-mask refinement (reference baseline).
-
-    Scans one boolean mask over the full candidate array per distinct
-    polygon — O(unique polygons x candidates) — and brute-force tests
-    every edge per PIP call.  Kept as the oracle the vectorized engine is
-    benchmarked (``python -m repro.bench refine``) and parity-tested
-    against; production paths all go through :func:`refine_candidates`.
-    """
-    cand = ~is_true
-    cand_points = point_idx[cand]
-    cand_pids = pids[cand]
-    accepted = np.zeros(len(cand_points), dtype=bool)
-    for pid in np.unique(cand_pids):
-        sel = cand_pids == pid
-        pts = cand_points[sel]
-        accepted[sel] = contains_points(polygons[int(pid)], lngs[pts], lats[pts])
-    keep_points = np.concatenate([point_idx[is_true], cand_points[accepted]])
-    keep_pids = np.concatenate([pids[is_true], cand_pids[accepted]])
-    return keep_points, keep_pids, int(len(cand_points)), int(np.unique(cand_points).size)
 
 
 def approximate_join(

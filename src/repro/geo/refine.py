@@ -17,14 +17,50 @@ bucket its latitude interval overlaps), and a point only tests the edges
 of its own bucket.  :class:`_FlatBucketTable` removes the first: it
 concatenates every polygon's buckets into one ragged (CSR) edge table,
 maps each ``(polygon, point)`` pair to its bucket row arithmetically, and
-decides a whole candidate array — one pair or a million — with one
-``repeat``/``bincount`` crossing kernel and no per-polygon dispatch.
-That table is the only refinement layout and its chunk kernel the only
-crossing kernel besides the brute-force reference
+decides a whole candidate array — one pair or a million — with a single
+ragged ``repeat`` / ``reduceat`` crossing-parity kernel and no
+per-polygon dispatch.  That table is the only refinement layout and its
+chunk kernel the only crossing kernel besides the brute-force reference
 :func:`repro.geo.pip.contains_points`, which it reproduces bit for bit:
 the crossing rule, the interpolation arithmetic, and the MBR filter are
 identical, and an edge excluded by its bucket can never satisfy the
 crossing rule for the excluded latitudes.
+
+**The bucket rule: one bucket per edge.**  A polygon with ``E``
+non-horizontal edges gets ``min(E, _MAX_BUCKETS)`` buckets, so a bucket
+holds little more than the edges that really cross its latitudes, and
+the kernel pays per crossing edge, not per bucket edge.  Replicas grow
+as ``E + buckets x (edges crossing a latitude)`` — linearly.  The sweep
+on the five 662-edge ``boroughs`` polygons (border-point stream of
+``offline_border_exact``, seed 11; edge slots evaluated per candidate
+pair, packed table bytes):
+
+=======  ===========  ========  ===========
+buckets  slots/pair   replicas  table bytes
+=======  ===========  ========  ===========
+64       14.43        4,158     169,208
+128      8.65         5,014     206,008
+256      5.78         6,740     280,168
+512      4.32         10,178    427,928
+662 (E)  3.98         12,188    514,328
+=======  ===========  ========  ===========
+
+:func:`_bucket_index` is the one monotone float expression both an
+edge's endpoints and a point go through; that monotonicity is the whole
+correctness argument and does not depend on the bucket count.  The
+layout is therefore self-describing — ``num_buckets`` /
+``inv_bucket_height`` / ``edge_start`` say how a polygon was bucketed —
+and a table adopted from a snapshot packed by an older version (coarser
+buckets) stays valid exactly as it is: it keeps whatever bucket count it
+was packed with, decides identically, and only evaluates more slots per
+pair.  No format bump, no new buffer.
+
+**The MBR filter precedes the bucket arithmetic.**  Only a pair whose
+point lies inside its polygon's MBR — finite coordinates, a live
+polygon with edges — goes on to ``floor -> astype(int64) -> take``; a
+NaN or infinite coordinate, a dead id or an edge-free polygon (all three
+fail the comparison against an all-rejecting or finite MBR) is decided
+``False`` before any integer cast or gather could see it.
 
 A polygon's packed bucket rows are memoized on the
 :class:`~repro.geo.polygon.Polygon` object itself, and a table is the
@@ -49,11 +85,9 @@ from repro.geo.polygon import Polygon
 #: temporaries), matching :data:`repro.geo.pip._CHUNK_PAIRS`.
 _CHUNK_PAIRS = 4_000_000
 
-#: Bucket-count heuristic: aim for this many edges per latitude bucket.
-_TARGET_EDGES_PER_BUCKET = 4
-
-#: Upper bound on buckets per polygon (diminishing returns beyond this).
-_MAX_BUCKETS = 64
+#: Upper bound on buckets per polygon; below it a polygon gets one
+#: bucket per non-horizontal edge.
+_MAX_BUCKETS = 1024
 
 
 class _BucketRows(NamedTuple):
@@ -101,7 +135,7 @@ def _pack_bucket_rows(polygon: Polygon) -> _BucketRows:
     lo = np.minimum(y0, y1)
     hi = np.maximum(y0, y1)
     lat_origin = float(lo.min())
-    buckets = int(np.clip(num_edges // _TARGET_EDGES_PER_BUCKET, 1, _MAX_BUCKETS))
+    buckets = min(num_edges, _MAX_BUCKETS)
     inv_bucket_height = buckets / (float(hi.max()) - lat_origin)
     # An edge belongs to buckets bucket(lo)..bucket(hi) inclusive.
     b_lo = _bucket_index(lo, lat_origin, inv_bucket_height, buckets)
@@ -142,9 +176,9 @@ class _FlatBucketTable:
     ``edge_start[row]:edge_start[row + 1]``.  A whole candidate array is
     then decided by one ragged expansion — ``np.repeat`` each pair over
     its bucket's edges, evaluate the crossing rule elementwise, and
-    reduce the hits back per pair with ``np.bincount`` — with no
-    per-polygon Python loop and no padding, so skewed bucket widths cost
-    only their own slots.
+    reduce the hits back to one parity bit per pair with
+    ``np.bitwise_xor.reduceat`` — with no per-polygon Python loop and no
+    padding, so skewed bucket widths cost only their own slots.
 
     Dead ids and edge-free polygons carry an all-rejecting MBR (always
     False, like ``contains_points``).  The arrays are either assembled
@@ -195,7 +229,9 @@ class _FlatBucketTable:
     def size_bytes(self) -> int:
         arrays = (self.y0, self.y1, self.x0, self.dx, self.inv_dy,
                   self.edge_start, self.row_offset, self.num_buckets,
-                  self.lat_origin, self.inv_bucket_height)
+                  self.lat_origin, self.inv_bucket_height,
+                  self.mbr_lng_lo, self.mbr_lng_hi,
+                  self.mbr_lat_lo, self.mbr_lat_hi)
         return int(sum(a.nbytes for a in arrays))
 
     def test(
@@ -203,23 +239,32 @@ class _FlatBucketTable:
     ) -> np.ndarray:
         """PIP decisions for ``(pids[k], (px[k], py[k]))`` pairs at once."""
         out = np.zeros(len(pids), dtype=bool)
+        # The MBR filter comes first: only its survivors — finite
+        # coordinates inside a live polygon's latitude range — may reach
+        # the bucket arithmetic's integer cast and the gathers behind it.
         in_mbr = (
-            (px >= self.mbr_lng_lo[pids])
-            & (px <= self.mbr_lng_hi[pids])
-            & (py >= self.mbr_lat_lo[pids])
-            & (py <= self.mbr_lat_hi[pids])
+            (px >= self.mbr_lng_lo.take(pids))
+            & (px <= self.mbr_lng_hi.take(pids))
+            & (py >= self.mbr_lat_lo.take(pids))
+            & (py <= self.mbr_lat_hi.take(pids))
         )
         idx = np.nonzero(in_mbr)[0]
         if idx.size == 0:
             return out
-        p = pids[idx]
-        bx = px[idx]
-        by = py[idx]
-        rows = self.row_offset[p] + _bucket_index(
-            by, self.lat_origin[p], self.inv_bucket_height[p], self.num_buckets[p]
+        p = pids.take(idx)
+        bx = px.take(idx)
+        by = py.take(idx)
+        rows = _bucket_index(
+            by,
+            self.lat_origin.take(p),
+            self.inv_bucket_height.take(p),
+            self.num_buckets.take(p),
         )
-        starts = self.edge_start[rows]
-        lens = self.edge_start[rows + 1] - starts
+        rows += self.row_offset.take(p)
+        starts = self.edge_start.take(rows)
+        rows += 1
+        lens = self.edge_start.take(rows)
+        lens -= starts
         cum = np.cumsum(lens)
         lo = 0
         while lo < idx.size:
@@ -244,26 +289,38 @@ class _FlatBucketTable:
         lens: np.ndarray,
         out: np.ndarray,
     ) -> None:
-        """Ragged crossing count for one chunk of pairs (writes ``out``)."""
-        total = int(lens.sum())
+        """Ragged crossing parity for one chunk of pairs (writes ``out``).
+
+        Pair ``k`` owns the ``lens[k]`` expanded slots from the
+        chunk-relative ``offsets[k]``; its decision is the XOR of its
+        slots' crossing bits.
+        """
+        offsets = np.cumsum(lens)
+        total = int(offsets[-1])
         if total == 0:
             return
-        offsets = np.cumsum(lens) - lens
-        edge_idx = (
-            np.arange(total, dtype=np.int64)
-            + np.repeat(starts - offsets, lens)
+        offsets -= lens
+        edge_idx = np.repeat(starts - offsets, lens)
+        edge_idx += np.arange(total, dtype=np.int64)
+        pyv = np.repeat(by, lens)
+        y0 = self.y0.take(edge_idx)
+        crossing = (y0 <= pyv) != (self.y1.take(edge_idx) <= pyv)
+        # x_at_lat = x0 + ((py - y0) * inv_dy) * dx, pip.py's operation
+        # order, evaluated in place in the expanded latitude buffer.
+        x_at_lat = pyv
+        x_at_lat -= y0
+        x_at_lat *= self.inv_dy.take(edge_idx)
+        x_at_lat *= self.dx.take(edge_idx)
+        x_at_lat += self.x0.take(edge_idx)
+        hits = x_at_lat > np.repeat(bx, lens)
+        hits &= crossing
+        # ``reduceat`` returns the element AT the offset for an empty
+        # segment, so only rows that own slots are reduced (an empty row
+        # crosses nothing and keeps its False).
+        live = np.nonzero(lens)[0]
+        out[slots.take(live)] = np.bitwise_xor.reduceat(
+            hits.view(np.uint8), offsets.take(live)
         )
-        pair_of = np.repeat(np.arange(len(slots), dtype=np.int64), lens)
-        y0 = self.y0[edge_idx]
-        y1 = self.y1[edge_idx]
-        pyv = by[pair_of]
-        pxv = bx[pair_of]
-        crossing = (y0 <= pyv) != (y1 <= pyv)
-        t = (pyv - y0) * self.inv_dy[edge_idx]
-        x_at_lat = self.x0[edge_idx] + t * self.dx[edge_idx]
-        hits = crossing & (x_at_lat > pxv)
-        counts = np.bincount(pair_of[hits], minlength=len(slots))
-        out[slots] = (counts % 2).astype(bool)
 
 
 class RefinementEngine:
@@ -336,17 +393,22 @@ class RefinementEngine:
         """
         lngs = np.asarray(lngs, dtype=np.float64)
         lats = np.asarray(lats, dtype=np.float64)
-        cand = ~is_true
-        cand_points = point_idx[cand]
-        cand_pids = pids[cand]
-        num_candidates = len(cand_points)
+        true = np.nonzero(is_true)[0]
+        cand = np.nonzero(~is_true)[0]
+        num_candidates = len(cand)
         if num_candidates == 0:
-            return point_idx[is_true], pids[is_true], 0, 0
-        accepted = self.table().test(
-            cand_pids, lngs[cand_points], lats[cand_points]
+            return point_idx.take(true), pids.take(true), 0, 0
+        cand_points = point_idx.take(cand)
+        cand_pids = pids.take(cand)
+        accepted = np.nonzero(
+            self.table().test(
+                cand_pids, lngs.take(cand_points), lats.take(cand_points)
+            )
+        )[0]
+        keep_points = np.concatenate(
+            [point_idx.take(true), cand_points.take(accepted)]
         )
-        keep_points = np.concatenate([point_idx[is_true], cand_points[accepted]])
-        keep_pids = np.concatenate([pids[is_true], cand_pids[accepted]])
+        keep_pids = np.concatenate([pids.take(true), cand_pids.take(accepted)])
         # Distinct refined points via a flag scatter: O(C + max index),
         # noticeably cheaper than sorting/hashing the candidate array.
         flags = np.zeros(int(cand_points.max()) + 1, dtype=bool)

@@ -21,6 +21,12 @@ Until 1.13.0 the second was ``repro.cells.vectorized``: one function and a
 set of temporaries per stage, a boolean-masked scatter per cube face, a
 shift-and-mask Hilbert walk.  The production kernel is now one in-place
 pass; ``tests/test_vectorized.py`` asserts it returns the same ids.
+
+Until 1.15.0 ``repro.core.joins.refine_candidates_masks`` — the historical
+per-polygon-mask refinement loop — lived under ``src/`` because ``python -m
+repro.bench refine`` timed it.  That runner is retired; the loop lives on
+here as the oracle ``tests/test_refine.py`` holds ``RefinementEngine.refine``
+against, element for element and in order.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from repro.core.refs import PolygonRef, merge_refs
 from repro.core.super_covering import SuperCovering
 from repro.core.training import TrainingReport, _classify_children
 from repro.geo.edgeset import EdgeSet
-from repro.geo.pip import contains_point
+from repro.geo.pip import contains_point, contains_points
 from repro.geo.polygon import Polygon
 from repro.geo.rect import Rect
 from repro.geo.relation import Relation
@@ -625,3 +631,38 @@ def staged_cell_ids_from_lat_lng_arrays(lats: np.ndarray, lngs: np.ndarray) -> n
     i = ij_from_st(st_from_uv(u))
     j = ij_from_st(st_from_uv(v))
     return staged_leaf_ids_from_face_ij(face, i, j)
+
+
+# ----------------------------------------------------------------------
+# The per-polygon-mask refinement loop
+# ----------------------------------------------------------------------
+
+
+def refine_candidates_masks(
+    point_idx: np.ndarray,
+    pids: np.ndarray,
+    is_true: np.ndarray,
+    polygons: Sequence[Polygon],
+    lngs: np.ndarray,
+    lats: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The historical per-polygon-mask refinement (reference oracle).
+
+    Scans one boolean mask over the full candidate array per distinct
+    polygon — O(unique polygons x candidates) — and brute-force tests
+    every edge per PIP call.  Same contract as
+    ``RefinementEngine.refine``: ``(kept point indices, kept polygon ids,
+    number of PIP tests, number of distinct refined points)``, true hits
+    first, then accepted candidates in candidate order.
+    """
+    cand = ~is_true
+    cand_points = point_idx[cand]
+    cand_pids = pids[cand]
+    accepted = np.zeros(len(cand_points), dtype=bool)
+    for pid in np.unique(cand_pids):
+        sel = cand_pids == pid
+        pts = cand_points[sel]
+        accepted[sel] = contains_points(polygons[int(pid)], lngs[pts], lats[pts])
+    keep_points = np.concatenate([point_idx[is_true], cand_points[accepted]])
+    keep_pids = np.concatenate([pids[is_true], cand_pids[accepted]])
+    return keep_points, keep_pids, int(len(cand_points)), int(np.unique(cand_points).size)

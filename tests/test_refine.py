@@ -3,10 +3,14 @@
 The engine's contract is *bit-identical* accept/reject decisions with the
 brute-force paths it replaces: ``RefinementEngine.contains`` against
 ``contains_points``, and ``RefinementEngine.refine`` against the
-historical per-polygon-mask loop (``refine_candidates_masks``) — through
-the one bucket table and its one crossing kernel, whatever the batch
-size.
+historical per-polygon-mask loop (``oracles.refine_candidates_masks``) —
+through the one bucket table and its one crossing kernel, whatever the
+batch size, the chunking, the bucket count a table was packed with, or
+how hostile the coordinates are.
 """
+
+import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -16,16 +20,17 @@ from hypothesis import strategies as st
 from repro.cells import cell_ids_from_lat_lng_arrays
 from repro.core import PolygonIndex, load_index, save_index
 from repro.core.dynamic import DynamicPolygonIndex
-from repro.core.joins import (
-    accurate_join,
-    batch_probe,
-    refine_candidates,
-    refine_candidates_masks,
-)
+from repro.core.flat import _attach_refiner_table, _pack_refiner_table
+from repro.core.joins import accurate_join, batch_probe, refine_candidates
+from repro.datasets import polygon_dataset
 from repro.geo import refine as refine_module
 from repro.geo.pip import contains_points
 from repro.geo.polygon import Polygon, regular_polygon
 from repro.geo.refine import RefinementEngine, _bucket_rows
+
+from oracles import refine_candidates_masks
+
+FIXTURE_V3 = pathlib.Path(__file__).parent / "data" / "index_v3.npy"
 
 
 def _random_star_polygon(rng) -> Polygon:
@@ -310,3 +315,337 @@ class TestEngineIntegration:
         assert packed == [inserted]  # no re-bucketing on a write
         for polygon, before in zip(dynamic.probe_view().polygons, rows):
             assert polygon._refine_cache is before
+
+
+def _table_with_empty_rows():
+    """A square's table re-packed by hand so that bucket rows 1 and 3 of
+    its 4 own no edge slots (as an adopted snapshot's table may): the two
+    vertical edges sit in rows 0 and 2 only."""
+    square = Polygon([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
+    buffers = _pack_refiner_table(RefinementEngine((square,)).table())
+    buffers["ref_num_buckets"] = np.array([4], dtype=np.int64)
+    buffers["ref_inv_bucket_height"] = np.array([2.0])  # 4 buckets over [-1, 1]
+    buffers["ref_edge_start"] = np.array([0, 2, 2, 4, 4], dtype=np.int64)
+    for name in ("ref_y0", "ref_y1", "ref_x0", "ref_dx", "ref_inv_dy"):
+        buffers[name] = buffers[name][np.array([0, 1, 0, 1])]
+    return square, _attach_refiner_table(buffers)
+
+
+class TestChunking:
+    """(a) ``_CHUNK_PAIRS`` only bounds temporaries: any chunk size gives
+    the decisions of one chunk."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunked_decisions_equal_one_chunk(self, monkeypatch, chunk):
+        rng = np.random.default_rng(17)
+        polygons = (
+            regular_polygon((0.0, 0.0), 1.0, 40), None,
+            _random_star_polygon(rng), Polygon([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]),
+        )
+        table = RefinementEngine(polygons).table()
+        pids = rng.integers(0, len(polygons), 4000)
+        lngs = rng.uniform(-2.0, 2.0, 4000)
+        lats = rng.uniform(-2.0, 2.0, 4000)
+        whole = table.test(pids, lngs, lats)
+        assert whole.any() and not whole.all()
+        monkeypatch.setattr(refine_module, "_CHUNK_PAIRS", chunk)
+        assert (table.test(pids, lngs, lats) == whole).all()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+    def test_chunks_ending_on_zero_length_rows(self, monkeypatch, chunk):
+        """Rows that own no slots decide False wherever a chunk boundary
+        falls — including directly before, inside and after a run of them
+        (``reduceat`` would otherwise return the element AT the offset)."""
+        square, table = _table_with_empty_rows()
+        # Latitudes cycle through rows 0 (2 slots), 1 (empty), 2, 3 (empty);
+        # inside points of the empty rows must come out False, the others
+        # as the brute-force test says.
+        lats = np.tile(np.array([-0.75, -0.25, 0.25, 0.75]), 25)
+        lats = np.concatenate([lats, np.full(9, 0.75), np.full(4, 0.25)])
+        lngs = np.resize(np.array([0.0, 0.5, -3.0, 0.9, 2.0]), len(lats))
+        pids = np.zeros(len(lats), dtype=np.int64)
+        whole = table.test(pids, lngs, lats)
+        in_live_row = (lats == -0.75) | (lats == 0.25)
+        assert (whole == (contains_points(square, lngs, lats) & in_live_row)).all()
+        assert whole.any()
+        monkeypatch.setattr(refine_module, "_CHUNK_PAIRS", chunk)
+        assert (table.test(pids, lngs, lats) == whole).all()
+        # All-empty input: no chunk has a slot at all.
+        empty = lats == 0.75
+        assert not table.test(pids[empty], lngs[empty], lats[empty]).any()
+
+
+def _hostile_polygon(kind: str, rng) -> Polygon:
+    if kind == "star":
+        return _random_star_polygon(rng)
+    if kind == "triangle":  # 3 edges: 1 bucket until 1.15.0, 3 since
+        return Polygon([(0.0, 0.0), (2.0, 0.5), (0.5, 2.0)])
+    if kind == "over_cap":  # > _MAX_BUCKETS edges: buckets hold several
+        return regular_polygon((0.0, 0.0), 1.0, refine_module._MAX_BUCKETS + 300)
+    if kind == "hole_touches_shell":  # the hole shares vertex (1, 0)
+        return Polygon(
+            [(-1.0, -1.0), (1.0, 0.0), (-1.0, 1.0)],
+            [[(1.0, 0.0), (-0.5, 0.25), (-0.5, -0.25)]],
+        )
+    assert kind == "degenerate"
+    # Horizontal runs, a duplicated vertex and collinear vertices.
+    return Polygon([
+        (0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 1.0),
+        (2.0, 2.0), (2.0, 2.0), (1.0, 2.0), (0.5, 1.5), (0.0, 1.0), (0.0, 0.5),
+    ])
+
+
+class TestHostileInputs:
+    """(b) ``table.test == contains_points`` where the bucket arithmetic
+    could go wrong: vertices, horizontal edges, bucket boundaries."""
+
+    @given(
+        kind=st.sampled_from(
+            ["star", "triangle", "over_cap", "hole_touches_shell", "degenerate"]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_contains_points(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        polygon = _hostile_polygon(kind, rng)
+        flat = Polygon([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])  # edge-free
+        table = RefinementEngine((None, polygon, flat)).table()
+        num_buckets = int(table.num_buckets[1])
+        x0, y0, x1, y1 = polygon.all_edges()
+        expected_buckets = min(int((y0 != y1).sum()), refine_module._MAX_BUCKETS)
+        assert num_buckets == expected_buckets
+
+        # Every bucket-boundary latitude and its two float neighbours.
+        boundaries = table.lat_origin[1] + (
+            np.arange(num_buckets + 1) / table.inv_bucket_height[1]
+        )
+        lat_parts = [
+            boundaries,
+            np.nextafter(boundaries, -np.inf),
+            np.nextafter(boundaries, np.inf),
+            y0,  # vertex latitudes (and every horizontal edge's)
+            rng.uniform(y0.min() - 0.1, y0.max() + 0.1, 200),
+        ]
+        horizontal = y0 == y1
+        lat_grid = np.concatenate(lat_parts)
+        lng_pool = np.concatenate([
+            x0,  # vertex longitudes
+            0.5 * (x0 + x1)[horizontal],  # on horizontal edges
+            rng.uniform(x0.min() - 0.1, x0.max() + 0.1, 50),
+        ])
+        # Each vertex itself, then every special latitude against a
+        # sample of special longitudes.
+        lngs = np.concatenate([x0, rng.choice(lng_pool, len(lat_grid))])
+        lats = np.concatenate([y0, lat_grid])
+        # On-horizontal-edge points, exactly.
+        lngs = np.concatenate([lngs, 0.5 * (x0 + x1)[horizontal]])
+        lats = np.concatenate([lats, y0[horizontal]])
+
+        brute = contains_points(polygon, lngs, lats)
+        live = np.ones(len(lngs), dtype=np.int64)
+        assert (table.test(live, lngs, lats) == brute).all()
+        # The same points against a dead id and an edge-free polygon.
+        pids = rng.integers(0, 3, len(lngs))
+        assert (
+            table.test(pids, lngs, lats) == (brute & (pids == 1))
+        ).all()
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestNonFiniteCoordinates:
+    """Input from outside: NaN / ±inf coordinates answer ``False`` —
+    no exception and no floating-point warning, because the MBR filter
+    keeps such a pair from the bucket arithmetic's integer cast."""
+
+    @pytest.fixture()
+    def engine(self):
+        flat = Polygon([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])  # edge-free
+        return RefinementEngine(
+            (regular_polygon((0.0, 0.0), 1.0, 12), None, flat)
+        )
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("axis", ["lng", "lat", "both"])
+    def test_contains_alone_and_mixed(self, engine, bad, axis):
+        bad_lng = bad if axis in ("lng", "both") else 0.1
+        bad_lat = bad if axis in ("lat", "both") else 0.1
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = engine.contains(0, np.array([bad_lng]), np.array([bad_lat]))
+            mixed = engine.contains(
+                0,
+                np.array([0.0, bad_lng, 0.2, 5.0]),
+                np.array([0.0, bad_lat, -0.2, 0.0]),
+            )
+        assert alone.tolist() == [False]
+        assert mixed.tolist() == [True, False, True, False]
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("axis", ["lng", "lat", "both"])
+    def test_refine_live_edge_free_and_dead(self, engine, bad, axis):
+        lngs = np.array([0.0, bad if axis in ("lng", "both") else 0.1, 0.2])
+        lats = np.array([0.0, bad if axis in ("lat", "both") else 0.1, -0.2])
+        point_idx = np.array([0, 1, 2, 1, 1, 0])
+        pids = np.array([0, 0, 0, 1, 2, 2])
+        is_true = np.zeros(6, dtype=bool)
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kept_points, kept_pids, pip, refined = engine.refine(
+                point_idx, pids, is_true, lngs, lats
+            )
+        assert kept_points.tolist() == [0, 2] and kept_pids.tolist() == [0, 0]
+        assert pip == 6 and refined == 3
+
+    def test_contains_on_dead_id_still_raises(self, engine):
+        with pytest.raises(KeyError):
+            engine.contains(1, np.array([np.nan]), np.array([0.0]))
+
+
+class TestRefineOutputOrder:
+    """(c) ``refine`` returns the mask loop's arrays element for element
+    on the degenerate batch shapes."""
+
+    @staticmethod
+    def _assert_same(engine, polygons, point_idx, pids, is_true, lngs, lats):
+        fast = engine.refine(point_idx, pids, is_true, lngs, lats)
+        oracle = refine_candidates_masks(
+            point_idx, pids, is_true, polygons, lngs, lats
+        )
+        assert np.array_equal(fast[0], oracle[0])
+        assert np.array_equal(fast[1], oracle[1])
+        assert fast[0].dtype == oracle[0].dtype and fast[1].dtype == oracle[1].dtype
+        assert fast[2:] == oracle[2:]
+        return fast
+
+    def test_zero_candidates_zero_true_hits_all_rejected(self):
+        polygons = tuple(
+            regular_polygon((3.0 * k, 0.0), 1.0, 10) for k in range(3)
+        )
+        engine = RefinementEngine(polygons)
+        rng = np.random.default_rng(2)
+        lngs = rng.uniform(-1.0, 7.0, 500)
+        lats = rng.uniform(-1.0, 1.0, 500)
+        point_idx = rng.integers(0, 500, 900)
+        pids = rng.integers(0, 3, 900)
+        mixed = rng.random(900) < 0.4
+        args = (engine, polygons, point_idx, pids)
+        # Mixed batch: true hits first, then accepted candidates in order.
+        fast = self._assert_same(*args, mixed, lngs, lats)
+        num_true = int(mixed.sum())
+        assert np.array_equal(fast[0][:num_true], point_idx[mixed])
+        assert num_true < len(fast[0]) < 900
+        # Zero candidates.
+        fast = self._assert_same(*args, np.ones(900, dtype=bool), lngs, lats)
+        assert fast[2:] == (0, 0) and len(fast[0]) == 900
+        # Zero true hits.
+        self._assert_same(*args, np.zeros(900, dtype=bool), lngs, lats)
+        # All candidates rejected (every point far outside every polygon).
+        fast = self._assert_same(
+            *args, mixed, np.full(500, 50.0), np.full(500, 50.0)
+        )
+        assert np.array_equal(fast[0], point_idx[mixed])
+        # Nothing at all.
+        empty = np.zeros(0, dtype=np.int64)
+        self._assert_same(
+            engine, polygons, empty, empty, np.zeros(0, dtype=bool), lngs, lats
+        )
+
+
+class TestTableSizeAndAdoption:
+    def test_size_bytes_sums_all_fourteen_arrays(self):
+        """``warm()`` reports what a snapshot packs: built and adopted."""
+        polygons = (regular_polygon((0.0, 0.0), 1.0, 8), None,
+                    regular_polygon((3.0, 0.0), 1.0, 30))
+        built = RefinementEngine(polygons)
+        adopted = load_index(FIXTURE_V3).base.probe_view().refiner
+        for engine in (built, adopted):
+            packed = _pack_refiner_table(engine.table())
+            assert len(packed) == 14
+            assert engine.warm() == sum(a.nbytes for a in packed.values())
+
+    def test_adopted_coarse_table_decides_like_a_fresh_one(self):
+        """(d) ``index_v3.npy`` was packed with 1-4 buckets per polygon; the
+        adopted table stays valid as it is and decides exactly as a table
+        assembled today (one bucket per edge) from the same polygons."""
+        view = load_index(FIXTURE_V3).base.probe_view()
+        adopted = view.refiner.table()
+        fresh = RefinementEngine(tuple(view.polygons)).table()
+        live = [pid for pid, p in enumerate(view.polygons) if p is not None]
+        assert adopted.num_buckets[live].max() <= 4
+        assert (fresh.num_buckets[live] > adopted.num_buckets[live]).all()
+        assert not adopted.y0.flags.writeable  # still the snapshot's views
+        rng = np.random.default_rng(23)
+        pids = rng.integers(0, len(view.polygons), 10_000)
+        lngs = rng.uniform(-74.01, -73.97, 10_000)
+        lats = rng.uniform(40.69, 40.73, 10_000)
+        decided = adopted.test(pids, lngs, lats)
+        assert (decided == fresh.test(pids, lngs, lats)).all()
+        assert decided.any() and not decided.all()
+        dead = np.array([p is None for p in view.polygons])
+        assert not decided[dead[pids]].any()
+
+
+class TestBucketRule:
+    def test_one_bucket_per_edge_up_to_the_cap(self):
+        for num_vertices in (3, 4, 100):
+            polygon = regular_polygon((0.0, 0.0), 1.0, num_vertices)
+            _, y0, _, y1 = polygon.all_edges()
+            rows = _bucket_rows(polygon)
+            assert len(rows.bucket_start) - 1 == int((y0 != y1).sum())
+        big = regular_polygon((0.0, 0.0), 1.0, 3 * refine_module._MAX_BUCKETS)
+        assert len(_bucket_rows(big).bucket_start) - 1 == refine_module._MAX_BUCKETS
+
+    def test_slots_per_pair_on_border_points(self, monkeypatch):
+        """(e) Count-based guard: on the refinement-bound benchmark's
+        inputs an in-MBR candidate pair evaluates <= 5 edge slots (16.06 with
+        the 64-bucket cap of 1.14.0; ~4 edges really cross a latitude)."""
+        e2e = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
+        monkeypatch.syspath_prepend(str(e2e))
+        inputs = pytest.importorskip("e2ebench.inputs")
+        polygons = polygon_dataset("boroughs")
+        lats, lngs = inputs.border_points(polygons, 20_000, 11)
+        index = PolygonIndex.build(polygons)
+        point_idx, pids, is_true = batch_probe(
+            index.store, index.lookup_table, cell_ids_from_lat_lng_arrays(lats, lngs)
+        )
+        cand = np.flatnonzero(~is_true)
+        p, px, py = pids[cand], lngs[point_idx[cand]], lats[point_idx[cand]]
+        table = index.probe_view().refiner.table()
+        in_mbr = (
+            (px >= table.mbr_lng_lo[p]) & (px <= table.mbr_lng_hi[p])
+            & (py >= table.mbr_lat_lo[p]) & (py <= table.mbr_lat_hi[p])
+        )
+        p, py = p[in_mbr], py[in_mbr]
+        rows = table.row_offset[p] + refine_module._bucket_index(
+            py, table.lat_origin[p], table.inv_bucket_height[p], table.num_buckets[p]
+        )
+        slots = table.edge_start[rows + 1] - table.edge_start[rows]
+        assert len(slots) > 10_000
+        assert slots.mean() <= 5.0, slots.mean()
+
+
+def test_numpy_idioms_the_kernel_relies_on():
+    """Explicit checks for the NumPy-floor CI leg (``numpy==1.22.*``): the
+    kernel's parity reduction, index-array moves and in-place steps."""
+    hits = np.array([True, True, False, True, False, False, True])
+    as_bytes = hits.view(np.uint8)
+    assert as_bytes.dtype == np.uint8 and as_bytes.tolist() == [1, 1, 0, 1, 0, 0, 1]
+    parity = np.bitwise_xor.reduceat(as_bytes, np.array([0, 2, 4, 6]))
+    assert parity.dtype == np.uint8 and parity.tolist() == [0, 1, 0, 1]
+    # reduceat's empty-segment quirk — the middle segment [3:3] owns no
+    # slot yet reports element 3 — is why only rows owning slots are reduced.
+    assert np.bitwise_xor.reduceat(as_bytes, np.array([0, 3, 3])).tolist() == [0, 1, 0]
+    out = np.zeros(6, dtype=bool)
+    out[np.array([5, 0, 2, 3])] = parity  # uint8 0/1 -> bool
+    assert out.tolist() == [True, False, False, True, False, False]
+    column = np.arange(10.0)[::-1]
+    wrapped = column.take(np.array([0, -1, 3], dtype=np.int64))
+    assert wrapped.tolist() == [9.0, 0.0, 6.0] and wrapped.flags.owndata
+    rows = np.array([3, 4, 5], dtype=np.int64)
+    rows += column.take(rows).astype(np.int64)
+    rows += 1
+    assert rows.dtype == np.int64 and rows.tolist() == [10, 10, 10]
+    assert np.repeat(np.array([0.5, 1.5, 2.5]), np.array([2, 0, 1])).tolist() == [0.5, 0.5, 2.5]
