@@ -18,7 +18,7 @@ import sys
 import time
 
 from repro.bench import fig7, fig8, fig9, fig10, fig11
-from repro.bench import adapt_bench, churn_bench, obs_bench, serve_bench
+from repro.bench import adapt_bench, obs_bench
 from repro.bench import table1, table2, table3, table4, table5, training_bench
 from repro.bench.config import BenchConfig
 from repro.bench.workbench import Workbench
@@ -36,8 +36,6 @@ RUNNERS = {
     "fig9": fig9.run,
     "fig10": fig10.run,
     "fig11": fig11.run,
-    "serve": serve_bench.run,
-    "churn": churn_bench.run,
     "adapt": adapt_bench.run,
     "obs": obs_bench.run,
 }

@@ -37,12 +37,12 @@ ADAPT_CACHE_CELLS = 1 << 16
 def _clone_index(index: PolygonIndex) -> PolygonIndex:
     """An independent index over the same covering (fresh store + version)."""
     covering = index.super_covering.copy()
-    store, lookup_table = build_store(covering)
+    store = build_store(covering)
     return PolygonIndex(
         list(index.polygons),
         covering,
         store,
-        lookup_table,
+        store.lookup_table,
         BuildTimings(),
         index.precision_meters,
         index.training_report,
@@ -180,9 +180,9 @@ def run(workbench: Workbench) -> list[ExperimentResult]:
             fresh.super_covering, polygons, observed_ids,
             max_cells=None, order="hot",
         )
-        store, lookup_table = build_store(fresh.super_covering)
+        store = build_store(fresh.super_covering)
         fresh = PolygonIndex(
-            list(fresh.polygons), fresh.super_covering, store, lookup_table,
+            list(fresh.polygons), fresh.super_covering, store, store.lookup_table,
             BuildTimings(), fresh.precision_meters, fresh.training_report,
         )
     reference = fresh.join(

@@ -37,24 +37,6 @@ class BenchConfig:
     slow_baseline_points: int = 100_000
     #: GPU-substitute max texture size per rendering pass (Fig. 11).
     max_texture: int = 1024
-    #: Serving benchmark: total requests per workload stream.
-    serve_requests: int = 200_000
-    #: Serving benchmark: distinct venues in the skewed check-in stream.
-    serve_venues: int = 2_000
-    #: Serving benchmark: micro-batch size sweep.
-    serve_batch_sizes: tuple[int, ...] = (16, 256, 4096)
-    #: Serving benchmark: sampled one-point-at-a-time submissions.
-    serve_lookups: int = 1_000
-    #: Churn benchmark: initial polygons in the dynamic layer.
-    churn_initial_polygons: int = 250
-    #: Churn benchmark: online insert/delete operations applied.
-    churn_ops: int = 300
-    #: Churn benchmark: probe points cycled while churning.
-    churn_probe_points: int = 200_000
-    #: Churn benchmark: probe batch size (per-batch latency samples).
-    churn_probe_batch: int = 8192
-    #: Churn benchmark: pending ops triggering background compaction.
-    churn_compact_threshold: int = 48
     #: Adaptation benchmark: historical (training) points per drift phase.
     adapt_train_points: int = 100_000
     #: Adaptation benchmark: live query points per drift phase.
@@ -85,14 +67,6 @@ class BenchConfig:
             threads=(1, 2),
             training_points=(10_000, 50_000),
             slow_baseline_points=20_000,
-            serve_requests=30_000,
-            serve_batch_sizes=(16, 256),
-            serve_lookups=200,
-            churn_initial_polygons=60,
-            churn_ops=40,
-            churn_probe_points=30_000,
-            churn_probe_batch=4_096,
-            churn_compact_threshold=16,
             adapt_train_points=20_000,
             adapt_query_points=40_000,
             adapt_batch=4_096,

@@ -1,8 +1,8 @@
 """Telemetry overhead: tracing modes vs. the uninstrumented serve path.
 
 Not a paper experiment — this measures the cost of the ``repro.obs``
-telemetry plane on the micro-batched serve bench stream.  Four modes run
-over the same uniform exact-join workload:
+telemetry plane on a batched serve stream over the neighborhoods layer.
+Four modes run over the same uniform exact-join workload:
 
 * **baseline** — ``JoinService`` with no observability attached,
 * **disabled** — ``Observability(tracing=False)`` (metrics only; every
@@ -23,12 +23,15 @@ from __future__ import annotations
 import json
 
 from repro.bench.result import ExperimentResult
-from repro.bench.serve_bench import _service_index
 from repro.bench.workbench import Workbench
+from repro.core.builder import BuildTimings, PolygonIndex
 from repro.datasets import uniform_points_for
 from repro.obs import Observability
 from repro.serve import JoinService
 from repro.util.timing import Timer
+
+#: Precision bound (meters) for the served layer.
+SERVE_PRECISION = 15.0
 
 #: Tracing configuration per mode; ``None`` means no Observability at all.
 MODES: tuple[tuple[str, dict | None], ...] = (
@@ -37,6 +40,21 @@ MODES: tuple[tuple[str, dict | None], ...] = (
     ("sampled", {"tracing": True, "sample_rate": 0.05}),
     ("full", {"tracing": True, "sample_rate": 1.0}),
 )
+
+
+def _service_index(workbench: Workbench, dataset: str = "neighborhoods") -> PolygonIndex:
+    """Wrap the workbench's cached covering/store into a PolygonIndex."""
+    covering, _ = workbench.super_covering(dataset, SERVE_PRECISION)
+    store = workbench.store(dataset, SERVE_PRECISION, "ACT4")
+    return PolygonIndex(
+        workbench.polygons(dataset),
+        covering,
+        store,
+        store.lookup_table,
+        BuildTimings(),
+        SERVE_PRECISION,
+        None,
+    )
 
 
 def _stream_once(index, lats, lngs, batch: int, obs_kwargs: dict | None):

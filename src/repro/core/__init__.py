@@ -9,7 +9,8 @@
 * :mod:`repro.core.training` — adapting the index to historical points
   (Section 3.3.1),
 * :mod:`repro.core.joins` — the approximate and accurate join algorithms
-  (Listing 3) and the one merge of partial results,
+  (Listing 3), the one driver every join starts in and the one merge of
+  partial results,
 * :mod:`repro.core.morsels` — the morsel thread driver (Section 3.4) the
   offline parallel join and the serving layer share,
 * :mod:`repro.core.builder` — the high-level :class:`PolygonIndex` facade
@@ -43,8 +44,7 @@ from repro.core.joins import (
     JoinResult,
     approximate_join,
     accurate_join,
-    batch_probe,
-    refine_candidates,
+    decode_entries,
 )
 from repro.core.builder import (
     PolygonIndex,
@@ -82,8 +82,7 @@ __all__ = [
     "JoinResult",
     "approximate_join",
     "accurate_join",
-    "batch_probe",
-    "refine_candidates",
+    "decode_entries",
     "PolygonIndex",
     "ProbeView",
     "build_pipeline",

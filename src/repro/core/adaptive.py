@@ -42,13 +42,8 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.core.lookup_table import (
-    TAG_OFFSET,
-    TAG_ONE_REF,
-    TAG_TWO_REFS,
-    LookupTable,
-    offset_counts,
-)
+from repro.core.joins import expensive_entries
+from repro.core.lookup_table import LookupTable
 
 #: Retrain entry points looked up on the layer index, in order.
 _DYNAMIC_RETRAIN = "retrain"
@@ -94,42 +89,6 @@ class AdaptationStatus:
     retrains_failed: int
     retraining: bool
     last_trained_version: int  # 0 = never retrained
-
-
-class _EntryClassifier:
-    """Vectorized expensive-entry flags for tagged store entries.
-
-    An entry is *expensive* when its reference set contains at least one
-    candidate (non-interior) reference — exactly the cells whose points
-    enter the refinement phase.  One/two-ref entries are classified from
-    the inlined interior bits, offset entries from the ``num_candidate``
-    word of their lookup-table list.  Sentinel/pointer entries (misses)
-    are cheap.
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self, lookup_table: LookupTable):
-        self._table = lookup_table
-
-    def expensive(self, entries: np.ndarray) -> np.ndarray:
-        entries = np.asarray(entries, dtype=np.uint64)
-        tags = entries & np.uint64(3)
-        out = np.zeros(len(entries), dtype=bool)
-        one = tags == np.uint64(TAG_ONE_REF)
-        if one.any():
-            out[one] = ((entries[one] >> np.uint64(2)) & np.uint64(1)) == 0
-        two = tags == np.uint64(TAG_TWO_REFS)
-        if two.any():
-            first_interior = (entries[two] >> np.uint64(2)) & np.uint64(1)
-            second_interior = (entries[two] >> np.uint64(33)) & np.uint64(1)
-            out[two] = (first_interior == 0) | (second_interior == 0)
-        by_offset = tags == np.uint64(TAG_OFFSET)
-        if by_offset.any():
-            offsets = (entries[by_offset] >> np.uint64(2)).astype(np.int64)
-            _, num_cand = offset_counts(self._table.array, offsets)
-            out[by_offset] = num_cand > 0
-        return out
 
 
 class LayerTelemetry:
@@ -235,7 +194,7 @@ class TrafficSink:
     canonical leaf ids, and feeds the layer's telemetry.
     """
 
-    __slots__ = ("_telemetry", "_classifier", "_key_shift")
+    __slots__ = ("_telemetry", "_lookup_table", "_key_shift")
 
     def __init__(
         self,
@@ -244,13 +203,13 @@ class TrafficSink:
         key_shift: int,
     ):
         self._telemetry = telemetry
-        self._classifier = _EntryClassifier(lookup_table)
+        self._lookup_table = lookup_table
         self._key_shift = np.uint64(key_shift)
 
     def record(
         self, unique_keys: np.ndarray, weights: np.ndarray, entries: np.ndarray
     ) -> None:
-        expensive = self._classifier.expensive(entries)
+        expensive = expensive_entries(entries, self._lookup_table)
         # Restore the truncated key to its cell id: position bits shifted
         # back up, marker bit at the key's own level (key_shift >= 1).
         marker = np.uint64(1) << (self._key_shift - np.uint64(1))

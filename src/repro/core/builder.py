@@ -7,15 +7,19 @@
    resolution),
 3. optionally refine boundary cells to a precision bound (approximate mode)
    and/or train with historical points (accurate mode),
-4. index the cells in an Adaptive Cell Trie — or any alternative cell store
-   supplied via ``store_factory`` (B-tree, sorted vector, ...), which is how
-   the evaluation swaps physical representations.
+4. index the cells in an Adaptive Cell Trie.
 
 The pipeline stages are exposed as free functions (:func:`cover_polygons`,
 :func:`build_pipeline`, :func:`build_store`) so every build path — a full
 offline build, the delta-overlay builds of
 :class:`~repro.core.dynamic.DynamicPolygonIndex`, and background
 compaction — runs the exact same code instead of re-implementing it.
+
+A built index is read through one door: :meth:`ProbeView.join` checks the
+batch, computes the leaf cell ids and hands the view's own fields to the
+one join driver (:func:`repro.core.joins.join_batch`);
+``PolygonIndex.join`` and ``DynamicPolygonIndex.join`` are that call on
+their current view.
 
 Every built index is stamped with a process-wide monotonically increasing
 ``version`` (see :func:`next_index_version`), which is what the serving
@@ -33,7 +37,8 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,13 +47,9 @@ from repro.cells.coverer import CovererOptions, batch_coverings
 from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
 from repro.core.act import AdaptiveCellTrie
 from repro.core.flat import FlatSnapshot, _attach_refiner_table
-from repro.core.joins import (
-    JoinResult,
-    accurate_join,
-    approximate_join,
-    parallel_count_join,
-)
+from repro.core.joins import JoinResult, check_batch, join_batch
 from repro.core.lookup_table import LookupTable
+from repro.core.morsels import MorselExecutor, offline_pool
 from repro.core.precision import refine_to_precision
 from repro.core.refs import validate_polygon_id
 from repro.core.super_covering import SuperCovering, build_super_covering
@@ -56,6 +57,9 @@ from repro.core.training import TrainingReport, train_super_covering
 from repro.geo.polygon import Polygon
 from repro.geo.refine import RefinementEngine
 from repro.util.timing import Timer
+
+if TYPE_CHECKING:
+    from repro.core.dynamic import OverlayCellStore
 
 #: The paper's default configuration for individual polygon approximations
 #: (Section 4, "Polygon Approximations"), with levels capped at 28 so key
@@ -140,27 +144,18 @@ class BuildArtifacts:
     """Everything one run of :func:`build_pipeline` produces."""
 
     super_covering: SuperCovering
-    store: object
-    lookup_table: LookupTable
+    store: AdaptiveCellTrie
     timings: BuildTimings
     training_report: TrainingReport | None
 
 
 def build_store(
-    super_covering: SuperCovering,
-    *,
-    fanout_bits: int = 8,
-    store_factory: Callable[[SuperCovering, LookupTable], object] | None = None,
-) -> tuple[object, LookupTable]:
-    """Stage 4: index a super covering in a physical cell store."""
-    lookup_table = LookupTable()
-    if store_factory is None:
-        store = AdaptiveCellTrie(
-            super_covering, fanout_bits=fanout_bits, lookup_table=lookup_table
-        )
-    else:
-        store = store_factory(super_covering, lookup_table)
-    return store, lookup_table
+    super_covering: SuperCovering, *, fanout_bits: int = 8
+) -> AdaptiveCellTrie:
+    """Stage 4: index a super covering in an ACT (with its own lookup table)."""
+    return AdaptiveCellTrie(
+        super_covering, fanout_bits=fanout_bits, lookup_table=LookupTable()
+    )
 
 
 def build_pipeline(
@@ -174,7 +169,6 @@ def build_pipeline(
     training_max_cells: int | None = None,
     training_order: str = "arrival",
     fanout_bits: int = 8,
-    store_factory: Callable[[SuperCovering, LookupTable], object] | None = None,
 ) -> BuildArtifacts:
     """Run covering → super covering → refinement/training → store.
 
@@ -220,14 +214,11 @@ def build_pipeline(
             )
         timings.training_seconds = train_timer.seconds
     with Timer() as store_timer:
-        store, lookup_table = build_store(
-            super_covering, fanout_bits=fanout_bits, store_factory=store_factory
-        )
+        store = build_store(super_covering, fanout_bits=fanout_bits)
     timings.store_build_seconds = store_timer.seconds
     return BuildArtifacts(
         super_covering=super_covering,
         store=store,
-        lookup_table=lookup_table,
         timings=timings,
         training_report=training_report,
     )
@@ -237,80 +228,57 @@ def build_pipeline(
 class ProbeView:
     """One immutable, internally consistent probe snapshot of an index.
 
-    The serving layer reads an index through this view: the ``store`` and
+    Every read goes through this view: the ``store`` and
     ``lookup_table`` were built together, ``polygons`` is the polygon
     sequence the entries reference, and ``version`` identifies the whole
     bundle — so a concurrent mutation or snapshot swap can never mix fields
-    from two generations.  ``refiner`` is the snapshot's refinement engine
-    (one per view; the packed bucket rows its table concatenates are
-    memoized on the polygon objects, so overlapping snapshots share them).
+    from two generations.  ``store`` is the index's ACT, or the
+    :class:`~repro.core.dynamic.OverlayCellStore` over two of them on a
+    dynamic index with pending mutations.  ``refiner`` is the snapshot's
+    refinement engine (one per view; the packed bucket rows its table
+    concatenates are memoized on the polygon objects, so overlapping
+    snapshots share them).
     """
 
     version: int
-    store: object
+    store: AdaptiveCellTrie | OverlayCellStore
     lookup_table: LookupTable
     polygons: tuple[Polygon | None, ...]
     max_cell_level: int
     refiner: RefinementEngine | None = None
 
+    def join(
+        self,
+        lats: np.ndarray,
+        lngs: np.ndarray,
+        *,
+        exact: bool = False,
+        materialize: bool = False,
+        cell_ids: np.ndarray | None = None,
+        executor: MorselExecutor | None = None,
+    ) -> JoinResult:
+        """Join points against this snapshot.
 
-def join_probe_view(
-    view: ProbeView,
-    lats: np.ndarray,
-    lngs: np.ndarray,
-    *,
-    exact: bool = False,
-    materialize: bool = False,
-    cell_ids: np.ndarray | None = None,
-    num_threads: int = 1,
-) -> JoinResult:
-    """Join points against one immutable probe view.
-
-    The single dispatch shared by ``PolygonIndex.join`` and
-    ``DynamicPolygonIndex.join``: selects the approximate, accurate, or
-    multi-threaded driver and threads the view's store/table/polygons
-    through, so the two index types can never diverge in join behavior.
-    """
-    lats = np.asarray(lats, dtype=np.float64)
-    lngs = np.asarray(lngs, dtype=np.float64)
-    if cell_ids is None:
-        cell_ids = cell_ids_from_lat_lng_arrays(lats, lngs)
-    elif len(cell_ids) != len(lats):
-        raise ValueError(
-            f"cell_ids must hold one id per point, got {len(cell_ids)} ids "
-            f"for {len(lats)} points"
-        )
-    if num_threads > 1:
-        return parallel_count_join(
-            view.store,
-            view.lookup_table,
+        The one door ``PolygonIndex.join`` and ``DynamicPolygonIndex.join``
+        read through: check the batch, compute the leaf cell ids unless
+        the caller brought them, and run the join driver over the view's
+        own fields (morsels across ``executor``'s threads, if given).
+        """
+        lats, lngs, cell_ids = check_batch(lats, lngs, cell_ids)
+        if cell_ids is None:
+            cell_ids = cell_ids_from_lat_lng_arrays(lats, lngs)
+        return join_batch(
+            self.store,
+            self.lookup_table,
             cell_ids,
-            len(view.polygons),
-            num_threads,
-            polygons=view.polygons if exact else None,
-            lngs=lngs if exact else None,
-            lats=lats if exact else None,
-            engine=view.refiner if exact else None,
-            materialize=materialize,
-        )
-    if exact:
-        return accurate_join(
-            view.store,
-            view.lookup_table,
-            cell_ids,
-            view.polygons,
+            self.polygons,
             lngs,
             lats,
+            exact=exact,
             materialize=materialize,
-            engine=view.refiner,
+            engine=self.refiner,
+            executor=executor,
         )
-    return approximate_join(
-        view.store,
-        view.lookup_table,
-        cell_ids,
-        len(view.polygons),
-        materialize=materialize,
-    )
 
 
 class PolygonIndex:
@@ -331,7 +299,7 @@ class PolygonIndex:
         self,
         polygons: Sequence[Polygon | None],
         super_covering: SuperCovering,
-        store: object,
+        store: AdaptiveCellTrie,
         lookup_table: LookupTable,
         timings: BuildTimings,
         precision_meters: float | None,
@@ -339,6 +307,16 @@ class PolygonIndex:
         version: int | None = None,
         snapshot: FlatSnapshot | None = None,
     ):
+        if not isinstance(store, AdaptiveCellTrie):
+            # The one check at the door: everything behind it (insertion,
+            # retraining, flat snapshots, serialization, sharding) reads
+            # the trie's node pool and fanout directly.
+            raise TypeError(
+                "a PolygonIndex is stored in an AdaptiveCellTrie, got "
+                f"{type(store).__name__}; the baseline cell stores join "
+                "through accurate_join / approximate_join over "
+                "index.super_covering"
+            )
         self.polygons = list(polygons)
         self.super_covering = super_covering
         self.snapshot = snapshot
@@ -366,7 +344,6 @@ class PolygonIndex:
         training_cell_ids: np.ndarray | None = None,
         training_max_cells: int | None = None,
         training_order: str = "arrival",
-        store_factory: Callable[[SuperCovering, LookupTable], object] | None = None,
     ) -> "PolygonIndex":
         """Build an index.
 
@@ -378,9 +355,8 @@ class PolygonIndex:
         training_cell_ids:
             Historical point cell ids used to adapt the index to the
             expected query distribution (accurate mode, Section 3.3.1).
-        store_factory:
-            Alternative physical representation; defaults to ACT with
-            ``fanout_bits`` bits per level.
+        fanout_bits:
+            Bits consumed per ACT level (the paper's ACT1/2/4 = 2/4/8).
         """
         artifacts = build_pipeline(
             enumerate(polygons),
@@ -392,13 +368,12 @@ class PolygonIndex:
             training_max_cells=training_max_cells,
             training_order=training_order,
             fanout_bits=fanout_bits,
-            store_factory=store_factory,
         )
         return cls(
             polygons,
             artifacts.super_covering,
             artifacts.store,
-            artifacts.lookup_table,
+            artifacts.store.lookup_table,
             artifacts.timings,
             precision_meters,
             artifacts.training_report,
@@ -428,15 +403,15 @@ class PolygonIndex:
         positives bounded by the build-time precision bound);
         ``exact=True`` runs the accurate join with a refinement phase.
         """
-        return join_probe_view(
-            self.probe_view(),
-            lats,
-            lngs,
-            exact=exact,
-            materialize=materialize,
-            cell_ids=cell_ids,
-            num_threads=num_threads,
-        )
+        with offline_pool(num_threads) as pool:
+            return self.probe_view().join(
+                lats,
+                lngs,
+                exact=exact,
+                materialize=materialize,
+                cell_ids=cell_ids,
+                executor=pool,
+            )
 
     def containing_polygons(self, lat: float, lng: float, exact: bool = True) -> list[int]:
         """Polygon ids covering a single point (scalar convenience query)."""
@@ -500,14 +475,10 @@ class PolygonIndex:
         return new_pid
 
     def _rebuild_store(self) -> None:
-        fanout_bits = getattr(self.store, "fanout_bits", None)
-        if fanout_bits is None:
-            raise NotImplementedError(
-                "polygon insertion is only wired up for ACT-family stores"
-            )
-        self.store, self.lookup_table = build_store(
-            self.super_covering, fanout_bits=fanout_bits
+        self.store = build_store(
+            self.super_covering, fanout_bits=self.store.fanout_bits
         )
+        self.lookup_table = self.store.lookup_table
         self.snapshot = None  # packed from the previous store
         self.version = next_index_version()
         self._probe_view = None
@@ -532,11 +503,6 @@ class PolygonIndex:
         Join results are unchanged by construction — training only splits
         cells, which never alters any point's reference set.
         """
-        fanout_bits = getattr(self.store, "fanout_bits", None)
-        if fanout_bits is None:
-            raise NotImplementedError(
-                "online retraining is only wired up for ACT-family stores"
-            )
         covering = self.super_covering.copy()
         with Timer() as train_timer:
             report = train_super_covering(
@@ -547,7 +513,7 @@ class PolygonIndex:
                 order=order,
             )
         with Timer() as store_timer:
-            store, lookup_table = build_store(covering, fanout_bits=fanout_bits)
+            store = build_store(covering, fanout_bits=self.store.fanout_bits)
         timings = BuildTimings(
             training_seconds=train_timer.seconds,
             store_build_seconds=store_timer.seconds,
@@ -556,7 +522,7 @@ class PolygonIndex:
             list(self.polygons),
             covering,
             store,
-            lookup_table,
+            store.lookup_table,
             timings,
             self.precision_meters,
             report,
@@ -577,19 +543,15 @@ class PolygonIndex:
 
     @property
     def size_bytes(self) -> int:
-        size = getattr(self.store, "size_bytes", None)
-        return int(size) if size is not None else 0
+        return int(self.store.size_bytes)
 
     def describe(self) -> dict[str, object]:
-        info: dict[str, object] = {
+        return {
             "num_polygons": self.num_polygons,
             "num_cells": self.num_cells,
             "precision_meters": self.precision_meters,
             "size_bytes": self.size_bytes,
             "build_seconds": self.timings.total_seconds,
             "version": self.version,
+            "store": self.store.describe(),
         }
-        describe = getattr(self.store, "describe", None)
-        if callable(describe):
-            info["store"] = describe()
-        return info

@@ -18,10 +18,10 @@ mutable delta, compacted in the background) to the ACT stack:
 * **deletes** only record the polygon id in a *tombstone* set;
 * **probes** merge base and delta entries and mask tombstones inside
   :class:`OverlayCellStore`, which satisfies the ordinary ``probe``
-  protocol — so the shared ``batch_probe``/``refine_candidates`` join
-  drivers (and everything layered on them: caching, morsel parallelism,
-  the serving facade) run unchanged and return results identical to a
-  fresh build over the current polygon set;
+  protocol — so the one join driver and its two kernels (and everything
+  layered on them: caching, morsel parallelism, the serving facade) run
+  unchanged and return results identical to a fresh build over the
+  current polygon set;
 * once the pending-operation count reaches ``compact_threshold``,
   **compaction** runs the full build pipeline into a fresh versioned
   snapshot (inline, or on a background thread with ``background=True``
@@ -38,11 +38,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.cells.coverer import CovererOptions
+from repro.core.act import AdaptiveCellTrie
 from repro.core.builder import (
     DEFAULT_COVERING_OPTIONS,
     DEFAULT_INTERIOR_OPTIONS,
@@ -52,11 +53,11 @@ from repro.core.builder import (
     build_pipeline,
     build_store,
     cover_polygon,
-    join_probe_view,
     next_index_version,
 )
 from repro.core.joins import JoinResult
 from repro.core.lookup_table import SENTINEL_ENTRY, LookupTable
+from repro.core.morsels import offline_pool
 from repro.core.precision import refine_to_precision
 from repro.core.refs import merge_refs, validate_polygon_id
 from repro.core.super_covering import SuperCovering
@@ -81,9 +82,9 @@ class OverlayCellStore:
 
     def __init__(
         self,
-        base_store: object,
+        base_store: AdaptiveCellTrie,
         base_table: LookupTable,
-        delta_store: object | None,
+        delta_store: AdaptiveCellTrie | None,
         delta_table: LookupTable | None,
         tombstones: Sequence[int] | frozenset[int],
     ):
@@ -92,6 +93,8 @@ class OverlayCellStore:
         self._delta_store = delta_store
         self._delta_table = delta_table
         self._tombstones = frozenset(tombstones)
+        #: What a rebuild over this view indexes with (the base's fanout).
+        self.fanout_bits = base_store.fanout_bits
         #: Re-encoded merged entries live here; probe results must be
         #: decoded against THIS table, never the base's or the delta's.
         self.lookup_table = LookupTable()
@@ -147,16 +150,16 @@ class OverlayCellStore:
 
     @property
     def size_bytes(self) -> int:
-        total = int(getattr(self._base_store, "size_bytes", 0))
+        total = self._base_store.size_bytes
         if self._delta_store is not None:
-            total += int(getattr(self._delta_store, "size_bytes", 0))
+            total += self._delta_store.size_bytes
         return total + self.lookup_table.size_bytes
 
     def describe(self) -> dict[str, object]:
         return {
             "kind": "overlay",
             "tombstones": len(self._tombstones),
-            "base": getattr(self._base_store, "describe", dict)(),
+            "base": self._base_store.describe(),
         }
 
 
@@ -187,7 +190,6 @@ class DynamicIndexState:
     interior_options: CovererOptions
     training_cell_ids: np.ndarray | None
     training_max_cells: int | None
-    store_factory: Callable[[SuperCovering, LookupTable], object] | None
 
 
 @dataclass(frozen=True)
@@ -244,7 +246,6 @@ class DynamicPolygonIndex:
         interior_options: CovererOptions = DEFAULT_INTERIOR_OPTIONS,
         training_cell_ids: np.ndarray | None = None,
         training_max_cells: int | None = None,
-        store_factory: Callable[[SuperCovering, LookupTable], object] | None = None,
         events=None,
         metrics=None,
     ):
@@ -258,7 +259,6 @@ class DynamicPolygonIndex:
         self._training_cell_ids = training_cell_ids  #: guarded_by(_lock)
         self._training_max_cells = training_max_cells  #: guarded_by(_lock)
         self._training_order = "arrival"  #: guarded_by(_lock)
-        self._store_factory = store_factory
         # Optional telemetry plane: one "compaction" event per installed
         # snapshot, and a monotone compaction counter in the registry.
         self._events = events
@@ -270,7 +270,7 @@ class DynamicPolygonIndex:
             if metrics is not None
             else None
         )
-        self._fanout_bits = int(getattr(base.store, "fanout_bits", 8))
+        self._fanout_bits = base.store.fanout_bits
         self._compactor: threading.Thread | None = None  #: guarded_by(_lock, writes)
         #: guarded_by(_lock)
         self._compaction_active = False  # owned by _lock, unlike is_alive()
@@ -295,7 +295,6 @@ class DynamicPolygonIndex:
         interior_options: CovererOptions = DEFAULT_INTERIOR_OPTIONS,
         training_cell_ids: np.ndarray | None = None,
         training_max_cells: int | None = None,
-        store_factory: Callable[[SuperCovering, LookupTable], object] | None = None,
         compact_threshold: int | None = 64,
         background: bool = False,
         events=None,
@@ -310,7 +309,6 @@ class DynamicPolygonIndex:
             interior_options=interior_options,
             training_cell_ids=training_cell_ids,
             training_max_cells=training_max_cells,
-            store_factory=store_factory,
         )
         return cls(
             base,
@@ -320,7 +318,6 @@ class DynamicPolygonIndex:
             interior_options=interior_options,
             training_cell_ids=training_cell_ids,
             training_max_cells=training_max_cells,
-            store_factory=store_factory,
             events=events,
             metrics=metrics,
         )
@@ -346,7 +343,6 @@ class DynamicPolygonIndex:
                 interior_options=self._interior_options,
                 training_cell_ids=self._training_cell_ids,
                 training_max_cells=self._training_max_cells,
-                store_factory=self._store_factory,
             )
 
     @classmethod
@@ -361,7 +357,6 @@ class DynamicPolygonIndex:
         interior_options: CovererOptions = DEFAULT_INTERIOR_OPTIONS,
         training_cell_ids: np.ndarray | None = None,
         training_max_cells: int | None = None,
-        store_factory: Callable[[SuperCovering, LookupTable], object] | None = None,
     ) -> "DynamicPolygonIndex":
         """Rebuild a dynamic index from a base snapshot plus a delta log.
 
@@ -378,7 +373,6 @@ class DynamicPolygonIndex:
             interior_options=interior_options,
             training_cell_ids=training_cell_ids,
             training_max_cells=training_max_cells,
-            store_factory=store_factory,
         )
         with dynamic._lock:
             for op in pending:
@@ -460,11 +454,10 @@ class DynamicPolygonIndex:
         # The delta store is tiny (bounded by the compaction threshold), so
         # rebuilding it per insert is the cheap half of the bargain; old
         # probe views keep their previous store, which is self-contained.
-        self._delta_store, self._delta_table = build_store(
-            self._delta_covering,
-            fanout_bits=self._fanout_bits,
-            store_factory=self._store_factory,
+        self._delta_store = build_store(
+            self._delta_covering, fanout_bits=self._fanout_bits
         )
+        self._delta_table = self._delta_store.lookup_table
         self._delta_ids.add(pid)
 
     # ------------------------------------------------------------------
@@ -630,13 +623,12 @@ class DynamicPolygonIndex:
             training_max_cells=captured.training_max_cells,
             training_order=captured.training_order,
             fanout_bits=self._fanout_bits,
-            store_factory=self._store_factory,
         )
         return PolygonIndex(
             polygons_by_id,
             artifacts.super_covering,
             artifacts.store,
-            artifacts.lookup_table,
+            artifacts.store.lookup_table,
             artifacts.timings,
             self.precision_meters,
             artifacts.training_report,
@@ -667,7 +659,7 @@ class DynamicPolygonIndex:
             self._polygons: list[Polygon | None] = list(base.polygons)  #: guarded_by(_lock)
             self._tombstones: set[int] = set()  #: guarded_by(_lock)
             self._delta_covering = SuperCovering()  #: guarded_by(_lock)
-            self._delta_store: object | None = None  #: guarded_by(_lock)
+            self._delta_store: AdaptiveCellTrie | None = None  #: guarded_by(_lock)
             self._delta_table: LookupTable | None = None  #: guarded_by(_lock)
             self._delta_ids: set[int] = set()  #: guarded_by(_lock)
             self._pending: list[DeltaOp] = []  #: guarded_by(_lock)
@@ -698,7 +690,7 @@ class DynamicPolygonIndex:
     def _refresh_view(self) -> None:  #: requires(_lock)
         """Publish a fresh immutable probe view (lock held)."""
         if not self._delta_ids and not self._tombstones:
-            store: object = self._base.store
+            store: AdaptiveCellTrie | OverlayCellStore = self._base.store
             table = self._base.lookup_table
             max_level = self._base.max_cell_level()
             # Clean base: reuse the snapshot's engine so its bucket table
@@ -755,19 +747,19 @@ class DynamicPolygonIndex:
     ) -> JoinResult:
         """Join points against the current live polygon set.
 
-        Dispatches through the exact same shared drivers as
-        ``PolygonIndex.join``; the overlay store merges base and delta and
-        masks tombstones underneath them.
+        The same :meth:`ProbeView.join` as ``PolygonIndex.join``; the
+        overlay store merges base and delta and masks tombstones
+        underneath the driver.
         """
-        return join_probe_view(
-            self._view,
-            lats,
-            lngs,
-            exact=exact,
-            materialize=materialize,
-            cell_ids=cell_ids,
-            num_threads=num_threads,
-        )
+        with offline_pool(num_threads) as pool:
+            return self._view.join(
+                lats,
+                lngs,
+                exact=exact,
+                materialize=materialize,
+                cell_ids=cell_ids,
+                executor=pool,
+            )
 
     def containing_polygons(self, lat: float, lng: float, exact: bool = True) -> list[int]:
         result = self.join(
@@ -798,7 +790,7 @@ class DynamicPolygonIndex:
         return self._view.polygons
 
     @property
-    def store(self) -> object:
+    def store(self) -> AdaptiveCellTrie | OverlayCellStore:
         return self._view.store
 
     @property
@@ -843,8 +835,7 @@ class DynamicPolygonIndex:
 
     @property
     def size_bytes(self) -> int:
-        size = getattr(self._view.store, "size_bytes", None)
-        return int(size) if size is not None else 0
+        return int(self._view.store.size_bytes)
 
     @property
     def timings(self) -> BuildTimings:

@@ -539,11 +539,6 @@ def pack_coverage_plane(
     structural guarantee behind the two-layer plan's replication factor
     of 1.0.
     """
-    if not isinstance(store, AdaptiveCellTrie):
-        raise NotImplementedError(
-            "flat snapshots are wired up for the ACT store "
-            f"(got {type(store).__name__})"
-        )
     faces = np.zeros((len(store._face_trees), 5), dtype=np.uint64)
     for row, (face, tree) in enumerate(sorted(store._face_trees.items())):
         faces[row] = (

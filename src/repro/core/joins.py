@@ -15,21 +15,29 @@ Following the paper's evaluation methodology, the default "count mode"
 aggregates points per polygon instead of materializing pairs;
 ``materialize=True`` returns the pair arrays as well.
 
-Every parallel evaluation — threads over morsels of one batch
-(:func:`parallel_count_join`, the serving layer's morsel dispatch) or
-processes over spatial shards (:mod:`repro.serve.sharded`) — joins each
-point exactly once and keeps private partial results, so all of them end
-in the same :func:`merge_join_results`: the only place a ``JoinResult``
-is built from other ``JoinResult``s.
+Every join starts in the same driver, :func:`join_batch`: the one
+function that picks the kernel (exact or approximate) and the schedule
+(one straight call, or morsels of the batch handed to the threads of a
+:class:`~repro.core.morsels.MorselExecutor`).  An index view, the serving
+layer and the paper-facing :func:`parallel_count_join` call it, behind
+the one batch check (:func:`check_batch`) the public doors share.
 
-The ``store`` argument is anything with a ``probe(cell_ids) -> entries``
-method returning tagged entries (ACT, the B-tree, the sorted vector, ...),
-so every physical representation the paper compares runs through the exact
-same join driver.
+Every parallel evaluation — threads over morsels of one batch (the
+driver) or processes over spatial shards (:mod:`repro.serve.sharded`) —
+joins each point exactly once and keeps private partial results, so all
+of them end in the same :func:`merge_join_results`: the only place a
+``JoinResult`` is built from other ``JoinResult``s.
+
+The two kernels take as ``store`` anything with a ``probe(cell_ids) ->
+entries`` method returning tagged entries (ACT, the B-tree, the sorted
+vector, ...), which is how the evaluation runs every physical
+representation the paper compares through the same probe, decode and
+refinement code.  An index's own store is always the ACT.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import Protocol
@@ -42,6 +50,7 @@ from repro.core.lookup_table import (
     TAG_TWO_REFS,
     LookupTable,
     expand_offsets,
+    offset_counts,
 )
 from repro.core.morsels import MorselExecutor
 from repro.geo.polygon import Polygon
@@ -133,45 +142,60 @@ def decode_entries(
     )
 
 
-def batch_probe(
-    store: CellStore, lookup_table: LookupTable, cell_ids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Probe the store with leaf cell ids and decode the tagged entries.
+def expensive_entries(
+    entries: np.ndarray, lookup_table: LookupTable
+) -> np.ndarray:
+    """Which tagged entries send their points into the refinement phase.
 
-    The shared first phase of both joins, exposed so other drivers (the
-    serving subsystem, caching stores) dispatch through the exact same
-    probe path instead of re-implementing it.  Returns ``(point index,
-    polygon id, is_true)`` pair arrays.
+    ``out[i]`` is true when entry ``i`` holds at least one candidate
+    (non-interior) reference — "any ``is_true == False`` among
+    :func:`decode_entries`' pairs of that entry" — read off the inlined
+    interior bits and the ``num_candidate`` word of an offset entry's
+    list, without expanding the pairs.  Sentinel entries (misses) are
+    cheap.
     """
-    entries = store.probe(np.asarray(cell_ids, dtype=np.uint64))
-    return decode_entries(entries, lookup_table)
+    entries = np.asarray(entries, dtype=np.uint64)
+    tags = entries & np.uint64(3)
+    first_candidate = (entries >> np.uint64(2)) & np.uint64(1) == 0
+    second_candidate = (entries >> np.uint64(33)) & np.uint64(1) == 0
+    expensive = (tags == np.uint64(TAG_ONE_REF)) & first_candidate
+    expensive |= (tags == np.uint64(TAG_TWO_REFS)) & (
+        first_candidate | second_candidate
+    )
+    offset_idx = np.nonzero(tags == np.uint64(TAG_OFFSET))[0]
+    if offset_idx.size:
+        offsets = (entries[offset_idx] >> np.uint64(2)).astype(np.int64)
+        _, num_cand = offset_counts(lookup_table.array, offsets)
+        expensive[offset_idx] = num_cand > 0
+    return expensive
 
 
-def refine_candidates(
-    point_idx: np.ndarray,
-    pids: np.ndarray,
-    is_true: np.ndarray,
-    polygons: Sequence[Polygon],
-    lngs: np.ndarray,
-    lats: np.ndarray,
-    engine: RefinementEngine | None = None,
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Refinement phase of the accurate join: PIP-test candidate pairs.
+def check_batch(
+    lats: np.ndarray, lngs: np.ndarray, cell_ids: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Coerce one point batch and insist that its arrays are equally long.
 
-    Takes the pair arrays produced by :func:`batch_probe`, keeps true hits
-    as-is, and runs the candidates through a
-    :class:`~repro.geo.refine.RefinementEngine`, whose bucket table
-    decides the whole candidate array with one crossing kernel.
-    ``engine`` is normally the snapshot's prebuilt engine
-    (``ProbeView.refiner``); when omitted, an ephemeral one is created
-    over ``polygons`` — the packed bucket rows are memoized on the
-    polygon objects, so it pays one concatenate per call, not a
-    re-bucketing.  Returns ``(kept point indices, kept polygon ids,
-    number of PIP tests, number of distinct refined points)``.
+    The one check on a batch arriving from outside, made at the public
+    doors (:meth:`~repro.core.builder.ProbeView.join`, the serving
+    front) so nothing behind them indexes one array with positions of
+    another.  Returns the arrays as ``float64`` / ``float64`` /
+    ``uint64`` (an absent ``cell_ids`` stays ``None``).
     """
-    if engine is None:
-        engine = RefinementEngine(polygons)
-    return engine.refine(point_idx, pids, is_true, lngs, lats)
+    lats = np.asarray(lats, dtype=np.float64)
+    lngs = np.asarray(lngs, dtype=np.float64)
+    if len(lngs) != len(lats):
+        raise ValueError(
+            "lats and lngs must have the same shape, got "
+            f"{lats.shape} and {lngs.shape}"
+        )
+    if cell_ids is not None:
+        cell_ids = np.asarray(cell_ids, dtype=np.uint64)
+        if len(cell_ids) != len(lats):
+            raise ValueError(
+                f"cell_ids must hold one id per point, got {len(cell_ids)} "
+                f"ids for {len(lats)} points"
+            )
+    return lats, lngs, cell_ids
 
 
 def approximate_join(
@@ -189,7 +213,9 @@ def approximate_join(
     span is active in the calling thread — no extra clock reads.
     """
     with Timer() as probe_timer:
-        point_idx, pids, is_true = batch_probe(store, lookup_table, cell_ids)
+        point_idx, pids, is_true = decode_entries(
+            store.probe(cell_ids), lookup_table
+        )
         counts = np.bincount(pids, minlength=num_polygons)
     if tracer is not None:
         tracer.emit("probe", probe_timer.seconds, points=len(cell_ids))
@@ -221,15 +247,23 @@ def accurate_join(
 ) -> JoinResult:
     """Accurate join: candidate hits are refined with PIP tests.
 
+    ``engine`` is normally the snapshot's prebuilt refinement engine
+    (``ProbeView.refiner``); when omitted an ephemeral one is created
+    over ``polygons`` — the packed bucket rows are memoized on the
+    polygon objects, so it pays one concatenate, not a re-bucketing.
     ``tracer`` (an optional :class:`~repro.obs.trace.Tracer`) receives
     the already-measured probe and refine phases as child spans of
     whatever dispatch span is active in the calling thread.
     """
+    if engine is None:
+        engine = RefinementEngine(polygons)
     with Timer() as probe_timer:
-        point_idx, pids, is_true = batch_probe(store, lookup_table, cell_ids)
+        point_idx, pids, is_true = decode_entries(
+            store.probe(cell_ids), lookup_table
+        )
     with Timer() as refine_timer:
-        keep_points, keep_pids, num_pip, num_refined = refine_candidates(
-            point_idx, pids, is_true, polygons, lngs, lats, engine=engine
+        keep_points, keep_pids, num_pip, num_refined = engine.refine(
+            point_idx, pids, is_true, lngs, lats
         )
         counts = np.bincount(keep_pids, minlength=len(polygons))
     if tracer is not None:
@@ -305,6 +339,76 @@ def merge_join_results(
     return merged
 
 
+def join_batch(
+    store: CellStore,
+    lookup_table: LookupTable,
+    cell_ids: np.ndarray,
+    polygons: Sequence[Polygon | None],
+    lngs: np.ndarray,
+    lats: np.ndarray,
+    *,
+    exact: bool,
+    materialize: bool = False,
+    engine: RefinementEngine | None = None,
+    executor: MorselExecutor | None = None,
+    tracer=None,
+) -> JoinResult:
+    """Join one checked batch: the kernel and the schedule, chosen once.
+
+    Without an ``executor``, or when the batch fits one of its morsels,
+    this is a straight call of :func:`accurate_join` (``exact``) or
+    :func:`approximate_join`, with ``tracer`` handed to the kernel.
+    Otherwise the batch is cut into morsels that the executor's threads
+    join with private partial results (Section 3.4 of the paper), merged
+    by :func:`merge_join_results` inside a ``merge`` span; the morsel
+    threads have no active dispatch span, so the ``probe`` / ``refine``
+    spans are synthesized from the merged result's apportioned times.
+    Every statistic (and, with ``materialize``, the pair set) equals the
+    straight call's on the same inputs.
+    """
+    if executor is None or len(cell_ids) <= executor.morsel_size:
+        if exact:
+            return accurate_join(
+                store, lookup_table, cell_ids, polygons, lngs, lats,
+                materialize=materialize, engine=engine, tracer=tracer,
+            )
+        return approximate_join(
+            store, lookup_table, cell_ids, len(polygons),
+            materialize=materialize, tracer=tracer,
+        )
+
+    def work(lo: int, hi: int) -> JoinResult:
+        # The approximate join reads no coordinates (and may have none).
+        part = join_batch(
+            store, lookup_table, cell_ids[lo:hi], polygons,
+            lngs[lo:hi] if exact else None, lats[lo:hi] if exact else None,
+            exact=exact, materialize=materialize, engine=engine,
+        )
+        if materialize:
+            part.pair_points = part.pair_points + lo
+        return part
+
+    with Timer() as timer:
+        parts = executor.map_morsels(len(cell_ids), work)
+    with (
+        tracer.span("merge", morsels=len(parts))
+        if tracer is not None
+        else nullcontext()
+    ):
+        merged = merge_join_results(
+            parts,
+            num_points=len(cell_ids),
+            num_polygons=len(polygons),
+            wall_seconds=timer.seconds,
+            materialize=materialize,
+        )
+    if tracer is not None:
+        tracer.emit("probe", merged.probe_seconds, morsels=len(parts))
+        if merged.refine_seconds > 0.0:
+            tracer.emit("refine", merged.refine_seconds, morsels=len(parts))
+    return merged
+
+
 def parallel_count_join(
     store: CellStore,
     lookup_table: LookupTable,
@@ -322,9 +426,11 @@ def parallel_count_join(
 
     Worker threads fetch batches from a shared atomic counter and keep
     private partial results, merged at the end — the scheme the paper
-    describes (Section 3.4), run by the shared
+    describes (Section 3.4), run by :func:`join_batch` over a
     :class:`~repro.core.morsels.MorselExecutor` with a batch size suited
     to numpy-granularity work instead of the paper's 16-tuple batches.
+    The accurate join runs when ``polygons`` (with ``lngs`` / ``lats``)
+    is given, the approximate join otherwise.
 
     Every :class:`JoinResult` statistic (and, with ``materialize``, the
     pair set) matches the single-threaded drivers on the same inputs;
@@ -336,28 +442,17 @@ def parallel_count_join(
         # One shared engine: its bucket table is assembled once and
         # amortized across every batch of this call.
         engine = RefinementEngine(polygons)
-
-    def work(lo: int, hi: int) -> JoinResult:
-        if exact:
-            part = accurate_join(
-                store, lookup_table, cell_ids[lo:hi], polygons, lngs[lo:hi],
-                lats[lo:hi], materialize=materialize, engine=engine,
-            )
-        else:
-            part = approximate_join(
-                store, lookup_table, cell_ids[lo:hi], num_polygons,
-                materialize=materialize,
-            )
-        if materialize:
-            part.pair_points = part.pair_points + lo
-        return part
-
-    with Timer() as timer, MorselExecutor(num_threads, batch_size) as pool:
-        parts = pool.map_morsels(len(cell_ids), work)
-    return merge_join_results(
-        parts,
-        num_points=len(cell_ids),
-        num_polygons=num_polygons,
-        wall_seconds=timer.seconds,
-        materialize=materialize,
-    )
+    with MorselExecutor(num_threads, batch_size) as pool:
+        return join_batch(
+            store,
+            lookup_table,
+            cell_ids,
+            # The approximate join reads only the polygon count.
+            polygons if exact else (None,) * num_polygons,
+            lngs,
+            lats,
+            exact=exact,
+            materialize=materialize,
+            engine=engine,
+            executor=pool,
+        )

@@ -3,8 +3,9 @@
 Worker threads pull fixed-size morsels off a shared atomic counter and
 keep private partial results that the caller merges
 (:func:`repro.core.joins.merge_join_results`) — the paper's Section 3.4
-scheme.  The offline thread-parallel join
-(:func:`repro.core.joins.parallel_count_join`) runs one call on a
+scheme.  The offline thread-parallel joins
+(``index.join(..., num_threads=N)`` through :func:`offline_pool`,
+:func:`repro.core.joins.parallel_count_join`) run one call on a
 short-lived pool; the serving layer (exported there as
 ``repro.serve.MorselExecutor``) keeps the pool *persistent*, because a
 service dispatching thousands of batches per second cannot afford to
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from collections.abc import Callable
 from typing import TypeVar
 
@@ -106,3 +108,15 @@ class MorselExecutor:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def offline_pool(num_threads: int) -> "MorselExecutor | nullcontext[None]":
+    """The pool of one offline ``index.join(..., num_threads=N)`` call.
+
+    A short-lived executor with morsels of ``1 << 16`` points
+    (numpy-granularity work) as a context manager; for one thread, a
+    context yielding ``None`` — no pool, the driver's straight call.
+    """
+    if num_threads > 1:
+        return MorselExecutor(num_threads, 1 << 16)
+    return nullcontext()

@@ -140,11 +140,6 @@ def save_index(
     dynamic_meta: dict[str, object] = {}
     if isinstance(index, DynamicPolygonIndex):
         state = index.export_state()
-        if state.store_factory is not None:
-            raise NotImplementedError(
-                "serialization is wired up for the ACT store "
-                "(a custom store_factory cannot be persisted)"
-            )
         extra = _pack_delta_log(state.pending)
         if state.training_cell_ids is not None:
             extra["training_cell_ids"] = np.asarray(
@@ -261,13 +256,13 @@ def _load_legacy(archive) -> PolygonIndex | DynamicPolygonIndex:
     if saved_version is not None:
         ensure_version_floor(int(saved_version))
     with Timer() as timer:
-        store, lookup_table = build_store(covering, fanout_bits=meta["fanout_bits"])
+        store = build_store(covering, fanout_bits=meta["fanout_bits"])
     timings = BuildTimings(store_build_seconds=timer.seconds)
     base = PolygonIndex(
         polygons=polygons,
         super_covering=covering,
         store=store,
-        lookup_table=lookup_table,
+        lookup_table=store.lookup_table,
         timings=timings,
         precision_meters=meta["precision_meters"],
         training_report=None,

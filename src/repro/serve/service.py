@@ -6,18 +6,18 @@ hot path.  It accepts three shapes of work:
 * ``lookup``/``submit`` — single-point requests from many client threads,
   coalesced into micro-batches by a :class:`~repro.serve.batching.MicroBatcher`
   and answered with the polygon ids containing the point;
-* ``join`` — an explicit point batch, dispatched through the same
-  vectorized ``approximate_join``/``accurate_join`` drivers the offline
-  evaluation uses (large batches split across a
-  :class:`~repro.core.morsels.MorselExecutor`, the driver the offline
-  thread-parallel join runs on too);
+* ``join`` — an explicit point batch, joined by the same driver
+  (:func:`repro.core.joins.join_batch`) an offline ``index.join`` runs
+  (large batches split across a persistent
+  :class:`~repro.core.morsels.MorselExecutor`);
 * ``join_layers`` — a batch fanned out to several named polygon layers,
   computing the leaf cell ids once and reusing them per layer.
 
 That request surface is written once, in :class:`ServiceFront`: layer
 routing, the observability wiring, the latency recorder, the
-micro-batcher and the timer → ``dispatch`` span → recorder → meters
-envelope around every request.  A concrete service supplies what
+micro-batcher and the one envelope around every request — batch check →
+timer → ``dispatch`` span → cell ids → dispatch → recorder and meters.
+A concrete service supplies what
 happens *inside* a dispatch — :class:`JoinService` joins through the
 layer's cached store, :class:`~repro.serve.sharded.ShardedJoinService`
 scatters to its shard workers and gathers — plus its own ``stats``,
@@ -25,29 +25,28 @@ layer management and lifecycle.
 
 Every :class:`JoinService` dispatch reads its layer through one immutable
 :class:`~repro.core.builder.ProbeView` (store, lookup table, polygons and
-version captured together), and every probe goes through a hot-cell cache
-keyed by ``(layer, version)`` — so results are bit-identical to calling
-``PolygonIndex.join`` directly, skewed workloads short-circuit most trie
-descents, and a snapshot swap (:meth:`JoinService.swap_layer`) can never
-serve an entry cached for a previous version.
+version captured together) and hands the view's fields to the driver with
+one substitution: the store is the layer's
+:class:`~repro.serve.cache.CachedCellStore`, a hot-cell cache in front of
+the view's own store.  The service registers exactly one cached store per
+layer — that of the newest version it has seen — so results are
+bit-identical to calling ``PolygonIndex.join`` directly, skewed workloads
+short-circuit most trie descents, and a snapshot swap
+(:meth:`JoinService.swap_layer`) can never serve an entry cached for a
+previous version.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.adaptive import AdaptationPolicy, AdaptiveController
 from repro.core.builder import ProbeView
-from repro.core.joins import (
-    JoinResult,
-    accurate_join,
-    approximate_join,
-    merge_join_results,
-)
+from repro.core.joins import JoinResult, check_batch, join_batch
 from repro.core.morsels import MorselExecutor
 from repro.obs import DispatchMeters, Observability
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -72,8 +71,9 @@ class ServiceFront:
     Owns the layer router, the ``obs`` → tracer / events / meters
     wiring, the latency recorder and the micro-batcher, and defines
     ``join`` / ``join_layers`` / ``submit`` / ``lookup`` once.  Every
-    request runs ``self._dispatch(name, index, cell_ids, lats, lngs,
-    exact, materialize)`` inside one timed ``dispatch`` span; subclasses
+    request passes through :meth:`_serve`, which checks the batch and
+    runs ``self._dispatch(name, index, cell_ids, lats, lngs, exact,
+    materialize)`` inside one timed ``dispatch`` span; subclasses
     implement that, ``_check_open``, ``stats``, ``swap_layer``,
     ``add_layer`` and ``close``.  The base takes no lock of its own.
     """
@@ -141,17 +141,50 @@ class ServiceFront:
     def close(self) -> None:
         raise NotImplementedError
 
-    def _record(
-        self, result: JoinResult, seconds: float, *, requests: int, points: int
-    ) -> None:
+    def _serve(
+        self,
+        name: str,
+        index: JoinableIndex,
+        lats: np.ndarray,
+        lngs: np.ndarray,
+        cell_ids: np.ndarray | None,
+        exact: bool,
+        materialize: bool,
+        *,
+        span_meta: Mapping[str, object],
+        requests: int = 1,
+        then: Callable[[JoinResult], None] | None = None,
+    ) -> tuple[JoinResult, np.ndarray]:
+        """The envelope of every request; returns the result and the ids.
+
+        Checks the batch (the one validation on the served path — a
+        sharded front needs it before it scatters), then, inside one
+        timer and one ``dispatch`` span, computes the leaf cell ids
+        unless the caller brought them, dispatches, and runs ``then``
+        (what a lookup flush does with the pairs); the recorder and the
+        meters see the timed whole.
+        """
+        lats, lngs, cell_ids = check_batch(lats, lngs, cell_ids)
+        with Timer() as timer:
+            with self._tracer.dispatch(
+                "dispatch", layer=name, points=len(lats), **span_meta
+            ):
+                if cell_ids is None:
+                    cell_ids = index.cell_ids_for(lats, lngs)
+                result = self._dispatch(
+                    name, index, cell_ids, lats, lngs, exact, materialize
+                )
+                if then is not None:
+                    then(result)
         self._recorder.record(
             requests=requests,
-            points=points,
+            points=len(lats),
             pairs=result.num_pairs,
-            seconds=seconds,
+            seconds=timer.seconds,
         )
         if self._meters is not None:
-            self._meters.observe(result, seconds)
+            self._meters.observe(result, timer.seconds)
+        return result, cell_ids
 
     # ------------------------------------------------------------------
     # Single-point path (micro-batched)
@@ -202,23 +235,19 @@ class ServiceFront:
         name, index = self._router.resolve(layer)
         lats = np.fromiter((r.lat for r in requests), np.float64, len(requests))
         lngs = np.fromiter((r.lng for r in requests), np.float64, len(requests))
-        with Timer() as timer:
-            with self._tracer.dispatch(
-                "dispatch", layer=name, points=len(requests), kind="lookup"
-            ):
-                cell_ids = index.cell_ids_for(lats, lngs)
-                result = self._dispatch(
-                    name, index, cell_ids, lats, lngs, exact, materialize=True
-                )
-                with self._tracer.span("scatter"):
-                    per_point: list[list[int]] = [[] for _ in requests]
-                    for point, pid in zip(
-                        result.pair_points.tolist(),
-                        result.pair_polygons.tolist(),
-                    ):
-                        per_point[point].append(int(pid))
-        self._record(
-            result, timer.seconds, requests=len(requests), points=len(requests)
+        per_point: list[list[int]] = [[] for _ in requests]
+
+        def scatter(result: JoinResult) -> None:
+            with self._tracer.span("scatter"):
+                for point, pid in zip(
+                    result.pair_points.tolist(),
+                    result.pair_polygons.tolist(),
+                ):
+                    per_point[point].append(int(pid))
+
+        self._serve(
+            name, index, lats, lngs, None, exact, True,
+            span_meta={"kind": "lookup"}, requests=len(requests), then=scatter,
         )
         for request, pids in zip(requests, per_point):
             request.future.set_result(sorted(pids))
@@ -248,25 +277,10 @@ class ServiceFront:
         """
         self._check_open()
         name, index = self._router.resolve(layer)
-        lats = np.asarray(lats, dtype=np.float64)
-        lngs = np.asarray(lngs, dtype=np.float64)
-        if cell_ids is not None:
-            cell_ids = np.asarray(cell_ids, dtype=np.uint64)
-            if len(cell_ids) != len(lats):
-                raise ValueError(
-                    f"cell_ids must hold one id per point, got {len(cell_ids)} "
-                    f"ids for {len(lats)} points"
-                )
-        with Timer() as timer:
-            with self._tracer.dispatch(
-                "dispatch", layer=name, points=len(lats), exact=exact
-            ):
-                if cell_ids is None:
-                    cell_ids = index.cell_ids_for(lats, lngs)
-                result = self._dispatch(
-                    name, index, cell_ids, lats, lngs, exact, materialize
-                )
-        self._record(result, timer.seconds, requests=1, points=len(lats))
+        result, _ = self._serve(
+            name, index, lats, lngs, cell_ids, exact, materialize,
+            span_meta={"exact": exact},
+        )
         return result
 
     def join_layers(
@@ -284,28 +298,17 @@ class ServiceFront:
         """
         self._check_open()
         routed = self._router.select(layers)  # ONE registry snapshot
-        lats = np.asarray(lats, dtype=np.float64)
+        lats = np.asarray(lats, dtype=np.float64)  # coerce once, not per layer
         lngs = np.asarray(lngs, dtype=np.float64)
         cell_ids = None
         results: dict[str, JoinResult] = {}
         for position, (name, index) in enumerate(routed):
-            with Timer() as timer:
-                with self._tracer.dispatch(
-                    "dispatch", layer=name, points=len(lats), exact=exact
-                ):
-                    if cell_ids is None:
-                        cell_ids = index.cell_ids_for(lats, lngs)
-                    results[name] = self._dispatch(
-                        name, index, cell_ids, lats, lngs, exact,
-                        materialize=False,
-                    )
             # One client-visible request for the whole fan-out; points
             # count per layer (each layer joins the full batch).
-            self._record(
-                results[name],
-                timer.seconds,
+            results[name], cell_ids = self._serve(
+                name, index, lats, lngs, cell_ids, exact, False,
+                span_meta={"exact": exact},
                 requests=1 if position == 0 else 0,
-                points=len(lats),
             )
         return results
 
@@ -327,7 +330,7 @@ class JoinService(ServiceFront):
         :class:`PolygonIndex` snapshots and
         :class:`~repro.core.dynamic.DynamicPolygonIndex` instances alike.
     cache_cells:
-        Size of the per-layer-version hot-cell table in distinct leaf
+        Size of each layer's hot-cell table in distinct leaf
         cells (rounded up to a power of two slots; 0 disables caching).
         See :mod:`repro.serve.cache` for the replacement policy.
     max_batch / max_wait_ms:
@@ -385,14 +388,15 @@ class JoinService(ServiceFront):
             else None
         )
         self._attach_lock = threading.Lock()
-        # Caches and cached stores are keyed by (layer, version): a swap or
-        # a dynamic-index mutation bumps the version, so stale entries are
-        # unreachable by construction rather than by invalidation.
-        self._caches: dict[tuple[str, int], HotCellCache] = {}
-        self._stores: dict[tuple[str, int], CachedCellStore] = {}
-        self._latest_version: dict[str, int] = {}
+        # One generation per layer: the cached store (it carries its
+        # cache) of the newest view version seen.  A swap or a
+        # dynamic-index mutation bumps the version and replaces the
+        # entry, so stale cache entries are unreachable by construction
+        # rather than by invalidation.
+        #: guarded_by(_attach_lock, writes)
+        self._generations: dict[str, tuple[int, CachedCellStore]] = {}
         for name, index in self._router.items():
-            self._attach_view(name, index.probe_view())
+            self._store_for(name, index.probe_view())
         self._executor = (
             MorselExecutor(num_threads, morsel_size, metrics=self._metrics)
             if num_threads > 1
@@ -401,44 +405,51 @@ class JoinService(ServiceFront):
         self._closed = False
         self._start_batcher(max_batch, max_wait_ms)
 
-    def _attach_view(self, name: str, view: ProbeView) -> CachedCellStore:
-        """Build the (layer, version) cache pair for one probe view.
+    def _cached_store(self, name: str, view: ProbeView) -> CachedCellStore:
+        """A fresh hot-cell cache in front of one probe view's store.
 
         The cache-key shift is stamped from this view's own maximum cell
         level: any mutation that can deepen the indexed cells (a delta
-        insert, a training split) bumps the version and re-attaches, so a
-        truncated key is always at least as deep as the generation it
-        serves (see the key-soundness regression tests in
+        insert, a training split) bumps the version and gets a new
+        store, so a truncated key is always at least as deep as the
+        generation it serves (see the key-soundness regression tests in
         ``tests/test_adaptive.py``).
         """
-        key = (name, view.version)
-        cache = HotCellCache(self._cache_cells)
         key_shift = key_shift_for_level(view.max_cell_level)
         recorder = (
             self._adaptive.sink_for(name, view.lookup_table, key_shift)
             if self._adaptive is not None
             else None
         )
-        store = CachedCellStore(
+        return CachedCellStore(
             view.store,
-            cache,
+            HotCellCache(self._cache_cells),
             key_shift=key_shift,
             recorder=recorder,
             tracer=self._tracer,
         )
-        self._caches[key] = cache
-        self._stores[key] = store
-        # Retire every generation older than the newest ever attached for
-        # this layer — including a pre-swap view a laggard dispatch just
-        # re-attached (it keeps working through its own references; only
-        # the registry forgets it).  New requests can never reach retired
-        # generations again, and exactly one generation per layer remains.
-        latest = max(self._latest_version.get(name, 0), view.version)
-        self._latest_version[name] = latest
-        for stale in [k for k in self._stores if k[0] == name and k[1] < latest]:
-            self._stores.pop(stale, None)
-            self._caches.pop(stale, None)
-        return store
+
+    def _store_for(self, name: str, view: ProbeView) -> CachedCellStore:
+        """The cached store one dispatch probes ``view`` through.
+
+        The registered store when the versions match; a view newer than
+        the registered one replaces it (new requests can never reach the
+        retired generation again); a laggard dispatch still holding an
+        *older* view gets a private store that is never registered — it
+        keeps working through its own references — so exactly one
+        generation per layer is registered, always the newest.
+        """
+        held = self._generations.get(name)
+        if held is not None and held[0] == view.version:
+            return held[1]
+        with self._attach_lock:
+            held = self._generations.get(name)
+            if held is not None and held[0] == view.version:
+                return held[1]
+            store = self._cached_store(name, view)
+            if held is None or view.version > held[0]:
+                self._generations[name] = (view.version, store)
+            return store
 
     # ------------------------------------------------------------------
     # Layer management
@@ -446,10 +457,9 @@ class JoinService(ServiceFront):
 
     def add_layer(self, name: str, index: JoinableIndex) -> None:
         """Register an additional polygon layer on the live service."""
-        with self._attach_lock:
-            self._router.add(name, index)
-            view = index.probe_view()
-            self._attach_view(name, view)
+        self._router.add(name, index)
+        view = index.probe_view()
+        self._store_for(name, view)
         if self._events is not None:
             self._events.emit(
                 "add_layer", layer=name, version=int(view.version)
@@ -462,35 +472,18 @@ class JoinService(ServiceFront):
         already resolved; every request arriving after this call sees the
         new version.  Returns the replaced index.
         """
-        with self._attach_lock:
-            previous = self._router.swap(name, index)
-            view = index.probe_view()
-            self._attach_view(name, view)
+        previous = self._router.swap(name, index)
+        view = index.probe_view()
+        self._store_for(name, view)
         if self._events is not None:
             self._events.emit("swap", layer=name, version=int(view.version))
         return previous
 
     def cache(self, layer: str | None = None) -> HotCellCache:
-        """The cache generation of one layer's current probe view.
-
-        Attached on demand (a mutation may have outdated the registry);
-        read off the cached store itself, so a concurrent newer attach
-        retiring the registry entry mid-call cannot turn this into an
-        error.
-        """
+        """The hot-cell cache of one layer's current probe view (a
+        mutation may have outdated the registry: attached on demand)."""
         name, index = self._router.resolve(layer)
         return self._store_for(name, index.probe_view()).cache
-
-    def _store_for(self, name: str, view: ProbeView) -> CachedCellStore:
-        """The layer's cached store for one probe view (attach on demand)."""
-        key = (name, view.version)
-        store = self._stores.get(key)
-        if store is None:
-            with self._attach_lock:
-                store = self._stores.get(key)
-                if store is None:
-                    store = self._attach_view(name, view)
-        return store
 
     # ------------------------------------------------------------------
     # Dispatch internals
@@ -510,109 +503,28 @@ class JoinService(ServiceFront):
         # polygons and version always belong to the same index generation,
         # even if the layer is swapped or mutated mid-request.  The cached
         # store is resolved once here so morsel workers share it instead
-        # of hitting the registry (and its lock) per chunk.
+        # of hitting the registry (and its lock) per chunk.  The envelope
+        # already checked the batch.
         view = index.probe_view()
-        store = self._store_for(name, view)
-        if (
-            self._executor is not None
-            and len(cell_ids) > self._executor.morsel_size
-        ):
-            result = self._dispatch_morsels(
-                store, view, cell_ids, lats, lngs, exact, materialize
-            )
-        else:
-            result = self._join_chunk(
-                store, view, cell_ids, lats, lngs, exact, materialize
-            )
+        result = join_batch(
+            self._store_for(name, view),
+            view.lookup_table,
+            cell_ids,
+            view.polygons,
+            lngs,
+            lats,
+            exact=exact,
+            materialize=materialize,
+            engine=view.refiner,
+            executor=self._executor,
+            tracer=self._tracer,
+        )
         if self._adaptive is not None:
             # The probes above already fed the telemetry through the
             # cached store's recorder; this is only the (cheap) trigger
             # check that may kick off a background retrain.
             self._adaptive.after_dispatch(name, index)
         return result
-
-    def _join_chunk(
-        self,
-        store: CachedCellStore,
-        view: ProbeView,
-        cell_ids: np.ndarray,
-        lats: np.ndarray,
-        lngs: np.ndarray,
-        exact: bool,
-        materialize: bool,
-    ) -> JoinResult:
-        """One vectorized join through the layer's cached store.
-
-        The tracer rides along so the kernels can emit ``probe`` /
-        ``refine`` child spans from their own timers; on morsel worker
-        threads (no active dispatch span) those emits no-op and the
-        merged phases are synthesized in :meth:`_dispatch_morsels`.
-        """
-        if exact:
-            return accurate_join(
-                store,
-                view.lookup_table,
-                cell_ids,
-                view.polygons,
-                lngs,
-                lats,
-                materialize=materialize,
-                engine=view.refiner,
-                tracer=self._tracer,
-            )
-        return approximate_join(
-            store,
-            view.lookup_table,
-            cell_ids,
-            len(view.polygons),
-            materialize=materialize,
-            tracer=self._tracer,
-        )
-
-    def _dispatch_morsels(
-        self,
-        store: CachedCellStore,
-        view: ProbeView,
-        cell_ids: np.ndarray,
-        lats: np.ndarray,
-        lngs: np.ndarray,
-        exact: bool,
-        materialize: bool,
-    ) -> JoinResult:
-        """Split a large batch into morsels and merge the partial results."""
-        def work(lo: int, hi: int) -> JoinResult:
-            part = self._join_chunk(
-                store,
-                view,
-                cell_ids[lo:hi],
-                lats[lo:hi],
-                lngs[lo:hi],
-                exact,
-                materialize,
-            )
-            if materialize:
-                part.pair_points = part.pair_points + lo
-            return part
-
-        with Timer() as timer:
-            parts = self._executor.map_morsels(len(cell_ids), work)
-        with self._tracer.span("merge", morsels=len(parts)):
-            merged = merge_join_results(
-                parts,
-                num_points=len(cell_ids),
-                num_polygons=len(view.polygons),
-                wall_seconds=timer.seconds,
-                materialize=materialize,
-            )
-        # Morsel workers run with empty span stacks, so the per-chunk
-        # probe/refine spans no-op'd; synthesize the merged phases from
-        # the same apportioned wall times the JoinResult reports.
-        self._tracer.emit("probe", merged.probe_seconds, morsels=len(parts))
-        if merged.refine_seconds > 0.0:
-            self._tracer.emit(
-                "refine", merged.refine_seconds, morsels=len(parts)
-            )
-        return merged
 
     # ------------------------------------------------------------------
     # Observability & lifecycle
@@ -627,20 +539,11 @@ class JoinService(ServiceFront):
         """Immutable snapshot: latency percentiles, throughput, cache,
         each layer's live version and pending delta size, plus the
         adaptation loop's windowed STH rate and retrain counters."""
-        with self._attach_lock:  # add/swap may be mutating the dicts
-            caches = dict(self._caches)
-        # Exactly one generation per layer should remain attached, but if
-        # that invariant ever breaks (a laggard dispatch re-attaching a
-        # pre-swap view), report the NEWEST version deterministically —
-        # never let a stale generation's counters mask the live one just
-        # because it was inserted later.
-        newest: dict[str, tuple[int, HotCellCache]] = {}
-        for (name, version), cache in caches.items():
-            held = newest.get(name)
-            if held is None or version > held[0]:
-                newest[name] = (version, cache)
+        with self._attach_lock:  # an attach may be mutating the dict
+            generations = dict(self._generations)
         cache_stats: dict[str, CacheStats] = {
-            name: cache.stats() for name, (_version, cache) in newest.items()
+            name: store.cache.stats()
+            for name, (_version, store) in generations.items()
         }
         layer_status: dict[str, LayerStatus] = {}
         for name, index in self._router.items():

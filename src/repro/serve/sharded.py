@@ -51,10 +51,11 @@ Evaluation of Spatial Joins*) applied to the paper's cell-id domain:
   ``join_layers`` / ``lookup`` / ``submit`` surface it shares with
   ``JoinService``) whose dispatch scatters each batch to the owning
   shards, gathers the partial results, and merges them with
-  :func:`~repro.core.joins.merge_join_results` — the merge the morsel
-  dispatch ends in.  Swaps and workload-adaptive retraining fan out per
-  shard, and the merged :class:`~repro.serve.stats.ServiceStats` carries
-  per-shard detail in ``stats.shards``.
+  :func:`~repro.core.joins.merge_join_results` — the merge the join
+  driver's morsel schedule ends in.  Swaps and workload-adaptive
+  retraining fan out per shard, and the merged
+  :class:`~repro.serve.stats.ServiceStats` carries per-shard detail in
+  ``stats.shards``.
 
 ``backend="inline"`` hosts the per-shard services in the calling process
 instead.  Everything else is the same code: the same plane publication
@@ -369,9 +370,7 @@ class _TwoLayerShardPart:  #: spawn_payload
     """
 
     geometry_shm: str  # the layer's single shared geometry-plane segment
-    geometry_nbytes: int
     coverage_shm: str  # this shard's private coverage-plane segment
-    coverage_nbytes: int
     version: int  # the parent snapshot's version
 
 
@@ -1002,7 +1001,6 @@ class ShardedJoinService(ServiceFront):
             segments.append(geometry_segment)
             geometry_bytes = int(geometry.nbytes)
             coverage_bytes = 0
-            fanout_bits = int(getattr(index.store, "fanout_bits", 8))
             for shard in range(self.num_shards):
                 # A partition is a row range of the (disjoint) covering:
                 # no coverer or conflict resolution runs, and probing it is
@@ -1011,7 +1009,9 @@ class ShardedJoinService(ServiceFront):
                 covering = index.super_covering.row_range(
                     *plan.row_cuts[shard : shard + 2]
                 )
-                store, _ = build_store(covering, fanout_bits=fanout_bits)
+                store = build_store(
+                    covering, fanout_bits=index.store.fanout_bits
+                )
                 coverage = pack_coverage_plane(
                     covering, store, meta_extra={"shard": shard}
                 )
@@ -1021,9 +1021,7 @@ class ShardedJoinService(ServiceFront):
                 parts.append(
                     _TwoLayerShardPart(
                         geometry_shm=geometry_segment.name,
-                        geometry_nbytes=geometry_bytes,
                         coverage_shm=segment.name,
-                        coverage_nbytes=int(coverage.nbytes),
                         version=int(index.version),
                     )
                 )

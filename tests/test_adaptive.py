@@ -20,7 +20,8 @@ from repro.core import (
     DynamicPolygonIndex,
     PolygonIndex,
 )
-from repro.core.adaptive import LayerTelemetry, TrafficSink, _EntryClassifier
+from repro.core.adaptive import LayerTelemetry, TrafficSink
+from repro.core.joins import expensive_entries
 from repro.core.lookup_table import LookupTable
 from repro.core.refs import PolygonRef
 from repro.core.training import train_super_covering
@@ -87,13 +88,12 @@ class TestEntryClassifier:
                 (PolygonRef(1, True), PolygonRef(2, True), PolygonRef(3, False))
             ),
         ]
-        classifier = _EntryClassifier(table)
-        flags = classifier.expensive(np.asarray(entries, dtype=np.uint64))
+        flags = expensive_entries(np.asarray(entries, dtype=np.uint64), table)
         assert flags.tolist() == [False, False, True, False, True, False, True]
         # Same answer from an attached-buffer table, repeats included.
-        attached = _EntryClassifier(LookupTable.attach(table.array))
-        assert attached.expensive(
-            np.asarray(entries + entries[::-1], dtype=np.uint64)
+        assert expensive_entries(
+            np.asarray(entries + entries[::-1], dtype=np.uint64),
+            LookupTable.attach(table.array),
         ).tolist() == flags.tolist() + flags.tolist()[::-1]
 
 
@@ -210,16 +210,6 @@ class TestIndexRetrainEntryPoints:
         after = fresh.join(lats, lngs, exact=True)
         assert np.array_equal(before.counts, after.counts)
         assert after.num_pip_tests <= before.num_pip_tests
-
-    def test_retrained_requires_act_store(self):
-        from repro.baselines.btree import BTreeStore
-
-        index = PolygonIndex.build(
-            _grid_polygons()[:2],
-            store_factory=lambda covering, table: BTreeStore(covering, table),
-        )
-        with pytest.raises(NotImplementedError):
-            index.retrained(np.zeros(0, dtype=np.uint64))
 
     def test_dynamic_retrain_folds_delta(self, drift):
         phase1 = drift.phases[1]

@@ -164,21 +164,3 @@ class TestAdaptRunner:
         (result,) = adapt_bench.run(tiny_workbench)
         assert len(result.rows) == 4  # 2 phases x 2 services
         assert any("bit-identical" in note for note in result.notes)
-
-
-class TestChurnRunner:
-    def test_churn_completes_at_tiny_scale(self):
-        from repro.bench import churn_bench
-
-        config = BenchConfig(
-            churn_initial_polygons=12,
-            churn_ops=6,
-            churn_probe_points=4_000,
-            churn_probe_batch=2_000,
-            churn_compact_threshold=4,
-        )
-        (result,) = churn_bench.run(Workbench(config))
-        phases = [row[0] for row in result.rows]
-        assert phases == ["static", "churn", "compacted"]
-        assert all(row[1] > 0 for row in result.rows)  # batches measured
-        assert any("ops/s" in note for note in result.notes)

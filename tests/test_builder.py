@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import BTreeStore, SortedVectorStore
-from repro.core import PolygonIndex
+from repro.core import LookupTable, PolygonIndex, accurate_join
 from repro.geo.pip import contains_points
 from repro.geo.polygon import regular_polygon
 
@@ -48,12 +48,39 @@ class TestBuild:
 
     @pytest.mark.parametrize("factory", [SortedVectorStore, BTreeStore])
     def test_alternative_store_factory(self, polygons, points, factory):
+        """A baseline store is built over the index's covering and joined
+        through the kernel, beside the index — not as a mode of it."""
         lngs, lats = points
-        act_index = PolygonIndex.build(polygons)
-        alt_index = PolygonIndex.build(polygons, store_factory=factory)
-        act = act_index.join(lats, lngs, exact=True)
-        alt = alt_index.join(lats, lngs, exact=True)
+        index = PolygonIndex.build(polygons)
+        table = LookupTable()
+        alt = accurate_join(
+            factory(index.super_covering, table),
+            table,
+            index.cell_ids_for(lats, lngs),
+            index.polygons,
+            lngs,
+            lats,
+        )
+        act = index.join(lats, lngs, exact=True)
         assert (act.counts == alt.counts).all()
+        assert act.num_pairs == alt.num_pairs
+
+    def test_non_act_store_rejected_at_the_door(self, polygons):
+        """The one check that replaces the per-feature rejections
+        (add_polygon, retrained, pack_index, save_index): an index over
+        anything but an ACT cannot be constructed."""
+        index = PolygonIndex.build(polygons)
+        table = LookupTable()
+        with pytest.raises(TypeError, match="AdaptiveCellTrie"):
+            PolygonIndex(
+                polygons,
+                index.super_covering,
+                SortedVectorStore(index.super_covering, table),
+                table,
+                index.timings,
+                None,
+                None,
+            )
 
     def test_fanout_bits_forwarded(self, polygons):
         index = PolygonIndex.build(polygons, fanout_bits=2)
@@ -124,8 +151,3 @@ class TestAddPolygon:
         brute = np.array([contains_points(p, lngs, lats).sum() for p in all_polygons])
         result = index.join(lats, lngs, exact=True)
         assert (result.counts == brute).all()
-
-    def test_add_polygon_requires_act(self, polygons):
-        index = PolygonIndex.build(polygons, store_factory=SortedVectorStore)
-        with pytest.raises(NotImplementedError):
-            index.add_polygon(regular_polygon((-73.98, 40.72), 0.005, 12))

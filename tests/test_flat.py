@@ -380,15 +380,11 @@ class TestDynamicCompactionParity:
         )
 
     def test_flat_snapshots_rejects_custom_store(self):
-        # Snapshots are wired up for the ACT store only — and the option
-        # that used to opt a dynamic index into them is gone.
-        from repro.baselines import SortedVectorStore
-
-        custom = PolygonIndex.build(
-            _grid_polygons(2), store_factory=SortedVectorStore
-        )
-        with pytest.raises(NotImplementedError, match="ACT store"):
-            pack_index(custom)
+        # An index over a custom store cannot be built since 1.16.0 (see
+        # test_builder.py::test_non_act_store_rejected_at_the_door) — and
+        # the option that used to opt a dynamic index into snapshots is
+        # gone.
+        custom = PolygonIndex.build(_grid_polygons(2))
         with pytest.raises(TypeError, match="flat_snapshots"):
             DynamicPolygonIndex.build(_grid_polygons(2), flat_snapshots=True)
         with pytest.raises(TypeError, match="flat_snapshots"):

@@ -11,6 +11,8 @@ from repro.core.joins import (
     accurate_join,
     approximate_join,
     decode_entries,
+    expensive_entries,
+    join_batch,
     merge_join_results,
     parallel_count_join,
 )
@@ -20,8 +22,10 @@ from repro.core.lookup_table import (
     TAG_TWO_REFS,
     LookupTable,
 )
+from repro.core.morsels import MorselExecutor
 from repro.core.refs import PolygonRef
 from repro.geo.pip import contains_points
+from repro.serve import JoinService
 
 #: Every deterministic JoinResult statistic (timings excluded).
 STAT_FIELDS = (
@@ -81,6 +85,26 @@ class TestInputLengths:
         with pytest.raises(ValueError, match="one id per point"):
             joinable.join(lats, lngs, cell_ids=ids)
         assert joinable.join(lats, lngs).num_points == 2
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("with_ids", [False, True])
+    @pytest.mark.parametrize("num_lngs", [10, 40])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lngs_of_another_length_raise_with_and_without_ids(
+        self, joinable, built, threads, num_lngs, with_ids, exact
+    ):
+        """Regression: with ``cell_ids=`` given nobody compared ``lats``
+        with ``lngs`` — a shorter ``lngs`` died with ``IndexError`` inside
+        the refinement kernel, a longer one was silently accepted."""
+        _, lngs, lats, ids, _ = built
+        with pytest.raises(ValueError, match="same shape"):
+            joinable.join(
+                lats[:25],
+                lngs[:num_lngs],
+                exact=exact,
+                cell_ids=ids[:25] if with_ids else None,
+                num_threads=threads,
+            )
 
 
 class TestDecodeEntries:
@@ -164,6 +188,43 @@ def assert_decodes_like_reference(entries, table):
         for got_part, expected_part in zip(got, expected):
             assert got_part.dtype == expected_part.dtype
             assert np.array_equal(got_part, expected_part)
+
+
+def entry_batches():
+    """A table plus a batch mixing sentinel, one-ref, two-ref and offset
+    entries, drawn from random reference sets."""
+    ref = st.builds(PolygonRef, st.integers(0, 40), st.booleans())
+    ref_set = st.lists(ref, max_size=6, unique_by=lambda r: r.polygon_id)
+
+    @st.composite
+    def batches(draw):
+        table = LookupTable()
+        pool = [
+            table.encode(tuple(sorted(refs, key=lambda r: r.polygon_id)))
+            if refs
+            else 0
+            for refs in draw(st.lists(ref_set, min_size=1, max_size=12))
+        ]
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=60))
+        return table, np.asarray([pool[i] for i in picks], dtype=np.uint64)
+
+    return batches()
+
+
+class TestExpensiveEntries:
+    @given(batch=entry_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_any_candidate_among_the_decoded_pairs(self, batch):
+        """The one reader of the tag layout: an entry is expensive exactly
+        when ``decode_entries`` yields a candidate pair for it."""
+        table, entries = batch
+        points, _, is_true = decode_entries(entries, table)
+        expected = np.zeros(len(entries), dtype=bool)
+        expected[points[~is_true]] = True
+        for lookup_table in (table, LookupTable.attach(table.array)):
+            got = expensive_entries(entries, lookup_table)
+            assert got.dtype == bool
+            assert np.array_equal(got, expected)
 
 
 class TestDecodeParity:
@@ -434,6 +495,80 @@ class TestParallelJoin:
                 lats, lngs, exact=True, materialize=True, num_threads=threads
             )
             assert pair_set(threaded) == pair_set(serial)
+
+
+class TestJoinDriver:
+    """One read path: whatever the schedule, the driver returns the
+    single-chunk call's statistics and pair set."""
+
+    @pytest.fixture(scope="class")
+    def with_delta(self, built):
+        """A dynamic index serving through a non-empty delta overlay."""
+        from repro.geo.polygon import regular_polygon
+
+        index = built[0]
+        dynamic = DynamicPolygonIndex.build(
+            list(index.polygons), precision_meters=30.0, compact_threshold=None
+        )
+        dynamic.insert(regular_polygon((-73.97, 40.73), 0.012, 12))
+        dynamic.delete(4)
+        assert dynamic.delta_size == 2
+        return dynamic
+
+    @staticmethod
+    def assert_same(result, single, materialize):
+        assert np.array_equal(result.counts, single.counts)
+        for name in STAT_FIELDS:
+            assert getattr(result, name) == getattr(single, name), name
+        if materialize:
+            assert len(result.pair_points) == result.num_pairs
+            assert sorted(pair_set(result)) == sorted(pair_set(single))
+        else:
+            assert result.pair_points is None and result.pair_polygons is None
+
+    @pytest.mark.parametrize("materialize", [False, True])
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("pool", [None, (2, 7), (3, 7_001)])
+    @pytest.mark.parametrize("which", ["static", "delta"])
+    def test_every_schedule_equals_the_single_chunk_call(
+        self, built, with_delta, which, pool, exact, materialize
+    ):
+        _, lngs, lats, ids, _ = built
+        view = (built[0] if which == "static" else with_delta).probe_view()
+        num_points = 1_500 if pool == (2, 7) else len(ids)
+        lats, lngs, ids = lats[:num_points], lngs[:num_points], ids[:num_points]
+
+        def run(executor):
+            return join_batch(
+                view.store, view.lookup_table, ids, view.polygons, lngs, lats,
+                exact=exact, materialize=materialize, engine=view.refiner,
+                executor=executor,
+            )
+
+        single = run(None)
+        if pool is None:
+            result = view.join(
+                lats, lngs, exact=exact, materialize=materialize, cell_ids=ids
+            )
+        else:
+            with MorselExecutor(*pool) as executor:
+                result = run(executor)
+        self.assert_same(result, single, materialize)
+
+    @pytest.mark.parametrize("materialize", [False, True])
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("which", ["static", "delta"])
+    def test_morsel_service_equals_the_single_chunk_call(
+        self, built, with_delta, which, exact, materialize
+    ):
+        _, lngs, lats, _, _ = built
+        index = built[0] if which == "static" else with_delta
+        single = index.join(lats, lngs, exact=exact, materialize=materialize)
+        with JoinService(index, num_threads=2, morsel_size=512) as service:
+            served = service.join(
+                lats, lngs, exact=exact, materialize=materialize
+            )
+        self.assert_same(served, single, materialize)
 
 
 class TestMergeJoinResults:

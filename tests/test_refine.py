@@ -21,7 +21,7 @@ from repro.cells import cell_ids_from_lat_lng_arrays
 from repro.core import PolygonIndex, load_index, save_index
 from repro.core.dynamic import DynamicPolygonIndex
 from repro.core.flat import _attach_refiner_table, _pack_refiner_table
-from repro.core.joins import accurate_join, batch_probe, refine_candidates
+from repro.core.joins import accurate_join, decode_entries
 from repro.datasets import polygon_dataset
 from repro.geo import refine as refine_module
 from repro.geo.pip import contains_points
@@ -165,7 +165,7 @@ def built_index():
 class TestRefinementEngine:
     def test_refine_matches_mask_baseline_bit_for_bit(self, built_index):
         index, lngs, lats, cell_ids = built_index
-        pairs = batch_probe(index.store, index.lookup_table, cell_ids)
+        pairs = decode_entries(index.store.probe(cell_ids), index.lookup_table)
         baseline = refine_candidates_masks(*pairs, index.polygons, lngs, lats)
         engine = RefinementEngine(tuple(index.polygons))
         fast = engine.refine(*pairs, lngs, lats)
@@ -173,14 +173,6 @@ class TestRefinementEngine:
         assert (baseline[1] == fast[1]).all()  # kept polygon ids
         assert baseline[2] == fast[2]  # PIP tests
         assert baseline[3] == fast[3]  # distinct refined points
-
-    def test_refine_candidates_wrapper_builds_ephemeral_engine(self, built_index):
-        index, lngs, lats, cell_ids = built_index
-        pairs = batch_probe(index.store, index.lookup_table, cell_ids)
-        baseline = refine_candidates_masks(*pairs, index.polygons, lngs, lats)
-        wrapped = refine_candidates(*pairs, index.polygons, lngs, lats)
-        assert (baseline[0] == wrapped[0]).all()
-        assert (baseline[1] == wrapped[1]).all()
 
     def test_accurate_join_counts_match_brute_force(self, built_index):
         index, lngs, lats, cell_ids = built_index
@@ -233,7 +225,7 @@ class TestRefinementEngine:
         """No size switch: a 1-pair batch and the full batch run through
         the same table object, and both match the mask oracle."""
         index, lngs, lats, cell_ids = built_index
-        pairs = batch_probe(index.store, index.lookup_table, cell_ids)
+        pairs = decode_entries(index.store.probe(cell_ids), index.lookup_table)
         engine = RefinementEngine(tuple(index.polygons))
         first = np.flatnonzero(~pairs[2])[:1]
         one = tuple(part[first] for part in pairs)
@@ -608,8 +600,9 @@ class TestBucketRule:
         polygons = polygon_dataset("boroughs")
         lats, lngs = inputs.border_points(polygons, 20_000, 11)
         index = PolygonIndex.build(polygons)
-        point_idx, pids, is_true = batch_probe(
-            index.store, index.lookup_table, cell_ids_from_lat_lng_arrays(lats, lngs)
+        point_idx, pids, is_true = decode_entries(
+            index.store.probe(cell_ids_from_lat_lng_arrays(lats, lngs)),
+            index.lookup_table,
         )
         cand = np.flatnonzero(~is_true)
         p, px, py = pids[cand], lngs[point_idx[cand]], lats[point_idx[cand]]

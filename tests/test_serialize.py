@@ -5,7 +5,6 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.baselines import SortedVectorStore
 from repro.core import PolygonIndex
 from repro.core.serialize import load_index, save_index
 from repro.geo.polygon import regular_polygon
@@ -84,11 +83,6 @@ class TestRoundTrip:
 
 
 class TestErrors:
-    def test_non_act_store_rejected(self, polygons, tmp_path):
-        index = PolygonIndex.build(polygons, store_factory=SortedVectorStore)
-        with pytest.raises(NotImplementedError):
-            save_index(index, tmp_path / "x.npz")
-
     def test_version_check(self, polygons, tmp_path):
         from repro.core.flat import FlatSnapshot
 

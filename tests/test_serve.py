@@ -188,6 +188,17 @@ class TestFrontContract:
                 svc.join(lats, lngs[:1])
             with pytest.raises(ValueError, match="one id per point"):
                 svc.join(lats, lngs, cell_ids=index.cell_ids_for(lats, lngs)[:1])
+            # Regression: with cell_ids given nobody compared lats with
+            # lngs — a short lngs raised IndexError deep inside the
+            # dispatch (the sharded front's, with its lock held and a
+            # scatter span open), a long one was silently accepted.
+            ids = index.cell_ids_for(lats, lngs)
+            for wrong in (lngs[:1], points[1][:3]):
+                for exact in (False, True):
+                    with pytest.raises(ValueError, match="same shape"):
+                        svc.join(lats, wrong, cell_ids=ids, exact=exact)
+                    with pytest.raises(ValueError, match="same shape"):
+                        svc.join_layers(lats, wrong, exact=exact)
             assert svc.join(lats, lngs).num_points == 2
 
     def test_join_layers_request_and_point_accounting(
@@ -1126,21 +1137,30 @@ class TestLatencyRecorderWindow:
 
 class TestStatsNewestGeneration:
     def test_stale_generation_never_masks_live_stats(self, index, points):
-        """If two cache generations coexist, stats must report the newest.
+        """One generation per layer, the newest: a laggard dispatch that
+        resolved the layer before a swap joins through a private store,
+        and ``stats()`` keeps reporting the live generation.
 
-        Plants a stale (older-version) generation AFTER the live one, so
-        collapsing ``(layer, version)`` keys to the layer name on plain
-        insertion order would let the stale generation's empty counters
-        mask the live traffic.
+        The real sequence: join, ``swap_layer``, live traffic, then a
+        dispatch still holding the pre-swap index.
         """
-        lats, lngs = points
-        with JoinService(index) as svc:
-            svc.join(lats[:2000], lngs[:2000])  # live cache sees traffic
-            live_key = ("default", index.version)
-            assert live_key in svc._caches
-            live_capacity = svc._caches[live_key].capacity
-            stale = HotCellCache(capacity=7)
-            svc._caches[("default", index.version - 1)] = stale
-            stats = svc.stats()
-        assert stats.cache["default"].capacity == live_capacity
-        assert stats.cache["default"].requests > 0
+        lats, lngs = points[0][:2000], points[1][:2000]
+        fresh = PolygonIndex.build(_grid_polygons(), precision_meters=30.0)
+        assert fresh.version > index.version
+        with JoinService(index, cache_cells=7) as svc:
+            svc.join(lats, lngs)
+            retired = svc.cache()
+            svc.swap_layer("default", fresh)
+            svc.join(lats, lngs)  # the live cache sees traffic
+            live = svc.cache()
+            assert live is not retired
+            before = svc.stats().cache["default"]
+            laggard = svc._dispatch(
+                "default", index, index.cell_ids_for(lats, lngs), lats, lngs,
+                exact=False, materialize=False,
+            )
+            after = svc.stats().cache["default"]
+            assert svc.cache() is live  # the laggard's store is not registered
+        assert np.array_equal(laggard.counts, index.join(lats, lngs).counts)
+        assert after == before == live.stats()
+        assert after.requests > 0 and after.capacity == live.capacity
