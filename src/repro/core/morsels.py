@@ -23,6 +23,12 @@ from typing import TypeVar
 
 T = TypeVar("T")
 
+#: Points per numpy-granularity morsel: large enough that a kernel call's
+#: fixed cost disappears, small enough that its temporaries stay cache-
+#: and allocator-friendly.  The offline pool cuts batches at it, and the
+#: sharded front sizes its scatter ring to exactly one.
+OFFLINE_MORSEL_POINTS = 1 << 16
+
 
 class MorselExecutor:
     """A persistent pool executing ``work(lo, hi)`` over morsel ranges.
@@ -113,10 +119,10 @@ class MorselExecutor:
 def offline_pool(num_threads: int) -> "MorselExecutor | nullcontext[None]":
     """The pool of one offline ``index.join(..., num_threads=N)`` call.
 
-    A short-lived executor with morsels of ``1 << 16`` points
-    (numpy-granularity work) as a context manager; for one thread, a
+    A short-lived executor with morsels of :data:`OFFLINE_MORSEL_POINTS`
+    points (numpy-granularity work) as a context manager; for one thread, a
     context yielding ``None`` — no pool, the driver's straight call.
     """
     if num_threads > 1:
-        return MorselExecutor(num_threads, 1 << 16)
+        return MorselExecutor(num_threads, OFFLINE_MORSEL_POINTS)
     return nullcontext()

@@ -1,27 +1,24 @@
 """Share-nothing sharded serving: saturate cores past the GIL.
 
-The probe/refine join is embarrassingly parallel, but a single-process
-:class:`~repro.serve.service.JoinService` is GIL-bound on the
-Python-level portions of the probe-heavy paths.  This module partitions
-each layer *by space* and serves every partition from its own process —
-the partition-based scheme of Tsitsigkos et al. (*Parallel In-Memory
+A single-process :class:`~repro.serve.service.JoinService` is GIL-bound
+on the Python-level portions of the probe.  This module partitions each
+layer *by space* and serves every partition from its own process — the
+partition-based scheme of Tsitsigkos et al. (*Parallel In-Memory
 Evaluation of Spatial Joins*) applied to the paper's cell-id domain:
 
 * :class:`ShardPlan` cuts the Hilbert curve into ``num_shards``
   contiguous leaf-id ranges.  The super covering's cells are disjoint
-  and stored in curve order, so every cell — and therefore every point
-  probing it — belongs to exactly one shard, and a shard's partition is
-  one contiguous row range of the covering's arrays (views, no copy).  Every polygon gets a *home shard*: the shard of
-  its median covering entry in curve order (cut-independent, so it
-  exists before any cuts do).  Each shard's (cell, ref) entries then
-  classify into **owned** (the polygon is homed here) vs **borrowed**
-  (its covering straddles a cut from another shard) classes — the
-  classes of *Two-layer Space-oriented Partitioning for Non-point Data*
-  (Tsitsigkos et al., arXiv:2307.09256) in the paper's cell-id domain.
-  Cut points balance on owned work only, since borrowed entries would
-  otherwise distort the weights toward boundary-heavy shards; the plan
-  surfaces ``replication_factor`` and per-class counts.
-* A layer's snapshot publishes in TWO kinds of shared-memory segment::
+  and stored in curve order, so every cell — and every point probing it
+  — belongs to exactly one shard, and a shard's partition is one row
+  range of the covering's arrays (views, no copy).  Every polygon has a
+  cut-independent *home shard* (:func:`home_rows_from_entries`), which
+  splits a shard's (cell, ref) entries into **owned** and **borrowed**
+  classes — those of *Two-layer Space-oriented Partitioning for
+  Non-point Data* (Tsitsigkos et al., arXiv:2307.09256).  Cuts balance
+  on owned work only; the plan surfaces ``replication_factor`` and the
+  per-class counts.
+* A layer's snapshot publishes in TWO kinds of shared-memory segment,
+  and the service in one more::
 
       geometry plane (one segment per layer, shared machine-wide)
         ring geometry | packed refinement edge buckets | polygon table
@@ -30,49 +27,61 @@ Evaluation of Spatial Joins*) applied to the paper's cell-id domain:
         shard 0: covering subset | ACT store | lut
         shard 1: covering subset | ACT store | lut
         ...
+      scatter ring (one segment per service, 1 << 16 points)
+        lats | lngs | leaf cell ids     <- the front writes a slice
+              ^ lane 0 selects   ^ lane 1 selects   ...
 
   A straddling polygon contributes covering cells to several coverage
-  planes, but its geometry and bucket rows exist exactly once —
-  measured replication factor 1.0 by construction.  Worker-side, each
-  shard composes the two planes via
-  :meth:`~repro.core.flat.FlatSnapshot.from_planes` and refines through
-  the attached index's ordinary engine, which adopts the geometry
-  plane's bucket table: a pair's PIP verdict depends only on the pair,
-  so the owned/borrowed classes live in the *plan* (cut balancing,
-  ``ShardStatus`` counts) and merged results need no front-side dedup.
+  planes, but its geometry and bucket rows exist exactly once (measured
+  replication factor 1.0 by construction).  A worker composes the two
+  planes via :meth:`~repro.core.flat.FlatSnapshot.from_planes` and
+  refines through the attached index's ordinary engine: a pair's PIP
+  verdict depends only on the pair, so the owned/borrowed classes live
+  in the *plan* and merged results need no front-side dedup.
 * A **shard worker** is a spawned process hosting one ordinary
   :class:`JoinService` over its partition sub-indexes, which it
   *attaches* from the published segments (a buffer map, no store
-  build).  Batch coordinates travel through shared-memory buffers too,
-  never the pickle stream; only the control messages and the (small)
-  partial ``JoinResult`` statistics cross the pipe.
+  build).  Batch coordinates travel through one persistent scatter ring,
+  never the pickle stream: the front writes each ring-sized slice of a
+  batch once, in batch order, and every lane selects the points whose
+  leaf id falls in its range (:func:`in_leaf_range`) out of the views it
+  attached at start-up.  Only control messages and the (small) partial
+  ``JoinResult`` statistics cross the pipe, and every lane sent to is
+  drained before the next slice is written, so none can still be
+  reading the ring.
 * :class:`ShardedJoinService` is the front: a
-  :class:`~repro.serve.service.ServiceFront` (the ``join`` /
-  ``join_layers`` / ``lookup`` / ``submit`` surface it shares with
-  ``JoinService``) whose dispatch scatters each batch to the owning
-  shards, gathers the partial results, and merges them with
-  :func:`~repro.core.joins.merge_join_results` — the merge the join
-  driver's morsel schedule ends in.  Swaps and workload-adaptive
+  :class:`~repro.serve.service.ServiceFront` whose dispatch scatters
+  each batch, gathers the partial results and merges them with
+  :func:`~repro.core.joins.merge_join_results`.  Swaps and adaptive
   retraining fan out per shard, and the merged
   :class:`~repro.serve.stats.ServiceStats` carries per-shard detail in
   ``stats.shards``.
 
-``backend="inline"`` hosts the per-shard services in the calling process
-instead.  Everything else is the same code: the same plane publication
-and attach, the same shared-memory scatter buffer, the same message
-handler (:func:`_apply_admin`) and the same merge — which is what the
-shard-boundary equivalence tests exercise exhaustively and what
-debugging uses.
+**Lane placement.**  A worker process (:func:`_shard_worker_main`, and
+only there — never the caller's process) binds itself to one CPU of the
+affinity mask it inherited (lane ``k`` to the ``k``-th of the sorted
+mask, modulo its size) and switches itself to ``SCHED_BATCH``.  One
+lane, one core keeps a partition's working set in that core's cache; a
+batch task's wake-up does not preempt its waker, so the front finishes
+fanning a slice out before any lane takes its CPU — without it the
+lanes were observed to run one after the other.  Threads a lane starts
+later (a shard-local retrain) inherit both.  A call the platform lacks
+or refuses is skipped; there is nothing to configure.
 
-The front serializes scatter/gather dispatches with one lock (a worker
-pipe is not safe for interleaved use anyway); parallelism comes from
-splitting each batch across the shard processes, not from overlapping
-front-side dispatches.
+``backend="inline"`` hosts the per-shard services in the calling process
+instead: the same plane publication and attach, the same scatter ring,
+the same message handler (:func:`_apply_admin`) and the same merge —
+what the shard-boundary equivalence tests exercise and debugging uses.
+
+The front serializes dispatches with one lock (a worker pipe is not
+safe for interleaved use anyway); parallelism comes from splitting each
+batch across the shard processes, not from overlapping dispatches.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 import threading
 import traceback
 from dataclasses import dataclass
@@ -92,6 +101,7 @@ from repro.core.flat import (
     pack_geometry_plane,
 )
 from repro.core.joins import JoinResult, merge_join_results
+from repro.core.morsels import OFFLINE_MORSEL_POINTS
 from repro.obs import Observability, ObsConfig
 from repro.serve.cache import CacheStats
 from repro.serve.service import JoinService, ServiceFront
@@ -136,9 +146,8 @@ def home_rows_from_entries(
     degenerated.  The median lands in the main band and keeps owned
     work distributed like entry mass.
 
-    Returns an ``int64`` array of length ``num_polygons`` holding each
-    polygon's home row, ``-1`` for unreferenced ids (holes in the id
-    space).
+    Returns each polygon's home row (``int64``, length ``num_polygons``),
+    ``-1`` for unreferenced ids (holes in the id space).
     """
     entry_rows = np.asarray(entry_rows, dtype=np.int64)
     entry_pids = np.asarray(entry_pids, dtype=np.int64)
@@ -193,12 +202,10 @@ class ShardPlan:
 
     Every *referenced* polygon has a **home shard** — the shard holding
     its median (cell, ref) entry in curve order, a property of the
-    covering alone and independent of where the cuts land (the median
-    is robust to coverings that straddle a curve discontinuity, where a
-    min-id anchor would collapse every home into one sliver).  A shard's polygons then split
-    into ``owned`` (homed here) and ``borrowed`` (covering cells here,
-    homed elsewhere — the straddlers), and the same classification
-    applies to the (cell, ref) entries (``owned_weights`` vs
+    covering alone (see :func:`home_rows_from_entries` for why the
+    median).  A shard's polygons then split into ``owned`` (homed here)
+    and ``borrowed`` (covering cells here, homed elsewhere — the
+    straddlers), and so do its (cell, ref) entries (``owned_weights`` vs
     ``borrowed_weights``).  Cuts balance on ``owned_work``: each
     polygon's TOTAL entry count attributed to its home cell, so a
     boundary-heavy covering does not double-count straddlers into every
@@ -263,9 +270,8 @@ class ShardPlan:
         num_cells = len(ids)
         # One row index per (cell, ref) entry, in id-sorted cell order.
         entry_rows = np.repeat(np.arange(num_cells, dtype=np.int64), counts)
-        # Home cell (row) of every polygon: its MEDIAN covering entry in
-        # curve order — defined before any cuts exist, so the owned-work
-        # weights the cuts balance on cannot depend on the cuts themselves.
+        # Home rows exist before any cut does, so the owned-work weights
+        # the cuts balance on cannot depend on the cuts themselves.
         home_rows = home_rows_from_entries(entry_rows, entry_pids, num_polygons)
         referenced = home_rows >= 0
         poly_entries = np.bincount(entry_pids, minlength=num_polygons)
@@ -350,6 +356,29 @@ class ShardPlan:
             return np.zeros(len(leaf_ids), dtype=np.int64)
         return np.searchsorted(self.boundaries, leaf_ids, side="right")
 
+    def leaf_ranges(self) -> list[tuple[int | None, int | None]]:
+        """Each shard's half-open leaf-id range ``[lower, upper)`` between
+        its two cut points, ``None`` where the shard is unbounded."""
+        cuts = [None, *self.boundaries.tolist(), None]
+        return list(zip(cuts[:-1], cuts[1:]))
+
+
+def in_leaf_range(leaf_ids: np.ndarray, lower: int | None, upper: int | None) -> np.ndarray:
+    """Which ids fall in ``[lower, upper)``: "id belongs to shard k", once.
+
+    With ``(lower, upper)`` from :meth:`ShardPlan.leaf_ranges` this is
+    ``shard_for(leaf_ids) == k`` without ranking every id against every
+    cut (an id equal to a cut belongs to the shard the cut starts; equal
+    cuts leave the shard between them empty).  A lane selects its points
+    with it and the front asks it which lanes a slice engages.
+    """
+    mask = np.ones(len(leaf_ids), dtype=bool)
+    if lower is not None:
+        mask &= leaf_ids >= np.uint64(lower)
+    if upper is not None:
+        mask &= leaf_ids < np.uint64(upper)
+    return mask
+
 
 # ----------------------------------------------------------------------
 # Worker-side: payloads, service construction, the process main loop
@@ -361,12 +390,10 @@ class _TwoLayerShardPart:  #: spawn_payload
     """One layer's partition as a geometry + coverage plane pair.
 
     The geometry segment is SHARED: every shard of the layer names the
-    same segment and maps the same pages (ring geometry, refinement
-    buckets, polygon table — published exactly once).  The coverage
-    segment is this shard's own: its covering subset, ACT store and
-    lookup table.  The worker composes the two planes back into one
-    serveable snapshot via
-    :meth:`~repro.core.flat.FlatSnapshot.from_planes`.
+    same segment and maps the same pages (published exactly once).  The
+    coverage segment is this shard's own.  The worker composes the two
+    back into one serveable snapshot
+    (:meth:`~repro.core.flat.FlatSnapshot.from_planes`).
     """
 
     geometry_shm: str  # the layer's single shared geometry-plane segment
@@ -380,6 +407,7 @@ class _WorkerPayload:  #: spawn_payload
 
     shard: int
     parts: dict[str, _TwoLayerShardPart]  # layer name -> partition
+    ring_shm: str  # the front's one scatter ring, attached once per lane
     cache_cells: int
     adaptation: AdaptationPolicy | None
     obs: ObsConfig | None = None  # worker-side observability settings
@@ -390,18 +418,16 @@ def _index_from_part(
 ) -> PolygonIndex:
     """Attach the partition sub-index a part describes (no store build).
 
-    Maps the layer's shared geometry segment plus this shard's coverage
-    segment and composes them.  The attach keeps its ``SharedMemory``
-    handles open for the index's whole lifetime (pinned as the snapshot
-    owner) — closing one while numpy views into the buffers exist is an
-    error, so the handles are simply dropped with the index.
+    The attach keeps its ``SharedMemory`` handles open for the index's
+    whole lifetime (pinned as the snapshot owner) — closing one while
+    numpy views into the buffers exist is an error, so the handles are
+    simply dropped with the index.
 
     ``fresh_version=False`` stamps the parent snapshot's version (initial
-    attach / add_layer: every shard of one snapshot agrees).
-    ``fresh_version=True`` floors the local counter above the parent's
-    version and stamps a fresh one (swap: the worker's current sub-index
-    may carry a *later* local version from a shard-local adaptive
-    retrain, and the router rightly refuses rollbacks).
+    attach / add_layer: every shard of one snapshot agrees); ``True``
+    floors the local counter above it and stamps a fresh one (swap: the
+    worker's current sub-index may carry a *later* local version from a
+    shard-local adaptive retrain, and the router refuses rollbacks).
     """
     if fresh_version:
         ensure_version_floor(part.version)
@@ -432,7 +458,11 @@ def _build_shard_service(payload: _WorkerPayload) -> JoinService:
 
 
 def _apply_admin(
-    service: JoinService, msg: tuple, shard: int, build_seconds: float
+    service: JoinService,
+    ring: tuple[np.ndarray, np.ndarray, np.ndarray],
+    msg: tuple,
+    shard: int,
+    build_seconds: float,
 ) -> object:
     """Execute one message against a shard's JoinService.
 
@@ -440,21 +470,24 @@ def _apply_admin(
     its outcome in ``("ok"|"err", ...)``, the inline client calls it
     directly — so the backends cannot diverge in behavior.
 
-    ``join`` reads the shard's slice out of the dispatch's scatter
-    buffer.  Its ``trace`` field is the front dispatch's ``(trace_id,
-    parent_span_id)``, or ``None`` when the dispatch is untraced; a
-    traced join opens a ``shard`` root under that remote parent — the
-    shard service's own ``dispatch``/``probe``/``refine`` spans nest
-    beneath it — and replies ``(result, finished_spans)`` so the records
-    travel back for the front to adopt.  ``ping`` replies with the
-    service construction time (``build_seconds``) and layer ops with
-    their sub-index materialization time, so the front can meter attach
-    latency.
+    ``join`` selects the lane's points — leaf id in ``[lower, upper)`` —
+    out of the first ``total`` slots of ``ring`` (the lane's
+    :func:`_ring_planes` views).  Selection keeps batch order, so with
+    ``materialize`` the reply's ``pair_points`` are slice positions in
+    the order a stable sort by shard would give.  ``trace`` is the front
+    dispatch's ``(trace_id, parent_span_id)`` or ``None``; a traced join
+    opens a ``shard`` root under that remote parent, and the reply,
+    ``(result, finished_spans)``, carries its spans for the front to
+    adopt (none when untraced).  ``ping`` replies with the service
+    construction time and, where the platform has them, the lane's CPU
+    mask and scheduling policy; layer ops with their sub-index
+    materialization time (the attach latency meter).
     """
     op = msg[0]
     if op == "join":
-        _, layer, shm_name, total, offset, count, exact, materialize, trace = msg
-        lats, lngs, cells = _read_shm_batch(shm_name, total, offset, count)
+        _, layer, total, lower, upper, exact, materialize, trace = msg
+        ring_lats, ring_lngs, ring_ids = ring
+        mine = np.flatnonzero(in_leaf_range(ring_ids[:total], lower, upper))
         tracer = service.tracer
         root = (
             contextlib.nullcontext()
@@ -463,12 +496,18 @@ def _apply_admin(
         )
         with root:
             result = service.join(
-                lats, lngs, layer=layer, exact=exact, materialize=materialize,
-                cell_ids=cells,
+                ring_lats.take(mine), ring_lngs.take(mine), layer=layer, exact=exact,
+                materialize=materialize, cell_ids=ring_ids.take(mine),
             )
-        return result if trace is None else (result, tracer.take_last_trace())
+        if materialize:
+            result.pair_points = mine[result.pair_points]
+        return result, (() if trace is None else tracer.take_last_trace())
     if op == "ping":
-        return {"build_seconds": build_seconds}
+        report: dict[str, object] = {"build_seconds": build_seconds}
+        if hasattr(os, "sched_getaffinity"):
+            report["affinity"] = sorted(os.sched_getaffinity(0))
+            report["policy"] = os.sched_getscheduler(0)
+        return report
     if op == "stats":
         return service.stats()
     if op in ("swap", "add_layer"):
@@ -486,12 +525,12 @@ def _apply_admin(
 class _AttachedSegment(SharedMemory):
     """An attachment whose finalizer tolerates still-exported views.
 
-    A worker pins its attach handles inside the index it serves; when the index is dropped (swap retirement, shutdown) the
-    interpreter may finalize the handle *before* the numpy views into
-    its buffer, and the stock destructor then raises — and prints — a
-    ``BufferError``.  The mapping is released regardless once the last
-    view goes away, so the error is pure shutdown noise; swallow it.
-    An explicit, orderly ``close()`` (the batch-read path) is
+    A worker pins its attach handles inside the index it serves; when
+    the index is dropped (swap retirement, shutdown) the interpreter may
+    finalize the handle *before* the numpy views into its buffer, and
+    the stock destructor then raises — and prints — a ``BufferError``.
+    The mapping is released once the last view goes away regardless, so
+    the error is pure shutdown noise.  An explicit ``close()`` is
     unaffected.
     """
 
@@ -503,13 +542,12 @@ class _AttachedSegment(SharedMemory):
 def _attach_shm(name: str) -> SharedMemory:
     """Attach to an existing segment without adopting its lifetime.
 
-    On 3.13+ ``track=False`` keeps the attachment out of the resource
-    tracker (the segment's lifetime belongs to the front, which unlinks
-    it after the gather).  Pre-3.13 the attach registers with the
-    tracker unconditionally — harmless here, because spawned workers
-    share the front's tracker process and its cache is a set: the
-    duplicate registration collapses and the front's unlink clears it.
-    Explicitly unregistering instead would corrupt that shared cache.
+    The front owns (and unlinks) what it published.  On 3.13+
+    ``track=False`` keeps the attachment out of the resource tracker;
+    before, the attach registers unconditionally — harmless, because
+    spawned workers share the front's tracker process and its cache is a
+    set: the duplicate collapses and the front's unlink clears it.
+    Unregistering explicitly instead would corrupt that shared cache.
     """
     try:
         return _AttachedSegment(name=name, track=False)  # type: ignore[call-arg]
@@ -517,51 +555,60 @@ def _attach_shm(name: str) -> SharedMemory:
         return _AttachedSegment(name=name)
 
 
-def _read_shm_batch(
-    shm_name: str, total: int, offset: int, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Copy one shard's slice out of a scatter buffer, then detach."""
-    shm = _attach_shm(shm_name)
-    try:
-        window = slice(offset, offset + count)
-        buf = shm.buf
-        lats = np.frombuffer(buf, np.float64, count=total)[window].copy()
-        lngs = np.frombuffer(buf, np.float64, count=total, offset=8 * total)[
-            window
-        ].copy()
-        cells = np.frombuffer(buf, np.uint64, count=total, offset=16 * total)[
-            window
-        ].copy()
-        del buf
-    finally:
-        shm.close()
-    return lats, lngs, cells
+def _ring_planes(shm: SharedMemory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scatter ring's three planes: ``lats | lngs | leaf cell ids``,
+    :data:`OFFLINE_MORSEL_POINTS` slots each, as views of the segment."""
+    points = OFFLINE_MORSEL_POINTS
+    return (
+        np.frombuffer(shm.buf, np.float64, count=points),
+        np.frombuffer(shm.buf, np.float64, count=points, offset=8 * points),
+        np.frombuffer(shm.buf, np.uint64, count=points, offset=16 * points),
+    )
+
+
+def _fill_ring(shm: SharedMemory, *columns: np.ndarray) -> None:
+    """Write one slice's ``lats, lngs, cell ids`` into the ring, in batch
+    order.  The views die with this frame: no traceback of a failed
+    dispatch can keep one exported past the front's ``close()``."""
+    for plane, column in zip(_ring_planes(shm), columns):
+        plane[: len(column)] = column
 
 
 def _shard_worker_main(conn, payload: _WorkerPayload) -> None:
     """Entry point of one shard worker process (spawn-safe: module level).
 
-    Attaches the partition sub-indexes and builds the shard's
-    JoinService, then answers control messages until ``close`` or the
-    pipe drops.  Every reply is ``("ok", value)`` or ``("err",
-    traceback_text)`` — a failed request never kills the worker, so one
-    poisoned batch cannot take a shard (and every batch it would have
-    served) down with it.  The ``ping`` reply carries the service
-    construction time, so the front's spawn barrier doubles as the
-    attach measurement the bench reports.
+    Places itself, attaches the partition sub-indexes and the scatter
+    ring, builds the shard's JoinService, then answers control messages
+    until ``close`` or the pipe drops.  Every reply is ``("ok", value)``
+    or ``("err", traceback_text)`` — a failed request never kills the
+    worker, so one poisoned batch cannot take a shard down with it.  The
+    ``ping`` reply carries the service construction time: the front's
+    spawn barrier doubles as the attach measurement the bench reports.
     """
+    # Lane placement (module docstring): one core of the inherited mask,
+    # wake-ups that do not preempt the front.  An optimisation only — a
+    # platform that refuses either call serves unplaced.
+    if hasattr(os, "sched_setaffinity"):
+        with contextlib.suppress(OSError):
+            cpus = sorted(os.sched_getaffinity(0))
+            os.sched_setaffinity(0, {cpus[payload.shard % len(cpus)]})
+    if hasattr(os, "sched_setscheduler"):
+        with contextlib.suppress(OSError):
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
     # A worker re-allocates the same ~0.5 MB of numpy temporaries on every
     # dispatch.  glibc hands a freed heap top above its trim threshold
-    # back to the OS (128 KiB until the process has freed one mmapped
-    # block), so unless an unrelated allocation happens to pin the top,
-    # each dispatch faults those pages in again — measured on a 5.5 k-point
-    # dispatch: 139 instead of 4 minor faults, +0.27 ms of system time,
-    # flipping with any edit that moves the worker's heap.  Freeing one
-    # 4 MiB block raises both dynamic thresholds for the process's life.
+    # (128 KiB until the process has freed one mmapped block) back to the
+    # OS, so unless an unrelated allocation pins the top, each dispatch
+    # faults those pages in again — on a 5.5 k-point dispatch 139 instead
+    # of 4 minor faults, +0.27 ms of system time, flipping with any edit
+    # that moves the heap.  Freeing one 4 MiB block raises both dynamic
+    # thresholds for the process's life.
     np.empty(1 << 22, dtype=np.uint8)
     try:
         with Timer() as build_timer:
             service = _build_shard_service(payload)
+        ring_shm = _attach_shm(payload.ring_shm)  # unmapped by process exit
+        ring = _ring_planes(ring_shm)
     except BaseException:
         try:
             conn.send(("err", traceback.format_exc()))
@@ -581,7 +628,7 @@ def _shard_worker_main(conn, payload: _WorkerPayload) -> None:
                 reply = (
                     "ok",
                     _apply_admin(
-                        service, msg, payload.shard, build_timer.seconds
+                        service, ring, msg, payload.shard, build_timer.seconds
                     ),
                 )
             except BaseException:
@@ -593,36 +640,8 @@ def _shard_worker_main(conn, payload: _WorkerPayload) -> None:
 
 
 # ----------------------------------------------------------------------
-# Front-side shard clients and scatter buffers
+# Front-side shard clients
 # ----------------------------------------------------------------------
-
-
-class _ShmBatch:
-    """One dispatch's scatter buffer: ``lats | lngs | leaf cell ids``.
-
-    The permuted (shard-grouped) batch is written once into a shared
-    memory segment; workers read only their slice.  Coordinates never
-    enter a pickle stream.
-    """
-
-    def __init__(self, lats: np.ndarray, lngs: np.ndarray, cells: np.ndarray):
-        total = len(lats)
-        self.total = total
-        self._shm = SharedMemory(create=True, size=max(1, 24 * total))
-        buf = self._shm.buf
-        np.frombuffer(buf, np.float64, count=total)[:] = lats
-        np.frombuffer(buf, np.float64, count=total, offset=8 * total)[:] = lngs
-        np.frombuffer(buf, np.uint64, count=total, offset=16 * total)[:] = cells
-        del buf
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    def close(self) -> None:
-        self._shm.close()
-        with contextlib.suppress(FileNotFoundError):  # pragma: no cover - double close
-            self._shm.unlink()
 
 
 class _ProcessShard:
@@ -645,17 +664,13 @@ class _ProcessShard:
         try:
             self._conn.send(msg)
         except (BrokenPipeError, OSError) as exc:
-            raise ShardWorkerError(
-                self.shard, f"worker pipe closed: {exc}"
-            ) from None
+            raise ShardWorkerError(self.shard, f"worker pipe closed: {exc}") from None
 
     def finish(self) -> object:
         try:
             kind, value = self._conn.recv()
         except (EOFError, OSError):
-            raise ShardWorkerError(
-                self.shard, "worker terminated unexpectedly"
-            ) from None
+            raise ShardWorkerError(self.shard, "worker terminated unexpectedly") from None
         if kind == "err":
             raise ShardWorkerError(self.shard, value)
         return value
@@ -667,24 +682,28 @@ class _ProcessShard:
     def close(self) -> None:
         with contextlib.suppress(BrokenPipeError, EOFError, OSError):
             self._conn.send(("close",))
-            self._conn.recv()
+            if self._conn.poll(_CLOSE_TIMEOUT_S):  # a wedged worker never acks
+                self._conn.recv()
         self._conn.close()
-        self._process.join(timeout=10)
-        if self._process.is_alive():  # pragma: no cover - hung worker
+        self._process.join(timeout=_CLOSE_TIMEOUT_S)
+        if self._process.is_alive():
             self._process.terminate()
-            self._process.join(timeout=10)
+            self._process.join(timeout=_CLOSE_TIMEOUT_S)
+        if self._process.is_alive():  # a stopped process never sees SIGTERM
+            self._process.kill()
+            self._process.join(timeout=_CLOSE_TIMEOUT_S)
 
 
 class _InlineShard:
     """In-process shard client: same partitioning, no processes.
 
-    The test backend (and a debugging aid): hosts the shard's
-    JoinService in the calling process, so the shard-boundary
-    equivalence properties can run thousands of examples without paying
+    The test backend (and a debugging aid): the shard-boundary
+    equivalence properties run thousands of examples without paying
     process spawns.  Messages go through :func:`_apply_admin` exactly as
-    in a worker — a join reads its slice from the same shared-memory
-    scatter buffer — and a failure re-raises the ORIGINAL exception from
-    ``finish`` (no pipe to flatten it into a traceback string).
+    in a worker — a join selects from the same attached scatter ring —
+    and a failure re-raises the ORIGINAL exception from ``finish`` (no
+    pipe to flatten it into a traceback string).  Lane placement is the
+    one thing not shared: it belongs to a worker process only.
     """
 
     def __init__(self, payload: _WorkerPayload):
@@ -692,12 +711,14 @@ class _InlineShard:
         with Timer() as build_timer:
             self._service = _build_shard_service(payload)
         self._build_seconds = build_timer.seconds
+        self._ring_shm = _attach_shm(payload.ring_shm)
+        self._ring = _ring_planes(self._ring_shm)
         self._pending: tuple[str, object] | None = None
 
     def start(self, msg: tuple) -> None:
         try:
             value = _apply_admin(
-                self._service, msg, self.shard, self._build_seconds
+                self._service, self._ring, msg, self.shard, self._build_seconds
             )
         except BaseException as exc:
             self._pending = ("err", exc)
@@ -718,11 +739,15 @@ class _InlineShard:
 
     def close(self) -> None:
         self._service.close()
+        self._ring = ()
+        # The traceback of a failed join may still hold the views.
+        with contextlib.suppress(BufferError):
+            self._ring_shm.close()
 
 
 def _scatter_gather(
     sends: list[tuple["_ProcessShard | _InlineShard", tuple]],
-) -> tuple[list[tuple[int, object]], list[BaseException]]:
+) -> tuple[list, list[BaseException]]:
     """Send every request, then drain every worker that received one.
 
     ``sends`` is a list of ``(client, message)`` pairs.  The drain
@@ -730,24 +755,24 @@ def _scatter_gather(
     worker that received a request MUST be drained even after another
     worker failed (and workers after a failed SEND must not be sent to),
     or a queued reply would be mistaken for the answer to a later
-    request.  Returns ``(gathered, errors)``: ``gathered`` holds
-    ``(slot, value)`` pairs for the sends that completed (slots index
-    into ``sends``, in order), ``errors`` every send/finish failure in
-    occurrence order.
+    request — and it is what makes the scatter ring reusable: once this
+    returns, no lane is still reading it.  Returns ``(gathered,
+    errors)``: the replies of the sends that completed, in send order,
+    and every send/finish failure in occurrence order.
     """
-    sent: list[tuple[int, object]] = []
+    sent: list = []
     errors: list[BaseException] = []
-    for slot, (client, msg) in enumerate(sends):
+    for client, msg in sends:
         try:
             client.start(msg)
         except BaseException as exc:
             errors.append(exc)
             break
-        sent.append((slot, client))
-    gathered: list[tuple[int, object]] = []
-    for slot, client in sent:
+        sent.append(client)
+    gathered: list = []
+    for client in sent:
         try:
-            gathered.append((slot, client.finish()))
+            gathered.append(client.finish())
         except BaseException as exc:
             errors.append(exc)
     return gathered, errors
@@ -757,15 +782,16 @@ def _scatter_gather(
 # The sharded service front
 # ----------------------------------------------------------------------
 
-#: Published geometry copies per distinct referenced polygon.  A layer's
-#: geometry lives in exactly one shared segment however many coverage
-#: planes reference a polygon
-#: (:func:`~repro.core.flat.pack_coverage_plane` rejects geometry buffers
-#: outright), so the measured factor is structurally 1.0 — unlike
+#: Published geometry copies per distinct referenced polygon: one shared
+#: segment per layer (:func:`~repro.core.flat.pack_coverage_plane` rejects
+#: geometry buffers outright), so structurally 1.0 — unlike
 #: :attr:`ShardPlan.replication_factor`, the membership-derived factor a
 #: copy-the-straddlers publication would pay.
 _GEOMETRY_REPLICATION = 1.0
 
+#: Seconds ``_ProcessShard.close`` waits at each step (the worker's
+#: acknowledgement, its exit, its exit after ``terminate()``) before the next.
+_CLOSE_TIMEOUT_S = 10.0
 
 #: The front's gauges (metric name -> help), set by
 #: :meth:`ShardedJoinService._set_snapshot_gauges`.
@@ -802,9 +828,9 @@ class ShardedJoinService(ServiceFront):
         Partitions per layer == worker processes.  Each worker hosts one
         :class:`JoinService` over its partitions of every layer.
     backend:
-        ``"process"`` (default) spawns one worker process per shard and
-        ships batches through shared memory; ``"inline"`` hosts the
-        shard services in-process (tests, debugging).
+        ``"process"`` (default) spawns one worker process per shard,
+        each placed on its own core (module docstring); ``"inline"``
+        hosts the shard services in-process (tests, debugging).
     adaptation:
         Fans out to every shard worker: each shard runs its own
         adaptation loop over its partition and retrains/swaps locally.
@@ -816,11 +842,9 @@ class ShardedJoinService(ServiceFront):
     obs:
         An :class:`~repro.obs.Observability` bundle for the front.  Its
         picklable settings also ship inside every worker payload, so
-        shard workers run their own tracer; a traced front dispatch
-        carries its ``(trace_id, span_id)`` context in the join message,
-        the worker opens a ``shard`` root span under that parent, and
-        the finished worker spans return over the pipe to be adopted
-        into the front's ring — one end-to-end trace per dispatch.
+        shard workers run their own tracer; a traced dispatch's worker
+        spans return over the pipe and are adopted into the front's
+        ring (see :func:`_apply_admin`) — one end-to-end trace.
 
     ``join`` results are bit-identical (every ``JoinResult`` statistic)
     to the equivalent single-process service and to ``PolygonIndex.join``
@@ -847,9 +871,8 @@ class ShardedJoinService(ServiceFront):
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         if backend not in ("process", "inline"):
             raise ValueError(f"unknown backend {backend!r}")
-        # The front's layer registry IS a LayerRouter: copy-on-write
-        # snapshot reads, default-layer resolution, duplicate/rollback
-        # validation — one implementation shared with JoinService.
+        # The front's layer registry IS a LayerRouter (copy-on-write
+        # reads, default resolution, rollback checks), as JoinService's.
         super().__init__(
             layers,
             default_layer=default_layer,
@@ -872,22 +895,23 @@ class ShardedJoinService(ServiceFront):
             name: ShardPlan.from_index(index, num_shards)
             for name, index in self._router.items()
         }
-        # Flat-snapshot segments owned by the front, per layer, for the
-        # CURRENT generation; retired (and unlinked) on swap and close.
-        # A layer's FIRST segment is its shared geometry plane, followed
-        # by one coverage segment per shard.
+        # Segments owned by the front, per layer, CURRENT generation;
+        # retired (and unlinked) on swap and close.  A layer's FIRST is
+        # its shared geometry plane, then one coverage segment per shard.
         self._segments: dict[str, tuple[SharedMemory, ...]] = {}  #: guarded_by(_lock)
         # Published (geometry, per-shard) payload bytes per layer,
         # current generation.
         self._plane_bytes: dict[str, tuple[int, int]] = {}  #: guarded_by(_lock)
-        # One lock serializes scatter/gather dispatches and admin fan-outs:
-        # worker pipes are request/response channels and must never see
-        # interleaved conversations.
+        # One lock serializes dispatches and admin fan-outs: worker pipes
+        # are request/response channels, never to be interleaved.
         self._lock = threading.Lock()
         self._closed = False  #: guarded_by(_lock, writes)
         self._poisoned = False  #: guarded_by(_lock, writes)
         self._clients: list[_ProcessShard | _InlineShard] = []  #: guarded_by(_lock)
         self._spawn_seconds: tuple[float, ...] = ()
+        # The scatter ring, one for the service's life: dispatches write it.
+        #: guarded_by(_lock)
+        self._ring = SharedMemory(create=True, size=24 * OFFLINE_MORSEL_POINTS)
         try:
             parts_by_layer: dict[str, list] = {}
             for name, index in self._router.items():
@@ -904,6 +928,7 @@ class ShardedJoinService(ServiceFront):
                         name: parts[shard]
                         for name, parts in parts_by_layer.items()
                     },
+                    ring_shm=self._ring.name,
                     cache_cells=cache_cells,
                     adaptation=adaptation,
                     obs=obs.config() if obs is not None else None,
@@ -914,10 +939,9 @@ class ShardedJoinService(ServiceFront):
                 self._clients = [_InlineShard(p) for p in payloads]
             else:
                 # Start the parent's resource tracker BEFORE creating
-                # workers: forked children must inherit it (a worker
-                # that lazily spawns its own tracker on shm attach would
-                # warn about "leaked" segments the front rightly owns
-                # and unlinks).  Spawned children receive the fd anyway.
+                # workers: forked children must inherit it (a worker that
+                # lazily spawns its own on shm attach would warn about
+                # "leaked" segments the front rightly owns and unlinks).
                 from multiprocessing import resource_tracker
 
                 resource_tracker.ensure_running()
@@ -927,13 +951,9 @@ class ShardedJoinService(ServiceFront):
             # worker's service construction time.
             reports = [client.request(("ping",)) for client in self._clients]
         except BaseException:
-            # A mid-spawn failure must not leak the published segments:
-            # the workers that did come up only hold attachments, and
-            # the front owns every segment it created.
-            for client in self._clients:
-                client.close()
-            self._release_segments(self._segments)
-            self._segments = {}
+            # A mid-spawn failure must not leak what was published: the
+            # workers that did come up only hold attachments.
+            self._shutdown()
             raise
         self._spawn_seconds = tuple(
             float(report["build_seconds"]) for report in reports
@@ -958,7 +978,7 @@ class ShardedJoinService(ServiceFront):
         self._start_batcher(max_batch, max_wait_ms)
 
     # ------------------------------------------------------------------
-    # Layer routing
+    # Plans and snapshot segment publication
     # ------------------------------------------------------------------
 
     def plan(self, layer: str | None = None) -> ShardPlan:
@@ -970,13 +990,8 @@ class ShardedJoinService(ServiceFront):
     @property
     def spawn_seconds(self) -> tuple[float, ...]:
         """Per-shard worker-side service construction time (the spawn
-        barrier's ping replies): a zero-copy attach of the published
-        planes."""
+        barrier's ping replies): a zero-copy attach of the planes."""
         return self._spawn_seconds
-
-    # ------------------------------------------------------------------
-    # Snapshot segment publication
-    # ------------------------------------------------------------------
 
     def _publish_parts(
         self, plan: ShardPlan, index: PolygonIndex
@@ -985,13 +1000,12 @@ class ShardedJoinService(ServiceFront):
     ]:
         """One part per shard, published as front-owned segments.
 
-        Returns ``(parts, segments, (geometry_bytes, coverage_bytes))``
-        — the payload split between the layer's single shared
-        geometry-plane segment (which leads the tuple) and the per-shard
-        coverage-plane segments.  The returned segments are the new
-        generation's — the caller installs them into ``_segments`` only
-        once the fan-out succeeded, and must release them itself on
-        failure.
+        Returns ``(parts, segments, (geometry_bytes, coverage_bytes))``:
+        the layer's single shared geometry-plane segment leads the
+        tuple, the per-shard coverage-plane segments follow.  They are
+        the new generation's — the caller installs them into
+        ``_segments`` only once the fan-out succeeded, and releases them
+        itself on failure.
         """
         parts: list[_TwoLayerShardPart] = []
         segments: list[SharedMemory] = []
@@ -1086,65 +1100,53 @@ class ShardedJoinService(ServiceFront):
         exact: bool,
         materialize: bool,
     ) -> JoinResult:
-        # Capture the dispatch root's context BEFORE opening child spans:
-        # worker-side `shard` roots parent to the dispatch itself, as
-        # siblings of the front's scatter/gather/merge phases.
+        # The dispatch root's context, BEFORE child spans open: `shard`
+        # roots are siblings of the front's scatter/gather/merge phases.
         trace_ctx = self._tracer.context()
+        parts: list[JoinResult] = []
+        lane_spans: list = []  # the lanes' finished spans, when traced
         with self._lock, Timer() as timer:
             # Resolve UNDER the dispatch lock (the caller's `index` is
-            # only its routing check): index, plan, and the workers'
-            # sub-indexes always belong to the same generation, even
-            # when a swap_layer lands between that check and this
-            # dispatch.
+            # only its routing check): index, plan and the workers'
+            # sub-indexes belong to one generation even when a
+            # swap_layer lands between that check and this dispatch.
             _, index = self._router.resolve(name)
-            plan = self._plans[name]
-            with self._tracer.span("scatter", points=len(lats)) as span:
-                shard_of = plan.shard_for(cell_ids)
-                order = np.argsort(shard_of, kind="stable")
-                per_shard = np.bincount(shard_of, minlength=plan.num_shards)
-                offsets = np.zeros(plan.num_shards + 1, dtype=np.int64)
-                np.cumsum(per_shard, out=offsets[1:])
-                batch = _ShmBatch(lats[order], lngs[order], cell_ids[order])
-                engaged = [
-                    shard
-                    for shard in range(plan.num_shards)
-                    if per_shard[shard] > 0
-                ]
-                span.set(shards=len(engaged))
-            try:
-                with self._tracer.span("gather", shards=len(engaged)):
-                    gathered, errors = _scatter_gather(
-                        [
-                            (
-                                self._clients[shard],
-                                ("join", name, batch.name, batch.total,
-                                 int(offsets[shard]), int(per_shard[shard]),
-                                 exact, materialize, trace_ctx),
-                            )
-                            for shard in engaged
-                        ]
-                    )
-                if errors:
-                    raise errors[0]
-            finally:
-                batch.close()
-        parts: list[JoinResult] = []
-        for _, part in gathered:
-            if trace_ctx is not None:
-                # A traced dispatch gets (result, worker_spans) back;
-                # fold the workers' finished spans into the front's ring
-                # so the whole cross-process trace reads from one place.
-                part, worker_spans = part
-                if worker_spans:
-                    self._tracer.adopt(worker_spans)
-            parts.append(part)
-        with self._tracer.span("merge", shards=len(parts)):
-            if materialize:
-                # Shard-local pair indices -> positions in the batch.
-                for (slot, _), part in zip(gathered, parts):
-                    part.pair_points = order[
-                        offsets[engaged[slot]] + part.pair_points
+            ranges = self._plans[name].leaf_ranges()
+            # Ring-sized slices: one for every batch a micro-batcher or
+            # the benchmark sends.  A slice is gathered before the next
+            # is written, so no lane can still be reading the ring.
+            for lo in range(0, max(len(lats), 1), OFFLINE_MORSEL_POINTS):
+                window = slice(lo, lo + OFFLINE_MORSEL_POINTS)
+                ids = cell_ids[window]
+                with self._tracer.span("scatter", points=len(ids)) as span:
+                    _fill_ring(self._ring, lats[window], lngs[window], ids)
+                    sends = [
+                        (
+                            self._clients[shard],
+                            ("join", name, len(ids), lower, upper, exact,
+                             materialize, trace_ctx),
+                        )
+                        for shard, (lower, upper) in enumerate(ranges)
+                        if in_leaf_range(ids, lower, upper).any()
                     ]
+                    span.set(shards=len(sends))
+                with self._tracer.span("gather", shards=len(sends)) as span:
+                    replies, errors = _scatter_gather(sends)
+                    if errors:
+                        raise errors[0]
+                    span.set(
+                        lane_seconds_max=max(
+                            (r.probe_seconds + r.refine_seconds for r, _ in replies),
+                            default=0.0,
+                        )
+                    )
+                for result, spans in replies:
+                    if materialize and lo:  # slice -> batch positions
+                        result.pair_points += lo
+                    parts.append(result)
+                    lane_spans += spans
+        self._tracer.adopt(lane_spans)  # one trace, readable in one place
+        with self._tracer.span("merge", shards=len(parts)):
             return merge_join_results(
                 parts,
                 num_points=len(lats),
@@ -1161,11 +1163,8 @@ class ShardedJoinService(ServiceFront):
         """Atomically replace a layer with a newer snapshot on every shard.
 
         Re-plans the partition for the new snapshot and fans the swap
-        out; each worker builds its new sub-index in parallel with the
-        others.  The front's plan flips only after every shard swapped,
-        so dispatches keep scattering by the plan that matches what the
-        workers serve (the dispatch lock makes the fan-out atomic with
-        respect to joins).
+        out; the workers attach their new sub-indexes in parallel, and
+        the dispatch lock makes the fan-out atomic with respect to joins.
         """
         self._check_open()
         _check_shardable(name, index)
@@ -1233,13 +1232,12 @@ class ShardedJoinService(ServiceFront):
     def _admin_fan_out(self, messages: list[tuple]) -> list:  #: requires(_lock)
         """Scatter one admin message per shard; gather before returning.
 
-        All-or-nothing is required for layer management: if SOME shards
-        applied the change and others did not, the workers disagree on
-        the layer's partition and no front-side plan can match all of
-        them — the service is poisoned (every later call raises) rather
-        than silently serving mixed generations.  A failure on EVERY
-        shard leaves the previous state intact everywhere, so the
-        service stays usable.  Returns the per-shard reply values (the
+        All-or-nothing: if SOME shards applied the change and others did
+        not, the workers disagree on the layer's partition and no plan
+        can match all of them — the service is poisoned (every later
+        call raises) rather than silently serving mixed generations.  A
+        failure on EVERY shard leaves the previous state intact, so the
+        service stays usable.  Returns the per-shard replies (the
         workers' sub-index materialization timings).
         """
         gathered, errors = _scatter_gather(list(zip(self._clients, messages)))
@@ -1247,7 +1245,7 @@ class ShardedJoinService(ServiceFront):
             if 0 < len(gathered) < len(self._clients):
                 self._poisoned = True
             raise errors[0]
-        return [value for _, value in gathered]
+        return gathered
 
     # ------------------------------------------------------------------
     # Observability & lifecycle
@@ -1258,26 +1256,24 @@ class ShardedJoinService(ServiceFront):
 
         Front-level latency covers whole scatter/gather dispatches;
         cache counters sum across shards per layer; each shard's own
-        ``ServiceStats`` (including its adaptation state) rides along in
-        ``shards``, with the shard's polygons split into owned vs
-        borrowed classes (``sum(num_owned) over shards`` == the layer
-        polygon counts — no double-counted straddlers), and
-        ``stats.replication`` carries each layer's measured geometry
-        replication factor.  Adaptation entries are keyed ``layer@shardN`` so the
-        point-weighted ``live_sth_rate`` and ``retrains`` aggregates stay
-        correct across the fan-out.
+        ``ServiceStats`` (adaptation state included) rides along in
+        ``shards``, its polygons split into owned vs borrowed
+        (``sum(num_owned)`` over shards == the layer polygon counts — no
+        double-counted straddlers); ``stats.replication`` carries each
+        layer's geometry replication factor.  Adaptation entries are
+        keyed ``layer@shardN`` so the point-weighted ``live_sth_rate``
+        and ``retrains`` aggregates stay correct across the fan-out.
         """
         self._check_open()
         with self._lock:
-            # Scatter the stats request to every worker before gathering,
-            # so the per-shard snapshot work overlaps instead of paying N
-            # sequential round-trips under the dispatch lock.
-            gathered, errors = _scatter_gather(
+            # Scatter before gathering: the per-shard snapshot work
+            # overlaps instead of N sequential round-trips under the lock.
+            shard_stats: list[ServiceStats]
+            shard_stats, errors = _scatter_gather(
                 [(client, ("stats",)) for client in self._clients]
             )
             if errors:
                 raise errors[0]
-            shard_stats: list[ServiceStats] = [value for _, value in gathered]
             indexes = dict(self._router.items())
             plans = dict(self._plans)
             replication = dict.fromkeys(indexes, _GEOMETRY_REPLICATION)
@@ -1333,12 +1329,8 @@ class ShardedJoinService(ServiceFront):
             )
 
     def close(self) -> None:
-        """Drain pending lookups, stop every shard worker, reap processes.
-
-        Unlinks every snapshot segment the front published — after the
-        workers are down, so no attach can race the unlink (and even if
-        one did, an attached mapping survives its unlink on POSIX).
-        """
+        """Drain pending lookups, stop and reap every shard worker, unlink
+        every segment the front published."""
         with self._lock:
             if self._closed:
                 return
@@ -1349,9 +1341,17 @@ class ShardedJoinService(ServiceFront):
         # through _dispatch, which takes this same lock.
         self._batcher.close()
         with self._lock:
-            for client in self._clients:
-                client.close()
-            self._release_segments(self._segments)
-            self._segments = {}
+            self._shutdown()
             self._plane_bytes = {}
             self._set_snapshot_gauges(())
+
+    def _shutdown(self) -> None:  #: requires(_lock)
+        """Stop every lane, then unlink every segment the front owns —
+        planes and ring; in that order, so no attach can race an unlink
+        (and an attached mapping survives its unlink on POSIX anyway)."""
+        for client in self._clients:
+            client.close()
+        self._release_segments(self._segments)
+        self._segments = {}
+        self._ring.close()
+        self._ring.unlink()

@@ -526,6 +526,18 @@ class TestShardedIntegration:
             svc.join(lats, lngs, exact=True)
             trace = obs.tracer.take_last_trace()
         self._assert_shard_trace(trace, num_shards=2)
+        # The gather span names its slowest lane's busy time, so "wake-ups
+        # + pipe" reads as gather - lane_seconds_max, no subtraction of
+        # sums: the largest probe + refine among the lanes' own spans.
+        names = _by_name(trace)
+        (gather,) = names["gather"]
+        lane_busy = {}
+        for record in names["probe"] + names["refine"]:
+            lane_busy[record.parent_id] = (
+                lane_busy.get(record.parent_id, 0.0) + record.seconds
+            )
+        assert gather.meta["lane_seconds_max"] == max(lane_busy.values())
+        assert 0.0 < gather.meta["lane_seconds_max"] <= gather.seconds
         assert obs.metrics.value("serve_dispatches_total") == 1
         assert obs.metrics.value("serve_points_total") == len(lats)
         spawns = obs.events.events("shard_spawn")

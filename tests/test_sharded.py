@@ -1,5 +1,11 @@
 """Tests for sharded multi-process serving (repro.serve.sharded)."""
 
+import dataclasses
+import os
+import pathlib
+import signal
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +13,10 @@ from hypothesis import strategies as st
 
 from repro import PolygonIndex
 from repro.cells.cellid import CellId
+from repro.core.morsels import OFFLINE_MORSEL_POINTS
 from repro.geo.polygon import regular_polygon
 from repro.serve import ShardPlan, ShardWorkerError, ShardedJoinService
+from repro.serve.sharded import in_leaf_range
 
 #: Every JoinResult field two equivalent joins must agree on exactly.
 STAT_FIELDS = (
@@ -58,6 +66,31 @@ def assert_identical(served, direct):
     assert np.array_equal(served.counts, direct.counts)
     for field in STAT_FIELDS:
         assert getattr(served, field) == getattr(direct, field), field
+
+
+def _shm_names() -> set[str]:
+    base = pathlib.Path("/dev/shm")
+    if not base.is_dir():  # pragma: no cover - non-POSIX
+        pytest.skip("no /dev/shm to enumerate")
+    return {p.name for p in base.iterdir()}
+
+
+def _pairs_in_scatter_order(index, plan, lats, lngs, exact):
+    """The pair arrays of a sharded join, built from direct joins: per
+    ring slice, per shard, that shard's points in batch order (what a
+    stable sort of the slice by shard groups together)."""
+    shard_of = plan.shard_for(index.cell_ids_for(lats, lngs))
+    points, polygons = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for lo in range(0, len(lats), OFFLINE_MORSEL_POINTS):
+        window = np.arange(lo, min(lo + OFFLINE_MORSEL_POINTS, len(lats)))
+        for shard in range(plan.num_shards):
+            mine = window[shard_of[window] == shard]
+            part = index.join(
+                lats[mine], lngs[mine], exact=exact, materialize=True
+            )
+            points.append(mine[part.pair_points])
+            polygons.append(part.pair_polygons)
+    return np.concatenate(points), np.concatenate(polygons)
 
 
 def _shard_cells(plan, index) -> list[dict]:
@@ -116,6 +149,37 @@ class TestShardPlan:
                     [cell.range_min().id, cell.range_max().id], dtype=np.uint64
                 )
                 assert plan.shard_for(ends).tolist() == [shard, shard]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cuts=st.lists(st.integers(0, 2**64 - 1), min_size=0, max_size=4),
+        ids=st.lists(st.integers(0, 2**64 - 1), max_size=40),
+        on_cut=st.lists(st.integers(0, 3), max_size=8),
+        duplicate=st.booleans(),
+    )
+    def test_range_predicate_partitions_like_shard_for(
+        self, index, cuts, ids, on_cut, duplicate
+    ):
+        """The lanes' selection IS ``shard_for``: for any sorted cuts —
+        duplicates (empty shards), ids sitting exactly on a cut, 1-5
+        shards — every id lands in exactly the shard ``shard_for`` names."""
+        if duplicate and cuts:
+            cuts = cuts + cuts[:1]
+        cuts = sorted(cuts)
+        ids = ids + [cuts[k % len(cuts)] for k in on_cut if cuts]
+        plan = dataclasses.replace(
+            ShardPlan.from_index(index, 1),
+            num_shards=len(cuts) + 1,
+            boundaries=np.asarray(cuts, dtype=np.uint64),
+        )
+        leaf_ids = np.asarray(ids, dtype=np.uint64)
+        shard_of = plan.shard_for(leaf_ids)
+        ranges = plan.leaf_ranges()
+        assert len(ranges) == plan.num_shards
+        for shard, (lower, upper) in enumerate(ranges):
+            assert np.array_equal(
+                in_leaf_range(leaf_ids, lower, upper), shard_of == shard
+            )
 
     def test_balanced_on_covering_cell_counts(self, index):
         plan = ShardPlan.from_index(index, 4)
@@ -284,6 +348,34 @@ class TestInlineSharded:
         assert set(
             zip(served.pair_points.tolist(), served.pair_polygons.tolist())
         ) == set(zip(direct.pair_points.tolist(), direct.pair_polygons.tolist()))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("materialize", [False, True])
+    def test_ring_reuse_and_slices_keep_results_and_pair_order(
+        self, index, exact, materialize
+    ):
+        """One ring serves every dispatch: a large batch after a small
+        one after a large one (stale slots beyond ``total`` must never
+        be selected), then one batch of two ring slices."""
+        rng = np.random.default_rng(5)
+        sizes = [6_000, 40, 6_000, OFFLINE_MORSEL_POINTS + 7]
+        with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
+            plan = svc.plan()
+            for size in sizes:
+                lngs = rng.uniform(-74.04, -73.92, size)
+                lats = rng.uniform(40.66, 40.78, size)
+                served = svc.join(
+                    lats, lngs, exact=exact, materialize=materialize
+                )
+                assert_identical(served, index.join(lats, lngs, exact=exact))
+                if not materialize:
+                    assert served.pair_points is None
+                    continue
+                pair_points, pair_polygons = _pairs_in_scatter_order(
+                    index, plan, lats, lngs, exact
+                )
+                assert np.array_equal(served.pair_points, pair_points)
+                assert np.array_equal(served.pair_polygons, pair_polygons)
 
     def test_join_layers_identical_per_layer(self, index, swap_index, points):
         lats, lngs = points
@@ -631,6 +723,56 @@ class TestProcessBackend:
         finally:
             svc.close()
 
+    def test_close_is_bounded_when_a_worker_is_wedged(
+        self, index, monkeypatch
+    ):
+        """A stopped worker never acknowledges ``close`` and never sees
+        SIGTERM: close() must give up waiting, kill it, reap it, and
+        still unlink every segment (planes and ring)."""
+        import repro.serve.sharded as sharded_mod
+
+        monkeypatch.setattr(sharded_mod, "_CLOSE_TIMEOUT_S", 0.3)
+        before = _shm_names()
+        svc = ShardedJoinService(index, num_shards=2, backend="process")
+        wedged = svc._clients[1]._process
+        os.kill(wedged.pid, signal.SIGSTOP)
+        try:
+            started = time.perf_counter()
+            svc.close()
+            elapsed = time.perf_counter() - started
+        finally:
+            if wedged.is_alive():  # pragma: no cover - the bug under test
+                wedged.kill()
+        assert elapsed < 5.0  # three 0.3 s waits, not for ever
+        for client in svc._clients:
+            assert not client._process.is_alive()
+        assert wedged.exitcode == -signal.SIGKILL
+        assert _shm_names() - before == set()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="Linux scheduling API"
+    )
+    def test_lanes_are_placed_and_the_caller_is_not(self, index):
+        """Each worker binds to one CPU of the mask it inherited and runs
+        SCHED_BATCH; the calling thread keeps its mask and policy, with
+        either backend."""
+        mask = os.sched_getaffinity(0)
+        policy = os.sched_getscheduler(0)
+        with ShardedJoinService(index, num_shards=2, backend="process") as svc:
+            reports = [client.request(("ping",)) for client in svc._clients]
+        cpus = [report["affinity"] for report in reports]
+        assert all(len(lane) == 1 and lane[0] in mask for lane in cpus)
+        if len(mask) >= 2:
+            assert cpus[0] != cpus[1]
+        assert [report["policy"] for report in reports] == [os.SCHED_BATCH] * 2
+        with ShardedJoinService(index, num_shards=2, backend="inline") as svc:
+            for client in svc._clients:
+                report = client.request(("ping",))
+                assert report["affinity"] == sorted(mask)
+                assert report["policy"] == policy
+        assert os.sched_getaffinity(0) == mask
+        assert os.sched_getscheduler(0) == policy
+
 
 class TestSnapshotSegmentLifecycle:
     """Flat-snapshot shared-memory segments must never leak.
@@ -640,21 +782,12 @@ class TestSnapshotSegmentLifecycle:
     mid-swap releases whatever was already published.
     """
 
-    @staticmethod
-    def _shm_names():
-        import pathlib
-
-        base = pathlib.Path("/dev/shm")
-        if not base.is_dir():  # pragma: no cover - non-POSIX
-            pytest.skip("no /dev/shm to enumerate")
-        return {p.name for p in base.iterdir()}
-
     def test_close_unlinks_every_segment(self, index, points):
         lats, lngs = points
-        before = self._shm_names()
+        before = _shm_names()
         svc = ShardedJoinService(index, num_shards=2, backend="process")
         try:
-            created = self._shm_names() - before
+            created = _shm_names() - before
             assert created  # the front published the layer's planes
             assert {s.name for segs in svc._segments.values() for s in segs} <= created
             assert_identical(
@@ -663,18 +796,19 @@ class TestSnapshotSegmentLifecycle:
             )
         finally:
             svc.close()
-        assert self._shm_names() - before == set()
+        assert _shm_names() - before == set()
 
     def test_swap_retires_the_previous_generation(self, index, swap_index):
-        before = self._shm_names()
+        before = _shm_names()
         with ShardedJoinService(index, num_shards=2, backend="inline") as svc:
-            first = self._shm_names() - before
+            first = _shm_names() - before
             svc.swap_layer("default", swap_index)
-            second = self._shm_names() - before
-            # The old generation's segments are gone, the new one's live.
-            assert first & second == set()
-            assert second
-        assert self._shm_names() - before == set()
+            second = _shm_names() - before
+            # The old generation's planes are gone, the new one's live;
+            # only the scatter ring spans generations.
+            assert first & second == {svc._ring.name}
+            assert second - first
+        assert _shm_names() - before == set()
 
     def test_mid_spawn_failure_unlinks_segments(self, index, monkeypatch):
         import repro.serve.sharded as sharded_mod
@@ -683,47 +817,56 @@ class TestSnapshotSegmentLifecycle:
         calls = []
 
         def flaky(payload):
-            calls.append(payload.shard)
+            calls.append(payload.ring_shm in _shm_names())
             if len(calls) >= 2:
                 raise MemoryError("simulated spawn failure on shard 1")
             return real(payload)
 
         monkeypatch.setattr(sharded_mod, "_build_shard_service", flaky)
-        before = self._shm_names()
+        before = _shm_names()
         with pytest.raises(MemoryError):
             ShardedJoinService(index, num_shards=2, backend="inline")
-        assert self._shm_names() - before == set()
+        # The scatter ring was already published when the spawn failed,
+        # and went with the planes.
+        assert calls == [True, True]
+        assert _shm_names() - before == set()
 
     @pytest.mark.parametrize("failing", [False, True])
     def test_inline_dispatch_leaves_no_segment(
         self, index, points, monkeypatch, failing
     ):
-        """The inline backend scatters through the same ``_ShmBatch`` the
-        process backend uses; every dispatch unlinks it — also when a
-        shard's join raises, which surfaces as the ORIGINAL exception."""
+        """Construction publishes the planes plus exactly one scatter
+        ring; no dispatch creates another segment — also when a lane's
+        join raises, which surfaces as the ORIGINAL exception and leaves
+        the ring fit for the next dispatch; ``close()`` leaves
+        ``/dev/shm`` as it found it."""
         lats, lngs = points
+        direct = index.join(lats, lngs, exact=True)
+        before = _shm_names()
         with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
-            published = self._shm_names()
-            if failing:
-                def boom(*args, **kwargs):
+            published = _shm_names()
+            planes = {s.name for segs in svc._segments.values() for s in segs}
+            assert published - before - planes == {svc._ring.name}
+            seen = []
+            real = svc._clients[1]._service.join
+
+            def lane_join(*args, **kwargs):
+                seen.append(_shm_names() - published)
+                if failing:
                     raise MemoryError("simulated shard join failure")
+                return real(*args, **kwargs)
 
-                monkeypatch.setattr(svc._clients[1]._service, "join", boom)
-                with pytest.raises(MemoryError, match="simulated"):
-                    svc.join(lats, lngs, exact=True)
-            else:
-                seen = []
-                real = svc._clients[0]._service.join
-
-                def spy(*args, **kwargs):
-                    seen.append(self._shm_names() - published)
-                    return real(*args, **kwargs)
-
-                monkeypatch.setattr(svc._clients[0]._service, "join", spy)
-                svc.join(lats, lngs, exact=True)
-                # Mid-dispatch the scatter buffer was the one new segment.
-                assert [len(names) for names in seen] == [1]
-            assert self._shm_names() == published
+            with monkeypatch.context() as patch:
+                patch.setattr(svc._clients[1]._service, "join", lane_join)
+                if failing:
+                    with pytest.raises(MemoryError, match="simulated"):
+                        svc.join(lats, lngs, exact=True)
+                else:
+                    assert_identical(svc.join(lats, lngs, exact=True), direct)
+            assert seen == [set()]  # mid-dispatch: nothing new
+            assert_identical(svc.join(lats, lngs, exact=True), direct)
+            assert _shm_names() == published
+        assert _shm_names() == before
 
     def test_spawn_seconds_reported_per_shard(self, index):
         with ShardedJoinService(index, num_shards=2, backend="inline") as svc:
