@@ -10,9 +10,9 @@ Design points reproduced from the paper:
 * **Configurable fanout** — ``fanout_bits`` of 2/4/8 bits per tree level
   correspond to 1/2/4 quadtree levels (the paper's ACT1/ACT2/ACT4).
 * **Key extension** — a cell whose level is not a multiple of the per-level
-  granularity ``delta`` is replaced by all descendants at the next multiple,
-  replicating its payload.  Every node then holds cells of one level only,
-  and a lookup within a node is a single offset access.
+  granularity ``delta`` stands for all its descendants at the next multiple,
+  its payload replicated over their slots.  Every node then holds cells of
+  one level only, and a lookup within a node is a single offset access.
 * **Combined pointer/value slots** — because super-covering cells are
   disjoint, a slot never needs both a child pointer and a value; 2 tag bits
   in each 8-byte slot distinguish pointer / one inlined reference / two
@@ -28,6 +28,17 @@ The node pool is a single numpy ``uint64`` array (node = ``fanout``
 consecutive slots), which makes the probe a level-synchronous gather loop
 over whole query batches and makes the modeled memory footprint (what the
 C++ original would allocate) exact: ``num_nodes * fanout * 8`` bytes.
+
+The build is a bulk load from the covering's sorted cell ids, in linear
+passes and without materialising the extended keys.  Above its value
+depth a cell's extended keys all share the cell's own prefix, so the
+cells decide the node set: per depth, the nodes are the distinct prefixes
+of the cells valued deeper, and on sorted ids "distinct" is "differs from
+the left neighbour" — no sort.  A cell at level ``L`` extended to ``T``
+fills ``4 ** (T - L)`` *consecutive* slots of one node, starting at its
+first descendant's slot; the slot positions of those runs and the entries
+repeated over them are the only arrays as long as the extended key set.
+(``tests/oracles.py`` keeps the key-materialising build as the oracle.)
 
 The probe is one descent for the whole batch.  8-entry *root tables*
 indexed by an id's face bits give every lane its tree's root and the
@@ -201,40 +212,74 @@ class AdaptiveCellTrie:
     # Build
     # ------------------------------------------------------------------
 
-    def _extended_level(self, level: int) -> int:
-        """Key extension target: next multiple of delta at or above level."""
-        remainder = level % self.delta
-        return level if remainder == 0 else level + (self.delta - remainder)
-
     def _build(self, super_covering: SuperCovering) -> None:
-        """Vectorized construction: key extension, node discovery, and slot
-        filling all run as numpy passes over flat key arrays."""
+        """Bulk construction from the sorted cells: node discovery, child
+        pointers and slot runs are linear numpy passes (module docstring)."""
         delta = self.delta
-        key_ids, key_entries, value_depths = self._extend_keys(super_covering)
-        self.num_keys = len(key_ids)
-        self._max_value_depth = int(value_depths.max()) if len(value_depths) else 0
+        fanout = self.fanout
+        ids = super_covering.cell_ids
+        entries = self.lookup_table.encode_covering(super_covering)
+        levels = levels_from_cell_ids(ids)
+        if np.any(levels < 0):
+            raise ValueError("invalid cell id in super covering")
+        # A cell's value sits at the tree depth of its extended level.
+        value_depths = (levels + (delta - 1)) // delta
+        if int(value_depths.max(initial=0)) * delta > MAX_LEVEL:
+            bad_level = int(levels[value_depths * delta > MAX_LEVEL][0])
+            raise ValueError(
+                f"cell at level {bad_level} cannot be key-extended to a multiple "
+                f"of {delta} within {MAX_LEVEL} levels; cap covering max_level at "
+                f"{MAX_LEVEL - delta + 1} or below for this fanout"
+            )
+        # Face-level cells (level 0) are handled outside the node pool.
+        face_level = levels == 0
+        if np.any(face_level):
+            for raw_id, entry in zip(ids[face_level], entries[face_level]):
+                self._face_values[int(raw_id) >> _FACE_SHIFT] = int(entry)
+            keep = ~face_level
+            ids, entries, levels, value_depths = (
+                ids[keep], entries[keep], levels[keep], value_depths[keep]
+            )
+        # A cell at level L extended to T stands for its 4^(T-L) descendants.
+        expansion = np.left_shift(np.int64(1), 2 * (value_depths * delta - levels))
+        self.num_keys = int(expansion.sum())
+        self._max_value_depth = int(value_depths.max()) if len(ids) else 0
         if self.num_keys == 0:
             self.num_nodes = 0
-            self.pool = np.zeros(self.fanout, dtype=np.uint64)
+            self.pool = np.zeros(fanout, dtype=np.uint64)
             return
 
-        faces = (key_ids >> np.uint64(_FACE_SHIFT)).astype(np.int64)
-        fanout = self.fanout
         max_depth = self._max_value_depth
+        slot_mask = np.uint64(fanout - 1)
         # Discover nodes: at depth d, one node per distinct prefix of the
-        # keys whose value sits deeper than d (prefix = id bits above the
-        # slot consumed at depth d+1).  Prefixes include the face bits, so
-        # all faces share the per-depth tables.
+        # cells whose value sits deeper than d (prefix = id bits above the
+        # slot consumed at depth d+1).  The ids are sorted, so are their
+        # prefixes: distinct is "differs from its left neighbour".  A cell
+        # valued at depth d+1 starts its slot run in the node it was just
+        # counted into.  Prefixes include the face bits, so all faces share
+        # the per-depth tables.
         depth_prefixes: list[np.ndarray] = []
         depth_bases: list[int] = []
+        run_starts = np.zeros(len(ids), dtype=np.int64)
         next_base = fanout  # node 0 is the sentinel
         for depth in range(max_depth):
-            sel = value_depths > depth
-            shift = np.uint64(_FACE_SHIFT - 2 * delta * depth)
-            prefixes = np.unique(key_ids[sel] >> shift)
-            depth_prefixes.append(prefixes)
+            rows = np.flatnonzero(value_depths > depth)
+            prefixes = ids[rows] >> np.uint64(_FACE_SHIFT - 2 * delta * depth)
+            is_new = np.ones(len(rows), dtype=bool)
+            is_new[1:] = prefixes[1:] != prefixes[:-1]
+            valued = value_depths[rows] == depth + 1
+            node = (np.cumsum(is_new) - 1)[valued]
+            rows = rows[valued]
+            # The first descendant's slot: the cell's bits below the node
+            # prefix, marker cleared, zeros down to the extended level.
+            first = ids[rows]
+            first &= first - np.uint64(1)
+            first >>= np.uint64(_FACE_SHIFT - 2 * delta * (depth + 1))
+            run_starts[rows] = next_base + node * fanout + (first & slot_mask).astype(np.int64)
+            nodes = prefixes[is_new]
+            depth_prefixes.append(nodes)
             depth_bases.append(next_base)
-            next_base += len(prefixes) * fanout
+            next_base += len(nodes) * fanout
 
         self.num_nodes = (next_base - fanout) // fanout
         pool = np.zeros(next_base, dtype=np.uint64)
@@ -244,7 +289,6 @@ class AdaptiveCellTrie:
             index = np.searchsorted(depth_prefixes[depth], prefixes)
             return depth_bases[depth] + index.astype(np.int64) * fanout
 
-        slot_mask = np.uint64(fanout - 1)
         # Child pointers: each depth-(d+1) node plugs into its parent.
         for depth in range(1, max_depth):
             child_prefixes = depth_prefixes[depth]
@@ -253,35 +297,36 @@ class AdaptiveCellTrie:
             parents = node_base(depth - 1, parent_prefixes)
             child_bases = depth_bases[depth] + np.arange(len(child_prefixes)) * fanout
             pool[parents + slots] = (child_bases.astype(np.uint64)) << np.uint64(2)
-        # Values: a key with value depth dv occupies a slot of its
-        # depth-(dv-1) node.
-        for depth in range(1, max_depth + 1):
-            sel = value_depths == depth
-            if not np.any(sel):
-                continue
-            ids = key_ids[sel]
-            shift = np.uint64(_FACE_SHIFT - 2 * delta * depth)
-            slots = ((ids >> shift) & slot_mask).astype(np.int64)
-            parent_prefixes = ids >> np.uint64(shift + np.uint64(2 * delta))
-            parents = node_base(depth - 1, parent_prefixes)
-            pool[parents + slots] = key_entries[sel]
+        # Values: every cell fills ``expansion`` consecutive slots from its
+        # run start.  Steps of 1 inside a run and a jump between runs, summed
+        # in place, are the slot positions — with the repeated entries the
+        # only arrays as long as the extended key set.
+        ends = np.cumsum(expansion)
+        positions = np.ones(self.num_keys, dtype=np.int64)
+        positions[0] = run_starts[0]
+        positions[ends[:-1]] = run_starts[1:] - (run_starts[:-1] + expansion[:-1] - 1)
+        np.cumsum(positions, out=positions)
+        pool[positions] = np.repeat(entries, expansion)
         self.pool = pool
 
         # Per-face roots and common prefixes: skip single-child chains above
-        # the shallowest value.
+        # the shallowest value.  A face is one sorted run of ids, so its
+        # cells share a prefix exactly when its first and last do.
+        face_bounds = np.searchsorted(
+            ids, np.arange(7, dtype=np.uint64) << np.uint64(_FACE_SHIFT)
+        )
         for face in range(6):
-            face_sel = faces == face
-            if not np.any(face_sel):
+            lo, hi = int(face_bounds[face]), int(face_bounds[face + 1])
+            if lo == hi:
                 continue
-            min_value_depth = int(value_depths[face_sel].min())
+            min_value_depth = int(value_depths[lo:hi].min())
             face_prefix = np.uint64(face)
             prefix_depth = 0
             for depth in range(1, min_value_depth):
                 shift = np.uint64(_FACE_SHIFT - 2 * delta * depth)
-                candidates = np.unique(key_ids[face_sel] >> shift)
-                if len(candidates) != 1:
+                if ids[lo] >> shift != ids[hi - 1] >> shift:
                     break
-                face_prefix = candidates[0]
+                face_prefix = ids[lo] >> shift
                 prefix_depth = depth
             root = node_base(prefix_depth, np.asarray([face_prefix], dtype=np.uint64))
             self._face_trees[face] = _FaceTree(
@@ -312,57 +357,6 @@ class AdaptiveCellTrie:
         for face, entry in self._face_values.items():
             self._face_entry[face] = entry
             self._has_face_entry[face] = True
-
-    def _extend_keys(
-        self, super_covering: SuperCovering
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Encode entries and apply key extension, fully vectorized.
-
-        Returns ``(key ids, tagged entries, value depths)`` where the value
-        depth of a key at (extended) level L is ``L / delta``.
-        """
-        delta = self.delta
-        ids = super_covering.cell_ids
-        entries = self.lookup_table.encode_covering(super_covering)
-        lsb = ids & (~ids + np.uint64(1))
-        levels = levels_from_cell_ids(ids)
-        if np.any(levels < 0):
-            raise ValueError("invalid cell id in super covering")
-        remainders = levels % delta
-        targets = levels + np.where(remainders > 0, delta - remainders, 0)
-        if int(targets.max(initial=0)) > MAX_LEVEL:
-            bad_level = int(levels[targets > MAX_LEVEL][0])
-            raise ValueError(
-                f"cell at level {bad_level} cannot be key-extended to a multiple "
-                f"of {delta} within {MAX_LEVEL} levels; cap covering max_level at "
-                f"{MAX_LEVEL - delta + 1} or below for this fanout"
-            )
-        # Face-level cells (level 0) are handled outside the node pool.
-        face_level = levels == 0
-        if np.any(face_level):
-            for raw_id, entry in zip(ids[face_level], entries[face_level]):
-                self._face_values[int(raw_id) >> _FACE_SHIFT] = int(entry)
-            keep = ~face_level
-            ids, entries, levels, targets, lsb = (
-                ids[keep], entries[keep], levels[keep], targets[keep], lsb[keep]
-            )
-        # Key extension: a cell at level L with target T > L becomes the
-        # 4^(T-L) descendants at level T; descendant k's id is
-        # id - lsb + lsb' + 2 * lsb' * k   with lsb' = 1 << (2*(30-T)).
-        expansion = np.left_shift(np.int64(1), 2 * (targets - levels)).astype(np.int64)
-        total = int(expansion.sum())
-        out_ids = np.repeat(ids, expansion)
-        out_entries = np.repeat(entries, expansion)
-        out_depths = np.repeat((targets // delta).astype(np.int64), expansion)
-        new_lsb = np.uint64(1) << (np.uint64(2) * (np.uint64(MAX_LEVEL) - targets.astype(np.uint64)))
-        base = ids - lsb + new_lsb  # descendant 0
-        out_base = np.repeat(base, expansion)
-        out_step = np.repeat(np.uint64(2) * new_lsb, expansion)
-        # Per-key descendant counter 0..expansion-1.
-        starts = np.cumsum(expansion) - expansion
-        counter = np.arange(total, dtype=np.int64) - np.repeat(starts, expansion)
-        out_ids = out_base + out_step * counter.astype(np.uint64)
-        return out_ids, out_entries, out_depths
 
     # ------------------------------------------------------------------
     # Probe

@@ -15,6 +15,14 @@ offline build, the delta-overlay builds of
 :class:`~repro.core.dynamic.DynamicPolygonIndex`, and background
 compaction — runs the exact same code instead of re-implementing it.
 
+A rebuild pays for what changed.  A covering is a pure function of
+(geometry, options), so :func:`cover_polygons` keeps each polygon's last
+coverings on the polygon object (``Polygon._cover_cache``, beside the
+bucket rows and the relation classifier): across inserts, compactions,
+``retrain`` and ``add_polygon`` a surviving polygon is never re-covered,
+re-bucketed or re-classified, and :class:`BuildTimings` ``.covered`` says
+how many polygons a build did have to cover.
+
 A built index is read through one door: :meth:`ProbeView.join` checks the
 batch, computes the leaf cell ids and hands the view's own fields to the
 one join driver (:func:`repro.core.joins.join_batch`);
@@ -103,6 +111,8 @@ class BuildTimings:
     refinement_seconds: float = 0.0
     training_seconds: float = 0.0
     store_build_seconds: float = 0.0
+    #: Polygons whose covering was computed, not reused from their memo.
+    covered: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -120,14 +130,71 @@ class BuildTimings:
 # ----------------------------------------------------------------------
 
 
+def _frozen_ids(cells: Sequence[CellId]) -> np.ndarray:
+    ids = np.fromiter((cell.id for cell in cells), dtype=np.uint64, count=len(cells))
+    ids.setflags(write=False)
+    return ids
+
+
+def _cover_polygons(
+    polygons: Sequence[Polygon],
+    covering_options: CovererOptions,
+    interior_options: CovererOptions,
+) -> tuple[list[tuple[list[CellId], list[CellId]]], int]:
+    """:func:`cover_polygons` plus how many polygons it had to cover.
+
+    The memo's only reader and writer.  An entry is one immutable tuple
+    ``(covering options, interior options, covering ids, interior ids)``
+    (read-only ``uint64`` arrays, <= 384 ids with the defaults) for the
+    last options pair the polygon was covered with; another pair re-covers
+    and replaces it.  A benign race like ``Polygon._refine_cache``: two
+    threads covering one polygon compute equal entries and one store wins;
+    every caller builds its result from the entry it read once or from
+    what it computed itself, so a concurrent replacement under other
+    options cannot reach it.
+    """
+    options = (covering_options, interior_options)
+    coverings: list = [None] * len(polygons)
+    misses = []
+    for row, polygon in enumerate(polygons):
+        entry = polygon._cover_cache
+        if entry is None or entry[:2] != options:
+            misses.append(row)
+        else:
+            # New lists and cells per call: they are the caller's.
+            coverings[row] = (
+                list(map(CellId, entry[2].tolist())),
+                list(map(CellId, entry[3].tolist())),
+            )
+    if misses:
+        # One batched call for all misses: polygons are covered
+        # independently, so block boundaries cannot change a covering.
+        specs = [(covering_options, False), (interior_options, True)]
+        fresh = batch_coverings([polygons[row] for row in misses], specs)
+        for row, (covering, interior) in zip(misses, fresh):
+            polygons[row]._cover_cache = (
+                *options,
+                _frozen_ids(covering),
+                _frozen_ids(interior),
+            )
+            coverings[row] = (covering, interior)
+    return coverings, len(misses)
+
+
 def cover_polygons(
     polygons: Sequence[Polygon],
     covering_options: CovererOptions = DEFAULT_COVERING_OPTIONS,
     interior_options: CovererOptions = DEFAULT_INTERIOR_OPTIONS,
 ) -> list[tuple[list[CellId], list[CellId]]]:
-    """Stage 1: every polygon's covering and interior covering, batched."""
-    specs = [(covering_options, False), (interior_options, True)]
-    return [tuple(pair) for pair in batch_coverings(polygons, specs)]
+    """Stage 1: every polygon's covering and interior covering, batched.
+
+    A polygon covered with these options before (by any build, insert or
+    compaction, while the object lives) is not covered again: the
+    coverings come from its memo, in order with the newly covered ones.
+    The memo is keyed by the options pair, lives on the polygon object
+    and is never serialized.
+    """
+    return _cover_polygons(polygons, covering_options, interior_options)[0]
 
 
 def cover_polygon(
@@ -185,7 +252,7 @@ def build_pipeline(
         indexed = [
             (validate_polygon_id(pid), polygon) for pid, polygon in polygons_with_ids
         ]
-        coverings = cover_polygons(
+        coverings, covered = _cover_polygons(
             [polygon for _, polygon in indexed], covering_options, interior_options
         )
         per_polygon = [
@@ -197,6 +264,7 @@ def build_pipeline(
     timings = BuildTimings(
         individual_coverings_seconds=cover_timer.seconds,
         super_covering_seconds=merge_timer.seconds,
+        covered=covered,
     )
     if precision_meters is not None:
         with Timer() as refine_timer:
@@ -327,6 +395,12 @@ class PolygonIndex:
         self.training_report = training_report
         self.version = next_index_version() if version is None else version
         self._probe_view: ProbeView | None = None
+        # What add_polygon covers a new polygon with.  build() and
+        # compaction record the options they ran with; an index loaded
+        # from a file or attached to a snapshot keeps the defaults (the
+        # formats do not carry them).
+        self.covering_options = DEFAULT_COVERING_OPTIONS
+        self.interior_options = DEFAULT_INTERIOR_OPTIONS
 
     # ------------------------------------------------------------------
     # Construction
@@ -369,7 +443,7 @@ class PolygonIndex:
             training_order=training_order,
             fanout_bits=fanout_bits,
         )
-        return cls(
+        index = cls(
             polygons,
             artifacts.super_covering,
             artifacts.store,
@@ -378,6 +452,9 @@ class PolygonIndex:
             precision_meters,
             artifacts.training_report,
         )
+        index.covering_options = covering_options
+        index.interior_options = interior_options
+        return index
 
     # ------------------------------------------------------------------
     # Queries
@@ -459,12 +536,18 @@ class PolygonIndex:
         as the build phase; here it is literally the build's merge sweep,
         over the existing cells plus the new ones (and the static trie is
         rebuilt, as the paper's ACT is immutable once built).  Returns the new
-        polygon id.  For frequent updates, prefer
+        polygon id.  The polygon is covered with the options the index was
+        built with (``covering_options`` / ``interior_options``), so its
+        cells are those of a fresh build; a loaded or attached index
+        covers with the defaults, as the file formats carry no options.
+        For frequent updates, prefer
         :class:`~repro.core.dynamic.DynamicPolygonIndex`, which amortizes
         the rebuild behind a delta overlay.
         """
         new_pid = validate_polygon_id(len(self.polygons))
-        covering, interior = cover_polygon(polygon)
+        covering, interior = cover_polygon(
+            polygon, self.covering_options, self.interior_options
+        )
         self.super_covering.insert_covering(new_pid, covering, interior)
         self.polygons.append(polygon)
         if self.precision_meters is not None:
@@ -518,7 +601,7 @@ class PolygonIndex:
             training_seconds=train_timer.seconds,
             store_build_seconds=store_timer.seconds,
         )
-        return PolygonIndex(
+        index = PolygonIndex(
             list(self.polygons),
             covering,
             store,
@@ -527,6 +610,9 @@ class PolygonIndex:
             self.precision_meters,
             report,
         )
+        index.covering_options = self.covering_options
+        index.interior_options = self.interior_options
+        return index
 
     # ------------------------------------------------------------------
     # Introspection

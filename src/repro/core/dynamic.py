@@ -25,7 +25,13 @@ mutable delta, compacted in the background) to the ACT stack:
 * once the pending-operation count reaches ``compact_threshold``,
   **compaction** runs the full build pipeline into a fresh versioned
   snapshot (inline, or on a background thread with ``background=True``
-  while reads and writes continue) and atomically installs it.
+  while reads and writes continue) and atomically installs it.  It pays
+  for what changed: a surviving polygon is never re-covered, re-bucketed
+  or re-classified (its coverings, bucket rows and relation classifier
+  are memoized on the polygon object — an insert's covering is the one
+  its compaction reuses), and the ACT is bulk-built from the sorted
+  covering in linear passes.  The ``compaction`` event says what the
+  rebuild cost (``cover_seconds``, ``store_seconds``, ``covered``).
 
 Polygon ids are *stable*: an insert is assigned the next id and keeps it
 across compactions; a delete leaves a hole (``None``) rather than
@@ -624,7 +630,7 @@ class DynamicPolygonIndex:
             training_order=captured.training_order,
             fanout_bits=self._fanout_bits,
         )
-        return PolygonIndex(
+        snapshot = PolygonIndex(
             polygons_by_id,
             artifacts.super_covering,
             artifacts.store,
@@ -633,6 +639,9 @@ class DynamicPolygonIndex:
             self.precision_meters,
             artifacts.training_report,
         )
+        snapshot.covering_options = self._covering_options
+        snapshot.interior_options = self._interior_options
+        return snapshot
 
     def _install_base(
         self,
@@ -679,6 +688,11 @@ class DynamicPolygonIndex:
                         replayed_ops=len(remaining),
                         live_polygons=len(self._polygons)
                         - len(self._tombstones),
+                        # What the rebuild cost, and for how many polygons
+                        # the covering was computed rather than remembered.
+                        cover_seconds=base.timings.individual_coverings_seconds,
+                        store_seconds=base.timings.store_build_seconds,
+                        covered=base.timings.covered,
                     )
             self._refresh_view()
             return True

@@ -243,6 +243,7 @@ def unpack_polygon_geometry(
         polygon._edge_cache = None
         polygon._refine_cache = None
         polygon._relation_cache = None
+        polygon._cover_cache = None
         polygons.append(polygon)
     return polygons
 

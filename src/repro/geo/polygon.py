@@ -76,7 +76,7 @@ class Polygon:
     """One outer ring plus optional hole rings, with even-odd semantics."""
 
     __slots__ = ("outer", "holes", "_mbr", "_edge_cache", "_refine_cache",
-                 "_relation_cache")
+                 "_relation_cache", "_cover_cache")
 
     def __init__(self, outer: Ring | Sequence[tuple[float, float]],
                  holes: Sequence[Ring | Sequence[tuple[float, float]]] = ()):
@@ -86,6 +86,9 @@ class Polygon:
         self._edge_cache: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
         self._refine_cache = None  # lazily built by repro.geo.refine
         self._relation_cache = None  # lazily built by repro.geo.relation
+        # (covering options, interior options, covering ids, interior ids)
+        # of the last covering, kept by repro.core.builder.cover_polygons.
+        self._cover_cache = None
 
     @property
     def rings(self) -> list[Ring]:
@@ -125,9 +128,9 @@ class Polygon:
         """Pickle only the geometry, never the lazy caches.
 
         The derived caches (edge arrays, refinement bucket rows, the
-        relation classifier) are all recomputable and can dwarf
-        the vertex data; dropping them keeps spawn-shipped shard
-        payloads lean.
+        relation classifier, the last coverings) are all recomputable
+        and can dwarf the vertex data; dropping them keeps
+        spawn-shipped shard payloads lean.
         """
         return self.outer, self.holes
 

@@ -56,6 +56,24 @@ def holed_polygon() -> Polygon:
 
 
 @pytest.fixture()
+def covered(monkeypatch: pytest.MonkeyPatch) -> list[list[Polygon]]:
+    """The polygons each ``batch_coverings`` call of ``core.builder``
+    covered, call by call (``cover_polygons`` covers only what a polygon's
+    memo does not already hold)."""
+    from repro.core import builder
+
+    calls: list[list[Polygon]] = []
+    real = builder.batch_coverings
+
+    def spy(polygons, specs):
+        calls.append(list(polygons))
+        return real(polygons, specs)
+
+    monkeypatch.setattr(builder, "batch_coverings", spy)
+    return calls
+
+
+@pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 

@@ -27,6 +27,13 @@ per-polygon-mask refinement loop — lived under ``src/`` because ``python -m
 repro.bench refine`` timed it.  That runner is retired; the loop lives on
 here as the oracle ``tests/test_refine.py`` holds ``RefinementEngine.refine``
 against, element for element and in order.
+
+Until 1.18.0 ``AdaptiveCellTrie._build`` materialised every extended key
+(``_extend_keys``) and found each depth's nodes with ``np.unique`` over
+them.  The build now works on the sorted cells — adjacent prefixes, slot
+runs; the key-materialising construction lives on here as
+:func:`act_pool_by_key_extension`, which ``tests/test_act.py`` holds the
+pool, the face trees and the lookup table against, bit for bit.
 """
 
 from __future__ import annotations
@@ -45,6 +52,8 @@ from repro.cells.projections import MAX_SIZE
 from repro.cells.coverer import CovererOptions
 from repro.cells.metrics import level_for_max_diag_meters
 from repro.cells.cellid import cell_difference
+from repro.cells.vectorized import levels_from_cell_ids
+from repro.core.lookup_table import LookupTable
 from repro.core.refs import PolygonRef, merge_refs
 from repro.core.super_covering import SuperCovering
 from repro.core.training import TrainingReport, _classify_children
@@ -666,3 +675,135 @@ def refine_candidates_masks(
     keep_points = np.concatenate([point_idx[is_true], cand_points[accepted]])
     keep_pids = np.concatenate([pids[is_true], cand_pids[accepted]])
     return keep_points, keep_pids, int(len(cand_points)), int(np.unique(cand_points).size)
+
+
+# ----------------------------------------------------------------------
+# the key-materialising ACT build
+# ----------------------------------------------------------------------
+
+_FACE_SHIFT = 61
+
+
+def _extend_keys(
+    covering: SuperCovering,
+    delta: int,
+    lookup_table: LookupTable,
+    face_values: dict[int, int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encode entries and apply key extension: ``(key ids, tagged entries,
+    value depths)``; level-0 cells go to ``face_values``."""
+    ids = covering.cell_ids
+    entries = lookup_table.encode_covering(covering)
+    lsb = ids & (~ids + np.uint64(1))
+    levels = levels_from_cell_ids(ids)
+    if np.any(levels < 0):
+        raise ValueError("invalid cell id in super covering")
+    remainders = levels % delta
+    targets = levels + np.where(remainders > 0, delta - remainders, 0)
+    if int(targets.max(initial=0)) > MAX_CELL_LEVEL:
+        bad_level = int(levels[targets > MAX_CELL_LEVEL][0])
+        raise ValueError(
+            f"cell at level {bad_level} cannot be key-extended to a multiple "
+            f"of {delta} within {MAX_CELL_LEVEL} levels; cap covering max_level at "
+            f"{MAX_CELL_LEVEL - delta + 1} or below for this fanout"
+        )
+    face_level = levels == 0
+    if np.any(face_level):
+        for raw_id, entry in zip(ids[face_level], entries[face_level]):
+            face_values[int(raw_id) >> _FACE_SHIFT] = int(entry)
+        keep = ~face_level
+        ids, entries, levels, targets, lsb = (
+            ids[keep], entries[keep], levels[keep], targets[keep], lsb[keep]
+        )
+    # A cell at level L with target T > L becomes the 4^(T-L) descendants
+    # at level T; descendant k's id is
+    # id - lsb + lsb' + 2 * lsb' * k   with lsb' = 1 << (2*(30-T)).
+    expansion = np.left_shift(np.int64(1), 2 * (targets - levels)).astype(np.int64)
+    total = int(expansion.sum())
+    out_entries = np.repeat(entries, expansion)
+    out_depths = np.repeat((targets // delta).astype(np.int64), expansion)
+    new_lsb = np.uint64(1) << (
+        np.uint64(2) * (np.uint64(MAX_CELL_LEVEL) - targets.astype(np.uint64))
+    )
+    out_base = np.repeat(ids - lsb + new_lsb, expansion)  # descendant 0
+    out_step = np.repeat(np.uint64(2) * new_lsb, expansion)
+    starts = np.cumsum(expansion) - expansion
+    counter = np.arange(total, dtype=np.int64) - np.repeat(starts, expansion)
+    return out_base + out_step * counter.astype(np.uint64), out_entries, out_depths
+
+
+def act_pool_by_key_extension(
+    covering: SuperCovering, fanout_bits: int, lookup_table: LookupTable | None = None
+) -> tuple[np.ndarray, dict[int, tuple[int, int, int, int]], dict[int, int], int]:
+    """The ACT build as it ran until 1.18.0: every extended key
+    materialised, one ``np.unique`` over them per depth.
+
+    Returns ``(pool, face_trees, face_values, num_keys)`` with
+    ``face_trees[face] = (root_base, prefix_shift, prefix_value,
+    prefix_depth)``; entries are encoded against ``lookup_table`` (a fresh
+    one by default).
+    """
+    delta = fanout_bits // 2
+    fanout = 1 << fanout_bits
+    face_values: dict[int, int] = {}
+    key_ids, key_entries, value_depths = _extend_keys(
+        covering,
+        delta,
+        lookup_table if lookup_table is not None else LookupTable(),
+        face_values,
+    )
+    face_trees: dict[int, tuple[int, int, int, int]] = {}
+    if len(key_ids) == 0:
+        return np.zeros(fanout, dtype=np.uint64), face_trees, face_values, 0
+    faces = (key_ids >> np.uint64(_FACE_SHIFT)).astype(np.int64)
+    max_depth = int(value_depths.max())
+    depth_prefixes: list[np.ndarray] = []
+    depth_bases: list[int] = []
+    next_base = fanout  # node 0 is the sentinel
+    for depth in range(max_depth):
+        shift = np.uint64(_FACE_SHIFT - 2 * delta * depth)
+        prefixes = np.unique(key_ids[value_depths > depth] >> shift)
+        depth_prefixes.append(prefixes)
+        depth_bases.append(next_base)
+        next_base += len(prefixes) * fanout
+    pool = np.zeros(next_base, dtype=np.uint64)
+
+    def node_base(depth: int, prefixes: np.ndarray) -> np.ndarray:
+        index = np.searchsorted(depth_prefixes[depth], prefixes)
+        return depth_bases[depth] + index.astype(np.int64) * fanout
+
+    slot_mask = np.uint64(fanout - 1)
+    for depth in range(1, max_depth):
+        child_prefixes = depth_prefixes[depth]
+        slots = (child_prefixes & slot_mask).astype(np.int64)
+        parents = node_base(depth - 1, child_prefixes >> np.uint64(2 * delta))
+        child_bases = depth_bases[depth] + np.arange(len(child_prefixes)) * fanout
+        pool[parents + slots] = (child_bases.astype(np.uint64)) << np.uint64(2)
+    for depth in range(1, max_depth + 1):
+        sel = value_depths == depth
+        ids = key_ids[sel]
+        shift = np.uint64(_FACE_SHIFT - 2 * delta * depth)
+        slots = ((ids >> shift) & slot_mask).astype(np.int64)
+        parents = node_base(depth - 1, ids >> np.uint64(shift + np.uint64(2 * delta)))
+        pool[parents + slots] = key_entries[sel]
+    for face in range(6):
+        face_sel = faces == face
+        if not np.any(face_sel):
+            continue
+        face_prefix = np.uint64(face)
+        prefix_depth = 0
+        for depth in range(1, int(value_depths[face_sel].min())):
+            shift = np.uint64(_FACE_SHIFT - 2 * delta * depth)
+            candidates = np.unique(key_ids[face_sel] >> shift)
+            if len(candidates) != 1:
+                break
+            face_prefix = candidates[0]
+            prefix_depth = depth
+        root = node_base(prefix_depth, np.asarray([face_prefix], dtype=np.uint64))
+        face_trees[face] = (
+            int(root[0]),
+            _FACE_SHIFT - 2 * delta * prefix_depth,
+            int(face_prefix),
+            prefix_depth,
+        )
+    return pool, face_trees, face_values, len(key_ids)

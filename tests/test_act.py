@@ -204,6 +204,129 @@ class TestInstrumentation:
 
 
 # ----------------------------------------------------------------------
+# The bulk build against the retired key-materialising build
+# ----------------------------------------------------------------------
+
+def descend(cell: CellId, positions) -> CellId:
+    for position in positions:
+        cell = cell.child(position)
+    return cell
+
+
+_ref_rows = st.lists(
+    st.builds(PolygonRef, st.integers(0, 40), st.booleans()),
+    min_size=1,
+    max_size=4,  # one / two inlined references, and TAG_OFFSET rows
+    unique_by=lambda ref: ref.polygon_id,
+).map(lambda refs: tuple(sorted(refs)))
+
+
+@st.composite
+def disjoint_covering(draw, max_level: int):
+    """Disjoint cells on up to three faces (none: the empty covering).  A
+    face is one level-0 cell, or a few cells under a stem of any length —
+    a long stem is a single-child chain, i.e. a non-zero ``prefix_depth``
+    — at levels 1 ... ``max_level``."""
+    position = st.integers(0, 3)
+    cells: list[CellId] = []
+    for face in draw(st.lists(st.integers(0, 5), max_size=3, unique=True)):
+        root = CellId.face_cell(face)
+        if draw(st.integers(0, 4)) == 0:
+            cells.append(root)
+            continue
+        stem = descend(
+            root, draw(st.lists(position, min_size=1, max_size=max_level - 1))
+        )
+        for _ in range(draw(st.integers(1, 6))):
+            room = min(8, max_level - stem.level)
+            cell = descend(stem, draw(st.lists(position, max_size=room)))
+            if not any(cell.intersects(other) for other in cells):
+                cells.append(cell)
+    return oracles.covering_from_dict({cell.id: draw(_ref_rows) for cell in cells})
+
+
+def _face_trees(act: AdaptiveCellTrie) -> dict[int, tuple[int, int, int, int]]:
+    return {
+        face: (tree.root_base, tree.prefix_shift, tree.prefix_value, tree.prefix_depth)
+        for face, tree in act._face_trees.items()
+    }
+
+
+class TestBulkBuildParity:
+    """``AdaptiveCellTrie._build`` works on the sorted cells; the build it
+    replaced materialised every extended key (``tests/oracles.py``).  Both
+    must produce the same trie, bit for bit."""
+
+    def _assert_same(self, covering: SuperCovering, fanout_bits: int) -> None:
+        act = AdaptiveCellTrie(covering, fanout_bits, LookupTable())
+        table = LookupTable()
+        pool, face_trees, face_values, num_keys = oracles.act_pool_by_key_extension(
+            covering, fanout_bits, table
+        )
+        assert act.pool.dtype == pool.dtype
+        assert np.array_equal(act.pool, pool)
+        assert act.num_nodes == len(pool) // act.fanout - 1  # the sentinel
+        assert act.num_keys == num_keys
+        assert _face_trees(act) == face_trees
+        assert act._face_values == face_values
+        assert np.array_equal(act.lookup_table.array, table.array)
+        depths = [
+            -(-CellId(raw).level // act.delta)
+            for raw in covering.cell_ids.tolist()
+        ]
+        assert act._max_value_depth == max(depths, default=0)
+
+    @settings(max_examples=120, deadline=None)
+    @given(disjoint_covering(max_level=28), st.sampled_from([2, 4, 8]))
+    def test_matches_key_extension_build(self, covering, fanout_bits):
+        self._assert_same(covering, fanout_bits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(disjoint_covering(max_level=30))
+    def test_every_level_for_fanout_bits_2(self, covering):
+        self._assert_same(covering, 2)
+
+    @pytest.mark.parametrize("fanout_bits", [2, 4, 8])
+    def test_trained_covering(self, fanout_bits, overlap_grid_polygons):
+        """A real covering: interiors, candidates, shared reference sets."""
+        from repro.core.builder import PolygonIndex
+
+        self._assert_same(
+            PolygonIndex.build(overlap_grid_polygons).super_covering, fanout_bits
+        )
+
+    @pytest.mark.parametrize("fanout_bits, level", [(8, 29), (8, 30)])
+    def test_extension_past_level_30_keeps_its_message(self, fanout_bits, level):
+        covering = make_covering(
+            [
+                (CellId.face_cell(SHALLOW_FACE).child(1), [PolygonRef(0, True)]),
+                (BASE.parent(level), [PolygonRef(1, True)]),
+            ]
+        )
+        delta = fanout_bits // 2
+        message = (
+            f"cell at level {level} cannot be key-extended to a multiple of "
+            f"{delta} within 30 levels; cap covering max_level at "
+            f"{30 - delta + 1} or below for this fanout"
+        )
+        with pytest.raises(ValueError) as ours:
+            AdaptiveCellTrie(covering, fanout_bits)
+        with pytest.raises(ValueError) as theirs:
+            oracles.act_pool_by_key_extension(covering, fanout_bits)
+        assert str(ours.value) == str(theirs.value) == message
+
+    def test_invalid_cell_id_keeps_its_message(self):
+        covering = SuperCovering._of(
+            np.asarray([1 << 62], dtype=np.uint64),  # marker above the face bits
+            np.asarray([0, 1], dtype=np.int64),
+            np.asarray([2], dtype=np.uint32),
+        )
+        for build in (AdaptiveCellTrie, oracles.act_pool_by_key_extension):
+            with pytest.raises(ValueError, match="^invalid cell id in super covering$"):
+                build(covering, 8)
+
+
+# ----------------------------------------------------------------------
 # The one-descent probe: root tables, sentinel retirement, compaction
 # ----------------------------------------------------------------------
 
@@ -211,12 +334,6 @@ class TestInstrumentation:
 #: level-0 cell on two other faces, and the remaining faces hold nothing.
 DEEP_FACE = BASE.id >> 61
 SHALLOW_FACE, VALUE_FACE = [face for face in range(6) if face != DEEP_FACE][:2]
-
-
-def descend(cell: CellId, positions) -> CellId:
-    for position in positions:
-        cell = cell.child(position)
-    return cell
 
 
 def leaf_under(cell: CellId, fraction: float) -> int:

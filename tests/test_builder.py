@@ -1,10 +1,17 @@
 """Tests for the PolygonIndex facade."""
 
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.baselines import BTreeStore, SortedVectorStore
-from repro.core import LookupTable, PolygonIndex, accurate_join
+from repro.cells import CovererOptions
+from repro.cells.coverer import batch_coverings
+from repro.core import LookupTable, PolygonIndex, accurate_join, builder
+from repro.core.builder import cover_polygon, cover_polygons
 from repro.geo.pip import contains_points
 from repro.geo.polygon import regular_polygon
 
@@ -151,3 +158,132 @@ class TestAddPolygon:
         brute = np.array([contains_points(p, lngs, lats).sum() for p in all_polygons])
         result = index.join(lats, lngs, exact=True)
         assert (result.counts == brute).all()
+
+    def test_add_polygon_covers_with_the_build_options(self, polygons):
+        """The added polygon's cells are those of a fresh build with the
+        options the index was built with, not the defaults'."""
+        options = {
+            "covering_options": CovererOptions(max_cells=16, max_level=20),
+            "interior_options": CovererOptions(max_cells=16, max_level=14),
+        }
+        new_polygon = regular_polygon((-73.98, 40.72), 0.005, 12)
+        index = PolygonIndex.build(polygons, **options)
+        index.add_polygon(new_polygon)
+        fresh = PolygonIndex.build([*polygons, new_polygon], **options)
+        for name in ("cell_ids", "ref_offsets", "packed_refs"):
+            assert np.array_equal(
+                getattr(index.super_covering, name), getattr(fresh.super_covering, name)
+            )
+        default = PolygonIndex.build([*polygons, new_polygon])
+        assert not np.array_equal(
+            index.super_covering.cell_ids, default.super_covering.cell_ids
+        )
+
+
+def _ids(coverings):
+    return [
+        ([cell.id for cell in covering], [cell.id for cell in interior])
+        for covering, interior in coverings
+    ]
+
+
+class TestCoverMemo:
+    """``cover_polygons`` keeps a polygon's last coverings on the object."""
+
+    DEFAULT = (builder.DEFAULT_COVERING_OPTIONS, builder.DEFAULT_INTERIOR_OPTIONS)
+    OTHER = (CovererOptions(max_cells=16, max_level=20), CovererOptions(max_cells=16))
+
+    def _fresh(self, count=3):
+        return [
+            regular_polygon((-74.0 + 0.02 * k, 40.70), 0.005, 12) for k in range(count)
+        ]
+
+    def _uncached(self, polygons, options=DEFAULT):
+        specs = [(options[0], False), (options[1], True)]
+        return _ids(batch_coverings(polygons, specs))  # not through the spy
+
+    def test_same_object_is_covered_once(self, covered):
+        polygons = self._fresh()
+        first = cover_polygons(polygons)
+        second = cover_polygons(polygons)
+        assert covered == [polygons]
+        assert _ids(first) == _ids(second) == self._uncached(self._fresh())
+
+    def test_hits_and_misses_interleave_in_order(self, covered):
+        a, b, c, d = self._fresh(4)
+        cover_polygons([b, d])
+        assert _ids(cover_polygons([a, b, c, d])) == self._uncached(self._fresh(4))
+        assert covered == [[b, d], [a, c]]  # the misses, in one batched call
+
+    def test_other_options_recover_and_replace(self, covered):
+        (polygon,) = self._fresh(1)
+        default = _ids([cover_polygon(polygon)])
+        other = _ids([cover_polygon(polygon, *self.OTHER)])
+        assert other == self._uncached(self._fresh(1), self.OTHER) != default
+        assert polygon._cover_cache[:2] == self.OTHER
+        cover_polygon(polygon, *self.OTHER)
+        assert covered == [[polygon]] * 2
+        assert _ids([cover_polygon(polygon)]) == default  # evicted: covered again
+        assert covered == [[polygon]] * 3
+
+    def test_equal_geometry_new_object_is_a_miss(self, covered):
+        cover_polygons(self._fresh(1))
+        cover_polygons(self._fresh(1))
+        assert len(covered) == 2
+
+    def test_pickle_carries_no_memo(self):
+        (polygon,) = self._fresh(1)
+        cover_polygon(polygon)
+        assert polygon._cover_cache is not None
+        assert pickle.loads(pickle.dumps(polygon))._cover_cache is None
+
+    def test_returned_coverings_are_the_callers(self):
+        (polygon,) = self._fresh(1)
+        covering, interior = cover_polygon(polygon)
+        expected = _ids([(covering, interior)])
+        covering.clear()
+        interior.reverse()
+        assert _ids([cover_polygon(polygon)]) == expected
+        with pytest.raises(ValueError):
+            polygon._cover_cache[2][0] = 0  # the memo itself is read-only
+
+    def test_racing_option_pairs_each_get_their_own_covering(self):
+        """The memo is a benign race: threads covering one polygon under
+        two option pairs keep replacing its entry, and every call still
+        returns the covering of the options it asked for."""
+        (polygon,) = self._fresh(1)
+        expected = {
+            options: self._uncached([polygon], options)
+            for options in (self.DEFAULT, self.OTHER)
+        }
+        wrong: list[tuple] = []
+        stop = threading.Event()
+
+        def worker(options):
+            while not stop.is_set():
+                if _ids([cover_polygon(polygon, *options)]) != expected[options]:
+                    wrong.append(options)
+
+        threads = [
+            threading.Thread(target=worker, args=(options,), daemon=True)
+            for options in (self.DEFAULT, self.OTHER) * 3
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            stop.wait(0.5)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_build_counts_what_it_covered(self):
+        polygons = self._fresh()
+        assert PolygonIndex.build(polygons).timings.covered == 3
+        assert PolygonIndex.build(polygons).timings.covered == 0
+        assert PolygonIndex.build(polygons + self._fresh(1)).timings.covered == 1

@@ -362,6 +362,59 @@ class TestCompaction:
         assert snapshot.version > before
         assert dyn.version > snapshot.version  # install bumps once more
 
+    def test_compaction_covers_only_polygons_never_covered(self, covered):
+        """An insert's covering is the one its compaction reuses: after 8
+        inserts and 8 deletes a compaction covers nothing, and its result
+        is a fresh build over the live set on brand-new polygon objects,
+        cell for cell."""
+
+        def venues(count, first=0):
+            return [
+                regular_polygon((-74.0 + 0.004 * k, 40.70 + 0.003 * (k % 5)), 0.004, 7 + k)
+                for k in range(first, first + count)
+            ]
+
+        initial = venues(8)
+        dyn = DynamicPolygonIndex(PolygonIndex.build(initial), compact_threshold=None)
+        for polygon in venues(8, first=8):
+            dyn.insert(polygon)
+        for pid in (0, 9, 3, 12, 5, 15, 6, 10):
+            dyn.delete(pid)
+        assert sum(map(len, covered)) == 16  # each polygon once, when it arrived
+        covered.clear()
+        compacted = dyn.compact()
+        assert covered == []
+        assert compacted.timings.covered == 0
+        # A polygon that never went through this process's coverer (a
+        # restored base, say) is the only one a compaction has to cover.
+        stranger = venues(1, first=16)[0]
+        restored = DynamicPolygonIndex(
+            PolygonIndex(
+                [*compacted.polygons, stranger],
+                compacted.super_covering,
+                compacted.store,
+                compacted.lookup_table,
+                compacted.timings,
+                None,
+                None,
+            ),
+            compact_threshold=None,
+        )
+        assert restored.compact().timings.covered == 1
+        assert covered == [[stranger]]
+        live = dyn.live_polygon_ids
+        twins = venues(16)
+        fresh = PolygonIndex.build([twins[pid] for pid in live])
+        assert np.array_equal(compacted.super_covering.cell_ids, fresh.super_covering.cell_ids)
+        assert np.array_equal(
+            compacted.super_covering.ref_offsets, fresh.super_covering.ref_offsets
+        )
+        stable = np.asarray(live, dtype=np.uint32)
+        packed = fresh.super_covering.packed_refs
+        assert np.array_equal(
+            compacted.super_covering.packed_refs, (stable[packed >> 1] << 1) | (packed & 1)
+        )
+
     def test_background_compaction_with_concurrent_reads(self):
         dyn = DynamicPolygonIndex.build(
             POOL[:2], compact_threshold=3, background=True

@@ -465,6 +465,13 @@ class TestServiceIntegration:
         event = obs.events.events("compaction")[0]
         assert event["compactions"] == 1
         assert event["live_polygons"] == 5
+        # What the rebuild cost: the snapshot's build timings, and how
+        # many polygons it had to cover (none: the four were covered by
+        # the build, the fifth by its insert).
+        timings = dyn.base.timings
+        assert event["cover_seconds"] == timings.individual_coverings_seconds > 0
+        assert event["store_seconds"] == timings.store_build_seconds > 0
+        assert event["covered"] == timings.covered == 0
 
     def test_prometheus_export_with_service_stats(self, index, points):
         lats, lngs = points
