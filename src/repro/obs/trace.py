@@ -4,7 +4,7 @@ A :class:`Tracer` records *spans* — named, nested timing intervals — into
 bounded per-thread ring buffers.  One serve dispatch produces one trace:
 a root ``dispatch`` span with children for each phase the request passed
 through (``cache_lookup``, ``probe``, ``refine``, ``merge``, ``scatter``,
-``gather``, ``shard``).  The design goals, in order:
+``gather``, ``shard`` and a lane's ``cell_ids``).  The design goals, in order:
 
 1. **Near-zero cost when disabled.**  Every entry point checks one bool
    and returns a shared no-op span; no ids are allocated, no thread-local

@@ -16,11 +16,12 @@ hot path.  It accepts three shapes of work:
 That request surface is written once, in :class:`ServiceFront`: layer
 routing, the observability wiring, the latency recorder, the
 micro-batcher and the one envelope around every request — batch check →
-timer → ``dispatch`` span → cell ids → dispatch → recorder and meters.
+timer → ``dispatch`` span → dispatch → recorder and meters.
 A concrete service supplies what
-happens *inside* a dispatch — :class:`JoinService` joins through the
-layer's cached store, :class:`~repro.serve.sharded.ShardedJoinService`
-scatters to its shard workers and gathers — plus its own ``stats``,
+happens *inside* a dispatch — :class:`JoinService` computes the leaf
+cell ids and joins through the layer's cached store,
+:class:`~repro.serve.sharded.ShardedJoinService` scatters to its shard
+workers, which compute them, and gathers — plus its own ``stats``,
 layer management and lifecycle.
 
 Every :class:`JoinService` dispatch reads its layer through one immutable
@@ -73,9 +74,10 @@ class ServiceFront:
     ``join`` / ``join_layers`` / ``submit`` / ``lookup`` once.  Every
     request passes through :meth:`_serve`, which checks the batch and
     runs ``self._dispatch(name, index, cell_ids, lats, lngs, exact,
-    materialize)`` inside one timed ``dispatch`` span; subclasses
-    implement that, ``_check_open``, ``stats``, ``swap_layer``,
-    ``add_layer`` and ``close``.  The base takes no lock of its own.
+    materialize)`` — ``cell_ids`` is ``None`` unless the caller brought
+    them — inside one timed ``dispatch`` span; subclasses implement
+    that, ``_check_open``, ``stats``, ``swap_layer``, ``add_layer`` and
+    ``close``.  The base takes no lock of its own.
     """
 
     def __init__(
@@ -125,13 +127,15 @@ class ServiceFront:
         self,
         name: str,
         index: JoinableIndex,
-        cell_ids: np.ndarray,
+        cell_ids: np.ndarray | None,
         lats: np.ndarray,
         lngs: np.ndarray,
         exact: bool,
         materialize: bool,
-    ) -> JoinResult:
-        """Join one batch against one resolved layer (the subclass's part)."""
+    ) -> tuple[JoinResult, np.ndarray]:
+        """Join one batch against one resolved layer (the subclass's
+        part); returns the result and the batch's leaf cell ids, computed
+        by whoever is placed to when the caller brought none."""
         raise NotImplementedError
 
     def _check_open(self) -> None:
@@ -159,8 +163,8 @@ class ServiceFront:
 
         Checks the batch (the one validation on the served path — a
         sharded front needs it before it scatters), then, inside one
-        timer and one ``dispatch`` span, computes the leaf cell ids
-        unless the caller brought them, dispatches, and runs ``then``
+        timer and one ``dispatch`` span, dispatches (which computes the
+        leaf cell ids unless the caller brought them) and runs ``then``
         (what a lookup flush does with the pairs); the recorder and the
         meters see the timed whole.
         """
@@ -169,9 +173,7 @@ class ServiceFront:
             with self._tracer.dispatch(
                 "dispatch", layer=name, points=len(lats), **span_meta
             ):
-                if cell_ids is None:
-                    cell_ids = index.cell_ids_for(lats, lngs)
-                result = self._dispatch(
+                result, cell_ids = self._dispatch(
                     name, index, cell_ids, lats, lngs, exact, materialize
                 )
                 if then is not None:
@@ -271,9 +273,9 @@ class ServiceFront:
         Identical semantics (and bit-identical counts) to
         ``PolygonIndex.join`` on the same points, whatever sits
         underneath (hot-cell cache, morsel threads, shard processes).
-        ``cell_ids`` lets a caller that already computed the points'
-        leaf cell ids (the sharded front ships them alongside the
-        coordinates) skip the recompute.
+        ``cell_ids`` lets a caller that already has the points' leaf
+        cell ids (a shard lane selects its share out of the scatter
+        ring) skip the recompute.
         """
         self._check_open()
         name, index = self._router.resolve(layer)
@@ -493,12 +495,14 @@ class JoinService(ServiceFront):
         self,
         name: str,
         index: JoinableIndex,
-        cell_ids: np.ndarray,
+        cell_ids: np.ndarray | None,
         lats: np.ndarray,
         lngs: np.ndarray,
         exact: bool,
         materialize: bool,
-    ) -> JoinResult:
+    ) -> tuple[JoinResult, np.ndarray]:
+        if cell_ids is None:
+            cell_ids = index.cell_ids_for(lats, lngs)
         # One atomic snapshot for the whole dispatch: store, lookup table,
         # polygons and version always belong to the same index generation,
         # even if the layer is swapped or mutated mid-request.  The cached
@@ -524,7 +528,7 @@ class JoinService(ServiceFront):
             # cached store's recorder; this is only the (cheap) trigger
             # check that may kick off a background retrain.
             self._adaptive.after_dispatch(name, index)
-        return result
+        return result, cell_ids
 
     # ------------------------------------------------------------------
     # Observability & lifecycle

@@ -28,8 +28,11 @@ Evaluation of Spatial Joins*) applied to the paper's cell-id domain:
         shard 1: covering subset | ACT store | lut
         ...
       scatter ring (one segment per service, 1 << 16 points)
-        lats | lngs | leaf cell ids     <- the front writes a slice
-              ^ lane 0 selects   ^ lane 1 selects   ...
+        lats | lngs | leaf cell ids | lane words (one int64 per lane)
+        ^ the front writes a slice    ^ lane k publishes the slice's
+                    ^ lane k writes     sequence number in word k
+                      ids[a_k:b_k]
+        ... then every lane selects, from all three planes, its own points
 
   A straddling polygon contributes covering cells to several coverage
   planes, but its geometry and bucket rows exist exactly once (measured
@@ -43,12 +46,13 @@ Evaluation of Spatial Joins*) applied to the paper's cell-id domain:
   *attaches* from the published segments (a buffer map, no store
   build).  Batch coordinates travel through one persistent scatter ring,
   never the pickle stream: the front writes each ring-sized slice of a
-  batch once, in batch order, and every lane selects the points whose
-  leaf id falls in its range (:func:`in_leaf_range`) out of the views it
-  attached at start-up.  Only control messages and the (small) partial
-  ``JoinResult`` statistics cross the pipe, and every lane sent to is
-  drained before the next slice is written, so none can still be
-  reading the ring.
+  batch once, in batch order, the lanes fill in the leaf cell ids (see
+  "Two phases"), and every lane selects the points whose leaf id falls
+  in its range (:func:`in_leaf_range`) out of the views it attached at
+  start-up.  Only control messages and the (small) partial
+  ``JoinResult`` statistics cross the pipe, and every lane is drained
+  before the next slice is written, so none can still be reading the
+  ring.
 * :class:`ShardedJoinService` is the front: a
   :class:`~repro.serve.service.ServiceFront` whose dispatch scatters
   each batch, gathers the partial results and merges them with
@@ -56,6 +60,27 @@ Evaluation of Spatial Joins*) applied to the paper's cell-id domain:
   retraining fan out per shard, and the merged
   :class:`~repro.serve.stats.ServiceStats` carries per-shard detail in
   ``stats.shards``.
+
+**Two phases.**  The front computes no cell id — routing needs them all,
+so that was a serial millisecond with every lane asleep.  It writes
+``lats | lngs``, draws the slice's sequence number ``seq`` under the
+dispatch lock and messages EVERY lane.  Phase 1: lane ``k`` of ``N``
+computes the ids of its *positional* share ``[k·⌈total/N⌉, …)`` straight
+into the id plane, then publishes ``words[k] = seq``.  Phase 2: it waits
+until ``words[:N]`` all read ``seq`` (:func:`_await_lanes`: a poll that
+gives the CPU away every time, so lanes sharing one CPU progress; bounded
+by the skew between the lanes, not by a wake-up, and by
+:data:`_BARRIER_TIMEOUT_S`), then selects by leaf range and joins.  A
+lane whose phase 1 raised — and the front, for a lane its ``send`` failed
+on — publishes ``-seq``, which fails every waiter at once; a failed wait
+is an ordinary ``("err", …)`` reply, so pipes stay aligned.  Ids are
+filled by whoever has them: the front writes a caller's ``cell_ids=`` and
+``seq`` into every word with them, and a lane whose word reads ``seq``
+skips phase 1.  Nothing spins while idle: between messages a lane blocks
+in ``conn.recv()``.  Ordering, as far as it goes: a lane's id stores
+precede its word store in program order, which x86-64 (TSO) keeps; each
+poll elsewhere has a system call and an interpreter-lock hand-over
+between the loads.  No more is claimed.
 
 **Lane placement.**  A worker process (:func:`_shard_worker_main`, and
 only there — never the caller's process) binds itself to one CPU of the
@@ -83,6 +108,7 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
+import time
 import traceback
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -370,7 +396,7 @@ def in_leaf_range(leaf_ids: np.ndarray, lower: int | None, upper: int | None) ->
     ``shard_for(leaf_ids) == k`` without ranking every id against every
     cut (an id equal to a cut belongs to the shard the cut starts; equal
     cuts leave the shard between them empty).  A lane selects its points
-    with it and the front asks it which lanes a slice engages.
+    with it.
     """
     mask = np.ones(len(leaf_ids), dtype=bool)
     if lower is not None:
@@ -457,60 +483,107 @@ def _build_shard_service(payload: _WorkerPayload) -> JoinService:
     )
 
 
+#: Give the CPU to whoever else can run on it (a lane sharing this one).
+_yield_cpu = getattr(os, "sched_yield", lambda: time.sleep(0))
+
+
+def _await_lanes(words: np.ndarray, seq: int, lanes: int, timeout_s: float) -> None:
+    """Phase 2's wait: return once ``words[:lanes]`` all read ``seq``,
+    yielding the CPU between looks.  Only equality counts — an earlier
+    slice's number, a stale larger one or anything unrelated keeps it
+    waiting; ``-seq`` in any word raises at once, ``timeout_s`` passing
+    raises too."""
+    deadline = time.perf_counter() + timeout_s
+    while True:
+        seen = words[:lanes].tolist()
+        if seen.count(seq) == lanes:
+            return
+        if -seq in seen:
+            raise ShardWorkerError(seen.index(-seq), "failed before publishing its cell ids")
+        if time.perf_counter() > deadline:
+            late = next(lane for lane, word in enumerate(seen) if word != seq)
+            raise ShardWorkerError(late, f"published no cell ids within {timeout_s} s")
+        _yield_cpu()
+
+
 def _apply_admin(
     service: JoinService,
-    ring: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ring: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     msg: tuple,
     shard: int,
     build_seconds: float,
-) -> object:
+):
     """Execute one message against a shard's JoinService.
 
     The one handler both backends run — the process worker loop wraps
-    its outcome in ``("ok"|"err", ...)``, the inline client calls it
-    directly — so the backends cannot diverge in behavior.
+    its outcome in ``("ok"|"err", ...)``, the inline client re-raises —
+    so the backends cannot diverge in behavior.  A generator of two
+    items, ``None`` where it pauses and then the reply: a worker takes
+    both at once, the inline client takes every lane to its pause first.
 
-    ``join`` selects the lane's points — leaf id in ``[lower, upper)`` —
-    out of the first ``total`` slots of ``ring`` (the lane's
-    :func:`_ring_planes` views).  Selection keeps batch order, so with
-    ``materialize`` the reply's ``pair_points`` are slice positions in
-    the order a stable sort by shard would give.  ``trace`` is the front
-    dispatch's ``(trace_id, parent_span_id)`` or ``None``; a traced join
-    opens a ``shard`` root under that remote parent, and the reply,
-    ``(result, finished_spans)``, carries its spans for the front to
-    adopt (none when untraced).  ``ping`` replies with the service
-    construction time and, where the platform has them, the lane's CPU
-    mask and scheduling policy; layer ops with their sub-index
-    materialization time (the attach latency meter).
+    ``join`` runs the module docstring's two phases over the first
+    ``total`` slots of ``ring`` (the lane's :func:`_ring_planes` views),
+    pausing between them, then joins the lane's points — leaf id in
+    ``[lower, upper)``; a lane without any replies the zero result.
+    Selection keeps batch order, so with ``materialize`` the reply's
+    ``pair_points`` are slice positions in the order a stable sort by
+    shard would give.  ``trace`` is the front dispatch's ``(trace_id,
+    parent_span_id)`` or ``None``; a traced join opens a ``shard`` root
+    under that remote parent (``barrier_wait_s`` on it, a ``cell_ids``
+    child for phase 1), and the reply, ``(result, finished_spans)``,
+    carries its spans for the front to adopt (none when untraced).
+    ``ping`` replies with the service construction time and, where the
+    platform has them, the lane's CPU mask and scheduling policy; layer
+    ops with their sub-index materialization time (the attach latency
+    meter).
     """
     op = msg[0]
     if op == "join":
-        _, layer, total, lower, upper, exact, materialize, trace = msg
-        ring_lats, ring_lngs, ring_ids = ring
-        mine = np.flatnonzero(in_leaf_range(ring_ids[:total], lower, upper))
+        _, layer, total, seq, lanes, timeout_s, exact, materialize, trace, lower, upper = msg
+        ring_lats, ring_lngs, ring_ids, words = ring
         tracer = service.tracer
-        root = (
-            contextlib.nullcontext()
-            if trace is None
-            else tracer.remote_root("shard", trace, shard=shard)
-        )
-        with root:
-            result = service.join(
-                ring_lats.take(mine), ring_lngs.take(mine), layer=layer, exact=exact,
-                materialize=materialize, cell_ids=ring_ids.take(mine),
-            )
-        if materialize:
-            result.pair_points = mine[result.pair_points]
-        return result, (() if trace is None else tracer.take_last_trace())
+        _, index = service._router.resolve(layer)
+        with tracer.remote_root("shard", trace, shard=shard) as root:
+            if words[shard] != seq:  # phase 1, unless the front brought the ids
+                step = -(-total // lanes)
+                a = min(shard * step, total)
+                b = min(a + step, total)
+                try:
+                    with tracer.span("cell_ids", points=b - a):
+                        ring_ids[a:b] = index.cell_ids_for(ring_lats[a:b], ring_lngs[a:b])
+                except BaseException:
+                    words[shard] = -seq
+                    raise
+                words[shard] = seq
+            yield
+            with Timer() as wait:
+                _await_lanes(words, seq, lanes, timeout_s)
+            root.set(barrier_wait_s=wait.seconds)
+            mine = np.flatnonzero(in_leaf_range(ring_ids[:total], lower, upper))
+            if len(mine):
+                result = service.join(
+                    ring_lats.take(mine), ring_lngs.take(mine), layer=layer, exact=exact,
+                    materialize=materialize, cell_ids=ring_ids.take(mine),
+                )
+                if materialize:
+                    result.pair_points = mine[result.pair_points]
+            else:
+                result = merge_join_results(
+                    (), num_points=0, num_polygons=len(index.polygons),
+                    wall_seconds=0.0, materialize=materialize,
+                )
+        yield result, (() if trace is None else tracer.take_last_trace())
+        return
+    yield  # nothing to publish first
     if op == "ping":
         report: dict[str, object] = {"build_seconds": build_seconds}
         if hasattr(os, "sched_getaffinity"):
             report["affinity"] = sorted(os.sched_getaffinity(0))
             report["policy"] = os.sched_getscheduler(0)
-        return report
-    if op == "stats":
-        return service.stats()
-    if op in ("swap", "add_layer"):
+        yield report
+    elif op == "stats":
+        yield service.stats()
+    elif op in ("swap", "add_layer"):
         _, name, part = msg
         with Timer() as timer:
             index = _index_from_part(part, fresh_version=op == "swap")
@@ -518,8 +591,9 @@ def _apply_admin(
             service.swap_layer(name, index)
         else:
             service.add_layer(name, index)
-        return {"build_seconds": timer.seconds}
-    raise ValueError(f"unknown shard op: {op!r}")
+        yield {"build_seconds": timer.seconds}
+    else:
+        raise ValueError(f"unknown shard op: {op!r}")
 
 
 class _AttachedSegment(SharedMemory):
@@ -555,23 +629,28 @@ def _attach_shm(name: str) -> SharedMemory:
         return _AttachedSegment(name=name)
 
 
-def _ring_planes(shm: SharedMemory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scatter ring's three planes: ``lats | lngs | leaf cell ids``,
-    :data:`OFFLINE_MORSEL_POINTS` slots each, as views of the segment."""
+def _ring_planes(shm: SharedMemory) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The scatter ring's four planes, as views of the segment: ``lats |
+    lngs | leaf cell ids``, :data:`OFFLINE_MORSEL_POINTS` slots each, then
+    the lane words (the rest of the segment: at least one per lane)."""
     points = OFFLINE_MORSEL_POINTS
     return (
         np.frombuffer(shm.buf, np.float64, count=points),
         np.frombuffer(shm.buf, np.float64, count=points, offset=8 * points),
         np.frombuffer(shm.buf, np.uint64, count=points, offset=16 * points),
+        np.frombuffer(shm.buf, np.int64, offset=24 * points),
     )
 
 
-def _fill_ring(shm: SharedMemory, *columns: np.ndarray) -> None:
-    """Write one slice's ``lats, lngs, cell ids`` into the ring, in batch
-    order.  The views die with this frame: no traceback of a failed
+def _fill_ring(shm: SharedMemory, word: int, *columns: np.ndarray) -> None:
+    """Write one slice's ``lats, lngs`` (and the caller's cell ids, if it
+    brought them) into the ring, in batch order, and ``word`` into every
+    lane word.  The views die with this frame: no traceback of a failed
     dispatch can keep one exported past the front's ``close()``."""
-    for plane, column in zip(_ring_planes(shm), columns):
+    *planes, words = _ring_planes(shm)
+    for plane, column in zip(planes, columns):
         plane[: len(column)] = column
+    words[:] = word
 
 
 def _shard_worker_main(conn, payload: _WorkerPayload) -> None:
@@ -625,12 +704,11 @@ def _shard_worker_main(conn, payload: _WorkerPayload) -> None:
                 conn.send(("ok", None))
                 break
             try:
-                reply = (
-                    "ok",
-                    _apply_admin(
-                        service, ring, msg, payload.shard, build_timer.seconds
-                    ),
+                steps = _apply_admin(
+                    service, ring, msg, payload.shard, build_timer.seconds
                 )
+                next(steps)
+                reply = ("ok", next(steps))
             except BaseException:
                 reply = ("err", traceback.format_exc())
             conn.send(reply)
@@ -700,10 +778,13 @@ class _InlineShard:
     The test backend (and a debugging aid): the shard-boundary
     equivalence properties run thousands of examples without paying
     process spawns.  Messages go through :func:`_apply_admin` exactly as
-    in a worker — a join selects from the same attached scatter ring —
-    and a failure re-raises the ORIGINAL exception from ``finish`` (no
-    pipe to flatten it into a traceback string).  Lane placement is the
-    one thing not shared: it belongs to a worker process only.
+    in a worker — a join fills and selects from the same attached
+    scatter ring — with ``start`` taking it to its pause and ``finish``
+    from there: :func:`_scatter_gather` starts every lane before it
+    finishes any, so no lane waits for ids nobody has computed yet.  A
+    failure re-raises the ORIGINAL exception from ``finish`` (no pipe to
+    flatten it into a traceback string).  Lane placement is the one
+    thing not shared: it belongs to a worker process only.
     """
 
     def __init__(self, payload: _WorkerPayload):
@@ -713,25 +794,25 @@ class _InlineShard:
         self._build_seconds = build_timer.seconds
         self._ring_shm = _attach_shm(payload.ring_shm)
         self._ring = _ring_planes(self._ring_shm)
-        self._pending: tuple[str, object] | None = None
+        self._steps = None  # the started handler, paused
+        self._failure: BaseException | None = None  # ... or what it raised
 
     def start(self, msg: tuple) -> None:
+        self._steps = _apply_admin(
+            self._service, self._ring, msg, self.shard, self._build_seconds
+        )
         try:
-            value = _apply_admin(
-                self._service, self._ring, msg, self.shard, self._build_seconds
-            )
+            next(self._steps)
         except BaseException as exc:
-            self._pending = ("err", exc)
-        else:
-            self._pending = ("ok", value)
+            self._failure = exc
 
     def finish(self) -> object:
-        assert self._pending is not None, "finish() without a start()"
-        kind, value = self._pending
-        self._pending = None
-        if kind == "err":
-            raise value  # type: ignore[misc]
-        return value
+        assert self._steps is not None, "finish() without a start()"
+        steps, failure = self._steps, self._failure
+        self._steps = self._failure = None
+        if failure is not None:
+            raise failure
+        return next(steps)
 
     def request(self, msg: tuple) -> object:
         self.start(msg)
@@ -747,6 +828,7 @@ class _InlineShard:
 
 def _scatter_gather(
     sends: list[tuple["_ProcessShard | _InlineShard", tuple]],
+    unsent=None,
 ) -> tuple[list, list[BaseException]]:
     """Send every request, then drain every worker that received one.
 
@@ -756,9 +838,11 @@ def _scatter_gather(
     worker failed (and workers after a failed SEND must not be sent to),
     or a queued reply would be mistaken for the answer to a later
     request — and it is what makes the scatter ring reusable: once this
-    returns, no lane is still reading it.  Returns ``(gathered,
-    errors)``: the replies of the sends that completed, in send order,
-    and every send/finish failure in occurrence order.
+    returns, no lane is still reading it.  ``unsent(client)`` runs for
+    the client whose send failed, before anything is drained (a join
+    tells the lanes that wait for it).  Returns ``(gathered, errors)``:
+    the replies of the sends that completed, in send order, and every
+    send/finish failure in occurrence order.
     """
     sent: list = []
     errors: list[BaseException] = []
@@ -767,6 +851,8 @@ def _scatter_gather(
             client.start(msg)
         except BaseException as exc:
             errors.append(exc)
+            if unsent is not None:
+                unsent(client)
             break
         sent.append(client)
     gathered: list = []
@@ -792,6 +878,10 @@ _GEOMETRY_REPLICATION = 1.0
 #: Seconds ``_ProcessShard.close`` waits at each step (the worker's
 #: acknowledgement, its exit, its exit after ``terminate()``) before the next.
 _CLOSE_TIMEOUT_S = 10.0
+
+#: Seconds a lane waits for the other lanes' cell ids before it gives the
+#: slice up (:func:`_await_lanes`); the front sends it with every join.
+_BARRIER_TIMEOUT_S = 10.0
 
 #: The front's gauges (metric name -> help), set by
 #: :meth:`ShardedJoinService._set_snapshot_gauges`.
@@ -911,7 +1001,10 @@ class ShardedJoinService(ServiceFront):
         self._spawn_seconds: tuple[float, ...] = ()
         # The scatter ring, one for the service's life: dispatches write it.
         #: guarded_by(_lock)
-        self._ring = SharedMemory(create=True, size=24 * OFFLINE_MORSEL_POINTS)
+        self._ring = SharedMemory(
+            create=True, size=24 * OFFLINE_MORSEL_POINTS + 8 * num_shards
+        )
+        self._seq = 0  #: guarded_by(_lock) -- the last ring slice's number
         try:
             parts_by_layer: dict[str, list] = {}
             for name, index in self._router.items():
@@ -1094,15 +1187,19 @@ class ShardedJoinService(ServiceFront):
         self,
         name: str,
         index: PolygonIndex,
-        cell_ids: np.ndarray,
+        cell_ids: np.ndarray | None,
         lats: np.ndarray,
         lngs: np.ndarray,
         exact: bool,
         materialize: bool,
-    ) -> JoinResult:
+    ) -> tuple[JoinResult, np.ndarray]:
         # The dispatch root's context, BEFORE child spans open: `shard`
         # roots are siblings of the front's scatter/gather/merge phases.
         trace_ctx = self._tracer.context()
+        lanes = self.num_shards
+        brought = () if cell_ids is None else (cell_ids,)
+        if not brought:  # the lanes compute them; read back slice by slice
+            cell_ids = np.empty(len(lats), dtype=np.uint64)
         parts: list[JoinResult] = []
         lane_spans: list = []  # the lanes' finished spans, when traced
         with self._lock, Timer() as timer:
@@ -1112,34 +1209,41 @@ class ShardedJoinService(ServiceFront):
             # swap_layer lands between that check and this dispatch.
             _, index = self._router.resolve(name)
             ranges = self._plans[name].leaf_ranges()
+
+            def poison(client) -> None:  # no word will come from it: fail the waiters
+                _ring_planes(self._ring)[3][client.shard] = -self._seq
+
             # Ring-sized slices: one for every batch a micro-batcher or
             # the benchmark sends.  A slice is gathered before the next
             # is written, so no lane can still be reading the ring.
             for lo in range(0, max(len(lats), 1), OFFLINE_MORSEL_POINTS):
                 window = slice(lo, lo + OFFLINE_MORSEL_POINTS)
-                ids = cell_ids[window]
-                with self._tracer.span("scatter", points=len(ids)) as span:
-                    _fill_ring(self._ring, lats[window], lngs[window], ids)
-                    sends = [
-                        (
-                            self._clients[shard],
-                            ("join", name, len(ids), lower, upper, exact,
-                             materialize, trace_ctx),
-                        )
-                        for shard, (lower, upper) in enumerate(ranges)
-                        if in_leaf_range(ids, lower, upper).any()
-                    ]
-                    span.set(shards=len(sends))
-                with self._tracer.span("gather", shards=len(sends)) as span:
-                    replies, errors = _scatter_gather(sends)
+                total = len(lats[window])
+                self._seq += 1
+                with self._tracer.span("scatter", points=total, shards=lanes):
+                    # Ids the caller brought are published by the write.
+                    _fill_ring(
+                        self._ring, self._seq if brought else 0, lats[window],
+                        lngs[window], *(ids[window] for ids in brought),
+                    )
+                    msg = ("join", name, total, self._seq, lanes, _BARRIER_TIMEOUT_S,
+                           exact, materialize, trace_ctx)
+                    sends = [(c, (*msg, *bounds)) for c, bounds in zip(self._clients, ranges)]
+                with self._tracer.span("gather", shards=lanes) as span:
+                    replies, errors = _scatter_gather(sends, unsent=poison)
                     if errors:
                         raise errors[0]
+                    ids_seconds = [
+                        s.seconds for _, spans in replies for s in spans if s.name == "cell_ids"
+                    ]
                     span.set(
                         lane_seconds_max=max(
-                            (r.probe_seconds + r.refine_seconds for r, _ in replies),
-                            default=0.0,
-                        )
+                            r.probe_seconds + r.refine_seconds for r, _ in replies
+                        ),
+                        lane_ids_seconds_max=max(ids_seconds, default=0.0),
                     )
+                if not brought:
+                    cell_ids[window] = _ring_planes(self._ring)[2][:total]
                 for result, spans in replies:
                     if materialize and lo:  # slice -> batch positions
                         result.pair_points += lo
@@ -1147,13 +1251,14 @@ class ShardedJoinService(ServiceFront):
                     lane_spans += spans
         self._tracer.adopt(lane_spans)  # one trace, readable in one place
         with self._tracer.span("merge", shards=len(parts)):
-            return merge_join_results(
+            merged = merge_join_results(
                 parts,
                 num_points=len(lats),
                 num_polygons=len(index.polygons),
                 wall_seconds=timer.seconds,
                 materialize=materialize,
             )
+        return merged, cell_ids
 
     # ------------------------------------------------------------------
     # Layer management (fans out per shard)

@@ -510,13 +510,22 @@ class TestShardedIntegration:
         dispatch = roots[0]
         for phase in ("scatter", "gather", "merge"):
             assert names[phase][0].parent_id == dispatch.span_id
+        assert names["scatter"][0].meta["shards"] == num_shards
         shard_roots = names["shard"]
-        assert 1 <= len(shard_roots) <= num_shards
+        assert len(shard_roots) == num_shards  # every lane is messaged
         shard_ids = set()
         for root in shard_roots:
             assert root.parent_id == dispatch.span_id
             assert root.trace_id == dispatch.trace_id
+            assert root.meta["barrier_wait_s"] >= 0.0
             shard_ids.add(root.span_id)
+        # Each lane's id computation for its positional share came across
+        # too, under its shard root — never under the front's dispatch.
+        id_spans = names["cell_ids"]
+        assert sorted(r.parent_id for r in id_spans) == sorted(shard_ids)
+        assert sum(r.meta["points"] for r in id_spans) == dispatch.meta["points"]
+        (gather,) = names["gather"]
+        assert gather.meta["lane_ids_seconds_max"] == max(r.seconds for r in id_spans)
         # Worker-side children (the shard's own dispatch) came across the
         # boundary and are parented under their shard roots.
         worker_dispatches = [
@@ -547,6 +556,14 @@ class TestShardedIntegration:
         assert 0.0 < gather.meta["lane_seconds_max"] <= gather.seconds
         assert obs.metrics.value("serve_dispatches_total") == 1
         assert obs.metrics.value("serve_points_total") == len(lats)
+        # The phase histogram sees the lanes' id time by adoption: one
+        # observation per lane, and none from a front that computes none.
+        cell_ids_phase = {"phase": "cell_ids"}
+        assert obs.metrics.value("serve_phase_seconds", cell_ids_phase) == 2
+        plain = Observability()
+        with JoinService(index, obs=plain) as svc:
+            svc.join(lats, lngs, exact=True)
+        assert plain.metrics.value("serve_phase_seconds", cell_ids_phase) is None
         spawns = obs.events.events("shard_spawn")
         assert [e["shard"] for e in spawns] == [0, 1]
 

@@ -1155,7 +1155,7 @@ class TestStatsNewestGeneration:
             live = svc.cache()
             assert live is not retired
             before = svc.stats().cache["default"]
-            laggard = svc._dispatch(
+            laggard, _ = svc._dispatch(
                 "default", index, index.cell_ids_for(lats, lngs), lats, lngs,
                 exact=False, materialize=False,
             )

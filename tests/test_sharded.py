@@ -4,6 +4,9 @@ import dataclasses
 import os
 import pathlib
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -13,10 +16,11 @@ from hypothesis import strategies as st
 
 from repro import PolygonIndex
 from repro.cells.cellid import CellId
+from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
 from repro.core.morsels import OFFLINE_MORSEL_POINTS
 from repro.geo.polygon import regular_polygon
 from repro.serve import ShardPlan, ShardWorkerError, ShardedJoinService
-from repro.serve.sharded import in_leaf_range
+from repro.serve.sharded import _await_lanes, in_leaf_range
 
 #: Every JoinResult field two equivalent joins must agree on exactly.
 STAT_FIELDS = (
@@ -66,6 +70,10 @@ def assert_identical(served, direct):
     assert np.array_equal(served.counts, direct.counts)
     for field in STAT_FIELDS:
         assert getattr(served, field) == getattr(direct, field), field
+
+
+def _pair_set(result) -> set[tuple[int, int]]:
+    return set(zip(result.pair_points.tolist(), result.pair_polygons.tolist()))
 
 
 def _shm_names() -> set[str]:
@@ -345,9 +353,7 @@ class TestInlineSharded:
         direct = index.join(lats, lngs, exact=True, materialize=True)
         with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
             served = svc.join(lats, lngs, exact=True, materialize=True)
-        assert set(
-            zip(served.pair_points.tolist(), served.pair_polygons.tolist())
-        ) == set(zip(direct.pair_points.tolist(), direct.pair_polygons.tolist()))
+        assert _pair_set(served) == _pair_set(direct)
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("materialize", [False, True])
@@ -664,11 +670,196 @@ class TestShardBoundaryProperty:
             served = svc.join(lats, lngs, exact=exact, materialize=True)
             direct = reference.join(lats, lngs, exact=exact, materialize=True)
             assert_identical(served, direct)
-            assert set(
-                zip(served.pair_points.tolist(), served.pair_polygons.tolist())
-            ) == set(
-                zip(direct.pair_points.tolist(), direct.pair_polygons.tolist())
+            assert _pair_set(served) == _pair_set(direct)
+
+
+class TestAwaitLanes:
+    """Phase 2's wait, on a plain array standing in for the lane words."""
+
+    def test_returns_once_every_lane_published(self):
+        words = np.array([7, 7, 7, 0], dtype=np.int64)
+        _await_lanes(words, 7, 3, timeout_s=0.0)  # word 3 is not a lane's
+
+    def test_a_late_lane_raises_after_the_deadline_not_before(self):
+        words = np.array([7, 6], dtype=np.int64)  # lane 1: the previous slice
+        started = time.perf_counter()
+        with pytest.raises(ShardWorkerError, match="published no cell ids") as info:
+            _await_lanes(words, 7, 2, timeout_s=0.2)
+        assert time.perf_counter() - started >= 0.2
+        assert info.value.shard == 1
+
+    def test_a_poisoned_word_raises_at_once(self):
+        words = np.array([7, -7, 0], dtype=np.int64)
+        started = time.perf_counter()
+        with pytest.raises(ShardWorkerError, match="failed before publishing") as info:
+            _await_lanes(words, 7, 3, timeout_s=60.0)
+        assert time.perf_counter() - started < 5.0
+        assert info.value.shard == 1
+
+    @pytest.mark.parametrize("stale", [8, 1 << 40, -6, -8, 0])
+    def test_only_equality_satisfies_it(self, stale):
+        """A stale larger number, another slice's poison or an unrelated
+        value neither passes the wait nor fails it early."""
+        words = np.array([7, stale], dtype=np.int64)
+        with pytest.raises(ShardWorkerError, match="published no cell ids"):
+            _await_lanes(words, 7, 2, timeout_s=0.05)
+
+    def test_a_lane_publishing_late_is_waited_for(self):
+        import threading
+
+        words = np.array([3, 2], dtype=np.int64)
+        timer = threading.Timer(0.1, words.__setitem__, (1, 3))
+        timer.start()
+        try:
+            _await_lanes(words, 3, 2, timeout_s=30.0)
+        finally:
+            timer.join(timeout=10)
+        assert not timer.is_alive()
+
+
+HOSTILE = (np.nan, np.inf, -np.inf)
+
+
+class TestLanesComputeIds:
+    """Every door of the two-phase path gives what ``PolygonIndex.join``
+    gives: the lanes computing the ids, the caller bringing them."""
+
+    def _assert_every_door(self, svc, index, lats, lngs, exact, materialize):
+        direct = index.join(lats, lngs, exact=exact, materialize=materialize)
+        ids = cell_ids_from_lat_lng_arrays(lats, lngs)
+        for cell_ids in (None, ids):
+            served = svc.join(
+                lats, lngs, exact=exact, materialize=materialize, cell_ids=cell_ids
             )
+            assert_identical(served, direct)
+            if materialize:
+                assert _pair_set(served) == _pair_set(direct)
+        # What the front hands back (join_layers reuses it) is the kernel's.
+        _, handed_back = svc._serve(
+            "default", index, lats, lngs, None, exact, False, span_meta={}
+        )
+        assert handed_back.dtype == np.uint64
+        assert np.array_equal(handed_back, ids)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        num_shards=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**20),
+        num_points=st.integers(min_value=0, max_value=300),
+        exact=st.booleans(),
+        materialize=st.booleans(),
+    )
+    def test_inline_doors_agree(
+        self, index, num_shards, seed, num_points, exact, materialize
+    ):
+        rng = np.random.default_rng(seed)
+        lngs = rng.uniform(-74.05, -73.91, num_points)
+        lats = rng.uniform(40.65, 40.79, num_points)
+        with ShardedJoinService(
+            index, num_shards=num_shards, backend="inline"
+        ) as svc:
+            self._assert_every_door(svc, index, lats, lngs, exact, materialize)
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_edge_batches(self, index, points, backend):
+        """One service, the batches that stress the positional split: two
+        ring slices (two sequence numbers, ``pair_points`` offset by the
+        slice), fewer points than lanes (empty shares publish too), no
+        point at all, NaN / ±inf coordinates, and ``lookup()``."""
+        lats, lngs = points
+        rng = np.random.default_rng(9)
+        size = OFFLINE_MORSEL_POINTS + 5
+        big = rng.uniform(40.66, 40.78, size), rng.uniform(-74.04, -73.92, size)
+        hostile_lats = np.concatenate([lats[:40], HOSTILE, lats[40:43]])
+        hostile_lngs = np.concatenate([lngs[:40], lngs[40:43], HOSTILE])
+        num_shards = 3 if backend == "inline" else 2
+        with ShardedJoinService(
+            index, num_shards=num_shards, backend=backend
+        ) as svc, np.errstate(invalid="ignore"):
+            for exact in (False, True):
+                for materialize in (False, True):
+                    self._assert_every_door(svc, index, *big, exact, materialize)
+                    self._assert_every_door(
+                        svc, index, lats[:1], lngs[:1], exact, materialize
+                    )
+                    self._assert_every_door(
+                        svc, index, lats[:0], lngs[:0], exact, materialize
+                    )
+                    self._assert_every_door(
+                        svc, index, hostile_lats, hostile_lngs, exact, materialize
+                    )
+            for i in range(5):
+                assert svc.lookup(lats[i], lngs[i]) == index.containing_polygons(
+                    lats[i], lngs[i]
+                )
+
+    def test_join_layers_computes_ids_once(
+        self, index, swap_index, points, monkeypatch
+    ):
+        """The lanes compute ids for the first layer's slices only; the
+        front reads them back and brings them to every later layer."""
+        lats, lngs = points
+        calls = {"fine": [], "coarse": []}
+        with ShardedJoinService(
+            {"fine": index, "coarse": swap_index}, num_shards=3, backend="inline"
+        ) as svc:
+            for client in svc._clients:
+                for name in calls:
+                    _, sub = client._service._router.resolve(name)
+
+                    def spy(lats, lngs, name=name, real=sub.cell_ids_for):
+                        calls[name].append(len(lats))
+                        return real(lats, lngs)
+
+                    monkeypatch.setattr(sub, "cell_ids_for", spy)
+            results = svc.join_layers(lats, lngs, exact=True)
+            assert len(calls["fine"]) == 3 and sum(calls["fine"]) == len(lats)
+            assert calls["coarse"] == []
+            assert_identical(results["fine"], svc.join(lats, lngs, layer="fine", exact=True))
+            assert_identical(results["coarse"], swap_index.join(lats, lngs, exact=True))
+
+    def test_a_failed_phase_one_fails_the_dispatch_not_the_service(
+        self, index, points, monkeypatch
+    ):
+        """A lane whose id computation raises poisons its word: the other
+        lanes' waits fail at once, the dispatch raises, the next works."""
+        lats, lngs = points
+        with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
+            _, sub = svc._clients[1]._service._router.resolve(None)
+
+            def broken(lats, lngs):
+                raise MemoryError("simulated id failure")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(sub, "cell_ids_for", broken)
+                started = time.perf_counter()
+                with pytest.raises(ShardWorkerError, match="before publishing") as info:
+                    svc.join(lats, lngs, exact=True)
+                assert info.value.shard == 1  # lane 0's wait names the culprit
+                assert time.perf_counter() - started < 5.0  # not the deadline
+            assert_identical(
+                svc.join(lats, lngs, exact=True), index.join(lats, lngs, exact=True)
+            )
+
+
+def _proc_stat(pid: int) -> list[str]:
+    """The fields of ``/proc/<pid>/stat`` after the command name: state
+    first, utime and stime at 11 and 12 (Linux)."""
+    return pathlib.Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+
+
+def _lane_cpu_ticks(pid: int) -> int:
+    fields = _proc_stat(pid)
+    return int(fields[11]) + int(fields[12])
+
+
+def _wait_until_stopped(pid: int, timeout_s: float = 10.0) -> None:
+    deadline = time.perf_counter() + timeout_s
+    while time.perf_counter() < deadline:
+        if _proc_stat(pid)[0] in "Tt":
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"process {pid} never stopped")
 
 
 class TestProcessBackend:
@@ -717,11 +908,131 @@ class TestProcessBackend:
             # Every subsequent scatter touching the dead shard errors
             # cleanly and repeatably (no stale replies from live shards
             # leaking into later joins).
+            # Promptly: the front poisons the dead lane's word, so the
+            # live lane never waits for it until the deadline.
             for _ in range(3):
+                started = time.perf_counter()
                 with pytest.raises(ShardWorkerError):
                     svc.join(lats[:2000], lngs[:2000], exact=True)
+                assert time.perf_counter() - started < 1.0
         finally:
             svc.close()
+
+    @pytest.mark.skipif(
+        not pathlib.Path("/proc/self/stat").exists(), reason="reads /proc"
+    )
+    def test_worker_killed_after_its_send_succeeded(
+        self, index, points, monkeypatch
+    ):
+        """The lane that got the message and died never publishes: the
+        surviving lane gives up at the deadline (sent by the front with
+        the message), the front raises, the service stays failed and
+        closes cleanly."""
+        import repro.serve.sharded as sharded_mod
+
+        lats, lngs = points
+        monkeypatch.setattr(sharded_mod, "_BARRIER_TIMEOUT_S", 0.3)
+        before = _shm_names()
+        svc = ShardedJoinService(index, num_shards=2, backend="process")
+        try:
+            svc.join(lats[:2000], lngs[:2000], exact=True)
+            victim = svc._clients[1]
+            os.kill(victim._process.pid, signal.SIGSTOP)
+            _wait_until_stopped(victim._process.pid)
+            real_start = victim.start
+
+            def start_then_kill(msg):
+                real_start(msg)  # lands in the pipe of a stopped process
+                victim._process.kill()
+                victim._process.join(timeout=10)
+
+            monkeypatch.setattr(victim, "start", start_then_kill)
+            started = time.perf_counter()
+            with pytest.raises(ShardWorkerError):
+                svc.join(lats[:2000], lngs[:2000], exact=True)
+            elapsed = time.perf_counter() - started
+            assert 0.3 <= elapsed < 5.0  # the deadline, once
+            assert not victim._process.is_alive()
+            monkeypatch.setattr(victim, "start", real_start)
+            started = time.perf_counter()
+            with pytest.raises(ShardWorkerError):
+                svc.join(lats[:2000], lngs[:2000], exact=True)
+            assert time.perf_counter() - started < 1.0  # send fails: poisoned
+        finally:
+            svc.close()
+        assert _shm_names() - before == set()
+
+    @pytest.mark.skipif(
+        not pathlib.Path("/proc/self/stat").exists(), reason="reads /proc"
+    )
+    def test_idle_lanes_burn_no_cpu(self, index, points):
+        """Between messages a lane blocks in ``recv()``: nothing polls."""
+        lats, lngs = points
+        with ShardedJoinService(index, num_shards=2, backend="process") as svc:
+            svc.join(lats, lngs, exact=True)
+            pids = [client._process.pid for client in svc._clients]
+            ticks = [_lane_cpu_ticks(pid) for pid in pids]
+            time.sleep(1.0)
+            idle = [_lane_cpu_ticks(pid) - then for pid, then in zip(pids, ticks)]
+            assert max(idle) <= 2  # of ~100 ticks per second
+            assert_identical(
+                svc.join(lats, lngs, exact=True), index.join(lats, lngs, exact=True)
+            )
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="Linux scheduling API"
+    )
+    def test_one_cpu_does_not_livelock(self):
+        """With a one-CPU mask both lanes pin to that CPU: the wait must
+        give it away, or every op burns a scheduler slice per lane."""
+        script = textwrap.dedent(
+            """
+            import os, sys, time
+            import numpy as np
+
+            def main():
+                os.sched_setaffinity(0, {sorted(os.sched_getaffinity(0))[0]})
+                from repro import PolygonIndex
+                from repro.geo.polygon import regular_polygon
+                from repro.serve import ShardedJoinService
+                polygons = [
+                    regular_polygon((-74.0 + gx * 0.02, 40.70 + gy * 0.02), 0.011, 16)
+                    for gx in range(3) for gy in range(3)
+                ]
+                index = PolygonIndex.build(polygons, precision_meters=30.0)
+                rng = np.random.default_rng(3)
+                with ShardedJoinService(index, num_shards=2, backend="process") as svc:
+                    reports = [c.request(("ping",)) for c in svc._clients]
+                    assert reports[0]["affinity"] == reports[1]["affinity"], reports
+                    assert len(reports[0]["affinity"]) == 1, reports
+                    started = time.perf_counter()
+                    for _ in range(20):
+                        lats = rng.uniform(40.66, 40.78, 4000)
+                        lngs = rng.uniform(-74.04, -73.92, 4000)
+                        served = svc.join(lats, lngs, exact=True, materialize=True)
+                        direct = index.join(lats, lngs, exact=True, materialize=True)
+                        assert np.array_equal(served.counts, direct.counts)
+                        assert served.num_pip_tests == direct.num_pip_tests
+                        assert set(zip(served.pair_points.tolist(), served.pair_polygons.tolist())) == set(
+                            zip(direct.pair_points.tolist(), direct.pair_polygons.tolist()))
+                    print("elapsed", time.perf_counter() - started)
+
+            if __name__ == "__main__":
+                main()
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(pathlib.Path(__file__).resolve().parents[1] / "src"),
+             env.get("PYTHONPATH", "")]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        elapsed = float(done.stdout.split()[-1])
+        assert elapsed < 20.0  # 20 small joins: seconds, never 20 deadlines
 
     def test_close_is_bounded_when_a_worker_is_wedged(
         self, index, monkeypatch
