@@ -15,8 +15,9 @@
   offline parallel join and the serving layer share,
 * :mod:`repro.core.builder` — the high-level :class:`PolygonIndex` facade
   and the reusable build pipeline with versioned snapshots,
-* :mod:`repro.core.dynamic` — the dynamic index lifecycle: delta overlays,
-  tombstones, and background compaction over an immutable base snapshot,
+* :mod:`repro.core.dynamic` — the dynamic index lifecycle: a delta
+  overlay and tombstones over an immutable base snapshot, compacted
+  under one lock,
 * :mod:`repro.core.adaptive` — the online adaptation loop: refinement
   telemetry, drift detection, and background retraining of live layers,
 * :mod:`repro.core.flat` — the zero-copy snapshot plane: one probe
@@ -55,12 +56,7 @@ from repro.core.builder import (
     cover_polygons,
     next_index_version,
 )
-from repro.core.dynamic import (
-    DeltaOp,
-    DynamicIndexState,
-    DynamicPolygonIndex,
-    OverlayCellStore,
-)
+from repro.core.dynamic import DynamicPolygonIndex, OverlayCellStore
 from repro.core.flat import FlatSnapshot, attach_index, pack_index
 from repro.core.serialize import load_index, save_index
 
@@ -90,8 +86,6 @@ __all__ = [
     "cover_polygon",
     "cover_polygons",
     "next_index_version",
-    "DeltaOp",
-    "DynamicIndexState",
     "DynamicPolygonIndex",
     "OverlayCellStore",
     "FlatSnapshot",

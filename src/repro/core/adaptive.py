@@ -23,9 +23,9 @@ machinery the serving stack already has:
   histogram (hottest keys first, repeats capped) and retrains with
   ``order="hot"`` under a cell budget: ``PolygonIndex.retrained`` builds a
   fresh snapshot from a *copy* of the covering (swapped in atomically via
-  ``JoinService.swap_layer``), while ``DynamicPolygonIndex.retrain`` rides
-  the epoch-guarded compaction path, folding pending delta operations into
-  the trained snapshot.
+  ``JoinService.swap_layer``), while ``DynamicPolygonIndex.retrain`` is a
+  compaction under the new training configuration, folding pending delta
+  mutations into the trained snapshot.
 
 Training only ever splits cells — no point's reference set changes — so
 join results before and after an adaptation are bit-identical to a fresh
@@ -228,7 +228,7 @@ class AdaptiveController:
     every join dispatch (the trigger check, a few lock-free comparisons in
     the common case).  Retraining runs on a daemon worker thread, one per
     layer at a time, and installs through the index's own snapshot
-    machinery — dynamic indexes via their epoch-guarded compaction path,
+    machinery — dynamic indexes via their compaction (``retrain``),
     static snapshots via the ``swap`` callable (normally
     ``JoinService.swap_layer``).
     """

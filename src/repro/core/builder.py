@@ -12,8 +12,8 @@
 The pipeline stages are exposed as free functions (:func:`cover_polygons`,
 :func:`build_pipeline`, :func:`build_store`) so every build path — a full
 offline build, the delta-overlay builds of
-:class:`~repro.core.dynamic.DynamicPolygonIndex`, and background
-compaction — runs the exact same code instead of re-implementing it.
+:class:`~repro.core.dynamic.DynamicPolygonIndex`, and its compaction —
+runs the exact same code instead of re-implementing it.
 
 A rebuild pays for what changed.  A covering is a pure function of
 (geometry, options), so :func:`cover_polygons` keeps each polygon's last

@@ -1,14 +1,15 @@
-"""Dynamic index lifecycle: delta overlays over an immutable base snapshot.
+"""Dynamic index lifecycle: a delta overlay over an immutable base snapshot.
 
 The paper's ACT is immutable once built — the right trade for its
 mostly-static polygon sets, but a production geofencing layer churns:
-fences appear and retire continuously, and a full rebuild plus service
-restart per change is not an option.  :class:`DynamicPolygonIndex` applies
-the standard main-memory recipe (an immutable base structure plus a small
-mutable delta, compacted in the background) to the ACT stack:
+fences appear and retire continuously.  A rebuild per write does not fit
+either: on the 289-polygon ``neighborhoods`` layer one costs 176–457 ms
+against an overlay insert's 11–15 ms (DESIGN.md, "The index lifecycle").
+:class:`DynamicPolygonIndex` is a base, a delta and one lock:
 
 * the **base** is an ordinary immutable :class:`~repro.core.builder.PolygonIndex`
-  snapshot;
+  snapshot, and its ``covering_options`` / ``interior_options`` are the
+  ones every insert and every compaction covers with;
 * **inserts** go to a *delta overlay*: the new polygon is covered with the
   exact same pipeline stages as a full build
   (:func:`~repro.core.builder.cover_polygon` → the build's merge sweep
@@ -22,16 +23,20 @@ mutable delta, compacted in the background) to the ACT stack:
   layered on them: caching, morsel parallelism, the serving facade) run
   unchanged and return results identical to a fresh build over the
   current polygon set;
-* once the pending-operation count reaches ``compact_threshold``,
-  **compaction** runs the full build pipeline into a fresh versioned
-  snapshot (inline, or on a background thread with ``background=True``
-  while reads and writes continue) and atomically installs it.  It pays
-  for what changed: a surviving polygon is never re-covered, re-bucketed
-  or re-classified (its coverings, bucket rows and relation classifier
-  are memoized on the polygon object — an insert's covering is the one
-  its compaction reuses), and the ACT is bulk-built from the sorted
-  covering in linear passes.  The ``compaction`` event says what the
-  rebuild cost (``cover_seconds``, ``store_seconds``, ``covered``).
+* **compaction** runs the full build pipeline over the live set into a
+  fresh versioned snapshot and installs it with an empty delta — inline,
+  under the index's lock, once the delta holds ``compact_threshold``
+  mutations or whenever :meth:`~DynamicPolygonIndex.compact` /
+  :meth:`~DynamicPolygonIndex.retrain` is called.  A writer waits behind
+  it; a reader never takes the lock: every mutation publishes one
+  immutable :class:`~repro.core.builder.ProbeView`, and a join reads the
+  view that was current when it started.  Compaction pays for what
+  changed: a surviving polygon is never re-covered, re-bucketed or
+  re-classified (its coverings, bucket rows and relation classifier are
+  memoized on the polygon object — an insert's covering is the one its
+  compaction reuses), and the ACT is bulk-built from the sorted covering
+  in linear passes.  The ``compaction`` event says what the rebuild cost
+  (``cover_seconds``, ``store_seconds``, ``covered``).
 
 Polygon ids are *stable*: an insert is assigned the next id and keeps it
 across compactions; a delete leaves a hole (``None``) rather than
@@ -43,7 +48,6 @@ uses to key caches and swap snapshots without ever serving stale entries.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
@@ -169,71 +173,24 @@ class OverlayCellStore:
         }
 
 
-@dataclass(frozen=True)
-class DeltaOp:
-    """One pending mutation in the delta log (also the serialized form)."""
-
-    kind: str  # "insert" | "delete"
-    polygon_id: int
-    polygon: Polygon | None  # payload for inserts, None for deletes
-
-
-@dataclass(frozen=True)
-class DynamicIndexState:
-    """Everything needed to persist/restore a :class:`DynamicPolygonIndex`.
-
-    Produced atomically by :meth:`DynamicPolygonIndex.export_state` and
-    consumed by :meth:`DynamicPolygonIndex.restore` — the one sanctioned
-    door into the index's internals, so persistence code never touches
-    private state.
-    """
-
-    base: PolygonIndex
-    pending: tuple[DeltaOp, ...]
-    compact_threshold: int | None
-    background: bool
-    covering_options: CovererOptions
-    interior_options: CovererOptions
-    training_cell_ids: np.ndarray | None
-    training_max_cells: int | None
-
-
-@dataclass(frozen=True)
-class _CompactionInput:
-    """Consistent state captured under the lock for one compaction run.
-
-    The training configuration rides along because the build runs
-    *outside* the lock: reading ``self._training_*`` from the worker
-    would race a concurrent :meth:`DynamicPolygonIndex.retrain`
-    installing a new configuration mid-build (seeing, say, new ids with
-    the old cell budget).  Capturing it here makes every build use one
-    consistent configuration — whichever was current at capture time.
-    """
-
-    polygons: tuple[Polygon | None, ...]
-    tombstones: frozenset[int]
-    ops_consumed: int
-    epoch: int  # base generation at capture; installs on a newer one abort
-    training_cell_ids: np.ndarray | None
-    training_max_cells: int | None
-    training_order: str
-
-
 class DynamicPolygonIndex:
     """A point-polygon join index that supports online inserts and deletes.
 
     Parameters
     ----------
     base:
-        The immutable snapshot to start from (any :class:`PolygonIndex`).
+        The immutable snapshot to start from (any :class:`PolygonIndex`);
+        its covering options cover every insert and every compaction.
     compact_threshold:
-        Number of pending delta operations that triggers a full rebuild
-        into a fresh snapshot; ``None`` disables automatic compaction
-        (call :meth:`compact` yourself).
-    background:
-        Run triggered compactions on a daemon thread while reads and
-        writes continue; operations arriving mid-compaction are replayed
-        into the new delta when the snapshot is installed.
+        Delta size (inserts + deletes since the last compaction) that
+        triggers an inline compaction; ``None`` disables automatic
+        compaction (call :meth:`compact` yourself).
+    training_cell_ids / training_max_cells:
+        The training configuration every compaction builds with (see
+        :meth:`retrain`, which replaces it).
+    events / metrics:
+        Optional telemetry plane: one ``compaction`` event per installed
+        snapshot, and the ``index_compactions_total`` counter.
 
     Join results are always identical to a fresh
     ``PolygonIndex.build`` over the current live polygon set (exact joins
@@ -247,9 +204,6 @@ class DynamicPolygonIndex:
         base: PolygonIndex,
         *,
         compact_threshold: int | None = 64,
-        background: bool = False,
-        covering_options: CovererOptions = DEFAULT_COVERING_OPTIONS,
-        interior_options: CovererOptions = DEFAULT_INTERIOR_OPTIONS,
         training_cell_ids: np.ndarray | None = None,
         training_max_cells: int | None = None,
         events=None,
@@ -259,14 +213,9 @@ class DynamicPolygonIndex:
             raise ValueError("compact_threshold must be >= 1 (or None)")
         self._lock = threading.RLock()
         self._compact_threshold = compact_threshold
-        self._background = background
-        self._covering_options = covering_options
-        self._interior_options = interior_options
         self._training_cell_ids = training_cell_ids  #: guarded_by(_lock)
         self._training_max_cells = training_max_cells  #: guarded_by(_lock)
         self._training_order = "arrival"  #: guarded_by(_lock)
-        # Optional telemetry plane: one "compaction" event per installed
-        # snapshot, and a monotone compaction counter in the registry.
         self._events = events
         self._compaction_counter = (
             metrics.counter(
@@ -276,19 +225,9 @@ class DynamicPolygonIndex:
             if metrics is not None
             else None
         )
-        self._fanout_bits = base.store.fanout_bits
-        self._compactor: threading.Thread | None = None  #: guarded_by(_lock, writes)
-        #: guarded_by(_lock)
-        self._compaction_active = False  # owned by _lock, unlike is_alive()
-        self._compaction_error: Exception | None = None  #: guarded_by(_lock)
         self._compactions = 0  #: guarded_by(_lock, writes)
-        self._epoch = 0  #: guarded_by(_lock)
         self._version = base.version  #: guarded_by(_lock, writes)
-        self._install_base(base, ops_consumed=0, bump_version=False)
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
+        self._install_base(base)
 
     @classmethod
     def build(
@@ -302,11 +241,11 @@ class DynamicPolygonIndex:
         training_cell_ids: np.ndarray | None = None,
         training_max_cells: int | None = None,
         compact_threshold: int | None = 64,
-        background: bool = False,
         events=None,
         metrics=None,
     ) -> "DynamicPolygonIndex":
-        """Build the base snapshot and wrap it for online updates."""
+        """Build the base snapshot (which records the covering options)
+        and wrap it for online updates."""
         base = PolygonIndex.build(
             polygons,
             precision_meters=precision_meters,
@@ -319,75 +258,11 @@ class DynamicPolygonIndex:
         return cls(
             base,
             compact_threshold=compact_threshold,
-            background=background,
-            covering_options=covering_options,
-            interior_options=interior_options,
             training_cell_ids=training_cell_ids,
             training_max_cells=training_max_cells,
             events=events,
             metrics=metrics,
         )
-
-    # ------------------------------------------------------------------
-    # Persistence (the sanctioned door into internal state)
-    # ------------------------------------------------------------------
-
-    def export_state(self) -> DynamicIndexState:
-        """Atomic snapshot of everything persistence needs.
-
-        The base and the pending log are read under the lock, so the pair
-        is always consistent (replaying ``pending`` onto ``base``
-        reproduces this index exactly).
-        """
-        with self._lock:
-            return DynamicIndexState(
-                base=self._base,
-                pending=tuple(self._pending),
-                compact_threshold=self._compact_threshold,
-                background=self._background,
-                covering_options=self._covering_options,
-                interior_options=self._interior_options,
-                training_cell_ids=self._training_cell_ids,
-                training_max_cells=self._training_max_cells,
-            )
-
-    @classmethod
-    def restore(
-        cls,
-        base: PolygonIndex,
-        pending: Sequence[DeltaOp],
-        *,
-        compact_threshold: int | None = 64,
-        background: bool = False,
-        covering_options: CovererOptions = DEFAULT_COVERING_OPTIONS,
-        interior_options: CovererOptions = DEFAULT_INTERIOR_OPTIONS,
-        training_cell_ids: np.ndarray | None = None,
-        training_max_cells: int | None = None,
-    ) -> "DynamicPolygonIndex":
-        """Rebuild a dynamic index from a base snapshot plus a delta log.
-
-        The inverse of :meth:`export_state`: ops are replayed in order
-        (re-covering inserted polygons through the configured pipeline
-        stages), and a replayed delta that already exceeds the compaction
-        threshold triggers compaction just like live mutations would.
-        """
-        dynamic = cls(
-            base,
-            compact_threshold=compact_threshold,
-            background=background,
-            covering_options=covering_options,
-            interior_options=interior_options,
-            training_cell_ids=training_cell_ids,
-            training_max_cells=training_max_cells,
-        )
-        with dynamic._lock:
-            for op in pending:
-                dynamic._apply_op(op)
-            if pending:
-                dynamic._version = next_index_version()
-            dynamic._refresh_view()
-        dynamic._maybe_compact()
-        return dynamic
 
     # ------------------------------------------------------------------
     # Mutation
@@ -396,15 +271,37 @@ class DynamicPolygonIndex:
     def insert(self, polygon: Polygon) -> int:
         """Add a polygon online; returns its (stable) id.
 
-        The polygon is covered through the shared build-pipeline stages and
-        indexed in the delta overlay; the base snapshot is untouched.
+        The polygon is covered with the base's options through the shared
+        build-pipeline stages and indexed in the delta overlay; the base
+        snapshot is untouched.
         """
         with self._lock:
             pid = validate_polygon_id(len(self._polygons))
-            self._apply_op(DeltaOp("insert", pid, polygon))
-            self._version = next_index_version()
-            self._refresh_view()
-        self._maybe_compact()
+            base = self._base
+            covering, interior = cover_polygon(
+                polygon, base.covering_options, base.interior_options
+            )
+            self._polygons.append(polygon)
+            if self.precision_meters is None:
+                self._delta_covering.insert_covering(pid, covering, interior)
+            else:
+                # Refine only the new polygon (in its own small covering), then
+                # merge the refined cells: earlier delta polygons were refined
+                # at their own insert, and conflict resolution preserves every
+                # point's reference set, so the precision bound carries over —
+                # without re-classifying the whole delta on each insert.
+                refined = SuperCovering()
+                refined.insert_covering(pid, covering, interior)
+                refine_to_precision(refined, self._polygons, self.precision_meters)
+                self._delta_covering.merge(refined)
+            # The delta store is tiny (bounded by the compaction threshold), so
+            # rebuilding it per insert is the cheap half of the bargain; old
+            # probe views keep their previous store, which is self-contained.
+            self._delta_store = build_store(
+                self._delta_covering, fanout_bits=base.store.fanout_bits
+            )
+            self._delta_ids.add(pid)
+            self._publish_write()
         return pid
 
     def delete(self, polygon_id: int) -> None:
@@ -412,10 +309,8 @@ class DynamicPolygonIndex:
         with self._lock:
             if not self.is_live(polygon_id):
                 raise KeyError(f"polygon id {polygon_id} is not live")
-            self._apply_op(DeltaOp("delete", int(polygon_id), None))
-            self._version = next_index_version()
-            self._refresh_view()
-        self._maybe_compact()
+            self._tombstones.add(int(polygon_id))
+            self._publish_write()
 
     def is_live(self, polygon_id: int) -> bool:
         """Whether ``polygon_id`` currently participates in joins."""
@@ -426,84 +321,80 @@ class DynamicPolygonIndex:
                 and polygon_id not in self._tombstones
             )
 
-    def _apply_op(self, op: DeltaOp) -> None:  #: requires(_lock)
-        """Apply one mutation to the delta state and log it (lock held)."""
-        if op.kind == "insert":
-            self._apply_insert(op.polygon_id, op.polygon)
-        elif op.kind == "delete":
-            self._tombstones.add(op.polygon_id)
-        else:
-            raise ValueError(f"unknown delta op kind {op.kind!r}")
-        self._pending.append(op)
-
-    def _apply_insert(self, pid: int, polygon: Polygon) -> None:  #: requires(_lock)
-        if pid != len(self._polygons):
-            raise ValueError(
-                f"insert out of order: id {pid}, expected {len(self._polygons)}"
-            )
-        covering, interior = cover_polygon(
-            polygon, self._covering_options, self._interior_options
-        )
-        self._polygons.append(polygon)
-        if self.precision_meters is None:
-            self._delta_covering.insert_covering(pid, covering, interior)
-        else:
-            # Refine only the new polygon (in its own small covering), then
-            # merge the refined cells: earlier delta polygons were refined
-            # at their own insert, and conflict resolution preserves every
-            # point's reference set, so the precision bound carries over —
-            # without re-classifying the whole delta on each insert.
-            refined = SuperCovering()
-            refined.insert_covering(pid, covering, interior)
-            refine_to_precision(refined, self._polygons, self.precision_meters)
-            self._delta_covering.merge(refined)
-        # The delta store is tiny (bounded by the compaction threshold), so
-        # rebuilding it per insert is the cheap half of the bargain; old
-        # probe views keep their previous store, which is self-contained.
-        self._delta_store = build_store(
-            self._delta_covering, fanout_bits=self._fanout_bits
-        )
-        self._delta_table = self._delta_store.lookup_table
-        self._delta_ids.add(pid)
+    def _publish_write(self) -> None:  #: requires(_lock)
+        """Publish a write's view; compact once the delta is full."""
+        self._version = next_index_version()
+        self._refresh_view()
+        if (
+            self._compact_threshold is not None
+            and self.delta_size >= self._compact_threshold
+        ):
+            self.compact()
 
     # ------------------------------------------------------------------
     # Compaction
     # ------------------------------------------------------------------
 
-    def _maybe_compact(self) -> None:
-        if self._compact_threshold is None:
-            return
-        with self._lock:
-            backlog = len(self._pending)
-        if backlog < self._compact_threshold:
-            return
-        if self._background:
-            self._start_background_compaction()
-        else:
-            # Loop: ops other threads land during the build are replayed as
-            # pending by the install and may reach the threshold again.
-            while True:
-                with self._lock:
-                    if len(self._pending) < self._compact_threshold:
-                        return
-                self.compact()
-
     def compact(self) -> PolygonIndex:
-        """Rebuild the live polygon set into a fresh snapshot, inline.
+        """Rebuild the live polygon set into a fresh snapshot and install it.
 
-        Mutations arriving while the build runs are replayed into the new
-        delta at install time, so nothing is lost.  Returns the base the
-        index ends up on (a concurrently installed snapshot may win the
-        race, in which case this build is discarded).
+        Runs inline, under the index's lock, with the base's covering
+        options and the current training configuration: every pending
+        mutation is folded in and the delta starts empty.  Writers wait
+        for it; joins do not (they read the published view).  Returns the
+        installed base.
         """
         with self._lock:
-            captured = self._capture()
-        snapshot = self._build_snapshot(captured)
-        with self._lock:
-            self._install_base(
-                snapshot, captured.ops_consumed, expected_epoch=captured.epoch
+            old = self._base
+            polygons_by_id = [
+                None if pid in self._tombstones else polygon
+                for pid, polygon in enumerate(self._polygons)
+            ]
+            live = [
+                (pid, polygon)
+                for pid, polygon in enumerate(polygons_by_id)
+                if polygon is not None
+            ]
+            artifacts = build_pipeline(
+                live,
+                polygons_by_id,
+                precision_meters=self.precision_meters,
+                covering_options=old.covering_options,
+                interior_options=old.interior_options,
+                training_cell_ids=self._training_cell_ids,
+                training_max_cells=self._training_max_cells,
+                training_order=self._training_order,
+                fanout_bits=old.store.fanout_bits,
             )
-            return self._base
+            base = PolygonIndex(
+                polygons_by_id,
+                artifacts.super_covering,
+                artifacts.store,
+                artifacts.store.lookup_table,
+                artifacts.timings,
+                self.precision_meters,
+                artifacts.training_report,
+            )
+            base.covering_options = old.covering_options
+            base.interior_options = old.interior_options
+            self._compactions += 1
+            self._version = next_index_version()
+            self._install_base(base)
+            if self._compaction_counter is not None:
+                self._compaction_counter.inc()
+            if self._events is not None:
+                self._events.emit(
+                    "compaction",
+                    version=int(self._version),
+                    compactions=int(self._compactions),
+                    live_polygons=base.num_polygons,
+                    # What the rebuild cost, and for how many polygons
+                    # the covering was computed rather than remembered.
+                    cover_seconds=base.timings.individual_coverings_seconds,
+                    store_seconds=base.timings.store_build_seconds,
+                    covered=base.timings.covered,
+                )
+            return base
 
     def retrain(
         self,
@@ -511,191 +402,32 @@ class DynamicPolygonIndex:
         *,
         max_cells: int | None = None,
         order: str = "hot",
-        attempts: int = 3,
-    ) -> PolygonIndex | None:
-        """Retrain on new historical points by riding the compaction path.
+    ) -> PolygonIndex:
+        """Retrain on new historical points: a compaction under a new
+        training configuration.
 
-        Installs the new training configuration (it also governs every
-        later compaction) and synchronously rebuilds the live polygon set
-        into a trained snapshot, installed through the same epoch-guarded
-        ``_install_base`` as any compaction — so pending delta operations
-        are folded in or replayed, and concurrent mutations are never
-        lost.  Runs inline on the calling thread (the adaptation
-        controller already calls it from a background worker); if a
-        concurrent compaction wins the install race, the build is retried
-        up to ``attempts`` times.  Returns the installed base snapshot, or
-        ``None`` when every attempt lost the race (the new training
-        configuration still applies to the winner's successors).
+        The configuration (ids, cell budget, split schedule) replaces the
+        current one and governs every later compaction too; pending delta
+        mutations are folded into the trained snapshot.  Runs inline, like
+        :meth:`compact` (the adaptation controller calls it from its own
+        worker thread).  Returns the installed base.
         """
         with self._lock:
             self._training_cell_ids = np.asarray(training_cell_ids, dtype=np.uint64)
             self._training_max_cells = max_cells
             self._training_order = order
-        for _ in range(attempts):
-            with self._lock:
-                captured = self._capture()
-            snapshot = self._build_snapshot(captured)
-            with self._lock:
-                if self._install_base(
-                    snapshot, captured.ops_consumed, expected_epoch=captured.epoch
-                ):
-                    return self._base
-        return None
+            return self.compact()
 
-    def _start_background_compaction(self) -> None:
-        with self._lock:
-            # Checked against a lock-owned flag, not Thread.is_alive(): the
-            # worker clears the flag inside the same locked region where it
-            # decides to exit, so "skipped because one is running" always
-            # means that run will still observe our pending ops.
-            if self._compaction_active:
-                return
-            self._compaction_active = True
-            captured = self._capture()
-            thread = threading.Thread(
-                target=self._compact_worker,
-                args=(captured,),
-                name="repro-compaction",
-                daemon=True,
-            )
-            self._compactor = thread
-            thread.start()
-
-    def _compact_worker(self, captured: _CompactionInput) -> None:
-        try:
-            while True:
-                snapshot = self._build_snapshot(captured)
-                with self._lock:
-                    self._install_base(
-                        snapshot, captured.ops_consumed, expected_epoch=captured.epoch
-                    )
-                    # Ops replayed at install (or left pending by a
-                    # discarded stale build) can reach the threshold
-                    # again; keep compacting until the delta is small.
-                    # The active flag is cleared in the same locked region
-                    # as this exit decision, so a writer that was refused a
-                    # start always has its ops seen by this loop.
-                    if (
-                        self._compact_threshold is None
-                        or len(self._pending) < self._compact_threshold
-                    ):
-                        self._compaction_active = False
-                        return
-                    captured = self._capture()
-        except Exception as exc:  # surfaced via wait_for_compaction()
-            with self._lock:
-                self._compaction_active = False
-                self._compaction_error = exc
-
-    def wait_for_compaction(self, timeout: float | None = None) -> None:
-        """Block until any in-flight background compaction finishes."""
-        thread = self._compactor
-        if thread is not None:
-            thread.join(timeout)
-        with self._lock:
-            error, self._compaction_error = self._compaction_error, None
-        if error is not None:
-            raise error
-
-    def _capture(self) -> _CompactionInput:  #: requires(_lock)
-        return _CompactionInput(
-            polygons=tuple(self._polygons),
-            tombstones=frozenset(self._tombstones),
-            ops_consumed=len(self._pending),
-            epoch=self._epoch,
-            training_cell_ids=self._training_cell_ids,
-            training_max_cells=self._training_max_cells,
-            training_order=self._training_order,
-        )
-
-    def _build_snapshot(self, captured: _CompactionInput) -> PolygonIndex:
-        """Run the full build pipeline over the captured live set."""
-        polygons_by_id: list[Polygon | None] = [
-            None if pid in captured.tombstones else polygon
-            for pid, polygon in enumerate(captured.polygons)
-        ]
-        live_pairs = [
-            (pid, polygon)
-            for pid, polygon in enumerate(polygons_by_id)
-            if polygon is not None
-        ]
-        artifacts = build_pipeline(
-            live_pairs,
-            polygons_by_id,
-            precision_meters=self.precision_meters,
-            covering_options=self._covering_options,
-            interior_options=self._interior_options,
-            training_cell_ids=captured.training_cell_ids,
-            training_max_cells=captured.training_max_cells,
-            training_order=captured.training_order,
-            fanout_bits=self._fanout_bits,
-        )
-        snapshot = PolygonIndex(
-            polygons_by_id,
-            artifacts.super_covering,
-            artifacts.store,
-            artifacts.store.lookup_table,
-            artifacts.timings,
-            self.precision_meters,
-            artifacts.training_report,
-        )
-        snapshot.covering_options = self._covering_options
-        snapshot.interior_options = self._interior_options
-        return snapshot
-
-    def _install_base(
-        self,
-        base: PolygonIndex,
-        ops_consumed: int,
-        bump_version: bool = True,
-        expected_epoch: int | None = None,
-    ) -> bool:
-        """Swap in a new base snapshot and replay not-yet-compacted ops.
-
-        ``expected_epoch`` guards compaction installs: if another snapshot
-        was installed since the build's capture, this one is stale — its
-        pending-ops bookkeeping no longer lines up, so installing it would
-        silently drop acknowledged mutations.  Such a build is discarded
-        (returns ``False``); the still-pending ops simply trigger the next
-        compaction.
-        """
-        with self._lock:
-            if expected_epoch is not None and expected_epoch != self._epoch:
-                return False
-            remaining = getattr(self, "_pending", [])[ops_consumed:]
-            self._base = base  #: guarded_by(_lock, writes)
-            self.precision_meters = base.precision_meters
-            self._polygons: list[Polygon | None] = list(base.polygons)  #: guarded_by(_lock)
-            self._tombstones: set[int] = set()  #: guarded_by(_lock)
-            self._delta_covering = SuperCovering()  #: guarded_by(_lock)
-            self._delta_store: AdaptiveCellTrie | None = None  #: guarded_by(_lock)
-            self._delta_table: LookupTable | None = None  #: guarded_by(_lock)
-            self._delta_ids: set[int] = set()  #: guarded_by(_lock)
-            self._pending: list[DeltaOp] = []  #: guarded_by(_lock)
-            for op in remaining:
-                self._apply_op(op)
-            self._epoch += 1
-            if bump_version:
-                self._compactions += 1
-                self._version = next_index_version()
-                if self._compaction_counter is not None:
-                    self._compaction_counter.inc()
-                if self._events is not None:
-                    self._events.emit(
-                        "compaction",
-                        version=int(self._version),
-                        compactions=int(self._compactions),
-                        replayed_ops=len(remaining),
-                        live_polygons=len(self._polygons)
-                        - len(self._tombstones),
-                        # What the rebuild cost, and for how many polygons
-                        # the covering was computed rather than remembered.
-                        cover_seconds=base.timings.individual_coverings_seconds,
-                        store_seconds=base.timings.store_build_seconds,
-                        covered=base.timings.covered,
-                    )
-            self._refresh_view()
-            return True
+    def _install_base(self, base: PolygonIndex) -> None:  #: requires(_lock)
+        """Make ``base`` the snapshot, with an empty delta, and publish it."""
+        self._base = base  #: guarded_by(_lock, writes)
+        self.precision_meters = base.precision_meters
+        self._polygons: list[Polygon | None] = list(base.polygons)  #: guarded_by(_lock)
+        self._tombstones: set[int] = set()  #: guarded_by(_lock)
+        self._delta_covering = SuperCovering()  #: guarded_by(_lock)
+        self._delta_store: AdaptiveCellTrie | None = None  #: guarded_by(_lock)
+        self._delta_ids: set[int] = set()  #: guarded_by(_lock)
+        self._refresh_view()
 
     # ------------------------------------------------------------------
     # Probe views
@@ -711,11 +443,12 @@ class DynamicPolygonIndex:
             # is assembled once per base generation, not per refresh.
             refiner = self._base.probe_view().refiner
         else:
+            delta = self._delta_store
             store = OverlayCellStore(
                 self._base.store,
                 self._base.lookup_table,
-                self._delta_store,
-                self._delta_table,
+                delta,
+                delta.lookup_table if delta is not None else None,
                 self._tombstones,
             )
             table = store.lookup_table
@@ -812,16 +545,11 @@ class DynamicPolygonIndex:
         return self._view.lookup_table
 
     @property
-    def pending_ops(self) -> tuple[DeltaOp, ...]:
-        """The delta log: operations not yet folded into the base."""
-        with self._lock:
-            return tuple(self._pending)
-
-    @property
     def delta_size(self) -> int:
-        """Number of pending delta operations (inserts + deletes)."""
+        """Mutations since the last compaction: inserts + deletes (deleting
+        a delta insert counts both)."""
         with self._lock:
-            return len(self._pending)
+            return len(self._delta_ids) + len(self._tombstones)
 
     @property
     def compactions(self) -> int:
@@ -861,7 +589,7 @@ class DynamicPolygonIndex:
                 "num_polygons": self.num_polygons,
                 "version": self._version,
                 "base_version": self._base.version,
-                "delta_size": len(self._pending),
+                "delta_size": self.delta_size,
                 "delta_inserts": len(self._delta_ids),
                 "tombstones": len(self._tombstones),
                 "compactions": self._compactions,

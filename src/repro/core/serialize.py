@@ -17,11 +17,14 @@ Format history:
 * **v1** — super covering + polygons + build configuration (``.npz``);
   the store is rebuilt on load.
 * **v2** — adds lifecycle state: the snapshot ``version`` and, for a
-  :class:`~repro.core.dynamic.DynamicPolygonIndex`, the pending delta log
+  :class:`~repro.core.dynamic.DynamicPolygonIndex`, its delta as a log
   (inserts as WKT, deletes as tombstoned ids) replayed on load.
 * **v3** — the flat snapshot container (single ``.npy`` payload): zero
   rebuild on load, mmap-able, bit-identical probe results.  The delta
-  log ships as packed ring geometry instead of WKT.
+  log ships as packed ring geometry instead of WKT.  Since 1.20.0 the log
+  is derived from the delta when saving — every delta insert in id
+  order, then every tombstone — and the dynamic meta also records the
+  training split schedule (``training_order``).
 
 Writers always emit the current ``FORMAT_VERSION``; readers accept every
 version up to it.
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+from collections.abc import Iterable
 from dataclasses import asdict
 
 import numpy as np
@@ -45,7 +49,7 @@ from repro.core.builder import (
     build_store,
     ensure_version_floor,
 )
-from repro.core.dynamic import DeltaOp, DynamicPolygonIndex
+from repro.core.dynamic import DynamicPolygonIndex
 from repro.core.flat import (
     FLAT_EXTENSION_BUFFERS,
     FlatSnapshot,
@@ -56,6 +60,7 @@ from repro.core.flat import (
     validate_buffers,
 )
 from repro.core.super_covering import SuperCovering
+from repro.geo.polygon import Polygon
 from repro.geo.wkt import polygon_from_wkt
 from repro.util.timing import Timer
 
@@ -70,7 +75,8 @@ _HOLE = ""
 _OP_INSERT = 0
 _OP_DELETE = 1
 
-#: Meta keys only a :class:`DynamicPolygonIndex` save writes.
+#: Meta keys only a :class:`DynamicPolygonIndex` save writes (and
+#: ``background``, which files written before 1.20.0 carry).
 _DYNAMIC_META_KEYS = (
     "dynamic",
     "compact_threshold",
@@ -78,7 +84,12 @@ _DYNAMIC_META_KEYS = (
     "covering_options",
     "interior_options",
     "training_max_cells",
+    "training_order",
 )
+
+#: One replayed mutation: ``(_OP_INSERT | _OP_DELETE, polygon id, polygon
+#: or None)``.
+_LogEntry = tuple[int, int, Polygon | None]
 
 
 def _coverer_options(fields: dict | None) -> CovererOptions:
@@ -89,15 +100,17 @@ def _interior_options(fields: dict | None) -> CovererOptions:
     return CovererOptions(**fields) if fields else DEFAULT_INTERIOR_OPTIONS
 
 
-def _pack_delta_log(ops: tuple[DeltaOp, ...]) -> dict[str, np.ndarray]:
-    """The pending mutations as flat buffers (geometry ring-packed)."""
+def _pack_delta_log(
+    polygons: list[Polygon | None], inserts: list[int], deletes: list[int]
+) -> dict[str, np.ndarray]:
+    """The delta as flat log buffers (geometry ring-packed): every insert,
+    then every delete."""
     kinds = np.asarray(
-        [_OP_INSERT if op.kind == "insert" else _OP_DELETE for op in ops],
-        dtype=np.int8,
+        [_OP_INSERT] * len(inserts) + [_OP_DELETE] * len(deletes), dtype=np.int8
     )
-    pids = np.asarray([op.polygon_id for op in ops], dtype=np.int64)
+    pids = np.asarray(inserts + deletes, dtype=np.int64)
     ring_index, vertex_index, lngs, lats = pack_polygon_geometry(
-        [op.polygon for op in ops]
+        [polygons[pid] for pid in inserts] + [None] * len(deletes)
     )
     return {
         "delta_kinds": kinds,
@@ -109,22 +122,51 @@ def _pack_delta_log(ops: tuple[DeltaOp, ...]) -> dict[str, np.ndarray]:
     }
 
 
-def _unpack_delta_log(buffers: dict[str, np.ndarray]) -> list[DeltaOp]:
+def _unpack_delta_log(buffers: dict[str, np.ndarray]) -> list[_LogEntry]:
     polygons = unpack_polygon_geometry(
         buffers["delta_ring_index"],
         buffers["delta_vertex_index"],
         buffers["delta_lngs"],
         buffers["delta_lats"],
     )
-    ops: list[DeltaOp] = []
-    for kind, pid, polygon in zip(
-        buffers["delta_kinds"], buffers["delta_pids"], polygons
-    ):
-        if int(kind) == _OP_INSERT:
-            ops.append(DeltaOp("insert", int(pid), polygon))
-        else:
-            ops.append(DeltaOp("delete", int(pid), None))
-    return ops
+    return [
+        (int(kind), int(pid), polygon)
+        for kind, pid, polygon in zip(
+            buffers["delta_kinds"], buffers["delta_pids"], polygons
+        )
+    ]
+
+
+def _replay(
+    base: PolygonIndex,
+    meta: dict,
+    training_cell_ids: np.ndarray | None,
+    log: Iterable[_LogEntry],
+) -> DynamicPolygonIndex:
+    """Wrap ``base`` as the saved dynamic index: the file's covering
+    options on the base, its training configuration, then the log
+    through ``insert`` / ``delete``.
+
+    Files written before 1.9.0 may carry a ``flat_snapshots`` meta key,
+    and before 1.20.0 a ``background`` one (both removed constructor
+    options); they are ignored.
+    """
+    base.covering_options = _coverer_options(meta.get("covering_options"))
+    base.interior_options = _interior_options(meta.get("interior_options"))
+    dynamic = DynamicPolygonIndex(
+        base,
+        compact_threshold=meta.get("compact_threshold"),
+        training_cell_ids=training_cell_ids,
+        training_max_cells=meta.get("training_max_cells"),
+    )
+    # Not yet shared with any thread: no lock needed.
+    dynamic._training_order = meta.get("training_order", "arrival")
+    for kind, pid, polygon in log:
+        if kind == _OP_DELETE:
+            dynamic.delete(pid)
+        elif dynamic.insert(polygon) != pid:
+            raise ValueError(f"delta log inserts id {pid} out of order")
+    return dynamic
 
 
 def save_index(
@@ -133,27 +175,35 @@ def save_index(
     """Serialize ``index`` to ``path`` (a flat snapshot, v3).
 
     A :class:`DynamicPolygonIndex` is saved as its immutable base snapshot
-    plus the pending delta log; loading replays the log, restoring the
-    exact live polygon set, tombstones, and id assignment.
+    plus its delta as a log — every delta insert in id order, then every
+    tombstone — with its covering options and training configuration;
+    loading replays the log, restoring the exact live polygon set, ids
+    and ``delta_size``.
     """
     extra: dict[str, np.ndarray] = {}
     dynamic_meta: dict[str, object] = {}
     if isinstance(index, DynamicPolygonIndex):
-        state = index.export_state()
-        extra = _pack_delta_log(state.pending)
-        if state.training_cell_ids is not None:
-            extra["training_cell_ids"] = np.asarray(
-                state.training_cell_ids, dtype=np.uint64
+        # Writers hold this lock: base, delta and training configuration
+        # are read as one state.
+        with index._lock:
+            base = index.base
+            extra = _pack_delta_log(
+                index._polygons, sorted(index._delta_ids), sorted(index._tombstones)
             )
-        dynamic_meta = {
-            "dynamic": True,
-            "compact_threshold": state.compact_threshold,
-            "background": state.background,
-            "covering_options": asdict(state.covering_options),
-            "interior_options": asdict(state.interior_options),
-            "training_max_cells": state.training_max_cells,
-        }
-        index = state.base
+            training_cell_ids = index._training_cell_ids
+            dynamic_meta = {
+                "dynamic": True,
+                "compact_threshold": index._compact_threshold,
+                "covering_options": asdict(base.covering_options),
+                "interior_options": asdict(base.interior_options),
+                "training_max_cells": index._training_max_cells,
+                "training_order": index._training_order,
+            }
+        if training_cell_ids is not None:
+            extra["training_cell_ids"] = np.asarray(
+                training_cell_ids, dtype=np.uint64
+            )
+        index = base
     snapshot = pack_index(index)
     # A v3-loaded base holds the snapshot it was attached from, which may
     # carry the dynamic meta and delta-log buffers of the file it came
@@ -187,9 +237,9 @@ def load_index(path: str | pathlib.Path) -> PolygonIndex | DynamicPolygonIndex:
     is *attached* (:func:`~repro.core.flat.attach_index`): the returned
     index serves straight from the mmap'd buffers and no store build
     runs.  v1/v2 ``.npz`` archives take the legacy rebuild path.
-    A file that carries a pending delta log comes back as a
-    :class:`DynamicPolygonIndex` with the log replayed, anything else as
-    a plain :class:`PolygonIndex`.
+    A file saved from a :class:`DynamicPolygonIndex` comes back as one,
+    with its delta log replayed through ``insert`` / ``delete``, anything
+    else as a plain :class:`PolygonIndex`.
     """
     loaded = np.load(path, mmap_mode="r", allow_pickle=True)
     if isinstance(loaded, np.lib.npyio.NpzFile):
@@ -209,18 +259,11 @@ def load_index(path: str | pathlib.Path) -> PolygonIndex | DynamicPolygonIndex:
     base = attach_index(snapshot)
     if not meta.get("dynamic", False):
         return base
-    training = snapshot.buffers.get("training_cell_ids")
-    # Files written before 1.9.0 may carry a "flat_snapshots" meta key (a
-    # removed constructor option); it is ignored — every base is attached.
-    return DynamicPolygonIndex.restore(
+    return _replay(
         base,
+        meta,
+        snapshot.buffers.get("training_cell_ids"),
         _unpack_delta_log(snapshot.buffers),
-        compact_threshold=meta.get("compact_threshold"),
-        background=bool(meta.get("background", False)),
-        covering_options=_coverer_options(meta.get("covering_options")),
-        interior_options=_interior_options(meta.get("interior_options")),
-        training_cell_ids=training,
-        training_max_cells=meta.get("training_max_cells"),
     )
 
 
@@ -243,15 +286,13 @@ def _load_legacy(archive) -> PolygonIndex | DynamicPolygonIndex:
         if "training_cell_ids" in archive.files
         else None
     )
-    ops: list[DeltaOp] = []
+    log: list[_LogEntry] = []
     if "delta_kinds" in archive.files:
         for kind, pid, wkt in zip(
             archive["delta_kinds"], archive["delta_pids"], archive["delta_polygons"]
         ):
-            if int(kind) == _OP_INSERT:
-                ops.append(DeltaOp("insert", int(pid), polygon_from_wkt(wkt)))
-            else:
-                ops.append(DeltaOp("delete", int(pid), None))
+            polygon = polygon_from_wkt(wkt) if int(kind) == _OP_INSERT else None
+            log.append((int(kind), int(pid), polygon))
     saved_version = meta.get("version")
     if saved_version is not None:
         ensure_version_floor(int(saved_version))
@@ -269,13 +310,4 @@ def _load_legacy(archive) -> PolygonIndex | DynamicPolygonIndex:
     )
     if not meta.get("dynamic", False):
         return base
-    return DynamicPolygonIndex.restore(
-        base,
-        ops,
-        compact_threshold=meta.get("compact_threshold"),
-        background=bool(meta.get("background", False)),
-        covering_options=_coverer_options(meta.get("covering_options")),
-        interior_options=_interior_options(meta.get("interior_options")),
-        training_cell_ids=training_cell_ids,
-        training_max_cells=meta.get("training_max_cells"),
-    )
+    return _replay(base, meta, training_cell_ids, log)

@@ -1,23 +1,41 @@
 """Tests for the dynamic index lifecycle (repro.core.dynamic).
 
-The load-bearing guarantee: after ANY sequence of online inserts and
-deletes, join results are identical to a fresh ``PolygonIndex.build`` over
-the current live polygon set (modulo the stable-id ↔ dense-id mapping) —
-before and after compaction.
+The load-bearing guarantee: after ANY sequence of online inserts,
+deletes, compactions, retrains and save / load round trips, join results
+are identical to brute force and to a fresh ``PolygonIndex.build`` over
+the current live polygon set (modulo the stable-id ↔ dense-id mapping).
+:class:`DynamicIndexMachine` drives that sequence; the classes after it
+pin what one rule cannot (concurrency, the overlay's own mechanics and
+what a compaction costs) and keep fixed-input examples of the lifecycle
+guarantees.
 """
 
+import sys
+import tempfile
 import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
+from repro.cells import cell_ids_from_lat_lng_arrays
+from repro.cells.coverer import CovererOptions
 from repro.core import DynamicPolygonIndex, PolygonIndex
 from repro.core.dynamic import OverlayCellStore
+from repro.core.flat import FlatSnapshot
+from repro.core.serialize import load_index, save_index
 from repro.geo import refine as refine_module
 from repro.geo.pip import contains_points
-from repro.geo.polygon import regular_polygon
+from repro.geo.polygon import Polygon, regular_polygon
+from repro.serve import JoinService
 
 #: Candidate polygons inserts draw from (deterministic, overlapping mix).
 POOL = [
@@ -29,6 +47,10 @@ POOL = [
     regular_polygon((-73.99, 40.71), 0.012, 10),
 ]
 
+#: Coarser than the defaults: a compaction or insert that covers with the
+#: defaults instead changes the covering (and the approximate counts).
+CUSTOM_OPTIONS = CovererOptions(max_cells=16, max_level=20)
+
 
 def _probe_points(n=2500, seed=5):
     rng = np.random.default_rng(seed)
@@ -38,6 +60,14 @@ def _probe_points(n=2500, seed=5):
 
 
 LATS, LNGS = _probe_points()
+
+
+def _brute_counts(polygons_by_id, live) -> np.ndarray:
+    """Points per polygon id by ``contains_points``, 0 for dead ids."""
+    counts = np.zeros(len(polygons_by_id), dtype=np.int64)
+    for pid in live:
+        counts[pid] = contains_points(polygons_by_id[pid], LNGS, LATS).sum()
+    return counts
 
 
 def _assert_matches_fresh_build(dyn: DynamicPolygonIndex, *, exact: bool, **build_kwargs):
@@ -70,6 +100,407 @@ def _apply_ops(dyn: DynamicPolygonIndex, ops):
                 dyn.delete(live[value % len(live)])
 
 
+def _hotspot_cell_ids(polygon: Polygon, seed: int) -> np.ndarray:
+    """2,000 training points clustered around a vertex of ``polygon``,
+    where the boundary cells training splits are."""
+    rng = np.random.default_rng(seed)
+    centre = polygon.outer.lngs[0], polygon.outer.lats[0]
+    points = centre + rng.normal(0.0, 0.004, (2000, 2))
+    return cell_ids_from_lat_lng_arrays(points[:, 1], points[:, 0])
+
+
+@st.composite
+def polygons(draw) -> Polygon:
+    """A polygon somewhere over the probe points: a regular n-gon, a square
+    with a collinear vertex on an edge, or a square whose triangular hole
+    touches the shell at one point."""
+    kind = draw(st.sampled_from(["regular", "collinear", "holed"]))
+    lng = draw(st.floats(-74.012, -73.968))
+    lat = draw(st.floats(40.692, 40.732))
+    size = draw(st.floats(0.002, 0.012))
+    if kind == "regular":
+        return regular_polygon((lng, lat), size, draw(st.integers(3, 24)))
+    x0, x1, y0, y1 = lng - size, lng + size, lat - size, lat + size
+    if kind == "collinear":
+        return Polygon([(x0, y0), (lng, y0), (x1, y0), (x1, y1), (x0, y1)])
+    hole = [(lng, y0), (lng + size / 2, lat), (lng - size / 2, lat)]
+    return Polygon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)], [hole])
+
+
+class DynamicIndexMachine(RuleBasedStateMachine):
+    """Insert / delete / compact / retrain / save → load, read through a
+    ``JoinService``; after every step the joins are checked against brute
+    force and a fresh build, and the lifecycle counters against a model.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.files = tempfile.TemporaryDirectory()
+        self.saves = 0
+        self.service: JoinService | None = None
+
+    @initialize(
+        custom_options=st.booleans(),
+        precision=st.sampled_from([None, 60.0]),
+        threshold=st.sampled_from([None, 3]),
+    )
+    def start(self, custom_options, precision, threshold):
+        options = {"covering_options": CUSTOM_OPTIONS} if custom_options else {}
+        self.build_kwargs = {"precision_meters": precision, **options}
+        base = PolygonIndex.build(POOL[:2], **self.build_kwargs)
+        self.index = DynamicPolygonIndex(base, compact_threshold=threshold)
+        self.service = JoinService(self.index)
+        self.threshold = threshold
+        self.live = {0, 1}  # stable ids
+        self.next_id = 2
+        self.pending = 0  # inserts + deletes since the last compaction
+        self.trained = False
+        self.new_base = True  # a base the reload invariant has not seen
+        self.version = self.index.version
+
+    def teardown(self):
+        if self.service is not None:
+            self.service.close()
+        self.files.cleanup()
+
+    # -- rules ---------------------------------------------------------
+
+    def _advanced(self) -> None:
+        assert self.index.version > self.version
+        self.version = self.index.version
+
+    def _wrote(self) -> None:
+        self.pending += 1
+        if self.threshold is not None and self.pending >= self.threshold:
+            self.pending = 0  # the write compacted inline
+            self.new_base = True
+        self._advanced()
+
+    @rule(polygon=polygons())
+    def insert(self, polygon):
+        assert self.index.insert(polygon) == self.next_id
+        self.live.add(self.next_id)
+        self.next_id += 1
+        self._wrote()
+
+    @precondition(lambda self: len(self.live) > 1)
+    @rule(data=st.data())
+    def delete(self, data):
+        pid = data.draw(st.sampled_from(sorted(self.live)))
+        self.index.delete(pid)
+        self.live.remove(pid)
+        self._wrote()
+
+    @rule(data=st.data())
+    def delete_dead_id(self, data):
+        dead = [pid for pid in range(-1, self.next_id + 2) if pid not in self.live]
+        pid = data.draw(st.sampled_from(dead))
+        with pytest.raises(KeyError):
+            self.index.delete(pid)
+        assert self.index.version == self.version
+
+    @rule()
+    def compact(self):
+        self.index.compact()
+        self.pending = 0
+        self.new_base = True
+        self._advanced()
+
+    @rule(data=st.data(), seed=st.integers(0, 2**16), extra_cells=st.integers(10, 80))
+    def retrain(self, data, seed, extra_cells):
+        pid = data.draw(st.sampled_from(sorted(self.live)))
+        self.index.retrain(
+            _hotspot_cell_ids(self.index.polygons[pid], seed),
+            max_cells=self.index.num_cells + extra_cells,
+            order="hot",
+        )
+        self.pending = 0
+        self.trained = True
+        self.new_base = True
+        self._advanced()
+
+    def _saved(self) -> str:
+        self.saves += 1
+        path = f"{self.files.name}/index-{self.saves}.npy"
+        save_index(self.index, path)
+        return path
+
+    @rule()
+    def save_and_load(self):
+        path = self._saved()
+        # A loaded copy compacts to the covering the original compacts to
+        # (same options, same training configuration and schedule).
+        twin = load_index(path)
+        assert twin.live_polygon_ids == self.index.live_polygon_ids
+        want = self.index.compact().super_covering
+        got = twin.compact().super_covering
+        for name in ("cell_ids", "ref_offsets", "packed_refs"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        # The service moves on to a loaded copy of the uncompacted file.
+        loaded = load_index(path)
+        self.service.swap_layer("default", loaded)
+        self.index = loaded
+        self.new_base = True
+        self._advanced()
+
+    # -- invariants ----------------------------------------------------
+
+    @invariant()
+    def lifecycle_counters_match_the_model(self):
+        assert self.index.live_polygon_ids == sorted(self.live)
+        assert self.index.delta_size == self.pending
+        assert self.index.probe_view().version == self.index.version
+
+    @invariant()
+    def a_clean_base_is_what_a_loaded_copy_compacts_to(self):
+        # With an empty delta the base is a compaction's (or the first
+        # build's) output, so a loaded copy must compact to it exactly.
+        if self.pending or not self.new_base:
+            return
+        self.new_base = False
+        want = self.index.base.super_covering
+        got = load_index(self._saved()).compact().super_covering
+        for name in ("cell_ids", "ref_offsets", "packed_refs"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @invariant()
+    def joins_match_brute_force_and_a_fresh_build(self):
+        live = sorted(self.live)
+        polygons_by_id = self.index.polygons
+        want = _brute_counts(polygons_by_id, live)
+        exact = self.service.join(LATS, LNGS, exact=True)
+        np.testing.assert_array_equal(exact.counts, want)
+        fresh = PolygonIndex.build(
+            [polygons_by_id[pid] for pid in live], **self.build_kwargs
+        )
+        np.testing.assert_array_equal(
+            fresh.join(LATS, LNGS, exact=True).counts, want[live]
+        )
+        approx = self.service.join(LATS, LNGS, materialize=True)
+        approx_pairs = set(
+            zip(approx.pair_points.tolist(), approx.pair_polygons.tolist())
+        )
+        for pid in live:
+            inside = np.flatnonzero(contains_points(polygons_by_id[pid], LNGS, LATS))
+            assert {(int(point), pid) for point in inside} <= approx_pairs
+        if self.build_kwargs["precision_meters"] is None and not self.trained:
+            # Nothing reshaped the covering: even the approximate counts
+            # are those of a fresh build with the same covering options.
+            np.testing.assert_array_equal(
+                approx.counts[live], fresh.join(LATS, LNGS).counts
+            )
+
+
+TestDynamicIndexMachine = DynamicIndexMachine.TestCase
+TestDynamicIndexMachine.settings = settings(
+    max_examples=20, stateful_step_count=10, deadline=None
+)
+
+
+class TestConcurrency:
+    """One lock for writers, none for readers."""
+
+    def test_writers_racing_compaction_and_retrain_lose_no_write(self):
+        # Three threads on two cores, switching every 10 µs: two writers
+        # each keep the ids they were acknowledged, a third compacts and
+        # retrains until both are done.
+        dyn = DynamicPolygonIndex.build(POOL[:2], compact_threshold=None)
+        train_ids = dyn.cell_ids_for(LATS[:500], LNGS[:500])
+        acknowledged: list[dict[int, Polygon]] = [{0: POOL[0]}, {1: POOL[1]}]
+        errors: list[Exception] = []
+        finished = [threading.Event(), threading.Event()]
+
+        def writer(mine: dict[int, Polygon], offset: int, done: threading.Event):
+            try:
+                for step in range(12):
+                    polygon = POOL[(step + offset) % len(POOL)]
+                    mine[dyn.insert(polygon)] = polygon
+                    if step % 3 == 2:
+                        victim = min(mine)
+                        dyn.delete(victim)
+                        del mine[victim]
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def compactor():
+            rounds = 0
+            while not all(done.is_set() for done in finished):
+                if rounds % 2:
+                    dyn.retrain(train_ids, max_cells=None)
+                else:
+                    dyn.compact()
+                rounds += 1
+
+        threads = [
+            threading.Thread(target=writer, args=(acknowledged[0], 0, finished[0])),
+            threading.Thread(target=writer, args=(acknowledged[1], 3, finished[1])),
+            threading.Thread(target=compactor),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert dyn.compactions >= 1
+        live = {**acknowledged[0], **acknowledged[1]}
+        assert dyn.live_polygon_ids == sorted(live)
+        polygons_by_id = dyn.polygons
+        assert all(polygons_by_id[pid] is polygon for pid, polygon in live.items())
+        np.testing.assert_array_equal(
+            dyn.join(LATS, LNGS, exact=True).counts,
+            _brute_counts(polygons_by_id, sorted(live)),
+        )
+
+    def test_concurrent_retrain_and_insert_both_land(self):
+        dyn = DynamicPolygonIndex.build(POOL[:3], compact_threshold=None)
+        train_ids = dyn.cell_ids_for(LATS[:500], LNGS[:500])
+        barrier = threading.Barrier(2)
+        landed: dict[str, object] = {}
+
+        def retrainer():
+            barrier.wait(timeout=30)
+            landed["base"] = dyn.retrain(train_ids, max_cells=None)
+
+        def inserter():
+            barrier.wait(timeout=30)
+            landed["pid"] = dyn.insert(POOL[5])
+
+        threads = [threading.Thread(target=retrainer), threading.Thread(target=inserter)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert landed["pid"] == 3 and dyn.is_live(3)
+        assert landed["base"].training_report is not None
+        # The new configuration governs every later compaction too.
+        assert dyn.compact().training_report is not None
+        _assert_matches_fresh_build(dyn, exact=True)
+
+    def test_reader_sees_only_whole_generations(self):
+        dyn = DynamicPolygonIndex.build(POOL[:2], compact_threshold=None)
+        train_ids = dyn.cell_ids_for(LATS[:500], LNGS[:500])
+        generations = {dyn.version: _brute_counts(dyn.polygons, [0, 1])}
+        seen: list[tuple[int, np.ndarray]] = []
+        done = threading.Event()
+
+        def reader():
+            while not done.is_set():
+                view = dyn.probe_view()
+                seen.append((view.version, view.join(LATS, LNGS, exact=True).counts))
+
+        def write(mutation, *args):
+            mutation(*args)
+            generations[dyn.version] = _brute_counts(
+                dyn.polygons, dyn.live_polygon_ids
+            )
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            for step, polygon in enumerate(POOL[2:] + POOL[:3]):
+                write(dyn.insert, polygon)
+                if step % 2:
+                    write(dyn.delete, dyn.live_polygon_ids[0])
+                if step == 3:
+                    write(dyn.retrain, train_ids)
+                elif step % 3 == 2:
+                    write(dyn.compact)
+        finally:
+            done.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert seen
+        for version, counts in seen:
+            np.testing.assert_array_equal(counts, generations[version])
+
+    def test_reads_never_take_the_index_lock(self):
+        dyn = DynamicPolygonIndex.build(POOL[:2], compact_threshold=None)
+        dyn.insert(POOL[3])
+        dyn.delete(0)
+        want = _brute_counts(dyn.polygons, dyn.live_polygon_ids)
+        with JoinService(dyn) as service:
+            results = []
+            done = threading.Event()
+
+            def reader():
+                results.append(dyn.join(LATS, LNGS, exact=True).counts)
+                results.append(dyn.probe_view().join(LATS, LNGS, exact=True).counts)
+                results.append(service.join(LATS, LNGS, exact=True).counts)
+                results.append(service.lookup(40.70, -73.98))
+                done.set()
+
+            # A writer (a compaction, say) holds the lock for the whole read.
+            with dyn._lock:
+                thread = threading.Thread(target=reader)
+                thread.start()
+                assert done.wait(timeout=10)
+            thread.join(timeout=60)
+        for counts in results[:3]:
+            np.testing.assert_array_equal(counts, want)
+        assert results[3] == [1]
+
+    def test_load_replays_log_and_respects_threshold(self, tmp_path):
+        dyn = DynamicPolygonIndex.build(POOL[:2], compact_threshold=None)
+        dyn.insert(POOL[2])
+        dyn.delete(0)
+        save_index(dyn, tmp_path / "dynamic.npy")
+        # A file whose threshold the replayed log reaches compacts on load
+        # instead of stalling above the threshold.
+        snapshot = FlatSnapshot.load(tmp_path / "dynamic.npy", mmap_mode=None)
+        snapshot.meta["compact_threshold"] = 2
+        snapshot.save(tmp_path / "threshold.npy")
+        restored = load_index(tmp_path / "threshold.npy")
+        assert restored.live_polygon_ids == dyn.live_polygon_ids
+        assert restored.compactions == 1
+        assert restored.delta_size == 0
+        a = dyn.join(LATS, LNGS, exact=True)
+        b = restored.join(LATS, LNGS, exact=True)
+        np.testing.assert_array_equal(a.counts, b.counts)
+
+
+class TestOptionsComeFromTheBase:
+    """A wrapped base covers inserts and compactions with its own options."""
+
+    def test_noop_compaction_keeps_a_custom_options_covering(self):
+        from repro.datasets.points import uniform_points
+        from repro.datasets.workloads import NYC_BOX, polygon_dataset
+
+        base = PolygonIndex.build(
+            polygon_dataset("boroughs"), covering_options=CUSTOM_OPTIONS
+        )
+        dyn = DynamicPolygonIndex(base, compact_threshold=None)
+        lats, lngs = uniform_points(NYC_BOX, 50_000, seed=3)
+        before = dyn.join(lats, lngs).counts
+        compacted = dyn.compact()
+        assert compacted.covering_options == CUSTOM_OPTIONS
+        for name in ("cell_ids", "ref_offsets", "packed_refs"):
+            assert np.array_equal(
+                getattr(compacted.super_covering, name),
+                getattr(base.super_covering, name),
+            ), name
+        np.testing.assert_array_equal(dyn.join(lats, lngs).counts, before)
+
+    def test_insert_covers_with_the_base_options(self):
+        base = PolygonIndex.build(POOL[:2], covering_options=CUSTOM_OPTIONS)
+        dyn = DynamicPolygonIndex(base, compact_threshold=None)
+        dyn.insert(POOL[5])
+        fresh = PolygonIndex.build(
+            [*POOL[:2], POOL[5]], covering_options=CUSTOM_OPTIONS
+        )
+        np.testing.assert_array_equal(
+            dyn.join(LATS, LNGS).counts, fresh.join(LATS, LNGS).counts
+        )
+
+
 ops_strategy = st.lists(
     st.tuples(st.sampled_from(["insert", "delete"]), st.integers(0, 63)),
     min_size=1,
@@ -78,7 +509,8 @@ ops_strategy = st.lists(
 
 
 class TestEquivalenceProperty:
-    """The acceptance criterion, hypothesis-driven."""
+    """The acceptance criterion on fixed pool polygons, one compaction at
+    the end (the machine above interleaves it with the other rules)."""
 
     @settings(max_examples=15, deadline=None)
     @given(ops=ops_strategy)
@@ -227,8 +659,8 @@ class TestLifecycleBasics:
         dyn.insert(POOL[2])
         dyn.delete(0)
         assert dyn.delta_size == 2
-        kinds = [op.kind for op in dyn.pending_ops]
-        assert kinds == ["insert", "delete"]
+        dyn.delete(2)  # deleting a delta insert: counted as its insert + delete
+        assert dyn.delta_size == 3
         dyn.compact()
         assert dyn.delta_size == 0
         assert dyn.compactions == 1
@@ -414,122 +846,3 @@ class TestCompaction:
         assert np.array_equal(
             compacted.super_covering.packed_refs, (stable[packed >> 1] << 1) | (packed & 1)
         )
-
-    def test_background_compaction_with_concurrent_reads(self):
-        dyn = DynamicPolygonIndex.build(
-            POOL[:2], compact_threshold=3, background=True
-        )
-        errors: list[Exception] = []
-        stop = threading.Event()
-
-        def reader():
-            while not stop.is_set():
-                try:
-                    result = dyn.join(LATS[:500], LNGS[:500], exact=True)
-                    assert result.num_points == 500
-                except Exception as exc:  # pragma: no cover - failure path
-                    errors.append(exc)
-                    return
-
-        threads = [threading.Thread(target=reader) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        try:
-            for polygon in POOL[2:]:
-                dyn.insert(polygon)
-            dyn.delete(0)
-            dyn.wait_for_compaction()
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join()
-        assert not errors
-        assert dyn.compactions >= 1
-        _assert_matches_fresh_build(dyn, exact=True)
-
-    def test_ops_during_compaction_are_replayed(self):
-        # Simulate "mutations landed while the build ran" by compacting a
-        # stale capture: ops appended after capture must survive install.
-        dyn = DynamicPolygonIndex.build(POOL[:2], compact_threshold=None)
-        dyn.insert(POOL[2])
-        captured = dyn._capture()
-        dyn.insert(POOL[3])  # arrives "during" the build below
-        dyn.delete(0)
-        snapshot = dyn._build_snapshot(captured)
-        dyn._install_base(snapshot, captured.ops_consumed)
-        assert dyn.live_polygon_ids == [1, 2, 3]
-        assert dyn.delta_size == 2  # the two replayed ops are pending again
-        _assert_matches_fresh_build(dyn, exact=True)
-
-    def test_stale_compaction_install_is_discarded(self):
-        # A background build whose capture predates a newer install must
-        # not clobber acknowledged mutations when it finishes late.
-        dyn = DynamicPolygonIndex.build(POOL[:2], compact_threshold=None)
-        dyn.insert(POOL[2])
-        captured = dyn._capture()              # slow "background" capture
-        stale = dyn._build_snapshot(captured)
-        late_pid = dyn.insert(POOL[3])         # acknowledged after capture
-        dyn.compact()                          # newer snapshot installs first
-        assert dyn.is_live(late_pid)
-        installed = dyn._install_base(
-            stale, captured.ops_consumed, expected_epoch=captured.epoch
-        )
-        assert installed is False              # stale build discarded...
-        assert dyn.is_live(late_pid)           # ...and nothing was lost
-        _assert_matches_fresh_build(dyn, exact=True)
-
-    def test_background_compaction_chains_until_delta_is_small(self):
-        # Ops replayed at install must re-trigger compaction: the worker
-        # loops until the pending delta is below the threshold.
-        dyn = DynamicPolygonIndex.build(POOL[:1], compact_threshold=2, background=True)
-        for polygon in POOL[1:] + POOL[:3]:
-            dyn.insert(polygon)
-        dyn.wait_for_compaction()
-        assert dyn.delta_size < 2
-        assert dyn.compactions >= 1
-        _assert_matches_fresh_build(dyn, exact=True)
-
-    def test_build_snapshot_uses_captured_training_config(self):
-        # Regression: _build_snapshot used to read the LIVE training
-        # config, so a retrain() landing between capture and build leaked
-        # the new configuration into a snapshot of the old epoch.  The
-        # capture must carry the training triple it saw under the lock.
-        dyn = DynamicPolygonIndex.build(POOL[:3], compact_threshold=None)
-        with dyn._lock:
-            captured = dyn._capture()
-        assert captured.training_cell_ids is None
-        with dyn._lock:  # a concurrent retrain() installs a new config
-            dyn._training_cell_ids = dyn.cell_ids_for(LATS[:50], LNGS[:50])
-            dyn._training_max_cells = 8
-            dyn._training_order = "hot"
-        snapshot = dyn._build_snapshot(captured)
-        assert snapshot.training_report is None  # captured config, not live
-
-    def test_wait_for_compaction_consumes_error_once(self):
-        # Regression: the compaction error used to be published outside
-        # the lock and cleared non-atomically; the swap must hand the
-        # error to exactly one waiter.
-        dyn = DynamicPolygonIndex.build(POOL[:2], compact_threshold=None)
-        boom = RuntimeError("boom")
-        with dyn._lock:
-            dyn._compaction_error = boom
-        with pytest.raises(RuntimeError, match="boom"):
-            dyn.wait_for_compaction()
-        dyn.wait_for_compaction()  # error already consumed: no raise
-
-    def test_restore_replays_log_and_respects_threshold(self):
-        dyn = DynamicPolygonIndex.build(POOL[:2], compact_threshold=None)
-        dyn.insert(POOL[2])
-        dyn.delete(0)
-        state = dyn.export_state()
-        # Restoring with a threshold the replayed log already exceeds
-        # compacts immediately instead of stalling above the threshold.
-        restored = DynamicPolygonIndex.restore(
-            state.base, state.pending, compact_threshold=2
-        )
-        assert restored.live_polygon_ids == dyn.live_polygon_ids
-        assert restored.compactions == 1
-        assert restored.delta_size == 0
-        a = dyn.join(LATS, LNGS, exact=True)
-        b = restored.join(LATS, LNGS, exact=True)
-        np.testing.assert_array_equal(a.counts, b.counts)

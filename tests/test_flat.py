@@ -389,8 +389,6 @@ class TestDynamicCompactionParity:
             DynamicPolygonIndex.build(_grid_polygons(2), flat_snapshots=True)
         with pytest.raises(TypeError, match="flat_snapshots"):
             DynamicPolygonIndex(custom, flat_snapshots=True)
-        with pytest.raises(TypeError, match="flat_snapshots"):
-            DynamicPolygonIndex.restore(custom, [], flat_snapshots=True)
 
 
 class TestServedSwapParity:

@@ -110,6 +110,17 @@ class TestErrors:
             load_index(bad)
 
 
+def _replay_delta(loaded, fresh):
+    """Apply ``loaded``'s delta to ``fresh`` the way a file stores it:
+    every delta insert in id order, then every tombstone."""
+    polygons = loaded.polygons
+    for pid in range(len(loaded.base.polygons), len(polygons)):
+        assert fresh.insert(polygons[pid]) == pid
+    for pid, polygon in enumerate(polygons):
+        if polygon is not None and not loaded.is_live(pid):
+            fresh.delete(pid)
+
+
 FIXTURE_V1 = pathlib.Path(__file__).parent / "data" / "index_v1.npz"
 FIXTURE_V2 = pathlib.Path(__file__).parent / "data" / "index_v2.npz"
 # Written by the 1.8.0 ``save_index`` from a trained
@@ -215,18 +226,13 @@ class TestBackwardCompatibility:
         from repro.core import DynamicPolygonIndex
 
         loaded = load_index(FIXTURE_V2)
-        state = loaded.export_state()
         fresh = DynamicPolygonIndex.build(
-            list(state.base.polygons),
+            list(loaded.base.polygons),
             precision_meters=loaded.precision_meters,
             fanout_bits=4,
             compact_threshold=None,
         )
-        for op in state.pending:
-            if op.kind == "insert":
-                fresh.insert(op.polygon)
-            else:
-                fresh.delete(op.polygon_id)
+        _replay_delta(loaded, fresh)
         generator = np.random.default_rng(17)
         lngs = generator.uniform(-74.01, -73.97, 6000)
         lats = generator.uniform(40.69, 40.73, 6000)
@@ -273,7 +279,7 @@ class TestBackwardCompatibility:
         assert index.base.store.fanout_bits == 4
         assert index.base.polygons[2] is None  # the compacted delete
         assert index.base.snapshot is not None
-        assert len(index.export_state().training_cell_ids) == 600
+        assert len(index._training_cell_ids) == 600
         assert built and max(built) < index.base.num_cells // 4
 
     def test_saving_the_base_of_a_loaded_dynamic_index_drops_the_delta_log(
@@ -285,7 +291,7 @@ class TestBackwardCompatibility:
         # a plain PolygonIndex.
         from repro.core.flat import FLAT_EXTENSION_BUFFERS, FlatSnapshot
 
-        base = load_index(FIXTURE_V3).export_state().base
+        base = load_index(FIXTURE_V3).base
         assert base.snapshot.meta["dynamic"] is True  # the stale keys
         path = tmp_path / "base.npy"
         save_index(base, path)
@@ -309,28 +315,23 @@ class TestBackwardCompatibility:
         from repro.core import DynamicPolygonIndex
 
         loaded = load_index(FIXTURE_V3)
-        state = loaded.export_state()
         # Rebuild the same lifecycle with today's code: the base's live
         # polygons (a stand-in fills the compacted-away slot, deleted
-        # again before compacting, so ids line up), then the pending ops.
-        slots = list(state.base.polygons)
+        # again before compacting, so ids line up), then the delta.
+        slots = list(loaded.base.polygons)
         filler = regular_polygon((-74.00, 40.72), 0.006, 21)
         fresh = DynamicPolygonIndex.build(
             [polygon if polygon is not None else filler for polygon in slots],
             precision_meters=loaded.precision_meters,
             fanout_bits=4,
             compact_threshold=None,
-            training_cell_ids=state.training_cell_ids,
+            training_cell_ids=loaded._training_cell_ids,
         )
         for pid, polygon in enumerate(slots):
             if polygon is None:
                 fresh.delete(pid)
         fresh.compact()
-        for op in state.pending:
-            if op.kind == "insert":
-                fresh.insert(op.polygon)
-            else:
-                fresh.delete(op.polygon_id)
+        _replay_delta(loaded, fresh)
         assert fresh.live_polygon_ids == loaded.live_polygon_ids
         generator = np.random.default_rng(17)
         lngs = generator.uniform(-74.01, -73.97, 6000)
@@ -422,8 +423,7 @@ class TestDynamicRoundTrip:
         path = tmp_path / "options.npz"
         save_index(dyn, path)
         restored = load_index(path)
-        state = restored.export_state()
-        assert state.covering_options == options
+        assert restored.base.covering_options == options
         # Replayed inserts were re-covered with the saved options, so the
         # approximate (covering-structure-sensitive) results also match.
         generator = np.random.default_rng(23)
@@ -432,3 +432,54 @@ class TestDynamicRoundTrip:
         assert (
             dyn.join(lats, lngs).counts == restored.join(lats, lngs).counts
         ).all()
+
+    def test_delta_saves_as_inserts_then_tombstones(self, polygons, points, tmp_path):
+        from repro.core import DynamicPolygonIndex
+        from repro.core.flat import FLAT_EXTENSION_BUFFERS, FlatSnapshot
+
+        lngs, lats = points
+        dyn = DynamicPolygonIndex.build(polygons[:2], compact_threshold=None)
+        dyn.insert(polygons[2])
+        dyn.delete(0)
+        dyn.insert(regular_polygon((-73.985, 40.715), 0.005, 8))
+        dyn.delete(2)  # a delta insert: its insert and its delete both stay
+        path = tmp_path / "delta.npy"
+        save_index(dyn, path)
+        buffers = FlatSnapshot.load(path).buffers
+        for name in ("delta_kinds", "delta_pids", "delta_ring_index"):
+            assert buffers[name].dtype.str == FLAT_EXTENSION_BUFFERS[name]
+        assert buffers["delta_kinds"].tolist() == [0, 0, 1, 1]
+        assert buffers["delta_pids"].tolist() == [2, 3, 0, 2]
+        restored = load_index(path)
+        assert restored.live_polygon_ids == dyn.live_polygon_ids == [1, 3]
+        assert restored.delta_size == dyn.delta_size == 4
+        for exact in (False, True):
+            a = dyn.join(lats, lngs, exact=exact, materialize=True)
+            b = restored.join(lats, lngs, exact=exact, materialize=True)
+            assert (a.counts == b.counts).all()
+            assert (a.pair_points == b.pair_points).all()
+            assert (a.pair_polygons == b.pair_polygons).all()
+
+    def test_training_order_survives_roundtrip(self, tmp_path):
+        """A retrain's split schedule is part of the saved configuration: a
+        loaded copy compacts to the covering the original compacts to."""
+        from repro.cells import cell_ids_from_lat_lng_arrays
+        from repro.core import DynamicPolygonIndex
+        from repro.datasets.workloads import polygon_dataset, taxi_points
+
+        dyn = DynamicPolygonIndex.build(
+            polygon_dataset("boroughs"), compact_threshold=None
+        )
+        lats, lngs = taxi_points(20_000, seed=5)
+        dyn.retrain(
+            cell_ids_from_lat_lng_arrays(lats, lngs),
+            max_cells=dyn.num_cells + 300,
+            order="hot",
+        )
+        path = tmp_path / "trained.npy"
+        save_index(dyn, path)
+        loaded = load_index(path)
+        want = dyn.compact().super_covering
+        got = loaded.compact().super_covering
+        for name in ("cell_ids", "ref_offsets", "packed_refs"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
