@@ -2,20 +2,23 @@
 """Share-nothing sharded serving: one process per spatial partition.
 
 Builds the neighborhoods layer once, plans a 4-way Hilbert cell-id range
-partition of its covering (cut points balanced on owned work, so a
-straddler counts toward exactly one shard's share), and serves a
-probe-heavy skewed stream from a ``ShardedJoinService``: the layer's
-geometry plane is published once in a single shared-memory segment,
-each worker attaches it read-only next to its private coverage plane,
-every batch is scattered through shared memory to the shard processes
-that own its points, and the partial results are merged bit-identically.
-A swap then retrains the layer on observed traffic and fans the new
-snapshot out to every shard with zero downtime.
+partition of its covering (each shard is one row range of the covering,
+cut so that every polygon's entries weigh into one shard's share), and
+serves a probe-heavy skewed stream from a ``ShardedJoinService``: the
+layer's geometry plane is published once in a single shared-memory
+segment, each worker attaches it read-only next to its private coverage
+plane, each batch slice is written once into a shared-memory ring from
+which every worker computes a share of the cell ids and selects the
+points of its own leaf range, and the partial results are merged
+bit-identically.  A swap then retrains the layer on observed traffic and
+fans the new snapshot out to every shard with zero downtime.
 
 Run:  python examples/sharded_service.py
 """
 
 import time
+
+import numpy as np
 
 from repro import PolygonIndex
 from repro.datasets import polygon_dataset, shard_probe_points
@@ -34,13 +37,12 @@ def main() -> None:
           f"{index.num_polygons} polygons, {index.num_cells:,} cells")
 
     plan = ShardPlan.from_index(index, NUM_SHARDS)
-    print(f"\nshard plan ({NUM_SHARDS} Hilbert cell-id ranges, "
-          f"replication factor {plan.replication_factor:.2f}):")
+    cells = np.diff(plan.row_cuts)
+    entries = np.diff(index.super_covering.ref_offsets[plan.row_cuts])
+    print(f"\nshard plan ({NUM_SHARDS} Hilbert cell-id ranges):")
     for shard in range(NUM_SHARDS):
-        print(f"  shard {shard}: {plan.owned_weights[shard]:,} owned + "
-              f"{plan.borrowed_weights[shard]:,} borrowed entries, "
-              f"{len(plan.owned[shard])} polygons homed here, "
-              f"{len(plan.borrowed[shard])} borrowed straddlers")
+        print(f"  shard {shard}: {cells[shard]:,} cells, "
+              f"{entries[shard]:,} (cell, polygon) entries")
 
     lats, lngs = shard_probe_points(200_000)
     reference = index.join(lats, lngs, exact=True)
@@ -50,8 +52,7 @@ def main() -> None:
         geometry_bytes, coverage_bytes = service.plane_bytes()
         print(f"  two-layer publication: {geometry_bytes / 1024:,.0f} KiB "
               f"geometry shared once, {coverage_bytes / 1024:,.0f} KiB "
-              f"per-shard coverage planes (replication factor "
-              f"{service.replication_factor():.2f})")
+              "per-shard coverage planes")
         start = time.perf_counter()
         for lo in range(0, len(lats), 32_768):
             service.join(lats[lo:lo + 32_768], lngs[lo:lo + 32_768], exact=True)
@@ -79,8 +80,7 @@ def main() -> None:
               f"{stats.cache_hit_rate:.1%}")
         for shard in stats.shards:
             print(f"  shard {shard.shard}: {shard.stats.points:,} points, "
-                  f"{shard.num_owned} owned + {shard.num_borrowed} borrowed "
-                  f"polygons, p50 {shard.stats.p50_ms:.1f} ms")
+                  f"p50 {shard.stats.p50_ms:.1f} ms")
 
 
 if __name__ == "__main__":

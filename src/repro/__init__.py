@@ -67,7 +67,7 @@ from repro.serve import (
     ServiceStats,
 )
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "CellId",

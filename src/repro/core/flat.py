@@ -536,9 +536,8 @@ def pack_coverage_plane(
 
     ``covering``/``store`` describe one partition (or the whole index).
     Only :data:`FLAT_COVERAGE_BUFFERS` names may appear here — geometry
-    buffers belong to the geometry plane exactly once, which is the
-    structural guarantee behind the two-layer plan's replication factor
-    of 1.0.
+    buffers belong to the geometry plane, which a sharded layer
+    publishes exactly once however many shards reference a polygon.
     """
     faces = np.zeros((len(store._face_trees), 5), dtype=np.uint64)
     for row, (face, tree) in enumerate(sorted(store._face_trees.items())):

@@ -155,17 +155,6 @@ def _render_stats(out: _Lines, stats, head: str) -> None:
         out.sample(f"{head}service_shard_p99_ms", "gauge",
                    "shard p99 dispatch latency",
                    {"shard": shard["shard"]}, shard["stats"]["p99_ms"])
-        if "num_owned" in shard:
-            out.sample(f"{head}service_shard_owned_polygons", "gauge",
-                       "polygons homed in shard",
-                       {"shard": shard["shard"]}, shard["num_owned"])
-            out.sample(f"{head}service_shard_borrowed_polygons", "gauge",
-                       "straddlers referenced by shard, homed elsewhere",
-                       {"shard": shard["shard"]}, shard["num_borrowed"])
-    for layer, factor in data.get("replication", {}).items():
-        out.sample(f"{head}service_replication_factor", "gauge",
-                   "published geometry copies per distinct polygon",
-                   {"layer": layer}, factor)
 
 
 def stats_json(stats) -> str:

@@ -7,16 +7,11 @@ partition-based scheme of Tsitsigkos et al. (*Parallel In-Memory
 Evaluation of Spatial Joins*) applied to the paper's cell-id domain:
 
 * :class:`ShardPlan` cuts the Hilbert curve into ``num_shards``
-  contiguous leaf-id ranges.  The super covering's cells are disjoint
-  and stored in curve order, so every cell — and every point probing it
-  — belongs to exactly one shard, and a shard's partition is one row
-  range of the covering's arrays (views, no copy).  Every polygon has a
-  cut-independent *home shard* (:func:`home_rows_from_entries`), which
-  splits a shard's (cell, ref) entries into **owned** and **borrowed**
-  classes — those of *Two-layer Space-oriented Partitioning for
-  Non-point Data* (Tsitsigkos et al., arXiv:2307.09256).  Cuts balance
-  on owned work only; the plan surfaces ``replication_factor`` and the
-  per-class counts.
+  contiguous leaf-id ranges, at quantiles of one cut weight per cell
+  (:func:`_cut_weights`).  The super covering's cells are disjoint and
+  stored in curve order, so every cell — and every point probing it —
+  belongs to exactly one shard, and a shard's partition is one row
+  range of the covering's arrays (views, no copy).
 * A layer's snapshot publishes in TWO kinds of shared-memory segment,
   and the service in one more::
 
@@ -35,12 +30,12 @@ Evaluation of Spatial Joins*) applied to the paper's cell-id domain:
         ... then every lane selects, from all three planes, its own points
 
   A straddling polygon contributes covering cells to several coverage
-  planes, but its geometry and bucket rows exist exactly once (measured
-  replication factor 1.0 by construction).  A worker composes the two
-  planes via :meth:`~repro.core.flat.FlatSnapshot.from_planes` and
-  refines through the attached index's ordinary engine: a pair's PIP
-  verdict depends only on the pair, so the owned/borrowed classes live
-  in the *plan* and merged results need no front-side dedup.
+  planes, but its geometry and bucket rows exist exactly once.  A
+  worker composes the two planes via
+  :meth:`~repro.core.flat.FlatSnapshot.from_planes` and refines through
+  the attached index's ordinary engine: a point falls in exactly one
+  shard's leaf range and a pair's PIP verdict depends only on the pair,
+  so merged results need no front-side dedup.
 * A **shard worker** is a spawned process hosting one ordinary
   :class:`JoinService` over its partition sub-indexes, which it
   *attaches* from the published segments (a buffer map, no store
@@ -69,8 +64,8 @@ computes the ids of its *positional* share ``[k·⌈total/N⌉, …)`` straight
 into the id plane, then publishes ``words[k] = seq``.  Phase 2: it waits
 until ``words[:N]`` all read ``seq`` (:func:`_await_lanes`: a poll that
 gives the CPU away every time, so lanes sharing one CPU progress; bounded
-by the skew between the lanes, not by a wake-up, and by
-:data:`_BARRIER_TIMEOUT_S`), then selects by leaf range and joins.  A
+by the skew between the lanes, not by a wake-up, and by half of
+:data:`_LANE_TIMEOUT_S`), then selects by leaf range and joins.  A
 lane whose phase 1 raised — and the front, for a lane its ``send`` failed
 on — publishes ``-seq``, which fails every waiter at once; a failed wait
 is an ordinary ``("err", …)`` reply, so pipes stay aligned.  Ids are
@@ -128,6 +123,7 @@ from repro.core.flat import (
 )
 from repro.core.joins import JoinResult, merge_join_results
 from repro.core.morsels import OFFLINE_MORSEL_POINTS
+from repro.core.super_covering import SuperCovering
 from repro.obs import Observability, ObsConfig
 from repro.serve.cache import CacheStats
 from repro.serve.service import JoinService, ServiceFront
@@ -149,238 +145,104 @@ class ShardWorkerError(RuntimeError):
 # ----------------------------------------------------------------------
 
 
-def home_rows_from_entries(
-    entry_rows: np.ndarray, entry_pids: np.ndarray, num_polygons: int
-) -> np.ndarray:
-    """Home-cell row per polygon id: the median covering entry in curve order.
+def _cut_weights(covering: SuperCovering) -> np.ndarray:
+    """The weight the cuts balance, per covering row (``int64``): each
+    polygon's total (cell, ref) entry count, placed on its median entry
+    row in curve order.
 
-    ``entry_rows``/``entry_pids`` are the flattened (cell, polygon-ref)
-    entry arrays of a super covering, with rows indexing the *id-sorted*
-    cell sequence — so each polygon's entries occupy a (mostly
-    contiguous) band of rows along the space-filling curve, and the
-    median entry row anchors the polygon at the center of its band.
-    That cell is cut-independent, which is what lets the sharded serving
-    layer assign every polygon one *home shard* before any cut points
-    exist: the home shard is simply the shard the home cell lands in.
+    Rows index the *id-sorted* cell sequence, so each polygon's entries
+    occupy a (mostly contiguous) band of rows along the space-filling
+    curve, and the median entry row anchors the polygon at the center of
+    its band.  A straddler thus weighs into exactly one shard's share
+    (per-cell reference counts would count it into every shard it
+    touches), and the anchor is cut-independent — the cuts are chosen
+    from it, so it cannot depend on them.
 
     The median is deliberately preferred over the minimum covering cell
     id: coverings that straddle a curve discontinuity (a face boundary)
     split into a tiny low-id band plus the main band, and a min-id
-    anchor then collapses *every* polygon's home into the low-id sliver
-    — observed on the bench ``neighborhoods`` dataset, where all homes
-    landed in the first ~750 of 121k cells and owned-work cut placement
-    degenerated.  The median lands in the main band and keeps owned
-    work distributed like entry mass.
-
-    Returns each polygon's home row (``int64``, length ``num_polygons``),
-    ``-1`` for unreferenced ids (holes in the id space).
+    anchor then collapses *every* polygon's weight into the low-id
+    sliver — observed on the bench ``neighborhoods`` dataset, where all
+    anchors landed in the first ~750 of 121k cells and cut placement
+    degenerated.  The median lands in the main band and keeps the weight
+    distributed like entry mass.
     """
-    entry_rows = np.asarray(entry_rows, dtype=np.int64)
-    entry_pids = np.asarray(entry_pids, dtype=np.int64)
-    counts = np.bincount(entry_pids, minlength=num_polygons)
-    if len(counts) > num_polygons:
-        raise ValueError(
-            f"entry pid {int(entry_pids.max())} out of range for "
-            f"{num_polygons} polygons"
-        )
+    counts = np.diff(covering.ref_offsets)
+    entry_pids = (covering.packed_refs >> np.uint32(1)).astype(np.int64)
+    entry_rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    poly_entries = np.bincount(entry_pids)
     # Stable sort by pid keeps each polygon's rows in ascending row
     # order (entries arrive row-major), so the group's middle element is
     # its median entry row.
-    order = np.argsort(entry_pids, kind="stable")
-    rows_by_pid = entry_rows[order]
-    starts = np.cumsum(counts) - counts
-    referenced = counts > 0
-    home = np.full(num_polygons, -1, dtype=np.int64)
-    home[referenced] = rows_by_pid[(starts + counts // 2)[referenced]]
-    return home
-
-
-def owned_entry_mask(
-    entry_shards: np.ndarray, entry_pids: np.ndarray, home_shards: np.ndarray
-) -> np.ndarray:
-    """Class-assignment kernel: is each (cell, ref) entry *owned*?
-
-    An entry is owned when it lives in its polygon's home shard and
-    *borrowed* when the polygon's covering straddles a cut into a
-    foreign shard.  Every entry belongs to exactly one class (a boolean
-    per entry), so the classes partition a plan's refinement work with
-    no overlap and shard results need no cross-shard dedup.
-    """
-    entry_pids = np.asarray(entry_pids, dtype=np.int64)
-    return np.asarray(home_shards)[entry_pids] == np.asarray(
-        entry_shards, dtype=np.int64
+    rows_by_pid = entry_rows[np.argsort(entry_pids, kind="stable")]
+    starts = np.cumsum(poly_entries) - poly_entries
+    referenced = poly_entries > 0
+    weights = np.zeros(len(counts), dtype=np.int64)
+    np.add.at(
+        weights,
+        rows_by_pid[(starts + poly_entries // 2)[referenced]],
+        poly_entries[referenced],
     )
+    return weights
 
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """A partition of one layer's covering into leaf-id ranges.
+    """A partition of one layer's covering into leaf-id ranges — the
+    range partition of *Parallel In-Memory Evaluation of Spatial Joins*
+    (Tsitsigkos et al., arXiv:1908.11740) over the paper's cell ids.
 
     ``boundaries`` holds ``num_shards - 1`` leaf-id cut points; shard
     ``s`` owns the half-open leaf range ``[boundaries[s-1],
     boundaries[s])`` (unbounded at the ends).  Cut points are the
     ``range_min`` of the cell they start, so every covering cell — whose
     leaf range never straddles a cut by disjointness — lands wholly in
-    one shard.  Duplicate cut points are allowed (a pathologically hot
-    cell can exceed a whole shard's weight share); the shards they
+    one shard, and shard ``s``'s cells are the covering rows
+    ``[row_cuts[s], row_cuts[s+1])``.  Duplicate cut points are allowed
+    (a pathologically hot cell can exceed a whole shard's weight share;
+    a layer without cells cuts everything at 0); the shards they
     collapse simply stay empty, keeping shard ids stable in
-    ``[0, num_shards)``.
-
-    Every *referenced* polygon has a **home shard** — the shard holding
-    its median (cell, ref) entry in curve order, a property of the
-    covering alone (see :func:`home_rows_from_entries` for why the
-    median).  A shard's polygons then split into ``owned`` (homed here)
-    and ``borrowed`` (covering cells here, homed elsewhere — the
-    straddlers), and so do its (cell, ref) entries (``owned_weights`` vs
-    ``borrowed_weights``).  Cuts balance on ``owned_work``: each
-    polygon's TOTAL entry count attributed to its home cell, so a
-    boundary-heavy covering does not double-count straddlers into every
-    shard they touch when choosing where to cut.
+    ``[0, num_shards)`` and every lane in every dispatch.
     """
 
     num_shards: int
     boundaries: np.ndarray  # (num_shards - 1,) uint64 leaf-id cut points
-    owned: tuple[tuple[int, ...], ...]  # polygon ids homed per shard
-    borrowed: tuple[tuple[int, ...], ...]  # straddlers referenced per shard
     row_cuts: np.ndarray  # (num_shards + 1,) covering rows per shard: [cut, next cut)
-    cell_weights: tuple[int, ...]  # (cell, ref) entries per shard
-    owned_weights: tuple[int, ...]  # owned-class entries per shard
-    borrowed_weights: tuple[int, ...]  # borrowed-class entries per shard
-    owned_work: tuple[int, ...]  # Σ entry count of polygons homed per shard
-    home_shards: np.ndarray  # (num_polygons,) int64 home shard, -1 = unreferenced
-
-    @property
-    def members(self) -> tuple[tuple[int, ...], ...]:
-        """Polygon ids referenced per shard (owned ∪ borrowed, sorted)."""
-        return tuple(
-            tuple(sorted(self.owned[shard] + self.borrowed[shard]))
-            for shard in range(self.num_shards)
-        )
-
-    @property
-    def replication_factor(self) -> float:
-        """Per-shard polygon slots per distinct referenced polygon.
-
-        Exactly 1.0 when no covering straddles a cut.  This is what a
-        replicate-the-straddlers publication would materialize in
-        polygon-table copies; the two-layer publication stores geometry
-        once regardless (its measured factor is 1.0 by construction).
-        """
-        referenced = int(np.count_nonzero(self.home_shards >= 0))
-        if referenced == 0:
-            return 1.0
-        slots = sum(
-            len(self.owned[shard]) + len(self.borrowed[shard])
-            for shard in range(self.num_shards)
-        )
-        return slots / referenced
 
     @classmethod
     def from_index(cls, index: PolygonIndex, num_shards: int) -> "ShardPlan":
-        """Plan ``num_shards`` partitions of an index's covering.
-
-        Each cell is weighted by the owned work homed there — every
-        polygon's total (cell, ref) entry count attributed to its home
-        cell — and the id-sorted cell sequence is cut at the weighted
-        quantiles, so straddlers count once toward exactly one shard's
-        share (weighting by per-cell reference counts instead would let
-        a straddler weigh into every shard it touches).
-        """
+        """Plan ``num_shards`` partitions of an index's covering: the
+        id-sorted cells are cut at the quantiles of :func:`_cut_weights`."""
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        num_polygons = len(index.polygons)
         covering = index.super_covering
-        ids = covering.cell_ids
-        counts = np.diff(covering.ref_offsets)
-        entry_pids = (covering.packed_refs >> np.uint32(1)).astype(np.int64)
-        num_cells = len(ids)
-        # One row index per (cell, ref) entry, in id-sorted cell order.
-        entry_rows = np.repeat(np.arange(num_cells, dtype=np.int64), counts)
-        # Home rows exist before any cut does, so the owned-work weights
-        # the cuts balance on cannot depend on the cuts themselves.
-        home_rows = home_rows_from_entries(entry_rows, entry_pids, num_polygons)
-        referenced = home_rows >= 0
-        poly_entries = np.bincount(entry_pids, minlength=num_polygons)
-        owned_work_per_cell = np.zeros(num_cells, dtype=np.int64)
-        np.add.at(
-            owned_work_per_cell, home_rows[referenced], poly_entries[referenced]
-        )
-        lo, hi = range_bounds_from_cell_ids(ids)
-        if num_shards == 1 or num_cells == 0:
-            boundaries = np.zeros(0, dtype=np.uint64)
+        lo, hi = range_bounds_from_cell_ids(covering.cell_ids)
+        if len(lo):
+            cumulative = np.cumsum(_cut_weights(covering))
+            targets = int(cumulative[-1]) * np.arange(1, num_shards) / num_shards
+            rows = np.searchsorted(cumulative, targets, side="left")
+            # Ascending, as the targets and the cells' range_mins are.
+            boundaries = lo[np.minimum(rows, len(lo) - 1)]
         else:
-            cumulative = np.cumsum(owned_work_per_cell)
-            total = int(cumulative[-1])
-            cuts = []
-            for k in range(1, num_shards):
-                target = total * k / num_shards
-                idx = int(np.searchsorted(cumulative, target, side="left"))
-                idx = min(idx, num_cells - 1)
-                cuts.append(int(lo[idx]))
-            boundaries = np.asarray(sorted(cuts), dtype=np.uint64)
-        if boundaries.size:
-            shard_of_cell = np.searchsorted(boundaries, lo, side="right")
-            # Disjointness guarantees a cell's whole leaf range falls on
-            # one side of every cut (cuts are range_min values of cells).
-            hi_side = np.searchsorted(boundaries, hi, side="right")
-            if not np.array_equal(hi_side, shard_of_cell):
-                raise AssertionError(
-                    "shard cut splits a covering cell's leaf range; "
-                    "the covering is not disjoint"
-                )
-        else:
-            shard_of_cell = np.zeros(num_cells, dtype=np.int64)
-        home_shards = np.full(num_polygons, -1, dtype=np.int64)
-        home_shards[referenced] = shard_of_cell[home_rows[referenced]]
-        entry_shards = shard_of_cell[entry_rows]
-        owned_mask = owned_entry_mask(entry_shards, entry_pids, home_shards)
-        cell_weights = np.bincount(entry_shards, minlength=num_shards)
-        owned_weights = np.bincount(
-            entry_shards[owned_mask], minlength=num_shards
-        )
-        owned_work = np.zeros(num_shards, dtype=np.int64)
-        np.add.at(
-            owned_work, home_shards[referenced], poly_entries[referenced]
-        )
-        owned_ids = tuple(
-            tuple(np.flatnonzero(home_shards == shard).tolist())
-            for shard in range(num_shards)
-        )
-        # Distinct borrowed (shard, polygon) pairs via one composite-key
-        # unique — a straddler can enter a shard through many cells.
-        borrowed_lists: list[list[int]] = [[] for _ in range(num_shards)]
-        b_shards = entry_shards[~owned_mask]
-        b_pids = entry_pids[~owned_mask]
-        if len(b_pids):
-            span = np.int64(num_polygons)
-            unique_keys = np.unique(b_shards * span + b_pids)
-            for shard, pid in zip(
-                (unique_keys // span).tolist(), (unique_keys % span).tolist()
-            ):
-                borrowed_lists[shard].append(pid)
-        return cls(
-            num_shards=num_shards,
-            boundaries=boundaries,
-            owned=owned_ids,
-            borrowed=tuple(tuple(pids) for pids in borrowed_lists),
-            # Cells are in curve order, so a shard's cells are one row range.
-            row_cuts=np.searchsorted(shard_of_cell, np.arange(num_shards + 1)),
-            cell_weights=tuple(int(w) for w in cell_weights),
-            owned_weights=tuple(int(w) for w in owned_weights),
-            borrowed_weights=tuple(
-                int(total - owned)
-                for total, owned in zip(cell_weights, owned_weights)
-            ),
-            owned_work=tuple(int(w) for w in owned_work),
-            home_shards=home_shards,
-        )
+            boundaries = np.zeros(num_shards - 1, dtype=np.uint64)
+        # Disjointness keeps a cell's whole leaf range on one side of
+        # every cut (cuts are range_min values of cells).
+        if not np.array_equal(
+            np.searchsorted(boundaries, lo, side="right"),
+            np.searchsorted(boundaries, hi, side="right"),
+        ):
+            raise AssertionError(
+                "shard cut splits a covering cell's leaf range; "
+                "the covering is not disjoint"
+            )
+        row_cuts = np.concatenate(([0], np.searchsorted(lo, boundaries), [len(lo)]))
+        return cls(num_shards, boundaries, row_cuts)
 
     def shard_for(self, leaf_ids: np.ndarray) -> np.ndarray:
         """The owning shard of each leaf cell id."""
-        leaf_ids = np.asarray(leaf_ids, dtype=np.uint64)
-        if self.boundaries.size == 0:
-            return np.zeros(len(leaf_ids), dtype=np.int64)
-        return np.searchsorted(self.boundaries, leaf_ids, side="right")
+        return np.searchsorted(
+            self.boundaries, np.asarray(leaf_ids, dtype=np.uint64), side="right"
+        )
 
     def leaf_ranges(self) -> list[tuple[int | None, int | None]]:
         """Each shard's half-open leaf-id range ``[lower, upper)`` between
@@ -745,7 +607,17 @@ class _ProcessShard:
             raise ShardWorkerError(self.shard, f"worker pipe closed: {exc}") from None
 
     def finish(self) -> object:
+        """The reply to the last ``start``, waited for at most
+        :data:`_LANE_TIMEOUT_S`.  A worker silent that long is killed, so
+        no late reply can pass for the answer to a later request, and
+        every later ``start`` fails on the dead pipe."""
         try:
+            if not self._conn.poll(_LANE_TIMEOUT_S):
+                self._process.kill()
+                self._process.join(timeout=_LANE_TIMEOUT_S)
+                raise ShardWorkerError(
+                    self.shard, f"no reply within {_LANE_TIMEOUT_S} s; worker killed"
+                )
             kind, value = self._conn.recv()
         except (EOFError, OSError):
             raise ShardWorkerError(self.shard, "worker terminated unexpectedly") from None
@@ -760,16 +632,16 @@ class _ProcessShard:
     def close(self) -> None:
         with contextlib.suppress(BrokenPipeError, EOFError, OSError):
             self._conn.send(("close",))
-            if self._conn.poll(_CLOSE_TIMEOUT_S):  # a wedged worker never acks
+            if self._conn.poll(_LANE_TIMEOUT_S):  # a wedged worker never acks
                 self._conn.recv()
         self._conn.close()
-        self._process.join(timeout=_CLOSE_TIMEOUT_S)
+        self._process.join(timeout=_LANE_TIMEOUT_S)
         if self._process.is_alive():
             self._process.terminate()
-            self._process.join(timeout=_CLOSE_TIMEOUT_S)
+            self._process.join(timeout=_LANE_TIMEOUT_S)
         if self._process.is_alive():  # a stopped process never sees SIGTERM
             self._process.kill()
-            self._process.join(timeout=_CLOSE_TIMEOUT_S)
+            self._process.join(timeout=_LANE_TIMEOUT_S)
 
 
 class _InlineShard:
@@ -868,20 +740,13 @@ def _scatter_gather(
 # The sharded service front
 # ----------------------------------------------------------------------
 
-#: Published geometry copies per distinct referenced polygon: one shared
-#: segment per layer (:func:`~repro.core.flat.pack_coverage_plane` rejects
-#: geometry buffers outright), so structurally 1.0 — unlike
-#: :attr:`ShardPlan.replication_factor`, the membership-derived factor a
-#: copy-the-straddlers publication would pay.
-_GEOMETRY_REPLICATION = 1.0
-
-#: Seconds ``_ProcessShard.close`` waits at each step (the worker's
-#: acknowledgement, its exit, its exit after ``terminate()``) before the next.
-_CLOSE_TIMEOUT_S = 10.0
-
-#: Seconds a lane waits for the other lanes' cell ids before it gives the
-#: slice up (:func:`_await_lanes`); the front sends it with every join.
-_BARRIER_TIMEOUT_S = 10.0
+#: Seconds the front waits on a lane: for each reply (``_ProcessShard.finish``
+#: kills a worker silent that long) and at each step of
+#: ``_ProcessShard.close``.  A lane waits half of it for the other lanes'
+#: cell ids (:func:`_await_lanes`; the front sends it with every join), so
+#: a lane reporting a wedged peer always answers before the front would
+#: give up on it.
+_LANE_TIMEOUT_S = 10.0
 
 #: The front's gauges (metric name -> help), set by
 #: :meth:`ShardedJoinService._set_snapshot_gauges`.
@@ -1059,14 +924,6 @@ class ShardedJoinService(ServiceFront):
                     shard=payload.shard,
                     backend=backend,
                     spawn_seconds=self._spawn_seconds[payload.shard],
-                    num_owned=sum(
-                        len(p.owned[payload.shard])
-                        for p in self._plans.values()
-                    ),
-                    num_borrowed=sum(
-                        len(p.borrowed[payload.shard])
-                        for p in self._plans.values()
-                    ),
                 )
         self._start_batcher(max_batch, max_wait_ms)
 
@@ -1149,9 +1006,11 @@ class ShardedJoinService(ServiceFront):
                     segment.unlink()
 
     def replication_factor(self, layer: str | None = None) -> float:
-        """Published geometry copies per distinct polygon in one layer."""
+        """Published geometry copies per distinct polygon: 1.0, as a layer's
+        geometry plane is one segment.  Kept for the benchmark's
+        ``serve.replication_factor`` row, which ROADMAP item C retires."""
         self._router.resolve(layer)  # unknown layers raise, as elsewhere
-        return _GEOMETRY_REPLICATION
+        return 1.0
 
     def plane_bytes(self, layer: str | None = None) -> tuple[int, int]:
         """One layer's published ``(shared geometry, per-shard coverage)``
@@ -1226,7 +1085,7 @@ class ShardedJoinService(ServiceFront):
                         self._ring, self._seq if brought else 0, lats[window],
                         lngs[window], *(ids[window] for ids in brought),
                     )
-                    msg = ("join", name, total, self._seq, lanes, _BARRIER_TIMEOUT_S,
+                    msg = ("join", name, total, self._seq, lanes, _LANE_TIMEOUT_S / 2,
                            exact, materialize, trace_ctx)
                     sends = [(c, (*msg, *bounds)) for c, bounds in zip(self._clients, ranges)]
                 with self._tracer.span("gather", shards=lanes) as span:
@@ -1362,12 +1221,9 @@ class ShardedJoinService(ServiceFront):
         Front-level latency covers whole scatter/gather dispatches;
         cache counters sum across shards per layer; each shard's own
         ``ServiceStats`` (adaptation state included) rides along in
-        ``shards``, its polygons split into owned vs borrowed
-        (``sum(num_owned)`` over shards == the layer polygon counts — no
-        double-counted straddlers); ``stats.replication`` carries each
-        layer's geometry replication factor.  Adaptation entries are
-        keyed ``layer@shardN`` so the point-weighted ``live_sth_rate``
-        and ``retrains`` aggregates stay correct across the fan-out.
+        ``shards``.  Adaptation entries are keyed ``layer@shardN`` so the
+        point-weighted ``live_sth_rate`` and ``retrains`` aggregates stay
+        correct across the fan-out.
         """
         self._check_open()
         with self._lock:
@@ -1380,8 +1236,6 @@ class ShardedJoinService(ServiceFront):
             if errors:
                 raise errors[0]
             indexes = dict(self._router.items())
-            plans = dict(self._plans)
-            replication = dict.fromkeys(indexes, _GEOMETRY_REPLICATION)
         cache: dict[str, CacheStats] = {}
         for name in indexes:
             slices = [s.cache[name] for s in shard_stats if name in s.cache]
@@ -1408,21 +1262,10 @@ class ShardedJoinService(ServiceFront):
             for layer, status in stats.adaptation.items()
         }
         shards = tuple(
-            ShardStatus(
-                shard=shard,
-                num_owned=sum(
-                    len(plan.owned[shard]) for plan in plans.values()
-                ),
-                num_borrowed=sum(
-                    len(plan.borrowed[shard]) for plan in plans.values()
-                ),
-                stats=stats,
-            )
+            ShardStatus(shard=shard, stats=stats)
             for shard, stats in enumerate(shard_stats)
         )
-        return self._recorder.snapshot(
-            cache, layers, adaptation, shards=shards, replication=replication
-        )
+        return self._recorder.snapshot(cache, layers, adaptation, shards=shards)
 
     def _check_open(self) -> None:
         if self._closed:

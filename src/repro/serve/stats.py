@@ -38,22 +38,11 @@ class ShardStatus:
     ``stats`` is the shard worker's own full :class:`ServiceStats`
     snapshot — per-shard latency, cache, layer, and adaptation detail —
     while the merged front-level ``ServiceStats`` aggregates across
-    shards.  Polygon counts report the shard plan's two classes
-    separately so the aggregation never double-counts a straddler:
-    summing ``num_owned`` across shards reproduces the layers' true
-    polygon counts, and ``num_borrowed`` is the straddler traffic this
-    shard serves for polygons homed elsewhere.
+    shards.
     """
 
     shard: int  # shard index in [0, num_shards)
-    num_owned: int  # polygons homed in this shard (all layers)
-    num_borrowed: int  # straddlers referenced here, homed elsewhere
     stats: "ServiceStats"  # the shard's own service snapshot
-
-    @property
-    def num_polygons(self) -> int:
-        """Polygon-table slots this shard references (owned + borrowed)."""
-        return self.num_owned + self.num_borrowed
 
 
 @dataclass(frozen=True)
@@ -77,9 +66,6 @@ class ServiceStats:
     layers: dict[str, LayerStatus] = field(default_factory=dict)
     adaptation: dict[str, AdaptationStatus] = field(default_factory=dict)
     shards: tuple[ShardStatus, ...] = ()  # per-shard detail (sharded serve)
-    # Measured geometry replication factor per layer (sharded serve):
-    # polygon-geometry copies published per distinct referenced polygon.
-    replication: dict[str, float] = field(default_factory=dict)
 
     @property
     def mean_batch_size(self) -> float:
@@ -165,19 +151,9 @@ class ServiceStats:
                 for name, status in self.adaptation.items()
             },
             "shards": [
-                {
-                    "shard": int(status.shard),
-                    "num_polygons": int(status.num_polygons),
-                    "num_owned": int(status.num_owned),
-                    "num_borrowed": int(status.num_borrowed),
-                    "stats": status.stats.to_dict(),
-                }
+                {"shard": int(status.shard), "stats": status.stats.to_dict()}
                 for status in self.shards
             ],
-            "replication": {
-                name: float(factor)
-                for name, factor in self.replication.items()
-            },
         }
 
 
@@ -219,7 +195,6 @@ class LatencyRecorder:
         layers: dict[str, LayerStatus] | None = None,
         adaptation: dict[str, AdaptationStatus] | None = None,
         shards: tuple[ShardStatus, ...] = (),
-        replication: dict[str, float] | None = None,
     ) -> ServiceStats:
         # Only the (cheap, C-level) deque copy happens under the lock;
         # the ndarray conversion and percentile scans run outside it, so
@@ -264,5 +239,4 @@ class LatencyRecorder:
             layers=dict(layers or {}),
             adaptation=dict(adaptation or {}),
             shards=tuple(shards),
-            replication=dict(replication or {}),
         )

@@ -566,6 +566,9 @@ class TestShardedIntegration:
         assert plain.metrics.value("serve_phase_seconds", cell_ids_phase) is None
         spawns = obs.events.events("shard_spawn")
         assert [e["shard"] for e in spawns] == [0, 1]
+        assert {key for e in spawns for key in e} == {
+            "ts", "kind", "shard", "backend", "spawn_seconds",
+        }
 
     def test_process_trace_contains_worker_spans(self, index, points):
         lats, lngs = points

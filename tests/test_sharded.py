@@ -20,7 +20,7 @@ from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
 from repro.core.morsels import OFFLINE_MORSEL_POINTS
 from repro.geo.polygon import regular_polygon
 from repro.serve import ShardPlan, ShardWorkerError, ShardedJoinService
-from repro.serve.sharded import _await_lanes, in_leaf_range
+from repro.serve.sharded import _await_lanes, _cut_weights, in_leaf_range
 
 #: Every JoinResult field two equivalent joins must agree on exactly.
 STAT_FIELDS = (
@@ -116,6 +116,17 @@ def _shard_cells(plan, index) -> list[dict]:
     ]
 
 
+def _referenced(shard_cells: dict) -> set[int]:
+    """The polygon ids a shard's cells reference."""
+    return {ref.polygon_id for refs in shard_cells.values() for ref in refs}
+
+
+def _cut_weight_per_shard(plan, index) -> np.ndarray:
+    """The cut weight each shard's row range carries."""
+    weights = np.concatenate(([0], np.cumsum(_cut_weights(index.super_covering))))
+    return np.diff(weights[plan.row_cuts])
+
+
 class TestShardPlan:
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 5, 8])
     def test_partition_is_exact(self, index, num_shards):
@@ -139,14 +150,6 @@ class TestShardPlan:
             low = np.asarray([CellId(cell_id).range_min().id], dtype=np.uint64)
             per_shard[int(plan.shard_for(low)[0])][cell_id] = refs
         assert cells == per_shard
-        # Members are exactly the polygons referenced by a shard's cells.
-        for shard in range(num_shards):
-            referenced = {
-                ref.polygon_id
-                for refs in cells[shard].values()
-                for ref in refs
-            }
-            assert set(plan.members[shard]) == referenced
 
     def test_cells_and_points_agree_on_ownership(self, index):
         plan = ShardPlan.from_index(index, 4)
@@ -191,99 +194,95 @@ class TestShardPlan:
 
     def test_balanced_on_covering_cell_counts(self, index):
         plan = ShardPlan.from_index(index, 4)
-        weights = plan.cell_weights
+        ref_offsets = index.super_covering.ref_offsets
+        weights = np.diff(ref_offsets[plan.row_cuts])
         assert sum(weights) == len(index.super_covering.packed_refs)
         assert max(weights) <= 2 * (sum(weights) / len(weights))
 
     def test_straddling_polygons_are_replicated(self, index):
-        # The grid polygons' coverings cross shard cuts, so the member
-        # lists overlap: total membership exceeds the polygon count.
-        plan = ShardPlan.from_index(index, 3)
-        assert sum(len(m) for m in plan.members) > len(index.polygons)
-        assert set().union(*map(set, plan.members)) == set(
-            range(len(index.polygons))
-        )
+        # The grid polygons' coverings cross shard cuts, so the shards'
+        # referenced sets overlap: total references exceed the polygon count.
+        referenced = [
+            _referenced(cells)
+            for cells in _shard_cells(ShardPlan.from_index(index, 3), index)
+        ]
+        assert sum(map(len, referenced)) > len(index.polygons)
+        assert set().union(*referenced) == set(range(len(index.polygons)))
 
     def test_single_shard_owns_everything(self, index):
         plan = ShardPlan.from_index(index, 1)
         assert plan.boundaries.size == 0
-        assert plan.members[0] == tuple(range(len(index.polygons)))
+        assert plan.row_cuts.tolist() == [0, index.super_covering.num_cells]
+        (cells,) = _shard_cells(plan, index)
+        assert _referenced(cells) == set(range(len(index.polygons)))
 
     def test_invalid_shard_count(self, index):
         with pytest.raises(ValueError):
             ShardPlan.from_index(index, 0)
 
     def test_invalid_balance_mode(self, index):
-        # Cuts always balance on owned work; the selector is gone.
+        # Cuts always balance on the one cut weight; the selector is gone.
         for mode in ("owned", "entries"):
             with pytest.raises(TypeError, match="balance"):
                 ShardPlan.from_index(index, 2, balance=mode)
         assert not hasattr(ShardPlan.from_index(index, 2), "balance")
 
-    def test_owned_and_borrowed_partition_members(self, index):
+    def test_a_plan_is_its_cut_points(self, index):
+        """Three fields: the cuts as leaf ids and as covering rows."""
+        assert [f.name for f in dataclasses.fields(ShardPlan)] == [
+            "num_shards", "boundaries", "row_cuts",
+        ]
         plan = ShardPlan.from_index(index, 3)
-        owned_union = []
-        for shard in range(3):
-            owned = set(plan.owned[shard])
-            borrowed = set(plan.borrowed[shard])
-            assert owned & borrowed == set()
-            assert owned | borrowed == set(plan.members[shard])
-            owned_union.extend(plan.owned[shard])
-        # Every polygon is homed in exactly one shard: the owned lists
-        # partition the polygon set even though members overlap.
-        assert sorted(owned_union) == list(range(len(index.polygons)))
-        # Owned ids agree with the home-shard table.
-        for shard in range(3):
-            for pid in plan.owned[shard]:
-                assert plan.home_shards[pid] == shard
+        assert plan.boundaries.dtype == np.uint64
+        lows = index.super_covering.cell_ids[plan.row_cuts[1:-1]]
+        ranges = [CellId(int(cell)).range_min().id for cell in lows]
+        assert plan.boundaries.tolist() == ranges
 
-    def test_replication_factor_counts_membership_slots(self, index):
-        plan = ShardPlan.from_index(index, 3)
-        slots = sum(len(m) for m in plan.members)
-        assert plan.replication_factor == slots / len(index.polygons)
-        assert plan.replication_factor > 1.0  # the grid has straddlers
-        solo = ShardPlan.from_index(index, 1)
-        assert solo.replication_factor == 1.0
+    # Recorded at 1.20.0: the cuts move only when the cut weight does.
+    PINNED_BOUNDARIES = {
+        2: [9926595049917775873],
+        3: [9926594883269689345, 9926595088379543553],
+        4: [9926594883269689345, 9926595049917775873, 9926595697100980225],
+    }
 
-    def test_owned_weight_cuts_improve_boundary_heavy_balance(self):
-        """Owned-work cuts keep a boundary-heavy covering balanced.
+    @pytest.mark.parametrize("num_shards", [2, 3, 4])
+    def test_cuts_are_pinned(self, index, num_shards):
+        plan = ShardPlan.from_index(index, num_shards)
+        assert plan.boundaries.tolist() == self.PINNED_BOUNDARIES[num_shards]
+
+    def test_cut_weight_cuts_balance_a_boundary_heavy_chain(self):
+        """The cut weight keeps a boundary-heavy covering balanced.
 
         A chain of heavily overlapping polygons is boundary-heavy —
         nearly every covering straddles any cut.  Weighting cuts by raw
         entry counts would let the same straddler weigh into several
-        shards' shares and skew the *owned work* (the balance that
-        decides how much home-shard refinement each worker performs);
-        owned-only weights must keep the max/min owned-work ratio
-        bounded.
+        shards' shares; the median-anchored weight counts each polygon
+        once, so the max/min per-shard cut weight stays bounded.
         """
         chain = [
             regular_polygon((-74.0 + 0.004 * i, 40.70), 0.012, 8)
             for i in range(24)
         ]
         chain_index = PolygonIndex.build(chain, precision_meters=30.0)
-
-        def owned_ratio(plan):
-            work = np.asarray(plan.owned_work, dtype=np.float64)
-            return np.inf if work.min() == 0 else work.max() / work.min()
-
         for num_shards in (3, 4):
             plan = ShardPlan.from_index(chain_index, num_shards)
-            assert owned_ratio(plan) < 2.0
+            work = _cut_weight_per_shard(plan, chain_index)
+            assert work.min() > 0 and work.max() / work.min() <= 2.0
 
-    def test_owned_balance_is_default(self, index):
-        # No selector: the cuts of a plain plan balance owned work.
+    def test_cut_weight_is_balanced(self, index):
         plan = ShardPlan.from_index(index, 4)
-        work = plan.owned_work
-        assert sum(work) == sum(plan.cell_weights)  # every entry homed once
-        assert max(work) <= 2 * (sum(work) / len(work))
+        work = _cut_weight_per_shard(plan, index)
+        # Every entry weighs once, on its polygon's anchor row.
+        assert work.sum() == len(index.super_covering.packed_refs)
+        assert work.min() > 0 and work.max() / work.min() <= 2.0
 
     def test_more_shards_than_weight_mass_leaves_empty_shards(self):
         """Degenerate plan: duplicate cut points collapse to empty shards.
 
-        One polygon's owned work all lands on a single home cell, so
+        One polygon's cut weight all lands on a single anchor cell, so
         with 6 shards most quantile cuts coincide — the collapsed shards
-        must stay empty (no cells, no members) without perturbing the
-        exact partition or shard-id stability.
+        must stay empty (no cells) without perturbing the exact partition
+        or shard-id stability.
         """
         solo = PolygonIndex.build(
             [regular_polygon((-74.0, 40.70), 0.011, 16)],
@@ -293,13 +292,11 @@ class TestShardPlan:
         assert plan.num_shards == 6
         assert plan.row_cuts[0] == 0
         assert plan.row_cuts[-1] == solo.super_covering.num_cells
+        cells = _shard_cells(plan, solo)
         empty = [s for s in range(6) if plan.row_cuts[s] == plan.row_cuts[s + 1]]
         assert empty  # the degenerate case actually occurred
-        for shard in empty:
-            assert plan.members[shard] == ()
-            assert plan.owned[shard] == ()
-            assert plan.borrowed[shard] == ()
-        assert sum(len(o) for o in plan.owned) == 1
+        for shard in range(6):
+            assert _referenced(cells[shard]) == (set() if shard in empty else {0})
 
     def test_degenerate_plan_still_serves_identically(self, points):
         lats, lngs = points
@@ -311,8 +308,30 @@ class TestShardPlan:
         with ShardedJoinService(solo, num_shards=6, backend="inline") as svc:
             assert_identical(svc.join(lats, lngs, exact=True), direct)
 
+    @pytest.mark.parametrize("num_shards", [2, 3])
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_empty_layer_joins_promptly(self, index, points, backend, num_shards):
+        """A layer without cells still cuts ``num_shards - 1`` times (all
+        at 0), so every lane gets every join: the zero result, at once —
+        at construction and after a swap to an empty layer."""
+        lats, lngs = points
+        empty = PolygonIndex.build([])
+        with ShardedJoinService(
+            {"default": index, "empty": empty},
+            num_shards=num_shards,
+            backend=backend,
+        ) as svc:
+            assert svc.plan("empty").boundaries.tolist() == [0] * (num_shards - 1)
+            svc.swap_layer("default", PolygonIndex.build([]))
+            for layer in ("empty", "default"):
+                started = time.perf_counter()
+                served = svc.join(lats, lngs, layer=layer, exact=True)
+                assert time.perf_counter() - started < 1.0
+                assert_identical(served, empty.join(lats, lngs, exact=True))
+                assert served.num_points == len(lats) and served.num_pairs == 0
+
     def test_polygon_straddling_every_cut(self, points):
-        """A domain-spanning polygon is borrowed by every foreign shard."""
+        """A straddler is referenced by every populated shard it touches."""
         lats, lngs = points
         polygons = _grid_polygons() + [
             regular_polygon((-73.98, 40.72), 0.05, 24)
@@ -320,15 +339,13 @@ class TestShardPlan:
         big = len(polygons) - 1
         straddle_index = PolygonIndex.build(polygons, precision_meters=30.0)
         plan = ShardPlan.from_index(straddle_index, 4)
-        # The big polygon's owned-work spike can collapse a quantile cut
+        # The big polygon's cut-weight spike can collapse a quantile cut
         # into an empty shard; it must straddle every *populated* shard.
         populated = [s for s in range(4) if plan.row_cuts[s] < plan.row_cuts[s + 1]]
-        holding = [s for s in range(4) if big in plan.members[s]]
+        cells = _shard_cells(plan, straddle_index)
+        holding = [s for s in range(4) if big in _referenced(cells[s])]
         assert holding == populated
         assert len(holding) >= 3  # genuinely straddles multiple cuts
-        homes = [s for s in range(4) if big in plan.owned[s]]
-        assert len(homes) == 1  # yet owned exactly once
-        assert plan.home_shards[big] == homes[0]
         direct = straddle_index.join(lats, lngs, exact=True)
         with ShardedJoinService(
             straddle_index, num_shards=4, backend="inline"
@@ -484,6 +501,17 @@ class TestTwoLayerPlan:
                 assert "home_shards" not in sub.snapshot.buffers
                 assert "ring_lngs" in sub.snapshot.buffers
 
+    def test_a_shard_holds_exactly_the_polygons_its_cells_reference(self, index):
+        """Each lane's attached sub-index is its row range of the covering:
+        the cells the cuts assign to it, and the polygons those reference."""
+        with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
+            cells = _shard_cells(svc.plan(), index)
+            for shard, client in enumerate(svc._clients):
+                held = client._service._router.resolve(None)[1].super_covering
+                assert {cell.id: refs for cell, refs in held.items()} == cells[shard]
+                pids = set((held.packed_refs >> np.uint32(1)).tolist())
+                assert pids == _referenced(cells[shard])
+
     def test_unknown_plan_rejected(self, index):
         for mode in ("two-layer", "replicate"):
             with pytest.raises(TypeError, match="plan"):
@@ -550,25 +578,6 @@ class TestTwoLayerPlan:
             assert_identical(
                 svc.join(lats, lngs, exact=True),
                 swap_index.join(lats, lngs, exact=True),
-            )
-
-    def test_stats_owned_borrowed_never_double_count(self, index, points):
-        lats, lngs = points
-        with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
-            svc.join(lats, lngs)
-            stats = svc.stats()
-        # The double-counting fix: summing owned counts reproduces the
-        # layer's true polygon count; borrowed tracks straddler traffic.
-        assert sum(s.num_owned for s in stats.shards) == len(index.polygons)
-        assert sum(s.num_borrowed for s in stats.shards) > 0
-        for shard in stats.shards:
-            assert shard.num_polygons == shard.num_owned + shard.num_borrowed
-        assert stats.replication == {"default": 1.0}
-        data = stats.to_dict()
-        assert data["replication"] == {"default": 1.0}
-        for shard in data["shards"]:
-            assert shard["num_polygons"] == (
-                shard["num_owned"] + shard["num_borrowed"]
             )
 
     def test_process_backend_two_layer(self, index, points):
@@ -925,15 +934,17 @@ class TestProcessBackend:
         self, index, points, monkeypatch
     ):
         """The lane that got the message and died never publishes: the
-        surviving lane gives up at the deadline (sent by the front with
-        the message), the front raises, the service stays failed and
+        surviving lane gives up at the barrier deadline (sent by the front
+        with the message), the front raises, the service stays failed and
         closes cleanly."""
         import repro.serve.sharded as sharded_mod
 
         lats, lngs = points
-        monkeypatch.setattr(sharded_mod, "_BARRIER_TIMEOUT_S", 0.3)
         before = _shm_names()
         svc = ShardedJoinService(index, num_shards=2, backend="process")
+        # Shrunk once the workers answered the spawn barrier (its ping
+        # waits on the same timeout); the barrier gets half of it.
+        monkeypatch.setattr(sharded_mod, "_LANE_TIMEOUT_S", 0.6)
         try:
             svc.join(lats[:2000], lngs[:2000], exact=True)
             victim = svc._clients[1]
@@ -951,7 +962,7 @@ class TestProcessBackend:
             with pytest.raises(ShardWorkerError):
                 svc.join(lats[:2000], lngs[:2000], exact=True)
             elapsed = time.perf_counter() - started
-            assert 0.3 <= elapsed < 5.0  # the deadline, once
+            assert 0.3 <= elapsed < 5.0  # the barrier deadline, once
             assert not victim._process.is_alive()
             monkeypatch.setattr(victim, "start", real_start)
             started = time.perf_counter()
@@ -1042,9 +1053,9 @@ class TestProcessBackend:
         still unlink every segment (planes and ring)."""
         import repro.serve.sharded as sharded_mod
 
-        monkeypatch.setattr(sharded_mod, "_CLOSE_TIMEOUT_S", 0.3)
         before = _shm_names()
         svc = ShardedJoinService(index, num_shards=2, backend="process")
+        monkeypatch.setattr(sharded_mod, "_LANE_TIMEOUT_S", 0.3)
         wedged = svc._clients[1]._process
         os.kill(wedged.pid, signal.SIGSTOP)
         try:
@@ -1058,6 +1069,46 @@ class TestProcessBackend:
         for client in svc._clients:
             assert not client._process.is_alive()
         assert wedged.exitcode == -signal.SIGKILL
+        assert _shm_names() - before == set()
+
+    @pytest.mark.skipif(
+        not pathlib.Path("/proc/self/stat").exists(), reason="reads /proc"
+    )
+    def test_a_wedged_worker_fails_the_dispatch_not_forever(
+        self, index, points, monkeypatch
+    ):
+        """A stopped worker never publishes and never replies: its peer
+        gives up at the barrier (half the lane timeout), the front stops
+        waiting for the stopped one's reply after the lane timeout and
+        kills it — the join raises within twice the timeout.  The next
+        join fails at once on the dead pipe, close() returns and every
+        segment is unlinked."""
+        import repro.serve.sharded as sharded_mod
+
+        lats, lngs = points
+        timeout = 0.5
+        before = _shm_names()
+        svc = ShardedJoinService(index, num_shards=2, backend="process")
+        monkeypatch.setattr(sharded_mod, "_LANE_TIMEOUT_S", timeout)
+        wedged = svc._clients[1]._process
+        try:
+            svc.join(lats[:2000], lngs[:2000], exact=True)
+            os.kill(wedged.pid, signal.SIGSTOP)
+            _wait_until_stopped(wedged.pid)
+            started = time.perf_counter()
+            with pytest.raises(ShardWorkerError):
+                svc.join(lats[:2000], lngs[:2000], exact=True)
+            assert time.perf_counter() - started < 2 * timeout
+            assert wedged.exitcode == -signal.SIGKILL  # killed and reaped
+            started = time.perf_counter()
+            with pytest.raises(ShardWorkerError, match="pipe closed"):
+                svc.join(lats[:2000], lngs[:2000], exact=True)
+            assert time.perf_counter() - started < 1.0
+        finally:
+            if wedged.is_alive():  # pragma: no cover - the bug under test
+                wedged.kill()
+            svc.close()
+        assert not svc._clients[0]._process.is_alive()
         assert _shm_names() - before == set()
 
     @pytest.mark.skipif(
