@@ -246,6 +246,12 @@ def levels_from_cell_ids(ids: np.ndarray) -> np.ndarray:
     return MAX_LEVEL - (np.log2(lsb.astype(np.float64)) / 2.0).astype(np.int64)
 
 
+def parent_ids_at_level(ids: np.ndarray, level: int) -> np.ndarray:
+    """Vectorized ``CellId.parent(level)`` for cell ids at ``level`` or deeper."""
+    lsb = 1 << (2 * (MAX_LEVEL - level))
+    return (np.asarray(ids, dtype=np.uint64) & ~np.uint64(lsb - 1)) | np.uint64(lsb)
+
+
 def child_cell_ids(ids: np.ndarray) -> np.ndarray:
     """The four children of every (non-leaf) cell id: ``(n, 4)``, ascending."""
     ids = np.asarray(ids, dtype=np.uint64)

@@ -7,14 +7,13 @@ workload, tanking the solely-true-hit (STH) rate exactly where load is.
 This module turns the training phase into a feedback loop over the
 machinery the serving stack already has:
 
-* **telemetry** — :class:`TrafficSink` piggybacks on the hot-cell cache's
-  key computation (:class:`repro.serve.cache.CachedCellStore` already
-  truncates each probe batch to cell keys and resolves their entries, and
-  deduplicates them when a sink is attached): per unique key it
-  classifies the store's tagged entry as expensive or not straight from
-  the entry bits, and feeds :class:`LayerTelemetry` — a windowed STH rate
-  plus a histogram of refinement traffic per cell key.  Cost per probe is
-  one ``np.unique`` over the keys plus a few vectorized ops.
+* **telemetry** — the join driver hands every probed batch to
+  :meth:`LayerTelemetry.observe` (the ``observe`` hook of
+  :func:`repro.core.joins.join_batch`), which keys each point on its cell
+  at the layer's deepest level, classifies each key's entry as expensive
+  or not straight from the entry bits, and keeps a windowed STH rate plus
+  a histogram of refinement traffic per cell.  Cost per probe is one
+  ``np.unique`` over the keys plus a few vectorized ops.
 * **trigger** — :class:`AdaptiveController` watches the windowed STH rate
   after each dispatch; when it sinks below ``AdaptationPolicy.sth_target``
   (outside the cooldown), it claims a retrain slot and hands the observed
@@ -39,15 +38,29 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.cells.vectorized import parent_ids_at_level
 from repro.core.joins import expensive_entries
-from repro.core.lookup_table import LookupTable
+
+if TYPE_CHECKING:
+    from repro.core.builder import ProbeView
 
 #: Retrain entry points looked up on the layer index, in order.
 _DYNAMIC_RETRAIN = "retrain"
 _STATIC_RETRAIN = "retrained"
+
+#: Cap on how often one cell repeats in a synthesized training set (each
+#: repeat deepens that cell's subtree by at most one level).
+MAX_REPEATS_PER_KEY = 64
+#: Cell budget per retrain: this factor times the layer's covering size
+#: when the controller first retrained it — anchored to that baseline so
+#: repeated drift cycles cannot compound the ceiling geometrically.
+CELL_BUDGET_FACTOR = 4.0
+#: Histogram size guard: prune to the hottest half beyond this many cells.
+MAX_TRACKED_KEYS = 65_536
 
 
 @dataclass(frozen=True)
@@ -64,17 +77,6 @@ class AdaptationPolicy:
     cooldown_points: int = 65_536
     #: Cap on the synthesized training set per retrain.
     max_training_points: int = 50_000
-    #: Cap on how often one cell key repeats in the synthesized set (each
-    #: repeat deepens that cell's subtree by at most one level).
-    max_repeats_per_key: int = 64
-    #: Cell budget per retrain: ``factor * the layer's covering size when
-    #: the controller first retrained it`` — anchored to that baseline so
-    #: repeated drift cycles cannot compound the ceiling geometrically …
-    cell_budget_factor: float = 4.0
-    #: … unless an absolute budget is given.
-    max_cells: int | None = None
-    #: Histogram size guard: prune to the hottest half beyond this.
-    max_tracked_keys: int = 65_536
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,11 @@ class AdaptationStatus:
 class LayerTelemetry:
     """Windowed refinement telemetry for one served layer (thread-safe).
 
-    Keys are *canonical cell ids*: the truncated cache key shifted back up
-    with its level marker bit restored.  A cell id self-describes its
-    extent, so histograms recorded under different cache-key depths (the
-    shift changes when a retrain deepens the covering) stay in one
+    Keys are *cell ids*: each point's ancestor at the probed view's
+    ``max_cell_level``, the deepest level any indexed cell has, so every
+    point under one key resolved to the same entry.  A cell id
+    self-describes its extent, so histograms recorded over views of
+    different depths (a retrain deepens the covering) stay in one
     coordinate system, and the retrain worker can synthesize training
     points spread across each hot cell's true leaf range.
     """
@@ -112,6 +115,21 @@ class LayerTelemetry:
         self._hot: dict[int, int] = {}  # hot leaves #: guarded_by(_lock)
         #: guarded_by(_lock)
         self._points_since_retrain = policy.cooldown_points  # no initial cooldown
+
+    def observe(
+        self, view: ProbeView, cell_ids: np.ndarray, entries: np.ndarray
+    ) -> None:
+        """Fold one batch probed through ``view`` in: the join driver's
+        ``observe`` hook, given each point's leaf id and entry."""
+        keys = parent_ids_at_level(cell_ids, view.max_cell_level)
+        # One representative entry per key; every id sharing a key
+        # resolves to the same entry by construction.
+        unique_keys, first, weights = np.unique(
+            keys, return_index=True, return_counts=True
+        )
+        self.record(
+            unique_keys, weights, expensive_entries(entries[first], view.lookup_table)
+        )
 
     def record(
         self, unique_keys: np.ndarray, weights: np.ndarray, expensive: np.ndarray
@@ -139,9 +157,9 @@ class LayerTelemetry:
                     unique_keys[expensive].tolist(), weights[expensive].tolist()
                 ):
                     hot[key] = hot.get(key, 0) + int(weight)
-                if len(hot) > self._policy.max_tracked_keys:
+                if len(hot) > MAX_TRACKED_KEYS:
                     keep = sorted(hot.items(), key=lambda kv: -kv[1])
-                    self._hot = dict(keep[: self._policy.max_tracked_keys // 2])
+                    self._hot = dict(keep[: MAX_TRACKED_KEYS // 2])
 
     def window_sth_rate(self) -> float:
         with self._lock:
@@ -185,48 +203,14 @@ class LayerTelemetry:
             return self._window_total, rate, len(self._hot)
 
 
-class TrafficSink:
-    """Per-(layer, version) recorder handed to a ``CachedCellStore``.
-
-    ``record`` receives exactly what the cache path already computed — the
-    batch's unique truncated keys, their point weights, and the resolved
-    store entries — classifies the entries, widens the keys back to
-    canonical leaf ids, and feeds the layer's telemetry.
-    """
-
-    __slots__ = ("_telemetry", "_lookup_table", "_key_shift")
-
-    def __init__(
-        self,
-        telemetry: LayerTelemetry,
-        lookup_table: LookupTable,
-        key_shift: int,
-    ):
-        self._telemetry = telemetry
-        self._lookup_table = lookup_table
-        self._key_shift = np.uint64(key_shift)
-
-    def record(
-        self, unique_keys: np.ndarray, weights: np.ndarray, entries: np.ndarray
-    ) -> None:
-        expensive = expensive_entries(entries, self._lookup_table)
-        # Restore the truncated key to its cell id: position bits shifted
-        # back up, marker bit at the key's own level (key_shift >= 1).
-        marker = np.uint64(1) << (self._key_shift - np.uint64(1))
-        cell_keys = (
-            np.asarray(unique_keys, dtype=np.uint64) << self._key_shift
-        ) | marker
-        self._telemetry.record(cell_keys, np.asarray(weights), expensive)
-
-
 class AdaptiveController:
     """Watches per-layer telemetry and retrains drifted layers online.
 
     One instance per :class:`~repro.serve.service.JoinService`.  The
-    service calls :meth:`sink_for` when it attaches a probe view (wiring
-    the telemetry into the cache path) and :meth:`after_dispatch` after
-    every join dispatch (the trigger check, a few lock-free comparisons in
-    the common case).  Retraining runs on a daemon worker thread, one per
+    service hands the layer's :meth:`telemetry_for` to the join driver
+    as its ``observe`` hook and calls :meth:`after_dispatch` after every
+    dispatch (the trigger check, a few lock-free comparisons in the
+    common case).  Retraining runs on a daemon worker thread, one per
     layer at a time, and installs through the index's own snapshot
     machinery — dynamic indexes via their compaction (``retrain``),
     static snapshots via the ``swap`` callable (normally
@@ -283,12 +267,6 @@ class AdaptiveController:
                 self._telemetry[layer] = telemetry
             return telemetry
 
-    def sink_for(
-        self, layer: str, lookup_table: LookupTable, key_shift: int
-    ) -> TrafficSink:
-        """A recorder for one (layer, version) cache generation."""
-        return TrafficSink(self.telemetry_for(layer), lookup_table, key_shift)
-
     def after_dispatch(self, layer: str, index: object) -> bool:
         """Trigger check; starts a background retrain when drift is seen."""
         telemetry = self._telemetry.get(layer)
@@ -332,7 +310,7 @@ class AdaptiveController:
         for key, count in sorted(hot.items(), key=lambda kv: -kv[1]):
             if total >= policy.max_training_points:
                 break
-            repeat = min(count, policy.max_repeats_per_key,
+            repeat = min(count, MAX_REPEATS_PER_KEY,
                          policy.max_training_points - total)
             lsb = key & -key  # == number of leaf slots in the cell
             lo = key - (lsb - 1)  # range_min leaf id (odd)
@@ -347,18 +325,14 @@ class AdaptiveController:
         return np.concatenate(parts)
 
     def _cell_budget(self, layer: str, index: object) -> int | None:
-        if self.policy.max_cells is not None:
-            return self.policy.max_cells
         num_cells = getattr(index, "num_cells", None)
         if num_cells is None:
             return None
-        # Anchor the relative budget to the covering size seen at the
-        # layer's FIRST retrain: retraining an already-deepened covering
-        # against "factor x current" would let the ceiling compound by
-        # the factor on every drift cycle.
+        # Anchored to the covering size seen at the layer's FIRST retrain
+        # (see CELL_BUDGET_FACTOR).
         with self._lock:
             baseline = self._baseline_cells.setdefault(layer, int(num_cells))
-        return int(math.ceil(self.policy.cell_budget_factor * baseline))
+        return int(math.ceil(CELL_BUDGET_FACTOR * baseline))
 
     def _retrain_worker(
         self, layer: str, index: object, telemetry: LayerTelemetry

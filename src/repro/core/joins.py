@@ -205,17 +205,20 @@ def approximate_join(
     num_polygons: int,
     materialize: bool = False,
     tracer=None,
+    observe=None,
 ) -> JoinResult:
     """Approximate join: candidate hits count as hits (no PIP tests).
 
     ``tracer`` (an optional :class:`~repro.obs.trace.Tracer`) receives
     the already-measured probe phase as a child span of whatever dispatch
     span is active in the calling thread — no extra clock reads.
+    ``observe`` (see :func:`join_batch`) sees the probed entries.
     """
     with Timer() as probe_timer:
-        point_idx, pids, is_true = decode_entries(
-            store.probe(cell_ids), lookup_table
-        )
+        entries = store.probe(cell_ids)
+        if observe is not None:
+            observe(cell_ids, entries)
+        point_idx, pids, is_true = decode_entries(entries, lookup_table)
         counts = np.bincount(pids, minlength=num_polygons)
     if tracer is not None:
         tracer.emit("probe", probe_timer.seconds, points=len(cell_ids))
@@ -244,6 +247,7 @@ def accurate_join(
     materialize: bool = False,
     engine: RefinementEngine | None = None,
     tracer=None,
+    observe=None,
 ) -> JoinResult:
     """Accurate join: candidate hits are refined with PIP tests.
 
@@ -254,13 +258,15 @@ def accurate_join(
     ``tracer`` (an optional :class:`~repro.obs.trace.Tracer`) receives
     the already-measured probe and refine phases as child spans of
     whatever dispatch span is active in the calling thread.
+    ``observe`` (see :func:`join_batch`) sees the probed entries.
     """
     if engine is None:
         engine = RefinementEngine(polygons)
     with Timer() as probe_timer:
-        point_idx, pids, is_true = decode_entries(
-            store.probe(cell_ids), lookup_table
-        )
+        entries = store.probe(cell_ids)
+        if observe is not None:
+            observe(cell_ids, entries)
+        point_idx, pids, is_true = decode_entries(entries, lookup_table)
     with Timer() as refine_timer:
         keep_points, keep_pids, num_pip, num_refined = engine.refine(
             point_idx, pids, is_true, lngs, lats
@@ -352,6 +358,7 @@ def join_batch(
     engine: RefinementEngine | None = None,
     executor: MorselExecutor | None = None,
     tracer=None,
+    observe=None,
 ) -> JoinResult:
     """Join one checked batch: the kernel and the schedule, chosen once.
 
@@ -365,16 +372,22 @@ def join_batch(
     spans are synthesized from the merged result's apportioned times.
     Every statistic (and, with ``materialize``, the pair set) equals the
     straight call's on the same inputs.
+
+    ``observe`` is the serving layer's traffic recorder: the kernel calls
+    it right after each ``store.probe`` — once per batch, once per morsel
+    — with the probed leaf ids and their entries (from the morsel
+    threads, so it must be thread-safe).
     """
     if executor is None or len(cell_ids) <= executor.morsel_size:
         if exact:
             return accurate_join(
                 store, lookup_table, cell_ids, polygons, lngs, lats,
                 materialize=materialize, engine=engine, tracer=tracer,
+                observe=observe,
             )
         return approximate_join(
             store, lookup_table, cell_ids, len(polygons),
-            materialize=materialize, tracer=tracer,
+            materialize=materialize, tracer=tracer, observe=observe,
         )
 
     def work(lo: int, hi: int) -> JoinResult:
@@ -383,6 +396,7 @@ def join_batch(
             store, lookup_table, cell_ids[lo:hi], polygons,
             lngs[lo:hi] if exact else None, lats[lo:hi] if exact else None,
             exact=exact, materialize=materialize, engine=engine,
+            observe=observe,
         )
         if materialize:
             part.pair_points = part.pair_points + lo

@@ -269,7 +269,7 @@ def key_shift_for_level(max_cell_level: int) -> int:
 
 
 class CachedCellStore:
-    """A ``CellStore`` adapter that serves probes through a hot-cell cache.
+    """A ``CellStore`` wrapper that serves probes through a hot-cell cache.
 
     Truncates the batch's leaf ids to cache keys (by ``key_shift``, see
     :func:`key_shift_for_level`), gathers the cached entries from the
@@ -281,51 +281,26 @@ class CachedCellStore:
     more lane of the store's vectorized probe, which is cheaper than
     finding the repeats.
 
-    ``recorder`` is an optional telemetry sink (the adaptation loop's
-    :class:`~repro.core.adaptive.TrafficSink`): after each batch it
-    receives the unique keys, their point weights, and the resolved
-    entries.  Only this branch pays for a dedup pass.
-
     ``tracer`` is an optional :class:`~repro.obs.trace.Tracer`; each
     table lookup that happens (a declined one does not) shows up as a
     ``cache_lookup`` child span of the active dispatch, with its
     point-weighted miss count.
     """
 
-    def __init__(self, store, cache: HotCellCache, key_shift: int = 0,
-                 recorder=None, tracer=None):
+    def __init__(self, store, cache: HotCellCache, key_shift: int = 0, tracer=None):
         if not 0 <= key_shift < 64:
             raise ValueError(f"key_shift must be in [0, 64), got {key_shift}")
         self.store = store
         self.cache = cache
         self.key_shift = key_shift
-        self.recorder = recorder
         self.tracer = tracer
 
     def probe(self, query_ids: np.ndarray) -> np.ndarray:
         query_ids = np.asarray(query_ids, dtype=np.uint64)
-        if query_ids.size == 0:
-            return self.store.probe(query_ids)
-        if self.cache.capacity == 0 and self.recorder is None:
+        cache = self.cache
+        if query_ids.size == 0 or cache.capacity == 0:
             return self.store.probe(query_ids)
         keys = query_ids >> np.uint64(self.key_shift)
-        if self.cache.capacity == 0:
-            entries = self.store.probe(query_ids)
-        else:
-            entries = self._probe_through_cache(query_ids, keys)
-        if self.recorder is not None:
-            # One representative entry per key; every id sharing a key
-            # resolves to the same entry by construction.
-            unique_keys, first_index, weights = np.unique(
-                keys, return_index=True, return_counts=True
-            )
-            self.recorder.record(unique_keys, weights, entries[first_index])
-        return entries
-
-    def _probe_through_cache(
-        self, query_ids: np.ndarray, keys: np.ndarray
-    ) -> np.ndarray:
-        cache = self.cache
         with Timer() as timer:
             looked = cache.lookup(keys)
         if looked is None:
@@ -349,7 +324,7 @@ class CachedCellStore:
         # ``self.store`` would recurse forever, so anything that should
         # live on the wrapper itself raises AttributeError instead.
         if name.startswith("__") or name in (
-            "store", "cache", "key_shift", "recorder", "tracer",
+            "store", "cache", "key_shift", "tracer",
         ):
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"

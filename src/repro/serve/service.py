@@ -34,13 +34,15 @@ layer — that of the newest version it has seen — so results are
 bit-identical to calling ``PolygonIndex.join`` directly, skewed workloads
 short-circuit most trie descents, and a snapshot swap
 (:meth:`JoinService.swap_layer`) can never serve an entry cached for a
-previous version.
+previous version.  With adaptation on, the driver's ``observe`` hook is
+the layer's :class:`~repro.core.adaptive.LayerTelemetry`.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
+from functools import partial
 from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
@@ -343,11 +345,11 @@ class JoinService(ServiceFront):
         morsel executor when ``num_threads > 1``.
     adaptation:
         An :class:`~repro.core.adaptive.AdaptationPolicy` turns on the
-        self-tuning loop: refinement telemetry rides the hot-cell cache's
-        key computation, and layers whose windowed solely-true-hit rate
-        drops below the policy target are retrained on the observed
-        traffic in the background and swapped in without downtime.
-        ``None`` (default) disables telemetry and retraining entirely.
+        self-tuning loop: the join driver records each layer's
+        refinement traffic, and a layer whose windowed solely-true-hit
+        rate drops below the policy target is retrained on it in the
+        background and swapped in without downtime.  ``None`` (default)
+        disables both.
     latency_window:
         Dispatches held for the percentile window in ``stats()``.
     obs:
@@ -407,7 +409,7 @@ class JoinService(ServiceFront):
         self._closed = False
         self._start_batcher(max_batch, max_wait_ms)
 
-    def _cached_store(self, name: str, view: ProbeView) -> CachedCellStore:
+    def _cached_store(self, view: ProbeView) -> CachedCellStore:
         """A fresh hot-cell cache in front of one probe view's store.
 
         The cache-key shift is stamped from this view's own maximum cell
@@ -417,17 +419,10 @@ class JoinService(ServiceFront):
         generation it serves (see the key-soundness regression tests in
         ``tests/test_adaptive.py``).
         """
-        key_shift = key_shift_for_level(view.max_cell_level)
-        recorder = (
-            self._adaptive.sink_for(name, view.lookup_table, key_shift)
-            if self._adaptive is not None
-            else None
-        )
         return CachedCellStore(
             view.store,
             HotCellCache(self._cache_cells),
-            key_shift=key_shift,
-            recorder=recorder,
+            key_shift=key_shift_for_level(view.max_cell_level),
             tracer=self._tracer,
         )
 
@@ -448,7 +443,7 @@ class JoinService(ServiceFront):
             held = self._generations.get(name)
             if held is not None and held[0] == view.version:
                 return held[1]
-            store = self._cached_store(name, view)
+            store = self._cached_store(view)
             if held is None or view.version > held[0]:
                 self._generations[name] = (view.version, store)
             return store
@@ -510,6 +505,11 @@ class JoinService(ServiceFront):
         # of hitting the registry (and its lock) per chunk.  The envelope
         # already checked the batch.
         view = index.probe_view()
+        observe = (
+            partial(self._adaptive.telemetry_for(name).observe, view)
+            if self._adaptive is not None
+            else None
+        )
         result = join_batch(
             self._store_for(name, view),
             view.lookup_table,
@@ -522,11 +522,9 @@ class JoinService(ServiceFront):
             engine=view.refiner,
             executor=self._executor,
             tracer=self._tracer,
+            observe=observe,
         )
         if self._adaptive is not None:
-            # The probes above already fed the telemetry through the
-            # cached store's recorder; this is only the (cheap) trigger
-            # check that may kick off a background retrain.
             self._adaptive.after_dispatch(name, index)
         return result, cell_ids
 

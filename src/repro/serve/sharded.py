@@ -313,15 +313,14 @@ def _index_from_part(
 
     ``fresh_version=False`` stamps the parent snapshot's version (initial
     attach / add_layer: every shard of one snapshot agrees); ``True``
-    floors the local counter above it and stamps a fresh one (swap: the
-    worker's current sub-index may carry a *later* local version from a
-    shard-local adaptive retrain, and the router refuses rollbacks).
+    stamps a fresh one (swap: the worker's current sub-index may carry a
+    *later* local version from a shard-local adaptive retrain).  Either
+    way the local version counter is floored above the parent snapshot's
+    version, so such a retrain is always newer than what it replaces (the
+    router refuses rollbacks).
     """
-    if fresh_version:
-        ensure_version_floor(part.version)
-        version = None
-    else:
-        version = part.version
+    ensure_version_floor(part.version)
+    version = None if fresh_version else part.version
     geometry_shm = _attach_shm(part.geometry_shm)
     coverage_shm = _attach_shm(part.coverage_shm)
     snapshot = FlatSnapshot.from_planes(

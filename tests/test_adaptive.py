@@ -7,6 +7,7 @@ and the cache-key soundness audit for mutations that deepen the covering.
 """
 
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,8 +21,12 @@ from repro.core import (
     DynamicPolygonIndex,
     PolygonIndex,
 )
-from repro.core.adaptive import LayerTelemetry, TrafficSink
-from repro.core.joins import expensive_entries
+from repro.core.adaptive import (
+    MAX_REPEATS_PER_KEY,
+    MAX_TRACKED_KEYS,
+    LayerTelemetry,
+)
+from repro.core.joins import decode_entries, expensive_entries
 from repro.core.lookup_table import LookupTable
 from repro.core.refs import PolygonRef
 from repro.core.training import train_super_covering
@@ -127,65 +132,86 @@ class TestLayerTelemetry:
         assert telemetry.should_adapt()
 
     def test_histogram_prune_keeps_hottest(self):
-        policy = AdaptationPolicy(max_tracked_keys=10)
-        telemetry = LayerTelemetry(policy)
-        for k in range(30):
-            telemetry.record(
-                np.asarray([2 * k + 1], dtype=np.uint64),
-                np.asarray([k + 1]),
-                np.asarray([True]),
-            )
-        hot = telemetry.snapshot_hot()
-        assert len(hot) <= 10
-        assert max(hot.values()) == 30  # the hottest key survived
-
-
-class TestTrafficSink:
-    def test_keys_canonicalized_to_cell_ids(self):
-        from repro.serve.cache import key_shift_for_level
-
         telemetry = LayerTelemetry(AdaptationPolicy())
-        table = LookupTable()
-        expensive_entry = table.encode((PolygonRef(0, False),))
-        level = 18
-        shift = key_shift_for_level(level)
-        cell = CellId.from_degrees(40.7, -74.0).parent(level)
-        sink = TrafficSink(telemetry, table, shift)
-        truncated = np.asarray([cell.range_min().id >> shift], dtype=np.uint64)
-        sink.record(
-            truncated,
-            np.asarray([7]),
-            np.asarray([expensive_entry], dtype=np.uint64),
+        keys = 2 * np.arange(MAX_TRACKED_KEYS + 1, dtype=np.uint64) + 1
+        weights = np.arange(1, MAX_TRACKED_KEYS + 2)
+        telemetry.record(keys, weights, np.ones(len(keys), dtype=bool))
+        hot = telemetry.snapshot_hot()
+        assert len(hot) == MAX_TRACKED_KEYS // 2
+        assert max(hot.values()) == MAX_TRACKED_KEYS + 1  # the hottest survived
+        assert int(keys[0]) not in hot  # the coldest went
+
+
+class TestTelemetryObserve:
+    """One served batch leaves exactly the brute-force histogram: each
+    point whose entry holds a candidate counts once, under its ancestor
+    at the view's ``max_cell_level`` — whichever way the batch was
+    probed."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("probe", ["warm_cache", "cold_cache", "no_cache", "morsels"])
+    def test_histogram_is_the_brute_force_count(
+        self, trained_index, drift, probe, exact
+    ):
+        lats = drift.phases[1].query_lats[:4_096]
+        lngs = drift.phases[1].query_lngs[:4_096]
+        view = trained_index.probe_view()
+        cell_ids = cell_ids_from_lat_lng_arrays(lats, lngs)
+        point_idx, _, is_true = decode_entries(
+            view.store.probe(cell_ids), view.lookup_table
         )
-        # The histogram key is the level-D cell id itself — it carries its
-        # own extent, so histograms survive cache-key-depth changes.
-        assert telemetry.snapshot_hot() == {cell.id: 7}
+        want = Counter(
+            CellId(int(leaf)).parent(view.max_cell_level).id
+            for leaf in cell_ids[np.unique(point_idx[~is_true])]
+        )
+        assert want  # the stream does refine
+        options = {
+            "warm_cache": {},
+            "cold_cache": {},
+            "no_cache": {"cache_cells": 0},
+            "morsels": {"num_threads": 2, "morsel_size": 1_000},
+        }[probe]
+        with JoinService(
+            trained_index, adaptation=AdaptationPolicy(sth_target=0.0), **options
+        ) as svc:
+            telemetry = svc.adaptation.telemetry_for("default")
+            if probe == "warm_cache":
+                svc.join(lats, lngs, exact=exact)
+            before = Counter(telemetry.snapshot_hot())
+            svc.join(lats, lngs, exact=exact)
+            after = Counter(telemetry.snapshot_hot())
+            if probe == "warm_cache":
+                assert svc.cache().stats().hits > 0
+        assert after - before == want
 
 
 class TestTrainingIdSynthesis:
     def test_spreads_within_cell_and_caps(self):
-        controller = AdaptiveController(
-            AdaptationPolicy(max_training_points=100, max_repeats_per_key=16)
-        )
+        controller = AdaptiveController(AdaptationPolicy(max_training_points=1_000))
         cell = CellId.from_degrees(40.7, -74.0).parent(18)
         ids = controller.training_ids_from({cell.id: 1_000})
-        assert len(ids) == 16  # per-key cap
-        assert len(np.unique(ids)) == 16  # spread, not stacked
+        assert len(ids) == MAX_REPEATS_PER_KEY  # per-key cap
+        assert len(np.unique(ids)) == MAX_REPEATS_PER_KEY  # spread, not stacked
         lo, hi = cell.range_min().id, cell.range_max().id
         assert all(lo <= int(i) <= hi for i in ids)
         assert all(int(i) & 1 for i in ids)  # all leaf ids
 
     def test_hottest_first_and_total_cap(self):
         controller = AdaptiveController(
-            AdaptationPolicy(max_training_points=20, max_repeats_per_key=16)
+            AdaptationPolicy(max_training_points=MAX_REPEATS_PER_KEY + 3)
         )
         cold = CellId.from_degrees(40.7, -74.0).parent(18)
+        warm = CellId.from_degrees(40.72, -74.01).parent(18)
         hot = CellId.from_degrees(40.75, -73.99).parent(18)
-        ids = controller.training_ids_from({cold.id: 2, hot.id: 500})
-        assert len(ids) == 18  # 16 (capped hot) + 2 (cold)
-        hot_lo, hot_hi = hot.range_min().id, hot.range_max().id
-        in_hot = sum(1 for i in ids if hot_lo <= int(i) <= hot_hi)
-        assert in_hot == 16
+        ids = controller.training_ids_from({cold.id: 2, warm.id: 100, hot.id: 500})
+        # The hot cell capped per key, then the warm one up to the total.
+        assert len(ids) == MAX_REPEATS_PER_KEY + 3
+
+        def inside(cell):
+            lo, hi = cell.range_min().id, cell.range_max().id
+            return sum(1 for i in ids if lo <= int(i) <= hi)
+
+        assert (inside(hot), inside(warm), inside(cold)) == (MAX_REPEATS_PER_KEY, 3, 0)
 
     def test_empty_histogram(self):
         controller = AdaptiveController(AdaptationPolicy())

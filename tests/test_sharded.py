@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro import PolygonIndex
 from repro.cells.cellid import CellId
 from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
+from repro.core import AdaptationPolicy
 from repro.core.morsels import OFFLINE_MORSEL_POINTS
 from repro.geo.polygon import regular_polygon
 from repro.serve import ShardPlan, ShardWorkerError, ShardedJoinService
@@ -643,6 +644,45 @@ class TestPartialFailureHandling:
             monkeypatch.setattr(sharded_mod, "_index_from_part", _real)
             served = svc.join(lats[:500], lngs[:500], exact=True)
             assert_identical(served, index.join(lats[:500], lngs[:500], exact=True))
+
+
+class TestShardedAdaptation:
+    """Every lane is a JoinService with its own adaptation loop over its
+    partition; a lane's retrain must install whatever version the front's
+    layer was stamped with (a fresh worker process counts from 1)."""
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_every_lane_retrains_without_a_failure(self, backend):
+        while PolygonIndex.build([regular_polygon((-74.0, 40.70), 0.01, 8)]).version < 6:
+            pass  # throwaway builds: the served layer's version is >= 7
+        index = PolygonIndex.build(_grid_polygons())
+        assert index.version >= 7
+        rng = np.random.default_rng(31)
+        lngs = rng.uniform(-74.04, -73.92, 24_000)
+        lats = rng.uniform(40.66, 40.78, 24_000)
+        policy = AdaptationPolicy(
+            sth_target=0.99, window_points=4_096, min_window_points=2_048,
+            cooldown_points=4_096, max_training_points=5_000,
+        )
+        with ShardedJoinService(
+            index, num_shards=2, backend=backend, adaptation=policy
+        ) as svc:
+            for lo in range(0, 16_000, 4_000):
+                svc.join(lats[lo : lo + 4_000], lngs[lo : lo + 4_000], exact=True)
+            deadline = time.monotonic() + 60.0
+            while any(s.retraining for s in svc.stats().adaptation.values()):
+                assert time.monotonic() < deadline, "a lane retrain never finished"
+                time.sleep(0.05)
+            lanes = svc.stats().adaptation
+            served = svc.join(lats[16_000:], lngs[16_000:], exact=True)
+        assert sorted(lanes) == ["default@shard0", "default@shard1"]
+        for lane, status in lanes.items():
+            assert status.retrains_failed == 0, lane
+            assert status.retrains_completed >= 1, lane
+        # Training moves only the true-hit / refinement split.
+        want = index.join(lats[16_000:], lngs[16_000:], exact=True)
+        assert np.array_equal(served.counts, want.counts)
+        assert served.num_pairs == want.num_pairs
 
 
 class TestShardBoundaryProperty:

@@ -309,7 +309,8 @@ class TestBoundRectsForCellIds:
 
 
 class TestRangeBounds:
-    """Vectorized range_min/range_max parity with the scalar CellId."""
+    """Vectorized range_min/range_max and parent parity with the scalar
+    CellId."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -318,14 +319,21 @@ class TestRangeBounds:
         level=st.integers(min_value=0, max_value=30),
     )
     def test_matches_scalar_cellid(self, lat, lng, level):
-        from repro.cells.vectorized import range_bounds_from_cell_ids
+        from repro.cells.vectorized import (
+            parent_ids_at_level,
+            range_bounds_from_cell_ids,
+        )
 
-        cell = CellId.from_degrees(lat, lng).parent(level)
+        leaf = CellId.from_degrees(lat, lng)
+        cell = leaf.parent(level)
         lo, hi = range_bounds_from_cell_ids(
             np.asarray([cell.id], dtype=np.uint64)
         )
         assert int(lo[0]) == cell.range_min().id
         assert int(hi[0]) == cell.range_max().id
+        for deeper in (leaf, leaf.parent((level + 30) // 2), cell):
+            ids = np.asarray([deeper.id], dtype=np.uint64)
+            assert int(parent_ids_at_level(ids, level)[0]) == cell.id
 
     def test_mixed_levels_batch(self):
         from repro.cells.vectorized import range_bounds_from_cell_ids
