@@ -38,6 +38,6 @@ setup(
         # scipy backs the synthetic Voronoi polygon generators
         # (repro.datasets), which the tests and benches build on.
         "datasets": ["scipy>=1.8"],
-        "test": ["pytest", "pytest-benchmark", "hypothesis", "scipy>=1.8"],
+        "test": ["pytest", "hypothesis", "scipy>=1.8"],
     },
 )

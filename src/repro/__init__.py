@@ -33,7 +33,6 @@ from repro.core import (
     AdaptationPolicy,
     AdaptationStatus,
     AdaptiveCellTrie,
-    CompressedCellTrie,
     DynamicPolygonIndex,
     FlatSnapshot,
     JoinResult,
@@ -67,7 +66,7 @@ from repro.serve import (
     ServiceStats,
 )
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 __all__ = [
     "CellId",
@@ -78,7 +77,6 @@ __all__ = [
     "AdaptationPolicy",
     "AdaptationStatus",
     "AdaptiveCellTrie",
-    "CompressedCellTrie",
     "FlatSnapshot",
     "JoinResult",
     "LookupTable",

@@ -5,7 +5,10 @@ Cell stores (drop-in alternatives to ACT over the same super covering):
 * :class:`~repro.baselines.sorted_vector.SortedVectorStore` — the paper's
   "LB": binary search over a sorted cell-id vector,
 * :class:`~repro.baselines.btree.BTreeStore` — the paper's "GBT": a
-  bulk-loaded B-tree with 256-byte nodes.
+  bulk-loaded B-tree with 256-byte nodes,
+* :class:`~repro.baselines.act_compressed.CompressedCellTrie` — the
+  design the paper rejected: an ACT with ART-style Node4 inner nodes
+  (the node-types ablation).
 
 Filter-and-refine competitors (own the whole join, not just the filter):
 
@@ -26,6 +29,7 @@ GPU substitutes (see DESIGN.md §1.3 item 5):
 
 from repro.baselines.sorted_vector import SortedVectorStore
 from repro.baselines.btree import BTreeStore
+from repro.baselines.act_compressed import CompressedCellTrie
 from repro.baselines.rtree import RTree
 from repro.baselines.postgis_like import GiSTIndex
 from repro.baselines.shape_index import ShapeIndex
@@ -34,6 +38,7 @@ from repro.baselines.raster_join import RasterJoin
 __all__ = [
     "SortedVectorStore",
     "BTreeStore",
+    "CompressedCellTrie",
     "RTree",
     "GiSTIndex",
     "ShapeIndex",

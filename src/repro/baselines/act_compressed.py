@@ -12,9 +12,11 @@ This module makes that design discussion reproducible.
 4-entry key array plus a 4-entry value array — while dense nodes keep the
 full slot array.  The probe must dispatch on the node type per level and
 run a small key search inside Node4s, reproducing exactly the overhead the
-paper measured.  ``benchmarks/bench_ablation_node_types.py`` compares the
-two layouts; the paper's conclusion (marginal memory savings, slower
-probes) holds in this reproduction too — see EXPERIMENTS.md.
+paper measured.  The ``ablation_node_types`` table of ``python -m
+repro.bench ablations`` compares the two layouts; the paper's conclusion
+(marginal memory savings, slower probes) holds in this reproduction too —
+see ``results/paper/``.  It is a competitor of the evaluation, not a
+layout an index can be held in.
 """
 
 from __future__ import annotations

@@ -2,23 +2,31 @@
 
 Usage::
 
-    python -m repro.bench all            # every table and figure
-    python -m repro.bench table1 fig7    # a subset
-    REPRO_BENCH=quick python -m repro.bench all   # smoke-scale run
+    python -m repro.bench all                # every table and figure
+    python -m repro.bench table1 fig7        # a subset
+    python -m repro.bench all --quick        # smoke-scale run
 
 Results print as paper-style text tables and are also written to
-``results/<experiment>.txt`` and ``.csv``.
+``results/<experiment>.txt`` and ``.csv``, beside one ``RUN.txt`` that
+records where they came from (commit, host, versions, preset, wall time).
+``results/paper/quick/`` and ``results/paper/full/`` are such runs,
+checked in.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
+import platform
+import subprocess
 import sys
 import time
 
+import numpy as np
+
 from repro.bench import fig7, fig8, fig9, fig10, fig11
-from repro.bench import adapt_bench, obs_bench
+from repro.bench import ablations, adapt_bench, obs_bench
 from repro.bench import table1, table2, table3, table4, table5, training_bench
 from repro.bench.config import BenchConfig
 from repro.bench.workbench import Workbench
@@ -36,9 +44,34 @@ RUNNERS = {
     "fig9": fig9.run,
     "fig10": fig10.run,
     "fig11": fig11.run,
+    "ablations": ablations.run,
     "adapt": adapt_bench.run,
     "obs": obs_bench.run,
 }
+
+
+def _run_record(preset: str, names: list[str], wall_seconds: float) -> str:
+    """``RUN.txt``: where one invocation's tables came from."""
+    try:
+        # The checkout's bare sha even where tags exist, ``-dirty`` when
+        # tracked files differ; ``unknown`` outside a git checkout.
+        git = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40", "--exclude=*"],
+            cwd=pathlib.Path(__file__).parent, capture_output=True, text=True, timeout=10,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        git = ""
+    fields = {
+        "git": git or "unknown",
+        "platform": platform.platform(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "preset": preset,
+        "experiments": " ".join(names),
+        "wall_seconds": f"{wall_seconds:.1f}",
+    }
+    return "".join(f"{key}: {value}\n" for key, value in fields.items())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -65,11 +98,11 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown experiments: {', '.join(unknown)}")
 
-    config = BenchConfig.quick() if args.quick else BenchConfig.from_env()
-    workbench = Workbench(config)
+    workbench = Workbench(BenchConfig.quick() if args.quick else BenchConfig())
     results_dir = pathlib.Path(args.results_dir)
     results_dir.mkdir(parents=True, exist_ok=True)
 
+    run_started = time.perf_counter()
     for name in names:
         started = time.perf_counter()
         for result in RUNNERS[name](workbench):
@@ -80,6 +113,9 @@ def main(argv: list[str] | None = None) -> int:
             (results_dir / f"{result.experiment_id}.csv").write_text(result.to_csv())
         elapsed = time.perf_counter() - started
         print(f"[{name} finished in {elapsed:.1f}s]")
+    preset = "quick" if args.quick else "full"
+    wall_seconds = time.perf_counter() - run_started
+    (results_dir / "RUN.txt").write_text(_run_record(preset, names, wall_seconds))
     return 0
 
 

@@ -4,14 +4,15 @@ The paper's full workloads (1.23 B taxi points, 39 k census polygons) are
 scaled to laptop size; every knob here can be raised toward paper scale.
 Two presets:
 
-* ``BenchConfig.quick()`` — seconds-per-experiment, for CI and smoke runs,
-* ``BenchConfig()`` (default) — minutes for the full suite on two cores,
-  the scale used for the committed EXPERIMENTS.md numbers.
+* ``BenchConfig.quick()`` — seconds-per-experiment, for CI and smoke runs
+  (``python -m repro.bench --quick``; a run is checked in under
+  ``results/paper/quick/``),
+* ``BenchConfig()`` (default) — minutes for the full suite on two cores
+  (``results/paper/full/``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 
@@ -75,10 +76,3 @@ class BenchConfig:
             obs_reps=2,
             obs_overhead_bound=25.0,
         )
-
-    @staticmethod
-    def from_env() -> "BenchConfig":
-        """``REPRO_BENCH=quick`` selects the smoke preset."""
-        if os.environ.get("REPRO_BENCH", "").lower() == "quick":
-            return BenchConfig.quick()
-        return BenchConfig()

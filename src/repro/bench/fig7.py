@@ -59,7 +59,7 @@ def run_right(workbench: Workbench) -> ExperimentResult:
     )
     result.add_note(
         f"this machine exposes {hardware} hardware threads (paper: 28); "
-        "see EXPERIMENTS.md for the GIL discussion"
+        "results/paper/<preset>/RUN.txt records the host of each checked-in run"
     )
     _, _, ids = workbench.taxi()
     num_polygons = len(workbench.polygons("neighborhoods"))

@@ -43,6 +43,7 @@ def run(workbench: Workbench) -> list[ExperimentResult]:
             )
     result.add_note(
         "census is generated at "
-        f"{workbench.config.census_polygons} polygons (paper: 39,184; see EXPERIMENTS.md)"
+        f"{workbench.config.census_polygons} polygons (paper: 39,184; "
+        "results/paper/ holds both presets)"
     )
     return [result]

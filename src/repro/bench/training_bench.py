@@ -17,6 +17,7 @@ from repro.core.act import AdaptiveCellTrie
 from repro.core.lookup_table import LookupTable
 from repro.core.training import train_super_covering
 from repro.datasets import taxi_points
+from repro.util.timing import Timer
 
 
 def _run_both(workbench: Workbench) -> tuple[ExperimentResult, ExperimentResult]:
@@ -27,6 +28,7 @@ def _run_both(workbench: Workbench) -> tuple[ExperimentResult, ExperimentResult]
         headers=[
             "dataset",
             "training points",
+            "train [s]",
             "throughput [M points/s]",
             "speedup",
             "ACT4 size [MiB]",
@@ -60,6 +62,7 @@ def _run_both(workbench: Workbench) -> tuple[ExperimentResult, ExperimentResult]
         table6.add_row(
             name,
             0,
+            0.0,
             round(base_mpts, 3),
             "1.00x",
             round(mib(untrained_store.size_bytes), 2),
@@ -68,7 +71,8 @@ def _run_both(workbench: Workbench) -> tuple[ExperimentResult, ExperimentResult]
         trained_sth = base_join.sth_rate
         for num_train in config.training_points:
             covering = base.copy()
-            train_super_covering(covering, polygons, train_ids[:num_train])
+            with Timer() as train_timer:
+                train_super_covering(covering, polygons, train_ids[:num_train])
             store = AdaptiveCellTrie(covering, 8, LookupTable())
             mpts, join = exact_throughput_mpts(
                 store, store.lookup_table, query_ids, polygons, query_lngs, query_lats
@@ -76,6 +80,7 @@ def _run_both(workbench: Workbench) -> tuple[ExperimentResult, ExperimentResult]
             table6.add_row(
                 name,
                 num_train,
+                round(train_timer.seconds, 2),
                 round(mpts, 3),
                 f"{mpts / base_mpts:.2f}x",
                 round(mib(store.size_bytes), 2),
@@ -108,7 +113,3 @@ def run_table7(workbench: Workbench) -> list[ExperimentResult]:
     if key not in _CACHE:
         _CACHE[key] = _run_both(workbench)
     return [_CACHE[key][1]]
-
-
-def run(workbench: Workbench) -> list[ExperimentResult]:
-    return [*run_table6(workbench), *run_table7(workbench)]

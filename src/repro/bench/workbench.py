@@ -47,7 +47,7 @@ class Workbench:
     """Memoized datasets/indexes shared across experiment runners."""
 
     def __init__(self, config: BenchConfig | None = None):
-        self.config = config or BenchConfig.from_env()
+        self.config = config or BenchConfig()
         self._polygons: dict[str, list[Polygon]] = {}
         self._base_coverings: dict[str, tuple[SuperCovering, dict[str, float]]] = {}
         self._super_coverings: dict[tuple[str, float | None], tuple[SuperCovering, float]] = {}

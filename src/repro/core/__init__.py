@@ -29,7 +29,6 @@ from repro.core.refs import PolygonRef, merge_refs
 from repro.core.lookup_table import LookupTable
 from repro.core.super_covering import SuperCovering, build_super_covering
 from repro.core.act import AdaptiveCellTrie
-from repro.core.act_compressed import CompressedCellTrie
 from repro.core.adaptive import (
     AdaptationPolicy,
     AdaptationStatus,
@@ -67,7 +66,6 @@ __all__ = [
     "SuperCovering",
     "build_super_covering",
     "AdaptiveCellTrie",
-    "CompressedCellTrie",
     "AdaptationPolicy",
     "AdaptationStatus",
     "AdaptiveController",

@@ -1,7 +1,7 @@
 """Named workload configurations mirroring the paper's evaluation setup.
 
-The paper's datasets, at our reproduction scale (see EXPERIMENTS.md for the
-scaling discussion):
+The paper's datasets, at our reproduction scale (``results/paper/`` holds
+the checked-in evaluation at both bench presets):
 
 =================  ==========  =============  ======================
 dataset            # polygons  avg. vertices  paper original

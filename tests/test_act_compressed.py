@@ -6,7 +6,7 @@ import pytest
 from repro.cells import CellId, cell_ids_from_lat_lng_arrays
 from repro.cells.coverer import CovererOptions, RegionCoverer
 from repro.core.act import AdaptiveCellTrie
-from repro.core.act_compressed import CompressedCellTrie
+from repro.baselines import CompressedCellTrie
 from repro.core.lookup_table import LookupTable
 from repro.core.refs import PolygonRef
 from repro.core.super_covering import SuperCovering, build_super_covering

@@ -126,6 +126,15 @@ class TestRunners:
         (result,) = fig8.run(tiny_workbench)
         assert len(result.rows) == 3 * len(STORE_FACTORIES)
 
+    def test_fig9(self, tiny_workbench):
+        from repro.bench import fig9
+        from repro.datasets import TWITTER_CITIES
+
+        (result,) = fig9.run(tiny_workbench)
+        # cities x precisions x stores
+        assert len(result.rows) == len(TWITTER_CITIES) * 2 * len(STORE_FACTORIES)
+        assert all(row[3] > 0 for row in result.rows)
+
     def test_fig10(self, tiny_workbench):
         from repro.bench import fig10
 
@@ -147,6 +156,17 @@ class TestRunners:
         (result,) = fig11.run(tiny_workbench)
         assert any(row[2] == "BRJ" for row in result.rows)
         assert any(row[2] == "ARJ" for row in result.rows)
+
+    def test_ablations(self, tiny_workbench):
+        from repro.bench import ablations
+
+        node_types, curves, batch_size = ablations.run(tiny_workbench)
+        (act4, node4) = node_types.rows
+        assert (act4[0], node4[0]) == ("ACT4", "ACT4+Node4")
+        assert node4[2] > 0 and node4[3] < act4[3]  # Node4 nodes, size [bytes]
+        assert [row[0] for row in curves.rows] == ["hilbert", "morton"]
+        assert [row[0] for row in batch_size.rows] == list(ablations.BATCH_SIZES)
+        assert all(row[-1] > 0 for row in node_types.rows + curves.rows + batch_size.rows)
 
 
 class TestMainEntry:
