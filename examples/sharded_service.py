@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
-"""Share-nothing sharded serving: one process per spatial partition.
+"""Share-nothing sharded serving: one process per range of the points.
 
-Builds the neighborhoods layer once, plans a 4-way Hilbert cell-id range
-partition of its covering (each shard is one row range of the covering,
-cut so that every polygon's entries weigh into one shard's share), and
-serves a probe-heavy skewed stream from a ``ShardedJoinService``: the
-layer's geometry plane is published once in a single shared-memory
-segment, each worker attaches it read-only next to its private coverage
-plane, each batch slice is written once into a shared-memory ring from
-which every worker computes a share of the cell ids and selects the
-points of its own leaf range, and the partial results are merged
-bit-identically.  A swap then retrains the layer on observed traffic and
-fans the new snapshot out to every shard with zero downtime.
+Builds the neighborhoods layer once, plans 4 Hilbert cell-id ranges over
+its covering (cut so that every polygon's entries weigh into one shard's
+share), and serves a probe-heavy skewed stream from a
+``ShardedJoinService``: the layer is published once in a single
+shared-memory segment that every worker attaches read-only, each batch
+slice is written once into a shared-memory ring from which every worker
+computes a share of the cell ids and selects the points of its own leaf
+range, and the partial results are merged bit-identically.  A swap then
+retrains the layer on observed traffic and fans the new snapshot out to
+every shard with zero downtime.
 
 Run:  python examples/sharded_service.py
 """
@@ -21,6 +20,7 @@ import time
 import numpy as np
 
 from repro import PolygonIndex
+from repro.cells.vectorized import range_bounds_from_cell_ids
 from repro.datasets import polygon_dataset, shard_probe_points
 from repro.serve import ShardPlan, ShardedJoinService
 
@@ -37,12 +37,13 @@ def main() -> None:
           f"{index.num_polygons} polygons, {index.num_cells:,} cells")
 
     plan = ShardPlan.from_index(index, NUM_SHARDS)
-    cells = np.diff(plan.row_cuts)
-    entries = np.diff(index.super_covering.ref_offsets[plan.row_cuts])
-    print(f"\nshard plan ({NUM_SHARDS} Hilbert cell-id ranges):")
+    # A cell belongs to the shard whose leaf range holds its range_min.
+    lows, _ = range_bounds_from_cell_ids(index.super_covering.cell_ids)
+    cells = np.bincount(plan.shard_for(lows), minlength=NUM_SHARDS)
+    print(f"\nshard plan ({NUM_SHARDS} Hilbert cell-id ranges), cut at leaf ids "
+          f"{', '.join(f'{cut:#x}' for cut in plan.boundaries.tolist())}:")
     for shard in range(NUM_SHARDS):
-        print(f"  shard {shard}: {cells[shard]:,} cells, "
-              f"{entries[shard]:,} (cell, polygon) entries")
+        print(f"  shard {shard}: {cells[shard]:,} cells")
 
     lats, lngs = shard_probe_points(200_000)
     reference = index.join(lats, lngs, exact=True)
@@ -50,9 +51,9 @@ def main() -> None:
     print(f"\nspawning {NUM_SHARDS} shard workers...")
     with ShardedJoinService(index, num_shards=NUM_SHARDS) as service:
         geometry_bytes, coverage_bytes = service.plane_bytes()
-        print(f"  two-layer publication: {geometry_bytes / 1024:,.0f} KiB "
-              f"geometry shared once, {coverage_bytes / 1024:,.0f} KiB "
-              "per-shard coverage planes")
+        print(f"  one segment for the layer: {geometry_bytes / 1024:,.0f} KiB "
+              f"geometry + {coverage_bytes / 1024:,.0f} KiB coverage, "
+              "attached by every shard")
         start = time.perf_counter()
         for lo in range(0, len(lats), 32_768):
             service.join(lats[lo:lo + 32_768], lngs[lo:lo + 32_768], exact=True)

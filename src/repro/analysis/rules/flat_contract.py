@@ -11,14 +11,14 @@ guards against with strict buffer contracts).
 buffer name -> little-endian dtype string — which this rule treats as
 the single source of truth.  The spec may be one plain dict literal or
 a ``{**SECTION_A, **SECTION_B, ...}`` spread merge of module-level
-section literals (the two-layer plan splits the spec into geometry /
-coverage / extension planes); spreads are resolved statically and every
+section literals (``flat.py`` splits the spec into geometry / coverage /
+extension sections); spreads are resolved statically and every
 section literal is treated as part of the spec declaration:
 
 * ``_ALIGN`` must stay 64 (the header table and every attach-side
   ``offset`` computation assume cache-line alignment),
 * spread sections must be disjoint — a buffer declared in two sections
-  would make the merged spec order-dependent and lets the planes
+  would make the merged spec order-dependent and lets the sections
   disagree about who owns the buffer,
 * every string subscript into a ``buffers`` mapping, anywhere in the
   project, must name a spec entry (catches reader-side typos and
@@ -223,8 +223,8 @@ class FlatContractRule(Rule):
             return  # project does not use the flat plane (e.g. test fixtures)
 
         # Spread sections must be disjoint: an overlapping buffer makes
-        # the merged spec order-dependent and lets two plane sections
-        # disagree about which one owns the buffer.
+        # the merged spec order-dependent and lets two sections disagree
+        # about which one owns the buffer.
         owner_section: dict[str, str] = {}
         for name, entries, lineno in sections:
             for key in entries:
@@ -233,7 +233,7 @@ class FlatContractRule(Rule):
                         spec_module,
                         lineno,
                         f"buffer {key!r} is declared in both "
-                        f"{owner_section[key]} and {name} — spec plane "
+                        f"{owner_section[key]} and {name} — spec "
                         f"sections must be disjoint",
                         symbol=f"overlap:{key}",
                     )

@@ -179,7 +179,7 @@ class AdaptiveCellTrie:
         per-face ``(face, root_base, prefix_shift, prefix_value,
         prefix_depth)`` and ``(face, entry)`` rows of a packed trie
         (typically views into a flat snapshot blob, see
-        :func:`repro.core.flat.pack_coverage_plane`); ``meta`` carries the
+        :func:`repro.core.flat.pack_index`); ``meta`` carries the
         scalars the build would have computed.  The result probes,
         instruments, and describes itself exactly like the trie that was
         packed.

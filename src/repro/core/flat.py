@@ -13,9 +13,9 @@ versioned JSON header, so a consumer *attaches* instead of rebuilding:
   single ``.npy`` payload and restart from disk via
   ``np.load(mmap_mode="r")`` — no store build, and the super covering is
   the blob's three covering buffers as they are;
-* ``ShardedJoinService`` publishes each layer as shared-memory segments
-  (one geometry plane, one coverage plane per shard) and workers map
-  them — shard spawn/respawn is a buffer attach, not a partition build.
+* ``ShardedJoinService`` publishes each layer as one shared-memory
+  segment and every shard lane maps it — shard spawn/respawn is a buffer
+  attach, not a store build.
 
 Container layout (all offsets relative to the payload base, which is the
 first 64-byte boundary after the header)::
@@ -69,12 +69,8 @@ FLAT_FORMAT_VERSION = 1
 #: and buffers cache-line aligned.
 _ALIGN = 64
 
-#: Geometry-plane buffers: the plan-independent half of a snapshot —
-#: polygon ring geometry plus the refinement engine's packed edge-bucket
-#: table.  The sharded front publishes this section ONCE per layer in a
-#: single shared-memory segment; every shard worker attaches it
-#: read-only, so a polygon that straddles shard cuts still has exactly
-#: one copy of its geometry and bucket rows machine-wide.  The fourteen
+#: Geometry buffers, first in a packed snapshot: polygon ring geometry
+#: plus the refinement engine's packed edge-bucket table.  The fourteen
 #: ``ref_*`` arrays describe their own bucketing (``ref_num_buckets``,
 #: ``ref_inv_bucket_height``, ``ref_edge_start`` per polygon): since
 #: 1.15.0 a polygon is packed with one bucket per non-horizontal edge
@@ -103,9 +99,8 @@ FLAT_GEOMETRY_BUFFERS: dict[str, str] = {
     "ref_inv_dy": "<f8",
 }
 
-#: Coverage-plane buffers: one partition's covering subset, its ACT
-#: store and lookup table.  Per shard, private, small relative to the
-#: shared geometry plane.  ``cell_ids | ref_offsets | packed_refs`` ARE
+#: Coverage buffers, after the geometry: the ACT store, its lookup table
+#: and the covering.  ``cell_ids | ref_offsets | packed_refs`` ARE
 #: the :class:`~repro.core.super_covering.SuperCovering` (written as they
 #: are, wrapped on attach).  ``cell_ids`` is ascending in every blob
 #: written since 1.14.0; older files stored build order and are sorted
@@ -310,46 +305,6 @@ class FlatSnapshot:
         return blob
 
     @classmethod
-    def from_planes(
-        cls, geometry: "FlatSnapshot", coverage: "FlatSnapshot"
-    ) -> "FlatSnapshot":
-        """Compose one serveable snapshot from a geometry + coverage plane.
-
-        The two planes live in separate blobs — a shard worker attaches
-        the layer's single machine-wide geometry segment and its own
-        coverage segment — and the composed snapshot's buffers are views
-        into both.  The planes' metas merge (they carry disjoint keys by
-        construction: polygon-table facts on the geometry side, store
-        facts on the coverage side) and both source snapshots are pinned
-        as the owner, which keeps both attachments mapped for the
-        composed snapshot's lifetime.
-        """
-        for plane, expected in ((geometry, "geometry"), (coverage, "coverage")):
-            if plane.meta.get("flat_format") != FLAT_FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported flat snapshot format "
-                    f"{plane.meta.get('flat_format')!r} in {expected} plane"
-                )
-            declared = plane.meta.get("plane")
-            if declared is not None and declared != expected:
-                raise ValueError(
-                    f"expected a {expected} plane, got {declared!r}"
-                )
-        overlap = set(geometry.buffers) & set(coverage.buffers)
-        if overlap:
-            raise ValueError(
-                f"geometry and coverage planes overlap on buffers "
-                f"{sorted(overlap)}"
-            )
-        meta = {**geometry.meta, **coverage.meta}
-        meta.pop("plane", None)
-        return cls(
-            meta,
-            {**geometry.buffers, **coverage.buffers},
-            owner=(geometry, coverage),
-        )
-
-    @classmethod
     def from_buffer(cls, blob, owner: object = None) -> "FlatSnapshot":
         """Attach to a blob (ndarray, memmap, or buffer) without copying.
 
@@ -485,60 +440,31 @@ def _attach_refiner_table(
     return table
 
 
-def pack_geometry_plane(index: PolygonIndex) -> FlatSnapshot:
-    """Pack the plan-independent geometry plane of one index generation.
+def pack_index(index: PolygonIndex) -> FlatSnapshot:
+    """Pack one ACT-backed index generation into buffers.
 
-    Ring geometry for the FULL polygon table plus the refinement
-    engine's bucket table — everything a worker needs to refine any
-    candidate pair, independent of how the covering is partitioned.  The
-    sharded front publishes this plane once per layer; each shard pairs
-    it with its private coverage plane via
-    :meth:`FlatSnapshot.from_planes`.
-    """
+    The geometry section (ring geometry for the full polygon table plus
+    the refinement engine's bucket table) comes first, then the coverage
+    section (the ACT store, its lookup table and the covering's three
+    arrays).  An attached index returns the snapshot it holds — it is
+    dropped the moment the store is rebuilt, so a held snapshot always
+    describes the current store, and repacking would copy buffers for no
+    benefit — unless attaching had to sort the covering (a pre-1.14.0
+    file): what is packed or saved next is the canonical covering, not
+    the file's."""
+    held = index.snapshot
+    if held is not None and held.buffers["cell_ids"] is index.super_covering.cell_ids:
+        return held
     ring_index, vertex_index, ring_lngs, ring_lats = pack_polygon_geometry(
         index.polygons
     )
-    # The plane ships the refinement engine's bucket table, so an
-    # attached index refines without re-bucketing a single polygon.
+    # The blob ships the refinement engine's bucket table, so an attached
+    # index refines without re-bucketing a single polygon.
     view = index.probe_view()
     refiner = view.refiner if view.refiner is not None else RefinementEngine(
         tuple(index.polygons)
     )
-    buffers: dict[str, np.ndarray] = {
-        "poly_ring_index": ring_index,
-        "ring_vertex_index": vertex_index,
-        "ring_lngs": ring_lngs,
-        "ring_lats": ring_lats,
-        **_pack_refiner_table(refiner.table()),
-    }
-    validate_buffers(buffers)
-    meta = {
-        "flat_format": FLAT_FORMAT_VERSION,
-        "plane": "geometry",
-        "num_polygons": len(index.polygons),
-        "precision_meters": (
-            float(index.precision_meters)
-            if index.precision_meters is not None
-            else None
-        ),
-        "version": int(index.version),
-    }
-    return FlatSnapshot(meta, buffers)
-
-
-def pack_coverage_plane(
-    covering: SuperCovering,
-    store: AdaptiveCellTrie,
-    *,
-    meta_extra: Mapping[str, object] | None = None,
-) -> FlatSnapshot:
-    """Pack one coverage plane: a covering (subset) + its ACT store.
-
-    ``covering``/``store`` describe one partition (or the whole index).
-    Only :data:`FLAT_COVERAGE_BUFFERS` names may appear here — geometry
-    buffers belong to the geometry plane, which a sharded layer
-    publishes exactly once however many shards reference a polygon.
-    """
+    store, covering = index.store, index.super_covering
     faces = np.zeros((len(store._face_trees), 5), dtype=np.uint64)
     for row, (face, tree) in enumerate(sorted(store._face_trees.items())):
         faces[row] = (
@@ -552,6 +478,11 @@ def pack_coverage_plane(
     for row, (face, entry) in enumerate(sorted(store._face_values.items())):
         face_values[row] = (face, entry)
     buffers: dict[str, np.ndarray] = {
+        "poly_ring_index": ring_index,
+        "ring_vertex_index": vertex_index,
+        "ring_lngs": ring_lngs,
+        "ring_lats": ring_lats,
+        **_pack_refiner_table(refiner.table()),
         "act_pool": store.pool,
         "act_faces": faces,
         "act_face_values": face_values,
@@ -560,15 +491,16 @@ def pack_coverage_plane(
         "ref_offsets": covering.ref_offsets,
         "packed_refs": covering.packed_refs,
     }
-    stray = set(buffers) - set(FLAT_COVERAGE_BUFFERS)
-    if stray:  # pragma: no cover - guarded by construction above
-        raise ValueError(
-            f"coverage plane carries non-coverage buffers {sorted(stray)}"
-        )
     validate_buffers(buffers)
     meta = {
         "flat_format": FLAT_FORMAT_VERSION,
-        "plane": "coverage",
+        "num_polygons": len(index.polygons),
+        "precision_meters": (
+            float(index.precision_meters)
+            if index.precision_meters is not None
+            else None
+        ),
+        "version": int(index.version),
         "fanout_bits": int(store.fanout_bits),
         "max_value_depth": int(store._max_value_depth),
         "num_nodes": int(store.num_nodes),
@@ -578,30 +510,7 @@ def pack_coverage_plane(
         "num_cells": int(covering.num_cells),
         "max_cell_level": covering.max_level(),
     }
-    if meta_extra:
-        meta.update(meta_extra)
     return FlatSnapshot(meta, buffers)
-
-
-def pack_index(index: PolygonIndex) -> FlatSnapshot:
-    """Pack one ACT-backed index generation into buffers.
-
-    Composed from the two planes — :func:`pack_geometry_plane` +
-    :func:`pack_coverage_plane` over the full covering — so a standalone
-    snapshot and a sharded two-layer publication are byte-compatible
-    views of the same packing code.  An attached index returns the
-    snapshot it holds — it is dropped the moment the store is rebuilt,
-    so a held snapshot always describes the current store, and
-    repacking would copy buffers for no benefit — unless attaching had
-    to sort the covering (a pre-1.14.0 file): what is packed or saved
-    next is the canonical covering, not the file's."""
-    held = index.snapshot
-    if held is not None and held.buffers["cell_ids"] is index.super_covering.cell_ids:
-        return held
-    return FlatSnapshot.from_planes(
-        pack_geometry_plane(index),
-        pack_coverage_plane(index.super_covering, index.store),
-    )
 
 
 # ----------------------------------------------------------------------

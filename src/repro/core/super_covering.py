@@ -15,8 +15,8 @@ sibling subtrees on the path from ``c2`` up to ``c1``), copying ``c1``'s
 references onto both.  Nothing about any cell's reference set changes for
 any geographic point.
 
-A :class:`SuperCovering` *is* the three sorted arrays the flat coverage
-plane ships (:data:`repro.core.flat.FLAT_COVERAGE_BUFFERS`):
+A :class:`SuperCovering` *is* the three sorted arrays a flat snapshot
+ships (:data:`repro.core.flat.FLAT_COVERAGE_BUFFERS`):
 
 * ``cell_ids`` — ``uint64``, strictly ascending,
 * ``ref_offsets`` — ``int64``, one more than cells; row ``i``'s references
@@ -25,7 +25,7 @@ plane ships (:data:`repro.core.flat.FLAT_COVERAGE_BUFFERS`):
   within a row, a polygon at most once per row (interior dominating).
 
 The arrays are never mutated in place — every mutation installs new ones —
-so copies, row ranges and attached snapshot views share them freely.
+so copies and attached snapshot views share them freely.
 
 One merge serves every writer: :func:`build_super_covering` sweeps all
 input cells of a build, :meth:`SuperCovering.insert` sweeps the existing
@@ -328,16 +328,6 @@ class SuperCovering:
         covering in the background and only then swaps the result in.
         """
         return self._of(self.cell_ids, self.ref_offsets, self.packed_refs)
-
-    def row_range(self, row_lo: int, row_hi: int) -> "SuperCovering":
-        """The covering of rows ``[row_lo, row_hi)`` — a spatial partition
-        (a shard), since rows are in curve order.  Views, no copy."""
-        offsets = self.ref_offsets[row_lo : row_hi + 1]
-        return self._of(
-            self.cell_ids[row_lo:row_hi],
-            offsets - offsets[0],
-            self.packed_refs[offsets[0] : offsets[-1]],
-        )
 
     # ------------------------------------------------------------------
     # Mutation: the merge sweep over existing rows + new cells, and the

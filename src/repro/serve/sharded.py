@@ -1,58 +1,51 @@
 """Share-nothing sharded serving: saturate cores past the GIL.
 
 A single-process :class:`~repro.serve.service.JoinService` is GIL-bound
-on the Python-level portions of the probe.  This module partitions each
-layer *by space* and serves every partition from its own process — the
-partition-based scheme of Tsitsigkos et al. (*Parallel In-Memory
-Evaluation of Spatial Joins*) applied to the paper's cell-id domain:
+on the Python-level portions of the probe.  This module splits every
+batch's *points* by space and joins each share in its own process, every
+process probing the layer's one read-only index — the paper's
+parallelisation (threads over points, one shared ACT; arXiv:1802.09488
+§5), with the range cuts of Tsitsigkos et al. (*Parallel In-Memory
+Evaluation of Spatial Joins*, arXiv:1908.11740) placed in the paper's
+cell-id domain:
 
 * :class:`ShardPlan` cuts the Hilbert curve into ``num_shards``
-  contiguous leaf-id ranges, at quantiles of one cut weight per cell
-  (:func:`_cut_weights`).  The super covering's cells are disjoint and
-  stored in curve order, so every cell — and every point probing it —
-  belongs to exactly one shard, and a shard's partition is one row
-  range of the covering's arrays (views, no copy).
-* A layer's snapshot publishes in TWO kinds of shared-memory segment,
-  and the service in one more::
+  contiguous leaf-id ranges, at quantiles of one cut weight per covering
+  cell (:func:`_cut_weights`).  A point belongs to the shard whose range
+  holds its leaf id.  The cuts only choose which lane joins a point —
+  every lane probes the whole layer — so no cut can change an answer,
+  and re-cutting needs no republish.
+* A layer generation publishes in ONE shared-memory segment, and the
+  service in one more::
 
-      geometry plane (one segment per layer, shared machine-wide)
-        ring geometry | packed refinement edge buckets | polygon table
-              ^ attach read-only   ^ attach     ...      ^ attach
-      coverage planes (one private segment per shard)
-        shard 0: covering subset | ACT store | lut
-        shard 1: covering subset | ACT store | lut
-        ...
+      layer snapshot (one segment per layer generation, pack_index)
+        ring geometry | edge buckets | ACT store | lut | covering
+              ^ every lane attaches it read-only
       scatter ring (one segment per service, 1 << 16 points)
         lats | lngs | leaf cell ids | lane words (one int64 per lane)
         ^ the front writes a slice    ^ lane k publishes the slice's
                     ^ lane k writes     sequence number in word k
                       ids[a_k:b_k]
-        ... then every lane selects, from all three planes, its own points
+        ... then every lane selects its own points and joins them
 
-  A straddling polygon contributes covering cells to several coverage
-  planes, but its geometry and bucket rows exist exactly once.  A
-  worker composes the two planes via
-  :meth:`~repro.core.flat.FlatSnapshot.from_planes` and refines through
-  the attached index's ordinary engine: a point falls in exactly one
-  shard's leaf range and a pair's PIP verdict depends only on the pair,
-  so merged results need no front-side dedup.
+  A point falls in exactly one shard's leaf range and its join depends
+  only on the point, so merged results need no front-side dedup.
 * A **shard worker** is a spawned process hosting one ordinary
-  :class:`JoinService` over its partition sub-indexes, which it
-  *attaches* from the published segments (a buffer map, no store
-  build).  Batch coordinates travel through one persistent scatter ring,
-  never the pickle stream: the front writes each ring-sized slice of a
-  batch once, in batch order, the lanes fill in the leaf cell ids (see
-  "Two phases"), and every lane selects the points whose leaf id falls
-  in its range (:func:`in_leaf_range`) out of the views it attached at
-  start-up.  Only control messages and the (small) partial
-  ``JoinResult`` statistics cross the pipe, and every lane is drained
-  before the next slice is written, so none can still be reading the
-  ring.
+  :class:`JoinService` over every layer, which it *attaches* from the
+  published segments (a buffer map, no store build).  Batch coordinates
+  travel through one persistent scatter ring, never the pickle stream:
+  the front writes each ring-sized slice of a batch once, in batch
+  order, the lanes fill in the leaf cell ids (see "Two phases"), and
+  every lane selects the points whose leaf id falls in its range
+  (:func:`in_leaf_range`) out of the views it attached at start-up.
+  Only control messages and the (small) partial ``JoinResult``
+  statistics cross the pipe, and every lane is drained before the next
+  slice is written, so none can still be reading the ring.
 * :class:`ShardedJoinService` is the front: a
   :class:`~repro.serve.service.ServiceFront` whose dispatch scatters
   each batch, gathers the partial results and merges them with
-  :func:`~repro.core.joins.merge_join_results`.  Swaps and adaptive
-  retraining fan out per shard, and the merged
+  :func:`~repro.core.joins.merge_join_results`.  Swaps fan out to every
+  lane, each lane runs its own adaptation loop, and the merged
   :class:`~repro.serve.stats.ServiceStats` carries per-shard detail in
   ``stats.shards``.
 
@@ -81,7 +74,7 @@ between the loads.  No more is claimed.
 only there — never the caller's process) binds itself to one CPU of the
 affinity mask it inherited (lane ``k`` to the ``k``-th of the sorted
 mask, modulo its size) and switches itself to ``SCHED_BATCH``.  One
-lane, one core keeps a partition's working set in that core's cache; a
+lane, one core keeps a lane's working set in that core's cache; a
 batch task's wake-up does not preempt its waker, so the front finishes
 fanning a slice out before any lane takes its CPU — without it the
 lanes were observed to run one after the other.  Threads a lane starts
@@ -89,7 +82,7 @@ later (a shard-local retrain) inherit both.  A call the platform lacks
 or refuses is skipped; there is nothing to configure.
 
 ``backend="inline"`` hosts the per-shard services in the calling process
-instead: the same plane publication and attach, the same scatter ring,
+instead: the same publication and attach, the same scatter ring,
 the same message handler (:func:`_apply_admin`) and the same merge —
 what the shard-boundary equivalence tests exercise and debugging uses.
 
@@ -101,6 +94,7 @@ batch across the shard processes, not from overlapping dispatches.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import threading
 import time
@@ -114,12 +108,13 @@ import numpy as np
 
 from repro.cells.vectorized import range_bounds_from_cell_ids
 from repro.core.adaptive import AdaptationPolicy
-from repro.core.builder import PolygonIndex, build_store, ensure_version_floor
+from repro.core.builder import PolygonIndex, ensure_version_floor
 from repro.core.flat import (
+    FLAT_COVERAGE_BUFFERS,
+    FLAT_GEOMETRY_BUFFERS,
     FlatSnapshot,
     attach_index,
-    pack_coverage_plane,
-    pack_geometry_plane,
+    pack_index,
 )
 from repro.core.joins import JoinResult, merge_join_results
 from repro.core.morsels import OFFLINE_MORSEL_POINTS
@@ -188,35 +183,32 @@ def _cut_weights(covering: SuperCovering) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """A partition of one layer's covering into leaf-id ranges — the
-    range partition of *Parallel In-Memory Evaluation of Spatial Joins*
-    (Tsitsigkos et al., arXiv:1908.11740) over the paper's cell ids.
+    """A split of the leaf-id space into ranges, one per lane — the range
+    cuts of *Parallel In-Memory Evaluation of Spatial Joins* (Tsitsigkos
+    et al., arXiv:1908.11740) over the paper's cell ids.
 
     ``boundaries`` holds ``num_shards - 1`` leaf-id cut points; shard
-    ``s`` owns the half-open leaf range ``[boundaries[s-1],
-    boundaries[s])`` (unbounded at the ends).  Cut points are the
-    ``range_min`` of the cell they start, so every covering cell — whose
-    leaf range never straddles a cut by disjointness — lands wholly in
-    one shard, and shard ``s``'s cells are the covering rows
-    ``[row_cuts[s], row_cuts[s+1])``.  Duplicate cut points are allowed
-    (a pathologically hot cell can exceed a whole shard's weight share;
-    a layer without cells cuts everything at 0); the shards they
-    collapse simply stay empty, keeping shard ids stable in
-    ``[0, num_shards)`` and every lane in every dispatch.
+    ``s`` joins the points in the half-open leaf range
+    ``[boundaries[s-1], boundaries[s])`` (unbounded at the ends).  Cut
+    points are the ``range_min`` of the covering cell they start.
+    Duplicate cut points are allowed (a pathologically hot cell can
+    exceed a whole shard's weight share; a layer without cells cuts
+    everything at 0); the shards they collapse simply stay empty,
+    keeping shard ids stable in ``[0, num_shards)`` and every lane in
+    every dispatch.
     """
 
     num_shards: int
     boundaries: np.ndarray  # (num_shards - 1,) uint64 leaf-id cut points
-    row_cuts: np.ndarray  # (num_shards + 1,) covering rows per shard: [cut, next cut)
 
     @classmethod
     def from_index(cls, index: PolygonIndex, num_shards: int) -> "ShardPlan":
-        """Plan ``num_shards`` partitions of an index's covering: the
+        """Plan ``num_shards`` leaf-id ranges over an index's covering: the
         id-sorted cells are cut at the quantiles of :func:`_cut_weights`."""
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         covering = index.super_covering
-        lo, hi = range_bounds_from_cell_ids(covering.cell_ids)
+        lo, _ = range_bounds_from_cell_ids(covering.cell_ids)
         if len(lo):
             cumulative = np.cumsum(_cut_weights(covering))
             targets = int(cumulative[-1]) * np.arange(1, num_shards) / num_shards
@@ -225,18 +217,7 @@ class ShardPlan:
             boundaries = lo[np.minimum(rows, len(lo) - 1)]
         else:
             boundaries = np.zeros(num_shards - 1, dtype=np.uint64)
-        # Disjointness keeps a cell's whole leaf range on one side of
-        # every cut (cuts are range_min values of cells).
-        if not np.array_equal(
-            np.searchsorted(boundaries, lo, side="right"),
-            np.searchsorted(boundaries, hi, side="right"),
-        ):
-            raise AssertionError(
-                "shard cut splits a covering cell's leaf range; "
-                "the covering is not disjoint"
-            )
-        row_cuts = np.concatenate(([0], np.searchsorted(lo, boundaries), [len(lo)]))
-        return cls(num_shards, boundaries, row_cuts)
+        return cls(num_shards, boundaries)
 
     def shard_for(self, leaf_ids: np.ndarray) -> np.ndarray:
         """The owning shard of each leaf cell id."""
@@ -273,61 +254,39 @@ def in_leaf_range(leaf_ids: np.ndarray, lower: int | None, upper: int | None) ->
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _TwoLayerShardPart:  #: spawn_payload
-    """One layer's partition as a geometry + coverage plane pair.
-
-    The geometry segment is SHARED: every shard of the layer names the
-    same segment and maps the same pages (published exactly once).  The
-    coverage segment is this shard's own.  The worker composes the two
-    back into one serveable snapshot
-    (:meth:`~repro.core.flat.FlatSnapshot.from_planes`).
-    """
-
-    geometry_shm: str  # the layer's single shared geometry-plane segment
-    coverage_shm: str  # this shard's private coverage-plane segment
-    version: int  # the parent snapshot's version
-
-
 @dataclass
 class _WorkerPayload:  #: spawn_payload
     """Everything one shard worker needs to build its JoinService."""
 
     shard: int
-    parts: dict[str, _TwoLayerShardPart]  # layer name -> partition
+    parts: dict[str, tuple[str, int]]  # layer name -> (its segment, its version)
     ring_shm: str  # the front's one scatter ring, attached once per lane
     cache_cells: int
     adaptation: AdaptationPolicy | None
     obs: ObsConfig | None = None  # worker-side observability settings
 
 
-def _index_from_part(
-    part: _TwoLayerShardPart, *, fresh_version: bool
-) -> PolygonIndex:
-    """Attach the partition sub-index a part describes (no store build).
+def _index_from_part(part: tuple[str, int], *, fresh_version: bool) -> PolygonIndex:
+    """Attach the layer index a ``(segment name, version)`` part names
+    (no store build).
 
-    The attach keeps its ``SharedMemory`` handles open for the index's
-    whole lifetime (pinned as the snapshot owner) — closing one while
-    numpy views into the buffers exist is an error, so the handles are
+    The attach keeps its ``SharedMemory`` handle open for the index's
+    whole lifetime (pinned as the snapshot owner) — closing it while
+    numpy views into the buffers exist is an error, so the handle is
     simply dropped with the index.
 
-    ``fresh_version=False`` stamps the parent snapshot's version (initial
-    attach / add_layer: every shard of one snapshot agrees); ``True``
-    stamps a fresh one (swap: the worker's current sub-index may carry a
-    *later* local version from a shard-local adaptive retrain).  Either
-    way the local version counter is floored above the parent snapshot's
-    version, so such a retrain is always newer than what it replaces (the
-    router refuses rollbacks).
+    ``fresh_version=False`` stamps the published index's version (initial
+    attach / add_layer: every lane agrees); ``True`` stamps a fresh one
+    (swap: the lane's current index may carry a *later* local version
+    from a lane-local adaptive retrain).  Either way the local version
+    counter is floored above the published version, so such a retrain is
+    always newer than what it replaces (the router refuses rollbacks).
     """
-    ensure_version_floor(part.version)
-    version = None if fresh_version else part.version
-    geometry_shm = _attach_shm(part.geometry_shm)
-    coverage_shm = _attach_shm(part.coverage_shm)
-    snapshot = FlatSnapshot.from_planes(
-        FlatSnapshot.from_buffer(geometry_shm.buf, owner=geometry_shm),
-        FlatSnapshot.from_buffer(coverage_shm.buf, owner=coverage_shm),
-    )
-    return attach_index(snapshot, version=version)
+    name, published = part
+    ensure_version_floor(published)
+    segment = _attach_shm(name)
+    snapshot = FlatSnapshot.from_buffer(segment.buf, owner=segment)
+    return attach_index(snapshot, version=None if fresh_version else published)
 
 
 def _build_shard_service(payload: _WorkerPayload) -> JoinService:
@@ -395,7 +354,7 @@ def _apply_admin(
     carries its spans for the front to adopt (none when untraced).
     ``ping`` replies with the service construction time and, where the
     platform has them, the lane's CPU mask and scheduling policy; layer
-    ops with their sub-index materialization time (the attach latency
+    ops with their layer attach time (the attach latency
     meter).
     """
     op = msg[0]
@@ -517,7 +476,7 @@ def _fill_ring(shm: SharedMemory, word: int, *columns: np.ndarray) -> None:
 def _shard_worker_main(conn, payload: _WorkerPayload) -> None:
     """Entry point of one shard worker process (spawn-safe: module level).
 
-    Places itself, attaches the partition sub-indexes and the scatter
+    Places itself, attaches the layer snapshots and the scatter
     ring, builds the shard's JoinService, then answers control messages
     until ``close`` or the pipe drops.  Every reply is ``("ok", value)``
     or ``("err", traceback_text)`` — a failed request never kills the
@@ -644,7 +603,7 @@ class _ProcessShard:
 
 
 class _InlineShard:
-    """In-process shard client: same partitioning, no processes.
+    """In-process shard client: same lanes, no processes.
 
     The test backend (and a debugging aid): the shard-boundary
     equivalence properties run thousands of examples without paying
@@ -751,9 +710,7 @@ _LANE_TIMEOUT_S = 10.0
 #: :meth:`ShardedJoinService._set_snapshot_gauges`.
 _SHARD_GAUGES = {
     "shard_snapshot_bytes": "flat snapshot payload bytes published by the shard front",
-    "shard_attach_seconds": "slowest worker-side sub-index attach, last fan-out",
-    "shard_geometry_bytes": "shared geometry-plane bytes published by the shard front",
-    "shard_coverage_bytes": "per-shard coverage-plane bytes published by the front",
+    "shard_attach_seconds": "slowest worker-side layer attach, last fan-out",
 }
 
 
@@ -768,8 +725,31 @@ def _check_shardable(name: str, index: object) -> PolygonIndex:
     return index
 
 
+def _publish(index: PolygonIndex) -> tuple[SharedMemory, tuple[int, int]]:
+    """Publish one layer generation in a new front-owned segment.
+
+    Returns the segment and the snapshot's ``(geometry, coverage)``
+    payload bytes, split by buffer name.  The caller installs the segment
+    only once every lane attached it, and unlinks it itself on failure.
+    """
+    snapshot = pack_index(index)
+    geometry, coverage = (
+        sum(int(snapshot.buffers[name].nbytes) for name in section)
+        for section in (FLAT_GEOMETRY_BUFFERS, FLAT_COVERAGE_BUFFERS)
+    )
+    return snapshot.to_shared_memory(), (geometry, coverage)
+
+
+def _unlink(*segments: SharedMemory) -> None:
+    """Close and unlink segments the front published."""
+    for segment in segments:
+        with contextlib.suppress(FileNotFoundError):  # pragma: no cover - already gone
+            segment.close()
+            segment.unlink()
+
+
 class ShardedJoinService(ServiceFront):
-    """A multi-process, space-partitioned :class:`JoinService` front.
+    """A multi-process :class:`JoinService` front that splits points by space.
 
     Parameters
     ----------
@@ -779,15 +759,17 @@ class ShardedJoinService(ServiceFront):
         immutable snapshots; dynamic indexes belong in a single-process
         service.
     num_shards:
-        Partitions per layer == worker processes.  Each worker hosts one
-        :class:`JoinService` over its partitions of every layer.
+        Leaf-id ranges per layer == worker processes.  Each worker hosts
+        one :class:`JoinService` over every layer and joins the points of
+        its range.
     backend:
         ``"process"`` (default) spawns one worker process per shard,
         each placed on its own core (module docstring); ``"inline"``
         hosts the shard services in-process (tests, debugging).
     adaptation:
-        Fans out to every shard worker: each shard runs its own
-        adaptation loop over its partition and retrains/swaps locally.
+        Fans out to every shard worker: each lane runs its own
+        adaptation loop over the traffic it joins and retrains/swaps its
+        own copy of the layer.
     start_method:
         ``multiprocessing`` start method for the process backend.
         Defaults to ``"spawn"`` — the worker entry point is module-level
@@ -802,8 +784,8 @@ class ShardedJoinService(ServiceFront):
 
     ``join`` results are bit-identical (every ``JoinResult`` statistic)
     to the equivalent single-process service and to ``PolygonIndex.join``
-    — points route to exactly one shard, and partitioning never alters
-    any cell's reference set.
+    — points route to exactly one shard, and every shard probes the
+    whole layer.
     """
 
     def __init__(
@@ -849,12 +831,11 @@ class ShardedJoinService(ServiceFront):
             name: ShardPlan.from_index(index, num_shards)
             for name, index in self._router.items()
         }
-        # Segments owned by the front, per layer, CURRENT generation;
-        # retired (and unlinked) on swap and close.  A layer's FIRST is
-        # its shared geometry plane, then one coverage segment per shard.
-        self._segments: dict[str, tuple[SharedMemory, ...]] = {}  #: guarded_by(_lock)
-        # Published (geometry, per-shard) payload bytes per layer,
-        # current generation.
+        # One segment per layer, CURRENT generation, owned by the front;
+        # retired (and unlinked) on swap and close.
+        self._segments: dict[str, SharedMemory] = {}  #: guarded_by(_lock)
+        # Published (geometry, coverage) payload bytes per layer, current
+        # generation.
         self._plane_bytes: dict[str, tuple[int, int]] = {}  #: guarded_by(_lock)
         # One lock serializes dispatches and admin fan-outs: worker pipes
         # are request/response channels, never to be interleaved.
@@ -870,21 +851,14 @@ class ShardedJoinService(ServiceFront):
         )
         self._seq = 0  #: guarded_by(_lock) -- the last ring slice's number
         try:
-            parts_by_layer: dict[str, list] = {}
+            parts: dict[str, tuple[str, int]] = {}
             for name, index in self._router.items():
-                parts, segments, plane_bytes = self._publish_parts(
-                    self._plans[name], index
-                )
-                parts_by_layer[name] = parts
-                self._segments[name] = segments
-                self._plane_bytes[name] = plane_bytes
+                self._segments[name], self._plane_bytes[name] = _publish(index)
+                parts[name] = (self._segments[name].name, int(index.version))
             payloads = [
                 _WorkerPayload(
                     shard=shard,
-                    parts={
-                        name: parts[shard]
-                        for name, parts in parts_by_layer.items()
-                    },
+                    parts=parts,
                     ring_shm=self._ring.name,
                     cache_cells=cache_cells,
                     adaptation=adaptation,
@@ -893,7 +867,7 @@ class ShardedJoinService(ServiceFront):
                 for shard in range(num_shards)
             ]
             if backend == "inline":
-                self._clients = [_InlineShard(p) for p in payloads]
+                spawn = _InlineShard
             else:
                 # Start the parent's resource tracker BEFORE creating
                 # workers: forked children must inherit it (a worker that
@@ -902,8 +876,11 @@ class ShardedJoinService(ServiceFront):
                 from multiprocessing import resource_tracker
 
                 resource_tracker.ensure_running()
-                ctx = get_context(start_method)
-                self._clients = [_ProcessShard(ctx, p) for p in payloads]
+                spawn = functools.partial(_ProcessShard, get_context(start_method))
+            for payload in payloads:
+                # One lane at a time: when lane k fails to come up,
+                # _shutdown() still closes the lanes before it.
+                self._clients.append(spawn(payload))
             # Barrier: surfaces attach errors; the replies carry each
             # worker's service construction time.
             reports = [client.request(("ping",)) for client in self._clients]
@@ -939,81 +916,21 @@ class ShardedJoinService(ServiceFront):
     @property
     def spawn_seconds(self) -> tuple[float, ...]:
         """Per-shard worker-side service construction time (the spawn
-        barrier's ping replies): a zero-copy attach of the planes."""
+        barrier's ping replies): a zero-copy attach of the layer segments."""
         return self._spawn_seconds
 
-    def _publish_parts(
-        self, plan: ShardPlan, index: PolygonIndex
-    ) -> tuple[
-        list[_TwoLayerShardPart], tuple[SharedMemory, ...], tuple[int, int]
-    ]:
-        """One part per shard, published as front-owned segments.
-
-        Returns ``(parts, segments, (geometry_bytes, coverage_bytes))``:
-        the layer's single shared geometry-plane segment leads the
-        tuple, the per-shard coverage-plane segments follow.  They are
-        the new generation's — the caller installs them into
-        ``_segments`` only once the fan-out succeeded, and releases them
-        itself on failure.
-        """
-        parts: list[_TwoLayerShardPart] = []
-        segments: list[SharedMemory] = []
-        try:
-            geometry = pack_geometry_plane(index)
-            geometry_segment = geometry.to_shared_memory()
-            segments.append(geometry_segment)
-            geometry_bytes = int(geometry.nbytes)
-            coverage_bytes = 0
-            for shard in range(self.num_shards):
-                # A partition is a row range of the (disjoint) covering:
-                # no coverer or conflict resolution runs, and probing it is
-                # bit-identical to probing the full index for any point
-                # whose leaf id falls inside the partition's cell ranges.
-                covering = index.super_covering.row_range(
-                    *plan.row_cuts[shard : shard + 2]
-                )
-                store = build_store(
-                    covering, fanout_bits=index.store.fanout_bits
-                )
-                coverage = pack_coverage_plane(
-                    covering, store, meta_extra={"shard": shard}
-                )
-                segment = coverage.to_shared_memory()
-                segments.append(segment)
-                coverage_bytes += int(coverage.nbytes)
-                parts.append(
-                    _TwoLayerShardPart(
-                        geometry_shm=geometry_segment.name,
-                        coverage_shm=segment.name,
-                        version=int(index.version),
-                    )
-                )
-        except BaseException:
-            self._release_segments({"": tuple(segments)})
-            raise
-        return parts, tuple(segments), (geometry_bytes, coverage_bytes)
-
-    @staticmethod
-    def _release_segments(
-        segments: Mapping[str, tuple[SharedMemory, ...]]
-    ) -> None:
-        """Unlink (and drop) every segment of the given generations."""
-        for generation in segments.values():
-            for segment in generation:
-                with contextlib.suppress(FileNotFoundError):  # pragma: no cover - already gone
-                    segment.close()
-                    segment.unlink()
-
     def replication_factor(self, layer: str | None = None) -> float:
-        """Published geometry copies per distinct polygon: 1.0, as a layer's
-        geometry plane is one segment.  Kept for the benchmark's
+        """Published geometry copies per distinct polygon: 1.0, as a layer
+        is one segment.  Kept for the benchmark's
         ``serve.replication_factor`` row, which ROADMAP item C retires."""
         self._router.resolve(layer)  # unknown layers raise, as elsewhere
         return 1.0
 
     def plane_bytes(self, layer: str | None = None) -> tuple[int, int]:
-        """One layer's published ``(shared geometry, per-shard coverage)``
-        payload bytes for the current generation."""
+        """One layer's published payload bytes for the current generation,
+        ``(geometry, coverage)`` split by buffer name
+        (:data:`~repro.core.flat.FLAT_GEOMETRY_BUFFERS` /
+        :data:`~repro.core.flat.FLAT_COVERAGE_BUFFERS`)."""
         with self._lock:
             name, _ = self._router.resolve(layer)
             return self._plane_bytes[name]
@@ -1022,15 +939,10 @@ class ShardedJoinService(ServiceFront):
     def _set_snapshot_gauges(self, build_seconds: Sequence[float]) -> None:
         if not self._gauges:
             return
-        planes = list(self._plane_bytes.values())
         values = {
             "shard_snapshot_bytes": sum(
-                segment.size
-                for generation in self._segments.values()
-                for segment in generation
+                segment.size for segment in self._segments.values()
             ),
-            "shard_geometry_bytes": sum(geometry for geometry, _ in planes),
-            "shard_coverage_bytes": sum(coverage for _, coverage in planes),
         }
         if build_seconds:
             values["shard_attach_seconds"] = max(build_seconds)
@@ -1062,8 +974,8 @@ class ShardedJoinService(ServiceFront):
         lane_spans: list = []  # the lanes' finished spans, when traced
         with self._lock, Timer() as timer:
             # Resolve UNDER the dispatch lock (the caller's `index` is
-            # only its routing check): index, plan and the workers'
-            # sub-indexes belong to one generation even when a
+            # only its routing check): index, plan and the lanes'
+            # attached copies belong to one generation even when a
             # swap_layer lands between that check and this dispatch.
             _, index = self._router.resolve(name)
             ranges = self._plans[name].leaf_ranges()
@@ -1125,9 +1037,9 @@ class ShardedJoinService(ServiceFront):
     def swap_layer(self, name: str, index: PolygonIndex) -> PolygonIndex:
         """Atomically replace a layer with a newer snapshot on every shard.
 
-        Re-plans the partition for the new snapshot and fans the swap
-        out; the workers attach their new sub-indexes in parallel, and
-        the dispatch lock makes the fan-out atomic with respect to joins.
+        Re-plans the cuts for the new snapshot and fans the swap out; the
+        workers attach the new layer segment in parallel, and the
+        dispatch lock makes the fan-out atomic with respect to joins.
         """
         self._check_open()
         _check_shardable(name, index)
@@ -1167,19 +1079,20 @@ class ShardedJoinService(ServiceFront):
         matching what the workers serve.
         """
         plan = ShardPlan.from_index(index, self.num_shards)
-        parts, segments, plane_bytes = self._publish_parts(plan, index)
+        segment, plane_bytes = _publish(index)
         try:
-            reports = self._admin_fan_out([(op, name, part) for part in parts])
+            reports = self._admin_fan_out((op, name, (segment.name, int(index.version))))
         except BaseException:
             # Whether the workers kept the previous generation or the
-            # service got poisoned, the new segments are the front's to
+            # service got poisoned, the new segment is the front's to
             # reclaim (attached workers keep mappings).
-            self._release_segments({name: segments})
+            _unlink(segment)
             raise
-        # A retired generation's segments unlink now; workers holding
-        # the old attachment keep their mappings until they drop it.
-        self._release_segments({name: self._segments.pop(name, ())})
-        self._segments[name] = segments
+        # A retired generation's segment unlinks now; workers holding the
+        # old attachment keep their mappings until they drop it.
+        if name in self._segments:
+            _unlink(self._segments[name])
+        self._segments[name] = segment
         self._plans[name] = plan
         self._plane_bytes[name] = plane_bytes
         if op == "swap":
@@ -1192,18 +1105,18 @@ class ShardedJoinService(ServiceFront):
                 op, layer=name, version=int(index.version), shards=self.num_shards
             )
 
-    def _admin_fan_out(self, messages: list[tuple]) -> list:  #: requires(_lock)
-        """Scatter one admin message per shard; gather before returning.
+    def _admin_fan_out(self, msg: tuple) -> list:  #: requires(_lock)
+        """Scatter one admin message to every shard; gather before returning.
 
         All-or-nothing: if SOME shards applied the change and others did
-        not, the workers disagree on the layer's partition and no plan
-        can match all of them — the service is poisoned (every later
+        not, the lanes serve different generations of the layer and no
+        plan can match all of them — the service is poisoned (every later
         call raises) rather than silently serving mixed generations.  A
         failure on EVERY shard leaves the previous state intact, so the
         service stays usable.  Returns the per-shard replies (the
-        workers' sub-index materialization timings).
+        workers' attach timings).
         """
-        gathered, errors = _scatter_gather(list(zip(self._clients, messages)))
+        gathered, errors = _scatter_gather([(client, msg) for client in self._clients])
         if errors:
             if 0 < len(gathered) < len(self._clients):
                 self._poisoned = True
@@ -1294,11 +1207,11 @@ class ShardedJoinService(ServiceFront):
 
     def _shutdown(self) -> None:  #: requires(_lock)
         """Stop every lane, then unlink every segment the front owns —
-        planes and ring; in that order, so no attach can race an unlink
+        layers and ring; in that order, so no attach can race an unlink
         (and an attached mapping survives its unlink on POSIX anyway)."""
         for client in self._clients:
             client.close()
-        self._release_segments(self._segments)
+        _unlink(*self._segments.values())
         self._segments = {}
         self._ring.close()
         self._ring.unlink()

@@ -110,6 +110,31 @@ class TestSnapshotContainer:
             segment.close()
             segment.unlink()
 
+    # Recorded at 1.23.0, when pack_index still composed a geometry and a
+    # coverage plane: the order a v3 file and a shared-memory segment carry.
+    PACKED_BUFFERS = [
+        "poly_ring_index", "ring_vertex_index", "ring_lngs", "ring_lats",
+        "ref_row_offset", "ref_num_buckets", "ref_lat_origin",
+        "ref_inv_bucket_height", "ref_mbr_lng_lo", "ref_mbr_lng_hi",
+        "ref_mbr_lat_lo", "ref_mbr_lat_hi", "ref_edge_start", "ref_y0",
+        "ref_y1", "ref_x0", "ref_dx", "ref_inv_dy",
+        "act_pool", "act_faces", "act_face_values", "lut",
+        "cell_ids", "ref_offsets", "packed_refs",
+    ]
+    PACKED_META = [
+        "flat_format", "num_polygons", "precision_meters", "version",
+        "fanout_bits", "max_value_depth", "num_nodes", "num_keys",
+        "num_input_cells", "build_seconds", "num_cells", "max_cell_level",
+    ]
+
+    def test_packed_layout_is_pinned(self, index):
+        snapshot = pack_index(index)
+        assert list(snapshot.buffers) == self.PACKED_BUFFERS
+        assert list(snapshot.meta) == self.PACKED_META
+        again = FlatSnapshot.from_buffer(snapshot.to_bytes())
+        assert list(again.buffers) == self.PACKED_BUFFERS
+        assert list(again.meta) == self.PACKED_META
+
     def test_nbytes_sums_buffers(self, index):
         snapshot = pack_index(index)
         assert snapshot.nbytes == sum(

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro import PolygonIndex
 from repro.cells.cellid import CellId
-from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
+from repro.cells.vectorized import cell_ids_from_lat_lng_arrays, range_bounds_from_cell_ids
 from repro.core import AdaptationPolicy
 from repro.core.morsels import OFFLINE_MORSEL_POINTS
 from repro.geo.polygon import regular_polygon
@@ -102,18 +103,20 @@ def _pairs_in_scatter_order(index, plan, lats, lngs, exact):
     return np.concatenate(points), np.concatenate(polygons)
 
 
+def _row_cuts(plan, index) -> np.ndarray:
+    """Shard ``s``'s covering rows are ``[cuts[s], cuts[s + 1])``: where
+    the plan's cut points fall among the cells' ``range_min`` values."""
+    lo, _ = range_bounds_from_cell_ids(index.super_covering.cell_ids)
+    return np.concatenate(([0], np.searchsorted(lo, plan.boundaries), [len(lo)]))
+
+
 def _shard_cells(plan, index) -> list[dict]:
-    """Each shard's covering subset as ``{cell id: refs}``, read off the
-    plan's row ranges."""
-    covering = index.super_covering
+    """Each shard's covering cells as ``{cell id: refs}``, read off the
+    rows its cut points bound."""
+    cuts = _row_cuts(plan, index)
+    items = [(cell.id, refs) for cell, refs in index.super_covering.items()]
     return [
-        {
-            cell.id: refs
-            for cell, refs in covering.row_range(
-                *plan.row_cuts[shard : shard + 2]
-            ).items()
-        }
-        for shard in range(plan.num_shards)
+        dict(items[cuts[shard] : cuts[shard + 1]]) for shard in range(plan.num_shards)
     ]
 
 
@@ -125,7 +128,7 @@ def _referenced(shard_cells: dict) -> set[int]:
 def _cut_weight_per_shard(plan, index) -> np.ndarray:
     """The cut weight each shard's row range carries."""
     weights = np.concatenate(([0], np.cumsum(_cut_weights(index.super_covering))))
-    return np.diff(weights[plan.row_cuts])
+    return np.diff(weights[_row_cuts(plan, index)])
 
 
 class TestShardPlan:
@@ -196,7 +199,7 @@ class TestShardPlan:
     def test_balanced_on_covering_cell_counts(self, index):
         plan = ShardPlan.from_index(index, 4)
         ref_offsets = index.super_covering.ref_offsets
-        weights = np.diff(ref_offsets[plan.row_cuts])
+        weights = np.diff(ref_offsets[_row_cuts(plan, index)])
         assert sum(weights) == len(index.super_covering.packed_refs)
         assert max(weights) <= 2 * (sum(weights) / len(weights))
 
@@ -213,7 +216,7 @@ class TestShardPlan:
     def test_single_shard_owns_everything(self, index):
         plan = ShardPlan.from_index(index, 1)
         assert plan.boundaries.size == 0
-        assert plan.row_cuts.tolist() == [0, index.super_covering.num_cells]
+        assert _row_cuts(plan, index).tolist() == [0, index.super_covering.num_cells]
         (cells,) = _shard_cells(plan, index)
         assert _referenced(cells) == set(range(len(index.polygons)))
 
@@ -229,13 +232,14 @@ class TestShardPlan:
         assert not hasattr(ShardPlan.from_index(index, 2), "balance")
 
     def test_a_plan_is_its_cut_points(self, index):
-        """Three fields: the cuts as leaf ids and as covering rows."""
+        """Two fields: the shard count and the cuts as leaf ids, each the
+        ``range_min`` of the covering cell it starts."""
         assert [f.name for f in dataclasses.fields(ShardPlan)] == [
-            "num_shards", "boundaries", "row_cuts",
+            "num_shards", "boundaries",
         ]
         plan = ShardPlan.from_index(index, 3)
         assert plan.boundaries.dtype == np.uint64
-        lows = index.super_covering.cell_ids[plan.row_cuts[1:-1]]
+        lows = index.super_covering.cell_ids[_row_cuts(plan, index)[1:-1]]
         ranges = [CellId(int(cell)).range_min().id for cell in lows]
         assert plan.boundaries.tolist() == ranges
 
@@ -291,10 +295,9 @@ class TestShardPlan:
         )
         plan = ShardPlan.from_index(solo, 6)
         assert plan.num_shards == 6
-        assert plan.row_cuts[0] == 0
-        assert plan.row_cuts[-1] == solo.super_covering.num_cells
+        cuts = _row_cuts(plan, solo)
         cells = _shard_cells(plan, solo)
-        empty = [s for s in range(6) if plan.row_cuts[s] == plan.row_cuts[s + 1]]
+        empty = [s for s in range(6) if cuts[s] == cuts[s + 1]]
         assert empty  # the degenerate case actually occurred
         for shard in range(6):
             assert _referenced(cells[shard]) == (set() if shard in empty else {0})
@@ -342,7 +345,8 @@ class TestShardPlan:
         plan = ShardPlan.from_index(straddle_index, 4)
         # The big polygon's cut-weight spike can collapse a quantile cut
         # into an empty shard; it must straddle every *populated* shard.
-        populated = [s for s in range(4) if plan.row_cuts[s] < plan.row_cuts[s + 1]]
+        cuts = _row_cuts(plan, straddle_index)
+        populated = [s for s in range(4) if cuts[s] < cuts[s + 1]]
         cells = _shard_cells(plan, straddle_index)
         holding = [s for s in range(4) if big in _referenced(cells[s])]
         assert holding == populated
@@ -488,49 +492,88 @@ def _plane_bytes(index):
         return svc.plane_bytes()
 
 
-class TestTwoLayerPlan:
-    """The two-layer publication plan: shared geometry + per-shard coverage."""
+class TestOneSegmentPerLayer:
+    """A layer generation is published in exactly one segment, whatever
+    ``num_shards`` is, and every lane attaches that segment."""
 
-    def test_two_layer_is_the_flat_default(self, index):
-        # The only publication: every worker sub-index is attached from a
-        # geometry + coverage plane pair and holds the composed snapshot.
-        with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
-            for shard, client in enumerate(svc._clients):
-                sub = client._service._router.resolve(None)[1]
-                assert type(sub) is PolygonIndex
-                assert sub.snapshot.meta["shard"] == shard
-                assert "home_shards" not in sub.snapshot.buffers
-                assert "ring_lngs" in sub.snapshot.buffers
+    @staticmethod
+    def _assert_published_once(svc, before):
+        """One segment per layer plus the ring, nothing else; every
+        inline lane's snapshot buffers are views of its layer's segment."""
+        layers = {svc._segments[name].name for name in svc.layers}
+        assert len(layers) == len(svc.layers) == len(svc._segments)
+        assert _shm_names() - before == layers | {svc._ring.name}
+        if svc.backend != "inline":
+            return
+        for name in svc.layers:
+            for client in svc._clients:
+                snapshot = client._service._router.resolve(name)[1].snapshot
+                assert snapshot.owner.name == svc._segments[name].name
+                mapped = np.frombuffer(snapshot.owner.buf, dtype=np.uint8)
+                for buffer in snapshot.buffers.values():
+                    assert buffer.size == 0 or np.shares_memory(buffer, mapped)
 
-    def test_a_shard_holds_exactly_the_polygons_its_cells_reference(self, index):
-        """Each lane's attached sub-index is its row range of the covering:
-        the cells the cuts assign to it, and the polygons those reference."""
+    def test_one_segment_per_layer_at_three_shards(self, index, swap_index, points):
+        lats, lngs = points
+        before = _shm_names()
+        with ShardedJoinService(
+            {"fine": index, "coarse": swap_index}, num_shards=3, backend="inline"
+        ) as svc:
+            self._assert_published_once(svc, before)
+            geometry_bytes, coverage_bytes = svc.plane_bytes("fine")
+            assert geometry_bytes > 0
+            assert coverage_bytes > 0
+            assert svc.replication_factor("fine") == 1.0
+            assert_identical(
+                svc.join(lats, lngs, layer="fine", exact=True),
+                index.join(lats, lngs, exact=True),
+            )
+
+    def test_every_lane_holds_the_whole_layer(self, index):
+        """The plan splits the points, not the index: every lane's attached
+        index carries the layer's full covering and every polygon it
+        references, while the cut points still partition those cells."""
+        whole = {cell.id: refs for cell, refs in index.super_covering.items()}
         with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
             cells = _shard_cells(svc.plan(), index)
-            for shard, client in enumerate(svc._clients):
-                held = client._service._router.resolve(None)[1].super_covering
-                assert {cell.id: refs for cell, refs in held.items()} == cells[shard]
+            assert {k: v for part in cells for k, v in part.items()} == whole
+            assert sum(len(part) for part in cells) == len(whole)
+            for client in svc._clients:
+                sub = client._service._router.resolve(None)[1]
+                assert type(sub) is PolygonIndex
+                held = sub.super_covering
+                assert {cell.id: refs for cell, refs in held.items()} == whole
                 pids = set((held.packed_refs >> np.uint32(1)).tolist())
-                assert pids == _referenced(cells[shard])
+                assert pids == _referenced(whole)
+
+    def test_one_segment_after_a_swap(self, index, swap_index, points):
+        lats, lngs = points
+        before = _shm_names()
+        with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
+            svc.swap_layer("default", swap_index)
+            self._assert_published_once(svc, before)
+            assert svc.replication_factor() == 1.0
+            assert_identical(
+                svc.join(lats, lngs, exact=True),
+                swap_index.join(lats, lngs, exact=True),
+            )
+
+    def test_one_segment_on_the_process_backend(self, index, points):
+        lats, lngs = points
+        before = _shm_names()
+        direct = index.join(lats, lngs, exact=True)
+        with ShardedJoinService(index, num_shards=2, backend="process") as svc:
+            self._assert_published_once(svc, before)
+            assert_identical(svc.join(lats, lngs, exact=True), direct)
 
     def test_unknown_plan_rejected(self, index):
         for mode in ("two-layer", "replicate"):
             with pytest.raises(TypeError, match="plan"):
                 ShardedJoinService(index, num_shards=2, plan=mode)
 
-    def test_geometry_published_in_exactly_one_segment(self, index):
-        with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
-            # One shared geometry segment + one coverage segment per shard.
-            assert len(svc._segments["default"]) == 3 + 1
-            geometry_bytes, coverage_bytes = svc.plane_bytes()
-            assert geometry_bytes > 0
-            assert coverage_bytes > 0
-            assert svc.replication_factor() == 1.0
-
     def test_attached_index_shards_identically(self, index, points):
         # Planning reads an attached index's covering off the snapshot's
-        # buffers, and the geometry plane re-ships its already-packed
-        # bucket table.
+        # buffers, and publishing re-ships the snapshot it holds.
         from repro.core import attach_index, pack_index
 
         lats, lngs = points
@@ -538,7 +581,6 @@ class TestTwoLayerPlan:
         built_plan = ShardPlan.from_index(index, 3)
         plan = ShardPlan.from_index(attached, 3)
         assert list(plan.boundaries) == list(built_plan.boundaries)
-        assert list(plan.row_cuts) == list(built_plan.row_cuts)
         assert _shard_cells(plan, attached) == _shard_cells(built_plan, index)
         with ShardedJoinService(attached, num_shards=3, backend="inline") as svc:
             assert svc.plane_bytes() == _plane_bytes(index)
@@ -548,9 +590,8 @@ class TestTwoLayerPlan:
             )
 
     def test_workers_refine_through_the_attached_engine(self, index, points):
-        """No worker-side refiner subclass: every sub-index refines through
-        a plain engine over the geometry plane's one packed bucket table."""
-        from repro.core.flat import pack_coverage_plane
+        """No worker-side refiner subclass: every lane refines through a
+        plain engine over the layer snapshot's one packed bucket table."""
         from repro.geo.refine import RefinementEngine
 
         lats, lngs = points
@@ -565,28 +606,6 @@ class TestTwoLayerPlan:
                 assert np.shares_memory(
                     refiner.table().y0, sub.snapshot.buffers["ref_y0"]
                 )
-        with pytest.raises(TypeError):
-            pack_coverage_plane(
-                index.super_covering, index.store, home_shards=np.zeros(1)
-            )
-
-    def test_swap_keeps_two_layer_plan(self, index, swap_index, points):
-        lats, lngs = points
-        with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
-            svc.swap_layer("default", swap_index)
-            assert len(svc._segments["default"]) == 3 + 1
-            assert svc.replication_factor() == 1.0
-            assert_identical(
-                svc.join(lats, lngs, exact=True),
-                swap_index.join(lats, lngs, exact=True),
-            )
-
-    def test_process_backend_two_layer(self, index, points):
-        lats, lngs = points
-        direct = index.join(lats, lngs, exact=True)
-        with ShardedJoinService(index, num_shards=2, backend="process") as svc:
-            assert len(svc._segments["default"]) == 2 + 1
-            assert_identical(svc.join(lats, lngs, exact=True), direct)
 
 
 class TestPartialFailureHandling:
@@ -754,8 +773,6 @@ class TestAwaitLanes:
             _await_lanes(words, 7, 2, timeout_s=0.05)
 
     def test_a_lane_publishing_late_is_waited_for(self):
-        import threading
-
         words = np.array([3, 2], dtype=np.int64)
         timer = threading.Timer(0.1, words.__setitem__, (1, 3))
         timer.start()
@@ -1090,7 +1107,7 @@ class TestProcessBackend:
     ):
         """A stopped worker never acknowledges ``close`` and never sees
         SIGTERM: close() must give up waiting, kill it, reap it, and
-        still unlink every segment (planes and ring)."""
+        still unlink every segment (layers and ring)."""
         import repro.serve.sharded as sharded_mod
 
         before = _shm_names()
@@ -1190,8 +1207,8 @@ class TestSnapshotSegmentLifecycle:
         svc = ShardedJoinService(index, num_shards=2, backend="process")
         try:
             created = _shm_names() - before
-            assert created  # the front published the layer's planes
-            assert {s.name for segs in svc._segments.values() for s in segs} <= created
+            assert created  # the front published the layer's segment
+            assert {s.name for s in svc._segments.values()} <= created
             assert_identical(
                 svc.join(lats[:1000], lngs[:1000], exact=True),
                 index.join(lats[:1000], lngs[:1000], exact=True),
@@ -1206,38 +1223,46 @@ class TestSnapshotSegmentLifecycle:
             first = _shm_names() - before
             svc.swap_layer("default", swap_index)
             second = _shm_names() - before
-            # The old generation's planes are gone, the new one's live;
+            # The old generation's segment is gone, the new one's live;
             # only the scatter ring spans generations.
             assert first & second == {svc._ring.name}
             assert second - first
         assert _shm_names() - before == set()
 
     def test_mid_spawn_failure_unlinks_segments(self, index, monkeypatch):
+        """Lane 1 fails to come up: the segments go, and so does lane 0 —
+        its service closed, its batcher thread gone."""
         import repro.serve.sharded as sharded_mod
 
         real = sharded_mod._build_shard_service
-        calls = []
+        calls, services = [], []
 
         def flaky(payload):
             calls.append(payload.ring_shm in _shm_names())
             if len(calls) >= 2:
                 raise MemoryError("simulated spawn failure on shard 1")
-            return real(payload)
+            services.append(real(payload))
+            return services[-1]
+
+        def batchers() -> set:
+            return {t for t in threading.enumerate() if t.name == "repro-serve-batcher"}
 
         monkeypatch.setattr(sharded_mod, "_build_shard_service", flaky)
-        before = _shm_names()
+        before, threads = _shm_names(), batchers()
         with pytest.raises(MemoryError):
             ShardedJoinService(index, num_shards=2, backend="inline")
         # The scatter ring was already published when the spawn failed,
-        # and went with the planes.
+        # and went with the layer segment.
         assert calls == [True, True]
         assert _shm_names() - before == set()
+        assert len(services) == 1 and services[0]._closed
+        assert batchers() == threads
 
     @pytest.mark.parametrize("failing", [False, True])
     def test_inline_dispatch_leaves_no_segment(
         self, index, points, monkeypatch, failing
     ):
-        """Construction publishes the planes plus exactly one scatter
+        """Construction publishes the layer segment plus exactly one scatter
         ring; no dispatch creates another segment — also when a lane's
         join raises, which surfaces as the ORIGINAL exception and leaves
         the ring fit for the next dispatch; ``close()`` leaves
@@ -1247,8 +1272,8 @@ class TestSnapshotSegmentLifecycle:
         before = _shm_names()
         with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
             published = _shm_names()
-            planes = {s.name for segs in svc._segments.values() for s in segs}
-            assert published - before - planes == {svc._ring.name}
+            layers = {s.name for s in svc._segments.values()}
+            assert published - before - layers == {svc._ring.name}
             seen = []
             real = svc._clients[1]._service.join
 
