@@ -1,28 +1,23 @@
 #!/usr/bin/env python3
-"""Share-nothing sharded serving: one process per range of the points.
+"""Share-nothing sharded serving: one process per share of the points.
 
-Builds the neighborhoods layer once, plans 4 Hilbert cell-id ranges over
-its covering (cut so that every polygon's entries weigh into one shard's
-share), and serves a probe-heavy skewed stream from a
-``ShardedJoinService``: the layer is published once in a single
-shared-memory segment that every worker attaches read-only, each batch
-slice is written once into a shared-memory ring from which every worker
-computes a share of the cell ids and selects the points of its own leaf
-range, and the partial results are merged bit-identically.  A swap then
-retrains the layer on observed traffic and fans the new snapshot out to
-every shard with zero downtime.
+Builds the neighborhoods layer once and serves a probe-heavy skewed
+stream from a 4-lane ``ShardedJoinService``: the layer is published once
+in a single shared-memory segment that every worker attaches read-only,
+each batch slice is written once into a shared-memory ring, lane k
+computes the cell ids of its positional share of the slice and joins
+that same share, and the partial results are merged bit-identically.  A
+swap then retrains the layer on observed traffic and fans the new
+snapshot out to every shard with zero downtime.
 
 Run:  python examples/sharded_service.py
 """
 
 import time
 
-import numpy as np
-
 from repro import PolygonIndex
-from repro.cells.vectorized import range_bounds_from_cell_ids
 from repro.datasets import polygon_dataset, shard_probe_points
-from repro.serve import ShardPlan, ShardedJoinService
+from repro.serve import ShardedJoinService
 
 NUM_SHARDS = 4
 
@@ -36,15 +31,6 @@ def main() -> None:
     print(f"  built in {time.perf_counter() - start:.1f}s: "
           f"{index.num_polygons} polygons, {index.num_cells:,} cells")
 
-    plan = ShardPlan.from_index(index, NUM_SHARDS)
-    # A cell belongs to the shard whose leaf range holds its range_min.
-    lows, _ = range_bounds_from_cell_ids(index.super_covering.cell_ids)
-    cells = np.bincount(plan.shard_for(lows), minlength=NUM_SHARDS)
-    print(f"\nshard plan ({NUM_SHARDS} Hilbert cell-id ranges), cut at leaf ids "
-          f"{', '.join(f'{cut:#x}' for cut in plan.boundaries.tolist())}:")
-    for shard in range(NUM_SHARDS):
-        print(f"  shard {shard}: {cells[shard]:,} cells")
-
     lats, lngs = shard_probe_points(200_000)
     reference = index.join(lats, lngs, exact=True)
 
@@ -54,6 +40,12 @@ def main() -> None:
         print(f"  one segment for the layer: {geometry_bytes / 1024:,.0f} KiB "
               f"geometry + {coverage_bytes / 1024:,.0f} KiB coverage, "
               "attached by every shard")
+        plan = service.plan()
+        shares = ", ".join(
+            "lane {} [{:,}, {:,})".format(shard, *plan.share(shard, 32_768))
+            for shard in range(NUM_SHARDS)
+        )
+        print(f"  each 32,768-point op splits by position: {shares}")
         start = time.perf_counter()
         for lo in range(0, len(lats), 32_768):
             service.join(lats[lo:lo + 32_768], lngs[lo:lo + 32_768], exact=True)
@@ -80,7 +72,7 @@ def main() -> None:
               f"p50 {stats.p50_ms:.1f} ms, cache hit rate "
               f"{stats.cache_hit_rate:.1%}")
         for shard in stats.shards:
-            print(f"  shard {shard.shard}: {shard.stats.points:,} points, "
+            print(f"  lane {shard.shard}: {shard.stats.points:,} points, "
                   f"p50 {shard.stats.p50_ms:.1f} ms")
 
 

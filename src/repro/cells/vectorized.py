@@ -223,11 +223,8 @@ def range_bounds_from_cell_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     A cell id encodes its level in the position of its lowest set bit
     (``lsb``); the leaf descendants of the cell occupy the contiguous
-    Hilbert-position range ``[id - (lsb - 1), id + (lsb - 1)]``.  These
-    bounds are what the sharded serving layer partitions on: cut points
-    between them split the curve into per-shard leaf-id ranges, and a
-    cell compares against a cut point by its whole range, never just its
-    own id.  Bit-identical to the scalar ``CellId`` methods (verified in
+    Hilbert-position range ``[id - (lsb - 1), id + (lsb - 1)]``.
+    Bit-identical to the scalar ``CellId`` methods (verified in
     ``tests/test_vectorized.py``).
     """
     ids = np.asarray(ids, dtype=np.uint64)

@@ -173,7 +173,8 @@ def expensive_entries(
 def check_batch(
     lats: np.ndarray, lngs: np.ndarray, cell_ids: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Coerce one point batch and insist that its arrays are equally long.
+    """Coerce one point batch and insist that its arrays are 1-D and
+    equally long.
 
     The one check on a batch arriving from outside, made at the public
     doors (:meth:`~repro.core.builder.ProbeView.join`, the serving
@@ -183,17 +184,17 @@ def check_batch(
     """
     lats = np.asarray(lats, dtype=np.float64)
     lngs = np.asarray(lngs, dtype=np.float64)
-    if len(lngs) != len(lats):
+    if lats.ndim != 1 or lngs.shape != lats.shape:
         raise ValueError(
-            "lats and lngs must have the same shape, got "
+            "lats and lngs must be 1-D arrays of the same shape, got "
             f"{lats.shape} and {lngs.shape}"
         )
     if cell_ids is not None:
         cell_ids = np.asarray(cell_ids, dtype=np.uint64)
-        if len(cell_ids) != len(lats):
+        if cell_ids.shape != lats.shape:
             raise ValueError(
-                f"cell_ids must hold one id per point, got {len(cell_ids)} "
-                f"ids for {len(lats)} points"
+                f"cell_ids must hold one id per point, got shape "
+                f"{cell_ids.shape} for points of shape {lats.shape}"
             )
     return lats, lngs, cell_ids
 

@@ -18,9 +18,9 @@ unit of work is a *request stream* rather than a point array:
   batches (defined in :mod:`repro.core.morsels`: the offline
   thread-parallel join runs on the same driver);
 * :class:`ShardedJoinService` / :class:`ShardPlan` — share-nothing
-  multi-process sharding by Hilbert cell-id range: one worker process
-  (and one ``JoinService``) per spatial partition, batches scattered
-  through shared memory and merged bit-identically;
+  multi-process sharding by position: one worker process (and one
+  ``JoinService``) per positional share of every batch slice, batches
+  scattered through shared memory and merged bit-identically;
 * :class:`ServiceStats` — p50/p99 latency, throughput, cache hit-rate,
   adaptation-loop snapshots, and per-shard detail;
 * adaptation — pass an :class:`~repro.core.adaptive.AdaptationPolicy` to

@@ -276,8 +276,8 @@ class ServiceFront:
         ``PolygonIndex.join`` on the same points, whatever sits
         underneath (hot-cell cache, morsel threads, shard processes).
         ``cell_ids`` lets a caller that already has the points' leaf
-        cell ids (a shard lane selects its share out of the scatter
-        ring) skip the recompute.
+        cell ids (a shard lane joins its share of the scatter ring)
+        skip the recompute.
         """
         self._check_open()
         name, index = self._router.resolve(layer)

@@ -2,19 +2,11 @@
 
 A single-process :class:`~repro.serve.service.JoinService` is GIL-bound
 on the Python-level portions of the probe.  This module splits every
-batch's *points* by space and joins each share in its own process, every
-process probing the layer's one read-only index — the paper's
-parallelisation (threads over points, one shared ACT; arXiv:1802.09488
-§5), with the range cuts of Tsitsigkos et al. (*Parallel In-Memory
-Evaluation of Spatial Joins*, arXiv:1908.11740) placed in the paper's
-cell-id domain:
+batch's *points* by position and joins each share in its own process,
+every process probing the layer's one read-only index — the paper's
+parallelisation: morsels of the point stream handed to workers that all
+probe one shared ACT (arXiv:1802.09488 §5).
 
-* :class:`ShardPlan` cuts the Hilbert curve into ``num_shards``
-  contiguous leaf-id ranges, at quantiles of one cut weight per covering
-  cell (:func:`_cut_weights`).  A point belongs to the shard whose range
-  holds its leaf id.  The cuts only choose which lane joins a point —
-  every lane probes the whole layer — so no cut can change an answer,
-  and re-cutting needs no republish.
 * A layer generation publishes in ONE shared-memory segment, and the
   service in one more::
 
@@ -22,25 +14,23 @@ cell-id domain:
         ring geometry | edge buckets | ACT store | lut | covering
               ^ every lane attaches it read-only
       scatter ring (one segment per service, 1 << 16 points)
-        lats | lngs | leaf cell ids | lane words (one int64 per lane)
-        ^ the front writes a slice    ^ lane k publishes the slice's
-                    ^ lane k writes     sequence number in word k
-                      ids[a_k:b_k]
-        ... then every lane selects its own points and joins them
+        lats | lngs | leaf cell ids
+        ^ the front writes a slice
+                      ^ lane k writes ids[a_k:b_k], then joins
+                        positions [a_k, b_k) of the slice
 
-  A point falls in exactly one shard's leaf range and its join depends
-  only on the point, so merged results need no front-side dedup.
+  A point lies in exactly one lane's share and its join depends only on
+  the point, so merged results need no front-side dedup.
 * A **shard worker** is a spawned process hosting one ordinary
   :class:`JoinService` over every layer, which it *attaches* from the
   published segments (a buffer map, no store build).  Batch coordinates
   travel through one persistent scatter ring, never the pickle stream:
   the front writes each ring-sized slice of a batch once, in batch
-  order, the lanes fill in the leaf cell ids (see "Two phases"), and
-  every lane selects the points whose leaf id falls in its range
-  (:func:`in_leaf_range`) out of the views it attached at start-up.
-  Only control messages and the (small) partial ``JoinResult``
-  statistics cross the pipe, and every lane is drained before the next
-  slice is written, so none can still be reading the ring.
+  order, and every lane joins its positional share of it (see
+  "Positional shares") out of the views it attached at start-up.  Only
+  control messages and the (small) partial ``JoinResult`` statistics
+  cross the pipe, and every lane is drained before the next slice is
+  written, so none can still be reading the ring.
 * :class:`ShardedJoinService` is the front: a
   :class:`~repro.serve.service.ServiceFront` whose dispatch scatters
   each batch, gathers the partial results and merges them with
@@ -49,26 +39,20 @@ cell-id domain:
   :class:`~repro.serve.stats.ServiceStats` carries per-shard detail in
   ``stats.shards``.
 
-**Two phases.**  The front computes no cell id — routing needs them all,
-so that was a serial millisecond with every lane asleep.  It writes
-``lats | lngs``, draws the slice's sequence number ``seq`` under the
-dispatch lock and messages EVERY lane.  Phase 1: lane ``k`` of ``N``
-computes the ids of its *positional* share ``[k·⌈total/N⌉, …)`` straight
-into the id plane, then publishes ``words[k] = seq``.  Phase 2: it waits
-until ``words[:N]`` all read ``seq`` (:func:`_await_lanes`: a poll that
-gives the CPU away every time, so lanes sharing one CPU progress; bounded
-by the skew between the lanes, not by a wake-up, and by half of
-:data:`_LANE_TIMEOUT_S`), then selects by leaf range and joins.  A
-lane whose phase 1 raised — and the front, for a lane its ``send`` failed
-on — publishes ``-seq``, which fails every waiter at once; a failed wait
-is an ordinary ``("err", …)`` reply, so pipes stay aligned.  Ids are
-filled by whoever has them: the front writes a caller's ``cell_ids=`` and
-``seq`` into every word with them, and a lane whose word reads ``seq``
-skips phase 1.  Nothing spins while idle: between messages a lane blocks
-in ``conn.recv()``.  Ordering, as far as it goes: a lane's id stores
-precede its word store in program order, which x86-64 (TSO) keeps; each
-poll elsewhere has a system call and an interpreter-lock hand-over
-between the loads.  No more is claimed.
+**Positional shares.**  Lane ``k`` of ``N`` owns positions ``[a_k, b_k)
+= [k·⌈n/N⌉, (k+1)·⌈n/N⌉)``, clipped to ``n``, of every ring slice of
+``n`` points (:meth:`ShardPlan.share`).  The front computes no cell id:
+it writes ``lats | lngs`` and messages EVERY lane; lane ``k`` computes
+the ids of its share straight into the id plane, joins that same share
+and replies.  No lane reads what another wrote, so none waits for
+another, and a lane that fails replies its own error.  The reply's
+``pair_points`` are offset by ``a_k``, so the merge, taking the lanes in
+order, lists the pairs share by share, the shares in batch order.  Ids the caller brought
+(``cell_ids=``) are written with the slice and the message says so
+(``brought``): the lanes skip the computation.  After the gather the
+front reads the id plane back (``join_layers`` brings it to every later
+layer).  Nothing spins while idle: between messages a lane blocks in
+``conn.recv()``.
 
 **Lane placement.**  A worker process (:func:`_shard_worker_main`, and
 only there — never the caller's process) binds itself to one CPU of the
@@ -97,16 +81,14 @@ import contextlib
 import functools
 import os
 import threading
-import time
 import traceback
 from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing.shared_memory import SharedMemory
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping, Sequence, Sized
 
 import numpy as np
 
-from repro.cells.vectorized import range_bounds_from_cell_ids
 from repro.core.adaptive import AdaptationPolicy
 from repro.core.builder import PolygonIndex, ensure_version_floor
 from repro.core.flat import (
@@ -118,7 +100,6 @@ from repro.core.flat import (
 )
 from repro.core.joins import JoinResult, merge_join_results
 from repro.core.morsels import OFFLINE_MORSEL_POINTS
-from repro.core.super_covering import SuperCovering
 from repro.obs import Observability, ObsConfig
 from repro.serve.cache import CacheStats
 from repro.serve.service import JoinService, ServiceFront
@@ -136,117 +117,42 @@ class ShardWorkerError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# The shard plan: Hilbert cell-id range partitioning
+# The shard plan: positional shares of every ring slice
 # ----------------------------------------------------------------------
-
-
-def _cut_weights(covering: SuperCovering) -> np.ndarray:
-    """The weight the cuts balance, per covering row (``int64``): each
-    polygon's total (cell, ref) entry count, placed on its median entry
-    row in curve order.
-
-    Rows index the *id-sorted* cell sequence, so each polygon's entries
-    occupy a (mostly contiguous) band of rows along the space-filling
-    curve, and the median entry row anchors the polygon at the center of
-    its band.  A straddler thus weighs into exactly one shard's share
-    (per-cell reference counts would count it into every shard it
-    touches), and the anchor is cut-independent — the cuts are chosen
-    from it, so it cannot depend on them.
-
-    The median is deliberately preferred over the minimum covering cell
-    id: coverings that straddle a curve discontinuity (a face boundary)
-    split into a tiny low-id band plus the main band, and a min-id
-    anchor then collapses *every* polygon's weight into the low-id
-    sliver — observed on the bench ``neighborhoods`` dataset, where all
-    anchors landed in the first ~750 of 121k cells and cut placement
-    degenerated.  The median lands in the main band and keeps the weight
-    distributed like entry mass.
-    """
-    counts = np.diff(covering.ref_offsets)
-    entry_pids = (covering.packed_refs >> np.uint32(1)).astype(np.int64)
-    entry_rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    poly_entries = np.bincount(entry_pids)
-    # Stable sort by pid keeps each polygon's rows in ascending row
-    # order (entries arrive row-major), so the group's middle element is
-    # its median entry row.
-    rows_by_pid = entry_rows[np.argsort(entry_pids, kind="stable")]
-    starts = np.cumsum(poly_entries) - poly_entries
-    referenced = poly_entries > 0
-    weights = np.zeros(len(counts), dtype=np.int64)
-    np.add.at(
-        weights,
-        rows_by_pid[(starts + poly_entries // 2)[referenced]],
-        poly_entries[referenced],
-    )
-    return weights
 
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """A split of the leaf-id space into ranges, one per lane — the range
-    cuts of *Parallel In-Memory Evaluation of Spatial Joins* (Tsitsigkos
-    et al., arXiv:1908.11740) over the paper's cell ids.
-
-    ``boundaries`` holds ``num_shards - 1`` leaf-id cut points; shard
-    ``s`` joins the points in the half-open leaf range
-    ``[boundaries[s-1], boundaries[s])`` (unbounded at the ends).  Cut
-    points are the ``range_min`` of the covering cell they start.
-    Duplicate cut points are allowed (a pathologically hot cell can
-    exceed a whole shard's weight share; a layer without cells cuts
-    everything at 0); the shards they collapse simply stay empty,
-    keeping shard ids stable in ``[0, num_shards)`` and every lane in
-    every dispatch.
+    """Which lane joins which point: lane ``k`` of ``num_shards`` joins
+    positions :meth:`share` ``(k, n)`` of every ring slice of ``n``
+    points.  A plan reads no index — every lane probes the whole layer,
+    so the split changes no answer, only which lane computes it.
     """
 
     num_shards: int
-    boundaries: np.ndarray  # (num_shards - 1,) uint64 leaf-id cut points
 
-    @classmethod
-    def from_index(cls, index: PolygonIndex, num_shards: int) -> "ShardPlan":
-        """Plan ``num_shards`` leaf-id ranges over an index's covering: the
-        id-sorted cells are cut at the quantiles of :func:`_cut_weights`."""
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        covering = index.super_covering
-        lo, _ = range_bounds_from_cell_ids(covering.cell_ids)
-        if len(lo):
-            cumulative = np.cumsum(_cut_weights(covering))
-            targets = int(cumulative[-1]) * np.arange(1, num_shards) / num_shards
-            rows = np.searchsorted(cumulative, targets, side="left")
-            # Ascending, as the targets and the cells' range_mins are.
-            boundaries = lo[np.minimum(rows, len(lo) - 1)]
-        else:
-            boundaries = np.zeros(num_shards - 1, dtype=np.uint64)
-        return cls(num_shards, boundaries)
+    def __post_init__(self) -> None:
+        if self.num_shards < 1:
+            raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
 
-    def shard_for(self, leaf_ids: np.ndarray) -> np.ndarray:
-        """The owning shard of each leaf cell id."""
-        return np.searchsorted(
-            self.boundaries, np.asarray(leaf_ids, dtype=np.uint64), side="right"
-        )
+    def share(self, shard: int, total: int) -> tuple[int, int]:
+        """Lane ``shard``'s positions ``[a, b)`` of a slice of ``total``
+        points: ``[shard·⌈total/N⌉, (shard+1)·⌈total/N⌉)`` clipped to
+        ``total``, so the trailing lanes of a short slice get empty shares."""
+        step = -(-total // self.num_shards)
+        a = min(shard * step, total)
+        return a, min(a + step, total)
 
-    def leaf_ranges(self) -> list[tuple[int | None, int | None]]:
-        """Each shard's half-open leaf-id range ``[lower, upper)`` between
-        its two cut points, ``None`` where the shard is unbounded."""
-        cuts = [None, *self.boundaries.tolist(), None]
-        return list(zip(cuts[:-1], cuts[1:]))
-
-
-def in_leaf_range(leaf_ids: np.ndarray, lower: int | None, upper: int | None) -> np.ndarray:
-    """Which ids fall in ``[lower, upper)``: "id belongs to shard k", once.
-
-    With ``(lower, upper)`` from :meth:`ShardPlan.leaf_ranges` this is
-    ``shard_for(leaf_ids) == k`` without ranking every id against every
-    cut (an id equal to a cut belongs to the shard the cut starts; equal
-    cuts leave the shard between them empty).  A lane selects its points
-    with it.
-    """
-    mask = np.ones(len(leaf_ids), dtype=bool)
-    if lower is not None:
-        mask &= leaf_ids >= np.uint64(lower)
-    if upper is not None:
-        mask &= leaf_ids < np.uint64(upper)
-    return mask
+    def shard_for(self, points: Sized) -> np.ndarray:
+        """The lane that joins each point of a batch: :meth:`share`, ring
+        slice by ring slice (only ``len(points)`` is read)."""
+        lanes = np.empty(len(points), dtype=np.intp)
+        for lo in range(0, len(points), OFFLINE_MORSEL_POINTS):
+            total = min(len(points) - lo, OFFLINE_MORSEL_POINTS)
+            for shard in range(self.num_shards):
+                a, b = self.share(shard, total)
+                lanes[lo + a : lo + b] = shard
+        return lanes
 
 
 # ----------------------------------------------------------------------
@@ -303,107 +209,66 @@ def _build_shard_service(payload: _WorkerPayload) -> JoinService:
     )
 
 
-#: Give the CPU to whoever else can run on it (a lane sharing this one).
-_yield_cpu = getattr(os, "sched_yield", lambda: time.sleep(0))
-
-
-def _await_lanes(words: np.ndarray, seq: int, lanes: int, timeout_s: float) -> None:
-    """Phase 2's wait: return once ``words[:lanes]`` all read ``seq``,
-    yielding the CPU between looks.  Only equality counts — an earlier
-    slice's number, a stale larger one or anything unrelated keeps it
-    waiting; ``-seq`` in any word raises at once, ``timeout_s`` passing
-    raises too."""
-    deadline = time.perf_counter() + timeout_s
-    while True:
-        seen = words[:lanes].tolist()
-        if seen.count(seq) == lanes:
-            return
-        if -seq in seen:
-            raise ShardWorkerError(seen.index(-seq), "failed before publishing its cell ids")
-        if time.perf_counter() > deadline:
-            late = next(lane for lane, word in enumerate(seen) if word != seq)
-            raise ShardWorkerError(late, f"published no cell ids within {timeout_s} s")
-        _yield_cpu()
-
-
 def _apply_admin(
     service: JoinService,
-    ring: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    ring: tuple[np.ndarray, np.ndarray, np.ndarray],
     msg: tuple,
     shard: int,
     build_seconds: float,
-):
-    """Execute one message against a shard's JoinService.
+) -> object:
+    """Execute one message against a shard's JoinService; return the reply.
 
     The one handler both backends run — the process worker loop wraps
     its outcome in ``("ok"|"err", ...)``, the inline client re-raises —
-    so the backends cannot diverge in behavior.  A generator of two
-    items, ``None`` where it pauses and then the reply: a worker takes
-    both at once, the inline client takes every lane to its pause first.
+    so the backends cannot diverge in behavior.
 
-    ``join`` runs the module docstring's two phases over the first
-    ``total`` slots of ``ring`` (the lane's :func:`_ring_planes` views),
-    pausing between them, then joins the lane's points — leaf id in
-    ``[lower, upper)``; a lane without any replies the zero result.
-    Selection keeps batch order, so with ``materialize`` the reply's
-    ``pair_points`` are slice positions in the order a stable sort by
-    shard would give.  ``trace`` is the front dispatch's ``(trace_id,
+    ``join`` takes the lane's positional share ``[a, b)`` of the first
+    ``total`` slots of ``ring`` (the lane's :func:`_ring_planes` views):
+    it computes the share's cell ids into the id plane unless the front
+    ``brought`` them, then joins the share (an empty share replies the
+    zero result); with ``materialize`` the reply's ``pair_points`` are
+    slice positions.  ``trace`` is the front dispatch's ``(trace_id,
     parent_span_id)`` or ``None``; a traced join opens a ``shard`` root
-    under that remote parent (``barrier_wait_s`` on it, a ``cell_ids``
-    child for phase 1), and the reply, ``(result, finished_spans)``,
-    carries its spans for the front to adopt (none when untraced).
-    ``ping`` replies with the service construction time and, where the
-    platform has them, the lane's CPU mask and scheduling policy; layer
-    ops with their layer attach time (the attach latency
-    meter).
+    under that remote parent (a ``cell_ids`` child for the ids), and the
+    reply, ``(result, finished_spans)``, carries its spans for the front
+    to adopt (none when untraced).  ``ping`` replies with the service
+    construction time and, where the platform has them, the lane's CPU
+    mask and scheduling policy; layer ops with their layer attach time
+    (the attach latency meter).
     """
     op = msg[0]
     if op == "join":
-        _, layer, total, seq, lanes, timeout_s, exact, materialize, trace, lower, upper = msg
-        ring_lats, ring_lngs, ring_ids, words = ring
+        _, layer, total, lanes, brought, exact, materialize, trace = msg
+        ring_lats, ring_lngs, ring_ids = ring
         tracer = service.tracer
         _, index = service._router.resolve(layer)
-        with tracer.remote_root("shard", trace, shard=shard) as root:
-            if words[shard] != seq:  # phase 1, unless the front brought the ids
-                step = -(-total // lanes)
-                a = min(shard * step, total)
-                b = min(a + step, total)
-                try:
-                    with tracer.span("cell_ids", points=b - a):
-                        ring_ids[a:b] = index.cell_ids_for(ring_lats[a:b], ring_lngs[a:b])
-                except BaseException:
-                    words[shard] = -seq
-                    raise
-                words[shard] = seq
-            yield
-            with Timer() as wait:
-                _await_lanes(words, seq, lanes, timeout_s)
-            root.set(barrier_wait_s=wait.seconds)
-            mine = np.flatnonzero(in_leaf_range(ring_ids[:total], lower, upper))
-            if len(mine):
+        a, b = ShardPlan(lanes).share(shard, total)
+        with tracer.remote_root("shard", trace, shard=shard):
+            if not brought:
+                with tracer.span("cell_ids", points=b - a):
+                    ring_ids[a:b] = index.cell_ids_for(ring_lats[a:b], ring_lngs[a:b])
+            if a < b:
                 result = service.join(
-                    ring_lats.take(mine), ring_lngs.take(mine), layer=layer, exact=exact,
-                    materialize=materialize, cell_ids=ring_ids.take(mine),
+                    ring_lats[a:b], ring_lngs[a:b], layer=layer, exact=exact,
+                    materialize=materialize, cell_ids=ring_ids[a:b],
                 )
                 if materialize:
-                    result.pair_points = mine[result.pair_points]
+                    result.pair_points += a
             else:
                 result = merge_join_results(
                     (), num_points=0, num_polygons=len(index.polygons),
                     wall_seconds=0.0, materialize=materialize,
                 )
-        yield result, (() if trace is None else tracer.take_last_trace())
-        return
-    yield  # nothing to publish first
+        return result, (() if trace is None else tracer.take_last_trace())
     if op == "ping":
         report: dict[str, object] = {"build_seconds": build_seconds}
         if hasattr(os, "sched_getaffinity"):
             report["affinity"] = sorted(os.sched_getaffinity(0))
             report["policy"] = os.sched_getscheduler(0)
-        yield report
-    elif op == "stats":
-        yield service.stats()
-    elif op in ("swap", "add_layer"):
+        return report
+    if op == "stats":
+        return service.stats()
+    if op in ("swap", "add_layer"):
         _, name, part = msg
         with Timer() as timer:
             index = _index_from_part(part, fresh_version=op == "swap")
@@ -411,9 +276,8 @@ def _apply_admin(
             service.swap_layer(name, index)
         else:
             service.add_layer(name, index)
-        yield {"build_seconds": timer.seconds}
-    else:
-        raise ValueError(f"unknown shard op: {op!r}")
+        return {"build_seconds": timer.seconds}
+    raise ValueError(f"unknown shard op: {op!r}")
 
 
 class _AttachedSegment(SharedMemory):
@@ -449,28 +313,24 @@ def _attach_shm(name: str) -> SharedMemory:
         return _AttachedSegment(name=name)
 
 
-def _ring_planes(shm: SharedMemory) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The scatter ring's four planes, as views of the segment: ``lats |
-    lngs | leaf cell ids``, :data:`OFFLINE_MORSEL_POINTS` slots each, then
-    the lane words (the rest of the segment: at least one per lane)."""
+def _ring_planes(shm: SharedMemory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scatter ring's three planes, as views of the segment: ``lats |
+    lngs | leaf cell ids``, :data:`OFFLINE_MORSEL_POINTS` slots each."""
     points = OFFLINE_MORSEL_POINTS
     return (
         np.frombuffer(shm.buf, np.float64, count=points),
         np.frombuffer(shm.buf, np.float64, count=points, offset=8 * points),
         np.frombuffer(shm.buf, np.uint64, count=points, offset=16 * points),
-        np.frombuffer(shm.buf, np.int64, offset=24 * points),
     )
 
 
-def _fill_ring(shm: SharedMemory, word: int, *columns: np.ndarray) -> None:
+def _fill_ring(shm: SharedMemory, *columns: np.ndarray) -> None:
     """Write one slice's ``lats, lngs`` (and the caller's cell ids, if it
-    brought them) into the ring, in batch order, and ``word`` into every
-    lane word.  The views die with this frame: no traceback of a failed
-    dispatch can keep one exported past the front's ``close()``."""
-    *planes, words = _ring_planes(shm)
-    for plane, column in zip(planes, columns):
+    brought them) into the ring, in batch order.  The views die with this
+    frame: no traceback of a failed dispatch can keep one exported past
+    the front's ``close()``."""
+    for plane, column in zip(_ring_planes(shm), columns):
         plane[: len(column)] = column
-    words[:] = word
 
 
 def _shard_worker_main(conn, payload: _WorkerPayload) -> None:
@@ -524,11 +384,9 @@ def _shard_worker_main(conn, payload: _WorkerPayload) -> None:
                 conn.send(("ok", None))
                 break
             try:
-                steps = _apply_admin(
+                reply = ("ok", _apply_admin(
                     service, ring, msg, payload.shard, build_timer.seconds
-                )
-                next(steps)
-                reply = ("ok", next(steps))
+                ))
             except BaseException:
                 reply = ("err", traceback.format_exc())
             conn.send(reply)
@@ -608,13 +466,12 @@ class _InlineShard:
     The test backend (and a debugging aid): the shard-boundary
     equivalence properties run thousands of examples without paying
     process spawns.  Messages go through :func:`_apply_admin` exactly as
-    in a worker — a join fills and selects from the same attached
-    scatter ring — with ``start`` taking it to its pause and ``finish``
-    from there: :func:`_scatter_gather` starts every lane before it
-    finishes any, so no lane waits for ids nobody has computed yet.  A
-    failure re-raises the ORIGINAL exception from ``finish`` (no pipe to
-    flatten it into a traceback string).  Lane placement is the one
-    thing not shared: it belongs to a worker process only.
+    in a worker — a join computes and joins its share of the same
+    attached scatter ring — with ``start`` running the request and
+    ``finish`` handing back its outcome.  A failure re-raises the
+    ORIGINAL exception from ``finish`` (no pipe to flatten it into a
+    traceback string).  Lane placement is the one thing not shared: it
+    belongs to a worker process only.
     """
 
     def __init__(self, payload: _WorkerPayload):
@@ -624,25 +481,22 @@ class _InlineShard:
         self._build_seconds = build_timer.seconds
         self._ring_shm = _attach_shm(payload.ring_shm)
         self._ring = _ring_planes(self._ring_shm)
-        self._steps = None  # the started handler, paused
-        self._failure: BaseException | None = None  # ... or what it raised
+        self._outcome: tuple[bool, object] | None = None  # (ok, reply or error)
 
     def start(self, msg: tuple) -> None:
-        self._steps = _apply_admin(
-            self._service, self._ring, msg, self.shard, self._build_seconds
-        )
         try:
-            next(self._steps)
+            self._outcome = True, _apply_admin(
+                self._service, self._ring, msg, self.shard, self._build_seconds
+            )
         except BaseException as exc:
-            self._failure = exc
+            self._outcome = False, exc
 
     def finish(self) -> object:
-        assert self._steps is not None, "finish() without a start()"
-        steps, failure = self._steps, self._failure
-        self._steps = self._failure = None
-        if failure is not None:
-            raise failure
-        return next(steps)
+        assert self._outcome is not None, "finish() without a start()"
+        (ok, value), self._outcome = self._outcome, None
+        if not ok:
+            raise value
+        return value
 
     def request(self, msg: tuple) -> object:
         self.start(msg)
@@ -658,7 +512,6 @@ class _InlineShard:
 
 def _scatter_gather(
     sends: list[tuple["_ProcessShard | _InlineShard", tuple]],
-    unsent=None,
 ) -> tuple[list, list[BaseException]]:
     """Send every request, then drain every worker that received one.
 
@@ -668,9 +521,7 @@ def _scatter_gather(
     worker failed (and workers after a failed SEND must not be sent to),
     or a queued reply would be mistaken for the answer to a later
     request — and it is what makes the scatter ring reusable: once this
-    returns, no lane is still reading it.  ``unsent(client)`` runs for
-    the client whose send failed, before anything is drained (a join
-    tells the lanes that wait for it).  Returns ``(gathered, errors)``:
+    returns, no lane is still reading it.  Returns ``(gathered, errors)``:
     the replies of the sends that completed, in send order, and every
     send/finish failure in occurrence order.
     """
@@ -681,8 +532,6 @@ def _scatter_gather(
             client.start(msg)
         except BaseException as exc:
             errors.append(exc)
-            if unsent is not None:
-                unsent(client)
             break
         sent.append(client)
     gathered: list = []
@@ -700,10 +549,8 @@ def _scatter_gather(
 
 #: Seconds the front waits on a lane: for each reply (``_ProcessShard.finish``
 #: kills a worker silent that long) and at each step of
-#: ``_ProcessShard.close``.  A lane waits half of it for the other lanes'
-#: cell ids (:func:`_await_lanes`; the front sends it with every join), so
-#: a lane reporting a wedged peer always answers before the front would
-#: give up on it.
+#: ``_ProcessShard.close``.  No lane waits on another, so this is the only
+#: timeout on the join path.
 _LANE_TIMEOUT_S = 10.0
 
 #: The front's gauges (metric name -> help), set by
@@ -749,7 +596,7 @@ def _unlink(*segments: SharedMemory) -> None:
 
 
 class ShardedJoinService(ServiceFront):
-    """A multi-process :class:`JoinService` front that splits points by space.
+    """A multi-process :class:`JoinService` front that splits points by position.
 
     Parameters
     ----------
@@ -759,9 +606,9 @@ class ShardedJoinService(ServiceFront):
         immutable snapshots; dynamic indexes belong in a single-process
         service.
     num_shards:
-        Leaf-id ranges per layer == worker processes.  Each worker hosts
-        one :class:`JoinService` over every layer and joins the points of
-        its range.
+        Worker processes == positional shares of every batch slice
+        (:meth:`plan`).  Each worker hosts one :class:`JoinService` over
+        every layer and joins its share.
     backend:
         ``"process"`` (default) spawns one worker process per shard,
         each placed on its own core (module docstring); ``"inline"``
@@ -784,8 +631,8 @@ class ShardedJoinService(ServiceFront):
 
     ``join`` results are bit-identical (every ``JoinResult`` statistic)
     to the equivalent single-process service and to ``PolygonIndex.join``
-    — points route to exactly one shard, and every shard probes the
-    whole layer.
+    — every point lies in exactly one lane's share, and every lane probes
+    the whole layer.
     """
 
     def __init__(
@@ -803,8 +650,7 @@ class ShardedJoinService(ServiceFront):
         start_method: str = "spawn",
         obs: Observability | None = None,
     ):
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
+        plan = ShardPlan(num_shards)  # rejects num_shards < 1
         if backend not in ("process", "inline"):
             raise ValueError(f"unknown backend {backend!r}")
         # The front's layer registry IS a LayerRouter (copy-on-write
@@ -819,6 +665,7 @@ class ShardedJoinService(ServiceFront):
             _check_shardable(name, index)
         self.num_shards = num_shards
         self.backend = backend
+        self._plan = plan
         self._gauges = (
             {
                 name: self._metrics.gauge(name, description)
@@ -827,10 +674,6 @@ class ShardedJoinService(ServiceFront):
             if self._metrics is not None
             else {}
         )
-        self._plans: dict[str, ShardPlan] = {  #: guarded_by(_lock)
-            name: ShardPlan.from_index(index, num_shards)
-            for name, index in self._router.items()
-        }
         # One segment per layer, CURRENT generation, owned by the front;
         # retired (and unlinked) on swap and close.
         self._segments: dict[str, SharedMemory] = {}  #: guarded_by(_lock)
@@ -846,10 +689,7 @@ class ShardedJoinService(ServiceFront):
         self._spawn_seconds: tuple[float, ...] = ()
         # The scatter ring, one for the service's life: dispatches write it.
         #: guarded_by(_lock)
-        self._ring = SharedMemory(
-            create=True, size=24 * OFFLINE_MORSEL_POINTS + 8 * num_shards
-        )
-        self._seq = 0  #: guarded_by(_lock) -- the last ring slice's number
+        self._ring = SharedMemory(create=True, size=24 * OFFLINE_MORSEL_POINTS)
         try:
             parts: dict[str, tuple[str, int]] = {}
             for name, index in self._router.items():
@@ -904,14 +744,15 @@ class ShardedJoinService(ServiceFront):
         self._start_batcher(max_batch, max_wait_ms)
 
     # ------------------------------------------------------------------
-    # Plans and snapshot segment publication
+    # The plan and snapshot segment publication
     # ------------------------------------------------------------------
 
     def plan(self, layer: str | None = None) -> ShardPlan:
-        """The live shard plan of one layer."""
-        with self._lock:
-            name, _ = self._router.resolve(layer)
-            return self._plans[name]
+        """The split every dispatch on one layer uses: the same positional
+        shares for every layer."""
+        self._check_open()
+        self._router.resolve(layer)  # unknown layers raise, as elsewhere
+        return self._plan
 
     @property
     def spawn_seconds(self) -> tuple[float, ...]:
@@ -931,6 +772,7 @@ class ShardedJoinService(ServiceFront):
         ``(geometry, coverage)`` split by buffer name
         (:data:`~repro.core.flat.FLAT_GEOMETRY_BUFFERS` /
         :data:`~repro.core.flat.FLAT_COVERAGE_BUFFERS`)."""
+        self._check_open()
         with self._lock:
             name, _ = self._router.resolve(layer)
             return self._plane_bytes[name]
@@ -974,33 +816,27 @@ class ShardedJoinService(ServiceFront):
         lane_spans: list = []  # the lanes' finished spans, when traced
         with self._lock, Timer() as timer:
             # Resolve UNDER the dispatch lock (the caller's `index` is
-            # only its routing check): index, plan and the lanes'
-            # attached copies belong to one generation even when a
-            # swap_layer lands between that check and this dispatch.
+            # only its routing check): the index and the lanes' attached
+            # copies belong to one generation even when a swap_layer
+            # lands between that check and this dispatch.
             _, index = self._router.resolve(name)
-            ranges = self._plans[name].leaf_ranges()
-
-            def poison(client) -> None:  # no word will come from it: fail the waiters
-                _ring_planes(self._ring)[3][client.shard] = -self._seq
-
             # Ring-sized slices: one for every batch a micro-batcher or
             # the benchmark sends.  A slice is gathered before the next
             # is written, so no lane can still be reading the ring.
             for lo in range(0, max(len(lats), 1), OFFLINE_MORSEL_POINTS):
                 window = slice(lo, lo + OFFLINE_MORSEL_POINTS)
                 total = len(lats[window])
-                self._seq += 1
                 with self._tracer.span("scatter", points=total, shards=lanes):
-                    # Ids the caller brought are published by the write.
                     _fill_ring(
-                        self._ring, self._seq if brought else 0, lats[window],
-                        lngs[window], *(ids[window] for ids in brought),
+                        self._ring, lats[window], lngs[window],
+                        *(ids[window] for ids in brought),
                     )
-                    msg = ("join", name, total, self._seq, lanes, _LANE_TIMEOUT_S / 2,
-                           exact, materialize, trace_ctx)
-                    sends = [(c, (*msg, *bounds)) for c, bounds in zip(self._clients, ranges)]
+                    msg = ("join", name, total, lanes, bool(brought), exact,
+                           materialize, trace_ctx)
                 with self._tracer.span("gather", shards=lanes) as span:
-                    replies, errors = _scatter_gather(sends, unsent=poison)
+                    replies, errors = _scatter_gather(
+                        [(client, msg) for client in self._clients]
+                    )
                     if errors:
                         raise errors[0]
                     ids_seconds = [
@@ -1037,9 +873,9 @@ class ShardedJoinService(ServiceFront):
     def swap_layer(self, name: str, index: PolygonIndex) -> PolygonIndex:
         """Atomically replace a layer with a newer snapshot on every shard.
 
-        Re-plans the cuts for the new snapshot and fans the swap out; the
-        workers attach the new layer segment in parallel, and the
-        dispatch lock makes the fan-out atomic with respect to joins.
+        Publishes the new snapshot and fans the swap out; the workers
+        attach the new layer segment in parallel, and the dispatch lock
+        makes the fan-out atomic with respect to joins.
         """
         self._check_open()
         _check_shardable(name, index)
@@ -1071,14 +907,13 @@ class ShardedJoinService(ServiceFront):
 
     #: requires(_lock)
     def _install_layer(self, op: str, name: str, index: PolygonIndex) -> None:
-        """Plan, publish, fan out, then install one layer generation.
+        """Publish, fan out, then install one layer generation.
 
         ``op`` is both the worker message (``"swap"`` / ``"add_layer"``)
         and the event name.  The new generation is installed only after
-        EVERY shard applied it, so dispatches always scatter by the plan
-        matching what the workers serve.
+        EVERY shard applied it, so a dispatch always resolves the index
+        the workers serve.
         """
-        plan = ShardPlan.from_index(index, self.num_shards)
         segment, plane_bytes = _publish(index)
         try:
             reports = self._admin_fan_out((op, name, (segment.name, int(index.version))))
@@ -1093,7 +928,6 @@ class ShardedJoinService(ServiceFront):
         if name in self._segments:
             _unlink(self._segments[name])
         self._segments[name] = segment
-        self._plans[name] = plan
         self._plane_bytes[name] = plane_bytes
         if op == "swap":
             self._router.swap(name, index)
@@ -1110,7 +944,7 @@ class ShardedJoinService(ServiceFront):
 
         All-or-nothing: if SOME shards applied the change and others did
         not, the lanes serve different generations of the layer and no
-        plan can match all of them — the service is poisoned (every later
+        dispatch can join them as one — the service is poisoned (every later
         call raises) rather than silently serving mixed generations.  A
         failure on EVERY shard leaves the previous state intact, so the
         service stays usable.  Returns the per-shard replies (the

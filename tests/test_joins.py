@@ -1,5 +1,7 @@
 """Tests for the join algorithms (Listing 3) and entry decoding."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from repro.core.lookup_table import (
 from repro.core.morsels import MorselExecutor
 from repro.core.refs import PolygonRef
 from repro.geo.pip import contains_points
-from repro.serve import JoinService
+from repro.serve import JoinService, ShardedJoinService
 
 #: Every deterministic JoinResult statistic (timings excluded).
 STAT_FIELDS = (
@@ -105,6 +107,38 @@ class TestInputLengths:
                 cell_ids=ids[:25] if with_ids else None,
                 num_threads=threads,
             )
+
+
+    @pytest.mark.parametrize(
+        "case", ["2d_lats_lngs", "2d_lats", "2d_lngs", "2d_cell_ids", "0d_scalars"]
+    )
+    @pytest.mark.parametrize("door", ["PolygonIndex", "JoinService", "ShardedJoinService"])
+    def test_non_1d_batches_raise_naming_the_shapes(self, built, door, case):
+        """Regression: only lengths were compared, so a ``(50, 100)`` batch
+        failed inside the probe with a different error per door, and a 0-d
+        scalar raised ``TypeError`` from ``len()``."""
+        index, lngs, lats, ids, _ = built
+        line, grid = slice(0, 50), (50, 100)
+        bad_lats, bad_lngs, cell_ids, shape = {  # a shape the message names
+            "2d_lats_lngs": (lats[:5000].reshape(grid), lngs[:5000].reshape(grid), None, "(50, 100)"),
+            "2d_lats": (lats[:5000].reshape(grid), lngs[line], None, "(50, 100)"),
+            "2d_lngs": (lats[line], lngs[:5000].reshape(grid), None, "(50, 100)"),
+            "2d_cell_ids": (lats[line], lngs[line], ids[:5000].reshape(grid), "(50, 100)"),
+            "0d_scalars": (lats[0], lngs[0], None, "()"),
+        }[case]
+        with contextlib.ExitStack() as stack:
+            if door == "PolygonIndex":
+                join = index.join
+            elif door == "JoinService":
+                join = stack.enter_context(JoinService(index)).join
+            else:
+                join = stack.enter_context(
+                    ShardedJoinService(index, num_shards=2, backend="inline")
+                ).join
+            with pytest.raises(ValueError, match="1-D|one id per point") as info:
+                join(bad_lats, bad_lngs, cell_ids=cell_ids)
+            assert shape in str(info.value)
+            assert join(lats[line], lngs[line], cell_ids=ids[line]).num_points == 50
 
 
 class TestDecodeEntries:

@@ -517,7 +517,6 @@ class TestShardedIntegration:
         for root in shard_roots:
             assert root.parent_id == dispatch.span_id
             assert root.trace_id == dispatch.trace_id
-            assert root.meta["barrier_wait_s"] >= 0.0
             shard_ids.add(root.span_id)
         # Each lane's id computation for its positional share came across
         # too, under its shard root — never under the front's dispatch.

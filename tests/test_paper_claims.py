@@ -4,7 +4,8 @@ How fast each structure is stays with the bench runners (``python -m
 repro.bench``; checked-in runs under ``results/paper/``).  This file
 checks the structural claims those timings rest on, deterministically, on
 the e2e smoke's two layers — ``boroughs`` and a 12-polygon
-``neighborhoods`` — with 20,000 taxi points.
+``neighborhoods`` — with 20,000 taxi points, plus the one ordering the
+serving design depends on (ACT4 outruns LB), with a wide margin.
 """
 
 import numpy as np
@@ -13,9 +14,11 @@ import pytest
 from repro.baselines import BTreeStore, CompressedCellTrie, SortedVectorStore
 from repro.cells import cell_ids_from_lat_lng_arrays
 from repro.core import LookupTable, PolygonIndex, solely_true_hit_rate
+from repro.core.joins import approximate_join
 from repro.datasets import polygon_dataset, taxi_points
 from repro.geo.distance import polygon_distance_meters
 from repro.geo.pip import contains_points
+from repro.util.timing import Timer
 
 #: Precision bounds in meters, coarse to fine (Table 1's sweep).
 PRECISIONS = (60.0, 15.0)
@@ -87,6 +90,29 @@ def test_act_touches_fewer_nodes_than_gbt_and_lb(indexes, taxi, precision):
     _, stats = indexes[precision].store.probe_instrumented(taxi[2])
     assert stats.avg_depth < BTreeStore(covering, LookupTable()).node_accesses_per_probe()
     assert stats.avg_depth < SortedVectorStore(covering, LookupTable()).comparisons_per_probe()
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_act4_approximate_join_outruns_lb(indexes, taxi, precision):
+    """Figure 7 (left): the serving store, ACT4, beats LB (a binary
+    search over the sorted cell ids) on the approximate join, by at least
+    1.1x, best of 3 runs each."""
+    index, ids = indexes[precision], taxi[2]
+    lb_table = LookupTable()
+    lb = SortedVectorStore(index.super_covering, lb_table)
+
+    def best_seconds(store, table):
+        runs = []
+        for _ in range(3):
+            with Timer() as timer:
+                result = approximate_join(store, table, ids, index.num_polygons)
+            runs.append(timer.seconds)
+        return min(runs), result
+
+    act_seconds, act = best_seconds(index.store, index.lookup_table)
+    lb_seconds, baseline = best_seconds(lb, lb_table)
+    assert np.array_equal(act.counts, baseline.counts)
+    assert lb_seconds / act_seconds >= 1.1, (act_seconds, lb_seconds)
 
 
 @pytest.mark.parametrize("precision", PRECISIONS)

@@ -1,6 +1,5 @@
 """Tests for sharded multi-process serving (repro.serve.sharded)."""
 
-import dataclasses
 import os
 import pathlib
 import signal
@@ -16,13 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import PolygonIndex
-from repro.cells.cellid import CellId
-from repro.cells.vectorized import cell_ids_from_lat_lng_arrays, range_bounds_from_cell_ids
+from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
 from repro.core import AdaptationPolicy
 from repro.core.morsels import OFFLINE_MORSEL_POINTS
 from repro.geo.polygon import regular_polygon
 from repro.serve import ShardPlan, ShardWorkerError, ShardedJoinService
-from repro.serve.sharded import _await_lanes, _cut_weights, in_leaf_range
 
 #: Every JoinResult field two equivalent joins must agree on exactly.
 STAT_FIELDS = (
@@ -85,239 +82,101 @@ def _shm_names() -> set[str]:
     return {p.name for p in base.iterdir()}
 
 
-def _pairs_in_scatter_order(index, plan, lats, lngs, exact):
+def _pairs_by_share(index, plan, lats, lngs, exact):
     """The pair arrays of a sharded join, built from direct joins: per
-    ring slice, per shard, that shard's points in batch order (what a
-    stable sort of the slice by shard groups together)."""
-    shard_of = plan.shard_for(index.cell_ids_for(lats, lngs))
+    ring slice, per lane, ``index.join(materialize=True)`` over the lane's
+    share, its ``pair_points`` offset by where the share starts."""
     points, polygons = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     for lo in range(0, len(lats), OFFLINE_MORSEL_POINTS):
-        window = np.arange(lo, min(lo + OFFLINE_MORSEL_POINTS, len(lats)))
+        total = min(len(lats) - lo, OFFLINE_MORSEL_POINTS)
         for shard in range(plan.num_shards):
-            mine = window[shard_of[window] == shard]
-            part = index.join(
-                lats[mine], lngs[mine], exact=exact, materialize=True
-            )
-            points.append(mine[part.pair_points])
+            a, b = (lo + end for end in plan.share(shard, total))
+            part = index.join(lats[a:b], lngs[a:b], exact=exact, materialize=True)
+            points.append(part.pair_points + a)
             polygons.append(part.pair_polygons)
     return np.concatenate(points), np.concatenate(polygons)
 
 
-def _row_cuts(plan, index) -> np.ndarray:
-    """Shard ``s``'s covering rows are ``[cuts[s], cuts[s + 1])``: where
-    the plan's cut points fall among the cells' ``range_min`` values."""
-    lo, _ = range_bounds_from_cell_ids(index.super_covering.cell_ids)
-    return np.concatenate(([0], np.searchsorted(lo, plan.boundaries), [len(lo)]))
+class TestPositionalSplit:
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 4, 5, 6])
+    def test_lane_k_joins_exactly_its_share(self, index, num_shards):
+        """Lane ``k`` of ``N`` joins exactly positions ``[k·⌈n/N⌉,
+        (k+1)·⌈n/N⌉)`` (clipped to ``n``) of every ring slice of ``n``
+        points, read off each lane's own point count."""
+        rng = np.random.default_rng(num_shards)
+        with ShardedJoinService(
+            index, num_shards=num_shards, backend="inline"
+        ) as svc:
+            plan = svc.plan()
+            assert plan == ShardPlan(num_shards)
+            for size in (0, 1, num_shards - 1, OFFLINE_MORSEL_POINTS + 7):
+                lats = rng.uniform(40.66, 40.78, size)
+                lngs = rng.uniform(-74.04, -73.92, size)
+                want = np.zeros(num_shards, dtype=np.int64)
+                for lo in range(0, size, OFFLINE_MORSEL_POINTS):
+                    total = min(size - lo, OFFLINE_MORSEL_POINTS)
+                    step = -(-total // num_shards)
+                    for shard in range(num_shards):
+                        a, b = min(shard * step, total), min((shard + 1) * step, total)
+                        assert plan.share(shard, total) == (a, b)
+                        want[shard] += b - a
+                before = [lane.stats.points for lane in svc.stats().shards]
+                svc.join(lats, lngs, exact=True)
+                after = [lane.stats.points for lane in svc.stats().shards]
+                assert np.subtract(after, before).tolist() == want.tolist()
 
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 4, 5, 6])
+    def test_shard_for_agrees_with_share(self, num_shards):
+        """``shard_for`` names, for every position of a batch spanning
+        several ring slices, the lane whose ``share`` of that slice holds
+        it: each slice runs lane 0, 1, … in order, and the shares tile it."""
+        plan = ShardPlan(num_shards)
+        for size in (0, 1, num_shards - 1, 2 * OFFLINE_MORSEL_POINTS + 7):
+            lanes = plan.shard_for(np.empty(size))
+            assert lanes.shape == (size,)
+            for lo in range(0, size, OFFLINE_MORSEL_POINTS):
+                total = min(size - lo, OFFLINE_MORSEL_POINTS)
+                piece = lanes[lo : lo + total]
+                assert (np.diff(piece) >= 0).all()
+                for shard in range(num_shards):
+                    a, b = plan.share(shard, total)
+                    assert (piece[a:b] == shard).all()
+                    assert np.count_nonzero(piece == shard) == b - a
 
-def _shard_cells(plan, index) -> list[dict]:
-    """Each shard's covering cells as ``{cell id: refs}``, read off the
-    rows its cut points bound."""
-    cuts = _row_cuts(plan, index)
-    items = [(cell.id, refs) for cell, refs in index.super_covering.items()]
-    return [
-        dict(items[cuts[shard] : cuts[shard + 1]]) for shard in range(plan.num_shards)
-    ]
-
-
-def _referenced(shard_cells: dict) -> set[int]:
-    """The polygon ids a shard's cells reference."""
-    return {ref.polygon_id for refs in shard_cells.values() for ref in refs}
-
-
-def _cut_weight_per_shard(plan, index) -> np.ndarray:
-    """The cut weight each shard's row range carries."""
-    weights = np.concatenate(([0], np.cumsum(_cut_weights(index.super_covering))))
-    return np.diff(weights[_row_cuts(plan, index)])
-
-
-class TestShardPlan:
-    @pytest.mark.parametrize("num_shards", [1, 2, 3, 5, 8])
-    def test_partition_is_exact(self, index, num_shards):
-        plan = ShardPlan.from_index(index, num_shards)
-        raw = {cell.id: refs for cell, refs in index.super_covering.items()}
-        assert plan.num_shards == num_shards
-        assert len(plan.boundaries) == num_shards - 1
-        assert list(plan.boundaries) == sorted(plan.boundaries)
-        cells = _shard_cells(plan, index)
-        # Every covering cell lands in exactly one shard, refs untouched.
-        scattered = {}
-        for shard_cells in cells:
-            for cell_id, refs in shard_cells.items():
-                assert cell_id not in scattered
-                scattered[cell_id] = refs
-        assert scattered == raw
-        # A shard's row range holds exactly the cells whose leaf range
-        # the cuts assign to it (what the per-shard dicts used to hold).
-        per_shard = [{} for _ in range(num_shards)]
-        for cell_id, refs in raw.items():
-            low = np.asarray([CellId(cell_id).range_min().id], dtype=np.uint64)
-            per_shard[int(plan.shard_for(low)[0])][cell_id] = refs
-        assert cells == per_shard
-
-    def test_cells_and_points_agree_on_ownership(self, index):
-        plan = ShardPlan.from_index(index, 4)
-        for shard, shard_cells in enumerate(_shard_cells(plan, index)):
-            for cell_id in shard_cells:
-                cell = CellId(cell_id)
-                ends = np.asarray(
-                    [cell.range_min().id, cell.range_max().id], dtype=np.uint64
-                )
-                assert plan.shard_for(ends).tolist() == [shard, shard]
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        cuts=st.lists(st.integers(0, 2**64 - 1), min_size=0, max_size=4),
-        ids=st.lists(st.integers(0, 2**64 - 1), max_size=40),
-        on_cut=st.lists(st.integers(0, 3), max_size=8),
-        duplicate=st.booleans(),
-    )
-    def test_range_predicate_partitions_like_shard_for(
-        self, index, cuts, ids, on_cut, duplicate
-    ):
-        """The lanes' selection IS ``shard_for``: for any sorted cuts —
-        duplicates (empty shards), ids sitting exactly on a cut, 1-5
-        shards — every id lands in exactly the shard ``shard_for`` names."""
-        if duplicate and cuts:
-            cuts = cuts + cuts[:1]
-        cuts = sorted(cuts)
-        ids = ids + [cuts[k % len(cuts)] for k in on_cut if cuts]
-        plan = dataclasses.replace(
-            ShardPlan.from_index(index, 1),
-            num_shards=len(cuts) + 1,
-            boundaries=np.asarray(cuts, dtype=np.uint64),
-        )
-        leaf_ids = np.asarray(ids, dtype=np.uint64)
-        shard_of = plan.shard_for(leaf_ids)
-        ranges = plan.leaf_ranges()
-        assert len(ranges) == plan.num_shards
-        for shard, (lower, upper) in enumerate(ranges):
-            assert np.array_equal(
-                in_leaf_range(leaf_ids, lower, upper), shard_of == shard
-            )
-
-    def test_balanced_on_covering_cell_counts(self, index):
-        plan = ShardPlan.from_index(index, 4)
-        ref_offsets = index.super_covering.ref_offsets
-        weights = np.diff(ref_offsets[_row_cuts(plan, index)])
-        assert sum(weights) == len(index.super_covering.packed_refs)
-        assert max(weights) <= 2 * (sum(weights) / len(weights))
-
-    def test_straddling_polygons_are_replicated(self, index):
-        # The grid polygons' coverings cross shard cuts, so the shards'
-        # referenced sets overlap: total references exceed the polygon count.
-        referenced = [
-            _referenced(cells)
-            for cells in _shard_cells(ShardPlan.from_index(index, 3), index)
-        ]
-        assert sum(map(len, referenced)) > len(index.polygons)
-        assert set().union(*referenced) == set(range(len(index.polygons)))
-
-    def test_single_shard_owns_everything(self, index):
-        plan = ShardPlan.from_index(index, 1)
-        assert plan.boundaries.size == 0
-        assert _row_cuts(plan, index).tolist() == [0, index.super_covering.num_cells]
-        (cells,) = _shard_cells(plan, index)
-        assert _referenced(cells) == set(range(len(index.polygons)))
+    def test_more_lanes_than_points_serves_identically(self, index, points):
+        """Batches shorter than the lane count leave the trailing lanes an
+        empty share; the answer is still bit-identical to a direct join,
+        pairs included."""
+        lats, lngs = points
+        with ShardedJoinService(index, num_shards=6, backend="inline") as svc:
+            for size in range(6):
+                for exact in (False, True):
+                    served = svc.join(
+                        lats[:size], lngs[:size], exact=exact, materialize=True
+                    )
+                    direct = index.join(
+                        lats[:size], lngs[:size], exact=exact, materialize=True
+                    )
+                    assert_identical(served, direct)
+                    assert _pair_set(served) == _pair_set(direct)
+                    want = _pairs_by_share(
+                        index, svc.plan(), lats[:size], lngs[:size], exact
+                    )
+                    assert np.array_equal(served.pair_points, want[0])
+                    assert np.array_equal(served.pair_polygons, want[1])
 
     def test_invalid_shard_count(self, index):
-        with pytest.raises(ValueError):
-            ShardPlan.from_index(index, 0)
-
-    def test_invalid_balance_mode(self, index):
-        # Cuts always balance on the one cut weight; the selector is gone.
-        for mode in ("owned", "entries"):
-            with pytest.raises(TypeError, match="balance"):
-                ShardPlan.from_index(index, 2, balance=mode)
-        assert not hasattr(ShardPlan.from_index(index, 2), "balance")
-
-    def test_a_plan_is_its_cut_points(self, index):
-        """Two fields: the shard count and the cuts as leaf ids, each the
-        ``range_min`` of the covering cell it starts."""
-        assert [f.name for f in dataclasses.fields(ShardPlan)] == [
-            "num_shards", "boundaries",
-        ]
-        plan = ShardPlan.from_index(index, 3)
-        assert plan.boundaries.dtype == np.uint64
-        lows = index.super_covering.cell_ids[_row_cuts(plan, index)[1:-1]]
-        ranges = [CellId(int(cell)).range_min().id for cell in lows]
-        assert plan.boundaries.tolist() == ranges
-
-    # Recorded at 1.20.0: the cuts move only when the cut weight does.
-    PINNED_BOUNDARIES = {
-        2: [9926595049917775873],
-        3: [9926594883269689345, 9926595088379543553],
-        4: [9926594883269689345, 9926595049917775873, 9926595697100980225],
-    }
-
-    @pytest.mark.parametrize("num_shards", [2, 3, 4])
-    def test_cuts_are_pinned(self, index, num_shards):
-        plan = ShardPlan.from_index(index, num_shards)
-        assert plan.boundaries.tolist() == self.PINNED_BOUNDARIES[num_shards]
-
-    def test_cut_weight_cuts_balance_a_boundary_heavy_chain(self):
-        """The cut weight keeps a boundary-heavy covering balanced.
-
-        A chain of heavily overlapping polygons is boundary-heavy —
-        nearly every covering straddles any cut.  Weighting cuts by raw
-        entry counts would let the same straddler weigh into several
-        shards' shares; the median-anchored weight counts each polygon
-        once, so the max/min per-shard cut weight stays bounded.
-        """
-        chain = [
-            regular_polygon((-74.0 + 0.004 * i, 40.70), 0.012, 8)
-            for i in range(24)
-        ]
-        chain_index = PolygonIndex.build(chain, precision_meters=30.0)
-        for num_shards in (3, 4):
-            plan = ShardPlan.from_index(chain_index, num_shards)
-            work = _cut_weight_per_shard(plan, chain_index)
-            assert work.min() > 0 and work.max() / work.min() <= 2.0
-
-    def test_cut_weight_is_balanced(self, index):
-        plan = ShardPlan.from_index(index, 4)
-        work = _cut_weight_per_shard(plan, index)
-        # Every entry weighs once, on its polygon's anchor row.
-        assert work.sum() == len(index.super_covering.packed_refs)
-        assert work.min() > 0 and work.max() / work.min() <= 2.0
-
-    def test_more_shards_than_weight_mass_leaves_empty_shards(self):
-        """Degenerate plan: duplicate cut points collapse to empty shards.
-
-        One polygon's cut weight all lands on a single anchor cell, so
-        with 6 shards most quantile cuts coincide — the collapsed shards
-        must stay empty (no cells) without perturbing the exact partition
-        or shard-id stability.
-        """
-        solo = PolygonIndex.build(
-            [regular_polygon((-74.0, 40.70), 0.011, 16)],
-            precision_meters=30.0,
-        )
-        plan = ShardPlan.from_index(solo, 6)
-        assert plan.num_shards == 6
-        cuts = _row_cuts(plan, solo)
-        cells = _shard_cells(plan, solo)
-        empty = [s for s in range(6) if cuts[s] == cuts[s + 1]]
-        assert empty  # the degenerate case actually occurred
-        for shard in range(6):
-            assert _referenced(cells[shard]) == (set() if shard in empty else {0})
-
-    def test_degenerate_plan_still_serves_identically(self, points):
-        lats, lngs = points
-        solo = PolygonIndex.build(
-            [regular_polygon((-74.0, 40.70), 0.011, 16)],
-            precision_meters=30.0,
-        )
-        direct = solo.join(lats, lngs, exact=True)
-        with ShardedJoinService(solo, num_shards=6, backend="inline") as svc:
-            assert_identical(svc.join(lats, lngs, exact=True), direct)
+        with pytest.raises(ValueError, match="num_shards"):
+            ShardPlan(0)
+        with pytest.raises(ValueError, match="num_shards"):
+            ShardedJoinService(index, num_shards=0, backend="inline")
 
     @pytest.mark.parametrize("num_shards", [2, 3])
     @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_empty_layer_joins_promptly(self, index, points, backend, num_shards):
-        """A layer without cells still cuts ``num_shards - 1`` times (all
-        at 0), so every lane gets every join: the zero result, at once —
-        at construction and after a swap to an empty layer."""
+        """A layer without cells still has every lane join its share: the
+        zero result, at once — at construction and after a swap to an
+        empty layer."""
         lats, lngs = points
         empty = PolygonIndex.build([])
         with ShardedJoinService(
@@ -325,7 +184,6 @@ class TestShardPlan:
             num_shards=num_shards,
             backend=backend,
         ) as svc:
-            assert svc.plan("empty").boundaries.tolist() == [0] * (num_shards - 1)
             svc.swap_layer("default", PolygonIndex.build([]))
             for layer in ("empty", "default"):
                 started = time.perf_counter()
@@ -334,28 +192,15 @@ class TestShardPlan:
                 assert_identical(served, empty.join(lats, lngs, exact=True))
                 assert served.num_points == len(lats) and served.num_pairs == 0
 
-    def test_polygon_straddling_every_cut(self, points):
-        """A straddler is referenced by every populated shard it touches."""
-        lats, lngs = points
-        polygons = _grid_polygons() + [
-            regular_polygon((-73.98, 40.72), 0.05, 24)
-        ]
-        big = len(polygons) - 1
-        straddle_index = PolygonIndex.build(polygons, precision_meters=30.0)
-        plan = ShardPlan.from_index(straddle_index, 4)
-        # The big polygon's cut-weight spike can collapse a quantile cut
-        # into an empty shard; it must straddle every *populated* shard.
-        cuts = _row_cuts(plan, straddle_index)
-        populated = [s for s in range(4) if cuts[s] < cuts[s + 1]]
-        cells = _shard_cells(plan, straddle_index)
-        holding = [s for s in range(4) if big in _referenced(cells[s])]
-        assert holding == populated
-        assert len(holding) >= 3  # genuinely straddles multiple cuts
-        direct = straddle_index.join(lats, lngs, exact=True)
-        with ShardedJoinService(
-            straddle_index, num_shards=4, backend="inline"
-        ) as svc:
-            assert_identical(svc.join(lats, lngs, exact=True), direct)
+    @pytest.mark.parametrize("accessor", ["plan", "plane_bytes", "stats", "join"])
+    def test_a_closed_service_answers_no_accessor(self, index, accessor):
+        """Regression: after ``close()`` ``plan()`` still answered and
+        ``plane_bytes()`` raised ``KeyError: 'default'``."""
+        svc = ShardedJoinService(index, num_shards=2, backend="inline")
+        svc.close()
+        args = (np.zeros(1), np.zeros(1)) if accessor == "join" else ()
+        with pytest.raises(RuntimeError, match="service is closed"):
+            getattr(svc, accessor)(*args)
 
 
 class TestInlineSharded:
@@ -377,17 +222,20 @@ class TestInlineSharded:
             served = svc.join(lats, lngs, exact=True, materialize=True)
         assert _pair_set(served) == _pair_set(direct)
 
+    @pytest.mark.parametrize("backend", ["inline", "process"])
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("materialize", [False, True])
     def test_ring_reuse_and_slices_keep_results_and_pair_order(
-        self, index, exact, materialize
+        self, index, exact, materialize, backend
     ):
         """One ring serves every dispatch: a large batch after a small
         one after a large one (stale slots beyond ``total`` must never
-        be selected), then one batch of two ring slices."""
+        be joined), then one batch of two ring slices.  Pairs come out
+        lane by lane, each lane's as a direct join of its share gives
+        them."""
         rng = np.random.default_rng(5)
         sizes = [6_000, 40, 6_000, OFFLINE_MORSEL_POINTS + 7]
-        with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
+        with ShardedJoinService(index, num_shards=3, backend=backend) as svc:
             plan = svc.plan()
             for size in sizes:
                 lngs = rng.uniform(-74.04, -73.92, size)
@@ -399,7 +247,7 @@ class TestInlineSharded:
                 if not materialize:
                     assert served.pair_points is None
                     continue
-                pair_points, pair_polygons = _pairs_in_scatter_order(
+                pair_points, pair_polygons = _pairs_by_share(
                     index, plan, lats, lngs, exact
                 )
                 assert np.array_equal(served.pair_points, pair_points)
@@ -532,19 +380,17 @@ class TestOneSegmentPerLayer:
     def test_every_lane_holds_the_whole_layer(self, index):
         """The plan splits the points, not the index: every lane's attached
         index carries the layer's full covering and every polygon it
-        references, while the cut points still partition those cells."""
+        references."""
         whole = {cell.id: refs for cell, refs in index.super_covering.items()}
+        referenced = {ref.polygon_id for refs in whole.values() for ref in refs}
         with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
-            cells = _shard_cells(svc.plan(), index)
-            assert {k: v for part in cells for k, v in part.items()} == whole
-            assert sum(len(part) for part in cells) == len(whole)
             for client in svc._clients:
                 sub = client._service._router.resolve(None)[1]
                 assert type(sub) is PolygonIndex
                 held = sub.super_covering
                 assert {cell.id: refs for cell, refs in held.items()} == whole
                 pids = set((held.packed_refs >> np.uint32(1)).tolist())
-                assert pids == _referenced(whole)
+                assert pids == referenced
 
     def test_one_segment_after_a_swap(self, index, swap_index, points):
         lats, lngs = points
@@ -572,16 +418,11 @@ class TestOneSegmentPerLayer:
                 ShardedJoinService(index, num_shards=2, plan=mode)
 
     def test_attached_index_shards_identically(self, index, points):
-        # Planning reads an attached index's covering off the snapshot's
-        # buffers, and publishing re-ships the snapshot it holds.
+        # Publishing re-ships the snapshot an attached index holds.
         from repro.core import attach_index, pack_index
 
         lats, lngs = points
         attached = attach_index(pack_index(index))
-        built_plan = ShardPlan.from_index(index, 3)
-        plan = ShardPlan.from_index(attached, 3)
-        assert list(plan.boundaries) == list(built_plan.boundaries)
-        assert _shard_cells(plan, attached) == _shard_cells(built_plan, index)
         with ShardedJoinService(attached, num_shards=3, backend="inline") as svc:
             assert svc.plane_bytes() == _plane_bytes(index)
             assert_identical(
@@ -615,8 +456,9 @@ class TestPartialFailureHandling:
         """Mixed generations across shards must never serve silently.
 
         Makes the worker-side sub-index build fail on the SECOND shard
-        only: shard 0 swaps, shard 1 keeps the old snapshot, so no plan
-        can match both — the service must refuse all further work.
+        only: shard 0 swaps, shard 1 keeps the old snapshot, so no
+        dispatch can join both as one — the service must refuse all
+        further work.
         """
         import repro.serve.sharded as sharded_mod
 
@@ -741,53 +583,11 @@ class TestShardBoundaryProperty:
             assert _pair_set(served) == _pair_set(direct)
 
 
-class TestAwaitLanes:
-    """Phase 2's wait, on a plain array standing in for the lane words."""
-
-    def test_returns_once_every_lane_published(self):
-        words = np.array([7, 7, 7, 0], dtype=np.int64)
-        _await_lanes(words, 7, 3, timeout_s=0.0)  # word 3 is not a lane's
-
-    def test_a_late_lane_raises_after_the_deadline_not_before(self):
-        words = np.array([7, 6], dtype=np.int64)  # lane 1: the previous slice
-        started = time.perf_counter()
-        with pytest.raises(ShardWorkerError, match="published no cell ids") as info:
-            _await_lanes(words, 7, 2, timeout_s=0.2)
-        assert time.perf_counter() - started >= 0.2
-        assert info.value.shard == 1
-
-    def test_a_poisoned_word_raises_at_once(self):
-        words = np.array([7, -7, 0], dtype=np.int64)
-        started = time.perf_counter()
-        with pytest.raises(ShardWorkerError, match="failed before publishing") as info:
-            _await_lanes(words, 7, 3, timeout_s=60.0)
-        assert time.perf_counter() - started < 5.0
-        assert info.value.shard == 1
-
-    @pytest.mark.parametrize("stale", [8, 1 << 40, -6, -8, 0])
-    def test_only_equality_satisfies_it(self, stale):
-        """A stale larger number, another slice's poison or an unrelated
-        value neither passes the wait nor fails it early."""
-        words = np.array([7, stale], dtype=np.int64)
-        with pytest.raises(ShardWorkerError, match="published no cell ids"):
-            _await_lanes(words, 7, 2, timeout_s=0.05)
-
-    def test_a_lane_publishing_late_is_waited_for(self):
-        words = np.array([3, 2], dtype=np.int64)
-        timer = threading.Timer(0.1, words.__setitem__, (1, 3))
-        timer.start()
-        try:
-            _await_lanes(words, 3, 2, timeout_s=30.0)
-        finally:
-            timer.join(timeout=10)
-        assert not timer.is_alive()
-
-
 HOSTILE = (np.nan, np.inf, -np.inf)
 
 
 class TestLanesComputeIds:
-    """Every door of the two-phase path gives what ``PolygonIndex.join``
+    """Every door of the lanes' path gives what ``PolygonIndex.join``
     gives: the lanes computing the ids, the caller bringing them."""
 
     def _assert_every_door(self, svc, index, lats, lngs, exact, materialize):
@@ -829,9 +629,9 @@ class TestLanesComputeIds:
     @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_edge_batches(self, index, points, backend):
         """One service, the batches that stress the positional split: two
-        ring slices (two sequence numbers, ``pair_points`` offset by the
-        slice), fewer points than lanes (empty shares publish too), no
-        point at all, NaN / ±inf coordinates, and ``lookup()``."""
+        ring slices (``pair_points`` offset by the slice), fewer points
+        than lanes (empty shares reply the zero result), no point at all,
+        NaN / ±inf coordinates, and ``lookup()``."""
         lats, lngs = points
         rng = np.random.default_rng(9)
         size = OFFLINE_MORSEL_POINTS + 5
@@ -887,8 +687,8 @@ class TestLanesComputeIds:
     def test_a_failed_phase_one_fails_the_dispatch_not_the_service(
         self, index, points, monkeypatch
     ):
-        """A lane whose id computation raises poisons its word: the other
-        lanes' waits fail at once, the dispatch raises, the next works."""
+        """A lane whose id computation raises fails on its own: the
+        dispatch raises that lane's error at once, the next join works."""
         lats, lngs = points
         with ShardedJoinService(index, num_shards=3, backend="inline") as svc:
             _, sub = svc._clients[1]._service._router.resolve(None)
@@ -899,10 +699,9 @@ class TestLanesComputeIds:
             with monkeypatch.context() as patch:
                 patch.setattr(sub, "cell_ids_for", broken)
                 started = time.perf_counter()
-                with pytest.raises(ShardWorkerError, match="before publishing") as info:
+                with pytest.raises(MemoryError, match="simulated id failure"):
                     svc.join(lats, lngs, exact=True)
-                assert info.value.shard == 1  # lane 0's wait names the culprit
-                assert time.perf_counter() - started < 5.0  # not the deadline
+                assert time.perf_counter() - started < 5.0
             assert_identical(
                 svc.join(lats, lngs, exact=True), index.join(lats, lngs, exact=True)
             )
@@ -973,9 +772,8 @@ class TestProcessBackend:
             svc._clients[1]._process.join(timeout=10)
             # Every subsequent scatter touching the dead shard errors
             # cleanly and repeatably (no stale replies from live shards
-            # leaking into later joins).
-            # Promptly: the front poisons the dead lane's word, so the
-            # live lane never waits for it until the deadline.
+            # leaking into later joins), and promptly: the send to the
+            # dead lane fails, and no lane waits for another.
             for _ in range(3):
                 started = time.perf_counter()
                 with pytest.raises(ShardWorkerError):
@@ -990,18 +788,13 @@ class TestProcessBackend:
     def test_worker_killed_after_its_send_succeeded(
         self, index, points, monkeypatch
     ):
-        """The lane that got the message and died never publishes: the
-        surviving lane gives up at the barrier deadline (sent by the front
-        with the message), the front raises, the service stays failed and
-        closes cleanly."""
-        import repro.serve.sharded as sharded_mod
-
+        """The lane that got the message and died never replies: the
+        front reads EOF from its pipe and raises at once (no lane waits
+        on another, and the lane timeout is left at its default), the
+        service stays failed and closes cleanly."""
         lats, lngs = points
         before = _shm_names()
         svc = ShardedJoinService(index, num_shards=2, backend="process")
-        # Shrunk once the workers answered the spawn barrier (its ping
-        # waits on the same timeout); the barrier gets half of it.
-        monkeypatch.setattr(sharded_mod, "_LANE_TIMEOUT_S", 0.6)
         try:
             svc.join(lats[:2000], lngs[:2000], exact=True)
             victim = svc._clients[1]
@@ -1018,14 +811,13 @@ class TestProcessBackend:
             started = time.perf_counter()
             with pytest.raises(ShardWorkerError):
                 svc.join(lats[:2000], lngs[:2000], exact=True)
-            elapsed = time.perf_counter() - started
-            assert 0.3 <= elapsed < 5.0  # the barrier deadline, once
+            assert time.perf_counter() - started < 1.0  # EOF, no deadline
             assert not victim._process.is_alive()
             monkeypatch.setattr(victim, "start", real_start)
             started = time.perf_counter()
             with pytest.raises(ShardWorkerError):
                 svc.join(lats[:2000], lngs[:2000], exact=True)
-            assert time.perf_counter() - started < 1.0  # send fails: poisoned
+            assert time.perf_counter() - started < 1.0  # the send fails
         finally:
             svc.close()
         assert _shm_names() - before == set()
@@ -1051,8 +843,8 @@ class TestProcessBackend:
         not hasattr(os, "sched_setaffinity"), reason="Linux scheduling API"
     )
     def test_one_cpu_does_not_livelock(self):
-        """With a one-CPU mask both lanes pin to that CPU: the wait must
-        give it away, or every op burns a scheduler slice per lane."""
+        """With a one-CPU mask both lanes pin to that CPU and still serve
+        20 small joins in seconds."""
         script = textwrap.dedent(
             """
             import os, sys, time
@@ -1134,10 +926,9 @@ class TestProcessBackend:
     def test_a_wedged_worker_fails_the_dispatch_not_forever(
         self, index, points, monkeypatch
     ):
-        """A stopped worker never publishes and never replies: its peer
-        gives up at the barrier (half the lane timeout), the front stops
-        waiting for the stopped one's reply after the lane timeout and
-        kills it — the join raises within twice the timeout.  The next
+        """A stopped worker never replies: its peer replies at once, the
+        front stops waiting for the stopped one's reply after the lane
+        timeout and kills it — the join raises within twice the timeout.  The next
         join fails at once on the dead pipe, close() returns and every
         segment is unlinked."""
         import repro.serve.sharded as sharded_mod
