@@ -8,17 +8,42 @@ bit-identical results to :meth:`repro.cells.cellid.CellId.from_lat_lng`
 (verified property-based in ``tests/test_vectorized.py``).
 
 The point path is one in-place pipeline of two stages.
-:func:`face_ij_from_lat_lng_arrays` writes ``x, y, z`` and their negations
-into one buffer, picks the face by comparisons on ``abs``, fetches the u
-and v numerators with one flat gather each through 6-entry row tables (no
-per-face masks), and runs the quadratic transform and the discretization
-in place on both coordinates at once.  :func:`leaf_ids_from_face_ij`
-walks the Hilbert curve over *byte lanes*: the nibbles of i and j are
-interleaved into the bytes of one ``uint64`` per point, and each of the
-eight steps reads its byte and writes its position byte through ``uint8``
-views around one gather from the 1024-entry :data:`WALK` table.  The
-stage-at-a-time pipeline this replaced lives on in ``tests/oracles.py`` as
-the parity oracle.
+:func:`face_ij_from_lat_lng_arrays` projects from two tangents: this
+numpy computes float64 ``np.sin`` and ``np.cos`` through scalar libm
+(13-16 ns per element on a 2-vCPU Xeon) but ``np.tan`` through SIMD
+(about 3 ns).  With ``b = tan(theta / 2)`` a point is the positive
+multiple ``x : y : z = 1 - b^2 : 2b : tan(phi) (1 + b^2)`` of its unit
+vector, and face, u and v are ratios of its coordinates, so ``tan(phi)``
+and ``b`` are all the trigonometry a point needs.  The kernel writes
+``x, y, z, -x, -y`` into one buffer, picks the face by comparisons on
+``abs``, fetches the u and v numerators with one flat gather through
+6-entry row tables (no per-face masks), and runs the quadratic transform
+in place on both coordinates at once.
+
+The tangents round differently from the unit vector, but the ids stay
+bit-identical: ``i`` is the integer part of ``st * 2**30``, so the two
+roundings can only disagree where that value lies within their error of
+an integer.  Every lane within :data:`_GUARD` (4e-6 leaf units) of an
+integer, in either coordinate, is recomputed the exact way: from
+:func:`xyz_from_lat_lng`'s unit vector (four trig calls), then the same
+face, u, v and st code.  Every place the two can decide differently lies
+in that band: a leaf edge is an integer, a face-choice tie puts u or v at
++-1 (st at 0 or 1), and the ``u = 0`` branch of the quadratic transform
+puts st at 1/2.  Lanes outside the angles the tangent form holds for
+(|lat| > 90, |lng| > 180, NaN, +-inf) project from lat = lng = 0, the
+centre of face 0, and so land in the band too; they never reach
+``np.tan`` or the cast, and decide silently.  Over 5 x 10^7 world and NYC
+points the tangent path was never more than 3.6e-7 leaf units (three
+ulps of ``st * 2**30``) off the exact one, a tenth of the guard, and the
+guard sent 1.6e-5 of the lanes the exact way: one point in about eight
+8,192-point batches.
+
+:func:`leaf_ids_from_face_ij` walks the Hilbert curve over *byte lanes*:
+the nibbles of i and j are interleaved into the bytes of one ``uint64``
+per point, and each of the eight steps reads its byte and writes its
+position byte through ``uint8`` views around one gather from the
+1024-entry :data:`WALK` table.  The stage-at-a-time pipeline this
+replaced lives on in ``tests/oracles.py`` as the parity oracle.
 """
 
 from __future__ import annotations
@@ -38,13 +63,21 @@ from repro.cells.projections import MAX_SIZE
 
 _POS_BITS = 61
 _RADIANS_PER_DEGREE = math.pi / 180.0
+#: Exactly half of it: ``lng * _HALF_RADIANS_PER_DEGREE`` is ``theta / 2``.
+_HALF_RADIANS_PER_DEGREE = _RADIANS_PER_DEGREE / 2.0
+_HALF_PI = math.pi / 2.0
+_HALF_SIZE = float(MAX_SIZE // 2)
+#: Half-width, in leaf units (``st * 2**30``), of the band around every
+#: integer in which the tangent projection defers to the exact one: ten
+#: times its largest measured error (see the module docstring).
+_GUARD = 4e-6
 _CHUNK_MASK = (1 << LOOKUP_BITS) - 1
 _LOOKUP_IJ_64 = LOOKUP_IJ.astype(np.int64)
 #: Child k of a cell sits ``2 * k`` child-lsb steps above the first child.
 _CHILD_STEPS = np.arange(4, dtype=np.uint64) * np.uint64(2)
 
 # Cube-face projection by face: u and v numerators as rows of the signed
-# coordinate buffer ``[x, y, z, -x, -y, -z]`` (the denominator is row
+# coordinate buffer ``[x, y, z, -x, -y]`` (the denominator is row
 # ``face % 3``) — the six cases of ``projections.xyz_to_face_uv``.
 _UV_ROW = np.array([[1, 3, 3, 2, 2, 4], [2, 2, 4, 1, 3, 3]], dtype=np.intp)
 
@@ -60,6 +93,13 @@ del _lookup_pos
 _FACE_AND_MARKER = (np.arange(6, dtype=np.uint64) << np.uint64(_POS_BITS)) | np.uint64(1)
 #: The walk reads and writes ids through byte views: pin the byte order.
 _U64 = np.dtype("<u8")
+#: ``(shift, mask)`` rounds of ``_nibbles_to_bytes``, and the walk's shifts.
+_NIBBLE_SPREAD = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F))
+)
+_LOOKUP_SHIFT = np.uint64(LOOKUP_BITS)
+_ONE = np.uint64(1)
 
 
 def xyz_from_lat_lng(
@@ -87,8 +127,10 @@ def face_ij_from_lat_lng_arrays(
 
     The projection every curve shares, bit-identical point by point to
     ``xyz_to_face_uv`` + ``uv_to_st`` + ``st_to_ij`` of
-    :mod:`repro.cells.projections`.  The one place point coordinates
-    enter the cell pipeline, so the shapes are checked here.
+    :mod:`repro.cells.projections`: from the tangents, and from the unit
+    vector where a leaf edge is within :data:`_GUARD` (see the module
+    docstring).  The one place point coordinates enter the cell pipeline,
+    so the shapes are checked here.
     """
     lats = np.asarray(lats, dtype=np.float64)
     lngs = np.asarray(lngs, dtype=np.float64)
@@ -97,57 +139,108 @@ def face_ij_from_lat_lng_arrays(
             f"lats and lngs must have the same shape, got {lats.shape} and {lngs.shape}"
         )
     n = lats.size
-    signed = np.empty((6, n))
-    xyz = xyz_from_lat_lng(lats.reshape(n), lngs.reshape(n), out=signed[:3])
-    np.negative(xyz, out=signed[3:])
-    flat = signed.reshape(6 * n)
-    lanes = np.arange(n)
+    lats = lats.reshape(n)
+    lngs = lngs.reshape(n)
+    face, leaf, off_edge = _face_leaf(_tangent_xyz(lats, lngs))
+    ij = leaf.astype(np.int64)
+    if off_edge.min(initial=_GUARD) < _GUARD:
+        exact = np.flatnonzero((off_edge < _GUARD).any(axis=0))
+        # NaN casts as it always did, then clamps to 0, without a warning.
+        with np.errstate(invalid="ignore"):
+            face[exact], leaf, _ = _face_leaf(_unit_xyz(lats[exact], lngs[exact]))
+            near = leaf.astype(np.int64)
+        np.maximum(near, 0, out=near)
+        np.minimum(near, MAX_SIZE - 1, out=near)
+        ij[:, exact] = near
+    return face, ij[0], ij[1]
+
+
+def _tangent_xyz(lats: np.ndarray, lngs: np.ndarray) -> np.ndarray:
+    """Rows ``x, y, z, -x, -y`` of a positive multiple of each point's
+    unit vector, from ``tan(phi)`` and ``b = tan(theta / 2)``."""
+    n = lats.size
+    # phi and theta / 2.  Halving is exact, so these are the angles of
+    # _unit_xyz.  Lanes outside [-pi/2, pi/2] (|lat| > 90, |lng| > 180,
+    # NaN, +-inf) project from lat = lng = 0 instead: the centre of face 0,
+    # u = v = 0, a leaf corner the guard sends the exact way.
+    angles = np.empty((2, n))
+    np.multiply(lats, _RADIANS_PER_DEGREE, out=angles[0])
+    np.multiply(lngs, _HALF_RADIANS_PER_DEGREE, out=angles[1])
+    if not (
+        angles.max(initial=0.0) <= _HALF_PI and angles.min(initial=0.0) >= -_HALF_PI
+    ):
+        angles[:, ~(np.abs(angles) <= _HALF_PI).all(axis=0)] = 0.0
+    np.tan(angles, out=angles)
+    tan_phi, b = angles
+    # x : y : z = 1 - b^2 : 2b : tan(phi) (1 + b^2) while cos(phi) > 0.
+    signed = np.empty((5, n))
+    x, y, z, _, _ = signed
+    np.multiply(b, b, out=x)
+    np.add(x, 1.0, out=z)
+    z *= tan_phi
+    np.subtract(1.0, x, out=x)
+    np.add(b, b, out=y)
+    np.negative(signed[:2], out=signed[3:])
+    return signed
+
+
+def _unit_xyz(lats: np.ndarray, lngs: np.ndarray) -> np.ndarray:
+    """Rows ``x, y, z, -x, -y`` of each point's unit vector."""
+    signed = np.empty((5, lats.size))
+    xyz_from_lat_lng(lats, lngs, out=signed[:3])
+    np.negative(signed[:2], out=signed[3:])
+    return signed
+
+
+def _face_leaf(signed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Face, ``(2, n)`` leaf coordinates ``st * 2**30`` and their
+    distances to the nearest integer, of the points ``signed`` holds (rows
+    ``x, y, z, -x, -y``; the buffer is reused)."""
+    n = signed.shape[1]
+    flat = signed.reshape(-1)
     # The largest |component| picks the axis (ties: x over y over z) and
     # its sign the face; `> 0` is the positive one, so NaN lands on face 5.
-    ax, ay, az = np.abs(xyz)
+    ax, ay, az = np.abs(signed[:3])
     x_major = ax >= ay
     x_major &= ax >= az
     face = np.subtract(2, ay >= az, dtype=np.intp)
     face *= ~x_major
+    lanes = np.arange(n)
     index = face * n
     index += lanes
-    major = flat[index]
+    major = np.take(flat, index)
     face += 3
     face -= np.multiply(major > 0.0, 3, dtype=np.intp)
-    # u and v: one flat gather each for the numerators, then both rows
-    # together through the quadratic transform.
-    uv = np.empty((2, n))
-    for row, offsets in enumerate(_UV_ROW * n):
-        np.take(offsets, face, out=index)
-        index += lanes
-        np.take(flat, index, out=uv[row])
+    # u and v: one flat gather for both numerators, then one division.
+    index = np.take(_UV_ROW * n, face, axis=1)
+    index += lanes
+    uv = np.take(flat, index)
     uv /= major
-    # st = 0.5 * sqrt(1 + 3|uv|), mirrored for negative uv; ij = floor(st *
-    # MAX_SIZE) clamped.  st is never negative, so the cast's truncation is
-    # the floor (and NaN casts as it always did, then clamps to 0).
-    mirrored = ~(uv >= 0.0)
-    np.abs(uv, out=uv)
-    uv *= 3.0
-    uv += 1.0
-    np.sqrt(uv, out=uv)
-    uv *= 0.5
-    np.subtract(1.0, uv, out=uv, where=mirrored)
-    uv *= MAX_SIZE
-    ij = uv.astype(np.int64)
-    np.clip(ij, 0, MAX_SIZE - 1, out=ij)
-    return face, ij[0], ij[1]
+    # With w = 2^29 sqrt(1 + 3|uv|), 2^30 st is w for uv >= 0 and 2^30 - w
+    # below, formed exactly as 2^29 +- (w - 2^29).  w rounds where
+    # ``uv_to_st`` rounds (3|uv|, 1 + 3|uv|, the sqrt, each scaled by a
+    # power of two), so this is ``uv_to_st`` times 2^30 bit for bit, and
+    # 2^30 st is as far from an integer as w is.
+    w = np.abs(uv, out=signed[:2])
+    w *= 3.0 * _HALF_SIZE * _HALF_SIZE
+    w += _HALF_SIZE * _HALF_SIZE
+    np.sqrt(w, out=w)
+    off_edge = np.rint(w, out=signed[2:4])
+    off_edge -= w
+    np.abs(off_edge, out=off_edge)
+    w -= _HALF_SIZE
+    np.copysign(w, uv, out=uv)
+    uv += _HALF_SIZE
+    return face, uv, off_edge
 
 
 def _nibbles_to_bytes(value: np.ndarray) -> np.ndarray:
     """Spread the eight nibbles of a 32-bit value to the low nibbles of
     the eight bytes of a ``uint64``."""
     x = value.astype(_U64)
-    x |= x << np.uint64(16)
-    x &= np.uint64(0x0000FFFF0000FFFF)
-    x |= x << np.uint64(8)
-    x &= np.uint64(0x00FF00FF00FF00FF)
-    x |= x << np.uint64(4)
-    x &= np.uint64(0x0F0F0F0F0F0F0F0F)
+    for shift, mask in _NIBBLE_SPREAD:
+        x |= x << shift
+        x &= mask
     return x
 
 
@@ -165,7 +258,7 @@ def leaf_ids_from_face_ij(face: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.
     shape = face.shape
     n = face.size
     steps = _nibbles_to_bytes(np.asarray(i).reshape(n))
-    steps <<= np.uint64(LOOKUP_BITS)
+    steps <<= _LOOKUP_SHIFT
     steps |= _nibbles_to_bytes(np.asarray(j).reshape(n))
     step_bytes = steps.view(np.uint8).reshape(n, 8)
     face = face.reshape(n)
@@ -178,7 +271,7 @@ def leaf_ids_from_face_ij(face: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.
         orientation = WALK[index]
         id_bytes[:, k] = orientation  # the cast keeps the position byte
         orientation &= _ORIENTATION_BITS
-    ids <<= np.uint64(1)
+    ids <<= _ONE
     ids |= _FACE_AND_MARKER[face]
     return ids.astype(np.uint64, copy=False).reshape(shape)
 

@@ -3,8 +3,9 @@
 Each rule gets a triggering fixture and a non-triggering fixture built
 from tiny synthetic modules (written to ``tmp_path`` and analyzed
 through the public :class:`~repro.analysis.Analyzer` API), plus
-suppression and baseline coverage.  A subprocess self-check asserts the
-analyzer runs clean over the real ``src/`` tree at HEAD.
+suppression and baseline coverage.  One in-process scan asserts the
+analyzer runs clean over the real ``src/`` tree at HEAD, and a subprocess
+check covers the CLI's exit codes.
 """
 
 from __future__ import annotations
@@ -524,8 +525,29 @@ def test_rules_registry_rejects_unknown_rule():
 
 
 # ----------------------------------------------------------------------
-# CLI self-check: the real tree is clean at HEAD
+# Self-check: the real tree is clean at HEAD; the CLI's exit codes
 # ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def src_scan():
+    """``src/`` scanned once, as ``python -m repro.analysis src/`` scans
+    it from the repository root: ``(new, baselined, stale)`` against the
+    checked-in baseline."""
+    analyzer = Analyzer(all_rules())
+    project = analyzer.load([REPO_ROOT / "src"], root=REPO_ROOT)
+    assert analyzer.parse_errors == []
+    baseline = load_baseline(REPO_ROOT / "analysis-baseline.txt")
+    new, baselined, stale = split_baselined(analyzer.run(project), baseline)
+    return new, baselined, sorted(stale)
+
+
+def test_clean_on_src_at_head(src_scan):
+    assert "0 error(s)" in render_text(*src_scan)
+
+
+def test_json_format_on_src(src_scan):
+    assert json.loads(render_json(*src_scan))["summary"]["errors"] == 0
 
 
 def _run_cli(*args: str, cwd: Path = REPO_ROOT):
@@ -539,19 +561,6 @@ def _run_cli(*args: str, cwd: Path = REPO_ROOT):
         text=True,
         timeout=120,
     )
-
-
-def test_cli_clean_on_src_at_head():
-    proc = _run_cli("src/")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "0 error(s)" in proc.stdout
-
-
-def test_cli_json_format_on_src():
-    proc = _run_cli("src/", "--format", "json")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    payload = json.loads(proc.stdout)
-    assert payload["summary"]["errors"] == 0
 
 
 def test_cli_exit_codes_on_fixture(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the join algorithms (Listing 3) and entry decoding."""
 
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,41 @@ class TestInputLengths:
                 join(bad_lats, bad_lngs, cell_ids=cell_ids)
             assert shape in str(info.value)
             assert join(lats[line], lngs[line], cell_ids=ids[line]).num_points == 50
+
+
+class TestNonFiniteCoordinates:
+    """Regression: a NaN or infinite coordinate made every join door warn
+    (``invalid value encountered in cast`` / ``in cos``) while computing
+    its cell id.  Such a point joins nothing, silently, at every door."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize(
+        "bad_lat, bad_lng",
+        [(np.nan, -73.95), (40.7, np.inf), (-np.inf, -73.95)],
+        ids=["nan_lat", "inf_lng", "minus_inf_lat"],
+    )
+    @pytest.mark.parametrize("door", ["PolygonIndex", "JoinService", "ShardedJoinService"])
+    def test_joins_nothing_and_does_not_warn(self, built, door, bad_lat, bad_lng, exact):
+        index, lngs, lats, _, _ = built
+        lats, lngs = lats[:300], lngs[:300]
+        bad_lats = np.insert(lats, 150, bad_lat)
+        bad_lngs = np.insert(lngs, 150, bad_lng)
+        with contextlib.ExitStack() as stack:
+            if door == "PolygonIndex":
+                join = index.join
+            elif door == "JoinService":
+                join = stack.enter_context(JoinService(index)).join
+            else:
+                join = stack.enter_context(
+                    ShardedJoinService(index, num_shards=2, backend="inline")
+                ).join
+            finite = join(lats, lngs, exact=exact)
+            with np.errstate(all="raise"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = join(bad_lats, bad_lngs, exact=exact)
+        assert result.num_points == finite.num_points + 1
+        assert result.num_pairs == finite.num_pairs > 0
+        assert result.num_true_hit_pairs == finite.num_true_hit_pairs
 
 
 class TestDecodeEntries:

@@ -16,10 +16,14 @@ from oracles import (
     staged_cell_ids_from_lat_lng_arrays,
     staged_leaf_ids_from_face_ij,
 )
-from repro.cells import CellId, cell_ids_from_lat_lng_arrays
+from repro.cells import CellId, LatLng, cell_ids_from_lat_lng_arrays
 from repro.cells.hilbert import LOOKUP_POS
+from repro.cells.projections import MAX_SIZE, face_uv_to_xyz, st_to_uv
 from repro.cells.vectorized import (
+    _GUARD,
     WALK,
+    _face_leaf,
+    _tangent_xyz,
     face_ij_from_lat_lng_arrays,
     leaf_ids_from_face_ij,
     xyz_from_lat_lng,
@@ -113,8 +117,9 @@ _coordinate = st.floats(allow_nan=True, allow_infinity=True, width=64)
 
 
 def _quiet(function, *args):
-    """NaN and infinite coordinates warn in the trig calls and the cast,
-    in both pipelines; what they return is what is compared."""
+    """The staged oracle warns on NaN and infinite coordinates (in its
+    trig calls and its cast); the kernel decides them silently.  What they
+    return is what is compared."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return function(*args)
@@ -138,13 +143,13 @@ class TestAgainstStagedPipeline:
         lats = np.asarray([lat for lat, _ in points])
         lngs = np.asarray([lng for _, lng in points])
         assert np.array_equal(
-            _quiet(cell_ids_from_lat_lng_arrays, lats, lngs),
+            cell_ids_from_lat_lng_arrays(lats, lngs),
             _quiet(staged_cell_ids_from_lat_lng_arrays, lats, lngs),
         )
 
     def test_same_ids_on_the_edge_grid(self):
         lats, lngs = (a.ravel() for a in np.meshgrid(EDGE_LATS, EDGE_LNGS))
-        new = _quiet(cell_ids_from_lat_lng_arrays, lats, lngs)
+        new = cell_ids_from_lat_lng_arrays(lats, lngs)
         assert np.array_equal(
             new, _quiet(staged_cell_ids_from_lat_lng_arrays, lats, lngs)
         )
@@ -186,6 +191,94 @@ class TestAgainstStagedPipeline:
                 assert int(WALK[orientation * 256 + ij]) == (
                     ((looked & 3) << 8) | (looked >> 2)
                 )
+
+
+def _assert_exact_ids(lats, lngs, every=1):
+    """The kernel's ids (computed with every warning an error) are the
+    staged pipeline's, and ``CellId.from_degrees``'s on every ``every``-th
+    point it accepts."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ids = cell_ids_from_lat_lng_arrays(lats, lngs)
+    assert np.array_equal(ids, _quiet(staged_cell_ids_from_lat_lng_arrays, lats, lngs))
+    accepted = np.flatnonzero((np.abs(lats) <= 90.0) & (np.abs(lngs) <= 180.0))
+    for k in accepted[::every]:
+        assert int(ids[k]) == CellId.from_degrees(float(lats[k]), float(lngs[k])).id
+
+
+def _tangent_path(lats, lngs):
+    """Face, leaf coordinates and the guard's verdict (``True``: go the
+    exact way) of the tangent projection alone."""
+    face, leaf, off_edge = _face_leaf(_tangent_xyz(lats, lngs))
+    return face, leaf, (off_edge < _GUARD).any(axis=0)
+
+
+def _ulps_around(values, steps):
+    """``values`` and their ``steps`` nearest doubles on either side."""
+    out, up, down = [values], values, values
+    for _ in range(steps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+class TestGuard:
+    """The tangent projection answers only where no leaf edge is within
+    ``_GUARD`` of it; everything else goes the exact way, so the ids are
+    the staged pipeline's on exactly the inputs that could tell the two
+    apart."""
+
+    def test_points_on_leaf_edges_and_their_neighbours(self, rng):
+        faces = rng.integers(0, 6, 400)
+        ij = rng.integers(0, MAX_SIZE + 1, (400, 2))
+        # Face edges (u = +-1, where the face choice ties) and the u = 0
+        # line (the mirror of the quadratic transform).
+        ij[:200, 0] = rng.choice([0, MAX_SIZE // 2, MAX_SIZE], 200)
+        points = [
+            LatLng.from_xyz(
+                *face_uv_to_xyz(int(face), st_to_uv(i / MAX_SIZE), st_to_uv(j / MAX_SIZE))
+            )
+            for face, (i, j) in zip(faces, ij)
+        ]
+        lats = np.asarray([point.lat for point in points])
+        lngs = np.asarray([point.lng for point in points])
+        steps = 4
+        lats, lngs = (
+            np.concatenate([_ulps_around(lats, steps), np.tile(lats, 2 * steps)]),
+            np.concatenate(
+                [np.tile(lngs, 2 * steps + 1), _ulps_around(lngs, steps)[len(lngs) :]]
+            ),
+        )
+        # They sit within ~1e-6 leaf units of an edge: the guard takes them.
+        assert _tangent_path(lats, lngs)[2].mean() > 0.9
+        _assert_exact_ids(lats, lngs, every=7)
+
+    def test_edge_grid_and_coordinates_out_of_range(self):
+        lats, lngs = (a.ravel() for a in np.meshgrid(EDGE_LATS, EDGE_LNGS))
+        wild = [
+            1e6, -1e300, 540.0, -540.0, 1e308, 180.0, 360.0, 5e-324, -1e-310,
+            np.nextafter(90.0, 91.0), np.nextafter(-90.0, -91.0),
+            np.nextafter(180.0, 181.0), np.nextafter(-180.0, -181.0),
+        ]
+        wild_lats, wild_lngs = (
+            a.ravel() for a in np.meshgrid(wild + [40.7], wild + [-74.0])
+        )
+        _assert_exact_ids(
+            np.concatenate([lats, wild_lats]), np.concatenate([lngs, wild_lngs])
+        )
+
+    def test_fast_path_error_is_a_tenth_of_the_guard(self, rng):
+        lats = np.degrees(np.arcsin(rng.uniform(-1, 1, 1_000_000)))
+        lngs = rng.uniform(-180, 180, 1_000_000)
+        face, leaf, exact = _tangent_path(lats, lngs)
+        exact_face, u, v = face_uv_from_xyz(*xyz_from_lat_lng(lats, lngs))
+        same = face == exact_face
+        # A face tie puts u or v at +-1: a leaf edge, so the guard catches it.
+        assert exact[~same].all()
+        exact_leaf = np.stack([st_from_uv(u[same]), st_from_uv(v[same])]) * MAX_SIZE
+        assert np.abs(leaf[:, same] - exact_leaf).max() < _GUARD / 10
+        assert exact.sum() < 1e-4 * len(lats)
+        _assert_exact_ids(lats, lngs, every=10_007)
 
 
 class TestShapes:
