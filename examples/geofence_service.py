@@ -6,7 +6,9 @@ two polygon layers (surge-pricing zones and boroughs) are hosted behind one
 ``JoinService``; driver apps issue single-point lookups from many threads
 (coalesced into micro-batches), while the analytics pipeline submits whole
 position batches fanned out to both layers.  A skewed check-in stream keeps
-the hot-cell cache busy, and the service's stats snapshot reports p50/p99
+the hot-cell cache busy — venues repeat exactly, so a repeated position
+takes its leaf cell id and its entry from the table, skipping the cell-id
+kernel and the trie — and the service's stats snapshot reports p50/p99
 latency, throughput, and cache hit rate.
 
 Run:  python examples/geofence_service.py
@@ -75,7 +77,7 @@ def main() -> None:
         for name, cache in stats.cache.items():
             print(f"  cache[{name}]: {cache.hit_rate:.1%} hit rate "
                   f"({cache.hits:,} hits / {cache.requests:,} looked up, "
-                  f"{cache.bypassed:,} bypassed, {cache.size:,} cells)")
+                  f"{cache.bypassed:,} bypassed, {cache.size:,} entries)")
 
 
 if __name__ == "__main__":

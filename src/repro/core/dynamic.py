@@ -66,7 +66,12 @@ from repro.core.builder import (
     next_index_version,
 )
 from repro.core.joins import JoinResult
-from repro.core.lookup_table import SENTINEL_ENTRY, LookupTable
+from repro.core.lookup_table import (
+    SENTINEL_ENTRY,
+    TAG_OFFSET,
+    TAG_TWO_REFS,
+    LookupTable,
+)
 from repro.core.morsels import offline_pool
 from repro.core.precision import refine_to_precision
 from repro.core.refs import merge_refs, validate_polygon_id
@@ -75,14 +80,24 @@ from repro.geo.polygon import Polygon
 from repro.geo.refine import RefinementEngine
 
 
+#: Bits of a polygon id inside an inlined reference (above its interior bit).
+_INLINE_ID_MASK = np.uint64((1 << 30) - 1)
+
+
 class OverlayCellStore:
     """Merge a base store and a delta store behind one ``probe`` protocol.
 
-    Probes both stores, decodes each distinct ``(base entry, delta entry)``
-    pair once, merges the reference sets, masks tombstoned polygon ids, and
-    re-encodes the merged set against its own lookup table — so downstream
-    drivers see one consistent ``(store, lookup_table)`` pair exactly as if
-    the index had been built over the merged polygon set.
+    Probes both stores and merges only the lanes a write can change: a
+    lane whose base entry is inline (a miss, or one or two references —
+    which decode the same against any table), whose delta entry is a
+    miss and none of whose references is tombstoned merges to its base
+    entry itself (``merge_refs`` sorts ascending, as a covering row
+    already is), so it keeps it.  The other lanes decode each distinct
+    ``(base entry, delta entry)`` pair once, merge the reference sets,
+    mask tombstoned polygon ids, and re-encode the merged set against the
+    overlay's own lookup table — so downstream drivers see one consistent
+    ``(store, lookup_table)`` pair exactly as if the index had been built
+    over the merged polygon set.
 
     The store is immutable with respect to the overlay state it was built
     from (tombstones are copied, the delta store is never mutated after
@@ -103,6 +118,11 @@ class OverlayCellStore:
         self._delta_store = delta_store
         self._delta_table = delta_table
         self._tombstones = frozenset(tombstones)
+        # dead[pid] for every pid up to the largest tombstone (one byte
+        # per id ever assigned, at most); larger ids are clipped to the
+        # last slot, which stays False.  One gather tests a whole batch.
+        self._dead = np.zeros(max(self._tombstones, default=-1) + 2, dtype=bool)
+        self._dead[list(self._tombstones)] = True
         #: What a rebuild over this view indexes with (the base's fanout).
         self.fanout_bits = base_store.fanout_bits
         #: Re-encoded merged entries live here; probe results must be
@@ -115,30 +135,59 @@ class OverlayCellStore:
         query_ids = np.asarray(query_ids, dtype=np.uint64)
         if query_ids.size == 0:
             return np.zeros(0, dtype=np.uint64)
-        base_entries = self._base_store.probe(query_ids)
+        entries = self._base_store.probe(query_ids)
+        tags = entries & np.uint64(3)
+        changed = tags == np.uint64(TAG_OFFSET)
         if self._delta_store is not None:
             delta_entries = self._delta_store.probe(query_ids)
+            changed |= delta_entries != np.uint64(SENTINEL_ENTRY)
         else:
             delta_entries = np.zeros(len(query_ids), dtype=np.uint64)
+        if self._tombstones:
+            dead = self._dead
+            last = np.uint64(len(dead) - 1)
+            first = (entries >> np.uint64(3)) & _INLINE_ID_MASK
+            second = entries >> np.uint64(34)  # a two-ref entry's top bits
+            first_dead = dead[np.minimum(first, last, out=first)]
+            first_dead &= entries != np.uint64(SENTINEL_ENTRY)
+            second_dead = dead[np.minimum(second, last, out=second)]
+            second_dead &= tags == np.uint64(TAG_TWO_REFS)
+            changed |= first_dead
+            changed |= second_dead
+        lanes = np.flatnonzero(changed)
+        if lanes.size:
+            entries[lanes] = self._merge_lanes(entries[lanes], delta_entries[lanes])
+        return entries
+
+    def _merge_lanes(
+        self, base_entries: np.ndarray, delta_entries: np.ndarray
+    ) -> np.ndarray:
         # Merge each distinct (base, delta) entry pair exactly once: the
         # number of distinct pairs is bounded by the covering sizes, not by
         # the batch size, so the python-level merge stays off the hot path.
-        base_unique, base_inverse = np.unique(base_entries, return_inverse=True)
-        delta_unique, delta_inverse = np.unique(delta_entries, return_inverse=True)
-        combined = base_inverse.astype(np.int64) * len(delta_unique) + delta_inverse
-        pair_unique, pair_inverse = np.unique(combined, return_inverse=True)
+        # Sorted by the pair, a lane starts a group where either entry
+        # changes.
+        order = np.lexsort((delta_entries, base_entries))
+        base_sorted = base_entries[order]
+        delta_sorted = delta_entries[order]
+        starts = np.empty(len(order), dtype=bool)
+        starts[:1] = True
+        np.not_equal(base_sorted[1:], base_sorted[:-1], out=starts[1:])
+        starts[1:] |= delta_sorted[1:] != delta_sorted[:-1]
+        heads = np.flatnonzero(starts)
         merged = np.fromiter(
             (
-                self._merge(
-                    int(base_unique[pair // len(delta_unique)]),
-                    int(delta_unique[pair % len(delta_unique)]),
+                self._merge(base, delta)
+                for base, delta in zip(
+                    base_sorted[heads].tolist(), delta_sorted[heads].tolist()
                 )
-                for pair in pair_unique
             ),
             dtype=np.uint64,
-            count=len(pair_unique),
+            count=len(heads),
         )
-        return merged[pair_inverse]
+        out = np.empty(len(order), dtype=np.uint64)
+        out[order] = merged[np.cumsum(starts) - 1]
+        return out
 
     def _merge(self, base_entry: int, delta_entry: int) -> int:
         memo_key = (base_entry, delta_entry)

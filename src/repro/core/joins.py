@@ -207,16 +207,18 @@ def approximate_join(
     materialize: bool = False,
     tracer=None,
     observe=None,
+    entries: np.ndarray | None = None,
 ) -> JoinResult:
     """Approximate join: candidate hits count as hits (no PIP tests).
 
     ``tracer`` (an optional :class:`~repro.obs.trace.Tracer`) receives
     the already-measured probe phase as a child span of whatever dispatch
     span is active in the calling thread — no extra clock reads.
-    ``observe`` (see :func:`join_batch`) sees the probed entries.
+    ``observe`` and ``entries`` are :func:`join_batch`'s.
     """
     with Timer() as probe_timer:
-        entries = store.probe(cell_ids)
+        if entries is None:
+            entries = store.probe(cell_ids)
         if observe is not None:
             observe(cell_ids, entries)
         point_idx, pids, is_true = decode_entries(entries, lookup_table)
@@ -249,6 +251,7 @@ def accurate_join(
     engine: RefinementEngine | None = None,
     tracer=None,
     observe=None,
+    entries: np.ndarray | None = None,
 ) -> JoinResult:
     """Accurate join: candidate hits are refined with PIP tests.
 
@@ -259,12 +262,13 @@ def accurate_join(
     ``tracer`` (an optional :class:`~repro.obs.trace.Tracer`) receives
     the already-measured probe and refine phases as child spans of
     whatever dispatch span is active in the calling thread.
-    ``observe`` (see :func:`join_batch`) sees the probed entries.
+    ``observe`` and ``entries`` are :func:`join_batch`'s.
     """
     if engine is None:
         engine = RefinementEngine(polygons)
     with Timer() as probe_timer:
-        entries = store.probe(cell_ids)
+        if entries is None:
+            entries = store.probe(cell_ids)
         if observe is not None:
             observe(cell_ids, entries)
         point_idx, pids, is_true = decode_entries(entries, lookup_table)
@@ -360,6 +364,7 @@ def join_batch(
     executor: MorselExecutor | None = None,
     tracer=None,
     observe=None,
+    entries: np.ndarray | None = None,
 ) -> JoinResult:
     """Join one checked batch: the kernel and the schedule, chosen once.
 
@@ -374,21 +379,27 @@ def join_batch(
     Every statistic (and, with ``materialize``, the pair set) equals the
     straight call's on the same inputs.
 
+    ``entries`` are the batch's tagged entries when the caller already
+    resolved them (the serving layer's hot-cell table): the kernels then
+    decode them instead of probing ``store``, and morsels slice them like
+    ``cell_ids``.
+
     ``observe`` is the serving layer's traffic recorder: the kernel calls
-    it right after each ``store.probe`` — once per batch, once per morsel
-    — with the probed leaf ids and their entries (from the morsel
-    threads, so it must be thread-safe).
+    it right after each ``store.probe`` (or on the given ``entries``) —
+    once per batch, once per morsel — with the leaf ids and their entries
+    (from the morsel threads, so it must be thread-safe).
     """
     if executor is None or len(cell_ids) <= executor.morsel_size:
         if exact:
             return accurate_join(
                 store, lookup_table, cell_ids, polygons, lngs, lats,
                 materialize=materialize, engine=engine, tracer=tracer,
-                observe=observe,
+                observe=observe, entries=entries,
             )
         return approximate_join(
             store, lookup_table, cell_ids, len(polygons),
             materialize=materialize, tracer=tracer, observe=observe,
+            entries=entries,
         )
 
     def work(lo: int, hi: int) -> JoinResult:
@@ -397,7 +408,7 @@ def join_batch(
             store, lookup_table, cell_ids[lo:hi], polygons,
             lngs[lo:hi] if exact else None, lats[lo:hi] if exact else None,
             exact=exact, materialize=materialize, engine=engine,
-            observe=observe,
+            observe=observe, entries=None if entries is None else entries[lo:hi],
         )
         if materialize:
             part.pair_points = part.pair_points + lo

@@ -10,9 +10,14 @@ unit of work is a *request stream* rather than a point array:
   :class:`ShardedJoinService` shares);
 * :class:`MicroBatcher` — coalesces concurrent single-point lookups into
   micro-batches (the serving analog of the paper's batched probe phase);
-* :class:`HotCellCache` / :class:`CachedCellStore` — a numpy hash table
-  of leaf-cell probe results (two slot choices per key, the less recently
-  used one is replaced) that short-circuits skewed (fig9-style) workloads;
+* :class:`HotCellCache` — a numpy hash table keyed by a point's exact
+  coordinates (their ``float64`` bit patterns) holding the point's leaf
+  cell id and tagged entry (two slot choices per key, the less recently
+  used one is replaced); :class:`JoinService` resolves every batch through
+  it before the cell-id kernel, so a repeated point of a skewed
+  (fig9-style, check-in) stream skips the projection, the Hilbert walk
+  and the trie probe.  :class:`CachedCellStore` is the older cell-keyed
+  wrapper around the same table, kept for the benchmark's replay;
 * :class:`LayerRouter` — several named polygon layers behind one service;
 * :class:`MorselExecutor` — persistent-pool morsel parallelism for large
   batches (defined in :mod:`repro.core.morsels`: the offline

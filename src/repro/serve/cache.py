@@ -1,18 +1,39 @@
 """Hot-cell caching for the serving hot path.
 
-Probing the cell store is the dominant cost of a join, and real request
-streams are heavily skewed: the Twitter-style workloads of the paper's
-Figure 9 concentrate most points in a handful of city hotspots, so the
-same leaf cells are probed over and over.  :class:`HotCellCache` is a
-thread-safe, fixed-size hash table held in numpy arrays that remembers
-the tagged entry the store returned for a cell key; a whole batch is
+Real request streams are heavily skewed: the Twitter-style workloads of
+the paper's Figure 9 concentrate most points in a handful of city
+hotspots, and check-in streams (``venue_points``) repeat the very same
+venue coordinates over and over.  A served read pays three stages per
+point — the cell-id kernel (projection and Hilbert walk), the trie probe
+and the decode — and the first two depend on nothing but the point.
+:class:`HotCellCache` is a thread-safe, fixed-size hash table held in
+numpy arrays that remembers, for a point it has seen, the point's leaf
+cell id and the tagged entry the store returned for it; a whole batch is
 looked up, and its misses written back, with a handful of array gathers
-and scatters — no per-key Python work.  :class:`CachedCellStore` wraps
-any cell store behind the cache while still satisfying the ``probe``
-protocol, so the existing join drivers
-(``approximate_join``/``accurate_join``) run unchanged — a cached probe
-is bit-identical to a direct one because the entry for a cell is
-immutable once the index is built.
+and scatters — no per-key Python work.
+
+The key (the only one the service uses): the two ``float64`` bit
+patterns of ``(lat, lng)``.  ``JoinService`` resolves every batch
+through the table *before* the cell-id kernel: hits return ``(leaf id,
+entry)`` straight from the table; only the misses go through the
+cell-id kernel (or take the ids the caller brought) and the store probe,
+and are written back.  The key is sound by construction: a table serves
+one ``(layer, version)`` generation, within which equal bit patterns
+always yield the same leaf id and the same entry — no truncation level
+and no argument about the deepest indexed cell is needed.  Bit patterns,
+not values: ``0.0`` and ``-0.0`` are two keys, and each NaN payload is
+its own key (comparing the ``uint64`` views never raises a floating-point
+warning).  Key reuse over a two-batch window, truncated-cell key against
+coordinate key, measured on the repository's streams: churn 0.937 /
+0.935, sharded 0.001 / 0.000, uniform serve 0.030 / 0.000, the
+drifting-hotspot adaptation stream (level-25 trained index) 0.000 /
+0.000 — no stream loses a hit by the re-keying, and a hit now skips the
+cell-id kernel too.
+
+:class:`CachedCellStore` (with :func:`key_shift_for_level`) is the older
+cell-keyed use of the same table: it wraps any cell store behind the
+``probe`` protocol, keying the table on ``(leaf id >> key_shift, 0)``.
+The service no longer uses it; the benchmark's traced replay does.
 
 Replacement policy (the only one): every key hashes to two slots and is
 found in either.  Each slot carries the tick of the last batch that read
@@ -25,24 +46,25 @@ tracks an exact LRU closely on skewed streams (a hot key is refreshed
 every batch, so a flood of cold keys can only displace other cold keys)
 at the cost of a few conflict misses an exact LRU would not have.
 
-Standing aside (the only selection, made from what the table observes):
-a lookup plus the write-back of its misses costs about as much as the
-trie probe they are meant to save, so the table only pays off on streams
-that mostly hit.  A lookup that misses more than half of its keys
-therefore makes the table *decline* the next ``_STAND_ASIDE_LOOKUPS``
-lookups — :meth:`HotCellCache.lookup` returns ``None`` and
-:class:`CachedCellStore` probes its store directly, with no write-back —
-after which one lookup samples the stream again, so a stream that turns
-cacheable is back on the table within two samples.  The first lookup of
-a table's life is exempt: an empty table misses any stream, and a served
-layer gets a fresh table after every write.
+Standing aside (the only selection, made from what the table observes,
+unchanged by the re-keying): a lookup plus the write-back of its misses
+costs about as much as the work they are meant to save, so the table
+only pays off on streams that mostly hit.  A lookup that misses more
+than half of its keys therefore makes the table *decline* the next
+``_STAND_ASIDE_LOOKUPS`` lookups — :meth:`HotCellCache.lookup` returns
+``None`` and the caller computes and probes the whole batch directly,
+with no write-back — after which one lookup samples the stream again, so
+a stream that turns cacheable is back on the table within two samples.
+The first lookup of a table's life is exempt: an empty table misses any
+stream, and a served layer gets a fresh table after every write.
 
-Hit/miss accounting is weighted by *points*, not by distinct cells: a
-micro-batch whose 10,000 points all fall in one cached cell records
-10,000 hits, which is exactly the number of trie descents the cache
-short-circuited.  Points of declined lookups are counted as
-``bypassed``, beside — not inside — the hits and misses, so the hit rate
-stays that of the keys actually looked up.
+Hit/miss accounting is weighted by *points*, not by distinct keys: a
+micro-batch whose 10,000 points all repeat one cached coordinate records
+10,000 hits, which is exactly the number of cell-id computations and
+trie descents the table short-circuited.  Points of declined lookups are
+counted as ``bypassed``, beside — not inside — the hits and misses, so
+the hit rate stays that of the keys actually looked up.  ``size`` counts
+the keys held: distinct points for the service's table.
 """
 
 from __future__ import annotations
@@ -55,10 +77,15 @@ import numpy as np
 from repro.cells.cellid import MAX_LEVEL
 from repro.util.timing import Timer
 
-# Two odd 64-bit multipliers (golden ratio, an xxHash prime): the top
-# bits of ``key * multiplier mod 2**64`` are the key's two slot choices.
-_HASH_FIRST = np.uint64(0x9E3779B97F4A7C15)
-_HASH_SECOND = np.uint64(0xC2B2AE3D27D4EB4F)
+# Odd 64-bit multipliers (golden ratio, xxHash primes): with each word
+# folded as ``w ^ (w >> 32)``, the top bits of ``lat * first[0] ^ lng *
+# first[1]`` (mod 2**64) are a key's first slot choice, those of the
+# ``second`` pair its other.  The fold matters for coordinates: a round
+# number's bit pattern (``-0.0`` is ``1 << 63``) has no low bits for the
+# multiplication to carry up.
+_HASH_FIRST = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0x165667B19E3779F9))
+_HASH_SECOND = (np.uint64(0xC2B2AE3D27D4EB4F), np.uint64(0x27D4EB2F165667C5))
+_FOLD = np.uint64(32)
 #: Lookups the table declines after one that missed most of its keys.
 _STAND_ASIDE_LOOKUPS = 15
 
@@ -72,7 +99,7 @@ class CacheStats:
     hits: int
     misses: int
     evictions: int
-    #: Points whose lookup the table declined (probed directly instead).
+    #: Points whose lookup the table declined (resolved directly instead).
     bypassed: int = 0
 
     @property
@@ -88,17 +115,18 @@ class CacheStats:
 
 
 class HotCellCache:
-    """Thread-safe two-choice hash table of ``cell key -> tagged entry``.
+    """Thread-safe two-choice hash table of ``key -> (leaf id, entry)``.
 
-    ``capacity`` sizes the table: it has ``slots`` = the next power of two
-    >= ``capacity`` (at least 2) slots of 24 bytes, and ``size`` counts
-    the occupied ones.  ``capacity=0`` disables caching (every probe goes
-    to the store and no statistics are recorded).  See the module
-    docstring for the replacement policy.
+    A key is two 64-bit words, ``(lat_bits, lng_bits)``: the service
+    passes a point's ``float64`` bit patterns (see the module docstring).
+    ``capacity`` sizes the table: it has ``slots`` = the next power of
+    two >= ``capacity`` (at least 2) slots of 40 bytes, and ``size``
+    counts the occupied ones.  ``capacity=0`` disables caching (every
+    lookup misses and no statistics are recorded).
 
     The batch API is :meth:`lookup` followed by :meth:`insert` for the
     keys it missed; each holds the lock only around its own gathers and
-    scatters, so the store probe in between runs unlocked.
+    scatters, so the work resolving the misses runs unlocked.
     """
 
     def __init__(self, capacity: int = 4096):
@@ -109,7 +137,9 @@ class HotCellCache:
         self.slots = (1 << bits) if capacity else 0
         self._hash_shift = np.uint64(64 - bits)
         self._lock = threading.Lock()
-        self._keys = np.zeros(self.slots, dtype=np.uint64)  #: guarded_by(_lock)
+        self._key_lats = np.zeros(self.slots, dtype=np.uint64)  #: guarded_by(_lock)
+        self._key_lngs = np.zeros(self.slots, dtype=np.uint64)  #: guarded_by(_lock)
+        self._leaf_ids = np.zeros(self.slots, dtype=np.uint64)  #: guarded_by(_lock)
         self._entries = np.zeros(self.slots, dtype=np.uint64)  #: guarded_by(_lock)
         # Tick of the last batch that touched the slot; 0 = never filled.
         self._ticks = np.zeros(self.slots, dtype=np.int64)  #: guarded_by(_lock)
@@ -121,108 +151,157 @@ class HotCellCache:
         # Lookups still to decline (see the module docstring).
         self._stand_aside = 0  #: guarded_by(_lock)
 
-    def _slot_choices(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _slot_choices(
+        self, lat_bits: np.ndarray, lng_bits: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # In place where it can be: this runs on every point of a lookup.
         shift = self._hash_shift
-        return (
-            ((keys * _HASH_FIRST) >> shift).astype(np.intp),
-            ((keys * _HASH_SECOND) >> shift).astype(np.intp),
-        )
+        lat = lat_bits >> _FOLD
+        lat ^= lat_bits
+        lng = lng_bits >> _FOLD
+        lng ^= lng_bits
+        first = lat * _HASH_FIRST[0]
+        first ^= lng * _HASH_FIRST[1]
+        first >>= shift
+        lat *= _HASH_SECOND[0]
+        lng *= _HASH_SECOND[1]
+        lat ^= lng
+        lat >>= shift
+        # A slot number is below 2**63: the view is the index, uncopied.
+        return first.view(np.intp), lat.view(np.intp)
 
     def lookup(
-        self, keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, int] | None:
-        """Cached entries for a batch of keys (repeats welcome).
+        self, lat_bits: np.ndarray, lng_bits: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
+        """Cached leaf ids and entries for a batch of keys (repeats welcome).
 
-        Returns ``(entries, missing, tick)``: one entry per key, zero at
-        the positions listed in ``missing`` (ascending indices of the
-        keys not cached), and the batch's tick, to be handed back to
-        :meth:`insert`.  Every key counts as one hit or one miss.
+        Returns ``(leaf_ids, entries, missing, tick)``: one leaf id and
+        one entry per key, both zero at the positions listed in
+        ``missing`` (ascending indices of the keys not cached), and the
+        batch's tick, to be handed back to :meth:`insert`.  Every key
+        counts as one hit or one miss.
 
         Returns ``None`` while the table stands aside (counting the keys
-        as ``bypassed``): the caller probes its store directly and does
+        as ``bypassed``): the caller resolves the batch directly and does
         not :meth:`insert`.
         """
-        keys = np.asarray(keys, dtype=np.uint64)
+        lat_bits = np.asarray(lat_bits, dtype=np.uint64)
+        lng_bits = np.asarray(lng_bits, dtype=np.uint64)
         if self.capacity == 0:
-            return np.zeros(len(keys), dtype=np.uint64), np.arange(len(keys)), 0
+            none = np.zeros(len(lat_bits), dtype=np.uint64)
+            return none, none.copy(), np.arange(len(lat_bits)), 0
         with self._lock:
             if self._stand_aside:
                 self._stand_aside -= 1
-                self._bypassed += len(keys)
+                self._bypassed += len(lat_bits)
                 return None
-        first, second = self._slot_choices(keys)
+        first, second = self._slot_choices(lat_bits, lng_bits)
         with self._lock:
             self._tick += 1
             tick = self._tick
-            slot = np.where(self._keys[first] == keys, first, second)
-            # A never-filled slot holds key 0, which is also a valid key.
-            hit = (self._keys[slot] == keys) & (self._ticks[slot] > 0)
+            key_lats, key_lngs = self._key_lats, self._key_lngs
+            in_first = key_lats[first] == lat_bits
+            in_first &= key_lngs[first] == lng_bits
+            slot = np.where(in_first, first, second)
+            hit = key_lats[slot] == lat_bits
+            hit &= key_lngs[slot] == lng_bits
+            # A never-filled slot holds key (0, 0), also a valid key.
+            hit &= self._ticks[slot] > 0
+            leaf_ids = self._leaf_ids[slot]
             entries = self._entries[slot]
             self._ticks[slot[hit]] = tick
             missing = np.flatnonzero(~hit)
-            self._hits += len(keys) - len(missing)
+            self._hits += len(lat_bits) - len(missing)
             self._misses += len(missing)
             # An empty table misses any stream, so its first lookup says
             # nothing about the stream.
-            if tick > 1 and 2 * len(missing) > len(keys):
+            if tick > 1 and 2 * len(missing) > len(lat_bits):
                 self._stand_aside = _STAND_ASIDE_LOOKUPS
+        leaf_ids[missing] = 0
         entries[missing] = 0
-        return entries, missing, tick
+        return leaf_ids, entries, missing, tick
 
-    def insert(self, keys: np.ndarray, entries: np.ndarray, tick: int) -> None:
-        """Cache ``entries`` for the ``keys`` a :meth:`lookup` missed.
+    def insert(
+        self,
+        lat_bits: np.ndarray,
+        lng_bits: np.ndarray,
+        leaf_ids: np.ndarray,
+        entries: np.ndarray,
+        tick: int,
+    ) -> None:
+        """Cache ``(leaf_ids, entries)`` for the keys a :meth:`lookup`
+        missed.
 
         ``tick`` is that lookup's: slots it (or any later batch) touched
         are never evicted.  Repeated keys, and distinct keys competing
         for one slot, are fine; a key that loses such a race gets its
         other slot if that one is still empty.
         """
-        if self.capacity == 0 or len(keys) == 0:
+        if self.capacity == 0 or len(lat_bits) == 0:
             return
-        keys = np.asarray(keys, dtype=np.uint64)
-        entries = np.asarray(entries, dtype=np.uint64)
-        first, second = self._slot_choices(keys)
+        keys = (
+            np.asarray(lat_bits, dtype=np.uint64),
+            np.asarray(lng_bits, dtype=np.uint64),
+        )
+        values = (
+            np.asarray(leaf_ids, dtype=np.uint64),
+            np.asarray(entries, dtype=np.uint64),
+        )
+        first, second = self._slot_choices(*keys)
         with self._lock:
             ticks = self._ticks
             first_tick = ticks[first]
             second_tick = ticks[second]
             older = np.where(first_tick <= second_tick, first, second)
             tried = np.flatnonzero(np.minimum(first_tick, second_tick) < tick)
-            lost = self._write(older[tried], keys[tried], entries[tried], tick)
-            retry = tried[lost]
-            other = first[retry] + second[retry] - older[retry]
-            empty = ticks[other] == 0
-            retry = retry[empty]
-            self._write(other[empty], keys[retry], entries[retry], tick)
+            lost = self._write(older[tried], keys, values, tried, tick)
+            if lost.size:
+                retry = tried[lost]
+                other = first[retry] + second[retry] - older[retry]
+                empty = ticks[other] == 0
+                self._write(other[empty], keys, values, retry[empty], tick)
 
     def _write(  #: requires(_lock)
-        self, slots: np.ndarray, keys: np.ndarray, entries: np.ndarray, tick: int
+        self,
+        slots: np.ndarray,
+        keys: tuple[np.ndarray, np.ndarray],
+        values: tuple[np.ndarray, np.ndarray],
+        rows: np.ndarray,
+        tick: int,
     ) -> np.ndarray:
-        """Overwrite ``slots`` with ``keys -> entries``.
+        """Write ``keys[rows] -> values[rows]`` into ``slots``.
 
-        Returns the positions (into the arguments) whose write was lost.
+        Returns the positions (into ``slots``) whose key did not land.
         numpy leaves the winner of a repeated-index assignment undefined,
-        so nothing here depends on it: keys are written first and read
-        back, and an entry (and the tick) lands only where its key stuck —
-        every winner of a slot then carries the same key and therefore
-        the same entry.  A lost write is a future miss, never a wrong
+        and a key is two words, so a slot is claimed first: every writer
+        scatters its position into one scratch array and reads back the
+        position that stuck — one winner per slot, whichever numpy picked
+        — and only winners write the slot's key, values and tick.  A
+        writer whose key equals its winner's (a repeated key) landed too;
+        the others lost: a lost write is a future miss, never a wrong
         entry.
         """
-        old_keys = self._keys[slots]
-        occupied = self._ticks[slots] > 0
-        self._keys[slots] = keys
-        new_keys = self._keys[slots]
-        stuck = new_keys == keys
-        won = np.flatnonzero(stuck)
+        positions = np.arange(len(slots))
+        claims = np.empty(self.slots, dtype=np.intp)
+        claims[slots] = positions
+        winner = claims[slots]
+        lat_bits, lng_bits = keys[0][rows], keys[1][rows]
+        landed = (lat_bits[winner] == lat_bits) & (lng_bits[winner] == lng_bits)
+        won = np.flatnonzero(winner == positions)
         won_slots = slots[won]
-        self._entries[won_slots] = entries[won]
-        self._ticks[won_slots] = tick
-        # All writers of one slot saw the same old key and read back the
-        # same new one, so this repeated-index assignment is well defined.
-        replaced = np.zeros(self.slots, dtype=bool)
-        replaced[slots] = occupied & (old_keys != new_keys)
+        won_lats, won_lngs = lat_bits[won], lng_bits[won]
+        # A key another thread cached meanwhile is rewritten, not evicted.
+        replaced = (self._ticks[won_slots] > 0) & (
+            (self._key_lats[won_slots] != won_lats)
+            | (self._key_lngs[won_slots] != won_lngs)
+        )
         self._evictions += int(np.count_nonzero(replaced))
-        return np.flatnonzero(~stuck)
+        self._key_lats[won_slots] = won_lats
+        self._key_lngs[won_slots] = won_lngs
+        self._leaf_ids[won_slots] = values[0][rows[won]]
+        self._entries[won_slots] = values[1][rows[won]]
+        self._ticks[won_slots] = tick
+        return np.flatnonzero(~landed)
 
     def __len__(self) -> int:
         with self._lock:
@@ -230,7 +309,9 @@ class HotCellCache:
 
     def clear(self) -> None:
         with self._lock:
-            self._keys[:] = 0
+            self._key_lats[:] = 0
+            self._key_lngs[:] = 0
+            self._leaf_ids[:] = 0
             self._entries[:] = 0
             self._ticks[:] = 0
             self._tick = 0
@@ -250,14 +331,14 @@ class HotCellCache:
 
 
 def key_shift_for_level(max_cell_level: int) -> int:
-    """Right-shift turning a leaf cell id into a sound cache key.
+    """Right-shift turning a leaf cell id into a sound cell key.
 
     Full leaf ids (level 30) are nearly unique for continuous coordinates,
-    so a cache keyed on them never hits.  But every store resolves a probe
+    so a table keyed on them never hits.  But every store resolves a probe
     using only the indexed cells, and no indexed cell is deeper than the
     super covering's maximum level ``D`` — so two leaf ids sharing their
     level-``D`` ancestor are guaranteed the same probe result, and the
-    ancestor's position bits make a sound, reusable cache key.
+    ancestor's position bits make a sound, reusable key.
 
     A leaf id is ``face(3) | 60 position bits | marker(1)``: below the
     level-``D`` quadrant bits sit ``2 * (30 - D)`` finer position bits
@@ -269,10 +350,10 @@ def key_shift_for_level(max_cell_level: int) -> int:
 
 
 class CachedCellStore:
-    """A ``CellStore`` wrapper that serves probes through a hot-cell cache.
+    """A ``CellStore`` wrapper that serves probes through a cell-keyed table.
 
-    Truncates the batch's leaf ids to cache keys (by ``key_shift``, see
-    :func:`key_shift_for_level`), gathers the cached entries from the
+    Truncates the batch's leaf ids to cell keys (by ``key_shift``, see
+    :func:`key_shift_for_level`), looks the keys ``(key, 0)`` up in the
     table, probes the underlying store with only the points whose key was
     missing, and writes those entries back — or, while the table stands
     aside, probes the store with the whole batch — so downstream decoding
@@ -301,19 +382,23 @@ class CachedCellStore:
         if query_ids.size == 0 or cache.capacity == 0:
             return self.store.probe(query_ids)
         keys = query_ids >> np.uint64(self.key_shift)
+        no_word = np.zeros(len(keys), dtype=np.uint64)
         with Timer() as timer:
-            looked = cache.lookup(keys)
+            looked = cache.lookup(keys, no_word)
         if looked is None:
             return self.store.probe(query_ids)
-        entries, missing, tick = looked
+        _, entries, missing, tick = looked
         if self.tracer is not None:
             self.tracer.emit(
                 "cache_lookup", timer.seconds, keys=len(keys), misses=len(missing)
             )
         if missing.size:
-            missed = self.store.probe(query_ids[missing])
+            missed_ids = query_ids[missing]
+            missed = self.store.probe(missed_ids)
             entries[missing] = missed
-            cache.insert(keys[missing], missed, tick)
+            cache.insert(
+                keys[missing], no_word[missing], missed_ids, missed, tick
+            )
         return entries
 
     # Pass introspection through so `describe()`/`size_bytes` keep working.

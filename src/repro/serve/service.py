@@ -18,24 +18,27 @@ routing, the observability wiring, the latency recorder, the
 micro-batcher and the one envelope around every request — batch check →
 timer → ``dispatch`` span → dispatch → recorder and meters.
 A concrete service supplies what
-happens *inside* a dispatch — :class:`JoinService` computes the leaf
-cell ids and joins through the layer's cached store,
+happens *inside* a dispatch — :class:`JoinService` resolves the batch
+through the layer's hot-cell table and joins the resolved entries,
 :class:`~repro.serve.sharded.ShardedJoinService` scatters to its shard
 workers, which compute them, and gathers — plus its own ``stats``,
 layer management and lifecycle.
 
 Every :class:`JoinService` dispatch reads its layer through one immutable
 :class:`~repro.core.builder.ProbeView` (store, lookup table, polygons and
-version captured together) and hands the view's fields to the driver with
-one substitution: the store is the layer's
-:class:`~repro.serve.cache.CachedCellStore`, a hot-cell cache in front of
-the view's own store.  The service registers exactly one cached store per
-layer — that of the newest version it has seen — so results are
-bit-identical to calling ``PolygonIndex.join`` directly, skewed workloads
-short-circuit most trie descents, and a snapshot swap
-(:meth:`JoinService.swap_layer`) can never serve an entry cached for a
-previous version.  With adaptation on, the driver's ``observe`` hook is
-the layer's :class:`~repro.core.adaptive.LayerTelemetry`.
+version captured together) and first resolves the batch through the
+layer's :class:`~repro.serve.cache.HotCellCache`, keyed by each point's
+coordinates: a repeated point takes its leaf id and tagged entry from
+the table, and only the misses run the cell-id kernel (unless the caller
+brought ids) and the view's store probe.  The driver then decodes and
+refines the resolved entries.  The service registers exactly one table
+per layer — that of the newest version it has seen — so results are
+bit-identical to calling ``PolygonIndex.join`` directly, skewed
+workloads skip most cell-id computations and trie descents, and a
+snapshot swap (:meth:`JoinService.swap_layer`) can never serve an entry
+cached for a previous version.  With adaptation on, the driver's
+``observe`` hook is the layer's
+:class:`~repro.core.adaptive.LayerTelemetry`.
 """
 
 from __future__ import annotations
@@ -54,12 +57,7 @@ from repro.core.morsels import MorselExecutor
 from repro.obs import DispatchMeters, Observability
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.serve.batching import LookupRequest, MicroBatcher
-from repro.serve.cache import (
-    CachedCellStore,
-    CacheStats,
-    HotCellCache,
-    key_shift_for_level,
-)
+from repro.serve.cache import CacheStats, HotCellCache
 from repro.serve.router import JoinableIndex, LayerRouter
 from repro.serve.stats import LatencyRecorder, LayerStatus, ServiceStats
 from repro.util.timing import Timer
@@ -334,8 +332,8 @@ class JoinService(ServiceFront):
         :class:`PolygonIndex` snapshots and
         :class:`~repro.core.dynamic.DynamicPolygonIndex` instances alike.
     cache_cells:
-        Size of each layer's hot-cell table in distinct leaf
-        cells (rounded up to a power of two slots; 0 disables caching).
+        Size of each layer's hot-cell table in distinct points
+        (rounded up to a power of two slots; 0 disables caching).
         See :mod:`repro.serve.cache` for the replacement policy.
     max_batch / max_wait_ms:
         Micro-batching knobs: flush when ``max_batch`` lookups are
@@ -392,15 +390,14 @@ class JoinService(ServiceFront):
             else None
         )
         self._attach_lock = threading.Lock()
-        # One generation per layer: the cached store (it carries its
-        # cache) of the newest view version seen.  A swap or a
-        # dynamic-index mutation bumps the version and replaces the
-        # entry, so stale cache entries are unreachable by construction
-        # rather than by invalidation.
+        # One generation per layer: the hot-cell table of the newest
+        # view version seen.  A swap or a dynamic-index mutation bumps
+        # the version and replaces the entry, so stale cache entries are
+        # unreachable by construction rather than by invalidation.
         #: guarded_by(_attach_lock, writes)
-        self._generations: dict[str, tuple[int, CachedCellStore]] = {}
+        self._generations: dict[str, tuple[int, HotCellCache]] = {}
         for name, index in self._router.items():
-            self._store_for(name, index.probe_view())
+            self._table_for(name, index.probe_view())
         self._executor = (
             MorselExecutor(num_threads, morsel_size, metrics=self._metrics)
             if num_threads > 1
@@ -409,30 +406,13 @@ class JoinService(ServiceFront):
         self._closed = False
         self._start_batcher(max_batch, max_wait_ms)
 
-    def _cached_store(self, view: ProbeView) -> CachedCellStore:
-        """A fresh hot-cell cache in front of one probe view's store.
+    def _table_for(self, name: str, view: ProbeView) -> HotCellCache:
+        """The hot-cell table one dispatch resolves ``view`` through.
 
-        The cache-key shift is stamped from this view's own maximum cell
-        level: any mutation that can deepen the indexed cells (a delta
-        insert, a training split) bumps the version and gets a new
-        store, so a truncated key is always at least as deep as the
-        generation it serves (see the key-soundness regression tests in
-        ``tests/test_adaptive.py``).
-        """
-        return CachedCellStore(
-            view.store,
-            HotCellCache(self._cache_cells),
-            key_shift=key_shift_for_level(view.max_cell_level),
-            tracer=self._tracer,
-        )
-
-    def _store_for(self, name: str, view: ProbeView) -> CachedCellStore:
-        """The cached store one dispatch probes ``view`` through.
-
-        The registered store when the versions match; a view newer than
+        The registered table when the versions match; a view newer than
         the registered one replaces it (new requests can never reach the
         retired generation again); a laggard dispatch still holding an
-        *older* view gets a private store that is never registered — it
+        *older* view gets a private table that is never registered — it
         keeps working through its own references — so exactly one
         generation per layer is registered, always the newest.
         """
@@ -443,10 +423,10 @@ class JoinService(ServiceFront):
             held = self._generations.get(name)
             if held is not None and held[0] == view.version:
                 return held[1]
-            store = self._cached_store(view)
+            table = HotCellCache(self._cache_cells)
             if held is None or view.version > held[0]:
-                self._generations[name] = (view.version, store)
-            return store
+                self._generations[name] = (view.version, table)
+            return table
 
     # ------------------------------------------------------------------
     # Layer management
@@ -456,7 +436,7 @@ class JoinService(ServiceFront):
         """Register an additional polygon layer on the live service."""
         self._router.add(name, index)
         view = index.probe_view()
-        self._store_for(name, view)
+        self._table_for(name, view)
         if self._events is not None:
             self._events.emit(
                 "add_layer", layer=name, version=int(view.version)
@@ -471,7 +451,7 @@ class JoinService(ServiceFront):
         """
         previous = self._router.swap(name, index)
         view = index.probe_view()
-        self._store_for(name, view)
+        self._table_for(name, view)
         if self._events is not None:
             self._events.emit("swap", layer=name, version=int(view.version))
         return previous
@@ -480,7 +460,7 @@ class JoinService(ServiceFront):
         """The hot-cell cache of one layer's current probe view (a
         mutation may have outdated the registry: attached on demand)."""
         name, index = self._router.resolve(layer)
-        return self._store_for(name, index.probe_view()).cache
+        return self._table_for(name, index.probe_view())
 
     # ------------------------------------------------------------------
     # Dispatch internals
@@ -496,22 +476,23 @@ class JoinService(ServiceFront):
         exact: bool,
         materialize: bool,
     ) -> tuple[JoinResult, np.ndarray]:
-        if cell_ids is None:
-            cell_ids = index.cell_ids_for(lats, lngs)
         # One atomic snapshot for the whole dispatch: store, lookup table,
         # polygons and version always belong to the same index generation,
-        # even if the layer is swapped or mutated mid-request.  The cached
-        # store is resolved once here so morsel workers share it instead
-        # of hitting the registry (and its lock) per chunk.  The envelope
-        # already checked the batch.
+        # even if the layer is swapped or mutated mid-request; the table
+        # is that generation's.  The batch is resolved here, once, so
+        # morsel workers slice its entries instead of sharing the table.
+        # The envelope already checked the batch.
         view = index.probe_view()
+        cell_ids, entries = self._resolve(
+            self._table_for(name, view), index, view, cell_ids, lats, lngs
+        )
         observe = (
             partial(self._adaptive.telemetry_for(name).observe, view)
             if self._adaptive is not None
             else None
         )
         result = join_batch(
-            self._store_for(name, view),
+            view.store,
             view.lookup_table,
             cell_ids,
             view.polygons,
@@ -523,10 +504,61 @@ class JoinService(ServiceFront):
             executor=self._executor,
             tracer=self._tracer,
             observe=observe,
+            entries=entries,
         )
         if self._adaptive is not None:
             self._adaptive.after_dispatch(name, index)
         return result, cell_ids
+
+    def _resolve(
+        self,
+        table: HotCellCache,
+        index: JoinableIndex,
+        view: ProbeView,
+        cell_ids: np.ndarray | None,
+        lats: np.ndarray,
+        lngs: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The batch's leaf ids and, when the table looked it up, entries.
+
+        Looks the points up by their coordinates' bit patterns: hits take
+        ``(leaf id, entry)`` from the table, and only the misses run the
+        cell-id kernel (or take the ids the caller brought) and the
+        store probe, unlocked, before they are written back.  The whole
+        step is one ``cache_lookup`` span.  While the table stands aside
+        (or is disabled) the batch's ids are computed as they would be
+        without a table and the entries are ``None``: the driver probes.
+        """
+        lat_bits = lats.view(np.uint64)
+        lng_bits = lngs.view(np.uint64)
+        with Timer() as timer:
+            looked = (
+                table.lookup(lat_bits, lng_bits)
+                if table.capacity and len(lats)
+                else None
+            )
+            if looked is not None:
+                leaf_ids, entries, missing, tick = looked
+                if missing.size:
+                    missed_ids = (
+                        index.cell_ids_for(lats[missing], lngs[missing])
+                        if cell_ids is None
+                        else cell_ids[missing]
+                    )
+                    missed = view.store.probe(missed_ids)
+                    leaf_ids[missing] = missed_ids
+                    entries[missing] = missed
+                    table.insert(
+                        lat_bits[missing], lng_bits[missing], missed_ids, missed, tick
+                    )
+        if looked is None:
+            if cell_ids is None:
+                cell_ids = index.cell_ids_for(lats, lngs)
+            return cell_ids, None
+        self._tracer.emit(
+            "cache_lookup", timer.seconds, keys=len(lats), misses=len(missing)
+        )
+        return leaf_ids, entries
 
     # ------------------------------------------------------------------
     # Observability & lifecycle
@@ -544,8 +576,7 @@ class JoinService(ServiceFront):
         with self._attach_lock:  # an attach may be mutating the dict
             generations = dict(self._generations)
         cache_stats: dict[str, CacheStats] = {
-            name: store.cache.stats()
-            for name, (_version, store) in generations.items()
+            name: table.stats() for name, (_version, table) in generations.items()
         }
         layer_status: dict[str, LayerStatus] = {}
         for name, index in self._router.items():

@@ -34,6 +34,13 @@ them.  The build now works on the sorted cells — adjacent prefixes, slot
 runs; the key-materialising construction lives on here as
 :func:`act_pool_by_key_extension`, which ``tests/test_act.py`` holds the
 pool, the face trees and the lookup table against, bit for bit.
+
+Until 1.27.0 ``OverlayCellStore.probe`` merged every lane: each distinct
+``(base entry, delta entry)`` pair of the batch went through the decode,
+merge and re-encode.  The store now keeps the base entry of every lane a
+write cannot change; the all-lanes merge lives on here as
+:func:`overlay_probe_all_lanes`, which ``tests/test_dynamic.py`` holds the
+store against, entry for entry.
 """
 
 from __future__ import annotations
@@ -807,3 +814,24 @@ def act_pool_by_key_extension(
             prefix_depth,
         )
     return pool, face_trees, face_values, len(key_ids)
+
+
+def overlay_probe_all_lanes(overlay, query_ids: np.ndarray) -> np.ndarray:
+    """An :class:`~repro.core.dynamic.OverlayCellStore` probe that merges
+    every lane: both stores probed, each distinct ``(base, delta)`` entry
+    pair decoded, merged, tombstone-masked and re-encoded once (through
+    the overlay's own memoized ``_merge``, so the entries land in its
+    lookup table)."""
+    query_ids = np.asarray(query_ids, dtype=np.uint64)
+    base_entries = overlay._base_store.probe(query_ids)
+    if overlay._delta_store is not None:
+        delta_entries = overlay._delta_store.probe(query_ids)
+    else:
+        delta_entries = np.zeros(len(query_ids), dtype=np.uint64)
+    pairs = {}
+    merged = np.empty(len(query_ids), dtype=np.uint64)
+    for lane, pair in enumerate(zip(base_entries.tolist(), delta_entries.tolist())):
+        if pair not in pairs:
+            pairs[pair] = overlay._merge(*pair)
+        merged[lane] = pairs[pair]
+    return merged

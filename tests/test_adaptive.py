@@ -365,13 +365,13 @@ class TestServiceAdaptation:
 
 
 class TestCacheKeySoundness:
-    """Satellite audit: mutations that deepen the covering vs cache keys.
+    """Mutations that deepen the covering vs a warm hot-cell table.
 
-    The truncated cache key is sound only if no indexed cell is deeper
-    than the ``max_cell_level`` the key shift was stamped from.  Both
-    deepening mutations — a fine delta insert and a training split — bump
-    the version and re-attach with a freshly computed shift, so a warm
-    cache from the old generation can never answer for the new one.
+    A table serves one ``(layer, version)`` generation; its coordinate
+    keys are sound because, within a generation, equal coordinates have
+    the same leaf id and entry.  Both deepening mutations — a fine delta
+    insert and a training split — bump the version, so a warm table from
+    the old generation can never answer for the new one.
     """
 
     def test_fine_insert_into_coarse_served_layer(self):

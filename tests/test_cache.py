@@ -217,12 +217,13 @@ def test_stream_that_turns_hot_is_back_on_the_table_within_two_samples(stores):
 def test_first_lookup_of_a_table_never_stands_it_aside():
     cache = HotCellCache(capacity=64)
     keys = np.arange(1, 33, dtype=np.uint64)
+    no_word = np.zeros_like(keys)
     for _ in range(3):  # a fresh table, and the same table cleared
-        _, missing, tick = cache.lookup(keys)
+        _, _, missing, tick = cache.lookup(keys, no_word)
         assert len(missing) == len(keys)  # an empty table misses any stream
-        cache.insert(keys, keys, tick)
-        looked = cache.lookup(keys)
-        assert looked is not None and looked[1].size == 0
+        cache.insert(keys, no_word, keys, keys, tick)
+        looked = cache.lookup(keys, no_word)
+        assert looked is not None and looked[2].size == 0
         assert cache.stats().bypassed == 0
         cache.clear()
 

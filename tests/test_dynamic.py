@@ -26,6 +26,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+import oracles
 from repro.cells import cell_ids_from_lat_lng_arrays
 from repro.cells.coverer import CovererOptions
 from repro.core import DynamicPolygonIndex, PolygonIndex
@@ -694,6 +695,34 @@ class TestLifecycleBasics:
         assert dyn.containing_polygons(40.80, -73.90) == [pid]
         dyn.delete(pid)
         assert dyn.containing_polygons(40.80, -73.90) == []
+
+    def test_overlay_probe_matches_the_all_lanes_merge(self):
+        """Lanes a write cannot change keep their base entry; every lane
+        equals the merge of all lanes, through inserts and deletes of
+        base and delta polygons alike (inline and offset entries, misses
+        and tombstones all occur)."""
+        lats, lngs = _probe_points(4_000, seed=9)
+        ids = cell_ids_from_lat_lng_arrays(lats, lngs)
+        # Base ids 1 and 3 overlap 0, and 2 and 3 overlap 1: deleting 2,
+        # then 0, tombstones the second, then the first reference of
+        # inline two-reference entries.
+        base = [POOL[0], POOL[5], POOL[3], POOL[4]]
+        dyn = DynamicPolygonIndex.build(base, compact_threshold=None)
+        kept_any = False
+        for write in (
+            lambda: dyn.insert(POOL[1]),
+            lambda: dyn.delete(2),
+            lambda: dyn.insert(POOL[2]),
+            lambda: dyn.delete(4),
+            lambda: dyn.delete(0),
+        ):
+            write()
+            overlay = dyn.store
+            assert isinstance(overlay, OverlayCellStore)
+            got = overlay.probe(ids)
+            assert np.array_equal(got, oracles.overlay_probe_all_lanes(overlay, ids))
+            kept_any |= bool(np.any((got == dyn.base.store.probe(ids)) & (got != 0)))
+        assert kept_any
 
     def test_overlay_store_empty_probe(self):
         dyn = DynamicPolygonIndex.build(POOL[:2], compact_threshold=None)

@@ -176,6 +176,31 @@ class TestNonFiniteCoordinates:
         assert result.num_pairs == finite.num_pairs > 0
         assert result.num_true_hit_pairs == finite.num_true_hit_pairs
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_warm_service_serves_them_from_hits(self, built, exact):
+        """The hot-cell table keys a point by its bit patterns: a second
+        join of the same non-finite batch is served from hits, silently,
+        and equals the first.  (A table far larger than the batch, so
+        that no key loses both its slots to the batch's other keys.)"""
+        index, lngs, lats, _, _ = built
+        bad_lats = np.concatenate([lats[:300], [np.nan, 40.7, -np.inf, np.nan]])
+        bad_lngs = np.concatenate([lngs[:300], [-73.95, np.inf, -73.95, np.nan]])
+        with JoinService(index, cache_cells=1 << 16) as service:
+            first = service.join(bad_lats, bad_lngs, exact=exact, materialize=True)
+            before = service.cache().stats()
+            with np.errstate(all="raise"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                second = service.join(bad_lats, bad_lngs, exact=exact, materialize=True)
+            after = service.cache().stats()
+        assert after.hits - before.hits == len(bad_lats)
+        assert after.misses == before.misses
+        assert np.array_equal(second.counts, first.counts)
+        assert second.num_pairs == first.num_pairs > 0
+        assert second.num_true_hit_pairs == first.num_true_hit_pairs
+        assert second.num_pip_tests == first.num_pip_tests
+        assert np.array_equal(second.pair_points, first.pair_points)
+        assert np.array_equal(second.pair_polygons, first.pair_polygons)
+
 
 class TestDecodeEntries:
     def test_single_ref(self):

@@ -376,7 +376,9 @@ class TestServiceIntegration:
 
     def test_morsel_join_trace_synthesizes_phase_children(self, index, points):
         """Morsel threads have no active span: the dispatch gets one
-        ``merge`` span and the merged ``probe`` / ``refine`` phases."""
+        ``merge`` span and the merged ``probe`` / ``refine`` phases.  The
+        batch is resolved through the hot-cell table before the morsels
+        split it, so its one ``cache_lookup`` span covers the whole batch."""
         lats, lngs = points
         obs = Observability()
         with JoinService(index, obs=obs, num_threads=2, morsel_size=512) as svc:
@@ -384,11 +386,14 @@ class TestServiceIntegration:
             trace = obs.tracer.take_last_trace()
         names = _by_name(trace)
         dispatch = names["dispatch"][0]
-        assert sorted(names) == ["dispatch", "merge", "probe", "refine"]
+        assert sorted(names) == ["cache_lookup", "dispatch", "merge", "probe", "refine"]
         for phase in ("merge", "probe", "refine"):
             (record,) = names[phase]
             assert record.parent_id == dispatch.span_id
             assert record.meta["morsels"] == -(-len(lats) // 512)
+        (lookup,) = names["cache_lookup"]
+        assert lookup.parent_id == dispatch.span_id
+        assert lookup.meta == {"keys": len(lats), "misses": len(lats)}
 
     def test_join_feeds_dispatch_meters(self, index, points):
         lats, lngs = points

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from repro import JoinService, PolygonIndex
+from repro.cells import cell_ids_from_lat_lng_arrays
+from repro.core import DynamicPolygonIndex
 from repro.geo.polygon import regular_polygon
 from repro.obs import Observability
 from repro.serve import (
@@ -441,15 +443,22 @@ class TestMicroBatcherEdges:
 
 class TestHotCellCache:
     @staticmethod
-    def _keys(values) -> np.ndarray:
+    def _words(values) -> np.ndarray:
         return np.asarray(values, dtype=np.uint64)
 
+    @classmethod
+    def _keys(cls, values) -> tuple[np.ndarray, np.ndarray]:
+        """Two-word keys whose words differ, so a test that compared
+        only one of them would notice."""
+        words = cls._words(values)
+        return words, words ^ np.uint64(0x5555)
+
     @staticmethod
-    def _sampled_lookup(cache: HotCellCache, keys: np.ndarray):
+    def _sampled_lookup(cache: HotCellCache, keys: tuple[np.ndarray, np.ndarray]):
         """The next lookup the table performs.  A cold flood rightly
         stands the table aside; the replacement policy under test is
         what happens on the lookups it samples."""
-        while (looked := cache.lookup(keys)) is None:
+        while (looked := cache.lookup(*keys)) is None:
             pass
         return looked
 
@@ -459,17 +468,17 @@ class TestHotCellCache:
         # the flood evicts its own kind and the table never overflows.
         cache = HotCellCache(capacity=8)
         hot = self._keys([7])
-        _, missing, tick = cache.lookup(hot)
+        _, _, missing, tick = cache.lookup(*hot)
         assert missing.tolist() == [0]
-        cache.insert(hot, self._keys([70]), tick)
+        cache.insert(*hot, self._words([700]), self._words([70]), tick)
         for round_number in range(40):
             cold = np.arange(100, 116, dtype=np.uint64) + np.uint64(16 * round_number)
-            entries, missing, tick = self._sampled_lookup(
-                cache, np.concatenate([hot, cold])
+            leaf_ids, entries, missing, tick = self._sampled_lookup(
+                cache, self._keys(np.concatenate([[7], cold]))
             )
-            assert entries[0] == 70
+            assert (leaf_ids[0], entries[0]) == (700, 70)
             assert missing.tolist() == list(range(1, 17))  # cold keys never repeat
-            cache.insert(cold, cold * np.uint64(10), tick)
+            cache.insert(*self._keys(cold), cold, cold * np.uint64(10), tick)
             assert len(cache) <= cache.slots
         stats = cache.stats()
         assert stats.evictions > 0
@@ -479,11 +488,12 @@ class TestHotCellCache:
     def test_hit_and_miss_accounting(self):
         cache = HotCellCache(capacity=4)
         keys = self._keys([7, 7, 7])
-        entries, missing, tick = cache.lookup(keys)
-        assert entries.tolist() == [0, 0, 0]
+        leaf_ids, entries, missing, tick = cache.lookup(*keys)
+        assert leaf_ids.tolist() == entries.tolist() == [0, 0, 0]
         assert missing.tolist() == [0, 1, 2]
-        cache.insert(keys, self._keys([70, 70, 70]), tick)
-        entries, missing, _ = cache.lookup(self._keys([7, 7, 7, 7, 7]))
+        cache.insert(*keys, self._words([700] * 3), self._words([70] * 3), tick)
+        leaf_ids, entries, missing, _ = cache.lookup(*self._keys([7, 7, 7, 7, 7]))
+        assert leaf_ids.tolist() == [700] * 5
         assert entries.tolist() == [70] * 5
         assert missing.size == 0
         stats = cache.stats()
@@ -495,26 +505,47 @@ class TestHotCellCache:
 
     def test_sentinel_entry_and_zero_key_are_cacheable(self):
         # Entry 0 (a probe miss in the store) is a result like any other,
-        # and key 0 (face 0, position 0) must not be confused with an
-        # empty slot.
-        for key, entry in ((0, 9), (5, 0)):
+        # and key (0, 0) (the point 0.0, 0.0) must not be confused with
+        # an empty slot.
+        zero = (self._words([0]), self._words([0]))
+        for keys, entry in ((zero, 9), (self._keys([5]), 0)):
             cache = HotCellCache(capacity=4)
-            keys = self._keys([key])
-            _, missing, tick = cache.lookup(keys)
+            _, _, missing, tick = cache.lookup(*keys)
             assert missing.tolist() == [0]
-            cache.insert(keys, self._keys([entry]), tick)
-            entries, missing, _ = cache.lookup(self._keys([key, key]))
+            cache.insert(*keys, self._words([3]), self._words([entry]), tick)
+            twice = tuple(np.repeat(word, 2) for word in keys)
+            leaf_ids, entries, missing, _ = cache.lookup(*twice)
             assert missing.size == 0
+            assert leaf_ids.tolist() == [3, 3]
             assert entries.tolist() == [entry, entry]
+
+    def test_a_key_is_both_words(self):
+        # Keys sharing one word are different keys: neither is served
+        # the other's values.
+        cache = HotCellCache(capacity=64)
+        lat_bits = self._words([1, 1, 2])
+        lng_bits = self._words([1, 2, 1])
+        _, _, missing, tick = cache.lookup(lat_bits, lng_bits)
+        cache.insert(
+            lat_bits, lng_bits, self._words([10, 20, 30]),
+            self._words([11, 21, 31]), tick,
+        )
+        leaf_ids, entries, missing, _ = cache.lookup(lat_bits, lng_bits)
+        assert missing.size == 0
+        assert leaf_ids.tolist() == [10, 20, 30]
+        assert entries.tolist() == [11, 21, 31]
+        _, _, missing, _ = cache.lookup(self._words([2]), self._words([2]))
+        assert missing.tolist() == [0]
 
     def test_clear_empties_table_and_counters(self):
         cache = HotCellCache(capacity=4)
-        _, _, tick = cache.lookup(self._keys([1, 2]))
-        cache.insert(self._keys([1, 2]), self._keys([10, 20]), tick)
+        keys = self._keys([1, 2])
+        *_, tick = cache.lookup(*keys)
+        cache.insert(*keys, self._words([1, 2]), self._words([10, 20]), tick)
         cache.clear()
         assert len(cache) == 0
         assert cache.stats() == HotCellCache(capacity=4).stats()
-        assert cache.lookup(self._keys([1, 2]))[1].tolist() == [0, 1]
+        assert cache.lookup(*keys)[2].tolist() == [0, 1]
 
     def test_zero_capacity_disables_caching(self, index, points):
         lats, lngs = points
@@ -553,13 +584,16 @@ class TestHotCellCache:
         hot = generator.integers(1, 1 << 62, 16, dtype=np.uint64)
 
         def probe_through(ids: np.ndarray) -> np.ndarray:
-            # What CachedCellStore does on a lookup the table performs;
-            # through the store itself a 97 %-cold batch stands the table
-            # aside, which tests/test_cache.py covers.
-            entries, missing, tick = self._sampled_lookup(cache, ids)
+            # What a resolve does on a lookup the table performs; through
+            # the service a 97 %-cold batch stands the table aside, which
+            # tests/test_cache.py covers.
+            keys = self._keys(ids)
+            _, entries, missing, tick = self._sampled_lookup(cache, keys)
             missed = index.store.probe(ids[missing])
             entries[missing] = missed
-            cache.insert(ids[missing], missed, tick)
+            cache.insert(
+                keys[0][missing], keys[1][missing], ids[missing], missed, tick
+            )
             return entries
 
         probe_through(hot)  # its first batch...
@@ -611,11 +645,11 @@ class TestHotCellCache:
         inflating the eviction counter (one put -> evictions=1)."""
         cache = HotCellCache(capacity=0)
         keys = self._keys([1, 2, 3])
-        entries, missing, tick = cache.lookup(keys)
-        assert entries.tolist() == [0, 0, 0]
+        leaf_ids, entries, missing, tick = cache.lookup(*keys)
+        assert leaf_ids.tolist() == entries.tolist() == [0, 0, 0]
         assert missing.tolist() == [0, 1, 2]
-        cache.insert(keys, self._keys([11, 22, 33]), tick)
-        assert cache.lookup(keys)[1].tolist() == [0, 1, 2]
+        cache.insert(*keys, self._words([1, 2, 3]), self._words([11, 22, 33]), tick)
+        assert cache.lookup(*keys)[2].tolist() == [0, 1, 2]
         stats = cache.stats()
         assert stats.evictions == 0
         assert stats.size == 0
@@ -651,6 +685,156 @@ class TestHotCellCache:
             getattr(store, "definitely_missing_attribute")
         # ...while real introspection still passes through to the store.
         assert store.size_bytes == index.store.size_bytes
+
+
+def _repeated_points(seed: int, distinct: int, size: int):
+    """``size`` points drawn from ``distinct`` exact coordinates around
+    the grid polygons (inside, on borders, outside): a check-in stream."""
+    generator = np.random.default_rng(seed)
+    pool_lats = generator.uniform(40.67, 40.77, distinct)
+    pool_lngs = generator.uniform(-74.03, -73.93, distinct)
+    pick = generator.integers(0, distinct, size)
+    return pool_lats[pick], pool_lngs[pick]
+
+
+def _assert_same_join(served, direct):
+    """Every ``JoinResult`` statistic, and the pairs when materialized."""
+    assert served.num_points == direct.num_points
+    assert np.array_equal(served.counts, direct.counts)
+    for stat in (
+        "num_pairs", "num_true_hit_pairs", "num_candidate_pairs",
+        "num_pip_tests", "solely_true_hits",
+    ):
+        assert getattr(served, stat) == getattr(direct, stat), stat
+    if served.pair_points is not None:
+        assert sorted(zip(served.pair_points.tolist(), served.pair_polygons.tolist())) == (
+            sorted(zip(direct.pair_points.tolist(), direct.pair_polygons.tolist()))
+        )
+
+
+#: A table far larger than any batch here.  Two slot choices and no
+#: relocation lose a few keys of a batch to slot conflicts (the policy's
+#: documented cost, ~1 % of 500 keys in 4,096 slots); at this size that
+#: is improbable, so a test can count every hit.
+ROOMY = 1 << 16
+
+
+def _served(service, name, index, lats, lngs, exact, cell_ids=None):
+    """One request through the service's envelope: the result and the
+    leaf ids the dispatch returns."""
+    return service._serve(
+        name, index, lats, lngs, cell_ids, exact, True, span_meta={}
+    )
+
+
+class TestCoordinateKeyedTable:
+    """The hot-cell table is keyed by a point's coordinates and consulted
+    before the cell-id kernel."""
+
+    @pytest.mark.parametrize("distinct", [50, 300])
+    def test_repeated_batch_computes_no_cell_id(self, index, monkeypatch, distinct):
+        """Only the points the table misses reach the cell-id kernel: on
+        a repeated batch, none — or the few keys that lost both their
+        slots to batch-mates (the policy's conflict misses)."""
+        lats, lngs = _repeated_points(5, distinct, 2_000)
+        computed: list[int] = []
+        compute = index.cell_ids_for
+
+        def counting(lats, lngs):
+            computed.append(len(lats))
+            return compute(lats, lngs)
+
+        monkeypatch.setattr(index, "cell_ids_for", counting)
+        direct = index.join(lats, lngs, exact=True)
+        with JoinService(index, cache_cells=ROOMY) as svc:
+            svc.join(lats, lngs, exact=True)
+            assert sum(computed) == len(lats)  # a fresh table misses all
+            computed.clear()
+            warm = svc.join(lats, lngs, exact=True)
+            stats = svc.cache().stats()
+        assert sum(computed) == stats.misses - len(lats) <= 0.01 * len(lats)
+        assert stats.hits == len(lats) - sum(computed)
+        if distinct == 50:  # a hot set this small fits without a conflict
+            assert sum(computed) == 0 and stats.size == distinct
+        _assert_same_join(warm, direct)
+
+    def test_door_matrix_matches_the_index_across_writes(self):
+        """Warm, cold, declined, no table, morsels, a fan-out's brought
+        ids and ``cell_ids=``: each door's results equal the index's own
+        join, and its leaf ids the cell-id kernel's, before and after an
+        insert, a delete and a compaction."""
+        dyn = DynamicPolygonIndex.build(
+            _grid_polygons()[:6], precision_meters=30.0, compact_threshold=None
+        )
+        lats, lngs = _repeated_points(7, 500, 3_000)
+        want_ids = cell_ids_from_lat_lng_arrays(lats, lngs)
+        generator = np.random.default_rng(8)
+        writes = [
+            lambda: dyn.insert(_grid_polygons()[7]),
+            lambda: dyn.delete(2),
+            dyn.compact,
+        ]
+        with (
+            JoinService(dyn) as table,
+            JoinService(dyn) as declining,
+            JoinService(dyn, cache_cells=0) as no_table,
+            JoinService(dyn, num_threads=2, morsel_size=1_000) as morsels,
+            JoinService({"first": dyn, "second": dyn}) as fan_out,
+        ):
+            for write in [None, *writes]:
+                if write is not None:
+                    write()
+                for exact in (False, True):
+                    direct = dyn.join(lats, lngs, exact=exact, materialize=True)
+                    doors = {}
+                    doors["cold_or_warm"] = _served(table, "default", dyn, lats, lngs, exact)
+                    hits = table.cache().stats().hits
+                    doors["warm"] = _served(table, "default", dyn, lats, lngs, exact)
+                    assert table.cache().stats().hits - hits >= 0.95 * len(lats)
+                    doors["cell_ids"] = _served(
+                        table, "default", dyn, lats, lngs, exact, cell_ids=want_ids
+                    )
+                    for _ in range(2):  # a cold flood stands the table aside
+                        declining.join(
+                            generator.uniform(-60.0, 60.0, 2_000),
+                            generator.uniform(-170.0, 170.0, 2_000),
+                        )
+                    bypassed = declining.cache().stats().bypassed
+                    doors["declined"] = _served(declining, "default", dyn, lats, lngs, exact)
+                    assert declining.cache().stats().bypassed == bypassed + len(lats)
+                    doors["no_table"] = _served(no_table, "default", dyn, lats, lngs, exact)
+                    for _ in range(2):
+                        doors["morsels"] = _served(morsels, "default", dyn, lats, lngs, exact)
+                    for label, (result, ids) in doors.items():
+                        _assert_same_join(result, direct)
+                        assert np.array_equal(ids, want_ids), label
+                    for _ in range(2):  # the second layer joins brought ids
+                        layered = fan_out.join_layers(lats, lngs, exact=exact)
+                    direct.pair_points = direct.pair_polygons = None
+                    for result in layered.values():
+                        _assert_same_join(result, direct)
+                    assert fan_out.cache("second").stats().hits >= 0.95 * len(lats)
+
+    def test_keys_are_bit_patterns(self):
+        """``0.0`` and ``-0.0`` are two keys; each is served what the
+        index computes for it, cold and warm."""
+        index = PolygonIndex.build(
+            [regular_polygon((0.0, 0.0), 0.01, 16)], precision_meters=30.0
+        )
+        signed = np.asarray([0.0, -0.0, 0.0, -0.0, 0.005, -0.005])
+        lats = np.tile(signed, 6)
+        lngs = np.repeat(signed, 6)
+        want_ids = cell_ids_from_lat_lng_arrays(lats, lngs)
+        direct = index.join(lats, lngs, exact=True, materialize=True)
+        assert direct.num_pairs > 0
+        with JoinService(index, cache_cells=ROOMY) as svc:
+            for _ in range(2):
+                result, ids = _served(svc, "default", index, lats, lngs, True)
+                _assert_same_join(result, direct)
+                assert np.array_equal(ids, want_ids)
+            stats = svc.cache().stats()
+        assert stats.size == 16  # 4 x 4 distinct bit patterns
+        assert stats.hits == len(lats)
 
 
 class TestLayerRouter:
@@ -1138,7 +1322,7 @@ class TestLatencyRecorderWindow:
 class TestStatsNewestGeneration:
     def test_stale_generation_never_masks_live_stats(self, index, points):
         """One generation per layer, the newest: a laggard dispatch that
-        resolved the layer before a swap joins through a private store,
+        resolved the layer before a swap joins through a private table,
         and ``stats()`` keeps reporting the live generation.
 
         The real sequence: join, ``swap_layer``, live traffic, then a
@@ -1160,7 +1344,7 @@ class TestStatsNewestGeneration:
                 exact=False, materialize=False,
             )
             after = svc.stats().cache["default"]
-            assert svc.cache() is live  # the laggard's store is not registered
+            assert svc.cache() is live  # the laggard's table is not registered
         assert np.array_equal(laggard.counts, index.join(lats, lngs).counts)
         assert after == before == live.stats()
         assert after.requests > 0 and after.capacity == live.capacity
