@@ -17,18 +17,34 @@ patterns of ``(lat, lng)``.  ``JoinService`` resolves every batch
 through the table *before* the cell-id kernel: hits return ``(leaf id,
 entry)`` straight from the table; only the misses go through the
 cell-id kernel (or take the ids the caller brought) and the store probe,
-and are written back.  The key is sound by construction: a table serves
-one ``(layer, version)`` generation, within which equal bit patterns
-always yield the same leaf id and the same entry — no truncation level
-and no argument about the deepest indexed cell is needed.  Bit patterns,
-not values: ``0.0`` and ``-0.0`` are two keys, and each NaN payload is
-its own key (comparing the ``uint64`` views never raises a floating-point
-warning).  Key reuse over a two-batch window, truncated-cell key against
-coordinate key, measured on the repository's streams: churn 0.937 /
-0.935, sharded 0.001 / 0.000, uniform serve 0.030 / 0.000, the
-drifting-hotspot adaptation stream (level-25 trained index) 0.000 /
-0.000 — no stream loses a hit by the re-keying, and a hit now skips the
-cell-id kernel too.
+and are written back.  The key is sound by construction: a point's leaf
+id depends on the point alone (every index computes it with
+``cell_ids_from_lat_lng_arrays``), and a table serves one ``(layer,
+version)`` generation, within which equal leaf ids always yield the same
+entry — no truncation level and no argument about the deepest indexed
+cell is needed.  Bit patterns, not values: ``0.0`` and ``-0.0`` are two
+keys, and each NaN payload is its own key (comparing the ``uint64``
+views never raises a floating-point warning).  Key reuse over a
+two-batch window, truncated-cell key against coordinate key, measured on
+the repository's streams: churn 0.937 / 0.935, sharded 0.001 / 0.000,
+uniform serve 0.030 / 0.000, the drifting-hotspot adaptation stream
+(level-25 trained index) 0.000 / 0.000 — no stream loses a hit by the
+re-keying, and a hit now skips the cell-id kernel too.
+
+The table outlives a write.  A swap or a mutation of a dynamic index
+makes a new generation, and its table takes over from the retiring one
+(:meth:`HotCellCache.take_over`) before it is published: it copies the
+key, leaf id and tick of every slot the retiring table touched during
+its own generation — those whose tick is later than the one it was
+created at — under the retiring table's lock, and re-probes their leaf
+ids once, in one ``store.probe`` call of the new generation's store,
+outside that lock.  Each carried entry is therefore the new store's
+own, and a warm stream keeps skipping the cell-id kernel and the probe
+across writes.  The carried set is bounded by what the retiring
+generation read: a key no lookup touched in a generation is not carried
+past it.  Two tables start empty: the successor of a table standing
+aside (see below), and a laggard dispatch's private table (one still
+holding an older view), which is neither carried from nor carried into.
 
 :class:`CachedCellStore` (with :func:`key_shift_for_level`) is the older
 cell-keyed use of the same table: it wraps any cell store behind the
@@ -44,7 +60,12 @@ When several keys of one batch pick the same slot one of them wins, and
 the others take their second slot only if it is still empty.  This
 tracks an exact LRU closely on skewed streams (a hot key is refreshed
 every batch, so a flood of cold keys can only displace other cold keys)
-at the cost of a few conflict misses an exact LRU would not have.
+at the cost of a few conflict misses an exact LRU would not have.  To
+keep those few, a table of ``capacity`` keys has the next power of two
+>= ``4 * capacity`` slots (40 bytes each: 640 KiB at the default 4,096),
+so its load factor stays <= 1/4: one batch of 2,048 distinct random keys
+written back to a ``HotCellCache(4096)`` then misses under 1 % of them,
+4,096 keys about 3 % (9 % and 25 % with one slot per unit of capacity).
 
 Standing aside (the only selection, made from what the table observes,
 unchanged by the re-keying): a lookup plus the write-back of its misses
@@ -56,15 +77,17 @@ than half of its keys therefore makes the table *decline* the next
 with no write-back — after which one lookup samples the stream again, so
 a stream that turns cacheable is back on the table within two samples.
 The first lookup of a table's life is exempt: an empty table misses any
-stream, and a served layer gets a fresh table after every write.
+stream, and the successor of a table that stands aside starts empty.
 
 Hit/miss accounting is weighted by *points*, not by distinct keys: a
 micro-batch whose 10,000 points all repeat one cached coordinate records
 10,000 hits, which is exactly the number of cell-id computations and
 trie descents the table short-circuited.  Points of declined lookups are
 counted as ``bypassed``, beside — not inside — the hits and misses, so
-the hit rate stays that of the keys actually looked up.  ``size`` counts
-the keys held: distinct points for the service's table.
+the hit rate stays that of the keys actually looked up.  The counters
+are per generation (a successor starts them at zero); ``size`` counts
+the keys held, carried ones included: distinct points for the service's
+table.
 """
 
 from __future__ import annotations
@@ -119,21 +142,25 @@ class HotCellCache:
 
     A key is two 64-bit words, ``(lat_bits, lng_bits)``: the service
     passes a point's ``float64`` bit patterns (see the module docstring).
-    ``capacity`` sizes the table: it has ``slots`` = the next power of
-    two >= ``capacity`` (at least 2) slots of 40 bytes, and ``size``
-    counts the occupied ones.  ``capacity=0`` disables caching (every
-    lookup misses and no statistics are recorded).
+    ``capacity`` is the number of distinct keys the table holds: it has
+    ``slots`` = the next power of two >= ``4 * capacity`` slots of 40
+    bytes, and ``size`` counts the occupied ones.  ``capacity=0``
+    disables caching (every lookup misses and no statistics are
+    recorded).
 
     The batch API is :meth:`lookup` followed by :meth:`insert` for the
     keys it missed; each holds the lock only around its own gathers and
-    scatters, so the work resolving the misses runs unlocked.
+    scatters, so the work resolving the misses runs unlocked.  A table
+    replacing another for the next generation starts from the keys the
+    retiring one was used for (:meth:`take_over`).
     """
 
     def __init__(self, capacity: int = 4096):
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        bits = max(1, (capacity - 1).bit_length())
+        # Four slots per unit of capacity: the load factor stays <= 1/4.
+        bits = max(1, (4 * capacity - 1).bit_length())
         self.slots = (1 << bits) if capacity else 0
         self._hash_shift = np.uint64(64 - bits)
         self._lock = threading.Lock()
@@ -144,6 +171,9 @@ class HotCellCache:
         # Tick of the last batch that touched the slot; 0 = never filled.
         self._ticks = np.zeros(self.slots, dtype=np.int64)  #: guarded_by(_lock)
         self._tick = 0  #: guarded_by(_lock)
+        # The tick this table was created at: a carried slot holds an
+        # older one, a slot used during this table's generation a later one.
+        self._born = 0  #: guarded_by(_lock)
         self._hits = 0  #: guarded_by(_lock)
         self._misses = 0  #: guarded_by(_lock)
         self._evictions = 0  #: guarded_by(_lock)
@@ -215,11 +245,43 @@ class HotCellCache:
             self._misses += len(missing)
             # An empty table misses any stream, so its first lookup says
             # nothing about the stream.
-            if tick > 1 and 2 * len(missing) > len(lat_bits):
+            if tick > self._born + 1 and 2 * len(missing) > len(lat_bits):
                 self._stand_aside = _STAND_ASIDE_LOOKUPS
         leaf_ids[missing] = 0
         entries[missing] = 0
         return leaf_ids, entries, missing, tick
+
+    def take_over(self, retiring: HotCellCache, store) -> None:
+        """Start from the keys ``retiring`` was used for, before this
+        table is published.
+
+        Copies key, leaf id and tick of every slot ``retiring`` touched
+        during its own generation (under its lock), re-probes those leaf
+        ids in ``store`` — this table's generation's — in one call
+        (unlocked), and writes them into the same slots here; this
+        table's ticks continue from the retiring one's.  A retiring
+        table that stands aside hands nothing over.  ``retiring`` must
+        have this table's capacity.
+        """
+        if retiring.slots != self.slots:
+            raise ValueError("a table takes over only from one of its size")
+        with retiring._lock:
+            if retiring._stand_aside:
+                return
+            slots = np.flatnonzero(retiring._ticks > retiring._born)
+            key_lats = retiring._key_lats[slots]
+            key_lngs = retiring._key_lngs[slots]
+            leaf_ids = retiring._leaf_ids[slots]
+            ticks = retiring._ticks[slots]
+            tick = retiring._tick
+        entries = store.probe(leaf_ids)
+        with self._lock:
+            self._key_lats[slots] = key_lats
+            self._key_lngs[slots] = key_lngs
+            self._leaf_ids[slots] = leaf_ids
+            self._entries[slots] = entries
+            self._ticks[slots] = ticks
+            self._tick = self._born = tick
 
     def insert(
         self,
@@ -314,7 +376,7 @@ class HotCellCache:
             self._leaf_ids[:] = 0
             self._entries[:] = 0
             self._ticks[:] = 0
-            self._tick = 0
+            self._tick = self._born = 0
             self._hits = self._misses = self._evictions = 0
             self._bypassed = self._stand_aside = 0
 

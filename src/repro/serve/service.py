@@ -32,11 +32,13 @@ coordinates: a repeated point takes its leaf id and tagged entry from
 the table, and only the misses run the cell-id kernel (unless the caller
 brought ids) and the view's store probe.  The driver then decodes and
 refines the resolved entries.  The service registers exactly one table
-per layer — that of the newest version it has seen — so results are
-bit-identical to calling ``PolygonIndex.join`` directly, skewed
-workloads skip most cell-id computations and trie descents, and a
-snapshot swap (:meth:`JoinService.swap_layer`) can never serve an entry
-cached for a previous version.  With adaptation on, the driver's
+per layer — that of the newest version it has seen, which took over
+the previous version's keys with every entry re-probed in its own
+store — so results are bit-identical to calling ``PolygonIndex.join``
+directly, skewed workloads skip most cell-id computations and trie
+descents even right after a write, and a snapshot swap
+(:meth:`JoinService.swap_layer`) or a mutation can never serve an entry
+of a previous version.  With adaptation on, the driver's
 ``observe`` hook is the layer's
 :class:`~repro.core.adaptive.LayerTelemetry`.
 """
@@ -332,9 +334,11 @@ class JoinService(ServiceFront):
         :class:`PolygonIndex` snapshots and
         :class:`~repro.core.dynamic.DynamicPolygonIndex` instances alike.
     cache_cells:
-        Size of each layer's hot-cell table in distinct points
-        (rounded up to a power of two slots; 0 disables caching).
-        See :mod:`repro.serve.cache` for the replacement policy.
+        Size of each layer's hot-cell table in distinct points (four
+        slots per point, rounded up to a power of two; 0 disables
+        caching).  The table outlives a write: a new layer version
+        starts from the keys the previous one was used for.  See
+        :mod:`repro.serve.cache` for the replacement policy.
     max_batch / max_wait_ms:
         Micro-batching knobs: flush when ``max_batch`` lookups are
         pending, or ``max_wait_ms`` after the first one.
@@ -392,8 +396,9 @@ class JoinService(ServiceFront):
         self._attach_lock = threading.Lock()
         # One generation per layer: the hot-cell table of the newest
         # view version seen.  A swap or a dynamic-index mutation bumps
-        # the version and replaces the entry, so stale cache entries are
-        # unreachable by construction rather than by invalidation.
+        # the version and replaces the entry with a table that takes over
+        # the retiring one's keys, every entry re-probed once in the new
+        # view's store, so a stale entry is never served.
         #: guarded_by(_attach_lock, writes)
         self._generations: dict[str, tuple[int, HotCellCache]] = {}
         for name, index in self._router.items():
@@ -409,10 +414,13 @@ class JoinService(ServiceFront):
     def _table_for(self, name: str, view: ProbeView) -> HotCellCache:
         """The hot-cell table one dispatch resolves ``view`` through.
 
-        The registered table when the versions match; a view newer than
-        the registered one replaces it (new requests can never reach the
-        retired generation again); a laggard dispatch still holding an
-        *older* view gets a private table that is never registered — it
+        The registered table when the versions match.  A view newer than
+        the registered one replaces it with a table that takes over the
+        keys the retiring one was used for, re-probed once in ``view``'s
+        store before it is published (a point's leaf id depends on the
+        point alone; new requests can never reach the retired generation
+        again).  A laggard dispatch still holding an *older* view gets an
+        empty private table that is never registered nor carried — it
         keeps working through its own references — so exactly one
         generation per layer is registered, always the newest.
         """
@@ -425,6 +433,8 @@ class JoinService(ServiceFront):
                 return held[1]
             table = HotCellCache(self._cache_cells)
             if held is None or view.version > held[0]:
+                if held is not None:
+                    table.take_over(held[1], view.store)
                 self._generations[name] = (view.version, table)
             return table
 
@@ -572,7 +582,11 @@ class JoinService(ServiceFront):
     def stats(self) -> ServiceStats:
         """Immutable snapshot: latency percentiles, throughput, cache,
         each layer's live version and pending delta size, plus the
-        adaptation loop's windowed STH rate and retrain counters."""
+        adaptation loop's windowed STH rate and retrain counters.
+
+        ``cache[layer]`` is the live version's table: its counters are
+        per version, and its ``size`` includes the keys carried over
+        from the previous version."""
         with self._attach_lock:  # an attach may be mutating the dict
             generations = dict(self._generations)
         cache_stats: dict[str, CacheStats] = {

@@ -268,3 +268,104 @@ def test_bypassed_is_reported_by_every_stats_surface():
         merged = sharded.stats()
     per_shard = [shard.stats.cache["default"].bypassed for shard in merged.shards]
     assert merged.cache["default"].bypassed == sum(per_shard) > 0
+
+
+# ----------------------------------------------------------------------
+# Sizing: the table holds ``capacity`` distinct keys
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("num_keys, max_miss_share", [(2_048, 0.02), (4_096, 0.05)])
+def test_table_holds_its_capacity(seed, num_keys, max_miss_share):
+    """One batch of distinct keys written back, then looked up again:
+    with four slots per unit of capacity, slot conflicts between keys of
+    one batch lose only a few of them."""
+    cache = HotCellCache(capacity=4_096)
+    assert cache.slots == 16_384
+    generator = np.random.default_rng(seed)
+    lat_bits, lng_bits = generator.integers(0, 1 << 63, (2, num_keys), dtype=np.uint64)
+    assert len(np.unique(lat_bits)) == num_keys
+    _, _, missing, tick = cache.lookup(lat_bits, lng_bits)
+    cache.insert(lat_bits, lng_bits, lat_bits, lng_bits, tick)
+    leaf_ids, entries, missing, _ = cache.lookup(lat_bits, lng_bits)
+    assert len(missing) <= max_miss_share * num_keys
+    found = np.ones(num_keys, dtype=bool)
+    found[missing] = False
+    assert np.array_equal(leaf_ids[found], lat_bits[found])
+    assert np.array_equal(entries[found], lng_bits[found])
+
+
+@pytest.mark.parametrize("capacity, slots", [(0, 0), (1, 4), (7, 32), (8, 32), (4_096, 16_384)])
+def test_four_slots_per_unit_of_capacity(capacity, slots):
+    assert HotCellCache(capacity).slots == slots
+
+
+# ----------------------------------------------------------------------
+# Taking over: the next generation starts from the keys this one used
+# ----------------------------------------------------------------------
+
+
+def fill(cache: HotCellCache, keys: np.ndarray, entries: np.ndarray) -> None:
+    """Look ``keys`` up and write the misses back with ``entries``."""
+    no_word = np.zeros_like(keys)
+    _, _, missing, tick = cache.lookup(keys, no_word)
+    cache.insert(keys[missing], no_word[missing], keys[missing], entries[missing], tick)
+
+
+def resident(cache: HotCellCache, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The keys ``cache`` holds (ascending) and their entries, read
+    without a lookup (which would touch them)."""
+    held = np.isin(cache._key_lats, keys) & (cache._ticks > 0)
+    order = np.argsort(cache._key_lats[held])
+    return cache._key_lats[held][order], cache._entries[held][order]
+
+
+def test_take_over_carries_what_the_generation_used_reprobed(stores):
+    """Keys, leaf ids and ticks carry over; every entry is the new
+    store's, whatever the retiring table held; a key the retiring
+    generation never touched is left behind."""
+    store, leaf_ids = stores[0]["act"], stores[1]
+    pool = np.unique(id_pool(store, leaf_ids, 0, 64))
+    used, unused = pool[:32], pool[32:]
+    wrong = np.full(len(pool), 12345, dtype=np.uint64)  # what a stale store held
+    first = HotCellCache(capacity=1_024)  # roomy: no slot conflict
+    fill(first, pool, wrong)
+    second = HotCellCache(capacity=1_024)
+    second.take_over(first, store)
+    keys, entries = resident(second, pool)
+    assert np.array_equal(keys, pool)
+    assert np.array_equal(entries, store.probe(pool))
+    assert second.stats().requests == 0  # counters are per generation
+    assert second.stats().size == len(pool)
+    # The second generation reads only `used`: they hit, and only they
+    # carry on to the third.
+    _, hit_entries, missing, _ = second.lookup(used, np.zeros_like(used))
+    assert missing.size == 0 and np.array_equal(hit_entries, store.probe(used))
+    third = HotCellCache(capacity=1_024)
+    third.take_over(second, store)
+    keys, _ = resident(third, pool)
+    assert np.array_equal(keys, used)
+    assert not np.isin(unused, keys).any()
+    # Ticks continue: the carried keys are older than any new write.
+    assert third._tick == third._born == second._tick
+
+
+def test_standing_aside_table_has_an_empty_successor(stores):
+    store, leaf_ids = stores[0]["act"], stores[1]
+    hot = id_pool(store, leaf_ids, 0, 32)
+    retiring = HotCellCache(capacity=256)
+    fill(retiring, hot, store.probe(hot))
+    generator = np.random.default_rng(7)
+    cold = cold_batch(generator)
+    assert retiring.lookup(cold, np.zeros_like(cold)) is not None  # stands aside now
+    successor = HotCellCache(capacity=256)
+    successor.take_over(retiring, store)
+    assert len(successor) == 0 and successor._tick == 0
+    # ...and its first lookup is exempt again, like any empty table's.
+    assert successor.lookup(cold, np.zeros_like(cold)) is not None
+
+
+def test_take_over_needs_a_table_of_the_same_size(stores):
+    with pytest.raises(ValueError, match="size"):
+        HotCellCache(64).take_over(HotCellCache(128), stores[0]["act"])

@@ -1,5 +1,6 @@
 """Tests for the online serving subsystem (repro.serve)."""
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -482,7 +483,7 @@ class TestHotCellCache:
             assert len(cache) <= cache.slots
         stats = cache.stats()
         assert stats.evictions > 0
-        assert stats.size == len(cache) <= cache.slots == 8
+        assert stats.size == len(cache) <= cache.slots == 32  # 4 x capacity
         assert stats.hits == 40 and stats.misses == 1 + 40 * 16
 
     def test_hit_and_miss_accounting(self):
@@ -714,8 +715,9 @@ def _assert_same_join(served, direct):
 
 #: A table far larger than any batch here.  Two slot choices and no
 #: relocation lose a few keys of a batch to slot conflicts (the policy's
-#: documented cost, ~1 % of 500 keys in 4,096 slots); at this size that
-#: is improbable, so a test can count every hit.
+#: documented cost, ~1 % of 500 keys in 4,096 slots, the table of a
+#: 1,024-point capacity); at this size that is improbable, so a test can
+#: count every hit.
 ROOMY = 1 << 16
 
 
@@ -725,6 +727,19 @@ def _served(service, name, index, lats, lngs, exact, cell_ids=None):
     return service._serve(
         name, index, lats, lngs, cell_ids, exact, True, span_meta={}
     )
+
+
+def _count_cell_ids(monkeypatch, index) -> list[int]:
+    """Patch ``index.cell_ids_for`` to record how many points reach it."""
+    computed: list[int] = []
+    compute = index.cell_ids_for
+
+    def counting(lats, lngs):
+        computed.append(len(lats))
+        return compute(lats, lngs)
+
+    monkeypatch.setattr(index, "cell_ids_for", counting)
+    return computed
 
 
 class TestCoordinateKeyedTable:
@@ -737,14 +752,7 @@ class TestCoordinateKeyedTable:
         a repeated batch, none — or the few keys that lost both their
         slots to batch-mates (the policy's conflict misses)."""
         lats, lngs = _repeated_points(5, distinct, 2_000)
-        computed: list[int] = []
-        compute = index.cell_ids_for
-
-        def counting(lats, lngs):
-            computed.append(len(lats))
-            return compute(lats, lngs)
-
-        monkeypatch.setattr(index, "cell_ids_for", counting)
+        computed = _count_cell_ids(monkeypatch, index)
         direct = index.join(lats, lngs, exact=True)
         with JoinService(index, cache_cells=ROOMY) as svc:
             svc.join(lats, lngs, exact=True)
@@ -835,6 +843,154 @@ class TestCoordinateKeyedTable:
             stats = svc.cache().stats()
         assert stats.size == 16  # 4 x 4 distinct bit patterns
         assert stats.hits == len(lats)
+
+
+class TestCarriedTable:
+    """A new layer version's table takes over the keys the retiring one
+    was used for, their entries re-probed in the new version's store."""
+
+    @pytest.mark.parametrize("write", ["insert", "delete", "compact", "swap_layer"])
+    def test_a_write_keeps_the_table_warm(self, monkeypatch, write):
+        dyn = DynamicPolygonIndex.build(
+            _grid_polygons()[:6], precision_meters=30.0, compact_threshold=None
+        )
+        lats, lngs = _repeated_points(11, 300, 3_000)
+        want_ids = cell_ids_from_lat_lng_arrays(lats, lngs)
+        with JoinService(dyn) as svc:
+            for _ in range(2):
+                svc.join(lats, lngs, exact=True)
+            retiring = svc.cache()
+            assert retiring.stats().misses == len(lats)  # all resident
+            if write == "insert":
+                dyn.insert(_grid_polygons()[7])
+            elif write == "delete":
+                dyn.delete(2)
+            elif write == "compact":
+                dyn.compact()
+            else:
+                fresh = DynamicPolygonIndex.build(
+                    _grid_polygons()[2:], precision_meters=30.0,
+                    compact_threshold=None,
+                )
+                svc.swap_layer("default", fresh)
+                dyn = fresh
+            computed = _count_cell_ids(monkeypatch, dyn)
+            for exact in (False, True):
+                result, ids = _served(svc, "default", dyn, lats, lngs, exact)
+                _assert_same_join(
+                    result, dyn.join(lats, lngs, exact=exact, materialize=True)
+                )
+                assert np.array_equal(ids, want_ids)
+            assert sum(computed) == 0
+            table = svc.cache()
+            assert table is not retiring
+            assert table.stats().hits == 2 * len(lats)
+            assert table.stats().misses == 0
+
+    def test_only_keys_the_generation_touched_are_carried(self, monkeypatch):
+        """Batch ``a`` is read in the first generation only: it is carried
+        into the second, untouched there, and so left behind by the third."""
+        dyn = DynamicPolygonIndex.build(
+            _grid_polygons()[:6], precision_meters=30.0, compact_threshold=None
+        )
+        a = _repeated_points(12, 200, 1_000)
+        b = _repeated_points(13, 200, 1_000)
+        distinct_a, distinct_b = (len(set(zip(*batch))) for batch in (a, b))
+        with JoinService(dyn, cache_cells=ROOMY) as svc:
+            svc.join(*a)
+            dyn.insert(_grid_polygons()[7])
+            svc.join(*b)
+            assert svc.cache().stats().size == distinct_a + distinct_b
+            dyn.delete(2)
+            assert svc.cache().stats().size == distinct_b
+            computed = _count_cell_ids(monkeypatch, dyn)
+            served = svc.join(*a, exact=True)
+            assert sum(computed) == len(a[0])
+            computed.clear()
+            svc.join(*b, exact=True)
+            assert sum(computed) == 0
+        _assert_same_join(served, dyn.join(*a, exact=True))
+
+    def test_writer_beside_two_readers(self):
+        """One writer interleaves inserts, deletes and compactions while
+        two readers read through one service: every read's counts are
+        those of a fresh build over the live polygons of some generation
+        of the write sequence."""
+        polygons = _grid_polygons()
+        dyn = DynamicPolygonIndex.build(
+            polygons[:4], precision_meters=30.0, compact_threshold=None
+        )
+        writes = [("insert", 4), ("delete", 1), ("compact", None),
+                  ("insert", 5), ("delete", 0), ("compact", None),
+                  ("insert", 6), ("delete", 3)]
+        lats, lngs = _repeated_points(16, 300, 2_000)
+        live = list(range(4))
+        generations = [list(live)]
+        for kind, pid in writes:
+            if kind == "insert":
+                live.append(pid)
+            elif kind == "delete":
+                live.remove(pid)
+            generations.append(list(live))
+
+        def per_polygon(counts: np.ndarray, pids) -> bytes:
+            """Counts by polygon id, over every id the writes use."""
+            padded = np.zeros(len(polygons), dtype=np.int64)
+            padded[list(pids)] = counts
+            return padded.tobytes()
+
+        expected = {
+            per_polygon(
+                PolygonIndex.build(
+                    [polygons[pid] for pid in generation], precision_meters=30.0
+                ).join(lats, lngs, exact=True).counts,
+                generation,
+            )
+            for generation in generations
+        }
+        assert len(expected) > 4  # the writes change the answer
+        done = threading.Event()
+        failures: list[str] = []
+        reads = [0, 0]
+
+        def reader(number: int) -> None:
+            while not done.is_set() or reads[number] < 3:
+                counts = svc.join(lats, lngs, exact=True).counts
+                if per_polygon(counts, range(len(counts))) not in expected:
+                    failures.append(f"reader {number}: counts of no generation")
+                    return
+                reads[number] += 1
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with JoinService(dyn) as svc:
+                threads = [
+                    threading.Thread(target=reader, args=(n,), daemon=True)
+                    for n in range(2)
+                ]
+                for thread in threads:
+                    thread.start()
+                try:
+                    for kind, pid in writes:
+                        time.sleep(0.01)
+                        if kind == "insert":
+                            assert dyn.insert(polygons[pid]) == pid
+                        elif kind == "delete":
+                            dyn.delete(pid)
+                        else:
+                            dyn.compact()
+                finally:
+                    done.set()
+                    for thread in threads:
+                        thread.join(timeout=120)
+                final = svc.join(lats, lngs, exact=True)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert min(reads) >= 3
+        _assert_same_join(final, dyn.join(lats, lngs, exact=True))
 
 
 class TestLayerRouter:
@@ -1320,17 +1476,30 @@ class TestLatencyRecorderWindow:
 
 
 class TestStatsNewestGeneration:
-    def test_stale_generation_never_masks_live_stats(self, index, points):
+    def test_stale_generation_never_masks_live_stats(
+        self, index, points, monkeypatch
+    ):
         """One generation per layer, the newest: a laggard dispatch that
         resolved the layer before a swap joins through a private table,
-        and ``stats()`` keeps reporting the live generation.
+        and ``stats()`` keeps reporting the live generation.  The private
+        table is never registered, and neither takes over nor is taken
+        over: the next swap carries the live table.
 
         The real sequence: join, ``swap_layer``, live traffic, then a
         dispatch still holding the pre-swap index.
         """
         lats, lngs = points[0][:2000], points[1][:2000]
         fresh = PolygonIndex.build(_grid_polygons(), precision_meters=30.0)
-        assert fresh.version > index.version
+        newest = PolygonIndex.build(_grid_polygons(), precision_meters=30.0)
+        assert newest.version > fresh.version > index.version
+        take_over = HotCellCache.take_over
+        carried: list[tuple[HotCellCache, HotCellCache]] = []
+
+        def recording(table, retiring, store):
+            carried.append((table, retiring))
+            take_over(table, retiring, store)
+
+        monkeypatch.setattr(HotCellCache, "take_over", recording)
         with JoinService(index, cache_cells=7) as svc:
             svc.join(lats, lngs)
             retired = svc.cache()
@@ -1345,6 +1514,9 @@ class TestStatsNewestGeneration:
             )
             after = svc.stats().cache["default"]
             assert svc.cache() is live  # the laggard's table is not registered
+            assert carried == [(live, retired)]  # nor carried into
+            svc.swap_layer("default", newest)
+            assert carried[1:] == [(svc.cache(), live)]  # nor carried from
         assert np.array_equal(laggard.counts, index.join(lats, lngs).counts)
         assert after == before == live.stats()
         assert after.requests > 0 and after.capacity == live.capacity
