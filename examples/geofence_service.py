@@ -36,7 +36,7 @@ def main() -> None:
           + ", ".join(f"{name} ({len(ix.polygons)} polygons)"
                       for name, ix in layers.items()))
 
-    with JoinService(layers, default_layer="zones", num_threads=4) as service:
+    with JoinService(layers, default_layer="zones") as service:
         # --- Driver apps: concurrent single-point lookups -------------
         num_lookups = 2_000
         lats, lngs = venue_points(num_lookups, num_venues=500)

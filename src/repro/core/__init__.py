@@ -11,8 +11,8 @@
 * :mod:`repro.core.joins` — the approximate and accurate join algorithms
   (Listing 3), the one driver every join starts in and the one merge of
   partial results,
-* :mod:`repro.core.morsels` — the morsel thread driver (Section 3.4) the
-  offline parallel join and the serving layer share,
+* :mod:`repro.core.morsels` — the morsel thread driver (Section 3.4) of
+  the offline parallel join,
 * :mod:`repro.core.builder` — the high-level :class:`PolygonIndex` facade
   and the reusable build pipeline with versioned snapshots,
 * :mod:`repro.core.dynamic` — the dynamic index lifecycle: a delta

@@ -57,7 +57,6 @@ from repro.core.act import AdaptiveCellTrie
 from repro.core.flat import FlatSnapshot, _attach_refiner_table
 from repro.core.joins import JoinResult, check_batch, join_batch
 from repro.core.lookup_table import LookupTable
-from repro.core.morsels import MorselExecutor, offline_pool
 from repro.core.precision import refine_to_precision
 from repro.core.refs import validate_polygon_id
 from repro.core.super_covering import SuperCovering, build_super_covering
@@ -323,14 +322,16 @@ class ProbeView:
         exact: bool = False,
         materialize: bool = False,
         cell_ids: np.ndarray | None = None,
-        executor: MorselExecutor | None = None,
+        num_threads: int = 1,
     ) -> JoinResult:
         """Join points against this snapshot.
 
         The one door ``PolygonIndex.join`` and ``DynamicPolygonIndex.join``
         read through: check the batch, compute the leaf cell ids unless
         the caller brought them, and run the join driver over the view's
-        own fields (morsels across ``executor``'s threads, if given).
+        own fields (with ``num_threads > 1``, morsels of
+        :data:`~repro.core.morsels.OFFLINE_MORSEL_POINTS` points on a pool
+        that lives for this call).
         """
         lats, lngs, cell_ids = check_batch(lats, lngs, cell_ids)
         if cell_ids is None:
@@ -345,7 +346,7 @@ class ProbeView:
             exact=exact,
             materialize=materialize,
             engine=self.refiner,
-            executor=executor,
+            num_threads=num_threads,
         )
 
 
@@ -480,15 +481,14 @@ class PolygonIndex:
         positives bounded by the build-time precision bound);
         ``exact=True`` runs the accurate join with a refinement phase.
         """
-        with offline_pool(num_threads) as pool:
-            return self.probe_view().join(
-                lats,
-                lngs,
-                exact=exact,
-                materialize=materialize,
-                cell_ids=cell_ids,
-                executor=pool,
-            )
+        return self.probe_view().join(
+            lats,
+            lngs,
+            exact=exact,
+            materialize=materialize,
+            cell_ids=cell_ids,
+            num_threads=num_threads,
+        )
 
     def containing_polygons(self, lat: float, lng: float, exact: bool = True) -> list[int]:
         """Polygon ids covering a single point (scalar convenience query)."""

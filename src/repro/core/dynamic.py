@@ -72,7 +72,6 @@ from repro.core.lookup_table import (
     TAG_TWO_REFS,
     LookupTable,
 )
-from repro.core.morsels import offline_pool
 from repro.core.precision import refine_to_precision
 from repro.core.refs import merge_refs, validate_polygon_id
 from repro.core.super_covering import SuperCovering
@@ -547,15 +546,14 @@ class DynamicPolygonIndex:
         overlay store merges base and delta and masks tombstones
         underneath the driver.
         """
-        with offline_pool(num_threads) as pool:
-            return self._view.join(
-                lats,
-                lngs,
-                exact=exact,
-                materialize=materialize,
-                cell_ids=cell_ids,
-                executor=pool,
-            )
+        return self._view.join(
+            lats,
+            lngs,
+            exact=exact,
+            materialize=materialize,
+            cell_ids=cell_ids,
+            num_threads=num_threads,
+        )
 
     def containing_polygons(self, lat: float, lng: float, exact: bool = True) -> list[int]:
         result = self.join(

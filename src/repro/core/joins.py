@@ -17,10 +17,12 @@ aggregates points per polygon instead of materializing pairs;
 
 Every join starts in the same driver, :func:`join_batch`: the one
 function that picks the kernel (exact or approximate) and the schedule
-(one straight call, or morsels of the batch handed to the threads of a
-:class:`~repro.core.morsels.MorselExecutor`).  An index view, the serving
-layer and the paper-facing :func:`parallel_count_join` call it, behind
-the one batch check (:func:`check_batch`) the public doors share.
+(one straight call, or — for an offline call with ``num_threads > 1`` —
+morsels of the batch handed to a short-lived thread pool by
+:func:`~repro.core.morsels.map_morsels`).  An index view, the serving
+layer (always the straight call) and the paper-facing
+:func:`parallel_count_join` call it, behind the one batch check
+(:func:`check_batch`) the public doors share.
 
 Every parallel evaluation — threads over morsels of one batch (the
 driver) or processes over spatial shards (:mod:`repro.serve.sharded`) —
@@ -37,7 +39,6 @@ refinement code.  An index's own store is always the ACT.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import Protocol
@@ -52,7 +53,7 @@ from repro.core.lookup_table import (
     expand_offsets,
     offset_counts,
 )
-from repro.core.morsels import MorselExecutor
+from repro.core.morsels import OFFLINE_MORSEL_POINTS, map_morsels
 from repro.geo.polygon import Polygon
 from repro.geo.refine import RefinementEngine
 from repro.util.timing import Timer
@@ -361,35 +362,36 @@ def join_batch(
     exact: bool,
     materialize: bool = False,
     engine: RefinementEngine | None = None,
-    executor: MorselExecutor | None = None,
+    num_threads: int = 1,
+    morsel_size: int = OFFLINE_MORSEL_POINTS,
     tracer=None,
     observe=None,
     entries: np.ndarray | None = None,
 ) -> JoinResult:
     """Join one checked batch: the kernel and the schedule, chosen once.
 
-    Without an ``executor``, or when the batch fits one of its morsels,
-    this is a straight call of :func:`accurate_join` (``exact``) or
-    :func:`approximate_join`, with ``tracer`` handed to the kernel.
-    Otherwise the batch is cut into morsels that the executor's threads
-    join with private partial results (Section 3.4 of the paper), merged
-    by :func:`merge_join_results` inside a ``merge`` span; the morsel
-    threads have no active dispatch span, so the ``probe`` / ``refine``
-    spans are synthesized from the merged result's apportioned times.
-    Every statistic (and, with ``materialize``, the pair set) equals the
-    straight call's on the same inputs.
+    With one thread, or when the batch fits one morsel, this is a
+    straight call of :func:`accurate_join` (``exact``) or
+    :func:`approximate_join`.  Otherwise the batch is cut into morsels of
+    ``morsel_size`` points that ``num_threads`` threads join with private
+    partial results (Section 3.4 of the paper), merged by
+    :func:`merge_join_results`.  Every statistic (and, with
+    ``materialize``, the pair set) equals the straight call's on the same
+    inputs.  ``num_threads < 1`` raises ``ValueError``, whatever the
+    batch size.
 
-    ``entries`` are the batch's tagged entries when the caller already
-    resolved them (the serving layer's hot-cell table): the kernels then
-    decode them instead of probing ``store``, and morsels slice them like
-    ``cell_ids``.
-
-    ``observe`` is the serving layer's traffic recorder: the kernel calls
-    it right after each ``store.probe`` (or on the given ``entries``) —
-    once per batch, once per morsel — with the leaf ids and their entries
-    (from the morsel threads, so it must be thread-safe).
+    The serving layer's hooks apply to the straight call only, the one
+    schedule a served batch takes: ``tracer`` receives the kernel's
+    phase spans; ``entries`` are the batch's tagged entries when the
+    caller already resolved them (the hot-cell table), decoded instead of
+    probing ``store``; ``observe`` is the traffic recorder, called with
+    the leaf ids and their entries right after the probe.
     """
-    if executor is None or len(cell_ids) <= executor.morsel_size:
+    if num_threads < 1:
+        raise ValueError(f"num_threads must be >= 1, got {num_threads}")
+    if morsel_size < 1:
+        raise ValueError(f"morsel_size must be >= 1, got {morsel_size}")
+    if num_threads == 1 or len(cell_ids) <= morsel_size:
         if exact:
             return accurate_join(
                 store, lookup_table, cell_ids, polygons, lngs, lats,
@@ -408,31 +410,20 @@ def join_batch(
             store, lookup_table, cell_ids[lo:hi], polygons,
             lngs[lo:hi] if exact else None, lats[lo:hi] if exact else None,
             exact=exact, materialize=materialize, engine=engine,
-            observe=observe, entries=None if entries is None else entries[lo:hi],
         )
         if materialize:
             part.pair_points = part.pair_points + lo
         return part
 
     with Timer() as timer:
-        parts = executor.map_morsels(len(cell_ids), work)
-    with (
-        tracer.span("merge", morsels=len(parts))
-        if tracer is not None
-        else nullcontext()
-    ):
-        merged = merge_join_results(
-            parts,
-            num_points=len(cell_ids),
-            num_polygons=len(polygons),
-            wall_seconds=timer.seconds,
-            materialize=materialize,
-        )
-    if tracer is not None:
-        tracer.emit("probe", merged.probe_seconds, morsels=len(parts))
-        if merged.refine_seconds > 0.0:
-            tracer.emit("refine", merged.refine_seconds, morsels=len(parts))
-    return merged
+        parts = map_morsels(len(cell_ids), work, num_threads, morsel_size)
+    return merge_join_results(
+        parts,
+        num_points=len(cell_ids),
+        num_polygons=len(polygons),
+        wall_seconds=timer.seconds,
+        materialize=materialize,
+    )
 
 
 def parallel_count_join(
@@ -452,11 +443,10 @@ def parallel_count_join(
 
     Worker threads fetch batches from a shared atomic counter and keep
     private partial results, merged at the end — the scheme the paper
-    describes (Section 3.4), run by :func:`join_batch` over a
-    :class:`~repro.core.morsels.MorselExecutor` with a batch size suited
-    to numpy-granularity work instead of the paper's 16-tuple batches.
-    The accurate join runs when ``polygons`` (with ``lngs`` / ``lats``)
-    is given, the approximate join otherwise.
+    describes (Section 3.4), run by :func:`join_batch` with a batch size
+    suited to numpy-granularity work instead of the paper's 16-tuple
+    batches.  The accurate join runs when ``polygons`` (with ``lngs`` /
+    ``lats``) is given, the approximate join otherwise.
 
     Every :class:`JoinResult` statistic (and, with ``materialize``, the
     pair set) matches the single-threaded drivers on the same inputs;
@@ -468,17 +458,17 @@ def parallel_count_join(
         # One shared engine: its bucket table is assembled once and
         # amortized across every batch of this call.
         engine = RefinementEngine(polygons)
-    with MorselExecutor(num_threads, batch_size) as pool:
-        return join_batch(
-            store,
-            lookup_table,
-            cell_ids,
-            # The approximate join reads only the polygon count.
-            polygons if exact else (None,) * num_polygons,
-            lngs,
-            lats,
-            exact=exact,
-            materialize=materialize,
-            engine=engine,
-            executor=pool,
-        )
+    return join_batch(
+        store,
+        lookup_table,
+        cell_ids,
+        # The approximate join reads only the polygon count.
+        polygons if exact else (None,) * num_polygons,
+        lngs,
+        lats,
+        exact=exact,
+        materialize=materialize,
+        engine=engine,
+        num_threads=num_threads,
+        morsel_size=batch_size,
+    )

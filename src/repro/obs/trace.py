@@ -256,8 +256,8 @@ class Tracer:
         """Record a pre-measured child span of the active dispatch.
 
         Used where the measurement already exists (the join kernel's
-        probe/refine timers, the morsel merge's apportioned wall time) so
-        tracing adds bookkeeping, not extra clock reads.
+        probe/refine timers, the cache resolve's timer) so tracing adds
+        bookkeeping, not extra clock reads.
         """
         if not self.enabled:
             return

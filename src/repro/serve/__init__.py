@@ -19,13 +19,11 @@ unit of work is a *request stream* rather than a point array:
   and the trie probe.  :class:`CachedCellStore` is the older cell-keyed
   wrapper around the same table, kept for the benchmark's replay;
 * :class:`LayerRouter` — several named polygon layers behind one service;
-* :class:`MorselExecutor` — persistent-pool morsel parallelism for large
-  batches (defined in :mod:`repro.core.morsels`: the offline
-  thread-parallel join runs on the same driver);
 * :class:`ShardedJoinService` / :class:`ShardPlan` — share-nothing
   multi-process sharding by position: one worker process (and one
   ``JoinService``) per positional share of every batch slice, batches
-  scattered through shared memory and merged bit-identically;
+  scattered through shared memory and merged bit-identically — the
+  serving layer's one way to put more cores on a batch;
 * :class:`ServiceStats` — p50/p99 latency, throughput, cache hit-rate,
   adaptation-loop snapshots, and per-shard detail;
 * adaptation — pass an :class:`~repro.core.adaptive.AdaptationPolicy` to
@@ -47,7 +45,6 @@ from repro.core.adaptive import (
 )
 from repro.serve.batching import LookupRequest, MicroBatcher
 from repro.serve.cache import CachedCellStore, CacheStats, HotCellCache
-from repro.core.morsels import MorselExecutor
 from repro.serve.router import JoinableIndex, LayerRouter
 from repro.serve.service import JoinService
 from repro.serve.sharded import ShardedJoinService, ShardPlan, ShardWorkerError
@@ -72,7 +69,6 @@ __all__ = [
     "LayerStatus",
     "LookupRequest",
     "MicroBatcher",
-    "MorselExecutor",
     "ServiceStats",
     "ShardPlan",
     "ShardStatus",

@@ -7,9 +7,10 @@ hot path.  It accepts three shapes of work:
   coalesced into micro-batches by a :class:`~repro.serve.batching.MicroBatcher`
   and answered with the polygon ids containing the point;
 * ``join`` — an explicit point batch, joined by the same driver
-  (:func:`repro.core.joins.join_batch`) an offline ``index.join`` runs
-  (large batches split across a persistent
-  :class:`~repro.core.morsels.MorselExecutor`);
+  (:func:`repro.core.joins.join_batch`) an offline ``index.join`` runs,
+  always in one straight call on the dispatching thread (more cores
+  come from :class:`~repro.serve.sharded.ShardedJoinService`'s
+  processes, not from threads inside a dispatch);
 * ``join_layers`` — a batch fanned out to several named polygon layers,
   computing the leaf cell ids once and reusing them per layer.
 
@@ -55,7 +56,6 @@ import numpy as np
 from repro.core.adaptive import AdaptationPolicy, AdaptiveController
 from repro.core.builder import ProbeView
 from repro.core.joins import JoinResult, check_batch, join_batch
-from repro.core.morsels import MorselExecutor
 from repro.obs import DispatchMeters, Observability
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.serve.batching import LookupRequest, MicroBatcher
@@ -274,7 +274,7 @@ class ServiceFront:
 
         Identical semantics (and bit-identical counts) to
         ``PolygonIndex.join`` on the same points, whatever sits
-        underneath (hot-cell cache, morsel threads, shard processes).
+        underneath (hot-cell cache, shard processes).
         ``cell_ids`` lets a caller that already has the points' leaf
         cell ids (a shard lane joins its share of the scatter ring)
         skip the recompute.
@@ -342,9 +342,6 @@ class JoinService(ServiceFront):
     max_batch / max_wait_ms:
         Micro-batching knobs: flush when ``max_batch`` lookups are
         pending, or ``max_wait_ms`` after the first one.
-    num_threads / morsel_size:
-        Batches larger than one morsel are split across a persistent
-        morsel executor when ``num_threads > 1``.
     adaptation:
         An :class:`~repro.core.adaptive.AdaptationPolicy` turns on the
         self-tuning loop: the join driver records each layer's
@@ -370,8 +367,6 @@ class JoinService(ServiceFront):
         cache_cells: int = 4096,
         max_batch: int = 256,
         max_wait_ms: float = 2.0,
-        num_threads: int = 1,
-        morsel_size: int = 1 << 14,
         latency_window: int = 8192,
         adaptation: AdaptationPolicy | None = None,
         obs: Observability | None = None,
@@ -403,11 +398,6 @@ class JoinService(ServiceFront):
         self._generations: dict[str, tuple[int, HotCellCache]] = {}
         for name, index in self._router.items():
             self._table_for(name, index.probe_view())
-        self._executor = (
-            MorselExecutor(num_threads, morsel_size, metrics=self._metrics)
-            if num_threads > 1
-            else None
-        )
         self._closed = False
         self._start_batcher(max_batch, max_wait_ms)
 
@@ -489,9 +479,7 @@ class JoinService(ServiceFront):
         # One atomic snapshot for the whole dispatch: store, lookup table,
         # polygons and version always belong to the same index generation,
         # even if the layer is swapped or mutated mid-request; the table
-        # is that generation's.  The batch is resolved here, once, so
-        # morsel workers slice its entries instead of sharing the table.
-        # The envelope already checked the batch.
+        # is that generation's.  The envelope already checked the batch.
         view = index.probe_view()
         cell_ids, entries = self._resolve(
             self._table_for(name, view), index, view, cell_ids, lats, lngs
@@ -511,7 +499,6 @@ class JoinService(ServiceFront):
             exact=exact,
             materialize=materialize,
             engine=view.refiner,
-            executor=self._executor,
             tracer=self._tracer,
             observe=observe,
             entries=entries,
@@ -613,7 +600,5 @@ class JoinService(ServiceFront):
             return
         self._closed = True
         self._batcher.close()
-        if self._executor is not None:
-            self._executor.close()
         if self._adaptive is not None:
             self._adaptive.close()

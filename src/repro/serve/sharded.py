@@ -203,7 +203,6 @@ def _build_shard_service(payload: _WorkerPayload) -> JoinService:
     return JoinService(
         layers,
         cache_cells=payload.cache_cells,
-        num_threads=1,  # share-nothing: one process == one lane of work
         adaptation=payload.adaptation,
         obs=Observability.from_config(payload.obs),
     )

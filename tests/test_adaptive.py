@@ -149,7 +149,7 @@ class TestTelemetryObserve:
     probed."""
 
     @pytest.mark.parametrize("exact", [False, True])
-    @pytest.mark.parametrize("probe", ["warm_cache", "cold_cache", "no_cache", "morsels"])
+    @pytest.mark.parametrize("probe", ["warm_cache", "cold_cache", "no_cache"])
     def test_histogram_is_the_brute_force_count(
         self, trained_index, drift, probe, exact
     ):
@@ -169,7 +169,6 @@ class TestTelemetryObserve:
             "warm_cache": {},
             "cold_cache": {},
             "no_cache": {"cache_cells": 0},
-            "morsels": {"num_threads": 2, "morsel_size": 1_000},
         }[probe]
         with JoinService(
             trained_index, adaptation=AdaptationPolicy(sth_target=0.0), **options

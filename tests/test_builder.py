@@ -117,6 +117,14 @@ class TestQueries:
         parallel = index.join(lats, lngs, num_threads=2)
         assert (serial.counts == parallel.counts).all()
 
+    @pytest.mark.parametrize("num_threads", [0, -3])
+    def test_join_rejects_fewer_than_one_thread(self, polygons, points, num_threads):
+        """Regression: ``num_threads < 1`` silently ran single-threaded."""
+        lngs, lats = points
+        index = PolygonIndex.build(polygons)
+        with pytest.raises(ValueError, match=f"num_threads must be >= 1, got {num_threads}"):
+            index.join(lats, lngs, num_threads=num_threads)
+
     def test_containing_polygons(self, polygons):
         index = PolygonIndex.build(polygons)
         assert index.containing_polygons(40.70, -74.00) == [0]

@@ -113,9 +113,10 @@ def test_repeats_of_a_resident_key_all_hit(stores):
 
 
 def test_threads_sharing_one_cache_stay_bit_identical(stores):
-    """Four threads hammer one small table (the ``MorselExecutor``
-    situation): every probe stays equal to the direct one, and no counter
-    update is lost.  Also run under ``REPRO_SANITIZE=1`` in CI."""
+    """Four threads hammer one small table (client threads calling one
+    service's ``join`` at once share their layer's table): every probe
+    stays equal to the direct one, and no counter update is lost.  Also
+    run under ``REPRO_SANITIZE=1`` in CI."""
     by_kind, leaf_ids = stores
     store = by_kind["act"]
     pool = id_pool(store, leaf_ids, 0, 400)

@@ -689,6 +689,12 @@ class TestLifecycleBasics:
         parallel = dyn.join(LATS, LNGS, exact=True, num_threads=2)
         np.testing.assert_array_equal(single.counts, parallel.counts)
 
+    def test_join_rejects_zero_threads(self):
+        """Regression: ``num_threads=0`` silently ran single-threaded."""
+        dyn = DynamicPolygonIndex.build(POOL[:2], compact_threshold=None)
+        with pytest.raises(ValueError, match="num_threads must be >= 1, got 0"):
+            dyn.join(LATS, LNGS, exact=True, num_threads=0)
+
     def test_containing_polygons(self):
         dyn = DynamicPolygonIndex.build(POOL[:2], compact_threshold=None)
         pid = dyn.insert(regular_polygon((-73.90, 40.80), 0.006, 12))

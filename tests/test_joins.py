@@ -1,6 +1,8 @@
 """Tests for the join algorithms (Listing 3) and entry decoding."""
 
 import contextlib
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -25,7 +27,7 @@ from repro.core.lookup_table import (
     TAG_TWO_REFS,
     LookupTable,
 )
-from repro.core.morsels import MorselExecutor
+from repro.core.morsels import map_morsels
 from repro.core.refs import PolygonRef
 from repro.geo.pip import contains_points
 from repro.serve import JoinService, ShardedJoinService
@@ -592,6 +594,75 @@ class TestParallelJoin:
             assert pair_set(threaded) == pair_set(serial)
 
 
+class TestMapMorsels:
+    def test_covers_every_range_in_order(self):
+        ranges = map_morsels(95, lambda lo, hi: (lo, hi), num_threads=4, morsel_size=10)
+        assert ranges[0] == (0, 10)
+        assert ranges[-1] == (90, 95)
+        assert sum(hi - lo for lo, hi in ranges) == 95
+
+    def test_single_morsel_runs_inline(self):
+        calls = []
+
+        def work(lo, hi):
+            calls.append((lo, hi))
+
+        assert map_morsels(40, work, num_threads=2, morsel_size=100) == [None]
+        assert calls == [(0, 40)]
+
+    def test_empty_input(self):
+        assert map_morsels(0, lambda lo, hi: 1, num_threads=2, morsel_size=10) == []
+
+    def test_work_actually_runs_on_multiple_threads(self):
+        seen = set()
+        barrier = threading.Barrier(2, timeout=10)
+
+        def work(lo, hi):
+            barrier.wait()  # both threads must be inside work at once
+            seen.add(threading.get_ident())
+
+        map_morsels(10, work, num_threads=2, morsel_size=5)
+        assert len(seen) == 2
+
+
+class TestMapMorselsFailFast:
+    def test_failing_worker_stops_remaining_morsels(self):
+        """Workers must stop claiming morsels once one of them fails."""
+        calls: list[int] = []
+        calls_lock = threading.Lock()
+
+        def work(lo, hi):
+            with calls_lock:
+                calls.append(lo)
+            if lo == 0:
+                raise ValueError("boom at morsel 0")
+            time.sleep(0.01)
+            return hi
+
+        with pytest.raises(ValueError, match="boom at morsel 0"):
+            map_morsels(200, work, num_threads=2, morsel_size=10)  # 20 morsels
+        # Without fail-fast the surviving worker grinds through all 20
+        # morsels; with the shared flag it stops after at most the ones
+        # it had already claimed when the failure landed.
+        assert len(calls) < 20
+        assert len(calls) <= 5
+
+    def test_error_on_single_inline_morsel_still_raises(self):
+        def work(lo, hi):
+            raise RuntimeError("inline failure")
+
+        with pytest.raises(RuntimeError, match="inline failure"):
+            map_morsels(50, work, num_threads=2, morsel_size=100)
+
+    def test_call_after_a_failure_succeeds(self):
+        with pytest.raises(ValueError):
+            map_morsels(
+                20, lambda lo, hi: (_ for _ in ()).throw(ValueError()),
+                num_threads=2, morsel_size=5,
+            )
+        assert map_morsels(20, lambda lo, hi: hi - lo, num_threads=2, morsel_size=5) == [5, 5, 5, 5]
+
+
 class TestJoinDriver:
     """One read path: whatever the schedule, the driver returns the
     single-chunk call's statistics and pair set."""
@@ -633,37 +704,56 @@ class TestJoinDriver:
         num_points = 1_500 if pool == (2, 7) else len(ids)
         lats, lngs, ids = lats[:num_points], lngs[:num_points], ids[:num_points]
 
-        def run(executor):
+        def run(num_threads=1, morsel_size=1 << 16):
             return join_batch(
                 view.store, view.lookup_table, ids, view.polygons, lngs, lats,
                 exact=exact, materialize=materialize, engine=view.refiner,
-                executor=executor,
+                num_threads=num_threads, morsel_size=morsel_size,
             )
 
-        single = run(None)
+        single = run()
         if pool is None:
             result = view.join(
                 lats, lngs, exact=exact, materialize=materialize, cell_ids=ids
             )
         else:
-            with MorselExecutor(*pool) as executor:
-                result = run(executor)
+            result = run(*pool)
         self.assert_same(result, single, materialize)
 
     @pytest.mark.parametrize("materialize", [False, True])
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("which", ["static", "delta"])
-    def test_morsel_service_equals_the_single_chunk_call(
+    def test_service_equals_the_single_chunk_call(
         self, built, with_delta, which, exact, materialize
     ):
         _, lngs, lats, _, _ = built
         index = built[0] if which == "static" else with_delta
         single = index.join(lats, lngs, exact=exact, materialize=materialize)
-        with JoinService(index, num_threads=2, morsel_size=512) as service:
+        with JoinService(index) as service:
             served = service.join(
                 lats, lngs, exact=exact, materialize=materialize
             )
         self.assert_same(served, single, materialize)
+
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            ({"num_threads": 0}, "num_threads must be >= 1, got 0"),
+            ({"num_threads": 2, "morsel_size": 0}, "morsel_size must be >= 1, got 0"),
+        ],
+        ids=["no_threads", "empty_morsels"],
+    )
+    def test_rejects_a_schedule_below_one(self, built, schedule, message):
+        """Checked before the schedule is chosen: a batch that would take
+        the straight call is refused too."""
+        _, lngs, lats, ids, _ = built
+        view = built[0].probe_view()
+        with pytest.raises(ValueError, match=message):
+            join_batch(
+                view.store, view.lookup_table, ids[:10], view.polygons,
+                lngs[:10], lats[:10], exact=True, engine=view.refiner,
+                **schedule,
+            )
 
 
 class TestMergeJoinResults:

@@ -19,7 +19,6 @@ from repro.serve import (
     HotCellCache,
     LayerRouter,
     MicroBatcher,
-    MorselExecutor,
     ShardedJoinService,
 )
 from repro.serve.batching import LookupRequest
@@ -89,20 +88,17 @@ class TestServiceJoin:
             served = svc.join(lats, lngs, exact=exact)
         assert np.array_equal(served.counts, direct.counts)
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_counts_identical_with_morsel_parallelism(self, index, points, exact):
-        lats, lngs = points
-        direct = index.join(lats, lngs, exact=exact)
-        with JoinService(index, num_threads=4, morsel_size=512) as svc:
-            served = svc.join(lats, lngs, exact=exact)
-        assert np.array_equal(served.counts, direct.counts)
-        assert served.num_pairs == direct.num_pairs
-        assert served.solely_true_hits == direct.solely_true_hits
+    @pytest.mark.parametrize("option", ["num_threads", "morsel_size"])
+    def test_thread_options_are_gone(self, index, option):
+        """A dispatch is one straight call: the service takes no thread
+        pool options (more cores come from ``ShardedJoinService``)."""
+        with pytest.raises(TypeError, match=option):
+            JoinService(index, **{option: 2})
 
     def test_materialized_pairs_match_direct(self, index, points):
         lats, lngs = points
         direct = index.join(lats, lngs, materialize=True)
-        with JoinService(index, num_threads=2, morsel_size=1024) as svc:
+        with JoinService(index) as svc:
             served = svc.join(lats, lngs, materialize=True)
         direct_pairs = set(zip(direct.pair_points.tolist(), direct.pair_polygons.tolist()))
         served_pairs = set(zip(served.pair_points.tolist(), served.pair_polygons.tolist()))
@@ -767,7 +763,7 @@ class TestCoordinateKeyedTable:
         _assert_same_join(warm, direct)
 
     def test_door_matrix_matches_the_index_across_writes(self):
-        """Warm, cold, declined, no table, morsels, a fan-out's brought
+        """Warm, cold, declined, no table, a fan-out's brought
         ids and ``cell_ids=``: each door's results equal the index's own
         join, and its leaf ids the cell-id kernel's, before and after an
         insert, a delete and a compaction."""
@@ -786,7 +782,6 @@ class TestCoordinateKeyedTable:
             JoinService(dyn) as table,
             JoinService(dyn) as declining,
             JoinService(dyn, cache_cells=0) as no_table,
-            JoinService(dyn, num_threads=2, morsel_size=1_000) as morsels,
             JoinService({"first": dyn, "second": dyn}) as fan_out,
         ):
             for write in [None, *writes]:
@@ -811,8 +806,6 @@ class TestCoordinateKeyedTable:
                     doors["declined"] = _served(declining, "default", dyn, lats, lngs, exact)
                     assert declining.cache().stats().bypassed == bypassed + len(lats)
                     doors["no_table"] = _served(no_table, "default", dyn, lats, lngs, exact)
-                    for _ in range(2):
-                        doors["morsels"] = _served(morsels, "default", dyn, lats, lngs, exact)
                     for label, (result, ids) in doors.items():
                         _assert_same_join(result, direct)
                         assert np.array_equal(ids, want_ids), label
@@ -1023,37 +1016,6 @@ class TestLayerRouter:
             assert "extra" in svc.layers
             served = svc.join(lats, lngs, layer="extra")
         assert np.array_equal(served.counts, second_index.join(lats, lngs).counts)
-
-
-class TestMorselExecutor:
-    def test_covers_every_range_in_order(self):
-        with MorselExecutor(num_threads=4, morsel_size=10) as executor:
-            ranges = executor.map_morsels(95, lambda lo, hi: (lo, hi))
-        assert ranges[0] == (0, 10)
-        assert ranges[-1] == (90, 95)
-        assert sum(hi - lo for lo, hi in ranges) == 95
-
-    def test_single_morsel_runs_inline(self):
-        calls = []
-        with MorselExecutor(num_threads=2, morsel_size=100) as executor:
-            assert executor.map_morsels(40, lambda lo, hi: calls.append((lo, hi))) == [None]
-        assert calls == [(0, 40)]
-
-    def test_empty_input(self):
-        with MorselExecutor(num_threads=2) as executor:
-            assert executor.map_morsels(0, lambda lo, hi: 1) == []
-
-    def test_work_actually_runs_on_multiple_threads(self):
-        seen = set()
-        barrier = threading.Barrier(2, timeout=10)
-
-        def work(lo, hi):
-            barrier.wait()  # both threads must be inside work at once
-            seen.add(threading.get_ident())
-
-        with MorselExecutor(num_threads=2, morsel_size=5) as executor:
-            executor.map_morsels(10, work)
-        assert len(seen) == 2
 
 
 class TestServiceStats:
@@ -1298,44 +1260,6 @@ class TestLayerRouterConcurrency:
         routed = dict(router.select(["a", "b"]))
         assert routed["a"] is index
         assert routed["b"] is second_index
-
-
-class TestMorselExecutorFailFast:
-    def test_failing_worker_stops_remaining_morsels(self):
-        """Workers must stop claiming morsels once one of them fails."""
-        calls: list[int] = []
-        calls_lock = threading.Lock()
-
-        def work(lo, hi):
-            with calls_lock:
-                calls.append(lo)
-            if lo == 0:
-                raise ValueError("boom at morsel 0")
-            time.sleep(0.01)
-            return hi
-
-        with MorselExecutor(num_threads=2, morsel_size=10) as executor:
-            with pytest.raises(ValueError, match="boom at morsel 0"):
-                executor.map_morsels(200, work)  # 20 morsels
-        # Without fail-fast the surviving worker grinds through all 20
-        # morsels; with the shared flag it stops after at most the ones
-        # it had already claimed when the failure landed.
-        assert len(calls) < 20
-        assert len(calls) <= 5
-
-    def test_error_on_single_inline_morsel_still_raises(self):
-        def work(lo, hi):
-            raise RuntimeError("inline failure")
-
-        with MorselExecutor(num_threads=2, morsel_size=100) as executor:
-            with pytest.raises(RuntimeError, match="inline failure"):
-                executor.map_morsels(50, work)
-
-    def test_pool_reusable_after_failure(self):
-        with MorselExecutor(num_threads=2, morsel_size=5) as executor:
-            with pytest.raises(ValueError):
-                executor.map_morsels(20, lambda lo, hi: (_ for _ in ()).throw(ValueError()))
-            assert executor.map_morsels(20, lambda lo, hi: hi - lo) == [5, 5, 5, 5]
 
 
 class TestLatencyRecorderLocking:
