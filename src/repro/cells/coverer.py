@@ -17,8 +17,9 @@ sit one level down, so it *is* level-synchronous and runs that way here
 round gathers the cells any covering in flight might subdivide — over a
 block of polygons, and over the covering and the interior covering of each,
 which walk the same upper tree — derives all children with lsb arithmetic,
-computes their bound rects in **one** call and classifies them with **one**
-:mod:`repro.geo.relation` call per polygon.  Only then is the budget rule
+computes their bound rects in **one** call and classifies every ``(child,
+polygon)`` pair of the block in **one** :mod:`repro.geo.relation` pass
+over the block's latitude-bucketed edges.  Only then is the budget rule
 replayed cell by cell (``len(result) + len(queue) + 4 > max_cells``, the
 queue being the rest of this level plus the children already emitted): an
 interior covering drops boundary cells at exhaustion, which frees budget for
@@ -42,12 +43,18 @@ from repro.cells.cell import bound_rects_for_cell_ids
 from repro.cells.cellid import NUM_FACES, CellId
 from repro.cells.vectorized import child_cell_ids
 from repro.geo.polygon import Polygon
-from repro.geo.relation import Relation, _rect_classifier
+from repro.geo.relation import Relation, RelationTable, relations_for_pairs
 
 #: ``lsb`` of a level-0 (face) cell id.
 _FACE_LSB = 1 << 60
 _DISJOINT = int(Relation.DISJOINT)
 _CONTAINED = int(Relation.CONTAINED)
+
+#: The six face cells, where every covering starts, and their rects.
+_FACE_IDS = np.asarray(
+    [CellId.face_cell(face).id for face in range(NUM_FACES)], dtype=np.uint64
+)
+_FACE_RECTS = bound_rects_for_cell_ids(_FACE_IDS)
 
 #: Default level cap: level 28 keeps every cell level expressible in all
 #: ACT fanout configurations (key extension needs ``level + delta <= 30``
@@ -123,7 +130,8 @@ class _CoverRun:
     ) -> None:
         """Replay one level of the queue; the children become the frontier.
 
-        ``children`` maps a parent id to its four child ids and their codes.
+        ``children`` maps a parent id to its non-DISJOINT child ids and
+        their codes.
         """
         opts = self.options
         result = self.result
@@ -140,10 +148,9 @@ class _CoverRun:
                 may_split
                 and len(result) + remaining + len(next_ids) + 4 <= opts.max_cells
             ):
-                for child, child_code in zip(*children[raw]):
-                    if child_code != _DISJOINT:
-                        next_ids.append(child)
-                        next_codes.append(child_code)
+                kept_ids, kept_codes = children[raw]
+                next_ids += kept_ids
+                next_codes += kept_codes
             elif not self.interior:
                 # Out of budget or at max_level: boundary cells join a
                 # covering (it must keep covering) but are dropped from an
@@ -172,17 +179,19 @@ def _cover_block(
     polygons: Sequence[Polygon],
     specs: Sequence[tuple[CovererOptions, bool]],
 ) -> list[list[list[CellId]]]:
-    classifiers = [_rect_classifier(polygon) for polygon in polygons]
-    face_ids = np.asarray(
-        [CellId.face_cell(face).id for face in range(NUM_FACES)], dtype=np.uint64
-    )
-    face_rects = bound_rects_for_cell_ids(face_ids)
+    table = RelationTable(polygons)
+    num = len(polygons)
+    face_codes = relations_for_pairs(
+        table,
+        _FACE_RECTS,
+        np.tile(np.arange(NUM_FACES), num),
+        np.repeat(np.arange(num), NUM_FACES),
+    ).reshape(num, NUM_FACES)
     runs: list[list[_CoverRun]] = []
-    for classifier in classifiers:
-        codes = classifier.relations(*face_rects)
+    for codes in face_codes:
         keep = codes != _DISJOINT
         runs.append([
-            _CoverRun(options, interior, face_ids[keep].tolist(), codes[keep].tolist())
+            _CoverRun(options, interior, _FACE_IDS[keep].tolist(), codes[keep].tolist())
             for options, interior in specs
         ])
     level = 0
@@ -193,19 +202,29 @@ def _cover_block(
             sorted(set().union(*(run.expandable(level) for run in poly_runs)))
             for poly_runs in runs
         ]
+        sizes = np.asarray([len(group) for group in parents], dtype=np.int64)
         child_ids = child_cell_ids(
             np.asarray([raw for group in parents for raw in group], dtype=np.uint64)
         )
-        rects = bound_rects_for_cell_ids(child_ids.ravel())
+        # One pass classifies every (child, polygon) pair of the block.
+        codes = relations_for_pairs(
+            table,
+            bound_rects_for_cell_ids(child_ids.ravel()),
+            np.arange(child_ids.size),
+            np.repeat(np.arange(num), 4 * sizes),
+        ).reshape(-1, 4)
+        # Each parent's non-DISJOINT children, as slices of two flat lists.
+        keep = codes != _DISJOINT
+        kept_ids = child_ids[keep].tolist()
+        kept_codes = codes[keep].tolist()
+        bounds = [0, *np.cumsum(keep.sum(axis=1)).tolist()]
         offset = 0
-        for classifier, group, poly_runs in zip(classifiers, parents, runs):
+        for group, poly_runs in zip(parents, runs):
             stop = offset + len(group)
-            codes = classifier.relations(
-                *(bound[4 * offset:4 * stop] for bound in rects)
-            ).reshape(-1, 4)
-            children = dict(
-                zip(group, zip(child_ids[offset:stop].tolist(), codes.tolist()))
-            )
+            children = {
+                raw: (kept_ids[lo:hi], kept_codes[lo:hi])
+                for raw, lo, hi in zip(group, bounds[offset:stop], bounds[offset + 1:stop + 1])
+            }
             offset = stop
             for run in poly_runs:
                 run.advance(level, children)

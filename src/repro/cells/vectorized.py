@@ -71,8 +71,10 @@ _HALF_SIZE = float(MAX_SIZE // 2)
 #: integer in which the tangent projection defers to the exact one: ten
 #: times its largest measured error (see the module docstring).
 _GUARD = 4e-6
-_CHUNK_MASK = (1 << LOOKUP_BITS) - 1
-_LOOKUP_IJ_64 = LOOKUP_IJ.astype(np.int64)
+#: ``LOOKUP_IJ`` split for the decode walk: the chunk's ``(i << 4) | j``
+#: byte, and the next orientation.
+_LOOKUP_IJ_NIBBLES = (LOOKUP_IJ >> 2).astype(np.uint8)
+_LOOKUP_ORIENTATION = (LOOKUP_IJ & 3).astype(np.intp)
 #: Child k of a cell sits ``2 * k`` child-lsb steps above the first child.
 _CHILD_STEPS = np.arange(4, dtype=np.uint64) * np.uint64(2)
 
@@ -97,6 +99,11 @@ _U64 = np.dtype("<u8")
 _NIBBLE_SPREAD = tuple(
     (np.uint64(shift), np.uint64(mask))
     for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F))
+)
+#: ``(shift, mask)`` rounds of ``_unzip_nibbles``.
+_NIBBLE_UNZIP = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in ((4, 0x00FF00FF00FF00FF), (8, 0x0000FFFF0000FFFF), (16, 0xFFFFFFFF))
 )
 _LOOKUP_SHIFT = np.uint64(LOOKUP_BITS)
 _ONE = np.uint64(1)
@@ -280,28 +287,41 @@ def face_ij_from_leaf_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     """Vectorized inverse of :func:`leaf_ids_from_face_ij`.
 
     Takes leaf cell ids (uint64) and returns ``(face, i, j)`` int64 arrays,
-    mirroring the 8-chunk table walk of ``hilbert.ij_from_leaf_pos`` with a
-    table gather per chunk (bit-identical to the scalar decode, verified in
-    ``tests/test_vectorized.py``).
+    mirroring the 8-chunk table walk of ``hilbert.ij_from_leaf_pos`` with
+    table gathers per chunk (bit-identical to the scalar decode, verified
+    in ``tests/test_vectorized.py``).  Chunk ``k`` is byte ``k`` of the
+    position; the walk carries only the orientation and writes each
+    chunk's ``(i, j)`` nibble pair to byte ``k`` of an output word, whose
+    nibbles are then unzipped into ``i`` and ``j``.
     """
     ids = np.asarray(ids, dtype=np.uint64)
-    face = (ids >> np.uint64(_POS_BITS)).astype(np.int64)
-    pos = ((ids & np.uint64((1 << _POS_BITS) - 1)) >> np.uint64(1)).astype(np.int64)
-    i = np.zeros(ids.shape, dtype=np.int64)
-    j = np.zeros(ids.shape, dtype=np.int64)
-    bits = face & SWAP_MASK
+    flat = ids.reshape(-1)
+    face = (flat >> np.uint64(_POS_BITS)).astype(np.int64)
+    pos = (flat & np.uint64((1 << _POS_BITS) - 1)) >> _ONE
+    # The top chunk only has 2 meaningful quadtree levels (30 = 7*4 + 2):
+    # the rest of its byte is 0.
+    chunks = np.ascontiguousarray(pos.astype(_U64, copy=False).view(np.uint8).reshape(-1, 8).T)
+    index = np.left_shift(chunks, 2, dtype=np.intp)
+    nibbles = np.empty((8, flat.size), dtype=np.uint8)
+    orientation = face & SWAP_MASK
     for k in range(7, -1, -1):
-        # The top chunk only has 2 meaningful quadtree levels (30 = 7*4 + 2).
-        nbits = MAX_LEVEL - 7 * LOOKUP_BITS if k == 7 else LOOKUP_BITS
-        index = bits
-        index = index + (
-            ((pos >> (k * 2 * LOOKUP_BITS)) & ((1 << (2 * nbits)) - 1)) << 2
-        )
-        looked = _LOOKUP_IJ_64[index]
-        i += (looked >> (LOOKUP_BITS + 2)) << (k * LOOKUP_BITS)
-        j += ((looked >> 2) & _CHUNK_MASK) << (k * LOOKUP_BITS)
-        bits = looked & 3
-    return face, i, j
+        index[k] |= orientation
+        _LOOKUP_IJ_NIBBLES.take(index[k], out=nibbles[k])
+        orientation = _LOOKUP_ORIENTATION.take(index[k])
+    words = np.ascontiguousarray(nibbles.T).view(_U64).reshape(-1)
+    i = _unzip_nibbles(words >> np.uint64(LOOKUP_BITS)).astype(np.int64)
+    j = _unzip_nibbles(words).astype(np.int64)
+    return face.reshape(ids.shape), i.reshape(ids.shape), j.reshape(ids.shape)
+
+
+def _unzip_nibbles(words: np.ndarray) -> np.ndarray:
+    """The even nibbles of ``uint64`` words, packed into their low 32 bits
+    (the inverse of :func:`_nibbles_to_bytes`)."""
+    x = words & _NIBBLE_SPREAD[-1][1]
+    for shift, mask in _NIBBLE_UNZIP:
+        x |= x >> shift
+        x &= mask
+    return x
 
 
 def cell_ids_from_lat_lng_arrays(lats: np.ndarray, lngs: np.ndarray) -> np.ndarray:

@@ -237,7 +237,6 @@ def unpack_polygon_geometry(
         polygon._mbr = None
         polygon._edge_cache = None
         polygon._refine_cache = None
-        polygon._relation_cache = None
         polygon._cover_cache = None
         polygons.append(polygon)
     return polygons

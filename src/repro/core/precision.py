@@ -17,8 +17,8 @@ descendants; we instead descend in rounds, pruning whole subtrees the
 moment they lose contact with every polygon boundary.  A round takes every
 live cell of every refined subtree at once (``uint64`` id arrays, with the
 ``(cell, polygon)`` pairs still undecided), computes the bound rects in one
-call and classifies the pairs with one :mod:`repro.geo.relation` call per
-polygon — the same kernel the coverer and training use.  A CONTAINED pair
+call and classifies the pairs with one :mod:`repro.geo.relation` pass —
+the same kernel the coverer and training use.  A CONTAINED pair
 becomes an inherited true hit for the whole subtree, a DISJOINT pair is
 dropped, an INTERSECTS pair stays a candidate and makes its cell split
 until the target level.  Cells that separate from all boundaries above the
@@ -45,7 +45,7 @@ from repro.cells.metrics import level_for_max_diag_meters
 from repro.cells.vectorized import child_cell_ids, levels_from_cell_ids
 from repro.core.super_covering import SuperCovering, merge_cells
 from repro.geo.polygon import Polygon
-from repro.geo.relation import Relation, relations_for_pairs
+from repro.geo.relation import Relation, RelationTable, relations_for_pairs
 
 _CHILD_SLOTS = np.arange(4, dtype=np.int64)
 
@@ -88,13 +88,14 @@ def refine_to_precision(
     pair_cells = ref_slots[candidates]
     pair_pids = (packed_refs[candidates] >> np.uint32(1)).astype(np.int64)
     pair_codes = np.full(len(pair_cells), Relation.INTERSECTS, dtype=np.int8)
+    table = RelationTable(polygons, pair_pids)
     final_cells: list[np.ndarray] = []
     final_refs: list[np.ndarray] = []
     while len(cell_ids):
         rects = bound_rects_for_cell_ids(cell_ids)
         undecided = np.flatnonzero(pair_codes == Relation.INTERSECTS)
         pair_codes[undecided] = relations_for_pairs(
-            polygons, rects, pair_cells[undecided], pair_pids[undecided]
+            table, rects, pair_cells[undecided], pair_pids[undecided]
         )
         kept = np.flatnonzero(pair_codes != Relation.DISJOINT)
         pair_cells, pair_pids, pair_codes = pair_cells[kept], pair_pids[kept], pair_codes[kept]

@@ -61,7 +61,7 @@ from repro.core.super_covering import (
     take_rows,
 )
 from repro.geo.polygon import Polygon
-from repro.geo.relation import Relation, relations_for_pairs
+from repro.geo.relation import Relation, RelationTable, relations_for_pairs
 
 #: Split-scheduling orders accepted by :func:`train_super_covering`.
 TRAINING_ORDERS = ("arrival", "hot")
@@ -89,13 +89,13 @@ def _classify_children(
     parent_ids: np.ndarray,
     ref_offsets: np.ndarray,
     packed_refs: np.ndarray,
-    polygons: Sequence[Polygon],
+    table: RelationTable,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Re-classify the children of expensive cells against their polygons.
 
     The parents are disjoint cells with reference rows ``(ref_offsets,
-    packed_refs)``.  All child rects come from one vectorized pass and each
-    polygon classifies all of its ``(child, polygon)`` pairs in one call:
+    packed_refs)``.  All child rects come from one vectorized pass and one
+    ``relations_for_pairs`` pass classifies every ``(child, polygon)`` pair:
     a candidate fully contained becomes a true hit, still intersecting
     stays a candidate, disjoint is dropped; inherited true hits replicate
     unchanged; a child left with no references is omitted.  Returns
@@ -112,7 +112,7 @@ def _classify_children(
     child_refs = np.repeat(packed_refs, 4)
     candidates = np.flatnonzero((child_refs & np.uint32(1)) == 0)
     codes = relations_for_pairs(
-        polygons,
+        table,
         rects,
         children[candidates],
         (child_refs[candidates] >> np.uint32(1)).astype(np.int64),
@@ -225,7 +225,7 @@ def _distribute(
 
 def _train_rounds(
     super_covering: SuperCovering,
-    polygons: Sequence[Polygon],
+    table: RelationTable,
     pending: _Pending,
     report: TrainingReport,
 ) -> None:
@@ -233,14 +233,14 @@ def _train_rounds(
 
     All pending splits of a round are independent (their cells are
     disjoint), so their child rectangles are computed in one vectorized
-    pass and each polygon classifies all of its rects in one call.  The
+    pass and classified in one ``relations_for_pairs`` pass.  The
     resulting covering is identical to executing the same splits one at a
     time — which is why this path is only taken without a cell budget
     (a budget makes the stopping split order-sensitive).
     """
     while len(pending.cells):
         replacements, *children = _classify_children(
-            pending.cells, pending.ref_offsets, pending.packed_refs, polygons
+            pending.cells, pending.ref_offsets, pending.packed_refs, table
         )
         split = replacements > 0  # phantom candidates: keep the cell
         super_covering.replace_cells(pending.cells[split], *children)
@@ -253,7 +253,7 @@ def _train_rounds(
 
 def _train_heap(
     super_covering: SuperCovering,
-    polygons: Sequence[Polygon],
+    table: RelationTable,
     pending: _Pending,
     report: TrainingReport,
     max_cells: int,
@@ -297,7 +297,7 @@ def _train_heap(
     while heap:
         _, _, entry = heapq.heappop(heap)
         replacements, child_ids, child_offsets, child_refs = _classify_children(
-            entry.cells, entry.ref_offsets, entry.packed_refs, polygons
+            entry.cells, entry.ref_offsets, entry.packed_refs, table
         )
         if not replacements[0]:
             continue  # phantom candidates: keep the cell, consume its points
@@ -369,10 +369,13 @@ def train_super_covering(
         ids,
         np.arange(len(ids), dtype=np.int64),
     )
+    # Children only ever reference their parents' candidate polygons.
+    refs = pending.packed_refs
+    table = RelationTable(polygons, refs[(refs & np.uint32(1)) == 0] >> np.uint32(1))
     if max_cells is None:
-        _train_rounds(super_covering, polygons, pending, report)
+        _train_rounds(super_covering, table, pending, report)
     else:
-        _train_heap(super_covering, polygons, pending, report, max_cells, order)
+        _train_heap(super_covering, table, pending, report, max_cells, order)
     return report
 
 

@@ -76,7 +76,7 @@ class Polygon:
     """One outer ring plus optional hole rings, with even-odd semantics."""
 
     __slots__ = ("outer", "holes", "_mbr", "_edge_cache", "_refine_cache",
-                 "_relation_cache", "_cover_cache")
+                 "_cover_cache")
 
     def __init__(self, outer: Ring | Sequence[tuple[float, float]],
                  holes: Sequence[Ring | Sequence[tuple[float, float]]] = ()):
@@ -85,7 +85,6 @@ class Polygon:
         self._mbr: Rect | None = None
         self._edge_cache: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
         self._refine_cache = None  # lazily built by repro.geo.refine
-        self._relation_cache = None  # lazily built by repro.geo.relation
         # (covering options, interior options, covering ids, interior ids)
         # of the last covering, kept by repro.core.builder.cover_polygons.
         self._cover_cache = None
@@ -127,10 +126,9 @@ class Polygon:
     def __getstate__(self) -> tuple[Ring, list[Ring]]:
         """Pickle only the geometry, never the lazy caches.
 
-        The derived caches (edge arrays, refinement bucket rows, the
-        relation classifier, the last coverings) are all recomputable
-        and can dwarf the vertex data; dropping them keeps
-        spawn-shipped shard payloads lean.
+        The derived caches (edge arrays, refinement bucket rows, the last
+        coverings) are all recomputable and can dwarf the vertex data;
+        dropping them keeps spawn-shipped shard payloads lean.
         """
         return self.outer, self.holes
 

@@ -115,7 +115,10 @@ def _bucket_index(
     latitude an edge can cross falls in one of the edge's buckets.
     """
     raw = np.floor((lats - lat_origin) * inv_bucket_height)
-    return np.clip(raw, 0, num_buckets - 1).astype(np.int64)
+    # np.clip, without its Python-level dispatch.
+    np.maximum(raw, 0, out=raw)
+    np.minimum(raw, num_buckets - 1, out=raw)
+    return raw.astype(np.int64)
 
 
 def _pack_bucket_rows(polygon: Polygon) -> _BucketRows:

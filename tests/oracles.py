@@ -3,9 +3,13 @@ stage-by-stage lat/lng -> cell id pipeline.
 
 Until 1.12.0 the first were the production coverer, relation test and
 precision descent.  The build now classifies whole rounds of cells through
-``repro.geo.relation._RectClassifier``; the scalar versions live on here so
-the property tests can assert the batched kernels agree with them cell for
-cell (``tests/test_build_parity.py``, ``tests/test_relation.py``).
+``repro.geo.relation.relations_for_pairs``; the scalar versions live on here
+so the property tests can assert the batched kernels agree with them cell
+for cell (``tests/test_build_parity.py``, ``tests/test_relation.py``).
+Until 1.30.0 that pass was one per-polygon broadcast classifier call per
+distinct polygon; it lives on here as :class:`RectClassifier` (and
+:func:`relations_per_polygon`), which the bucketed pass matches code for
+code.
 
 Until 1.14.0 the super covering was a dict of reference tuples with two
 merges (a bulk sweep and the paper's Listing-1 insert), three gap tilers
@@ -16,6 +20,11 @@ is now three sorted arrays with one merge sweep and one tiler
 (:class:`ListingOneCovering`), the scalar tilers,
 :func:`train_super_covering_sequential` and its one-cell split helpers
 (:func:`classify_split`, :func:`split_expensive_cell`) live on here.
+
+Until 1.30.0 ``repro.cells.cell.bound_rects_for_cell_ids`` projected every
+corner through three six-way ``np.choose`` calls in one unchunked pass; it
+lives on here as :func:`bound_rects_choose`, which ``tests/test_vectorized.py``
+holds the chunked flat-gather projection against, bit for bit.
 
 Until 1.13.0 the second was ``repro.cells.vectorized``: one function and a
 set of temporaries per stage, a boolean-masked scatter per cube face, a
@@ -51,15 +60,15 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.cells.cell import bound_rect_from_face_ij, cell_bound_rect
+from repro.cells.cell import _st_to_uv_array, bound_rect_from_face_ij, cell_bound_rect
 from repro.cells.cellid import MAX_LEVEL as MAX_CELL_LEVEL
 from repro.cells.cellid import NUM_FACES, CellId
 from repro.cells.hilbert import LOOKUP_BITS, LOOKUP_POS, SWAP_MASK
 from repro.cells.projections import MAX_SIZE
 from repro.cells.coverer import CovererOptions
-from repro.cells.metrics import level_for_max_diag_meters
+from repro.cells.metrics import EARTH_RADIUS_METERS, MAX_EDGE_DERIV, level_for_max_diag_meters
 from repro.cells.cellid import cell_difference
-from repro.cells.vectorized import levels_from_cell_ids
+from repro.cells.vectorized import face_ij_from_leaf_ids, levels_from_cell_ids
 from repro.core.lookup_table import LookupTable
 from repro.core.refs import PolygonRef, merge_refs
 from repro.core.super_covering import SuperCovering
@@ -68,7 +77,7 @@ from repro.geo.edgeset import EdgeSet
 from repro.geo.pip import contains_point, contains_points
 from repro.geo.polygon import Polygon
 from repro.geo.rect import Rect
-from repro.geo.relation import Relation
+from repro.geo.relation import Relation, RelationTable
 
 # ----------------------------------------------------------------------
 # Scalar rect/polygon relation
@@ -101,6 +110,112 @@ def rect_polygon_relation(rect: Rect, polygon: Polygon) -> Relation:
     if contains_point(polygon, lng, lat):
         return Relation.CONTAINED
     return Relation.DISJOINT
+
+
+class RectClassifier:
+    """Batched rect-vs-polygon relations for one polygon: every rect
+    broadcast against every edge.
+
+    Until 1.30.0 the production classifier (``_RectClassifier``, memoized
+    per polygon); ``relations_for_pairs`` now decides a whole round in one
+    bucketed pass and must match this one code for code
+    (``tests/test_relation.py``).
+    """
+
+    #: Rect/edge pairs evaluated per chunk of the broadcast.
+    chunk_pairs = 1 << 21
+
+    def __init__(self, polygon: Polygon):
+        self.polygon = polygon
+        self.mbr = polygon.mbr
+        x0, y0, x1, y1 = polygon.all_edges()
+        self.x0 = x0
+        self.y0 = y0
+        self.dx = x1 - x0
+        self.dy = y1 - y0
+        self.min_x = np.minimum(x0, x1)
+        self.max_x = np.maximum(x0, x1)
+        self.min_y = np.minimum(y0, y1)
+        self.max_y = np.maximum(y0, y1)
+
+    def relations(
+        self,
+        lng_lo: np.ndarray,
+        lng_hi: np.ndarray,
+        lat_lo: np.ndarray,
+        lat_hi: np.ndarray,
+    ) -> np.ndarray:
+        """``Relation`` codes (int8) for rectangles given as coordinate arrays."""
+        codes = np.zeros(len(lng_lo), dtype=np.int8)
+        mbr = self.mbr
+        alive = np.nonzero(
+            (lng_hi >= mbr.lng_lo)
+            & (lng_lo <= mbr.lng_hi)
+            & (lat_hi >= mbr.lat_lo)
+            & (lat_lo <= mbr.lat_hi)
+        )[0]
+        if alive.size == 0:
+            return codes
+        lo_x = lng_lo[alive]
+        hi_x = lng_hi[alive]
+        lo_y = lat_lo[alive]
+        hi_y = lat_hi[alive]
+        boundary = np.zeros(alive.size, dtype=bool)
+        chunk = max(1, self.chunk_pairs // max(1, len(self.x0)))
+        for start in range(0, alive.size, chunk):
+            rows = slice(start, start + chunk)
+            rect, edge = np.nonzero(
+                (self.max_x[None, :] >= lo_x[rows, None])
+                & (self.min_x[None, :] <= hi_x[rows, None])
+                & (self.max_y[None, :] >= lo_y[rows, None])
+                & (self.min_y[None, :] <= hi_y[rows, None])
+            )
+            rect += start
+            x0 = self.x0[edge]
+            y0 = self.y0[edge]
+            dx = self.dx[edge]
+            dy = self.dy[edge]
+            rel_lo_x = lo_x[rect] - x0
+            rel_hi_x = hi_x[rect] - x0
+            rel_lo_y = lo_y[rect] - y0
+            rel_hi_y = hi_y[rect] - y0
+            vertex_inside = (rel_lo_x < 0) & (rel_hi_x > 0) & (rel_lo_y < 0) & (rel_hi_y > 0)
+            cross_ll = dx * rel_lo_y - dy * rel_lo_x
+            cross_lr = dx * rel_lo_y - dy * rel_hi_x
+            cross_ul = dx * rel_hi_y - dy * rel_lo_x
+            cross_ur = dx * rel_hi_y - dy * rel_hi_x
+            one_sided = (
+                (cross_ll > 0) & (cross_lr > 0) & (cross_ul > 0) & (cross_ur > 0)
+            ) | (
+                (cross_ll < 0) & (cross_lr < 0) & (cross_ul < 0) & (cross_ur < 0)
+            )
+            boundary[rect[vertex_inside | ~one_sided]] = True
+        codes[alive[boundary]] = Relation.INTERSECTS
+        uniform = alive[~boundary]
+        if uniform.size:
+            centers_lng = (lng_lo[uniform] + lng_hi[uniform]) / 2.0
+            centers_lat = (lat_lo[uniform] + lat_hi[uniform]) / 2.0
+            inside = contains_points(self.polygon, centers_lng, centers_lat)
+            codes[uniform[inside]] = Relation.CONTAINED
+        return codes
+
+
+def relations_per_polygon(
+    polygons: Sequence[Polygon],
+    rects: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    rect_index: np.ndarray,
+    polygon_ids: np.ndarray,
+) -> np.ndarray:
+    """``relations_for_pairs`` as it was until 1.30.0: one
+    :class:`RectClassifier` call per distinct polygon."""
+    codes = np.empty(len(polygon_ids), dtype=np.int8)
+    for pid in np.unique(polygon_ids).tolist():
+        group = np.flatnonzero(polygon_ids == pid)
+        rows = rect_index[group]
+        codes[group] = RectClassifier(polygons[pid]).relations(
+            *(bound[rows] for bound in rects)
+        )
+    return codes
 
 
 # ----------------------------------------------------------------------
@@ -467,7 +582,7 @@ def _classify_one(
         np.asarray([cell.id], dtype=np.uint64),
         np.asarray([0, len(packed)], dtype=np.int64),
         packed,
-        polygons,
+        RelationTable(polygons, packed >> np.uint32(1)),
     )[1:]
 
 
@@ -647,6 +762,72 @@ def staged_cell_ids_from_lat_lng_arrays(lats: np.ndarray, lngs: np.ndarray) -> n
     i = ij_from_st(st_from_uv(u))
     j = ij_from_st(st_from_uv(v))
     return staged_leaf_ids_from_face_ij(face, i, j)
+
+
+# ----------------------------------------------------------------------
+# The np.choose bound-rect projection
+# ----------------------------------------------------------------------
+
+
+def _face_uv_to_xyz_choose(
+    face: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``projections.face_uv_to_xyz`` over per-element faces, one
+    six-way ``np.choose`` per coordinate."""
+    ones = np.ones_like(u)
+    return (
+        np.choose(face, (ones, -u, -u, -ones, v, v)),
+        np.choose(face, (u, ones, -v, -v, -ones, u)),
+        np.choose(face, (v, v, ones, -u, -u, -ones)),
+    )
+
+
+def bound_rects_choose(
+    raw_ids: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``repro.cells.cell.bound_rects_for_cell_ids`` as it was until
+    1.30.0: one unchunked pass, the projection through ``np.choose``."""
+    ids = np.asarray(raw_ids, dtype=np.uint64)
+    if ids.size == 0:
+        empty = np.zeros(0, dtype=np.float64)
+        return empty, empty.copy(), empty.copy(), empty.copy()
+    lsb = ids & (~ids + np.uint64(1))
+    level = levels_from_cell_ids(ids)
+    size = (np.int64(1) << (np.int64(30) - level)).astype(np.int64)
+    leaf_min = ids - (lsb - np.uint64(1))
+    face, i, j = face_ij_from_leaf_ids(leaf_min)
+    size_mask = ~(size - 1)
+    i = i & size_mask
+    j = j & size_mask
+    s = (i + np.array([[0], [1], [1], [0]]) * size) / MAX_SIZE
+    t = (j + np.array([[0], [0], [1], [1]]) * size) / MAX_SIZE
+    x, y, z = _face_uv_to_xyz_choose(face, _st_to_uv_array(s), _st_to_uv_array(t))
+    lat = np.degrees(np.arctan2(z, np.hypot(x, y)))
+    lng = np.degrees(np.arctan2(y, x))
+    min_lat, max_lat = lat.min(axis=0), lat.max(axis=0)
+    min_lng, max_lng = lng.min(axis=0), lng.max(axis=0)
+    wrap = (max_lng - min_lng) > 180.0
+    half_face = MAX_SIZE // 2
+    covers_center = (
+        (i <= half_face) & (half_face <= i + size)
+        & (j <= half_face) & (half_face <= j + size)
+    )
+    north = covers_center & (face == 2)
+    south = covers_center & (face == 5)
+    max_lat = np.where(north, 90.0, max_lat)
+    min_lat = np.where(south, -90.0, min_lat)
+    full_lng = wrap | north | south
+    min_lng = np.where(full_lng, -180.0, min_lng)
+    max_lng = np.where(full_lng, 180.0, max_lng)
+    theta = MAX_EDGE_DERIV / np.exp2(level.astype(np.float64))
+    pad_lat = (2.0 * (theta * theta / 8.0) * EARTH_RADIUS_METERS) / (
+        EARTH_RADIUS_METERS * np.pi / 180.0
+    )
+    max_abs_lat = np.minimum(
+        89.9, np.maximum(np.abs(min_lat), np.abs(max_lat)) + pad_lat
+    )
+    pad_lng = pad_lat / np.maximum(0.01, np.cos(np.radians(max_abs_lat)))
+    return min_lng - pad_lng, max_lng + pad_lng, min_lat - pad_lat, max_lat + pad_lat
 
 
 # ----------------------------------------------------------------------

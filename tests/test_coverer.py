@@ -125,3 +125,22 @@ class TestOptions:
             CovererOptions(min_level=5, max_level=4)
         with pytest.raises(ValueError):
             CovererOptions(max_level=31)
+
+
+class TestAntimeridianWidening:
+    """A known defect, pinned: ``bound_rects_for_cell_ids`` widens every
+    antimeridian-crossing cell to lng [-180, 180], so the face-3 column at
+    lng ~ +-180 intersects every polygon in its latitude band and joins
+    every covering (about a third of the neighborhoods' covering cells;
+    interior coverings have none).  Fixing it changes the benchmark's
+    result fingerprints, so it waits for a benchmark change that
+    re-records them; this test then passes and must lose its mark."""
+
+    @pytest.mark.xfail(strict=True, reason="antimeridian cells widen to the full lng range")
+    def test_nyc_covering_has_no_face_3_cell(self):
+        from repro.core.builder import cover_polygon
+        from repro.datasets import polygon_dataset
+
+        covering, interior = cover_polygon(polygon_dataset("boroughs")[0])
+        assert not [cell for cell in interior if cell.face == 3]
+        assert not [cell for cell in covering if cell.face == 3]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     face_uv_from_xyz,
     ij_from_st,
@@ -26,6 +27,7 @@ from repro.cells.vectorized import (
     _tangent_xyz,
     face_ij_from_lat_lng_arrays,
     leaf_ids_from_face_ij,
+    parent_ids_at_level,
     xyz_from_lat_lng,
 )
 
@@ -399,6 +401,41 @@ class TestBoundRectsForCellIds:
 
         out = bound_rects_for_cell_ids(np.zeros(0, dtype=np.uint64))
         assert all(len(a) == 0 for a in out)
+
+    def test_bit_identical_to_choose_projection(self, rng, monkeypatch):
+        """The chunked flat-gather projection == the ``np.choose`` one it
+        replaced, bit for bit: every face at levels 0-30, with the cells
+        around each face center (the poles on faces 2 and 5) and along the
+        antimeridian (the middle column of face 3, the half-lines of faces
+        2 and 5)."""
+        import repro.cells.cell as cell
+
+        half = MAX_SIZE // 2
+        near = np.asarray([half - 1, half], dtype=np.int64)
+        leaves = []
+        for face in range(6):
+            i = rng.integers(0, MAX_SIZE, 64)
+            j = rng.integers(0, MAX_SIZE, 64)
+            # Face centers, and cells straddling the center row / column.
+            random = rng.integers(0, MAX_SIZE, 10)
+            i = np.concatenate([i, np.repeat(near, 2), near, random[:8]])
+            j = np.concatenate([j, np.tile(near, 2), random[8:], np.repeat(near, 4)])
+            leaves.append(leaf_ids_from_face_ij(np.full(len(i), face), i, j))
+        leaves = np.concatenate(leaves)
+        ids = np.concatenate([parent_ids_at_level(leaves, level) for level in range(31)])
+        # Chunk edges fall inside the input, too.
+        monkeypatch.setattr(cell, "_RECT_CHUNK", 1000)
+        got = cell.bound_rects_for_cell_ids(ids)
+        expected = oracles.bound_rects_choose(ids)
+        for new, old in zip(got, expected):
+            assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+        lng_lo, lng_hi, lat_lo, lat_hi = got
+        wide = (lng_lo <= -180.0) & (lng_hi >= 180.0)
+        faces = (ids >> np.uint64(61)).astype(np.int64)
+        # The fallbacks fired: antimeridian cells on face 3, poles on 2 / 5.
+        assert wide[faces == 3].sum() > 100
+        assert (lat_hi[faces == 2] >= 90.0).sum() > 30
+        assert (lat_lo[faces == 5] <= -90.0).sum() > 30
 
 
 class TestRangeBounds:
