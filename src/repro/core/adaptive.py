@@ -7,13 +7,13 @@ workload, tanking the solely-true-hit (STH) rate exactly where load is.
 This module turns the training phase into a feedback loop over the
 machinery the serving stack already has:
 
-* **telemetry** — the join driver hands every probed batch to
-  :meth:`LayerTelemetry.observe` (the ``observe`` hook of
-  :func:`repro.core.joins.join_batch`), which keys each point on its cell
-  at the layer's deepest level, classifies each key's entry as expensive
-  or not straight from the entry bits, and keeps a windowed STH rate plus
-  a histogram of refinement traffic per cell.  Cost per probe is one
-  ``np.unique`` over the keys plus a few vectorized ops.
+* **telemetry** — the join driver's ``observe`` hook turns every probed
+  batch into a :func:`traffic_increment` (each point keyed on its cell at
+  the layer's deepest level, each key's entry classified as expensive or
+  not straight from the entry bits; a sharded front merges its lanes'),
+  and :class:`LayerTelemetry` keeps a windowed STH rate plus a histogram
+  of refinement traffic per cell.  Cost per probe is one ``np.unique``
+  over the keys plus a few vectorized ops.
 * **trigger** — :class:`AdaptiveController` watches the windowed STH rate
   after each dispatch; when it sinks below ``AdaptationPolicy.sth_target``
   (outside the cooldown), it claims a retrain slot and hands the observed
@@ -22,7 +22,7 @@ machinery the serving stack already has:
   histogram (hottest keys first, repeats capped) and retrains with
   ``order="hot"`` under a cell budget: ``PolygonIndex.retrained`` builds a
   fresh snapshot from a *copy* of the covering (swapped in atomically via
-  ``JoinService.swap_layer``), while ``DynamicPolygonIndex.retrain`` is a
+  the service's ``swap_layer``), while ``DynamicPolygonIndex.retrain`` is a
   compaction under the new training configuration, folding pending delta
   mutations into the trained snapshot.
 
@@ -37,7 +37,7 @@ import math
 import threading
 from collections import deque
 from dataclasses import dataclass
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -93,6 +93,34 @@ class AdaptationStatus:
     last_trained_version: int  # 0 = never retrained
 
 
+#: One probed batch's traffic: its distinct keys (sorted), the points
+#: under each, and whether each key's entry sends them to refinement.
+TrafficIncrement = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def traffic_increment(
+    view: ProbeView, cell_ids: np.ndarray, entries: np.ndarray
+) -> TrafficIncrement:
+    """The increment of a batch probed through ``view``, from each point's
+    leaf id and entry (the join driver's ``observe`` hook arguments)."""
+    keys = parent_ids_at_level(cell_ids, view.max_cell_level)
+    # One representative entry per key; every id sharing a key
+    # resolves to the same entry by construction.
+    unique_keys, first, weights = np.unique(
+        keys, return_index=True, return_counts=True
+    )
+    return unique_keys, weights, expensive_entries(entries[first], view.lookup_table)
+
+
+def merge_increments(parts: Sequence[TrafficIncrement]) -> TrafficIncrement:
+    """:func:`traffic_increment` of the union of disjoint batches probed
+    through one view, from theirs (a key's entry is the same in each)."""
+    keys, weights, expensive = (np.concatenate(column) for column in zip(*parts))
+    unique_keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    summed = np.bincount(inverse, weights, len(unique_keys)).astype(weights.dtype)
+    return unique_keys, summed, expensive[first]
+
+
 class LayerTelemetry:
     """Windowed refinement telemetry for one served layer (thread-safe).
 
@@ -115,21 +143,6 @@ class LayerTelemetry:
         self._hot: dict[int, int] = {}  # hot leaves #: guarded_by(_lock)
         #: guarded_by(_lock)
         self._points_since_retrain = policy.cooldown_points  # no initial cooldown
-
-    def observe(
-        self, view: ProbeView, cell_ids: np.ndarray, entries: np.ndarray
-    ) -> None:
-        """Fold one batch probed through ``view`` in: the join driver's
-        ``observe`` hook, given each point's leaf id and entry."""
-        keys = parent_ids_at_level(cell_ids, view.max_cell_level)
-        # One representative entry per key; every id sharing a key
-        # resolves to the same entry by construction.
-        unique_keys, first, weights = np.unique(
-            keys, return_index=True, return_counts=True
-        )
-        self.record(
-            unique_keys, weights, expensive_entries(entries[first], view.lookup_table)
-        )
 
     def record(
         self, unique_keys: np.ndarray, weights: np.ndarray, expensive: np.ndarray
@@ -162,10 +175,7 @@ class LayerTelemetry:
                     self._hot = dict(keep[: MAX_TRACKED_KEYS // 2])
 
     def window_sth_rate(self) -> float:
-        with self._lock:
-            if self._window_total == 0:
-                return 1.0
-            return 1.0 - self._window_refined / self._window_total
+        return self.status()[1]
 
     def should_adapt(self) -> bool:
         """Window full enough, STH below target, outside the cooldown."""
@@ -206,15 +216,14 @@ class LayerTelemetry:
 class AdaptiveController:
     """Watches per-layer telemetry and retrains drifted layers online.
 
-    One instance per :class:`~repro.serve.service.JoinService`.  The
-    service hands the layer's :meth:`telemetry_for` to the join driver
-    as its ``observe`` hook and calls :meth:`after_dispatch` after every
-    dispatch (the trigger check, a few lock-free comparisons in the
-    common case).  Retraining runs on a daemon worker thread, one per
-    layer at a time, and installs through the index's own snapshot
-    machinery — dynamic indexes via their compaction (``retrain``),
-    static snapshots via the ``swap`` callable (normally
-    ``JoinService.swap_layer``).
+    One instance per :class:`~repro.serve.service.ServiceFront`, however
+    many lanes join its layers.  The front hands each dispatch's traffic
+    increment to :meth:`record` and calls :meth:`after_dispatch` after it
+    (the trigger check, a few lock-free comparisons in the common case).
+    Retraining runs on a daemon worker thread, one per layer at a time,
+    and installs through the index's own snapshot machinery — dynamic
+    indexes via their compaction (``retrain``), static snapshots via the
+    ``swap`` callable (normally the front's ``swap_layer``).
     """
 
     def __init__(
@@ -266,6 +275,10 @@ class AdaptiveController:
                 telemetry = LayerTelemetry(self.policy)
                 self._telemetry[layer] = telemetry
             return telemetry
+
+    def record(self, layer: str, increment: TrafficIncrement) -> None:
+        """Fold one dispatch's traffic into ``layer``'s telemetry."""
+        self.telemetry_for(layer).record(*increment)
 
     def after_dispatch(self, layer: str, index: object) -> bool:
         """Trigger check; starts a background retrain when drift is seen."""

@@ -27,8 +27,8 @@ unit of work is a *request stream* rather than a point array:
 * :class:`ServiceStats` — p50/p99 latency, throughput, cache hit-rate,
   adaptation-loop snapshots, and per-shard detail;
 * adaptation — pass an :class:`~repro.core.adaptive.AdaptationPolicy` to
-  :class:`JoinService` and layers retrain themselves on observed traffic
-  when their windowed solely-true-hit rate drifts below target.
+  either front and its layers retrain themselves (once, at the front) on
+  observed traffic when their windowed solely-true-hit rate drifts low.
 
 Quickstart::
 

@@ -40,20 +40,20 @@ directly, skewed workloads skip most cell-id computations and trie
 descents even right after a write, and a snapshot swap
 (:meth:`JoinService.swap_layer`) or a mutation can never serve an entry
 of a previous version.  With adaptation on, the driver's
-``observe`` hook is the layer's
-:class:`~repro.core.adaptive.LayerTelemetry`.
+``observe`` hook hands each dispatch's
+:func:`~repro.core.adaptive.traffic_increment` to the front's one
+:class:`~repro.core.adaptive.AdaptiveController`.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
-from functools import partial
 from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.adaptive import AdaptationPolicy, AdaptiveController
+from repro.core.adaptive import AdaptationPolicy, AdaptiveController, traffic_increment
 from repro.core.builder import ProbeView
 from repro.core.joins import JoinResult, check_batch, join_batch
 from repro.obs import DispatchMeters, Observability
@@ -72,8 +72,10 @@ class ServiceFront:
     """The request surface every join service shares.
 
     Owns the layer router, the ``obs`` → tracer / events / meters
-    wiring, the latency recorder and the micro-batcher, and defines
-    ``join`` / ``join_layers`` / ``submit`` / ``lookup`` once.  Every
+    wiring, the latency recorder, the micro-batcher and the one
+    :class:`~repro.core.adaptive.AdaptiveController` (retrains install
+    through ``swap_layer``), and defines ``join`` / ``join_layers`` /
+    ``submit`` / ``lookup`` once.  Every
     request passes through :meth:`_serve`, which checks the batch and
     runs ``self._dispatch(name, index, cell_ids, lats, lngs, exact,
     materialize)`` — ``cell_ids`` is ``None`` unless the caller brought
@@ -88,6 +90,7 @@ class ServiceFront:
         *,
         default_layer: str | None,
         latency_window: int,
+        adaptation: AdaptationPolicy | None,
         obs: Observability | None,
     ):
         if not isinstance(layers, Mapping):
@@ -99,6 +102,9 @@ class ServiceFront:
         self._metrics = obs.metrics if obs is not None else None
         self._meters = DispatchMeters(obs.metrics) if obs is not None else None
         self._recorder = LatencyRecorder(window=latency_window)
+        self._adaptive = None if adaptation is None else AdaptiveController(
+            adaptation, swap=self.swap_layer, events=self._events, metrics=self._metrics
+        )
 
     def _start_batcher(self, max_batch: int, max_wait_ms: float) -> None:
         """Start the lookup coalescer: the LAST step of a subclass's
@@ -124,6 +130,11 @@ class ServiceFront:
     def tracer(self) -> Tracer:
         """The phase tracer (the shared disabled tracer when ``obs=None``)."""
         return self._tracer
+
+    @property
+    def adaptation(self) -> AdaptiveController | None:
+        """The adaptation controller, or ``None`` when self-tuning is off."""
+        return self._adaptive
 
     def _dispatch(
         self,
@@ -375,19 +386,13 @@ class JoinService(ServiceFront):
             layers,
             default_layer=default_layer,
             latency_window=latency_window,
+            adaptation=adaptation,
             obs=obs,
         )
         self._cache_cells = cache_cells
-        self._adaptive = (
-            AdaptiveController(
-                adaptation,
-                swap=self.swap_layer,
-                events=self._events,
-                metrics=self._metrics,
-            )
-            if adaptation is not None
-            else None
-        )
+        # Called with ``(layer, increment)`` per dispatch; ``None`` observes
+        # nothing.  A shard lane's is set per join message (serve.sharded).
+        self._traffic_sink = None if adaptation is None else self._adaptive.record
         self._attach_lock = threading.Lock()
         # One generation per layer: the hot-cell table of the newest
         # view version seen.  A swap or a dynamic-index mutation bumps
@@ -484,10 +489,11 @@ class JoinService(ServiceFront):
         cell_ids, entries = self._resolve(
             self._table_for(name, view), index, view, cell_ids, lats, lngs
         )
+        sink = self._traffic_sink
         observe = (
-            partial(self._adaptive.telemetry_for(name).observe, view)
-            if self._adaptive is not None
-            else None
+            None
+            if sink is None
+            else lambda ids, entries: sink(name, traffic_increment(view, ids, entries))
         )
         result = join_batch(
             view.store,
@@ -560,11 +566,6 @@ class JoinService(ServiceFront):
     # ------------------------------------------------------------------
     # Observability & lifecycle
     # ------------------------------------------------------------------
-
-    @property
-    def adaptation(self) -> AdaptiveController | None:
-        """The adaptation controller, or ``None`` when self-tuning is off."""
-        return self._adaptive
 
     def stats(self) -> ServiceStats:
         """Immutable snapshot: latency percentiles, throughput, cache,

@@ -35,7 +35,9 @@ probe one shared ACT (arXiv:1802.09488 §5).
   :class:`~repro.serve.service.ServiceFront` whose dispatch scatters
   each batch, gathers the partial results and merges them with
   :func:`~repro.core.joins.merge_join_results`.  Swaps fan out to every
-  lane, each lane runs its own adaptation loop, and the merged
+  lane; adaptation does not: lanes return their shares' traffic, the
+  front's one loop per layer records it as a :class:`JoinService` would
+  and retrains through :meth:`ShardedJoinService.swap_layer`.  The merged
   :class:`~repro.serve.stats.ServiceStats` carries per-shard detail in
   ``stats.shards``.
 
@@ -62,7 +64,7 @@ lane, one core keeps a lane's working set in that core's cache; a
 batch task's wake-up does not preempt its waker, so the front finishes
 fanning a slice out before any lane takes its CPU — without it the
 lanes were observed to run one after the other.  Threads a lane starts
-later (a shard-local retrain) inherit both.  A call the platform lacks
+(its service's batcher) inherit both.  A call the platform lacks
 or refuses is skipped; there is nothing to configure.
 
 ``backend="inline"`` hosts the per-shard services in the calling process
@@ -82,15 +84,15 @@ import functools
 import os
 import threading
 import traceback
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from multiprocessing import get_context
 from multiprocessing.shared_memory import SharedMemory
 from collections.abc import Mapping, Sequence, Sized
 
 import numpy as np
 
-from repro.core.adaptive import AdaptationPolicy
-from repro.core.builder import PolygonIndex, ensure_version_floor
+from repro.core.adaptive import AdaptationPolicy, TrafficIncrement, merge_increments
+from repro.core.builder import PolygonIndex
 from repro.core.flat import (
     FLAT_COVERAGE_BUFFERS,
     FLAT_GEOMETRY_BUFFERS,
@@ -168,42 +170,28 @@ class _WorkerPayload:  #: spawn_payload
     parts: dict[str, tuple[str, int]]  # layer name -> (its segment, its version)
     ring_shm: str  # the front's one scatter ring, attached once per lane
     cache_cells: int
-    adaptation: AdaptationPolicy | None
     obs: ObsConfig | None = None  # worker-side observability settings
 
 
-def _index_from_part(part: tuple[str, int], *, fresh_version: bool) -> PolygonIndex:
+def _index_from_part(part: tuple[str, int]) -> PolygonIndex:
     """Attach the layer index a ``(segment name, version)`` part names
-    (no store build).
+    (no store build), stamped with the front's version.
 
     The attach keeps its ``SharedMemory`` handle open for the index's
     whole lifetime (pinned as the snapshot owner) — closing it while
     numpy views into the buffers exist is an error, so the handle is
     simply dropped with the index.
-
-    ``fresh_version=False`` stamps the published index's version (initial
-    attach / add_layer: every lane agrees); ``True`` stamps a fresh one
-    (swap: the lane's current index may carry a *later* local version
-    from a lane-local adaptive retrain).  Either way the local version
-    counter is floored above the published version, so such a retrain is
-    always newer than what it replaces (the router refuses rollbacks).
     """
-    name, published = part
-    ensure_version_floor(published)
+    name, version = part
     segment = _attach_shm(name)
     snapshot = FlatSnapshot.from_buffer(segment.buf, owner=segment)
-    return attach_index(snapshot, version=None if fresh_version else published)
+    return attach_index(snapshot, version=version)
 
 
 def _build_shard_service(payload: _WorkerPayload) -> JoinService:
-    layers = {
-        name: _index_from_part(part, fresh_version=False)
-        for name, part in payload.parts.items()
-    }
     return JoinService(
-        layers,
+        {name: _index_from_part(part) for name, part in payload.parts.items()},
         cache_cells=payload.cache_cells,
-        adaptation=payload.adaptation,
         obs=Observability.from_config(payload.obs),
     )
 
@@ -228,20 +216,23 @@ def _apply_admin(
     zero result); with ``materialize`` the reply's ``pair_points`` are
     slice positions.  ``trace`` is the front dispatch's ``(trace_id,
     parent_span_id)`` or ``None``; a traced join opens a ``shard`` root
-    under that remote parent (a ``cell_ids`` child for the ids), and the
-    reply, ``(result, finished_spans)``, carries its spans for the front
-    to adopt (none when untraced).  ``ping`` replies with the service
-    construction time and, where the platform has them, the lane's CPU
-    mask and scheduling policy; layer ops with their layer attach time
-    (the attach latency meter).
+    under that remote parent (a ``cell_ids`` child for the ids).  The
+    reply is ``(result, increment, finished_spans)``: the share's traffic
+    increment if ``observe`` (the front adapts), else ``None``, and the
+    spans for the front to adopt (none when untraced).  ``ping`` replies
+    with the service construction time and, where the platform has them,
+    the lane's CPU mask and scheduling policy; layer ops with their layer
+    attach time (the attach latency meter).
     """
     op = msg[0]
     if op == "join":
-        _, layer, total, lanes, brought, exact, materialize, trace = msg
+        _, layer, total, lanes, brought, exact, materialize, observe, trace = msg
         ring_lats, ring_lngs, ring_ids = ring
         tracer = service.tracer
         _, index = service._router.resolve(layer)
         a, b = ShardPlan(lanes).share(shard, total)
+        traffic: dict[str, TrafficIncrement] = {}  # the join's increment, observing
+        service._traffic_sink = traffic.__setitem__ if observe else None
         with tracer.remote_root("shard", trace, shard=shard):
             if not brought:
                 with tracer.span("cell_ids", points=b - a):
@@ -258,7 +249,7 @@ def _apply_admin(
                     (), num_points=0, num_polygons=len(index.polygons),
                     wall_seconds=0.0, materialize=materialize,
                 )
-        return result, (() if trace is None else tracer.take_last_trace())
+        return result, traffic.get(layer), (() if trace is None else tracer.take_last_trace())
     if op == "ping":
         report: dict[str, object] = {"build_seconds": build_seconds}
         if hasattr(os, "sched_getaffinity"):
@@ -270,7 +261,7 @@ def _apply_admin(
     if op in ("swap", "add_layer"):
         _, name, part = msg
         with Timer() as timer:
-            index = _index_from_part(part, fresh_version=op == "swap")
+            index = _index_from_part(part)
         if op == "swap":
             service.swap_layer(name, index)
         else:
@@ -613,9 +604,9 @@ class ShardedJoinService(ServiceFront):
         each placed on its own core (module docstring); ``"inline"``
         hosts the shard services in-process (tests, debugging).
     adaptation:
-        Fans out to every shard worker: each lane runs its own
-        adaptation loop over the traffic it joins and retrains/swaps its
-        own copy of the layer.
+        One adaptation loop per layer, run by the front: the lanes report
+        the traffic of their shares, the front records it, and a retrain
+        installs through :meth:`swap_layer` (module docstring).
     start_method:
         ``multiprocessing`` start method for the process backend.
         Defaults to ``"spawn"`` — the worker entry point is module-level
@@ -658,6 +649,7 @@ class ShardedJoinService(ServiceFront):
             layers,
             default_layer=default_layer,
             latency_window=latency_window,
+            adaptation=adaptation,
             obs=obs,
         )
         for name, index in self._router.items():
@@ -700,7 +692,6 @@ class ShardedJoinService(ServiceFront):
                     parts=parts,
                     ring_shm=self._ring.name,
                     cache_cells=cache_cells,
-                    adaptation=adaptation,
                     obs=obs.config() if obs is not None else None,
                 )
                 for shard in range(num_shards)
@@ -812,6 +803,7 @@ class ShardedJoinService(ServiceFront):
         if not brought:  # the lanes compute them; read back slice by slice
             cell_ids = np.empty(len(lats), dtype=np.uint64)
         parts: list[JoinResult] = []
+        increments: list[TrafficIncrement] = []  # the lanes' traffic, observing
         lane_spans: list = []  # the lanes' finished spans, when traced
         with self._lock, Timer() as timer:
             # Resolve UNDER the dispatch lock (the caller's `index` is
@@ -831,7 +823,7 @@ class ShardedJoinService(ServiceFront):
                         *(ids[window] for ids in brought),
                     )
                     msg = ("join", name, total, lanes, bool(brought), exact,
-                           materialize, trace_ctx)
+                           materialize, self._adaptive is not None, trace_ctx)
                 with self._tracer.span("gather", shards=lanes) as span:
                     replies, errors = _scatter_gather(
                         [(client, msg) for client in self._clients]
@@ -839,20 +831,22 @@ class ShardedJoinService(ServiceFront):
                     if errors:
                         raise errors[0]
                     ids_seconds = [
-                        s.seconds for _, spans in replies for s in spans if s.name == "cell_ids"
+                        s.seconds for *_, spans in replies for s in spans if s.name == "cell_ids"
                     ]
                     span.set(
                         lane_seconds_max=max(
-                            r.probe_seconds + r.refine_seconds for r, _ in replies
+                            r.probe_seconds + r.refine_seconds for r, *_ in replies
                         ),
                         lane_ids_seconds_max=max(ids_seconds, default=0.0),
                     )
                 if not brought:
                     cell_ids[window] = _ring_planes(self._ring)[2][:total]
-                for result, spans in replies:
+                for result, increment, spans in replies:
                     if materialize and lo:  # slice -> batch positions
                         result.pair_points += lo
                     parts.append(result)
+                    if increment is not None:
+                        increments.append(increment)
                     lane_spans += spans
         self._tracer.adopt(lane_spans)  # one trace, readable in one place
         with self._tracer.span("merge", shards=len(parts)):
@@ -863,6 +857,10 @@ class ShardedJoinService(ServiceFront):
                 wall_seconds=timer.seconds,
                 materialize=materialize,
             )
+            if increments:  # one record per dispatch, as a JoinService's
+                self._adaptive.record(name, merge_increments(increments))
+        if self._adaptive is not None:
+            self._adaptive.after_dispatch(name, index)
         return merged, cell_ids
 
     # ------------------------------------------------------------------
@@ -876,9 +874,9 @@ class ShardedJoinService(ServiceFront):
         attach the new layer segment in parallel, and the dispatch lock
         makes the fan-out atomic with respect to joins.
         """
-        self._check_open()
         _check_shardable(name, index)
         with self._lock:
+            self._check_open()  # under the lock: never once the lanes are shut
             if name not in self._router:
                 raise KeyError(
                     f"cannot swap unknown layer {name!r}; "
@@ -895,11 +893,11 @@ class ShardedJoinService(ServiceFront):
 
     def add_layer(self, name: str, index: PolygonIndex) -> None:
         """Register an additional layer on the live sharded service."""
-        self._check_open()
         if not name:
             raise ValueError("layer name must be non-empty")
         _check_shardable(name, index)
         with self._lock:
+            self._check_open()
             if name in self._router:
                 raise ValueError(f"layer {name!r} is already registered")
             self._install_layer("add_layer", name, index)
@@ -965,10 +963,8 @@ class ShardedJoinService(ServiceFront):
 
         Front-level latency covers whole scatter/gather dispatches;
         cache counters sum across shards per layer; each shard's own
-        ``ServiceStats`` (adaptation state included) rides along in
-        ``shards``.  Adaptation entries are keyed ``layer@shardN`` so the
-        point-weighted ``live_sth_rate`` and ``retrains`` aggregates stay
-        correct across the fan-out.
+        ``ServiceStats`` rides along in ``shards``.  Adaptation is the
+        front's, per layer; a lane adapts nothing.
         """
         self._check_open()
         with self._lock:
@@ -981,18 +977,11 @@ class ShardedJoinService(ServiceFront):
             if errors:
                 raise errors[0]
             indexes = dict(self._router.items())
-        cache: dict[str, CacheStats] = {}
-        for name in indexes:
-            slices = [s.cache[name] for s in shard_stats if name in s.cache]
-            if slices:
-                cache[name] = CacheStats(
-                    capacity=sum(s.capacity for s in slices),
-                    size=sum(s.size for s in slices),
-                    hits=sum(s.hits for s in slices),
-                    misses=sum(s.misses for s in slices),
-                    evictions=sum(s.evictions for s in slices),
-                    bypassed=sum(s.bypassed for s in slices),
-                )
+        # Every lane registers a table per layer: counters sum field by field.
+        cache = {
+            name: CacheStats(*map(sum, zip(*(astuple(s.cache[name]) for s in shard_stats))))
+            for name in indexes
+        }
         layers = {
             name: LayerStatus(
                 version=index.version,
@@ -1001,11 +990,7 @@ class ShardedJoinService(ServiceFront):
             )
             for name, index in indexes.items()
         }
-        adaptation = {
-            f"{layer}@shard{shard}": status
-            for shard, stats in enumerate(shard_stats)
-            for layer, status in stats.adaptation.items()
-        }
+        adaptation = self._adaptive.status() if self._adaptive is not None else {}
         shards = tuple(
             ShardStatus(shard=shard, stats=stats)
             for shard, stats in enumerate(shard_stats)
@@ -1022,8 +1007,11 @@ class ShardedJoinService(ServiceFront):
             )
 
     def close(self) -> None:
-        """Drain pending lookups, stop and reap every shard worker, unlink
-        every segment the front published."""
+        """Wait for an in-flight retrain (it installs while the lanes still
+        serve), drain pending lookups, stop and reap every shard worker,
+        unlink every segment the front published."""
+        if self._adaptive is not None:
+            self._adaptive.close()
         with self._lock:
             if self._closed:
                 return

@@ -182,5 +182,8 @@ class TestAdaptRunner:
         from repro.bench import adapt_bench
 
         (result,) = adapt_bench.run(tiny_workbench)
-        assert len(result.rows) == 4  # 2 phases x 2 services
+        assert len(result.rows) == 6  # 2 phases x 3 services
+        assert {row[1] for row in result.rows} == {
+            "static", "adaptive", f"adaptive x{adapt_bench.ADAPT_SHARDS} lanes"
+        }
         assert any("bit-identical" in note for note in result.notes)

@@ -19,7 +19,7 @@ from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
 from repro.core import AdaptationPolicy
 from repro.core.morsels import OFFLINE_MORSEL_POINTS
 from repro.geo.polygon import regular_polygon
-from repro.serve import ShardPlan, ShardWorkerError, ShardedJoinService
+from repro.serve import JoinService, ShardPlan, ShardWorkerError, ShardedJoinService
 
 #: Every JoinResult field two equivalent joins must agree on exactly.
 STAT_FIELDS = (
@@ -467,14 +467,11 @@ class TestPartialFailureHandling:
             real = sharded_mod._index_from_part
             calls = []
 
-            def flaky(part, *, fresh_version):
-                # Only swap attaches count (fresh_version=True); the
-                # initial spawn attached with fresh_version=False.
-                if fresh_version:
-                    calls.append(part)
-                    if len(calls) >= 2:
-                        raise MemoryError("simulated worker build failure")
-                return real(part, fresh_version=fresh_version)
+            def flaky(part):
+                calls.append(part)
+                if len(calls) >= 2:
+                    raise MemoryError("simulated worker build failure")
+                return real(part)
 
             monkeypatch.setattr(sharded_mod, "_index_from_part", flaky)
             with pytest.raises(MemoryError):
@@ -492,10 +489,8 @@ class TestPartialFailureHandling:
 
         lats, lngs = points
 
-        def always_fail(part, *, fresh_version):
-            if fresh_version:
-                raise MemoryError("simulated build failure on every shard")
-            return _real(part, fresh_version=fresh_version)
+        def always_fail(part):
+            raise MemoryError("simulated build failure on every shard")
 
         _real = sharded_mod._index_from_part
         with ShardedJoinService(index, num_shards=2, backend="inline") as svc:
@@ -507,43 +502,131 @@ class TestPartialFailureHandling:
             assert_identical(served, index.join(lats[:500], lngs[:500], exact=True))
 
 
+#: A policy the uniform test stream drifts below at once: a retrain
+#: starts at the second 1,500-point dispatch.
+_ADAPT_POLICY = AdaptationPolicy(
+    sth_target=0.99, window_points=4_096, min_window_points=2_048,
+    cooldown_points=4_096, max_training_points=5_000,
+)
+
+
+def _adapt_stream(count=24_000, batch=1_500):
+    rng = np.random.default_rng(31)
+    lngs = rng.uniform(-74.04, -73.92, count)
+    lats = rng.uniform(40.66, 40.78, count)
+    return [(lats[lo : lo + batch], lngs[lo : lo + batch]) for lo in range(0, count, batch)]
+
+
+def _window(status):
+    return status.window_points, status.window_sth_rate, status.tracked_keys
+
+
 class TestShardedAdaptation:
-    """Every lane is a JoinService with its own adaptation loop over its
-    partition; a lane's retrain must install whatever version the front's
-    layer was stamped with (a fresh worker process counts from 1)."""
+    """One adaptation loop per layer, at the front: the lanes report the
+    traffic of their shares, the front records one increment per
+    dispatch — the record a JoinService makes for the same batch — and
+    its one retrain publishes like any swap."""
 
     @pytest.mark.parametrize("backend", ["inline", "process"])
-    def test_every_lane_retrains_without_a_failure(self, backend):
-        while PolygonIndex.build([regular_polygon((-74.0, 40.70), 0.01, 8)]).version < 6:
-            pass  # throwaway builds: the served layer's version is >= 7
-        index = PolygonIndex.build(_grid_polygons())
-        assert index.version >= 7
-        rng = np.random.default_rng(31)
-        lngs = rng.uniform(-74.04, -73.92, 24_000)
-        lats = rng.uniform(40.66, 40.78, 24_000)
-        policy = AdaptationPolicy(
-            sth_target=0.99, window_points=4_096, min_window_points=2_048,
-            cooldown_points=4_096, max_training_points=5_000,
-        )
-        with ShardedJoinService(
-            index, num_shards=2, backend=backend, adaptation=policy
+    def test_the_front_retrains_as_a_join_service_would(self, index, backend):
+        batches = _adapt_stream()
+        with JoinService(index, adaptation=_ADAPT_POLICY) as single, ShardedJoinService(
+            index, num_shards=2, backend=backend, adaptation=_ADAPT_POLICY
         ) as svc:
-            for lo in range(0, 16_000, 4_000):
-                svc.join(lats[lo : lo + 4_000], lngs[lo : lo + 4_000], exact=True)
-            deadline = time.monotonic() + 60.0
-            while any(s.retraining for s in svc.stats().adaptation.values()):
-                assert time.monotonic() < deadline, "a lane retrain never finished"
-                time.sleep(0.05)
-            lanes = svc.stats().adaptation
-            served = svc.join(lats[16_000:], lngs[16_000:], exact=True)
-        assert sorted(lanes) == ["default@shard0", "default@shard1"]
-        for lane, status in lanes.items():
-            assert status.retrains_failed == 0, lane
-            assert status.retrains_completed >= 1, lane
-        # Training moves only the true-hit / refinement split.
-        want = index.join(lats[16_000:], lngs[16_000:], exact=True)
-        assert np.array_equal(served.counts, want.counts)
-        assert served.num_pairs == want.num_pairs
+            for position, (lats, lngs) in enumerate(batches):
+                want = single.stats().adaptation.get("default")
+                got = svc.stats().adaptation.get("default")
+                assert (want is None) == (got is None)
+                if want is not None:
+                    assert _window(got) == _window(want)
+                single.join(lats, lngs, exact=True)
+                svc.join(lats, lngs, exact=True)
+                started = svc.stats().adaptation["default"].retrains_started
+                assert single.stats().adaptation["default"].retrains_started == started
+                if started == 1:
+                    break
+            assert position > 0  # the windows were compared while filling
+            single.adaptation.wait()
+            svc.adaptation.wait()
+            assert np.array_equal(
+                svc.adaptation.last_training_ids("default"),
+                single.adaptation.last_training_ids("default"),
+            )
+            stats = svc.stats()
+            assert list(stats.adaptation) == ["default"]
+            status = stats.adaptation["default"]
+            assert _window(status) == _window(single.stats().adaptation["default"])
+            assert (status.retrains_completed, status.retrains_failed) == (1, 0)
+            assert all(shard.stats.adaptation == {} for shard in stats.shards)
+            for lats, lngs in batches[position + 1 :]:
+                served = svc.join(lats, lngs, exact=True)
+                # Training moves only the true-hit / refinement split:
+                # every statistic matches the JoinService's retrained
+                # layer, the pairs match the untrained index.
+                assert_identical(served, single.join(lats, lngs, exact=True))
+                direct = index.join(lats, lngs, exact=True)
+                assert np.array_equal(served.counts, direct.counts)
+                assert served.num_pairs == direct.num_pairs
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_one_generation_everywhere(self, index, backend):
+        """After every front retrain the front, its controller and every
+        lane report one version; the published planes are the retrained
+        generation's, in one segment beside the ring; close leaves
+        nothing behind."""
+        before = _shm_names()
+        retrains = 0
+        with ShardedJoinService(
+            index, num_shards=2, backend=backend, adaptation=_ADAPT_POLICY
+        ) as svc:
+            for lats, lngs in _adapt_stream():
+                svc.join(lats, lngs, exact=True)
+                if svc.adaptation.status()["default"].retrains_started == retrains:
+                    continue
+                retrains += 1
+                svc.adaptation.wait()
+                stats = svc.stats()
+                status = stats.adaptation["default"]
+                assert status.retrains_completed == retrains
+                version = stats.layers["default"].version
+                assert version > index.version
+                assert status.last_trained_version == version
+                assert [
+                    shard.stats.layers["default"].version for shard in stats.shards
+                ] == [version, version]
+                _, retrained = svc._router.resolve("default")
+                assert svc.plane_bytes() == _plane_bytes(retrained)
+                assert _shm_names() - before == {
+                    svc._segments["default"].name, svc._ring.name
+                }
+        assert retrains >= 1
+        assert _shm_names() - before == set()
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_close_waits_for_an_in_flight_retrain(self, index, backend, monkeypatch):
+        real = PolygonIndex.retrained
+
+        def slow(self, *args, **kwargs):
+            time.sleep(0.3)  # still retraining when close() is called
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(PolygonIndex, "retrained", slow)
+        before = _shm_names()
+        svc = ShardedJoinService(
+            index, num_shards=2, backend=backend, adaptation=_ADAPT_POLICY
+        )
+        try:
+            for lats, lngs in _adapt_stream():
+                svc.join(lats, lngs, exact=True)
+                if svc.adaptation.status()["default"].retrains_started:
+                    break
+            assert svc.adaptation.status()["default"].retraining
+        finally:
+            svc.close()
+        status = svc.adaptation.status()["default"]
+        assert (status.retrains_completed, status.retrains_failed) == (1, 0)
+        assert svc.adaptation.last_error is None
+        assert _shm_names() - before == set()
 
 
 class TestShardBoundaryProperty:
