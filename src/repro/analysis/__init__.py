@@ -1,26 +1,26 @@
-"""Static concurrency & lifecycle analysis for the repro serve stack.
+"""Static lock discipline & runtime lock-order checks for the repro serve stack.
 
-The serve stack spans locks, copy-on-write routers, background
-compaction/retrain threads, shared-memory snapshot segments, and
-spawn-pickled worker payloads.  Every invariant those pieces rely on is
-conventional — nothing in Python enforces that a guarded attribute is
-only touched under its lock, that a created shared-memory segment is
-eventually unlinked, or that two locks are always taken in the same
-order.  This package enforces them mechanically:
+The serve stack shares state between dispatch threads, the micro-batcher,
+background retrains and the shard fronts' admin calls.  Which lock
+guards which attribute is a convention nothing in Python enforces.  This
+package checks it two ways:
 
 * ``python -m repro.analysis src/`` (also installed as ``repro-analyze``)
-  runs an AST-based rule suite over the tree and reports findings as
-  text or JSON.  Inline ``# repro: ignore[rule-name]`` comments suppress
-  single findings; a checked-in baseline file grandfathers the rest.
+  runs the ``guarded-by`` rule over the tree: an attribute annotated
+  ``#: guarded_by(_lock)`` (or ``#: guarded_by(_lock, writes)``) is only
+  touched under ``with self._lock:``, and a method annotated
+  ``#: requires(_lock)`` is only called with the lock held.  Findings
+  print as text or JSON; inline ``# repro: ignore[guarded-by]`` comments
+  suppress single findings, and a checked-in baseline file grandfathers
+  the rest.
 * :mod:`repro.analysis.sanitizer` is the runtime companion: an opt-in
   instrumented ``Lock``/``RLock`` wrapper that records acquisition order
   per thread and raises on inversions.  The test suite installs it when
   ``REPRO_SANITIZE=1``.
 
-Rules live in :mod:`repro.analysis.rules`; see ``DESIGN.md`` for the
-rule table and the annotation grammar (``#: guarded_by(_lock)``,
-``#: guarded_by(_lock, writes)``, ``#: requires(_lock)``,
-``#: spawn_payload``).
+A rule earns its place by catching a seeded bug the tests miss; see
+``DESIGN.md`` ("Static analysis & sanitizers") for that bar and the
+annotation grammar.
 """
 
 from repro.analysis.core import (

@@ -2,10 +2,8 @@
 
 The analyzer parses every ``.py`` file once into a :class:`ModuleInfo`
 (AST + raw source + comment annotations), bundles them into a
-:class:`Project` with lazily-built cross-module indexes (class table,
-``self.attr`` constructor-type inference, lock-attribute discovery), and
-runs each registered :class:`Rule` in two passes: per-module
-(``check_module``) and whole-project (``check_project``).
+:class:`Project`, and runs each registered :class:`Rule` over every
+module (``check_module``).
 
 Annotations are plain comments so the runtime never pays for them:
 
@@ -19,10 +17,6 @@ Annotations are plain comments so the runtime never pays for them:
     on a ``def`` line — the method is documented to run with the lock
     already held; its body counts as locked, and same-class calls to it
     must themselves happen under the lock.
-``#: spawn_payload``
-    on a ``class`` line — the class is pickled into worker-spawn
-    payloads and must not transitively capture locks, threads, ring
-    buffers, or lambdas.
 ``# repro: ignore[rule-name]``
     suppresses findings of that rule on the same line (or on the single
     statement directly below a standalone suppression comment).
@@ -32,7 +26,7 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -93,14 +87,14 @@ class Finding:
 # ----------------------------------------------------------------------
 
 _SUPPRESS_RE = re.compile(r"#\s*repro:\s*ignore\[([A-Za-z0-9_\-, ]+)\]")
-_ANNOT_RE = re.compile(r"#:\s*(guarded_by|requires|spawn_payload)\s*(?:\(([^)]*)\))?")
+_ANNOT_RE = re.compile(r"#:\s*(guarded_by|requires)\s*(?:\(([^)]*)\))?")
 
 
 @dataclass(frozen=True)
 class Annotation:
     """A parsed ``#:`` marker comment: ``kind`` plus its raw arguments."""
 
-    kind: str  # "guarded_by" | "requires" | "spawn_payload"
+    kind: str  # "guarded_by" | "requires"
     args: tuple[str, ...]
     line: int
 
@@ -177,9 +171,6 @@ class ModuleInfo:
         return hits
 
 
-_LOCK_FACTORIES = {"Lock": "Lock", "RLock": "RLock", "Condition": "Condition"}
-
-
 def self_attr(node: ast.AST) -> str | None:
     """Return ``name`` when ``node`` is ``self.name``, else ``None``."""
     if (
@@ -197,76 +188,23 @@ def iter_methods(node: ast.ClassDef) -> Iterator[ast.FunctionDef | ast.AsyncFunc
             yield item
 
 
-def _call_class_names(value: ast.AST) -> Iterator[str]:
-    """Class names constructed by ``value`` (sees through ``a if c else b``)."""
-    if isinstance(value, ast.Call):
-        func = value.func
-        if isinstance(func, ast.Name):
-            yield func.id
-        elif isinstance(func, ast.Attribute):
-            yield func.attr
-    elif isinstance(value, ast.IfExp):
-        yield from _call_class_names(value.body)
-        yield from _call_class_names(value.orelse)
-
-
 class ClassInfo:
-    """A class definition plus the concurrency facts rules care about."""
+    """A class definition and its methods by name."""
 
     def __init__(self, module: ModuleInfo, node: ast.ClassDef):
         self.module = module
         self.node = node
         self.name = node.name
-        self.qualname = f"{module.relpath}:{node.name}"
         self.methods: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {
             m.name: m for m in iter_methods(node)
         }
-        # self.attr = threading.Lock() / RLock() / Condition() anywhere in
-        # the class body -> attr is a lock attribute of this class.
-        self.lock_attrs: dict[str, str] = {}
-        # self.attr = ClassName(...) -> attr holds a ClassName instance.
-        self.attr_types: dict[str, str] = {}
-        for method in self.methods.values():
-            for stmt in ast.walk(method):
-                if not isinstance(stmt, ast.Assign):
-                    continue
-                for target in stmt.targets:
-                    attr = self_attr(target)
-                    if attr is None:
-                        continue
-                    for cls_name in _call_class_names(stmt.value):
-                        if cls_name in _LOCK_FACTORIES:
-                            self.lock_attrs[attr] = _LOCK_FACTORIES[cls_name]
-                        elif attr not in self.attr_types:
-                            self.attr_types[attr] = cls_name
 
 
 class Project:
-    """All parsed modules plus cross-module indexes built on demand."""
+    """All parsed modules of one analyzer run."""
 
     def __init__(self, modules: Sequence[ModuleInfo]):
         self.modules = list(modules)
-        self._classes: dict[str, list[ClassInfo]] | None = None
-
-    @property
-    def classes(self) -> dict[str, list[ClassInfo]]:
-        if self._classes is None:
-            table: dict[str, list[ClassInfo]] = {}
-            for module in self.modules:
-                for node in ast.walk(module.tree):
-                    if isinstance(node, ast.ClassDef):
-                        table.setdefault(node.name, []).append(ClassInfo(module, node))
-            self._classes = table
-        return self._classes
-
-    def class_named(self, name: str) -> ClassInfo | None:
-        """The unique project class of that simple name, if unambiguous."""
-        infos = self.classes.get(name, [])
-        return infos[0] if len(infos) == 1 else None
-
-    def iter_classes(self) -> Iterator[ClassInfo]:
-        for infos in self.classes.values():
-            yield from infos
 
 
 # ----------------------------------------------------------------------
@@ -275,16 +213,13 @@ class Project:
 
 
 class Rule:
-    """Base class: subclass, set ``name``/``description``, override a pass."""
+    """Base class: subclass, set ``name``/``description``, override ``check_module``."""
 
     name: str = ""
     description: str = ""
     severity: str = Severity.ERROR
 
-    def check_module(self, module: ModuleInfo, project: Project) -> Iterable[Finding]:
-        return ()
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
         return ()
 
     def finding(
@@ -340,8 +275,7 @@ class Analyzer:
         by_path = {module.relpath: module for module in project.modules}
         for rule in self.rules:
             for module in project.modules:
-                findings.extend(rule.check_module(module, project))
-            findings.extend(rule.check_project(project))
+                findings.extend(rule.check_module(module))
         kept = [
             f
             for f in findings

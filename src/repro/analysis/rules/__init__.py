@@ -4,20 +4,10 @@ from __future__ import annotations
 
 from repro.analysis.core import Rule
 from repro.analysis.rules.guarded_by import GuardedByRule
-from repro.analysis.rules.shm_lifecycle import ShmLifecycleRule
-from repro.analysis.rules.spawn_safety import SpawnSafetyRule
-from repro.analysis.rules.flat_contract import FlatContractRule
-from repro.analysis.rules.lock_order import LockOrderRule
 
 __all__ = ["ALL_RULES", "all_rules", "rules_by_name"]
 
-ALL_RULES: tuple[type[Rule], ...] = (
-    GuardedByRule,
-    ShmLifecycleRule,
-    SpawnSafetyRule,
-    FlatContractRule,
-    LockOrderRule,
-)
+ALL_RULES: tuple[type[Rule], ...] = (GuardedByRule,)
 
 
 def all_rules() -> list[Rule]:

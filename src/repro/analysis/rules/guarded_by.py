@@ -26,7 +26,6 @@ from repro.analysis.core import (
     ClassInfo,
     Finding,
     ModuleInfo,
-    Project,
     Rule,
     iter_methods,
     self_attr,
@@ -90,7 +89,7 @@ class GuardedByRule(Rule):
         "'with self.lock:' (writes-only mode for copy-on-write fields)"
     )
 
-    def check_module(self, module: ModuleInfo, project: Project) -> Iterable[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
         findings: list[Finding] = []
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ClassDef):

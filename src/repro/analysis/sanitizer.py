@@ -1,26 +1,24 @@
 """Runtime lock-order sanitizer: instrumented locks that catch inversions.
 
-The static :mod:`repro.analysis.rules.lock_order` pass only sees
-acquisitions it can resolve; callbacks, dynamic dispatch, and
-cross-object protocols slip through.  This module closes the gap at
-test time: with ``REPRO_SANITIZE=1`` the test suite (see
-``tests/conftest.py``) calls :func:`install`, which replaces
-``threading.Lock`` and ``threading.RLock`` with factories that hand
-*repro* code instrumented wrappers while stdlib and third-party callers
-keep vanilla locks (decided by the caller's source file at construction
-time, so ``threading.Condition()``'s internal lock and pytest's
-machinery are never instrumented).
+Lock ordering is checked at test time, where callbacks, dynamic
+dispatch and cross-object protocols are resolved by running them: with
+``REPRO_SANITIZE=1`` the test suite (see ``tests/conftest.py``) calls
+:func:`install`, which replaces ``threading.Lock`` and
+``threading.RLock`` with factories that hand *repro* code instrumented
+wrappers while stdlib and third-party callers keep vanilla locks
+(decided by the caller's source file at construction time, so
+``threading.Condition()``'s internal lock and pytest's machinery are
+never instrumented).
 
 Every wrapper records, per thread, the stack of locks currently held
 and, globally, the acquisition-order edges ever observed — keyed by the
-lock's *creation site* so all instances of one class share a node,
-exactly like the static rule.  On each acquisition the sanitizer checks
-whether the reverse ordering was ever recorded and raises
-:class:`LockOrderError` with both witness sites instead of deadlocking
-nondeterministically in production.  Re-entrant acquisition of an
-``RLock`` is fine; re-entrant acquisition of a plain ``Lock`` raises
-immediately (that is a guaranteed self-deadlock that would otherwise
-hang the suite).
+lock's *creation site* so all instances of one class share a node.  On
+each acquisition the sanitizer checks whether the reverse ordering was
+ever recorded and raises :class:`LockOrderError` with both witness
+sites instead of deadlocking nondeterministically in production.
+Re-entrant acquisition of an ``RLock`` is fine; re-entrant acquisition
+of a plain ``Lock`` raises immediately (that is a guaranteed
+self-deadlock that would otherwise hang the suite).
 
 The instrumentation is deliberately simple — one global edge graph, no
 per-instance ordering — so a run's verdict is deterministic for a given

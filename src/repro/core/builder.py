@@ -17,11 +17,12 @@ runs the exact same code instead of re-implementing it.
 
 A rebuild pays for what changed.  A covering is a pure function of
 (geometry, options), so :func:`cover_polygons` keeps each polygon's last
-coverings on the polygon object (``Polygon._cover_cache``, beside the
-bucket rows and the relation classifier): across inserts, compactions,
-``retrain`` and ``add_polygon`` a surviving polygon is never re-covered,
-re-bucketed or re-classified, and :class:`BuildTimings` ``.covered`` says
-how many polygons a build did have to cover.
+coverings on the polygon object (``Polygon._cover_cache``, beside its
+refinement bucket rows in ``Polygon._refine_cache``): across inserts,
+compactions, ``retrain`` and ``add_polygon`` a surviving polygon is
+never re-covered or re-bucketed, and :class:`BuildTimings` ``.covered``
+says how many polygons a build did have to cover.  Precision refinement
+keeps no memo: it classifies a surviving polygon's cells again.
 
 A built index is read through one door: :meth:`ProbeView.join` checks the
 batch, computes the leaf cell ids and hands the view's own fields to the

@@ -31,11 +31,11 @@ against an overlay insert's 11–15 ms (DESIGN.md, "The index lifecycle").
   it; a reader never takes the lock: every mutation publishes one
   immutable :class:`~repro.core.builder.ProbeView`, and a join reads the
   view that was current when it started.  Compaction pays for what
-  changed: a surviving polygon is never re-covered, re-bucketed or
-  re-classified (its coverings, bucket rows and relation classifier are
-  memoized on the polygon object — an insert's covering is the one its
-  compaction reuses), and the ACT is bulk-built from the sorted covering
-  in linear passes.  The ``compaction`` event says what the rebuild cost
+  changed: a surviving polygon is never re-covered or re-bucketed (its
+  coverings and bucket rows are memoized on the polygon object — an
+  insert's covering is the one its compaction reuses; precision
+  refinement classifies its cells again), and the ACT is bulk-built from
+  the sorted covering in linear passes.  The ``compaction`` event says what the rebuild cost
   (``cover_seconds``, ``store_seconds``, ``covered``).
 
 Polygon ids are *stable*: an insert is assigned the next id and keeps it

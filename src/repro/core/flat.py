@@ -131,12 +131,10 @@ FLAT_EXTENSION_BUFFERS: dict[str, str] = {
 #: The flat container's buffer contract: every buffer a packed snapshot
 #: may carry, with its wire dtype (little-endian numpy dtype strings, as
 #: written into the RFLAT header table), merged from the disjoint
-#: geometry / coverage / extension sections above.  ``repro.analysis``'s
-#: flat-contract rule checks packing sites against this table (resolving
-#: the section merge and checking the sections stay disjoint), and
-#: :func:`validate_buffers` enforces it at runtime — a dtype drift here
-#: silently corrupts every attached reader, so it must never happen by
-#: accident.
+#: geometry / coverage / extension sections above.
+#: :func:`validate_buffers` enforces it on every pack and save — a dtype
+#: drift here silently corrupts every attached reader, so it must never
+#: happen by accident.
 FLAT_BUFFER_SPEC: dict[str, str] = {
     **FLAT_GEOMETRY_BUFFERS,
     **FLAT_COVERAGE_BUFFERS,

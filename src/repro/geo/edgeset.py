@@ -1,10 +1,13 @@
 """Tagged edge sets: flat edge arrays over several polygons.
 
-Both the precision refinement (Section 3.2) and the S2ShapeIndex-analog
-baseline recursively subdivide cells while tracking which polygon edges can
-still intersect each subtree.  :class:`EdgeSet` holds the edges of several
-polygons in flat numpy arrays tagged with polygon ids and answers the one
-query that descent needs: *which edges touch this rectangle*.
+The S2ShapeIndex-analog baseline (:mod:`repro.baselines.shape_index`)
+recursively subdivides cells while tracking which polygon edges can still
+intersect each subtree; so does the recursive precision descent kept as
+a parity oracle in ``tests/oracles.py`` (precision refinement itself
+classifies with :mod:`repro.geo.relation`).  :class:`EdgeSet` holds the
+edges of several polygons in flat numpy arrays tagged with polygon ids
+and answers the one query that descent needs: *which edges touch this
+rectangle*.
 
 The test is a separating-axis check: a segment intersects an axis-aligned
 rectangle iff their bounding boxes overlap (x and y axes) and the

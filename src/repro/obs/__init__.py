@@ -57,7 +57,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ObsConfig:  #: spawn_payload
+class ObsConfig:
     """Picklable observability settings (ships inside shard payloads)."""
 
     tracing: bool = True

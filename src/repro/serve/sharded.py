@@ -163,7 +163,7 @@ class ShardPlan:
 
 
 @dataclass
-class _WorkerPayload:  #: spawn_payload
+class _WorkerPayload:
     """Everything one shard worker needs to build its JoinService."""
 
     shard: int

@@ -1,11 +1,13 @@
-"""Tests for ``repro.analysis``: rules, baseline, CLI, and the sanitizer.
+"""Tests for ``repro.analysis``: the guarded-by rule, baseline, CLI, and
+the sanitizer.
 
-Each rule gets a triggering fixture and a non-triggering fixture built
-from tiny synthetic modules (written to ``tmp_path`` and analyzed
-through the public :class:`~repro.analysis.Analyzer` API), plus
-suppression and baseline coverage.  One in-process scan asserts the
-analyzer runs clean over the real ``src/`` tree at HEAD, and a subprocess
-check covers the CLI's exit codes.
+The rule gets triggering and non-triggering fixtures built from tiny
+synthetic modules (written to ``tmp_path`` and analyzed through the
+public :class:`~repro.analysis.Analyzer` API), plus suppression and
+baseline coverage.  Seeded copies of real serve-stack modules check that
+the rule still reports an access moved out of its lock there.  One
+in-process scan asserts the analyzer runs clean over the real ``src/``
+tree at HEAD, and a subprocess check covers the CLI's exit codes.
 """
 
 from __future__ import annotations
@@ -153,324 +155,85 @@ def test_suppression_standalone_line_above(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# shm-lifecycle
+# guarded-by on the real serve stack: one access moved out of its lock
 # ----------------------------------------------------------------------
 
-
-def test_shm_lifecycle_flags_leaked_create(tmp_path):
-    source = """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def leak(name):
-            shm = SharedMemory(name=name, create=True, size=64)
-            data = bytes(12)
-            return data
-    """
-    findings = analyze(tmp_path, {"seg.py": source}, select=["shm-lifecycle"])
-    assert len(findings) == 1
-    assert "unlink" in findings[0].message
-
-
-def test_shm_lifecycle_accepts_release_and_transfer(tmp_path):
-    source = """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def owned(name):
-            shm = SharedMemory(name=name, create=True, size=64)
-            try:
-                return bytes(shm.buf[:4])
-            finally:
-                shm.unlink()
-
-        def transferred(name):
-            return SharedMemory(name=name)
-
-        class Holder:
-            def __init__(self, name):
-                self._shm = SharedMemory(name=name)
-
-            def close(self):
-                self._shm.close()
-    """
-    assert analyze(tmp_path, {"seg.py": source}, select=["shm-lifecycle"]) == []
-
-
-def test_shm_lifecycle_flags_unreleased_attach_attr(tmp_path):
-    source = """
-        from multiprocessing.shared_memory import SharedMemory
-
-        class Holder:
-            def __init__(self, name):
-                self._shm = SharedMemory(name=name)
-
-            def read(self):
-                return bytes(self._shm.buf[:4])
-    """
-    findings = analyze(tmp_path, {"seg.py": source}, select=["shm-lifecycle"])
-    assert len(findings) == 1
-    assert "close" in findings[0].message
-
-
-# ----------------------------------------------------------------------
-# spawn-safety
-# ----------------------------------------------------------------------
-
-
-def test_spawn_safety_flags_direct_and_transitive_hazards(tmp_path):
-    source = """
-        import threading
-        from collections import deque
-        from dataclasses import dataclass
-
-        class Inner:
-            def __init__(self):
-                self._lock = threading.Lock()
-
-        @dataclass
-        class Payload:  #: spawn_payload
-            name: str
-            inner: "Inner" = None
-
-        class RingPayload:  #: spawn_payload
-            ring = deque()
-    """
-    findings = analyze(tmp_path, {"payload.py": source}, select=["spawn-safety"])
-    messages = "\n".join(f.message for f in findings)
-    assert "Payload -> Inner" in messages  # lock reached through a field type
-    assert "ring buffer" in messages  # deque stored as a class default
-    assert len(findings) == 2
-
-
-def test_spawn_safety_accepts_inert_payload(tmp_path):
-    source = """
-        import threading
-        from dataclasses import dataclass
-
-        @dataclass(frozen=True)
-        class Config:  #: spawn_payload
-            name: str
-            size: int = 0
-
-        class Unmarked:
-            def __init__(self):
-                self._lock = threading.Lock()  # fine: not a payload root
-    """
-    assert analyze(tmp_path, {"payload.py": source}, select=["spawn-safety"]) == []
-
-
-# ----------------------------------------------------------------------
-# flat-contract
-# ----------------------------------------------------------------------
-
-FLAT_SPEC = """
-    import numpy as np
-
-    FLAT_BUFFER_SPEC = {
-        "alpha": "<u8",
-        "beta": "<f8",
-    }
-    _ALIGN = 64
-
-    def pack(a, b):
-        buffers = {
-            "alpha": a,
-            "beta": b,
-        }
-        return buffers
-
-    def read(buffers):
-        return buffers["alpha"], buffers["beta"]
-"""
-
-
-def test_flat_contract_clean_spec(tmp_path):
-    assert analyze(tmp_path, {"flat.py": FLAT_SPEC}, select=["flat-contract"]) == []
-
-
-def test_flat_contract_flags_unspecced_pack_and_read(tmp_path):
-    source = FLAT_SPEC.replace(
-        '"beta": b,\n        }', '"beta": b,\n            "gamma": b,\n        }'
-    ).replace(
-        'buffers["alpha"], buffers["beta"]',
-        'buffers["alpha"], buffers["delta"]',
-    )
-    findings = analyze(tmp_path, {"flat.py": source}, select=["flat-contract"])
-    symbols = {f.symbol for f in findings}
-    assert "pack:gamma" in symbols  # packed but undeclared
-    assert "subscript:delta" in symbols  # read but undeclared
-    # beta is now packed-only-referenced; it is still referenced, so the
-    # only other finding permitted is none at all.
-    assert len(findings) == 2
-
-
-def test_flat_contract_flags_dtype_drift_and_alignment(tmp_path):
-    source = FLAT_SPEC.replace("_ALIGN = 64", "_ALIGN = 32").replace(
-        "def pack(a, b):",
-        "def pack(a, b):\n        a = np.zeros(4, dtype=np.int64)",
-    )
-    findings = analyze(tmp_path, {"flat.py": source}, select=["flat-contract"])
-    symbols = {f.symbol for f in findings}
-    assert "_ALIGN" in symbols
-    assert "dtype:alpha" in symbols  # packed <i8, spec says <u8
-
-
-FLAT_SPREAD_SPEC = """
-    import numpy as np
-
-    GEOMETRY_BUFFERS = {
-        "alpha": "<u8",
-    }
-    COVERAGE_BUFFERS = {
-        "beta": "<f8",
-    }
-    FLAT_BUFFER_SPEC = {
-        **GEOMETRY_BUFFERS,
-        **COVERAGE_BUFFERS,
-    }
-    _ALIGN = 64
-
-    def pack(a, b):
-        buffers = {
-            "alpha": a,
-            "beta": b,
-        }
-        return buffers
-
-    def read(buffers):
-        return buffers["alpha"], buffers["beta"]
-"""
-
-
-def test_flat_contract_resolves_spread_merged_sections(tmp_path):
-    # The two-layer spec shape: FLAT_BUFFER_SPEC = {**GEOM, **COVERAGE}.
-    findings = analyze(
-        tmp_path, {"flat.py": FLAT_SPREAD_SPEC}, select=["flat-contract"]
-    )
-    assert findings == []
-
-
-def test_flat_contract_spread_sections_still_check_packs(tmp_path):
-    source = FLAT_SPREAD_SPEC.replace(
-        '"beta": b,\n        }', '"beta": b,\n            "gamma": b,\n        }'
-    )
-    findings = analyze(
-        tmp_path, {"flat.py": source}, select=["flat-contract"]
-    )
-    assert {f.symbol for f in findings} == {"pack:gamma"}
-
-
-def test_flat_contract_flags_overlapping_sections(tmp_path):
-    source = FLAT_SPREAD_SPEC.replace(
-        '"beta": "<f8",', '"beta": "<f8",\n        "alpha": "<u8",'
-    )
-    findings = analyze(
-        tmp_path, {"flat.py": source}, select=["flat-contract"]
-    )
-    assert any(f.symbol == "overlap:alpha" for f in findings)
-
-
-def test_flat_contract_warns_on_stale_spec_entry(tmp_path):
-    source = FLAT_SPEC.replace(
-        '"beta": "<f8",', '"beta": "<f8",\n        "orphan": "<u4",'
-    )
-    findings = analyze(tmp_path, {"flat.py": source}, select=["flat-contract"])
-    assert len(findings) == 1
-    assert findings[0].symbol == "stale:orphan"
-    assert findings[0].severity == Severity.WARNING
-
-
-# ----------------------------------------------------------------------
-# lock-order
-# ----------------------------------------------------------------------
-
-
-def test_lock_order_flags_inverted_acquisitions(tmp_path):
-    source = """
-        import threading
-
-        _mod_lock = threading.Lock()
-
-        class Svc:
-            def __init__(self):
-                self._lock = threading.Lock()
-
-            def forward(self):
-                with self._lock:
-                    with _mod_lock:
-                        pass
-
-            def backward(self):
-                with _mod_lock:
-                    with self._lock:
-                        pass
-    """
-    findings = analyze(tmp_path, {"svc.py": source}, select=["lock-order"])
-    assert len(findings) == 1
-    assert "cycle" in findings[0].message.lower()
-    assert "Svc._lock" in findings[0].message
-
-
-def test_lock_order_accepts_consistent_order_and_calls(tmp_path):
-    source = """
-        import threading
-
-        class Child:
-            def __init__(self):
-                self._lock = threading.Lock()
-
-            def poke(self):
-                with self._lock:
-                    pass
-
-        class Parent:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self._child = Child()
-
-            def forward(self):
-                with self._lock:
-                    self._child.poke()
-
-            def also_forward(self):
-                with self._lock:
-                    with self._child._lock:
-                        pass
-    """
-    assert analyze(tmp_path, {"svc.py": source}, select=["lock-order"]) == []
-
-
-def test_lock_order_flags_self_deadlock_on_plain_lock(tmp_path):
-    source = """
-        import threading
-
-        class Svc:
-            def __init__(self):
-                self._lock = threading.Lock()
-
-            def oops(self):
-                with self._lock:
-                    with self._lock:
-                        pass
-    """
-    findings = analyze(tmp_path, {"svc.py": source}, select=["lock-order"])
-    assert len(findings) == 1
-    assert "self-deadlock" in findings[0].message
-
-
-def test_lock_order_rlock_reentry_is_fine(tmp_path):
-    source = """
-        import threading
-
-        class Svc:
-            def __init__(self):
-                self._lock = threading.RLock()
-
-            def fine(self):
-                with self._lock:
-                    with self._lock:
-                        pass
-    """
-    assert analyze(tmp_path, {"svc.py": source}, select=["lock-order"]) == []
+#: (module under src/, text of the access under its lock, the same code
+#: with the access moved after the ``with`` block, expected symbols).
+SEEDED_REAL_SITES = {
+    "HotCellCache.lookup": (
+        "repro/serve/cache.py",
+        "            leaf_ids = self._leaf_ids[slot]\n"
+        "            entries = self._entries[slot]\n"
+        "            self._ticks[slot[hit]] = tick\n"
+        "            missing = np.flatnonzero(~hit)\n",
+        "            self._ticks[slot[hit]] = tick\n"
+        "            missing = np.flatnonzero(~hit)\n"
+        "        leaf_ids = self._leaf_ids[slot]\n"
+        "        entries = self._entries[slot]\n"
+        "        with self._lock:\n",
+        {"HotCellCache.lookup:_leaf_ids#1", "HotCellCache.lookup:_entries#1"},
+    ),
+    "ShardedJoinService.close": (
+        "repro/serve/sharded.py",
+        "            self._shutdown()\n"
+        "            self._plane_bytes = {}\n"
+        "            self._set_snapshot_gauges(())\n",
+        "            self._shutdown()\n"
+        "            self._set_snapshot_gauges(())\n"
+        "        self._plane_bytes = {}\n",
+        {"ShardedJoinService.close:_plane_bytes#1"},
+    ),
+    "AdaptiveController._retrain_worker": (
+        "repro/core/adaptive.py",
+        "                self._last_version[layer] = version\n"
+        "                self._last_training_ids[layer] = training_ids\n",
+        "                self._last_version[layer] = version\n"
+        "            self._last_training_ids[layer] = training_ids\n",
+        {"AdaptiveController._retrain_worker:_last_training_ids#1"},
+    ),
+    "DynamicPolygonIndex.num_cells": (
+        "repro/core/dynamic.py",
+        "        with self._lock:\n"
+        "            return self._base.num_cells + self._delta_covering.num_cells\n",
+        "        return self._base.num_cells + self._delta_covering.num_cells\n",
+        {"DynamicPolygonIndex.num_cells:_delta_covering#1"},
+    ),
+    "JoinService._table_for": (
+        "repro/serve/service.py",
+        "                self._generations[name] = (view.version, table)\n"
+        "            return table\n",
+        "            else:\n"
+        "                return table\n"
+        "        self._generations = {**self._generations, name: (view.version, table)}\n"
+        "        return table\n",
+        {"JoinService._table_for:_generations#1"},
+    ),
+    "MetricsRegistry.collect": (
+        "repro/obs/metrics.py",
+        "        with self._lock:\n"
+        "            return list(self._metrics.values())\n",
+        "        return list(self._metrics.values())\n",
+        {"MetricsRegistry.collect:_metrics#1"},
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SEEDED_REAL_SITES))
+def test_guarded_by_reports_an_access_moved_out_of_its_lock(tmp_path, site):
+    """A real module, copied with one guarded access moved past its
+    ``with self._lock:``, yields exactly that access's finding(s) — so
+    dropping the module's annotation, or breaking the rule, shows here."""
+    relpath, locked, moved, expected = SEEDED_REAL_SITES[site]
+    source = (REPO_ROOT / "src" / relpath).read_text()
+    assert source.count(locked) == 1, f"seed site for {site} moved"
+    seeded = source.replace(locked, moved)
+    findings = analyze(tmp_path, {relpath: seeded}, select=["guarded-by"])
+    assert {f.symbol for f in findings} == expected
+    lines = seeded.splitlines()
+    for finding in findings:
+        attr = finding.symbol.split(":")[1].split("#")[0]
+        assert f"self.{attr}" in lines[finding.line - 1]
 
 
 # ----------------------------------------------------------------------
@@ -513,13 +276,7 @@ def test_render_json_shape(tmp_path):
 
 
 def test_rules_registry_rejects_unknown_rule():
-    assert {rule.name for rule in all_rules()} == {
-        "guarded-by",
-        "shm-lifecycle",
-        "spawn-safety",
-        "flat-contract",
-        "lock-order",
-    }
+    assert [rule.name for rule in all_rules()] == ["guarded-by"]
     with pytest.raises(KeyError):
         rules_by_name(["no-such-rule"])
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
 from repro.core import (
     AdaptiveCellTrie,
     DynamicPolygonIndex,
@@ -27,7 +28,15 @@ from repro.core import (
     attach_index,
     pack_index,
 )
+from repro.core.flat import (
+    FLAT_BUFFER_SPEC,
+    FLAT_COVERAGE_BUFFERS,
+    FLAT_EXTENSION_BUFFERS,
+    FLAT_GEOMETRY_BUFFERS,
+    validate_buffers,
+)
 from repro.core.refs import PolygonRef
+from repro.core.serialize import save_index
 from repro.geo.polygon import regular_polygon
 from repro.serve import JoinService
 
@@ -229,6 +238,66 @@ class TestSnapshotContainer:
             assert struct.unpack("<Q", corrupt[8:16].tobytes())[0] == header_len
             with pytest.raises(ValueError, match=match):
                 FlatSnapshot.from_buffer(corrupt)
+
+
+SECTIONS = {
+    "geometry": FLAT_GEOMETRY_BUFFERS,
+    "coverage": FLAT_COVERAGE_BUFFERS,
+    "extension": FLAT_EXTENSION_BUFFERS,
+}
+
+
+class TestBufferContract:
+    """``FLAT_BUFFER_SPEC`` is the one table of buffer names and wire
+    dtypes: ``validate_buffers`` rejects anything off it by name, and the
+    writers between them emit every entry, each 64-byte aligned."""
+
+    @pytest.fixture(scope="class")
+    def saved_dynamic(self, tmp_path_factory):
+        """A dynamic index with training ids and a delta (one insert, one
+        tombstone), saved: the one writer of the extension section."""
+        dyn = DynamicPolygonIndex.build(
+            _grid_polygons(),
+            training_cell_ids=cell_ids_from_lat_lng_arrays(*_points(7, 200)),
+            compact_threshold=None,
+        )
+        dyn.insert(regular_polygon((-73.985, 40.715), 0.005, 8))
+        dyn.delete(0)
+        path = tmp_path_factory.mktemp("contract") / "dynamic.npy"
+        save_index(dyn, path)
+        return FlatSnapshot.load(path)
+
+    def test_unknown_buffer_rejected_by_name(self):
+        with pytest.raises(ValueError, match="unknown buffer 'act_face_value'"):
+            validate_buffers({"act_face_value": np.zeros(2, dtype=np.uint64)})
+
+    @pytest.mark.parametrize("section", sorted(SECTIONS))
+    def test_dtype_drift_rejected_by_name(self, section):
+        for name, dtype in SECTIONS[section].items():
+            validate_buffers({name: np.zeros(2, dtype=dtype)})
+            with pytest.raises(ValueError, match=f"buffer '{name}': dtype <f4 != spec"):
+                validate_buffers({name: np.zeros(2, dtype="<f4")})
+
+    def test_sections_are_disjoint_and_make_the_spec(self):
+        names = [name for section in SECTIONS.values() for name in section]
+        assert len(names) == len(set(names))
+        assert FLAT_BUFFER_SPEC == {
+            name: dtype for section in SECTIONS.values() for name, dtype in section.items()
+        }
+
+    def test_every_spec_buffer_is_written(self, index, saved_dynamic):
+        packed = pack_index(index).buffers
+        assert set(packed) == set(FLAT_GEOMETRY_BUFFERS) | set(FLAT_COVERAGE_BUFFERS)
+        assert set(saved_dynamic.buffers) == set(FLAT_BUFFER_SPEC)
+        for name, array in saved_dynamic.buffers.items():
+            assert array.dtype == np.dtype(FLAT_BUFFER_SPEC[name]), name
+
+    def test_every_buffer_is_64_byte_aligned(self, index, saved_dynamic):
+        packed = FlatSnapshot.from_buffer(pack_index(index).to_bytes())
+        for snapshot in (packed, saved_dynamic):
+            blob_start = snapshot.owner.ctypes.data
+            for name, array in snapshot.buffers.items():
+                assert (array.ctypes.data - blob_start) % 64 == 0, name
 
 
 class TestFlatParity:

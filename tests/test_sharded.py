@@ -501,6 +501,42 @@ class TestPartialFailureHandling:
             served = svc.join(lats[:500], lngs[:500], exact=True)
             assert_identical(served, index.join(lats[:500], lngs[:500], exact=True))
 
+    @pytest.mark.parametrize("failing", ["one_lane", "every_lane"])
+    @pytest.mark.parametrize("op", ["swap_layer", "add_layer"])
+    def test_failed_install_unlinks_its_segment(
+        self, index, swap_index, monkeypatch, op, failing
+    ):
+        """A swap or add that fails on one lane (poisoning the service) or
+        on every lane (leaving it usable) reclaims the segment it
+        published: ``/dev/shm`` holds what it held before the call, and
+        after ``close()`` what it held before the service."""
+        import repro.serve.sharded as sharded_mod
+
+        real = sharded_mod._index_from_part
+        calls = []
+
+        def flaky(part):
+            calls.append(part)
+            if failing == "every_lane" or len(calls) >= 2:
+                raise MemoryError("simulated worker attach failure")
+            return real(part)
+
+        before_service = _shm_names()
+        svc = ShardedJoinService(index, num_shards=2, backend="inline")
+        try:
+            before_call = _shm_names()
+            monkeypatch.setattr(sharded_mod, "_index_from_part", flaky)
+            with pytest.raises(MemoryError):
+                if op == "swap_layer":
+                    svc.swap_layer("default", swap_index)
+                else:
+                    svc.add_layer("extra", swap_index)
+            assert len(calls) == 2
+            assert _shm_names() == before_call
+        finally:
+            svc.close()
+        assert _shm_names() == before_service
+
 
 #: A policy the uniform test stream drifts below at once: a retrain
 #: starts at the second 1,500-point dispatch.
