@@ -15,14 +15,17 @@ offline build, the delta-overlay builds of
 :class:`~repro.core.dynamic.DynamicPolygonIndex`, and its compaction —
 runs the exact same code instead of re-implementing it.
 
-A rebuild pays for what changed.  A covering is a pure function of
-(geometry, options), so :func:`cover_polygons` keeps each polygon's last
-coverings on the polygon object (``Polygon._cover_cache``, beside its
-refinement bucket rows in ``Polygon._refine_cache``): across inserts,
-compactions, ``retrain`` and ``add_polygon`` a surviving polygon is
-never re-covered or re-bucketed, and :class:`BuildTimings` ``.covered``
-says how many polygons a build did have to cover.  Precision refinement
-keeps no memo: it classifies a surviving polygon's cells again.
+A built index never changes: polygons come and go through
+``DynamicPolygonIndex.insert`` / ``delete``, whose compaction builds a
+new snapshot, and ``retrained`` builds another.  A rebuild pays for what
+changed.  A covering is a pure function of (geometry, options), so
+:func:`cover_polygons` keeps each polygon's last coverings on the
+polygon object (``Polygon._cover_cache``, beside its refinement bucket
+rows in ``Polygon._refine_cache``): across inserts, compactions and
+``retrain`` a surviving polygon is never re-covered or re-bucketed, and
+:class:`BuildTimings` ``.covered`` says how many polygons a build did
+have to cover.  Precision refinement keeps no memo: it classifies a
+surviving polygon's cells again.
 
 A built index is read through one door: :meth:`ProbeView.join` checks the
 batch, computes the leaf cell ids and hands the view's own fields to the
@@ -313,7 +316,7 @@ class ProbeView:
     lookup_table: LookupTable
     polygons: tuple[Polygon | None, ...]
     max_cell_level: int
-    refiner: RefinementEngine | None = None
+    refiner: RefinementEngine
 
     def join(
         self,
@@ -354,15 +357,18 @@ class ProbeView:
 class PolygonIndex:
     """An immutable point-polygon join index over a set of polygons.
 
-    ``polygons`` is indexable by polygon id; slots may be ``None`` when the
-    index was produced by compacting a dynamic index whose ids are sparse
-    (deleted ids leave holes so surviving ids stay stable).
+    ``polygons`` is a tuple indexable by polygon id; slots may be ``None``
+    when the index was produced by compacting a dynamic index whose ids
+    are sparse (deleted ids leave holes so surviving ids stay stable).
+    No method changes what an index answers: a polygon set that grows or
+    shrinks is a :class:`~repro.core.dynamic.DynamicPolygonIndex`, and a
+    served layer changes by ``swap_layer`` to a new snapshot (for
+    instance :meth:`retrained`).
 
     An index attached by :func:`~repro.core.flat.attach_index` holds the
     ``snapshot`` it serves from: its store, lookup table, super covering,
     polygon geometry and refinement buckets are views into the snapshot's
-    blob.  Rebuilding the store (:meth:`add_polygon`) drops the
-    then-stale snapshot.
+    blob.
     """
 
     def __init__(
@@ -387,7 +393,7 @@ class PolygonIndex:
                 "through accurate_join / approximate_join over "
                 "index.super_covering"
             )
-        self.polygons = list(polygons)
+        self.polygons = tuple(polygons)
         self.super_covering = super_covering
         self.snapshot = snapshot
         self.store = store
@@ -397,10 +403,11 @@ class PolygonIndex:
         self.training_report = training_report
         self.version = next_index_version() if version is None else version
         self._probe_view: ProbeView | None = None
-        # What add_polygon covers a new polygon with.  build() and
-        # compaction record the options they ran with; an index loaded
-        # from a file or attached to a snapshot keeps the defaults (the
-        # formats do not carry them).
+        # What a DynamicPolygonIndex over this base covers its inserts
+        # and compactions with.  build() and compaction record the
+        # options they ran with; an index loaded from a plain file or
+        # attached to a snapshot keeps the defaults (those formats do not
+        # carry them).
         self.covering_options = DEFAULT_COVERING_OPTIONS
         self.interior_options = DEFAULT_INTERIOR_OPTIONS
 
@@ -419,7 +426,6 @@ class PolygonIndex:
         interior_options: CovererOptions = DEFAULT_INTERIOR_OPTIONS,
         training_cell_ids: np.ndarray | None = None,
         training_max_cells: int | None = None,
-        training_order: str = "arrival",
     ) -> "PolygonIndex":
         """Build an index.
 
@@ -430,7 +436,9 @@ class PolygonIndex:
             the approximate join lies within this distance of its polygon.
         training_cell_ids:
             Historical point cell ids used to adapt the index to the
-            expected query distribution (accurate mode, Section 3.3.1).
+            expected query distribution (accurate mode, Section 3.3.1),
+            split in arrival order as the paper trains;
+            :meth:`retrained` takes another schedule.
         fanout_bits:
             Bits consumed per ACT level (the paper's ACT1/2/4 = 2/4/8).
         """
@@ -442,7 +450,6 @@ class PolygonIndex:
             interior_options=interior_options,
             training_cell_ids=training_cell_ids,
             training_max_cells=training_max_cells,
-            training_order=training_order,
             fanout_bits=fanout_bits,
         )
         index = cls(
@@ -504,10 +511,8 @@ class PolygonIndex:
         return self.super_covering.max_level()
 
     def probe_view(self) -> ProbeView:
-        """The current :class:`ProbeView` (cached; invalidated on rebuild)."""
-        view = self._probe_view
-        if view is None or view.store is not self.store:
-            polygons = tuple(self.polygons)
+        """The index's one :class:`ProbeView`, built on first use."""
+        if self._probe_view is None:
             # An attached index adopts the snapshot's packed bucket table
             # instead of re-bucketing every polygon.
             table = (
@@ -515,57 +520,19 @@ class PolygonIndex:
                 if self.snapshot is not None
                 else None
             )
-            view = ProbeView(
+            self._probe_view = ProbeView(
                 version=self.version,
                 store=self.store,
                 lookup_table=self.lookup_table,
-                polygons=polygons,
+                polygons=self.polygons,
                 max_cell_level=self.max_cell_level(),
-                refiner=RefinementEngine(polygons, table=table),
+                refiner=RefinementEngine(self.polygons, table=table),
             )
-            self._probe_view = view
-        return view
+        return self._probe_view
 
     # ------------------------------------------------------------------
-    # Updates (the paper's future-work path, Section 3.1.2)
+    # New snapshots (the index itself never changes)
     # ------------------------------------------------------------------
-
-    def add_polygon(self, polygon: Polygon) -> int:
-        """Add a polygon by merging its cells in, then re-index.
-
-        The paper notes that runtime insertion follows the same procedure
-        as the build phase; here it is literally the build's merge sweep,
-        over the existing cells plus the new ones (and the static trie is
-        rebuilt, as the paper's ACT is immutable once built).  Returns the new
-        polygon id.  The polygon is covered with the options the index was
-        built with (``covering_options`` / ``interior_options``), so its
-        cells are those of a fresh build; a loaded or attached index
-        covers with the defaults, as the file formats carry no options.
-        For frequent updates, prefer
-        :class:`~repro.core.dynamic.DynamicPolygonIndex`, which amortizes
-        the rebuild behind a delta overlay.
-        """
-        new_pid = validate_polygon_id(len(self.polygons))
-        covering, interior = cover_polygon(
-            polygon, self.covering_options, self.interior_options
-        )
-        self.super_covering.insert_covering(new_pid, covering, interior)
-        self.polygons.append(polygon)
-        if self.precision_meters is not None:
-            refine_to_precision(
-                self.super_covering, self.polygons, self.precision_meters
-            )
-        self._rebuild_store()
-        return new_pid
-
-    def _rebuild_store(self) -> None:
-        self.store = build_store(
-            self.super_covering, fanout_bits=self.store.fanout_bits
-        )
-        self.lookup_table = self.store.lookup_table
-        self.snapshot = None  # packed from the previous store
-        self.version = next_index_version()
-        self._probe_view = None
 
     def retrained(
         self,
@@ -603,7 +570,7 @@ class PolygonIndex:
             store_build_seconds=store_timer.seconds,
         )
         index = PolygonIndex(
-            list(self.polygons),
+            self.polygons,
             covering,
             store,
             store.lookup_table,

@@ -53,7 +53,7 @@ from repro.core.act import AdaptiveCellTrie
 from repro.core.lookup_table import LookupTable
 from repro.core.super_covering import SuperCovering
 from repro.geo.polygon import Polygon, Ring
-from repro.geo.refine import RefinementEngine, _FlatBucketTable
+from repro.geo.refine import _FlatBucketTable
 
 if TYPE_CHECKING:  # repro.core.builder imports this module
     from repro.core.builder import PolygonIndex
@@ -443,12 +443,10 @@ def pack_index(index: PolygonIndex) -> FlatSnapshot:
     The geometry section (ring geometry for the full polygon table plus
     the refinement engine's bucket table) comes first, then the coverage
     section (the ACT store, its lookup table and the covering's three
-    arrays).  An attached index returns the snapshot it holds — it is
-    dropped the moment the store is rebuilt, so a held snapshot always
-    describes the current store, and repacking would copy buffers for no
-    benefit — unless attaching had to sort the covering (a pre-1.14.0
-    file): what is packed or saved next is the canonical covering, not
-    the file's."""
+    arrays).  An index never changes, so an attached index returns the
+    snapshot it holds — repacking would copy buffers for no benefit —
+    unless attaching had to sort the covering (a pre-1.14.0 file): what
+    is packed or saved next is the canonical covering, not the file's."""
     held = index.snapshot
     if held is not None and held.buffers["cell_ids"] is index.super_covering.cell_ids:
         return held
@@ -457,10 +455,7 @@ def pack_index(index: PolygonIndex) -> FlatSnapshot:
     )
     # The blob ships the refinement engine's bucket table, so an attached
     # index refines without re-bucketing a single polygon.
-    view = index.probe_view()
-    refiner = view.refiner if view.refiner is not None else RefinementEngine(
-        tuple(index.polygons)
-    )
+    refiner = index.probe_view().refiner
     store, covering = index.store, index.super_covering
     faces = np.zeros((len(store._face_trees), 5), dtype=np.uint64)
     for row, (face, tree) in enumerate(sorted(store._face_trees.items())):

@@ -80,7 +80,6 @@ batch across the shard processes, not from overlapping dispatches.
 from __future__ import annotations
 
 import contextlib
-import functools
 import os
 import threading
 import traceback
@@ -390,14 +389,18 @@ def _shard_worker_main(conn, payload: _WorkerPayload) -> None:
 # ----------------------------------------------------------------------
 
 
+#: Every shard worker is spawned (``ShardedJoinService`` says why).
+_WORKER_CONTEXT = get_context("spawn")
+
+
 class _ProcessShard:
     """Front-side handle of one spawned shard worker."""
 
-    def __init__(self, ctx, payload: _WorkerPayload):
+    def __init__(self, payload: _WorkerPayload):
         self.shard = payload.shard
-        parent, child = ctx.Pipe()
+        parent, child = _WORKER_CONTEXT.Pipe()
         self._conn = parent
-        self._process = ctx.Process(
+        self._process = _WORKER_CONTEXT.Process(
             target=_shard_worker_main,
             args=(child, payload),
             name=f"repro-shard-{payload.shard}",
@@ -592,9 +595,10 @@ class ShardedJoinService(ServiceFront):
     ----------
     layers:
         A single :class:`PolygonIndex` (served as layer ``"default"``)
-        or a mapping of layer name to index.  Sharded serving requires
-        immutable snapshots; dynamic indexes belong in a single-process
-        service.
+        or a mapping of layer name to index.  A ``PolygonIndex`` never
+        changes, so each lane's attached copy stays its layer's answer
+        until :meth:`swap_layer`; dynamic indexes belong in a
+        single-process service.
     num_shards:
         Worker processes == positional shares of every batch slice
         (:meth:`plan`).  Each worker hosts one :class:`JoinService` over
@@ -602,16 +606,14 @@ class ShardedJoinService(ServiceFront):
     backend:
         ``"process"`` (default) spawns one worker process per shard,
         each placed on its own core (module docstring); ``"inline"``
-        hosts the shard services in-process (tests, debugging).
+        hosts the shard services in-process (tests, debugging).  Workers
+        always start with ``spawn``: the worker entry point is
+        module-level and payloads are pickled explicitly, so workers
+        never depend on forked state.
     adaptation:
         One adaptation loop per layer, run by the front: the lanes report
         the traffic of their shares, the front records it, and a retrain
         installs through :meth:`swap_layer` (module docstring).
-    start_method:
-        ``multiprocessing`` start method for the process backend.
-        Defaults to ``"spawn"`` — the worker entry point is module-level
-        and payloads are pickled explicitly, so workers never depend on
-        forked state.
     obs:
         An :class:`~repro.obs.Observability` bundle for the front.  Its
         picklable settings also ship inside every worker payload, so
@@ -637,7 +639,6 @@ class ShardedJoinService(ServiceFront):
         latency_window: int = 8192,
         adaptation: AdaptationPolicy | None = None,
         backend: str = "process",
-        start_method: str = "spawn",
         obs: Observability | None = None,
     ):
         plan = ShardPlan(num_shards)  # rejects num_shards < 1
@@ -700,13 +701,13 @@ class ShardedJoinService(ServiceFront):
                 spawn = _InlineShard
             else:
                 # Start the parent's resource tracker BEFORE creating
-                # workers: forked children must inherit it (a worker that
+                # workers: spawned children must inherit it (a worker that
                 # lazily spawns its own on shm attach would warn about
                 # "leaked" segments the front rightly owns and unlinks).
                 from multiprocessing import resource_tracker
 
                 resource_tracker.ensure_running()
-                spawn = functools.partial(_ProcessShard, get_context(start_method))
+                spawn = _ProcessShard
             for payload in payloads:
                 # One lane at a time: when lane k fails to come up,
                 # _shutdown() still closes the lanes before it.

@@ -29,7 +29,6 @@ from repro.core.adaptive import (
 from repro.core.joins import decode_entries, expensive_entries
 from repro.core.lookup_table import LookupTable
 from repro.core.refs import PolygonRef
-from repro.core.training import train_super_covering
 from repro.datasets import NYC_BOX, drifting_hotspot_workload
 from repro.geo.polygon import regular_polygon
 from repro.serve import JoinService
@@ -434,24 +433,17 @@ class TestAdaptationExactness:
     def test_trained_join_bit_identical_to_untrained(
         self, seed, budget_extra, order
     ):
-        polygons = _grid_polygons()
-        untrained = PolygonIndex.build(polygons)
-        trained = PolygonIndex.build(polygons)
+        untrained = PolygonIndex.build(_grid_polygons())
         rng = np.random.default_rng(seed)
         hotspot_lng = rng.uniform(-74.02, -73.94)
         hotspot_lat = rng.uniform(40.68, 40.76)
         train_lngs = rng.normal(hotspot_lng, 0.004, 800)
         train_lats = rng.normal(hotspot_lat, 0.004, 800)
         observed = cell_ids_from_lat_lng_arrays(train_lats, train_lngs)
-        train_super_covering(
-            trained.super_covering,
-            polygons,
-            observed,
-            max_cells=trained.num_cells + budget_extra,
-            order=order,
+        trained = untrained.retrained(
+            observed, max_cells=untrained.num_cells + budget_extra, order=order
         )
         trained.super_covering.check_disjoint()
-        trained._rebuild_store()
         query_lngs = rng.uniform(-74.03, -73.93, 3_000)
         query_lats = rng.uniform(40.67, 40.77, 3_000)
         want = untrained.join(query_lats, query_lngs, exact=True)

@@ -1,5 +1,6 @@
 """Tests for the PolygonIndex facade."""
 
+import pathlib
 import pickle
 import sys
 import threading
@@ -10,10 +11,21 @@ import pytest
 from repro.baselines import BTreeStore, SortedVectorStore
 from repro.cells import CovererOptions
 from repro.cells.coverer import batch_coverings
-from repro.core import LookupTable, PolygonIndex, accurate_join, builder
+from repro.core import (
+    DynamicPolygonIndex,
+    LookupTable,
+    PolygonIndex,
+    accurate_join,
+    attach_index,
+    builder,
+    load_index,
+    pack_index,
+)
 from repro.core.builder import cover_polygon, cover_polygons
 from repro.geo.pip import contains_points
 from repro.geo.polygon import regular_polygon
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +86,8 @@ class TestBuild:
 
     def test_non_act_store_rejected_at_the_door(self, polygons):
         """The one check that replaces the per-feature rejections
-        (add_polygon, retrained, pack_index, save_index): an index over
-        anything but an ACT cannot be constructed."""
+        (retrained, pack_index, save_index): an index over anything but
+        an ACT cannot be constructed."""
         index = PolygonIndex.build(polygons)
         table = LookupTable()
         with pytest.raises(TypeError, match="AdaptiveCellTrie"):
@@ -92,6 +104,65 @@ class TestBuild:
     def test_fanout_bits_forwarded(self, polygons):
         index = PolygonIndex.build(polygons, fanout_bits=2)
         assert index.store.name == "ACT1"
+
+    def test_training_order_is_gone(self, polygons):
+        """A build trains in arrival order, as the paper does;
+        ``retrained(order=)`` takes another schedule."""
+        with pytest.raises(TypeError, match="training_order"):
+            PolygonIndex.build(polygons, training_order="hot")
+
+
+def _built(polygons):
+    return PolygonIndex.build(polygons, precision_meters=60.0)
+
+
+def _attached(polygons):
+    return attach_index(pack_index(_built(polygons)))
+
+
+def _retrained(polygons):
+    index = _built(polygons)
+    lats, lngs = np.full(50, 40.70), np.linspace(-74.006, -73.994, 50)
+    return index.retrained(index.cell_ids_for(lats, lngs))
+
+
+def _compacted(polygons):
+    dynamic = DynamicPolygonIndex.build(polygons, compact_threshold=None)
+    dynamic.insert(regular_polygon((-73.98, 40.72), 0.005, 12))
+    dynamic.delete(0)
+    return dynamic.compact()
+
+
+def _loaded(name):
+    def door(polygons):
+        loaded = load_index(DATA / name)
+        return getattr(loaded, "base", loaded)
+
+    return door
+
+
+@pytest.mark.parametrize(
+    "door",
+    [
+        _built,
+        _attached,
+        _loaded("index_v1.npz"),
+        _loaded("index_v2.npz"),
+        _loaded("index_v3.npy"),
+        _retrained,
+        _compacted,
+    ],
+    ids=["build", "attach_index", "load_v1", "load_v2", "load_v3", "retrained", "compact"],
+)
+def test_an_index_from_every_door_is_frozen(polygons, door):
+    """No method changes what a PolygonIndex answers: its polygons are a
+    tuple and it has no insert path (``DynamicPolygonIndex.insert`` is
+    the one way to add a polygon)."""
+    index = door(polygons)
+    assert type(index) is PolygonIndex
+    assert type(index.polygons) is tuple
+    assert type(index.probe_view().polygons) is tuple
+    assert not hasattr(index, "add_polygon")
 
 
 class TestQueries:
@@ -137,55 +208,6 @@ class TestQueries:
         assert info["num_polygons"] == 3
         assert info["precision_meters"] == 60.0
         assert info["store"]["variant"] == "ACT4"
-
-
-class TestAddPolygon:
-    def test_add_polygon_queryable(self, polygons, points):
-        lngs, lats = points
-        index = PolygonIndex.build(polygons)
-        new_polygon = regular_polygon((-73.98, 40.72), 0.005, 12)
-        new_pid = index.add_polygon(new_polygon)
-        assert new_pid == 3
-        brute = contains_points(new_polygon, lngs, lats).sum()
-        result = index.join(lats, lngs, exact=True)
-        assert result.counts[new_pid] == brute
-
-    def test_add_polygon_preserves_existing(self, polygons, points):
-        lngs, lats = points
-        index = PolygonIndex.build(polygons)
-        before = index.join(lats, lngs, exact=True).counts.copy()
-        index.add_polygon(regular_polygon((-73.98, 40.72), 0.005, 12))
-        after = index.join(lats, lngs, exact=True)
-        assert (after.counts[:3] == before).all()
-
-    def test_add_polygon_with_precision(self, polygons, points):
-        lngs, lats = points
-        index = PolygonIndex.build(polygons, precision_meters=60.0)
-        index.add_polygon(regular_polygon((-73.98, 40.72), 0.005, 12))
-        all_polygons = index.polygons
-        brute = np.array([contains_points(p, lngs, lats).sum() for p in all_polygons])
-        result = index.join(lats, lngs, exact=True)
-        assert (result.counts == brute).all()
-
-    def test_add_polygon_covers_with_the_build_options(self, polygons):
-        """The added polygon's cells are those of a fresh build with the
-        options the index was built with, not the defaults'."""
-        options = {
-            "covering_options": CovererOptions(max_cells=16, max_level=20),
-            "interior_options": CovererOptions(max_cells=16, max_level=14),
-        }
-        new_polygon = regular_polygon((-73.98, 40.72), 0.005, 12)
-        index = PolygonIndex.build(polygons, **options)
-        index.add_polygon(new_polygon)
-        fresh = PolygonIndex.build([*polygons, new_polygon], **options)
-        for name in ("cell_ids", "ref_offsets", "packed_refs"):
-            assert np.array_equal(
-                getattr(index.super_covering, name), getattr(fresh.super_covering, name)
-            )
-        default = PolygonIndex.build([*polygons, new_polygon])
-        assert not np.array_equal(
-            index.super_covering.cell_ids, default.super_covering.cell_ids
-        )
 
 
 def _ids(coverings):

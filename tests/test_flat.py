@@ -362,35 +362,9 @@ class TestFlatParity:
 
 
 class TestAttachedMutation:
-    """Mutation paths on an attached index work on the attached covering,
-    serve correct joins, and never leave a stale snapshot behind."""
-
-    def test_add_polygon_drops_the_snapshot(self, index):
-        extra = regular_polygon((-73.95, 40.76), 0.012, 11)
-        mutated = attach_index(pack_index(index))
-        stale = mutated.snapshot
-        assert mutated.add_polygon(extra) == len(index.polygons)
-        assert mutated.snapshot is None
-        rebuilt = PolygonIndex.build(
-            _grid_polygons(), precision_meters=30.0
-        )
-        rebuilt.add_polygon(extra)
-        lats, lngs = _points(17, 4000)
-        for exact in (False, True):
-            assert_identical(
-                mutated.join(lats, lngs, exact=exact, materialize=True),
-                rebuilt.join(lats, lngs, exact=exact, materialize=True),
-            )
-        # Packing afterwards reflects the rebuilt store, not the blob
-        # the index was first attached from.
-        repacked = pack_index(mutated)
-        assert repacked is not stale
-        assert repacked.meta["num_polygons"] == len(index.polygons) + 1
-        assert np.array_equal(repacked.buffers["act_pool"], mutated.store.pool)
-        assert_identical(
-            attach_index(repacked).join(lats, lngs, exact=True),
-            mutated.join(lats, lngs, exact=True),
-        )
+    """A new snapshot made from an attached index (``retrained``) works
+    on the attached covering, serves correct joins, and leaves the
+    attached index and its snapshot as they were."""
 
     def test_retrained_from_an_attached_index(self, index, attached):
         lats, lngs = _points(19, 4000)

@@ -126,17 +126,6 @@ class TestServiceJoin:
         with pytest.raises(KeyError):
             service.submit(40.7, -74.0, layer="nope")
 
-    def test_served_index_survives_add_polygon(self, points):
-        # add_polygon rebuilds the index's store AND lookup table; the
-        # service must drop its cached store instead of mixing old/new.
-        lats, lngs = points
-        index = PolygonIndex.build(_grid_polygons(), precision_meters=30.0)
-        with JoinService(index) as svc:
-            svc.join(lats, lngs)  # warm the (soon stale) cache
-            index.add_polygon(regular_polygon((-73.96, 40.76), 0.015, 14))
-            served = svc.join(lats, lngs, exact=True)
-        assert np.array_equal(served.counts, index.join(lats, lngs, exact=True).counts)
-
 
 #: The two services behind the one request front (``ServiceFront``).
 FRONTS = {

@@ -316,6 +316,12 @@ class TestInlineSharded:
         with pytest.raises(TypeError, match="PolygonIndex"):
             ShardedJoinService(dyn, num_shards=2, backend="inline")
 
+    def test_start_method_is_gone(self, index):
+        """Workers always start with ``spawn``: the service takes no
+        start method."""
+        with pytest.raises(TypeError, match="start_method"):
+            ShardedJoinService(index, num_shards=2, start_method="fork")
+
     def test_stats_merge(self, index, points):
         lats, lngs = points
         with ShardedJoinService(
