@@ -7,6 +7,8 @@ must be lexically nested in ``with self._lock:``.  The
 copy-on-write idiom (writers replace a container wholesale under the
 lock, readers snapshot a reference lock-free) is load-bearing in
 ``LayerRouter`` and ``DynamicPolygonIndex`` and must stay expressible.
+An item assignment, deletion or augmented assignment
+``self.<attr>[key] ...`` is a write of ``<attr>``.
 
 A method annotated ``#: requires(_lock)`` is documented to run with the
 lock already held: its body counts as locked for that lock, and every
@@ -127,7 +129,12 @@ class GuardedByRule(Rule):
                 attr = self_attr(child)
                 if attr is not None and attr in guarded:
                     lock, writes_only = guarded[attr]
-                    is_write = isinstance(child.ctx, (ast.Store, ast.Del))
+                    # ``self.attr[key] = ...``, ``del self.attr[key]`` and
+                    # ``self.attr[key] += ...`` load the attribute but
+                    # write into it: the subscript carries the store.
+                    item = isinstance(node, ast.Subscript) and node.value is child
+                    target = node if item else child
+                    is_write = isinstance(target.ctx, (ast.Store, ast.Del))
                     if (is_write or not writes_only) and lock not in held:
                         counter[attr] = counter.get(attr, 0) + 1
                         kind = "write to" if is_write else "read of"

@@ -31,7 +31,8 @@ from repro.util.timing import Timer
 #: Slot-count threshold below which a node is stored compressed.
 NODE4_CAPACITY = 4
 
-#: Node-pointer tag bit (bit 2 of the pointer payload) marking a Node4.
+#: Bit 0 of a pointer slot: set, the rest is a Node4 record's index;
+#: clear, a full node's slot base.
 _NODE4_FLAG = 1
 
 
@@ -40,7 +41,9 @@ class CompressedCellTrie:
 
     Built by post-processing a regular :class:`AdaptiveCellTrie`: nodes
     with at most four occupied slots move into compact key/value arrays and
-    their parent pointers gain a type-flag bit.  Probe results are
+    their parent pointers gain a type-flag bit.  Slots keep the trie's
+    signed encoding (a pointer > 0, minus a row of its ``entries`` table
+    for a value).  Probe results are
     identical to the uncompressed trie (tested); only layout and dispatch
     differ.
     """
@@ -59,6 +62,7 @@ class CompressedCellTrie:
         self.fanout = base.fanout
         self.delta = base.delta
         self.num_keys = base.num_keys
+        self.entries = base.entries
         self._face_trees = base._face_trees
         self._face_values = base._face_values
         self._max_value_depth = base._max_value_depth
@@ -90,22 +94,18 @@ class CompressedCellTrie:
         self.num_full_nodes = int((~is_node4).sum())
         self.num_node4 = int(is_node4.sum())
 
-        new_pool = np.zeros((self.num_full_nodes + 1) * fanout, dtype=np.uint64)
+        new_pool = np.zeros((self.num_full_nodes + 1) * fanout, dtype=np.int64)
         node4_keys = np.full((max(1, self.num_node4), NODE4_CAPACITY), -1, np.int16)
-        node4_values = np.zeros((max(1, self.num_node4), NODE4_CAPACITY), np.uint64)
+        node4_values = np.zeros((max(1, self.num_node4), NODE4_CAPACITY), np.int64)
 
-        def translate(entry: np.uint64) -> np.uint64:
+        def translate(entry: int) -> int:
             """Rewrite a child pointer to the new layout (values pass through)."""
-            if entry == 0 or (entry & np.uint64(3)) != 0:
+            if entry <= 0:
                 return entry
-            old_base = int(entry) >> 2
-            old_node = (old_base - fanout) // fanout
+            old_node = (entry - fanout) // fanout
             if is_node4[old_node]:
-                payload = (int(node4_index[old_node]) << 1) | _NODE4_FLAG
-            else:
-                new_base = (int(full_index[old_node]) + 1) * fanout
-                payload = new_base << 1
-            return np.uint64(payload << 2)
+                return (int(node4_index[old_node]) << 1) | _NODE4_FLAG
+            return ((int(full_index[old_node]) + 1) * fanout) << 1
 
         for old_node in range(num_nodes):
             old_slots = pool[(old_node + 1) * fanout:(old_node + 2) * fanout]
@@ -114,11 +114,11 @@ class CompressedCellTrie:
                 row = int(node4_index[old_node])
                 for column, slot in enumerate(occupied):
                     node4_keys[row, column] = slot
-                    node4_values[row, column] = translate(old_slots[slot])
+                    node4_values[row, column] = translate(int(old_slots[slot]))
             else:
                 new_base = (int(full_index[old_node]) + 1) * fanout
                 for slot in occupied:
-                    new_pool[new_base + slot] = translate(old_slots[slot])
+                    new_pool[new_base + slot] = translate(int(old_slots[slot]))
 
         self.pool = new_pool
         self.node4_keys = node4_keys
@@ -151,33 +151,35 @@ class CompressedCellTrie:
             active_idx = face_idx[ok]
             active_ids = sub[ok]
             # current: payload<<1 | type_flag (full roots have flag 0).
-            current = np.full(active_idx.size, tree.root_base << 1, dtype=np.uint64)
+            current = np.full(active_idx.size, tree.root_base << 1, dtype=np.int64)
             depth = tree.prefix_depth
             while active_idx.size and depth < self._max_value_depth:
                 shift = 61 - 2 * self.delta * (depth + 1)
-                bits = (active_ids >> np.uint64(shift)) & np.uint64(self.fanout - 1)
-                entries = np.zeros(active_idx.size, dtype=np.uint64)
-                is_node4 = (current & np.uint64(1)).astype(bool)
+                bits = ((active_ids >> np.uint64(shift)) & np.uint64(self.fanout - 1)).astype(
+                    np.int64
+                )
+                entries = np.zeros(active_idx.size, dtype=np.int64)
+                is_node4 = (current & 1).astype(bool)
                 full_sel = np.nonzero(~is_node4)[0]
                 if full_sel.size:
-                    bases = current[full_sel] >> np.uint64(1)
+                    bases = current[full_sel] >> 1
                     entries[full_sel] = self.pool[bases + bits[full_sel]]
                 n4_sel = np.nonzero(is_node4)[0]
                 if n4_sel.size:
-                    rows = (current[n4_sel] >> np.uint64(1)).astype(np.int64)
+                    rows = current[n4_sel] >> 1
                     keys = self.node4_keys[rows]  # (m, 4)
                     match = keys == bits[n4_sel][:, None].astype(np.int16)
                     has_match = match.any(axis=1)
                     column = np.argmax(match, axis=1)
                     found = self.node4_values[rows, column]
-                    entries[n4_sel] = np.where(has_match, found, np.uint64(0))
-                is_value = (entries & np.uint64(3)) != np.uint64(0)
+                    entries[n4_sel] = np.where(has_match, found, 0)
+                is_value = entries < 0
                 if np.any(is_value):
-                    out[active_idx[is_value]] = entries[is_value]
-                descend = (~is_value) & (entries != np.uint64(0))
+                    out[active_idx[is_value]] = self.entries[-entries[is_value]]
+                descend = entries > 0
                 active_idx = active_idx[descend]
                 active_ids = active_ids[descend]
-                current = entries[descend] >> np.uint64(2)
+                current = entries[descend]
                 depth += 1
         for face, entry in self._face_values.items():
             out[faces == face] = np.uint64(entry)

@@ -14,20 +14,26 @@ Design points reproduced from the paper:
   its payload replicated over their slots.  Every node then holds cells of
   one level only, and a lookup within a node is a single offset access.
 * **Combined pointer/value slots** — because super-covering cells are
-  disjoint, a slot never needs both a child pointer and a value; 2 tag bits
-  in each 8-byte slot distinguish pointer / one inlined reference / two
-  inlined references / lookup-table offset (see repro.core.lookup_table).
-* **Sentinel** — empty slots hold the zero entry, a "pointer to the
-  sentinel node" (node 0, all zeros), so the probe loop needs no
-  emptiness branch.
+  disjoint, a slot never needs both a child pointer and a value.  The
+  paper tells them apart by 2 tag bits in each 8-byte slot; here the sign
+  does: a slot is one ``int64`` holding a child node's slot base (> 0) or
+  ``-k`` for row ``k >= 1`` of the trie's ``entries`` table, which holds
+  the tagged entries themselves (one inlined reference / two inlined
+  references / lookup-table offset, see repro.core.lookup_table) in
+  ascending order, row 0 being the miss entry 0.
+* **Sentinel** — empty slots hold 0, a "pointer to the sentinel node"
+  (node 0, all zeros), so the probe loop needs no emptiness branch.
 * **Root-level common prefix** — each face tree skips the levels all its
   keys share; a probe first verifies the skipped bits.
 * **Face trees** — up to six trees, selected by the top 3 id bits.
 
-The node pool is a single numpy ``uint64`` array (node = ``fanout``
+The node pool is a single numpy ``int64`` array (node = ``fanout``
 consecutive slots), which makes the probe a level-synchronous gather loop
 over whole query batches and makes the modeled memory footprint (what the
-C++ original would allocate) exact: ``num_nodes * fanout * 8`` bytes.
+C++ original would allocate) exact: ``num_nodes * fanout * 8`` bytes.  The
+``entries`` table holds one row per distinct entry (3,476 rows, 27 KiB,
+beside the 3.5 MiB pool of the 60 m neighborhoods index) and is not part
+of that model: the C++ slot inlines the entry.
 
 The build is a bulk load from the covering's sorted cell ids, in linear
 passes and without materialising the extended keys.  Above its value
@@ -44,15 +50,18 @@ The probe is one descent for the whole batch.  8-entry *root tables*
 indexed by an id's face bits give every lane its tree's root and the
 prefix it must match (a face without a tree holds an unmatchable prefix,
 so its lanes start in the sentinel); one table set per distinct prefix
-depth, normally one.  Per level a lane gathers ``pool[current + slot]``;
-a value is copied out and the lane moves to the sentinel, a zero entry
-*is* a move to the sentinel, and a lane in the sentinel keeps reading
-zeros — resolved and fallen-off lanes need no test, no scatter and no
-compaction.  Only when fewer than a quarter of the lanes are still live
-does the descent continue on a compacted copy (one ``count_nonzero`` per
-level, which also ends the loop): without that rule a batch that mostly
-misses — world-wide points against one city's index — would drag every
-lane through every level.
+depth, normally one.  Per level a lane reads one slot,
+``e = pool[current + slot]``, keeps ``found = min(found, e)`` and moves
+to ``current = max(e, 0)``: a value is the only negative read, so it
+survives in ``found`` while the lane moves to the sentinel, where every
+later read is 0 — resolved and fallen-off lanes need no test, no scatter
+and no compaction.  One ``entries[-found]`` gather ends the probe (a
+level-0 face cell starts its lanes at its own ``-k``).  Every lane runs
+every level: on in-area batches that full-width loop is cheaper than the
+live-lane compaction it replaced, deepest index included, while a batch
+with only a few per cent of its points in the indexed area pays about
+1.3x (DESIGN.md, "The ACT probe").  A root table whose prefix accepts no
+lane at all is skipped.
 """
 
 from __future__ import annotations
@@ -73,13 +82,35 @@ from repro.util.timing import Timer
 _FACE_SHIFT = 61
 _TAG_BITS = np.uint64(2)
 _TAG_MASK = np.uint64(3)
-_TAG_POINTER = np.uint64(TAG_POINTER)
-#: The descent compacts its lane set when fewer than one lane in this
-#: many is still live (see ``AdaptiveCellTrie._descend``).
-_COMPACT_BELOW = 4
+#: The flat-snapshot meta value naming the signed slot encoding; a blob
+#: without it carries the tagged pool of FORMAT_VERSION 3.
+SIGNED_ENCODING = "signed"
 #: A root-table prefix no id can match: prefix shifts are >= 1, so a
 #: shifted id never has its top bit set.
 _NO_PREFIX = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def signed_pool(
+    tagged: np.ndarray, face_values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(pool, entries)`` in the signed encoding of a tagged node pool.
+
+    ``tagged`` is a FORMAT_VERSION 3 pool (a value slot holds its tagged
+    entry, a pointer slot ``child base << 2``) and ``face_values`` its
+    ``(face, entry)`` rows.  The entry table is every distinct entry,
+    ascending after the miss entry 0 — the table a build of the same
+    covering makes, so the result equals that build's pool bit for bit.
+    """
+    is_value = (tagged & _TAG_MASK) != np.uint64(TAG_POINTER)
+    values = tagged[is_value]
+    entries = np.unique(
+        np.concatenate(
+            (np.zeros(1, dtype=np.uint64), values, face_values[:, 1].astype(np.uint64))
+        )
+    )
+    pool = (tagged >> _TAG_BITS).view(np.int64)
+    pool[is_value] = -np.searchsorted(entries, values)
+    return pool, entries
 
 
 @dataclass
@@ -168,6 +199,7 @@ class AdaptiveCellTrie:
     def attach(
         cls,
         pool: np.ndarray,
+        entries: np.ndarray,
         faces: np.ndarray,
         face_values: np.ndarray,
         meta: Mapping[str, object],
@@ -175,9 +207,11 @@ class AdaptiveCellTrie:
     ) -> "AdaptiveCellTrie":
         """A trie over an already-built node pool — no build, no copy.
 
-        ``pool`` is the node pool and ``faces`` / ``face_values`` the
-        per-face ``(face, root_base, prefix_shift, prefix_value,
-        prefix_depth)`` and ``(face, entry)`` rows of a packed trie
+        ``pool`` / ``entries`` are the signed node pool and its entry
+        table (see :func:`signed_pool` for a tagged pool), and ``faces`` /
+        ``face_values`` the per-face ``(face, root_base, prefix_shift,
+        prefix_value, prefix_depth)`` and ``(face, entry)`` rows of a
+        packed trie
         (typically views into a flat snapshot blob, see
         :func:`repro.core.flat.pack_index`); ``meta`` carries the
         scalars the build would have computed.  The result probes,
@@ -190,6 +224,7 @@ class AdaptiveCellTrie:
         store.fanout = 1 << store.fanout_bits
         store.lookup_table = lookup_table
         store.pool = pool
+        store.entries = entries
         store.num_nodes = int(meta["num_nodes"])
         store.num_keys = int(meta["num_keys"])
         store.num_input_cells = int(meta["num_input_cells"])
@@ -219,6 +254,13 @@ class AdaptiveCellTrie:
         fanout = self.fanout
         ids = super_covering.cell_ids
         entries = self.lookup_table.encode_covering(super_covering)
+        # The entry table: every distinct entry, ascending after the miss
+        # entry 0; a cell's value slots hold minus its entry's row.
+        self.entries, rows = np.unique(
+            np.concatenate((np.zeros(1, dtype=np.uint64), entries)),
+            return_inverse=True,
+        )
+        codes = -rows[1:].astype(np.int64)
         levels = levels_from_cell_ids(ids)
         if np.any(levels < 0):
             raise ValueError("invalid cell id in super covering")
@@ -237,8 +279,8 @@ class AdaptiveCellTrie:
             for raw_id, entry in zip(ids[face_level], entries[face_level]):
                 self._face_values[int(raw_id) >> _FACE_SHIFT] = int(entry)
             keep = ~face_level
-            ids, entries, levels, value_depths = (
-                ids[keep], entries[keep], levels[keep], value_depths[keep]
+            ids, codes, levels, value_depths = (
+                ids[keep], codes[keep], levels[keep], value_depths[keep]
             )
         # A cell at level L extended to T stands for its 4^(T-L) descendants.
         expansion = np.left_shift(np.int64(1), 2 * (value_depths * delta - levels))
@@ -246,7 +288,7 @@ class AdaptiveCellTrie:
         self._max_value_depth = int(value_depths.max()) if len(ids) else 0
         if self.num_keys == 0:
             self.num_nodes = 0
-            self.pool = np.zeros(fanout, dtype=np.uint64)
+            self.pool = np.zeros(fanout, dtype=np.int64)
             return
 
         max_depth = self._max_value_depth
@@ -282,7 +324,7 @@ class AdaptiveCellTrie:
             next_base += len(nodes) * fanout
 
         self.num_nodes = (next_base - fanout) // fanout
-        pool = np.zeros(next_base, dtype=np.uint64)
+        pool = np.zeros(next_base, dtype=np.int64)
 
         def node_base(depth: int, prefixes: np.ndarray) -> np.ndarray:
             """Slot bases of the nodes with the given depth-``depth`` prefixes."""
@@ -296,17 +338,17 @@ class AdaptiveCellTrie:
             slots = (child_prefixes & slot_mask).astype(np.int64)
             parents = node_base(depth - 1, parent_prefixes)
             child_bases = depth_bases[depth] + np.arange(len(child_prefixes)) * fanout
-            pool[parents + slots] = (child_bases.astype(np.uint64)) << np.uint64(2)
+            pool[parents + slots] = child_bases
         # Values: every cell fills ``expansion`` consecutive slots from its
         # run start.  Steps of 1 inside a run and a jump between runs, summed
-        # in place, are the slot positions — with the repeated entries the
+        # in place, are the slot positions — with the repeated codes the
         # only arrays as long as the extended key set.
         ends = np.cumsum(expansion)
         positions = np.ones(self.num_keys, dtype=np.int64)
         positions[0] = run_starts[0]
         positions[ends[:-1]] = run_starts[1:] - (run_starts[:-1] + expansion[:-1] - 1)
         np.cumsum(positions, out=positions)
-        pool[positions] = np.repeat(entries, expansion)
+        pool[positions] = np.repeat(codes, expansion)
         self.pool = pool
 
         # Per-face roots and common prefixes: skip single-child chains above
@@ -338,7 +380,8 @@ class AdaptiveCellTrie:
 
     def _index_roots(self) -> None:
         """Root tables of the face trees (one per distinct prefix depth,
-        normally one) and the entry table of level-0 cells."""
+        normally one) and the starting ``found`` of every face: ``-k``
+        for a level-0 cell whose entry is row ``k``, else 0."""
         by_depth: dict[int, _RootTable] = {}
         for face, tree in self._face_trees.items():
             roots = by_depth.get(tree.prefix_depth)
@@ -352,11 +395,12 @@ class AdaptiveCellTrie:
             roots.prefix_value[face] = tree.prefix_value
             roots.root_base[face] = tree.root_base
         self._root_tables = [by_depth[depth] for depth in sorted(by_depth)]
-        self._face_entry = np.zeros(8, dtype=np.uint64)
-        self._has_face_entry = np.zeros(8, dtype=bool)
+        self._face_found = np.zeros(8, dtype=np.int64)
         for face, entry in self._face_values.items():
-            self._face_entry[face] = entry
-            self._has_face_entry[face] = True
+            row = int(np.searchsorted(self.entries, np.uint64(entry)))
+            if row == len(self.entries) or int(self.entries[row]) != entry:
+                raise ValueError(f"face {face}'s entry {entry} is not in the entry table")
+            self._face_found[face] = -row
 
     # ------------------------------------------------------------------
     # Probe
@@ -366,7 +410,7 @@ class AdaptiveCellTrie:
         """Tagged entries for a batch of leaf cell ids (0 = false hit).
 
         This is Listing 2 of the paper, vectorized: per level, one gather
-        from the node pool resolves every still-active query.
+        from the node pool resolves every lane.
         """
         entries, _ = self._probe_impl(query_ids, instrument=False)
         return entries
@@ -378,94 +422,54 @@ class AdaptiveCellTrie:
     def _probe_impl(
         self, query_ids: np.ndarray, instrument: bool
     ) -> tuple[np.ndarray, ProbeStats]:
+        """The one descent (module docstring).  ``depths`` counts, per
+        lane, the levels it entered outside the sentinel: its node
+        accesses."""
         ids = np.ascontiguousarray(query_ids, dtype=np.uint64)
-        out = np.zeros(len(ids), dtype=np.uint64)
         depths = np.zeros(len(ids), dtype=np.int16) if instrument else None
-        node_accesses = 0
         prefix_rejections = 0
         top = (ids >> np.uint64(_FACE_SHIFT)).astype(np.intp)
+        found = self._face_found[top]
         # Arithmetic shifts of the signed view keep the low slot bits exact
         # and make ``slots`` an index array numpy gathers without a cast.
         signed_ids = ids.view(np.int64)
+        pool = self.pool
+        slot_mask = self.fanout - 1
         for roots in self._root_tables:
             prefix = roots.prefix_value[top]
             accepted = (ids >> roots.prefix_shift) == prefix
-            current = roots.root_base[top]
-            current *= accepted
             if instrument:
                 # Lanes on a face with a tree, minus the lanes it accepted.
                 prefix_rejections += int(
                     np.count_nonzero(prefix != _NO_PREFIX)
                     - np.count_nonzero(accepted)
                 )
-            node_accesses += self._descend(
-                signed_ids, current, roots.prefix_depth, out, depths
-            )
-        if self._face_values:
-            np.copyto(out, self._face_entry[top], where=self._has_face_entry[top])
+            if not accepted.any():
+                # Every lane fell off at the prefix (world-wide points
+                # against one city's index): no level would read more
+                # than the sentinel.
+                continue
+            current = roots.root_base[top]
+            current *= accepted
+            # A value at tree depth d is read at level d, so
+            # _max_value_depth bounds the loop; the shift stays >= 1
+            # because d * delta <= 30.
+            for depth in range(roots.prefix_depth + 1, self._max_value_depth + 1):
+                if depths is not None:
+                    depths += current != 0
+                slots = signed_ids >> (_FACE_SHIFT - 2 * self.delta * depth)
+                slots &= slot_mask
+                slots += current
+                current = pool.take(slots)
+                np.minimum(found, current, out=found)
+                np.maximum(current, 0, out=current)
+        np.negative(found, out=found)
         stats = ProbeStats(
             depths=depths if instrument else np.zeros(0, dtype=np.int16),
-            node_accesses=node_accesses,
+            node_accesses=int(depths.sum()) if instrument else 0,
             prefix_rejections=prefix_rejections,
         )
-        return out, stats
-
-    def _descend(
-        self,
-        ids: np.ndarray,
-        current: np.ndarray,
-        depth: int,
-        out: np.ndarray,
-        depths: np.ndarray | None,
-    ) -> int:
-        """Level-synchronous descent of lanes starting at ``current``.
-
-        ``ids`` (int64 views of the leaf ids), ``current`` (node slot
-        bases, 0 = the sentinel), ``out`` and ``depths`` are parallel.  A
-        lane that resolves to a value or falls off the tree moves to the
-        sentinel node, where every later gather reads the zero entry: no
-        per-level test, scatter or compaction.  Only when fewer than
-        ``1 / _COMPACT_BELOW`` of the lanes are still live does the
-        descent continue on a compacted copy.  Returns the node accesses
-        (live lanes summed over levels); ``depths``, when given, gains
-        each lane's share of them.
-        """
-        pool = self.pool
-        slot_mask = self.fanout - 1
-        node_accesses = 0
-        # A value at tree depth d is read while iterating at depth d-1, so
-        # _max_value_depth bounds the loop; the shift stays >= 1 because
-        # d * delta <= 30.
-        while depth < self._max_value_depth:
-            live = int(np.count_nonzero(current))
-            if live == 0:
-                break
-            if live * _COMPACT_BELOW < len(current):
-                keep = np.flatnonzero(current)
-                found = np.zeros(live, dtype=np.uint64)
-                steps = None if depths is None else np.zeros(live, dtype=np.int16)
-                node_accesses += self._descend(
-                    ids[keep], current[keep], depth, found, steps
-                )
-                # Live lanes have resolved nothing yet, so plain stores.
-                out[keep] = found
-                if depths is not None:
-                    depths[keep] += steps
-                break
-            node_accesses += live
-            if depths is not None:
-                depths += current != 0
-            depth += 1
-            slots = ids >> (_FACE_SHIFT - 2 * self.delta * depth)
-            slots &= slot_mask
-            slots += current
-            entries = pool[slots]
-            is_value = (entries & _TAG_MASK) != _TAG_POINTER
-            np.copyto(out, entries, where=is_value)
-            entries >>= _TAG_BITS
-            current = entries.view(np.int64)
-            current *= ~is_value
-        return node_accesses
+        return self.entries.take(found), stats
 
     def probe_one(self, query_id: int) -> tuple[PolygonRef, ...]:
         """Scalar convenience probe returning decoded references."""

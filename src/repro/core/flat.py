@@ -9,7 +9,7 @@ arrays plus the ACT face tables, the covering's cell/reference arrays and
 the polygon ring geometry — into one contiguous ``uint8`` blob with a
 versioned JSON header, so a consumer *attaches* instead of rebuilding:
 
-* ``save_index``/``load_index`` (FORMAT_VERSION 3) write the blob as a
+* ``save_index``/``load_index`` (since FORMAT_VERSION 3) write the blob as a
   single ``.npy`` payload and restart from disk via
   ``np.load(mmap_mode="r")`` — no store build, and the super covering is
   the blob's three covering buffers as they are;
@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.act import AdaptiveCellTrie
+from repro.core.act import SIGNED_ENCODING, AdaptiveCellTrie, signed_pool
 from repro.core.lookup_table import LookupTable
 from repro.core.super_covering import SuperCovering
 from repro.geo.polygon import Polygon, Ring
@@ -104,9 +104,13 @@ FLAT_GEOMETRY_BUFFERS: dict[str, str] = {
 #: the :class:`~repro.core.super_covering.SuperCovering` (written as they
 #: are, wrapped on attach).  ``cell_ids`` is ascending in every blob
 #: written since 1.14.0; older files stored build order and are sorted
-#: once by :meth:`SuperCovering.attach` — no format bump.
+#: once by :meth:`SuperCovering.attach` — no format bump.  Since 1.34.0
+#: ``act_pool`` is the signed pool and ``act_entries`` its entry table
+#: (the meta's ``act_encoding`` says so); a blob without them carries a
+#: ``<u8`` tagged pool, re-encoded once when it is attached.
 FLAT_COVERAGE_BUFFERS: dict[str, str] = {
-    "act_pool": "<u8",
+    "act_pool": "<i8",
+    "act_entries": "<u8",
     "act_faces": "<u8",
     "act_face_values": "<u8",
     "lut": "<u4",
@@ -445,10 +449,15 @@ def pack_index(index: PolygonIndex) -> FlatSnapshot:
     section (the ACT store, its lookup table and the covering's three
     arrays).  An index never changes, so an attached index returns the
     snapshot it holds — repacking would copy buffers for no benefit —
-    unless attaching had to sort the covering (a pre-1.14.0 file): what
-    is packed or saved next is the canonical covering, not the file's."""
+    unless attaching had to sort the covering (a pre-1.14.0 file) or
+    re-encode the node pool (a pre-1.34.0 one): what is packed or saved
+    next is the canonical covering and pool, not the file's."""
     held = index.snapshot
-    if held is not None and held.buffers["cell_ids"] is index.super_covering.cell_ids:
+    if (
+        held is not None
+        and held.buffers["cell_ids"] is index.super_covering.cell_ids
+        and held.buffers["act_pool"] is index.store.pool
+    ):
         return held
     ring_index, vertex_index, ring_lngs, ring_lats = pack_polygon_geometry(
         index.polygons
@@ -476,6 +485,7 @@ def pack_index(index: PolygonIndex) -> FlatSnapshot:
         "ring_lats": ring_lats,
         **_pack_refiner_table(refiner.table()),
         "act_pool": store.pool,
+        "act_entries": store.entries,
         "act_faces": faces,
         "act_face_values": face_values,
         "lut": store.lookup_table.array,
@@ -494,6 +504,7 @@ def pack_index(index: PolygonIndex) -> FlatSnapshot:
         ),
         "version": int(index.version),
         "fanout_bits": int(store.fanout_bits),
+        "act_encoding": SIGNED_ENCODING,
         "max_value_depth": int(store._max_value_depth),
         "num_nodes": int(store.num_nodes),
         "num_keys": int(store.num_keys),
@@ -523,7 +534,8 @@ def attach_index(
     buckets of the returned :class:`~repro.core.builder.PolygonIndex` are
     views into the snapshot's blob (the covering's buffers are checked,
     and a pre-1.14.0 file's unsorted cell ids are sorted once — see
-    :meth:`SuperCovering.attach`).
+    :meth:`SuperCovering.attach`; a pre-1.34.0 file's tagged pool is
+    re-encoded once — see :func:`~repro.core.act.signed_pool`).
 
     ``version=None`` stamps a fresh process-local version (the loaded
     snapshot outranks everything built so far — callers raise the floor
@@ -544,9 +556,17 @@ def attach_index(
             f"unsupported flat snapshot format {meta.get('flat_format')!r}"
         )
     buffers = snapshot.buffers
+    encoding = meta.get("act_encoding")
+    if encoding == SIGNED_ENCODING:
+        pool, entries = buffers["act_pool"], buffers["act_entries"]
+    elif encoding is None:
+        pool, entries = signed_pool(buffers["act_pool"], buffers["act_face_values"])
+    else:
+        raise ValueError(f"unsupported ACT pool encoding {encoding!r}")
     lookup_table = LookupTable.attach(buffers["lut"])
     store = AdaptiveCellTrie.attach(
-        buffers["act_pool"],
+        pool,
+        entries,
         buffers["act_faces"],
         buffers["act_face_values"],
         meta,

@@ -25,6 +25,11 @@ Format history:
   is derived from the delta when saving — every delta insert in id
   order, then every tombstone — and the dynamic meta also records the
   training split schedule (``training_order``).
+* **v4** (1.34.0) — the same container; the ACT node pool is signed
+  (``act_pool`` ``<i8``: a child's slot base, or minus a row of the new
+  ``act_entries`` ``<u8`` table) instead of tagged, and the flat meta
+  records ``act_encoding``.  A v3 file's tagged pool is re-encoded once
+  when it is attached — no store build.
 
 Writers always emit the current ``FORMAT_VERSION``; readers accept every
 version up to it.
@@ -64,7 +69,7 @@ from repro.geo.polygon import Polygon
 from repro.geo.wkt import polygon_from_wkt
 from repro.util.timing import Timer
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Last format that used the legacy ``.npz`` + rebuild-on-load layout.
 _LAST_LEGACY_VERSION = 2
@@ -172,7 +177,7 @@ def _replay(
 def save_index(
     index: PolygonIndex | DynamicPolygonIndex, path: str | pathlib.Path
 ) -> None:
-    """Serialize ``index`` to ``path`` (a flat snapshot, v3).
+    """Serialize ``index`` to ``path`` (a flat snapshot, v4).
 
     A :class:`DynamicPolygonIndex` is saved as its immutable base snapshot
     plus its delta as a log — every delta insert in id order, then every
@@ -205,7 +210,7 @@ def save_index(
             )
         index = base
     snapshot = pack_index(index)
-    # A v3-loaded base holds the snapshot it was attached from, which may
+    # A flat-loaded base holds the snapshot it was attached from, which may
     # carry the dynamic meta and delta-log buffers of the file it came
     # out of; only the object being saved decides those.
     meta = {
@@ -233,10 +238,10 @@ def save_index(
 def load_index(path: str | pathlib.Path) -> PolygonIndex | DynamicPolygonIndex:
     """Restore an index saved by :func:`save_index`.
 
-    Accepts every format version up to :data:`FORMAT_VERSION`.  A v3 file
-    is *attached* (:func:`~repro.core.flat.attach_index`): the returned
-    index serves straight from the mmap'd buffers and no store build
-    runs.  v1/v2 ``.npz`` archives take the legacy rebuild path.
+    Accepts every format version up to :data:`FORMAT_VERSION`.  A v3 or
+    v4 file is *attached* (:func:`~repro.core.flat.attach_index`): the
+    returned index serves straight from the mmap'd buffers (a v3 file's
+    tagged pool is re-encoded once) and no store build runs.  v1/v2 ``.npz`` archives take the legacy rebuild path.
     A file saved from a :class:`DynamicPolygonIndex` comes back as one,
     with its delta log replayed through ``insert`` / ``delete``, anything
     else as a plain :class:`PolygonIndex`.

@@ -61,11 +61,14 @@ the others take their second slot only if it is still empty.  This
 tracks an exact LRU closely on skewed streams (a hot key is refreshed
 every batch, so a flood of cold keys can only displace other cold keys)
 at the cost of a few conflict misses an exact LRU would not have.  To
-keep those few, a table of ``capacity`` keys has the next power of two
->= ``4 * capacity`` slots (40 bytes each: 640 KiB at the default 4,096),
-so its load factor stays <= 1/4: one batch of 2,048 distinct random keys
-written back to a ``HotCellCache(4096)`` then misses under 1 % of them,
-4,096 keys about 3 % (9 % and 25 % with one slot per unit of capacity).
+keep those few, ``capacity`` sizes the table at the next power of two
+>= ``4 * capacity`` slots (40 bytes each: 640 KiB at the default 4,096).
+The table holds up to ``slots`` keys — a missing key fills any empty
+slot — so ``capacity`` is not a cap on ``size``; the load factor stays
+<= 1/4 while a stream has at most ``capacity`` distinct keys: one batch
+of 2,048 distinct random keys written back to a ``HotCellCache(4096)``
+then misses under 1 % of them, 4,096 keys about 3 % (9 % and 25 % with
+one slot per unit of capacity).
 
 Standing aside (the only selection, made from what the table observes,
 unchanged by the re-keying): a lookup plus the write-back of its misses
@@ -142,11 +145,12 @@ class HotCellCache:
 
     A key is two 64-bit words, ``(lat_bits, lng_bits)``: the service
     passes a point's ``float64`` bit patterns (see the module docstring).
-    ``capacity`` is the number of distinct keys the table holds: it has
-    ``slots`` = the next power of two >= ``4 * capacity`` slots of 40
-    bytes, and ``size`` counts the occupied ones.  ``capacity=0``
-    disables caching (every lookup misses and no statistics are
-    recorded).
+    ``capacity`` sizes the table: it has ``slots`` = the next power of
+    two >= ``4 * capacity`` slots of 40 bytes and holds up to ``slots``
+    keys, and ``size`` counts the occupied ones.  The load factor stays
+    <= 1/4 while a stream has at most ``capacity`` distinct keys.
+    ``capacity=0`` disables caching (every lookup misses and no
+    statistics are recorded).
 
     The batch API is :meth:`lookup` followed by :meth:`insert` for the
     keys it missed; each holds the lock only around its own gathers and
@@ -159,7 +163,8 @@ class HotCellCache:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        # Four slots per unit of capacity: the load factor stays <= 1/4.
+        # Four slots per unit of capacity: the load factor stays <= 1/4
+        # while at most ``capacity`` distinct keys arrive.
         bits = max(1, (4 * capacity - 1).bit_length())
         self.slots = (1 << bits) if capacity else 0
         self._hash_shift = np.uint64(64 - bits)

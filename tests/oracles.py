@@ -44,6 +44,15 @@ runs; the key-materialising construction lives on here as
 :func:`act_pool_by_key_extension`, which ``tests/test_act.py`` holds the
 pool, the face trees and the lookup table against, bit for bit.
 
+Until 1.34.0 an ACT slot was tagged (2 tag bits: pointer or one of three
+value forms) and ``AdaptiveCellTrie._probe_impl`` untangled the tag per
+read, copying values out and compacting its lanes once fewer than a
+quarter were live.  The slot is now signed (a child base, or minus a row
+of the trie's entry table) and the descent one full-width loop; the
+tagged descent lives on here as :func:`tagged_descent_probe` (over
+:func:`tagged_pool`, the tagged form of a signed pool), which
+``tests/test_act.py`` holds ``probe`` / ``probe_instrumented`` against.
+
 Until 1.27.0 ``OverlayCellStore.probe`` merged every lane: each distinct
 ``(base entry, delta entry)`` pair of the batch went through the decode,
 merge and re-encode.  The store now keeps the base entry of every lane a
@@ -69,6 +78,7 @@ from repro.cells.coverer import CovererOptions
 from repro.cells.metrics import EARTH_RADIUS_METERS, MAX_EDGE_DERIV, level_for_max_diag_meters
 from repro.cells.cellid import cell_difference
 from repro.cells.vectorized import face_ij_from_leaf_ids, levels_from_cell_ids
+from repro.core.act import _NO_PREFIX
 from repro.core.lookup_table import LookupTable
 from repro.core.refs import PolygonRef, merge_refs
 from repro.core.super_covering import SuperCovering
@@ -995,6 +1005,76 @@ def act_pool_by_key_extension(
             prefix_depth,
         )
     return pool, face_trees, face_values, len(key_ids)
+
+
+def tagged_pool(pool: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """The tagged (FORMAT_VERSION 3) form of a signed node pool: a value
+    slot holds its tagged entry, a pointer slot ``child base << 2``."""
+    values = pool < 0
+    tagged = pool.astype(np.uint64) << np.uint64(2)
+    tagged[values] = entries[-pool[values]]
+    return tagged
+
+
+#: The tagged descent compacted its lane set when fewer than one lane in
+#: this many was still live.
+_TAGGED_COMPACT_BELOW = 4
+
+
+def tagged_descent_probe(act, query_ids: np.ndarray):
+    """``AdaptiveCellTrie.probe_instrumented`` as it ran until 1.34.0: the
+    tagged pool (:func:`tagged_pool`), a tag test per slot read, values
+    copied out per level, and the descent continued on a compacted copy
+    once fewer than a quarter of the lanes were live.  Returns
+    ``(entries, depths, node_accesses, prefix_rejections)``."""
+    pool = tagged_pool(act.pool, act.entries)
+    tag_mask, tag_bits = np.uint64(3), np.uint64(2)
+    slot_mask = act.fanout - 1
+
+    def descend(ids, current, depth, out, depths) -> int:
+        node_accesses = 0
+        while depth < act._max_value_depth:
+            live = int(np.count_nonzero(current))
+            if live == 0:
+                break
+            if live * _TAGGED_COMPACT_BELOW < len(current):
+                keep = np.flatnonzero(current)
+                found = np.zeros(live, dtype=np.uint64)
+                steps = np.zeros(live, dtype=np.int16)
+                node_accesses += descend(ids[keep], current[keep], depth, found, steps)
+                out[keep] = found
+                depths[keep] += steps
+                break
+            node_accesses += live
+            depths += current != 0
+            depth += 1
+            slots = ids >> (_FACE_SHIFT - 2 * act.delta * depth)
+            slots &= slot_mask
+            slots += current
+            entries = pool[slots]
+            is_value = (entries & tag_mask) != np.uint64(0)
+            np.copyto(out, entries, where=is_value)
+            entries >>= tag_bits
+            current = entries.view(np.int64)
+            current *= ~is_value
+        return node_accesses
+
+    ids = np.ascontiguousarray(query_ids, dtype=np.uint64)
+    out = np.zeros(len(ids), dtype=np.uint64)
+    depths = np.zeros(len(ids), dtype=np.int16)
+    node_accesses = prefix_rejections = 0
+    top = (ids >> np.uint64(_FACE_SHIFT)).astype(np.intp)
+    for roots in act._root_tables:
+        prefix = roots.prefix_value[top]
+        accepted = (ids >> roots.prefix_shift) == prefix
+        current = roots.root_base[top] * accepted
+        prefix_rejections += int(
+            np.count_nonzero(prefix != _NO_PREFIX) - np.count_nonzero(accepted)
+        )
+        node_accesses += descend(ids.view(np.int64), current, roots.prefix_depth, out, depths)
+    for face, entry in act._face_values.items():
+        out[top == face] = entry
+    return out, depths, node_accesses, prefix_rejections
 
 
 def overlay_probe_all_lanes(overlay, query_ids: np.ndarray) -> np.ndarray:

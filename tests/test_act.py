@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from repro.baselines import SortedVectorStore
 from repro.cells import CellId, cell_ids_from_lat_lng_arrays
-from repro.core.act import AdaptiveCellTrie
+from repro.core.act import AdaptiveCellTrie, signed_pool
 from repro.core.lookup_table import LookupTable
 from repro.core.refs import PolygonRef
 from repro.core.super_covering import SuperCovering, build_super_covering
@@ -174,6 +174,26 @@ class TestStructure:
         assert act.size_bytes == act.pool.nbytes + act.lookup_table.size_bytes
         assert act.pool.nbytes == (act.num_nodes + 1) * act.fanout * 8
 
+    def test_attach_rejects_a_face_entry_missing_from_the_entry_table(self):
+        covering = make_covering([(CellId.face_cell(VALUE_FACE), [PolygonRef(1, False)])])
+        act = AdaptiveCellTrie(covering, 8)
+        assert len(act.entries) == 2 and act._face_found[VALUE_FACE] == -1
+        meta = {
+            "fanout_bits": 8, "num_nodes": 0, "num_keys": 0,
+            "num_input_cells": 1, "max_value_depth": 0,
+        }
+        rows = np.asarray(sorted(act._face_values.items()), dtype=np.uint64)
+        no_faces = np.zeros((0, 5), dtype=np.uint64)
+        attached = AdaptiveCellTrie.attach(
+            act.pool, act.entries, no_faces, rows, meta, act.lookup_table
+        )
+        ids = np.asarray([BASE.id, leaf_under(CellId.face_cell(VALUE_FACE), 0.5)], dtype=np.uint64)
+        assert np.array_equal(attached.probe(ids), act.probe(ids))
+        with pytest.raises(ValueError, match="not in the entry table"):
+            AdaptiveCellTrie.attach(
+                act.pool, act.entries[:1], no_faces, rows, meta, act.lookup_table
+            )
+
     def test_describe(self):
         covering = make_covering([(BASE.parent(8), [PolygonRef(1, True)])])
         info = AdaptiveCellTrie(covering, 8).describe()
@@ -263,8 +283,15 @@ class TestBulkBuildParity:
         pool, face_trees, face_values, num_keys = oracles.act_pool_by_key_extension(
             covering, fanout_bits, table
         )
-        assert act.pool.dtype == pool.dtype
-        assert np.array_equal(act.pool, pool)
+        # The signed pool is the tagged one re-encoded: its entry table is
+        # every distinct entry, ascending after the miss entry 0.
+        assert act.pool.dtype == np.int64 and act.entries.dtype == np.uint64
+        assert act.entries[0] == 0 and np.all(act.entries[1:] > act.entries[:-1])
+        assert np.array_equal(oracles.tagged_pool(act.pool, act.entries), pool)
+        rows = np.asarray(sorted(face_values.items()), dtype=np.uint64).reshape(-1, 2)
+        again, entries = signed_pool(pool, rows)
+        assert np.array_equal(again, act.pool)
+        assert np.array_equal(entries, act.entries)
         assert act.num_nodes == len(pool) // act.fanout - 1  # the sentinel
         assert act.num_keys == num_keys
         assert _face_trees(act) == face_trees
@@ -327,7 +354,7 @@ class TestBulkBuildParity:
 
 
 # ----------------------------------------------------------------------
-# The one-descent probe: root tables, sentinel retirement, compaction
+# The one-descent probe: root tables, signed slots, sentinel retirement
 # ----------------------------------------------------------------------
 
 #: BASE sits on face 4; the deep tree lives there, the shallow one and the
@@ -426,6 +453,58 @@ class TestOneDescentProbe:
             assert (stats.node_accesses, stats.prefix_rejections) == (0, 0)
 
 
+class TestTaggedDescentParity:
+    """``probe`` and ``probe_instrumented`` read the signed pool; the
+    tagged descent they replaced (``tests/oracles.py``) reads its tagged
+    form.  Entries, depths and counters agree lane for lane."""
+
+    def _assert_parity(self, act: AdaptiveCellTrie, ids: np.ndarray) -> None:
+        entries, stats = act.probe_instrumented(ids)
+        expected, depths, node_accesses, rejections = oracles.tagged_descent_probe(
+            act, ids
+        )
+        assert entries.dtype == np.uint64 and np.array_equal(entries, expected)
+        assert np.array_equal(act.probe(ids), expected)
+        assert np.array_equal(stats.depths, depths)
+        assert (stats.node_accesses, stats.prefix_rejections) == (
+            node_accesses, rejections,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from([2, 4, 8]))
+    def test_disjoint_coverings(self, data, fanout_bits):
+        """Up to three faces, each one level-0 cell or a stem of any
+        length (prefix depths differ, so several root tables)."""
+        covering = data.draw(disjoint_covering(max_level=24))
+        act = AdaptiveCellTrie(covering, fanout_bits, LookupTable())
+        if covering.num_cells:
+            self._assert_parity(act, data.draw(query_batch(covering)))
+        anywhere = data.draw(
+            st.lists(st.integers(0, (1 << 60) - 1), max_size=40).map(
+                lambda positions: np.asarray(
+                    [((k % 6) << 61) | (p << 1) | 1 for k, p in enumerate(positions)],
+                    dtype=np.uint64,
+                )
+            )
+        )
+        self._assert_parity(act, anywhere)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_two_root_tables_and_a_face_cell(self, data):
+        covering = data.draw(two_tree_covering())
+        ids = data.draw(query_batch(covering))
+        for fanout_bits in (2, 4, 8):
+            self._assert_parity(AdaptiveCellTrie(covering, fanout_bits, LookupTable()), ids)
+
+    @pytest.mark.parametrize("fanout_bits", [2, 4, 8])
+    def test_empty_batch(self, fanout_bits):
+        covering = make_covering([(BASE.parent(9), [PolygonRef(0, True)])])
+        act = AdaptiveCellTrie(covering, fanout_bits)
+        self._assert_parity(act, np.zeros(0, dtype=np.uint64))
+        assert act.probe(np.zeros(0, dtype=np.uint64)).dtype == np.uint64
+
+
 def pinned_covering() -> tuple[SuperCovering, list[CellId]]:
     """400 cells at levels 7..22 under one level-6 cell, fixed by seed.
 
@@ -497,9 +576,9 @@ PINNED_PROBE_STATS = {
 }
 
 
-class TestCompactionSides:
-    """Entries and ``ProbeStats`` on both sides of the quarter-live rule
-    equal what the compact-every-level probe reported."""
+class TestPinnedProbeStats:
+    """Entries and ``ProbeStats`` of batches that miss, hit, and cross
+    value depths equal what the compact-every-level probe reported."""
 
     @pytest.fixture(scope="class")
     def pinned(self):

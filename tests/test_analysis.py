@@ -108,6 +108,38 @@ def test_guarded_by_writes_only_mode(tmp_path):
     assert "publish" in findings[0].symbol
 
 
+@pytest.mark.parametrize(
+    "write",
+    ["self._snapshot[key] = data", "del self._snapshot[key]", "self._snapshot[key] += data"],
+    ids=["item-assignment", "item-deletion", "augmented-item-assignment"],
+)
+def test_guarded_by_writes_only_mode_counts_item_writes(tmp_path, write):
+    """A store into the guarded container is a write of it, though the
+    attribute itself is only loaded."""
+    source = f"""
+        import threading
+
+        class Published:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self._snapshot = {{}}  #: guarded_by(_lock, writes)
+
+            def read(self, key):
+                return self._snapshot[key]  # lock-free read: fine
+
+            def locked(self, key, data):
+                with self._lock:
+                    {write}
+
+            def publish(self, key, data):
+                {write}
+    """
+    findings = analyze(tmp_path, {"pub.py": source}, select=["guarded-by"])
+    assert [(f.symbol, f.message.split(" outside")[0]) for f in findings] == [
+        ("Published.publish:_snapshot#1", "write to Published._snapshot")
+    ]
+
+
 def test_guarded_by_requires_annotation(tmp_path):
     source = """
         import threading
@@ -206,6 +238,18 @@ SEEDED_REAL_SITES = {
         "            else:\n"
         "                return table\n"
         "        self._generations = {**self._generations, name: (view.version, table)}\n"
+        "        return table\n",
+        {"JoinService._table_for:_generations#1"},
+    ),
+    # The item assignment the copy-on-write replacement above stands in
+    # for: a subscript store is a write of the guarded attribute.
+    "JoinService._table_for (item)": (
+        "repro/serve/service.py",
+        "                self._generations[name] = (view.version, table)\n"
+        "            return table\n",
+        "            else:\n"
+        "                return table\n"
+        "        self._generations[name] = (view.version, table)\n"
         "        return table\n",
         {"JoinService._table_for:_generations#1"},
     ),

@@ -272,7 +272,7 @@ def test_bypassed_is_reported_by_every_stats_surface():
 
 
 # ----------------------------------------------------------------------
-# Sizing: the table holds ``capacity`` distinct keys
+# Sizing: ``capacity`` sizes the table, which holds up to ``slots`` keys
 # ----------------------------------------------------------------------
 
 
@@ -300,6 +300,26 @@ def test_table_holds_its_capacity(seed, num_keys, max_miss_share):
 @pytest.mark.parametrize("capacity, slots", [(0, 0), (1, 4), (7, 32), (8, 32), (4_096, 16_384)])
 def test_four_slots_per_unit_of_capacity(capacity, slots):
     assert HotCellCache(capacity).slots == slots
+
+
+def test_a_flood_of_distinct_keys_fills_slots_not_capacity():
+    """``capacity`` is no cap on ``size``: a missing key takes any empty
+    slot, so a stream of distinct keys fills the table past it."""
+    cache = HotCellCache(64)
+    generator = np.random.default_rng(3)
+    for _ in range(400):
+        lat_bits, lng_bits = generator.integers(0, 1 << 63, (2, 64), dtype=np.uint64)
+        looked_up = cache.lookup(lat_bits, lng_bits)
+        if looked_up is None:  # standing aside
+            continue
+        _, _, missing, tick = looked_up
+        cache.insert(
+            lat_bits[missing], lng_bits[missing], lat_bits[missing], lng_bits[missing], tick
+        )
+    stats = cache.stats()
+    assert stats.capacity == 64 and cache.slots == 256
+    assert stats.capacity < stats.size <= cache.slots
+    assert stats.evictions > 0
 
 
 # ----------------------------------------------------------------------

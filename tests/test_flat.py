@@ -120,20 +120,23 @@ class TestSnapshotContainer:
             segment.unlink()
 
     # Recorded at 1.23.0, when pack_index still composed a geometry and a
-    # coverage plane: the order a v3 file and a shared-memory segment carry.
+    # coverage plane: the order a v3 file and a shared-memory segment
+    # carry.  Since 1.34.0 (v4) the signed pool's entry table follows the
+    # pool, and the meta names the pool's encoding after the fanout.
     PACKED_BUFFERS = [
         "poly_ring_index", "ring_vertex_index", "ring_lngs", "ring_lats",
         "ref_row_offset", "ref_num_buckets", "ref_lat_origin",
         "ref_inv_bucket_height", "ref_mbr_lng_lo", "ref_mbr_lng_hi",
         "ref_mbr_lat_lo", "ref_mbr_lat_hi", "ref_edge_start", "ref_y0",
         "ref_y1", "ref_x0", "ref_dx", "ref_inv_dy",
-        "act_pool", "act_faces", "act_face_values", "lut",
+        "act_pool", "act_entries", "act_faces", "act_face_values", "lut",
         "cell_ids", "ref_offsets", "packed_refs",
     ]
     PACKED_META = [
         "flat_format", "num_polygons", "precision_meters", "version",
-        "fanout_bits", "max_value_depth", "num_nodes", "num_keys",
-        "num_input_cells", "build_seconds", "num_cells", "max_cell_level",
+        "fanout_bits", "act_encoding", "max_value_depth", "num_nodes",
+        "num_keys", "num_input_cells", "build_seconds", "num_cells",
+        "max_cell_level",
     ]
 
     def test_packed_layout_is_pinned(self, index):
@@ -143,6 +146,8 @@ class TestSnapshotContainer:
         again = FlatSnapshot.from_buffer(snapshot.to_bytes())
         assert list(again.buffers) == self.PACKED_BUFFERS
         assert list(again.meta) == self.PACKED_META
+        assert again.meta["act_encoding"] == "signed"
+        assert again.buffers["act_pool"].dtype == np.dtype("<i8")
 
     def test_nbytes_sums_buffers(self, index):
         snapshot = pack_index(index)
@@ -157,6 +162,12 @@ class TestSnapshotContainer:
         fresh = attach_index(snapshot)
         assert fresh.version > index.version
 
+    def test_unknown_pool_encoding_rejected(self, index):
+        snapshot = pack_index(index)
+        meta = {**snapshot.meta, "act_encoding": "zigzag"}
+        with pytest.raises(ValueError, match="unsupported ACT pool encoding 'zigzag'"):
+            attach_index(FlatSnapshot(meta, snapshot.buffers))
+
     def test_pack_index_returns_held_snapshot(self, index, attached):
         # One index class either way; the attached one keeps the snapshot
         # it serves from, so packing it again copies nothing.
@@ -169,10 +180,12 @@ class TestSnapshotContainer:
     def test_attached_store_and_table_are_views(self, attached):
         buffers = attached.snapshot.buffers
         assert np.shares_memory(attached.store.pool, buffers["act_pool"])
+        assert np.shares_memory(attached.store.entries, buffers["act_entries"])
         assert np.shares_memory(attached.lookup_table.array, buffers["lut"])
         blob = attached.snapshot.to_bytes()
         mapped = attach_index(blob)
         assert np.shares_memory(mapped.store.pool, blob)
+        assert np.shares_memory(mapped.store.entries, blob)
         assert np.shares_memory(mapped.lookup_table.array, blob)
         assert np.shares_memory(mapped.polygons[0].outer.lngs, blob)
         # The covering IS the plane's three buffers: wrapped, not unpacked.

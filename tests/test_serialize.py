@@ -132,7 +132,7 @@ FIXTURE_V3 = pathlib.Path(__file__).parent / "data" / "index_v3.npy"
 
 class TestBackwardCompatibility:
     """Checked-in FORMAT_VERSION 1, 2 and 3 files keep loading
-    bit-identically under the current reader."""
+    bit-identically under the current (v4) reader."""
 
     @pytest.mark.parametrize(
         "fixture, num_cells, digest",
@@ -307,6 +307,56 @@ class TestBackwardCompatibility:
         for exact in (False, True):
             a = reloaded.join(lats, lngs, exact=exact, materialize=True)
             b = base.join(lats, lngs, exact=exact, materialize=True)
+            assert (a.counts == b.counts).all()
+            assert (a.pair_points == b.pair_points).all()
+            assert (a.pair_polygons == b.pair_polygons).all()
+
+    def test_v3_pool_re_encoded_v4_attached_and_built_agree(self, tmp_path):
+        """The fixture's tagged pool is re-encoded once at attach, losing
+        nothing; re-saved it is a v4 file whose signed pool attaches
+        zero-copy and equals it; and a store built from the same
+        covering resolves every lane to the same references, by the same
+        descent."""
+        import oracles
+        from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
+        from repro.core import AdaptiveCellTrie, LookupTable
+        from repro.core.flat import FlatSnapshot
+
+        stored = FlatSnapshot.load(FIXTURE_V3).buffers["act_pool"]
+        assert stored.dtype == np.dtype("<u8")
+        v3 = load_index(FIXTURE_V3).base
+        assert np.array_equal(
+            oracles.tagged_pool(v3.store.pool, v3.store.entries), stored
+        )
+        path = tmp_path / "v4.npy"
+        save_index(v3, path)
+        assert FlatSnapshot.load(path).meta["format_version"] == 4
+        v4 = load_index(path)
+        buffers = v4.snapshot.buffers
+        assert v4.store.pool is buffers["act_pool"]
+        assert v4.store.entries is buffers["act_entries"]
+        assert np.array_equal(v4.store.pool, v3.store.pool)
+        assert np.array_equal(v4.store.entries, v3.store.entries)
+        built = AdaptiveCellTrie(v3.super_covering, v3.store.fanout_bits, LookupTable())
+
+        generator = np.random.default_rng(23)
+        lngs = generator.uniform(-74.02, -73.96, 6000)
+        lats = generator.uniform(40.68, 40.74, 6000)
+        ids = cell_ids_from_lat_lng_arrays(lats, lngs)
+        probes = [store.probe_instrumented(ids) for store in (v3.store, v4.store, built)]
+        refs = [
+            [store.lookup_table.decode_entry(int(e)) if e else () for e in entries]
+            for store, (entries, _) in zip((v3.store, v4.store, built), probes)
+        ]
+        assert refs[0] == refs[1] == refs[2]
+        assert any(refs[0])
+        assert np.array_equal(probes[0][0], probes[1][0])
+        for _, stats in probes[1:]:
+            assert np.array_equal(stats.depths, probes[0][1].depths)
+            assert stats.node_accesses == probes[0][1].node_accesses
+        for exact in (False, True):
+            a = v3.join(lats, lngs, exact=exact, materialize=True)
+            b = v4.join(lats, lngs, exact=exact, materialize=True)
             assert (a.counts == b.counts).all()
             assert (a.pair_points == b.pair_points).all()
             assert (a.pair_polygons == b.pair_polygons).all()
