@@ -38,12 +38,21 @@ ulps of ``st * 2**30``) off the exact one, a tenth of the guard, and the
 guard sent 1.6e-5 of the lanes the exact way: one point in about eight
 8,192-point batches.
 
-:func:`leaf_ids_from_face_ij` walks the Hilbert curve over *byte lanes*:
-the nibbles of i and j are interleaved into the bytes of one ``uint64``
-per point, and each of the eight steps reads its byte and writes its
-position byte through ``uint8`` views around one gather from the
-1024-entry :data:`WALK` table.  The stage-at-a-time pipeline this
-replaced lives on in ``tests/oracles.py`` as the parity oracle.
+:func:`leaf_ids_from_face_ij` walks the Hilbert curve in four byte-pair
+steps through one table built at import, :data:`WALK16`: two steps of the
+1024-entry :data:`WALK` composed, keyed ``orientation << 16 | i_byte << 8
+| j_byte`` (2**18 ``uint32`` entries, 1 MiB, L2-resident).  The
+projection casts its leaf coordinates to ``uint32`` once, two transposing
+byte copies turn them into four ``uint16`` lanes, and a step is four array
+calls: or the lane into the orientation, gather, store the position half
+through a ``uint16`` view of the ids, mask the next orientation.  That is
+about 22 calls for the walk where the eight-step byte-lane walk took 51
+(two seven-call nibble spreads, then eight steps of four), at a few
+microseconds a call on a 2-vCPU host: the whole kernel read 158-172 ->
+67-118 us at one point and 879-939 -> 504-712 us at 8,192 points
+(alternating processes).  The byte-lane walk lives on in
+``tests/oracles.py`` as the parity oracle, beside the stage-at-a-time
+pipeline it replaced.
 """
 
 from __future__ import annotations
@@ -87,25 +96,32 @@ _UV_ROW = np.array([[1, 3, 3, 2, 2, 4], [2, 2, 4, 1, 3, 3]], dtype=np.intp)
 #: + j_nibble]`` is ``next_orientation * 256 + position_byte`` —
 #: ``LOOKUP_POS`` re-keyed so the orientation sits above a byte of
 #: interleaved coordinates instead of below it.
-_ORIENTATION_BITS = 0x300
 _lookup_pos = LOOKUP_POS.astype(np.intp).reshape(256, 4).T  # [orientation, ij]
 WALK = (((_lookup_pos & 3) << 8) | (_lookup_pos >> 2)).reshape(1024)
 del _lookup_pos
+#: Two steps of :data:`WALK`: ``WALK16[orientation << 16 | i_byte << 8 |
+#: j_byte]`` is ``next_orientation << 16 | position_u16``, the high
+#: position byte from the bytes' high nibbles and the low one from their
+#: low nibbles.  2**18 ``uint32`` entries: 1 MiB.
+_key = np.arange(1 << 18, dtype=np.intp)
+_high = WALK[(_key >> 8 & 0x300) | (_key >> 8 & 0xF0) | (_key >> 4 & 0xF)]
+_low = WALK[(_high & 0x300) | (_key >> 4 & 0xF0) | (_key & 0xF)]
+WALK16 = ((_low & 0x300) << 8 | (_high & 0xFF) << 8 | (_low & 0xFF)).astype(np.uint32)
+del _key, _high, _low
+_ORIENTATION_BITS = 0x30000
 #: ``(face << 61) | 1`` per face: the bits of a leaf id around its position.
 _FACE_AND_MARKER = (np.arange(6, dtype=np.uint64) << np.uint64(_POS_BITS)) | np.uint64(1)
-#: The walk reads and writes ids through byte views: pin the byte order.
+#: The walk reads and writes through byte views: pin the byte order.
+_U16 = np.dtype("<u2")
+_U32 = np.dtype("<u4")
 _U64 = np.dtype("<u8")
-#: ``(shift, mask)`` rounds of ``_nibbles_to_bytes``, and the walk's shifts.
-_NIBBLE_SPREAD = tuple(
-    (np.uint64(shift), np.uint64(mask))
-    for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F))
-)
-#: ``(shift, mask)`` rounds of ``_unzip_nibbles``.
+#: The even nibbles ``_unzip_nibbles`` starts from, and its ``(shift,
+#: mask)`` rounds.
+_LOW_NIBBLES = np.uint64(0x0F0F0F0F0F0F0F0F)
 _NIBBLE_UNZIP = tuple(
     (np.uint64(shift), np.uint64(mask))
     for shift, mask in ((4, 0x00FF00FF00FF00FF), (8, 0x0000FFFF0000FFFF), (16, 0xFFFFFFFF))
 )
-_LOOKUP_SHIFT = np.uint64(LOOKUP_BITS)
 _ONE = np.uint64(1)
 
 
@@ -136,9 +152,18 @@ def face_ij_from_lat_lng_arrays(
     ``xyz_to_face_uv`` + ``uv_to_st`` + ``st_to_ij`` of
     :mod:`repro.cells.projections`: from the tangents, and from the unit
     vector where a leaf edge is within :data:`_GUARD` (see the module
-    docstring).  The one place point coordinates enter the cell pipeline,
-    so the shapes are checked here.
+    docstring).  ``i`` and ``j`` are ``int64``.
     """
+    face, ij = _face_leaf_ij(lats, lngs, np.int64)
+    return face, ij[0], ij[1]
+
+
+def _face_leaf_ij(
+    lats: np.ndarray, lngs: np.ndarray, dtype: np.dtype | type
+) -> tuple[np.ndarray, np.ndarray]:
+    """Face and the ``(2, n)`` leaf coordinates, cast to ``dtype``, of
+    degree arrays.  The one place point coordinates enter the cell
+    pipeline, so the shapes are checked here."""
     lats = np.asarray(lats, dtype=np.float64)
     lngs = np.asarray(lngs, dtype=np.float64)
     if lats.shape != lngs.shape:
@@ -149,7 +174,9 @@ def face_ij_from_lat_lng_arrays(
     lats = lats.reshape(n)
     lngs = lngs.reshape(n)
     face, leaf, off_edge = _face_leaf(_tangent_xyz(lats, lngs))
-    ij = leaf.astype(np.int64)
+    # Lanes off the guard band lie strictly inside (0, 2**30): any integer
+    # type holds their truncation.
+    ij = leaf.astype(dtype)
     if off_edge.min(initial=_GUARD) < _GUARD:
         exact = np.flatnonzero((off_edge < _GUARD).any(axis=0))
         # NaN casts as it always did, then clamps to 0, without a warning.
@@ -159,7 +186,7 @@ def face_ij_from_lat_lng_arrays(
         np.maximum(near, 0, out=near)
         np.minimum(near, MAX_SIZE - 1, out=near)
         ij[:, exact] = near
-    return face, ij[0], ij[1]
+    return face, ij
 
 
 def _tangent_xyz(lats: np.ndarray, lngs: np.ndarray) -> np.ndarray:
@@ -241,46 +268,48 @@ def _face_leaf(signed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return face, uv, off_edge
 
 
-def _nibbles_to_bytes(value: np.ndarray) -> np.ndarray:
-    """Spread the eight nibbles of a 32-bit value to the low nibbles of
-    the eight bytes of a ``uint64``."""
-    x = value.astype(_U64)
-    for shift, mask in _NIBBLE_SPREAD:
-        x |= x << shift
-        x &= mask
-    return x
-
-
 def leaf_ids_from_face_ij(face: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Vectorized Hilbert translation: (face, i, j) -> leaf cell ids.
-
-    The 8-chunk table walk of ``hilbert.leaf_pos_from_ij`` over *byte
-    lanes*: byte k of ``steps`` holds chunk k of i and j interleaved
-    (``iiiijjjj``), and each step reads its byte through a ``uint8`` view,
-    looks ``orientation | byte`` up in :data:`WALK`, and stores the
-    position byte through a ``uint8`` view of the result — no shifts or
-    masks per chunk.
-    """
+    """Vectorized Hilbert translation: (face, i, j) -> leaf cell ids, in
+    the shape of ``face``.  ``i`` and ``j`` are leaf coordinates below
+    ``2**30``."""
     face = np.asarray(face, dtype=np.intp)
-    shape = face.shape
     n = face.size
-    steps = _nibbles_to_bytes(np.asarray(i).reshape(n))
-    steps <<= _LOOKUP_SHIFT
-    steps |= _nibbles_to_bytes(np.asarray(j).reshape(n))
-    step_bytes = steps.view(np.uint8).reshape(n, 8)
-    face = face.reshape(n)
+    ij = np.empty((2, n), dtype=_U32)
+    ij[0] = np.asarray(i).reshape(n)
+    ij[1] = np.asarray(j).reshape(n)
+    return _hilbert_walk(face.reshape(n), ij).reshape(face.shape)
+
+
+def _hilbert_walk(face: np.ndarray, ij: np.ndarray) -> np.ndarray:
+    """Leaf ids of flat faces and ``(2, n)`` ``uint32`` leaf coordinates.
+
+    The 8-chunk table walk of ``hilbert.leaf_pos_from_ij``, two chunks a
+    step: lane k holds byte k of i and of j (``i_byte << 8 | j_byte``),
+    built by two transposing byte copies, and each of the four steps ors
+    its lane into the orientation, looks the key up in :data:`WALK16` and
+    stores the low half through a ``uint16`` view of the ids — no shifts
+    or masks per chunk.
+    """
+    n = face.size
+    coordinate_bytes = ij.view(np.uint8).reshape(2, n, 4)
+    lane_bytes = np.empty((4, n, 2), dtype=np.uint8)
+    lane_bytes[:, :, 1] = coordinate_bytes[0].T
+    lane_bytes[:, :, 0] = coordinate_bytes[1].T
+    lanes = lane_bytes.view(_U16).reshape(4, n)
     ids = np.empty(n, dtype=_U64)
-    id_bytes = ids.view(np.uint8).reshape(n, 8)
-    orientation = (face & SWAP_MASK) << 8
-    index = np.empty(n, dtype=np.intp)
-    for k in range(7, -1, -1):
-        np.bitwise_or(step_bytes[:, k], orientation, out=index)
-        orientation = WALK[index]
-        id_bytes[:, k] = orientation  # the cast keeps the position byte
-        orientation &= _ORIENTATION_BITS
+    id_lanes = ids.view(_U16).reshape(n, 4)
+    index = np.left_shift(face & SWAP_MASK, 16)
+    looked = np.empty(n, dtype=np.uint32)
+    for k in range(3, -1, -1):
+        index |= lanes[k]
+        # Every key is in range; "clip" skips the buffered copy that
+        # take(out=) makes to raise on a bad one.
+        WALK16.take(index, out=looked, mode="clip")
+        id_lanes[:, k] = looked  # the cast keeps the position
+        np.bitwise_and(looked, _ORIENTATION_BITS, out=index)
     ids <<= _ONE
-    ids |= _FACE_AND_MARKER[face]
-    return ids.astype(np.uint64, copy=False).reshape(shape)
+    ids |= _FACE_AND_MARKER.take(face)
+    return ids.astype(np.uint64, copy=False)
 
 
 def face_ij_from_leaf_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -316,8 +345,8 @@ def face_ij_from_leaf_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
 def _unzip_nibbles(words: np.ndarray) -> np.ndarray:
     """The even nibbles of ``uint64`` words, packed into their low 32 bits
-    (the inverse of :func:`_nibbles_to_bytes`)."""
-    x = words & _NIBBLE_SPREAD[-1][1]
+    (bits ``4k..4k+3`` of the result come from byte ``k``)."""
+    x = words & _LOW_NIBBLES
     for shift, mask in _NIBBLE_UNZIP:
         x |= x >> shift
         x &= mask
@@ -326,9 +355,9 @@ def _unzip_nibbles(words: np.ndarray) -> np.ndarray:
 
 def cell_ids_from_lat_lng_arrays(lats: np.ndarray, lngs: np.ndarray) -> np.ndarray:
     """Leaf cell ids (uint64) for parallel lat/lng degree arrays."""
-    face, i, j = face_ij_from_lat_lng_arrays(lats, lngs)
+    face, ij = _face_leaf_ij(lats, lngs, _U32)
     # `[()]`: an array for array input, a scalar for 0-d input.
-    return leaf_ids_from_face_ij(face, i, j).reshape(np.shape(lats))[()]
+    return _hilbert_walk(face, ij).reshape(np.shape(lats))[()]
 
 
 def range_bounds_from_cell_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

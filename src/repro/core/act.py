@@ -56,12 +56,16 @@ to ``current = max(e, 0)``: a value is the only negative read, so it
 survives in ``found`` while the lane moves to the sentinel, where every
 later read is 0 — resolved and fallen-off lanes need no test, no scatter
 and no compaction.  One ``entries[-found]`` gather ends the probe (a
-level-0 face cell starts its lanes at its own ``-k``).  Every lane runs
-every level: on in-area batches that full-width loop is cheaper than the
-live-lane compaction it replaced, deepest index included, while a batch
-with only a few per cent of its points in the indexed area pays about
-1.3x (DESIGN.md, "The ACT probe").  A root table whose prefix accepts no
-lane at all is skipped.
+level-0 face cell starts its lanes at its own ``-k``).  When a root
+table accepts every lane, as on in-area batches, every lane runs every
+level in place: that full-width loop is cheaper than the live-lane
+compaction it replaced, deepest index included, and cheaper than
+gathering all lanes (DESIGN.md, "The ACT probe").  Every probe of the
+four e2e workloads takes it, the dynamic delta stores of
+``churn_venues_mixed`` included.  When a table rejects some lanes, as
+on a batch of mixed city and world-wide points, the accepted lanes are
+gathered once, descend, and are scattered back, so such a batch pays
+for its in-area points only; a table that accepts no lane is skipped.
 """
 
 from __future__ import annotations
@@ -444,25 +448,38 @@ class AdaptiveCellTrie:
                     np.count_nonzero(prefix != _NO_PREFIX)
                     - np.count_nonzero(accepted)
                 )
-            if not accepted.any():
-                # Every lane fell off at the prefix (world-wide points
-                # against one city's index): no level would read more
-                # than the sentinel.
-                continue
-            current = roots.root_base[top]
-            current *= accepted
+            every_lane = bool(accepted.all())
+            if every_lane:
+                # Every lane is in the tree's area: descend in place.
+                lanes = slice(None)
+            else:
+                # The rejected lanes would read only the sentinel: descend
+                # over the accepted ones and scatter their results back.
+                lanes = np.flatnonzero(accepted)
+                if not len(lanes):
+                    # Every lane fell off at the prefix (world-wide points
+                    # against one city's index).
+                    continue
+            lane_ids = signed_ids[lanes]
+            current = roots.root_base[top[lanes]]
+            lane_found = found[lanes]
+            lane_depths = None if depths is None else depths[lanes]
             # A value at tree depth d is read at level d, so
             # _max_value_depth bounds the loop; the shift stays >= 1
             # because d * delta <= 30.
             for depth in range(roots.prefix_depth + 1, self._max_value_depth + 1):
-                if depths is not None:
-                    depths += current != 0
-                slots = signed_ids >> (_FACE_SHIFT - 2 * self.delta * depth)
+                if lane_depths is not None:
+                    lane_depths += current != 0
+                slots = lane_ids >> (_FACE_SHIFT - 2 * self.delta * depth)
                 slots &= slot_mask
                 slots += current
                 current = pool.take(slots)
-                np.minimum(found, current, out=found)
+                np.minimum(lane_found, current, out=lane_found)
                 np.maximum(current, 0, out=current)
+            if not every_lane:
+                found[lanes] = lane_found
+                if depths is not None:
+                    depths[lanes] = lane_depths
         np.negative(found, out=found)
         stats = ProbeStats(
             depths=depths if instrument else np.zeros(0, dtype=np.int16),

@@ -31,6 +31,14 @@ set of temporaries per stage, a boolean-masked scatter per cube face, a
 shift-and-mask Hilbert walk.  The production kernel is now one in-place
 pass; ``tests/test_vectorized.py`` asserts it returns the same ids.
 
+Until 1.35.0 the Hilbert walk of ``repro.cells.vectorized`` took eight
+steps over *byte lanes*: the nibbles of i and j spread into the bytes of
+one ``uint64`` per point, one gather from the 1024-entry ``WALK`` table
+per step.  It now takes four byte-pair steps through ``WALK16``; the
+byte-lane walk lives on here as :func:`byte_lane_leaf_ids_from_face_ij`,
+which ``tests/test_vectorized.py`` holds ``leaf_ids_from_face_ij``
+against.
+
 Until 1.15.0 ``repro.core.joins.refine_candidates_masks`` — the historical
 per-polygon-mask refinement loop — lived under ``src/`` because ``python -m
 repro.bench refine`` timed it.  That runner is retired; the loop lives on
@@ -77,7 +85,7 @@ from repro.cells.projections import MAX_SIZE
 from repro.cells.coverer import CovererOptions
 from repro.cells.metrics import EARTH_RADIUS_METERS, MAX_EDGE_DERIV, level_for_max_diag_meters
 from repro.cells.cellid import cell_difference
-from repro.cells.vectorized import face_ij_from_leaf_ids, levels_from_cell_ids
+from repro.cells.vectorized import WALK, face_ij_from_leaf_ids, levels_from_cell_ids
 from repro.core.act import _NO_PREFIX
 from repro.core.lookup_table import LookupTable
 from repro.core.refs import PolygonRef, merge_refs
@@ -760,6 +768,52 @@ def staged_leaf_ids_from_face_ij(face: np.ndarray, i: np.ndarray, j: np.ndarray)
         | (pos.astype(np.uint64) << np.uint64(1)) \
         | np.uint64(1)
     return ids
+
+
+_BYTE_LANE_SPREAD = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F))
+)
+
+
+def _nibbles_to_byte_lanes(value: np.ndarray) -> np.ndarray:
+    """Spread the eight nibbles of a 32-bit value to the low nibbles of
+    the eight bytes of a ``uint64``."""
+    x = value.astype("<u8")
+    for shift, mask in _BYTE_LANE_SPREAD:
+        x |= x << shift
+        x &= mask
+    return x
+
+
+def byte_lane_leaf_ids_from_face_ij(
+    face: np.ndarray, i: np.ndarray, j: np.ndarray
+) -> np.ndarray:
+    """(face, i, j) -> leaf cell ids by the 8-step byte-lane walk (the
+    production walk before 1.35.0): byte k of ``steps`` holds chunk k of i
+    and j interleaved (``iiiijjjj``), and each step reads its byte through
+    a ``uint8`` view, looks ``orientation | byte`` up in ``WALK`` and
+    stores the position byte through a ``uint8`` view of the result."""
+    face = np.asarray(face, dtype=np.intp)
+    shape = face.shape
+    n = face.size
+    steps = _nibbles_to_byte_lanes(np.asarray(i).reshape(n))
+    steps <<= np.uint64(LOOKUP_BITS)
+    steps |= _nibbles_to_byte_lanes(np.asarray(j).reshape(n))
+    step_bytes = steps.view(np.uint8).reshape(n, 8)
+    face = face.reshape(n)
+    ids = np.empty(n, dtype="<u8")
+    id_bytes = ids.view(np.uint8).reshape(n, 8)
+    orientation = (face & SWAP_MASK) << 8
+    index = np.empty(n, dtype=np.intp)
+    for k in range(7, -1, -1):
+        np.bitwise_or(step_bytes[:, k], orientation, out=index)
+        orientation = WALK[index]
+        id_bytes[:, k] = orientation  # the cast keeps the position byte
+        orientation &= 0x300
+    ids <<= np.uint64(1)
+    ids |= (face.astype(np.uint64) << np.uint64(61)) | np.uint64(1)
+    return ids.astype(np.uint64, copy=False).reshape(shape)
 
 
 def staged_cell_ids_from_lat_lng_arrays(lats: np.ndarray, lngs: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import (
+    byte_lane_leaf_ids_from_face_ij,
     face_uv_from_xyz,
     ij_from_st,
     st_from_uv,
@@ -23,6 +24,7 @@ from repro.cells.projections import MAX_SIZE, face_uv_to_xyz, st_to_uv
 from repro.cells.vectorized import (
     _GUARD,
     WALK,
+    WALK16,
     _face_leaf,
     _tangent_xyz,
     face_ij_from_lat_lng_arrays,
@@ -186,6 +188,9 @@ class TestAgainstStagedPipeline:
         )
 
     def test_walk_table_is_lookup_pos_rekeyed(self):
+        """``WALK`` is ``LOOKUP_POS`` re-keyed, and every one of the 2**18
+        ``WALK16`` entries is two ``WALK`` steps: the bytes' high nibbles,
+        then their low nibbles from the orientation the first step left."""
         assert WALK.shape == (1024,)
         for orientation in range(4):
             for ij in range(256):
@@ -193,6 +198,72 @@ class TestAgainstStagedPipeline:
                 assert int(WALK[orientation * 256 + ij]) == (
                     ((looked & 3) << 8) | (looked >> 2)
                 )
+        assert WALK16.shape == (1 << 18,) and WALK16.dtype == np.uint32
+        walk = WALK.tolist()
+        composed = []
+        for orientation in range(4):
+            for i_byte in range(256):
+                for j_byte in range(256):
+                    high = walk[(orientation << 8) | (i_byte >> 4 << 4) | (j_byte >> 4)]
+                    low = walk[(high & 0x300) | ((i_byte & 15) << 4) | (j_byte & 15)]
+                    composed.append(
+                        ((low >> 8) << 16) | ((high & 0xFF) << 8) | (low & 0xFF)
+                    )
+        assert WALK16.tolist() == composed
+
+
+#: Leaf coordinates where a walk step's byte changes: 0, the largest leaf
+#: coordinate, and both sides of every byte edge.
+_BYTE_EDGES = sorted({0, MAX_SIZE - 1} | {(1 << 8 * k) + d for k in (1, 2, 3) for d in (-1, 0)})
+_leaf_coordinate = st.sampled_from(_BYTE_EDGES) | st.integers(0, MAX_SIZE - 1)
+
+
+class TestByteLaneWalkParity:
+    """``leaf_ids_from_face_ij`` (four byte-pair steps through ``WALK16``)
+    returns the ids of the eight-step byte-lane walk it replaced
+    (``oracles.byte_lane_leaf_ids_from_face_ij``), in the input's shape."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 5), _leaf_coordinate, _leaf_coordinate),
+            max_size=40,
+        )
+    )
+    def test_same_ids_on_any_face_and_coordinates(self, cells):
+        faces = np.asarray([face for face, _, _ in cells], dtype=np.int64)
+        i = np.asarray([i for _, i, _ in cells], dtype=np.int64)
+        j = np.asarray([j for _, _, j in cells], dtype=np.int64)
+        ids = leaf_ids_from_face_ij(faces, i, j)
+        assert ids.dtype == np.uint64 and ids.shape == faces.shape
+        assert np.array_equal(ids, byte_lane_leaf_ids_from_face_ij(faces, i, j))
+
+    @pytest.mark.parametrize("face", range(6))
+    def test_every_byte_edge_on_every_face(self, face):
+        i, j = (a.ravel() for a in np.meshgrid(_BYTE_EDGES, _BYTE_EDGES))
+        faces = np.full(len(i), face)
+        ids = leaf_ids_from_face_ij(faces, i, j)
+        assert np.array_equal(ids, byte_lane_leaf_ids_from_face_ij(faces, i, j))
+        for raw, ii, jj in zip(ids[::5], i[::5], j[::5]):
+            assert int(raw) == CellId.from_face_ij(face, int(ii), int(jj)).id
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 5), _leaf_coordinate, _leaf_coordinate)
+    def test_zero_dimensional_input(self, face, i, j):
+        ids = leaf_ids_from_face_ij(np.int64(face), np.int64(i), np.int64(j))
+        assert ids.shape == () and ids.dtype == np.uint64
+        assert int(ids) == int(byte_lane_leaf_ids_from_face_ij(face, i, j))
+        assert int(ids) == CellId.from_face_ij(face, i, j).id
+
+    def test_empty_and_two_dimensional_input(self, rng):
+        empty = leaf_ids_from_face_ij(np.zeros(0), np.zeros(0), np.zeros(0))
+        assert empty.shape == (0,) and empty.dtype == np.uint64
+        faces = rng.integers(0, 6, (3, 7))
+        i = rng.choice(_BYTE_EDGES, (3, 7))
+        j = rng.integers(0, MAX_SIZE, (3, 7))
+        ids = leaf_ids_from_face_ij(faces, i, j)
+        assert ids.shape == (3, 7)
+        assert np.array_equal(ids, byte_lane_leaf_ids_from_face_ij(faces, i, j))
 
 
 def _assert_exact_ids(lats, lngs, every=1):
