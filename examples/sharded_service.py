@@ -57,9 +57,7 @@ def main() -> None:
               "to PolygonIndex.join")
 
         # Zero-downtime retrain + swap, fanned out per shard.
-        trained = index.retrained(
-            index.cell_ids_for(lats[:100_000], lngs[:100_000]), order="hot"
-        )
+        trained = index.retrained(index.cell_ids_for(lats[:100_000], lngs[:100_000]))
         service.swap_layer("default", trained)
         after = service.join(lats, lngs, exact=True)
         assert (after.counts == reference.counts).all()

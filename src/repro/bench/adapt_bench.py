@@ -180,7 +180,7 @@ def run(workbench: Workbench) -> list[ExperimentResult]:
         fresh = (
             base
             if observed[name] is None
-            else base.retrained(observed[name], max_cells=None, order="hot")
+            else base.retrained(observed[name], max_cells=None)
         )
         reference = fresh.join(*tail_points, exact=True, cell_ids=tail_ids)
         if not (

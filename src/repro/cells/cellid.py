@@ -109,10 +109,6 @@ class CellId:
     # ------------------------------------------------------------------
 
     @property
-    def is_valid(self) -> bool:
-        return (self.id >> POS_BITS) < NUM_FACES and bool(self.id & 1 or self.lsb())
-
-    @property
     def face(self) -> int:
         return self.id >> POS_BITS
 

@@ -23,7 +23,6 @@ MAX_LEVEL = 30
 MAX_DIAG_DERIV = 2.438654594434021
 AVG_DIAG_DERIV = 2.060422738998471
 MAX_EDGE_DERIV = 1.704897179199218
-AVG_EDGE_DERIV = 1.459213746386106
 MIN_WIDTH_DERIV = 2.0 * math.sqrt(2.0) / 3.0
 AVG_AREA_DERIV = 4.0 * math.pi / 6.0  # sphere area / 6 faces, per unit cell
 
@@ -31,11 +30,6 @@ AVG_AREA_DERIV = 4.0 * math.pi / 6.0  # sphere area / 6 faces, per unit cell
 def max_diag_meters(level: int) -> float:
     """Upper bound on the diagonal of any level-``level`` cell, in meters."""
     return MAX_DIAG_DERIV * EARTH_RADIUS_METERS / (1 << level)
-
-
-def avg_edge_meters(level: int) -> float:
-    """Average edge length of level-``level`` cells, in meters."""
-    return AVG_EDGE_DERIV * EARTH_RADIUS_METERS / (1 << level)
 
 
 def avg_area_sq_meters(level: int) -> float:

@@ -19,8 +19,8 @@ machinery the serving stack already has:
   (outside the cooldown), it claims a retrain slot and hands the observed
   traffic histogram to a background worker.
 * **retrain** — the worker synthesizes a training point set from the
-  histogram (hottest keys first, repeats capped) and retrains with
-  ``order="hot"`` under a cell budget: ``PolygonIndex.retrained`` builds a
+  histogram (hottest keys first, repeats capped) and retrains, hottest
+  cells first, under a cell budget: ``PolygonIndex.retrained`` builds a
   fresh snapshot from a *copy* of the covering (swapped in atomically via
   the service's ``swap_layer``), while ``DynamicPolygonIndex.retrain`` is a
   compaction under the new training configuration, folding pending delta
@@ -314,7 +314,7 @@ class AdaptiveController:
         repeats would drive every split down a single path (needlessly
         deepening the covering and shrinking the sound cache key), while
         spread ones split like real traffic — one level per round,
-        branching into the children.  With ``order="hot"`` downstream, a
+        branching into the children.  A retrain splits hottest-first, so a
         budgeted retrain spends its cells on the head of this ranking.
         """
         policy = self.policy
@@ -355,12 +355,10 @@ class AdaptiveController:
             budget = self._cell_budget(layer, index)
             retrain = getattr(index, _DYNAMIC_RETRAIN, None)
             if callable(retrain):
-                installed = retrain(training_ids, max_cells=budget, order="hot")
+                installed = retrain(training_ids, max_cells=budget)
                 version = int(getattr(installed, "version", getattr(index, "version", 0)))
             else:
-                fresh = getattr(index, _STATIC_RETRAIN)(
-                    training_ids, max_cells=budget, order="hot"
-                )
+                fresh = getattr(index, _STATIC_RETRAIN)(training_ids, max_cells=budget)
                 if self._swap is None:
                     raise RuntimeError(
                         "no swap callable configured for static snapshots"

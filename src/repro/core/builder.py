@@ -438,7 +438,7 @@ class PolygonIndex:
             Historical point cell ids used to adapt the index to the
             expected query distribution (accurate mode, Section 3.3.1),
             split in arrival order as the paper trains;
-            :meth:`retrained` takes another schedule.
+            :meth:`retrained` splits hottest-first.
         fanout_bits:
             Bits consumed per ACT level (the paper's ACT1/2/4 = 2/4/8).
         """
@@ -539,9 +539,9 @@ class PolygonIndex:
         training_cell_ids: np.ndarray,
         *,
         max_cells: int | None = None,
-        order: str = "hot",
     ) -> "PolygonIndex":
-        """A fresh snapshot of this index trained on new historical points.
+        """A fresh snapshot of this index trained on new historical points,
+        hottest cells first (a budget goes where the traffic is).
 
         The live index is untouched: training runs on a *copy* of the
         super covering and the copy is indexed into a new store with a new
@@ -561,7 +561,7 @@ class PolygonIndex:
                 self.polygons,
                 np.asarray(training_cell_ids, dtype=np.uint64),
                 max_cells=max_cells,
-                order=order,
+                order="hot",
             )
         with Timer() as store_timer:
             store = build_store(covering, fanout_bits=self.store.fanout_bits)

@@ -449,12 +449,12 @@ class DynamicPolygonIndex:
         training_cell_ids: np.ndarray,
         *,
         max_cells: int | None = None,
-        order: str = "hot",
     ) -> PolygonIndex:
         """Retrain on new historical points: a compaction under a new
         training configuration.
 
-        The configuration (ids, cell budget, split schedule) replaces the
+        The configuration (ids, cell budget, and the hottest-first split
+        schedule of :meth:`PolygonIndex.retrained`) replaces the
         current one and governs every later compaction too; pending delta
         mutations are folded into the trained snapshot.  Runs inline, like
         :meth:`compact` (the adaptation controller calls it from its own
@@ -463,7 +463,7 @@ class DynamicPolygonIndex:
         with self._lock:
             self._training_cell_ids = np.asarray(training_cell_ids, dtype=np.uint64)
             self._training_max_cells = max_cells
-            self._training_order = order
+            self._training_order = "hot"
             return self.compact()
 
     def _install_base(self, base: PolygonIndex) -> None:  #: requires(_lock)

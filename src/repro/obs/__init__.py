@@ -15,19 +15,16 @@ handed to :class:`~repro.serve.service.JoinService` /
   :func:`~repro.obs.export.render_prometheus` /
   :func:`~repro.obs.export.stats_json` for scraping.
 
-The bundle itself never crosses a process boundary; :meth:`config`
-produces a small picklable :class:`ObsConfig` that shard workers rebuild
-their own bundle from via :meth:`Observability.from_config`.
+The bundle itself never crosses a process boundary: a shard worker
+builds its own ``Observability(tracing=...)``, tracing exactly when the
+front does (:mod:`repro.serve.sharded`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.obs.export import EventLog, render_prometheus, stats_json
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
-    DEFAULT_REGISTRY,
     Counter,
     DispatchMeters,
     Gauge,
@@ -38,7 +35,6 @@ from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer, format_trace
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_REGISTRY",
     "Counter",
     "DispatchMeters",
     "EventLog",
@@ -46,7 +42,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_TRACER",
-    "ObsConfig",
     "Observability",
     "SpanRecord",
     "Tracer",
@@ -54,17 +49,6 @@ __all__ = [
     "render_prometheus",
     "stats_json",
 ]
-
-
-@dataclass(frozen=True)
-class ObsConfig:
-    """Picklable observability settings (ships inside shard payloads)."""
-
-    tracing: bool = True
-    sample_rate: float = 1.0
-    ring_size: int = 4096
-    slow_trace_ms: float | None = None
-    event_capacity: int = 1024
 
 
 class Observability:
@@ -77,17 +61,15 @@ class Observability:
         either way (they are far cheaper than spans).
     sample_rate:
         Fraction of dispatches traced (decided once at the root span).
-    ring_size:
-        Finished spans retained per recording thread.
     slow_trace_ms:
         Dispatches at least this slow emit a ``slow_dispatch`` event
         carrying the full trace verbatim (``None`` disables exemplars).
-    registry:
-        Share an existing registry (e.g. :data:`DEFAULT_REGISTRY` for
-        process-wide metrics); by default each bundle gets its own, so
-        tests and co-hosted services stay isolated.
-    events / event_capacity / event_path:
-        Share an existing :class:`EventLog`, or size/persist a new one.
+    event_path:
+        Also append every event, as one JSON line, to this file.
+
+    Each bundle gets its own registry, event log and tracer (the
+    :class:`~repro.obs.trace.Tracer` and :class:`EventLog` defaults size
+    them), so tests and co-hosted services stay isolated.
     """
 
     def __init__(
@@ -95,24 +77,15 @@ class Observability:
         *,
         tracing: bool = True,
         sample_rate: float = 1.0,
-        ring_size: int = 4096,
         slow_trace_ms: float | None = None,
-        registry: MetricsRegistry | None = None,
-        events: EventLog | None = None,
-        event_capacity: int = 1024,
         event_path=None,
     ):
-        self.metrics = registry if registry is not None else MetricsRegistry()
-        self.events = (
-            events
-            if events is not None
-            else EventLog(capacity=event_capacity, path=event_path)
-        )
+        self.metrics = MetricsRegistry()
+        self.events = EventLog(path=event_path)
         self.slow_trace_ms = slow_trace_ms
         self.tracer = Tracer(
             enabled=tracing,
             sample_rate=sample_rate,
-            ring_size=ring_size,
             slow_threshold=(
                 None if slow_trace_ms is None else slow_trace_ms / 1e3
             ),
@@ -129,36 +102,9 @@ class Observability:
             trace=[record.to_dict() for record in records],
         )
 
-    def prometheus(self, stats=None, prefix: str = "repro") -> str:
+    def prometheus(self, stats=None) -> str:
         """Prometheus text exposition of this bundle's registry."""
-        return render_prometheus(self.metrics, stats=stats, prefix=prefix)
-
-    def config(self) -> ObsConfig:
-        """Settings a shard worker rebuilds its own bundle from.
-
-        Worker-side ``sample_rate`` is pinned to 1.0: the front decides
-        sampling once per dispatch, and workers only open spans for
-        dispatches the front chose to trace.
-        """
-        return ObsConfig(
-            tracing=self.tracer.enabled,
-            sample_rate=1.0,
-            ring_size=self.tracer.ring_size,
-            slow_trace_ms=None,  # exemplars are judged at the front
-            event_capacity=self.events._events.maxlen or 1024,
-        )
-
-    @classmethod
-    def from_config(cls, config: ObsConfig | None) -> "Observability | None":
-        if config is None:
-            return None
-        return cls(
-            tracing=config.tracing,
-            sample_rate=config.sample_rate,
-            ring_size=config.ring_size,
-            slow_trace_ms=config.slow_trace_ms,
-            event_capacity=config.event_capacity,
-        )
+        return render_prometheus(self.metrics, stats=stats)
 
     def close(self) -> None:
         self.events.close()

@@ -64,33 +64,33 @@ class _Lines:
         )
 
 
-def render_prometheus(registry=None, stats=None, prefix: str = "repro") -> str:
+#: Every exported metric name starts with this.
+_HEAD = "repro_"
+
+
+def render_prometheus(registry, stats=None) -> str:
     """Render registry metrics (and optionally ServiceStats gauges).
 
     Parameters
     ----------
     registry:
         A :class:`~repro.obs.metrics.MetricsRegistry`; every registered
-        counter/gauge/histogram is rendered.
+        counter/gauge/histogram is rendered as ``repro_<name>``.
     stats:
         A :class:`~repro.serve.stats.ServiceStats` (or its ``to_dict()``
         output): service totals, per-layer cache and lifecycle state, and
-        per-layer adaptation state become ``<prefix>_service_*`` gauges.
-    prefix:
-        Metric-name prefix (no trailing underscore), "" to disable.
+        per-layer adaptation state become ``repro_service_*`` gauges.
     """
     out = _Lines()
-    head = f"{prefix}_" if prefix else ""
-    if registry is not None:
-        for metric in registry.collect():
-            family = f"{head}{metric.name}"
-            for suffix, extra, value in metric.samples():
-                labels = dict(metric.labels)
-                labels.update(extra)
-                out.sample(family, metric.kind, metric.help, labels, value,
-                           suffix=suffix)
+    for metric in registry.collect():
+        family = f"{_HEAD}{metric.name}"
+        for suffix, extra, value in metric.samples():
+            labels = dict(metric.labels)
+            labels.update(extra)
+            out.sample(family, metric.kind, metric.help, labels, value,
+                       suffix=suffix)
     if stats is not None:
-        _render_stats(out, stats, head)
+        _render_stats(out, stats)
     return "\n".join(out.lines) + "\n" if out.lines else ""
 
 
@@ -123,36 +123,36 @@ _ADAPTATION_FIELDS = (
 )
 
 
-def _render_stats(out: _Lines, stats, head: str) -> None:
+def _render_stats(out: _Lines, stats) -> None:
     data = stats.to_dict() if hasattr(stats, "to_dict") else dict(stats)
     for name, help_text in _SERVICE_SCALARS:
         if name in data:
-            out.sample(f"{head}service_{name}", "gauge", help_text, {},
+            out.sample(f"{_HEAD}service_{name}", "gauge", help_text, {},
                        data[name])
     for layer, cache in data.get("cache", {}).items():
         for name in _CACHE_FIELDS:
-            out.sample(f"{head}service_cache_{name}", "gauge",
+            out.sample(f"{_HEAD}service_cache_{name}", "gauge",
                        f"hot-cell cache {name}", {"layer": layer},
                        cache[name])
     for layer, status in data.get("layers", {}).items():
         for name in _LAYER_FIELDS:
             if name in status:
-                out.sample(f"{head}service_layer_{name}", "gauge",
+                out.sample(f"{_HEAD}service_layer_{name}", "gauge",
                            f"layer {name}", {"layer": layer}, status[name])
     for layer, status in data.get("adaptation", {}).items():
         for name in _ADAPTATION_FIELDS:
             if name in status:
-                out.sample(f"{head}service_adaptation_{name}", "gauge",
+                out.sample(f"{_HEAD}service_adaptation_{name}", "gauge",
                            f"adaptation {name}", {"layer": layer},
                            status[name])
     shards = data.get("shards", ())
-    out.sample(f"{head}service_shards", "gauge", "attached shard workers",
+    out.sample(f"{_HEAD}service_shards", "gauge", "attached shard workers",
                {}, len(shards))
     for shard in shards:
-        out.sample(f"{head}service_shard_points", "gauge",
+        out.sample(f"{_HEAD}service_shard_points", "gauge",
                    "points joined by shard",
                    {"shard": shard["shard"]}, shard["stats"]["points"])
-        out.sample(f"{head}service_shard_p99_ms", "gauge",
+        out.sample(f"{_HEAD}service_shard_p99_ms", "gauge",
                    "shard p99 dispatch latency",
                    {"shard": shard["shard"]}, shard["stats"]["p99_ms"])
 

@@ -5,11 +5,8 @@ from ``(name, labels)`` to an instrument, with get-or-create accessors so
 instrumented code never checks for prior registration.  Instruments are
 Prometheus-shaped (``kind`` + ``samples()``) so the text exporter in
 :mod:`repro.obs.export` can render any registry without knowing the
-instrument types.
-
-A process-wide :data:`DEFAULT_REGISTRY` serves the common one-service
-case; tests and multi-service processes build their own registries via
-:class:`~repro.obs.Observability` for isolation.
+instrument types.  Every :class:`~repro.obs.Observability` bundle
+builds its own registry, so co-hosted services and tests stay isolated.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ import threading
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_REGISTRY",
     "Counter",
     "DispatchMeters",
     "Gauge",
@@ -253,10 +249,6 @@ class MetricsRegistry:
         if isinstance(metric, Histogram):
             return metric.count
         return metric.value
-
-
-#: Process-wide registry for the common one-service-per-process case.
-DEFAULT_REGISTRY = MetricsRegistry()
 
 
 class DispatchMeters:

@@ -89,7 +89,6 @@ class ServiceFront:
         layers: JoinableIndex | Mapping[str, JoinableIndex],
         *,
         default_layer: str | None,
-        latency_window: int,
         adaptation: AdaptationPolicy | None,
         obs: Observability | None,
     ):
@@ -101,21 +100,16 @@ class ServiceFront:
         self._events = obs.events if obs is not None else None
         self._metrics = obs.metrics if obs is not None else None
         self._meters = DispatchMeters(obs.metrics) if obs is not None else None
-        self._recorder = LatencyRecorder(window=latency_window)
+        self._recorder = LatencyRecorder()
         self._adaptive = None if adaptation is None else AdaptiveController(
             adaptation, swap=self.swap_layer, events=self._events, metrics=self._metrics
         )
 
-    def _start_batcher(self, max_batch: int, max_wait_ms: float) -> None:
+    def _start_batcher(self) -> None:
         """Start the lookup coalescer: the LAST step of a subclass's
         ``__init__``, so a construction that fails leaves no thread behind
         (and none is alive while shard workers are being created)."""
-        self._batcher = MicroBatcher(
-            self._flush_lookups,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            metrics=self._metrics,
-        )
+        self._batcher = MicroBatcher(self._flush_lookups, metrics=self._metrics)
 
     @property
     def layers(self) -> tuple[str, ...]:
@@ -350,9 +344,6 @@ class JoinService(ServiceFront):
         caching).  The table outlives a write: a new layer version
         starts from the keys the previous one was used for.  See
         :mod:`repro.serve.cache` for the replacement policy.
-    max_batch / max_wait_ms:
-        Micro-batching knobs: flush when ``max_batch`` lookups are
-        pending, or ``max_wait_ms`` after the first one.
     adaptation:
         An :class:`~repro.core.adaptive.AdaptationPolicy` turns on the
         self-tuning loop: the join driver records each layer's
@@ -360,8 +351,6 @@ class JoinService(ServiceFront):
         rate drops below the policy target is retrained on it in the
         background and swapped in without downtime.  ``None`` (default)
         disables both.
-    latency_window:
-        Dispatches held for the percentile window in ``stats()``.
     obs:
         An :class:`~repro.obs.Observability` bundle wires the telemetry
         plane in: dispatches open phase-tracer spans, a metrics registry
@@ -376,16 +365,12 @@ class JoinService(ServiceFront):
         *,
         default_layer: str | None = None,
         cache_cells: int = 4096,
-        max_batch: int = 256,
-        max_wait_ms: float = 2.0,
-        latency_window: int = 8192,
         adaptation: AdaptationPolicy | None = None,
         obs: Observability | None = None,
     ):
         super().__init__(
             layers,
             default_layer=default_layer,
-            latency_window=latency_window,
             adaptation=adaptation,
             obs=obs,
         )
@@ -404,7 +389,7 @@ class JoinService(ServiceFront):
         for name, index in self._router.items():
             self._table_for(name, index.probe_view())
         self._closed = False
-        self._start_batcher(max_batch, max_wait_ms)
+        self._start_batcher()
 
     def _table_for(self, name: str, view: ProbeView) -> HotCellCache:
         """The hot-cell table one dispatch resolves ``view`` through.

@@ -101,7 +101,7 @@ from repro.core.flat import (
 )
 from repro.core.joins import JoinResult, merge_join_results
 from repro.core.morsels import OFFLINE_MORSEL_POINTS
-from repro.obs import Observability, ObsConfig
+from repro.obs import Observability
 from repro.serve.cache import CacheStats
 from repro.serve.service import JoinService, ServiceFront
 from repro.serve.stats import LayerStatus, ServiceStats, ShardStatus
@@ -169,7 +169,8 @@ class _WorkerPayload:
     parts: dict[str, tuple[str, int]]  # layer name -> (its segment, its version)
     ring_shm: str  # the front's one scatter ring, attached once per lane
     cache_cells: int
-    obs: ObsConfig | None = None  # worker-side observability settings
+    # The lane's Observability(tracing=...), as the front's; None: no obs.
+    tracing: bool | None = None
 
 
 def _index_from_part(part: tuple[str, int]) -> PolygonIndex:
@@ -191,7 +192,7 @@ def _build_shard_service(payload: _WorkerPayload) -> JoinService:
     return JoinService(
         {name: _index_from_part(part) for name, part in payload.parts.items()},
         cache_cells=payload.cache_cells,
-        obs=Observability.from_config(payload.obs),
+        obs=None if payload.tracing is None else Observability(tracing=payload.tracing),
     )
 
 
@@ -615,11 +616,13 @@ class ShardedJoinService(ServiceFront):
         the traffic of their shares, the front records it, and a retrain
         installs through :meth:`swap_layer` (module docstring).
     obs:
-        An :class:`~repro.obs.Observability` bundle for the front.  Its
-        picklable settings also ship inside every worker payload, so
-        shard workers run their own tracer; a traced dispatch's worker
-        spans return over the pipe and are adopted into the front's
-        ring (see :func:`_apply_admin`) — one end-to-end trace.
+        An :class:`~repro.obs.Observability` bundle for the front.  Every
+        worker payload carries whether it traces, so each lane runs its
+        own ``Observability(tracing=...)`` (the front samples and judges
+        slow dispatches; a lane traces every dispatch the front chose); a
+        traced dispatch's worker spans return over the pipe and are
+        adopted into the front's ring (see :func:`_apply_admin`) — one
+        end-to-end trace.
 
     ``join`` results are bit-identical (every ``JoinResult`` statistic)
     to the equivalent single-process service and to ``PolygonIndex.join``
@@ -634,9 +637,6 @@ class ShardedJoinService(ServiceFront):
         num_shards: int = 2,
         default_layer: str | None = None,
         cache_cells: int = 4096,
-        max_batch: int = 256,
-        max_wait_ms: float = 2.0,
-        latency_window: int = 8192,
         adaptation: AdaptationPolicy | None = None,
         backend: str = "process",
         obs: Observability | None = None,
@@ -649,7 +649,6 @@ class ShardedJoinService(ServiceFront):
         super().__init__(
             layers,
             default_layer=default_layer,
-            latency_window=latency_window,
             adaptation=adaptation,
             obs=obs,
         )
@@ -693,7 +692,7 @@ class ShardedJoinService(ServiceFront):
                     parts=parts,
                     ring_shm=self._ring.name,
                     cache_cells=cache_cells,
-                    obs=obs.config() if obs is not None else None,
+                    tracing=obs.tracer.enabled if obs is not None else None,
                 )
                 for shard in range(num_shards)
             ]
@@ -732,7 +731,7 @@ class ShardedJoinService(ServiceFront):
                     backend=backend,
                     spawn_seconds=self._spawn_seconds[payload.shard],
                 )
-        self._start_batcher(max_batch, max_wait_ms)
+        self._start_batcher()
 
     # ------------------------------------------------------------------
     # The plan and snapshot segment publication

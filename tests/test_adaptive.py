@@ -342,8 +342,7 @@ class TestServiceAdaptation:
                     failures.append((spot, got, want))
 
         with JoinService(
-            trained_index, adaptation=_fast_policy(), cache_cells=1 << 14,
-            max_wait_ms=0.2,
+            trained_index, adaptation=_fast_policy(), cache_cells=1 << 14
         ) as svc:
             threads = [
                 threading.Thread(target=client, args=(svc,)) for _ in range(3)
@@ -440,9 +439,15 @@ class TestAdaptationExactness:
         train_lngs = rng.normal(hotspot_lng, 0.004, 800)
         train_lats = rng.normal(hotspot_lat, 0.004, 800)
         observed = cell_ids_from_lat_lng_arrays(train_lats, train_lngs)
-        trained = untrained.retrained(
-            observed, max_cells=untrained.num_cells + budget_extra, order=order
-        )
+        # Each schedule through its own door: a build trains in arrival
+        # order, a retrain hottest-first.
+        budget = untrained.num_cells + budget_extra
+        if order == "arrival":
+            trained = PolygonIndex.build(
+                _grid_polygons(), training_cell_ids=observed, training_max_cells=budget
+            )
+        else:
+            trained = untrained.retrained(observed, max_cells=budget)
         trained.super_covering.check_disjoint()
         query_lngs = rng.uniform(-74.03, -73.93, 3_000)
         query_lats = rng.uniform(40.67, 40.77, 3_000)

@@ -106,10 +106,14 @@ class TestBuild:
         assert index.store.name == "ACT1"
 
     def test_training_order_is_gone(self, polygons):
-        """A build trains in arrival order, as the paper does;
-        ``retrained(order=)`` takes another schedule."""
+        """A build trains in arrival order, as the paper does, and
+        ``retrained`` hottest-first: neither takes a schedule."""
         with pytest.raises(TypeError, match="training_order"):
             PolygonIndex.build(polygons, training_order="hot")
+        index = PolygonIndex.build(polygons)
+        ids = index.cell_ids_for(np.array([40.70]), np.array([-74.0]))
+        with pytest.raises(TypeError, match="order"):
+            index.retrained(ids, order="arrival")
 
 
 def _built(polygons):

@@ -19,7 +19,7 @@ from repro.core import DynamicPolygonIndex, PolygonIndex, attach_index, pack_ind
 from repro.core.act import AdaptiveCellTrie
 from repro.core.dynamic import OverlayCellStore
 from repro.geo.polygon import regular_polygon
-from repro.obs import Observability
+from repro.obs import MetricsRegistry, Observability
 from repro.obs.export import render_prometheus
 from repro.serve import ShardedJoinService
 from repro.serve.cache import _STAND_ASIDE_LOOKUPS, CachedCellStore, HotCellCache
@@ -260,7 +260,7 @@ def test_bypassed_is_reported_by_every_stats_surface():
     assert cache.bypassed == 4 * 500 and cache.requests == 2 * 500
     assert stats.to_dict()["cache"]["default"]["bypassed"] == cache.bypassed
     assert f'service_cache_bypassed{{layer="default"}} {cache.bypassed}' in (
-        render_prometheus(stats=stats)
+        render_prometheus(MetricsRegistry(), stats=stats)
     )
 
     with ShardedJoinService(index, num_shards=2, backend="inline") as sharded:

@@ -213,7 +213,6 @@ class DynamicIndexMachine(RuleBasedStateMachine):
         self.index.retrain(
             _hotspot_cell_ids(self.index.polygons[pid], seed),
             max_cells=self.index.num_cells + extra_cells,
-            order="hot",
         )
         self.pending = 0
         self.trained = True

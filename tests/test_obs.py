@@ -300,19 +300,19 @@ class TestPrometheus:
         hist = registry.histogram("lat", buckets=(0.001, 0.01, 0.1))
         for value in (0.0005, 0.005, 0.05, 5.0):
             hist.observe(value)
-        text = render_prometheus(registry, prefix="")
-        buckets = re.findall(r'lat_bucket\{le="([^"]+)"\} (\d+)', text)
+        text = render_prometheus(registry)
+        buckets = re.findall(r'repro_lat_bucket\{le="([^"]+)"\} (\d+)', text)
         assert [b[0] for b in buckets] == ["0.001", "0.01", "0.1", "+Inf"]
         values = [int(b[1]) for b in buckets]
         assert values == sorted(values)
         assert values[-1] == 4
-        assert "lat_count 4" in text
+        assert "repro_lat_count 4" in text
 
     def test_label_escaping(self):
         registry = MetricsRegistry()
         registry.gauge("g", labels={"k": 'a"b\\c\nd'}).set(1)
-        text = render_prometheus(registry, prefix="")
-        assert 'g{k="a\\"b\\\\c\\nd"} 1' in text
+        text = render_prometheus(registry)
+        assert 'repro_g{k="a\\"b\\\\c\\nd"} 1' in text
         _assert_prometheus_wellformed(text)
 
     def test_empty_registry_renders_empty(self):
@@ -390,7 +390,7 @@ class TestServiceIntegration:
 
     def test_lookup_path_traced_and_metered(self, index):
         obs = Observability()
-        with JoinService(index, obs=obs, max_wait_ms=0.5) as svc:
+        with JoinService(index, obs=obs) as svc:
             svc.lookup(40.70, -74.0)
         spans = obs.tracer.spans()
         dispatches = [
@@ -609,23 +609,40 @@ class TestShardedIntegration:
 
 
 class TestObservabilityBundle:
-    def test_isolated_by_default_shared_on_request(self):
+    def test_isolated(self):
         a, b = Observability(), Observability()
         assert a.metrics is not b.metrics
         assert a.events is not b.events
-        shared = MetricsRegistry()
-        c = Observability(registry=shared)
-        assert c.metrics is shared
 
-    def test_worker_config_roundtrip(self):
-        obs = Observability(
-            tracing=True, sample_rate=0.25, ring_size=64, slow_trace_ms=5.0
+    @pytest.mark.parametrize(
+        "option",
+        [("ring_size", 64), ("event_capacity", 8), ("registry", None), ("events", None)],
+        ids=lambda option: option[0],
+    )
+    def test_retired_options_raise(self, option):
+        """Sizes are the Tracer's and the EventLog's defaults, and a
+        bundle shares nothing."""
+        name, value = option
+        with pytest.raises(TypeError, match=name):
+            Observability(**{name: value})
+
+    @pytest.mark.parametrize("tracing", [None, False, True])
+    def test_lane_traces_exactly_when_the_front_does(self, index, tracing):
+        """A lane builds ``Observability(tracing=...)`` from its payload:
+        the front's switch, every dispatch traced (the front sampled) and
+        no exemplars (the front judges slowness)."""
+        obs = (
+            None
+            if tracing is None
+            else Observability(tracing=tracing, sample_rate=0.25, slow_trace_ms=5.0)
         )
-        config = obs.config()
-        assert config.tracing is True
-        assert config.sample_rate == 1.0  # the front already sampled
-        assert config.slow_trace_ms is None  # exemplars judged at the front
-        assert config.ring_size == 64
-        worker = Observability.from_config(config)
-        assert worker.tracer.enabled and worker.tracer.sample_rate == 1.0
-        assert Observability.from_config(None) is None
+        with ShardedJoinService(index, num_shards=2, backend="inline", obs=obs) as svc:
+            lanes = [client._service.obs for client in svc._clients]
+        for lane in lanes:
+            if tracing is None:
+                assert lane is None
+                continue
+            assert lane is not obs
+            assert lane.tracer.enabled is tracing
+            assert lane.tracer.sample_rate == 1.0
+            assert lane.slow_trace_ms is None

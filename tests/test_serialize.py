@@ -524,7 +524,6 @@ class TestDynamicRoundTrip:
         dyn.retrain(
             cell_ids_from_lat_lng_arrays(lats, lngs),
             max_cells=dyn.num_cells + 300,
-            order="hot",
         )
         path = tmp_path / "trained.npy"
         save_index(dyn, path)

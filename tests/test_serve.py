@@ -62,7 +62,6 @@ def service(index, second_index):
     with JoinService(
         {"zones": index, "coarse": second_index},
         default_layer="zones",
-        max_wait_ms=0.5,
     ) as svc:
         yield svc
 
@@ -213,7 +212,7 @@ class TestFrontContract:
         self, make_front, index, points
     ):
         lats, lngs = points
-        with make_front(index, max_wait_ms=0.5) as svc:
+        with make_front(index) as svc:
             futures = [svc.submit(lats[i], lngs[i]) for i in range(30)]
             for i, future in enumerate(futures):
                 expected = index.containing_polygons(lats[i], lngs[i])
@@ -245,9 +244,20 @@ class TestFrontContract:
         with pytest.raises(RuntimeError, match="closed"):
             svc.submit(40.7, -74.0)
 
+    @pytest.mark.parametrize(
+        "option", [("max_batch", 8), ("max_wait_ms", 0.5), ("latency_window", 4)],
+        ids=lambda option: option[0],
+    )
+    def test_retired_options_raise(self, make_front, index, option):
+        """The batcher's and the recorder's sizes are their classes'
+        defaults; neither front takes them any more."""
+        name, value = option
+        with pytest.raises(TypeError, match=name):
+            make_front(index, **{name: value})
+
     def test_traced_lookup_dispatch_has_a_scatter_child(self, make_front, index):
         obs = Observability()
-        with make_front(index, obs=obs, max_wait_ms=0.5) as svc:
+        with make_front(index, obs=obs) as svc:
             assert svc.obs is obs and svc.tracer is obs.tracer
             svc.lookup(40.70, -74.0)
         spans = obs.tracer.spans()
@@ -284,7 +294,7 @@ class TestMicroBatching:
 
     def test_concurrent_lookups_coalesce(self, index, points):
         lats, lngs = points
-        with JoinService(index, max_batch=64, max_wait_ms=20.0) as svc:
+        with JoinService(index) as svc:
             with ThreadPoolExecutor(max_workers=16) as clients:
                 futures = [
                     clients.submit(svc.lookup, lats[i], lngs[i])
@@ -321,20 +331,9 @@ class TestMicroBatching:
             with pytest.raises(ValueError, match="boom"):
                 future.result(timeout=10)
 
-    def test_cancelled_future_does_not_poison_batch(self, index, points):
-        lats, lngs = points
-        with JoinService(index, max_batch=8, max_wait_ms=200.0) as svc:
-            cancelled = svc.submit(lats[0], lngs[0])
-            alive = svc.submit(lats[1], lngs[1])
-            assert cancelled.cancel()
-            # The batchmate must still get its own result.
-            assert alive.result(timeout=30) == index.containing_polygons(
-                lats[1], lngs[1]
-            )
-
     def test_close_drains_queue(self, index, points):
         lats, lngs = points
-        svc = JoinService(index, max_batch=8, max_wait_ms=50.0)
+        svc = JoinService(index)
         futures = [svc.submit(lats[i], lngs[i]) for i in range(20)]
         svc.close()
         for f in futures:
@@ -385,6 +384,23 @@ class TestMicroBatcherEdges:
             assert alive.result(timeout=10) == "ok"
         assert seen == [1]  # the cancelled request never reached the flush
         assert doomed.cancelled()
+
+    def test_cancelled_future_does_not_poison_batch(self, index, points):
+        # The service's own flush behind a batcher slow enough that the
+        # cancel lands before the flush (the service's 2 ms would race it).
+        lats, lngs = points
+        with JoinService(index) as svc, MicroBatcher(
+            svc._flush_lookups, max_wait_ms=200.0
+        ) as batcher:
+            cancelled, alive = (
+                batcher.submit(LookupRequest(lats[i], lngs[i], "default", exact=True))
+                for i in (0, 1)
+            )
+            assert cancelled.cancel()
+            # The batchmate must still get its own result.
+            assert alive.result(timeout=30) == index.containing_polygons(
+                lats[1], lngs[1]
+            )
 
     def test_all_cancelled_batch_flushes_nothing(self):
         calls: list[int] = []
@@ -1103,7 +1119,7 @@ class TestSnapshotSwap:
                 elif was_swapped and result != []:
                     failures.append((was_swapped, result))
 
-        with JoinService(inside, cache_cells=1024, max_wait_ms=0.2) as svc:
+        with JoinService(inside, cache_cells=1024) as svc:
             threads = [
                 threading.Thread(target=client, args=(svc,)) for _ in range(4)
             ]
@@ -1362,16 +1378,6 @@ class TestLatencyRecorderWindow:
         for _ in range(20):
             recorder.record(requests=1, points=1, pairs=0, seconds=1e-4)
         assert recorder.snapshot().window_samples == 16  # saturated
-
-    def test_service_latency_window_configurable(self, index, points):
-        lats, lngs = points
-        with JoinService(index, latency_window=4) as svc:
-            for lo in range(0, 3500, 500):
-                svc.join(lats[lo : lo + 500], lngs[lo : lo + 500])
-            stats = svc.stats()
-        assert stats.latency_window == 4
-        assert stats.window_samples == 4  # window wrapped: 7 dispatches
-        assert stats.dispatches == 7  # ...but totals keep the lifetime
 
     def test_wall_clock_throughput(self):
         recorder = LatencyRecorder(window=8)
