@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.core.act import AdaptiveCellTrie
 from repro.core.lookup_table import LookupTable
+from repro.core.rows import RowStore
 from repro.core.super_covering import SuperCovering
 from repro.util.timing import Timer
 
@@ -36,7 +37,7 @@ NODE4_CAPACITY = 4
 _NODE4_FLAG = 1
 
 
-class CompressedCellTrie:
+class CompressedCellTrie(RowStore):
     """ACT with two node types: full nodes and ART-style Node4s.
 
     Built by post-processing a regular :class:`AdaptiveCellTrie`: nodes
@@ -62,9 +63,9 @@ class CompressedCellTrie:
         self.fanout = base.fanout
         self.delta = base.delta
         self.num_keys = base.num_keys
-        self.entries = base.entries
+        self.rows = base.rows
         self._face_trees = base._face_trees
-        self._face_values = base._face_values
+        self._face_found = base._face_found
         self._max_value_depth = base._max_value_depth
         with Timer() as timer:
             self._compress(base)
@@ -132,15 +133,15 @@ class CompressedCellTrie:
     # Probe
     # ------------------------------------------------------------------
 
-    def probe(self, query_ids: np.ndarray) -> np.ndarray:
-        """Tagged entries for leaf cell ids (0 = false hit).
+    def probe_rows(self, query_ids: np.ndarray) -> np.ndarray:
+        """Entry rows for leaf cell ids (0 = false hit).
 
-        Identical contract to :meth:`AdaptiveCellTrie.probe`; per level the
-        active set is split by node type (the dispatch the paper blames for
-        the slowdown).
+        Identical contract to :meth:`AdaptiveCellTrie.probe_rows`; per
+        level the active set is split by node type (the dispatch the paper
+        blames for the slowdown).
         """
         query_ids = np.ascontiguousarray(query_ids, dtype=np.uint64)
-        out = np.zeros(len(query_ids), dtype=np.uint64)
+        out = np.zeros(len(query_ids), dtype=np.intp)
         faces = (query_ids >> np.uint64(61)).astype(np.int64)
         for face, tree in self._face_trees.items():
             face_idx = np.nonzero(faces == face)[0]
@@ -175,15 +176,15 @@ class CompressedCellTrie:
                     entries[n4_sel] = np.where(has_match, found, 0)
                 is_value = entries < 0
                 if np.any(is_value):
-                    out[active_idx[is_value]] = self.entries[-entries[is_value]]
+                    out[active_idx[is_value]] = -entries[is_value]
                 descend = entries > 0
                 active_idx = active_idx[descend]
                 active_ids = active_ids[descend]
                 current = entries[descend]
                 depth += 1
-        for face, entry in self._face_values.items():
-            out[faces == face] = np.uint64(entry)
-        return out
+        # A level-0 face cell's lanes hold its row (``-found``).
+        face_rows = -self._face_found[faces]
+        return np.where(face_rows > 0, face_rows, out)
 
     # ------------------------------------------------------------------
     # Introspection

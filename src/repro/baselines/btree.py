@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from repro.core.lookup_table import LookupTable
+from repro.core.rows import RowStore, RowTable, entry_rows
 from repro.core.super_covering import SuperCovering
 from repro.util.timing import Timer
 
@@ -34,7 +35,7 @@ FANOUT = NODE_BYTES // 16
 _U64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-class BTreeStore:
+class BTreeStore(RowStore):
     """The paper's "GBT" competitor."""
 
     name = "GBT"
@@ -51,11 +52,13 @@ class BTreeStore:
         self.lookup_table = lookup_table
         with Timer() as timer:
             ids = super_covering.cell_ids
-            entries = lookup_table.encode_covering(super_covering)
+            entries, self._rows = entry_rows(
+                lookup_table.encode_covering(super_covering)
+            )
+            self.rows = RowTable.decode(entries, lookup_table)
             lsb = ids & (~ids + np.uint64(1))
             lows = ids - (lsb - np.uint64(1))
             highs = ids + (lsb - np.uint64(1))
-            self._entries = entries
             self._highs = highs
             self._levels = self._pack_levels(lows)
         self.build_seconds = timer.seconds
@@ -94,10 +97,10 @@ class BTreeStore:
     #: small tuple batches for the same reason).
     CHUNK = 1 << 15
 
-    def probe(self, query_ids: np.ndarray) -> np.ndarray:
-        """Tagged entries for leaf cell ids (0 = false hit)."""
+    def probe_rows(self, query_ids: np.ndarray) -> np.ndarray:
+        """Entry rows for leaf cell ids (0 = false hit)."""
         query_ids = np.asarray(query_ids, dtype=np.uint64)
-        out = np.empty(len(query_ids), dtype=np.uint64)
+        out = np.empty(len(query_ids), dtype=np.intp)
         if self.num_cells == 0:
             out[:] = 0
             return out
@@ -121,7 +124,7 @@ class BTreeStore:
         valid = (slot >= 0) & (position < self.num_cells)
         clamped = np.clip(position, 0, self.num_cells - 1)
         hit = valid & (query_ids <= self._highs[clamped])
-        return np.where(hit, self._entries[clamped], np.uint64(0))
+        return np.where(hit, self._rows[clamped], 0)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -15,11 +15,12 @@ import math
 import numpy as np
 
 from repro.core.lookup_table import LookupTable
+from repro.core.rows import RowStore, RowTable, entry_rows
 from repro.core.super_covering import SuperCovering
 from repro.util.timing import Timer
 
 
-class SortedVectorStore:
+class SortedVectorStore(RowStore):
     """The paper's "LB" competitor."""
 
     name = "LB"
@@ -28,12 +29,14 @@ class SortedVectorStore:
         self.lookup_table = lookup_table
         with Timer() as timer:
             ids = super_covering.cell_ids
-            entries = lookup_table.encode_covering(super_covering)
+            entries, self._rows = entry_rows(
+                lookup_table.encode_covering(super_covering)
+            )
+            self.rows = RowTable.decode(entries, lookup_table)
             # Vectorized range_min/range_max: lsb = id & -id in two's
             # complement, which for uint64 is id & (~id + 1).
             lsb = ids & (~ids + np.uint64(1))
             self._ids = ids
-            self._entries = entries
             self._lows = ids - (lsb - np.uint64(1))
             self._highs = ids + (lsb - np.uint64(1))
         self.build_seconds = timer.seconds
@@ -43,16 +46,15 @@ class SortedVectorStore:
     # Probe
     # ------------------------------------------------------------------
 
-    def probe(self, query_ids: np.ndarray) -> np.ndarray:
-        """Tagged entries for leaf cell ids (0 = false hit)."""
+    def probe_rows(self, query_ids: np.ndarray) -> np.ndarray:
+        """Entry rows for leaf cell ids (0 = false hit)."""
         query_ids = np.asarray(query_ids, dtype=np.uint64)
         if self.num_cells == 0:
-            return np.zeros(len(query_ids), dtype=np.uint64)
+            return np.zeros(len(query_ids), dtype=np.intp)
         slot = np.searchsorted(self._lows, query_ids, side="right").astype(np.int64) - 1
         clamped = np.clip(slot, 0, self.num_cells - 1)
         hit = (slot >= 0) & (query_ids <= self._highs[clamped])
-        out = np.where(hit, self._entries[clamped], np.uint64(0))
-        return out
+        return np.where(hit, self._rows[clamped], 0)
 
     # ------------------------------------------------------------------
     # Introspection

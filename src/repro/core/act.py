@@ -33,7 +33,10 @@ over whole query batches and makes the modeled memory footprint (what the
 C++ original would allocate) exact: ``num_nodes * fanout * 8`` bytes.  The
 ``entries`` table holds one row per distinct entry (3,476 rows, 27 KiB,
 beside the 3.5 MiB pool of the 60 m neighborhoods index) and is not part
-of that model: the C++ slot inlines the entry.
+of that model: the C++ slot inlines the entry.  Neither is the trie's
+``rows`` (:class:`~repro.core.rows.RowTable`), that table decoded once,
+at build or :meth:`~AdaptiveCellTrie.attach`: what the join kernels
+count with.
 
 The build is a bulk load from the covering's sorted cell ids, in linear
 passes and without materialising the extended keys.  Above its value
@@ -55,8 +58,10 @@ depth, normally one.  Per level a lane reads one slot,
 to ``current = max(e, 0)``: a value is the only negative read, so it
 survives in ``found`` while the lane moves to the sentinel, where every
 later read is 0 — resolved and fallen-off lanes need no test, no scatter
-and no compaction.  One ``entries[-found]`` gather ends the probe (a
-level-0 face cell starts its lanes at its own ``-k``).  When a root
+and no compaction.  ``-found`` is the lane's row, and the probe yields
+rows (:meth:`~AdaptiveCellTrie.probe_rows`; a level-0 face cell starts
+its lanes at its own ``-k``); :meth:`~AdaptiveCellTrie.probe` gathers
+their tagged entries.  When a root
 table accepts every lane, as on in-area batches, every lane runs every
 level in place: that full-width loop is cheaper than the live-lane
 compaction it replaced, deepest index included, and cheaper than
@@ -79,6 +84,7 @@ from repro.cells.cellid import MAX_LEVEL
 from repro.cells.vectorized import levels_from_cell_ids
 from repro.core.lookup_table import LookupTable, TAG_POINTER
 from repro.core.refs import PolygonRef
+from repro.core.rows import RowStore, RowTable, entry_rows
 from repro.core.super_covering import SuperCovering
 from repro.util.timing import Timer
 
@@ -161,7 +167,7 @@ class _RootTable:
     root_base: np.ndarray  # int64 slot bases
 
 
-class AdaptiveCellTrie:
+class AdaptiveCellTrie(RowStore):
     """An immutable radix tree built from a super covering.
 
     Parameters
@@ -197,6 +203,7 @@ class AdaptiveCellTrie:
         with Timer() as timer:
             self._build(super_covering)
             self._index_roots()
+            self.rows = RowTable.decode(self.entries, self.lookup_table)
         self.build_seconds = timer.seconds
 
     @classmethod
@@ -245,6 +252,7 @@ class AdaptiveCellTrie:
         }
         store._face_values = {int(row[0]): int(row[1]) for row in face_values}
         store._index_roots()
+        store.rows = RowTable.decode(entries, lookup_table)
         return store
 
     # ------------------------------------------------------------------
@@ -258,13 +266,9 @@ class AdaptiveCellTrie:
         fanout = self.fanout
         ids = super_covering.cell_ids
         entries = self.lookup_table.encode_covering(super_covering)
-        # The entry table: every distinct entry, ascending after the miss
-        # entry 0; a cell's value slots hold minus its entry's row.
-        self.entries, rows = np.unique(
-            np.concatenate((np.zeros(1, dtype=np.uint64), entries)),
-            return_inverse=True,
-        )
-        codes = -rows[1:].astype(np.int64)
+        # A cell's value slots hold minus its entry's row.
+        self.entries, rows = entry_rows(entries)
+        codes = -rows.astype(np.int64)
         levels = levels_from_cell_ids(ids)
         if np.any(levels < 0):
             raise ValueError("invalid cell id in super covering")
@@ -410,25 +414,26 @@ class AdaptiveCellTrie:
     # Probe
     # ------------------------------------------------------------------
 
-    def probe(self, query_ids: np.ndarray) -> np.ndarray:
-        """Tagged entries for a batch of leaf cell ids (0 = false hit).
+    def probe_rows(self, query_ids: np.ndarray) -> np.ndarray:
+        """The ``entries`` row of every leaf cell id (0 = false hit).
 
         This is Listing 2 of the paper, vectorized: per level, one gather
         from the node pool resolves every lane.
         """
-        entries, _ = self._probe_impl(query_ids, instrument=False)
-        return entries
+        rows, _ = self._probe_impl(query_ids, instrument=False)
+        return rows
 
     def probe_instrumented(self, query_ids: np.ndarray) -> tuple[np.ndarray, ProbeStats]:
         """Like :meth:`probe` but also reporting traversal statistics."""
-        return self._probe_impl(query_ids, instrument=True)
+        rows, stats = self._probe_impl(query_ids, instrument=True)
+        return self.entries.take(rows), stats
 
     def _probe_impl(
         self, query_ids: np.ndarray, instrument: bool
-    ) -> tuple[np.ndarray, ProbeStats]:
-        """The one descent (module docstring).  ``depths`` counts, per
-        lane, the levels it entered outside the sentinel: its node
-        accesses."""
+    ) -> tuple[np.ndarray, ProbeStats | None]:
+        """The one descent (module docstring), to rows, and with
+        ``instrument`` its statistics: ``depths`` counts, per lane, the
+        levels it entered outside the sentinel, its node accesses."""
         ids = np.ascontiguousarray(query_ids, dtype=np.uint64)
         depths = np.zeros(len(ids), dtype=np.int16) if instrument else None
         prefix_rejections = 0
@@ -481,12 +486,14 @@ class AdaptiveCellTrie:
                 if depths is not None:
                     depths[lanes] = lane_depths
         np.negative(found, out=found)
+        if not instrument:
+            return found, None
         stats = ProbeStats(
-            depths=depths if instrument else np.zeros(0, dtype=np.int16),
-            node_accesses=int(depths.sum()) if instrument else 0,
+            depths=depths,
+            node_accesses=int(depths.sum()),
             prefix_rejections=prefix_rejections,
         )
-        return self.entries.take(found), stats
+        return found, stats
 
     def probe_one(self, query_id: int) -> tuple[PolygonRef, ...]:
         """Scalar convenience probe returning decoded references."""

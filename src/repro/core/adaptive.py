@@ -9,8 +9,9 @@ machinery the serving stack already has:
 
 * **telemetry** — the join driver's ``observe`` hook turns every probed
   batch into a :func:`traffic_increment` (each point keyed on its cell at
-  the layer's deepest level, each key's entry classified as expensive or
-  not straight from the entry bits; a sharded front merges its lanes'),
+  the layer's deepest level, each key's row classified as expensive or
+  not by its row table's ``expensive`` flag; a sharded front merges its
+  lanes'),
   and :class:`LayerTelemetry` keeps a windowed STH rate plus a histogram
   of refinement traffic per cell.  Cost per probe is one ``np.unique``
   over the keys plus a few vectorized ops.
@@ -43,7 +44,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.cells.vectorized import parent_ids_at_level
-from repro.core.joins import expensive_entries
 
 if TYPE_CHECKING:
     from repro.core.builder import ProbeView
@@ -94,27 +94,28 @@ class AdaptationStatus:
 
 
 #: One probed batch's traffic: its distinct keys (sorted), the points
-#: under each, and whether each key's entry sends them to refinement.
+#: under each, and whether each key's row sends them to refinement.
 TrafficIncrement = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def traffic_increment(
-    view: ProbeView, cell_ids: np.ndarray, entries: np.ndarray
+    view: ProbeView, cell_ids: np.ndarray, rows: np.ndarray
 ) -> TrafficIncrement:
     """The increment of a batch probed through ``view``, from each point's
-    leaf id and entry (the join driver's ``observe`` hook arguments)."""
+    leaf id and row of ``view.store.rows`` (the join driver's ``observe``
+    hook arguments)."""
     keys = parent_ids_at_level(cell_ids, view.max_cell_level)
-    # One representative entry per key; every id sharing a key
-    # resolves to the same entry by construction.
+    # One representative row per key; every id sharing a key resolves
+    # to the same row by construction.
     unique_keys, first, weights = np.unique(
         keys, return_index=True, return_counts=True
     )
-    return unique_keys, weights, expensive_entries(entries[first], view.lookup_table)
+    return unique_keys, weights, view.store.rows.expensive[rows[first]]
 
 
 def merge_increments(parts: Sequence[TrafficIncrement]) -> TrafficIncrement:
     """:func:`traffic_increment` of the union of disjoint batches probed
-    through one view, from theirs (a key's entry is the same in each)."""
+    through one view, from theirs (a key's row is the same in each)."""
     keys, weights, expensive = (np.concatenate(column) for column in zip(*parts))
     unique_keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     summed = np.bincount(inverse, weights, len(unique_keys)).astype(weights.dtype)
@@ -126,7 +127,7 @@ class LayerTelemetry:
 
     Keys are *cell ids*: each point's ancestor at the probed view's
     ``max_cell_level``, the deepest level any indexed cell has, so every
-    point under one key resolved to the same entry.  A cell id
+    point under one key resolved to the same row.  A cell id
     self-describes its extent, so histograms recorded over views of
     different depths (a retrain deepens the covering) stay in one
     coordinate system, and the retrain worker can synthesize training

@@ -17,12 +17,14 @@ against an overlay insert's 11–15 ms (DESIGN.md, "The index lifecycle").
   plus the new cells → a small side cell store), so delta probes carry
   the same precision guarantees;
 * **deletes** only record the polygon id in a *tombstone* set;
-* **probes** merge base and delta entries and mask tombstones inside
-  :class:`OverlayCellStore`, which satisfies the ordinary ``probe``
-  protocol — so the one join driver and its two kernels (and everything
-  layered on them: caching, morsel parallelism, the serving facade) run
-  unchanged and return results identical to a fresh build over the
-  current polygon set;
+* **probes** merge base and delta rows and mask tombstones inside
+  :class:`OverlayCellStore`, which probes to rows of its own row table
+  like any store — the base's rows, decoded once with the base, followed
+  by the rows it merged, each decoded once when it is appended — so the
+  one join driver and its two kernels (and everything layered on them:
+  caching, morsel parallelism, the serving facade) run unchanged and
+  return results identical to a fresh build over the current polygon
+  set;
 * **compaction** runs the full build pipeline over the live set into a
   fresh versioned snapshot and installs it with an empty delta — inline,
   under the index's lock, once the delta holds ``compact_threshold``
@@ -66,145 +68,116 @@ from repro.core.builder import (
     next_index_version,
 )
 from repro.core.joins import JoinResult
-from repro.core.lookup_table import (
-    SENTINEL_ENTRY,
-    TAG_OFFSET,
-    TAG_TWO_REFS,
-    LookupTable,
-)
+from repro.core.lookup_table import LookupTable
 from repro.core.precision import refine_to_precision
-from repro.core.refs import merge_refs, validate_polygon_id
+from repro.core.refs import PolygonRef, merge_refs, validate_polygon_id
+from repro.core.rows import RowStore, RowTable
 from repro.core.super_covering import SuperCovering
 from repro.geo.polygon import Polygon
 from repro.geo.refine import RefinementEngine
 
 
-#: Bits of a polygon id inside an inlined reference (above its interior bit).
-_INLINE_ID_MASK = np.uint64((1 << 30) - 1)
+class OverlayCellStore(RowStore):
+    """Merge a base store and a delta store behind one ``probe_rows`` protocol.
 
+    The overlay's row table is the base store's rows followed by the rows
+    it merged itself, so a lane a write cannot change keeps its base row:
+    one whose delta row is a miss and whose base row references no
+    tombstoned polygon (a per-overlay ``dead_row`` flag, set once).  The
+    other lanes merge each distinct ``(base row, delta row)`` pair once:
+    the two rows' references are merged, tombstoned polygon ids masked,
+    and the merged set is encoded against the overlay's own lookup table
+    and appended as a new row (an empty set is the miss row 0).  The
+    table continues the base's lookup table
+    (:meth:`~repro.core.lookup_table.LookupTable.extending`), so a base
+    row's entry decodes the same in it, and downstream drivers see one
+    consistent ``(store, lookup_table)`` pair exactly as if the index had
+    been built over the merged polygon set.
 
-class OverlayCellStore:
-    """Merge a base store and a delta store behind one ``probe`` protocol.
-
-    Probes both stores and merges only the lanes a write can change: a
-    lane whose base entry is inline (a miss, or one or two references —
-    which decode the same against any table), whose delta entry is a
-    miss and none of whose references is tombstoned merges to its base
-    entry itself (``merge_refs`` sorts ascending, as a covering row
-    already is), so it keeps it.  The other lanes decode each distinct
-    ``(base entry, delta entry)`` pair once, merge the reference sets,
-    mask tombstoned polygon ids, and re-encode the merged set against the
-    overlay's own lookup table — so downstream drivers see one consistent
-    ``(store, lookup_table)`` pair exactly as if the index had been built
-    over the merged polygon set.
-
-    The store is immutable with respect to the overlay state it was built
-    from (tombstones are copied, the delta store is never mutated after
-    construction), so a reader holding an old overlay keeps getting
+    The table only grows, under the memo lock, and is published before
+    the memo entries that point into it: a reader reads ``rows`` after
+    its probe and always holds every row the probe returned.  The store
+    is otherwise immutable with respect to the overlay state it was
+    built from (tombstones are copied, the delta store is never mutated
+    after construction), so a reader holding an old overlay keeps getting
     consistent answers while the dynamic index moves on.
     """
 
     def __init__(
         self,
         base_store: AdaptiveCellTrie,
-        base_table: LookupTable,
         delta_store: AdaptiveCellTrie | None,
-        delta_table: LookupTable | None,
         tombstones: Sequence[int] | frozenset[int],
     ):
         self._base_store = base_store
-        self._base_table = base_table
         self._delta_store = delta_store
-        self._delta_table = delta_table
         self._tombstones = frozenset(tombstones)
-        # dead[pid] for every pid up to the largest tombstone (one byte
-        # per id ever assigned, at most); larger ids are clipped to the
-        # last slot, which stays False.  One gather tests a whole batch.
-        self._dead = np.zeros(max(self._tombstones, default=-1) + 2, dtype=bool)
-        self._dead[list(self._tombstones)] = True
+        base_rows = base_store.rows
+        #: Base rows referencing a tombstoned polygon: the lanes to merge
+        #: besides those with a delta hit.
+        self._dead_row = np.zeros(len(base_rows), dtype=bool)
+        dead_refs = np.flatnonzero(np.isin(base_rows.pids, list(self._tombstones)))
+        self._dead_row[np.searchsorted(base_rows.starts, dead_refs, side="right") - 1] = True
         #: What a rebuild over this view indexes with (the base's fanout).
         self.fanout_bits = base_store.fanout_bits
-        #: Re-encoded merged entries live here; probe results must be
-        #: decoded against THIS table, never the base's or the delta's.
-        self.lookup_table = LookupTable()
-        self._memo: dict[tuple[int, int], int] = {}
+        #: Merged entries are encoded here; probe results must be decoded
+        #: against THIS table, never the delta's.
+        self.lookup_table = LookupTable.extending(base_store.lookup_table)
+        self.rows = base_rows  #: guarded_by(_memo_lock, writes)
+        #: (base row, delta row) -> merged row.
+        self._memo: dict[tuple[int, int], int] = {}  #: guarded_by(_memo_lock, writes)
         self._memo_lock = threading.Lock()
 
-    def probe(self, query_ids: np.ndarray) -> np.ndarray:
+    def probe_rows(self, query_ids: np.ndarray) -> np.ndarray:
         query_ids = np.asarray(query_ids, dtype=np.uint64)
-        if query_ids.size == 0:
-            return np.zeros(0, dtype=np.uint64)
-        entries = self._base_store.probe(query_ids)
-        tags = entries & np.uint64(3)
-        changed = tags == np.uint64(TAG_OFFSET)
-        if self._delta_store is not None:
-            delta_entries = self._delta_store.probe(query_ids)
-            changed |= delta_entries != np.uint64(SENTINEL_ENTRY)
+        rows = self._base_store.probe_rows(query_ids)
+        changed = self._dead_row[rows]
+        if self._delta_store is None:
+            delta_rows = np.zeros(len(rows), dtype=np.intp)
         else:
-            delta_entries = np.zeros(len(query_ids), dtype=np.uint64)
-        if self._tombstones:
-            dead = self._dead
-            last = np.uint64(len(dead) - 1)
-            first = (entries >> np.uint64(3)) & _INLINE_ID_MASK
-            second = entries >> np.uint64(34)  # a two-ref entry's top bits
-            first_dead = dead[np.minimum(first, last, out=first)]
-            first_dead &= entries != np.uint64(SENTINEL_ENTRY)
-            second_dead = dead[np.minimum(second, last, out=second)]
-            second_dead &= tags == np.uint64(TAG_TWO_REFS)
-            changed |= first_dead
-            changed |= second_dead
+            delta_rows = self._delta_store.probe_rows(query_ids)
+            changed |= delta_rows != 0
         lanes = np.flatnonzero(changed)
         if lanes.size:
-            entries[lanes] = self._merge_lanes(entries[lanes], delta_entries[lanes])
-        return entries
+            rows[lanes] = self._merge_lanes(rows[lanes], delta_rows[lanes])
+        return rows
 
-    def _merge_lanes(
-        self, base_entries: np.ndarray, delta_entries: np.ndarray
-    ) -> np.ndarray:
-        # Merge each distinct (base, delta) entry pair exactly once: the
+    def _merge_lanes(self, base_rows: np.ndarray, delta_rows: np.ndarray) -> np.ndarray:
+        # Merge each distinct (base, delta) row pair exactly once: the
         # number of distinct pairs is bounded by the covering sizes, not by
         # the batch size, so the python-level merge stays off the hot path.
-        # Sorted by the pair, a lane starts a group where either entry
-        # changes.
-        order = np.lexsort((delta_entries, base_entries))
-        base_sorted = base_entries[order]
-        delta_sorted = delta_entries[order]
-        starts = np.empty(len(order), dtype=bool)
-        starts[:1] = True
-        np.not_equal(base_sorted[1:], base_sorted[:-1], out=starts[1:])
-        starts[1:] |= delta_sorted[1:] != delta_sorted[:-1]
-        heads = np.flatnonzero(starts)
-        merged = np.fromiter(
-            (
-                self._merge(base, delta)
-                for base, delta in zip(
-                    base_sorted[heads].tolist(), delta_sorted[heads].tolist()
-                )
-            ),
-            dtype=np.uint64,
-            count=len(heads),
-        )
-        out = np.empty(len(order), dtype=np.uint64)
-        out[order] = merged[np.cumsum(starts) - 1]
-        return out
+        width = 1 if self._delta_store is None else len(self._delta_store.rows)
+        keys, inverse = np.unique(base_rows * width + delta_rows, return_inverse=True)
+        pairs = [divmod(key, width) for key in keys.tolist()]
+        memo = self._memo
+        todo = [pair for pair in pairs if pair not in memo]
+        if todo:
+            merged = [self._merged_refs(*pair) for pair in todo]
+            with self._memo_lock:
+                fresh = [(pair, refs) for pair, refs in zip(todo, merged) if pair not in memo]
+                entries = [self.lookup_table.encode(refs) for _, refs in fresh if refs]
+                table = self.rows
+                if entries:
+                    self.rows = table.extended(
+                        RowTable.decode(np.asarray(entries, dtype=np.uint64), self.lookup_table)
+                    )
+                next_row = len(table)
+                for pair, refs in fresh:
+                    memo[pair] = next_row if refs else 0
+                    next_row += bool(refs)
+        merged_rows = np.fromiter((memo[pair] for pair in pairs), dtype=np.intp, count=len(pairs))
+        return merged_rows[inverse]
 
-    def _merge(self, base_entry: int, delta_entry: int) -> int:
-        memo_key = (base_entry, delta_entry)
-        entry = self._memo.get(memo_key)
-        if entry is not None:
-            return entry
-        refs = []
-        if base_entry != SENTINEL_ENTRY:
-            refs.extend(self._base_table.decode_entry(base_entry))
-        if delta_entry != SENTINEL_ENTRY:
-            refs.extend(self._delta_table.decode_entry(delta_entry))
-        live = tuple(
+    def _merged_refs(self, base_row: int, delta_row: int) -> tuple[PolygonRef, ...]:
+        """The live references of a base row and a delta row, merged."""
+        refs: list[PolygonRef] = []
+        for store, row in ((self._base_store, base_row), (self._delta_store, delta_row)):
+            if row:
+                pids, interior = store.rows.refs(row)
+                refs.extend(map(PolygonRef, pids.tolist(), interior.tolist()))
+        return tuple(
             ref for ref in merge_refs(refs) if ref.polygon_id not in self._tombstones
         )
-        with self._memo_lock:
-            entry = self.lookup_table.encode(live) if live else SENTINEL_ENTRY
-            self._memo[memo_key] = entry
-        return entry
 
     @property
     def size_bytes(self) -> int:
@@ -491,13 +464,8 @@ class DynamicPolygonIndex:
             # is assembled once per base generation, not per refresh.
             refiner = self._base.probe_view().refiner
         else:
-            delta = self._delta_store
             store = OverlayCellStore(
-                self._base.store,
-                self._base.lookup_table,
-                delta,
-                delta.lookup_table if delta is not None else None,
-                self._tombstones,
+                self._base.store, self._delta_store, self._tombstones
             )
             table = store.lookup_table
             max_level = max(

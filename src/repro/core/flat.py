@@ -33,9 +33,10 @@ hands the snapshot's buffers to the attach constructors of
 :class:`~repro.core.act.AdaptiveCellTrie` and
 :class:`~repro.core.lookup_table.LookupTable` and returns an ordinary
 :class:`~repro.core.builder.PolygonIndex` holding the snapshot, so there
-is one probe kernel and one decode path whichever way an index came to
-be — the parity suite in ``tests/test_flat.py`` compares the two
-constructions bit for bit.
+is one probe kernel whichever way an index came to be, and the trie's
+row table is decoded from the packed entry table at attach as at build
+(it is not packed) — the parity suite in ``tests/test_flat.py`` compares
+the two constructions bit for bit.
 """
 
 from __future__ import annotations

@@ -1,19 +1,25 @@
 """The point-polygon join algorithms (Listing 3 of the paper).
 
 Both joins are index nested-loop joins: probe the cell store with every
-point's leaf cell id, decode the returned polygon references, and
+point's leaf cell id, which yields the point's *row* of the store's
+:class:`~repro.core.rows.RowTable` (the store's distinct tagged entries,
+decoded once when it was built or attached), and
 
-* **approximate join** — emit every reference as a join pair.  True hits
-  are exact; candidate hits may be false positives whose distance from the
-  polygon is bounded by the index's precision bound.
-* **accurate join** — emit true hits directly and send candidate hits to
+* **approximate join** — count every reference as a join pair.  True
+  hits are exact; candidate hits may be false positives whose distance
+  from the polygon is bounded by the index's precision bound.
+* **accurate join** — count true hits directly and send candidate hits to
   the refinement phase: every candidate pair PIP-tested against its
   polygon's latitude bucket by the one ragged crossing kernel of
   :mod:`repro.geo.refine`.
 
 Following the paper's evaluation methodology, the default "count mode"
-aggregates points per polygon instead of materializing pairs;
-``materialize=True`` returns the pair arrays as well.
+aggregates points per polygon instead of materializing pairs, and it
+does so per distinct row: a batch's points are counted per row, and a
+row's references are added once, weighted by that count — no entry is
+decoded per point.  Pairs are expanded only where they are needed: the
+accurate join pairs the points of ``expensive`` rows with their candidate
+polygons for refinement, and ``materialize=True`` returns every pair.
 
 Every join starts in the same driver, :func:`join_batch`: the one
 function that picks the kernel (exact or approximate) and the schedule
@@ -30,10 +36,10 @@ joins each point exactly once and keeps private partial results, so all
 of them end in the same :func:`merge_join_results`: the only place a
 ``JoinResult`` is built from other ``JoinResult``s.
 
-The two kernels take as ``store`` anything with a ``probe(cell_ids) ->
-entries`` method returning tagged entries (ACT, the B-tree, the sorted
-vector, ...), which is how the evaluation runs every physical
-representation the paper compares through the same probe, decode and
+The two kernels take as ``store`` anything with a ``probe_rows(cell_ids)
+-> rows`` method and the ``rows`` table those index (ACT, the B-tree, the
+sorted vector, ...), which is how the evaluation runs every physical
+representation the paper compares through the same probe, count and
 refinement code.  An index's own store is always the ACT.
 """
 
@@ -45,26 +51,22 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.core.lookup_table import (
-    TAG_OFFSET,
-    TAG_ONE_REF,
-    TAG_TWO_REFS,
-    LookupTable,
-    expand_offsets,
-    offset_counts,
-)
+from repro.core.lookup_table import LookupTable
 from repro.core.morsels import OFFLINE_MORSEL_POINTS, map_morsels
+from repro.core.rows import RowTable, ragged_positions
+from repro.core.rows import decode_entries as decode_entries
 from repro.geo.polygon import Polygon
 from repro.geo.refine import RefinementEngine
 from repro.util.timing import Timer
 
-_VALUE_MASK = np.uint64((1 << 31) - 1)
-
 
 class CellStore(Protocol):
-    """The probe interface every physical representation implements."""
+    """The probe interface every physical representation implements:
+    the row of every leaf cell id, and the row table those rows index."""
 
-    def probe(self, query_ids: np.ndarray) -> np.ndarray: ...
+    rows: RowTable
+
+    def probe_rows(self, query_ids: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass
@@ -89,86 +91,6 @@ class JoinResult:
         if self.num_points == 0:
             return 1.0
         return self.solely_true_hits / self.num_points
-
-
-def decode_entries(
-    entries: np.ndarray, lookup_table: LookupTable
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expand tagged entries into (point index, polygon id, is_true) arrays."""
-    tags = entries & np.uint64(3)
-    points_parts: list[np.ndarray] = []
-    pids_parts: list[np.ndarray] = []
-    true_parts: list[np.ndarray] = []
-
-    one_idx = np.nonzero(tags == np.uint64(TAG_ONE_REF))[0]
-    if one_idx.size:
-        values = (entries[one_idx] >> np.uint64(2)) & _VALUE_MASK
-        points_parts.append(one_idx)
-        pids_parts.append((values >> np.uint64(1)).astype(np.int64))
-        true_parts.append((values & np.uint64(1)).astype(bool))
-
-    two_idx = np.nonzero(tags == np.uint64(TAG_TWO_REFS))[0]
-    if two_idx.size:
-        first = (entries[two_idx] >> np.uint64(2)) & _VALUE_MASK
-        second = (entries[two_idx] >> np.uint64(33)) & _VALUE_MASK
-        points_parts.append(np.repeat(two_idx, 2))
-        interleaved_pids = np.empty(two_idx.size * 2, dtype=np.int64)
-        interleaved_pids[0::2] = (first >> np.uint64(1)).astype(np.int64)
-        interleaved_pids[1::2] = (second >> np.uint64(1)).astype(np.int64)
-        pids_parts.append(interleaved_pids)
-        interleaved_true = np.empty(two_idx.size * 2, dtype=bool)
-        interleaved_true[0::2] = (first & np.uint64(1)).astype(bool)
-        interleaved_true[1::2] = (second & np.uint64(1)).astype(bool)
-        true_parts.append(interleaved_true)
-
-    offset_idx = np.nonzero(tags == np.uint64(TAG_OFFSET))[0]
-    if offset_idx.size:
-        offsets = (entries[offset_idx] >> np.uint64(2)).astype(np.int64)
-        # Pairs are grouped by offset, then point, then polygon id.
-        by_offset = np.argsort(offsets, kind="stable")
-        which, ids, interior = expand_offsets(
-            lookup_table.array, offsets[by_offset]
-        )
-        points_parts.append(offset_idx[by_offset][which])
-        pids_parts.append(ids)
-        true_parts.append(interior)
-
-    if not points_parts:
-        empty_i = np.zeros(0, dtype=np.int64)
-        return empty_i, empty_i.copy(), np.zeros(0, dtype=bool)
-    return (
-        np.concatenate(points_parts),
-        np.concatenate(pids_parts),
-        np.concatenate(true_parts),
-    )
-
-
-def expensive_entries(
-    entries: np.ndarray, lookup_table: LookupTable
-) -> np.ndarray:
-    """Which tagged entries send their points into the refinement phase.
-
-    ``out[i]`` is true when entry ``i`` holds at least one candidate
-    (non-interior) reference — "any ``is_true == False`` among
-    :func:`decode_entries`' pairs of that entry" — read off the inlined
-    interior bits and the ``num_candidate`` word of an offset entry's
-    list, without expanding the pairs.  Sentinel entries (misses) are
-    cheap.
-    """
-    entries = np.asarray(entries, dtype=np.uint64)
-    tags = entries & np.uint64(3)
-    first_candidate = (entries >> np.uint64(2)) & np.uint64(1) == 0
-    second_candidate = (entries >> np.uint64(33)) & np.uint64(1) == 0
-    expensive = (tags == np.uint64(TAG_ONE_REF)) & first_candidate
-    expensive |= (tags == np.uint64(TAG_TWO_REFS)) & (
-        first_candidate | second_candidate
-    )
-    offset_idx = np.nonzero(tags == np.uint64(TAG_OFFSET))[0]
-    if offset_idx.size:
-        offsets = (entries[offset_idx] >> np.uint64(2)).astype(np.int64)
-        _, num_cand = offset_counts(lookup_table.array, offsets)
-        expensive[offset_idx] = num_cand > 0
-    return expensive
 
 
 def check_batch(
@@ -200,6 +122,34 @@ def check_batch(
     return lats, lngs, cell_ids
 
 
+def _count_rows(
+    table: RowTable, rows: np.ndarray, num_polygons: int, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points per polygon over the first ``sizes[r]`` references of each
+    row ``r``, counted per distinct row of the batch.
+
+    Returns ``(counts, present, points)``: the ``int64`` counts, the
+    distinct rows of ``rows`` (ascending) and the batch's points in each.
+    """
+    per_row = np.bincount(rows, minlength=len(table))
+    # A boolean nonzero is a fraction of an integer one's cost.
+    present = per_row.astype(bool).nonzero()[0]
+    points = per_row[present]
+    taken = sizes[present]
+    refs = ragged_positions(table.starts[present], taken)
+    # Weighted, bincount counts in float64: exact below 2**53 points.
+    counts = np.bincount(table.pids[refs], points.repeat(taken), num_polygons)
+    return counts.astype(np.int64), present, points
+
+
+def _expand(
+    table: RowTable, points: np.ndarray, first: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(point, polygon id)`` pairs: point ``points[i]`` with each of
+    the ``sizes[i]`` references of ``table`` from ``first[i]`` on."""
+    return np.repeat(points, sizes), table.pids[ragged_positions(first, sizes)]
+
+
 def approximate_join(
     store: CellStore,
     lookup_table: LookupTable,
@@ -208,36 +158,45 @@ def approximate_join(
     materialize: bool = False,
     tracer=None,
     observe=None,
-    entries: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> JoinResult:
     """Approximate join: candidate hits count as hits (no PIP tests).
+
+    Counts per distinct row of the store's row table: a row's references
+    are added once, weighted by the batch's points in that row; pairs
+    are expanded only with ``materialize`` (point by point, each point's
+    true hits first, then ascending polygon ids).  ``lookup_table`` is the
+    one ``store``'s rows were decoded against.
 
     ``tracer`` (an optional :class:`~repro.obs.trace.Tracer`) receives
     the already-measured probe phase as a child span of whatever dispatch
     span is active in the calling thread — no extra clock reads.
-    ``observe`` and ``entries`` are :func:`join_batch`'s.
+    ``observe`` and ``rows`` are :func:`join_batch`'s.
     """
     with Timer() as probe_timer:
-        if entries is None:
-            entries = store.probe(cell_ids)
+        if rows is None:
+            rows = store.probe_rows(cell_ids)
+        table = store.rows
         if observe is not None:
-            observe(cell_ids, entries)
-        point_idx, pids, is_true = decode_entries(entries, lookup_table)
-        counts = np.bincount(pids, minlength=num_polygons)
+            observe(cell_ids, rows)
+        counts, present, points = _count_rows(table, rows, num_polygons, table.sizes)
+        num_pairs = int(points @ table.sizes[present])
+        num_true = int(points @ table.true_counts[present])
     if tracer is not None:
         tracer.emit("probe", probe_timer.seconds, points=len(cell_ids))
     result = JoinResult(
         num_points=len(cell_ids),
         counts=counts,
-        num_pairs=len(point_idx),
-        num_true_hit_pairs=int(np.count_nonzero(is_true)),
-        num_candidate_pairs=int(np.count_nonzero(~is_true)),
+        num_pairs=num_pairs,
+        num_true_hit_pairs=num_true,
+        num_candidate_pairs=num_pairs - num_true,
         solely_true_hits=len(cell_ids),  # refinement never runs
         probe_seconds=probe_timer.seconds,
     )
     if materialize:
-        result.pair_points = point_idx
-        result.pair_polygons = pids
+        result.pair_points, result.pair_polygons = _expand(
+            table, np.arange(len(rows)), table.starts[rows], table.sizes[rows]
+        )
     return result
 
 
@@ -252,9 +211,17 @@ def accurate_join(
     engine: RefinementEngine | None = None,
     tracer=None,
     observe=None,
-    entries: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> JoinResult:
     """Accurate join: candidate hits are refined with PIP tests.
+
+    True hits are counted per distinct row of the store's row table,
+    never expanded; only the points whose row is ``expensive`` (holds a
+    candidate reference) are paired with their candidate polygons, and
+    those pairs go to the refinement engine.  ``materialize`` expands
+    the true-hit pairs too (point by point, ascending polygon ids),
+    followed by the accepted candidate pairs.  ``lookup_table`` is the
+    one ``store``'s rows were decoded against.
 
     ``engine`` is normally the snapshot's prebuilt refinement engine
     (``ProbeView.refiner``); when omitted an ephemeral one is created
@@ -263,29 +230,40 @@ def accurate_join(
     ``tracer`` (an optional :class:`~repro.obs.trace.Tracer`) receives
     the already-measured probe and refine phases as child spans of
     whatever dispatch span is active in the calling thread.
-    ``observe`` and ``entries`` are :func:`join_batch`'s.
+    ``observe`` and ``rows`` are :func:`join_batch`'s.
     """
     if engine is None:
         engine = RefinementEngine(polygons)
     with Timer() as probe_timer:
-        if entries is None:
-            entries = store.probe(cell_ids)
+        if rows is None:
+            rows = store.probe_rows(cell_ids)
+        table = store.rows
         if observe is not None:
-            observe(cell_ids, entries)
-        point_idx, pids, is_true = decode_entries(entries, lookup_table)
+            observe(cell_ids, rows)
+        counts, present, points = _count_rows(
+            table, rows, len(polygons), table.true_counts
+        )
+        num_true = int(points @ table.true_counts[present])
+        # A row's candidate references follow its true hits.
+        cand_points = np.flatnonzero(table.expensive[rows])
+        cand_rows = rows[cand_points]
+        first = table.starts[cand_rows] + table.true_counts[cand_rows]
+        cand_pairs = _expand(
+            table, cand_points, first, table.starts[cand_rows + 1] - first
+        )
     with Timer() as refine_timer:
         keep_points, keep_pids, num_pip, num_refined = engine.refine(
-            point_idx, pids, is_true, lngs, lats
+            *cand_pairs, None, lngs, lats
         )
-        counts = np.bincount(keep_pids, minlength=len(polygons))
+        counts += np.bincount(keep_pids, minlength=len(polygons))
     if tracer is not None:
         tracer.emit("probe", probe_timer.seconds, points=len(cell_ids))
         tracer.emit("refine", refine_timer.seconds, pip_tests=int(num_pip))
     result = JoinResult(
         num_points=len(cell_ids),
         counts=counts,
-        num_pairs=len(keep_points),
-        num_true_hit_pairs=int(np.count_nonzero(is_true)),
+        num_pairs=num_true + len(keep_points),
+        num_true_hit_pairs=num_true,
         num_candidate_pairs=num_pip,
         num_pip_tests=num_pip,
         solely_true_hits=len(cell_ids) - num_refined,
@@ -293,8 +271,11 @@ def accurate_join(
         refine_seconds=refine_timer.seconds,
     )
     if materialize:
-        result.pair_points = keep_points
-        result.pair_polygons = keep_pids
+        true_points, true_pids = _expand(
+            table, np.arange(len(rows)), table.starts[rows], table.true_counts[rows]
+        )
+        result.pair_points = np.concatenate((true_points, keep_points))
+        result.pair_polygons = np.concatenate((true_pids, keep_pids))
     return result
 
 
@@ -366,7 +347,7 @@ def join_batch(
     morsel_size: int = OFFLINE_MORSEL_POINTS,
     tracer=None,
     observe=None,
-    entries: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> JoinResult:
     """Join one checked batch: the kernel and the schedule, chosen once.
 
@@ -382,10 +363,10 @@ def join_batch(
 
     The serving layer's hooks apply to the straight call only, the one
     schedule a served batch takes: ``tracer`` receives the kernel's
-    phase spans; ``entries`` are the batch's tagged entries when the
-    caller already resolved them (the hot-cell table), decoded instead of
-    probing ``store``; ``observe`` is the traffic recorder, called with
-    the leaf ids and their entries right after the probe.
+    phase spans; ``rows`` are the batch's rows of ``store.rows`` when
+    the caller already resolved them (the hot-cell table), counted
+    instead of probing ``store``; ``observe`` is the traffic recorder,
+    called with the leaf ids and their rows right after the probe.
     """
     if num_threads < 1:
         raise ValueError(f"num_threads must be >= 1, got {num_threads}")
@@ -396,12 +377,12 @@ def join_batch(
             return accurate_join(
                 store, lookup_table, cell_ids, polygons, lngs, lats,
                 materialize=materialize, engine=engine, tracer=tracer,
-                observe=observe, entries=entries,
+                observe=observe, rows=rows,
             )
         return approximate_join(
             store, lookup_table, cell_ids, len(polygons),
             materialize=materialize, tracer=tracer, observe=observe,
-            entries=entries,
+            rows=rows,
         )
 
     def work(lo: int, hi: int) -> JoinResult:

@@ -79,7 +79,8 @@ class LookupTable:
     A built table grows through :meth:`encode_covering` (a whole covering
     at once) and :meth:`encode` (one reference set); :meth:`attach` wraps
     an already-packed ``uint32`` array (a view into a flat snapshot blob)
-    read-only.  Both serve the probe side from :attr:`array`.
+    read-only, and :meth:`extending` starts a table after another one.
+    All serve the probe side from :attr:`array`.
     """
 
     def __init__(self) -> None:
@@ -87,6 +88,8 @@ class LookupTable:
         #: Interned lists by their packed references, in canonical order.
         self._offsets: dict[tuple[int, ...], int] = {}
         self._frozen: np.ndarray | None = None
+        #: Another table's array this one continues (see :meth:`extending`).
+        self._prefix = np.zeros(0, dtype=np.uint32)
 
     @classmethod
     def attach(cls, array: np.ndarray) -> "LookupTable":
@@ -94,6 +97,18 @@ class LookupTable:
         table = cls()
         table._data = None
         table._frozen = array
+        return table
+
+    @classmethod
+    def extending(cls, base: "LookupTable") -> "LookupTable":
+        """A table that continues ``base``: every entry of ``base`` decodes
+        the same in it, and lists encoded here are stored after ``base``'s.
+
+        ``base``'s array is read once, here; ``size_bytes`` and ``len``
+        count only the lists stored in this table.
+        """
+        table = cls()
+        table._prefix = base.array
         return table
 
     # ------------------------------------------------------------------
@@ -173,7 +188,7 @@ class LookupTable:
         offset = self._offsets.get(refs)
         if offset is not None:
             return offset
-        offset = len(self._data)
+        offset = len(self._prefix) + len(self._data)
         if offset > _VALUE_MASK:
             raise OverflowError("lookup table exceeds the 31-bit offset budget")
         true_ids = [value >> 1 for value in refs if value & 1]
@@ -194,9 +209,12 @@ class LookupTable:
     def array(self) -> np.ndarray:
         """The flat ``uint32`` array (rebuilt lazily after inserts)."""
         if self._data is not None and (
-            self._frozen is None or len(self._frozen) != len(self._data)
+            self._frozen is None
+            or len(self._frozen) != len(self._prefix) + len(self._data)
         ):
-            self._frozen = np.asarray(self._data, dtype=np.uint32)
+            self._frozen = np.concatenate(
+                (self._prefix, np.asarray(self._data, dtype=np.uint32))
+            )
         return self._frozen
 
     def decode_offset(self, offset: int) -> tuple[PolygonRef, ...]:

@@ -381,7 +381,7 @@ class RefinementEngine:
         self,
         point_idx: np.ndarray,
         pids: np.ndarray,
-        is_true: np.ndarray,
+        is_true: np.ndarray | None,
         lngs: np.ndarray,
         lats: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -390,19 +390,24 @@ class RefinementEngine:
         Same contract (and bit-identical output arrays) as the historical
         per-polygon-mask loop: every ``(polygon, point)`` candidate pair
         resolves to one bucket row of the table and the whole candidate
-        array is decided by its ragged crossing kernel.  Returns ``(kept
-        point indices, kept polygon ids, number of PIP tests, number of
-        distinct refined points)``.
+        array is decided by its ragged crossing kernel.  ``is_true=None``
+        says every pair is a candidate (the accurate join sends only
+        those).  Returns ``(kept point indices, kept polygon ids, number
+        of PIP tests, number of distinct refined points)``.
         """
         lngs = np.asarray(lngs, dtype=np.float64)
         lats = np.asarray(lats, dtype=np.float64)
-        true = np.nonzero(is_true)[0]
-        cand = np.nonzero(~is_true)[0]
-        num_candidates = len(cand)
+        if is_true is None:
+            true = np.zeros(0, dtype=np.intp)
+            cand_points, cand_pids = point_idx, pids
+        else:
+            true = np.nonzero(is_true)[0]
+            cand = np.nonzero(~is_true)[0]
+            cand_points = point_idx.take(cand)
+            cand_pids = pids.take(cand)
+        num_candidates = len(cand_points)
         if num_candidates == 0:
             return point_idx.take(true), pids.take(true), 0, 0
-        cand_points = point_idx.take(cand)
-        cand_pids = pids.take(cand)
         accepted = np.nonzero(
             self.table().test(
                 cand_pids, lngs.take(cand_points), lats.take(cand_points)

@@ -12,12 +12,13 @@ unit of work is a *request stream* rather than a point array:
   micro-batches (the serving analog of the paper's batched probe phase);
 * :class:`HotCellCache` — a numpy hash table keyed by a point's exact
   coordinates (their ``float64`` bit patterns) holding the point's leaf
-  cell id and tagged entry (two slot choices per key, the less recently
-  used one is replaced); :class:`JoinService` resolves every batch through
-  it before the cell-id kernel, so a repeated point of a skewed
-  (fig9-style, check-in) stream skips the projection, the Hilbert walk
-  and the trie probe.  :class:`CachedCellStore` is the older cell-keyed
-  wrapper around the same table, kept for the benchmark's replay;
+  cell id and its row of the store's row table (two slot choices per
+  key, the less recently used one is replaced); :class:`JoinService`
+  resolves every batch through it before the cell-id kernel, so a
+  repeated point of a skewed (fig9-style, check-in) stream skips the
+  projection, the Hilbert walk and the trie probe.
+  :class:`CachedCellStore` is the older cell-keyed wrapper around the
+  same table, kept for the benchmark's replay;
 * :class:`LayerRouter` — several named polygon layers behind one service;
 * :class:`ShardedJoinService` / :class:`ShardPlan` — share-nothing
   multi-process sharding by position: one worker process (and one

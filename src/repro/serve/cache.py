@@ -5,23 +5,26 @@ the paper's Figure 9 concentrate most points in a handful of city
 hotspots, and check-in streams (``venue_points``) repeat the very same
 venue coordinates over and over.  A served read pays three stages per
 point — the cell-id kernel (projection and Hilbert walk), the trie probe
-and the decode — and the first two depend on nothing but the point.
-:class:`HotCellCache` is a thread-safe, fixed-size hash table held in
-numpy arrays that remembers, for a point it has seen, the point's leaf
-cell id and the tagged entry the store returned for it; a whole batch is
-looked up, and its misses written back, with a handful of array gathers
-and scatters — no per-key Python work.
+and the count over the store's row table — and the first two depend on
+nothing but the point.  :class:`HotCellCache` is a thread-safe,
+fixed-size hash table held in numpy arrays that remembers, for a point
+it has seen, the point's leaf cell id and one 64-bit value: for the
+service, the row of its store's row table the probe returned (the rows
+were decoded once, when the store was built; see
+:mod:`repro.core.rows`).  A whole batch is looked up, and its misses
+written back, with a handful of array gathers and scatters — no per-key
+Python work.
 
 The key (the only one the service uses): the two ``float64`` bit
 patterns of ``(lat, lng)``.  ``JoinService`` resolves every batch
 through the table *before* the cell-id kernel: hits return ``(leaf id,
-entry)`` straight from the table; only the misses go through the
+row)`` straight from the table; only the misses go through the
 cell-id kernel (or take the ids the caller brought) and the store probe,
 and are written back.  The key is sound by construction: a point's leaf
 id depends on the point alone (every index computes it with
 ``cell_ids_from_lat_lng_arrays``), and a table serves one ``(layer,
 version)`` generation, within which equal leaf ids always yield the same
-entry — no truncation level and no argument about the deepest indexed
+row — no truncation level and no argument about the deepest indexed
 cell is needed.  Bit patterns, not values: ``0.0`` and ``-0.0`` are two
 keys, and each NaN payload is its own key (comparing the ``uint64``
 views never raises a floating-point warning).  Key reuse over a
@@ -37,8 +40,8 @@ makes a new generation, and its table takes over from the retiring one
 key, leaf id and tick of every slot the retiring table touched during
 its own generation — those whose tick is later than the one it was
 created at — under the retiring table's lock, and re-probes their leaf
-ids once, in one ``store.probe`` call of the new generation's store,
-outside that lock.  Each carried entry is therefore the new store's
+ids once, in one ``store.probe_rows`` call of the new generation's
+store, outside that lock.  Each carried row is therefore the new store's
 own, and a warm stream keeps skipping the cell-id kernel and the probe
 across writes.  The carried set is bounded by what the retiring
 generation read: a key no lookup touched in a generation is not carried
@@ -48,8 +51,9 @@ holding an older view), which is neither carried from nor carried into.
 
 :class:`CachedCellStore` (with :func:`key_shift_for_level`) is the older
 cell-keyed use of the same table: it wraps any cell store behind the
-``probe`` protocol, keying the table on ``(leaf id >> key_shift, 0)``.
-The service no longer uses it; the benchmark's traced replay does.
+tagged-entry ``probe``, keying the table on ``(leaf id >> key_shift, 0)``
+and storing the entries themselves as the values.  The service no longer
+uses it; the benchmark's traced replay does.
 
 Replacement policy (the only one): every key hashes to two slots and is
 found in either.  Each slot carries the tick of the last batch that read
@@ -141,10 +145,11 @@ class CacheStats:
 
 
 class HotCellCache:
-    """Thread-safe two-choice hash table of ``key -> (leaf id, entry)``.
+    """Thread-safe two-choice hash table of ``key -> (leaf id, value)``.
 
     A key is two 64-bit words, ``(lat_bits, lng_bits)``: the service
-    passes a point's ``float64`` bit patterns (see the module docstring).
+    passes a point's ``float64`` bit patterns and stores its probe row
+    as the ``uint64`` value (see the module docstring).
     ``capacity`` sizes the table: it has ``slots`` = the next power of
     two >= ``4 * capacity`` slots of 40 bytes and holds up to ``slots``
     keys, and ``size`` counts the occupied ones.  The load factor stays
@@ -172,7 +177,7 @@ class HotCellCache:
         self._key_lats = np.zeros(self.slots, dtype=np.uint64)  #: guarded_by(_lock)
         self._key_lngs = np.zeros(self.slots, dtype=np.uint64)  #: guarded_by(_lock)
         self._leaf_ids = np.zeros(self.slots, dtype=np.uint64)  #: guarded_by(_lock)
-        self._entries = np.zeros(self.slots, dtype=np.uint64)  #: guarded_by(_lock)
+        self._values = np.zeros(self.slots, dtype=np.uint64)  #: guarded_by(_lock)
         # Tick of the last batch that touched the slot; 0 = never filled.
         self._ticks = np.zeros(self.slots, dtype=np.int64)  #: guarded_by(_lock)
         self._tick = 0  #: guarded_by(_lock)
@@ -208,10 +213,10 @@ class HotCellCache:
     def lookup(
         self, lat_bits: np.ndarray, lng_bits: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
-        """Cached leaf ids and entries for a batch of keys (repeats welcome).
+        """Cached leaf ids and values for a batch of keys (repeats welcome).
 
-        Returns ``(leaf_ids, entries, missing, tick)``: one leaf id and
-        one entry per key, both zero at the positions listed in
+        Returns ``(leaf_ids, values, missing, tick)``: one leaf id and
+        one value per key, both zero at the positions listed in
         ``missing`` (ascending indices of the keys not cached), and the
         batch's tick, to be handed back to :meth:`insert`.  Every key
         counts as one hit or one miss.
@@ -243,7 +248,7 @@ class HotCellCache:
             # A never-filled slot holds key (0, 0), also a valid key.
             hit &= self._ticks[slot] > 0
             leaf_ids = self._leaf_ids[slot]
-            entries = self._entries[slot]
+            values = self._values[slot]
             self._ticks[slot[hit]] = tick
             missing = np.flatnonzero(~hit)
             self._hits += len(lat_bits) - len(missing)
@@ -253,8 +258,8 @@ class HotCellCache:
             if tick > self._born + 1 and 2 * len(missing) > len(lat_bits):
                 self._stand_aside = _STAND_ASIDE_LOOKUPS
         leaf_ids[missing] = 0
-        entries[missing] = 0
-        return leaf_ids, entries, missing, tick
+        values[missing] = 0
+        return leaf_ids, values, missing, tick
 
     def take_over(self, retiring: HotCellCache, store) -> None:
         """Start from the keys ``retiring`` was used for, before this
@@ -262,8 +267,8 @@ class HotCellCache:
 
         Copies key, leaf id and tick of every slot ``retiring`` touched
         during its own generation (under its lock), re-probes those leaf
-        ids in ``store`` — this table's generation's — in one call
-        (unlocked), and writes them into the same slots here; this
+        ids to rows of ``store`` — this table's generation's — in one
+        call (unlocked), and writes them into the same slots here; this
         table's ticks continue from the retiring one's.  A retiring
         table that stands aside hands nothing over.  ``retiring`` must
         have this table's capacity.
@@ -279,12 +284,12 @@ class HotCellCache:
             leaf_ids = retiring._leaf_ids[slots]
             ticks = retiring._ticks[slots]
             tick = retiring._tick
-        entries = store.probe(leaf_ids)
+        rows = store.probe_rows(leaf_ids)
         with self._lock:
             self._key_lats[slots] = key_lats
             self._key_lngs[slots] = key_lngs
             self._leaf_ids[slots] = leaf_ids
-            self._entries[slots] = entries
+            self._values[slots] = rows
             self._ticks[slots] = ticks
             self._tick = self._born = tick
 
@@ -293,10 +298,10 @@ class HotCellCache:
         lat_bits: np.ndarray,
         lng_bits: np.ndarray,
         leaf_ids: np.ndarray,
-        entries: np.ndarray,
+        values: np.ndarray,
         tick: int,
     ) -> None:
-        """Cache ``(leaf_ids, entries)`` for the keys a :meth:`lookup`
+        """Cache ``(leaf_ids, values)`` for the keys a :meth:`lookup`
         missed.
 
         ``tick`` is that lookup's: slots it (or any later batch) touched
@@ -312,7 +317,7 @@ class HotCellCache:
         )
         values = (
             np.asarray(leaf_ids, dtype=np.uint64),
-            np.asarray(entries, dtype=np.uint64),
+            np.asarray(values, dtype=np.uint64),
         )
         first, second = self._slot_choices(*keys)
         with self._lock:
@@ -346,7 +351,7 @@ class HotCellCache:
         — and only winners write the slot's key, values and tick.  A
         writer whose key equals its winner's (a repeated key) landed too;
         the others lost: a lost write is a future miss, never a wrong
-        entry.
+        value.
         """
         positions = np.arange(len(slots))
         claims = np.empty(self.slots, dtype=np.intp)
@@ -366,7 +371,7 @@ class HotCellCache:
         self._key_lats[won_slots] = won_lats
         self._key_lngs[won_slots] = won_lngs
         self._leaf_ids[won_slots] = values[0][rows[won]]
-        self._entries[won_slots] = values[1][rows[won]]
+        self._values[won_slots] = values[1][rows[won]]
         self._ticks[won_slots] = tick
         return np.flatnonzero(~landed)
 
@@ -379,7 +384,7 @@ class HotCellCache:
             self._key_lats[:] = 0
             self._key_lngs[:] = 0
             self._leaf_ids[:] = 0
-            self._entries[:] = 0
+            self._values[:] = 0
             self._ticks[:] = 0
             self._tick = self._born = 0
             self._hits = self._misses = self._evictions = 0

@@ -20,7 +20,7 @@ micro-batcher and the one envelope around every request — batch check →
 timer → ``dispatch`` span → dispatch → recorder and meters.
 A concrete service supplies what
 happens *inside* a dispatch — :class:`JoinService` resolves the batch
-through the layer's hot-cell table and joins the resolved entries,
+through the layer's hot-cell table and joins the resolved rows,
 :class:`~repro.serve.sharded.ShardedJoinService` scatters to its shard
 workers, which compute them, and gathers — plus its own ``stats``,
 layer management and lifecycle.
@@ -29,17 +29,18 @@ Every :class:`JoinService` dispatch reads its layer through one immutable
 :class:`~repro.core.builder.ProbeView` (store, lookup table, polygons and
 version captured together) and first resolves the batch through the
 layer's :class:`~repro.serve.cache.HotCellCache`, keyed by each point's
-coordinates: a repeated point takes its leaf id and tagged entry from
-the table, and only the misses run the cell-id kernel (unless the caller
-brought ids) and the view's store probe.  The driver then decodes and
-refines the resolved entries.  The service registers exactly one table
-per layer — that of the newest version it has seen, which took over
-the previous version's keys with every entry re-probed in its own
-store — so results are bit-identical to calling ``PolygonIndex.join``
-directly, skewed workloads skip most cell-id computations and trie
-descents even right after a write, and a snapshot swap
-(:meth:`JoinService.swap_layer`) or a mutation can never serve an entry
-of a previous version.  With adaptation on, the driver's
+coordinates: a repeated point takes its leaf id and its row of the
+store's row table from the table, and only the misses run the cell-id
+kernel (unless the caller brought ids) and the view's store probe.  The
+driver then counts the resolved rows and refines the points of expensive
+ones; no entry is decoded per batch (the rows were decoded once, with
+the store).  The service registers exactly one table per layer — that
+of the newest version it has seen, which took over the previous
+version's keys with every row re-probed in its own store — so results
+are bit-identical to calling ``PolygonIndex.join`` directly, skewed
+workloads skip most cell-id computations and trie descents even right
+after a write, and a snapshot swap (:meth:`JoinService.swap_layer`) or
+a mutation can never serve a row of a previous version.  With adaptation on, the driver's
 ``observe`` hook hands each dispatch's
 :func:`~repro.core.adaptive.traffic_increment` to the front's one
 :class:`~repro.core.adaptive.AdaptiveController`.
@@ -382,8 +383,8 @@ class JoinService(ServiceFront):
         # One generation per layer: the hot-cell table of the newest
         # view version seen.  A swap or a dynamic-index mutation bumps
         # the version and replaces the entry with a table that takes over
-        # the retiring one's keys, every entry re-probed once in the new
-        # view's store, so a stale entry is never served.
+        # the retiring one's keys, every row re-probed once in the new
+        # view's store, so a stale row is never served.
         #: guarded_by(_attach_lock, writes)
         self._generations: dict[str, tuple[int, HotCellCache]] = {}
         for name, index in self._router.items():
@@ -471,14 +472,14 @@ class JoinService(ServiceFront):
         # even if the layer is swapped or mutated mid-request; the table
         # is that generation's.  The envelope already checked the batch.
         view = index.probe_view()
-        cell_ids, entries = self._resolve(
+        cell_ids, rows = self._resolve(
             self._table_for(name, view), index, view, cell_ids, lats, lngs
         )
         sink = self._traffic_sink
         observe = (
             None
             if sink is None
-            else lambda ids, entries: sink(name, traffic_increment(view, ids, entries))
+            else lambda ids, rows: sink(name, traffic_increment(view, ids, rows))
         )
         result = join_batch(
             view.store,
@@ -492,7 +493,7 @@ class JoinService(ServiceFront):
             engine=view.refiner,
             tracer=self._tracer,
             observe=observe,
-            entries=entries,
+            rows=rows,
         )
         if self._adaptive is not None:
             self._adaptive.after_dispatch(name, index)
@@ -507,15 +508,15 @@ class JoinService(ServiceFront):
         lats: np.ndarray,
         lngs: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """The batch's leaf ids and, when the table looked it up, entries.
+        """The batch's leaf ids and, when the table looked it up, rows.
 
         Looks the points up by their coordinates' bit patterns: hits take
-        ``(leaf id, entry)`` from the table, and only the misses run the
+        ``(leaf id, row)`` from the table, and only the misses run the
         cell-id kernel (or take the ids the caller brought) and the
         store probe, unlocked, before they are written back.  The whole
         step is one ``cache_lookup`` span.  While the table stands aside
         (or is disabled) the batch's ids are computed as they would be
-        without a table and the entries are ``None``: the driver probes.
+        without a table and the rows are ``None``: the driver probes.
         """
         lat_bits = lats.view(np.uint64)
         lng_bits = lngs.view(np.uint64)
@@ -526,16 +527,18 @@ class JoinService(ServiceFront):
                 else None
             )
             if looked is not None:
-                leaf_ids, entries, missing, tick = looked
+                leaf_ids, values, missing, tick = looked
+                # A row is below 2**63: the view is the index, uncopied.
+                rows = values.view(np.intp)
                 if missing.size:
                     missed_ids = (
                         index.cell_ids_for(lats[missing], lngs[missing])
                         if cell_ids is None
                         else cell_ids[missing]
                     )
-                    missed = view.store.probe(missed_ids)
+                    missed = view.store.probe_rows(missed_ids)
                     leaf_ids[missing] = missed_ids
-                    entries[missing] = missed
+                    rows[missing] = missed
                     table.insert(
                         lat_bits[missing], lng_bits[missing], missed_ids, missed, tick
                     )
@@ -546,7 +549,7 @@ class JoinService(ServiceFront):
         self._tracer.emit(
             "cache_lookup", timer.seconds, keys=len(lats), misses=len(missing)
         )
-        return leaf_ids, entries
+        return leaf_ids, rows
 
     # ------------------------------------------------------------------
     # Observability & lifecycle

@@ -63,10 +63,20 @@ tagged descent lives on here as :func:`tagged_descent_probe` (over
 
 Until 1.27.0 ``OverlayCellStore.probe`` merged every lane: each distinct
 ``(base entry, delta entry)`` pair of the batch went through the decode,
-merge and re-encode.  The store now keeps the base entry of every lane a
+merge and re-encode.  The store now keeps the base row of every lane a
 write cannot change; the all-lanes merge lives on here as
-:func:`overlay_probe_all_lanes`, which ``tests/test_dynamic.py`` holds the
-store against, entry for entry.
+:func:`overlay_refs_all_lanes` (each lane's reference set, decoded and
+merged from scratch), which ``tests/test_dynamic.py`` holds the store
+against, lane for lane.
+
+Until 1.37.0 the join kernels decoded every point's entry, and the
+adaptation loop classified entries by their tag bits with
+``expensive_entries``.  Stores now probe to rows of a
+:class:`~repro.core.rows.RowTable` decoded once per store, whose
+``expensive`` flag replaced it; :func:`expensive_entries` lives on here as
+the parity oracle of that flag (``tests/test_adaptive.py``,
+``tests/test_joins.py``), and :func:`decode_join` is the per-point
+decode join the by-row kernels are held against (``tests/test_joins.py``).
 """
 
 from __future__ import annotations
@@ -87,8 +97,9 @@ from repro.cells.metrics import EARTH_RADIUS_METERS, MAX_EDGE_DERIV, level_for_m
 from repro.cells.cellid import cell_difference
 from repro.cells.vectorized import WALK, face_ij_from_leaf_ids, levels_from_cell_ids
 from repro.core.act import _NO_PREFIX
-from repro.core.lookup_table import LookupTable
+from repro.core.lookup_table import TAG_OFFSET, TAG_ONE_REF, TAG_TWO_REFS, LookupTable, offset_counts
 from repro.core.refs import PolygonRef, merge_refs
+from repro.core.rows import decode_entries
 from repro.core.super_covering import SuperCovering
 from repro.core.training import TrainingReport, _classify_children
 from repro.geo.edgeset import EdgeSet
@@ -1131,22 +1142,78 @@ def tagged_descent_probe(act, query_ids: np.ndarray):
     return out, depths, node_accesses, prefix_rejections
 
 
-def overlay_probe_all_lanes(overlay, query_ids: np.ndarray) -> np.ndarray:
-    """An :class:`~repro.core.dynamic.OverlayCellStore` probe that merges
-    every lane: both stores probed, each distinct ``(base, delta)`` entry
-    pair decoded, merged, tombstone-masked and re-encoded once (through
-    the overlay's own memoized ``_merge``, so the entries land in its
-    lookup table)."""
+def overlay_refs_all_lanes(overlay, query_ids: np.ndarray) -> list[tuple[PolygonRef, ...]]:
+    """Every lane's reference set as an
+    :class:`~repro.core.dynamic.OverlayCellStore` must answer it, merging
+    every lane: the base and delta stores probed, each entry decoded
+    against its own store's lookup table, the two sets merged and
+    tombstoned polygons dropped."""
     query_ids = np.asarray(query_ids, dtype=np.uint64)
-    base_entries = overlay._base_store.probe(query_ids)
+    stores = [overlay._base_store]
     if overlay._delta_store is not None:
-        delta_entries = overlay._delta_store.probe(query_ids)
+        stores.append(overlay._delta_store)
+    probed = [store.probe(query_ids).tolist() for store in stores]
+    lanes = []
+    for entries in zip(*probed):
+        refs = [
+            ref
+            for store, entry in zip(stores, entries)
+            if entry
+            for ref in store.lookup_table.decode_entry(entry)
+        ]
+        lanes.append(
+            tuple(ref for ref in merge_refs(refs) if ref.polygon_id not in overlay._tombstones)
+        )
+    return lanes
+
+
+def expensive_entries(entries: np.ndarray, lookup_table: LookupTable) -> np.ndarray:
+    """Which tagged entries send their points into the refinement phase.
+
+    ``out[i]`` is true when entry ``i`` holds at least one candidate
+    (non-interior) reference, read off the inlined interior bits and the
+    ``num_candidate`` word of an offset entry's list, without expanding
+    the pairs.  Sentinel entries (misses) are cheap.
+    """
+    entries = np.asarray(entries, dtype=np.uint64)
+    tags = entries & np.uint64(3)
+    first_candidate = (entries >> np.uint64(2)) & np.uint64(1) == 0
+    second_candidate = (entries >> np.uint64(33)) & np.uint64(1) == 0
+    expensive = (tags == np.uint64(TAG_ONE_REF)) & first_candidate
+    expensive |= (tags == np.uint64(TAG_TWO_REFS)) & (first_candidate | second_candidate)
+    offset_idx = np.nonzero(tags == np.uint64(TAG_OFFSET))[0]
+    if offset_idx.size:
+        offsets = (entries[offset_idx] >> np.uint64(2)).astype(np.int64)
+        _, num_cand = offset_counts(lookup_table.array, offsets)
+        expensive[offset_idx] = num_cand > 0
+    return expensive
+
+
+def decode_join(store, lookup_table, cell_ids, num_polygons, *, engine=None, lngs=None, lats=None):
+    """A join as the kernels ran it until 1.37.0: every point's tagged
+    entry decoded into ``(point, polygon, is_true)`` pairs with
+    ``decode_entries``, then counted (approximate, ``engine=None``) or
+    refined pair by pair (accurate).  Returns ``(counts, statistics,
+    pair set)``; the statistics are the ``JoinResult`` fields by name."""
+    entries = store.probe(cell_ids)
+    point_idx, pids, is_true = decode_entries(entries, lookup_table)
+    num_true = int(np.count_nonzero(is_true))
+    if engine is None:
+        keep_points, keep_pids = point_idx, pids
+        num_pip = num_refined = 0
+        num_candidates = len(pids) - num_true
     else:
-        delta_entries = np.zeros(len(query_ids), dtype=np.uint64)
-    pairs = {}
-    merged = np.empty(len(query_ids), dtype=np.uint64)
-    for lane, pair in enumerate(zip(base_entries.tolist(), delta_entries.tolist())):
-        if pair not in pairs:
-            pairs[pair] = overlay._merge(*pair)
-        merged[lane] = pairs[pair]
-    return merged
+        keep_points, keep_pids, num_pip, num_refined = engine.refine(
+            point_idx, pids, is_true, lngs, lats
+        )
+        num_candidates = num_pip
+    stats = {
+        "num_points": len(cell_ids),
+        "num_pairs": len(keep_points),
+        "num_true_hit_pairs": num_true,
+        "num_candidate_pairs": num_candidates,
+        "num_pip_tests": num_pip,
+        "solely_true_hits": len(cell_ids) - num_refined,
+    }
+    pairs = set(zip(keep_points.tolist(), keep_pids.tolist()))
+    return np.bincount(keep_pids, minlength=num_polygons), stats, pairs

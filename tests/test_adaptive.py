@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from repro.cells import CellId, cell_ids_from_lat_lng_arrays
 from repro.core import (
     AdaptationPolicy,
@@ -26,9 +27,10 @@ from repro.core.adaptive import (
     MAX_TRACKED_KEYS,
     LayerTelemetry,
 )
-from repro.core.joins import decode_entries, expensive_entries
+from repro.core.joins import decode_entries
 from repro.core.lookup_table import LookupTable
 from repro.core.refs import PolygonRef
+from repro.core.rows import RowTable
 from repro.datasets import NYC_BOX, drifting_hotspot_workload
 from repro.geo.polygon import regular_polygon
 from repro.serve import JoinService
@@ -92,13 +94,17 @@ class TestEntryClassifier:
                 (PolygonRef(1, True), PolygonRef(2, True), PolygonRef(3, False))
             ),
         ]
-        flags = expensive_entries(np.asarray(entries, dtype=np.uint64), table)
+        flags = oracles.expensive_entries(np.asarray(entries, dtype=np.uint64), table)
         assert flags.tolist() == [False, False, True, False, True, False, True]
         # Same answer from an attached-buffer table, repeats included.
-        assert expensive_entries(
+        assert oracles.expensive_entries(
             np.asarray(entries + entries[::-1], dtype=np.uint64),
             LookupTable.attach(table.array),
         ).tolist() == flags.tolist() + flags.tolist()[::-1]
+        # The row table's flag, which the traffic recorder reads, agrees.
+        for lookup_table in (table, LookupTable.attach(table.array)):
+            rows = RowTable.decode(np.asarray(entries, dtype=np.uint64), lookup_table)
+            assert rows.expensive.tolist() == flags.tolist()
 
 
 class TestLayerTelemetry:

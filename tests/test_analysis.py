@@ -196,15 +196,15 @@ SEEDED_REAL_SITES = {
     "HotCellCache.lookup": (
         "repro/serve/cache.py",
         "            leaf_ids = self._leaf_ids[slot]\n"
-        "            entries = self._entries[slot]\n"
+        "            values = self._values[slot]\n"
         "            self._ticks[slot[hit]] = tick\n"
         "            missing = np.flatnonzero(~hit)\n",
         "            self._ticks[slot[hit]] = tick\n"
         "            missing = np.flatnonzero(~hit)\n"
         "        leaf_ids = self._leaf_ids[slot]\n"
-        "        entries = self._entries[slot]\n"
+        "        values = self._values[slot]\n"
         "        with self._lock:\n",
-        {"HotCellCache.lookup:_leaf_ids#1", "HotCellCache.lookup:_entries#1"},
+        {"HotCellCache.lookup:_leaf_ids#1", "HotCellCache.lookup:_values#1"},
     ),
     "ShardedJoinService.close": (
         "repro/serve/sharded.py",

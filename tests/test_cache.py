@@ -327,24 +327,24 @@ def test_a_flood_of_distinct_keys_fills_slots_not_capacity():
 # ----------------------------------------------------------------------
 
 
-def fill(cache: HotCellCache, keys: np.ndarray, entries: np.ndarray) -> None:
-    """Look ``keys`` up and write the misses back with ``entries``."""
+def fill(cache: HotCellCache, keys: np.ndarray, values: np.ndarray) -> None:
+    """Look ``keys`` up and write the misses back with ``values``."""
     no_word = np.zeros_like(keys)
     _, _, missing, tick = cache.lookup(keys, no_word)
-    cache.insert(keys[missing], no_word[missing], keys[missing], entries[missing], tick)
+    cache.insert(keys[missing], no_word[missing], keys[missing], values[missing], tick)
 
 
 def resident(cache: HotCellCache, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The keys ``cache`` holds (ascending) and their entries, read
+    """The keys ``cache`` holds (ascending) and their values, read
     without a lookup (which would touch them)."""
     held = np.isin(cache._key_lats, keys) & (cache._ticks > 0)
     order = np.argsort(cache._key_lats[held])
-    return cache._key_lats[held][order], cache._entries[held][order]
+    return cache._key_lats[held][order], cache._values[held][order]
 
 
 def test_take_over_carries_what_the_generation_used_reprobed(stores):
-    """Keys, leaf ids and ticks carry over; every entry is the new
-    store's, whatever the retiring table held; a key the retiring
+    """Keys, leaf ids and ticks carry over; every value is the new
+    store's row, whatever the retiring table held; a key the retiring
     generation never touched is left behind."""
     store, leaf_ids = stores[0]["act"], stores[1]
     pool = np.unique(id_pool(store, leaf_ids, 0, 64))
@@ -354,15 +354,15 @@ def test_take_over_carries_what_the_generation_used_reprobed(stores):
     fill(first, pool, wrong)
     second = HotCellCache(capacity=1_024)
     second.take_over(first, store)
-    keys, entries = resident(second, pool)
+    keys, rows = resident(second, pool)
     assert np.array_equal(keys, pool)
-    assert np.array_equal(entries, store.probe(pool))
+    assert np.array_equal(rows, store.probe_rows(pool))
     assert second.stats().requests == 0  # counters are per generation
     assert second.stats().size == len(pool)
     # The second generation reads only `used`: they hit, and only they
     # carry on to the third.
-    _, hit_entries, missing, _ = second.lookup(used, np.zeros_like(used))
-    assert missing.size == 0 and np.array_equal(hit_entries, store.probe(used))
+    _, hit_rows, missing, _ = second.lookup(used, np.zeros_like(used))
+    assert missing.size == 0 and np.array_equal(hit_rows, store.probe_rows(used))
     third = HotCellCache(capacity=1_024)
     third.take_over(second, store)
     keys, _ = resident(third, pool)

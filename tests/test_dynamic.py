@@ -32,6 +32,7 @@ from repro.cells.coverer import CovererOptions
 from repro.core import DynamicPolygonIndex, PolygonIndex
 from repro.core.dynamic import OverlayCellStore
 from repro.core.flat import FlatSnapshot
+from repro.core.lookup_table import TAG_OFFSET
 from repro.core.serialize import load_index, save_index
 from repro.geo import refine as refine_module
 from repro.geo.pip import contains_points
@@ -358,6 +359,59 @@ class TestConcurrency:
             dyn.join(LATS, LNGS, exact=True).counts,
             _brute_counts(polygons_by_id, sorted(live)),
         )
+
+    def test_readers_racing_one_overlay_append_each_merged_row_once(self):
+        """Four readers on two cores, switching every 10 µs, start
+        together on a fresh overlay and probe a batch in small chunks,
+        each in its own order, so they race to merge the same (base row,
+        delta row) pairs: every pair gets one row, the table a reader
+        takes after its probe holds every row it returned, and every lane
+        decodes to the all-lanes merge."""
+        dyn = DynamicPolygonIndex.build(POOL[:4], compact_threshold=None)
+        dyn.insert(POOL[4])
+        dyn.insert(POOL[5])
+        dyn.delete(1)
+        ids = cell_ids_from_lat_lng_arrays(LATS, LNGS)
+        expected = oracles.overlay_refs_all_lanes(dyn.store, ids)
+        chunks = np.array_split(np.arange(len(ids)), 50)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(10):
+                overlay = OverlayCellStore(
+                    dyn.base.store, dyn.store._delta_store, dyn.store._tombstones
+                )
+                start = threading.Barrier(4)
+                errors: list[BaseException] = []
+
+                def reader(seed: int, overlay=overlay, start=start, errors=errors):
+                    try:
+                        start.wait(timeout=30)
+                        for chunk in np.random.default_rng(seed).permutation(len(chunks)):
+                            lanes = chunks[chunk]
+                            rows = overlay.probe_rows(ids[lanes])
+                            table = overlay.rows
+                            assert rows.max() < len(table)
+                            got = [
+                                overlay.lookup_table.decode_entry(entry) if entry else ()
+                                for entry in table.entries[rows].tolist()
+                            ]
+                            assert got == [expected[lane] for lane in lanes.tolist()]
+                    except BaseException as exc:  # pragma: no cover - failure path
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+                assert not errors
+                merged = [row for row in overlay._memo.values() if row]
+                assert merged and len(set(merged)) == len(merged)
+                assert len(overlay.rows) == len(dyn.base.store.rows) + len(merged)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_concurrent_retrain_and_insert_both_land(self):
         dyn = DynamicPolygonIndex.build(POOL[:3], compact_threshold=None)
@@ -703,9 +757,10 @@ class TestLifecycleBasics:
 
     def test_overlay_probe_matches_the_all_lanes_merge(self):
         """Lanes a write cannot change keep their base entry; every lane
-        equals the merge of all lanes, through inserts and deletes of
-        base and delta polygons alike (inline and offset entries, misses
-        and tombstones all occur)."""
+        decodes, against the overlay's lookup table, to the merge of all
+        lanes, through inserts and deletes of base and delta polygons
+        alike (inline and offset entries, misses and tombstones all
+        occur)."""
         lats, lngs = _probe_points(4_000, seed=9)
         ids = cell_ids_from_lat_lng_arrays(lats, lngs)
         # Base ids 1 and 3 overlap 0, and 2 and 3 overlap 1: deleting 2,
@@ -725,9 +780,76 @@ class TestLifecycleBasics:
             overlay = dyn.store
             assert isinstance(overlay, OverlayCellStore)
             got = overlay.probe(ids)
-            assert np.array_equal(got, oracles.overlay_probe_all_lanes(overlay, ids))
+            decoded = [
+                overlay.lookup_table.decode_entry(entry) if entry else ()
+                for entry in got.tolist()
+            ]
+            assert decoded == oracles.overlay_refs_all_lanes(overlay, ids)
             kept_any |= bool(np.any((got == dyn.base.store.probe(ids)) & (got != 0)))
         assert kept_any
+
+    @staticmethod
+    def _offset_batch(index: PolygonIndex) -> np.ndarray:
+        """Leaf ids where three or more POOL polygons meet: every lane's
+        base entry is a lookup-table offset."""
+        rng = np.random.default_rng(3)
+        lngs = rng.uniform(-74.0, -73.984, 20_000)
+        lats = rng.uniform(40.70, 40.716, 20_000)
+        ids = cell_ids_from_lat_lng_arrays(lats, lngs)
+        tags = index.store.probe(ids) & np.uint64(3)
+        offset = ids[tags == np.uint64(TAG_OFFSET)]
+        assert len(offset) >= 500 and len(np.unique(index.store.probe(offset))) >= 5
+        return offset
+
+    def test_overlay_without_writes_keeps_every_base_row(self):
+        """An overlay with no delta hit and no tombstone merges nothing:
+        offset lanes keep their base rows (they used to take the lexsort
+        and memo merge on every probe), and their entries decode the
+        same against the overlay's lookup table."""
+        index = PolygonIndex.build(POOL)
+        ids = self._offset_batch(index)
+        far = regular_polygon((-73.90, 40.80), 0.006, 14)
+        # No delta, and a delta that hits none of the lanes.
+        for delta in (None, PolygonIndex.build([far]).store):
+            overlay = OverlayCellStore(index.store, delta, ())
+            rows = overlay.probe_rows(ids)
+            assert np.array_equal(rows, index.store.probe_rows(ids))
+            assert overlay._memo == {}
+            assert len(overlay.rows) == len(index.store.rows)
+            entries = overlay.probe(ids)
+            assert np.array_equal(entries, index.store.probe(ids))
+            assert [overlay.lookup_table.decode_entry(e) for e in np.unique(entries).tolist()] == [
+                index.lookup_table.decode_entry(e) for e in np.unique(entries).tolist()
+            ]
+
+    def test_tombstone_merges_only_the_rows_that_reference_it(self):
+        index = PolygonIndex.build(POOL)
+        ids = np.concatenate(
+            (self._offset_batch(index), cell_ids_from_lat_lng_arrays(LATS, LNGS))
+        )
+        base_rows = index.store.probe_rows(ids)
+        table = index.store.rows
+        for dead in range(len(POOL)):
+            overlay = OverlayCellStore(index.store, None, {dead})
+            rows = overlay.probe_rows(ids)
+            references = {
+                row for row in np.unique(base_rows).tolist()
+                if dead in table.refs(row)[0].tolist()
+            }
+            assert references  # every POOL polygon is probed
+            assert {base for base, _ in overlay._memo} == references
+            kept = ~np.isin(base_rows, list(references))
+            assert np.array_equal(rows[kept], base_rows[kept])
+            for row in np.unique(rows[~kept]).tolist():
+                assert dead not in overlay.rows.refs(row)[0].tolist()
+
+    def test_joins_after_a_delete_equal_a_fresh_build(self):
+        for dead in (0, 3, 5):
+            dyn = DynamicPolygonIndex.build(POOL, compact_threshold=None)
+            dyn.delete(dead)
+            assert isinstance(dyn.store, OverlayCellStore)
+            for exact in (False, True):
+                _assert_matches_fresh_build(dyn, exact=exact)
 
     def test_overlay_store_empty_probe(self):
         dyn = DynamicPolygonIndex.build(POOL[:2], compact_threshold=None)

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cells import cell_ids_from_lat_lng_arrays
-from repro.core import DynamicPolygonIndex, PolygonIndex
+import oracles
+from repro.cells import CellId, cell_ids_from_lat_lng_arrays
+from repro.core import AdaptiveCellTrie, DynamicPolygonIndex, PolygonIndex
 from repro.core.joins import (
     accurate_join,
     approximate_join,
     decode_entries,
-    expensive_entries,
     join_batch,
     merge_join_results,
     parallel_count_join,
@@ -29,7 +29,10 @@ from repro.core.lookup_table import (
 )
 from repro.core.morsels import map_morsels
 from repro.core.refs import PolygonRef
+from repro.core.rows import RowTable
 from repro.geo.pip import contains_points
+from repro.geo.polygon import regular_polygon
+from repro.geo.refine import RefinementEngine
 from repro.serve import JoinService, ShardedJoinService
 
 #: Every deterministic JoinResult statistic (timings excluded).
@@ -308,18 +311,20 @@ def entry_batches():
     return batches()
 
 
-class TestExpensiveEntries:
+class TestExpensiveRows:
     @given(batch=entry_batches())
     @settings(max_examples=60, deadline=None)
     def test_equals_any_candidate_among_the_decoded_pairs(self, batch):
-        """The one reader of the tag layout: an entry is expensive exactly
-        when ``decode_entries`` yields a candidate pair for it."""
+        """A row is expensive exactly when ``decode_entries`` yields a
+        candidate pair for its entry, as the tag-bit classifier it
+        replaced (``oracles.expensive_entries``) says too."""
         table, entries = batch
         points, _, is_true = decode_entries(entries, table)
         expected = np.zeros(len(entries), dtype=bool)
         expected[points[~is_true]] = True
         for lookup_table in (table, LookupTable.attach(table.array)):
-            got = expensive_entries(entries, lookup_table)
+            assert np.array_equal(oracles.expensive_entries(entries, lookup_table), expected)
+            got = RowTable.decode(entries, lookup_table).expensive
             assert got.dtype == bool
             assert np.array_equal(got, expected)
 
@@ -817,3 +822,157 @@ class TestMergeJoinResults:
             assert merged.pair_points.tolist() == merged.pair_polygons.tolist() == []
         else:
             assert merged.pair_points is None and merged.pair_polygons is None
+
+
+# ----------------------------------------------------------------------
+# The by-row kernels against the per-point decode they replaced
+# ----------------------------------------------------------------------
+
+#: Sixteen level-12 cells under one level-10 cell near the row polygons.
+_ROW_CELLS = [
+    child
+    for quarter in CellId.from_degrees(40.70, -74.00).parent(10).children()
+    for child in quarter.children()
+]
+_ROW_POLYGONS = [
+    regular_polygon((-74.01 + 0.01 * (pid % 3), 40.69 + 0.01 * (pid // 3)), 0.008, 12)
+    for pid in range(9)
+]
+_ROW_REFS = st.lists(
+    st.builds(PolygonRef, st.integers(0, 8), st.booleans()),
+    min_size=1,
+    max_size=5,  # one / two inlined references, and TAG_OFFSET rows
+    unique_by=lambda ref: ref.polygon_id,
+).map(lambda refs: tuple(sorted(refs)))
+
+
+@st.composite
+def row_batches(draw):
+    """A trie over a random covering of some of the sixteen cells, and a
+    batch of leaf ids drawn from all sixteen (so misses occur), with
+    coordinates around the row polygons."""
+    indexed = draw(st.lists(st.integers(0, 15), min_size=1, max_size=16, unique=True))
+    covering = oracles.covering_from_dict(
+        {_ROW_CELLS[i].id: draw(_ROW_REFS) for i in indexed}
+    )
+    picks = draw(st.lists(st.integers(0, 15), max_size=80))
+    generator = np.random.default_rng(draw(st.integers(0, 1 << 16)))
+    lows = np.asarray([_ROW_CELLS[i].range_min().id for i in picks], dtype=np.uint64)
+    spans = np.asarray([_ROW_CELLS[i].range_max().id for i in picks], dtype=np.uint64) - lows
+    steps = (generator.random(len(picks)) * (spans // np.uint64(2)).astype(float)).astype(np.uint64)
+    cell_ids = lows + np.uint64(2) * np.minimum(steps, spans // np.uint64(2))
+    lngs = generator.uniform(-74.02, -73.98, len(picks))
+    lats = generator.uniform(40.68, 40.72, len(picks))
+    return AdaptiveCellTrie(covering, 4, LookupTable()), cell_ids, lngs, lats
+
+
+class TestRowPath:
+    """Counts per distinct row, pairs expanded only where needed: every
+    statistic, the counts and the materialized pair set equal the
+    per-point decode join (``oracles.decode_join``)."""
+
+    @given(batch=row_batches())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_decode_join(self, batch):
+        store, cell_ids, lngs, lats = batch
+        engine = RefinementEngine(_ROW_POLYGONS)
+        num_polygons = len(_ROW_POLYGONS)
+        # The whole batch, a single point and the empty batch.
+        for size in sorted({len(cell_ids), min(1, len(cell_ids)), 0}):
+            ids, xs, ys = cell_ids[:size], lngs[:size], lats[:size]
+            for exact in (False, True):
+                refine = {"engine": engine, "lngs": xs, "lats": ys} if exact else {}
+                counts, stats, pairs = oracles.decode_join(
+                    store, store.lookup_table, ids, num_polygons, **refine
+                )
+                for num_threads in (1, 4):
+                    for materialize in (False, True):
+                        result = join_batch(
+                            store, store.lookup_table, ids, _ROW_POLYGONS, xs, ys,
+                            exact=exact, materialize=materialize, engine=engine,
+                            num_threads=num_threads, morsel_size=7,
+                        )
+                        assert result.counts.dtype == np.int64
+                        assert np.array_equal(result.counts, counts)
+                        for name in STAT_FIELDS:
+                            assert getattr(result, name) == stats[name], name
+                        if materialize:
+                            assert len(result.pair_points) == result.num_pairs
+                            assert pair_set(result) == pairs
+
+    def test_batches_hold_every_row_kind(self):
+        """The row tables the hypothesis test draws hold one-ref, two-ref
+        and offset rows (beside the miss row)."""
+        covering = oracles.covering_from_dict(
+            {
+                _ROW_CELLS[0].id: (PolygonRef(1, True),),
+                _ROW_CELLS[1].id: (PolygonRef(1, False), PolygonRef(2, True)),
+                _ROW_CELLS[2].id: (PolygonRef(1, True), PolygonRef(2, False), PolygonRef(3, False)),
+            }
+        )
+        store = AdaptiveCellTrie(covering, 4, LookupTable())
+        tags = (store.rows.entries & np.uint64(3)).tolist()
+        assert sorted(tags) == [0, TAG_ONE_REF, TAG_TWO_REFS, TAG_OFFSET]
+        assert store.rows.sizes.tolist() == [0] + [
+            {TAG_ONE_REF: 1, TAG_TWO_REFS: 2, TAG_OFFSET: 3}[tag] for tag in tags[1:]
+        ]
+
+
+class TestStoresProbeToRows:
+    """Every store the kernels probe answers rows of its row table, and
+    its tagged-entry ``probe`` is those rows' entries."""
+
+    def test_probe_is_the_rows_entries(self, built):
+        from repro.baselines.act_compressed import CompressedCellTrie
+        from repro.baselines.btree import BTreeStore
+        from repro.baselines.sorted_vector import SortedVectorStore
+        from repro.core.dynamic import OverlayCellStore
+
+        index, _, _, ids, _ = built
+        covering = index.super_covering
+        dynamic = DynamicPolygonIndex.build(
+            list(index.polygons), precision_meters=30.0, compact_threshold=None
+        )
+        dynamic.insert(regular_polygon((-73.97, 40.73), 0.012, 12))
+        dynamic.delete(4)
+        stores = [
+            index.store,
+            dynamic.store,
+            BTreeStore(covering, LookupTable()),
+            SortedVectorStore(covering, LookupTable()),
+            CompressedCellTrie(covering, 8, LookupTable()),
+        ]
+        assert isinstance(dynamic.store, OverlayCellStore)
+
+        def decoded(store):
+            """``(point, polygon id, interior)`` triples of a probe."""
+            parts = decode_entries(store.probe(ids), store.lookup_table)
+            return set(zip(*(part.tolist() for part in parts)))
+
+        for store in stores:
+            rows = store.probe_rows(ids)
+            assert rows.dtype == np.intp
+            assert np.array_equal(store.probe(ids), store.rows.entries.take(rows))
+        # The baselines index the same covering: the same references.
+        for store in stores[2:]:
+            assert decoded(store) == decoded(index.store)
+
+
+class TestCountsDtype:
+    """``counts`` is ``int64`` at every door, pairs or not, points or not."""
+
+    @pytest.mark.parametrize("num_points", [0, 1, 500])
+    @pytest.mark.parametrize("materialize", [False, True])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_every_door(self, built, exact, materialize, num_points):
+        index, lngs, lats, _, _ = built
+        lats, lngs = lats[:num_points], lngs[:num_points]
+        results = [index.join(lats, lngs, exact=exact, materialize=materialize)]
+        with JoinService(index) as service:
+            results.append(service.join(lats, lngs, exact=exact, materialize=materialize))
+        with ShardedJoinService(index, num_shards=2, backend="inline") as sharded:
+            results.append(sharded.join(lats, lngs, exact=exact, materialize=materialize))
+        for result in results:
+            assert result.counts.dtype == np.int64
+            assert result.counts.shape == (len(index.polygons),)
+            assert np.array_equal(result.counts, results[0].counts)
