@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.act import AdaptiveCellTrie
-from repro.core.lookup_table import LookupTable
 from repro.core.rows import RowStore
 from repro.core.super_covering import SuperCovering
 from repro.util.timing import Timer
@@ -44,21 +43,14 @@ class CompressedCellTrie(RowStore):
     with at most four occupied slots move into compact key/value arrays and
     their parent pointers gain a type-flag bit.  Slots keep the trie's
     signed encoding (a pointer > 0, minus a row of its ``entries`` table
-    for a value).  Probe results are
-    identical to the uncompressed trie (tested); only layout and dispatch
-    differ.
+    for a value), and the trie's lookup table is this store's.  Probe
+    results are identical to the uncompressed trie (tested); only layout
+    and dispatch differ.
     """
 
-    def __init__(
-        self,
-        super_covering: SuperCovering,
-        fanout_bits: int = 8,
-        lookup_table: LookupTable | None = None,
-    ):
-        self.lookup_table = lookup_table if lookup_table is not None else LookupTable()
-        base = AdaptiveCellTrie(
-            super_covering, fanout_bits=fanout_bits, lookup_table=self.lookup_table
-        )
+    def __init__(self, super_covering: SuperCovering, fanout_bits: int = 8):
+        base = AdaptiveCellTrie(super_covering, fanout_bits=fanout_bits)
+        self.lookup_table = base.lookup_table
         self.fanout_bits = fanout_bits
         self.fanout = base.fanout
         self.delta = base.delta

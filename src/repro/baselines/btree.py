@@ -40,22 +40,17 @@ class BTreeStore(RowStore):
 
     name = "GBT"
 
-    def __init__(
-        self,
-        super_covering: SuperCovering,
-        lookup_table: LookupTable,
-        fanout: int = FANOUT,
-    ):
+    def __init__(self, super_covering: SuperCovering, *, fanout: int = FANOUT):
         if fanout < 2:
             raise ValueError("B-tree fanout must be at least 2")
         self.fanout = fanout
-        self.lookup_table = lookup_table
+        self.lookup_table = LookupTable()
         with Timer() as timer:
             ids = super_covering.cell_ids
             entries, self._rows = entry_rows(
-                lookup_table.encode_covering(super_covering)
+                self.lookup_table.encode_covering(super_covering)
             )
-            self.rows = RowTable.decode(entries, lookup_table)
+            self.rows = RowTable.decode(entries, self.lookup_table)
             lsb = ids & (~ids + np.uint64(1))
             lows = ids - (lsb - np.uint64(1))
             highs = ids + (lsb - np.uint64(1))

@@ -25,14 +25,14 @@ class SortedVectorStore(RowStore):
 
     name = "LB"
 
-    def __init__(self, super_covering: SuperCovering, lookup_table: LookupTable):
-        self.lookup_table = lookup_table
+    def __init__(self, super_covering: SuperCovering):
+        self.lookup_table = LookupTable()
         with Timer() as timer:
             ids = super_covering.cell_ids
             entries, self._rows = entry_rows(
-                lookup_table.encode_covering(super_covering)
+                self.lookup_table.encode_covering(super_covering)
             )
-            self.rows = RowTable.decode(entries, lookup_table)
+            self.rows = RowTable.decode(entries, self.lookup_table)
             # Vectorized range_min/range_max: lsb = id & -id in two's
             # complement, which for uint64 is id & (~id + 1).
             lsb = ids & (~ids + np.uint64(1))

@@ -23,7 +23,6 @@ from repro.cells.curves import (
 from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
 from repro.core.act import AdaptiveCellTrie
 from repro.core.joins import parallel_count_join
-from repro.core.lookup_table import LookupTable
 from repro.util.timing import Timer, throughput_mpts
 
 #: Per-thread batch sizes of the batch-size sweep (4 Ki ... 256 Ki), run at
@@ -46,9 +45,9 @@ def run(workbench: Workbench) -> list[ExperimentResult]:
         headers=["index", "full nodes", "Node4 nodes", "size [bytes]", "build [s]",
                  "throughput [M points/s]"],
     )
-    node4 = CompressedCellTrie(covering, 8, LookupTable())
+    node4 = CompressedCellTrie(covering, 8)
     stores = ((act4, act4.num_nodes, 0), (node4, node4.num_full_nodes, node4.num_node4))
-    mpts = [probe_throughput_mpts(s, s.lookup_table, ids, num_polygons) for s, _, _ in stores]
+    mpts = [probe_throughput_mpts(s, ids, num_polygons) for s, _, _ in stores]
     for (store, full_nodes, node4_nodes), store_mpts in zip(stores, mpts):
         node_types.add_row(store.name, full_nodes, node4_nodes, store.size_bytes,
                            round(store.build_seconds, 3), round(store_mpts, 2))
@@ -62,7 +61,7 @@ def run(workbench: Workbench) -> list[ExperimentResult]:
         title=f"Ablation: Hilbert vs Morton curve {setup}",
         headers=["curve", "conversion [ns/point]", "throughput [M points/s]"],
     )
-    morton = AdaptiveCellTrie(reencode_super_covering_morton(covering), 8, LookupTable())
+    morton = AdaptiveCellTrie(reencode_super_covering_morton(covering), 8)
     for curve, convert, store in (
         ("hilbert", cell_ids_from_lat_lng_arrays, act4),
         ("morton", morton_cell_ids_from_lat_lng_arrays, morton),
@@ -73,7 +72,7 @@ def run(workbench: Workbench) -> list[ExperimentResult]:
         curves.add_row(
             curve,
             round(timer.seconds / len(curve_ids) * 1e9, 1),
-            round(probe_throughput_mpts(store, store.lookup_table, curve_ids, num_polygons), 2),
+            round(probe_throughput_mpts(store, curve_ids, num_polygons), 2),
         )
 
     batch_size = ExperimentResult(
@@ -85,9 +84,7 @@ def run(workbench: Workbench) -> list[ExperimentResult]:
         seconds = []
         for _ in range(3):
             with Timer() as timer:
-                parallel_count_join(
-                    act4, act4.lookup_table, ids, num_polygons, 2, batch_size=size
-                )
+                parallel_count_join(act4, ids, num_polygons, 2, batch_size=size)
             seconds.append(timer.seconds)
         batch_size.add_row(size, round(throughput_mpts(len(ids), min(seconds)), 2))
     batch_size.add_note("best of 3 runs per batch size")

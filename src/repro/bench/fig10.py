@@ -9,7 +9,6 @@ the PG row directly.
 
 from __future__ import annotations
 
-import numpy as np
 
 from repro.baselines import GiSTIndex, RTree, ShapeIndex
 from repro.bench.measure import exact_throughput_mpts
@@ -32,9 +31,7 @@ def run(workbench: Workbench) -> list[ExperimentResult]:
         # ACT variants on the coarse covering.
         for kind in ("ACT1", "ACT2", "ACT4"):
             store = workbench.store(name, None, kind)
-            mpts, join = exact_throughput_mpts(
-                store, store.lookup_table, ids, polygons, lngs, lats
-            )
+            mpts, join = exact_throughput_mpts(store, ids, polygons, lngs, lats)
             result.add_row(
                 name, kind, round(mpts, 3), round(join.num_pip_tests / len(ids), 4)
             )

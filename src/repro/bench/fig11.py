@@ -35,9 +35,7 @@ def run(workbench: Workbench) -> list[ExperimentResult]:
         for precision in precisions:
             store = workbench.store(name, precision, "ACT4")
             with Timer() as timer:
-                parallel_count_join(
-                    store, store.lookup_table, ids, len(polygons), num_threads=threads
-                )
+                parallel_count_join(store, ids, len(polygons), num_threads=threads)
             result.add_row(
                 name,
                 f"{precision:g} m",
@@ -62,7 +60,6 @@ def run(workbench: Workbench) -> list[ExperimentResult]:
         with Timer() as timer:
             parallel_count_join(
                 store,
-                store.lookup_table,
                 ids,
                 len(polygons),
                 num_threads=threads,

@@ -28,7 +28,7 @@ def run_left(workbench: Workbench) -> ExperimentResult:
         num_polygons = len(workbench.polygons(name))
         for kind in STORE_FACTORIES:
             store = workbench.store(name, precision, kind)
-            mpts = probe_throughput_mpts(store, store.lookup_table, ids, num_polygons)
+            mpts = probe_throughput_mpts(store, ids, num_polygons)
             result.add_row(name, kind, round(mpts, 2))
     return result
 
@@ -44,7 +44,7 @@ def run_middle(workbench: Workbench) -> ExperimentResult:
     for precision in workbench.config.precisions:
         for kind in STORE_FACTORIES:
             store = workbench.store("neighborhoods", precision, kind)
-            mpts = probe_throughput_mpts(store, store.lookup_table, ids, num_polygons)
+            mpts = probe_throughput_mpts(store, ids, num_polygons)
             result.add_row(f"{precision:g}", kind, round(mpts, 2))
     return result
 
@@ -68,9 +68,7 @@ def run_right(workbench: Workbench) -> ExperimentResult:
         base_mpts = None
         for threads in workbench.config.threads:
             with Timer() as timer:
-                parallel_count_join(
-                    store, store.lookup_table, ids, num_polygons, num_threads=threads
-                )
+                parallel_count_join(store, ids, num_polygons, num_threads=threads)
             mpts = throughput_mpts(len(ids), timer.seconds)
             if base_mpts is None:
                 base_mpts = mpts

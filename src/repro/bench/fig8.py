@@ -19,6 +19,6 @@ def run(workbench: Workbench) -> list[ExperimentResult]:
         _, _, ids = workbench.uniform(name)
         for kind in STORE_FACTORIES:
             store = workbench.store(name, precision, kind)
-            mpts = probe_throughput_mpts(store, store.lookup_table, ids, num_polygons)
+            mpts = probe_throughput_mpts(store, ids, num_polygons)
             result.add_row(name, kind, round(mpts, 2))
     return [result]

@@ -6,7 +6,6 @@ BOS 42) and point sets scaled to the paper's relative sizes.
 
 from __future__ import annotations
 
-from repro.baselines import SortedVectorStore
 from repro.bench.measure import probe_throughput_mpts
 from repro.bench.result import ExperimentResult
 from repro.bench.workbench import STORE_FACTORIES, Workbench
@@ -26,9 +25,7 @@ def run(workbench: Workbench) -> list[ExperimentResult]:
         for precision in workbench.config.precisions:
             for kind in STORE_FACTORIES:
                 store = workbench.store(dataset, precision, kind)
-                mpts = probe_throughput_mpts(
-                    store, store.lookup_table, ids, num_polygons
-                )
+                mpts = probe_throughput_mpts(store, ids, num_polygons)
                 result.add_row(
                     f"{city} ({polygon_count})", f"{precision:g}", kind, round(mpts, 2)
                 )

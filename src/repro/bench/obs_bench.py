@@ -50,10 +50,9 @@ def _service_index(workbench: Workbench, dataset: str = "neighborhoods") -> Poly
         workbench.polygons(dataset),
         covering,
         store,
-        store.lookup_table,
-        BuildTimings(),
-        SERVE_PRECISION,
-        None,
+        timings=BuildTimings(),
+        precision_meters=SERVE_PRECISION,
+        training_report=None,
     )
 
 

@@ -27,9 +27,7 @@ def run(workbench: Workbench) -> list[ExperimentResult]:
         num_polygons = len(workbench.polygons(name))
         for kind in STORE_FACTORIES:
             store = workbench.store(name, precision, kind)
-            throughput[(name, kind)] = probe_throughput_mpts(
-                store, store.lookup_table, ids, num_polygons
-            )
+            throughput[(name, kind)] = probe_throughput_mpts(store, ids, num_polygons)
     for kind in STORE_FACTORIES:
         b = throughput[("boroughs", kind)]
         n = throughput[("neighborhoods", kind)]

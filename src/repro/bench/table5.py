@@ -59,7 +59,7 @@ def run(workbench: Workbench) -> list[ExperimentResult]:
             _, _, ids = workbench.taxi()
         for kind in STORE_FACTORIES:
             store = workbench.store("neighborhoods", precision, kind)
-            mpts = probe_throughput_mpts(store, store.lookup_table, ids, num_polygons)
+            mpts = probe_throughput_mpts(store, ids, num_polygons)
             ns_per_point = 1000.0 / mpts if mpts > 0 else math.inf
             accesses, comparisons, lines = _structural_counters(store, ids)
             result.add_row(

@@ -14,7 +14,6 @@ from repro.bench.result import ExperimentResult
 from repro.bench.workbench import POLYGON_DATASET_NAMES, Workbench
 from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
 from repro.core.act import AdaptiveCellTrie
-from repro.core.lookup_table import LookupTable
 from repro.core.training import train_super_covering
 from repro.datasets import taxi_points
 from repro.util.timing import Timer
@@ -53,7 +52,6 @@ def _run_both(workbench: Workbench) -> tuple[ExperimentResult, ExperimentResult]
         untrained_store = workbench.store(name, None, "ACT4")
         base_mpts, base_join = exact_throughput_mpts(
             untrained_store,
-            untrained_store.lookup_table,
             query_ids,
             polygons,
             query_lngs,
@@ -73,9 +71,9 @@ def _run_both(workbench: Workbench) -> tuple[ExperimentResult, ExperimentResult]
             covering = base.copy()
             with Timer() as train_timer:
                 train_super_covering(covering, polygons, train_ids[:num_train])
-            store = AdaptiveCellTrie(covering, 8, LookupTable())
+            store = AdaptiveCellTrie(covering, 8)
             mpts, join = exact_throughput_mpts(
-                store, store.lookup_table, query_ids, polygons, query_lngs, query_lats
+                store, query_ids, polygons, query_lngs, query_lats
             )
             table6.add_row(
                 name,

@@ -18,7 +18,6 @@ from repro.bench.config import BenchConfig
 from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
 from repro.core.act import AdaptiveCellTrie
 from repro.core.builder import cover_polygons
-from repro.core.lookup_table import LookupTable
 from repro.core.precision import refine_to_precision
 from repro.core.super_covering import SuperCovering, build_super_covering
 from repro.datasets import (
@@ -32,10 +31,10 @@ from repro.geo.polygon import Polygon
 from repro.util.timing import Timer
 
 #: Store factories keyed by the paper's names.
-STORE_FACTORIES: dict[str, Callable[[SuperCovering, LookupTable], object]] = {
-    "ACT1": lambda sc, lut: AdaptiveCellTrie(sc, 2, lut),
-    "ACT2": lambda sc, lut: AdaptiveCellTrie(sc, 4, lut),
-    "ACT4": lambda sc, lut: AdaptiveCellTrie(sc, 8, lut),
+STORE_FACTORIES: dict[str, Callable[[SuperCovering], object]] = {
+    "ACT1": lambda sc: AdaptiveCellTrie(sc, 2),
+    "ACT2": lambda sc: AdaptiveCellTrie(sc, 4),
+    "ACT4": lambda sc: AdaptiveCellTrie(sc, 8),
     "GBT": BTreeStore,
     "LB": SortedVectorStore,
 }
@@ -117,7 +116,7 @@ class Workbench:
         key = (name, precision, kind)
         if key not in self._stores:
             covering, _ = self.super_covering(name, precision)
-            self._stores[key] = STORE_FACTORIES[kind](covering, LookupTable())
+            self._stores[key] = STORE_FACTORIES[kind](covering)
         return self._stores[key]
 
     # ------------------------------------------------------------------

@@ -27,7 +27,6 @@ from repro.cells.latlng import LatLng
 from repro.cells.projections import (
     MAX_SIZE,
     face_uv_to_xyz,
-    ij_to_st_min,
     st_to_ij,
     st_to_uv,
     uv_to_st,
@@ -226,18 +225,6 @@ class CellId:
         t = (j + half) / MAX_SIZE
         x, y, z = face_uv_to_xyz(face, st_to_uv(s), st_to_uv(t))
         return LatLng.from_xyz(x, y, z)
-
-    def corner_lat_lngs(self) -> list[LatLng]:
-        """The four cell corners (in no particular orientation)."""
-        face, i, j = self.to_face_ij()
-        size = self.ij_size()
-        corners = []
-        for di, dj in ((0, 0), (size, 0), (size, size), (0, size)):
-            s = ij_to_st_min(i + di)
-            t = ij_to_st_min(j + dj)
-            x, y, z = face_uv_to_xyz(face, st_to_uv(s), st_to_uv(t))
-            corners.append(LatLng.from_xyz(x, y, z))
-        return corners
 
     # ------------------------------------------------------------------
     # Presentation / dunder protocol

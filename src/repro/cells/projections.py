@@ -73,8 +73,3 @@ def face_uv_to_xyz(face: int, u: float, v: float) -> tuple[float, float, float]:
 def st_to_ij(s: float) -> int:
     """Discretize ``s`` in [0,1] to a leaf coordinate in [0, 2^30)."""
     return max(0, min(MAX_SIZE - 1, int(math.floor(s * MAX_SIZE))))
-
-
-def ij_to_st_min(ij: int) -> float:
-    """Lower edge of leaf column/row ``ij`` in s/t coordinates."""
-    return ij / MAX_SIZE

@@ -83,7 +83,6 @@ import numpy as np
 from repro.cells.cellid import MAX_LEVEL
 from repro.cells.vectorized import levels_from_cell_ids
 from repro.core.lookup_table import LookupTable, TAG_POINTER
-from repro.core.refs import PolygonRef
 from repro.core.rows import RowStore, RowTable, entry_rows
 from repro.core.super_covering import SuperCovering
 from repro.util.timing import Timer
@@ -176,26 +175,22 @@ class AdaptiveCellTrie(RowStore):
         The disjoint cell/reference mapping to index.
     fanout_bits:
         Bits consumed per tree level: 2, 4 or 8 (ACT1 / ACT2 / ACT4).
-    lookup_table:
-        Optionally share a pre-existing lookup table (the paper uses the
-        same table for every physical representation it compares).
+
+    The trie builds its own :class:`~repro.core.lookup_table.LookupTable`
+    (``lookup_table``), which holds the reference lists its entries
+    cannot inline; :meth:`attach` adopts a packed one.
     """
 
     #: Paper names for the supported configurations.
     VARIANTS = {"ACT1": 2, "ACT2": 4, "ACT4": 8}
 
-    def __init__(
-        self,
-        super_covering: SuperCovering,
-        fanout_bits: int = 8,
-        lookup_table: LookupTable | None = None,
-    ):
+    def __init__(self, super_covering: SuperCovering, fanout_bits: int = 8):
         if fanout_bits not in (2, 4, 8):
             raise ValueError("fanout_bits must be 2, 4, or 8")
         self.fanout_bits = fanout_bits
         self.delta = fanout_bits // 2  # quadtree levels per tree level
         self.fanout = 1 << fanout_bits
-        self.lookup_table = lookup_table if lookup_table is not None else LookupTable()
+        self.lookup_table = LookupTable()
         self._face_trees: dict[int, _FaceTree] = {}
         self._face_values: dict[int, int] = {}  # face -> tagged entry (level-0 cells)
         self.num_keys = 0  # cells after key extension
@@ -494,13 +489,6 @@ class AdaptiveCellTrie(RowStore):
             prefix_rejections=prefix_rejections,
         )
         return found, stats
-
-    def probe_one(self, query_id: int) -> tuple[PolygonRef, ...]:
-        """Scalar convenience probe returning decoded references."""
-        entry = int(self.probe(np.asarray([query_id], dtype=np.uint64))[0])
-        if entry == 0:
-            return ()
-        return self.lookup_table.decode_entry(entry)
 
     # ------------------------------------------------------------------
     # Introspection

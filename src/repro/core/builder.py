@@ -60,7 +60,6 @@ from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
 from repro.core.act import AdaptiveCellTrie
 from repro.core.flat import FlatSnapshot, _attach_refiner_table
 from repro.core.joins import JoinResult, check_batch, join_batch
-from repro.core.lookup_table import LookupTable
 from repro.core.precision import refine_to_precision
 from repro.core.refs import validate_polygon_id
 from repro.core.super_covering import SuperCovering, build_super_covering
@@ -71,6 +70,7 @@ from repro.util.timing import Timer
 
 if TYPE_CHECKING:
     from repro.core.dynamic import OverlayCellStore
+    from repro.core.lookup_table import LookupTable
 
 #: The paper's default configuration for individual polygon approximations
 #: (Section 4, "Polygon Approximations"), with levels capped at 28 so key
@@ -223,9 +223,7 @@ def build_store(
     super_covering: SuperCovering, *, fanout_bits: int = 8
 ) -> AdaptiveCellTrie:
     """Stage 4: index a super covering in an ACT (with its own lookup table)."""
-    return AdaptiveCellTrie(
-        super_covering, fanout_bits=fanout_bits, lookup_table=LookupTable()
-    )
+    return AdaptiveCellTrie(super_covering, fanout_bits=fanout_bits)
 
 
 def build_pipeline(
@@ -299,11 +297,11 @@ def build_pipeline(
 class ProbeView:
     """One immutable, internally consistent probe snapshot of an index.
 
-    Every read goes through this view: the ``store`` and
-    ``lookup_table`` were built together, ``polygons`` is the polygon
-    sequence the entries reference, and ``version`` identifies the whole
-    bundle — so a concurrent mutation or snapshot swap can never mix fields
-    from two generations.  ``store`` is the index's ACT, or the
+    Every read goes through this view: ``store`` holds its own lookup
+    table, ``polygons`` is the polygon sequence its rows reference, and
+    ``version`` identifies the whole bundle — so a concurrent mutation or
+    snapshot swap can never mix fields from two generations.  ``store``
+    is the index's ACT, or the
     :class:`~repro.core.dynamic.OverlayCellStore` over two of them on a
     dynamic index with pending mutations.  ``refiner`` is the snapshot's
     refinement engine (one per view; the packed bucket rows its table
@@ -313,10 +311,14 @@ class ProbeView:
 
     version: int
     store: AdaptiveCellTrie | OverlayCellStore
-    lookup_table: LookupTable
     polygons: tuple[Polygon | None, ...]
     max_cell_level: int
     refiner: RefinementEngine
+
+    @property
+    def lookup_table(self) -> LookupTable:
+        """The store's lookup table (read-only; the store holds it)."""
+        return self.store.lookup_table
 
     def join(
         self,
@@ -342,7 +344,6 @@ class ProbeView:
             cell_ids = cell_ids_from_lat_lng_arrays(lats, lngs)
         return join_batch(
             self.store,
-            self.lookup_table,
             cell_ids,
             self.polygons,
             lngs,
@@ -376,7 +377,7 @@ class PolygonIndex:
         polygons: Sequence[Polygon | None],
         super_covering: SuperCovering,
         store: AdaptiveCellTrie,
-        lookup_table: LookupTable,
+        *,
         timings: BuildTimings,
         precision_meters: float | None,
         training_report: TrainingReport | None,
@@ -397,7 +398,6 @@ class PolygonIndex:
         self.super_covering = super_covering
         self.snapshot = snapshot
         self.store = store
-        self.lookup_table = lookup_table
         self.timings = timings
         self.precision_meters = precision_meters
         self.training_report = training_report
@@ -456,10 +456,9 @@ class PolygonIndex:
             polygons,
             artifacts.super_covering,
             artifacts.store,
-            artifacts.store.lookup_table,
-            artifacts.timings,
-            precision_meters,
-            artifacts.training_report,
+            timings=artifacts.timings,
+            precision_meters=precision_meters,
+            training_report=artifacts.training_report,
         )
         index.covering_options = covering_options
         index.interior_options = interior_options
@@ -523,7 +522,6 @@ class PolygonIndex:
             self._probe_view = ProbeView(
                 version=self.version,
                 store=self.store,
-                lookup_table=self.lookup_table,
                 polygons=self.polygons,
                 max_cell_level=self.max_cell_level(),
                 refiner=RefinementEngine(self.polygons, table=table),
@@ -573,10 +571,9 @@ class PolygonIndex:
             self.polygons,
             covering,
             store,
-            store.lookup_table,
-            timings,
-            self.precision_meters,
-            report,
+            timings=timings,
+            precision_meters=self.precision_meters,
+            training_report=report,
         )
         index.covering_options = self.covering_options
         index.interior_options = self.interior_options

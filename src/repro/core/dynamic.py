@@ -91,8 +91,8 @@ class OverlayCellStore(RowStore):
     table continues the base's lookup table
     (:meth:`~repro.core.lookup_table.LookupTable.extending`), so a base
     row's entry decodes the same in it, and downstream drivers see one
-    consistent ``(store, lookup_table)`` pair exactly as if the index had
-    been built over the merged polygon set.
+    store, holding its own lookup table, exactly as if the index had been
+    built over the merged polygon set.
 
     The table only grows, under the memo lock, and is published before
     the memo entries that point into it: a reader reads ``rows`` after
@@ -391,10 +391,9 @@ class DynamicPolygonIndex:
                 polygons_by_id,
                 artifacts.super_covering,
                 artifacts.store,
-                artifacts.store.lookup_table,
-                artifacts.timings,
-                self.precision_meters,
-                artifacts.training_report,
+                timings=artifacts.timings,
+                precision_meters=self.precision_meters,
+                training_report=artifacts.training_report,
             )
             base.covering_options = old.covering_options
             base.interior_options = old.interior_options
@@ -458,7 +457,6 @@ class DynamicPolygonIndex:
         """Publish a fresh immutable probe view (lock held)."""
         if not self._delta_ids and not self._tombstones:
             store: AdaptiveCellTrie | OverlayCellStore = self._base.store
-            table = self._base.lookup_table
             max_level = self._base.max_cell_level()
             # Clean base: reuse the snapshot's engine so its bucket table
             # is assembled once per base generation, not per refresh.
@@ -467,7 +465,6 @@ class DynamicPolygonIndex:
             store = OverlayCellStore(
                 self._base.store, self._delta_store, self._tombstones
             )
-            table = store.lookup_table
             max_level = max(
                 self._base.max_cell_level(), self._delta_covering.max_level()
             )
@@ -481,7 +478,6 @@ class DynamicPolygonIndex:
         self._view = ProbeView(
             version=self._version,
             store=store,
-            lookup_table=table,
             polygons=tuple(self._polygons),
             max_cell_level=max_level,
             refiner=refiner,
@@ -554,10 +550,6 @@ class DynamicPolygonIndex:
     @property
     def store(self) -> AdaptiveCellTrie | OverlayCellStore:
         return self._view.store
-
-    @property
-    def lookup_table(self) -> LookupTable:
-        return self._view.lookup_table
 
     @property
     def delta_size(self) -> int:

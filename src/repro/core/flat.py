@@ -564,14 +564,13 @@ def attach_index(
         pool, entries = signed_pool(buffers["act_pool"], buffers["act_face_values"])
     else:
         raise ValueError(f"unsupported ACT pool encoding {encoding!r}")
-    lookup_table = LookupTable.attach(buffers["lut"])
     store = AdaptiveCellTrie.attach(
         pool,
         entries,
         buffers["act_faces"],
         buffers["act_face_values"],
         meta,
-        lookup_table,
+        LookupTable.attach(buffers["lut"]),
     )
     polygons = unpack_polygon_geometry(
         buffers["poly_ring_index"],
@@ -586,10 +585,9 @@ def attach_index(
         polygons,
         covering,
         store,
-        lookup_table,
-        BuildTimings(),
-        meta["precision_meters"],
-        None,
+        timings=BuildTimings(),
+        precision_meters=meta["precision_meters"],
+        training_report=None,
         version=version,
         snapshot=snapshot,
     )

@@ -37,10 +37,11 @@ of them end in the same :func:`merge_join_results`: the only place a
 ``JoinResult`` is built from other ``JoinResult``s.
 
 The two kernels take as ``store`` anything with a ``probe_rows(cell_ids)
--> rows`` method and the ``rows`` table those index (ACT, the B-tree, the
-sorted vector, ...), which is how the evaluation runs every physical
-representation the paper compares through the same probe, count and
-refinement code.  An index's own store is always the ACT.
+-> rows`` method and the ``rows`` table those index, decoded against
+the store's own lookup table (ACT, the B-tree, the sorted vector, ...),
+which is how the evaluation runs every physical representation the
+paper compares through the same probe, count and refinement code.  An
+index's own store is always the ACT.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.core.lookup_table import LookupTable
 from repro.core.morsels import OFFLINE_MORSEL_POINTS, map_morsels
 from repro.core.rows import RowTable, ragged_positions
 from repro.core.rows import decode_entries as decode_entries
@@ -152,9 +152,9 @@ def _expand(
 
 def approximate_join(
     store: CellStore,
-    lookup_table: LookupTable,
     cell_ids: np.ndarray,
     num_polygons: int,
+    *,
     materialize: bool = False,
     tracer=None,
     observe=None,
@@ -165,8 +165,7 @@ def approximate_join(
     Counts per distinct row of the store's row table: a row's references
     are added once, weighted by the batch's points in that row; pairs
     are expanded only with ``materialize`` (point by point, each point's
-    true hits first, then ascending polygon ids).  ``lookup_table`` is the
-    one ``store``'s rows were decoded against.
+    true hits first, then ascending polygon ids).
 
     ``tracer`` (an optional :class:`~repro.obs.trace.Tracer`) receives
     the already-measured probe phase as a child span of whatever dispatch
@@ -202,11 +201,11 @@ def approximate_join(
 
 def accurate_join(
     store: CellStore,
-    lookup_table: LookupTable,
     cell_ids: np.ndarray,
     polygons: Sequence[Polygon],
     lngs: np.ndarray,
     lats: np.ndarray,
+    *,
     materialize: bool = False,
     engine: RefinementEngine | None = None,
     tracer=None,
@@ -220,8 +219,7 @@ def accurate_join(
     candidate reference) are paired with their candidate polygons, and
     those pairs go to the refinement engine.  ``materialize`` expands
     the true-hit pairs too (point by point, ascending polygon ids),
-    followed by the accepted candidate pairs.  ``lookup_table`` is the
-    one ``store``'s rows were decoded against.
+    followed by the accepted candidate pairs.
 
     ``engine`` is normally the snapshot's prebuilt refinement engine
     (``ProbeView.refiner``); when omitted an ephemeral one is created
@@ -334,7 +332,6 @@ def merge_join_results(
 
 def join_batch(
     store: CellStore,
-    lookup_table: LookupTable,
     cell_ids: np.ndarray,
     polygons: Sequence[Polygon | None],
     lngs: np.ndarray,
@@ -375,12 +372,12 @@ def join_batch(
     if num_threads == 1 or len(cell_ids) <= morsel_size:
         if exact:
             return accurate_join(
-                store, lookup_table, cell_ids, polygons, lngs, lats,
+                store, cell_ids, polygons, lngs, lats,
                 materialize=materialize, engine=engine, tracer=tracer,
                 observe=observe, rows=rows,
             )
         return approximate_join(
-            store, lookup_table, cell_ids, len(polygons),
+            store, cell_ids, len(polygons),
             materialize=materialize, tracer=tracer, observe=observe,
             rows=rows,
         )
@@ -388,7 +385,7 @@ def join_batch(
     def work(lo: int, hi: int) -> JoinResult:
         # The approximate join reads no coordinates (and may have none).
         part = join_batch(
-            store, lookup_table, cell_ids[lo:hi], polygons,
+            store, cell_ids[lo:hi], polygons,
             lngs[lo:hi] if exact else None, lats[lo:hi] if exact else None,
             exact=exact, materialize=materialize, engine=engine,
         )
@@ -409,10 +406,10 @@ def join_batch(
 
 def parallel_count_join(
     store: CellStore,
-    lookup_table: LookupTable,
     cell_ids: np.ndarray,
     num_polygons: int,
     num_threads: int,
+    *,
     polygons: Sequence[Polygon] | None = None,
     lngs: np.ndarray | None = None,
     lats: np.ndarray | None = None,
@@ -441,7 +438,6 @@ def parallel_count_join(
         engine = RefinementEngine(polygons)
     return join_batch(
         store,
-        lookup_table,
         cell_ids,
         # The approximate join reads only the polygon count.
         polygons if exact else (None,) * num_polygons,

@@ -258,10 +258,5 @@ class LookupTable:
     def size_bytes(self) -> int:
         return 4 * len(self)
 
-    @property
-    def num_lists(self) -> int:
-        """Distinct lists interned through :meth:`encode` (0 once attached)."""
-        return len(self._offsets)
-
     def __len__(self) -> int:
         return len(self._frozen if self._data is None else self._data)

@@ -35,9 +35,10 @@ _VALUE_MASK = np.uint64((1 << 31) - 1)
 
 
 def decode_entries(
-    entries: np.ndarray, lookup_table: LookupTable
+    entries: np.ndarray, table: LookupTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expand tagged entries into (point index, polygon id, is_true) arrays."""
+    """Expand tagged entries into (point index, polygon id, is_true)
+    arrays; ``table`` is the lookup table of the store they came from."""
     tags = entries & np.uint64(3)
     points_parts: list[np.ndarray] = []
     pids_parts: list[np.ndarray] = []
@@ -70,7 +71,7 @@ def decode_entries(
         # Pairs are grouped by offset, then point, then polygon id.
         by_offset = np.argsort(offsets, kind="stable")
         which, ids, interior = expand_offsets(
-            lookup_table.array, offsets[by_offset]
+            table.array, offsets[by_offset]
         )
         points_parts.append(offset_idx[by_offset][which])
         pids_parts.append(ids)
@@ -127,10 +128,10 @@ class RowTable:
     expensive: np.ndarray  # bool
 
     @classmethod
-    def decode(cls, entries: np.ndarray, lookup_table: LookupTable) -> RowTable:
-        """The row table of ``entries`` (decoded against ``lookup_table``)."""
+    def decode(cls, entries: np.ndarray, table: LookupTable) -> RowTable:
+        """The row table of ``entries`` (decoded against ``table``)."""
         entries = np.asarray(entries, dtype=np.uint64)
-        rows, pids, interior = decode_entries(entries, lookup_table)
+        rows, pids, interior = decode_entries(entries, table)
         order = np.lexsort((pids, ~interior, rows))
         rows, pids, interior = rows[order], pids[order], interior[order]
         sizes = np.bincount(rows, minlength=len(entries))

@@ -308,7 +308,6 @@ def _load_legacy(archive) -> PolygonIndex | DynamicPolygonIndex:
         polygons=polygons,
         super_covering=covering,
         store=store,
-        lookup_table=store.lookup_table,
         timings=timings,
         precision_meters=meta["precision_meters"],
         training_report=None,

@@ -422,10 +422,6 @@ class SuperCovering:
             self._max_level = int(levels.max()) if len(levels) else 0
         return self._max_level
 
-    def raw_key_bytes(self) -> int:
-        """Paper's raw-size accounting: 8 bytes per cell id."""
-        return 8 * len(self.cell_ids)
-
 
 def build_super_covering(
     per_polygon_cells: Iterable[tuple[int, Sequence[CellId], Sequence[CellId]]],

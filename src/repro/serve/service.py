@@ -467,10 +467,10 @@ class JoinService(ServiceFront):
         exact: bool,
         materialize: bool,
     ) -> tuple[JoinResult, np.ndarray]:
-        # One atomic snapshot for the whole dispatch: store, lookup table,
-        # polygons and version always belong to the same index generation,
-        # even if the layer is swapped or mutated mid-request; the table
-        # is that generation's.  The envelope already checked the batch.
+        # One atomic snapshot for the whole dispatch: store, polygons and
+        # version always belong to the same index generation, even if the
+        # layer is swapped or mutated mid-request; the hot-cell table is
+        # that generation's.  The envelope already checked the batch.
         view = index.probe_view()
         cell_ids, rows = self._resolve(
             self._table_for(name, view), index, view, cell_ids, lats, lngs
@@ -483,7 +483,6 @@ class JoinService(ServiceFront):
         )
         result = join_batch(
             view.store,
-            view.lookup_table,
             cell_ids,
             view.polygons,
             lngs,

@@ -948,15 +948,12 @@ _FACE_SHIFT = 61
 
 
 def _extend_keys(
-    covering: SuperCovering,
-    delta: int,
-    lookup_table: LookupTable,
-    face_values: dict[int, int],
+    covering: SuperCovering, delta: int, face_values: dict[int, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Encode entries and apply key extension: ``(key ids, tagged entries,
     value depths)``; level-0 cells go to ``face_values``."""
     ids = covering.cell_ids
-    entries = lookup_table.encode_covering(covering)
+    entries = LookupTable().encode_covering(covering)
     lsb = ids & (~ids + np.uint64(1))
     levels = levels_from_cell_ids(ids)
     if np.any(levels < 0):
@@ -996,25 +993,20 @@ def _extend_keys(
 
 
 def act_pool_by_key_extension(
-    covering: SuperCovering, fanout_bits: int, lookup_table: LookupTable | None = None
+    covering: SuperCovering, fanout_bits: int
 ) -> tuple[np.ndarray, dict[int, tuple[int, int, int, int]], dict[int, int], int]:
     """The ACT build as it ran until 1.18.0: every extended key
     materialised, one ``np.unique`` over them per depth.
 
     Returns ``(pool, face_trees, face_values, num_keys)`` with
     ``face_trees[face] = (root_base, prefix_shift, prefix_value,
-    prefix_depth)``; entries are encoded against ``lookup_table`` (a fresh
-    one by default).
+    prefix_depth)``; entries are encoded against a fresh lookup table,
+    laid out as the trie's own (one encoder).
     """
     delta = fanout_bits // 2
     fanout = 1 << fanout_bits
     face_values: dict[int, int] = {}
-    key_ids, key_entries, value_depths = _extend_keys(
-        covering,
-        delta,
-        lookup_table if lookup_table is not None else LookupTable(),
-        face_values,
-    )
+    key_ids, key_entries, value_depths = _extend_keys(covering, delta, face_values)
     face_trees: dict[int, tuple[int, int, int, int]] = {}
     if len(key_ids) == 0:
         return np.zeros(fanout, dtype=np.uint64), face_trees, face_values, 0
@@ -1189,14 +1181,14 @@ def expensive_entries(entries: np.ndarray, lookup_table: LookupTable) -> np.ndar
     return expensive
 
 
-def decode_join(store, lookup_table, cell_ids, num_polygons, *, engine=None, lngs=None, lats=None):
+def decode_join(store, cell_ids, num_polygons, *, engine=None, lngs=None, lats=None):
     """A join as the kernels ran it until 1.37.0: every point's tagged
     entry decoded into ``(point, polygon, is_true)`` pairs with
     ``decode_entries``, then counted (approximate, ``engine=None``) or
     refined pair by pair (accurate).  Returns ``(counts, statistics,
     pair set)``; the statistics are the ``JoinResult`` fields by name."""
     entries = store.probe(cell_ids)
-    point_idx, pids, is_true = decode_entries(entries, lookup_table)
+    point_idx, pids, is_true = decode_entries(entries, store.lookup_table)
     num_true = int(np.count_nonzero(is_true))
     if engine is None:
         keep_points, keep_pids = point_idx, pids

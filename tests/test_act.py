@@ -17,7 +17,6 @@ import oracles
 from repro.baselines import SortedVectorStore
 from repro.cells import CellId, cell_ids_from_lat_lng_arrays
 from repro.core.act import AdaptiveCellTrie, signed_pool
-from repro.core.lookup_table import LookupTable
 from repro.core.refs import PolygonRef
 from repro.core.super_covering import SuperCovering, build_super_covering
 
@@ -35,6 +34,11 @@ def decoded(store, entries):
     return [
         store.lookup_table.decode_entry(int(e)) if e else () for e in entries
     ]
+
+
+def probed(store, *cells: CellId):
+    """The decoded references of each cell's leaf id, probed as one batch."""
+    return decoded(store, store.probe(np.asarray([c.id for c in cells], dtype=np.uint64)))
 
 
 @st.composite
@@ -67,9 +71,10 @@ class TestProbeCorrectness:
         )
         lngs, lats = nyc_query_points
         ids = cell_ids_from_lat_lng_arrays(lats, lngs)
-        act = AdaptiveCellTrie(covering, fanout_bits, LookupTable())
-        reference = SortedVectorStore(covering, LookupTable())
-        assert decoded(act, act.probe(ids)) == decoded(reference, reference.probe(ids))
+        act = AdaptiveCellTrie(covering, fanout_bits)
+        reference = SortedVectorStore(covering)
+        # One entry encoder: both stores' own tables lay out alike.
+        assert np.array_equal(act.probe(ids), reference.probe(ids))
 
     @settings(max_examples=30, deadline=None)
     @given(random_covering(), st.integers(min_value=0, max_value=2**32 - 1))
@@ -78,19 +83,16 @@ class TestProbeCorrectness:
         lats = generator.uniform(40.4, 41.0, 300)
         lngs = generator.uniform(-74.3, -73.7, 300)
         ids = cell_ids_from_lat_lng_arrays(lats, lngs)
-        reference = SortedVectorStore(covering, LookupTable())
+        reference = SortedVectorStore(covering)
         for fanout_bits in (2, 4, 8):
-            act = AdaptiveCellTrie(covering, fanout_bits, LookupTable())
-            assert decoded(act, act.probe(ids)) == decoded(
-                reference, reference.probe(ids)
-            )
+            act = AdaptiveCellTrie(covering, fanout_bits)
+            assert np.array_equal(act.probe(ids), reference.probe(ids))
 
-    def test_probe_one(self):
+    def test_probe_hit_and_miss(self):
         covering = make_covering([(BASE.parent(10), [PolygonRef(3, True)])])
         act = AdaptiveCellTrie(covering, 8)
-        assert act.probe_one(BASE.id) == (PolygonRef(3, True),)
         miss = CellId.from_degrees(-33.0, 151.0)
-        assert act.probe_one(miss.id) == ()
+        assert probed(act, BASE, miss) == [(PolygonRef(3, True),), ()]
 
     def test_empty_covering(self):
         act = AdaptiveCellTrie(SuperCovering(), 8)
@@ -101,7 +103,7 @@ class TestProbeCorrectness:
     def test_face_level_cell(self):
         covering = make_covering([(CellId.face_cell(4), [PolygonRef(1, False)])])
         act = AdaptiveCellTrie(covering, 8)
-        assert act.probe_one(BASE.id) == (PolygonRef(1, False),)
+        assert probed(act, BASE) == [(PolygonRef(1, False),)]
 
     def test_prefix_rejection(self):
         # All keys deep under one subtree: probes outside must miss fast.
@@ -131,9 +133,9 @@ class TestKeyExtension:
         act = AdaptiveCellTrie(covering, 8)
         inside = CellId(BASE.parent(9).range_min().id)
         outside = CellId(BASE.parent(8).range_max().id)
-        assert act.probe_one(inside.id) == (PolygonRef(1, True),)
+        assert probed(act, inside) == [(PolygonRef(1, True),)]
         if not BASE.parent(9).contains(outside):
-            assert act.probe_one(outside.id) == ()
+            assert probed(act, outside) == [()]
 
     def test_too_deep_extension_rejected(self):
         covering = make_covering([(BASE.parent(29), [PolygonRef(1, True)])])
@@ -143,7 +145,7 @@ class TestKeyExtension:
     def test_level_30_fine_for_fanout_4(self):
         covering = make_covering([(BASE, [PolygonRef(1, True)])])
         act = AdaptiveCellTrie(covering, 2)
-        assert act.probe_one(BASE.id) == (PolygonRef(1, True),)
+        assert probed(act, BASE) == [(PolygonRef(1, True),)]
 
 
 class TestStructure:
@@ -164,8 +166,8 @@ class TestStructure:
         covering = build_super_covering(
             (pid, coverer.covering(p), []) for pid, p in enumerate(overlap_grid_polygons)
         )
-        act1 = AdaptiveCellTrie(covering, 2, LookupTable())
-        act4 = AdaptiveCellTrie(covering, 8, LookupTable())
+        act1 = AdaptiveCellTrie(covering, 2)
+        act4 = AdaptiveCellTrie(covering, 8)
         assert act4.num_nodes < act1.num_nodes
 
     def test_size_accounting(self):
@@ -210,7 +212,7 @@ class TestInstrumentation:
         covering = build_super_covering(
             (pid, coverer.covering(p), []) for pid, p in enumerate(overlap_grid_polygons)
         )
-        act = AdaptiveCellTrie(covering, 8, LookupTable())
+        act = AdaptiveCellTrie(covering, 8)
         generator = np.random.default_rng(7)
         lats = generator.uniform(40.68, 40.76, 5000)
         lngs = generator.uniform(-74.02, -73.94, 5000)
@@ -278,10 +280,9 @@ class TestBulkBuildParity:
     must produce the same trie, bit for bit."""
 
     def _assert_same(self, covering: SuperCovering, fanout_bits: int) -> None:
-        act = AdaptiveCellTrie(covering, fanout_bits, LookupTable())
-        table = LookupTable()
+        act = AdaptiveCellTrie(covering, fanout_bits)
         pool, face_trees, face_values, num_keys = oracles.act_pool_by_key_extension(
-            covering, fanout_bits, table
+            covering, fanout_bits
         )
         # The signed pool is the tagged one re-encoded: its entry table is
         # every distinct entry, ascending after the miss entry 0.
@@ -296,7 +297,6 @@ class TestBulkBuildParity:
         assert act.num_keys == num_keys
         assert _face_trees(act) == face_trees
         assert act._face_values == face_values
-        assert np.array_equal(act.lookup_table.array, table.array)
         depths = [
             -(-CellId(raw).level // act.delta)
             for raw in covering.cell_ids.tolist()
@@ -428,7 +428,7 @@ class TestOneDescentProbe:
         ids = data.draw(query_batch(covering))
         expected = expected_refs(covering, ids)
         for fanout_bits in (2, 4, 8):
-            act = AdaptiveCellTrie(covering, fanout_bits, LookupTable())
+            act = AdaptiveCellTrie(covering, fanout_bits)
             # Two face trees with different prefix depths: two root tables.
             assert len(act._root_tables) == 2
             assert act._root_tables[0].prefix_depth == 0
@@ -476,7 +476,7 @@ class TestTaggedDescentParity:
         """Up to three faces, each one level-0 cell or a stem of any
         length (prefix depths differ, so several root tables)."""
         covering = data.draw(disjoint_covering(max_level=24))
-        act = AdaptiveCellTrie(covering, fanout_bits, LookupTable())
+        act = AdaptiveCellTrie(covering, fanout_bits)
         if covering.num_cells:
             self._assert_parity(act, data.draw(query_batch(covering)))
         anywhere = data.draw(
@@ -495,7 +495,7 @@ class TestTaggedDescentParity:
         covering = data.draw(two_tree_covering())
         ids = data.draw(query_batch(covering))
         for fanout_bits in (2, 4, 8):
-            self._assert_parity(AdaptiveCellTrie(covering, fanout_bits, LookupTable()), ids)
+            self._assert_parity(AdaptiveCellTrie(covering, fanout_bits), ids)
 
     @pytest.mark.parametrize("fanout_bits", [2, 4, 8])
     def test_empty_batch(self, fanout_bits):
@@ -585,7 +585,7 @@ class TestPinnedProbeStats:
         covering, recorded_order = pinned_covering()
         return (
             covering,
-            AdaptiveCellTrie(covering, 8, LookupTable()),
+            AdaptiveCellTrie(covering, 8),
             pinned_batches(covering, recorded_order),
         )
 

@@ -7,7 +7,6 @@ from repro.cells import CellId, cell_ids_from_lat_lng_arrays
 from repro.cells.coverer import CovererOptions, RegionCoverer
 from repro.core.act import AdaptiveCellTrie
 from repro.baselines import CompressedCellTrie
-from repro.core.lookup_table import LookupTable
 from repro.core.refs import PolygonRef
 from repro.core.super_covering import SuperCovering, build_super_covering
 from repro.geo.polygon import regular_polygon
@@ -41,17 +40,15 @@ def query_ids():
 class TestEquivalence:
     @pytest.mark.parametrize("fanout_bits", [2, 4, 8])
     def test_probe_identical_to_uncompressed(self, covering, query_ids, fanout_bits):
-        table = LookupTable()
-        plain = AdaptiveCellTrie(covering, fanout_bits, table)
-        compressed = CompressedCellTrie(covering, fanout_bits, table)
+        plain = AdaptiveCellTrie(covering, fanout_bits)
+        compressed = CompressedCellTrie(covering, fanout_bits)
         assert (plain.probe(query_ids) == compressed.probe(query_ids)).all()
 
     def test_sparse_single_cell_tree(self, query_ids):
         covering = SuperCovering()
         covering.insert(BASE.parent(16), [PolygonRef(1, True)])
-        table = LookupTable()
-        plain = AdaptiveCellTrie(covering, 8, table)
-        compressed = CompressedCellTrie(covering, 8, table)
+        plain = AdaptiveCellTrie(covering, 8)
+        compressed = CompressedCellTrie(covering, 8)
         assert (plain.probe(query_ids) == compressed.probe(query_ids)).all()
         # A chain of single-child nodes compresses almost entirely.
         assert compressed.num_node4 > 0
@@ -65,9 +62,8 @@ class TestPaperClaims:
     def test_memory_savings_are_modest(self, covering):
         """Node4 nodes exist but do not shrink the index dramatically
         (the paper: "saves only a negligible amount of space")."""
-        table = LookupTable()
-        plain = AdaptiveCellTrie(covering, 8, table)
-        compressed = CompressedCellTrie(covering, 8, table)
+        plain = AdaptiveCellTrie(covering, 8)
+        compressed = CompressedCellTrie(covering, 8)
         assert compressed.size_bytes <= plain.size_bytes
         # Savings exist but stay well under an order of magnitude.
         assert compressed.size_bytes > plain.size_bytes / 10

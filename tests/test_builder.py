@@ -1,5 +1,8 @@
 """Tests for the PolygonIndex facade."""
 
+import ast
+import dataclasses
+import inspect
 import pathlib
 import pickle
 import sys
@@ -8,20 +11,27 @@ import threading
 import numpy as np
 import pytest
 
-from repro.baselines import BTreeStore, SortedVectorStore
+from repro.baselines import BTreeStore, CompressedCellTrie, SortedVectorStore
+from repro.bench import measure
+from repro.bench.workbench import STORE_FACTORIES
 from repro.cells import CovererOptions
 from repro.cells.coverer import batch_coverings
 from repro.core import (
+    AdaptiveCellTrie,
     DynamicPolygonIndex,
-    LookupTable,
+    OverlayCellStore,
     PolygonIndex,
+    ProbeView,
     accurate_join,
+    approximate_join,
     attach_index,
     builder,
     load_index,
     pack_index,
+    save_index,
 )
 from repro.core.builder import cover_polygon, cover_polygons
+from repro.core.joins import join_batch, parallel_count_join
 from repro.geo.pip import contains_points
 from repro.geo.polygon import regular_polygon
 
@@ -71,10 +81,8 @@ class TestBuild:
         through the kernel, beside the index — not as a mode of it."""
         lngs, lats = points
         index = PolygonIndex.build(polygons)
-        table = LookupTable()
         alt = accurate_join(
-            factory(index.super_covering, table),
-            table,
+            factory(index.super_covering),
             index.cell_ids_for(lats, lngs),
             index.polygons,
             lngs,
@@ -89,16 +97,14 @@ class TestBuild:
         (retrained, pack_index, save_index): an index over anything but
         an ACT cannot be constructed."""
         index = PolygonIndex.build(polygons)
-        table = LookupTable()
         with pytest.raises(TypeError, match="AdaptiveCellTrie"):
             PolygonIndex(
                 polygons,
                 index.super_covering,
-                SortedVectorStore(index.super_covering, table),
-                table,
-                index.timings,
-                None,
-                None,
+                SortedVectorStore(index.super_covering),
+                timings=index.timings,
+                precision_meters=None,
+                training_report=None,
             )
 
     def test_fanout_bits_forwarded(self, polygons):
@@ -167,6 +173,8 @@ def test_an_index_from_every_door_is_frozen(polygons, door):
     assert type(index.polygons) is tuple
     assert type(index.probe_view().polygons) is tuple
     assert not hasattr(index, "add_polygon")
+    assert not hasattr(index, "lookup_table")  # the store holds it
+    assert index.probe_view().lookup_table is index.store.lookup_table
 
 
 class TestQueries:
@@ -321,3 +329,62 @@ class TestCoverMemo:
         assert PolygonIndex.build(polygons).timings.covered == 3
         assert PolygonIndex.build(polygons).timings.covered == 0
         assert PolygonIndex.build(polygons + self._fresh(1)).timings.covered == 1
+
+
+class TestStoreOwnsItsLookupTable:
+    """A store is the one holder of its lookup table: nothing passes a
+    second handle along, so nothing can pass one that does not match."""
+
+    def test_no_signature_takes_a_lookup_table(self):
+        kernels = (approximate_join, accurate_join, join_batch, parallel_count_join)
+        helpers = (measure.probe_throughput_mpts, measure.exact_throughput_mpts)
+        stores = (AdaptiveCellTrie, CompressedCellTrie, BTreeStore, SortedVectorStore)
+        for function in (*kernels, *helpers, *stores, PolygonIndex, *STORE_FACTORIES.values()):
+            assert "lookup_table" not in inspect.signature(function).parameters, function
+        assert "lookup_table" not in {field.name for field in dataclasses.fields(ProbeView)}
+        # Across src/, only the snapshot attach takes one: there the
+        # table is the blob's ``lut`` buffer, a format input.
+        src = pathlib.Path(builder.__file__).parents[1]
+        takers = [
+            f"{path.relative_to(src).as_posix()}::{getattr(node, 'name', 'lambda')}"
+            for path in sorted(src.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.Lambda))
+            and "lookup_table" in {arg.arg for arg in (*node.args.args, *node.args.kwonlyargs)}
+        ]
+        assert takers == ["core/act.py::attach"]
+
+    def test_old_call_shapes_fail_loudly(self, polygons, points):
+        lngs, lats = points
+        index = PolygonIndex.build(polygons)
+        store, table, covering = index.store, index.store.lookup_table, index.super_covering
+        ids, n = index.cell_ids_for(lats, lngs), len(polygons)
+        for old_call in (
+            # Positionally, the table used to land in ``timings``.
+            lambda: PolygonIndex(polygons, covering, store, table, index.timings, None, None),
+            lambda: approximate_join(store, table, ids, n),
+            lambda: accurate_join(store, table, ids, polygons, lngs, lats),
+            lambda: join_batch(store, table, ids, polygons, lngs, lats, exact=True),
+            lambda: parallel_count_join(store, table, ids, n, 2),
+            lambda: measure.probe_throughput_mpts(store, table, ids, n),
+            lambda: measure.exact_throughput_mpts(store, table, ids, polygons, lngs, lats),
+            lambda: SortedVectorStore(covering, table),
+        ):
+            with pytest.raises(TypeError):
+                old_call()
+
+    def test_a_view_reads_its_stores_table(self, polygons, tmp_path):
+        """``decode_entries(view.store.probe(ids), view.lookup_table)``
+        decodes against the store's own table, whichever door the view
+        came through (``test_an_index_from_every_door_is_frozen`` checks
+        the static doors of ``PolygonIndex``)."""
+        index = PolygonIndex.build(polygons)
+        save_index(index, tmp_path / "v4.npy")
+        dynamic = DynamicPolygonIndex(index, compact_threshold=None)
+        dynamic.insert(regular_polygon((-73.98, 40.72), 0.005, 12))
+        assert isinstance(dynamic.store, OverlayCellStore)
+        assert not hasattr(dynamic, "lookup_table")
+        for source in (index, attach_index(pack_index(index)), load_index(tmp_path / "v4.npy"),
+                       load_index(DATA / "index_v1.npz"), dynamic):
+            view = source.probe_view()
+            assert view.lookup_table is view.store.lookup_table

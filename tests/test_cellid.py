@@ -145,11 +145,6 @@ class TestGeometry:
         cell = CellId.from_degrees(40.7, -74.0).parent(14)
         assert cell.contains(CellId.from_lat_lng(cell.to_lat_lng()))
 
-    def test_corners_are_distinct(self):
-        cell = CellId.from_degrees(40.7, -74.0).parent(10)
-        corners = cell.corner_lat_lngs()
-        assert len({(c.lat, c.lng) for c in corners}) == 4
-
     @settings(max_examples=40, deadline=None)
     @given(lat_values, lng_values, st.integers(min_value=4, max_value=28))
     def test_leaf_within_parent_rect(self, lat, lng, level):

@@ -1,7 +1,6 @@
 """Tests for curve independence: ACT over Morton-re-encoded cell ids."""
 
 import numpy as np
-import pytest
 
 from oracles import face_uv_from_xyz, ij_from_st, st_from_uv
 from repro.cells import CellId, cell_ids_from_lat_lng_arrays
@@ -14,7 +13,6 @@ from repro.cells.curves import (
 from repro.cells.coverer import CovererOptions, RegionCoverer
 from repro.core.act import AdaptiveCellTrie
 from repro.core.joins import accurate_join
-from repro.core.lookup_table import LookupTable
 from repro.core.super_covering import build_super_covering
 from repro.geo.pip import contains_points
 from repro.geo.polygon import regular_polygon
@@ -110,14 +108,10 @@ class TestMortonJoin:
         hilbert_ids = cell_ids_from_lat_lng_arrays(lats, lngs)
         morton_ids = morton_cell_ids_from_lat_lng_arrays(lats, lngs)
 
-        act_h = AdaptiveCellTrie(covering, 8, LookupTable())
-        act_m = AdaptiveCellTrie(morton_covering, 8, LookupTable())
-        result_h = accurate_join(
-            act_h, act_h.lookup_table, hilbert_ids, polygons, lngs, lats
-        )
-        result_m = accurate_join(
-            act_m, act_m.lookup_table, morton_ids, polygons, lngs, lats
-        )
+        act_h = AdaptiveCellTrie(covering, 8)
+        act_m = AdaptiveCellTrie(morton_covering, 8)
+        result_h = accurate_join(act_h, hilbert_ids, polygons, lngs, lats)
+        result_m = accurate_join(act_m, morton_ids, polygons, lngs, lats)
         brute = np.array([contains_points(p, lngs, lats).sum() for p in polygons])
         assert (result_h.counts == brute).all()
         assert (result_m.counts == brute).all()

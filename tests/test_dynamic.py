@@ -819,7 +819,7 @@ class TestLifecycleBasics:
             entries = overlay.probe(ids)
             assert np.array_equal(entries, index.store.probe(ids))
             assert [overlay.lookup_table.decode_entry(e) for e in np.unique(entries).tolist()] == [
-                index.lookup_table.decode_entry(e) for e in np.unique(entries).tolist()
+                index.store.lookup_table.decode_entry(e) for e in np.unique(entries).tolist()
             ]
 
     def test_tombstone_merges_only_the_rows_that_reference_it(self):
@@ -981,10 +981,9 @@ class TestCompaction:
                 [*compacted.polygons, stranger],
                 compacted.super_covering,
                 compacted.store,
-                compacted.lookup_table,
-                compacted.timings,
-                None,
-                None,
+                timings=compacted.timings,
+                precision_meters=None,
+                training_report=None,
             ),
             compact_threshold=None,
         )

@@ -173,7 +173,7 @@ class TestSnapshotContainer:
         # it serves from, so packing it again copies nothing.
         assert type(attached) is type(index)
         assert type(attached.store) is AdaptiveCellTrie
-        assert type(attached.lookup_table) is LookupTable
+        assert type(attached.store.lookup_table) is LookupTable
         assert index.snapshot is None
         assert pack_index(attached) is attached.snapshot
 
@@ -181,12 +181,12 @@ class TestSnapshotContainer:
         buffers = attached.snapshot.buffers
         assert np.shares_memory(attached.store.pool, buffers["act_pool"])
         assert np.shares_memory(attached.store.entries, buffers["act_entries"])
-        assert np.shares_memory(attached.lookup_table.array, buffers["lut"])
+        assert np.shares_memory(attached.store.lookup_table.array, buffers["lut"])
         blob = attached.snapshot.to_bytes()
         mapped = attach_index(blob)
         assert np.shares_memory(mapped.store.pool, blob)
         assert np.shares_memory(mapped.store.entries, blob)
-        assert np.shares_memory(mapped.lookup_table.array, blob)
+        assert np.shares_memory(mapped.store.lookup_table.array, blob)
         assert np.shares_memory(mapped.polygons[0].outer.lngs, blob)
         # The covering IS the plane's three buffers: wrapped, not unpacked.
         covering = mapped.super_covering
@@ -347,17 +347,13 @@ class TestFlatParity:
         assert stats.prefix_rejections == built_stats.prefix_rejections
 
     def test_lookup_table_decodes_identically(self, index, attached):
-        lats, lngs = _points(6, 2000)
-        entries = index.store.probe(index.cell_ids_for(lats, lngs))
-        for entry in np.unique(entries[entries != 0]):
-            assert attached.lookup_table.decode_entry(
-                int(entry)
-            ) == index.lookup_table.decode_entry(int(entry))
+        table = attached.store.lookup_table
+        assert np.array_equal(table.array, index.store.lookup_table.array)
 
     def test_attached_lookup_table_is_read_only(self, attached):
         refs = tuple(PolygonRef(pid, False) for pid in range(3))
         with pytest.raises(TypeError, match="read-only"):
-            attached.lookup_table.encode(refs)
+            attached.store.lookup_table.encode(refs)
 
     def test_containing_polygons(self, index, attached):
         lats, lngs = _points(7, 50)

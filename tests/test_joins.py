@@ -394,22 +394,19 @@ class TestDecodeParity:
         offset_tagged = (entries & np.uint64(3)) == np.uint64(TAG_OFFSET)
         distinct_lists = np.unique(entries[offset_tagged])
         assert len(distinct_lists) >= 20
-        assert_decodes_like_reference(entries, index.lookup_table)
+        assert_decodes_like_reference(entries, index.store.lookup_table)
 
 
 class TestAccurateJoin:
     def test_matches_brute_force(self, built):
         index, lngs, lats, ids, brute = built
-        result = accurate_join(
-            index.store, index.lookup_table, ids, index.polygons, lngs, lats
-        )
+        result = accurate_join(index.store, ids, index.polygons, lngs, lats)
         assert (result.counts == brute.sum(axis=1)).all()
 
     def test_materialized_pairs_match(self, built):
         index, lngs, lats, ids, brute = built
         result = accurate_join(
             index.store,
-            index.lookup_table,
             ids,
             index.polygons,
             lngs,
@@ -422,9 +419,7 @@ class TestAccurateJoin:
 
     def test_pip_accounting(self, built):
         index, lngs, lats, ids, _ = built
-        result = accurate_join(
-            index.store, index.lookup_table, ids, index.polygons, lngs, lats
-        )
+        result = accurate_join(index.store, ids, index.polygons, lngs, lats)
         assert result.num_pip_tests == result.num_candidate_pairs
         assert 0 <= result.solely_true_hits <= result.num_points
         assert result.sth_rate == result.solely_true_hits / result.num_points
@@ -433,7 +428,6 @@ class TestAccurateJoin:
         index, lngs, lats, _, _ = built
         result = accurate_join(
             index.store,
-            index.lookup_table,
             np.zeros(0, dtype=np.uint64),
             index.polygons,
             lngs[:0],
@@ -448,7 +442,7 @@ class TestApproximateJoin:
         """Approximate results contain every true pair (no false negatives)."""
         index, lngs, lats, ids, brute = built
         result = approximate_join(
-            index.store, index.lookup_table, ids, len(index.polygons), materialize=True
+            index.store, ids, len(index.polygons), materialize=True
         )
         got = np.zeros_like(brute)
         got[result.pair_polygons, result.pair_points] = True
@@ -456,13 +450,13 @@ class TestApproximateJoin:
 
     def test_never_runs_pip(self, built):
         index, lngs, lats, ids, _ = built
-        result = approximate_join(index.store, index.lookup_table, ids, len(index.polygons))
+        result = approximate_join(index.store, ids, len(index.polygons))
         assert result.num_pip_tests == 0
         assert result.solely_true_hits == result.num_points
 
     def test_counts_at_least_exact(self, built):
         index, lngs, lats, ids, brute = built
-        result = approximate_join(index.store, index.lookup_table, ids, len(index.polygons))
+        result = approximate_join(index.store, ids, len(index.polygons))
         assert (result.counts >= brute.sum(axis=1)).all()
 
 
@@ -470,10 +464,8 @@ class TestParallelJoin:
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_approx_counts_match_serial(self, built, threads):
         index, lngs, lats, ids, _ = built
-        serial = approximate_join(index.store, index.lookup_table, ids, len(index.polygons))
-        parallel = parallel_count_join(
-            index.store, index.lookup_table, ids, len(index.polygons), threads
-        )
+        serial = approximate_join(index.store, ids, len(index.polygons))
+        parallel = parallel_count_join(index.store, ids, len(index.polygons), threads)
         assert (serial.counts == parallel.counts).all()
         assert serial.num_pairs == parallel.num_pairs
 
@@ -481,7 +473,6 @@ class TestParallelJoin:
         index, lngs, lats, ids, brute = built
         parallel = parallel_count_join(
             index.store,
-            index.lookup_table,
             ids,
             len(index.polygons),
             num_threads=2,
@@ -493,10 +484,9 @@ class TestParallelJoin:
 
     def test_small_batches(self, built):
         index, lngs, lats, ids, _ = built
-        serial = approximate_join(index.store, index.lookup_table, ids[:100], len(index.polygons))
+        serial = approximate_join(index.store, ids[:100], len(index.polygons))
         parallel = parallel_count_join(
             index.store,
-            index.lookup_table,
             ids[:100],
             len(index.polygons),
             num_threads=4,
@@ -517,12 +507,11 @@ class TestParallelJoin:
         num_candidate_pairs, and refine_seconds entirely."""
         index, lngs, lats, ids, _ = built
         serial = accurate_join(
-            index.store, index.lookup_table, ids[:num_points],
+            index.store, ids[:num_points],
             index.polygons, lngs[:num_points], lats[:num_points],
         )
         parallel = parallel_count_join(
             index.store,
-            index.lookup_table,
             ids[:num_points],
             len(index.polygons),
             num_threads,
@@ -552,12 +541,9 @@ class TestParallelJoin:
         self, built, num_points, num_threads, batch_size
     ):
         index, lngs, lats, ids, _ = built
-        serial = approximate_join(
-            index.store, index.lookup_table, ids[:num_points], len(index.polygons)
-        )
+        serial = approximate_join(index.store, ids[:num_points], len(index.polygons))
         parallel = parallel_count_join(
             index.store,
-            index.lookup_table,
             ids[:num_points],
             len(index.polygons),
             num_threads,
@@ -575,7 +561,7 @@ class TestParallelJoin:
         index, lngs, lats, ids, _ = built
         refine = dict(polygons=index.polygons, lngs=lngs, lats=lats) if exact else {}
         parallel = parallel_count_join(
-            index.store, index.lookup_table, ids, len(index.polygons), threads,
+            index.store, ids, len(index.polygons), threads,
             batch_size=7_001,  # splits the 25 000 points unevenly
             materialize=True, **refine,
         )
@@ -711,7 +697,7 @@ class TestJoinDriver:
 
         def run(num_threads=1, morsel_size=1 << 16):
             return join_batch(
-                view.store, view.lookup_table, ids, view.polygons, lngs, lats,
+                view.store, ids, view.polygons, lngs, lats,
                 exact=exact, materialize=materialize, engine=view.refiner,
                 num_threads=num_threads, morsel_size=morsel_size,
             )
@@ -755,7 +741,7 @@ class TestJoinDriver:
         view = built[0].probe_view()
         with pytest.raises(ValueError, match=message):
             join_batch(
-                view.store, view.lookup_table, ids[:10], view.polygons,
+                view.store, ids[:10], view.polygons,
                 lngs[:10], lats[:10], exact=True, engine=view.refiner,
                 **schedule,
             )
@@ -778,11 +764,11 @@ class TestMergeJoinResults:
         def join(lo, hi):
             if exact:
                 return accurate_join(
-                    index.store, index.lookup_table, ids[lo:hi], index.polygons,
+                    index.store, ids[lo:hi], index.polygons,
                     lngs[lo:hi], lats[lo:hi], materialize=True,
                 )
             return approximate_join(
-                index.store, index.lookup_table, ids[lo:hi],
+                index.store, ids[lo:hi],
                 len(index.polygons), materialize=True,
             )
 
@@ -863,7 +849,7 @@ def row_batches(draw):
     cell_ids = lows + np.uint64(2) * np.minimum(steps, spans // np.uint64(2))
     lngs = generator.uniform(-74.02, -73.98, len(picks))
     lats = generator.uniform(40.68, 40.72, len(picks))
-    return AdaptiveCellTrie(covering, 4, LookupTable()), cell_ids, lngs, lats
+    return AdaptiveCellTrie(covering, 4), cell_ids, lngs, lats
 
 
 class TestRowPath:
@@ -883,12 +869,12 @@ class TestRowPath:
             for exact in (False, True):
                 refine = {"engine": engine, "lngs": xs, "lats": ys} if exact else {}
                 counts, stats, pairs = oracles.decode_join(
-                    store, store.lookup_table, ids, num_polygons, **refine
+                    store, ids, num_polygons, **refine
                 )
                 for num_threads in (1, 4):
                     for materialize in (False, True):
                         result = join_batch(
-                            store, store.lookup_table, ids, _ROW_POLYGONS, xs, ys,
+                            store, ids, _ROW_POLYGONS, xs, ys,
                             exact=exact, materialize=materialize, engine=engine,
                             num_threads=num_threads, morsel_size=7,
                         )
@@ -910,7 +896,7 @@ class TestRowPath:
                 _ROW_CELLS[2].id: (PolygonRef(1, True), PolygonRef(2, False), PolygonRef(3, False)),
             }
         )
-        store = AdaptiveCellTrie(covering, 4, LookupTable())
+        store = AdaptiveCellTrie(covering, 4)
         tags = (store.rows.entries & np.uint64(3)).tolist()
         assert sorted(tags) == [0, TAG_ONE_REF, TAG_TWO_REFS, TAG_OFFSET]
         assert store.rows.sizes.tolist() == [0] + [
@@ -938,9 +924,9 @@ class TestStoresProbeToRows:
         stores = [
             index.store,
             dynamic.store,
-            BTreeStore(covering, LookupTable()),
-            SortedVectorStore(covering, LookupTable()),
-            CompressedCellTrie(covering, 8, LookupTable()),
+            BTreeStore(covering),
+            SortedVectorStore(covering),
+            CompressedCellTrie(covering, 8),
         ]
         assert isinstance(dynamic.store, OverlayCellStore)
 

@@ -65,23 +65,6 @@ class TestEncoding:
         assert table.decode_entry(table.encode(refs)) == refs
 
 
-class TestDeduplication:
-    def test_identical_lists_share_offsets(self):
-        table = LookupTable()
-        refs = (PolygonRef(1, True), PolygonRef(2, False), PolygonRef(3, True))
-        first = table.encode(refs)
-        second = table.encode(refs)
-        assert first == second
-        assert table.num_lists == 1
-
-    def test_distinct_lists_get_distinct_offsets(self):
-        table = LookupTable()
-        a = table.encode((PolygonRef(1, True), PolygonRef(2, False), PolygonRef(3, True)))
-        b = table.encode((PolygonRef(4, True), PolygonRef(5, False), PolygonRef(6, True)))
-        assert a != b
-        assert table.num_lists == 2
-
-
 class TestArrayLayout:
     def test_encoding_structure(self):
         table = LookupTable()
@@ -145,8 +128,9 @@ class TestEncodeCovering:
                 assert table.encode(refs) == entry
             tables.append((entries.tolist(), table.array.tolist()))
         assert tables[0] == tables[1]
+        # Each distinct long list is stored once, re-encodes included.
         distinct_long = {refs for _, refs in rows if len(refs) > 2}
-        assert table.num_lists == len(distinct_long)
+        assert len(table) == sum(2 + len(refs) for refs in distinct_long)
 
     def test_empty_rows_and_wide_ids_rejected(self):
         import numpy as np

@@ -13,7 +13,7 @@ import pytest
 
 from repro.baselines import BTreeStore, CompressedCellTrie, SortedVectorStore
 from repro.cells import cell_ids_from_lat_lng_arrays
-from repro.core import LookupTable, PolygonIndex, solely_true_hit_rate
+from repro.core import PolygonIndex, solely_true_hit_rate
 from repro.core.joins import approximate_join
 from repro.datasets import polygon_dataset, taxi_points
 from repro.geo.distance import polygon_distance_meters
@@ -88,8 +88,8 @@ def test_act_touches_fewer_nodes_than_gbt_and_lb(indexes, taxi, precision):
     """Table 5's structural counters (its timings are not asserted)."""
     covering = indexes[precision].super_covering
     _, stats = indexes[precision].store.probe_instrumented(taxi[2])
-    assert stats.avg_depth < BTreeStore(covering, LookupTable()).node_accesses_per_probe()
-    assert stats.avg_depth < SortedVectorStore(covering, LookupTable()).comparisons_per_probe()
+    assert stats.avg_depth < BTreeStore(covering).node_accesses_per_probe()
+    assert stats.avg_depth < SortedVectorStore(covering).comparisons_per_probe()
 
 
 @pytest.mark.parametrize("precision", PRECISIONS)
@@ -98,19 +98,18 @@ def test_act4_approximate_join_outruns_lb(indexes, taxi, precision):
     search over the sorted cell ids) on the approximate join, by at least
     1.1x, best of 3 runs each."""
     index, ids = indexes[precision], taxi[2]
-    lb_table = LookupTable()
-    lb = SortedVectorStore(index.super_covering, lb_table)
+    lb = SortedVectorStore(index.super_covering)
 
-    def best_seconds(store, table):
+    def best_seconds(store):
         runs = []
         for _ in range(3):
             with Timer() as timer:
-                result = approximate_join(store, table, ids, index.num_polygons)
+                result = approximate_join(store, ids, index.num_polygons)
             runs.append(timer.seconds)
         return min(runs), result
 
-    act_seconds, act = best_seconds(index.store, index.lookup_table)
-    lb_seconds, baseline = best_seconds(lb, lb_table)
+    act_seconds, act = best_seconds(index.store)
+    lb_seconds, baseline = best_seconds(lb)
     assert np.array_equal(act.counts, baseline.counts)
     assert lb_seconds / act_seconds >= 1.1, (act_seconds, lb_seconds)
 
@@ -119,6 +118,6 @@ def test_act4_approximate_join_outruns_lb(indexes, taxi, precision):
 def test_node4_saves_a_negligible_share_of_bytes(indexes, precision):
     """Section 3.1: ART's Node4 "saves only a negligible amount of space"."""
     act4 = indexes[precision].store
-    node4 = CompressedCellTrie(indexes[precision].super_covering, 8, LookupTable())
+    node4 = CompressedCellTrie(indexes[precision].super_covering, 8)
     assert act4.name == "ACT4" and node4.num_node4 > 0
     assert 0.0 < 1.0 - node4.size_bytes / act4.size_bytes < 0.05

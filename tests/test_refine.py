@@ -165,7 +165,7 @@ def built_index():
 class TestRefinementEngine:
     def test_refine_matches_mask_baseline_bit_for_bit(self, built_index):
         index, lngs, lats, cell_ids = built_index
-        pairs = decode_entries(index.store.probe(cell_ids), index.lookup_table)
+        pairs = decode_entries(index.store.probe(cell_ids), index.store.lookup_table)
         baseline = refine_candidates_masks(*pairs, index.polygons, lngs, lats)
         engine = RefinementEngine(tuple(index.polygons))
         fast = engine.refine(*pairs, lngs, lats)
@@ -177,7 +177,7 @@ class TestRefinementEngine:
     def test_accurate_join_counts_match_brute_force(self, built_index):
         index, lngs, lats, cell_ids = built_index
         result = accurate_join(
-            index.store, index.lookup_table, cell_ids, index.polygons,
+            index.store, cell_ids, index.polygons,
             lngs, lats, engine=index.probe_view().refiner,
         )
         brute = np.vstack(
@@ -225,7 +225,7 @@ class TestRefinementEngine:
         """No size switch: a 1-pair batch and the full batch run through
         the same table object, and both match the mask oracle."""
         index, lngs, lats, cell_ids = built_index
-        pairs = decode_entries(index.store.probe(cell_ids), index.lookup_table)
+        pairs = decode_entries(index.store.probe(cell_ids), index.store.lookup_table)
         engine = RefinementEngine(tuple(index.polygons))
         first = np.flatnonzero(~pairs[2])[:1]
         one = tuple(part[first] for part in pairs)
@@ -246,7 +246,7 @@ class TestEngineIntegration:
         view = loaded.probe_view()
         assert view.refiner is not None
         original = accurate_join(
-            index.store, index.lookup_table, cell_ids, index.polygons,
+            index.store, cell_ids, index.polygons,
             lngs, lats,
         )
         restored = loaded.join(lats, lngs, exact=True)
@@ -602,7 +602,7 @@ class TestBucketRule:
         index = PolygonIndex.build(polygons)
         point_idx, pids, is_true = decode_entries(
             index.store.probe(cell_ids_from_lat_lng_arrays(lats, lngs)),
-            index.lookup_table,
+            index.store.lookup_table,
         )
         cand = np.flatnonzero(~is_true)
         p, px, py = pids[cand], lngs[point_idx[cand]], lats[point_idx[cand]]

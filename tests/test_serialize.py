@@ -319,7 +319,7 @@ class TestBackwardCompatibility:
         descent."""
         import oracles
         from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
-        from repro.core import AdaptiveCellTrie, LookupTable
+        from repro.core import AdaptiveCellTrie
         from repro.core.flat import FlatSnapshot
 
         stored = FlatSnapshot.load(FIXTURE_V3).buffers["act_pool"]
@@ -337,7 +337,7 @@ class TestBackwardCompatibility:
         assert v4.store.entries is buffers["act_entries"]
         assert np.array_equal(v4.store.pool, v3.store.pool)
         assert np.array_equal(v4.store.entries, v3.store.entries)
-        built = AdaptiveCellTrie(v3.super_covering, v3.store.fanout_bits, LookupTable())
+        built = AdaptiveCellTrie(v3.super_covering, v3.store.fanout_bits)
 
         generator = np.random.default_rng(23)
         lngs = generator.uniform(-74.02, -73.96, 6000)

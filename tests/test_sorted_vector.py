@@ -1,13 +1,11 @@
 """Tests for the LB baseline: binary search on a sorted cell vector."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import SortedVectorStore
 from repro.cells import CellId
-from repro.core.lookup_table import LookupTable
 from repro.core.refs import PolygonRef
 from repro.core.super_covering import SuperCovering
 
@@ -44,7 +42,7 @@ class TestProbe:
         covering = SuperCovering()
         cell = BASE.parent(10)
         covering.insert(cell, [PolygonRef(7, True)])
-        store = SortedVectorStore(covering, LookupTable())
+        store = SortedVectorStore(covering)
         hit = store.probe(np.asarray([BASE.id], dtype=np.uint64))
         assert store.lookup_table.decode_entry(int(hit[0])) == (PolygonRef(7, True),)
         miss_id = CellId.from_degrees(10.0, 10.0).id
@@ -52,7 +50,7 @@ class TestProbe:
         assert miss[0] == 0
 
     def test_empty_store(self):
-        store = SortedVectorStore(SuperCovering(), LookupTable())
+        store = SortedVectorStore(SuperCovering())
         out = store.probe(np.asarray([BASE.id], dtype=np.uint64))
         assert out[0] == 0
 
@@ -60,7 +58,7 @@ class TestProbe:
         covering = SuperCovering()
         cell = BASE.parent(12)
         covering.insert(cell, [PolygonRef(1, False)])
-        store = SortedVectorStore(covering, LookupTable())
+        store = SortedVectorStore(covering)
         edges = np.asarray(
             [cell.range_min().id, cell.range_max().id], dtype=np.uint64
         )
@@ -76,7 +74,7 @@ class TestProbe:
     @given(covering_and_queries())
     def test_matches_brute_force(self, data):
         covering, queries = data
-        store = SortedVectorStore(covering, LookupTable())
+        store = SortedVectorStore(covering)
         out = store.probe(np.asarray(queries, dtype=np.uint64))
         for k, query in enumerate(queries):
             expected = brute_force_lookup(covering, query)
@@ -89,19 +87,19 @@ class TestAccounting:
         covering = SuperCovering()
         covering.insert(BASE.parent(10), [PolygonRef(1, False)])
         covering.insert(BASE.parent(10).parent(8).child(1), [PolygonRef(2, False)])
-        store = SortedVectorStore(covering, LookupTable())
+        store = SortedVectorStore(covering)
         assert store.size_bytes == 16 * store.num_cells + store.lookup_table.size_bytes
 
     def test_comparisons_model(self):
         covering = SuperCovering()
         for k, child in enumerate(BASE.parent(5).children()):
             covering.insert(child, [PolygonRef(k, False)])
-        store = SortedVectorStore(covering, LookupTable())
+        store = SortedVectorStore(covering)
         assert store.comparisons_per_probe() == 2.0  # log2(4)
 
     def test_describe(self):
         covering = SuperCovering()
         covering.insert(BASE.parent(10), [PolygonRef(1, False)])
-        info = SortedVectorStore(covering, LookupTable()).describe()
+        info = SortedVectorStore(covering).describe()
         assert info["variant"] == "LB"
         assert info["num_cells"] == 1

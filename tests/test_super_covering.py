@@ -381,7 +381,6 @@ class TestRealPolygons:
         assert covering.num_cells > 0
         histogram = covering.level_histogram()
         assert sum(histogram.values()) == covering.num_cells
-        assert covering.raw_key_bytes() == 8 * covering.num_cells
 
     def test_replace_cell(self):
         covering = SuperCovering()

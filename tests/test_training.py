@@ -13,7 +13,6 @@ from repro.cells import CellId, cell_ids_from_lat_lng_arrays
 from repro.core import PolygonIndex
 from repro.core.act import AdaptiveCellTrie
 from repro.core.joins import accurate_join
-from repro.core.lookup_table import LookupTable
 from repro.core.refs import PolygonRef
 from repro.core.super_covering import SuperCovering
 from repro.core.training import (
@@ -56,15 +55,11 @@ class TestTraining:
     def test_training_reduces_pip_tests(self, setup):
         polygons, train_ids, query_ids, qlngs, qlats, _ = setup
         index = build_base(polygons)
-        before = accurate_join(
-            index.store, index.lookup_table, query_ids, polygons, qlngs, qlats
-        )
+        before = accurate_join(index.store, query_ids, polygons, qlngs, qlats)
         report = train_super_covering(index.super_covering, polygons, train_ids)
         assert report.cells_split > 0
-        trained = AdaptiveCellTrie(index.super_covering, 8, LookupTable())
-        after = accurate_join(
-            trained, trained.lookup_table, query_ids, polygons, qlngs, qlats
-        )
+        trained = AdaptiveCellTrie(index.super_covering, 8)
+        after = accurate_join(trained, query_ids, polygons, qlngs, qlats)
         assert after.num_pip_tests < before.num_pip_tests
 
     def test_training_preserves_exact_results(self, setup):
@@ -72,10 +67,8 @@ class TestTraining:
         index = build_base(polygons)
         train_super_covering(index.super_covering, polygons, train_ids)
         index.super_covering.check_disjoint()
-        trained = AdaptiveCellTrie(index.super_covering, 8, LookupTable())
-        result = accurate_join(
-            trained, trained.lookup_table, query_ids, polygons, qlngs, qlats
-        )
+        trained = AdaptiveCellTrie(index.super_covering, 8)
+        result = accurate_join(trained, query_ids, polygons, qlngs, qlats)
         assert (result.counts == brute).all()
 
     def test_training_raises_sth(self, setup):
@@ -250,10 +243,8 @@ class TestVectorizedParity:
                 max_cells=index.num_cells + 500,
                 order=order,
             )
-            store = AdaptiveCellTrie(index.super_covering, 8, LookupTable())
-            result = accurate_join(
-                store, store.lookup_table, query_ids, polygons, qlngs, qlats
-            )
+            store = AdaptiveCellTrie(index.super_covering, 8)
+            result = accurate_join(store, query_ids, polygons, qlngs, qlats)
             assert (result.counts == brute).all()
 
 
