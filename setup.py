@@ -28,12 +28,6 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     install_requires=["numpy>=1.22"],
-    entry_points={
-        "console_scripts": [
-            # The repo-specific static analyzer (same as `python -m repro.analysis`).
-            "repro-analyze=repro.analysis.__main__:main",
-        ],
-    },
     extras_require={
         # scipy backs the synthetic Voronoi polygon generators
         # (repro.datasets), which the tests and benches build on.

@@ -5,44 +5,22 @@ background retrains and the shard fronts' admin calls.  Which lock
 guards which attribute is a convention nothing in Python enforces.  This
 package checks it two ways:
 
-* ``python -m repro.analysis src/`` (also installed as ``repro-analyze``)
-  runs the ``guarded-by`` rule over the tree: an attribute annotated
-  ``#: guarded_by(_lock)`` (or ``#: guarded_by(_lock, writes)``) is only
-  touched under ``with self._lock:``, and a method annotated
-  ``#: requires(_lock)`` is only called with the lock held.  Findings
-  print as text or JSON; inline ``# repro: ignore[guarded-by]`` comments
-  suppress single findings, and a checked-in baseline file grandfathers
-  the rest.
+* :mod:`repro.analysis.guarded_by` (``python -m repro.analysis src/``)
+  is the one static check: an attribute annotated ``#: guarded_by(_lock)``
+  (or ``#: guarded_by(_lock, writes)``) is only touched under
+  ``with self._lock:``, and a method annotated ``#: requires(_lock)`` is
+  only called with the lock held.  :func:`check` returns the findings;
+  the fix for one is to hold the lock or to use ``writes`` mode.
 * :mod:`repro.analysis.sanitizer` is the runtime companion: an opt-in
   instrumented ``Lock``/``RLock`` wrapper that records acquisition order
   per thread and raises on inversions.  The test suite installs it when
   ``REPRO_SANITIZE=1``.
 
-A rule earns its place by catching a seeded bug the tests miss; see
+A new check earns its place by catching a seeded bug the tests miss; see
 ``DESIGN.md`` ("Static analysis & sanitizers") for that bar and the
 annotation grammar.
 """
 
-from repro.analysis.core import (
-    Analyzer,
-    Finding,
-    ModuleInfo,
-    Project,
-    Rule,
-    Severity,
-)
-from repro.analysis.baseline import load_baseline, write_baseline
-from repro.analysis.report import render_json, render_text
+from repro.analysis.guarded_by import Finding, check
 
-__all__ = [
-    "Analyzer",
-    "Finding",
-    "ModuleInfo",
-    "Project",
-    "Rule",
-    "Severity",
-    "load_baseline",
-    "write_baseline",
-    "render_json",
-    "render_text",
-]
+__all__ = ["Finding", "check"]

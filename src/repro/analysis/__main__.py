@@ -1,100 +1,38 @@
-"""CLI driver: ``python -m repro.analysis [paths...]`` / ``repro-analyze``.
+"""``python -m repro.analysis [paths...]``: the guarded-by lock check.
 
-Exit status is 0 when every error-severity finding is suppressed or
-baselined, 1 when new errors remain (or, under ``--strict``, warnings
-too), and 2 on usage/parse errors.
+Prints one ``path:line: message`` per finding, then the count.  Exits 0
+when clean, 1 on findings and 2 when a file does not parse.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from repro.analysis.baseline import load_baseline, split_baselined, write_baseline
-from repro.analysis.core import Analyzer, Severity
-from repro.analysis.report import render_json, render_text
-from repro.analysis.rules import all_rules, rules_by_name
-
-DEFAULT_BASELINE = "analysis-baseline.txt"
+from repro.analysis.guarded_by import check
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro-analyze",
-        description="Static concurrency & lifecycle analysis for the repro tree.",
+        prog="python -m repro.analysis",
+        description="Check '#: guarded_by' / '#: requires' lock annotations.",
     )
     parser.add_argument(
         "paths",
         nargs="*",
         default=["src"],
-        help="files or directories to analyze (default: src)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", dest="fmt"
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline file (default: ./{DEFAULT_BASELINE} when present)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline from current findings and exit 0",
-    )
-    parser.add_argument(
-        "--select",
-        default=None,
-        help="comma-separated rule names to run (default: all)",
-    )
-    parser.add_argument(
-        "--strict", action="store_true", help="warnings also fail the run"
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule table and exit"
+        help="files or directories to check (default: src)",
     )
     args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule in all_rules():
-            print(f"{rule.name:16s} {rule.severity:8s} {rule.description}")
-        return 0
-
     try:
-        rules = rules_by_name(args.select.split(",") if args.select else None)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
+        findings = check(args.paths)
+    except SyntaxError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
         return 2
-
-    analyzer = Analyzer(rules)
-    project = analyzer.load([Path(p) for p in args.paths])
-    if analyzer.parse_errors:
-        for error in analyzer.parse_errors:
-            print(f"parse error: {error}", file=sys.stderr)
-        return 2
-    findings = analyzer.run(project)
-
-    baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE)
-    if args.write_baseline:
-        write_baseline(baseline_path, findings)
-        print(f"wrote {len(findings)} fingerprint(s) to {baseline_path}")
-        return 0
-
-    baseline = load_baseline(baseline_path)
-    new, baselined, stale = split_baselined(findings, baseline)
-
-    render = render_json if args.fmt == "json" else render_text
-    output = render(new, baselined, sorted(stale))
-    if output:
-        print(output)
-
-    failing = [
-        f
-        for f in new
-        if f.severity == Severity.ERROR or (args.strict and f.severity == Severity.WARNING)
-    ]
-    return 1 if failing else 0
+    for finding in findings:
+        print(f"{finding.path}:{finding.line}: {finding.message}")
+    print(f"{len(findings)} finding(s)")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

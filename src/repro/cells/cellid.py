@@ -126,19 +126,9 @@ class CellId:
         return bool(self.id & 1)
 
     @property
-    def is_face(self) -> bool:
-        return self.level == 0
-
-    @property
     def pos(self) -> int:
         """The 60-bit curve position (including the marker's trailing zeros)."""
         return (self.id & ((1 << POS_BITS) - 1)) >> 1
-
-    def child_position(self, level: int) -> int:
-        """Which quadrant (0-3) of its level-``level`` ancestor this cell is in."""
-        if not 1 <= level <= self.level:
-            raise ValueError(f"level {level} not in [1, {self.level}]")
-        return (self.id >> (2 * (MAX_LEVEL - level) + 1)) & 3
 
     # ------------------------------------------------------------------
     # Hierarchy navigation

@@ -36,14 +36,3 @@ class LatLng:
         lat = math.degrees(math.atan2(z, math.hypot(x, y)))
         lng = math.degrees(math.atan2(y, x))
         return LatLng(lat, lng)
-
-    def approx_distance_meters(self, other: "LatLng") -> float:
-        """Great-circle distance via the haversine formula."""
-        from repro.cells.metrics import EARTH_RADIUS_METERS
-
-        phi1 = math.radians(self.lat)
-        phi2 = math.radians(other.lat)
-        dphi = phi2 - phi1
-        dlmb = math.radians(other.lng - self.lng)
-        a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlmb / 2) ** 2
-        return 2.0 * EARTH_RADIUS_METERS * math.asin(min(1.0, math.sqrt(a)))

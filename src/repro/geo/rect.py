@@ -23,15 +23,6 @@ class Rect:
         """Return the canonical empty rectangle (inverted bounds)."""
         return Rect(1.0, -1.0, 1.0, -1.0)
 
-    @staticmethod
-    def from_points(lngs, lats) -> "Rect":
-        """Bounding rectangle of point arrays (or any iterables)."""
-        lngs = list(lngs)
-        lats = list(lats)
-        if not lngs:
-            return Rect.empty()
-        return Rect(min(lngs), max(lngs), min(lats), max(lats))
-
     @property
     def is_empty(self) -> bool:
         return self.lng_lo > self.lng_hi or self.lat_lo > self.lat_hi
@@ -90,15 +81,6 @@ class Rect:
             min(self.lat_lo, other.lat_lo),
             max(self.lat_hi, other.lat_hi),
         )
-
-    def intersection(self, other: "Rect") -> "Rect":
-        rect = Rect(
-            max(self.lng_lo, other.lng_lo),
-            min(self.lng_hi, other.lng_hi),
-            max(self.lat_lo, other.lat_lo),
-            min(self.lat_hi, other.lat_hi),
-        )
-        return Rect.empty() if rect.is_empty else rect
 
     def expanded(self, margin_lng: float, margin_lat: float | None = None) -> "Rect":
         """Grow the rectangle by a margin on every side (shrink if negative)."""

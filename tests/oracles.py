@@ -323,11 +323,7 @@ def normalize_covering(cells: list[CellId]) -> list[CellId]:
         index = 0
         while index < len(cells_now):
             cell = cells_now[index]
-            if (
-                cell.level > 0
-                and cell.child_position(cell.level) == 0
-                and index + 3 < len(cells_now)
-            ):
+            if cell.level > 0 and index + 3 < len(cells_now):
                 parent = cell.parent()
                 group = cells_now[index:index + 4]
                 if [c.id for c in group] == [ch.id for ch in parent.children()]:

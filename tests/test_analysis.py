@@ -1,18 +1,16 @@
-"""Tests for ``repro.analysis``: the guarded-by rule, baseline, CLI, and
-the sanitizer.
+"""Tests for ``repro.analysis``: the guarded-by check, its CLI, and the
+sanitizer.
 
-The rule gets triggering and non-triggering fixtures built from tiny
-synthetic modules (written to ``tmp_path`` and analyzed through the
-public :class:`~repro.analysis.Analyzer` API), plus suppression and
-baseline coverage.  Seeded copies of real serve-stack modules check that
-the rule still reports an access moved out of its lock there.  One
-in-process scan asserts the analyzer runs clean over the real ``src/``
-tree at HEAD, and a subprocess check covers the CLI's exit codes.
+The check gets triggering and non-triggering fixtures built from tiny
+synthetic modules (written to ``tmp_path`` and checked through the
+public :func:`~repro.analysis.check`).  Seeded copies of real
+serve-stack modules check that it still reports an access moved out of
+its lock there.  One in-process scan asserts the real ``src/`` tree is
+clean at HEAD, and a subprocess check covers the CLI's exit codes.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -21,31 +19,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    Analyzer,
-    Severity,
-    load_baseline,
-    render_json,
-    render_text,
-    write_baseline,
-)
-from repro.analysis import sanitizer
-from repro.analysis.baseline import split_baselined
-from repro.analysis.rules import all_rules, rules_by_name
+from repro.analysis import check, sanitizer
+from repro.analysis.__main__ import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def analyze(tmp_path, sources: dict[str, str], select: list[str] | None = None):
-    """Write fixture modules and run the analyzer over them."""
+def analyze(tmp_path, sources: dict[str, str]):
+    """Write fixture modules and check them."""
     for rel, source in sources.items():
         target = tmp_path / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(textwrap.dedent(source))
-    analyzer = Analyzer(rules_by_name(select))
-    project = analyzer.load([tmp_path], root=tmp_path)
-    assert not analyzer.parse_errors, analyzer.parse_errors
-    return analyzer.run(project)
+    return check([tmp_path])
 
 
 # ----------------------------------------------------------------------
@@ -70,12 +56,12 @@ GUARDED = """
 
 
 def test_guarded_by_flags_unlocked_access(tmp_path):
-    findings = analyze(tmp_path, {"box.py": GUARDED}, select=["guarded-by"])
+    findings = analyze(tmp_path, {"box.py": GUARDED})
     assert len(findings) == 1
     (finding,) = findings
-    assert finding.rule == "guarded-by"
-    assert "unlocked_read" in finding.symbol
-    assert finding.severity == Severity.ERROR
+    assert finding.symbol == "Box.unlocked_read:_items#1"
+    assert finding.path == (tmp_path / "box.py").as_posix()
+    assert finding.line == 14
 
 
 def test_guarded_by_accepts_locked_access_and_init(tmp_path):
@@ -84,7 +70,30 @@ def test_guarded_by_accepts_locked_access_and_init(tmp_path):
         "",
     )
     assert clean != GUARDED
-    assert analyze(tmp_path, {"box.py": clean}, select=["guarded-by"]) == []
+    assert analyze(tmp_path, {"box.py": clean}) == []
+
+
+def test_guarded_by_marker_on_the_line_above(tmp_path):
+    """A ``#:`` marker alone on its line annotates the statement below."""
+    source = """
+        import threading
+
+        class Svc:
+            def __init__(self):
+                self._lock = threading.Lock()
+                #: guarded_by(_lock)
+                self._state = 0
+
+            #: requires(_lock)
+            def _bump(self):
+                self._state += 1
+
+            def bad(self):
+                self._bump()
+                return self._state
+    """
+    findings = analyze(tmp_path, {"svc.py": source})
+    assert [f.symbol for f in findings] == ["Svc.bad:call-_bump#1", "Svc.bad:_state#1"]
 
 
 def test_guarded_by_writes_only_mode(tmp_path):
@@ -102,7 +111,7 @@ def test_guarded_by_writes_only_mode(tmp_path):
             def publish(self, data):
                 self._snapshot = dict(data)  # write outside the lock: flagged
     """
-    findings = analyze(tmp_path, {"pub.py": source}, select=["guarded-by"])
+    findings = analyze(tmp_path, {"pub.py": source})
     assert len(findings) == 1
     assert "write to" in findings[0].message
     assert "publish" in findings[0].symbol
@@ -134,7 +143,7 @@ def test_guarded_by_writes_only_mode_counts_item_writes(tmp_path, write):
             def publish(self, key, data):
                 {write}
     """
-    findings = analyze(tmp_path, {"pub.py": source}, select=["guarded-by"])
+    findings = analyze(tmp_path, {"pub.py": source})
     assert [(f.symbol, f.message.split(" outside")[0]) for f in findings] == [
         ("Published.publish:_snapshot#1", "write to Published._snapshot")
     ]
@@ -159,31 +168,10 @@ def test_guarded_by_requires_annotation(tmp_path):
             def bad(self):
                 self._bump()  # requires-annotated callee without the lock
     """
-    findings = analyze(tmp_path, {"svc.py": source}, select=["guarded-by"])
+    findings = analyze(tmp_path, {"svc.py": source})
     assert len(findings) == 1
     assert "requires(_lock)" in findings[0].message
     assert "Svc.bad:call-_bump" in findings[0].symbol
-
-
-def test_suppression_same_line(tmp_path):
-    source = GUARDED.replace(
-        "        def unlocked_read(self):\n            return len(self._items)",
-        "        def unlocked_read(self):\n"
-        "            return len(self._items)  # repro: ignore[guarded-by]",
-    )
-    assert source != GUARDED
-    assert analyze(tmp_path, {"box.py": source}, select=["guarded-by"]) == []
-
-
-def test_suppression_standalone_line_above(tmp_path):
-    source = GUARDED.replace(
-        "        def unlocked_read(self):\n            return len(self._items)",
-        "        def unlocked_read(self):\n"
-        "            # repro: ignore[guarded-by]\n"
-        "            return len(self._items)",
-    )
-    assert source != GUARDED
-    assert analyze(tmp_path, {"box.py": source}, select=["guarded-by"]) == []
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +260,7 @@ def test_guarded_by_reports_an_access_moved_out_of_its_lock(tmp_path, site):
     source = (REPO_ROOT / "src" / relpath).read_text()
     assert source.count(locked) == 1, f"seed site for {site} moved"
     seeded = source.replace(locked, moved)
-    findings = analyze(tmp_path, {relpath: seeded}, select=["guarded-by"])
+    findings = analyze(tmp_path, {relpath: seeded})
     assert {f.symbol for f in findings} == expected
     lines = seeded.splitlines()
     for finding in findings:
@@ -281,74 +269,13 @@ def test_guarded_by_reports_an_access_moved_out_of_its_lock(tmp_path, site):
 
 
 # ----------------------------------------------------------------------
-# Baseline and reporters
-# ----------------------------------------------------------------------
-
-
-def test_baseline_roundtrip_and_split(tmp_path):
-    findings = analyze(tmp_path, {"box.py": GUARDED}, select=["guarded-by"])
-    assert findings
-    path = tmp_path / "baseline.txt"
-    write_baseline(path, findings)
-    baseline = load_baseline(path)
-    assert baseline == {f.fingerprint for f in findings}
-
-    new, baselined, stale = split_baselined(findings, baseline)
-    assert new == [] and baselined == findings and stale == set()
-
-    baseline.add("guarded-by:gone.py:Gone.method:attr#1")
-    new, baselined, stale = split_baselined(findings, baseline)
-    assert stale == {"guarded-by:gone.py:Gone.method:attr#1"}
-
-
-def test_baseline_fingerprint_survives_line_shifts(tmp_path):
-    before = analyze(tmp_path / "a", {"box.py": GUARDED}, select=["guarded-by"])
-    shifted = "\n\n    # a comment pushing everything down\n" + GUARDED
-    after = analyze(tmp_path / "b", {"box.py": shifted}, select=["guarded-by"])
-    assert before[0].fingerprint == after[0].fingerprint
-    assert before[0].line != after[0].line
-
-
-def test_render_json_shape(tmp_path):
-    findings = analyze(tmp_path, {"box.py": GUARDED}, select=["guarded-by"])
-    payload = json.loads(render_json(findings, [], []))
-    assert payload["summary"]["errors"] == 1
-    assert payload["findings"][0]["rule"] == "guarded-by"
-    assert "fingerprint" in payload["findings"][0]
-    text = render_text(findings, [], [])
-    assert "error[guarded-by]" in text
-
-
-def test_rules_registry_rejects_unknown_rule():
-    assert [rule.name for rule in all_rules()] == ["guarded-by"]
-    with pytest.raises(KeyError):
-        rules_by_name(["no-such-rule"])
-
-
-# ----------------------------------------------------------------------
 # Self-check: the real tree is clean at HEAD; the CLI's exit codes
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def src_scan():
-    """``src/`` scanned once, as ``python -m repro.analysis src/`` scans
-    it from the repository root: ``(new, baselined, stale)`` against the
-    checked-in baseline."""
-    analyzer = Analyzer(all_rules())
-    project = analyzer.load([REPO_ROOT / "src"], root=REPO_ROOT)
-    assert analyzer.parse_errors == []
-    baseline = load_baseline(REPO_ROOT / "analysis-baseline.txt")
-    new, baselined, stale = split_baselined(analyzer.run(project), baseline)
-    return new, baselined, sorted(stale)
-
-
-def test_clean_on_src_at_head(src_scan):
-    assert "0 error(s)" in render_text(*src_scan)
-
-
-def test_json_format_on_src(src_scan):
-    assert json.loads(render_json(*src_scan))["summary"]["errors"] == 0
+def test_clean_on_src_at_head():
+    """``src/`` checked as ``python -m repro.analysis src/`` checks it."""
+    assert check([REPO_ROOT / "src"]) == []
 
 
 def _run_cli(*args: str, cwd: Path = REPO_ROOT):
@@ -367,22 +294,49 @@ def _run_cli(*args: str, cwd: Path = REPO_ROOT):
 def test_cli_exit_codes_on_fixture(tmp_path):
     bad = tmp_path / "box.py"
     bad.write_text(textwrap.dedent(GUARDED))
-    proc = _run_cli(str(bad), "--baseline", str(tmp_path / "none.txt"))
+    proc = _run_cli(str(bad))
     assert proc.returncode == 1
-    assert "guarded-by" in proc.stdout
+    assert proc.stdout.splitlines() == [
+        f"{bad.as_posix()}:14: read of Box._items outside 'with self._lock:' "
+        "(declared '#: guarded_by(_lock)')",
+        "1 finding(s)",
+    ]
 
-    # Baselining the finding turns the run green...
-    proc = _run_cli(
-        str(bad), "--baseline", str(tmp_path / "base.txt"), "--write-baseline"
-    )
+    proc = _run_cli("src/")
     assert proc.returncode == 0
-    proc = _run_cli(str(bad), "--baseline", str(tmp_path / "base.txt"))
-    assert proc.returncode == 0
-    assert "baselined" in proc.stdout
+    assert proc.stdout.splitlines() == ["0 finding(s)"]
 
-    # ...and unknown rule names are usage errors.
-    proc = _run_cli(str(bad), "--select", "bogus")
+    # A file that does not parse is an error of its own, not a finding.
+    broken = tmp_path / "broken.py"
+    broken.write_text("def broken(:\n")
+    proc = _run_cli(str(bad), str(broken))
     assert proc.returncode == 2
+    assert "broken.py" in proc.stderr
+
+
+def test_cli_takes_only_paths(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    usage = capsys.readouterr().out.splitlines()[0]
+    assert usage == "usage: python -m repro.analysis [-h] [paths ...]"
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        "--format=json",
+        "--baseline=x.txt",
+        "--write-baseline",
+        "--select=guarded-by",
+        "--strict",
+        "--list-rules",
+    ],
+)
+def test_cli_retired_options_are_usage_errors(option):
+    with pytest.raises(SystemExit) as exit_info:
+        main([option, "src"])
+    assert exit_info.value.code == 2
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,6 @@ class TestConstruction:
             cell = CellId.face_cell(face)
             assert cell.face == face
             assert cell.level == 0
-            assert cell.is_face
 
     def test_invalid_face_rejected(self):
         with pytest.raises(ValueError):
@@ -84,11 +83,6 @@ class TestHierarchy:
     def test_leaf_has_no_children(self):
         with pytest.raises(ValueError):
             next(CellId.from_degrees(0.0, 0.0).children())
-
-    def test_child_position_roundtrip(self):
-        cell = CellId.from_degrees(40.7, -74.0).parent(8)
-        for position, child in enumerate(cell.children()):
-            assert child.child_position(9) == position
 
     def test_children_at_level_counts(self):
         cell = CellId.from_degrees(40.7, -74.0).parent(10)

@@ -1,6 +1,5 @@
 """Tests for the Hilbert/Morton curve machinery."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -97,19 +97,6 @@ class TestLatLng:
         assert back.lat == pytest.approx(lat, abs=1e-9)
         assert back.lng == pytest.approx(lng, abs=1e-9)
 
-    def test_haversine_known_distance(self):
-        # One degree of latitude is ~111.2 km.
-        a = LatLng(40.0, -74.0)
-        b = LatLng(41.0, -74.0)
-        assert a.approx_distance_meters(b) == pytest.approx(111_195, rel=0.01)
-
-    def test_distance_symmetric(self):
-        a = LatLng(40.0, -74.0)
-        b = LatLng(42.0, -70.0)
-        assert a.approx_distance_meters(b) == pytest.approx(
-            b.approx_distance_meters(a)
-        )
-
 
 class TestMetrics:
     def test_paper_precision_levels(self):

@@ -74,8 +74,6 @@ class TestStructure:
     def test_max_edges_respected_below_level_cap(self, polygons):
         max_level = 17
         index = ShapeIndex(polygons, max_edges_per_cell=4, max_level=max_level)
-        from repro.cells import CellId
-
         for record in range(index.num_records):
             if index._rec_true[record]:
                 continue
