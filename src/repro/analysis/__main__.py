@@ -1,7 +1,8 @@
 """``python -m repro.analysis [paths...]``: the guarded-by lock check.
 
 Prints one ``path:line: message`` per finding, then the count.  Exits 0
-when clean, 1 on findings and 2 when a file does not parse.
+when clean, 1 on findings and 2 when a file does not parse or a path
+does not exist.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ def main(argv: list[str] | None = None) -> int:
         findings = check(args.paths)
     except SyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     for finding in findings:
         print(f"{finding.path}:{finding.line}: {finding.message}")

@@ -60,7 +60,9 @@ class Finding:
 def check(paths: Iterable[str | Path]) -> list[Finding]:
     """Every finding in the ``.py`` files under ``paths``, by path and line.
 
-    Raises :class:`SyntaxError` for a file that does not parse.
+    Raises :class:`SyntaxError` for a file that does not parse and
+    :class:`FileNotFoundError` for a path that does not exist, so a
+    mistyped path is an error rather than a clean result.
     """
     findings: list[Finding] = []
     for file in _py_files(paths):
@@ -78,6 +80,8 @@ def check(paths: Iterable[str | Path]) -> list[Finding]:
 def _py_files(paths: Iterable[str | Path]) -> Iterator[Path]:
     seen: set[Path] = set()
     for path in map(Path, paths):
+        if not path.exists():
+            raise FileNotFoundError(f"no such file or directory: {path}")
         files = [path] if path.is_file() else sorted(path.rglob("*.py"))
         for file in files:
             if file.suffix == ".py" and file.resolve() not in seen:

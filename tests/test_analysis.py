@@ -278,6 +278,44 @@ def test_clean_on_src_at_head():
     assert check([REPO_ROOT / "src"]) == []
 
 
+@pytest.mark.parametrize("placement", ["same-line", "line-above"])
+def test_retired_ignore_comment_does_not_suppress(tmp_path, placement):
+    """``# repro: ignore[...]`` is an ordinary comment: a real finding is
+    fixed by holding the lock, not hidden."""
+    body, access = textwrap.dedent(GUARDED).rstrip("\n").rsplit("\n", 1)
+    comment = "# repro: ignore[guarded-by]"
+    if placement == "same-line":
+        source = f"{body}\n{access}  {comment}\n"
+    else:
+        indent = access[: len(access) - len(access.lstrip())]
+        source = f"{body}\n{indent}{comment}\n{access}\n"
+    findings = analyze(tmp_path, {"box.py": source})
+    assert [f.symbol for f in findings] == ["Box.unlocked_read:_items#1"]
+
+
+def test_check_reports_a_file_once_across_overlapping_paths(tmp_path):
+    analyze(tmp_path, {"a/box.py": GUARDED, "b/box.py": GUARDED})
+    findings = check([tmp_path / "b", tmp_path, tmp_path / "a" / "box.py"])
+    assert [(f.path, f.line) for f in findings] == [
+        ((tmp_path / "a" / "box.py").as_posix(), 14),
+        ((tmp_path / "b" / "box.py").as_posix(), 14),
+    ]
+
+
+def test_check_raises_syntax_error_naming_the_file(tmp_path):
+    broken = tmp_path / "broken.py"
+    broken.write_text("def broken(:\n")
+    with pytest.raises(SyntaxError) as exc_info:
+        check([tmp_path])
+    assert exc_info.value.filename == str(broken)
+
+
+def test_check_rejects_a_missing_path(tmp_path):
+    """A mistyped path is an error, not a tree with nothing to report."""
+    with pytest.raises(FileNotFoundError, match="no_such_dir"):
+        check([tmp_path / "no_such_dir"])
+
+
 def _run_cli(*args: str, cwd: Path = REPO_ROOT):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
@@ -337,6 +375,20 @@ def test_cli_retired_options_are_usage_errors(option):
     with pytest.raises(SystemExit) as exit_info:
         main([option, "src"])
     assert exit_info.value.code == 2
+
+
+def test_cli_missing_path_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no_such_dir"
+    assert main([str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(missing) in captured.err
+
+
+def test_cli_default_path_is_src(monkeypatch, capsys):
+    monkeypatch.chdir(REPO_ROOT)
+    assert main([]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 finding(s)"]
 
 
 # ----------------------------------------------------------------------

@@ -47,6 +47,15 @@ class TestContainment:
 
 
 class TestSetOperations:
+    def test_intersection(self):
+        a = Rect(0, 2, 0, 2)
+        b = Rect(1, 3, 1, 3)
+        assert a.intersects(b) and b.intersects(a)
+        # Containment overlaps without any edge crossing the other's.
+        outer = Rect(0, 4, 0, 4)
+        inner = Rect(1, 2, 1, 2)
+        assert outer.intersects(inner) and inner.intersects(outer)
+
     def test_intersects_touching_edges(self):
         assert Rect(0, 1, 0, 1).intersects(Rect(1, 2, 0, 1))
 
@@ -75,7 +84,7 @@ class TestSetOperations:
         assert union.contains_rect(r2)
 
     @given(coords, coords, coords, coords, coords, coords, coords, coords)
-    def test_intersects_symmetric_and_means_overlap(self, a, b, c, d, e, f, g, h):
+    def test_intersection_symmetric_and_contained(self, a, b, c, d, e, f, g, h):
         r1 = make_rect(a, b, c, d)
         r2 = make_rect(e, f, g, h)
         overlap = Rect(
