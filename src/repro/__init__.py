@@ -66,7 +66,7 @@ from repro.serve import (
     ServiceStats,
 )
 
-__version__ = "1.39.0"
+__version__ = "1.40.0"
 
 __all__ = [
     "CellId",

@@ -50,20 +50,47 @@ repeated over them are the only arrays as long as the extended key set.
 (``tests/oracles.py`` keeps the key-materialising build as the oracle.)
 
 The probe is one descent for the whole batch.  8-entry *root tables*
-indexed by an id's face bits give every lane its tree's root and the
-prefix it must match (a face without a tree holds an unmatchable prefix,
-so its lanes start in the sentinel); one table set per distinct prefix
-depth, normally one.  Per level a lane reads one slot,
+indexed by an id's face bits give every lane its tree's prefix, which it
+must match (a face without a tree holds an unmatchable prefix, so no
+lane of it is accepted); one table set per distinct prefix depth,
+normally one.  Per level a lane reads one slot,
 ``e = pool[current + slot]``, keeps ``found = min(found, e)`` and moves
 to ``current = max(e, 0)``: a value is the only negative read, so it
 survives in ``found`` while the lane moves to the sentinel, where every
 later read is 0 — resolved and fallen-off lanes need no test, no scatter
 and no compaction.  ``-found`` is the lane's row, and the probe yields
-rows (:meth:`~AdaptiveCellTrie.probe_rows`; a level-0 face cell starts
-its lanes at its own ``-k``); :meth:`~AdaptiveCellTrie.probe` gathers
-their tagged entries.  When a root
-table accepts every lane, as on in-area batches, every lane runs every
-level in place: that full-width loop is cheaper than the live-lane
+rows (:meth:`~AdaptiveCellTrie.probe_rows`; a lane on a face that is one
+level-0 cell holds that cell's ``-k``, which no root table accepts);
+:meth:`~AdaptiveCellTrie.probe` gathers their tagged entries.
+
+The first read is two levels deep.  Each face tree has a *two-level
+root*: a dense block of ``fanout ** 2`` slots in the pool's signed
+encoding (64 Ki slots, 512 KiB at ACT4; 2 KiB at ACT2, 128 B at ACT1),
+whose row ``s`` is root slot ``s`` read one level on — the child node's
+slots, the root's value repeated, or zeros.  One gather at the slot bits
+of the root's level and the next resolves both, so every lane descends
+one level less.  The blocks (``two_level_root``, one array) are derived
+from the pool at build and at :meth:`~AdaptiveCellTrie.attach`, as the
+row table is: they are not packed, and they sit outside the modeled
+``size_bytes``; :meth:`~AdaptiveCellTrie.describe` reports their bytes.
+They start as an anonymous mapping, all zeros, and only the rows under a
+non-empty root slot are written, so the untouched pages cost no memory
+(the 60 m neighborhoods index has two face trees and writes 21 of their
+512 rows; ``np.zeros`` may reuse a heap block that calloc clears, which
+read +3.7 MiB peak RSS on ``churn_venues_mixed``).  Where the second
+level would lie below level 30 the two-level slot is a left shift of the
+id: no tree has a child there, so its rows repeat the root's values.  On
+8 Ki-point batches the probe takes 33–37 % less time than the per-level
+loop it replaced on the ``serve_uniform_approx`` index (built or
+attached), 36–37 % less on the ``offline_border_exact`` one and 29–30 %
+less on the trained ``sharded_hotspot_exact`` one, rows bit-identical
+(two sweeps of 41 alternating in-process rounds, 2 vCPUs; the loop lives
+on in ``tests/oracles.py``).
+
+When a root table accepts every lane, as on in-area batches, every lane
+runs every level in place, and the lanes' first read is their
+``found``: a face with a tree has no level-0 cell, and no other table
+accepts its lanes.  That full-width loop is cheaper than the live-lane
 compaction it replaced, deepest index included, and cheaper than
 gathering all lanes (DESIGN.md, "The ACT probe").  Every probe of the
 four e2e workloads takes it, the dynamic delta stores of
@@ -75,6 +102,7 @@ for its in-area points only; a table that accepts no lane is skipped.
 
 from __future__ import annotations
 
+import mmap
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -156,14 +184,19 @@ class _RootTable:
     """Where a probe starts, for every face tree sharing one prefix depth.
 
     The 8-entry arrays are indexed by an id's top three bits.  A face
-    with no tree (at this prefix depth) holds ``_NO_PREFIX``, so its
-    lanes start in the sentinel node.
+    with no tree (at this prefix depth) holds ``_NO_PREFIX``, so no lane
+    of it is accepted.  ``top_shift`` turns an id into its slot of a
+    two-level block (the slot bits of levels ``prefix_depth + 1`` and
+    ``+ 2``); it is negative, a left shift, when the second level lies
+    below level 30, where no tree has a child node.
     """
 
     prefix_depth: int
     prefix_shift: np.uint64
     prefix_value: np.ndarray  # uint64
-    root_base: np.ndarray  # int64 slot bases
+    root_base: np.ndarray  # int64 slot bases of the root nodes
+    top_base: np.ndarray  # int64 block starts in the two-level root table
+    top_shift: int
 
 
 class AdaptiveCellTrie(RowStore):
@@ -383,10 +416,23 @@ class AdaptiveCellTrie(RowStore):
 
     def _index_roots(self) -> None:
         """Root tables of the face trees (one per distinct prefix depth,
-        normally one) and the starting ``found`` of every face: ``-k``
-        for a level-0 cell whose entry is row ``k``, else 0."""
+        normally one), their two-level root table, and the starting
+        ``found`` of every face: ``-k`` for a level-0 cell whose entry is
+        row ``k``, else 0."""
+        fanout = self.fanout
+        block = fanout * fanout
         by_depth: dict[int, _RootTable] = {}
-        for face, tree in self._face_trees.items():
+        # Zeros are an empty slot, and only the rows under a non-empty
+        # root slot are written.  An anonymous mapping keeps the pages of
+        # the rest out of memory; np.zeros may reuse a heap block, which
+        # calloc clears page by page.
+        size = len(self._face_trees) * block
+        self.two_level_root = (
+            np.frombuffer(mmap.mmap(-1, size * 8), dtype=np.int64)
+            if size
+            else np.zeros(0, dtype=np.int64)
+        )
+        for k, (face, tree) in enumerate(sorted(self._face_trees.items())):
             roots = by_depth.get(tree.prefix_depth)
             if roots is None:
                 roots = by_depth[tree.prefix_depth] = _RootTable(
@@ -394,9 +440,19 @@ class AdaptiveCellTrie(RowStore):
                     prefix_shift=np.uint64(tree.prefix_shift),
                     prefix_value=np.full(8, _NO_PREFIX, dtype=np.uint64),
                     root_base=np.zeros(8, dtype=np.int64),
+                    top_base=np.zeros(8, dtype=np.int64),
+                    top_shift=_FACE_SHIFT - 2 * self.delta * (tree.prefix_depth + 2),
                 )
             roots.prefix_value[face] = tree.prefix_value
             roots.root_base[face] = tree.root_base
+            roots.top_base[face] = k * block
+            # Row s of the block is root slot s read one level on: a
+            # value replicated, a child node's slots, or empty.
+            rows = self.two_level_root[k * block : (k + 1) * block].reshape(fanout, fanout)
+            root = self.pool[tree.root_base : tree.root_base + fanout]
+            values, pointers = root < 0, root > 0
+            rows[values] = root[values][:, None]
+            rows[pointers] = self.pool[root[pointers][:, None] + np.arange(fanout)]
         self._root_tables = [by_depth[depth] for depth in sorted(by_depth)]
         self._face_found = np.zeros(8, dtype=np.int64)
         for face, entry in self._face_values.items():
@@ -413,7 +469,8 @@ class AdaptiveCellTrie(RowStore):
         """The ``entries`` row of every leaf cell id (0 = false hit).
 
         This is Listing 2 of the paper, vectorized: per level, one gather
-        from the node pool resolves every lane.
+        resolves every lane, the first from the two-level root (the root
+        node and its child at once), the rest from the node pool.
         """
         rows, _ = self._probe_impl(query_ids, instrument=False)
         return rows
@@ -428,17 +485,24 @@ class AdaptiveCellTrie(RowStore):
     ) -> tuple[np.ndarray, ProbeStats | None]:
         """The one descent (module docstring), to rows, and with
         ``instrument`` its statistics: ``depths`` counts, per lane, the
-        levels it entered outside the sentinel, its node accesses."""
+        tree levels it entered outside the sentinel, its node accesses
+        (a two-level root read is one or two of them)."""
         ids = np.ascontiguousarray(query_ids, dtype=np.uint64)
         depths = np.zeros(len(ids), dtype=np.int16) if instrument else None
         prefix_rejections = 0
-        top = (ids >> np.uint64(_FACE_SHIFT)).astype(np.intp)
-        found = self._face_found[top]
+        # A face number is below 2**63: the view is the index, uncopied.
+        top = (ids >> np.uint64(_FACE_SHIFT)).view(np.intp)
+        # Every lane's row until a root table accepts it: its face's
+        # level-0 cell or the miss.  Made only when some table rejects a
+        # lane: a face with a tree has no level-0 cell, and it is in one
+        # table only.
+        found = None
         # Arithmetic shifts of the signed view keep the low slot bits exact
         # and make ``slots`` an index array numpy gathers without a cast.
         signed_ids = ids.view(np.int64)
         pool = self.pool
         slot_mask = self.fanout - 1
+        top_mask = self.fanout * self.fanout - 1
         for roots in self._root_tables:
             prefix = roots.prefix_value[top]
             accepted = (ids >> roots.prefix_shift) == prefix
@@ -461,13 +525,26 @@ class AdaptiveCellTrie(RowStore):
                     # against one city's index).
                     continue
             lane_ids = signed_ids[lanes]
-            current = roots.root_base[top[lanes]]
-            lane_found = found[lanes]
+            lane_faces = top[lanes]
             lane_depths = None if depths is None else depths[lanes]
+            # Levels prefix_depth + 1 and + 2 in one read of the
+            # two-level root table.
+            top_shift = roots.top_shift
+            slots = lane_ids >> top_shift if top_shift >= 0 else lane_ids << -top_shift
+            slots &= top_mask
+            slots += roots.top_base[lane_faces]
+            lane_found = current = self.two_level_root.take(slots)
+            if lane_depths is not None:
+                # The root, and its child where the root slot points.
+                slots = lane_ids >> (_FACE_SHIFT - 2 * self.delta * (roots.prefix_depth + 1))
+                slots &= slot_mask
+                slots += roots.root_base[lane_faces]
+                lane_depths += 1 + (pool.take(slots) > 0)
             # A value at tree depth d is read at level d, so
             # _max_value_depth bounds the loop; the shift stays >= 1
             # because d * delta <= 30.
-            for depth in range(roots.prefix_depth + 1, self._max_value_depth + 1):
+            for depth in range(roots.prefix_depth + 3, self._max_value_depth + 1):
+                current = np.maximum(current, 0)
                 if lane_depths is not None:
                     lane_depths += current != 0
                 slots = lane_ids >> (_FACE_SHIFT - 2 * self.delta * depth)
@@ -475,11 +552,16 @@ class AdaptiveCellTrie(RowStore):
                 slots += current
                 current = pool.take(slots)
                 np.minimum(lane_found, current, out=lane_found)
-                np.maximum(current, 0, out=current)
-            if not every_lane:
+            if every_lane:
+                found = lane_found
+            else:
+                if found is None:
+                    found = self._face_found[top]
                 found[lanes] = lane_found
                 if depths is not None:
                     depths[lanes] = lane_depths
+        if found is None:
+            found = self._face_found[top]
         np.negative(found, out=found)
         if not instrument:
             return found, None
@@ -521,4 +603,5 @@ class AdaptiveCellTrie(RowStore):
             "build_seconds": self.build_seconds,
             "occupancy": self.node_occupancy(),
             "faces": sorted(self._face_trees),
+            "two_level_root_bytes": int(self.two_level_root.nbytes),
         }

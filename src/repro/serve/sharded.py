@@ -234,10 +234,10 @@ def _apply_admin(
         traffic: dict[str, TrafficIncrement] = {}  # the join's increment, observing
         service._traffic_sink = traffic.__setitem__ if observe else None
         with tracer.remote_root("shard", trace, shard=shard):
-            if not brought:
-                with tracer.span("cell_ids", points=b - a):
-                    ring_ids[a:b] = index.cell_ids_for(ring_lats[a:b], ring_lngs[a:b])
             if a < b:
+                if not brought:
+                    with tracer.span("cell_ids", points=b - a):
+                        ring_ids[a:b] = index.cell_ids_for(ring_lats[a:b], ring_lngs[a:b])
                 result = service.join(
                     ring_lats[a:b], ring_lngs[a:b], layer=layer, exact=exact,
                     materialize=materialize, cell_ids=ring_ids[a:b],

@@ -61,6 +61,12 @@ tagged descent lives on here as :func:`tagged_descent_probe` (over
 :func:`tagged_pool`, the tagged form of a signed pool), which
 ``tests/test_act.py`` holds ``probe`` / ``probe_instrumented`` against.
 
+Until 1.40.0 the ACT probe read a face tree's root node and then its
+child as two levels.  It now reads both in one gather from a two-level
+root table derived from them (``fanout ** 2`` slots per face tree); the
+per-level loop lives on here as :func:`per_level_probe_rows`, which
+``tests/test_act.py`` holds ``probe_rows`` against, row for row.
+
 Until 1.27.0 ``OverlayCellStore.probe`` merged every lane: each distinct
 ``(base entry, delta entry)`` pair of the batch went through the decode,
 merge and re-encode.  The store now keeps the base row of every lane a
@@ -1128,6 +1134,38 @@ def tagged_descent_probe(act, query_ids: np.ndarray):
     for face, entry in act._face_values.items():
         out[top == face] = entry
     return out, depths, node_accesses, prefix_rejections
+
+
+def per_level_probe_rows(act, query_ids: np.ndarray) -> np.ndarray:
+    """``AdaptiveCellTrie.probe_rows`` as it ran until 1.40.0: every lane
+    starts at its face tree's root node and reads one slot per level,
+    ``e = pool[current + slot]``, keeping ``found = min(found, e)`` and
+    moving to ``current = max(e, 0)`` — the root node and its child are
+    two levels here, not one read of the two-level root table.  A root
+    table that accepts every lane descends in place; otherwise the
+    accepted lanes are gathered, descend and are scattered back."""
+    ids = np.ascontiguousarray(query_ids, dtype=np.uint64)
+    top = (ids >> np.uint64(_FACE_SHIFT)).astype(np.intp)
+    found = act._face_found[top]
+    signed_ids = ids.view(np.int64)
+    slot_mask = act.fanout - 1
+    for roots in act._root_tables:
+        accepted = (ids >> roots.prefix_shift) == roots.prefix_value[top]
+        every_lane = bool(accepted.all())
+        lanes = slice(None) if every_lane else np.flatnonzero(accepted)
+        lane_ids = signed_ids[lanes]
+        current = roots.root_base[top[lanes]]
+        lane_found = found[lanes]
+        for depth in range(roots.prefix_depth + 1, act._max_value_depth + 1):
+            slots = lane_ids >> (_FACE_SHIFT - 2 * act.delta * depth)
+            slots &= slot_mask
+            slots += current
+            current = act.pool.take(slots)
+            np.minimum(lane_found, current, out=lane_found)
+            np.maximum(current, 0, out=current)
+        if not every_lane:
+            found[lanes] = lane_found
+    return -found
 
 
 def overlay_refs_all_lanes(overlay, query_ids: np.ndarray) -> list[tuple[PolygonRef, ...]]:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from repro.baselines import SortedVectorStore
 from repro.cells import CellId, cell_ids_from_lat_lng_arrays
+from repro.cells.cellid import MAX_LEVEL
 from repro.core.act import AdaptiveCellTrie, signed_pool
 from repro.core.refs import PolygonRef
 from repro.core.super_covering import SuperCovering, build_super_covering
@@ -503,6 +504,110 @@ class TestTaggedDescentParity:
         act = AdaptiveCellTrie(covering, fanout_bits)
         self._assert_parity(act, np.zeros(0, dtype=np.uint64))
         assert act.probe(np.zeros(0, dtype=np.uint64)).dtype == np.uint64
+
+
+@st.composite
+def shallow_value_tree(draw, fanout_bits: int, face: int) -> list[CellId]:
+    """Disjoint cells on ``face`` whose values all sit one tree level
+    below the face tree's prefix: levels ``(p·delta, (p+1)·delta]``
+    under one level-``p·delta`` stem, so the prefix depth is ``p``.  The
+    deepest such ``p`` puts the second level of the two-level root below
+    level 30 (a left shift: level-30 cells at fanout 4, say)."""
+    delta = fanout_bits // 2
+    deepest = MAX_LEVEL // delta - 1
+    prefix_depth = draw(st.just(deepest) | st.integers(0, deepest))
+    position = st.integers(0, 3)
+    stem = descend(
+        CellId.face_cell(face),
+        draw(st.lists(position, min_size=prefix_depth * delta, max_size=prefix_depth * delta)),
+    )
+    cells: list[CellId] = []
+    for _ in range(draw(st.integers(1, 6))):
+        cell = descend(stem, draw(st.lists(position, min_size=1, max_size=delta)))
+        if not any(cell.intersects(other) for other in cells):
+            cells.append(cell)
+    return cells
+
+
+class TestTwoLevelRootParity:
+    """``probe_rows`` reads a face tree's root node and its child in one
+    gather from the two-level root table; the per-level loop it replaced
+    (``tests/oracles.py``) reads them as two levels.  Rows agree lane for
+    lane, and ``probe_instrumented`` still counts tree levels."""
+
+    def _assert_parity(self, act: AdaptiveCellTrie, ids: np.ndarray) -> None:
+        rows = act.probe_rows(ids)
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, oracles.per_level_probe_rows(act, ids))
+        entries, stats = act.probe_instrumented(ids)
+        expected, depths, node_accesses, _ = oracles.tagged_descent_probe(act, ids)
+        assert np.array_equal(entries, expected)
+        assert np.array_equal(act.entries.take(rows), expected)
+        assert np.array_equal(stats.depths, depths)
+        assert stats.node_accesses == node_accesses
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.sampled_from([2, 4, 8]))
+    def test_matches_the_per_level_loop(self, data, fanout_bits):
+        """A shallow-valued tree beside up to three faces of level-0
+        cells and stems of any length (several prefix depths)."""
+        face = data.draw(st.integers(0, 5))
+        shallow = data.draw(shallow_value_tree(fanout_bits, face))
+        others = oracles.covering_dict(data.draw(disjoint_covering(max_level=24)))
+        raw = {raw: refs for raw, refs in others.items() if raw >> 61 != face}
+        raw.update({cell.id: data.draw(_ref_rows) for cell in shallow})
+        covering = oracles.covering_from_dict(raw)
+        act = AdaptiveCellTrie(covering, fanout_bits)
+        # Batches its root tables partly accept (the gathered lanes) ...
+        self._assert_parity(act, data.draw(query_batch(covering)))
+        # ... and one the shallow tree's table accepts whole (in place).
+        inside = st.builds(leaf_under, st.sampled_from(shallow), st.floats(0.0, 1.0))
+        in_area = np.asarray(data.draw(st.lists(inside, max_size=40)), dtype=np.uint64)
+        self._assert_parity(act, in_area)
+        # The deepest value is one level below the prefix.
+        tree = act._face_trees[face]
+        assert all(
+            -(-cell.level // act.delta) == tree.prefix_depth + 1 for cell in shallow
+        )
+
+    @pytest.mark.parametrize("fanout_bits, level", [(2, 30), (4, 30), (8, 28)])
+    def test_second_level_below_level_30(self, fanout_bits, level):
+        """Values at the deepest level the fanout allows, one level below
+        their prefix: the two-level slot is a left shift of the id."""
+        delta = fanout_bits // 2
+        stem = BASE.parent(level - delta)
+        cells = [descend(stem, [k] + [0] * (delta - 1)) for k in (0, 2, 3)]
+        covering = make_covering(
+            [(cell, [PolygonRef(k, bool(k % 2))]) for k, cell in enumerate(cells)]
+        )
+        act = AdaptiveCellTrie(covering, fanout_bits)
+        assert [roots.top_shift < 0 for roots in act._root_tables] == [True]
+        ids = np.asarray(
+            [leaf_under(cell, f) for cell in (stem, *cells) for f in (0.0, 0.3, 1.0)],
+            dtype=np.uint64,
+        )
+        self._assert_parity(act, ids)
+        assert decoded(act, act.probe(ids)) == expected_refs(covering, ids)
+
+    @pytest.mark.parametrize("fanout_bits", [2, 4, 8])
+    def test_root_table_holds_the_root_and_its_children(self, fanout_bits, overlap_grid_polygons):
+        """Row ``s`` of a face's block is root slot ``s`` one level on:
+        its value repeated, its child's slots, or zeros."""
+        from repro.core.builder import PolygonIndex
+
+        act = AdaptiveCellTrie(
+            PolygonIndex.build(overlap_grid_polygons).super_covering, fanout_bits
+        )
+        fanout = act.fanout
+        assert act.describe()["two_level_root_bytes"] == len(act._face_trees) * fanout**2 * 8
+        for k, (face, tree) in enumerate(sorted(act._face_trees.items())):
+            block = act.two_level_root[k * fanout**2 : (k + 1) * fanout**2]
+            for slot, entry in enumerate(act.pool[tree.root_base : tree.root_base + fanout]):
+                row = block[slot * fanout : (slot + 1) * fanout]
+                if entry > 0:
+                    assert np.array_equal(row, act.pool[entry : entry + fanout])
+                else:
+                    assert np.all(row == entry)
 
 
 def pinned_covering() -> tuple[SuperCovering, list[CellId]]:

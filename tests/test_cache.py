@@ -22,7 +22,7 @@ from repro.geo.polygon import regular_polygon
 from repro.obs import MetricsRegistry, Observability
 from repro.obs.export import render_prometheus
 from repro.serve import ShardedJoinService
-from repro.serve.cache import _STAND_ASIDE_LOOKUPS, CachedCellStore, HotCellCache
+from repro.serve.cache import _DECLINE_FIRST, _DECLINE_MAX, CachedCellStore, HotCellCache
 
 POLYGONS = [
     regular_polygon((-74.0 + gx * 0.02, 40.70 + gy * 0.02), 0.011, 16)
@@ -179,18 +179,35 @@ def probe_and_classify(cached: CachedCellStore, ids: np.ndarray) -> str:
     return "declined" if bypassed else "looked up"
 
 
-def test_cold_stream_is_declined_15_lookups_in_16(stores):
+#: The declines between samples of a stream that keeps missing: doubled
+#: (plus one) per missing sample, up to the cap.
+BACK_OFF = [15, 31, 63, 127, 255, 255]
+
+
+def declines_then_samples(counts) -> list[str]:
+    return [
+        outcome
+        for count in counts
+        for outcome in ["declined"] * count + ["looked up"]
+    ]
+
+
+def test_cold_stream_backs_off_from_15_to_255_declined_lookups(stores):
     store = stores[0]["act"]
     cached = CachedCellStore(store, HotCellCache(capacity=256))
     generator = np.random.default_rng(3)
-    seen = [probe_and_classify(cached, cold_batch(generator)) for _ in range(2 + 3 * 16)]
-    # The first lookup is exempt, the second triggers, and from then on
-    # one lookup in 16 samples the stream.
-    sample = ["declined"] * _STAND_ASIDE_LOOKUPS + ["looked up"]
-    assert seen == ["looked up", "looked up"] + sample * 3
+    batch = 8
+    seen = [
+        probe_and_classify(cached, cold_batch(generator, batch))
+        for _ in range(2 + sum(BACK_OFF) + len(BACK_OFF))
+    ]
+    # The first lookup is exempt and the second triggers; every sample
+    # that misses again doubles the declines, up to 255.
+    assert (_DECLINE_FIRST, _DECLINE_MAX) == (BACK_OFF[0], BACK_OFF[-1])
+    assert seen == ["looked up", "looked up"] + declines_then_samples(BACK_OFF)
     stats = cached.cache.stats()
-    assert stats.hits == 0 and stats.misses == 5 * 64
-    assert stats.bypassed == 3 * _STAND_ASIDE_LOOKUPS * 64
+    assert stats.hits == 0 and stats.misses == (2 + len(BACK_OFF)) * batch
+    assert stats.bypassed == sum(BACK_OFF) * batch
     assert stats.hit_rate == 0.0  # of the keys looked up; bypassed excluded
 
 
@@ -198,21 +215,42 @@ def test_stream_that_turns_hot_is_back_on_the_table_within_two_samples(stores):
     store, leaf_ids = stores[0]["act"], stores[1]
     cached = CachedCellStore(store, HotCellCache(capacity=256))
     generator = np.random.default_rng(4)
-    for _ in range(5):
-        probe_and_classify(cached, cold_batch(generator))
+    # Lookups 1, 2, 18 and 50 sample the cold stream; the last declines 63.
+    cold = [probe_and_classify(cached, cold_batch(generator)) for _ in range(50)]
+    assert cold == ["looked up", "looked up"] + declines_then_samples(BACK_OFF[:2])
     hot = id_pool(store, leaf_ids, 0, 48)
-    turned = [probe_and_classify(cached, hot) for _ in range(2 * (_STAND_ASIDE_LOOKUPS + 1))]
-    # One sample misses (and caches) the hot keys, the next one hits, and
-    # from there the table serves every batch.
-    first = turned.index("looked up")
-    second = turned.index("looked up", first + 1)
-    assert turned[first + 1 : second] == ["declined"] * _STAND_ASIDE_LOOKUPS
-    assert turned[second:] == ["looked up"] * (len(turned) - second)
+    turned = [probe_and_classify(cached, hot) for _ in range(63 + 1 + 127 + 1 + 20)]
+    # The first sample misses (and caches) the hot keys, and backs off
+    # once more; the next one hits, and from there the table serves
+    # every batch.
+    assert turned[: 63 + 1 + 127 + 1] == declines_then_samples([63, 127])
+    assert turned[-20:] == ["looked up"] * 20
     before = cached.cache.stats()
     assert [probe_and_classify(cached, hot) for _ in range(20)] == ["looked up"] * 20
     after = cached.cache.stats()
     assert after.hits - before.hits == 20 * len(hot)
     assert after.misses == before.misses
+    # A sample that hit reset the back-off: a stream that turns cold
+    # again is declined 15 lookups, not 255.
+    again = [probe_and_classify(cached, cold_batch(generator)) for _ in range(2 + 15)]
+    assert again == ["looked up"] + declines_then_samples([15])
+
+
+def test_service_looks_up_8_of_1000_batches_of_a_stream_that_never_repeats():
+    index = PolygonIndex.build(POLYGONS, precision_meters=60.0)
+    generator = np.random.default_rng(8)
+    batch = 16
+    with JoinService(index) as service:
+        for _ in range(1000):
+            # Uniform over a box ~1000x the polygons' area: no key repeats.
+            service.join(
+                generator.uniform(40.0, 41.4, batch), generator.uniform(-74.7, -73.3, batch)
+            )
+        cache = service.stats().cache["default"]
+    # Lookups 1, 2, 18, 50, 114, 242, 498 and 754; 15 in 16 would be 64.
+    assert cache.requests <= 8 * batch
+    assert cache.requests + cache.bypassed == 1000 * batch
+    assert cache.hits == 0
 
 
 def test_first_lookup_of_a_table_never_stands_it_aside():
@@ -227,6 +265,17 @@ def test_first_lookup_of_a_table_never_stands_it_aside():
         assert looked is not None and looked[2].size == 0
         assert cache.stats().bypassed == 0
         cache.clear()
+
+
+def test_clear_resets_the_back_off(stores):
+    cached = CachedCellStore(stores[0]["act"], HotCellCache(capacity=256))
+    generator = np.random.default_rng(5)
+    cold = [probe_and_classify(cached, cold_batch(generator, 8)) for _ in range(2 + 15 + 1)]
+    # The sample after the first 15 declines missed: 31 would be next.
+    assert cold == ["looked up", "looked up"] + declines_then_samples([15])
+    cached.cache.clear()
+    again = [probe_and_classify(cached, cold_batch(generator, 8)) for _ in range(2 + 15 + 1)]
+    assert again == cold
 
 
 def test_declined_lookup_emits_no_cache_lookup_span(stores):

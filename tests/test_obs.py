@@ -553,6 +553,24 @@ class TestShardedIntegration:
             "ts", "kind", "shard", "backend", "spawn_seconds",
         }
 
+    def test_inline_one_point_join_runs_one_cell_id_kernel(self, index, points):
+        # A dispatch smaller than num_shards leaves a lane an empty share:
+        # that lane computes no ids, so the trace holds one cell_ids span.
+        lats, lngs = points
+        obs = Observability()
+        with ShardedJoinService(
+            index, num_shards=2, backend="inline", obs=obs
+        ) as svc:
+            result = svc.join(lats[:1], lngs[:1], exact=True)
+            trace = obs.tracer.take_last_trace()
+        names = _by_name(trace)
+        assert len(names["shard"]) == 2  # both lanes are still messaged
+        (id_span,) = names["cell_ids"]
+        assert id_span.meta["points"] == 1
+        assert np.array_equal(
+            result.counts, index.join(lats[:1], lngs[:1], exact=True).counts
+        )
+
     def test_process_trace_contains_worker_spans(self, index, points):
         lats, lngs = points
         obs = Observability()

@@ -361,6 +361,47 @@ class TestBackwardCompatibility:
             assert (a.pair_points == b.pair_points).all()
             assert (a.pair_polygons == b.pair_polygons).all()
 
+    @pytest.mark.parametrize("fixture", ["v1", "v2", "v3", "v4"])
+    def test_fixture_tries_probe_like_the_per_level_loop(self, fixture, tmp_path):
+        """Every trie of the checked-in files, and of a v4 re-save of the
+        v3 one, derives its two-level root table at attach (nothing of
+        it is packed) and probes row for row like the per-level loop, on
+        in-area batches and on batches its root tables only partly
+        accept."""
+        import oracles
+        from repro.cells.vectorized import cell_ids_from_lat_lng_arrays
+        from repro.core import AdaptiveCellTrie
+        from repro.core.flat import FlatSnapshot
+
+        path = {"v1": FIXTURE_V1, "v2": FIXTURE_V2, "v3": FIXTURE_V3}.get(fixture)
+        if path is None:
+            path = tmp_path / "v4.npy"
+            save_index(load_index(FIXTURE_V3), path)
+            buffers = FlatSnapshot.load(path).buffers
+            assert not any("two_level" in name for name in buffers)
+        loaded = load_index(path)
+        tries = [getattr(loaded, "base", loaded).store]
+        delta = getattr(loaded.store, "_delta_store", None)
+        if delta is not None:
+            tries.append(delta)
+        generator = np.random.default_rng(29)
+        lats = np.concatenate(
+            (generator.uniform(40.68, 40.74, 4000), generator.uniform(-80, 80, 1000))
+        )
+        lngs = np.concatenate(
+            (generator.uniform(-74.02, -73.96, 4000), generator.uniform(-180, 180, 1000))
+        )
+        ids = cell_ids_from_lat_lng_arrays(lats, lngs)
+        for trie in tries:
+            assert isinstance(trie, AdaptiveCellTrie)
+            assert trie.describe()["two_level_root_bytes"] == (
+                len(trie._face_trees) * trie.fanout**2 * 8
+            )
+            for batch in (ids[:4000], ids):
+                rows = trie.probe_rows(batch)
+                assert np.array_equal(rows, oracles.per_level_probe_rows(trie, batch))
+            assert trie.probe_rows(ids[:4000]).any()
+
     def test_v3_fixture_join_bit_identical_to_fresh_build(self):
         from repro.core import DynamicPolygonIndex
 
